@@ -1,13 +1,13 @@
 GO ?= go
 BENCHTIME ?= 5x
 FUZZTIME ?= 20s
-FUZZ_TARGETS := FuzzMatchLookup FuzzSubsumes FuzzPrefixContains
+FUZZ_TARGETS := FuzzMatchLookup FuzzTableOps FuzzSubsumes FuzzPrefixContains
 SHARD_CLASSES ?= 200000
 SHARD_COUNTS ?= 1,2,4,8
-SHARD_MIN_SPEEDUP ?= 2
+SHARD_MIN_SPEEDUP ?= 0
 POLICY_MIN_COMPILES ?= 2000
 
-.PHONY: build test race vet lint bench bench-dp bench-shard bench-policy reopt fuzz cover check trace-smoke clean
+.PHONY: build test race vet lint bench bench-check bench-dp bench-shard bench-policy reopt fuzz cover check trace-smoke clean
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,13 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkTableV' -benchtime $(BENCHTIME) .
 	$(GO) run ./cmd/benchlp -out BENCH_lp.json
 
+# bench-check vets and tests cmd/applebench, the end-to-end benchmark. It
+# is its own module (the benchmark builds from its own go.mod), so the
+# root module's build, vet and test never compile it; this target is what
+# catches a change to an internal API the benchmark calls.
+bench-check:
+	cd cmd/applebench && $(GO) vet ./... && $(GO) test ./...
+
 # bench-dp refreshes BENCH_dataplane.json, the data-plane lookup report
 # (compiled tuple-space matcher vs the linear TCAM scan at 1/100/10k/100k
 # rules, allocs per lookup, parallel scaling, and the 3-table Process
@@ -54,11 +61,12 @@ bench-dp:
 # bench-shard refreshes BENCH_scale.json, the regional-sharding scale
 # report: the same synthetic FatTree class workload admitted through a
 # ShardedController at increasing shard counts, with classes/s, heap per
-# shard, and the cross-shard interference audit for every run. The
-# monolith's admission cost grows super-linearly in installed classes
-# (full table recompiles and transaction pre-images), so the sharded
-# runs win even on one core; -min-speedup doubles as the CI regression
-# smoke. SHARD_CLASSES/SHARD_COUNTS/SHARD_MIN_SPEEDUP tune the run.
+# shard, and the cross-shard interference audit for every run. Since
+# table publication and transaction pre-images became O(delta), one
+# core gains little from sharding (DESIGN.md §16), so the speedup is
+# reported, not gated, by default; -min-speedup remains for whoever
+# measures a multi-core Workers>1 grid.
+# SHARD_CLASSES/SHARD_COUNTS/SHARD_MIN_SPEEDUP tune the run.
 bench-shard:
 	$(GO) run ./cmd/benchshard -classes $(SHARD_CLASSES) -shards $(SHARD_COUNTS) -min-speedup $(SHARD_MIN_SPEEDUP) -out BENCH_scale.json
 
@@ -97,7 +105,7 @@ cover:
 	$(GO) test -cover -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
 
-check: build vet lint test race
+check: build vet lint test race bench-check
 
 # trace-smoke runs a traced churn replay end to end (cmd/appletrace) and
 # writes the observability artifacts — the virtual-time journal

@@ -5,16 +5,18 @@
 // written to a machine-readable BENCH_scale.json tracked across PRs
 // alongside BENCH_dataplane.json and BENCH_lp.json.
 //
-// The interesting curve is super-linear: the monolith's admission cost
-// has quadratic terms (every flow-table rebuild and transaction
-// pre-image scales with the tables already installed), so R regions
-// each holding C/R classes do strictly less total work than one region
-// holding C — sharding pays even on a single core.
+// When this was written the curve was super-linear: every flow-table
+// publication and transaction pre-image scaled with the tables already
+// installed, so R regions each holding C/R classes did strictly less
+// total work than one region holding C, and sharding paid even on a
+// single core (the committed BENCH_scale.json). Publication and undo
+// are now O(delta), the one-core curve is nearly flat (DESIGN.md §16),
+// and the report is what remains useful: rates, heap per shard and the
+// cross-shard audit.
 //
-// The -min-speedup gate turns the report into a regression smoke: if
-// the classes/s rate at the highest shard count is not at least the
-// given multiple of the single-shard rate, the exit status is 1 and CI
-// fails.
+// The -min-speedup gate fails the run (exit 1) if the classes/s rate at
+// the highest shard count is not at least the given multiple of the
+// single-shard rate; make and CI pass 0, which gates only the audit.
 //
 // Usage:
 //

@@ -498,8 +498,9 @@ func subclassHosts(cl core.Class, hops []int) []topology.NodeID {
 // allocSubTagFor hands the tag for the assignment's next sub-class, given
 // the hosting switches that sub-class will visit: the sub-class index for
 // normal classes; for header-rewriting classes, the smallest upper-half
-// tag free on every visited host.
-func (c *Controller) allocSubTagFor(a *Assignment, hosts []topology.NodeID) (uint8, error) {
+// tag free on every visited host, which it marks used (recorded in txn;
+// nil outside a transaction).
+func (c *Controller) allocSubTagFor(a *Assignment, hosts []topology.NodeID, txn *RuleTxn) (uint8, error) {
 	if !a.Global {
 		idx := len(a.SubTags)
 		if idx >= globalTagBase {
@@ -527,10 +528,7 @@ func (c *Controller) allocSubTagFor(a *Assignment, hosts []topology.NodeID) (uin
 			continue
 		}
 		for _, v := range hosts {
-			if c.hostGlobalTags[v] == nil {
-				c.hostGlobalTags[v] = make(map[uint8]bool)
-			}
-			c.hostGlobalTags[v][tag] = true
+			c.setGlobalTag(txn, v, tag, true)
 		}
 		return tag, nil
 	}
@@ -538,8 +536,9 @@ func (c *Controller) allocSubTagFor(a *Assignment, hosts []topology.NodeID) (uin
 }
 
 // releaseSubTags frees a class's tail global tags from their hosts when
-// fast failover rolls back (or an install aborts).
-func (c *Controller) releaseSubTags(a *Assignment, from int) {
+// fast failover rolls back, an install aborts, or a transaction retires
+// the class (txn is nil outside a transaction).
+func (c *Controller) releaseSubTags(a *Assignment, from int, txn *RuleTxn) {
 	if !a.Global {
 		return
 	}
@@ -549,7 +548,7 @@ func (c *Controller) releaseSubTags(a *Assignment, from int) {
 		}
 		tag := a.SubTags[s]
 		for _, v := range subclassHosts(a.Class, a.Subclasses[s].Hops) {
-			delete(c.hostGlobalTags[v], tag)
+			c.setGlobalTag(txn, v, tag, false)
 		}
 	}
 }

@@ -526,7 +526,7 @@ func (d *DynamicHandler) repin(a *Assignment, src, j int, remaining *float64, ra
 				sub.Hops[j] = h
 				insts := append([]vnf.ID(nil), a.Instances[src]...)
 				insts[j] = inst.ID()
-				tag, err := d.c.allocSubTagFor(a, subclassHosts(a.Class, sub.Hops))
+				tag, err := d.c.allocSubTagFor(a, subclassHosts(a.Class, sub.Hops), nil)
 				if err != nil {
 					return moved
 				}
@@ -539,7 +539,7 @@ func (d *DynamicHandler) repin(a *Assignment, src, j int, remaining *float64, ra
 					// Roll the new sub-class back — including any rules
 					// the partial install did land — and stop re-pinning.
 					d.c.removeVSwitchRules(a, target)
-					d.c.releaseSubTags(a, target)
+					d.c.releaseSubTags(a, target, nil)
 					a.Subclasses = a.Subclasses[:target]
 					a.Instances = a.Instances[:target]
 					a.Weights = a.Weights[:target]
@@ -672,7 +672,7 @@ func (d *DynamicHandler) spawnSubclass(a *Assignment, src, j int, weight, rate f
 		sub.Hops[j] = chosenHop
 		newInsts := append([]vnf.ID(nil), a.Instances[src]...)
 		newInsts[j] = inst.ID()
-		tag, tagErr := d.c.allocSubTagFor(a, subclassHosts(a.Class, sub.Hops))
+		tag, tagErr := d.c.allocSubTagFor(a, subclassHosts(a.Class, sub.Hops), nil)
 		if tagErr != nil {
 			d.counters.Inc(CtrSpawnFailures)
 			if d.c.tracer.Enabled() {
@@ -703,7 +703,7 @@ func (d *DynamicHandler) spawnSubclass(a *Assignment, src, j int, weight, rate f
 					WithClass(int64(a.Class.ID)).WithSub(s2).WithInst(string(inst.ID())))
 			}
 			d.c.removeVSwitchRules(a, s2)
-			d.c.releaseSubTags(a, s2)
+			d.c.releaseSubTags(a, s2, nil)
 			a.SubTags = a.SubTags[:s2]
 			a.Subclasses = a.Subclasses[:s2]
 			a.Instances = a.Instances[:s2]
@@ -851,7 +851,7 @@ func (d *DynamicHandler) rollback(classID core.ClassID) error {
 	for s := base; s < len(a.Subclasses); s++ {
 		d.c.removeVSwitchRules(a, s)
 	}
-	d.c.releaseSubTags(a, base)
+	d.c.releaseSubTags(a, base, nil)
 	a.Subclasses = a.Subclasses[:base]
 	a.Instances = a.Instances[:base]
 	a.Weights = append(a.Weights[:0], a.Base...)
@@ -906,7 +906,7 @@ func (d *DynamicHandler) cancelSpawned(id vnf.ID) {
 	}
 	delete(d.detectors, id)
 	delete(d.spawnedSet, id)
-	d.c.dropFromPool(id)
+	d.c.dropFromPool(id, nil)
 	cores, accounted := d.spawnedCores[id]
 	err := d.c.orch.Cancel(id)
 	switch {

@@ -49,16 +49,16 @@ func (c *Controller) admitArrival(cl core.Class, txn *RuleTxn) (*Assignment, err
 	if c.assign.has(cl.ID) {
 		return nil, fmt.Errorf("controller: class %d already installed", cl.ID)
 	}
-	if err := c.ensurePassBy(); err != nil {
+	if err := c.ensurePassBy(txn); err != nil {
 		return nil, err
 	}
-	subs, provisioned, err := c.planClass(cl)
+	subs, provisioned, err := c.planClass(cl, txn)
 	if err != nil {
 		return nil, err
 	}
-	a, err := c.admitClass(cl, subs)
+	a, err := c.admitClass(cl, subs, txn)
 	if err != nil {
-		c.unwindProvisioned(provisioned)
+		c.unwindProvisioned(provisioned, txn)
 		return nil, err
 	}
 	txn.trackProvisioned(provisioned)
@@ -70,7 +70,7 @@ func (c *Controller) admitArrival(cl core.Class, txn *RuleTxn) (*Assignment, err
 // its sub-classes plus any instances provisioned along the way. On
 // failure the provisioned instances are already cancelled (all-or-
 // nothing).
-func (c *Controller) planClass(cl core.Class) ([]core.Subclass, []vnf.ID, error) {
+func (c *Controller) planClass(cl core.Class, txn *RuleTxn) ([]core.Subclass, []vnf.ID, error) {
 	// Eligible hops: path switches with an APPLE host.
 	var hops []int
 	for i, v := range cl.Path {
@@ -99,10 +99,7 @@ func (c *Controller) planClass(cl core.Class) ([]core.Subclass, []vnf.ID, error)
 	// cancelled if the class turns out to be unplaceable (all-or-nothing).
 	var provisioned []vnf.ID
 	fail := func(err error) error {
-		for _, id := range provisioned {
-			_ = c.orch.Cancel(id)
-			c.dropFromPool(id)
-		}
+		c.unwindProvisioned(provisioned, txn)
 		return err
 	}
 	dist := make([][]float64, len(cl.Path))
@@ -186,8 +183,9 @@ func (c *Controller) planClass(cl core.Class) ([]core.Subclass, []vnf.ID, error)
 	return subs, provisioned, nil
 }
 
-// dropFromPool removes a cancelled instance from the placement pools.
-func (c *Controller) dropFromPool(id vnf.ID) {
+// dropFromPool removes a cancelled instance from the placement pools and
+// the portion ledger.
+func (c *Controller) dropFromPool(id vnf.ID, txn *RuleTxn) {
 	for v, byNF := range c.instPool {
 		for nf, insts := range byNF {
 			kept := insts[:0]
@@ -207,9 +205,8 @@ func (c *Controller) dropFromPool(id vnf.ID) {
 				delete(byNF, nf)
 				continue
 			}
-			//lint:ignore txnguard reap-after-commit decommissioning (ReOptimize phase 3) is deliberately outside the transaction: cancelling an idle instance is irreversible, so it must not be staged where an unwind would pretend to restore it
 			c.instPool[v][nf] = kept
 		}
 	}
-	delete(c.instPortion, id)
+	c.setPortion(txn, id, 0, false)
 }

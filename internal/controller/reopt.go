@@ -248,7 +248,7 @@ func (c *Controller) reapIdle(pl *core.Placement) int {
 			}
 			for _, id := range victims {
 				_ = c.orch.Cancel(id)
-				c.dropFromPool(id)
+				c.dropFromPool(id, nil)
 				reaped++
 			}
 		}

@@ -96,18 +96,18 @@ func TestGlobalTagAllocatorRecycles(t *testing.T) {
 	hosts := subclassHosts(a.Class, a.Subclasses[0].Hops)
 	// Allocate and release a tail tag on the same hosts; the next
 	// allocation reuses it.
-	tag, err := c.allocSubTagFor(a, hosts)
+	tag, err := c.allocSubTagFor(a, hosts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a.SubTags = append(a.SubTags, tag)
 	a.Subclasses = append(a.Subclasses, a.Subclasses[0])
 	a.Instances = append(a.Instances, a.Instances[0])
-	c.releaseSubTags(a, used)
+	c.releaseSubTags(a, used, nil)
 	a.SubTags = a.SubTags[:used]
 	a.Subclasses = a.Subclasses[:used]
 	a.Instances = a.Instances[:used]
-	again, err := c.allocSubTagFor(a, hosts)
+	again, err := c.allocSubTagFor(a, hosts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestGlobalTagExhaustionOnOneInstance(t *testing.T) {
 	hosts := subclassHosts(a.Class, a.Subclasses[0].Hops)
 	n := 0
 	for {
-		tag, err := c.allocSubTagFor(a, hosts)
+		tag, err := c.allocSubTagFor(a, hosts, nil)
 		if err != nil {
 			break // the 32-value global half is finite per host
 		}
@@ -189,13 +189,13 @@ func TestLocalTagBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	for len(a.SubTags) < globalTagBase {
-		tag, err := c.allocSubTagFor(a, nil)
+		tag, err := c.allocSubTagFor(a, nil, nil)
 		if err != nil {
 			t.Fatalf("allocation %d failed early: %v", len(a.SubTags), err)
 		}
 		a.SubTags = append(a.SubTags, tag)
 	}
-	if _, err := c.allocSubTagFor(a, nil); err == nil {
+	if _, err := c.allocSubTagFor(a, nil, nil); err == nil {
 		t.Fatal("local budget must cap at 32 per class")
 	}
 }

@@ -51,7 +51,7 @@ func (c *Controller) InstallPlacement(prob *core.Problem, pl *core.Placement) er
 		}
 	}
 	// 2. Shared pass-by rules on every switch.
-	if err := c.ensurePassBy(); err != nil {
+	if err := c.ensurePassBy(nil); err != nil {
 		return err
 	}
 	// 3. Per-class state and rules.
@@ -75,8 +75,9 @@ func (c *Controller) InstallPlacement(prob *core.Problem, pl *core.Placement) er
 }
 
 // ensurePassBy installs the Table III pass-by row on every switch that
-// does not have it yet.
-func (c *Controller) ensurePassBy() error {
+// does not have it yet, handing each install's undo token to txn (nil
+// outside a transaction).
+func (c *Controller) ensurePassBy(txn *RuleTxn) error {
 	// Fast path: once every switch carries the rule, later admissions
 	// skip the full O(switches) table scan — at regional-sharding scale
 	// (hundreds of switches × 10^5 classes) the rescan dominated setup.
@@ -85,7 +86,7 @@ func (c *Controller) ensurePassBy() error {
 	if c.passByDone {
 		return nil
 	}
-	for _, sw := range c.switches {
+	for v, sw := range c.switches {
 		t, err := sw.Pipeline.Table(TableAPPLE)
 		if err != nil {
 			return fmt.Errorf("controller: %w", err)
@@ -93,11 +94,14 @@ func (c *Controller) ensurePassBy() error {
 		if t.Has("pass-by") {
 			continue
 		}
-		if err := c.install(sw.Pipeline, TableAPPLE, flowtable.Rule{
+		n, undo, err := t.ApplyBatchUndo([]flowtable.BatchOp{{Rule: flowtable.Rule{
 			Name: "pass-by", Priority: prioPassBy,
 			Actions: []flowtable.Action{{Type: flowtable.ActGotoTable, Table: TableRouting}},
-		}); err != nil {
-			return err
+		}}})
+		txn.recordUndo(tableKey{dev: device{node: v}, table: TableAPPLE}, undo)
+		c.ruleUpdates.Add(int64(n))
+		if err != nil {
+			return fmt.Errorf("controller: %w", err)
 		}
 	}
 	c.passByDone = true
@@ -109,7 +113,7 @@ func (c *Controller) ensurePassBy() error {
 // Routing and host-match rules are installed idempotently, so the method
 // serves both the global InstallPlacement path and online AddClass.
 func (c *Controller) installClass(cl core.Class, subs []core.Subclass) error {
-	a, err := c.admitClass(cl, subs)
+	a, err := c.admitClass(cl, subs, nil)
 	if err != nil {
 		return err
 	}
@@ -120,7 +124,7 @@ func (c *Controller) installClass(cl core.Class, subs []core.Subclass) error {
 	if c.tracer.Enabled() {
 		c.tracer.Emit(trace.Ev(trace.KindFlowEmit).WithClass(int64(cl.ID)).WithVal(int64(len(ops))))
 	}
-	n, err := c.applyStaged(ops)
+	n, err := c.applyStaged(ops, nil)
 	if c.tracer.Enabled() {
 		c.tracer.Emit(trace.Ev(trace.KindFlowApply).WithClass(int64(cl.ID)).WithVal(int64(n)).WithErr(err))
 	}
@@ -134,11 +138,11 @@ func (c *Controller) installClass(cl core.Class, subs []core.Subclass) error {
 // and registers the assignment in the sharded store. After admitClass
 // returns, emitClassRules is a pure function of the assignment and the
 // allocator's (now read-only for this class) tag tables.
-func (c *Controller) admitClass(cl core.Class, subs []core.Subclass) (*Assignment, error) {
+func (c *Controller) admitClass(cl core.Class, subs []core.Subclass, txn *RuleTxn) (*Assignment, error) {
 	if c.assign.has(cl.ID) {
 		return nil, fmt.Errorf("controller: class %d already installed", cl.ID)
 	}
-	a, err := c.buildAssignment(cl, subs)
+	a, err := c.buildAssignment(cl, subs, txn)
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +156,9 @@ func (c *Controller) admitClass(cl core.Class, subs []core.Subclass) (*Assignmen
 // journaling it. admitClass uses it for fresh installs; RuleTxn's update
 // cutover uses it to build the replacement generation while the old one
 // is still registered (so global-tag allocation avoids the live tags).
-func (c *Controller) buildAssignment(cl core.Class, subs []core.Subclass) (*Assignment, error) {
+// The portion-ledger and global-tag writes are recorded in txn (nil
+// outside a transaction).
+func (c *Controller) buildAssignment(cl core.Class, subs []core.Subclass, txn *RuleTxn) (*Assignment, error) {
 	subs, err := expandForCapacity(cl, subs)
 	if err != nil {
 		return nil, fmt.Errorf("controller: %w", err)
@@ -186,11 +192,11 @@ func (c *Controller) buildAssignment(cl core.Class, subs []core.Subclass) (*Assi
 				return nil, fmt.Errorf("controller: class %d sub %d position %d: %w", cl.ID, s, j, err)
 			}
 			a.Instances[s][j] = inst.ID()
-			c.instPortion[inst.ID()] += cl.RateMbps * sub.Portion
+			c.setPortion(txn, inst.ID(), c.instPortion[inst.ID()]+cl.RateMbps*sub.Portion, true)
 		}
 	}
 	for s := range subs {
-		tag, err := c.allocSubTagFor(a, subclassHosts(cl, subs[s].Hops))
+		tag, err := c.allocSubTagFor(a, subclassHosts(cl, subs[s].Hops), txn)
 		if err != nil {
 			return nil, err
 		}
@@ -397,7 +403,7 @@ func (c *Controller) installClassification(a *Assignment) error {
 	if err != nil {
 		return err
 	}
-	_, err = c.applyStaged(ops)
+	_, err = c.applyStaged(ops, nil)
 	return err
 }
 
@@ -496,7 +502,7 @@ func (c *Controller) installVSwitchRules(a *Assignment, s int) error {
 	if err != nil {
 		return err
 	}
-	_, err = c.applyStaged(ops)
+	_, err = c.applyStaged(ops, nil)
 	return err
 }
 

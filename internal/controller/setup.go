@@ -186,8 +186,9 @@ func (c *Controller) deviceTable(d device, table int) (*flowtable.Table, error) 
 // one ApplyBatch call, so even the serial path takes each table lock once
 // per run rather than once per rule. It returns the number of rules
 // actually installed (skip-if-present hits excluded), so callers can
-// journal the install without recounting.
-func (c *Controller) applyStaged(ops []stagedOp) (int, error) {
+// journal the install without recounting. Each batch's undo token goes to
+// txn (nil outside a transaction).
+func (c *Controller) applyStaged(ops []stagedOp, txn *RuleTxn) (int, error) {
 	total := 0
 	for start := 0; start < len(ops); {
 		end := start + 1
@@ -202,7 +203,8 @@ func (c *Controller) applyStaged(ops []stagedOp) (int, error) {
 		for _, op := range ops[start:end] {
 			batch = append(batch, op.op)
 		}
-		n, err := t.ApplyBatch(batch)
+		n, undo, err := t.ApplyBatchUndo(batch)
+		txn.recordUndo(tableKey{ops[start].dev, ops[start].table}, undo)
 		total += n
 		c.ruleUpdates.Add(int64(n))
 		// The serial control loop blocks on every TCAM write, so
@@ -280,9 +282,8 @@ func (c *Controller) AddClassBatch(classes []core.Class, opts BatchOptions) erro
 // admitted assignments. Journal events are emitted only from this
 // coordinator, after each parallel stage completes and in index order —
 // never from the worker closures — so the journal stays deterministic.
-// When txn is non-nil, every group table is snapshotted before the
-// parallel apply touches it and the install/remove churn is accounted to
-// the transaction.
+// When txn is non-nil, every group's undo token and the install/remove
+// churn are handed to the transaction once the parallel apply is over.
 func (c *Controller) installAdmitted(admitted []*Assignment, workers int, verify bool, txn *RuleTxn) (err error) {
 	if len(admitted) == 0 {
 		return nil
@@ -315,57 +316,40 @@ func (c *Controller) installAdmitted(admitted []*Assignment, workers int, verify
 
 	// Stage 3 — group by device table, preserving arrival-major emission
 	// order, and apply each group in one critical section.
-	type groupKey struct {
-		dev   device
-		table int
-	}
-	groups := make(map[groupKey][]flowtable.BatchOp)
-	var order []groupKey
+	groups := make(map[tableKey][]flowtable.BatchOp)
+	var order []tableKey
 	for _, ops := range staged {
 		for _, op := range ops {
-			k := groupKey{op.dev, op.table}
+			k := tableKey{op.dev, op.table}
 			if _, ok := groups[k]; !ok {
 				order = append(order, k)
 			}
 			groups[k] = append(groups[k], op.op)
 		}
 	}
-	var tables []tableKey
-	sizeBefore := 0
-	if txn != nil {
-		// Pre-image every target table before any worker mutates it, so
-		// a mid-batch failure can restore all of them.
-		tables = make([]tableKey, len(order))
-		for i, k := range order {
-			tables[i] = tableKey{dev: k.dev, table: k.table}
-			if err := txn.snapshotTable(tables[i]); err != nil {
-				return err
-			}
-		}
-		sizeBefore = txn.sizeOf(tables)
-	}
 	installed := make([]int, len(order))
-	if err := pool.RunIndexed(len(order), workers, func(i int) error {
+	undos := make([]flowtable.Undo, len(order))
+	applyErr := pool.RunIndexed(len(order), workers, func(i int) error {
 		k := order[i]
 		t, err := c.deviceTable(k.dev, k.table)
 		if err != nil {
 			return err
 		}
-		n, err := t.ApplyBatch(groups[k])
-		installed[i] = n
-		c.ruleUpdates.Add(int64(n))
+		installed[i], undos[i], err = t.ApplyBatchUndo(groups[k])
+		c.ruleUpdates.Add(int64(installed[i]))
 		return err
-	}); err != nil {
-		return fmt.Errorf("controller: %w", err)
-	}
-	for _, n := range installed {
-		installedTotal += int64(n)
+	})
+	// Tokens first, error second: a failed apply leaves some groups
+	// applied, and the unwind needs the token of every one of them.
+	for i, k := range order {
+		txn.recordUndo(k, undos[i])
+		installedTotal += int64(installed[i])
 	}
 	if txn != nil {
 		txn.installed += int(installedTotal)
-		if rem := sizeBefore + int(installedTotal) - txn.sizeOf(tables); rem > 0 {
-			txn.removed += rem
-		}
+	}
+	if applyErr != nil {
+		return fmt.Errorf("controller: %w", applyErr)
 	}
 	if c.tracer.Enabled() {
 		for i, k := range order {
@@ -407,9 +391,9 @@ func (c *Controller) installAdmitted(admitted []*Assignment, workers int, verify
 }
 
 // unwindProvisioned cancels instances provisioned for a failed arrival.
-func (c *Controller) unwindProvisioned(provisioned []vnf.ID) {
+func (c *Controller) unwindProvisioned(provisioned []vnf.ID, txn *RuleTxn) {
 	for _, id := range provisioned {
 		_ = c.orch.Cancel(id)
-		c.dropFromPool(id)
+		c.dropFromPool(id, txn)
 	}
 }

@@ -20,12 +20,18 @@ package controller
 //	             land; an optional audit hook (CheckInvariants in the
 //	             harnesses) runs at every class boundary, proving the
 //	             intermediate states are violation-free.
-//	unwind     — on any error the transaction restores every flow table
-//	             it touched to its pre-image, deletes admitted
-//	             assignments, re-registers replaced/removed ones, cancels
-//	             provisioned instances, and swaps the portion and
-//	             global-tag bookkeeping back wholesale. Controller state
-//	             is bit-identical to the pre-transaction state.
+//	unwind     — on any error the transaction reverts every table batch
+//	             it applied (newest first, each from the undo token the
+//	             batch returned), deletes admitted assignments,
+//	             re-registers replaced/removed ones, cancels provisioned
+//	             instances, and writes back the pre-transaction value of
+//	             every portion and global-tag entry it changed.
+//	             Controller state is bit-identical to the
+//	             pre-transaction state.
+//
+// Everything the transaction remembers for that is sized by its own
+// delta — the rules its batches added and removed, the ledger entries it
+// wrote — never by what is installed.
 //
 // Process-global telemetry (metrics counters, the rule-update odometer,
 // the trace journal) is monotone and deliberately not rolled back: an
@@ -91,12 +97,15 @@ type RuleTxn struct {
 
 	captured bool
 	finished bool
-	// Wholesale pre-images of the small bookkeeping maps.
-	prevPortion    map[vnf.ID]float64
-	prevGlobalTags map[topology.NodeID]map[uint8]bool
-	// Lazy flow-table pre-images, in first-touch order.
-	touched    []tableKey
-	tableSnaps map[tableKey][]flowtable.Rule
+	// Pre-transaction values of the portion-ledger and global-tag entries
+	// the transaction wrote, recorded on first write (setPortion,
+	// setGlobalTag); newTagHosts lists hosts whose tag set it created.
+	prevPortion map[vnf.ID]portionPre
+	prevTags    map[hostTag]bool
+	newTagHosts []topology.NodeID
+	// undo holds the inverse of every table batch applied, in apply
+	// order.
+	undo []tableUndo
 	// Assignment-store deltas: classes put during the txn, and the
 	// pre-images of classes replaced or removed.
 	admitted   []core.ClassID
@@ -118,7 +127,6 @@ type RuleTxn struct {
 func (c *Controller) Begin() *RuleTxn {
 	return &RuleTxn{
 		c:          c,
-		tableSnaps: make(map[tableKey][]flowtable.Rule),
 		prevAssign: make(map[core.ClassID]*Assignment),
 	}
 }
@@ -219,26 +227,15 @@ func (t *RuleTxn) Commit(opts TxnOptions) (err error) {
 	return nil
 }
 
-// capture snapshots the wholesale bookkeeping maps. Idempotent; also the
-// entry point for the lower-level capture API AddClassBatch uses.
+// capture opens the transaction for side-effect tracking. Idempotent;
+// also the entry point for the lower-level capture API AddClassBatch and
+// ReOptimize use.
 func (t *RuleTxn) capture() {
 	if t.captured {
 		return
 	}
 	t.captured = true
 	metrics.Txn.Begun.Add(1)
-	t.prevPortion = make(map[vnf.ID]float64, len(t.c.instPortion))
-	for id, p := range t.c.instPortion {
-		t.prevPortion[id] = p
-	}
-	t.prevGlobalTags = make(map[topology.NodeID]map[uint8]bool, len(t.c.hostGlobalTags))
-	for v, tags := range t.c.hostGlobalTags {
-		cp := make(map[uint8]bool, len(tags))
-		for tag, on := range tags {
-			cp[tag] = on
-		}
-		t.prevGlobalTags[v] = cp
-	}
 }
 
 // finish marks a successful commit.
@@ -252,37 +249,23 @@ func (t *RuleTxn) finish() {
 	}
 }
 
-// unwind restores the controller to its pre-transaction state: flow
-// tables to their pre-images (reverse touch order), admitted classes out
-// of the store, replaced/removed classes back in, provisioned instances
-// cancelled and de-pooled, and the portion/global-tag maps swapped back
-// wholesale.
+// unwind restores the controller to its pre-transaction state: table
+// batches reverted newest first, admitted classes out of the store,
+// replaced/removed classes back in, provisioned instances cancelled and
+// de-pooled, and every written portion and global-tag entry set back to
+// its recorded value.
 //
 //apple:boundary
 func (t *RuleTxn) unwind(cause error) {
 	t.finished = true
 	c := t.c
-	restored := 0
-	for i := len(t.touched) - 1; i >= 0; i-- {
-		k := t.touched[i]
-		tbl, err := c.deviceTable(k.dev, k.table)
-		if err != nil {
-			continue
+	restored := make(map[tableKey]bool)
+	for i := len(t.undo) - 1; i >= 0; i-- {
+		u := t.undo[i]
+		if tbl, err := c.deviceTable(u.key.dev, u.key.table); err == nil {
+			tbl.Revert(u.token)
+			restored[u.key] = true
 		}
-		for _, name := range tbl.Names() {
-			tbl.Remove(name)
-		}
-		snap := t.tableSnaps[k]
-		if len(snap) > 0 {
-			ops := make([]flowtable.BatchOp, len(snap))
-			for j, r := range snap {
-				ops[j] = flowtable.BatchOp{Rule: r}
-			}
-			// Re-installing a previously valid rule set into an emptied
-			// table cannot fail validation or capacity.
-			_, _ = tbl.ApplyBatch(ops)
-		}
-		restored++
 	}
 	for i := len(t.admitted) - 1; i >= 0; i-- {
 		c.assign.remove(t.admitted[i])
@@ -293,17 +276,24 @@ func (t *RuleTxn) unwind(cause error) {
 	}
 	for _, id := range t.provisioned {
 		_ = c.orch.Cancel(id)
-		c.dropFromPool(id)
+		c.dropFromPool(id, nil)
 	}
-	c.instPortion = t.prevPortion
-	c.hostGlobalTags = t.prevGlobalTags
-	// Table restoration may have removed pass-by rules installed during
-	// this transaction; force the next admission to re-verify them.
+	for id, pre := range t.prevPortion {
+		c.setPortion(nil, id, pre.load, pre.present)
+	}
+	for ht, on := range t.prevTags {
+		c.setGlobalTag(nil, ht.host, ht.tag, on)
+	}
+	for _, v := range t.newTagHosts {
+		delete(c.hostGlobalTags, v)
+	}
+	// Reverting may have removed pass-by rules installed during this
+	// transaction; force the next admission to re-verify them.
 	c.passByDone = false
 	metrics.Txn.Unwound.Add(1)
-	metrics.Txn.TablesRestored.Add(int64(restored))
+	metrics.Txn.TablesRestored.Add(int64(len(restored)))
 	if c.tracer.Enabled() {
-		c.tracer.Emit(trace.Ev(trace.KindTxnUnwind).WithVal(int64(restored)).WithErr(cause))
+		c.tracer.Emit(trace.Ev(trace.KindTxnUnwind).WithVal(int64(len(restored))).WithErr(cause))
 	}
 }
 
@@ -315,82 +305,88 @@ func (t *RuleTxn) fail(point string, id core.ClassID) error {
 	return t.failpoint(fmt.Sprintf("%s:%d", point, id))
 }
 
-// snapshotTable records a table's pre-image before its first mutation.
-func (t *RuleTxn) snapshotTable(k tableKey) error {
-	if _, ok := t.tableSnaps[k]; ok {
-		return nil
-	}
-	tbl, err := t.c.deviceTable(k.dev, k.table)
-	if err != nil {
-		return err
-	}
-	t.tableSnaps[k] = tbl.Rules()
-	t.touched = append(t.touched, k)
-	return nil
+// tableUndo is the inverse of one table batch.
+type tableUndo struct {
+	key   tableKey
+	token flowtable.Undo
 }
 
-// sizeOf sums the current rule counts of the given tables.
-func (t *RuleTxn) sizeOf(keys []tableKey) int {
-	total := 0
-	for _, k := range keys {
-		if tbl, err := t.c.deviceTable(k.dev, k.table); err == nil {
-			total += tbl.Size()
-		}
+// recordUndo keeps a batch's undo token for unwind and accounts the
+// rules the batch removed. A nil transaction (the non-transactional
+// install paths) drops the token.
+func (t *RuleTxn) recordUndo(k tableKey, u flowtable.Undo) {
+	if t == nil {
+		return
 	}
-	return total
+	t.undo = append(t.undo, tableUndo{key: k, token: u})
+	t.removed += u.Removed()
 }
 
-// distinctTables lists the tables a staged-op sequence touches, in
-// first-appearance order.
-func distinctTables(ops []stagedOp) []tableKey {
-	var keys []tableKey
-	seen := make(map[tableKey]bool)
-	for _, op := range ops {
-		k := tableKey{op.dev, op.table}
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
-	}
-	return keys
-}
-
-// apply snapshots every table the ops touch and then installs them via
-// the serial apply path, accounting installed and removed rules.
+// apply installs the ops via the serial apply path, keeping every
+// batch's undo token and accounting installed rules.
 func (t *RuleTxn) apply(ops []stagedOp) (int, error) {
-	keys := distinctTables(ops)
-	for _, k := range keys {
-		if err := t.snapshotTable(k); err != nil {
-			return 0, err
-		}
-	}
-	before := t.sizeOf(keys)
-	n, err := t.c.applyStaged(ops)
-	after := t.sizeOf(keys)
+	n, err := t.c.applyStaged(ops, t)
 	t.installed += n
-	if rem := before + n - after; rem > 0 {
-		t.removed += rem
-	}
 	return n, err
 }
 
-// ensurePassBy snapshots the APPLE table of every switch still missing
-// the shared pass-by rule, then installs through the controller's
-// idempotent path.
-func (t *RuleTxn) ensurePassBy() error {
-	for v, sw := range t.c.switches {
-		tbl, err := sw.Pipeline.Table(TableAPPLE)
-		if err != nil {
-			return fmt.Errorf("controller: %w", err)
-		}
-		if tbl.Has("pass-by") {
-			continue
-		}
-		if err := t.snapshotTable(tableKey{dev: device{node: v}, table: TableAPPLE}); err != nil {
-			return err
+// portionPre is the pre-transaction state of one portion-ledger entry.
+type portionPre struct {
+	load    float64
+	present bool
+}
+
+// hostTag names one global sub-class tag on one hosting switch.
+type hostTag struct {
+	host topology.NodeID
+	tag  uint8
+}
+
+// setPortion writes (or, with present false, deletes) one entry of the
+// instance-portion ledger. Inside a transaction the entry's prior state
+// is recorded the first time it is written, so unwind can put it back
+// exactly; txn is nil on the non-transactional paths (proactive install,
+// fast failover, reap-after-commit) and during the unwind itself.
+func (c *Controller) setPortion(txn *RuleTxn, id vnf.ID, load float64, present bool) {
+	if txn != nil {
+		if _, seen := txn.prevPortion[id]; !seen {
+			if txn.prevPortion == nil {
+				txn.prevPortion = make(map[vnf.ID]portionPre)
+			}
+			old, had := c.instPortion[id]
+			txn.prevPortion[id] = portionPre{load: old, present: had}
 		}
 	}
-	return t.c.ensurePassBy()
+	if present {
+		c.instPortion[id] = load
+	} else {
+		delete(c.instPortion, id)
+	}
+}
+
+// setGlobalTag marks a global sub-class tag used or free on one hosting
+// switch, with the same first-write recording as setPortion.
+func (c *Controller) setGlobalTag(txn *RuleTxn, v topology.NodeID, tag uint8, on bool) {
+	if txn != nil {
+		k := hostTag{host: v, tag: tag}
+		if _, seen := txn.prevTags[k]; !seen {
+			if txn.prevTags == nil {
+				txn.prevTags = make(map[hostTag]bool)
+			}
+			txn.prevTags[k] = c.hostGlobalTags[v][tag]
+		}
+	}
+	if !on {
+		delete(c.hostGlobalTags[v], tag)
+		return
+	}
+	if c.hostGlobalTags[v] == nil {
+		c.hostGlobalTags[v] = make(map[uint8]bool)
+		if txn != nil {
+			txn.newTagHosts = append(txn.newTagHosts, v)
+		}
+	}
+	c.hostGlobalTags[v][tag] = true
 }
 
 // trackPrevAssign records the pre-image of a class the transaction is
@@ -421,7 +417,7 @@ func (t *RuleTxn) commitAdd(op txnOp, opts TxnOptions) error {
 	if c.assign.has(cl.ID) {
 		return fmt.Errorf("controller: class %d already installed", cl.ID)
 	}
-	if err := t.ensurePassBy(); err != nil {
+	if err := c.ensurePassBy(t); err != nil {
 		return err
 	}
 	var subs []core.Subclass
@@ -429,7 +425,7 @@ func (t *RuleTxn) commitAdd(op txnOp, opts TxnOptions) error {
 		if err := t.fail("add:plan", cl.ID); err != nil {
 			return err
 		}
-		planned, provisioned, err := c.planClass(cl)
+		planned, provisioned, err := c.planClass(cl, t)
 		// planClass is all-or-nothing: on failure its own provisioning is
 		// already cancelled.
 		t.trackProvisioned(provisioned)
@@ -450,7 +446,7 @@ func (t *RuleTxn) commitAdd(op txnOp, opts TxnOptions) error {
 	if err := t.fail("add:admit", cl.ID); err != nil {
 		return err
 	}
-	a, err := c.admitClass(cl, subs)
+	a, err := c.admitClass(cl, subs, t)
 	if err != nil {
 		return err
 	}
@@ -559,7 +555,7 @@ func (t *RuleTxn) commitUpdate(op txnOp, opts TxnOptions) error {
 	if err != nil {
 		return fmt.Errorf("controller: %w", err)
 	}
-	if err := t.ensurePassBy(); err != nil {
+	if err := c.ensurePassBy(t); err != nil {
 		return err
 	}
 	if err := t.fail("update:build", cl.ID); err != nil {
@@ -569,7 +565,7 @@ func (t *RuleTxn) commitUpdate(op txnOp, opts TxnOptions) error {
 	// tags are still registered, so a global class draws fresh,
 	// non-conflicting tags; portions double-count old+new until retire —
 	// the capacity a make-before-break window genuinely holds.
-	newA, err := c.buildAssignment(cl, subs)
+	newA, err := c.buildAssignment(cl, subs, t)
 	if err != nil {
 		return err
 	}
@@ -635,8 +631,8 @@ func (t *RuleTxn) commitUpdate(op txnOp, opts TxnOptions) error {
 			}
 		}
 	}
-	c.releaseSubTags(old, 0)
-	retirePortions(c, old)
+	c.releaseSubTags(old, 0, t)
+	c.shiftPortions(t, old, -1)
 	if opts.Verify {
 		if err := t.fail("update:verify", cl.ID); err != nil {
 			return err
@@ -677,8 +673,8 @@ func (t *RuleTxn) commitRefresh(op txnOp) error {
 	}
 	t.trackPrevAssign(cl.ID, old)
 	c.assign.replace(cl.ID, newA)
-	retirePortions(c, old)
-	addPortions(c, newA)
+	c.shiftPortions(t, old, -1)
+	c.shiftPortions(t, newA, +1)
 	return nil
 }
 
@@ -725,25 +721,18 @@ func (t *RuleTxn) commitRemove(op txnOp) error {
 	}
 	t.trackPrevAssign(op.id, a)
 	c.assign.remove(op.id)
-	c.releaseSubTags(a, 0)
-	retirePortions(c, a)
+	c.releaseSubTags(a, 0, t)
+	c.shiftPortions(t, a, -1)
 	return nil
 }
 
-// retirePortions subtracts an assignment's per-instance planned load
-// from the portion ledger; addPortions is its inverse.
-func retirePortions(c *Controller, a *Assignment) {
+// shiftPortions adds (sign +1) or retires (sign -1) an assignment's
+// per-instance planned load in the portion ledger.
+func (c *Controller) shiftPortions(txn *RuleTxn, a *Assignment, sign float64) {
 	for s, sub := range a.Subclasses {
 		for j := range a.Class.Chain {
-			c.instPortion[a.Instances[s][j]] -= a.Class.RateMbps * sub.Portion
-		}
-	}
-}
-
-func addPortions(c *Controller, a *Assignment) {
-	for s, sub := range a.Subclasses {
-		for j := range a.Class.Chain {
-			c.instPortion[a.Instances[s][j]] += a.Class.RateMbps * sub.Portion
+			id := a.Instances[s][j]
+			c.setPortion(txn, id, c.instPortion[id]+sign*a.Class.RateMbps*sub.Portion, true)
 		}
 	}
 }

@@ -265,7 +265,7 @@ func TestDropFromPoolClearsTail(t *testing.T) {
 	if len(orig) != 2 {
 		t.Fatalf("pool size %d, want 2", len(orig))
 	}
-	c.dropFromPool(i1.ID())
+	c.dropFromPool(i1.ID(), nil)
 	if got := len(c.instPool[v][policy.Firewall]); got != 1 {
 		t.Fatalf("pool size after drop %d, want 1", got)
 	}

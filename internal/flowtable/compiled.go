@@ -1,10 +1,15 @@
 package flowtable
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // This file is the compiled data plane: an immutable, cache-friendly
-// matcher built from a table's rule list and published atomically
-// (copy-on-write), so Lookup and Pipeline.Process never take a lock.
+// matcher over a table's installed rules, published atomically so Lookup
+// and Pipeline.Process never take a lock, and derived from its
+// predecessor incrementally so publishing costs what the batch changed,
+// not what the table holds.
 //
 // The linear scan in LookupLinear emulates a TCAM faithfully but pays
 // O(rules) pointer-chasing work per packet. The compiled form uses
@@ -16,11 +21,18 @@ import "sort"
 // comparison per rule, making lookup cost a function of distinct shapes
 // (a handful, per Table III) rather than rule count.
 //
-// Tie-breaking is inherited, not re-implemented: the builder keeps the
-// canonical rule slice exactly as the linear table stores it (descending
-// priority, install order within a priority), and a lookup returns the
-// minimum canonical index over all matching rules — the same rule the
-// linear scan's first hit finds, byte for byte.
+// Tie-breaking is a property of the rules, not of where they are stored:
+// every installed rule is one immutable entry (order.go) carrying its
+// priority and its per-table install sequence number, and a lookup
+// returns the matching entry that comes first in (priority descending,
+// sequence ascending) order — the same rule the linear scan's first hit
+// finds, byte for byte.
+//
+// A snapshot is a short slice of tuple headers. A mutation clones that
+// slice (one header per shape), rewrites only the tuples the batch
+// touches, and shares the rest: a small tuple is two short parallel
+// slices copied whole, a large one a persistent hash trie (trie.go) of
+// which only the path to the touched key is copied.
 
 // Field-presence bits of a match shape, one per Match field.
 const (
@@ -143,25 +155,46 @@ func ruleKey(m Match, s shapeKey) matchKey {
 }
 
 // tupleHashCutoff is the rule count above which a tuple switches from a
-// contiguous key scan to a hash map. Small tuples stay as flat slices: a
-// handful of 24-byte equality tests over contiguous memory beats a map
+// contiguous key scan to a hash trie. Small tuples stay as flat slices: a
+// handful of 24-byte equality tests over contiguous memory beats a trie
 // probe, and most shapes (routing, host-match, pass-by) hold only a few
-// rules per table.
+// rules per table. A trie shrinking to half the cutoff goes back to
+// slices; the gap keeps a tuple hovering at the cutoff from converting on
+// every mutation.
 const tupleHashCutoff = 8
 
-// tuple is one match shape's compiled rule set. Exactly one of
-// (keys,idx) and m is populated.
+// tuple is one match shape's compiled rule set: (keys,ents) for a slice
+// tuple, root for a trie tuple. Field order follows what a probe reads:
+// the shape and bound every probe needs, then the root's bitmaps and
+// child array (a large trie's root holds only children), then the
+// slice-tuple fields.
 type tuple struct {
-	mask             uint8
 	srcMask, dstMask uint32
-	// minIdx is the smallest canonical rule index in this tuple — the
-	// best outcome a probe of this tuple can produce. Tuples are sorted
-	// by it, so a lookup stops as soon as the current winner beats every
-	// remaining tuple.
-	minIdx int32
-	keys   []matchKey         // linear tuples: packed rule keys, canonical order
-	idx    []int32            // canonical rule index per key
-	m      map[matchKey]int32 // hashed tuples: key → best canonical index
+	shape            shapeKey
+	trie             bool
+	// bound is no later in match order than any rule of the tuple: the
+	// best outcome a probe of this tuple can produce. Tuples are sorted by
+	// it, so a lookup stops as soon as the current winner beats every
+	// remaining tuple. It is exact for a slice tuple and after an insert;
+	// removing a trie tuple's best rule leaves it optimistic (finding the
+	// next best would mean walking the whole trie), which costs at most a
+	// wasted probe and never a wrong answer.
+	bound rank
+	root  trieNode   // trie tuples
+	keys  []matchKey // slice tuples: packed rule keys, match order
+	ents  []*entry   // the rule under each key
+	n     int        // rules in the tuple
+}
+
+func newTuple(s shapeKey) tuple {
+	t := tuple{shape: s}
+	if s.mask&cSrc != 0 {
+		t.srcMask = prefixMask(s.srcLen)
+	}
+	if s.mask&cDst != 0 {
+		t.dstMask = prefixMask(s.dstLen)
+	}
+	return t
 }
 
 // packetKey packs the packet fields this tuple's shape compares. It is
@@ -171,7 +204,7 @@ type tuple struct {
 //apple:noalloc
 func (t *tuple) packetKey(p *Packet) matchKey {
 	var k matchKey
-	m := t.mask
+	m := t.shape.mask
 	if m&cSrc != 0 {
 		k.lo = uint64(p.Hdr.SrcIP & t.srcMask)
 	}
@@ -199,90 +232,147 @@ func (t *tuple) packetKey(p *Packet) matchKey {
 	return k
 }
 
-// compiledTable is an immutable snapshot of a table's rules plus the
-// tuple-space index over them. Once published via the table's atomic
-// pointer it is never mutated, so readers share it without
-// synchronization.
+// add indexes e under key k.
+func (t *tuple) add(gen uint64, k matchKey, e *entry) {
+	if r := e.rank(); t.n == 0 || r.before(t.bound) {
+		t.bound = r
+	}
+	t.n++
+	if t.trie {
+		t.root.insert(gen, k.hash(), 0, k, e)
+		return
+	}
+	// A slice tuple's slices are shared with published snapshots and at
+	// most tupleHashCutoff long: every change builds new ones.
+	i := sort.Search(len(t.ents), func(i int) bool { return e.before(t.ents[i]) })
+	t.keys = slices.Concat(t.keys[:i], []matchKey{k}, t.keys[i:])
+	t.ents = slices.Concat(t.ents[:i], []*entry{e}, t.ents[i:])
+	if len(t.ents) > tupleHashCutoff {
+		for j, x := range t.ents {
+			t.root.insert(gen, t.keys[j].hash(), 0, t.keys[j], x)
+		}
+		t.keys, t.ents, t.trie = nil, nil, true
+	}
+}
+
+// remove drops e (by identity), which the tuple holds under key k.
+func (t *tuple) remove(gen uint64, k matchKey, e *entry) {
+	t.n--
+	switch {
+	case !t.trie:
+		i := slices.Index(t.ents, e)
+		t.keys = slices.Concat(t.keys[:i], t.keys[i+1:])
+		t.ents = slices.Concat(t.ents[:i], t.ents[i+1:])
+	case t.n > tupleHashCutoff/2:
+		t.root.remove(gen, k.hash(), 0, k, e)
+		return // bound stays, possibly optimistic
+	default:
+		// Back to slices: collect what is left, in match order.
+		t.root.remove(gen, k.hash(), 0, k, e)
+		t.ents = make([]*entry, 0, t.n)
+		t.root.each(func(x *entry) { t.ents = append(t.ents, x) })
+		slices.SortFunc(t.ents, byRank)
+		t.keys = make([]matchKey, len(t.ents))
+		for i, x := range t.ents {
+			t.keys[i] = ruleKey(x.rule.Match, t.shape)
+		}
+		t.root, t.trie = trieNode{}, false
+	}
+	if t.n > 0 {
+		t.bound = t.ents[0].rank()
+	}
+}
+
+// compiledTable is an immutable snapshot of the tuple-space index over a
+// table's rules. Once published via the table's atomic pointer it is
+// never mutated, so readers share it without synchronization; between
+// beginning a draft and publishing it, the writer edits it in place.
 type compiledTable struct {
-	rules  []Rule  // canonical order: priority desc, install order within
-	tuples []tuple // sorted ascending by minIdx
+	tuples []tuple // sorted by bound, best first
 }
 
-// compile builds the immutable matcher from a canonical rule slice. It
-// runs under the table's write lock but performs no blocking work.
-func compile(rules []Rule) *compiledTable {
-	c := &compiledTable{rules: make([]Rule, len(rules))}
-	copy(c.rules, rules)
-	byShape := make(map[shapeKey]int)
-	for i, r := range c.rules {
-		s := shapeOf(r.Match)
-		ti, ok := byShape[s]
-		if !ok {
-			ti = len(c.tuples)
-			byShape[s] = ti
-			t := tuple{mask: s.mask}
-			if s.mask&cSrc != 0 {
-				t.srcMask = prefixMask(s.srcLen)
-			}
-			if s.mask&cDst != 0 {
-				t.dstMask = prefixMask(s.dstLen)
-			}
-			c.tuples = append(c.tuples, t)
-		}
-		t := &c.tuples[ti]
-		t.keys = append(t.keys, ruleKey(r.Match, s))
-		t.idx = append(t.idx, int32(i))
+// draftOf starts the successor of c (nil for an empty table): a private
+// copy of the tuple headers whose contents are still shared.
+func draftOf(c *compiledTable) *compiledTable {
+	if c == nil {
+		return &compiledTable{}
 	}
+	return &compiledTable{tuples: slices.Clone(c.tuples)}
+}
+
+// indexOf returns the position of the tuple for shape s, or -1.
+func (c *compiledTable) indexOf(s shapeKey) int {
 	for i := range c.tuples {
-		t := &c.tuples[i]
-		t.minIdx = t.idx[0]
-		if len(t.idx) > tupleHashCutoff {
-			t.m = make(map[matchKey]int32, len(t.idx))
-			// Ascending canonical order, so the first write per key is
-			// the tuple-best rule; duplicates are unreachable and drop.
-			for n, k := range t.keys {
-				if _, dup := t.m[k]; !dup {
-					t.m[k] = t.idx[n]
-				}
-			}
-			t.keys, t.idx = nil, nil
+		if c.tuples[i].shape == s {
+			return i
 		}
 	}
-	sort.Slice(c.tuples, func(a, b int) bool { return c.tuples[a].minIdx < c.tuples[b].minIdx })
-	return c
+	return -1
 }
 
-// lookup returns the canonical index of the winning rule, i.e. the
-// minimum index over every tuple's best match — identical to the linear
-// scan's first hit. Probing order is ascending minIdx, so the loop exits
-// as soon as no remaining tuple can beat the current winner.
+// add indexes e in the draft.
+func (c *compiledTable) add(gen uint64, e *entry) {
+	s := shapeOf(e.rule.Match)
+	i := c.indexOf(s)
+	if i < 0 {
+		i = len(c.tuples)
+		c.tuples = append(c.tuples, newTuple(s))
+	}
+	c.tuples[i].add(gen, ruleKey(e.rule.Match, s), e)
+	c.settle(i)
+}
+
+// remove drops e, which the draft indexes.
+func (c *compiledTable) remove(gen uint64, e *entry) {
+	s := shapeOf(e.rule.Match)
+	i := c.indexOf(s)
+	c.tuples[i].remove(gen, ruleKey(e.rule.Match, s), e)
+	if c.tuples[i].n == 0 {
+		c.tuples = slices.Delete(c.tuples, i, i+1)
+		return
+	}
+	c.settle(i)
+}
+
+// settle moves tuple i, whose bound just changed, to its sorted place.
+func (c *compiledTable) settle(i int) {
+	ts := c.tuples
+	for ; i > 0 && ts[i].bound.before(ts[i-1].bound); i-- {
+		ts[i], ts[i-1] = ts[i-1], ts[i]
+	}
+	for ; i+1 < len(ts) && ts[i+1].bound.before(ts[i].bound); i++ {
+		ts[i], ts[i+1] = ts[i+1], ts[i]
+	}
+}
+
+// lookup returns the matching rule that comes first in match order, or
+// nil — identical to the linear scan's first hit. Probing order is
+// ascending bound, so the loop exits as soon as no remaining tuple can
+// beat the current winner.
 //
 //apple:noalloc
-func (c *compiledTable) lookup(p *Packet) (int32, bool) {
-	best := int32(len(c.rules))
+func (c *compiledTable) lookup(p *Packet) *entry {
+	var best *entry
 	for i := range c.tuples {
 		t := &c.tuples[i]
-		if t.minIdx >= best {
+		if best != nil && !t.bound.before(best.rank()) {
 			break
 		}
 		k := t.packetKey(p)
-		if t.m != nil {
-			if j, ok := t.m[k]; ok && j < best {
-				best = j
-			}
-			continue
-		}
-		for n := range t.keys {
-			if t.keys[n] == k {
-				if t.idx[n] < best {
-					best = t.idx[n]
+		var e *entry
+		if t.trie {
+			e = t.root.find(k.hash(), k)
+		} else {
+			for n := range t.keys {
+				if t.keys[n] == k {
+					e = t.ents[n]
+					break
 				}
-				break
 			}
 		}
+		if e != nil && (best == nil || e.before(best)) {
+			best = e
+		}
 	}
-	if best == int32(len(c.rules)) {
-		return 0, false
-	}
-	return best, true
+	return best
 }

@@ -154,7 +154,7 @@ func TestCompiledHashedTuple(t *testing.T) {
 		}
 	}
 	c := tbl.compiled.Load()
-	if c == nil || len(c.tuples) != 1 || c.tuples[0].m == nil {
+	if c == nil || len(c.tuples) != 1 || !c.tuples[0].trie {
 		t.Fatalf("expected one hashed tuple, got %+v", c)
 	}
 	for i := 0; i < n; i++ {
@@ -336,35 +336,93 @@ func TestLookupZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestRemoveZeroesCompactionTail checks the memory-retention fix: after
-// a remove, the backing array beyond the kept rules holds only zero
-// Rules, so dropped Action slices and name strings are unreachable.
-func TestRemoveZeroesCompactionTail(t *testing.T) {
+// checkTailsZeroed fails if any slice reachable from the snapshot keeps a
+// non-zero value beyond its length: in-place edits of draft-owned slices
+// shrink them, and a stale tail would keep removed rules (Action slices,
+// name strings) reachable through the backing array.
+func checkTailsZeroed(t *testing.T, c *compiledTable) {
+	t.Helper()
+	var node func(n *trieNode)
+	node = func(n *trieNode) {
+		for i, s := range n.data[len(n.data):cap(n.data)] {
+			if s != (trieSlot{}) {
+				t.Fatalf("trie data tail slot %d not zeroed: %+v", i, s)
+			}
+		}
+		for i, k := range n.kids[len(n.kids):cap(n.kids)] {
+			if k.data != nil || k.kids != nil {
+				t.Fatalf("trie kids tail slot %d not zeroed", i)
+			}
+		}
+		for i := range n.kids {
+			node(&n.kids[i])
+		}
+	}
+	for _, tp := range c.tuples[len(c.tuples):cap(c.tuples)] {
+		if tp.n != 0 || tp.ents != nil || tp.root.data != nil || tp.root.kids != nil {
+			t.Fatalf("tuple tail not zeroed: %+v", tp)
+		}
+	}
+	for _, tp := range c.tuples {
+		for i, e := range tp.ents[len(tp.ents):cap(tp.ents)] {
+			if e != nil {
+				t.Fatalf("tuple ents tail slot %d not zeroed", i)
+			}
+		}
+		node(&tp.root)
+	}
+}
+
+// TestRemoveZeroesTails checks the memory-retention contract on every
+// structure a remove shrinks in place: after batches that install and
+// remove within one draft (so slices are edited, not copied), no backing
+// array keeps a dropped rule reachable, in slice tuples, trie tuples, or
+// the tuple list itself, and the name index forgets the name.
+func TestRemoveZeroesTails(t *testing.T) {
 	tbl := NewTable()
-	for i := 0; i < 8; i++ {
+	var ops []BatchOp
+	for i := 0; i < 8; i++ { // one slice tuple (no match fields)
 		name := "keep"
 		if i%2 == 0 {
 			name = "drop"
 		}
-		if err := tbl.Install(Rule{Name: name, Priority: i,
-			Actions: []Action{{Type: ActForward, Port: i}}}); err != nil {
-			t.Fatal(err)
-		}
+		ops = append(ops, BatchOp{Rule: Rule{Name: name, Priority: i,
+			Actions: []Action{{Type: ActForward, Port: i}}}})
 	}
-	if removed := tbl.Remove("drop"); removed != 4 {
-		t.Fatalf("removed %d, want 4", removed)
-	}
-	tail := tbl.rules[len(tbl.rules):cap(tbl.rules)]
-	for i, r := range tail {
-		if r.Name != "" || r.Actions != nil {
-			t.Fatalf("tail slot %d not zeroed: %+v", i, r)
+	for i := 0; i < 200; i++ { // one trie tuple
+		name := "keep"
+		if i%3 == 0 {
+			name = "drop"
 		}
+		ops = append(ops, BatchOp{Rule: Rule{Name: name, Priority: 50,
+			Match: Match{HostTag: U16(uint16(i))}, Actions: []Action{{Type: ActForward, Port: i}}}})
+	}
+	ops = append(ops, BatchOp{Rule: Rule{Name: "drop", Priority: 1, // a tuple that empties
+		Match: Match{Proto: U8(6)}, Actions: []Action{{Type: ActDrop}}}})
+	ops = append(ops, BatchOp{Remove: "drop"})
+	if _, err := tbl.ApplyBatch(ops); err != nil {
+		t.Fatal(err)
+	}
+	if tbl.Size() != 4+133 || tbl.Has("drop") {
+		t.Fatalf("size %d, Has(drop)=%v", tbl.Size(), tbl.Has("drop"))
+	}
+	checkTailsZeroed(t, tbl.compiled.Load())
+	// The same through separate publications (copy, then shrink).
+	if removed := tbl.Remove("keep"); removed != 4+133 {
+		t.Fatalf("removed %d, want %d", removed, 4+133)
+	}
+	if c := tbl.compiled.Load(); len(c.tuples) != 0 {
+		t.Fatalf("empty table still has %d tuples", len(c.tuples))
+	}
+	checkTailsZeroed(t, tbl.compiled.Load())
+	if tbl.order != nil || len(tbl.byName) != 0 {
+		t.Fatalf("writer-side structures not empty: order=%v byName=%v", tbl.order, tbl.byName)
 	}
 }
 
-// TestNameIndexConsistency checks the name-count index against the rule
-// slice through installs, removes, and batches — including multiple
-// rules sharing one name.
+// TestNameIndexConsistency checks the name index against the rule list
+// through installs, removes, and batches — including multiple rules
+// sharing one name.
 func TestNameIndexConsistency(t *testing.T) {
 	tbl := NewTable()
 	mk := func(name string, prio int) Rule {
@@ -382,10 +440,14 @@ func TestNameIndexConsistency(t *testing.T) {
 			}
 		}
 		tbl.mu.RLock()
-		if !reflect.DeepEqual(tbl.nameCount, counts) && !(len(tbl.nameCount) == 0 && len(counts) == 0) {
-			t.Fatalf("%s: nameCount %v != actual %v", when, tbl.nameCount, counts)
+		indexed := make(map[string]int)
+		for name, ents := range tbl.byName {
+			indexed[name] = len(ents)
 		}
 		tbl.mu.RUnlock()
+		if !reflect.DeepEqual(indexed, counts) {
+			t.Fatalf("%s: name index %v != actual %v", when, indexed, counts)
+		}
 	}
 	for i := 0; i < 3; i++ {
 		if err := tbl.Install(mk("shared", i)); err != nil {

@@ -7,9 +7,10 @@
 package flowtable
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -191,22 +192,40 @@ type Rule struct {
 
 // Table is one flow table: an ordered rule list, optionally bounded by a
 // TCAM capacity. Tables are safe for concurrent use, and the forwarding
-// path is wait-free: mutators (Install, Remove, ApplyBatch) serialize on
-// a write lock, rebuild the compiled tuple-space matcher, and publish it
-// as an immutable snapshot through an atomic pointer; Lookup and
-// Pipeline.Process read whichever snapshot is current and never block,
-// even while a writer holds the lock (Lookup-while-Install becomes a
-// linearizable snapshot read). Batched installs (ApplyBatch) coalesce a
-// whole update into one critical section and one snapshot publication,
-// so readers observe either the pre-batch or the post-batch table, never
-// a mid-batch state.
+// path is wait-free: mutators (Install, Remove, ApplyBatch, Revert)
+// serialize on a write lock, derive the next compiled tuple-space matcher
+// from the current one, and publish it as an immutable snapshot through
+// an atomic pointer; Lookup and Pipeline.Process read whichever snapshot
+// is current and never block, even while a writer holds the lock
+// (Lookup-while-Install becomes a linearizable snapshot read). Batched
+// installs (ApplyBatch) coalesce a whole update into one critical section
+// and one snapshot publication, so readers observe either the pre-batch
+// or the post-batch table, never a mid-batch state.
+//
+// A mutation costs what it changes. Each rule is stored once, as an
+// immutable entry that the match-order tree, the name index and every
+// snapshot containing it share; installing or removing a rule touches
+// O(log n) tree and trie nodes and copies nothing else, however many
+// rules the table holds.
 type Table struct {
-	mu    sync.RWMutex
-	rules []Rule // guarded by mu
-	// nameCount tracks how many installed rules carry each name, so
-	// presence checks and absent-name removes are O(1) instead of a rule
-	// scan (which made SkipIfPresent-heavy batches quadratic).
-	nameCount map[string]int // guarded by mu
+	mu sync.RWMutex
+	// order holds the installed entries in match order (priority
+	// descending, install order within a priority); see order.go.
+	order *orderNode // guarded by mu
+	size  int        // guarded by mu
+	// byName lists the installed entries carrying each name, so presence
+	// checks are O(1) and remove-by-name visits only the rules it removes.
+	byName map[string][]*entry // guarded by mu
+	// nextSeq is the install sequence number the next new rule receives.
+	nextSeq uint64 // guarded by mu
+	// draft is the successor snapshot under construction; non-nil only
+	// inside a critical section that has mutated the table and not yet
+	// published. gen identifies it: trie arrays stamped with the current
+	// gen belong to the draft alone and are edited in place, everything
+	// else is shared with published snapshots and copied before it is
+	// changed. Publishing advances gen, which freezes the draft's arrays.
+	draft *compiledTable // guarded by mu
+	gen   uint64         // guarded by mu
 	// compiled is the current immutable matcher snapshot; nil only before
 	// the first publication (an empty table). Mutators republish under
 	// mu; readers Load without any lock.
@@ -264,33 +283,61 @@ func (t *Table) lock() {
 	t.mu.Lock()
 }
 
-// publishLocked rebuilds the compiled matcher from the current rule list
-// and swaps it in atomically. Callers hold mu (write), which serializes
-// publications; readers pick up the new snapshot on their next Load.
+// publishLocked swaps the draft in atomically, if the critical section
+// made one. Callers hold mu (write), which serializes publications;
+// readers pick up the new snapshot on their next Load.
 func (t *Table) publishLocked() {
-	t.compiled.Store(compile(t.rules))
+	if t.draft == nil {
+		return
+	}
+	t.compiled.Store(t.draft)
+	t.draft = nil
+	t.gen++
 	metrics.FlowSetup.TableCompiles.Add(1)
 }
 
-// installLocked adds a rule, keeping rules sorted by descending priority
-// (stable, so equal priorities keep install order). Callers hold mu and
-// republish the compiled snapshot before unlocking.
-func (t *Table) installLocked(r Rule) error {
-	if t.capacity > 0 && len(t.rules) >= t.capacity {
-		return fmt.Errorf("%w: %d entries", ErrTCAMFull, t.capacity)
+// draftLocked returns the successor snapshot under construction, starting
+// it from the published one on the critical section's first mutation.
+func (t *Table) draftLocked() *compiledTable {
+	if t.draft == nil {
+		t.draft = draftOf(t.compiled.Load())
+	}
+	return t.draft
+}
+
+// linkLocked puts an entry into the match-order tree, the name index and
+// the draft snapshot. Callers hold mu and publish before unlocking.
+func (t *Table) linkLocked(e *entry) {
+	t.draftLocked().add(t.gen, e)
+	t.order = orderInsert(t.order, e)
+	t.size++
+	if t.byName == nil {
+		t.byName = make(map[string][]*entry)
+	}
+	t.byName[e.rule.Name] = append(t.byName[e.rule.Name], e)
+}
+
+// unlinkLocked takes an entry out of the match-order tree and the draft
+// snapshot; the caller has already dropped it from the name index.
+func (t *Table) unlinkLocked(e *entry) {
+	t.draftLocked().remove(t.gen, e)
+	t.order = orderRemove(t.order, e)
+	t.size--
+}
+
+// installLocked adds a rule after every installed rule of the same or a
+// higher priority. Callers hold mu and publish before unlocking.
+func (t *Table) installLocked(r Rule) (*entry, error) {
+	if t.capacity > 0 && t.size >= t.capacity {
+		return nil, fmt.Errorf("%w: %d entries", ErrTCAMFull, t.capacity)
 	}
 	if err := validateRule(r); err != nil {
-		return err
+		return nil, err
 	}
-	idx := sort.Search(len(t.rules), func(i int) bool { return t.rules[i].Priority < r.Priority })
-	t.rules = append(t.rules, Rule{})
-	copy(t.rules[idx+1:], t.rules[idx:])
-	t.rules[idx] = r
-	if t.nameCount == nil {
-		t.nameCount = make(map[string]int)
-	}
-	t.nameCount[r.Name]++
-	return nil
+	e := &entry{rule: r, seq: t.nextSeq}
+	t.nextSeq++
+	t.linkLocked(e)
+	return e, nil
 }
 
 // Install adds a rule, keeping rules sorted by descending priority
@@ -298,7 +345,7 @@ func (t *Table) installLocked(r Rule) error {
 func (t *Table) Install(r Rule) error {
 	t.lock()
 	defer t.mu.Unlock()
-	if err := t.installLocked(r); err != nil {
+	if _, err := t.installLocked(r); err != nil {
 		return err
 	}
 	t.publishLocked()
@@ -310,33 +357,19 @@ func (t *Table) Install(r Rule) error {
 func (t *Table) Remove(name string) int {
 	t.lock()
 	defer t.mu.Unlock()
-	removed := t.removeLocked(name)
-	if removed > 0 {
-		t.publishLocked()
-	}
+	removed := len(t.removeLocked(name))
+	t.publishLocked()
 	return removed
 }
 
-// removeLocked deletes all rules with the given name. Callers hold mu
-// and republish the compiled snapshot if anything was removed.
-func (t *Table) removeLocked(name string) int {
-	removed := t.nameCount[name]
-	if removed == 0 {
-		return 0
+// removeLocked deletes all rules with the given name and returns their
+// entries. Callers hold mu and publish before unlocking.
+func (t *Table) removeLocked(name string) []*entry {
+	removed := t.byName[name]
+	delete(t.byName, name)
+	for _, e := range removed {
+		t.unlinkLocked(e)
 	}
-	kept := t.rules[:0]
-	for _, r := range t.rules {
-		if r.Name == name {
-			continue
-		}
-		kept = append(kept, r)
-	}
-	// Zero the compaction tail: the dropped Rule values (Action slices,
-	// name strings) would otherwise stay reachable through the backing
-	// array and never be collected.
-	clear(t.rules[len(kept):])
-	t.rules = kept
-	delete(t.nameCount, name)
 	return removed
 }
 
@@ -351,6 +384,17 @@ type BatchOp struct {
 	SkipIfPresent bool
 }
 
+// Undo is the inverse of one ApplyBatchUndo: the rules the batch added
+// and the rules it removed. It holds the table's own entries, so it is
+// sized by the batch, not by the table, and a rule it restores returns to
+// the exact position it held.
+type Undo struct {
+	added, removed []*entry
+}
+
+// Removed reports how many rules the batch removed.
+func (u Undo) Removed() int { return len(u.removed) }
+
 // ApplyBatch applies the operations in order inside a single critical
 // section — the per-table coalescing that turns N rule updates into one
 // TCAM transaction. The compiled snapshot is republished exactly once,
@@ -362,22 +406,36 @@ type BatchOp struct {
 // callers treat a mid-batch failure as a broken generator, not a
 // recoverable state.
 func (t *Table) ApplyBatch(ops []BatchOp) (installed int, err error) {
+	installed, _, err = t.ApplyBatchUndo(ops)
+	return installed, err
+}
+
+// ApplyBatchUndo is ApplyBatch that also returns the batch's inverse for
+// Revert. The token is valid on error too, covering the operations that
+// were applied before the failing one.
+func (t *Table) ApplyBatchUndo(ops []BatchOp) (installed int, u Undo, err error) {
 	if len(ops) == 0 {
-		return 0, nil
+		return 0, u, nil
 	}
 	t.lock()
-	dirty := false
 	defer t.mu.Unlock()
-	defer func() {
-		if dirty {
-			t.publishLocked()
-		}
-	}()
+	defer t.publishLocked()
 	metrics.FlowSetup.BatchInstalls.Add(1)
+	firstSeq := t.nextSeq
 	for _, op := range ops {
 		if op.Remove != "" {
-			if t.removeLocked(op.Remove) > 0 {
-				dirty = true
+			for _, e := range t.removeLocked(op.Remove) {
+				if e.seq < firstSeq {
+					u.removed = append(u.removed, e)
+					continue
+				}
+				// Added earlier in this very batch: the two cancel out.
+				// added is in seq order, being appended to as seqs are
+				// handed out.
+				i, _ := slices.BinarySearchFunc(u.added, e.seq, func(a *entry, seq uint64) int {
+					return cmp.Compare(a.seq, seq)
+				})
+				u.added = slices.Delete(u.added, i, i+1)
 			}
 		}
 		if len(op.Rule.Actions) == 0 && op.Rule.Name == "" {
@@ -387,14 +445,42 @@ func (t *Table) ApplyBatch(ops []BatchOp) (installed int, err error) {
 			metrics.FlowSetup.SkippedRules.Add(1)
 			continue
 		}
-		if err := t.installLocked(op.Rule); err != nil {
-			return installed, err
+		e, err := t.installLocked(op.Rule)
+		if err != nil {
+			return installed, u, err
 		}
-		dirty = true
+		u.added = append(u.added, e)
 		installed++
 	}
 	metrics.FlowSetup.InstalledRules.Add(int64(installed))
-	return installed, nil
+	return installed, u, nil
+}
+
+// Revert undoes one ApplyBatchUndo in a single critical section and a
+// single publication: the rules the batch added leave, the rules it
+// removed return with their original install sequence, so rule set,
+// match order and lookups are exactly what they were before the batch.
+// Tokens of successive batches on one table must be reverted newest
+// first, with no other mutation of the table in between.
+func (t *Table) Revert(u Undo) {
+	if len(u.added)+len(u.removed) == 0 {
+		return
+	}
+	t.lock()
+	defer t.mu.Unlock()
+	for _, e := range u.added {
+		if named := t.byName[e.rule.Name]; len(named) == 1 {
+			delete(t.byName, e.rule.Name)
+		} else {
+			i := slices.Index(named, e)
+			t.byName[e.rule.Name] = slices.Delete(named, i, i+1)
+		}
+		t.unlinkLocked(e)
+	}
+	for _, e := range u.removed {
+		t.linkLocked(e)
+	}
+	t.publishLocked()
 }
 
 // Size returns the number of installed rules — the TCAM entry count this
@@ -402,7 +488,7 @@ func (t *Table) ApplyBatch(ops []BatchOp) (installed int, err error) {
 func (t *Table) Size() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.rules)
+	return t.size
 }
 
 // Names returns the distinct rule names present in the table, in rule
@@ -411,14 +497,15 @@ func (t *Table) Size() int {
 func (t *Table) Names() []string {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	seen := make(map[string]bool, len(t.rules))
-	var out []string
-	for _, r := range t.rules {
-		if !seen[r.Name] {
-			seen[r.Name] = true
-			out = append(out, r.Name)
+	seen := make(map[string]bool, len(t.byName))
+	out := make([]string, 0, len(t.byName))
+	t.order.walk(func(e *entry) bool {
+		if !seen[e.rule.Name] {
+			seen[e.rule.Name] = true
+			out = append(out, e.rule.Name)
 		}
-	}
+		return len(out) < len(t.byName)
+	})
 	return out
 }
 
@@ -426,8 +513,16 @@ func (t *Table) Names() []string {
 func (t *Table) Rules() []Rule {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]Rule, len(t.rules))
-	copy(out, t.rules)
+	return t.rulesLocked()
+}
+
+// rulesLocked copies the rules out in match order. Callers hold mu.
+func (t *Table) rulesLocked() []Rule {
+	out := make([]Rule, 0, t.size)
+	t.order.walk(func(e *entry) bool {
+		out = append(out, e.rule)
+		return true
+	})
 	return out
 }
 
@@ -451,11 +546,11 @@ func (t *Table) lookupPtr(p *Packet) (Rule, bool) {
 	if c == nil {
 		return Rule{}, false
 	}
-	i, ok := c.lookup(p)
-	if !ok {
+	e := c.lookup(p)
+	if e == nil {
 		return Rule{}, false
 	}
-	return c.rules[i], true
+	return e.rule, true
 }
 
 // LookupLinear is the reference matcher: the ternary linear scan over
@@ -466,12 +561,17 @@ func (t *Table) lookupPtr(p *Packet) (Rule, bool) {
 func (t *Table) LookupLinear(p Packet) (Rule, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	for _, r := range t.rules {
-		if r.Match.Matches(p) {
-			return r, true
+	var hit *entry
+	t.order.walk(func(e *entry) bool {
+		if e.rule.Match.Matches(p) {
+			hit = e
 		}
+		return hit == nil
+	})
+	if hit == nil {
+		return Rule{}, false
 	}
-	return Rule{}, false
+	return hit.rule, true
 }
 
 // Disposition is the final outcome of pipeline processing.
@@ -612,9 +712,9 @@ func (t *Table) Has(name string) bool {
 }
 
 // hasLocked reports whether any rule with the given name is installed.
-// Callers hold mu (read or write). O(1) via the name-count index.
+// Callers hold mu (read or write). O(1) via the name index.
 func (t *Table) hasLocked(name string) bool {
-	return t.nameCount[name] > 0
+	return len(t.byName[name]) > 0
 }
 
 // Shadowed returns the names of rules that can never match because an
@@ -625,8 +725,9 @@ func (t *Table) Shadowed() []string {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var out []string
-	for i, r := range t.rules {
-		for _, earlier := range t.rules[:i] {
+	rules := t.rulesLocked()
+	for i, r := range rules {
+		for _, earlier := range rules[:i] {
 			if earlier.Match.Subsumes(r.Match) {
 				out = append(out, r.Name)
 				break

@@ -2,7 +2,9 @@ package flowtable
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -234,4 +236,316 @@ func FuzzPrefixContains(f *testing.F) {
 			}
 		}
 	})
+}
+
+// modelTable is the plain-slice reference for a mutation sequence: rules
+// in match order, maintained by the textbook sorted insert and filter.
+type modelTable struct {
+	rules    []Rule
+	capacity int
+}
+
+func (m *modelTable) install(r Rule) error {
+	if m.capacity > 0 && len(m.rules) >= m.capacity {
+		return ErrTCAMFull
+	}
+	if err := validateRule(r); err != nil {
+		return err
+	}
+	i := 0
+	for i < len(m.rules) && m.rules[i].Priority >= r.Priority {
+		i++
+	}
+	m.rules = append(m.rules[:i], append([]Rule{r}, m.rules[i:]...)...)
+	return nil
+}
+
+func (m *modelTable) remove(name string) int {
+	kept := m.rules[:0:0]
+	for _, r := range m.rules {
+		if r.Name != name {
+			kept = append(kept, r)
+		}
+	}
+	removed := len(m.rules) - len(kept)
+	m.rules = kept
+	return removed
+}
+
+func (m *modelTable) has(name string) bool {
+	for _, r := range m.rules {
+		if r.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
+// applyBatch mirrors ApplyBatch's contract, including "operations before
+// a failing one stay applied".
+func (m *modelTable) applyBatch(ops []BatchOp) (installed int, err error) {
+	for _, op := range ops {
+		if op.Remove != "" {
+			m.remove(op.Remove)
+		}
+		if len(op.Rule.Actions) == 0 && op.Rule.Name == "" {
+			continue
+		}
+		if op.SkipIfPresent && m.has(op.Rule.Name) {
+			continue
+		}
+		if err := m.install(op.Rule); err != nil {
+			return installed, err
+		}
+		installed++
+	}
+	return installed, nil
+}
+
+// packetFor builds a packet that satisfies m; spare decides the fields m
+// leaves open.
+func packetFor(m Match, spare Packet) Packet {
+	p := spare
+	if m.HostTag != nil {
+		p.HostTag = *m.HostTag
+	}
+	if m.SubTag != nil {
+		p.SubTag = *m.SubTag
+	}
+	if m.InPort != nil {
+		p.InPort = *m.InPort
+	}
+	if m.Src != nil {
+		p.Hdr.SrcIP = m.Src.Addr
+	}
+	if m.Dst != nil {
+		p.Hdr.DstIP = m.Dst.Addr
+	}
+	if m.Proto != nil {
+		p.Hdr.Proto = *m.Proto
+	}
+	if m.SrcPort != nil {
+		p.Hdr.SrcPort = *m.SrcPort
+	}
+	if m.DstPort != nil {
+		p.Hdr.DstPort = *m.DstPort
+	}
+	return p
+}
+
+// checkTableAgainstModel requires the table to be indistinguishable from
+// the model: same rules in the same order, same name index, and, for a
+// packet aimed at every installed rule plus one stray, the same winner
+// from the compiled Lookup, from LookupLinear, from a first-match scan of
+// the model, and from a table built from scratch out of Rules().
+func checkTableAgainstModel(t *testing.T, when string, tbl *Table, m *modelTable, stray Packet) {
+	t.Helper()
+	got := tbl.Rules()
+	if len(got) != len(m.rules) || tbl.Size() != len(m.rules) {
+		t.Fatalf("%s: table has %d rules (Size %d), model %d", when, len(got), tbl.Size(), len(m.rules))
+	}
+	for i := range got {
+		if !reflect.DeepEqual(got[i], m.rules[i]) {
+			t.Fatalf("%s: rule %d is %+v, model has %+v", when, i, got[i], m.rules[i])
+		}
+	}
+	var names []string
+	seen := make(map[string]bool)
+	for _, r := range m.rules {
+		if !seen[r.Name] {
+			seen[r.Name] = true
+			names = append(names, r.Name)
+		}
+		if !tbl.Has(r.Name) {
+			t.Fatalf("%s: Has(%q) = false for an installed rule", when, r.Name)
+		}
+	}
+	if gotNames := tbl.Names(); !reflect.DeepEqual(gotNames, names) && len(names) > 0 {
+		t.Fatalf("%s: Names() = %v, model %v", when, gotNames, names)
+	}
+	rebuilt := NewTable()
+	ops := make([]BatchOp, len(got))
+	for i, r := range got {
+		ops[i] = BatchOp{Rule: r}
+	}
+	if _, err := rebuilt.ApplyBatch(ops); err != nil {
+		t.Fatalf("%s: rebuilding from Rules(): %v", when, err)
+	}
+	pkts := []Packet{stray}
+	for _, r := range m.rules {
+		pkts = append(pkts, packetFor(r.Match, stray))
+	}
+	for _, pkt := range pkts {
+		var want Rule
+		wantOK := false
+		for _, r := range m.rules {
+			if r.Match.Matches(pkt) {
+				want, wantOK = r, true
+				break
+			}
+		}
+		for _, c := range []struct {
+			how string
+			f   func(Packet) (Rule, bool)
+		}{
+			{"Lookup", tbl.Lookup},
+			{"LookupLinear", tbl.LookupLinear},
+			{"rebuilt Lookup", rebuilt.Lookup},
+		} {
+			if r, ok := c.f(pkt); ok != wantOK || !reflect.DeepEqual(r, want) {
+				t.Fatalf("%s: %s(%+v) = (%+v, %v), model scan (%+v, %v)", when, c.how, pkt, r, ok, want, wantOK)
+			}
+		}
+	}
+}
+
+// runTableOps decodes data into a mutation sequence — Install, Remove,
+// ApplyBatchUndo (removes, SkipIfPresent, a rule that fails validation
+// mid-batch, installs beyond the TCAM capacity) and Revert of the newest
+// outstanding batch — runs it against a bounded table and the slice
+// model, and compares the two after every step. The model reverts by
+// restoring a saved copy of its slice, so a Revert that misplaces a rule
+// or forgets one shows as a difference.
+func runTableOps(t *testing.T, data []byte) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	// Names come from a small pool so that removes, skip-if-present and
+	// several rules under one name all happen; every rule still carries a
+	// unique forward port, so DeepEqual tells same-named rules apart.
+	// One rule in four repeats the previous rule's match exactly, so
+	// several rules end up under one packed key.
+	serial := 0
+	var last Match
+	rule := func() Rule {
+		var b [8]byte
+		for i := range b {
+			b[i] = next()
+		}
+		rs, _ := fuzzRules(b[:])
+		r := rs[0]
+		r.Name = fmt.Sprintf("n%d", b[7]%6)
+		if b[0]>>6 == 3 {
+			r.Match = last
+		}
+		last = r.Match
+		serial++
+		r.Actions = []Action{{Type: ActForward, Port: serial}}
+		return r
+	}
+	capacity := 8 + int(next()%40)
+	tbl, err := NewBoundedTable(capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := &modelTable{capacity: capacity}
+	stray := fuzzPacket([]byte{next(), next(), next(), next(), next(), next(), next(), next()})
+	type pending struct {
+		undo  Undo
+		rules []Rule // the model before the batch
+	}
+	var undos []pending
+	for step := 0; len(data) > 0 && step < 64; step++ {
+		var when string
+		switch op := next(); op % 4 {
+		case 0:
+			r := rule()
+			when = fmt.Sprintf("step %d Install(%s p%d)", step, r.Name, r.Priority)
+			gotErr, wantErr := tbl.Install(r), model.install(r)
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("%s: err %v, model %v", when, gotErr, wantErr)
+			}
+			undos = nil // tokens only revert newest-first with nothing in between
+		case 1:
+			name := fmt.Sprintf("n%d", next()%6)
+			when = fmt.Sprintf("step %d Remove(%s)", step, name)
+			if got, want := tbl.Remove(name), model.remove(name); got != want {
+				t.Fatalf("%s: removed %d, model %d", when, got, want)
+			}
+			undos = nil
+		case 2:
+			var ops []BatchOp
+			for n := 1 + int(next()%6); n > 0; n-- {
+				flags := next()
+				var bo BatchOp
+				if flags&1 != 0 {
+					bo.Remove = fmt.Sprintf("n%d", next()%6)
+				}
+				if flags&2 != 0 {
+					bo.Rule = rule()
+					bo.SkipIfPresent = flags&4 != 0
+					if flags&0xF8 == 0xF8 {
+						bo.Rule.Actions = nil // fails validation mid-batch
+					}
+				}
+				ops = append(ops, bo)
+			}
+			when = fmt.Sprintf("step %d ApplyBatch(%d ops)", step, len(ops))
+			before := slices.Clone(model.rules)
+			got, undo, gotErr := tbl.ApplyBatchUndo(ops)
+			want, wantErr := model.applyBatch(ops)
+			if got != want || (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("%s: installed %d err %v, model %d err %v", when, got, gotErr, want, wantErr)
+			}
+			undos = append(undos, pending{undo, before})
+		case 3:
+			if len(undos) == 0 {
+				continue
+			}
+			when = fmt.Sprintf("step %d Revert(batch %d)", step, len(undos)-1)
+			last := undos[len(undos)-1]
+			undos = undos[:len(undos)-1]
+			tbl.Revert(last.undo)
+			model.rules = last.rules
+		}
+		checkTableAgainstModel(t, when, tbl, model, stray)
+	}
+}
+
+// FuzzTableOps checks mutation *sequences*: with incremental publication
+// a table's snapshot depends on every batch that came before, which a
+// build-then-look-up target like FuzzMatchLookup never exercises.
+func FuzzTableOps(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(tableOpsSeed(1, 120))
+	f.Add(tableOpsSeed(2, 240))
+	// Twelve installs of one shape (a trie tuple), then removes that take
+	// it back under the cutoff, then a batch and its revert.
+	seed := []byte{200, 1, 2, 3, 4, 5, 6, 7, 8}
+	for i := byte(0); i < 12; i++ {
+		seed = append(seed, 0, 3, 1, i, 0, 0, 0, 0, i%6)
+	}
+	for i := byte(0); i < 6; i++ {
+		seed = append(seed, 1, i)
+	}
+	seed = append(seed, 2, 2, 3, 1, 5, 1, 9, 0, 0, 0, 0, 1, 7, 2, 5, 1, 9, 0, 0, 0, 0, 1, 3)
+	f.Add(seed)
+	f.Fuzz(runTableOps)
+}
+
+// tableOpsSeed returns n pseudo-random bytes, biased toward few match
+// shapes so tuples grow past the hash cutoff.
+func tableOpsSeed(seed int64, n int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]byte, n)
+	for i := range out {
+		out[i] = byte(rng.Intn(256))
+		if rng.Intn(3) > 0 {
+			out[i] &= 0xC7
+		}
+	}
+	return out
+}
+
+// TestTableOpsRandom runs the FuzzTableOps body over a few hundred
+// generated sequences, so plain `go test` covers mutation sequences too.
+func TestTableOpsRandom(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		runTableOps(t, tableOpsSeed(seed, 100+int(seed)*4))
+	}
 }

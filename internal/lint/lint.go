@@ -27,7 +27,8 @@
 //     anywhere may never also be accessed with a plain load or store.
 //   - noalloc: functions annotated "//apple:noalloc" (the compiled
 //     data-plane lookup chain) contain no construct that can allocate
-//     and call only annotated, builtin, or sync/atomic callees.
+//     and call only annotated, builtin, sync/atomic, or math/bits
+//     callees.
 //   - txnguard: writes to "txn-owned" controller state reachable from
 //     AddClass/AddClassBatch/ReOptimize flow through a staged RuleTxn
 //     op (the PR 7 partial-install class).

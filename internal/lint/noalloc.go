@@ -15,16 +15,17 @@ import (
 // concatenation or string<->slice conversions, closures, go/defer
 // statements, or map writes. Calls are allowed only to other annotated
 // functions in the same package, to the non-allocating builtins
-// (len/cap/copy/clear/min/max/panic), and to sync/atomic — anything
-// else, including dynamic calls through function values or interfaces,
-// is flagged because the analyzer cannot prove it allocation-free.
+// (len/cap/copy/clear/min/max/panic), and to sync/atomic and math/bits
+// (register arithmetic the compiler intrinsifies) — anything else,
+// including dynamic calls through function values or interfaces, is
+// flagged because the analyzer cannot prove it allocation-free.
 //
 // The runtime twin of this check is testing.AllocsPerRun, which only
 // measures the workloads a test happens to drive; the directive makes
 // the contract hold for every future edit of the annotated bodies.
 var AnalyzerNoAlloc = &Analyzer{
 	Name: "noalloc",
-	Doc:  "functions annotated //apple:noalloc must contain no allocating construct and call only annotated, builtin, or sync/atomic callees",
+	Doc:  "functions annotated //apple:noalloc must contain no allocating construct and call only annotated, builtin, sync/atomic, or math/bits callees",
 	Run:  runNoAlloc,
 }
 
@@ -163,7 +164,7 @@ func checkNoallocCall(pass *Pass, annotated map[*types.Func]bool, name string, c
 		if annotated[fn] {
 			return true
 		}
-		if pkg := fn.Pkg(); pkg != nil && pkg.Path() == "sync/atomic" {
+		if pkg := fn.Pkg(); pkg != nil && (pkg.Path() == "sync/atomic" || pkg.Path() == "math/bits") {
 			return true
 		}
 		pass.Reportf(call.Pos(), "call to %s in noalloc function %s; callee is not annotated apple:noalloc", fn.Name(), name)

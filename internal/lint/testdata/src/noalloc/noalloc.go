@@ -1,11 +1,14 @@
 // Package noalloc exercises the apple:noalloc directive checker: every
 // construct that can allocate must be flagged inside an annotated
 // function, and the allocation-free vocabulary (arithmetic, indexing,
-// allowlisted builtins, sync/atomic, calls to other annotated
+// allowlisted builtins, sync/atomic, math/bits, calls to other annotated
 // functions) must pass untouched.
 package noalloc
 
-import "sync/atomic"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
 type table struct {
 	rules []int
@@ -14,8 +17,8 @@ type table struct {
 }
 
 // hot is the shape of a real data-plane lookup: index reads, comma-ok
-// map probes, non-allocating builtins, an atomic counter, a numeric
-// conversion, and a call to another annotated function. Clean.
+// map probes, non-allocating builtins, an atomic counter, a popcount, a
+// numeric conversion, and a call to another annotated function. Clean.
 //
 //apple:noalloc
 func (t *table) hot(key string, i int) int {
@@ -25,7 +28,7 @@ func (t *table) hot(key string, i int) int {
 		return *r + twice(i)
 	}
 	if n, ok := t.index[key]; ok {
-		return int(uint64(n) >> 1)
+		return bits.OnesCount64(uint64(n) >> 1)
 	}
 	return min(i, cap(t.rules))
 }

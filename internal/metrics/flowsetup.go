@@ -49,7 +49,7 @@ type FlowSetupCounters struct {
 	// TableCompiles counts compiled-matcher snapshot publications: one
 	// per Install/Remove and one per mutating ApplyBatch. A value close
 	// to InstalledRules means updates are arriving one by one instead of
-	// batched, paying a full recompile per rule.
+	// batched, paying a lock round-trip and a publication per rule.
 	TableCompiles atomic.Int64
 	// ShardAdmits counts admitted classes per state shard.
 	ShardAdmits ShardCounters

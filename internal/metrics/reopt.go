@@ -22,8 +22,8 @@ type TxnCounters struct {
 	// undone).
 	RulesInstalled atomic.Int64
 	RulesRemoved   atomic.Int64
-	// TablesRestored counts flow tables rolled back to their pre-image
-	// across all unwinds.
+	// TablesRestored counts flow tables rolled back to their
+	// pre-transaction state across all unwinds.
 	TablesRestored atomic.Int64
 }
 

@@ -2,10 +2,11 @@
 // controller per topology region, a deterministic router that pins every
 // traffic class to exactly one region, disjoint per-region host-tag
 // windows, and an aggregation tier that merges per-shard journals and
-// audits interference freedom across shard boundaries. It is the scale
-// story for million-class topologies — per-region controllers keep the
-// quadratic table-rebuild and transaction-capture terms bounded by the
-// region's class count, not the deployment's.
+// audits interference freedom across shard boundaries. It was built as
+// the scale story for million-class topologies, when table publication
+// and transaction capture cost O(installed state) and a region bounded
+// that state; both are O(delta) now, and what the layer still provides
+// is isolation — see DESIGN.md §16 for what remains to be measured.
 package shard
 
 import (
