@@ -13,21 +13,21 @@ import (
 )
 
 // BenchmarkFlowSetup measures flow-setup throughput — classify, tag,
-// install, verify — on a UNIV1-scale workload, comparing the serial
-// AddClass loop against the sharded batch pipeline. Both arms do identical
-// verified work per class (install + 8 enforcement probes) and report two
-// throughputs:
+// install, verify — on a UNIV1-scale workload, comparing the AddClass loop
+// (one pipeline run per class) against one AddClassBatch (one run for all
+// of them, 8 workers). Both arms do identical verified work per class
+// (install + 8 enforcement probes) and report two throughputs:
 //
 //   - classes/s: host wall-clock rate of the controller's compute
 //     (classification, tagging, rule generation, probing).
 //   - sim-classes/s: rate against simulated TCAM programming time at the
-//     paper's 70 ms per rule install (§VIII-D). The serial loop blocks on
-//     every install; the batched path coalesces per-switch updates into
-//     one critical section per device and programs devices concurrently,
-//     so it pays only the slowest device's share of each batch. This
-//     metric is the flow-setup latency the pipeline actually removes, and
-//     — unlike wall clock — it does not depend on how many host cores the
-//     benchmark machine happens to have.
+//     paper's 70 ms per rule install (§VIII-D). Every run programs its
+//     devices concurrently and pays the slowest device's installs; the
+//     loop pays that once per class, the batch once in all, with
+//     per-switch updates coalesced into one critical section per table.
+//     This metric is the flow-setup latency batching actually removes,
+//     and — unlike wall clock — it does not depend on how many host cores
+//     the benchmark machine happens to have.
 
 // benchWorkload builds a UNIV1-scale class set: shortest paths between
 // random switch pairs of the UNIV1 fabric, common chains, modest rates so
@@ -58,17 +58,17 @@ func benchWorkload(tb testing.TB) (*topology.Graph, []core.Class) {
 	return g, classes
 }
 
-func benchController(tb testing.TB, g *topology.Graph, shards int) *Controller {
+func benchController(tb testing.TB, g *topology.Graph) *Controller {
 	tb.Helper()
-	c, err := New(Config{Topology: g, Clock: sim.New(), Seed: 7, SetupShards: shards})
+	c, err := New(Config{Topology: g, Clock: sim.New(), Seed: 7})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return c
 }
 
-// runSerialArm installs and verifies every class through the serial
-// AddClass loop, returning the simulated TCAM programming time it accrued.
+// runSerialArm installs and verifies every class through the AddClass
+// loop, returning the simulated TCAM programming time it accrued.
 func runSerialArm(tb testing.TB, c *Controller, classes []core.Class) time.Duration {
 	tb.Helper()
 	before := metrics.FlowSetup.SimInstall.Load()
@@ -83,9 +83,9 @@ func runSerialArm(tb testing.TB, c *Controller, classes []core.Class) time.Durat
 	return time.Duration(metrics.FlowSetup.SimInstall.Load() - before)
 }
 
-// runShardedArm installs and verifies the same classes through the batch
-// pipeline, returning its simulated TCAM programming makespan.
-func runShardedArm(tb testing.TB, c *Controller, classes []core.Class) time.Duration {
+// runBatchArm installs and verifies the same classes as one batch,
+// returning its simulated TCAM programming makespan.
+func runBatchArm(tb testing.TB, c *Controller, classes []core.Class) time.Duration {
 	tb.Helper()
 	before := metrics.FlowSetup.SimInstall.Load()
 	if err := c.AddClassBatch(classes, BatchOptions{Workers: 8, Verify: true}); err != nil {
@@ -106,41 +106,41 @@ func BenchmarkFlowSetup(b *testing.B) {
 		var sim time.Duration
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			c := benchController(b, g, 0)
+			c := benchController(b, g)
 			b.StartTimer()
 			sim = runSerialArm(b, c, classes)
 		}
 		report(b, sim)
 	})
 
-	b.Run("sharded8", func(b *testing.B) {
+	b.Run("batch8", func(b *testing.B) {
 		var sim time.Duration
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			c := benchController(b, g, 8)
+			c := benchController(b, g)
 			b.StartTimer()
-			sim = runShardedArm(b, c, classes)
+			sim = runBatchArm(b, c, classes)
 		}
 		report(b, sim)
 	})
 }
 
 // TestFlowSetupSpeedup pins the benchmark's acceptance bar: on the
-// UNIV1-scale workload the sharded pipeline's flow-setup throughput in
-// simulated TCAM programming time must beat the serial path by at least
-// 3x. (Wall-clock speedup additionally tracks GOMAXPROCS and is reported
-// by BenchmarkFlowSetup, not asserted here, so the suite stays meaningful
-// on single-core CI runners.)
+// UNIV1-scale workload one batch's flow-setup throughput in simulated
+// TCAM programming time must beat the AddClass loop by at least 3x.
+// (Wall-clock speedup additionally tracks GOMAXPROCS and is reported by
+// BenchmarkFlowSetup, not asserted here, so the suite stays meaningful on
+// single-core CI runners.)
 func TestFlowSetupSpeedup(t *testing.T) {
 	g, classes := benchWorkload(t)
-	serial := runSerialArm(t, benchController(t, g, 0), classes)
-	sharded := runShardedArm(t, benchController(t, g, 8), classes)
-	if serial <= 0 || sharded <= 0 {
-		t.Fatalf("degenerate simulated install times: serial=%v sharded=%v", serial, sharded)
+	serial := runSerialArm(t, benchController(t, g), classes)
+	batch := runBatchArm(t, benchController(t, g), classes)
+	if serial <= 0 || batch <= 0 {
+		t.Fatalf("degenerate simulated install times: serial=%v batch=%v", serial, batch)
 	}
-	speedup := serial.Seconds() / sharded.Seconds()
-	t.Logf("simulated TCAM programming: serial=%v sharded=%v speedup=%.1fx", serial, sharded, speedup)
+	speedup := serial.Seconds() / batch.Seconds()
+	t.Logf("simulated TCAM programming: serial=%v batch=%v speedup=%.1fx", serial, batch, speedup)
 	if speedup < 3 {
-		t.Fatalf("sharded flow setup only %.2fx faster than serial in simulated install time, want >= 3x", speedup)
+		t.Fatalf("batched flow setup only %.2fx faster than the loop in simulated install time, want >= 3x", speedup)
 	}
 }

@@ -12,6 +12,7 @@
 package controller
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -97,10 +98,10 @@ type Controller struct {
 	switches map[topology.NodeID]*Switch
 	hosts    map[topology.NodeID]*host.Host
 	nbrPort  map[topology.NodeID]map[topology.NodeID]int
-	// assign partitions per-class data-plane state across lock-striped
-	// shards (consistent hashing over class IDs), so concurrent readers
-	// of different classes never contend on one lock. txn-owned: admit
-	// and install paths mutate it only through staged RuleTxn ops.
+	// assign holds per-class data-plane state behind one RWMutex, so
+	// Forward and enforcement probes can read it while the single writer
+	// commits. txn-owned: admit and install paths mutate it only through
+	// staged RuleTxn ops.
 	assign *assignStore
 	// instPool[v][nf] lists the running instances available at v.
 	// txn-owned: admit and re-optimization paths mutate it only through
@@ -111,8 +112,8 @@ type Controller struct {
 	// re-optimization paths mutate it only through staged RuleTxn ops.
 	instPortion map[vnf.ID]float64
 	// ruleUpdates counts TCAM rule (re)installations, each costing the
-	// measured 70 ms when driven through the clock. Atomic: the batch
-	// pipeline's install stage counts from several workers.
+	// measured 70 ms when driven through the clock. Atomic: read by
+	// RuleUpdates from goroutines other than the writer.
 	ruleUpdates atomic.Int64
 	// hostGlobalTags tracks, per hosting switch, the global sub-class
 	// tags in use by header-rewriting classes steered through its APPLE
@@ -130,6 +131,10 @@ type Controller struct {
 	// unwind); never read by the parallel emit/apply workers. txn-owned:
 	// entry points mutate it only through staged RuleTxn ops.
 	passByDone bool
+	// failpoint, when non-nil, runs at every named step of every rule
+	// transaction; a non-nil return aborts the transaction there (test
+	// hook for the fault-injection suite).
+	failpoint func(point string) error
 }
 
 // Config for New.
@@ -152,10 +157,6 @@ type Config struct {
 	// (boot failures and timeouts, lost reconfigure/cancel RPCs, host
 	// crashes). Nil — or a zero plan — perturbs nothing.
 	Faults *orchestrator.FaultPlan
-	// SetupShards is the lock-stripe count of the per-class assignment
-	// store and the default worker count of AddClassBatch; 0 means
-	// DefaultSetupShards.
-	SetupShards int
 	// Tracer, when non-nil, journals flow-setup, failover, and VNF
 	// lifecycle events with virtual-time stamps. The recorder should be
 	// built on the same Clock so event times match the simulation.
@@ -202,7 +203,7 @@ func New(cfg Config) (*Controller, error) {
 		switches:       make(map[topology.NodeID]*Switch),
 		hosts:          make(map[topology.NodeID]*host.Host),
 		nbrPort:        make(map[topology.NodeID]map[topology.NodeID]int),
-		assign:         newAssignStore(cfg.SetupShards),
+		assign:         newAssignStore(),
 		instPool:       make(map[topology.NodeID]map[policy.NF][]*vnf.Instance),
 		instPortion:    make(map[vnf.ID]float64),
 		hostGlobalTags: make(map[topology.NodeID]map[uint8]bool),
@@ -299,25 +300,22 @@ func (c *Controller) Classes() []core.ClassID {
 	return c.assign.ids()
 }
 
-// Switches returns every switch ID modeled by this controller, sorted.
-func (c *Controller) Switches() []topology.NodeID {
-	out := make([]topology.NodeID, 0, len(c.switches))
-	for v := range c.switches {
-		out = append(out, v)
+// sortedKeys returns m's keys in ascending order: the deterministic
+// iteration every result-affecting walk over a map uses.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	slices.Sort(out)
-	return out
+	slices.Sort(keys)
+	return keys
 }
 
+// Switches returns every switch ID modeled by this controller, sorted.
+func (c *Controller) Switches() []topology.NodeID { return sortedKeys(c.switches) }
+
 // Hosts returns the switches with an APPLE host, sorted.
-func (c *Controller) Hosts() []topology.NodeID {
-	out := make([]topology.NodeID, 0, len(c.hosts))
-	for v := range c.hosts {
-		out = append(out, v)
-	}
-	slices.Sort(out)
-	return out
-}
+func (c *Controller) Hosts() []topology.NodeID { return sortedKeys(c.hosts) }
 
 // HostTags returns a copy of the allocated host-tag table. The regional
 // sharding layer audits these against per-shard tag windows.
@@ -351,12 +349,7 @@ func (c *Controller) HostGlobalTags() map[topology.NodeID][]uint8 {
 		if len(tags) == 0 {
 			continue
 		}
-		list := make([]uint8, 0, len(tags))
-		for tag := range tags {
-			list = append(list, tag)
-		}
-		slices.Sort(list)
-		out[v] = list
+		out[v] = sortedKeys(tags)
 	}
 	return out
 }

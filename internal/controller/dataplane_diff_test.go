@@ -82,7 +82,7 @@ func TestPropertyCompiledMatchesLinear(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := randTopo(rng)
 		classes := genClasses(rng, g)
-		c := newPropController(t, g, 0)
+		c := newPropController(t, g)
 		var accepted []core.Class
 		for _, cl := range classes {
 			if err := c.AddClass(cl); err == nil {

@@ -22,48 +22,15 @@ import (
 // enforcement, tagging, and fast failover all apply to online classes
 // too.
 //
-// The install runs inside a rule transaction: if any stage fails — rule
-// emission, a TCAM install mid-batch, anything — the class is fully
-// backed out (assignment, tags, partial rules, provisioned instances)
-// and the controller is bit-identical to its pre-call state. The
-// historical behavior of leaving a failed class admitted with partial
-// rules installed is gone.
+// The install is a rule transaction of one staged add — a batch of one
+// through the class-install pipeline: if any stage fails — rule emission,
+// a TCAM install mid-batch, anything — the class is fully backed out
+// (assignment, tags, partial rules, provisioned instances) and the
+// controller is bit-identical to its pre-call state.
 func (c *Controller) AddClass(cl core.Class) error {
 	txn := c.Begin()
 	txn.StageAdd(cl)
 	return txn.Commit(TxnOptions{})
-}
-
-// admitArrival runs the sequential stage of online flow setup for one
-// arrival: validation, greedy placement (planClass), and class admission.
-// No rules are installed. Every admit-stage side effect is recorded in
-// the transaction — the provisioned instance IDs and the admitted class —
-// so a failure in any later stage unwinds them; admitArrival itself still
-// cancels the instances it provisioned when admission of the same class
-// fails, because that error leaves the class out of the batch rather than
-// unwinding the whole transaction.
-func (c *Controller) admitArrival(cl core.Class, txn *RuleTxn) (*Assignment, error) {
-	if err := cl.Validate(c.g); err != nil {
-		return nil, fmt.Errorf("controller: %w", err)
-	}
-	if c.assign.has(cl.ID) {
-		return nil, fmt.Errorf("controller: class %d already installed", cl.ID)
-	}
-	if err := c.ensurePassBy(txn); err != nil {
-		return nil, err
-	}
-	subs, provisioned, err := c.planClass(cl, txn)
-	if err != nil {
-		return nil, err
-	}
-	a, err := c.admitClass(cl, subs, txn)
-	if err != nil {
-		c.unwindProvisioned(provisioned, txn)
-		return nil, err
-	}
-	txn.trackProvisioned(provisioned)
-	txn.trackAdmitted(cl.ID)
-	return a, nil
 }
 
 // planClass greedily places one class against live capacity and returns

@@ -124,12 +124,12 @@ func TestAddClassWithDynamicHandler(t *testing.T) {
 }
 
 // TestAdmitArrivalRecordsSideEffectsInTxn pins the batch-admit leak fix:
-// admitArrival itself records every admit-stage side effect — the
+// the pipeline's admit stage itself records every side effect — the
 // instances it provisioned and the class it admitted — in the
-// transaction it is handed, so an unwind triggered by a later stage
-// restores the controller even though the caller never handled the
-// provisioned IDs. Before the fix the caller had to copy the IDs into
-// the transaction by hand, and a missed copy leaked live instances.
+// transaction, so an unwind triggered by a later stage restores the
+// controller even though no caller ever handled the provisioned IDs.
+// Before the fix the caller had to copy the IDs into the transaction by
+// hand, and a missed copy leaked live instances.
 func TestAdmitArrivalRecordsSideEffectsInTxn(t *testing.T) {
 	// Class 0 saturates the only firewall, so the arrival below must
 	// provision a fresh instance during admit.
@@ -140,13 +140,14 @@ func TestAdmitArrivalRecordsSideEffectsInTxn(t *testing.T) {
 	before := len(c.Orchestrator().Instances())
 
 	txn := c.Begin()
-	txn.capture()
 	cl := core.Class{ID: 9, Path: linePath(4), Chain: policy.Chain{policy.Firewall}, RateMbps: 500}
-	if _, err := c.admitArrival(cl, txn); err != nil {
-		t.Fatalf("admitArrival: %v", err)
+	txn.StageAdd(cl)
+	txn.open()
+	if _, err := txn.admit(txn.staged[0]); err != nil {
+		t.Fatalf("admit: %v", err)
 	}
 	if len(txn.provisioned) == 0 {
-		t.Fatal("admitArrival provisioned a firewall but recorded nothing in the transaction")
+		t.Fatal("admit provisioned a firewall but recorded nothing in the transaction")
 	}
 	if len(txn.admitted) != 1 || txn.admitted[0] != cl.ID {
 		t.Fatalf("txn.admitted = %v, want [%d]", txn.admitted, cl.ID)

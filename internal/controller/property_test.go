@@ -1,9 +1,12 @@
 package controller
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/apple-nfv/apple/internal/core"
@@ -11,6 +14,7 @@ import (
 	"github.com/apple-nfv/apple/internal/policy"
 	"github.com/apple-nfv/apple/internal/sim"
 	"github.com/apple-nfv/apple/internal/topology"
+	"github.com/apple-nfv/apple/internal/trace"
 )
 
 // Property-based enforcement testing: random small topologies, random
@@ -108,9 +112,9 @@ func genClasses(rng *rand.Rand, g *topology.Graph) []core.Class {
 }
 
 // newPropController builds a controller with an APPLE host at every switch.
-func newPropController(t *testing.T, g *topology.Graph, shards int) *Controller {
+func newPropController(t *testing.T, g *topology.Graph) *Controller {
 	t.Helper()
-	c, err := New(Config{Topology: g, Clock: sim.New(), Seed: 7, SetupShards: shards})
+	c, err := New(Config{Topology: g, Clock: sim.New(), Seed: 7})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -172,7 +176,7 @@ func runEnforcementCase(t *testing.T, seed int64, drop map[int]bool) error {
 	rng := rand.New(rand.NewSource(seed))
 	g := randTopo(rng)
 	classes := genClasses(rng, g)
-	c := newPropController(t, g, 0)
+	c := newPropController(t, g)
 	for i, cl := range classes {
 		if drop[i] {
 			continue
@@ -266,21 +270,53 @@ func gatherTables(t *testing.T, c *Controller, g *topology.Graph) map[string][]f
 	return out
 }
 
-// TestPropertyBatchMatchesSerial is the sharded-vs-serial differential
-// property: for every random scenario, installing the same accepted
-// workload through AddClassBatch (8 shards, parallel emit/apply/verify)
-// must leave byte-identical controller state — every table's rules in
-// order, assignments, tags, rule-update counts — and identical Forward
-// traces and enforcement verdicts.
+// installSum hashes everything the install differentials compare: the
+// full state digest plus the rule-update odometer.
+func installSum(t *testing.T, c *Controller) string {
+	t.Helper()
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%supdates=%d\n", stateDigest(t, c), c.RuleUpdates()))))
+}
+
+// parentInstallDigests loads testdata/install_digests.txt: one
+// "<seed> <serial|batch> <sha256>" line per propSeeds scenario and install
+// route, recorded at 051d8de, the last commit with a separate serial and
+// batch install path. The one pipeline must reproduce every line.
+func parentInstallDigests(t *testing.T) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/install_digests.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string)
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 3 {
+			t.Fatalf("install_digests.txt: malformed line %q", line)
+		}
+		out[f[0]+" "+f[1]] = f[2]
+	}
+	return out
+}
+
+// TestPropertyBatchMatchesSerial is the batch-of-one differential: for
+// every random scenario, N transactions of one class each (the AddClass
+// loop) and one transaction of N (AddClassBatch, at 1 and at 8 workers,
+// with the verify stage) must leave byte-identical controller state —
+// every table's rules in order, assignments, tags, rule-update counts —
+// identical Forward traces and enforcement verdicts, the state the two
+// pre-merge install paths left (testdata/install_digests.txt), and, across
+// worker counts, an identical journal.
 func TestPropertyBatchMatchesSerial(t *testing.T) {
+	parent := parentInstallDigests(t)
+	seeds := 0
 	for seed := int64(0); seed < propSeeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := randTopo(rng)
 		classes := genClasses(rng, g)
 
-		// Filter to the classes the serial planner accepts, using a
-		// scratch controller; acceptance only widens as rejects drop out.
-		scratch := newPropController(t, g, 0)
+		// Filter to the classes the planner accepts, using a scratch
+		// controller; acceptance only widens as rejects drop out.
+		scratch := newPropController(t, g)
 		var accepted []core.Class
 		for _, cl := range classes {
 			if err := scratch.AddClass(cl); err == nil {
@@ -291,70 +327,104 @@ func TestPropertyBatchMatchesSerial(t *testing.T) {
 			continue
 		}
 
-		serial := newPropController(t, g, 0)
+		serial := newPropController(t, g)
 		for _, cl := range accepted {
 			if err := serial.AddClass(cl); err != nil {
 				t.Fatalf("seed %d: serial AddClass(%d) rejected a pre-accepted class: %v", seed, cl.ID, err)
 			}
 		}
-		batch := newPropController(t, g, 8)
-		if err := batch.AddClassBatch(accepted, BatchOptions{Workers: 8, Verify: true}); err != nil {
-			t.Fatalf("seed %d: AddClassBatch: %v", seed, err)
+		if got, want := installSum(t, serial), parent[fmt.Sprintf("%d serial", seed)]; got != want {
+			t.Fatalf("seed %d: AddClass loop digest %s, parent commit recorded %s", seed, got, want)
 		}
+		seeds++
 
-		if got, want := batch.RuleUpdates(), serial.RuleUpdates(); got != want {
-			t.Fatalf("seed %d: batch made %d rule updates, serial %d", seed, got, want)
-		}
-		if got, want := batch.Classes(), serial.Classes(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: batch classes %v, serial %v", seed, got, want)
-		}
-		for _, cl := range accepted {
-			as, err := serial.Assignment(cl.ID)
+		var journals [][]trace.Event
+		for _, workers := range []int{1, 8} {
+			clock := sim.New()
+			rec, err := trace.NewRecorder(clock, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ab, err := batch.Assignment(cl.ID)
+			batch, err := New(Config{Topology: g, Clock: clock, Seed: 7, Tracer: rec})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(as, ab) {
-				t.Fatalf("seed %d: class %d assignment differs\nserial: %+v\nbatch:  %+v", seed, cl.ID, as, ab)
+			if err := batch.AddClassBatch(accepted, BatchOptions{Workers: workers, Verify: true}); err != nil {
+				t.Fatalf("seed %d workers %d: AddClassBatch: %v", seed, workers, err)
+			}
+			if got, want := installSum(t, batch), parent[fmt.Sprintf("%d batch", seed)]; got != want {
+				t.Fatalf("seed %d workers %d: AddClassBatch digest %s, parent commit recorded %s", seed, workers, got, want)
+			}
+			assertSameInstall(t, fmt.Sprintf("seed %d workers %d", seed, workers), g, accepted, serial, batch)
+			journals = append(journals, rec.Events())
+		}
+		if !reflect.DeepEqual(journals[0], journals[1]) {
+			t.Fatalf("seed %d: journal differs between 1 and 8 workers (%d vs %d events)",
+				seed, len(journals[0]), len(journals[1]))
+		}
+	}
+	if 2*seeds != len(parent) {
+		t.Fatalf("%d scenarios installed, install_digests.txt has %d lines (want two per scenario)", seeds, len(parent))
+	}
+}
+
+// assertSameInstall compares a batch-installed controller against the
+// serially installed one, field by field, so a digest mismatch comes with
+// the first differing table, assignment, or packet trace.
+func assertSameInstall(t *testing.T, label string, g *topology.Graph, accepted []core.Class, serial, batch *Controller) {
+	t.Helper()
+	if got, want := batch.RuleUpdates(), serial.RuleUpdates(); got != want {
+		t.Fatalf("%s: batch made %d rule updates, serial %d", label, got, want)
+	}
+	if got, want := batch.Classes(), serial.Classes(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: batch classes %v, serial %v", label, got, want)
+	}
+	for _, cl := range accepted {
+		as, err := serial.Assignment(cl.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ab, err := batch.Assignment(cl.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(as, ab) {
+			t.Fatalf("%s: class %d assignment differs\nserial: %+v\nbatch:  %+v", label, cl.ID, as, ab)
+		}
+	}
+	st, bt := gatherTables(t, serial, g), gatherTables(t, batch, g)
+	if !reflect.DeepEqual(st, bt) {
+		for k := range st {
+			if !reflect.DeepEqual(st[k], bt[k]) {
+				t.Fatalf("%s: table %s differs\nserial: %v\nbatch:  %v", label, k, st[k], bt[k])
 			}
 		}
-		st, bt := gatherTables(t, serial, g), gatherTables(t, batch, g)
-		if !reflect.DeepEqual(st, bt) {
-			for k := range st {
-				if !reflect.DeepEqual(st[k], bt[k]) {
-					t.Fatalf("seed %d: table %s differs\nserial: %v\nbatch:  %v", seed, k, st[k], bt[k])
-				}
+		t.Fatalf("%s: table sets differ", label)
+	}
+	// Packet-level identity: traces of every probe must match
+	// exactly, and enforcement verdicts must agree.
+	for _, cl := range accepted {
+		for sub := uint32(0); sub < 8; sub++ {
+			hs, err1 := serial.FlowHeader(cl.ID, sub<<4)
+			hb, err2 := batch.FlowHeader(cl.ID, sub<<4)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("%s: FlowHeader: %v / %v", label, err1, err2)
 			}
-			t.Fatalf("seed %d: table sets differ", seed)
-		}
-		// Packet-level identity: traces of every probe must match
-		// exactly, and enforcement verdicts must agree.
-		for _, cl := range accepted {
-			for sub := uint32(0); sub < 8; sub++ {
-				hs, err1 := serial.FlowHeader(cl.ID, sub<<4)
-				hb, err2 := batch.FlowHeader(cl.ID, sub<<4)
-				if err1 != nil || err2 != nil {
-					t.Fatalf("seed %d: FlowHeader: %v / %v", seed, err1, err2)
-				}
-				ts, errS := serial.Forward(hs, cl.Path[0])
-				tb, errB := batch.Forward(hb, cl.Path[0])
-				if (errS == nil) != (errB == nil) {
-					t.Fatalf("seed %d class %d probe %d: serial err %v, batch err %v", seed, cl.ID, sub, errS, errB)
-				}
-				if !reflect.DeepEqual(ts, tb) {
-					t.Fatalf("seed %d class %d probe %d: traces differ\nserial: %+v\nbatch:  %+v",
-						seed, cl.ID, sub, ts, tb)
-				}
+			ts, errS := serial.Forward(hs, cl.Path[0])
+			tb, errB := batch.Forward(hb, cl.Path[0])
+			if (errS == nil) != (errB == nil) {
+				t.Fatalf("%s class %d probe %d: serial err %v, batch err %v", label, cl.ID, sub, errS, errB)
+			}
+			if !reflect.DeepEqual(ts, tb) {
+				t.Fatalf("%s class %d probe %d: traces differ\nserial: %+v\nbatch:  %+v",
+					label, cl.ID, sub, ts, tb)
 			}
 		}
-		if errS, errB := serial.CheckEnforcement(), batch.CheckEnforcement(); (errS == nil) != (errB == nil) {
-			t.Fatalf("seed %d: enforcement verdicts differ: serial %v, batch %v", seed, errS, errB)
-		}
-		if errS, errB := serial.CheckTables(), batch.CheckTables(); (errS == nil) != (errB == nil) {
-			t.Fatalf("seed %d: shadow verdicts differ: serial %v, batch %v", seed, errS, errB)
-		}
+	}
+	if errS, errB := serial.CheckEnforcement(), batch.CheckEnforcement(); (errS == nil) != (errB == nil) {
+		t.Fatalf("%s: enforcement verdicts differ: serial %v, batch %v", label, errS, errB)
+	}
+	if errS, errB := serial.CheckTables(), batch.CheckTables(); (errS == nil) != (errB == nil) {
+		t.Fatalf("%s: shadow verdicts differ: serial %v, batch %v", label, errS, errB)
 	}
 }

@@ -19,7 +19,7 @@ import (
 // (a probe observing a half-installed class).
 func TestForwardDuringBatchInstall(t *testing.T) {
 	g := lineTopo(t, 6)
-	c, err := New(Config{Topology: g, Clock: sim.New(), Seed: 7, SetupShards: 8})
+	c, err := New(Config{Topology: g, Clock: sim.New(), Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

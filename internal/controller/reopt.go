@@ -15,12 +15,9 @@ package controller
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/apple-nfv/apple/internal/core"
 	"github.com/apple-nfv/apple/internal/metrics"
-	"github.com/apple-nfv/apple/internal/policy"
-	"github.com/apple-nfv/apple/internal/topology"
 	"github.com/apple-nfv/apple/internal/trace"
 	"github.com/apple-nfv/apple/internal/vnf"
 )
@@ -57,13 +54,14 @@ type ReoptReport struct {
 func (r *ReoptReport) ClassesChanged() int { return r.Added + r.Removed + r.Updated }
 
 // ReOptimize cuts the controller over from its installed assignment
-// generation to a new placement. Instances the new placement needs are
-// provisioned first; then every per-class delta commits inside a single
-// rule transaction (adds, then make-before-break updates, then removals);
-// instances the new generation no longer references are reaped only after
-// the commit succeeds, because decommissioning is not undoable. On error
-// the transaction unwinds everything — including the freshly provisioned
-// instances — and the previous generation keeps running untouched.
+// generation to a new placement. Per-class deltas are staged and the
+// instances the new placement needs are provisioned; then every delta
+// commits inside a single rule transaction (adds, then make-before-break
+// updates, then removals); instances the new generation no longer
+// references are reaped only after the commit succeeds, because
+// decommissioning is not undoable. On error the transaction unwinds
+// everything — including the freshly provisioned instances — and the
+// previous generation keeps running untouched.
 func (c *Controller) ReOptimize(prob *core.Problem, pl *core.Placement, opts ReoptOptions) (*ReoptReport, error) {
 	if prob == nil || pl == nil {
 		return nil, fmt.Errorf("controller: nil problem or placement")
@@ -73,18 +71,10 @@ func (c *Controller) ReOptimize(prob *core.Problem, pl *core.Placement, opts Reo
 		tol = DefaultRateTolerance
 	}
 	txn := c.Begin()
-	txn.capture()
 
-	// Phase 0 — provision up to the placement's instance counts, tracked
-	// in the transaction so an unwind cancels them.
-	provisioned, err := c.provisionTo(pl, txn)
-	if err != nil {
-		txn.unwind(err)
-		return nil, err
-	}
-
-	// Phase 1 — classify per-class deltas and stage them.
-	report := &ReoptReport{Provisioned: provisioned}
+	// Phase 1 — classify per-class deltas and stage them. Nothing is
+	// touched yet, so an error here needs no unwind.
+	report := &ReoptReport{}
 	inPlacement := make(map[core.ClassID]bool, len(prob.Classes))
 	for _, cl := range prob.Classes {
 		inPlacement[cl.ID] = true
@@ -93,9 +83,7 @@ func (c *Controller) ReOptimize(prob *core.Problem, pl *core.Placement, opts Reo
 		cl.Chain = pl.ChainFor(cl)
 		dist, ok := pl.Dist[cl.ID]
 		if !ok {
-			err := fmt.Errorf("controller: class %d missing from placement", cl.ID)
-			txn.unwind(err)
-			return nil, err
+			return nil, fmt.Errorf("controller: class %d missing from placement", cl.ID)
 		}
 		old, installed := c.assign.get(cl.ID)
 		if !installed {
@@ -114,10 +102,9 @@ func (c *Controller) ReOptimize(prob *core.Problem, pl *core.Placement, opts Reo
 			report.Updated++
 			continue
 		}
-		same, serr := c.sameSplit(old, cl, dist)
-		if serr != nil {
-			txn.unwind(serr)
-			return nil, serr
+		same, err := c.sameSplit(old, cl, dist)
+		if err != nil {
+			return nil, err
 		}
 		rateDrift := relDrift(old.Class.RateMbps, cl.RateMbps)
 		switch {
@@ -138,14 +125,23 @@ func (c *Controller) ReOptimize(prob *core.Problem, pl *core.Placement, opts Reo
 		}
 	}
 
-	// Phase 2 — commit or unwind.
+	// Phase 2 — provision up to the placement's instance counts, tracked
+	// in the transaction so an unwind cancels them.
+	txn.open()
+	var err error
+	if report.Provisioned, err = c.provisionTo(pl, txn, false); err != nil {
+		txn.unwind(err)
+		return nil, err
+	}
+
+	// Phase 3 — commit or unwind.
 	if err := txn.Commit(TxnOptions{Verify: opts.Verify, Audit: opts.Audit}); err != nil {
 		return nil, err
 	}
 	report.RulesInstalled = txn.Installed()
 	report.RulesRemoved = txn.Removed()
 
-	// Phase 3 — reap-after-commit: decommissioning is irreversible, so
+	// Phase 4 — reap-after-commit: decommissioning is irreversible, so
 	// idle instances are only released once the new generation is live.
 	if opts.Reap {
 		report.Reaped = c.reapIdle(pl)
@@ -164,25 +160,16 @@ func (c *Controller) ReOptimize(prob *core.Problem, pl *core.Placement, opts Reo
 	return report, nil
 }
 
-// provisionTo places instances until every (switch, NF) bucket holds at
-// least the placement's count, in the same deterministic order as
-// InstallPlacement. Returns how many instances were started.
-func (c *Controller) provisionTo(pl *core.Placement, txn *RuleTxn) (int, error) {
-	nodes := make([]int, 0, len(pl.Counts))
-	for v := range pl.Counts {
-		nodes = append(nodes, int(v))
-	}
-	sort.Ints(nodes)
+// provisionTo places instances, in sorted (switch, NF) order, until every
+// bucket holds at least the placement's count, recording each in the
+// transaction. Returns how many instances were started. With strict set
+// (the proactive install) any placement failure is an error; otherwise
+// (re-optimization) a bucket that already has an instance may stay short.
+func (c *Controller) provisionTo(pl *core.Placement, txn *RuleTxn, strict bool) (int, error) {
 	placed := 0
-	for _, vi := range nodes {
-		v := topology.NodeID(vi)
+	for _, v := range sortedKeys(pl.Counts) {
 		byNF := pl.Counts[v]
-		nfs := make([]policy.NF, 0, len(byNF))
-		for nf := range byNF {
-			nfs = append(nfs, nf)
-		}
-		sort.Slice(nfs, func(i, j int) bool { return nfs[i] < nfs[j] })
-		for _, nf := range nfs {
+		for _, nf := range sortedKeys(byNF) {
 			for len(c.instPool[v][nf]) < byNF[nf] {
 				inst, h, err := c.orch.PlaceNow(nf, v)
 				if err != nil {
@@ -192,16 +179,16 @@ func (c *Controller) provisionTo(pl *core.Placement, txn *RuleTxn) (int, error) 
 					// bucket that already has an instance can run the new
 					// plan oversubscribed (the Dynamic Handler absorbs the
 					// transient); only an empty bucket is fatal.
-					if len(c.instPool[v][nf]) > 0 {
+					if !strict && len(c.instPool[v][nf]) > 0 {
 						break
 					}
 					return placed, fmt.Errorf("controller: placing %v at %d: %w", nf, v, err)
 				}
+				txn.provisioned = append(txn.provisioned, inst.ID())
+				c.poolAdd(v, nf, inst)
 				if _, err := h.PortOf(inst.ID()); err != nil {
 					return placed, fmt.Errorf("controller: %w", err)
 				}
-				c.poolAdd(v, nf, inst)
-				txn.trackProvisioned([]vnf.ID{inst.ID()})
 				placed++
 			}
 		}
@@ -221,21 +208,10 @@ func (c *Controller) reapIdle(pl *core.Placement) int {
 			}
 		}
 	}
-	nodes := make([]int, 0, len(c.instPool))
-	for v := range c.instPool {
-		nodes = append(nodes, int(v))
-	}
-	sort.Ints(nodes)
 	reaped := 0
-	for _, vi := range nodes {
-		v := topology.NodeID(vi)
+	for _, v := range sortedKeys(c.instPool) {
 		byNF := c.instPool[v]
-		nfs := make([]policy.NF, 0, len(byNF))
-		for nf := range byNF {
-			nfs = append(nfs, nf)
-		}
-		sort.Slice(nfs, func(i, j int) bool { return nfs[i] < nfs[j] })
-		for _, nf := range nfs {
+		for _, nf := range sortedKeys(byNF) {
 			insts := byNF[nf]
 			over := len(insts) - pl.Counts[v][nf]
 			var victims []vnf.ID

@@ -150,7 +150,7 @@ func TestReoptMidFailoverFailpointUnwind(t *testing.T) {
 	var points []string
 	txn := probe.c.Begin()
 	txn.StageUpdate(cl, dist)
-	txn.failpoint = func(p string) error {
+	probe.c.failpoint = func(p string) error {
 		points = append(points, p)
 		return nil
 	}
@@ -167,7 +167,7 @@ func TestReoptMidFailoverFailpointUnwind(t *testing.T) {
 			pre := stateDigest(t, fx.c)
 			txn := fx.c.Begin()
 			txn.StageUpdate(cl, fx.pl.Dist[cl.ID])
-			txn.failpoint = func(p string) error {
+			fx.c.failpoint = func(p string) error {
 				if p == pt {
 					return errInjected
 				}

@@ -2,7 +2,6 @@ package controller
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/apple-nfv/apple/internal/core"
 	"github.com/apple-nfv/apple/internal/flowtable"
@@ -22,39 +21,13 @@ const splitBits = 8
 // Resource Orchestrator, derives each class's sub-classes, assigns
 // concrete instances, and installs every physical-switch and vSwitch rule
 // (the Rule Generator role of §III). It is the proactive path: instances
-// are placed synchronously before traffic arrives.
+// are placed synchronously before traffic arrives. The whole install is
+// one rule transaction — on any error nothing of it remains.
 func (c *Controller) InstallPlacement(prob *core.Problem, pl *core.Placement) error {
 	if prob == nil || pl == nil {
 		return fmt.Errorf("controller: nil problem or placement")
 	}
-	// 1. Instantiate q.
-	for v, byNF := range pl.Counts {
-		nfs := make([]policy.NF, 0, len(byNF))
-		for nf := range byNF {
-			nfs = append(nfs, nf)
-		}
-		sort.Slice(nfs, func(i, j int) bool { return nfs[i] < nfs[j] })
-		for _, nf := range nfs {
-			for k := 0; k < byNF[nf]; k++ {
-				inst, h, err := c.orch.PlaceNow(nf, v)
-				if err != nil {
-					return fmt.Errorf("controller: placing %v at %d: %w", nf, v, err)
-				}
-				if _, err := h.PortOf(inst.ID()); err != nil {
-					return fmt.Errorf("controller: %w", err)
-				}
-				if c.instPool[v] == nil {
-					c.instPool[v] = make(map[policy.NF][]*vnf.Instance)
-				}
-				c.instPool[v][nf] = append(c.instPool[v][nf], inst)
-			}
-		}
-	}
-	// 2. Shared pass-by rules on every switch.
-	if err := c.ensurePassBy(nil); err != nil {
-		return err
-	}
-	// 3. Per-class state and rules.
+	txn := c.Begin()
 	for _, cl := range prob.Classes {
 		// Honor a partial-order chain variant the engine selected; the
 		// placement's Dist axes follow the selected chain.
@@ -63,20 +36,18 @@ func (c *Controller) InstallPlacement(prob *core.Problem, pl *core.Placement) er
 		if !ok {
 			return fmt.Errorf("controller: class %d missing from placement", cl.ID)
 		}
-		subs, err := core.Subclasses(cl, dist)
-		if err != nil {
-			return fmt.Errorf("controller: %w", err)
-		}
-		if err := c.installClass(cl, subs); err != nil {
-			return err
-		}
+		txn.StageInstall(cl, dist)
 	}
-	return nil
+	txn.open()
+	if _, err := c.provisionTo(pl, txn, true); err != nil {
+		txn.unwind(err)
+		return err
+	}
+	return txn.Commit(TxnOptions{})
 }
 
 // ensurePassBy installs the Table III pass-by row on every switch that
-// does not have it yet, handing each install's undo token to txn (nil
-// outside a transaction).
+// does not have it yet, handing each install's undo token to txn.
 func (c *Controller) ensurePassBy(txn *RuleTxn) error {
 	// Fast path: once every switch carries the rule, later admissions
 	// skip the full O(switches) table scan — at regional-sharding scale
@@ -108,56 +79,19 @@ func (c *Controller) ensurePassBy(txn *RuleTxn) error {
 	return nil
 }
 
-// installClass builds the assignment for one class (capacity-expanded
-// sub-classes, tags, concrete instances) and installs all of its rules.
-// Routing and host-match rules are installed idempotently, so the method
-// serves both the global InstallPlacement path and online AddClass.
-func (c *Controller) installClass(cl core.Class, subs []core.Subclass) error {
-	a, err := c.admitClass(cl, subs, nil)
-	if err != nil {
-		return err
-	}
-	ops, err := c.emitClassRules(a)
-	if err != nil {
-		return err
-	}
-	if c.tracer.Enabled() {
-		c.tracer.Emit(trace.Ev(trace.KindFlowEmit).WithClass(int64(cl.ID)).WithVal(int64(len(ops))))
-	}
-	n, err := c.applyStaged(ops, nil)
-	if c.tracer.Enabled() {
-		c.tracer.Emit(trace.Ev(trace.KindFlowApply).WithClass(int64(cl.ID)).WithVal(int64(n)).WithErr(err))
-	}
-	return err
-}
-
-// admitClass runs the sequential half of flow setup for one class: it
-// expands sub-classes for capacity, picks concrete instances, allocates
-// every tag the class will ever reference — sub-class tags and, crucially,
-// host tags in the exact first-touch order the serial rule emitter uses —
-// and registers the assignment in the sharded store. After admitClass
-// returns, emitClassRules is a pure function of the assignment and the
-// allocator's (now read-only for this class) tag tables.
-func (c *Controller) admitClass(cl core.Class, subs []core.Subclass, txn *RuleTxn) (*Assignment, error) {
-	if c.assign.has(cl.ID) {
-		return nil, fmt.Errorf("controller: class %d already installed", cl.ID)
-	}
-	a, err := c.buildAssignment(cl, subs, txn)
-	if err != nil {
-		return nil, err
-	}
-	c.assign.put(cl.ID, a)
-	c.journalAdmit(a)
-	return a, nil
-}
-
 // buildAssignment constructs the full assignment — capacity expansion,
-// instance picks, tag allocation — without registering it in the store or
-// journaling it. admitClass uses it for fresh installs; RuleTxn's update
+// instance picks, and every tag the class will ever reference: sub-class
+// tags and host tags, the latter in the exact first-touch order the rule
+// emitter uses — without registering it in the store or journaling it.
+// The pipeline's admit stage uses it for new classes; RuleTxn's update
 // cutover uses it to build the replacement generation while the old one
 // is still registered (so global-tag allocation avoids the live tags).
-// The portion-ledger and global-tag writes are recorded in txn (nil
-// outside a transaction).
+// Afterwards emitClassRules is a pure function of the assignment and the
+// allocator's (now read-only for this class) tag tables. The
+// portion-ledger and global-tag writes are recorded in txn, and taken back
+// here when the class is refused: a refused class must leave the ledgers as
+// it found them even when the transaction goes on without it (AddClassBatch
+// keeps the classes admitted before an admission failure).
 func (c *Controller) buildAssignment(cl core.Class, subs []core.Subclass, txn *RuleTxn) (*Assignment, error) {
 	subs, err := expandForCapacity(cl, subs)
 	if err != nil {
@@ -183,35 +117,58 @@ func (c *Controller) buildAssignment(cl core.Class, subs []core.Subclass, txn *R
 	// right switch); tags second, since global-tag allocation must avoid
 	// conflicts on the exact instances traversed.
 	a.Instances = make([][]vnf.ID, len(subs))
+	var charged []portionCharge
 	for s, sub := range subs {
 		a.Instances[s] = make([]vnf.ID, len(cl.Chain))
 		for j, nf := range cl.Chain {
 			v := cl.Path[sub.Hops[j]]
 			inst, err := c.pickInstance(v, nf)
 			if err != nil {
+				c.refuseAssignment(txn, a, charged)
 				return nil, fmt.Errorf("controller: class %d sub %d position %d: %w", cl.ID, s, j, err)
 			}
-			a.Instances[s][j] = inst.ID()
-			c.setPortion(txn, inst.ID(), c.instPortion[inst.ID()]+cl.RateMbps*sub.Portion, true)
+			id := inst.ID()
+			a.Instances[s][j] = id
+			load, present := c.instPortion[id]
+			charged = append(charged, portionCharge{id, portionPre{load, present}})
+			c.setPortion(txn, id, load+cl.RateMbps*sub.Portion, true)
 		}
 	}
 	for s := range subs {
 		tag, err := c.allocSubTagFor(a, subclassHosts(cl, subs[s].Hops), txn)
 		if err != nil {
+			c.refuseAssignment(txn, a, charged)
 			return nil, err
 		}
 		a.SubTags = append(a.SubTags, tag)
 	}
 	if err := c.preallocHostTags(a); err != nil {
+		c.refuseAssignment(txn, a, charged)
 		return nil, err
 	}
 	return a, nil
 }
 
+// portionCharge is one ledger entry buildAssignment charged, with what it
+// held before.
+type portionCharge struct {
+	id  vnf.ID
+	pre portionPre
+}
+
+// refuseAssignment takes back a half-built assignment's ledger writes,
+// newest first, and frees the global tags it marked.
+func (c *Controller) refuseAssignment(txn *RuleTxn, a *Assignment, charged []portionCharge) {
+	for i := len(charged) - 1; i >= 0; i-- {
+		c.setPortion(txn, charged[i].id, charged[i].pre.load, charged[i].pre.present)
+	}
+	c.releaseSubTags(a, 0, txn)
+}
+
 // journalAdmit journals an admitted plan: one admit event, then the
 // concrete instance serving every (sub-class, chain position) and the tag
-// each sub-class was assigned. Called from the sequential stage, so batch
-// installs journal in arrival order.
+// each sub-class was assigned. Called from the sequential admit stage, so
+// a batch journals in arrival order.
 func (c *Controller) journalAdmit(a *Assignment) {
 	if !c.tracer.Enabled() {
 		return
@@ -231,11 +188,11 @@ func (c *Controller) journalAdmit(a *Assignment) {
 }
 
 // preallocHostTags touches every host tag the class's rules will carry, in
-// the exact order the serial rule emitter first touches them: host-match
-// targets, then classification next-host tags, then vSwitch exit tags per
+// the exact order emitClassRules first touches them: host-match targets,
+// then classification next-host tags, then vSwitch exit tags per
 // sub-class. The allocator memoizes, so repeat touches are no-ops and the
-// resulting tag table is byte-identical to the serial install path — which
-// is what lets the emit stage run in parallel without allocating.
+// tag table depends only on arrival order — which is what lets the emit
+// stage run in parallel without allocating.
 func (c *Controller) preallocHostTags(a *Assignment) error {
 	cl := a.Class
 	for _, sub := range a.Subclasses {
@@ -276,11 +233,11 @@ func (c *Controller) preallocHostTags(a *Assignment) error {
 }
 
 // emitClassRules compiles an admitted class into staged rule operations in
-// the serial install order: routing along the path, host-match at
-// processing switches (both skip-if-present, as the serial path's Has
-// checks), ingress classification (remove-then-install), and vSwitch
-// steering per sub-class. Pure with respect to controller state — safe to
-// run concurrently for different classes.
+// install order: routing along the path, host-match at processing
+// switches (both skip-if-present: other classes share them), ingress
+// classification (remove-then-install), and vSwitch steering per
+// sub-class. Pure with respect to controller state — safe to run
+// concurrently for different classes.
 func (c *Controller) emitClassRules(a *Assignment) ([]stagedOp, error) {
 	cl := a.Class
 	var ops []stagedOp
@@ -403,8 +360,7 @@ func (c *Controller) installClassification(a *Assignment) error {
 	if err != nil {
 		return err
 	}
-	_, err = c.applyStaged(ops, nil)
-	return err
+	return c.applyStaged(ops)
 }
 
 // emitClassification compiles the ingress classification stage into staged
@@ -502,8 +458,7 @@ func (c *Controller) installVSwitchRules(a *Assignment, s int) error {
 	if err != nil {
 		return err
 	}
-	_, err = c.applyStaged(ops, nil)
-	return err
+	return c.applyStaged(ops)
 }
 
 // emitVSwitchRules compiles sub-class s's steering rules into staged

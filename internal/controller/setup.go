@@ -1,27 +1,28 @@
 package controller
 
-// Concurrent sharded flow setup. The flow-arrival path — classify, tag,
-// install rules — is split into three stages so a batch of arrivals can be
-// processed by a worker pool while staying byte-identical to the serial
-// AddClass loop:
+// The class-install pipeline. Every new class — an online arrival
+// (StageAdd) or a placement-driven install (StageInstall), committed one
+// at a time by RuleTxn.Commit or as a whole AddClassBatch — goes through
+// RuleTxn.installNew, in four stages:
 //
-//  1. admit (sequential, arrival order): validation, greedy placement,
-//     instance picking, tag allocation, and registration in the sharded
-//     assignment store. Everything whose outcome depends on who came
-//     first stays here, so allocation state matches the serial path
-//     exactly.
+//  1. admit (sequential, arrival order): validation, sub-class derivation
+//     (greedy online planning, or the staged distribution), instance
+//     picking, tag allocation, and registration in the assignment store.
+//     Everything whose outcome depends on who came first stays here.
 //  2. emit (parallel): pure compilation of each admitted class into a
 //     sequence of staged rule operations. No controller state is written;
 //     tag lookups hit the allocator's memoized table populated by admit.
 //  3. apply (parallel per device table): the staged operations are grouped
-//     by target table, preserving both the batch's arrival order and each
-//     class's internal emission order, and installed with one critical
-//     section per table via flowtable.ApplyBatch — the batched-TCAM-update
-//     analogue of coalescing per-switch OpenFlow barriers.
+//     by target table, preserving both arrival order and each class's
+//     internal emission order, and installed with one critical section per
+//     table via flowtable.ApplyBatchUndo — the batched-TCAM-update analogue
+//     of coalescing per-switch OpenFlow barriers.
+//  4. verify (parallel, optional): CheckClassEnforcement re-injects probe
+//     packets for every admitted class; the data plane is read-only by
+//     then, so the probes race only with each other.
 //
-// An optional fourth stage re-injects probe packets (CheckClassEnforcement)
-// for every admitted class in parallel; the data plane is read-only by
-// then, so the probes race only with each other.
+// The worker count is pure mechanism: one worker runs every stage inline,
+// and any count leaves byte-identical state and an identical journal.
 
 import (
 	"fmt"
@@ -30,7 +31,6 @@ import (
 
 	"github.com/apple-nfv/apple/internal/core"
 	"github.com/apple-nfv/apple/internal/flowtable"
-	"github.com/apple-nfv/apple/internal/hashring"
 	"github.com/apple-nfv/apple/internal/metrics"
 	"github.com/apple-nfv/apple/internal/pool"
 	"github.com/apple-nfv/apple/internal/topology"
@@ -38,49 +38,22 @@ import (
 	"github.com/apple-nfv/apple/internal/vnf"
 )
 
-// DefaultSetupShards is the assignment-store stripe count used when the
-// Config does not specify one.
-const DefaultSetupShards = 8
-
-// assignStore partitions per-class assignments across lock-striped shards.
-// Class IDs map to shards by the same avalanche hash the consistent-hash
-// ring uses, so reads of different classes (Forward, enforcement probes)
-// rarely contend on one lock while a batch install is writing.
+// assignStore is the id→assignment map behind one lock: the single
+// control-plane writer mutates it while Forward and enforcement probes
+// read it from other goroutines.
 type assignStore struct {
-	sharder *hashring.Sharder
-	shards  []assignShard
-}
-
-type assignShard struct {
 	mu sync.RWMutex
 	m  map[core.ClassID]*Assignment // guarded by mu
 }
 
-func newAssignStore(n int) *assignStore {
-	if n < 1 {
-		n = DefaultSetupShards
-	}
-	sh, err := hashring.NewSharder(n)
-	if err != nil {
-		// n is validated above; NewSharder only rejects n < 1.
-		panic(err)
-	}
-	st := &assignStore{sharder: sh, shards: make([]assignShard, n)}
-	for i := range st.shards {
-		st.shards[i].m = make(map[core.ClassID]*Assignment)
-	}
-	return st
-}
-
-func (st *assignStore) shardOf(id core.ClassID) *assignShard {
-	return &st.shards[st.sharder.Shard(uint64(uint32(id)))]
+func newAssignStore() *assignStore {
+	return &assignStore{m: make(map[core.ClassID]*Assignment)}
 }
 
 func (st *assignStore) get(id core.ClassID) (*Assignment, bool) {
-	sh := st.shardOf(id)
-	sh.mu.RLock()
-	a, ok := sh.m[id]
-	sh.mu.RUnlock()
+	st.mu.RLock()
+	a, ok := st.m[id]
+	st.mu.RUnlock()
 	return a, ok
 }
 
@@ -89,65 +62,37 @@ func (st *assignStore) has(id core.ClassID) bool {
 	return ok
 }
 
+// put registers a class's assignment, replacing any existing one.
 func (st *assignStore) put(id core.ClassID, a *Assignment) {
-	idx := st.sharder.Shard(uint64(uint32(id)))
-	sh := &st.shards[idx]
-	sh.mu.Lock()
-	sh.m[id] = a
-	sh.mu.Unlock()
-	metrics.FlowSetup.ShardAdmits.Inc(idx)
-}
-
-// replace swaps an existing class's assignment pointer (or restores a
-// removed one) without counting an admission — the rule-transaction
-// update/unwind path.
-func (st *assignStore) replace(id core.ClassID, a *Assignment) {
-	sh := st.shardOf(id)
-	sh.mu.Lock()
-	sh.m[id] = a
-	sh.mu.Unlock()
+	st.mu.Lock()
+	st.m[id] = a
+	st.mu.Unlock()
 }
 
 // remove deletes a class's assignment.
 func (st *assignStore) remove(id core.ClassID) {
-	sh := st.shardOf(id)
-	sh.mu.Lock()
-	delete(sh.m, id)
-	sh.mu.Unlock()
+	st.mu.Lock()
+	delete(st.m, id)
+	st.mu.Unlock()
 }
 
 // ids returns every installed class ID, sorted.
 func (st *assignStore) ids() []core.ClassID {
-	var out []core.ClassID
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		for id := range sh.m {
-			out = append(out, id)
-		}
-		sh.mu.RUnlock()
-	}
-	sortClassIDs(out)
-	return out
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return sortedKeys(st.m)
 }
 
 // snapshot copies the full id→assignment view. Assignments themselves are
-// shared pointers, as in the pre-sharded map.
+// shared pointers.
 func (st *assignStore) snapshot() map[core.ClassID]*Assignment {
-	out := make(map[core.ClassID]*Assignment)
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		for id, a := range sh.m {
-			out[id] = a
-		}
-		sh.mu.RUnlock()
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	out := make(map[core.ClassID]*Assignment, len(st.m))
+	for id, a := range st.m {
+		out[id] = a
 	}
 	return out
-}
-
-func sortClassIDs(ids []core.ClassID) {
-	slices.Sort(ids)
 }
 
 // device identifies one programmable pipeline: a physical switch's TCAM or
@@ -181,15 +126,11 @@ func (c *Controller) deviceTable(d device, table int) (*flowtable.Table, error) 
 	return sw.Pipeline.Table(table)
 }
 
-// applyStaged installs staged operations in emission order — the serial
-// apply path. Contiguous runs against the same table are coalesced into
-// one ApplyBatch call, so even the serial path takes each table lock once
-// per run rather than once per rule. It returns the number of rules
-// actually installed (skip-if-present hits excluded), so callers can
-// journal the install without recounting. Each batch's undo token goes to
-// txn (nil outside a transaction).
-func (c *Controller) applyStaged(ops []stagedOp, txn *RuleTxn) (int, error) {
-	total := 0
+// applyStaged installs staged operations strictly in the order given,
+// outside any transaction — the Dynamic Handler's fast failover, whose
+// own rollback removes what it installed. Contiguous runs against the
+// same table are coalesced into one ApplyBatch call.
+func (c *Controller) applyStaged(ops []stagedOp) error {
 	for start := 0; start < len(ops); {
 		end := start + 1
 		for end < len(ops) && ops[end].dev == ops[start].dev && ops[end].table == ops[start].table {
@@ -197,159 +138,149 @@ func (c *Controller) applyStaged(ops []stagedOp, txn *RuleTxn) (int, error) {
 		}
 		t, err := c.deviceTable(ops[start].dev, ops[start].table)
 		if err != nil {
-			return total, err
+			return err
 		}
 		batch := make([]flowtable.BatchOp, 0, end-start)
 		for _, op := range ops[start:end] {
 			batch = append(batch, op.op)
 		}
-		n, undo, err := t.ApplyBatchUndo(batch)
-		txn.recordUndo(tableKey{ops[start].dev, ops[start].table}, undo)
-		total += n
+		n, err := t.ApplyBatch(batch)
 		c.ruleUpdates.Add(int64(n))
-		// The serial control loop blocks on every TCAM write, so
-		// simulated programming time accrues per installed rule.
-		metrics.FlowSetup.SimInstall.Add(int64(n) * int64(c.orch.Latencies().RuleInstall))
 		if err != nil {
-			return total, fmt.Errorf("controller: %w", err)
+			return fmt.Errorf("controller: %w", err)
 		}
 		start = end
 	}
-	return total, nil
+	return nil
 }
 
 // BatchOptions tunes AddClassBatch.
 type BatchOptions struct {
-	// Workers bounds the emit, apply, and verify worker pools; 0 uses the
-	// assignment store's shard count.
+	// Workers bounds the emit, apply, and verify worker pools; 0 means
+	// GOMAXPROCS.
 	Workers int
 	// Verify runs CheckClassEnforcement for every admitted class as a
 	// final parallel stage.
 	Verify bool
 }
 
-// AddClassBatch admits a batch of online flow arrivals through the staged
-// pipeline, inside one rule transaction. On success the resulting
-// controller state — assignments, tag allocations, installed rules, and
-// the rule-update count — is identical to calling AddClass for each class
-// in order; Forward traces and enforcement verdicts therefore cannot
-// differ from the serial path. If some class fails admission, the classes
-// admitted before it are still installed (exactly the serial loop's
-// postcondition) and the admission error is returned. If installation or
-// verification fails, the whole batch unwinds: no class from the batch
-// stays admitted, no partial rules remain, and every instance the batch
-// provisioned is cancelled.
+// AddClassBatch admits a batch of online flow arrivals in one rule
+// transaction: one pipeline run over the whole batch. On success the
+// resulting controller state — assignments, tag allocations, installed
+// rules, and the rule-update count — is identical to calling AddClass for
+// each class in order. If some class fails admission, the classes admitted
+// before it are still installed (exactly the AddClass loop's
+// postcondition), the failing class leaves nothing behind, and the
+// admission error is returned. If installation or verification fails, the
+// whole batch unwinds: no class from the batch stays admitted, no partial
+// rules remain, and every instance the batch provisioned is cancelled.
 func (c *Controller) AddClassBatch(classes []core.Class, opts BatchOptions) error {
 	if len(classes) == 0 {
 		return nil
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = c.assign.sharder.Shards()
-	}
 	metrics.FlowSetup.Batches.Add(1)
-	metrics.FlowSetup.Arrivals.Add(int64(len(classes)))
-
 	txn := c.Begin()
-	txn.capture()
-
-	// Stage 1 — admit, sequentially in arrival order. admitArrival
-	// records its own side effects (provisioned instances, the admitted
-	// class) in the transaction: if a later stage fails, the unwind
-	// cancels them.
-	admitted := make([]*Assignment, 0, len(classes))
-	var admitErr error
 	for _, cl := range classes {
-		a, err := c.admitArrival(cl, txn)
-		if err != nil {
-			admitErr = fmt.Errorf("controller: batch admit class %d: %w", cl.ID, err)
-			break
-		}
-		admitted = append(admitted, a)
+		txn.StageAdd(cl)
 	}
-
-	// Stages 2–4 run for whatever was admitted, even when a later class
-	// failed admission, so the postcondition matches the serial loop.
-	if err := c.installAdmitted(admitted, workers, opts.Verify, txn); err != nil {
+	txn.open()
+	sp := c.tracer.Begin(trace.Ev(trace.KindFlowBatch).WithVal(int64(len(classes))))
+	n, err := txn.installNew(txn.staged, opts.Workers, opts.Verify)
+	sp.End(int64(txn.installed), err)
+	if err != nil && n == 0 {
 		txn.unwind(err)
 		return err
 	}
 	txn.finish()
-	return admitErr
+	return err
 }
 
-// installAdmitted runs emit, apply, and optional verify for already
-// admitted assignments. Journal events are emitted only from this
-// coordinator, after each parallel stage completes and in index order —
-// never from the worker closures — so the journal stays deterministic.
-// When txn is non-nil, every group's undo token and the install/remove
-// churn are handed to the transaction once the parallel apply is over.
-func (c *Controller) installAdmitted(admitted []*Assignment, workers int, verify bool, txn *RuleTxn) (err error) {
-	if len(admitted) == 0 {
-		return nil
-	}
-	var installedTotal int64
-	if c.tracer.Enabled() {
-		sp := c.tracer.Begin(trace.Ev(trace.KindFlowBatch).WithVal(int64(len(admitted))))
-		defer func() { sp.End(installedTotal, err) }()
-	}
+// installNew is the class-install pipeline (see the file comment) over the
+// staged add/install ops, in order. It returns how many leading ops now
+// stand fully installed. A nil error means all of them. A non-nil error
+// with n == 0 means nothing may stand and the caller must unwind the
+// transaction; with n > 0 it is the admission error of ops[n], which left
+// nothing behind, while ops[:n] are installed and verified.
+//
+// Failpoints fire and journal events are emitted only from this
+// coordinator, per class in index order, never from the worker closures,
+// so both are independent of the worker count.
+func (t *RuleTxn) installNew(ops []txnOp, workers int, verify bool) (int, error) {
+	c := t.c
 
-	// Stage 2 — emit, in parallel. Pure: reads admit-stage state only.
-	staged := make([][]stagedOp, len(admitted))
-	if err := pool.RunIndexed(len(admitted), workers, func(i int) error {
-		ops, err := c.emitClassRules(admitted[i])
+	// Stage 1 — admit, sequentially in arrival order.
+	admitted := make([]*Assignment, 0, len(ops))
+	var admitErr error
+	for _, op := range ops {
+		a, err := t.admit(op)
 		if err != nil {
-			return err
+			if len(admitted) == 0 {
+				return 0, err
+			}
+			admitErr = err
+			break
 		}
-		staged[i] = ops
-		metrics.FlowSetup.StagedRules.Add(int64(len(ops)))
-		return nil
-	}); err != nil {
-		return err
+		admitted = append(admitted, a)
 	}
-	if c.tracer.Enabled() {
-		for i, a := range admitted {
+	metrics.FlowSetup.Arrivals.Add(int64(len(admitted)))
+
+	// Stage 2 — emit. Pure: reads admit-stage state only.
+	if err := t.failEach("add:emit", admitted); err != nil {
+		return 0, err
+	}
+	staged := make([][]stagedOp, len(admitted))
+	if err := pool.RunIndexed(len(admitted), workers, func(i int) (err error) {
+		staged[i], err = c.emitClassRules(admitted[i])
+		return err
+	}); err != nil {
+		return 0, err
+	}
+	stagedRules := 0
+	for i, a := range admitted {
+		stagedRules += len(staged[i])
+		if c.tracer.Enabled() {
 			c.tracer.Emit(trace.Ev(trace.KindFlowEmit).
 				WithClass(int64(a.Class.ID)).WithVal(int64(len(staged[i]))))
 		}
 	}
+	metrics.FlowSetup.StagedRules.Add(int64(stagedRules))
 
 	// Stage 3 — group by device table, preserving arrival-major emission
 	// order, and apply each group in one critical section.
-	groups := make(map[tableKey][]flowtable.BatchOp)
-	var order []tableKey
-	for _, ops := range staged {
-		for _, op := range ops {
-			k := tableKey{op.dev, op.table}
-			if _, ok := groups[k]; !ok {
-				order = append(order, k)
-			}
-			groups[k] = append(groups[k], op.op)
-		}
+	if err := t.failEach("add:apply", admitted); err != nil {
+		return 0, err
 	}
+	groups, order := groupStaged(staged...)
 	installed := make([]int, len(order))
 	undos := make([]flowtable.Undo, len(order))
 	applyErr := pool.RunIndexed(len(order), workers, func(i int) error {
 		k := order[i]
-		t, err := c.deviceTable(k.dev, k.table)
+		tbl, err := c.deviceTable(k.dev, k.table)
 		if err != nil {
 			return err
 		}
-		installed[i], undos[i], err = t.ApplyBatchUndo(groups[k])
-		c.ruleUpdates.Add(int64(installed[i]))
+		installed[i], undos[i], err = tbl.ApplyBatchUndo(groups[k])
 		return err
 	})
 	// Tokens first, error second: a failed apply leaves some groups
 	// applied, and the unwind needs the token of every one of them.
+	// Each device programs its own TCAM, so a run's simulated programming
+	// time is the makespan: the slowest device's installs (its tables
+	// program back to back) times the per-rule latency.
+	perDevice := make(map[device]int, len(order))
+	total, slowest := 0, 0
+	t.undo = slices.Grow(t.undo, len(order))
 	for i, k := range order {
-		txn.recordUndo(k, undos[i])
-		installedTotal += int64(installed[i])
+		t.recordUndo(k, undos[i])
+		total += installed[i]
+		perDevice[k.dev] += installed[i]
+		slowest = max(slowest, perDevice[k.dev])
 	}
-	if txn != nil {
-		txn.installed += int(installedTotal)
-	}
+	t.installed += total
+	c.ruleUpdates.Add(int64(total))
+	metrics.FlowSetup.SimInstall.Add(int64(slowest) * int64(c.orch.Latencies().RuleInstall))
 	if applyErr != nil {
-		return fmt.Errorf("controller: %w", applyErr)
+		return 0, fmt.Errorf("controller: %w", applyErr)
 	}
 	if c.tracer.Enabled() {
 		for i, k := range order {
@@ -358,28 +289,16 @@ func (c *Controller) installAdmitted(admitted []*Assignment, workers int, verify
 		}
 	}
 
-	// Each device programs its own TCAM, so a batch's simulated
-	// programming time is the makespan: the slowest device's installs
-	// (its tables program back to back) times the per-rule latency.
-	perDevice := make(map[device]int64, len(order))
-	for i, k := range order {
-		perDevice[k.dev] += int64(installed[i])
-	}
-	var slowest int64
-	for _, n := range perDevice {
-		if n > slowest {
-			slowest = n
-		}
-	}
-	metrics.FlowSetup.SimInstall.Add(slowest * int64(c.orch.Latencies().RuleInstall))
-
-	// Stage 4 — verify, in parallel. Read-only against the data plane.
+	// Stage 4 — verify. Read-only against the data plane.
 	if verify {
+		if err := t.failEach("add:verify", admitted); err != nil {
+			return 0, err
+		}
+		metrics.FlowSetup.VerifyProbes.Add(int64(len(admitted)))
 		if err := pool.RunIndexed(len(admitted), workers, func(i int) error {
-			metrics.FlowSetup.VerifyProbes.Add(1)
 			return c.CheckClassEnforcement(admitted[i].Class.ID)
 		}); err != nil {
-			return err
+			return 0, err
 		}
 		if c.tracer.Enabled() {
 			for _, a := range admitted {
@@ -387,7 +306,60 @@ func (c *Controller) installAdmitted(admitted []*Assignment, workers int, verify
 			}
 		}
 	}
-	return nil
+	return len(admitted), admitErr
+}
+
+// admit runs the sequential stage for one new class. On success the
+// instances it provisioned and the class it registered are recorded in
+// the transaction; on failure nothing of the class remains — its
+// provisioning is cancelled, its ledger writes taken back — so an
+// admission error can drop one class from a batch without unwinding the
+// classes before it.
+func (t *RuleTxn) admit(op txnOp) (*Assignment, error) {
+	c := t.c
+	cl := op.cl
+	if err := cl.Validate(c.g); err != nil {
+		return nil, fmt.Errorf("controller: %w", err)
+	}
+	if c.assign.has(cl.ID) {
+		return nil, fmt.Errorf("controller: class %d already installed", cl.ID)
+	}
+	if err := c.ensurePassBy(t); err != nil {
+		return nil, err
+	}
+	var subs []core.Subclass
+	var provisioned []vnf.ID
+	var err error
+	if op.kind == txnAdd {
+		if err := t.fail("add:plan", cl.ID); err != nil {
+			return nil, err
+		}
+		// planClass is all-or-nothing: on failure its own provisioning is
+		// already cancelled.
+		if subs, provisioned, err = c.planClass(cl, t); err != nil {
+			return nil, err
+		}
+	} else {
+		if err := t.fail("install:plan", cl.ID); err != nil {
+			return nil, err
+		}
+		if subs, err = core.Subclasses(cl, op.dist); err != nil {
+			return nil, fmt.Errorf("controller: %w", err)
+		}
+	}
+	var a *Assignment
+	if err = t.fail("add:admit", cl.ID); err == nil {
+		a, err = c.buildAssignment(cl, subs, t)
+	}
+	if err != nil {
+		c.unwindProvisioned(provisioned, t)
+		return nil, err
+	}
+	c.assign.put(cl.ID, a)
+	c.journalAdmit(a)
+	t.provisioned = append(t.provisioned, provisioned...)
+	t.admitted = append(t.admitted, cl.ID)
+	return a, nil
 }
 
 // unwindProvisioned cancels instances provisioned for a failed arrival.

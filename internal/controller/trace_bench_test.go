@@ -10,14 +10,14 @@ import (
 
 // benchTracedController builds a controller with a journal attached, for
 // the traced benchmark arm.
-func benchTracedController(tb testing.TB, g *topology.Graph, shards int) (*Controller, *trace.Recorder) {
+func benchTracedController(tb testing.TB, g *topology.Graph) (*Controller, *trace.Recorder) {
 	tb.Helper()
 	clock := sim.New()
 	rec, err := trace.NewRecorder(clock, 1<<16)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	c, err := New(Config{Topology: g, Clock: clock, Seed: 7, SetupShards: shards, Tracer: rec})
+	c, err := New(Config{Topology: g, Clock: clock, Seed: 7, Tracer: rec})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func BenchmarkFlowSetupTrace(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			c := benchController(b, g, 8)
+			c := benchController(b, g)
 			b.StartTimer()
 			if err := c.AddClassBatch(classes, BatchOptions{Workers: 8}); err != nil {
 				b.Fatalf("AddClassBatch: %v", err)
@@ -47,7 +47,7 @@ func BenchmarkFlowSetupTrace(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			c, _ := benchTracedController(b, g, 8)
+			c, _ := benchTracedController(b, g)
 			b.StartTimer()
 			if err := c.AddClassBatch(classes, BatchOptions{Workers: 8}); err != nil {
 				b.Fatalf("AddClassBatch: %v", err)
@@ -60,11 +60,11 @@ func BenchmarkFlowSetupTrace(b *testing.B) {
 // observability layer: with no recorder attached, the instrumentation on
 // the flow-setup hot path — the Enabled guard plus the event-building
 // and span code behind it — must allocate nothing. The closure below is
-// exactly the guarded emission shape admitClass, installAdmitted, and
-// AddClass use, run against the controller's real (nil) tracer field.
+// exactly the guarded emission shape the install pipeline and
+// AddClassBatch use, run against the controller's real (nil) tracer field.
 func TestTracingDisabledAddsNoAllocs(t *testing.T) {
 	g, _ := benchWorkload(t)
-	c := benchController(t, g, 8)
+	c := benchController(t, g)
 	if c.tracer.Enabled() {
 		t.Fatal("controller without a Tracer config should have tracing disabled")
 	}
@@ -83,7 +83,7 @@ func TestTracingDisabledAddsNoAllocs(t *testing.T) {
 
 	// The traced controller must actually record — the guard above is
 	// meaningful only if the same code path emits when enabled.
-	tc, rec := benchTracedController(t, g, 8)
+	tc, rec := benchTracedController(t, g)
 	if !tc.tracer.Enabled() {
 		t.Fatal("controller with a Tracer config should have tracing enabled")
 	}

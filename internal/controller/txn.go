@@ -1,17 +1,18 @@
 package controller
 
 // Rule transactions: commit-or-unwind mutation of the controller's flow
-// state. Every online mutation path (AddClass, AddClassBatch, ReOptimize)
-// runs inside a RuleTxn, which makes the historical partial-install bugs
-// impossible by construction: a class can no longer end up admitted in
-// the assignment store with half its rules installed, and provisioned
-// instances can no longer leak when a later stage fails.
+// state. Every class-set mutation (InstallPlacement, AddClass,
+// AddClassBatch, ReOptimize) runs inside a RuleTxn, so a class can never
+// end up admitted in the assignment store with half its rules installed,
+// and provisioned instances cannot leak when a later stage fails.
 //
 // Protocol (make-before-break):
 //
 //	stage      — callers declare class-set deltas (adds, updates,
 //	             removals). Nothing is touched.
-//	commit     — deltas execute in add → update → remove order. Within
+//	commit     — deltas execute in add → update → remove order. New
+//	             classes go through the class-install pipeline
+//	             (installNew, setup.go), one class per run. Within
 //	             an update, the new rules are installed before the stale
 //	             ones are removed, and each flow table changes in a
 //	             single ApplyBatch critical section (the copy-on-write
@@ -62,8 +63,8 @@ type tableKey struct {
 type txnOpKind int
 
 const (
-	txnAdd     txnOpKind = iota // greedy online placement (AddClass path)
-	txnInstall                  // placement-driven install (ReOptimize adds)
+	txnAdd     txnOpKind = iota // greedy online placement (AddClass, AddClassBatch)
+	txnInstall                  // placement-driven install (InstallPlacement, ReOptimize adds)
 	txnUpdate                   // full rule cutover to a new distribution
 	txnRefresh                  // bookkeeping-only rate change, rules untouched
 	txnRemove                   // class teardown
@@ -95,14 +96,13 @@ type RuleTxn struct {
 	c      *Controller
 	staged []txnOp
 
-	captured bool
+	opened   bool
 	finished bool
 	// Pre-transaction values of the portion-ledger and global-tag entries
 	// the transaction wrote, recorded on first write (setPortion,
-	// setGlobalTag); newTagHosts lists hosts whose tag set it created.
+	// setGlobalTag).
 	prevPortion map[vnf.ID]portionPre
 	prevTags    map[hostTag]bool
-	newTagHosts []topology.NodeID
 	// undo holds the inverse of every table batch applied, in apply
 	// order.
 	undo []tableUndo
@@ -116,11 +116,6 @@ type RuleTxn struct {
 
 	installed int
 	removed   int
-
-	// failpoint, when non-nil, runs at every named commit step; a
-	// non-nil return aborts the transaction there (test hook for the
-	// fault-injection suite).
-	failpoint func(point string) error
 }
 
 // Begin starts an empty transaction.
@@ -132,7 +127,7 @@ func (c *Controller) Begin() *RuleTxn {
 }
 
 // StageAdd stages an online arrival: greedy placement against live
-// capacity, provisioning instances as needed (the AddClass path).
+// capacity, provisioning instances as needed.
 func (t *RuleTxn) StageAdd(cl core.Class) {
 	t.staged = append(t.staged, txnOp{kind: txnAdd, cl: cl})
 }
@@ -180,10 +175,7 @@ func (t *RuleTxn) Commit(opts TxnOptions) (err error) {
 	if t.finished {
 		return fmt.Errorf("controller: transaction already finished")
 	}
-	if t.c.tracer.Enabled() {
-		t.c.tracer.Emit(trace.Ev(trace.KindTxnBegin).WithVal(int64(len(t.staged))))
-	}
-	t.capture()
+	t.open()
 	defer func() {
 		if err != nil {
 			t.unwind(err)
@@ -200,13 +192,15 @@ func (t *RuleTxn) Commit(opts TxnOptions) (err error) {
 		{"remove", func(k txnOpKind) bool { return k == txnRemove }},
 	}
 	for _, ph := range phases {
-		for _, op := range t.staged {
+		for i, op := range t.staged {
 			if !ph.want(op.kind) {
 				continue
 			}
 			switch op.kind {
 			case txnAdd, txnInstall:
-				err = t.commitAdd(op, opts)
+				// One pipeline run per class keeps the per-class audit
+				// boundary; a batch of one runs every stage inline.
+				_, err = t.installNew(t.staged[i:i+1], 1, opts.Verify)
 			case txnUpdate:
 				err = t.commitUpdate(op, opts)
 			case txnRefresh:
@@ -227,15 +221,20 @@ func (t *RuleTxn) Commit(opts TxnOptions) (err error) {
 	return nil
 }
 
-// capture opens the transaction for side-effect tracking. Idempotent;
-// also the entry point for the lower-level capture API AddClassBatch and
-// ReOptimize use.
-func (t *RuleTxn) capture() {
-	if t.captured {
+// open starts the transaction: from here on every side effect is
+// tracked and must end in finish or unwind. Idempotent — Commit calls it,
+// and entry points that act before Commit (provisioning instances, running
+// the install pipeline directly) call it first, after staging, so the
+// journaled txn.begin carries the staged-delta count.
+func (t *RuleTxn) open() {
+	if t.opened {
 		return
 	}
-	t.captured = true
+	t.opened = true
 	metrics.Txn.Begun.Add(1)
+	if t.c.tracer.Enabled() {
+		t.c.tracer.Emit(trace.Ev(trace.KindTxnBegin).WithVal(int64(len(t.staged))))
+	}
 }
 
 // finish marks a successful commit.
@@ -272,7 +271,7 @@ func (t *RuleTxn) unwind(cause error) {
 	}
 	for i := len(t.prevOrder) - 1; i >= 0; i-- {
 		id := t.prevOrder[i]
-		c.assign.replace(id, t.prevAssign[id])
+		c.assign.put(id, t.prevAssign[id])
 	}
 	for _, id := range t.provisioned {
 		_ = c.orch.Cancel(id)
@@ -283,9 +282,6 @@ func (t *RuleTxn) unwind(cause error) {
 	}
 	for ht, on := range t.prevTags {
 		c.setGlobalTag(nil, ht.host, ht.tag, on)
-	}
-	for _, v := range t.newTagHosts {
-		delete(c.hostGlobalTags, v)
 	}
 	// Reverting may have removed pass-by rules installed during this
 	// transaction; force the next admission to re-verify them.
@@ -299,10 +295,23 @@ func (t *RuleTxn) unwind(cause error) {
 
 // fail triggers the named failpoint when the test hook is set.
 func (t *RuleTxn) fail(point string, id core.ClassID) error {
-	if t.failpoint == nil {
+	if t.c.failpoint == nil {
 		return nil
 	}
-	return t.failpoint(fmt.Sprintf("%s:%d", point, id))
+	return t.c.failpoint(fmt.Sprintf("%s:%d", point, id))
+}
+
+// failEach triggers the named failpoint for every class, in order.
+func (t *RuleTxn) failEach(point string, classes []*Assignment) error {
+	if t.c.failpoint == nil {
+		return nil
+	}
+	for _, a := range classes {
+		if err := t.fail(point, a.Class.ID); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // tableUndo is the inverse of one table batch.
@@ -312,22 +321,28 @@ type tableUndo struct {
 }
 
 // recordUndo keeps a batch's undo token for unwind and accounts the
-// rules the batch removed. A nil transaction (the non-transactional
-// install paths) drops the token.
+// rules the batch removed.
 func (t *RuleTxn) recordUndo(k tableKey, u flowtable.Undo) {
-	if t == nil {
-		return
-	}
 	t.undo = append(t.undo, tableUndo{key: k, token: u})
 	t.removed += u.Removed()
 }
 
-// apply installs the ops via the serial apply path, keeping every
-// batch's undo token and accounting installed rules.
-func (t *RuleTxn) apply(ops []stagedOp) (int, error) {
-	n, err := t.c.applyStaged(ops, t)
+// apply runs one batch against one table in a single critical section,
+// keeping its undo token and accounting installed rules. The ordered
+// make-before-break steps of an update or removal are sequences of these.
+func (t *RuleTxn) apply(k tableKey, batch []flowtable.BatchOp) error {
+	tbl, err := t.c.deviceTable(k.dev, k.table)
+	if err != nil {
+		return err
+	}
+	n, undo, err := tbl.ApplyBatchUndo(batch)
+	t.recordUndo(k, undo)
 	t.installed += n
-	return n, err
+	t.c.ruleUpdates.Add(int64(n))
+	if err != nil {
+		return fmt.Errorf("controller: %w", err)
+	}
+	return nil
 }
 
 // portionPre is the pre-transaction state of one portion-ledger entry.
@@ -345,8 +360,8 @@ type hostTag struct {
 // setPortion writes (or, with present false, deletes) one entry of the
 // instance-portion ledger. Inside a transaction the entry's prior state
 // is recorded the first time it is written, so unwind can put it back
-// exactly; txn is nil on the non-transactional paths (proactive install,
-// fast failover, reap-after-commit) and during the unwind itself.
+// exactly; txn is nil on the non-transactional paths (fast failover,
+// reap-after-commit) and during the unwind itself.
 func (c *Controller) setPortion(txn *RuleTxn, id vnf.ID, load float64, present bool) {
 	if txn != nil {
 		if _, seen := txn.prevPortion[id]; !seen {
@@ -365,7 +380,9 @@ func (c *Controller) setPortion(txn *RuleTxn, id vnf.ID, load float64, present b
 }
 
 // setGlobalTag marks a global sub-class tag used or free on one hosting
-// switch, with the same first-write recording as setPortion.
+// switch, with the same first-write recording as setPortion. A host's
+// tag set exists exactly while it holds a tag, so freeing what was marked
+// restores the map as it was.
 func (c *Controller) setGlobalTag(txn *RuleTxn, v topology.NodeID, tag uint8, on bool) {
 	if txn != nil {
 		k := hostTag{host: v, tag: tag}
@@ -378,13 +395,13 @@ func (c *Controller) setGlobalTag(txn *RuleTxn, v topology.NodeID, tag uint8, on
 	}
 	if !on {
 		delete(c.hostGlobalTags[v], tag)
+		if len(c.hostGlobalTags[v]) == 0 {
+			delete(c.hostGlobalTags, v)
+		}
 		return
 	}
 	if c.hostGlobalTags[v] == nil {
 		c.hostGlobalTags[v] = make(map[uint8]bool)
-		if txn != nil {
-			txn.newTagHosts = append(txn.newTagHosts, v)
-		}
 	}
 	c.hostGlobalTags[v][tag] = true
 }
@@ -399,128 +416,52 @@ func (t *RuleTxn) trackPrevAssign(id core.ClassID, a *Assignment) {
 	t.prevOrder = append(t.prevOrder, id)
 }
 
-// trackAdmitted and trackProvisioned record admit-stage side effects
-// performed outside commitAdd — the lower-level capture API the batched
-// pipeline uses.
-func (t *RuleTxn) trackAdmitted(id core.ClassID) { t.admitted = append(t.admitted, id) }
-func (t *RuleTxn) trackProvisioned(ids []vnf.ID) { t.provisioned = append(t.provisioned, ids...) }
-
-// commitAdd installs one new class: the serial admit → emit → apply
-// sequence of the historical AddClass path, with every side effect
-// tracked for unwind.
-func (t *RuleTxn) commitAdd(op txnOp, opts TxnOptions) error {
-	c := t.c
-	cl := op.cl
-	if err := cl.Validate(c.g); err != nil {
-		return fmt.Errorf("controller: %w", err)
-	}
-	if c.assign.has(cl.ID) {
-		return fmt.Errorf("controller: class %d already installed", cl.ID)
-	}
-	if err := c.ensurePassBy(t); err != nil {
-		return err
-	}
-	var subs []core.Subclass
-	if op.kind == txnAdd {
-		if err := t.fail("add:plan", cl.ID); err != nil {
-			return err
-		}
-		planned, provisioned, err := c.planClass(cl, t)
-		// planClass is all-or-nothing: on failure its own provisioning is
-		// already cancelled.
-		t.trackProvisioned(provisioned)
-		if err != nil {
-			return err
-		}
-		subs = planned
-	} else {
-		if err := t.fail("install:plan", cl.ID); err != nil {
-			return err
-		}
-		derived, err := core.Subclasses(cl, op.dist)
-		if err != nil {
-			return fmt.Errorf("controller: %w", err)
-		}
-		subs = derived
-	}
-	if err := t.fail("add:admit", cl.ID); err != nil {
-		return err
-	}
-	a, err := c.admitClass(cl, subs, t)
-	if err != nil {
-		return err
-	}
-	t.trackAdmitted(cl.ID)
-	if err := t.fail("add:emit", cl.ID); err != nil {
-		return err
-	}
-	ops, err := c.emitClassRules(a)
-	if err != nil {
-		return err
-	}
-	if c.tracer.Enabled() {
-		c.tracer.Emit(trace.Ev(trace.KindFlowEmit).WithClass(int64(cl.ID)).WithVal(int64(len(ops))))
-	}
-	if err := t.fail("add:apply", cl.ID); err != nil {
-		return err
-	}
-	n, err := t.apply(ops)
-	if c.tracer.Enabled() {
-		c.tracer.Emit(trace.Ev(trace.KindFlowApply).WithClass(int64(cl.ID)).WithVal(int64(n)).WithErr(err))
-	}
-	if err != nil {
-		return err
-	}
-	if opts.Verify {
-		if err := t.fail("add:verify", cl.ID); err != nil {
-			return err
-		}
-		metrics.FlowSetup.VerifyProbes.Add(1)
-		if err := c.CheckClassEnforcement(cl.ID); err != nil {
-			return err
-		}
-		if c.tracer.Enabled() {
-			c.tracer.Emit(trace.Ev(trace.KindFlowVerify).WithClass(int64(cl.ID)))
-		}
-	}
-	return nil
-}
-
-// groupStaged partitions staged ops by target table, preserving
-// first-appearance order.
-func groupStaged(ops []stagedOp) (map[tableKey][]stagedOp, []tableKey) {
-	groups := make(map[tableKey][]stagedOp)
+// groupStaged partitions the staged ops of one or more classes by target
+// table, preserving first-appearance order of the tables and, within a
+// table, class-major emission order.
+func groupStaged(perClass ...[]stagedOp) (map[tableKey][]flowtable.BatchOp, []tableKey) {
+	groups := make(map[tableKey][]flowtable.BatchOp)
 	var order []tableKey
-	for _, op := range ops {
-		k := tableKey{op.dev, op.table}
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
+	for _, ops := range perClass {
+		for i, op := range ops {
+			k := tableKey{op.dev, op.table}
+			g, ok := groups[k]
+			if !ok {
+				order = append(order, k)
+				// A class's ops for one table are emitted together: size the
+				// group for the run that opens it, so one class never regrows.
+				n := 1
+				for i+n < len(ops) && ops[i+n].dev == op.dev && ops[i+n].table == op.table {
+					n++
+				}
+				g = make([]flowtable.BatchOp, 0, n)
+			}
+			groups[k] = append(g, op.op)
 		}
-		groups[k] = append(groups[k], op)
 	}
 	return groups, order
 }
 
 // ownedRemovals builds remove operations for the class-owned rule names
-// (vsw-<id>-* steering, cls-<id> classification) present in a group's
+// (vsw-<id>-* steering, cls-<id> classification) present in one table's
 // ops. Shared idempotent rules (route-*, host-match, pass-by) are never
 // removed — other classes may depend on them.
-func ownedRemovals(cl core.ClassID, k tableKey, ops []stagedOp) []stagedOp {
+func ownedRemovals(cl core.ClassID, ops []flowtable.BatchOp) []flowtable.BatchOp {
 	vswPrefix := fmt.Sprintf("vsw-%d-", cl)
 	clsName := fmt.Sprintf("cls-%d", cl)
-	var out []stagedOp
+	var out []flowtable.BatchOp
 	seen := make(map[string]bool)
 	for _, op := range ops {
-		name := op.op.Rule.Name
-		if op.op.Remove != "" {
-			name = op.op.Remove
+		name := op.Rule.Name
+		if op.Remove != "" {
+			name = op.Remove
 		}
 		if name == "" || seen[name] {
 			continue
 		}
 		if strings.HasPrefix(name, vswPrefix) || name == clsName {
 			seen[name] = true
-			out = append(out, stagedOp{dev: k.dev, table: k.table, op: flowtable.BatchOp{Remove: name}})
+			out = append(out, flowtable.BatchOp{Remove: name})
 		}
 	}
 	return out
@@ -586,17 +527,17 @@ func (t *RuleTxn) commitUpdate(op txnOp, opts TxnOptions) error {
 	if err := t.fail("update:steer", cl.ID); err != nil {
 		return err
 	}
-	var clsBatch []stagedOp
+	var clsBatch []flowtable.BatchOp
 	for _, k := range newOrder {
 		if reflect.DeepEqual(oldG[k], newG[k]) {
 			continue // identical compilation — untouched
 		}
-		batch := append(ownedRemovals(old.Class.ID, k, oldG[k]), newG[k]...)
+		batch := append(ownedRemovals(old.Class.ID, oldG[k]), newG[k]...)
 		if k == clsKey {
 			clsBatch = batch
 			continue
 		}
-		if _, err := t.apply(batch); err != nil {
+		if err := t.apply(k, batch); err != nil {
 			return err
 		}
 	}
@@ -605,7 +546,7 @@ func (t *RuleTxn) commitUpdate(op txnOp, opts TxnOptions) error {
 		if err := t.fail("update:cls", cl.ID); err != nil {
 			return err
 		}
-		if _, err := t.apply(clsBatch); err != nil {
+		if err := t.apply(clsKey, clsBatch); err != nil {
 			return err
 		}
 	}
@@ -614,7 +555,7 @@ func (t *RuleTxn) commitUpdate(op txnOp, opts TxnOptions) error {
 		return err
 	}
 	t.trackPrevAssign(cl.ID, old)
-	c.assign.replace(cl.ID, newA)
+	c.assign.put(cl.ID, newA)
 	c.journalAdmit(newA)
 	// Phase 4: retire the old generation — tables the new placement no
 	// longer touches, old global tags, old portions.
@@ -625,8 +566,8 @@ func (t *RuleTxn) commitUpdate(op txnOp, opts TxnOptions) error {
 		if _, inNew := newG[k]; inNew {
 			continue
 		}
-		if batch := ownedRemovals(old.Class.ID, k, oldG[k]); len(batch) > 0 {
-			if _, err := t.apply(batch); err != nil {
+		if batch := ownedRemovals(old.Class.ID, oldG[k]); len(batch) > 0 {
+			if err := t.apply(k, batch); err != nil {
 				return err
 			}
 		}
@@ -672,7 +613,7 @@ func (t *RuleTxn) commitRefresh(op txnOp) error {
 		SubTags:    old.SubTags,
 	}
 	t.trackPrevAssign(cl.ID, old)
-	c.assign.replace(cl.ID, newA)
+	c.assign.put(cl.ID, newA)
 	c.shiftPortions(t, old, -1)
 	c.shiftPortions(t, newA, +1)
 	return nil
@@ -698,8 +639,8 @@ func (t *RuleTxn) commitRemove(op txnOp) error {
 	if err := t.fail("remove:cls", op.id); err != nil {
 		return err
 	}
-	if batch := ownedRemovals(a.Class.ID, clsKey, groups[clsKey]); len(batch) > 0 {
-		if _, err := t.apply(batch); err != nil {
+	if batch := ownedRemovals(a.Class.ID, groups[clsKey]); len(batch) > 0 {
+		if err := t.apply(clsKey, batch); err != nil {
 			return err
 		}
 	}
@@ -710,8 +651,8 @@ func (t *RuleTxn) commitRemove(op txnOp) error {
 		if k == clsKey {
 			continue
 		}
-		if batch := ownedRemovals(a.Class.ID, k, groups[k]); len(batch) > 0 {
-			if _, err := t.apply(batch); err != nil {
+		if batch := ownedRemovals(a.Class.ID, groups[k]); len(batch) > 0 {
+			if err := t.apply(k, batch); err != nil {
 				return err
 			}
 		}

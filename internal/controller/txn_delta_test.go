@@ -53,15 +53,14 @@ func TestPassByFlagSurvivesCommitAndUnwind(t *testing.T) {
 		return core.Class{ID: core.ClassID(id), Path: linePath(4), Chain: policy.Chain{policy.Firewall}, RateMbps: 10}
 	}
 	failing := func(id int) error {
-		txn := c.Begin()
-		txn.StageAdd(class(id))
-		txn.failpoint = func(p string) error {
+		c.failpoint = func(p string) error {
 			if strings.HasPrefix(p, "add:apply") {
 				return errInjected
 			}
 			return nil
 		}
-		return txn.Commit(TxnOptions{})
+		defer func() { c.failpoint = nil }()
+		return c.AddClass(class(id))
 	}
 	switches := len(c.switches)
 

@@ -9,6 +9,7 @@ package controller
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -19,6 +20,7 @@ import (
 	"github.com/apple-nfv/apple/internal/policy"
 	"github.com/apple-nfv/apple/internal/sim"
 	"github.com/apple-nfv/apple/internal/topology"
+	"github.com/apple-nfv/apple/internal/trace"
 	"github.com/apple-nfv/apple/internal/vnf"
 )
 
@@ -249,20 +251,97 @@ func (fx *txnFixture) opts() TxnOptions {
 	return TxnOptions{Verify: true, Audit: fx.handler.CheckInvariants}
 }
 
-// probeFailpoints commits the fixture's transaction with a recording
-// failpoint hook and returns every point that fired, in order.
-func probeFailpoints(t *testing.T) []string {
+// faultRoute is one transactional entry point under fault injection: a
+// fresh controller, the call under test, and the call's contract.
+type faultRoute struct {
+	c       *Controller
+	handler *DynamicHandler
+	run     func() error
+	// kept, when set, names the classes of the call that by contract stay
+	// installed when failpoint pt aborts run. Only AddClassBatch ever
+	// keeps any: the classes admitted before an admission failure.
+	kept func(pt string) []core.Class
+}
+
+// faultRoutes lists every entry point that installs new classes.
+var faultRoutes = []struct {
+	name string
+	new  func(*testing.T) *faultRoute
+}{
+	// The five-op transaction of txnFixture, committed directly.
+	{"commit", func(t *testing.T) *faultRoute {
+		fx := newTxnFixture(t)
+		return &faultRoute{c: fx.c, handler: fx.handler, run: func() error {
+			txn := fx.c.Begin()
+			fx.stage(txn)
+			return txn.Commit(fx.opts())
+		}}
+	}},
+	// A three-class AddClassBatch (NAT with global tags and in-txn
+	// provisioning first) on top of the fixture's installed classes.
+	{"batch", func(t *testing.T) *faultRoute {
+		fx := newTxnFixture(t)
+		batch := []core.Class{
+			{ID: 5, Path: linePath(4), Chain: policy.Chain{policy.NAT}, RateMbps: 200},
+			{ID: 4, Path: linePath(4), Chain: policy.Chain{policy.Firewall}, RateMbps: 120},
+			{ID: 6, Path: linePath(3), Chain: policy.Chain{policy.Proxy, policy.IDS}, RateMbps: 80},
+		}
+		return &faultRoute{c: fx.c, handler: fx.handler,
+			run: func() error { return fx.c.AddClassBatch(batch, BatchOptions{Workers: 2, Verify: true}) },
+			kept: func(pt string) []core.Class {
+				for i, cl := range batch {
+					if pt == fmt.Sprintf("add:plan:%d", cl.ID) || pt == fmt.Sprintf("add:admit:%d", cl.ID) {
+						return batch[:i]
+					}
+				}
+				return nil
+			}}
+	}},
+	{"placement", newPlacementRoute},
+}
+
+// newPlacementRoute is InstallPlacement on an empty controller: instance
+// provisioning and the pass-by rules are inside the transaction too. The
+// short paths spread the placement over three switches.
+func newPlacementRoute(t *testing.T) *faultRoute {
 	t.Helper()
-	fx := newTxnFixture(t)
+	g := lineTopo(t, 4)
+	c, err := New(Config{Topology: g, Clock: sim.New(), Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handler, err := NewDynamicHandler(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes := []core.Class{
+		{ID: 0, Path: linePath(4), Chain: policy.Chain{policy.Firewall, policy.IDS}, RateMbps: 400},
+		{ID: 1, Path: []topology.NodeID{0, 1}, Chain: policy.Chain{policy.Proxy}, RateMbps: 250},
+		{ID: 2, Path: []topology.NodeID{1, 2}, Chain: policy.Chain{policy.Firewall}, RateMbps: 150},
+		{ID: 3, Path: []topology.NodeID{2, 3}, Chain: policy.Chain{policy.IDS}, RateMbps: 150},
+		{ID: 4, Path: []topology.NodeID{3, 2}, Chain: policy.Chain{policy.Proxy}, RateMbps: 150},
+		{ID: 5, Path: []topology.NodeID{1, 0}, Chain: policy.Chain{policy.NAT}, RateMbps: 150},
+	}
+	prob := &core.Problem{Topo: g, Classes: classes, Avail: c.Avail()}
+	pl, err := core.NewEngine(core.EngineOptions{}).Solve(prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &faultRoute{c: c, handler: handler, run: func() error { return c.InstallPlacement(prob, pl) }}
+}
+
+// probeFailpoints makes the route's call with a recording failpoint hook
+// and returns every point that fired, in order.
+func probeFailpoints(t *testing.T, newRoute func(*testing.T) *faultRoute) []string {
+	t.Helper()
+	fx := newRoute(t)
 	var points []string
-	txn := fx.c.Begin()
-	fx.stage(txn)
-	txn.failpoint = func(p string) error {
+	fx.c.failpoint = func(p string) error {
 		points = append(points, p)
 		return nil
 	}
-	if err := txn.Commit(fx.opts()); err != nil {
-		t.Fatalf("probe commit: %v", err)
+	if err := fx.run(); err != nil {
+		t.Fatalf("probe run: %v", err)
 	}
 	if err := fx.c.CheckEnforcement(); err != nil {
 		t.Fatalf("probe enforcement: %v", err)
@@ -271,64 +350,170 @@ func probeFailpoints(t *testing.T) []string {
 }
 
 // TestTxnFailpointCoverage pins the set of commit steps the injection
-// suite exercises: every stage boundary of every op kind must fire.
+// suite exercises: every stage boundary of every op kind must fire, on
+// every entry point that reaches it.
 func TestTxnFailpointCoverage(t *testing.T) {
-	points := probeFailpoints(t)
-	fired := make(map[string]bool, len(points))
-	for _, p := range points {
-		fired[p] = true
+	required := map[string][]string{
+		"commit": {
+			"add:plan:5", "add:admit:5", "add:emit:5", "add:apply:5", "add:verify:5",
+			"install:plan:4", "add:admit:4", "add:emit:4", "add:apply:4", "add:verify:4",
+			"update:plan:0", "update:build:0", "update:steer:0",
+			"update:swap:0", "update:retire:0", "update:verify:0",
+			"refresh:swap:1",
+			"remove:emit:2", "remove:cls:2", "remove:steer:2", "remove:unregister:2",
+		},
+		"batch": {
+			"add:plan:5", "add:admit:5", "add:emit:5", "add:apply:5", "add:verify:5",
+			"add:plan:4", "add:admit:4", "add:emit:4", "add:apply:4", "add:verify:4",
+			"add:plan:6", "add:admit:6", "add:emit:6", "add:apply:6", "add:verify:6",
+		},
+		"placement": {
+			"install:plan:0", "add:admit:0", "add:emit:0", "add:apply:0",
+			"install:plan:1", "add:admit:1", "add:emit:1", "add:apply:1",
+			"install:plan:5", "add:admit:5", "add:emit:5", "add:apply:5",
+		},
 	}
-	required := []string{
-		"add:plan:5", "add:admit:5", "add:emit:5", "add:apply:5", "add:verify:5",
-		"install:plan:4", "add:admit:4", "add:emit:4", "add:apply:4", "add:verify:4",
-		"update:plan:0", "update:build:0", "update:steer:0",
-		"update:swap:0", "update:retire:0", "update:verify:0",
-		"refresh:swap:1",
-		"remove:emit:2", "remove:cls:2", "remove:steer:2", "remove:unregister:2",
-	}
-	for _, p := range required {
-		if !fired[p] {
-			t.Errorf("failpoint %q did not fire (fired: %v)", p, points)
+	for _, route := range faultRoutes {
+		points := probeFailpoints(t, route.new)
+		fired := make(map[string]bool, len(points))
+		for _, p := range points {
+			fired[p] = true
+		}
+		for _, p := range required[route.name] {
+			if !fired[p] {
+				t.Errorf("%s: failpoint %q did not fire (fired: %v)", route.name, p, points)
+			}
 		}
 	}
 }
 
 // TestTxnUnwindRestoresStateAtEveryFailpoint injects a failure at each
-// commit step in turn, on a fresh fixture each time, and asserts the
-// post-unwind controller is byte-identical to its pre-transaction state
+// step of each entry point in turn, on a fresh fixture each time, and
+// asserts the controller afterwards is byte-identical to its pre-call
+// state — or, for an admission failure inside AddClassBatch, to a
+// controller that only ever installed the classes before the failing one —
 // and passes the Dynamic Handler's invariant audit.
 func TestTxnUnwindRestoresStateAtEveryFailpoint(t *testing.T) {
-	points := probeFailpoints(t)
-	if len(points) == 0 {
-		t.Fatal("no failpoints fired")
-	}
-	for _, pt := range points {
-		pt := pt
-		t.Run(pt, func(t *testing.T) {
-			fx := newTxnFixture(t)
-			pre := stateDigest(t, fx.c)
-			txn := fx.c.Begin()
-			fx.stage(txn)
-			txn.failpoint = func(p string) error {
-				if p == pt {
-					return errInjected
+	for _, route := range faultRoutes {
+		points := probeFailpoints(t, route.new)
+		if len(points) == 0 {
+			t.Fatalf("%s: no failpoints fired", route.name)
+		}
+		for _, pt := range points {
+			t.Run(route.name+"/"+pt, func(t *testing.T) {
+				fx := route.new(t)
+				want := stateDigest(t, fx.c)
+				if fx.kept != nil && len(fx.kept(pt)) > 0 {
+					ref := route.new(t)
+					if err := ref.c.AddClassBatch(fx.kept(pt), BatchOptions{}); err != nil {
+						t.Fatalf("reference install: %v", err)
+					}
+					want = stateDigest(t, ref.c)
 				}
-				return nil
+				fx.c.failpoint = func(p string) error {
+					if p == pt {
+						return errInjected
+					}
+					return nil
+				}
+				if err := fx.run(); !errors.Is(err, errInjected) {
+					t.Fatalf("run = %v, want injected fault", err)
+				}
+				if got := stateDigest(t, fx.c); got != want {
+					t.Errorf("state after fault at %s: %s", pt, firstDiff(want, got))
+				}
+				if err := fx.handler.CheckInvariants(); err != nil {
+					t.Errorf("CheckInvariants after unwind: %v", err)
+				}
+				if err := fx.c.CheckEnforcement(); err != nil {
+					t.Errorf("CheckEnforcement after unwind: %v", err)
+				}
+			})
+		}
+	}
+}
+
+// TestJournalShapeOnEveryEntryPoint: whichever entry point runs the
+// pipeline, and whether it commits or a fault unwinds it, the journal has
+// one shape — txn.begin exactly once, then per pipeline run the classes'
+// flow.emit followed by one class-less flow.apply per device table, then
+// txn.commit or txn.unwind.
+func TestJournalShapeOnEveryEntryPoint(t *testing.T) {
+	for _, route := range faultRoutes {
+		for _, faulted := range []bool{false, true} {
+			fx := route.new(t)
+			rec, err := trace.NewRecorder(fx.c.clock, 0)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if err := txn.Commit(fx.opts()); !errors.Is(err, errInjected) {
-				t.Fatalf("Commit = %v, want injected fault", err)
+			fx.c.tracer = rec
+			if faulted {
+				fx.c.failpoint = func(p string) error {
+					if strings.HasPrefix(p, "add:verify") || strings.HasPrefix(p, "add:apply:5") {
+						return errInjected
+					}
+					return nil
+				}
 			}
-			post := stateDigest(t, fx.c)
-			if post != pre {
-				t.Errorf("state not restored after fault at %s: %s", pt, firstDiff(pre, post))
+			if err := fx.run(); (err != nil) != faulted {
+				t.Fatalf("%s faulted=%v: run = %v", route.name, faulted, err)
 			}
-			if err := fx.handler.CheckInvariants(); err != nil {
-				t.Errorf("CheckInvariants after unwind: %v", err)
+			var txn []trace.Kind
+			applies := 0
+			events := rec.Events()
+			for i, ev := range events {
+				switch ev.Kind {
+				case trace.KindTxnBegin, trace.KindTxnCommit, trace.KindTxnUnwind:
+					txn = append(txn, ev.Kind)
+				case trace.KindFlowEmit:
+					if ev.Class == trace.NoID {
+						t.Errorf("%s: flow.emit without a class: %+v", route.name, ev)
+					}
+				case trace.KindFlowApply:
+					applies++
+					if ev.Class != trace.NoID || ev.Node == trace.NoID {
+						t.Errorf("%s: flow.apply must name a switch and no class: %+v", route.name, ev)
+					}
+					if prev := events[i-1].Kind; prev != trace.KindFlowEmit && prev != trace.KindFlowApply {
+						t.Errorf("%s: flow.apply follows %s, want the run's flow.emit block", route.name, prev)
+					}
+				}
 			}
-			if err := fx.c.CheckEnforcement(); err != nil {
-				t.Errorf("CheckEnforcement after unwind: %v", err)
+			want := []trace.Kind{trace.KindTxnBegin, trace.KindTxnCommit}
+			if faulted {
+				want[1] = trace.KindTxnUnwind
 			}
-		})
+			if !reflect.DeepEqual(txn, want) {
+				t.Errorf("%s faulted=%v: transaction events %v, want %v", route.name, faulted, txn, want)
+			}
+			if !faulted && applies == 0 {
+				t.Errorf("%s: committed run journaled no flow.apply", route.name)
+			}
+		}
+	}
+}
+
+// TestInstallPlacementDeterministic: the same placement installed on
+// fresh controllers with the same seed must leave byte-identical state —
+// instance IDs included, which depend on the order instances are
+// provisioned in. The placement spans three switches, so provisioning it
+// in map order fails this.
+func TestInstallPlacementDeterministic(t *testing.T) {
+	var first string
+	for run := 0; run < 20; run++ {
+		fx := newPlacementRoute(t)
+		if err := fx.run(); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(fx.c.instPool); n < 3 {
+			t.Fatalf("placement provisions at %d switches, want >= 3", n)
+		}
+		got := stateDigest(t, fx.c)
+		if run == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("run %d differs from run 0: %s", run, firstDiff(first, got))
+		}
 	}
 }
 
@@ -366,9 +551,9 @@ func TestTxnUnwindSurvivesCancelFailure(t *testing.T) {
 }
 
 // TestAddClassBatchAdmitFailureKeepsPrefix: an admission failure mid-batch
-// preserves the serial postcondition — classes admitted before the failure
-// stay installed, the failing class leaves nothing behind, and no
-// provisioned instance leaks.
+// preserves the AddClass loop's postcondition — classes admitted before
+// the failure stay installed, the failing class leaves nothing behind, and
+// no provisioned instance leaks.
 func TestAddClassBatchAdmitFailureKeepsPrefix(t *testing.T) {
 	c, err := New(Config{Topology: lineTopo(t, 4), Clock: sim.New(), Seed: 7})
 	if err != nil {
@@ -404,5 +589,40 @@ func TestAddClassBatchAdmitFailureKeepsPrefix(t *testing.T) {
 	}
 	if orch := len(c.orch.Instances()); orch != pooled {
 		t.Errorf("orchestrator runs %d instances but pool holds %d — leak", orch, pooled)
+	}
+}
+
+// TestAddClassBatchLateRefusalMatchesLoop: a class refused late in
+// admission — here the 33rd NAT class through one host, after instance
+// picks charged the portion ledger, when no global tag is left — must
+// leave no trace, so the batch ends byte-identical to the AddClass loop
+// that stops at the same class.
+func TestAddClassBatchLateRefusalMatchesLoop(t *testing.T) {
+	fresh := func() *Controller {
+		c, err := New(Config{Topology: lineTopo(t, 2), Clock: sim.New(), Seed: 7, HostSwitches: []topology.NodeID{0}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	var classes []core.Class
+	for id := core.ClassID(0); id < 40; id++ {
+		classes = append(classes, core.Class{ID: id, Path: linePath(2), Chain: policy.Chain{policy.NAT}, RateMbps: 1})
+	}
+	loop := fresh()
+	for _, cl := range classes {
+		if err := loop.AddClass(cl); err != nil {
+			break
+		}
+	}
+	if n := len(loop.Classes()); n == 0 || n == len(classes) {
+		t.Fatalf("loop installed %d of %d classes, want a refusal part-way", n, len(classes))
+	}
+	batch := fresh()
+	if err := batch.AddClassBatch(classes, BatchOptions{}); err == nil {
+		t.Fatal("batch with a refused class should return its admission error")
+	}
+	if want, got := stateDigest(t, loop), stateDigest(t, batch); got != want {
+		t.Fatalf("batch differs from the loop: %s", firstDiff(want, got))
 	}
 }

@@ -51,6 +51,34 @@ func TestChurnTraceAuditTrail(t *testing.T) {
 		t.Fatalf("audit missing setup stages: %d placements, %d tags, %d installs",
 			len(audit.Placements), len(audit.Tags), len(audit.Installs))
 	}
+	// The installed path is the class's flow.emit plus the table installs
+	// of its pipeline run: one flow.apply per device table, no class.
+	installs := make(map[trace.Kind]int)
+	for _, ev := range audit.Installs {
+		installs[ev.Kind]++
+		if ev.Kind == trace.KindFlowApply && (ev.Class != trace.NoID || ev.Node == trace.NoID) {
+			t.Fatalf("flow.apply must name a switch and no class: %+v", ev)
+		}
+	}
+	if installs[trace.KindFlowEmit] == 0 || installs[trace.KindFlowApply] == 0 {
+		t.Fatalf("audit installs lack an emit or its table installs: %v", installs)
+	}
+	// Every transaction opens exactly once before it commits or unwinds.
+	open := false
+	for _, ev := range decoded {
+		switch ev.Kind {
+		case trace.KindTxnBegin:
+			if open {
+				t.Fatalf("seq %d: txn.begin inside an open transaction", ev.Seq)
+			}
+			open = true
+		case trace.KindTxnCommit, trace.KindTxnUnwind:
+			if !open {
+				t.Fatalf("seq %d: %s without a txn.begin", ev.Seq, ev.Kind)
+			}
+			open = false
+		}
+	}
 	if len(audit.Solves) == 0 {
 		t.Fatal("audit has no LP solve events")
 	}

@@ -30,8 +30,8 @@
 //     and call only annotated, builtin, sync/atomic, or math/bits
 //     callees.
 //   - txnguard: writes to "txn-owned" controller state reachable from
-//     AddClass/AddClassBatch/ReOptimize flow through a staged RuleTxn
-//     op (the PR 7 partial-install class).
+//     InstallPlacement/AddClass/AddClassBatch/ReOptimize flow through a
+//     staged RuleTxn op (the PR 7 partial-install class).
 //   - confine: values confined to the simulation loop do not escape
 //     via goroutine captures, channel sends, or stored callbacks.
 //   - stalepointer: a pointer fetched before an "//apple:boundary"

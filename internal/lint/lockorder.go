@@ -13,7 +13,7 @@ import (
 // suites can only hit if the scheduler cooperates.
 //
 // Nodes are lock classes: a mutex field canonicalized to its owning
-// type ("assignShard.mu"), or a package-level mutex var ("pkg.tableMu").
+// type ("assignStore.mu"), or a package-level mutex var ("pkg.tableMu").
 // Edges come from the shared lock dataflow (lockstate.go): a direct
 // edge when a function acquires B with A held, and an interprocedural
 // edge when a function calls, with A held, an in-package function whose

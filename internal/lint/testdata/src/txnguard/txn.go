@@ -44,6 +44,18 @@ func (c *Controller) provision(txn *RuleTxn) {
 	txn.StageInstall("x")
 }
 
+// InstallPlacement is policed like the online entry points: pooling a
+// provisioned instance with no transaction in scope is the untracked
+// proactive install this rule exists to keep out.
+func (c *Controller) InstallPlacement() {
+	c.poolAdd("y")
+	c.provision(&RuleTxn{})
+}
+
+func (c *Controller) poolAdd(id string) {
+	c.instPool[id]++ // want "Controller.instPool is written outside a RuleTxn (reached from entry InstallPlacement"
+}
+
 // resetForTest is never reached from an entry point: unconstrained.
 func (c *Controller) resetForTest() {
 	c.instPool = nil

@@ -9,10 +9,11 @@ import (
 
 // AnalyzerTxnGuard proves the PR 7 make-before-break discipline at
 // build time: every write to controller-owned state that is reachable
-// from an online mutation entry point (AddClass, AddClassBatch,
-// ReOptimize and their variants) must flow through a staged transaction
-// op — a method of the package's *Txn type, or a helper that takes the
-// transaction as a parameter — or carry a reasoned suppression.
+// from a class-set mutation entry point (InstallPlacement, AddClass,
+// AddClassBatch, ReOptimize and their variants) must flow through a
+// staged transaction op — a method of the package's *Txn type, or a
+// helper that takes the transaction as a parameter — or carry a reasoned
+// suppression.
 //
 // Fields are opted in with the annotation
 //
@@ -33,7 +34,7 @@ import (
 // (test helpers, constructors) are not constrained.
 var AnalyzerTxnGuard = &Analyzer{
 	Name: "txnguard",
-	Doc:  "writes to txn-owned controller state reachable from AddClass/AddClassBatch/ReOptimize must go through a staged transaction op",
+	Doc:  "writes to txn-owned controller state reachable from InstallPlacement/AddClass/AddClassBatch/ReOptimize must go through a staged transaction op",
 	Run:  runTxnGuard,
 }
 
@@ -110,11 +111,12 @@ func collectTxnOwned(pass *Pass) map[*types.Var]string {
 	return owned
 }
 
-// isTxnEntry recognizes the online mutation entry points whose call
+// isTxnEntry recognizes the class-set mutation entry points whose call
 // trees the transaction discipline covers.
 func isTxnEntry(fn *types.Func) bool {
 	name := fn.Name()
-	return strings.HasPrefix(name, "AddClass") || strings.HasPrefix(name, "ReOptimize")
+	return strings.HasPrefix(name, "AddClass") || strings.HasPrefix(name, "ReOptimize") ||
+		strings.HasPrefix(name, "InstallPlacement")
 }
 
 // txnLegal reports whether fn is a legal writer of txn-owned state: a

@@ -23,7 +23,6 @@ func TestRegistrySnapshotAndNames(t *testing.T) {
 	}
 	var fs FlowSetupCounters
 	fs.Arrivals.Add(7)
-	fs.ShardAdmits.Inc(2)
 	if err := reg.AddFlowSetup("flow_setup", &fs); err != nil {
 		t.Fatal(err)
 	}

@@ -41,9 +41,6 @@ type Config struct {
 	// HostSwitches lists switches that get an APPLE host; nil means every
 	// switch. Each host lands in exactly one region — its switch's.
 	HostSwitches []topology.NodeID
-	// SetupShards is passed through to every regional controller (its
-	// assignment-store stripe count); 0 means the controller default.
-	SetupShards int
 	// TraceCapacity, when > 0, attaches a trace recorder of that capacity
 	// to every regional controller; MergedJournal interleaves them.
 	TraceCapacity int
@@ -142,7 +139,6 @@ func New(cfg Config) (*ShardedController, error) {
 			HostResources: cfg.HostResources,
 			HostSwitches:  regionHosts,
 			Seed:          cfg.Seed + int64(r),
-			SetupShards:   cfg.SetupShards,
 			Tracer:        rec,
 			Tags:          alloc,
 		})

@@ -25,8 +25,10 @@ type FlowAudit struct {
 	Placements []Event
 	// Tags are the flow.tag events assigning data-plane tags.
 	Tags []Event
-	// Installs are the flow.emit / flow.apply / flow.verify events —
-	// the class's installed path taking effect.
+	// Installs are the class's flow.emit and flow.verify events and the
+	// flow.apply events of the pipeline run that emitted it (table
+	// installs carry no class; a batch's classes share them) — the
+	// class's installed path taking effect.
 	Installs []Event
 	// Failovers are the failover.* events of the class, in order:
 	// spawn, repin, activate/stale/unwind, rollback.
@@ -47,12 +49,22 @@ func ReconstructFlow(events []Event, class int64) (*FlowAudit, error) {
 	a := &FlowAudit{Class: class}
 	insts := make(map[string]bool)
 	admitted := false
+	// inRun holds from the class's flow.emit to the end of the
+	// flow.emit/flow.apply block of the same pipeline run.
+	inRun := false
 	for _, ev := range events {
+		if ev.Kind != KindFlowEmit && ev.Kind != KindFlowApply {
+			inRun = false
+		}
 		switch {
 		case ev.Kind == KindFlowAdmit && ev.Class == class:
 			if !admitted {
 				a.Admit = ev
 				admitted = true
+			}
+		case ev.Kind == KindFlowApply:
+			if inRun {
+				a.Installs = append(a.Installs, ev)
 			}
 		case ev.Class == class && strings.HasPrefix(string(ev.Kind), "flow."):
 			switch ev.Kind {
@@ -61,7 +73,10 @@ func ReconstructFlow(events []Event, class int64) (*FlowAudit, error) {
 				insts[ev.Inst] = true
 			case KindFlowTag:
 				a.Tags = append(a.Tags, ev)
-			case KindFlowEmit, KindFlowApply, KindFlowVerify:
+			case KindFlowEmit:
+				a.Installs = append(a.Installs, ev)
+				inRun = true
+			case KindFlowVerify:
 				a.Installs = append(a.Installs, ev)
 			}
 		case ev.Class == class && strings.HasPrefix(string(ev.Kind), "failover."):

@@ -34,7 +34,12 @@ type Clock interface {
 // lifecycle callbacks, and lp.* for Optimization Engine solves.
 type Kind string
 
-// Flow-setup pipeline events (controller admit/emit/apply stages).
+// Class-install pipeline events (controller admit/emit/apply/verify
+// stages). Every entry point — InstallPlacement, AddClass, AddClassBatch,
+// ReOptimize adds — journals one run of the pipeline the same way: per
+// class in arrival order flow.admit with its flow.place/flow.tag, then
+// one flow.emit per class, then one flow.apply per device table touched,
+// then, when verification is on, one flow.verify per class.
 const (
 	// KindFlowAdmit: a class passed the sequential admit stage.
 	// Val is its sub-class count.
@@ -46,12 +51,15 @@ const (
 	KindFlowTag Kind = "flow.tag"
 	// KindFlowEmit: the class compiled into Val staged rule operations.
 	KindFlowEmit Kind = "flow.emit"
-	// KindFlowApply: Val rules were installed (per class on the serial
-	// path; per device table, with Node set, on the batch path).
+	// KindFlowApply: one pipeline run installed Val rules into one table
+	// of the device at switch Node, in a single critical section. It
+	// carries no class: the classes of a run share their tables. Emitted
+	// in first-touch order once every table of the run is programmed.
 	KindFlowApply Kind = "flow.apply"
 	// KindFlowVerify: the enforcement probe for the class ran.
 	KindFlowVerify Kind = "flow.verify"
-	// KindFlowBatch spans one AddClassBatch install (Val: classes in).
+	// KindFlowBatch spans one AddClassBatch pipeline run (begin Val:
+	// classes in; end Val: rules installed).
 	KindFlowBatch Kind = "flow.batch"
 )
 
@@ -131,8 +139,8 @@ const (
 
 // Rule-transaction and re-optimization events.
 const (
-	// KindTxnBegin: a RuleTxn started committing; Val is the number of
-	// staged class operations.
+	// KindTxnBegin: a RuleTxn opened, exactly once before its txn.commit
+	// or txn.unwind; Val is the number of staged class operations.
 	KindTxnBegin Kind = "txn.begin"
 	// KindTxnCommit: the transaction committed; Val is the number of
 	// rules installed across every table it touched.

@@ -189,10 +189,13 @@ func TestReconstructFlow(t *testing.T) {
 	r.Emit(Ev(KindFlowPlace).WithClass(0).WithSub(0).WithPos(0).WithInst("fw-1@h0").WithNode(0))
 	r.Emit(Ev(KindFlowTag).WithClass(0).WithSub(0).WithVal(1))
 	r.Emit(Ev(KindFlowEmit).WithClass(0).WithVal(12))
-	r.Emit(Ev(KindFlowApply).WithClass(0).WithVal(12))
-	// Another class's events must not leak into class 0's audit.
+	r.Emit(Ev(KindFlowApply).WithNode(0).WithVal(12))
+	// Another class's events — its run's table installs included — must
+	// not leak into class 0's audit.
 	r.Emit(Ev(KindFlowAdmit).WithClass(1).WithVal(1))
 	r.Emit(Ev(KindFlowPlace).WithClass(1).WithSub(0).WithPos(0).WithInst("fw-9@h9").WithNode(9))
+	r.Emit(Ev(KindFlowEmit).WithClass(1).WithVal(5))
+	r.Emit(Ev(KindFlowApply).WithNode(9).WithVal(5))
 	clk.now = 6 * time.Second
 	r.Emit(Ev(KindFailoverSpawn).WithClass(0).WithSub(0).WithPos(0).WithInst("fw-2@h1").WithNode(1).WithVal(1))
 	r.Emit(Ev(KindVNFLaunch).WithInst("fw-2@h1").WithNode(1))
