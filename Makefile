@@ -1,7 +1,9 @@
 GO ?= go
 BENCHTIME ?= 5x
 FUZZTIME ?= 20s
-FUZZ_TARGETS := FuzzMatchLookup FuzzTableOps FuzzSubsumes FuzzPrefixContains
+FUZZ_TARGETS := ./internal/flowtable:FuzzMatchLookup ./internal/flowtable:FuzzTableOps \
+	./internal/flowtable:FuzzSubsumes ./internal/flowtable:FuzzPrefixContains \
+	./internal/headerspace:FuzzClassifierOps
 SHARD_CLASSES ?= 200000
 SHARD_COUNTS ?= 1,2,4,8
 SHARD_MIN_SPEEDUP ?= 0
@@ -90,13 +92,15 @@ bench-policy:
 reopt:
 	$(GO) run ./cmd/applereopt -out BENCH_reopt.json
 
-# fuzz runs each flow-table fuzz target for FUZZTIME. Go's fuzzer accepts
-# one -fuzz pattern per invocation, so targets run back to back; any
-# counterexample is minimized into internal/flowtable/testdata/fuzz/.
+# fuzz runs each package:Target pair of FUZZ_TARGETS for FUZZTIME. Go's
+# fuzzer accepts one package and one -fuzz pattern per invocation, so
+# targets run back to back; any counterexample is minimized into the
+# package's testdata/fuzz/.
 fuzz:
-	@for t in $(FUZZ_TARGETS); do \
-		echo "--- fuzz $$t ($(FUZZTIME))"; \
-		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) ./internal/flowtable || exit 1; \
+	@for pt in $(FUZZ_TARGETS); do \
+		pkg=$${pt%%:*}; t=$${pt##*:}; \
+		echo "--- fuzz $$pkg $$t ($(FUZZTIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
 	done
 
 # cover writes a whole-repo coverage profile and prints the per-function

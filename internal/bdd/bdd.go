@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -53,10 +54,11 @@ const (
 //
 // Store is not safe for concurrent use.
 type Store struct {
-	nvars  int
-	nodes  []node
-	unique map[node]Ref
-	memo   map[opKey]Ref
+	nvars   int
+	nodes   []node
+	unique  map[node]Ref
+	memo    map[opKey]Ref
+	applies int
 }
 
 // NewStore creates a store for BDDs over nvars Boolean variables, with the
@@ -91,6 +93,12 @@ func (s *Store) Vars() int { return s.nvars }
 // Size returns the number of canonical nodes allocated (including the two
 // terminals).
 func (s *Store) Size() int { return len(s.nodes) }
+
+// Applies returns the number of Apply steps the store has computed: the
+// recursive calls that neither a terminal rule nor the memo table
+// answered. It is the deterministic unit of BDD work, which the
+// complexity tests of the layers above count instead of wall time.
+func (s *Store) Applies() int { return s.applies }
 
 // mk returns the canonical node (level, lo, hi), applying the reduction
 // rules: equal children collapse, and duplicates are shared.
@@ -207,6 +215,7 @@ func (s *Store) apply(op uint8, a, b Ref) Ref {
 	if r, ok := s.memo[key]; ok {
 		return r
 	}
+	s.applies++
 	na, nb := s.nodes[a], s.nodes[b]
 	var level int32
 	var alo, ahi, blo, bhi Ref
@@ -223,37 +232,45 @@ func (s *Store) apply(op uint8, a, b Ref) Ref {
 	return r
 }
 
-// Cube returns the conjunction of literals given by bits: for each pair
-// (variable, value) the literal v or ¬v. Variables may appear in any order
-// but must not repeat with conflicting values (which yields False, as the
-// conjunction is unsatisfiable).
-func (s *Store) Cube(lits map[int]bool) (Ref, error) {
-	r := True
-	// Iterate high variable to low so each mk builds on deeper structure;
-	// order does not affect the result, only intermediate garbage.
-	for v := s.nvars - 1; v >= 0; v-- {
-		val, ok := lits[v]
-		if !ok {
-			continue
+// Literal fixes one variable to a value: the literal Var when Val is true,
+// ¬Var when it is false.
+type Literal struct {
+	Var int
+	Val bool
+}
+
+// CubeLits returns the conjunction of lits, which must be in strictly
+// ascending variable order. The cube is built bottom-up, one canonical
+// node per literal, with no Apply work.
+func (s *Store) CubeLits(lits []Literal) (Ref, error) {
+	for i, l := range lits {
+		if l.Var < 0 || l.Var >= s.nvars {
+			return False, fmt.Errorf("bdd: cube variable %d out of range [0,%d)", l.Var, s.nvars)
 		}
-		var lit Ref
-		var err error
-		if val {
-			lit, err = s.Var(v)
-		} else {
-			lit, err = s.NVar(v)
+		if i > 0 && l.Var <= lits[i-1].Var {
+			return False, fmt.Errorf("bdd: cube variables not strictly ascending at %d", l.Var)
 		}
-		if err != nil {
-			return False, err
-		}
-		r = s.And(r, lit)
 	}
-	for v := range lits {
-		if v < 0 || v >= s.nvars {
-			return False, fmt.Errorf("bdd: cube variable %d out of range [0,%d)", v, s.nvars)
+	r := True
+	for i := len(lits) - 1; i >= 0; i-- {
+		if lits[i].Val {
+			r = s.mk(int32(lits[i].Var), False, r)
+		} else {
+			r = s.mk(int32(lits[i].Var), r, False)
 		}
 	}
 	return r, nil
+}
+
+// Cube returns the conjunction of literals given by bits: for each pair
+// (variable, value) the literal v or ¬v.
+func (s *Store) Cube(lits map[int]bool) (Ref, error) {
+	sorted := make([]Literal, 0, len(lits))
+	for v, val := range lits {
+		sorted = append(sorted, Literal{Var: v, Val: val})
+	}
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Var < sorted[j].Var })
+	return s.CubeLits(sorted)
 }
 
 // SatCount returns the number of satisfying assignments of a over all
@@ -294,6 +311,25 @@ func (s *Store) Eval(a Ref, assignment []bool) (bool, error) {
 		}
 	}
 	return a == True, nil
+}
+
+// EvalBits evaluates the function at the assignment packed into bits:
+// variable v is bit 63-(v mod 64) of bits[v/64], so variable 0 is the most
+// significant bit of the first word. bits must hold at least s.Vars() bits.
+// It allocates nothing and writes nothing, so any number of goroutines may
+// evaluate against a store that no one is mutating.
+//
+//apple:noalloc
+func (s *Store) EvalBits(a Ref, bits []uint64) bool {
+	for a > True {
+		n := &s.nodes[a]
+		if bits[n.level>>6]>>(63-uint(n.level)&63)&1 != 0 {
+			a = n.hi
+		} else {
+			a = n.lo
+		}
+	}
+	return a == True
 }
 
 // AnySat returns one satisfying assignment of a, or an error if a is False.

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"github.com/apple-nfv/apple/internal/headerspace"
 	"github.com/apple-nfv/apple/internal/policy"
@@ -99,26 +100,23 @@ func BuildProblemFromPolicies(g *topology.Graph, tm *traffic.Matrix, sp *headers
 			if err != nil {
 				return nil, fmt.Errorf("core: routing pair (%d,%d): %w", i, j, err)
 			}
-			for ai := 0; ai < cls.NumClasses(); ai++ {
-				if chains[ai] == nil {
+			// Only the atoms the pair's block meets, in class order.
+			overlaps, err := cls.Overlapping(pairPred)
+			if err != nil {
+				return nil, fmt.Errorf("core: %w", err)
+			}
+			for _, o := range overlaps {
+				if chains[o.Class] == nil {
 					continue // matches no policy: nothing to enforce
 				}
-				atom, err := cls.Atom(ai)
-				if err != nil {
-					return nil, fmt.Errorf("core: %w", err)
-				}
-				inter := atom.And(pairPred)
-				if inter.IsFalse() {
-					continue
-				}
-				share := rate * inter.Fraction() / pairFrac
+				share := rate * o.Pred.Fraction() / pairFrac
 				if share < minRate {
 					continue
 				}
 				prob.Classes = append(prob.Classes, Class{
 					ID:       nextID,
 					Path:     path,
-					Chain:    chains[ai].Clone(),
+					Chain:    chains[o.Class].Clone(),
 					RateMbps: share,
 				})
 				nextID++
@@ -164,16 +162,8 @@ func odPredicate(sp *headerspace.Space, i, j int) (headerspace.Predicate, error)
 	return src.And(dst), nil
 }
 
-// sortClassesByRate sorts classes descending by rate with a deterministic
-// tie break.
+// sortClassesByRate sorts classes descending by rate; classes of equal
+// rate keep their order.
 func sortClassesByRate(cs []Class) {
-	for i := 1; i < len(cs); i++ {
-		for k := i; k > 0; k-- {
-			if cs[k].RateMbps > cs[k-1].RateMbps {
-				cs[k], cs[k-1] = cs[k-1], cs[k]
-				continue
-			}
-			break
-		}
-	}
+	sort.SliceStable(cs, func(a, b int) bool { return cs[a].RateMbps > cs[b].RateMbps })
 }

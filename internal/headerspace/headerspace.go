@@ -9,6 +9,7 @@ package headerspace
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -100,21 +101,16 @@ type Header struct {
 	DstPort uint16
 }
 
-// bits expands the header into the 104-entry assignment consumed by BDD
-// evaluation.
-func (h Header) bits() []bool {
-	out := make([]bool, totalBits)
-	put := func(off, width int, v uint32) {
-		for i := 0; i < width; i++ {
-			out[off+i] = v&(1<<uint(width-1-i)) != 0
-		}
+// words packs the header into the assignment bdd.Store.EvalBits reads:
+// header bit v is bit 63-(v mod 64) of word v/64, which with the layout
+// above is two shifts per field and no allocation.
+//
+//apple:noalloc
+func (h Header) words() [2]uint64 {
+	return [2]uint64{
+		uint64(h.SrcIP)<<(64-srcIPOff-32) | uint64(h.DstIP)<<(64-dstIPOff-32),
+		uint64(h.Proto)<<(128-protoOff-8) | uint64(h.SrcPort)<<(128-srcPortOff-16) | uint64(h.DstPort)<<(128-dstPortOff-16),
 	}
-	put(srcIPOff, 32, h.SrcIP)
-	put(dstIPOff, 32, h.DstIP)
-	put(protoOff, 8, uint32(h.Proto))
-	put(srcPortOff, 16, uint32(h.SrcPort))
-	put(dstPortOff, 16, uint32(h.DstPort))
-	return out
 }
 
 // Well-known protocol numbers.
@@ -127,7 +123,10 @@ const (
 // Space is a factory for predicates that share one BDD store. All
 // predicates combined together must come from the same Space.
 //
-// Space is not safe for concurrent use.
+// Building or combining predicates writes to the shared store, so a Space
+// is not safe for concurrent use. Evaluating them (Predicate.Matches,
+// Classifier.Classify) only reads: any number of goroutines may do so
+// while none builds.
 type Space struct {
 	store *bdd.Store
 }
@@ -164,12 +163,12 @@ func (s *Space) Prefix(f Field, value uint32, plen int) (Predicate, error) {
 	if w < 32 && value >= 1<<uint(w) {
 		return Predicate{}, fmt.Errorf("headerspace: value %d out of range for %d-bit field %v", value, w, f)
 	}
-	lits := make(map[int]bool, plen)
+	var lits [32]bdd.Literal
 	off := f.offset()
 	for i := 0; i < plen; i++ {
-		lits[off+i] = value&(1<<uint(w-1-i)) != 0
+		lits[i] = bdd.Literal{Var: off + i, Val: value&(1<<uint(w-1-i)) != 0}
 	}
-	ref, err := s.store.Cube(lits)
+	ref, err := s.store.CubeLits(lits[:plen])
 	if err != nil {
 		return Predicate{}, fmt.Errorf("headerspace: building prefix: %w", err)
 	}
@@ -280,17 +279,13 @@ func (p Predicate) Covers(q Predicate) bool { return p.sp.store.Implies(q.ref, p
 
 // Fraction returns the fraction of the full header space that p matches.
 func (p Predicate) Fraction() float64 {
-	return p.sp.store.SatCount(p.ref) / p.sp.store.SatCount(bdd.True)
+	return math.Ldexp(p.sp.store.SatCount(p.ref), -totalBits)
 }
 
 // Matches reports whether the concrete header h satisfies p.
 func (p Predicate) Matches(h Header) bool {
-	ok, err := p.sp.store.Eval(p.ref, h.bits())
-	if err != nil {
-		// Unreachable: bits() always produces a full assignment.
-		panic(err)
-	}
-	return ok
+	w := h.words()
+	return p.sp.store.EvalBits(p.ref, w[:])
 }
 
 // Example returns one concrete header matched by p, or an error when p is
@@ -322,54 +317,6 @@ func (p Predicate) Example() (Header, error) {
 // Complexity returns the BDD node count of p, a proxy for how many TCAM
 // rules p needs when compiled without tagging.
 func (p Predicate) Complexity() int { return p.sp.store.NodeCount(p.ref) }
-
-// Atoms computes the atomic predicates generated by preds: the unique
-// coarsest partition of the header space such that every input predicate
-// is a disjoint union of atoms (Yang & Lam, Theorem 1). The all-headers
-// atom that matches none of the inputs is included if non-empty, always as
-// the last element. All predicates must come from this Space.
-func (s *Space) Atoms(preds []Predicate) ([]Predicate, error) {
-	atoms := []Predicate{s.True()}
-	for i, p := range preds {
-		if p.sp != s {
-			return nil, fmt.Errorf("headerspace: predicate %d from a different Space", i)
-		}
-		next := make([]Predicate, 0, len(atoms)*2)
-		for _, a := range atoms {
-			in := a.And(p)
-			out := a.Diff(p)
-			if !in.IsFalse() {
-				next = append(next, in)
-			}
-			if !out.IsFalse() {
-				next = append(next, out)
-			}
-		}
-		atoms = next
-	}
-	// Move the residual atom (matching no input predicate) to the end for
-	// a stable, documented order.
-	residualIdx := -1
-	for i, a := range atoms {
-		matched := false
-		for _, p := range preds {
-			if a.Overlaps(p) {
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			residualIdx = i
-			break
-		}
-	}
-	if residualIdx >= 0 && residualIdx != len(atoms)-1 {
-		r := atoms[residualIdx]
-		atoms = append(atoms[:residualIdx], atoms[residualIdx+1:]...)
-		atoms = append(atoms, r)
-	}
-	return atoms, nil
-}
 
 // ParseIPv4 parses dotted-quad notation into a host-order uint32.
 func ParseIPv4(s string) (uint32, error) {

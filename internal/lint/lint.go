@@ -27,8 +27,8 @@
 //     anywhere may never also be accessed with a plain load or store.
 //   - noalloc: functions annotated "//apple:noalloc" (the compiled
 //     data-plane lookup chain) contain no construct that can allocate
-//     and call only annotated, builtin, sync/atomic, or math/bits
-//     callees.
+//     and call only annotated (in any package of the module), builtin,
+//     sync/atomic, or math/bits callees.
 //   - txnguard: writes to "txn-owned" controller state reachable from
 //     InstallPlacement/AddClass/AddClassBatch/ReOptimize flow through a
 //     staged RuleTxn op (the PR 7 partial-install class).
@@ -75,6 +75,10 @@ type Pass struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
+
+	// Noalloc is the load-wide set of "//apple:noalloc" functions
+	// (Package.Noalloc).
+	Noalloc map[*types.Func]bool
 
 	analyzer string
 	diags    *[]Diagnostic
@@ -147,11 +151,12 @@ func ByName(names []string) ([]*Analyzer, error) {
 func RunPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	pass := &Pass{
-		Fset:  pkg.Fset,
-		Files: pkg.Files,
-		Pkg:   pkg.Types,
-		Info:  pkg.Info,
-		diags: &diags,
+		Fset:    pkg.Fset,
+		Files:   pkg.Files,
+		Pkg:     pkg.Types,
+		Info:    pkg.Info,
+		Noalloc: pkg.Noalloc,
+		diags:   &diags,
 	}
 	for _, a := range analyzers {
 		pass.analyzer = a.Name

@@ -22,6 +22,12 @@ type Package struct {
 	Files      []*ast.File
 	Types      *types.Package
 	Info       *types.Info
+
+	// Noalloc holds every function of the load that carries the
+	// "//apple:noalloc" directive, this package's and its dependencies'
+	// alike, so the noalloc analyzer can follow an annotated chain across
+	// a package boundary. One map is shared by all packages of a load.
+	Noalloc map[*types.Func]bool
 }
 
 // FindModuleRoot walks upward from dir to the directory containing
@@ -258,6 +264,7 @@ func typeCheck(fset *token.FileSet, dirs []*parsedDir) ([]*Package, error) {
 		std: importer.ForCompiler(fset, "source", nil),
 		mod: make(map[string]*types.Package),
 	}
+	noalloc := make(map[*types.Func]bool)
 	var out []*Package
 	for _, pd := range dirs {
 		info := &types.Info{
@@ -272,6 +279,15 @@ func typeCheck(fset *token.FileSet, dirs []*parsedDir) ([]*Package, error) {
 			return nil, fmt.Errorf("lint: type-checking %s: %w", pd.importPath, err)
 		}
 		imp.mod[pd.importPath] = tpkg
+		for _, file := range pd.files {
+			for _, d := range file.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && hasNoallocDirective(fd) {
+					if fn, ok := info.Defs[fd.Name].(*types.Func); ok {
+						noalloc[fn] = true
+					}
+				}
+			}
+		}
 		out = append(out, &Package{
 			Dir:        pd.dir,
 			ImportPath: pd.importPath,
@@ -279,6 +295,7 @@ func typeCheck(fset *token.FileSet, dirs []*parsedDir) ([]*Package, error) {
 			Files:      pd.files,
 			Types:      tpkg,
 			Info:       info,
+			Noalloc:    noalloc,
 		})
 	}
 	return out, nil

@@ -14,7 +14,8 @@ import (
 // append, map or slice literals, address-of composite literals, string
 // concatenation or string<->slice conversions, closures, go/defer
 // statements, or map writes. Calls are allowed only to other annotated
-// functions in the same package, to the non-allocating builtins
+// functions of the module (headerspace.Classifier.Classify walks its BDDs
+// through the annotated bdd.Store.EvalBits), to the non-allocating builtins
 // (len/cap/copy/clear/min/max/panic), and to sync/atomic and math/bits
 // (register arithmetic the compiler intrinsifies) — anything else,
 // including dynamic calls through function values or interfaces, is
@@ -53,27 +54,20 @@ func hasNoallocDirective(decl *ast.FuncDecl) bool {
 }
 
 func runNoAlloc(pass *Pass) {
-	// Pass A: collect the annotated function objects so calls between
-	// annotated functions (Lookup -> lookupPtr -> lookup -> packetKey)
-	// resolve as allowed.
-	annotated := make(map[*types.Func]bool)
+	// The loader collected the annotated function objects of the whole
+	// module, so calls between annotated functions (Lookup -> lookupPtr
+	// -> lookup -> packetKey) resolve as allowed in any package.
+	annotated := pass.Noalloc
 	var decls []*ast.FuncDecl
 	for _, file := range pass.Files {
 		for _, d := range file.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || !hasNoallocDirective(fd) {
-				continue
-			}
-			if fn, ok := pass.Info.Defs[fd.Name].(*types.Func); ok {
-				annotated[fn] = true
-			}
-			if fd.Body != nil {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil && hasNoallocDirective(fd) {
 				decls = append(decls, fd)
 			}
 		}
 	}
 
-	// Pass B: walk each annotated body and flag allocating constructs.
+	// Walk each annotated body and flag allocating constructs.
 	for _, fd := range decls {
 		name := fd.Name.Name
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
