@@ -1,6 +1,6 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
 // evaluation (§VIII prototype, §IX simulation), plus ablations of the
-// design choices called out in DESIGN.md §5. Each benchmark reports the
+// design choices called out in DESIGN.md §3. Each benchmark reports the
 // figure's headline metric via b.ReportMetric so `go test -bench` output
 // doubles as the experiment record (EXPERIMENTS.md is generated from the
 // same drivers via the cmd/ tools).
@@ -223,38 +223,7 @@ func BenchmarkFig12_FastFailover_GEANT(b *testing.B)     { benchFig12(b, experim
 func BenchmarkFig12_FastFailover_UNIV1(b *testing.B)     { benchFig12(b, experiments.UNIV1) }
 
 // ---------------------------------------------------------------------------
-// Ablations (DESIGN.md §5).
-
-// BenchmarkAblation_SigmaElimination compares the σ-eliminated model
-// against the paper's literal Eq. (2) formulation with explicit cumulative
-// variables.
-func BenchmarkAblation_SigmaElimination(b *testing.B) {
-	sc := scenario(b, experiments.GEANT)
-	prob, err := sc.MeanProblem()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, variant := range []struct {
-		name string
-		opts core.EngineOptions
-	}{
-		{"eliminated", core.EngineOptions{}},
-		{"explicit", core.EngineOptions{ExplicitSigma: true}},
-	} {
-		b.Run(variant.name, func(b *testing.B) {
-			engine := core.NewEngine(variant.opts)
-			var iters int
-			for i := 0; i < b.N; i++ {
-				pl, err := engine.Solve(prob)
-				if err != nil {
-					b.Fatalf("solve: %v", err)
-				}
-				iters = pl.Iterations
-			}
-			b.ReportMetric(float64(iters), "pivots")
-		})
-	}
-}
+// Ablations (DESIGN.md §3).
 
 // BenchmarkAblation_Aggregation shows why §IV-A aggregates flows into
 // classes: solve time grows superlinearly with input size.

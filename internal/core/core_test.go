@@ -597,7 +597,7 @@ func TestExplicitSigmaMatchesEliminated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("eliminated: %v", err)
 	}
-	explicit, err := NewEngine(EngineOptions{ExplicitSigma: true}).Solve(prob)
+	explicit, err := solveExplicitSigma(prob)
 	if err != nil {
 		t.Fatalf("explicit: %v", err)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -28,11 +27,6 @@ type EngineOptions struct {
 	// rounding. Only practical for small instances; the paper (and this
 	// engine by default) uses the relaxation.
 	Exact bool
-	// ExplicitSigma models the cumulative variables σ of Eq. (2)
-	// explicitly instead of eliminating them into prefix sums of d. The
-	// solutions are identical; the model is larger and slower — kept for
-	// the ablation benchmark.
-	ExplicitSigma bool
 	// MaxRepairRounds bounds the round-and-repair loop (default 25).
 	MaxRepairRounds int
 	// MaxAffinityRounds bounds anti-affinity evictions per solve (default
@@ -67,20 +61,6 @@ func NewEngine(opts EngineOptions) *Engine {
 		opts.MaxVariantSolves = 16
 	}
 	return &Engine{opts: opts}
-}
-
-// qKey identifies a q_n^v variable.
-type qKey struct {
-	v  topology.NodeID
-	nf policy.NF
-}
-
-// model carries the LP model plus the variable index maps.
-type model struct {
-	m *lp.Model
-	// dVar[classIdx][hopIdx][chainIdx]; -1 where the hop cannot host.
-	dVar [][][]lp.VarID
-	qVar map[qKey]lp.VarID
 }
 
 // Solve runs the Optimization Engine on the problem and returns a
@@ -198,22 +178,28 @@ func cloneClasses(p *Problem) *Problem {
 	return &cp
 }
 
-// solveFixed solves the problem with every class's chain fixed, running
-// the LP relaxation plus the interleaved round-and-repair loop (resource
-// violations, then anti-affinity co-locations), or branch-and-bound with
-// co-location exclusions under the Exact option. caps, when non-nil,
-// seeds upper bounds on selected q variables (the orientation rescue's
-// switch coloring). It returns the placement (without SolveTime) and the
-// simplex pivots spent.
+// solveFixed solves the problem with every class's chain fixed. caps,
+// when non-nil, seeds upper bounds on selected q variables (the
+// orientation rescue's switch coloring). It returns the placement
+// (without SolveTime) and the simplex pivots spent.
 func (e *Engine) solveFixed(prob *Problem, caps map[qKey]float64) (*Placement, int, error) {
-	md, err := buildModel(prob, caps, e.opts.ExplicitSigma)
+	md, err := buildModel(prob, caps)
 	if err != nil {
 		return nil, 0, err
 	}
+	return e.solveModel(md)
+}
+
+// solveModel solves a built model: the LP relaxation plus the
+// interleaved round-and-repair search (resource violations, then
+// anti-affinity co-locations), or branch-and-bound with co-location
+// exclusions under the Exact option.
+func (e *Engine) solveModel(md *model) (*Placement, int, error) {
 	solver := lp.NewSolver(md.m)
 	var sol lp.Solution
+	var err error
 	if e.opts.Exact {
-		sol, err = lp.SolveMILP(md.m, lp.MILPOptions{Exclusions: exclusionPairs(prob, md)})
+		sol, err = lp.SolveMILP(md.m, lp.MILPOptions{Exclusions: exclusionPairs(md)})
 	} else {
 		sol, err = solver.Solve()
 	}
@@ -226,7 +212,11 @@ func (e *Engine) solveFixed(prob *Problem, caps map[qKey]float64) (*Placement, i
 	if e.opts.Exact {
 		counts = extractCounts(md, &sol, false)
 	} else {
-		r := &repairer{e: e, prob: prob, md: md, solver: solver}
+		r := &repairer{
+			md: md, solver: solver,
+			maxRounds: e.opts.MaxRepairRounds, maxEvicts: e.opts.MaxAffinityRounds,
+			tracer: e.opts.Tracer,
+		}
 		counts, err = r.repair(sol)
 		iters += r.iters
 		if err != nil {
@@ -234,10 +224,9 @@ func (e *Engine) solveFixed(prob *Problem, caps map[qKey]float64) (*Placement, i
 		}
 		sol = r.sol
 	}
-	dist := extractDist(prob, md, &sol)
 	pl := &Placement{
 		Counts:     counts,
-		Dist:       dist,
+		Dist:       extractDist(md, &sol, nil),
 		Iterations: iters,
 		Method:     "lp-relaxation",
 	}
@@ -263,24 +252,31 @@ var errRepairAbort = errors.New("core: repair aborted")
 // tightens one q upper bound, so every re-solve warm-starts from the
 // previous optimal basis (dual simplex) instead of rebuilding the model;
 // the solver falls back to a cold solve on its own when the warm start is
-// rejected. Without anti-affinity pairs the search degenerates to exactly
-// the historical linear repair loop (same candidate order, same caps,
-// same re-solves) on every success path.
+// rejected. Without anti-affinity pairs the search is the classic linear
+// repair loop (same candidate order, same caps, same re-solves) whenever
+// no accepted cap dead-ends further down.
+//
+// Engine and IncrementalEngine both run this one search; it leaves the
+// solver at the accepted leaf, so the incremental engine's next snapshot
+// warm-starts from the repaired basis.
 type repairer struct {
-	e      *Engine
-	prob   *Problem
-	md     *model
-	solver *lp.Solver
-	sol    lp.Solution // solution at the accepted leaf
-	iters  int
-	rounds int // resource caps applied (monotone across backtracking)
-	evicts int // anti-affinity evictions attempted (monotone)
+	md        *model
+	solver    *lp.Solver
+	maxRounds int // resource caps allowed
+	maxEvicts int // anti-affinity evictions allowed
+	tracer    *trace.Recorder
+
+	sol       lp.Solution // solution at the accepted leaf
+	iters     int         // pivots over all re-solves; dualIters is the dual share
+	dualIters int
+	rounds    int // resource caps applied (monotone across backtracking)
+	evicts    int // anti-affinity evictions attempted (monotone)
 }
 
 func (r *repairer) repair(sol lp.Solution) (map[topology.NodeID]map[policy.NF]int, error) {
 	counts := extractCounts(r.md, &sol, true)
-	if violSwitch, ok := findViolatedSwitch(r.prob, counts); ok {
-		if r.rounds >= r.e.opts.MaxRepairRounds {
+	if violSwitch, ok := findViolatedSwitch(r.md.prob, counts); ok {
+		if r.rounds >= r.maxRounds {
 			return nil, fmt.Errorf("core: could not repair resource violation at switch %d after %d rounds",
 				violSwitch, r.rounds)
 		}
@@ -305,12 +301,12 @@ func (r *repairer) repair(sol lp.Solution) (map[topology.NodeID]map[policy.NF]in
 		}
 		return nil, fmt.Errorf("core: irreparable resource violation at switch %d", violSwitch)
 	}
-	violSwitch, pair, ok := findColocatedPair(r.prob, counts)
+	violSwitch, pair, ok := findColocatedPair(r.md.prob, counts)
 	if !ok {
 		r.sol = sol
 		return counts, nil
 	}
-	if r.evicts >= r.e.opts.MaxAffinityRounds {
+	if r.evicts >= r.maxEvicts {
 		return nil, fmt.Errorf("core: could not separate anti-affine pair %v at switch %d after %d evictions",
 			pair, violSwitch, r.evicts)
 	}
@@ -342,8 +338,9 @@ func (r *repairer) descend(sol lp.Solution, key qKey, newCap float64, violSwitch
 	sol2, err := r.solver.ReSolve()
 	recordSolve(&sol2, true)
 	r.iters += sol2.Iterations
-	if r.e.opts.Tracer.Enabled() {
-		r.e.opts.Tracer.Emit(trace.Ev(trace.KindLPResolve).
+	r.dualIters += sol2.DualIterations
+	if r.tracer.Enabled() {
+		r.tracer.Emit(trace.Ev(trace.KindLPResolve).
 			WithNode(int64(violSwitch)).
 			WithVal(int64(sol2.TotalPivots())).
 			WithErr(err))
@@ -364,239 +361,6 @@ func (r *repairer) descend(sol lp.Solution, key qKey, newCap float64, violSwitch
 		return nil, fmt.Errorf("%w: %v", errRepairAbort, uerr)
 	}
 	return nil, err
-}
-
-// buildModel constructs the LP/ILP of §IV-D — σ-eliminated by default,
-// with explicit σ variables when explicitSigma is set. caps optionally
-// adds upper bounds on selected q variables (used by the repair loop).
-func buildModel(prob *Problem, caps map[qKey]float64, explicitSigma bool) (*model, error) {
-	m := lp.NewModel("apple-placement")
-	md := &model{m: m, qVar: make(map[qKey]lp.VarID)}
-	md.dVar = make([][][]lp.VarID, len(prob.Classes))
-
-	// Which (v, nf) pairs are needed at all.
-	needed := make(map[qKey]bool)
-	for ci, c := range prob.Classes {
-		hops := prob.eligibleHops(c)
-		if len(hops) == 0 {
-			return nil, fmt.Errorf("core: class %d has no APPLE host on its path", c.ID)
-		}
-		md.dVar[ci] = make([][]lp.VarID, len(c.Path))
-		for i := range c.Path {
-			md.dVar[ci][i] = make([]lp.VarID, len(c.Chain))
-			for j := range c.Chain {
-				md.dVar[ci][i][j] = -1
-			}
-		}
-		for _, i := range hops {
-			for j, nf := range c.Chain {
-				name := fmt.Sprintf("d[%d][%d][%d]", c.ID, i, j)
-				// Upper bound 1 is implied by Eq. (4) + non-negativity;
-				// leaving it off keeps the tableau smaller.
-				v, err := m.AddVariable(name, 0, math.Inf(1), 0)
-				if err != nil {
-					return nil, fmt.Errorf("core: %w", err)
-				}
-				md.dVar[ci][i][j] = v
-				needed[qKey{v: c.Path[i], nf: nf}] = true
-			}
-		}
-	}
-	// Consolidation bias: the pure Σq objective is degenerate — any split
-	// of a class's load across its path costs the same fractional q, so
-	// the LP may scatter load, and integer rounding then opens one
-	// instance per scattered shard. A tiny per-(v,nf) perturbation makes
-	// switches with more multiplexable demand (total rate of classes
-	// passing v and needing nf) strictly cheaper, so degenerate optima
-	// consolidate. The perturbation is far below 1, so the instance total
-	// is still minimized first.
-	potential := make(map[qKey]float64)
-	maxPotential := 0.0
-	for _, c := range prob.Classes {
-		for _, i := range prob.eligibleHops(c) {
-			for _, nf := range c.Chain {
-				k := qKey{v: c.Path[i], nf: nf}
-				potential[k] += c.RateMbps
-				if potential[k] > maxPotential {
-					maxPotential = potential[k]
-				}
-			}
-		}
-	}
-	for key := range needed {
-		name := fmt.Sprintf("q[%d][%v]", key.v, key.nf)
-		hi := math.Inf(1)
-		if c, ok := caps[key]; ok {
-			hi = c
-		}
-		obj := 1.0 // Eq. (1)
-		if maxPotential > 0 {
-			obj += 1e-3 * (1 - potential[key]/maxPotential)
-		}
-		obj += 1e-7 * float64(key.v) // deterministic tie break
-		v, err := m.AddVariable(name, 0, hi, obj)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		if err := m.SetInteger(v); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		md.qVar[key] = v
-	}
-
-	for ci, c := range prob.Classes {
-		hops := prob.eligibleHops(c)
-		if explicitSigma {
-			if err := addSigmaConstraints(m, md, ci, c, hops); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		// Eq. (4): every chain position processes 100% of the class.
-		for j := range c.Chain {
-			terms := make([]lp.Term, 0, len(hops))
-			for _, i := range hops {
-				terms = append(terms, lp.Term{Var: md.dVar[ci][i][j], Coef: 1})
-			}
-			if err := m.AddConstraint(fmt.Sprintf("full[%d][%d]", c.ID, j), lp.EQ, 1, terms...); err != nil {
-				return nil, fmt.Errorf("core: %w", err)
-			}
-		}
-		// Eq. (3): σ_{j-1}^i ≥ σ_j^i at every eligible hop, with σ
-		// eliminated into prefix sums of d.
-		for j := 1; j < len(c.Chain); j++ {
-			for hi, i := range hops {
-				terms := make([]lp.Term, 0, 2*(hi+1))
-				for _, k := range hops[:hi+1] {
-					terms = append(terms,
-						lp.Term{Var: md.dVar[ci][k][j-1], Coef: 1},
-						lp.Term{Var: md.dVar[ci][k][j], Coef: -1})
-				}
-				name := fmt.Sprintf("order[%d][%d][%d]", c.ID, i, j)
-				if err := m.AddConstraint(name, lp.GE, 0, terms...); err != nil {
-					return nil, fmt.Errorf("core: %w", err)
-				}
-			}
-		}
-	}
-
-	// Eq. (5): per-(v,nf) capacity couples d to q.
-	type loadTerm struct {
-		d    lp.VarID
-		rate float64
-	}
-	loads := make(map[qKey][]loadTerm)
-	for ci, c := range prob.Classes {
-		for _, i := range prob.eligibleHops(c) {
-			for j, nf := range c.Chain {
-				key := qKey{v: c.Path[i], nf: nf}
-				loads[key] = append(loads[key], loadTerm{d: md.dVar[ci][i][j], rate: c.RateMbps})
-			}
-		}
-	}
-	for key, ts := range loads {
-		spec, err := policy.SpecOf(key.nf)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		terms := make([]lp.Term, 0, len(ts)+1)
-		for _, t := range ts {
-			terms = append(terms, lp.Term{Var: t.d, Coef: t.rate})
-		}
-		terms = append(terms, lp.Term{Var: md.qVar[key], Coef: -spec.CapacityMbps})
-		name := fmt.Sprintf("cap[%d][%v]", key.v, key.nf)
-		if err := m.AddConstraint(name, lp.LE, 0, terms...); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-	}
-
-	// Eq. (6): per-switch resources, one row per resource dimension.
-	byswitch := make(map[topology.NodeID][]qKey)
-	for key := range md.qVar {
-		byswitchAppend(byswitch, key)
-	}
-	for v, keys := range byswitch {
-		avail := prob.Avail[v]
-		coreTerms := make([]lp.Term, 0, len(keys))
-		memTerms := make([]lp.Term, 0, len(keys))
-		for _, key := range keys {
-			spec, err := policy.SpecOf(key.nf)
-			if err != nil {
-				return nil, fmt.Errorf("core: %w", err)
-			}
-			coreTerms = append(coreTerms, lp.Term{Var: md.qVar[key], Coef: float64(spec.Cores)})
-			memTerms = append(memTerms, lp.Term{Var: md.qVar[key], Coef: float64(spec.MemoryMB)})
-		}
-		if err := m.AddConstraint(fmt.Sprintf("cores[%d]", v), lp.LE, float64(avail.Cores), coreTerms...); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		if err := m.AddConstraint(fmt.Sprintf("mem[%d]", v), lp.LE, float64(avail.MemoryMB), memTerms...); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-	}
-	return md, nil
-}
-
-func byswitchAppend(m map[topology.NodeID][]qKey, key qKey) {
-	m[key.v] = append(m[key.v], key)
-}
-
-// extractCounts reads q values; when roundUp is set, fractional LP values
-// are ceiled (the relaxation rounding step).
-func extractCounts(md *model, sol *lp.Solution, roundUp bool) map[topology.NodeID]map[policy.NF]int {
-	counts := make(map[topology.NodeID]map[policy.NF]int)
-	for key, v := range md.qVar {
-		x := sol.Value(v)
-		var q int
-		if roundUp {
-			q = int(math.Ceil(x - 1e-6))
-		} else {
-			q = int(math.Round(x))
-		}
-		if q <= 0 {
-			continue
-		}
-		if counts[key.v] == nil {
-			counts[key.v] = make(map[policy.NF]int)
-		}
-		counts[key.v][key.nf] = q
-	}
-	return counts
-}
-
-// extractDist reads the d values back into per-class matrices, cleaning
-// numerical noise so each chain position sums to exactly 1.
-func extractDist(prob *Problem, md *model, sol *lp.Solution) map[ClassID][][]float64 {
-	out := make(map[ClassID][][]float64, len(prob.Classes))
-	for ci, c := range prob.Classes {
-		dist := make([][]float64, len(c.Path))
-		for i := range c.Path {
-			dist[i] = make([]float64, len(c.Chain))
-			for j := range c.Chain {
-				if v := md.dVar[ci][i][j]; v >= 0 {
-					x := sol.Value(v)
-					if x < 0 {
-						x = 0
-					}
-					dist[i][j] = x
-				}
-			}
-		}
-		// Renormalize each chain position to sum exactly 1.
-		for j := range c.Chain {
-			total := 0.0
-			for i := range c.Path {
-				total += dist[i][j]
-			}
-			if total > 0 {
-				for i := range c.Path {
-					dist[i][j] /= total
-				}
-			}
-		}
-		out[c.ID] = dist
-	}
-	return out
 }
 
 // findViolatedSwitch returns the lowest-ID switch whose rounded instance
@@ -684,22 +448,19 @@ func evictionOrder(pair policy.NFPair, at map[policy.NF]int) []policy.NF {
 // exclusionPairs maps the problem's anti-affinity pairs onto the model's q
 // variables: one (q_a, q_b) exclusion per switch where both types could be
 // placed, in deterministic (switch, pair) order, for MILP branching.
-func exclusionPairs(prob *Problem, md *model) [][2]lp.VarID {
-	if len(prob.AntiAffinity) == 0 {
+func exclusionPairs(md *model) [][2]lp.VarID {
+	if len(md.prob.AntiAffinity) == 0 {
 		return nil
 	}
-	switches := make(map[topology.NodeID]bool)
-	for key := range md.qVar {
-		switches[key.v] = true
+	var ordered []topology.NodeID
+	for _, key := range md.qKeys { // sorted by switch first
+		if len(ordered) == 0 || ordered[len(ordered)-1] != key.v {
+			ordered = append(ordered, key.v)
+		}
 	}
-	ordered := make([]topology.NodeID, 0, len(switches))
-	for v := range switches {
-		ordered = append(ordered, v)
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i] < ordered[j] })
 	var out [][2]lp.VarID
 	for _, v := range ordered {
-		for _, pr := range prob.AntiAffinity {
+		for _, pr := range md.prob.AntiAffinity {
 			qa, oka := md.qVar[qKey{v: v, nf: pr.A}]
 			qb, okb := md.qVar[qKey{v: v, nf: pr.B}]
 			if oka && okb {
@@ -708,55 +469,4 @@ func exclusionPairs(prob *Problem, md *model) [][2]lp.VarID {
 		}
 	}
 	return out
-}
-
-// addSigmaConstraints models Eqs. (2)-(4) with explicit cumulative
-// variables, exactly as the paper writes them: σ_{h,j}^i = σ_{h,j}^{i-1} +
-// d_{h,j}^i (Eq. 2), σ_{h,j-1}^i ≥ σ_{h,j}^i (Eq. 3), σ at the last hop
-// equals 1 (Eq. 4).
-func addSigmaConstraints(m *lp.Model, md *model, ci int, c Class, hops []int) error {
-	nPos := len(c.Chain)
-	sigma := make([][]lp.VarID, len(hops))
-	for hi := range hops {
-		sigma[hi] = make([]lp.VarID, nPos)
-		for j := 0; j < nPos; j++ {
-			v, err := m.AddVariable(fmt.Sprintf("sigma[%d][%d][%d]", c.ID, hops[hi], j), 0, 1, 0)
-			if err != nil {
-				return fmt.Errorf("core: %w", err)
-			}
-			sigma[hi][j] = v
-		}
-	}
-	for j := 0; j < nPos; j++ {
-		for hi, i := range hops {
-			// Eq. (2): σ^i = σ^{i-1} + d^i.
-			terms := []lp.Term{
-				{Var: sigma[hi][j], Coef: 1},
-				{Var: md.dVar[ci][i][j], Coef: -1},
-			}
-			if hi > 0 {
-				terms = append(terms, lp.Term{Var: sigma[hi-1][j], Coef: -1})
-			}
-			name := fmt.Sprintf("cum[%d][%d][%d]", c.ID, i, j)
-			if err := m.AddConstraint(name, lp.EQ, 0, terms...); err != nil {
-				return fmt.Errorf("core: %w", err)
-			}
-			// Eq. (3): σ_{j-1} ≥ σ_j.
-			if j > 0 {
-				name := fmt.Sprintf("order[%d][%d][%d]", c.ID, i, j)
-				if err := m.AddConstraint(name, lp.GE, 0,
-					lp.Term{Var: sigma[hi][j-1], Coef: 1},
-					lp.Term{Var: sigma[hi][j], Coef: -1}); err != nil {
-					return fmt.Errorf("core: %w", err)
-				}
-			}
-		}
-		// Eq. (4): fully processed by the last hop.
-		name := fmt.Sprintf("full[%d][%d]", c.ID, j)
-		if err := m.AddConstraint(name, lp.EQ, 1,
-			lp.Term{Var: sigma[len(hops)-1][j], Coef: 1}); err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-	}
-	return nil
 }

@@ -4,12 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"github.com/apple-nfv/apple/internal/lp"
-	"github.com/apple-nfv/apple/internal/policy"
-	"github.com/apple-nfv/apple/internal/topology"
 	"github.com/apple-nfv/apple/internal/trace"
 )
 
@@ -38,7 +35,8 @@ import (
 // change of the r bounds, so Solver.ReSolve's dual simplex repairs the
 // previous optimal basis in a few pivots instead of solving cold.
 //
-// The consolidation bias on q (see buildModel) is computed once from the
+// Both formulations are built from the same steps in model.go. The
+// consolidation bias on q (see addInstanceVars) is computed once from the
 // universe's base rates and kept across snapshots: it only breaks ties
 // among equal-instance-count optima, and a stable bias keeps successive
 // placements close together — exactly what a delta-rule commit wants.
@@ -50,7 +48,6 @@ type IncrementalEngine struct {
 	md     *model
 	solver *lp.Solver
 	rVar   []lp.VarID // per class index, bounds pin the snapshot rate
-	qKeys  []qKey     // deterministic order of md.qVar
 	solved bool
 }
 
@@ -101,23 +98,12 @@ func NewIncrementalEngine(prob *Problem, opts IncrementalOptions) (*IncrementalE
 	if err != nil {
 		return nil, err
 	}
-	qKeys := make([]qKey, 0, len(md.qVar))
-	for key := range md.qVar {
-		qKeys = append(qKeys, key)
-	}
-	sort.Slice(qKeys, func(i, j int) bool {
-		if qKeys[i].v != qKeys[j].v {
-			return qKeys[i].v < qKeys[j].v
-		}
-		return qKeys[i].nf < qKeys[j].nf
-	})
 	return &IncrementalEngine{
 		prob:   prob,
 		opts:   opts,
 		md:     md,
 		solver: lp.NewSolver(md.m),
 		rVar:   rVar,
-		qKeys:  qKeys,
 	}, nil
 }
 
@@ -146,7 +132,7 @@ func (e *IncrementalEngine) Place(rates map[ClassID]float64) (pl *Placement, st 
 	// from its resting bound and destroy the dual feasibility the warm
 	// start needs (the reason repair-heavy topologies used to fall back
 	// cold on every pass).
-	changes := make([]lp.BoundChange, 0, len(e.rVar)+len(e.qKeys))
+	changes := make([]lp.BoundChange, 0, len(e.rVar)+len(e.md.qKeys))
 	for ci, c := range e.prob.Classes {
 		r := rates[c.ID]
 		if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
@@ -155,7 +141,7 @@ func (e *IncrementalEngine) Place(rates map[ClassID]float64) (pl *Placement, st 
 		changes = append(changes, lp.BoundChange{Var: e.rVar[ci], Lo: r, Hi: r})
 	}
 	kept := 0
-	for _, key := range e.qKeys {
+	for _, key := range e.md.qKeys {
 		qv := e.md.qVar[key]
 		if e.solver.RestingAtUpper(qv) {
 			kept++
@@ -182,8 +168,8 @@ func (e *IncrementalEngine) Place(rates map[ClassID]float64) (pl *Placement, st 
 		// The carried caps over-constrain this snapshot (demand moved onto
 		// capped switches). Lift them all and solve cold — correctness
 		// first, the next pass warm-starts again.
-		lift := make([]lp.BoundChange, 0, len(e.qKeys))
-		for _, key := range e.qKeys {
+		lift := make([]lp.BoundChange, 0, len(e.md.qKeys))
+		for _, key := range e.md.qKeys {
 			lift = append(lift, lp.BoundChange{Var: e.md.qVar[key], Lo: 0, Hi: math.Inf(1)})
 		}
 		if aerr := e.solver.ApplyBounds(lift); aerr != nil {
@@ -201,67 +187,26 @@ func (e *IncrementalEngine) Place(rates map[ClassID]float64) (pl *Placement, st 
 	}
 	e.solved = true
 
-	// Round-and-repair, warm throughout (same loop as Engine.Solve: cap
-	// the largest offender at a violated switch, re-solve, backtrack on
-	// infeasibility).
-	var counts map[topology.NodeID]map[policy.NF]int
-	for {
-		counts = extractCounts(e.md, &sol, true)
-		violSwitch, ok := findViolatedSwitch(e.prob, counts)
-		if !ok {
-			break
+	// Round-and-repair, warm throughout: the same search Engine.Solve
+	// runs, over this engine's long-lived solver.
+	r := &repairer{
+		md: e.md, solver: e.solver,
+		maxRounds: e.opts.MaxRepairRounds, tracer: e.opts.Tracer,
+	}
+	counts, err := r.repair(sol)
+	st.Pivots += r.iters
+	st.DualPivots += r.dualIters
+	st.RepairRounds = r.rounds
+	if err != nil {
+		if errors.Is(err, errRepairAbort) {
+			e.solved = false
 		}
-		if st.RepairRounds >= e.opts.MaxRepairRounds {
-			return nil, st, fmt.Errorf("core: could not repair resource violation at switch %d after %d rounds",
-				violSwitch, st.RepairRounds)
-		}
-		st.RepairRounds++
-		progressed := false
-		for _, key := range repairCandidates(violSwitch, counts) {
-			newCap := float64(counts[key.v][key.nf] - 1)
-			if newCap < 0 {
-				continue
-			}
-			qv := e.md.qVar[key]
-			_, prevCap, err := e.md.m.Bounds(qv)
-			if err != nil {
-				return nil, st, fmt.Errorf("core: %w", err)
-			}
-			if err := e.solver.SetUpper(qv, newCap); err != nil {
-				return nil, st, fmt.Errorf("core: %w", err)
-			}
-			sol2, err := e.solver.ReSolve()
-			recordSolve(&sol2, true)
-			st.Pivots += sol2.Iterations
-			st.DualPivots += sol2.DualIterations
-			if e.opts.Tracer.Enabled() {
-				e.opts.Tracer.Emit(trace.Ev(trace.KindLPResolve).
-					WithNode(int64(violSwitch)).
-					WithVal(int64(sol2.TotalPivots())).
-					WithErr(err))
-			}
-			if err != nil {
-				if errors.Is(err, lp.ErrInfeasible) {
-					if err := e.solver.SetUpper(qv, prevCap); err != nil {
-						return nil, st, fmt.Errorf("core: %w", err)
-					}
-					continue
-				}
-				e.solved = false
-				return nil, st, fmt.Errorf("core: repair re-solve failed: %w", err)
-			}
-			sol = sol2
-			progressed = true
-			break
-		}
-		if !progressed {
-			return nil, st, fmt.Errorf("core: irreparable resource violation at switch %d", violSwitch)
-		}
+		return nil, st, err
 	}
 
 	pl = &Placement{
 		Counts:     counts,
-		Dist:       e.extractDistParametric(&sol, rates),
+		Dist:       extractDist(e.md, &r.sol, func(c Class) bool { return rates[c.ID] > 0 }),
 		SolveTime:  time.Since(start),
 		Iterations: st.Pivots,
 		Method:     "lp-parametric",
@@ -269,216 +214,4 @@ func (e *IncrementalEngine) Place(rates map[ClassID]float64) (pl *Placement, st 
 	pl.Objective = pl.TotalInstances()
 	st.SolveTime = pl.SolveTime
 	return pl, st, nil
-}
-
-// extractDistParametric converts absolute flows x back into per-class
-// distributions d = x / rate, renormalized per chain position. Classes
-// with zero rate this snapshot are omitted.
-func (e *IncrementalEngine) extractDistParametric(sol *lp.Solution, rates map[ClassID]float64) map[ClassID][][]float64 {
-	out := make(map[ClassID][][]float64)
-	for ci, c := range e.prob.Classes {
-		if rates[c.ID] <= 0 {
-			continue
-		}
-		dist := make([][]float64, len(c.Path))
-		for i := range c.Path {
-			dist[i] = make([]float64, len(c.Chain))
-			for j := range c.Chain {
-				if v := e.md.dVar[ci][i][j]; v >= 0 {
-					x := sol.Value(v)
-					if x < 0 {
-						x = 0
-					}
-					dist[i][j] = x
-				}
-			}
-		}
-		for j := range c.Chain {
-			total := 0.0
-			for i := range c.Path {
-				total += dist[i][j]
-			}
-			if total > 0 {
-				for i := range c.Path {
-					dist[i][j] /= total
-				}
-			}
-		}
-		out[c.ID] = dist
-	}
-	return out
-}
-
-// buildParametricModel constructs the rate-free reformulation described
-// on IncrementalEngine. Variable layout mirrors buildModel (md.dVar holds
-// the x variables); the returned slice maps class index → r variable.
-func buildParametricModel(prob *Problem) (*model, []lp.VarID, error) {
-	m := lp.NewModel("apple-placement-parametric")
-	md := &model{m: m, qVar: make(map[qKey]lp.VarID)}
-	md.dVar = make([][][]lp.VarID, len(prob.Classes))
-	rVar := make([]lp.VarID, len(prob.Classes))
-
-	needed := make(map[qKey]bool)
-	for ci, c := range prob.Classes {
-		hops := prob.eligibleHops(c)
-		if len(hops) == 0 {
-			return nil, nil, fmt.Errorf("core: class %d has no APPLE host on its path", c.ID)
-		}
-		rv, err := m.AddVariable(fmt.Sprintf("r[%d]", c.ID), c.RateMbps, c.RateMbps, 0)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: %w", err)
-		}
-		rVar[ci] = rv
-		md.dVar[ci] = make([][]lp.VarID, len(c.Path))
-		for i := range c.Path {
-			md.dVar[ci][i] = make([]lp.VarID, len(c.Chain))
-			for j := range c.Chain {
-				md.dVar[ci][i][j] = -1
-			}
-		}
-		for _, i := range hops {
-			for j, nf := range c.Chain {
-				name := fmt.Sprintf("x[%d][%d][%d]", c.ID, i, j)
-				v, err := m.AddVariable(name, 0, math.Inf(1), 0)
-				if err != nil {
-					return nil, nil, fmt.Errorf("core: %w", err)
-				}
-				md.dVar[ci][i][j] = v
-				needed[qKey{v: c.Path[i], nf: nf}] = true
-			}
-		}
-	}
-
-	// Consolidation bias from the universe's base rates (see buildModel);
-	// q variables are created in sorted key order so the tableau layout —
-	// and hence pivot counts — are deterministic across runs.
-	potential := make(map[qKey]float64)
-	maxPotential := 0.0
-	for _, c := range prob.Classes {
-		for _, i := range prob.eligibleHops(c) {
-			for _, nf := range c.Chain {
-				k := qKey{v: c.Path[i], nf: nf}
-				potential[k] += c.RateMbps
-				if potential[k] > maxPotential {
-					maxPotential = potential[k]
-				}
-			}
-		}
-	}
-	keys := make([]qKey, 0, len(needed))
-	for key := range needed {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].v != keys[j].v {
-			return keys[i].v < keys[j].v
-		}
-		return keys[i].nf < keys[j].nf
-	})
-	for _, key := range keys {
-		obj := 1.0
-		if maxPotential > 0 {
-			obj += 1e-3 * (1 - potential[key]/maxPotential)
-		}
-		obj += 1e-7 * float64(key.v)
-		v, err := m.AddVariable(fmt.Sprintf("q[%d][%v]", key.v, key.nf), 0, math.Inf(1), obj)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: %w", err)
-		}
-		if err := m.SetInteger(v); err != nil {
-			return nil, nil, fmt.Errorf("core: %w", err)
-		}
-		md.qVar[key] = v
-	}
-
-	for ci, c := range prob.Classes {
-		hops := prob.eligibleHops(c)
-		// Eq. (4), parametric: Σ_i x = r at every chain position.
-		for j := range c.Chain {
-			terms := make([]lp.Term, 0, len(hops)+1)
-			for _, i := range hops {
-				terms = append(terms, lp.Term{Var: md.dVar[ci][i][j], Coef: 1})
-			}
-			terms = append(terms, lp.Term{Var: rVar[ci], Coef: -1})
-			if err := m.AddConstraint(fmt.Sprintf("full[%d][%d]", c.ID, j), lp.EQ, 0, terms...); err != nil {
-				return nil, nil, fmt.Errorf("core: %w", err)
-			}
-		}
-		// Eq. (3), parametric: identical prefix-sum dominance in x (the d
-		// form scaled by the nonnegative rate).
-		for j := 1; j < len(c.Chain); j++ {
-			for hi, i := range hops {
-				terms := make([]lp.Term, 0, 2*(hi+1))
-				for _, k := range hops[:hi+1] {
-					terms = append(terms,
-						lp.Term{Var: md.dVar[ci][k][j-1], Coef: 1},
-						lp.Term{Var: md.dVar[ci][k][j], Coef: -1})
-				}
-				name := fmt.Sprintf("order[%d][%d][%d]", c.ID, i, j)
-				if err := m.AddConstraint(name, lp.GE, 0, terms...); err != nil {
-					return nil, nil, fmt.Errorf("core: %w", err)
-				}
-			}
-		}
-	}
-
-	// Eq. (5), parametric: Σ x − capacity·q ≤ 0 per (v, nf) — every x
-	// coefficient is 1, so rates never touch the matrix.
-	loads := make(map[qKey][]lp.VarID)
-	for ci, c := range prob.Classes {
-		for _, i := range prob.eligibleHops(c) {
-			for j, nf := range c.Chain {
-				key := qKey{v: c.Path[i], nf: nf}
-				loads[key] = append(loads[key], md.dVar[ci][i][j])
-			}
-		}
-	}
-	for _, key := range keys {
-		spec, err := policy.SpecOf(key.nf)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: %w", err)
-		}
-		ts := loads[key]
-		terms := make([]lp.Term, 0, len(ts)+1)
-		for _, xv := range ts {
-			terms = append(terms, lp.Term{Var: xv, Coef: 1})
-		}
-		terms = append(terms, lp.Term{Var: md.qVar[key], Coef: -spec.CapacityMbps})
-		name := fmt.Sprintf("cap[%d][%v]", key.v, key.nf)
-		if err := m.AddConstraint(name, lp.LE, 0, terms...); err != nil {
-			return nil, nil, fmt.Errorf("core: %w", err)
-		}
-	}
-
-	// Eq. (6): per-switch resources, unchanged from buildModel.
-	byswitch := make(map[topology.NodeID][]qKey)
-	for _, key := range keys {
-		byswitchAppend(byswitch, key)
-	}
-	switches := make([]topology.NodeID, 0, len(byswitch))
-	for v := range byswitch {
-		switches = append(switches, v)
-	}
-	sort.Slice(switches, func(i, j int) bool { return switches[i] < switches[j] })
-	for _, v := range switches {
-		avail := prob.Avail[v]
-		vkeys := byswitch[v]
-		coreTerms := make([]lp.Term, 0, len(vkeys))
-		memTerms := make([]lp.Term, 0, len(vkeys))
-		for _, key := range vkeys {
-			spec, err := policy.SpecOf(key.nf)
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: %w", err)
-			}
-			coreTerms = append(coreTerms, lp.Term{Var: md.qVar[key], Coef: float64(spec.Cores)})
-			memTerms = append(memTerms, lp.Term{Var: md.qVar[key], Coef: float64(spec.MemoryMB)})
-		}
-		if err := m.AddConstraint(fmt.Sprintf("cores[%d]", v), lp.LE, float64(avail.Cores), coreTerms...); err != nil {
-			return nil, nil, fmt.Errorf("core: %w", err)
-		}
-		if err := m.AddConstraint(fmt.Sprintf("mem[%d]", v), lp.LE, float64(avail.MemoryMB), memTerms...); err != nil {
-			return nil, nil, fmt.Errorf("core: %w", err)
-		}
-	}
-	return md, rVar, nil
 }

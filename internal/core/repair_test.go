@@ -75,7 +75,7 @@ func TestRepairBacktrackingExplicitSigma(t *testing.T) {
 			2: {Cores: 8, MemoryMB: 64 * 1024},
 		},
 	}
-	pl, err := NewEngine(EngineOptions{ExplicitSigma: true}).Solve(prob)
+	pl, err := solveExplicitSigma(prob)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}

@@ -1,7 +1,7 @@
 package experiments
 
-// Continuous re-optimization replay: the diurnal driver behind
-// BENCH_reopt.json. One controller lives across the whole series; every
+// Continuous re-optimization replay: the diurnal harness behind
+// TestRunReopt. One controller lives across the whole series; every
 // snapshot the parametric incremental engine re-solves the placement from
 // the previous basis (dual-simplex warm start) and the controller commits
 // the old→new delta through a make-before-break rule transaction, with
@@ -68,7 +68,7 @@ type ReoptResult struct {
 	// Violations counts audit-hook failures observed during commits. The
 	// transaction aborts the pass on the first one, so any non-zero value
 	// also surfaces as an error; it is reported explicitly because the
-	// CI gate asserts it is zero.
+	// tests assert it is zero.
 	Violations int
 }
 

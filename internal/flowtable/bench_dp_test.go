@@ -9,8 +9,10 @@ import (
 
 // Data-plane benchmarks: the compiled tuple-space matcher against the
 // linear TCAM scan at 1 / 100 / 10k / 100k rules, plus parallel lookup
-// scaling and the multi-table Process walk. cmd/benchdp reuses the same
-// workload shape to write BENCH_dataplane.json.
+// scaling and the multi-table Process walk. LookupLinear/ProcessLinear
+// are the reference matcher here and, cross-package, in the root
+// dataplane_topo_test.go and internal/controller/dataplane_diff_test.go,
+// which is why they live in the package and not in a _test.go file.
 
 // benchRules synthesizes n rules across the handful of match shapes the
 // Rule Generator actually emits (Table III): routing on a destination

@@ -5,7 +5,7 @@
 // explore. The suite is stdlib-only — go/parser + go/types + go/importer
 // — so the module stays zero-dependency.
 //
-// Ten analyzers ship (see DESIGN.md §12 and §17 for the invariant
+// Ten analyzers ship (see DESIGN.md §12 for the invariant
 // catalogue):
 //
 //   - lockguard: no blocking operation (channel send/recv, select,

@@ -10,7 +10,7 @@ package lint
 // that disagree about what is held.
 //
 // The critical sections in this codebase are short, data-only regions
-// by design (DESIGN.md §11): the flow-setup pipeline keeps TCAM batches
+// by design (DESIGN.md §7): the flow-setup pipeline keeps TCAM batches
 // as the only lock-holding work, and the orchestrator runs callbacks on
 // the simulation loop with no locks at all. lockguard turns that
 // discipline into a build break.

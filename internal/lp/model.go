@@ -161,6 +161,14 @@ func (m *Model) VariableName(v VarID) string {
 	return m.vars[v].name
 }
 
+// ConstraintName returns the name given to the i-th AddConstraint call.
+func (m *Model) ConstraintName(i int) string {
+	if i < 0 || i >= len(m.cons) {
+		return fmt.Sprintf("con(%d)", i)
+	}
+	return m.cons[i].name
+}
+
 func (m *Model) validVar(v VarID) bool { return v >= 0 && int(v) < len(m.vars) }
 
 // AddConstraint adds Σ terms (sense) rhs. Terms referencing the same

@@ -5,8 +5,8 @@ package metrics
 // String() log lines never provided. An experiment registers its
 // component counter sets (orchestrator and handler Counters, the
 // process-wide LP and FlowSetup families, ad-hoc gauges) under stable
-// names, then writes one JSON artifact per run in the same style as
-// BENCH_lp.json. RegistrySnapshot is a plain typed struct, so artifacts
+// names, then writes one JSON artifact per run (churn_metrics.json is
+// one). RegistrySnapshot is a plain typed struct, so artifacts
 // unmarshal back losslessly — the round-trip `make trace-smoke` checks.
 
 import (
@@ -232,8 +232,7 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	return snap
 }
 
-// WriteJSON writes the snapshot as indented JSON — the BENCH_lp.json
-// artifact style. Map keys marshal in sorted order, so the artifact is
+// WriteJSON writes the snapshot as indented JSON. Map keys marshal in sorted order, so the artifact is
 // deterministic for deterministic counter values.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	return r.Snapshot().WriteJSON(w)

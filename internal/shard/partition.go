@@ -6,7 +6,7 @@
 // the scale story for million-class topologies, when table publication
 // and transaction capture cost O(installed state) and a region bounded
 // that state; both are O(delta) now, and what the layer still provides
-// is isolation — see DESIGN.md §16 for what remains to be measured.
+// is isolation — see DESIGN.md §10 for what remains to be measured.
 package shard
 
 import (

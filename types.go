@@ -81,7 +81,7 @@ const (
 	IDS      = policy.IDS
 )
 
-// Hierarchical policy machine (DESIGN.md §18).
+// Hierarchical policy machine (DESIGN.md §4).
 type (
 	// PolicyHierarchy is an attachment set of scoped policies compiled
 	// into effective chains per class.
