@@ -13,12 +13,22 @@ import (
 	"github.com/apple-nfv/apple/internal/trace"
 )
 
+// solveObserver is a test seam, nil in production: core's tests point it
+// at lp.CheckCertificate so every LP solve either engine makes — cold,
+// repair re-solve, snapshot re-solve — is verified optimal while the solver
+// still sits on that solve's basis.
+var solveObserver func(m *lp.Model, s *lp.Solver, sol *lp.Solution)
+
 // recordSolve feeds one solve's instrumentation into the process-wide
-// solver counters.
-func recordSolve(sol *lp.Solution, resolve bool) {
+// solver counters. s is the solver that produced sol, nil when sol came
+// out of branch-and-bound.
+func recordSolve(m *lp.Model, s *lp.Solver, sol *lp.Solution, resolve bool) {
 	metrics.LP.RecordSolve(resolve, sol.WarmStarted,
 		sol.Phase1Iterations, sol.Phase2Iterations, sol.DualIterations,
 		sol.Phase1Time, sol.Phase2Time)
+	if solveObserver != nil && s != nil && sol.Status == lp.StatusOptimal {
+		solveObserver(m, s, sol)
+	}
 }
 
 // EngineOptions tunes the LP-based Optimization Engine.
@@ -195,18 +205,19 @@ func (e *Engine) solveFixed(prob *Problem, caps map[qKey]float64) (*Placement, i
 // anti-affinity co-locations), or branch-and-bound with co-location
 // exclusions under the Exact option.
 func (e *Engine) solveModel(md *model) (*Placement, int, error) {
-	solver := lp.NewSolver(md.m)
+	var solver *lp.Solver // stays nil under Exact: branch-and-bound owns its own
 	var sol lp.Solution
 	var err error
 	if e.opts.Exact {
 		sol, err = lp.SolveMILP(md.m, lp.MILPOptions{Exclusions: exclusionPairs(md)})
 	} else {
+		solver = lp.NewSolver(md.m)
 		sol, err = solver.Solve()
 	}
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: optimization failed: %w", err)
 	}
-	recordSolve(&sol, false)
+	recordSolve(md.m, solver, &sol, false)
 	iters := sol.Iterations
 	var counts map[topology.NodeID]map[policy.NF]int
 	if e.opts.Exact {
@@ -336,7 +347,7 @@ func (r *repairer) descend(sol lp.Solution, key qKey, newCap float64, violSwitch
 		return nil, fmt.Errorf("%w: %v", errRepairAbort, err)
 	}
 	sol2, err := r.solver.ReSolve()
-	recordSolve(&sol2, true)
+	recordSolve(r.md.m, r.solver, &sol2, true)
 	r.iters += sol2.Iterations
 	r.dualIters += sol2.DualIterations
 	if r.tracer.Enabled() {

@@ -160,7 +160,7 @@ func (e *IncrementalEngine) Place(rates map[ClassID]float64) (pl *Placement, st 
 	} else {
 		sol, err = e.solver.Solve()
 	}
-	recordSolve(&sol, st.Warm)
+	recordSolve(e.md.m, e.solver, &sol, st.Warm)
 	st.Pivots = sol.Iterations
 	st.DualPivots = sol.DualIterations
 	st.WarmAccepted = sol.WarmStarted
@@ -178,7 +178,7 @@ func (e *IncrementalEngine) Place(rates map[ClassID]float64) (pl *Placement, st 
 		st.Warm = false
 		st.WarmAccepted = false
 		sol, err = e.solver.Solve()
-		recordSolve(&sol, false)
+		recordSolve(e.md.m, e.solver, &sol, false)
 		st.Pivots += sol.Iterations
 	}
 	if err != nil {

@@ -147,7 +147,8 @@ func TestIncrementalInvalidRates(t *testing.T) {
 
 // TestIncrementalRepeatedSnapshotsStayFeasible drives a short diurnal-ish
 // rate sweep and checks every warm placement verifies against its own
-// snapshot problem.
+// snapshot problem — and that every snapshot's LP solve went through
+// TestMain's optimality-certificate observer.
 func TestIncrementalRepeatedSnapshotsStayFeasible(t *testing.T) {
 	prob := incrementalProblem(t)
 	eng, err := NewIncrementalEngine(prob, IncrementalOptions{})
@@ -157,9 +158,13 @@ func TestIncrementalRepeatedSnapshotsStayFeasible(t *testing.T) {
 	warm := 0
 	for i, f := range []float64{1, 1.4, 0.6, 1.1, 0.9, 1.8} {
 		snap := scaledProblem(prob, f)
+		before := Certified
 		pl, st, err := eng.Place(ratesOf(snap))
 		if err != nil {
 			t.Fatalf("pass %d: %v", i, err)
+		}
+		if Certified == before {
+			t.Fatalf("pass %d: no LP solve was certified", i)
 		}
 		if err := pl.Verify(snap); err != nil {
 			t.Fatalf("pass %d Verify: %v", i, err)

@@ -176,12 +176,33 @@ func (s *Solver) SetUpper(v VarID, hi float64) error {
 	return s.SetBounds(v, lo, hi)
 }
 
+// Duals returns the row duals y = c_B·B⁻¹ of the current basis, one per
+// constraint in AddConstraint order, computed on demand (nil without a
+// basis). The sign convention is the one CheckCertificate documents:
+// reduced costs are c − Aᵀy, so y ≤ 0 on ≤ rows and y ≥ 0 on ≥ rows of a
+// minimization.
+func (s *Solver) Duals() []float64 {
+	if s.t == nil {
+		return nil
+	}
+	return s.t.duals(s.model)
+}
+
+// onOptimal is a test seam: lp's own tests point it at the certificate
+// checker so every optimal solve — including the ones SolveMILP makes
+// internally — is verified. It is nil in production and runs after the
+// solve is complete, so no pivot decision can read it.
+var onOptimal func(s *Solver, sol *Solution)
+
 // finish extracts values and the objective into an optimal solution.
 func (s *Solver) finish(sol *Solution) {
 	sol.Values = s.t.extract(s.model)
 	sol.Objective = 0
 	for i, v := range s.model.vars {
 		sol.Objective += v.obj * sol.Values[i]
+	}
+	if onOptimal != nil {
+		onOptimal(s, sol)
 	}
 }
 
@@ -746,6 +767,20 @@ func (t *tableau) setVarBounds(j int, lo, hi float64) {
 			t.xB[i] -= aij * shift
 		}
 	}
+}
+
+// duals reads y = c_B·B⁻¹ off the slack columns: row i's slack is ±e_i
+// in A (− on ≥ rows), so its phase-2 reduced cost is ∓y_i.
+func (t *tableau) duals(m *Model) []float64 {
+	t.refreshRed(t.c)
+	y := make([]float64, t.m)
+	for i, con := range m.cons {
+		y[i] = -t.red[t.nv+i]
+		if con.sense == GE {
+			y[i] = t.red[t.nv+i]
+		}
+	}
+	return y
 }
 
 // extract reads the structural solution back in model coordinates.
