@@ -49,7 +49,7 @@ func geantMeanProblem(t *testing.T) *Problem {
 }
 
 // modelNames lists a model's variable names, then its constraint names,
-// in creation order — the tableau's column and row layout.
+// in creation order — the solver's column and row layout.
 func modelNames(m *lp.Model) []string {
 	names := make([]string, 0, m.NumVariables()+m.NumConstraints())
 	for v := 0; v < m.NumVariables(); v++ {

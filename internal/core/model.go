@@ -27,7 +27,7 @@ import (
 // snapshot is a change of the r bounds and the previous basis survives.
 //
 // Nothing here ranges over a map: variables and rows are created in class
-// order and in sorted (switch, NF) order, so the tableau layout — and with
+// order and in sorted (switch, NF) order, so the column layout — and with
 // it every pivot count — is a function of the problem alone.
 
 // qKey identifies a q_n^v variable.
@@ -61,8 +61,7 @@ func newModel(name string, prob *Problem) *model {
 
 // addFlowVars creates class ci's flow variables, one per (eligible hop,
 // chain position), named prefix[class][hop][position]. The upper bound
-// implied by Eq. (4) and non-negativity is left off: it keeps the tableau
-// smaller.
+// implied by Eq. (4) and non-negativity is left off as redundant.
 func (md *model) addFlowVars(ci int, prefix string) error {
 	c := md.prob.Classes[ci]
 	hops := md.prob.eligibleHops(c)
@@ -308,6 +307,31 @@ func buildParametricModel(prob *Problem) (*model, []lp.VarID, error) {
 		return nil, nil, err
 	}
 	return md, rVar, nil
+}
+
+// PlacementModel builds, without solving it, the LP the engines solve for
+// prob: the σ-eliminated formulation of Engine.Solve or, with parametric
+// set, the rate-free one of IncrementalEngine — in which case it also
+// returns each class's rate variable, in class order, whose bounds pin the
+// snapshot rate. The q variables are the model's integer-flagged ones. It
+// exists so the solver's differential tests can run on the real placement
+// models from outside this package; no engine calls it.
+func PlacementModel(prob *Problem, parametric bool) (*lp.Model, []lp.VarID, error) {
+	if err := prob.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if parametric {
+		md, rVar, err := buildParametricModel(prob)
+		if err != nil {
+			return nil, nil, err
+		}
+		return md.m, rVar, nil
+	}
+	md, err := buildModel(prob, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return md.m, nil, nil
 }
 
 // extractCounts reads q values; when roundUp is set, fractional LP values

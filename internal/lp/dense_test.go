@@ -1,116 +1,65 @@
 package lp
 
-import (
-	"fmt"
-	"math"
-	"time"
-)
+import "math"
 
-const (
-	eps = 1e-9
-	// dantzigLimit is the pivot count after which the solver switches from
-	// Dantzig's rule to Bland's rule to guarantee termination.
-	dantzigLimit = 20000
-	// hardIterLimit aborts pathological instances.
-	hardIterLimit = 200000
-	// dualTol is the reduced-cost tolerance below which a saved basis still
-	// counts as dual feasible for a warm re-solve.
-	dualTol = 1e-7
-	// dualIterFactor bounds warm re-solve dual pivots at factor·m before
-	// the solver gives up and falls back to a cold solve.
-	dualIterFactor = 4
-	// minDualIters keeps the dual pivot budget useful on tiny models.
-	minDualIters = 200
-	// dropTol is the magnitude below which an entry of a pivot row or of an
-	// eta column is treated as zero, to fight fill-in and drift.
-	dropTol = 1e-13
-)
+// This file is the dense Gauss-Jordan tableau the package solved with
+// before the sparse revised simplex replaced it, kept verbatim (minus the
+// phase timers) as the reference the differential and fuzz tests compare
+// the production engine against: same pricing, same ratio tests, same warm
+// contract, a different representation of B⁻¹A.
 
-// Solve solves the LP relaxation of the model (integrality flags are
-// ignored) with a bounded-variable two-phase primal revised simplex over a
-// sparse column store. Variable bounds lo ≤ x ≤ hi are handled natively in
-// the ratio test (nonbasic variables may sit at either bound), so finite
-// bounds never generate rows. It returns ErrInfeasible, ErrUnbounded, or
-// ErrIterLimit wrapped with context on failure; on success Solution.Status
-// is StatusOptimal.
-func Solve(m *Model) (Solution, error) {
-	s := NewSolver(m)
-	return s.Solve()
-}
-
-// Solver owns the simplex working state for one model and keeps it alive
-// across solves, which is what makes warm re-solves after bound changes
-// cheap: the basis factorization encodes only the constraint matrix
-// (bounds never appear in it), so tightening or relaxing a bound
-// invalidates nothing but primal feasibility — which the dual simplex
-// repairs in a handful of pivots starting from the previous optimal basis.
-// The column store, the factorization arenas and every work vector live
-// in the state and are reused from solve to solve.
-type Solver struct {
+// denseSolver is Solver over a dense tableau.
+type denseSolver struct {
 	model *Model
-	t     *revised
+	t     *tableau
 }
 
-// NewSolver wraps a model. The working state is built on the first Solve.
-func NewSolver(m *Model) *Solver {
-	return &Solver{model: m}
-}
-
-// wallClock is the package's one sanctioned read of the host clock. It
-// feeds Solution.Phase1Time/Phase2Time, measurement fields no pivot
-// decision ever reads, so a solve stays a pure function of the model.
-func wallClock() time.Time {
-	//lint:ignore simclock measurement only: feeds the phase timers of Solution, which the solver never reads
-	return time.Now()
+// newDenseSolver wraps a model. The tableau is built on the first Solve.
+func newDenseSolver(m *Model) *denseSolver {
+	return &denseSolver{model: m}
 }
 
 // Solve runs a cold two-phase solve, discarding any previous basis.
-func (s *Solver) Solve() (Solution, error) {
+func (s *denseSolver) Solve() (Solution, error) {
 	if len(s.model.vars) == 0 {
 		return Solution{}, ErrEmptyModel
 	}
-	if s.t == nil {
-		s.t = &revised{}
-	}
-	t := s.t
-	// Until this solve ends optimal there is no basis to warm-start from: a
-	// failed state (mid-phase-1, artificials still basic) is not a valid
-	// base, so the next ReSolve goes cold.
-	t.valid = false
 	// Crossed bounds (possible via branch-and-bound tightening, which
 	// bypasses SetBounds validation) make the model trivially infeasible;
-	// the solver would otherwise misread such a column as fixed.
+	// the tableau would otherwise misread such a column as fixed.
 	for _, v := range s.model.vars {
 		if v.lo > v.hi {
+			s.t = nil
 			sol := Solution{Status: StatusInfeasible}
 			return sol, solveErr(StatusInfeasible, s.model.name, 0)
 		}
 	}
-	p1Start := wallClock()
-	status, it1 := StatusIterLimit, 0
-	if t.load(s.model) {
-		status, it1 = t.phase1()
+	t, err := newTableau(s.model)
+	if err != nil {
+		return Solution{}, err
 	}
+	s.t = t
+	status, it1 := t.phase1()
 	sol := Solution{
 		Status:           status,
 		Phase1Iterations: it1,
 		Iterations:       it1,
-		Phase1Time:       wallClock().Sub(p1Start),
 		Nodes:            1,
 	}
 	if status != StatusOptimal {
+		// A failed tableau (mid-phase-1, artificials still basic) is not a
+		// valid warm-start base; drop it so the next ReSolve goes cold.
+		s.t = nil
 		return sol, solveErr(status, s.model.name, it1)
 	}
-	p2Start := wallClock()
 	status, it2 := t.optimize(t.c, false)
 	sol.Phase2Iterations = it2
 	sol.Iterations += it2
-	sol.Phase2Time = wallClock().Sub(p2Start)
 	sol.Status = status
 	if status != StatusOptimal {
+		s.t = nil
 		return sol, solveErr(status, s.model.name, sol.Iterations)
 	}
-	t.valid = true
 	s.finish(&sol)
 	return sol, nil
 }
@@ -119,17 +68,16 @@ func (s *Solver) Solve() (Solution, error) {
 // warm-starting from the current basis with the dual simplex. The basis
 // stays dual feasible under any bound change, so this usually converges in
 // a few pivots. When the warm start is rejected (no prior basis, dual
-// infeasibility from numerical drift, a pivot budget blow-out, or a basis
-// that no longer factorizes) the solver transparently falls back to a cold
-// Solve; Solution.WarmStarted reports which path produced the answer. A
-// dual-simplex infeasibility verdict is confirmed with a cold solve before
-// being reported, so callers never act on a spurious certificate.
-func (s *Solver) ReSolve() (Solution, error) {
-	if !s.HasBasis() {
+// infeasibility from numerical drift, or a pivot budget blow-out) the
+// solver transparently falls back to a cold Solve; Solution.WarmStarted
+// reports which path produced the answer. A dual-simplex infeasibility
+// verdict is confirmed with a cold solve before being reported, so
+// callers never act on a spurious certificate.
+func (s *denseSolver) ReSolve() (Solution, error) {
+	if s.t == nil {
 		return s.Solve()
 	}
 	t := s.t
-	start := wallClock()
 	status, dIters, ok := t.dualSimplex(dualIterBudget(t.m))
 	if !ok {
 		// Warm start rejected: cold solve.
@@ -150,33 +98,32 @@ func (s *Solver) ReSolve() (Solution, error) {
 		DualIterations:   dIters,
 		Phase2Iterations: it2,
 		Iterations:       dIters + it2,
-		Phase2Time:       wallClock().Sub(start),
 		WarmStarted:      true,
 		Nodes:            1,
 	}
 	if status != StatusOptimal {
-		t.valid = false
+		s.t = nil
 		return sol, solveErr(status, s.model.name, sol.Iterations)
 	}
 	s.finish(&sol)
 	return sol, nil
 }
 
-// SetBounds updates the bounds of v in the model and, when a basis is
-// live, in the solver state. Moving a nonbasic variable's resting bound
-// shifts the basic values; they are recomputed once, at the next ReSolve.
-func (s *Solver) SetBounds(v VarID, lo, hi float64) error {
+// SetBounds updates the bounds of v in the model and, when a tableau is
+// live, in the solver state — including the basic-value bookkeeping when a
+// nonbasic variable's resting bound moves.
+func (s *denseSolver) SetBounds(v VarID, lo, hi float64) error {
 	if err := s.model.SetBounds(v, lo, hi); err != nil {
 		return err
 	}
-	if s.HasBasis() {
+	if s.t != nil {
 		s.t.setVarBounds(int(v), lo, hi)
 	}
 	return nil
 }
 
 // SetUpper updates only the upper bound of v (the repair-loop cap path).
-func (s *Solver) SetUpper(v VarID, hi float64) error {
+func (s *denseSolver) SetUpper(v VarID, hi float64) error {
 	lo, _, err := s.model.Bounds(v)
 	if err != nil {
 		return err
@@ -189,56 +136,174 @@ func (s *Solver) SetUpper(v VarID, hi float64) error {
 // basis). The sign convention is the one CheckCertificate documents:
 // reduced costs are c − Aᵀy, so y ≤ 0 on ≤ rows and y ≥ 0 on ≥ rows of a
 // minimization.
-func (s *Solver) Duals() []float64 {
-	if !s.HasBasis() {
+func (s *denseSolver) Duals() []float64 {
+	if s.t == nil {
 		return nil
 	}
-	return append([]float64(nil), s.t.rowDuals(s.t.c)...)
+	return s.t.duals(s.model)
 }
 
-// onOptimal is a test seam: lp's own tests point it at the certificate
-// checker so every optimal solve — including the ones SolveMILP makes
-// internally — is verified. It is nil in production and runs after the
-// solve is complete, so no pivot decision can read it.
-var onOptimal func(s *Solver, sol *Solution)
-
 // finish extracts values and the objective into an optimal solution.
-func (s *Solver) finish(sol *Solution) {
+func (s *denseSolver) finish(sol *Solution) {
 	sol.Values = s.t.extract(s.model)
 	sol.Objective = 0
 	for i, v := range s.model.vars {
 		sol.Objective += v.obj * sol.Values[i]
 	}
-	if onOptimal != nil {
-		seen := *sol // a copy, so the indirect call does not make every sol escape
-		onOptimal(s, &seen)
-	}
 }
 
-// solveErr maps a terminal status to the package error.
-func solveErr(status Status, name string, iters int) error {
-	switch status {
-	case StatusInfeasible:
-		return fmt.Errorf("%w: %s", ErrInfeasible, name)
-	case StatusUnbounded:
-		return fmt.Errorf("%w: %s", ErrUnbounded, name)
-	default:
-		return fmt.Errorf("%w: %s after %d pivots", ErrIterLimit, name, iters)
-	}
+// tableau is the dense bounded-variable simplex working state:
+// minimize c·x subject to Ax + Σs = b, lo ≤ x ≤ hi, with one slack per row
+// (bounds [0,∞) for inequalities, [0,0] for equalities) and artificial
+// columns only for rows whose slack-basis start violates the slack bounds.
+// `a` is maintained as B⁻¹A by Gauss-Jordan pivoting; basic-variable
+// values xB are maintained incrementally and never stored in the matrix.
+type tableau struct {
+	m, n int // rows, structural+slack+artificial columns
+	nv   int // structural columns
+	nart int // artificial columns (always the trailing ones)
+
+	a     []float64 // m×n row-major constraint matrix, kept as B⁻¹A
+	basis []int     // basic column per row
+	xB    []float64 // value of the basic variable per row
+
+	lo, hi  []float64 // per-column bounds
+	atUpper []bool    // nonbasic column rests at hi (else at lo)
+
+	c   []float64 // phase-2 costs
+	art []float64 // phase-1 costs (1 on artificials)
+
+	red     []float64 // maintained reduced-cost row
+	inBasis []bool    // basic-column marks
+	nz      []int32   // scratch: pivot-row nonzero columns
 }
 
-func dualIterBudget(m int) int {
-	b := dualIterFactor * m
-	if b < minDualIters {
-		b = minDualIters
+// newTableau converts the model. Structural variables start nonbasic at
+// their lower bound; each row's slack absorbs the residual when it can,
+// otherwise the row gets an artificial and joins phase 1.
+func newTableau(m *Model) (*tableau, error) {
+	nv := len(m.vars)
+	nrows := len(m.cons)
+
+	// Residual of each row at the all-at-lower-bound starting point.
+	resid := make([]float64, nrows)
+	for i, con := range m.cons {
+		r := con.rhs
+		for _, t := range con.terms {
+			r -= t.Coef * m.vars[t.Var].lo
+		}
+		resid[i] = r
 	}
-	return b
+	// A row needs an artificial when its slack cannot hold the residual:
+	// LE wants resid ≥ 0, GE wants resid ≤ 0, EQ wants resid = 0.
+	needArt := make([]bool, nrows)
+	nart := 0
+	for i, con := range m.cons {
+		switch con.sense {
+		case LE:
+			needArt[i] = resid[i] < -eps
+		case GE:
+			needArt[i] = resid[i] > eps
+		case EQ:
+			needArt[i] = math.Abs(resid[i]) > eps
+		}
+		if needArt[i] {
+			nart++
+		}
+	}
+
+	n := nv + nrows + nart
+	t := &tableau{
+		m:       nrows,
+		n:       n,
+		nv:      nv,
+		nart:    nart,
+		a:       make([]float64, nrows*n),
+		basis:   make([]int, nrows),
+		xB:      make([]float64, nrows),
+		lo:      make([]float64, n),
+		hi:      make([]float64, n),
+		c:       make([]float64, n),
+		art:     make([]float64, n),
+		atUpper: make([]bool, n),
+		inBasis: make([]bool, n),
+	}
+	for j, v := range m.vars {
+		t.c[j] = v.obj
+		t.lo[j] = v.lo
+		t.hi[j] = v.hi
+	}
+	artCol := nv + nrows
+	for i, con := range m.cons {
+		row := t.a[i*n : (i+1)*n]
+		for _, term := range con.terms {
+			row[int(term.Var)] += term.Coef
+		}
+		slack := nv + i
+		sign := 1.0
+		shi := math.Inf(1)
+		switch con.sense {
+		case GE:
+			sign = -1
+		case EQ:
+			shi = 0
+		}
+		row[slack] = sign
+		t.lo[slack] = 0
+		t.hi[slack] = shi
+		if !needArt[i] {
+			sval := sign * resid[i]
+			if sval < 0 {
+				sval = 0 // eps-level residual noise
+			}
+			t.basis[i] = slack
+			t.xB[i] = sval
+		} else {
+			tau := 1.0
+			if resid[i] < 0 {
+				tau = -1
+			}
+			row[artCol] = tau
+			t.lo[artCol] = 0
+			t.hi[artCol] = math.Inf(1)
+			t.art[artCol] = 1
+			t.basis[i] = artCol
+			t.xB[i] = math.Abs(resid[i])
+			artCol++
+		}
+	}
+	// Canonicalize: the tableau is maintained as B⁻¹A, so each row's basic
+	// column must be a unit vector. GE slacks (coefficient −1) and negative
+	// artificials need their rows scaled by −1.
+	for i, bj := range t.basis {
+		t.inBasis[bj] = true
+		row := t.a[i*n : (i+1)*n]
+		if piv := row[bj]; piv != 1 {
+			inv := 1 / piv
+			for jj := range row {
+				row[jj] *= inv
+			}
+			row[bj] = 1
+		}
+	}
+	return t, nil
+}
+
+// realCols is the number of non-artificial columns.
+func (t *tableau) realCols() int { return t.n - t.nart }
+
+// value returns the resting value of a nonbasic column.
+func (t *tableau) value(j int) float64 {
+	if t.atUpper[j] {
+		return t.hi[j]
+	}
+	return t.lo[j]
 }
 
 // phase1 drives the artificial objective to zero (when artificials exist),
 // evicts leftover basic artificials and pins every artificial at zero so
 // it can never re-enter.
-func (t *revised) phase1() (Status, int) {
+func (t *tableau) phase1() (Status, int) {
 	if t.nart == 0 {
 		return StatusOptimal, 0
 	}
@@ -254,16 +319,14 @@ func (t *revised) phase1() (Status, int) {
 	}
 	infeas := 0.0
 	for i := 0; i < t.m; i++ {
-		if int(t.basis[i]) >= t.realCols() {
+		if t.basis[i] >= t.realCols() {
 			infeas += t.xB[i]
 		}
 	}
 	if infeas > 1e-6 {
 		return StatusInfeasible, iters
 	}
-	if !t.evictArtificials() {
-		return StatusIterLimit, iters
-	}
+	t.evictArtificials()
 	for k := t.realCols(); k < t.n; k++ {
 		t.hi[k] = 0 // fixed: never re-enters pricing
 	}
@@ -272,30 +335,46 @@ func (t *revised) phase1() (Status, int) {
 
 // evictArtificials pivots basic artificial variables (at value ~0) out
 // where a real column with a usable pivot exists. Rows that are all-zero
-// over real columns are redundant; their artificial stays basic at 0. It
-// reports false when a refactor on the way fails.
-func (t *revised) evictArtificials() bool {
+// over real columns are redundant; their artificial stays basic at 0.
+func (t *tableau) evictArtificials() {
 	real := t.realCols()
 	for i := 0; i < t.m; i++ {
-		if int(t.basis[i]) < real {
+		if t.basis[i] < real {
 			continue
 		}
-		if !t.refactorDue() {
-			return false
-		}
-		t.priceRow(i)
+		row := t.a[i*t.n : (i+1)*t.n]
 		pivotCol := -1
-		for _, j := range t.alphaIdx {
-			if math.Abs(t.alpha[j]) > eps && (pivotCol < 0 || int(j) < pivotCol) {
-				pivotCol = int(j)
+		for j := 0; j < real; j++ {
+			if math.Abs(row[j]) > eps {
+				pivotCol = j
+				break
 			}
 		}
 		if pivotCol >= 0 {
-			t.ftran(pivotCol)
 			t.replaceBasic(i, pivotCol, 0, false)
 		}
 	}
-	return true
+}
+
+// refreshRed recomputes the reduced-cost row r_j = c_j − c_B·B⁻¹A_j from
+// the current tableau for the given cost vector.
+func (t *tableau) refreshRed(c []float64) {
+	if t.red == nil {
+		t.red = make([]float64, t.n)
+	}
+	copy(t.red, c)
+	for i := 0; i < t.m; i++ {
+		cb := c[t.basis[i]]
+		if cb == 0 {
+			continue
+		}
+		row := t.a[i*t.n : (i+1)*t.n]
+		for j, aij := range row {
+			if aij != 0 {
+				t.red[j] -= cb * aij
+			}
+		}
+	}
 }
 
 // optimize runs bounded-variable primal simplex pivots for the cost vector
@@ -305,13 +384,13 @@ func (t *revised) evictArtificials() bool {
 // ratio test limits the move by the first basic variable to hit either of
 // its bounds, or by the entering variable's own opposite bound — the
 // latter is a bound flip that changes no basis at all.
-func (t *revised) optimize(c []float64, phase1 bool) (Status, int) {
+func (t *tableau) optimize(c []float64, phase1 bool) (Status, int) {
 	cols := t.n
 	if !phase1 {
 		cols = t.realCols()
 	}
 	t.refreshRed(c)
-	refreshed := true
+	refreshed := false
 	iters := 0
 	for {
 		if iters >= hardIterLimit {
@@ -323,15 +402,16 @@ func (t *revised) optimize(c []float64, phase1 bool) (Status, int) {
 		dir := 1.0
 		best := eps
 		for j := 0; j < cols; j++ {
+			if t.inBasis[j] || t.hi[j]-t.lo[j] < eps {
+				continue
+			}
 			score := -t.red[j] // improvement rate moving up from lo
 			d := 1.0
 			if t.atUpper[j] {
 				score = t.red[j] // moving down from hi
 				d = -1
 			}
-			// The score goes first because it rules nearly every column
-			// out; a basic column's reduced cost is exactly 0.
-			if score > best && !t.inBasis[j] && t.hi[j]-t.lo[j] >= eps {
+			if score > best {
 				enter, dir = j, d
 				if useBland {
 					break
@@ -351,16 +431,13 @@ func (t *revised) optimize(c []float64, phase1 bool) (Status, int) {
 			return StatusOptimal, iters
 		}
 		refreshed = false
-		if !t.refactorDue() {
-			return StatusIterLimit, iters
-		}
-		t.ftran(enter)
 		// Ratio test: smallest step over basic-variable bound hits and the
 		// entering variable's own span.
 		limit := t.hi[enter] - t.lo[enter] // may be +inf
 		leave := -1
 		leaveToUpper := false
-		for i, aij := range t.col {
+		for i := 0; i < t.m; i++ {
+			aij := t.a[i*t.n+enter]
 			delta := dir * aij // rate at which xB[i] decreases per unit step
 			bi := t.basis[i]
 			var ti float64
@@ -398,7 +475,6 @@ func (t *revised) optimize(c []float64, phase1 bool) (Status, int) {
 		if leaveToUpper {
 			target = t.hi[t.basis[leave]]
 		}
-		t.priceRow(leave)
 		t.replaceBasic(leave, enter, target, leaveToUpper)
 		iters++
 	}
@@ -406,16 +482,13 @@ func (t *revised) optimize(c []float64, phase1 bool) (Status, int) {
 
 // dualSimplex restores primal feasibility after bound changes, preserving
 // dual feasibility throughout — the warm-start workhorse. Returns ok=false
-// when the warm start must be abandoned (dual-infeasible start, pivot
-// budget exceeded, or a basis that will not refactor); the caller falls
-// back to a cold solve. A returned StatusInfeasible is a
-// dual-unboundedness certificate: the violated row proves no setting of
-// the nonbasic variables can bring the basic variable inside its bounds.
-func (t *revised) dualSimplex(maxIter int) (Status, int, bool) {
+// when the warm start must be abandoned (dual-infeasible start or pivot
+// budget exceeded); the caller falls back to a cold solve. A returned
+// StatusInfeasible is a dual-unboundedness certificate: the violated row
+// proves no setting of the nonbasic variables can bring the basic variable
+// inside its bounds.
+func (t *tableau) dualSimplex(maxIter int) (Status, int, bool) {
 	real := t.realCols()
-	if t.stale {
-		t.recomputeXB()
-	}
 	t.refreshRed(t.c)
 	for j := 0; j < real; j++ {
 		if t.inBasis[j] || t.hi[j]-t.lo[j] < eps {
@@ -452,23 +525,19 @@ func (t *revised) dualSimplex(maxIter int) (Status, int, bool) {
 		if r < 0 {
 			return StatusOptimal, iters, true
 		}
-		if !t.refactorDue() {
-			return StatusIterLimit, iters, false
-		}
 		// Entering column: the dual ratio test. For a basic variable below
 		// its lower bound we need columns whose movement raises it; above
 		// the upper bound, columns whose movement lowers it. Among the
 		// eligible, the smallest |red/a| keeps every other reduced cost on
-		// its feasible side after the pivot; ties go to the lowest index.
-		t.priceRow(r)
+		// its feasible side after the pivot.
+		row := t.a[r*t.n : (r+1)*t.n]
 		enter := -1
 		bestRatio := math.Inf(1)
-		for _, j32 := range t.alphaIdx {
-			j := int(j32)
-			if t.hi[j]-t.lo[j] < eps {
+		for j := 0; j < real; j++ {
+			if t.inBasis[j] || t.hi[j]-t.lo[j] < eps {
 				continue
 			}
-			arj := t.alpha[j]
+			arj := row[j]
 			var eligible bool
 			if below {
 				eligible = (!t.atUpper[j] && arj < -eps) || (t.atUpper[j] && arj > eps)
@@ -491,7 +560,6 @@ func (t *revised) dualSimplex(maxIter int) (Status, int, bool) {
 		if !below {
 			target = t.hi[t.basis[r]]
 		}
-		t.ftran(enter)
 		t.replaceBasic(r, enter, target, !below)
 		iters++
 	}
@@ -499,28 +567,32 @@ func (t *revised) dualSimplex(maxIter int) (Status, int, bool) {
 
 // boundFlip moves nonbasic column j from one bound to the other (distance
 // dist in direction dir) without any basis change, updating the basic
-// values it shifts. t.col holds B⁻¹A_j.
-func (t *revised) boundFlip(j int, dir, dist float64) {
+// values it shifts.
+func (t *tableau) boundFlip(j int, dir, dist float64) {
 	step := dir * dist
-	for i, aij := range t.col {
-		if aij != 0 {
+	for i := 0; i < t.m; i++ {
+		if aij := t.a[i*t.n+j]; aij != 0 {
 			t.xB[i] -= step * aij
 		}
 	}
 	t.atUpper[j] = !t.atUpper[j]
 }
 
-// replaceBasic pivots column j into the basis at position r, sending the
+// replaceBasic pivots column j into the basis at row r, sending the
 // current basic variable of r to targetBound (its lower or upper bound per
-// leavingAtUpper). t.col must hold B⁻¹A_j and t.alpha row r of B⁻¹A. It
-// updates the basic values, the nonbasic statuses and the maintained
-// reduced-cost row, and appends the pivot to the eta file.
-func (t *revised) replaceBasic(r, j int, targetBound float64, leavingAtUpper bool) {
-	piv := t.col[r]
+// leavingAtUpper). It updates the basic values, nonbasic statuses, the
+// Gauss-Jordan tableau, and the maintained reduced-cost row.
+func (t *tableau) replaceBasic(r, j int, targetBound float64, leavingAtUpper bool) {
+	n := t.n
+	piv := t.a[r*n+j]
 	delta := (t.xB[r] - targetBound) / piv
 	enterVal := t.value(j) + delta
-	for i, aij := range t.col {
-		if i == r || aij == 0 {
+	for i := 0; i < t.m; i++ {
+		if i == r {
+			continue
+		}
+		aij := t.a[i*n+j]
+		if aij == 0 {
 			continue
 		}
 		t.xB[i] -= aij * delta
@@ -534,7 +606,7 @@ func (t *revised) replaceBasic(r, j int, targetBound float64, leavingAtUpper boo
 			}
 		}
 	}
-	leaving := int(t.basis[r])
+	leaving := t.basis[r]
 	t.atUpper[leaving] = leavingAtUpper
 	if leaving >= t.realCols() {
 		// An artificial that leaves the basis is pinned at zero for good.
@@ -543,40 +615,63 @@ func (t *revised) replaceBasic(r, j int, targetBound float64, leavingAtUpper boo
 	}
 	t.xB[r] = enterVal
 
-	// Row r of the updated B⁻¹A is α/α_j, and every reduced cost moves by
-	// the entering one times its entry there. The row is scaled by its own
-	// entry α_j rather than by col[r], which equals it only up to rounding:
-	// entries that are equal in A then cancel exactly, as they do in a
-	// tableau, and exact ties in the pricing stay exact ties (col[r] stands
-	// in should rounding ever zero α_j). The leaving column's entry is 1/α_j;
-	// the entering column's reduced cost becomes 0.
-	if f := t.red[j]; f != 0 {
-		inv := 1 / piv
-		if a := t.alpha[j]; a != 0 {
-			inv = 1 / a
+	// Gauss-Jordan pivot on (r, j). The pivot row's nonzero columns are
+	// collected once so every elimination walks only those indices instead
+	// of branching across all n columns — the single hottest loop in the
+	// solver.
+	inv := 1 / piv
+	prow := t.a[r*n : (r+1)*n]
+	if cap(t.nz) < n {
+		t.nz = make([]int32, 0, n)
+	}
+	nz := t.nz[:0]
+	for jj := range prow {
+		v := prow[jj] * inv
+		// Drop eps-dust to fight fill-in and drift accumulation.
+		if v < 1e-13 && v > -1e-13 {
+			v = 0
 		}
-		for _, jj := range t.alphaIdx {
-			v := t.alpha[jj] * inv
-			if v < dropTol && v > -dropTol {
-				continue // eps-dust: dropping it fights drift accumulation
+		prow[jj] = v
+		if v != 0 {
+			nz = append(nz, int32(jj))
+		}
+	}
+	t.nz = nz
+	prow[j] = 1 // exact
+	for i := 0; i < t.m; i++ {
+		if i == r {
+			continue
+		}
+		f := t.a[i*n+j]
+		if f == 0 {
+			continue
+		}
+		irow := t.a[i*n : (i+1)*n]
+		for _, jj := range nz {
+			irow[jj] -= f * prow[jj]
+		}
+		irow[j] = 0 // exact
+	}
+	if t.red != nil {
+		f := t.red[j]
+		if f != 0 {
+			for _, jj := range nz {
+				t.red[jj] -= f * prow[jj]
 			}
-			t.red[jj] -= f * v
+			t.red[j] = 0 // exact
 		}
-		t.red[leaving] = -f * inv
-		t.red[j] = 0 // exact
 	}
 	t.inBasis[leaving] = false
 	t.inBasis[j] = true
-	t.basis[r] = int32(j)
-	t.lu.pushEta(r, t.col)
+	t.basis[r] = j
 }
 
 // setVarBounds updates the bounds of structural column j in the live
-// state. When a nonbasic column's resting value moves (its bound changed
-// under it, or an at-upper column lost its finite upper bound) the basic
-// values go stale; any resulting primal infeasibility is the dual
-// simplex's job.
-func (t *revised) setVarBounds(j int, lo, hi float64) {
+// tableau. When a nonbasic column's resting value moves (its bound changed
+// under it, or an at-upper column lost its finite upper bound), the basic
+// values are shifted accordingly so the tableau stays consistent; any
+// resulting primal infeasibility is the dual simplex's job.
+func (t *tableau) setVarBounds(j int, lo, hi float64) {
 	if t.inBasis[j] {
 		t.lo[j] = lo
 		t.hi[j] = hi
@@ -588,19 +683,40 @@ func (t *revised) setVarBounds(j int, lo, hi float64) {
 	if t.atUpper[j] && math.IsInf(hi, 1) {
 		t.atUpper[j] = false
 	}
-	if t.value(j) != oldVal {
-		t.stale = true
+	newVal := t.value(j)
+	if newVal == oldVal {
+		return
+	}
+	shift := newVal - oldVal
+	for i := 0; i < t.m; i++ {
+		if aij := t.a[i*t.n+j]; aij != 0 {
+			t.xB[i] -= aij * shift
+		}
 	}
 }
 
+// duals reads y = c_B·B⁻¹ off the slack columns: row i's slack is ±e_i
+// in A (− on ≥ rows), so its phase-2 reduced cost is ∓y_i.
+func (t *tableau) duals(m *Model) []float64 {
+	t.refreshRed(t.c)
+	y := make([]float64, t.m)
+	for i, con := range m.cons {
+		y[i] = -t.red[t.nv+i]
+		if con.sense == GE {
+			y[i] = t.red[t.nv+i]
+		}
+	}
+	return y
+}
+
 // extract reads the structural solution back in model coordinates.
-func (t *revised) extract(m *Model) []float64 {
+func (t *tableau) extract(m *Model) []float64 {
 	out := make([]float64, len(m.vars))
 	for j := range out {
 		out[j] = t.value(j)
 	}
-	for i, bj := range t.basis {
-		if int(bj) < t.nv {
+	for i := 0; i < t.m; i++ {
+		if bj := t.basis[i]; bj < t.nv {
 			out[bj] = t.xB[i]
 		}
 	}

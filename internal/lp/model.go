@@ -1,9 +1,11 @@
 // Package lp is a self-contained linear-programming toolkit: a modeling
-// layer, a dense two-phase primal simplex solver, and a branch-and-bound
-// wrapper for mixed-integer programs. It stands in for CPLEX in the APPLE
-// Optimization Engine (§IV-D): the engine builds the placement ILP here,
-// solves the LP relaxation, and rounds — exactly the solution strategy the
-// paper describes.
+// layer, a bounded-variable revised simplex over a sparse column store (LU
+// basis factorization with an eta file; primal two-phase for cold solves,
+// dual for warm re-solves), an optimality-certificate checker, and a
+// branch-and-bound wrapper for mixed-integer programs. It stands in for
+// CPLEX in the APPLE Optimization Engine (§IV-D): the engine builds the
+// placement ILP here, solves the LP relaxation, and rounds — exactly the
+// solution strategy the paper describes.
 package lp
 
 import (
@@ -68,6 +70,7 @@ type Model struct {
 	name string
 	vars []variable
 	cons []constraint
+	slot []int32 // AddConstraint scratch, all zero between calls
 }
 
 // NewModel returns an empty minimization model.
@@ -180,7 +183,6 @@ func (m *Model) AddConstraint(name string, sense Sense, rhs float64, terms ...Te
 	if math.IsNaN(rhs) || math.IsInf(rhs, 0) {
 		return fmt.Errorf("lp: constraint %q: bad rhs %v", name, rhs)
 	}
-	acc := make(map[VarID]float64, len(terms))
 	for _, t := range terms {
 		if !m.validVar(t.Var) {
 			return fmt.Errorf("lp: constraint %q references unknown variable %d", name, t.Var)
@@ -188,20 +190,29 @@ func (m *Model) AddConstraint(name string, sense Sense, rhs float64, terms ...Te
 		if math.IsNaN(t.Coef) || math.IsInf(t.Coef, 0) {
 			return fmt.Errorf("lp: constraint %q: bad coefficient %v", name, t.Coef)
 		}
-		acc[t.Var] += t.Coef
 	}
-	compact := make([]Term, 0, len(acc))
-	for _, t := range terms { // preserve first-appearance order
-		c, ok := acc[t.Var]
-		if !ok {
+	// Merge duplicate variables in place, in first-appearance order: while
+	// the row is being built slot[v] is v's position in compact plus one.
+	if len(m.slot) < len(m.vars) {
+		m.slot = append(m.slot, make([]int32, len(m.vars)-len(m.slot))...)
+	}
+	compact := make([]Term, 0, len(terms))
+	for _, t := range terms {
+		if k := m.slot[t.Var]; k > 0 {
+			compact[k-1].Coef += t.Coef
 			continue
 		}
-		delete(acc, t.Var)
-		if c != 0 {
-			compact = append(compact, Term{Var: t.Var, Coef: c})
+		compact = append(compact, t)
+		m.slot[t.Var] = int32(len(compact))
+	}
+	kept := compact[:0]
+	for _, t := range compact {
+		m.slot[t.Var] = 0
+		if t.Coef != 0 {
+			kept = append(kept, t)
 		}
 	}
-	m.cons = append(m.cons, constraint{name: name, sense: sense, rhs: rhs, terms: compact})
+	m.cons = append(m.cons, constraint{name: name, sense: sense, rhs: rhs, terms: kept})
 	return nil
 }
 

@@ -19,8 +19,8 @@ type BoundChange struct {
 }
 
 // ApplyBounds applies a batch of bound changes to the model and, when a
-// factorized tableau is live, to the tableau in place so the carried
-// basis stays consistent. Changes are applied in order; the first
+// basis is live, to the solver state in place so the carried basis stays
+// consistent. Changes are applied in order; the first
 // invalid change aborts the batch (earlier changes stay applied — the
 // caller is expected to re-solve or rebuild on error, not to continue).
 func (s *Solver) ApplyBounds(changes []BoundChange) error {
@@ -35,17 +35,17 @@ func (s *Solver) ApplyBounds(changes []BoundChange) error {
 // HasBasis reports whether the solver holds a usable basis from a prior
 // successful Solve, i.e. whether the next ReSolve can warm-start. A
 // fresh solver, or one whose last solve failed, has no basis.
-func (s *Solver) HasBasis() bool { return s.t != nil }
+func (s *Solver) HasBasis() bool { return s.t != nil && s.t.valid }
 
 // RestingAtUpper reports whether v is currently nonbasic at its upper
-// bound in the live tableau (always false without a basis). A variable
+// bound in the live basis (always false without one). A variable
 // resting at a finite upper bound with a favorable reduced cost is
 // exactly the case a caller must NOT relax to +Inf between re-solves: a
 // nonbasic variable cannot rest at an infinite bound, so the relaxation
 // would force it to its lower bound and break the dual feasibility the
 // warm start depends on.
 func (s *Solver) RestingAtUpper(v VarID) bool {
-	if s.t == nil {
+	if !s.HasBasis() {
 		return false
 	}
 	j := int(v)
