@@ -32,9 +32,20 @@ const (
 // Loads computes the offered load every instance would see given
 // per-class traffic rates (Mbps), using the current sub-class weights.
 func (c *Controller) Loads(rates map[core.ClassID]float64) map[vnf.ID]float64 {
-	out := make(map[vnf.ID]float64)
-	for id, a := range c.assign.snapshot() {
-		rate, ok := rates[id]
+	// The portion ledger has one entry per instance carrying planned load:
+	// the size the result is about to have.
+	out := make(map[vnf.ID]float64, len(c.instPortion))
+	c.loadsInto(out, rates)
+	return out
+}
+
+// loadsInto recomputes Loads into out, discarding what it held. Classes
+// contribute in ascending ID order, so each instance's sum is accumulated
+// in the same order — and comes out bit-identical — on every run.
+func (c *Controller) loadsInto(out map[vnf.ID]float64, rates map[core.ClassID]float64) {
+	clear(out)
+	for _, a := range c.assign.sorted() {
+		rate, ok := rates[a.Class.ID]
 		if !ok {
 			rate = a.Class.RateMbps
 		}
@@ -52,7 +63,6 @@ func (c *Controller) Loads(rates map[core.ClassID]float64) map[vnf.ID]float64 {
 			}
 		}
 	}
-	return out
 }
 
 // ApplyLoads pushes computed loads onto the instances (zero for
@@ -88,8 +98,8 @@ func (c *Controller) LossRate(rates map[core.ClassID]float64) (float64, error) {
 		}
 	}
 	totalRate, totalLost := 0.0, 0.0
-	for id, a := range c.assign.snapshot() {
-		rate, ok := rates[id]
+	for _, a := range c.assign.sorted() {
+		rate, ok := rates[a.Class.ID]
 		if !ok {
 			rate = a.Class.RateMbps
 		}
@@ -228,8 +238,10 @@ func (d *DynamicHandler) Observe(rates map[core.ClassID]float64) (int, error) {
 	d.reapZombies()
 	// Pick up instances added since the handler was created (online
 	// classes, failover spawns from other handlers).
+	pooled := 0
 	for _, byNF := range d.c.instPool {
 		for _, insts := range byNF {
+			pooled += len(insts)
 			for _, inst := range insts {
 				if _, ok := d.detectors[inst.ID()]; ok {
 					continue
@@ -242,6 +254,13 @@ func (d *DynamicHandler) Observe(rates map[core.ClassID]float64) (int, error) {
 			}
 		}
 	}
+	// Every pooled instance now has a detector, so a surplus means some
+	// detectors outlived their instance.
+	if len(d.detectors) > pooled {
+		d.forgetUnpooled()
+	}
+	// The one load view of this call, recomputed in place whenever an
+	// overload or a rollback reshapes weights.
 	loads := d.c.Loads(rates)
 	if err := d.c.ApplyLoads(loads); err != nil {
 		return 0, err
@@ -263,7 +282,7 @@ func (d *DynamicHandler) Observe(rates map[core.ClassID]float64) (int, error) {
 		handled := false
 		switch {
 		case !was && now:
-			if err := d.overload(id, rates); err != nil {
+			if err := d.overload(id, rates, loads); err != nil {
 				return transitions, err
 			}
 			transitions++
@@ -275,7 +294,7 @@ func (d *DynamicHandler) Observe(rates map[core.ClassID]float64) (int, error) {
 			// stampeding).
 			inst, err := d.c.findInstance(id)
 			if err == nil && loads[id] > inst.Spec().CapacityMbps {
-				if err := d.overload(id, rates); err != nil {
+				if err := d.overload(id, rates, loads); err != nil {
 					return transitions, err
 				}
 				transitions++
@@ -291,7 +310,7 @@ func (d *DynamicHandler) Observe(rates map[core.ClassID]float64) (int, error) {
 			// detectors judge the post-rebalance distribution instead of
 			// re-triggering failover on instances that were just
 			// relieved.
-			loads = d.c.Loads(rates)
+			d.c.loadsInto(loads, rates)
 			if err := d.c.ApplyLoads(loads); err != nil {
 				return transitions, err
 			}
@@ -305,31 +324,65 @@ func (d *DynamicHandler) Observe(rates map[core.ClassID]float64) (int, error) {
 		if d.states[classID] == nil {
 			continue
 		}
-		ok, err := d.baseWouldFit(classID, rates)
-		if err != nil {
-			return transitions, err
-		}
-		if !ok {
+		if !d.baseWouldFit(classID, rates, loads) {
 			continue
 		}
 		if err := d.rollback(classID); err != nil {
 			return transitions, err
 		}
 		transitions++
+		// The next class is judged against the restored distribution.
+		d.c.loadsInto(loads, rates)
 	}
 	return transitions, nil
 }
 
+// forgetUnpooled drops what the handler still holds for instances that
+// left the pool behind its back — reaped idle after a re-optimization, or
+// cancelled by a transaction unwind: their detectors, and for a failover
+// launch its spawn marker and core accounting (the instance is gone, so
+// are its cores). Zombies and in-flight spawns have no detector and are
+// not touched.
+func (d *DynamicHandler) forgetUnpooled() {
+	pooled := make(map[vnf.ID]bool, len(d.detectors))
+	for _, byNF := range d.c.instPool {
+		for _, insts := range byNF {
+			for _, inst := range insts {
+				pooled[inst.ID()] = true
+			}
+		}
+	}
+	for id := range d.detectors {
+		if pooled[id] {
+			continue
+		}
+		delete(d.detectors, id)
+		delete(d.spawnedSet, id)
+		if cores, ok := d.spawnedCores[id]; ok {
+			d.extraCores -= cores
+			delete(d.spawnedCores, id)
+		}
+	}
+}
+
 // baseWouldFit simulates restoring classID's base distribution on top of
 // everything else's current loads and reports whether every instance
-// stays below its overload threshold.
-func (d *DynamicHandler) baseWouldFit(classID core.ClassID, rates map[core.ClassID]float64) (bool, error) {
+// stays below its overload threshold. loads is read for the class's own
+// instances only; the what-if lives in a map of just those.
+func (d *DynamicHandler) baseWouldFit(classID core.ClassID, rates map[core.ClassID]float64, loads map[vnf.ID]float64) bool {
 	a, _ := d.c.assign.get(classID)
 	rate, ok := rates[classID]
 	if !ok {
 		rate = a.Class.RateMbps
 	}
-	adj := d.c.Loads(rates)
+	adj := make(map[vnf.ID]float64, len(a.Subclasses)*len(a.Class.Chain))
+	shift := func(inst vnf.ID, by float64) {
+		cur, seen := adj[inst]
+		if !seen {
+			cur = loads[inst]
+		}
+		adj[inst] = cur + by
+	}
 	// Remove the class's current contribution.
 	wsum := 0.0
 	for _, w := range a.Weights {
@@ -339,7 +392,7 @@ func (d *DynamicHandler) baseWouldFit(classID core.ClassID, rates map[core.Class
 		for s := range a.Subclasses {
 			share := rate * a.Weights[s] / wsum
 			for _, inst := range a.Instances[s] {
-				adj[inst] -= share
+				shift(inst, -share)
 			}
 		}
 	}
@@ -349,32 +402,34 @@ func (d *DynamicHandler) baseWouldFit(classID core.ClassID, rates map[core.Class
 		bsum += w
 	}
 	if bsum <= 0 {
-		return false, nil
+		return false
 	}
-	touched := make(map[vnf.ID]bool)
 	for s := range a.Base {
 		share := rate * a.Base[s] / bsum
 		for _, inst := range a.Instances[s] {
-			adj[inst] += share
-			touched[inst] = true
+			shift(inst, share)
 		}
 	}
-	for inst := range touched {
-		det := d.detectors[inst]
-		if det == nil {
-			continue
-		}
-		high, _ := det.Thresholds()
-		if adj[inst] > high {
-			return false, nil
+	for s := range a.Base {
+		for _, inst := range a.Instances[s] {
+			det := d.detectors[inst]
+			if det == nil {
+				continue
+			}
+			high, _ := det.Thresholds()
+			if adj[inst] > high {
+				return false
+			}
 		}
 	}
-	return true, nil
+	return true
 }
 
 // overload applies the §VI re-balancing for one overloaded instance.
-func (d *DynamicHandler) overload(instID vnf.ID, rates map[core.ClassID]float64) error {
-	loads := d.c.Loads(rates)
+// loads is Observe's current load view: headroom is read from it, and
+// what the siblings absorb is charged against it while weights move; the
+// caller recomputes it from the reshaped weights afterwards.
+func (d *DynamicHandler) overload(instID vnf.ID, rates map[core.ClassID]float64, loads map[vnf.ID]float64) error {
 	for _, classID := range d.c.Classes() {
 		a, _ := d.c.assign.get(classID)
 		rate, ok := rates[classID]
@@ -865,21 +920,6 @@ func (d *DynamicHandler) rollback(classID core.ClassID) error {
 	return d.c.installClassification(a)
 }
 
-// referencedByAssignments reports whether any installed assignment still
-// routes traffic through the instance.
-func (d *DynamicHandler) referencedByAssignments(id vnf.ID) bool {
-	for _, a := range d.c.assign.snapshot() {
-		for _, row := range a.Instances {
-			for _, i := range row {
-				if i == id {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
 // cancelSpawned tears down a failover launch: the instance leaves the
 // pool and detectors immediately; its cores stay accounted until the
 // orchestrator confirms the cancel. An instance that is already gone
@@ -894,7 +934,7 @@ func (d *DynamicHandler) referencedByAssignments(id vnf.ID) bool {
 // part of the plan, so it no longer counts toward ExtraCores) and keeps
 // it in service.
 func (d *DynamicHandler) cancelSpawned(id vnf.ID) {
-	if d.referencedByAssignments(id) {
+	if d.c.assign.references(id) {
 		delete(d.spawnedSet, id)
 		if cores, ok := d.spawnedCores[id]; ok {
 			d.extraCores -= cores

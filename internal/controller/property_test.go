@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/apple-nfv/apple/internal/core"
 	"github.com/apple-nfv/apple/internal/flowtable"
@@ -308,7 +309,7 @@ func parentInstallDigests(t *testing.T) map[string]string {
 // worker counts, an identical journal.
 func TestPropertyBatchMatchesSerial(t *testing.T) {
 	parent := parentInstallDigests(t)
-	seeds := 0
+	seeds, removedReshaped, updatedReshaped := 0, 0, 0
 	for seed := int64(0); seed < propSeeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := randTopo(rng)
@@ -337,6 +338,18 @@ func TestPropertyBatchMatchesSerial(t *testing.T) {
 			t.Fatalf("seed %d: AddClass loop digest %s, parent commit recorded %s", seed, got, want)
 		}
 		seeds++
+		// batches are compared against the serial controller as installed,
+		// so its cut-over runs on a twin.
+		twin := newPropController(t, g)
+		for _, cl := range accepted {
+			if err := twin.AddClass(cl); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rm, up := cutOverReshaped(t, fmt.Sprintf("seed %d serial", seed), twin, accepted)
+		removedReshaped += rm
+		updatedReshaped += up
+		serialCut := installSum(t, twin)
 
 		var journals [][]trace.Event
 		for _, workers := range []int{1, 8} {
@@ -356,6 +369,16 @@ func TestPropertyBatchMatchesSerial(t *testing.T) {
 				t.Fatalf("seed %d workers %d: AddClassBatch digest %s, parent commit recorded %s", seed, workers, got, want)
 			}
 			assertSameInstall(t, fmt.Sprintf("seed %d workers %d", seed, workers), g, accepted, serial, batch)
+			// The same failover and the same removal and cutover of
+			// reshaped classes leave the same state, whichever route
+			// installed them.
+			label := fmt.Sprintf("seed %d workers %d", seed, workers)
+			if r, u := cutOverReshaped(t, label, batch, accepted); r != rm || u != up {
+				t.Fatalf("%s: removed %d and updated %d reshaped classes, the serial install %d and %d", label, r, u, rm, up)
+			}
+			if got := installSum(t, batch); got != serialCut {
+				t.Fatalf("%s: digest after the reshaped cut-over %s, after the AddClass loop %s", label, got, serialCut)
+			}
 			journals = append(journals, rec.Events())
 		}
 		if !reflect.DeepEqual(journals[0], journals[1]) {
@@ -366,6 +389,72 @@ func TestPropertyBatchMatchesSerial(t *testing.T) {
 	if 2*seeds != len(parent) {
 		t.Fatalf("%d scenarios installed, install_digests.txt has %d lines (want two per scenario)", seeds, len(parent))
 	}
+	if removedReshaped == 0 || updatedReshaped == 0 {
+		t.Fatalf("the scenarios removed %d and updated %d handler-reshaped classes; want both exercised", removedReshaped, updatedReshaped)
+	}
+	t.Logf("%d scenarios; %d reshaped classes removed, %d cut over", seeds, removedReshaped, updatedReshaped)
+}
+
+// cutOverReshaped drives a Dynamic Handler on c until it has reshaped
+// classes — every class surges to three times its planned rate, and the
+// clock runs until the spawned instances are up — then commits one
+// transaction that removes the first class carrying a handler-added
+// sub-class and cuts the second one over, make-before-break, to a single
+// sub-class on the hops of its first base sub-class (audited at every
+// class boundary, probes re-injected). Afterwards no rule of the removed
+// class is left anywhere — its derived removal names cover the sub-classes
+// only the handler knew — and the data plane enforces every policy. It
+// reports how many reshaped classes it removed and cut over.
+func cutOverReshaped(t *testing.T, label string, c *Controller, accepted []core.Class) (removed, updated int) {
+	t.Helper()
+	d, err := NewDynamicHandler(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	surge := make(map[core.ClassID]float64, len(accepted))
+	for _, cl := range accepted {
+		surge[cl.ID] = 3 * cl.RateMbps
+	}
+	if _, err := d.Observe(surge); err != nil {
+		t.Fatalf("%s: Observe: %v", label, err)
+	}
+	if err := c.clock.Run(6 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	txn := c.Begin()
+	var gone []core.ClassID
+	for _, cl := range accepted {
+		a, _ := c.assign.get(cl.ID)
+		if len(a.Subclasses) == len(a.Base) {
+			continue
+		}
+		if removed == 0 {
+			txn.StageRemove(cl.ID)
+			gone = append(gone, cl.ID)
+			removed++
+			continue
+		}
+		dist := zeroDist(len(cl.Path), len(cl.Chain))
+		for j, h := range a.Subclasses[0].Hops {
+			dist[h][j] = 1
+		}
+		txn.StageUpdate(a.Class, dist)
+		updated++
+		break
+	}
+	if err := txn.Commit(TxnOptions{Verify: true, Audit: d.CheckInvariants}); err != nil {
+		t.Fatalf("%s: cut-over of reshaped classes: %v", label, err)
+	}
+	for _, id := range gone {
+		assertNoClassRules(t, c, id)
+	}
+	if err := d.CheckInvariants(); err != nil {
+		t.Fatalf("%s: invariants after the cut-over: %v", label, err)
+	}
+	if err := c.CheckEnforcement(); err != nil {
+		t.Fatalf("%s: enforcement after the cut-over: %v", label, err)
+	}
+	return removed, updated
 }
 
 // assertSameInstall compares a batch-installed controller against the

@@ -70,7 +70,10 @@ func (c *Controller) ReOptimize(prob *core.Problem, pl *core.Placement, opts Reo
 	if tol == 0 {
 		tol = DefaultRateTolerance
 	}
-	txn := c.Begin()
+	// Sized for one delta per class of the problem: staging a day's
+	// rate-only refreshes must not regrow the slice and the pre-image map
+	// class by class.
+	txn := c.begin(len(prob.Classes))
 
 	// Phase 1 — classify per-class deltas and stage them. Nothing is
 	// touched yet, so an error here needs no unwind.
@@ -200,14 +203,7 @@ func (c *Controller) provisionTo(pl *core.Placement, txn *RuleTxn, strict bool) 
 // and whose planned load is zero, down to the placement's counts. Runs
 // only after a successful commit.
 func (c *Controller) reapIdle(pl *core.Placement) int {
-	referenced := make(map[vnf.ID]bool)
-	for _, a := range c.assign.snapshot() {
-		for _, row := range a.Instances {
-			for _, id := range row {
-				referenced[id] = true
-			}
-		}
-	}
+	referenced := c.assign.referenced(len(c.instPortion))
 	reaped := 0
 	for _, v := range sortedKeys(c.instPool) {
 		byNF := c.instPool[v]

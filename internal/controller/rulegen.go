@@ -205,7 +205,7 @@ func (c *Controller) preallocHostTags(a *Assignment) error {
 	// Classification: a sub-class whose first hop is off-ingress carries a
 	// SetHostTag action, but only when it received prefix blocks (zero
 	// weights get none).
-	blocks, _, err := a.classificationBlocks()
+	blocks, err := a.classificationBlocks()
 	if err != nil {
 		return err
 	}
@@ -232,15 +232,57 @@ func (c *Controller) preallocHostTags(a *Assignment) error {
 	return nil
 }
 
-// emitClassRules compiles an admitted class into staged rule operations in
-// install order: routing along the path, host-match at processing
-// switches (both skip-if-present: other classes share them), ingress
-// classification (remove-then-install), and vSwitch steering per
-// sub-class. Pure with respect to controller state — safe to run
-// concurrently for different classes.
-func (c *Controller) emitClassRules(a *Assignment) ([]stagedOp, error) {
+// Table keys of the three kinds of table a class's rules live in.
+func routingKey(v topology.NodeID) tableKey {
+	return tableKey{dev: device{node: v}, table: TableRouting}
+}
+
+func appleKey(v topology.NodeID) tableKey {
+	return tableKey{dev: device{node: v}, table: TableAPPLE}
+}
+
+func steeringKey(v topology.NodeID) tableKey {
+	return tableKey{dev: device{vswitch: true, node: v}, table: host.TableSteering}
+}
+
+// emitClassRules compiles an admitted class into one batch per table it
+// touches, tables in the order emission first reaches them and, within a
+// table, operations in install order: routing along the path, host-match
+// at processing switches (both skip-if-present: other classes share them),
+// ingress classification (remove-then-install), and vSwitch steering per
+// sub-class. A layout pass counts what each table will receive (the
+// ingress APPLE table's count is completed when the split is made), so
+// every rule is written once into a batch that never regrows. Pure with
+// respect to controller state — safe to run concurrently for different
+// classes.
+func (c *Controller) emitClassRules(a *Assignment) ([]tableBatch, error) {
 	cl := a.Class
-	var ops []stagedOp
+	ingress := cl.Path[0]
+	// Tables touched: routing along the path; the APPLE and steering tables
+	// of the processing switches, at most one per hop entry; the ingress
+	// APPLE table.
+	hops := 0
+	for _, sub := range a.Subclasses {
+		hops += len(sub.Hops)
+	}
+	g := newRuleGroups(len(cl.Path) + 2*min(len(cl.Path), hops) + 1)
+	for _, v := range cl.Path {
+		g.reserve(routingKey(v), 1)
+	}
+	for _, sub := range a.Subclasses {
+		for _, h := range sub.Hops {
+			g.reserve(appleKey(cl.Path[h]), 1)
+		}
+	}
+	// The ingress APPLE table takes its place here and its size below,
+	// once the split is known.
+	g.reserve(appleKey(ingress), 0)
+	runs := make([][]chainRun, len(a.Subclasses))
+	for s, sub := range a.Subclasses {
+		runs[s] = chainRuns(sub.Hops)
+		reserveVSwitchRules(g, a, runs[s])
+	}
+
 	// Routing along the class path (skip rules already present).
 	dst := cl.Path[len(cl.Path)-1]
 	routeName := fmt.Sprintf("route-%d", dst)
@@ -253,47 +295,69 @@ func (c *Controller) emitClassRules(a *Assignment) ([]stagedOp, error) {
 			}
 			port = p
 		}
-		ops = append(ops, stagedOp{
-			dev: device{node: v}, table: TableRouting,
-			op: flowtable.BatchOp{SkipIfPresent: true, Rule: flowtable.Rule{
-				Name: routeName, Priority: 10,
-				Match:   flowtable.Match{Dst: flowtable.PrefixPtr(dstPrefix(dst))},
-				Actions: []flowtable.Action{{Type: flowtable.ActForward, Port: port}},
-			}},
-		})
+		g.add(routingKey(v), flowtable.BatchOp{SkipIfPresent: true, Rule: flowtable.Rule{
+			Name: routeName, Priority: 10,
+			Match:   flowtable.Match{Dst: flowtable.PrefixPtr(dstPrefix(dst))},
+			Actions: []flowtable.Action{{Type: flowtable.ActForward, Port: port}},
+		}})
 	}
-	// Host-match rules at processing switches (idempotent).
+	// Host-match rules at processing switches (idempotent). The ingress's
+	// own leads the classification rules in one batch, so it is built here
+	// and added below, once that batch is sized.
+	var ingressMatch flowtable.BatchOp
+	atIngress := 0
 	for _, sub := range a.Subclasses {
 		for _, h := range sub.Hops {
-			v := cl.Path[h]
-			tag, err := c.alloc.HostTag(v)
+			op, err := c.hostMatchOp(cl.Path[h])
 			if err != nil {
-				return nil, fmt.Errorf("controller: %w", err)
+				return nil, err
 			}
-			ops = append(ops, stagedOp{
-				dev: device{node: v}, table: TableAPPLE,
-				op: flowtable.BatchOp{SkipIfPresent: true, Rule: flowtable.Rule{
-					Name: "host-match", Priority: prioHostMatch,
-					Match:   flowtable.Match{HostTag: flowtable.U16(tag)},
-					Actions: []flowtable.Action{{Type: flowtable.ActForward, Port: PortHost}},
-				}},
-			})
+			if cl.Path[h] == ingress {
+				ingressMatch = op
+				atIngress++
+				continue
+			}
+			g.add(appleKey(cl.Path[h]), op)
 		}
 	}
-	// Classification at the ingress, and vSwitch steering everywhere.
-	clsOps, err := c.emitClassification(a)
+	// The split is made here, between the last host-match rule and the
+	// classification rules, and not in the layout pass. Its scratch slices
+	// are a few bytes each; Go packs objects that small into shared
+	// 16-byte blocks, next to the rules' names and match fields, and a
+	// block lives as long as any rule in it. Made ahead of the routing
+	// rules, the split left 0.4 MB more of those blocks pinned behind a
+	// 41k-class FatTree than it does from here.
+	blocks, err := a.classificationBlocks()
 	if err != nil {
 		return nil, err
 	}
-	ops = append(ops, clsOps...)
+	g.reserve(appleKey(ingress), classificationSize(blocks))
+	for ; atIngress > 0; atIngress-- {
+		g.add(appleKey(ingress), ingressMatch)
+	}
+	if err := c.emitClassification(g, a, blocks); err != nil {
+		return nil, err
+	}
+	// vSwitch steering everywhere.
 	for s := range a.Subclasses {
-		vswOps, err := c.emitVSwitchRules(a, s)
-		if err != nil {
+		if err := c.emitVSwitchRules(g, a, s, runs[s]); err != nil {
 			return nil, err
 		}
-		ops = append(ops, vswOps...)
 	}
-	return ops, nil
+	return g.tables, nil
+}
+
+// hostMatchOp is processing switch v's host-match rule.
+func (c *Controller) hostMatchOp(v topology.NodeID) (flowtable.BatchOp, error) {
+	tag, err := c.alloc.HostTag(v)
+	if err != nil {
+		return flowtable.BatchOp{}, fmt.Errorf("controller: %w", err)
+	}
+	return flowtable.BatchOp{SkipIfPresent: true, Rule: flowtable.Rule{
+		Name: "host-match", Priority: prioHostMatch,
+		Match:   flowtable.Match{HostTag: flowtable.U16(tag)},
+		Actions: []flowtable.Action{{Type: flowtable.ActForward, Port: PortHost}},
+	}}, nil
 }
 
 // pickInstance returns the least-loaded running instance of nf at v.
@@ -330,13 +394,13 @@ func (c *Controller) install(pl *flowtable.Pipeline, table int, r flowtable.Rule
 // classificationBlocks normalizes the class's current weights and splits
 // them onto the address grid — the shared core of classification emission
 // and admit-stage tag preallocation.
-func (a *Assignment) classificationBlocks() ([][]headerspace.PrefixBlock, []float64, error) {
+func (a *Assignment) classificationBlocks() ([][]headerspace.PrefixBlock, error) {
 	wsum := 0.0
 	for _, w := range a.Weights {
 		wsum += w
 	}
 	if wsum <= 0 {
-		return nil, nil, fmt.Errorf("controller: class %d has no positive weight", a.Class.ID)
+		return nil, fmt.Errorf("controller: class %d has no positive weight", a.Class.ID)
 	}
 	norm := make([]float64, len(a.Weights))
 	for i, w := range a.Weights {
@@ -344,9 +408,9 @@ func (a *Assignment) classificationBlocks() ([][]headerspace.PrefixBlock, []floa
 	}
 	blocks, err := flowtable.SplitPortions(norm, splitBits)
 	if err != nil {
-		return nil, nil, fmt.Errorf("controller: class %d classification: %w", a.Class.ID, err)
+		return nil, fmt.Errorf("controller: class %d classification: %w", a.Class.ID, err)
 	}
-	return blocks, norm, nil
+	return blocks, nil
 }
 
 // installClassification (re)installs the ingress classification rules of
@@ -356,32 +420,44 @@ func (a *Assignment) classificationBlocks() ([][]headerspace.PrefixBlock, []floa
 // the class's existing rules swapped for the new ones. The Dynamic
 // Handler calls this after reshaping weights.
 func (c *Controller) installClassification(a *Assignment) error {
-	ops, err := c.emitClassification(a)
+	blocks, err := a.classificationBlocks()
 	if err != nil {
 		return err
 	}
-	return c.applyStaged(ops)
+	g := newRuleGroups(1)
+	g.reserve(appleKey(a.Class.Path[0]), classificationSize(blocks))
+	if err := c.emitClassification(g, a, blocks); err != nil {
+		return err
+	}
+	return c.applyStaged(g.tables)
 }
 
-// emitClassification compiles the ingress classification stage into staged
-// operations: one removal of the class's existing rules, then the fresh
-// rule set from the current weights.
-func (c *Controller) emitClassification(a *Assignment) ([]stagedOp, error) {
-	ingress := a.Class.Path[0]
-	name := fmt.Sprintf("cls-%d", a.Class.ID)
-	blocks, _, err := a.classificationBlocks()
-	if err != nil {
-		return nil, err
+// classificationSize is how many operations emitClassification adds for
+// the given split: the removal, then one rule per prefix block.
+func classificationSize(blocks [][]headerspace.PrefixBlock) int {
+	n := 1
+	for _, bs := range blocks {
+		n += len(bs)
 	}
-	var rules []flowtable.Rule
+	return n
+}
+
+// emitClassification compiles the ingress classification stage into the
+// ingress APPLE table's batch: one removal of the class's existing rules,
+// then the fresh rule set from the current weights' split.
+func (c *Controller) emitClassification(g *ruleGroups, a *Assignment, blocks [][]headerspace.PrefixBlock) error {
+	ingress := a.Class.Path[0]
+	key := appleKey(ingress)
+	name := fmt.Sprintf("cls-%d", a.Class.ID)
+	g.add(key, flowtable.BatchOp{Remove: name})
 	for s, bs := range blocks {
 		subTag, err := a.tagOf(s)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		prefixes, err := flowtable.SuffixRules(a.Prefix, bs, splitBits)
 		if err != nil {
-			return nil, fmt.Errorf("controller: class %d: %w", a.Class.ID, err)
+			return fmt.Errorf("controller: class %d: %w", a.Class.ID, err)
 		}
 		first := a.Class.Path[a.Subclasses[s].Hops[0]]
 		for _, pfx := range prefixes {
@@ -392,13 +468,13 @@ func (c *Controller) emitClassification(a *Assignment) ([]stagedOp, error) {
 			} else {
 				hostTag, err := c.alloc.HostTag(first)
 				if err != nil {
-					return nil, fmt.Errorf("controller: %w", err)
+					return fmt.Errorf("controller: %w", err)
 				}
 				actions = append(actions,
 					flowtable.Action{Type: flowtable.ActSetHostTag, Tag: hostTag},
 					flowtable.Action{Type: flowtable.ActGotoTable, Table: TableRouting})
 			}
-			rules = append(rules, flowtable.Rule{
+			g.add(key, flowtable.BatchOp{Rule: flowtable.Rule{
 				Name:     name,
 				Priority: prioClassify,
 				Match: flowtable.Match{
@@ -406,21 +482,10 @@ func (c *Controller) emitClassification(a *Assignment) ([]stagedOp, error) {
 					Src:     flowtable.PrefixPtr(pfx),
 				},
 				Actions: actions,
-			})
+			}})
 		}
 	}
-	ops := make([]stagedOp, 0, len(rules)+1)
-	ops = append(ops, stagedOp{
-		dev: device{node: ingress}, table: TableAPPLE,
-		op: flowtable.BatchOp{Remove: name},
-	})
-	for _, r := range rules {
-		ops = append(ops, stagedOp{
-			dev: device{node: ingress}, table: TableAPPLE,
-			op: flowtable.BatchOp{Rule: r},
-		})
-	}
-	return ops, nil
+	return nil
 }
 
 // tagOf returns the data-plane tag of sub-class s.
@@ -454,31 +519,39 @@ func chainRuns(hops []int) []chainRun {
 // installVSwitchRules programs the ⟨InPort, class, sub-class⟩ steering of
 // §V-B for sub-class s on every host it visits.
 func (c *Controller) installVSwitchRules(a *Assignment, s int) error {
-	ops, err := c.emitVSwitchRules(a, s)
+	runs := chainRuns(a.Subclasses[s].Hops)
+	g := newRuleGroups(len(runs))
+	reserveVSwitchRules(g, a, runs)
+	if err := c.emitVSwitchRules(g, a, s, runs); err != nil {
+		return err
+	}
+	return c.applyStaged(g.tables)
+}
+
+// reserveVSwitchRules reserves what emitVSwitchRules adds for a sub-class
+// with the given runs: per run, the uplink entry, one rule per chain hop
+// inside the host, and the exit.
+func reserveVSwitchRules(g *ruleGroups, a *Assignment, runs []chainRun) {
+	for _, r := range runs {
+		g.reserve(steeringKey(a.Class.Path[r.hop]), r.end-r.start+2)
+	}
+}
+
+// emitVSwitchRules compiles sub-class s's steering rules, run by run of
+// its hop vector, into the batches of the visited hosts' steering tables.
+func (c *Controller) emitVSwitchRules(g *ruleGroups, a *Assignment, s int, runs []chainRun) error {
+	subTag, err := a.tagOf(s)
 	if err != nil {
 		return err
 	}
-	return c.applyStaged(ops)
-}
-
-// emitVSwitchRules compiles sub-class s's steering rules into staged
-// operations on the visited hosts' steering tables.
-func (c *Controller) emitVSwitchRules(a *Assignment, s int) ([]stagedOp, error) {
-	sub := a.Subclasses[s]
-	subTag, err := a.tagOf(s)
-	if err != nil {
-		return nil, err
-	}
-	runs := chainRuns(sub.Hops)
 	name := fmt.Sprintf("vsw-%d-%d", a.Class.ID, s)
-	var ops []stagedOp
 	for ri, r := range runs {
 		v := a.Class.Path[r.hop]
 		h, ok := c.hosts[v]
 		if !ok {
-			return nil, fmt.Errorf("controller: class %d needs a host at switch %d", a.Class.ID, v)
+			return fmt.Errorf("controller: class %d needs a host at switch %d", a.Class.ID, v)
 		}
-		steerDev := device{vswitch: true, node: v}
+		key := steeringKey(v)
 		match := func(inPort host.PortID) flowtable.Match {
 			m := flowtable.Match{
 				InPort: flowtable.IntPtr(int(inPort)),
@@ -498,58 +571,49 @@ func (c *Controller) emitVSwitchRules(a *Assignment, s int) ([]stagedOp, error) 
 		// Entry from the uplink to the first instance of the run.
 		firstPort, err := portOf(r.start)
 		if err != nil {
-			return nil, fmt.Errorf("controller: %w", err)
+			return fmt.Errorf("controller: %w", err)
 		}
-		ops = append(ops, stagedOp{
-			dev: steerDev, table: host.TableSteering,
-			op: flowtable.BatchOp{Rule: flowtable.Rule{
-				Name: name, Priority: 10, Match: match(host.UplinkPort),
-				Actions: []flowtable.Action{{Type: flowtable.ActForward, Port: int(firstPort)}},
-			}},
-		})
+		g.add(key, flowtable.BatchOp{Rule: flowtable.Rule{
+			Name: name, Priority: 10, Match: match(host.UplinkPort),
+			Actions: []flowtable.Action{{Type: flowtable.ActForward, Port: int(firstPort)}},
+		}})
 		// Chain hops within the host.
 		for j := r.start; j < r.end; j++ {
 			from, err := portOf(j)
 			if err != nil {
-				return nil, fmt.Errorf("controller: %w", err)
+				return fmt.Errorf("controller: %w", err)
 			}
 			to, err := portOf(j + 1)
 			if err != nil {
-				return nil, fmt.Errorf("controller: %w", err)
+				return fmt.Errorf("controller: %w", err)
 			}
-			ops = append(ops, stagedOp{
-				dev: steerDev, table: host.TableSteering,
-				op: flowtable.BatchOp{Rule: flowtable.Rule{
-					Name: name, Priority: 10, Match: match(from),
-					Actions: []flowtable.Action{{Type: flowtable.ActForward, Port: int(to)}},
-				}},
-			})
+			g.add(key, flowtable.BatchOp{Rule: flowtable.Rule{
+				Name: name, Priority: 10, Match: match(from),
+				Actions: []flowtable.Action{{Type: flowtable.ActForward, Port: int(to)}},
+			}})
 		}
 		// Exit: rewrite the host tag toward the next run (or Fin) and
 		// return to the physical network.
 		lastPort, err := portOf(r.end)
 		if err != nil {
-			return nil, fmt.Errorf("controller: %w", err)
+			return fmt.Errorf("controller: %w", err)
 		}
 		nextTag := flowtable.HostTagFin
 		if ri+1 < len(runs) {
 			nextTag, err = c.alloc.HostTag(a.Class.Path[runs[ri+1].hop])
 			if err != nil {
-				return nil, fmt.Errorf("controller: %w", err)
+				return fmt.Errorf("controller: %w", err)
 			}
 		}
-		ops = append(ops, stagedOp{
-			dev: steerDev, table: host.TableSteering,
-			op: flowtable.BatchOp{Rule: flowtable.Rule{
-				Name: name, Priority: 10, Match: match(lastPort),
-				Actions: []flowtable.Action{
-					{Type: flowtable.ActSetHostTag, Tag: nextTag},
-					{Type: flowtable.ActForward, Port: int(host.UplinkPort)},
-				},
-			}},
-		})
+		g.add(key, flowtable.BatchOp{Rule: flowtable.Rule{
+			Name: name, Priority: 10, Match: match(lastPort),
+			Actions: []flowtable.Action{
+				{Type: flowtable.ActSetHostTag, Tag: nextTag},
+				{Type: flowtable.ActForward, Port: int(host.UplinkPort)},
+			},
+		}})
 	}
-	return ops, nil
+	return nil
 }
 
 // removeVSwitchRules deletes sub-class s's steering rules from every

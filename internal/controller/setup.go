@@ -9,14 +9,16 @@ package controller
 //     (greedy online planning, or the staged distribution), instance
 //     picking, tag allocation, and registration in the assignment store.
 //     Everything whose outcome depends on who came first stays here.
-//  2. emit (parallel): pure compilation of each admitted class into a
-//     sequence of staged rule operations. No controller state is written;
+//  2. emit (parallel): pure compilation of each admitted class into one
+//     right-sized batch per table it touches, written once, in the order
+//     emission first reaches each table. No controller state is written;
 //     tag lookups hit the allocator's memoized table populated by admit.
-//  3. apply (parallel per device table): the staged operations are grouped
-//     by target table, preserving both arrival order and each class's
-//     internal emission order, and installed with one critical section per
-//     table via flowtable.ApplyBatchUndo — the batched-TCAM-update analogue
-//     of coalescing per-switch OpenFlow barriers.
+//  3. apply (parallel per device table): a batch of one class applies its
+//     batches as emitted; a larger batch first concatenates them per table,
+//     preserving both arrival order and each class's internal emission
+//     order. Each table is installed in one critical section via
+//     flowtable.ApplyBatchUndo — the batched-TCAM-update analogue of
+//     coalescing per-switch OpenFlow barriers.
 //  4. verify (parallel, optional): CheckClassEnforcement re-injects probe
 //     packets for every admitted class; the data plane is read-only by
 //     then, so the probes race only with each other.
@@ -25,6 +27,7 @@ package controller
 // and any count leaves byte-identical state and an identical journal.
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -83,16 +86,50 @@ func (st *assignStore) ids() []core.ClassID {
 	return sortedKeys(st.m)
 }
 
-// snapshot copies the full id→assignment view. Assignments themselves are
-// shared pointers.
-func (st *assignStore) snapshot() map[core.ClassID]*Assignment {
+// sorted returns the installed assignments in ascending class order: the
+// one walk order of everything that folds over the whole store, so float
+// sums come out the same on every run. The slice is the caller's; the
+// assignments are the store's own.
+func (st *assignStore) sorted() []*Assignment {
+	st.mu.RLock()
+	out := make([]*Assignment, 0, len(st.m))
+	for _, a := range st.m {
+		out = append(out, a)
+	}
+	st.mu.RUnlock()
+	slices.SortFunc(out, func(a, b *Assignment) int { return cmp.Compare(a.Class.ID, b.Class.ID) })
+	return out
+}
+
+// references reports whether any installed assignment routes traffic
+// through the instance.
+func (st *assignStore) references(id vnf.ID) bool {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	out := make(map[core.ClassID]*Assignment, len(st.m))
-	for id, a := range st.m {
-		out[id] = a
+	for _, a := range st.m {
+		for _, row := range a.Instances {
+			if slices.Contains(row, id) {
+				return true
+			}
+		}
 	}
-	return out
+	return false
+}
+
+// referenced returns the set of instances the installed assignments route
+// traffic through; size is how many the caller expects.
+func (st *assignStore) referenced(size int) map[vnf.ID]bool {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	set := make(map[vnf.ID]bool, size)
+	for _, a := range st.m {
+		for _, row := range a.Instances {
+			for _, id := range row {
+				set[id] = true
+			}
+		}
+	}
+	return set
 }
 
 // device identifies one programmable pipeline: a physical switch's TCAM or
@@ -102,15 +139,110 @@ type device struct {
 	node    topology.NodeID
 }
 
-// stagedOp is one rule operation produced by the emit stage, bound for a
-// specific table of a specific device.
-type stagedOp struct {
+// tableKey identifies one flow table of one device.
+type tableKey struct {
 	dev   device
 	table int
-	op    flowtable.BatchOp
 }
 
-// deviceTable resolves a staged operation's target table.
+// tableBatch is the rule operations bound for one table, in the order they
+// must apply: what the emit stage produces and one ApplyBatch consumes.
+type tableBatch struct {
+	key tableKey
+	ops []flowtable.BatchOp
+}
+
+// batchIndex returns the position of table k's batch in batches, or -1.
+// A class touches a handful of tables, so they are found by scanning.
+func batchIndex(batches []tableBatch, k tableKey) int {
+	for i := range batches {
+		if batches[i].key == k {
+			return i
+		}
+	}
+	return -1
+}
+
+// findBatch returns the operations batches holds for table k.
+func findBatch(batches []tableBatch, k tableKey) ([]flowtable.BatchOp, bool) {
+	if i := batchIndex(batches, k); i >= 0 {
+		return batches[i].ops, true
+	}
+	return nil, false
+}
+
+// ruleGroups builds one class's per-table batches so that every batch is
+// allocated once at its final size: reserve declares, in emission order,
+// how many operations each table will receive; add fills them, allocating
+// a table's batch on its first operation at what was reserved by then.
+type ruleGroups struct {
+	tables []tableBatch
+	need   []int // parallel to tables: operations reserved
+}
+
+// newRuleGroups makes room for up to bound tables.
+func newRuleGroups(bound int) *ruleGroups {
+	return &ruleGroups{tables: make([]tableBatch, 0, bound), need: make([]int, 0, bound)}
+}
+
+// slot returns the index of table k's batch, opening it behind the
+// existing ones on first sight.
+func (g *ruleGroups) slot(k tableKey) int {
+	if i := batchIndex(g.tables, k); i >= 0 {
+		return i
+	}
+	g.tables = append(g.tables, tableBatch{key: k})
+	g.need = append(g.need, 0)
+	return len(g.tables) - 1
+}
+
+func (g *ruleGroups) reserve(k tableKey, n int) { g.need[g.slot(k)] += n }
+
+func (g *ruleGroups) add(k tableKey, op flowtable.BatchOp) {
+	i := g.slot(k)
+	b := &g.tables[i]
+	if b.ops == nil {
+		b.ops = make([]flowtable.BatchOp, 0, g.need[i])
+	}
+	b.ops = append(b.ops, op)
+}
+
+// mergeBatches concatenates the per-class batches of an install run per
+// table: tables in first-appearance order and, within a table, class-major
+// emission order, each merged batch allocated once. A run of one class is
+// applied as emitted.
+func mergeBatches(perClass [][]tableBatch) []tableBatch {
+	if len(perClass) == 1 {
+		return perClass[0]
+	}
+	index := make(map[tableKey]int)
+	var merged []tableBatch
+	var need []int
+	for _, batches := range perClass {
+		for _, b := range batches {
+			i, ok := index[b.key]
+			if !ok {
+				i = len(merged)
+				index[b.key] = i
+				merged = append(merged, tableBatch{key: b.key})
+				need = append(need, 0)
+			}
+			need[i] += len(b.ops)
+		}
+	}
+	for i := range merged {
+		merged[i].ops = make([]flowtable.BatchOp, 0, need[i])
+	}
+	for _, batches := range perClass {
+		for _, b := range batches {
+			i := index[b.key]
+			merged[i].ops = append(merged[i].ops, b.ops...)
+		}
+	}
+	return merged
+}
+
+// deviceTable resolves a batch's target table.
 func (c *Controller) deviceTable(d device, table int) (*flowtable.Table, error) {
 	if d.vswitch {
 		h, ok := c.hosts[d.node]
@@ -126,30 +258,20 @@ func (c *Controller) deviceTable(d device, table int) (*flowtable.Table, error) 
 	return sw.Pipeline.Table(table)
 }
 
-// applyStaged installs staged operations strictly in the order given,
-// outside any transaction — the Dynamic Handler's fast failover, whose
-// own rollback removes what it installed. Contiguous runs against the
-// same table are coalesced into one ApplyBatch call.
-func (c *Controller) applyStaged(ops []stagedOp) error {
-	for start := 0; start < len(ops); {
-		end := start + 1
-		for end < len(ops) && ops[end].dev == ops[start].dev && ops[end].table == ops[start].table {
-			end++
-		}
-		t, err := c.deviceTable(ops[start].dev, ops[start].table)
+// applyStaged installs emitted batches strictly in the order given, one
+// ApplyBatch per table, outside any transaction — the Dynamic Handler's
+// fast failover, whose own rollback removes what it installed.
+func (c *Controller) applyStaged(batches []tableBatch) error {
+	for _, b := range batches {
+		t, err := c.deviceTable(b.key.dev, b.key.table)
 		if err != nil {
 			return err
 		}
-		batch := make([]flowtable.BatchOp, 0, end-start)
-		for _, op := range ops[start:end] {
-			batch = append(batch, op.op)
-		}
-		n, err := t.ApplyBatch(batch)
+		n, err := t.ApplyBatch(b.ops)
 		c.ruleUpdates.Add(int64(n))
 		if err != nil {
 			return fmt.Errorf("controller: %w", err)
 		}
-		start = end
 	}
 	return nil
 }
@@ -228,7 +350,7 @@ func (t *RuleTxn) installNew(ops []txnOp, workers int, verify bool) (int, error)
 	if err := t.failEach("add:emit", admitted); err != nil {
 		return 0, err
 	}
-	staged := make([][]stagedOp, len(admitted))
+	staged := make([][]tableBatch, len(admitted))
 	if err := pool.RunIndexed(len(admitted), workers, func(i int) (err error) {
 		staged[i], err = c.emitClassRules(admitted[i])
 		return err
@@ -237,29 +359,33 @@ func (t *RuleTxn) installNew(ops []txnOp, workers int, verify bool) (int, error)
 	}
 	stagedRules := 0
 	for i, a := range admitted {
-		stagedRules += len(staged[i])
+		n := 0
+		for _, b := range staged[i] {
+			n += len(b.ops)
+		}
+		stagedRules += n
 		if c.tracer.Enabled() {
 			c.tracer.Emit(trace.Ev(trace.KindFlowEmit).
-				WithClass(int64(a.Class.ID)).WithVal(int64(len(staged[i]))))
+				WithClass(int64(a.Class.ID)).WithVal(int64(n)))
 		}
 	}
 	metrics.FlowSetup.StagedRules.Add(int64(stagedRules))
 
-	// Stage 3 — group by device table, preserving arrival-major emission
-	// order, and apply each group in one critical section.
+	// Stage 3 — one batch per device table, preserving arrival-major
+	// emission order, each applied in one critical section.
 	if err := t.failEach("add:apply", admitted); err != nil {
 		return 0, err
 	}
-	groups, order := groupStaged(staged...)
-	installed := make([]int, len(order))
-	undos := make([]flowtable.Undo, len(order))
-	applyErr := pool.RunIndexed(len(order), workers, func(i int) error {
-		k := order[i]
+	batches := mergeBatches(staged)
+	installed := make([]int, len(batches))
+	undos := make([]flowtable.Undo, len(batches))
+	applyErr := pool.RunIndexed(len(batches), workers, func(i int) error {
+		k := batches[i].key
 		tbl, err := c.deviceTable(k.dev, k.table)
 		if err != nil {
 			return err
 		}
-		installed[i], undos[i], err = tbl.ApplyBatchUndo(groups[k])
+		installed[i], undos[i], err = tbl.ApplyBatchUndo(batches[i].ops)
 		return err
 	})
 	// Tokens first, error second: a failed apply leaves some groups
@@ -267,14 +393,14 @@ func (t *RuleTxn) installNew(ops []txnOp, workers int, verify bool) (int, error)
 	// Each device programs its own TCAM, so a run's simulated programming
 	// time is the makespan: the slowest device's installs (its tables
 	// program back to back) times the per-rule latency.
-	perDevice := make(map[device]int, len(order))
+	perDevice := make(map[device]int, len(batches))
 	total, slowest := 0, 0
-	t.undo = slices.Grow(t.undo, len(order))
-	for i, k := range order {
-		t.recordUndo(k, undos[i])
+	t.undo = slices.Grow(t.undo, len(batches))
+	for i, b := range batches {
+		t.recordUndo(b.key, undos[i])
 		total += installed[i]
-		perDevice[k.dev] += installed[i]
-		slowest = max(slowest, perDevice[k.dev])
+		perDevice[b.key.dev] += installed[i]
+		slowest = max(slowest, perDevice[b.key.dev])
 	}
 	t.installed += total
 	c.ruleUpdates.Add(int64(total))
@@ -283,9 +409,9 @@ func (t *RuleTxn) installNew(ops []txnOp, workers int, verify bool) (int, error)
 		return 0, fmt.Errorf("controller: %w", applyErr)
 	}
 	if c.tracer.Enabled() {
-		for i, k := range order {
+		for i, b := range batches {
 			c.tracer.Emit(trace.Ev(trace.KindFlowApply).
-				WithNode(int64(k.dev.node)).WithVal(int64(installed[i])))
+				WithNode(int64(b.key.dev.node)).WithVal(int64(installed[i])))
 		}
 	}
 

@@ -43,7 +43,6 @@ package controller
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 
 	"github.com/apple-nfv/apple/internal/core"
@@ -53,12 +52,6 @@ import (
 	"github.com/apple-nfv/apple/internal/trace"
 	"github.com/apple-nfv/apple/internal/vnf"
 )
-
-// tableKey identifies one flow table of one device.
-type tableKey struct {
-	dev   device
-	table int
-}
 
 type txnOpKind int
 
@@ -119,10 +112,16 @@ type RuleTxn struct {
 }
 
 // Begin starts an empty transaction.
-func (c *Controller) Begin() *RuleTxn {
+func (c *Controller) Begin() *RuleTxn { return c.begin(0) }
+
+// begin starts an empty transaction with room for n staged deltas, for
+// callers that know how many classes they are about to stage.
+func (c *Controller) begin(n int) *RuleTxn {
 	return &RuleTxn{
 		c:          c,
-		prevAssign: make(map[core.ClassID]*Assignment),
+		staged:     make([]txnOp, 0, n),
+		prevAssign: make(map[core.ClassID]*Assignment, n),
+		prevOrder:  make([]core.ClassID, 0, n),
 	}
 }
 
@@ -416,53 +415,37 @@ func (t *RuleTxn) trackPrevAssign(id core.ClassID, a *Assignment) {
 	t.prevOrder = append(t.prevOrder, id)
 }
 
-// groupStaged partitions the staged ops of one or more classes by target
-// table, preserving first-appearance order of the tables and, within a
-// table, class-major emission order.
-func groupStaged(perClass ...[]stagedOp) (map[tableKey][]flowtable.BatchOp, []tableKey) {
-	groups := make(map[tableKey][]flowtable.BatchOp)
-	var order []tableKey
-	for _, ops := range perClass {
-		for i, op := range ops {
-			k := tableKey{op.dev, op.table}
-			g, ok := groups[k]
-			if !ok {
-				order = append(order, k)
-				// A class's ops for one table are emitted together: size the
-				// group for the run that opens it, so one class never regrows.
-				n := 1
-				for i+n < len(ops) && ops[i+n].dev == op.dev && ops[i+n].table == op.table {
-					n++
-				}
-				g = make([]flowtable.BatchOp, 0, n)
-			}
-			groups[k] = append(g, op.op)
-		}
-	}
-	return groups, order
+// ownedNames are the rule names one class owns outright: its ingress
+// classification and its per-sub-class steering. Shared idempotent rules
+// (route-*, host-match, pass-by) are never the class's to remove — other
+// classes may depend on them.
+type ownedNames struct {
+	cls       string // cls-<id>
+	vswPrefix string // vsw-<id>-
 }
 
-// ownedRemovals builds remove operations for the class-owned rule names
-// (vsw-<id>-* steering, cls-<id> classification) present in one table's
-// ops. Shared idempotent rules (route-*, host-match, pass-by) are never
-// removed — other classes may depend on them.
-func ownedRemovals(cl core.ClassID, ops []flowtable.BatchOp) []flowtable.BatchOp {
-	vswPrefix := fmt.Sprintf("vsw-%d-", cl)
-	clsName := fmt.Sprintf("cls-%d", cl)
-	var out []flowtable.BatchOp
-	seen := make(map[string]bool)
+func ownedBy(id core.ClassID) ownedNames {
+	return ownedNames{cls: fmt.Sprintf("cls-%d", id), vswPrefix: fmt.Sprintf("vsw-%d-", id)}
+}
+
+func (o ownedNames) owns(name string) bool {
+	return name == o.cls || strings.HasPrefix(name, o.vswPrefix)
+}
+
+// removals appends to out one remove operation per class-owned rule name
+// in one table's ops, in first-appearance order. The operations on one
+// name are emitted together, so a name is new when it is not the one
+// appended last.
+func (o ownedNames) removals(out, ops []flowtable.BatchOp) []flowtable.BatchOp {
 	for _, op := range ops {
 		name := op.Rule.Name
 		if op.Remove != "" {
 			name = op.Remove
 		}
-		if name == "" || seen[name] {
+		if !o.owns(name) || (len(out) > 0 && out[len(out)-1].Remove == name) {
 			continue
 		}
-		if strings.HasPrefix(name, vswPrefix) || name == clsName {
-			seen[name] = true
-			out = append(out, flowtable.BatchOp{Remove: name})
-		}
+		out = append(out, flowtable.BatchOp{Remove: name})
 	}
 	return out
 }
@@ -474,8 +457,8 @@ func ownedRemovals(cl core.ClassID, ops []flowtable.BatchOp) []flowtable.BatchOp
 //     old steering rules are removed and the new ones installed in one
 //     ApplyBatch (packets in flight match either the complete old or the
 //     complete new rule set of that table, never a mix);
-//  2. the ingress classification flips (emitClassification's batch is
-//     already remove-then-install);
+//  2. the ingress classification flips (its emitted batch is already
+//     remove-then-install);
 //  3. the store pointer swaps to the new assignment;
 //  4. tables only the old placement used are cleaned of the class's
 //     rules, old global tags are released and old portions retired.
@@ -510,17 +493,16 @@ func (t *RuleTxn) commitUpdate(op txnOp, opts TxnOptions) error {
 	if err != nil {
 		return err
 	}
-	oldOps, err := c.emitClassRules(old)
+	oldG, err := c.emitClassRules(old)
 	if err != nil {
 		return err
 	}
-	newOps, err := c.emitClassRules(newA)
+	newG, err := c.emitClassRules(newA)
 	if err != nil {
 		return err
 	}
-	oldG, oldOrder := groupStaged(oldOps)
-	newG, newOrder := groupStaged(newOps)
-	clsKey := tableKey{dev: device{node: cl.Path[0]}, table: TableAPPLE}
+	owned := ownedBy(old.Class.ID)
+	clsKey := appleKey(cl.Path[0])
 
 	// Phase 1: shared adds and changed steering tables, new rules in the
 	// same batch that drops that table's old generation.
@@ -528,16 +510,20 @@ func (t *RuleTxn) commitUpdate(op txnOp, opts TxnOptions) error {
 		return err
 	}
 	var clsBatch []flowtable.BatchOp
-	for _, k := range newOrder {
-		if reflect.DeepEqual(oldG[k], newG[k]) {
+	for _, nb := range newG {
+		oldOps, _ := findBatch(oldG, nb.key)
+		if flowtable.BatchEqual(oldOps, nb.ops) {
 			continue // identical compilation — untouched
 		}
-		batch := append(ownedRemovals(old.Class.ID, oldG[k]), newG[k]...)
-		if k == clsKey {
+		// At most one removal per old operation and per owned name.
+		drops := min(len(oldOps), len(old.Subclasses)+1)
+		batch := make([]flowtable.BatchOp, 0, drops+len(nb.ops))
+		batch = append(owned.removals(batch, oldOps), nb.ops...)
+		if nb.key == clsKey {
 			clsBatch = batch
 			continue
 		}
-		if err := t.apply(k, batch); err != nil {
+		if err := t.apply(nb.key, batch); err != nil {
 			return err
 		}
 	}
@@ -562,12 +548,12 @@ func (t *RuleTxn) commitUpdate(op txnOp, opts TxnOptions) error {
 	if err := t.fail("update:retire", cl.ID); err != nil {
 		return err
 	}
-	for _, k := range oldOrder {
-		if _, inNew := newG[k]; inNew {
+	for _, ob := range oldG {
+		if _, inNew := findBatch(newG, ob.key); inNew {
 			continue
 		}
-		if batch := ownedRemovals(old.Class.ID, oldG[k]); len(batch) > 0 {
-			if err := t.apply(k, batch); err != nil {
+		if batch := owned.removals(nil, ob.ops); len(batch) > 0 {
+			if err := t.apply(ob.key, batch); err != nil {
 				return err
 			}
 		}
@@ -620,7 +606,10 @@ func (t *RuleTxn) commitRefresh(op txnOp) error {
 }
 
 // commitRemove tears one class down: classification first (arriving
-// packets stop matching), steering after, shared rules untouched.
+// packets stop matching), steering after, shared rules untouched. The
+// class-owned names and the tables holding them follow from the assignment
+// alone — cls-<id> at the ingress, vsw-<id>-<s> on every host sub-class s
+// visits, handler-added sub-classes included — so nothing is compiled.
 func (t *RuleTxn) commitRemove(op txnOp) error {
 	c := t.c
 	a, ok := c.assign.get(op.id)
@@ -630,31 +619,29 @@ func (t *RuleTxn) commitRemove(op txnOp) error {
 	if err := t.fail("remove:emit", op.id); err != nil {
 		return err
 	}
-	ops, err := c.emitClassRules(a)
-	if err != nil {
-		return err
+	cl := a.Class
+	// Steering removals per host, hosts in the order the sub-classes
+	// first reach them.
+	steer := newRuleGroups(len(cl.Path))
+	for s := range a.Subclasses {
+		name := fmt.Sprintf("vsw-%d-%d", cl.ID, s)
+		for _, v := range subclassHosts(cl, a.Subclasses[s].Hops) {
+			steer.add(steeringKey(v), flowtable.BatchOp{Remove: name})
+		}
 	}
-	groups, order := groupStaged(ops)
-	clsKey := tableKey{dev: device{node: a.Class.Path[0]}, table: TableAPPLE}
 	if err := t.fail("remove:cls", op.id); err != nil {
 		return err
 	}
-	if batch := ownedRemovals(a.Class.ID, groups[clsKey]); len(batch) > 0 {
-		if err := t.apply(clsKey, batch); err != nil {
-			return err
-		}
+	clsBatch := []flowtable.BatchOp{{Remove: fmt.Sprintf("cls-%d", cl.ID)}}
+	if err := t.apply(appleKey(cl.Path[0]), clsBatch); err != nil {
+		return err
 	}
 	if err := t.fail("remove:steer", op.id); err != nil {
 		return err
 	}
-	for _, k := range order {
-		if k == clsKey {
-			continue
-		}
-		if batch := ownedRemovals(a.Class.ID, groups[k]); len(batch) > 0 {
-			if err := t.apply(k, batch); err != nil {
-				return err
-			}
+	for _, b := range steer.tables {
+		if err := t.apply(b.key, b.ops); err != nil {
+			return err
 		}
 	}
 	if err := t.fail("remove:unregister", op.id); err != nil {

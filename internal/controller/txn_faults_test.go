@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/apple-nfv/apple/internal/core"
 	"github.com/apple-nfv/apple/internal/flowtable"
@@ -51,16 +52,9 @@ func stateDigest(t *testing.T, c *Controller) string {
 	t.Helper()
 	var b strings.Builder
 
-	snap := c.assign.snapshot()
-	ids := make([]int, 0, len(snap))
-	for id := range snap {
-		ids = append(ids, int(id))
-	}
-	sort.Ints(ids)
-	for _, idi := range ids {
-		a := snap[core.ClassID(idi)]
+	for _, a := range c.assign.sorted() {
 		fmt.Fprintf(&b, "class %d: cl=%+v prefix=%v subs=%v w=%v base=%v inst=%v global=%v tags=%v\n",
-			idi, a.Class, a.Prefix, a.Subclasses, a.Weights, a.Base, a.Instances, a.Global, a.SubTags)
+			int(a.Class.ID), a.Class, a.Prefix, a.Subclasses, a.Weights, a.Base, a.Instances, a.Global, a.SubTags)
 	}
 
 	pids := make([]string, 0, len(c.instPortion))
@@ -298,6 +292,62 @@ var faultRoutes = []struct {
 			}}
 	}},
 	{"placement", newPlacementRoute},
+	{"reshaped", newReshapedRoute},
+}
+
+// newReshapedRoute commits over classes the Dynamic Handler has reshaped:
+// a surge on classes 0 and 1 leaves each with a spawned sub-class the
+// planner never knew (steering rules vsw-<id>-1 included), and the
+// transaction then removes class 0, cuts class 1 over to a switch it does
+// not use yet, and admits a new class. Removal derives its rule names from
+// the assignment and the cutover diffs per-table batches, so both must
+// cover — and on a fault restore — the handler-added sub-class.
+func newReshapedRoute(t *testing.T) *faultRoute {
+	t.Helper()
+	classes := []core.Class{
+		{ID: 0, Path: linePath(4), Chain: policy.Chain{policy.Firewall}, RateMbps: 450},
+		{ID: 1, Path: linePath(4), Chain: policy.Chain{policy.Firewall, policy.IDS}, RateMbps: 300},
+		{ID: 2, Path: linePath(3), Chain: policy.Chain{policy.Proxy}, RateMbps: 100},
+	}
+	c, _, _, clock := setup(t, classes)
+	handler, err := NewDynamicHandler(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := handler.Observe(map[core.ClassID]float64{0: 1600, 1: 1200}); err != nil {
+		t.Fatalf("Observe: %v", err)
+	}
+	if err := clock.Run(6 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []core.ClassID{0, 1} {
+		if a, _ := c.assign.get(id); len(a.Subclasses) <= len(a.Base) {
+			t.Fatalf("fixture: class %d was not reshaped: %d sub-classes", id, len(a.Subclasses))
+		}
+	}
+	// Class 1 moves to the next switch down its path, where its chain's
+	// instances are provisioned ahead of the transaction.
+	a1, _ := c.assign.get(1)
+	newHop := a1.Subclasses[0].Hops[0] + 1
+	for _, nf := range classes[1].Chain {
+		inst, _, err := c.orch.PlaceNow(nf, classes[1].Path[newHop])
+		if err != nil {
+			t.Fatalf("PlaceNow(%v): %v", nf, err)
+		}
+		c.poolAdd(classes[1].Path[newHop], nf, inst)
+	}
+	dist1 := zeroDist(len(classes[1].Path), len(classes[1].Chain))
+	for j := range classes[1].Chain {
+		dist1[newHop][j] = 1
+	}
+	cl5 := core.Class{ID: 5, Path: linePath(4), Chain: policy.Chain{policy.Firewall}, RateMbps: 120}
+	return &faultRoute{c: c, handler: handler, run: func() error {
+		txn := c.Begin()
+		txn.StageAdd(cl5)
+		txn.StageUpdate(a1.Class, dist1)
+		txn.StageRemove(0)
+		return txn.Commit(TxnOptions{Verify: true, Audit: handler.CheckInvariants})
+	}}
 }
 
 // newPlacementRoute is InstallPlacement on an empty controller: instance
@@ -371,6 +421,12 @@ func TestTxnFailpointCoverage(t *testing.T) {
 			"install:plan:0", "add:admit:0", "add:emit:0", "add:apply:0",
 			"install:plan:1", "add:admit:1", "add:emit:1", "add:apply:1",
 			"install:plan:5", "add:admit:5", "add:emit:5", "add:apply:5",
+		},
+		"reshaped": {
+			"add:plan:5", "add:admit:5", "add:emit:5", "add:apply:5", "add:verify:5",
+			"update:plan:1", "update:build:1", "update:steer:1", "update:cls:1",
+			"update:swap:1", "update:retire:1", "update:verify:1",
+			"remove:emit:0", "remove:cls:0", "remove:steer:0", "remove:unregister:0",
 		},
 	}
 	for _, route := range faultRoutes {

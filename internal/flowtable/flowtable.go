@@ -142,6 +142,24 @@ func (m Match) Subsumes(o Match) bool {
 		genU8(m.Proto, o.Proto) && genU16(m.SrcPort, o.SrcPort) && genU16(m.DstPort, o.DstPort)
 }
 
+// eqField reports whether two optional match fields agree: both
+// wildcards, or both set to the same value.
+func eqField[T comparable](a, b *T) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return *a == *b
+}
+
+// Equal reports whether m and o are the same ternary match, field by
+// field. A wildcard (nil) equals only a wildcard: a field set to its zero
+// value — &HostTagEmpty above all — is a different match.
+func (m Match) Equal(o Match) bool {
+	return eqField(m.HostTag, o.HostTag) && eqField(m.SubTag, o.SubTag) &&
+		eqField(m.InPort, o.InPort) && eqField(m.Src, o.Src) && eqField(m.Dst, o.Dst) &&
+		eqField(m.Proto, o.Proto) && eqField(m.SrcPort, o.SrcPort) && eqField(m.DstPort, o.DstPort)
+}
+
 // ActionType enumerates rule actions.
 type ActionType int
 
@@ -188,6 +206,13 @@ type Rule struct {
 	Priority int
 	Match    Match
 	Actions  []Action
+}
+
+// Equal reports whether r and o install the same TCAM entry: name,
+// priority, match, and the action list in order.
+func (r Rule) Equal(o Rule) bool {
+	return r.Name == o.Name && r.Priority == o.Priority && r.Match.Equal(o.Match) &&
+		slices.Equal(r.Actions, o.Actions)
 }
 
 // Table is one flow table: an ordered rule list, optionally bounded by a
@@ -382,6 +407,18 @@ type BatchOp struct {
 	Remove        string
 	Rule          Rule
 	SkipIfPresent bool
+}
+
+// Equal reports whether op and o are the same batch step.
+func (op BatchOp) Equal(o BatchOp) bool {
+	return op.Remove == o.Remove && op.SkipIfPresent == o.SkipIfPresent && op.Rule.Equal(o.Rule)
+}
+
+// BatchEqual reports whether two batches would apply the same steps in
+// the same order — the Rule Generator's test for "this table's rules
+// compile identically, leave it alone".
+func BatchEqual(a, b []BatchOp) bool {
+	return slices.EqualFunc(a, b, BatchOp.Equal)
 }
 
 // Undo is the inverse of one ApplyBatchUndo: the rules the batch added

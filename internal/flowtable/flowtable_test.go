@@ -2,6 +2,7 @@ package flowtable
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/apple-nfv/apple/internal/headerspace"
@@ -91,6 +92,96 @@ func TestMatchSubsumes(t *testing.T) {
 	}
 	if !(Match{}).Subsumes(narrow) {
 		t.Error("wildcard should subsume everything")
+	}
+}
+
+// TestTypedEquality pins Match/Rule/BatchOp equality — what decides
+// whether a re-optimization leaves a table alone — on the cases a looser
+// comparison gets wrong, and against reflect.DeepEqual on every pair.
+func TestTypedEquality(t *testing.T) {
+	base := BatchOp{Rule: Rule{
+		Name: "cls-7", Priority: 200,
+		Match: Match{HostTag: U16(HostTagEmpty), Src: PrefixPtr(Prefix{Addr: 0x0A007000, Len: 21})},
+		Actions: []Action{
+			{Type: ActSetSubTag, Tag: 1},
+			{Type: ActSetHostTag, Tag: 9},
+			{Type: ActGotoTable, Table: 1},
+		},
+	}}
+	with := func(edit func(*BatchOp)) BatchOp {
+		op := base
+		op.Rule.Actions = append([]Action(nil), base.Rule.Actions...)
+		edit(&op)
+		return op
+	}
+	ops := map[string]BatchOp{
+		"base": base,
+		// Same values behind fresh pointers and a fresh action slice.
+		"copy": with(func(op *BatchOp) {
+			op.Rule.Match = Match{HostTag: U16(HostTagEmpty), Src: PrefixPtr(Prefix{Addr: 0x0A007000, Len: 21})}
+		}),
+		// Table III: "host tag must be empty" is not "any host tag".
+		"wildcard host tag": with(func(op *BatchOp) { op.Rule.Match.HostTag = nil }),
+		// A pointer to the zero value is a set field, not a wildcard.
+		"sub tag zero":    with(func(op *BatchOp) { op.Rule.Match.SubTag = U8(0) }),
+		"in-port zero":    with(func(op *BatchOp) { op.Rule.Match.InPort = IntPtr(0) }),
+		"proto zero":      with(func(op *BatchOp) { op.Rule.Match.Proto = U8(0) }),
+		"src port zero":   with(func(op *BatchOp) { op.Rule.Match.SrcPort = U16(0) }),
+		"dst port zero":   with(func(op *BatchOp) { op.Rule.Match.DstPort = U16(0) }),
+		"dst zero prefix": with(func(op *BatchOp) { op.Rule.Match.Dst = PrefixPtr(Prefix{}) }),
+		"other prefix len": with(func(op *BatchOp) {
+			op.Rule.Match.Src = PrefixPtr(Prefix{Addr: 0x0A007000, Len: 22})
+		}),
+		// Actions execute in order.
+		"actions swapped": with(func(op *BatchOp) {
+			op.Rule.Actions[1], op.Rule.Actions[2] = op.Rule.Actions[2], op.Rule.Actions[1]
+		}),
+		"action dropped":  with(func(op *BatchOp) { op.Rule.Actions = op.Rule.Actions[:2] }),
+		"other tag":       with(func(op *BatchOp) { op.Rule.Actions[0].Tag = 2 }),
+		"other name":      with(func(op *BatchOp) { op.Rule.Name = "cls-8" }),
+		"other priority":  with(func(op *BatchOp) { op.Rule.Priority = 300 }),
+		"skip if present": with(func(op *BatchOp) { op.SkipIfPresent = true }),
+		"with removal":    with(func(op *BatchOp) { op.Remove = "cls-7" }),
+		"removal only":    {Remove: "cls-7"},
+	}
+	for an, a := range ops {
+		for bn, b := range ops {
+			want := reflect.DeepEqual(a, b)
+			if (an == "base" && bn == "copy") || (an == "copy" && bn == "base") {
+				if !want {
+					t.Fatalf("fixture: %q and %q should be deeply equal", an, bn)
+				}
+			} else if want != (an == bn) {
+				t.Fatalf("fixture: %q and %q are not distinct", an, bn)
+			}
+			if got := a.Equal(b); got != want {
+				t.Errorf("BatchOp %q.Equal(%q) = %v, want %v", an, bn, got, want)
+			}
+			if got := a.Rule.Equal(b.Rule); got != reflect.DeepEqual(a.Rule, b.Rule) {
+				t.Errorf("Rule %q.Equal(%q) = %v", an, bn, got)
+			}
+			if got := a.Rule.Match.Equal(b.Rule.Match); got != reflect.DeepEqual(a.Rule.Match, b.Rule.Match) {
+				t.Errorf("Match %q.Equal(%q) = %v", an, bn, got)
+			}
+		}
+	}
+
+	// Batches compare step by step, in order, and by length.
+	x, y := ops["base"], ops["removal only"]
+	for _, tc := range []struct {
+		a, b []BatchOp
+		want bool
+	}{
+		{nil, nil, true},
+		{nil, []BatchOp{}, true},
+		{[]BatchOp{y, x}, []BatchOp{y, ops["copy"]}, true},
+		{[]BatchOp{y, x}, []BatchOp{x, y}, false},
+		{[]BatchOp{y, x}, []BatchOp{y}, false},
+		{[]BatchOp{y, x}, []BatchOp{y, ops["wildcard host tag"]}, false},
+	} {
+		if got := BatchEqual(tc.a, tc.b); got != tc.want {
+			t.Errorf("BatchEqual(%v, %v) = %v, want %v", tc.a, tc.b, got, tc.want)
+		}
 	}
 }
 
