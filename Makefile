@@ -65,17 +65,15 @@ check: build vet lint test race bench-check
 # trace-smoke runs a traced churn replay end to end (cmd/appletrace) and
 # writes the observability artifacts — the virtual-time journal
 # (churn_trace.jsonl) and the unified metrics snapshot
-# (churn_metrics.json), once monolithic and once over four shards — then
-# proves the journal round-trips by reconstructing a class's audit trail
-# from the file just written. All four files are untracked build outputs
-# (CI uploads them). The journal/metrics round-trip contracts themselves
+# (churn_metrics.json) — then proves the journal round-trips by
+# reconstructing a class's audit trail from the file just written. Both
+# files are untracked build outputs (CI uploads them). The journal/metrics round-trip contracts themselves
 # are pinned by TestChurnTrace* in internal/experiments.
 trace-smoke:
 	$(GO) run ./cmd/appletrace -journal churn_trace.jsonl -metrics churn_metrics.json
-	$(GO) run ./cmd/appletrace -shards 4 -journal shard_trace.jsonl -metrics shard_metrics.json
 	$(GO) test -run 'TestChurnTrace' ./internal/experiments
 
 # clean removes only what .gitignore lists: nothing it deletes is tracked.
 clean:
 	$(GO) clean ./...
-	rm -f lint_findings.txt coverage.out churn_trace.jsonl churn_metrics.json shard_trace.jsonl shard_metrics.json
+	rm -f lint_findings.txt coverage.out churn_trace.jsonl churn_metrics.json

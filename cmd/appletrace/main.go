@@ -19,13 +19,8 @@ import (
 	"io"
 	"os"
 
-	"github.com/apple-nfv/apple/internal/controller"
-	"github.com/apple-nfv/apple/internal/core"
 	"github.com/apple-nfv/apple/internal/experiments"
-	"github.com/apple-nfv/apple/internal/policy"
 	"github.com/apple-nfv/apple/internal/profiling"
-	"github.com/apple-nfv/apple/internal/shard"
-	"github.com/apple-nfv/apple/internal/topology"
 	"github.com/apple-nfv/apple/internal/trace"
 )
 
@@ -44,12 +39,8 @@ func run() int {
 		class    = flag.Int64("class", 0, "class whose audit trail is printed")
 		quiet    = flag.Bool("quiet", false, "skip the audit-trail printout")
 		profile  = flag.String("profile", "", "serve pprof and runtime/metrics on this address (e.g. 127.0.0.1:6060)")
-		shards   = flag.Int("shards", 0, "run a sharded trace instead: admit a FatTree workload through this many regions and write the merged cross-region journal")
 	)
 	flag.Parse()
-	if *shards > 0 {
-		return runSharded(*shards, *seed, *journal, *metrics, *capacity)
-	}
 	if *profile != "" {
 		srv, err := profiling.Start(*profile)
 		if err != nil {
@@ -138,80 +129,4 @@ func writeTo(path string, emit func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-// runSharded admits a deterministic FatTree(8) workload through a
-// ShardedController with per-region trace recorders, runs the global
-// interference-freedom audit, and writes the merged cross-region journal
-// (sorted by virtual time, then region, then sequence) plus the
-// aggregated metrics registry — the observability artifacts of the
-// regional-sharding tier.
-func runSharded(regions int, seed int64, journal, metricsPath string, capacity int) int {
-	l, err := topology.FatTree(8)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "appletrace: %v\n", err)
-		return 1
-	}
-	k, half := 8, 4
-	var hosts []topology.NodeID
-	for p := 0; p < k; p++ {
-		hosts = append(hosts, l.Edge[p]...)
-	}
-	s, err := shard.New(shard.Config{
-		Topology:      l.Graph,
-		Regions:       regions,
-		Workers:       regions,
-		Seed:          seed,
-		HostSwitches:  hosts,
-		TraceCapacity: capacity,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "appletrace: %v\n", err)
-		return 1
-	}
-	const n = 200
-	cls := make([]core.Class, n)
-	for i := 0; i < n; i++ {
-		srcPod := i % k
-		path, err := l.Path(srcPod, (i/k)%half, (srcPod+1+i%(k-1))%k, (i/(k*half))%half, i)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "appletrace: %v\n", err)
-			return 1
-		}
-		cls[i] = core.Class{ID: core.ClassID(i), Path: path, Chain: policy.Chain{policy.Firewall}, RateMbps: 5}
-	}
-	if err := s.AddClassBatch(cls, controller.BatchOptions{Verify: true}); err != nil {
-		fmt.Fprintf(os.Stderr, "appletrace: admission: %v\n", err)
-		return 1
-	}
-	if err := s.Audit(); err != nil {
-		fmt.Fprintf(os.Stderr, "appletrace: cross-shard audit: %v\n", err)
-		return 1
-	}
-	merged := s.MergedJournal()
-	if len(merged) == 0 {
-		fmt.Fprintf(os.Stderr, "appletrace: merged journal is empty\n")
-		return 1
-	}
-	if journal != "" {
-		if err := writeTo(journal, s.WriteMergedJournal); err != nil {
-			fmt.Fprintf(os.Stderr, "appletrace: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "appletrace: %d events from %d regions -> %s\n", len(merged), regions, journal)
-	}
-	if metricsPath != "" {
-		reg, err := s.MetricsRegistry()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "appletrace: %v\n", err)
-			return 1
-		}
-		if err := writeTo(metricsPath, reg.WriteJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "appletrace: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "appletrace: sharded metrics snapshot -> %s\n", metricsPath)
-	}
-	fmt.Fprintf(os.Stderr, "appletrace: %d classes admitted across %d regions, audit clean\n", len(s.Classes()), regions)
-	return 0
 }

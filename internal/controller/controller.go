@@ -161,11 +161,6 @@ type Config struct {
 	// lifecycle events with virtual-time stamps. The recorder should be
 	// built on the same Clock so event times match the simulation.
 	Tracer *trace.Recorder
-	// Tags overrides the host-tag allocator; nil means a fresh allocator
-	// over the whole 12-bit space. Regional controller shards pass
-	// window-restricted allocators (tagging.NewAllocatorRange) so tags
-	// handed out by different shards can never collide.
-	Tags *tagging.Allocator
 }
 
 // New builds a controller, its switch pipelines, and one APPLE host per
@@ -191,15 +186,11 @@ func New(cfg Config) (*Controller, error) {
 		}
 	}
 	orch.SetTracer(cfg.Tracer)
-	alloc := cfg.Tags
-	if alloc == nil {
-		alloc = tagging.NewAllocator()
-	}
 	c := &Controller{
 		g:              cfg.Topology,
 		clock:          cfg.Clock,
 		orch:           orch,
-		alloc:          alloc,
+		alloc:          tagging.NewAllocator(),
 		switches:       make(map[topology.NodeID]*Switch),
 		hosts:          make(map[topology.NodeID]*host.Host),
 		nbrPort:        make(map[topology.NodeID]map[topology.NodeID]int),
@@ -317,18 +308,6 @@ func (c *Controller) Switches() []topology.NodeID { return sortedKeys(c.switches
 // Hosts returns the switches with an APPLE host, sorted.
 func (c *Controller) Hosts() []topology.NodeID { return sortedKeys(c.hosts) }
 
-// HostTags returns a copy of the allocated host-tag table. The regional
-// sharding layer audits these against per-shard tag windows.
-func (c *Controller) HostTags() map[topology.NodeID]uint16 {
-	return c.alloc.HostTags()
-}
-
-// TagWindow reports the inclusive host-tag range this controller
-// allocates from (the whole 12-bit space unless Config.Tags narrowed it).
-func (c *Controller) TagWindow() (first, last uint16) {
-	return c.alloc.Window()
-}
-
 // InstancePortions returns a copy of the per-instance planned-load
 // ledger. Callers must be quiesced with respect to commits (the same
 // contract as Avail).
@@ -362,11 +341,12 @@ const MaxClassID = 1<<20 - 1
 // the synthetic header plan. IDs below 4096 use the original plan —
 // 10.0.0.0/8 carved into /20 blocks — unchanged, so every address the
 // paper-scale experiments pinned stays put. IDs 4096..2^20-1 extend the
-// plan into 16.0.0.0/4 carved into /24 blocks, giving the million-class
-// regional-sharding experiments an ID space three orders of magnitude
-// wider. Both planes leave 8 suffix bits below the prefix, which is
-// exactly what the splitBits=8 address-split classification needs, and
-// neither overlaps the 172.16/12 destination plan.
+// plan into 16.0.0.0/4 carved into /24 blocks, giving million-class
+// workloads (applebench's FatTree IDs already pass 41 k) an ID space
+// three orders of magnitude wider. Both planes leave 8 suffix bits below
+// the prefix, which is exactly what the splitBits=8 address-split
+// classification needs, and neither overlaps the 172.16/12 destination
+// plan.
 func ClassPrefix(id core.ClassID) (flowtable.Prefix, error) {
 	if id < 0 || id > MaxClassID {
 		return flowtable.Prefix{}, fmt.Errorf("controller: class ID %d outside the address plan", id)

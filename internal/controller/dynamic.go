@@ -236,6 +236,16 @@ func (d *DynamicHandler) Counters() *metrics.Counters { return d.counters }
 // and rollback. It returns the number of transitions handled.
 func (d *DynamicHandler) Observe(rates map[core.ClassID]float64) (int, error) {
 	d.reapZombies()
+	// A class removed while in failover takes its failover state with it:
+	// its launches are torn down as a rollback would, and its epoch is
+	// forgotten — a late activation still drops itself, because the live
+	// assignment (if the ID returns) is not the one it was spawned for.
+	for _, classID := range sortedKeys(d.states) {
+		if _, live := d.c.assign.get(classID); !live {
+			d.endFailover(classID)
+			delete(d.epochs, classID)
+		}
+	}
 	// Pick up instances added since the handler was created (online
 	// classes, failover spawns from other handlers).
 	pooled := 0
@@ -885,8 +895,7 @@ func (d *DynamicHandler) dropSpawned(v topology.NodeID, inst *vnf.Instance) {
 // the newly installed ClickOS instances are cancelled to save hardware
 // resources").
 func (d *DynamicHandler) rollback(classID core.ClassID) error {
-	st := d.states[classID]
-	if st == nil {
+	if d.states[classID] == nil {
 		return nil
 	}
 	a, _ := d.c.assign.get(classID)
@@ -911,13 +920,18 @@ func (d *DynamicHandler) rollback(classID core.ClassID) error {
 	a.Instances = a.Instances[:base]
 	a.Weights = append(a.Weights[:0], a.Base...)
 	a.SubTags = a.SubTags[:base]
-	for _, spawnedID := range st.spawned {
-		d.cancelSpawned(spawnedID)
-	}
-	st.spawned = nil
-	delete(d.states, classID)
+	d.endFailover(classID)
 	d.counters.Inc(CtrRollbacks)
 	return d.c.installClassification(a)
+}
+
+// endFailover cancels (or adopts) classID's failover launches and forgets
+// its failover state.
+func (d *DynamicHandler) endFailover(classID core.ClassID) {
+	for _, spawnedID := range d.states[classID].spawned {
+		d.cancelSpawned(spawnedID)
+	}
+	delete(d.states, classID)
 }
 
 // cancelSpawned tears down a failover launch: the instance leaves the

@@ -234,3 +234,57 @@ func TestExtraCoresAccessor(t *testing.T) {
 		t.Fatal("fresh handler should report zero extra cores")
 	}
 }
+
+// TestRemovedInFailoverForgetsState: a class removed while in failover
+// takes its failover state with it. The next Observe cancels the spawned
+// instance, stops charging its cores and forgets the class's state and
+// epoch, so the same ID re-added later starts clean instead of inheriting
+// a rollback for a failover it never had (ROADMAP item 1(d)).
+func TestRemovedInFailoverForgetsState(t *testing.T) {
+	c, d, _ := overloadedSetup(t)
+	if _, err := d.Observe(map[core.ClassID]float64{0: 1600}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cClock(c).Run(6 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if len(d.states) != 1 || d.ExtraCores() == 0 {
+		t.Fatalf("surge left %d failover states and %d extra cores; want class 0 in failover on a spawned instance",
+			len(d.states), d.ExtraCores())
+	}
+	a, err := c.Assignment(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := a.Class
+	txn := c.Begin()
+	txn.StageRemove(0)
+	if err := txn.Commit(TxnOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := d.Observe(map[core.ClassID]float64{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(d.states) != 0 || len(d.epochs) != 0 {
+		t.Fatalf("removed class still has %d failover states and %d epochs", len(d.states), len(d.epochs))
+	}
+	if d.ExtraCores() != 0 {
+		t.Fatalf("removed class's spawned instance still charges %d cores", d.ExtraCores())
+	}
+
+	if err := c.AddClass(cl); err != nil {
+		t.Fatal(err)
+	}
+	rollbacks := d.Counters().Get(CtrRollbacks)
+	n, err := d.Observe(map[core.ClassID]float64{0: 450})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 0 || d.Counters().Get(CtrRollbacks) != rollbacks {
+		t.Fatalf("re-added class at planned load: %d transitions, rollbacks %d -> %d; want none",
+			n, rollbacks, d.Counters().Get(CtrRollbacks))
+	}
+	assertInvariants(t, d)
+}

@@ -50,8 +50,8 @@ func (c *Controller) InstallPlacement(prob *core.Problem, pl *core.Placement) er
 // does not have it yet, handing each install's undo token to txn.
 func (c *Controller) ensurePassBy(txn *RuleTxn) error {
 	// Fast path: once every switch carries the rule, later admissions
-	// skip the full O(switches) table scan — at regional-sharding scale
-	// (hundreds of switches × 10^5 classes) the rescan dominated setup.
+	// skip the full O(switches) table scan — on FatTree-16 (320 switches
+	// × 10^5 classes) the rescan dominated setup.
 	// The flag is cleared on transaction unwind, which is the only path
 	// that can ever remove an installed pass-by rule.
 	if c.passByDone {

@@ -121,7 +121,7 @@ func equalInts(a, b []int) bool {
 }
 
 // SubclassPortions extracts just the portion vector (input to
-// hashring.NewIntervalMap or flowtable.SplitPortions).
+// flowtable.SplitPortions, the address split of §V-A method 2).
 func SubclassPortions(subs []Subclass) []float64 {
 	out := make([]float64, len(subs))
 	for i, s := range subs {

@@ -7,10 +7,11 @@ import (
 )
 
 // AnalyzerLockOrder builds the package-level mutex acquisition graph
-// and reports cycles — deadlock prevention for the sharded controller's
-// region/aggregation locks, where one goroutine taking rs.mu then sh.mu
-// while another takes them in the opposite order is a hang the -race
-// suites can only hit if the scheduler cooperates.
+// and reports cycles — deadlock prevention for a package that holds two
+// of its own mutexes at once, where one goroutine taking A then B while
+// another takes them in the opposite order is a hang the -race suites can
+// only hit if the scheduler cooperates. No package in the tree nests two
+// of its own locks today, so it guards future code only (DESIGN.md §12).
 //
 // Nodes are lock classes: a mutex field canonicalized to its owning
 // type ("assignStore.mu"), or a package-level mutex var ("pkg.tableMu").

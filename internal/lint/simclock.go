@@ -13,7 +13,7 @@ import (
 // seeded *rand.Rand; time comes from the sim.Simulation virtual clock.
 var AnalyzerSimClock = &Analyzer{
 	Name: "simclock",
-	Doc:  "no wall clock and no global math/rand source inside deterministic packages (sim, lp, policy, topology, traffic, experiments, trace, hashring, shard)",
+	Doc:  "no wall clock and no global math/rand source inside deterministic packages (sim, lp, policy, topology, traffic, experiments, trace)",
 	Run:  runSimClock,
 }
 
@@ -27,8 +27,6 @@ var deterministicPackages = map[string]bool{
 	"traffic":     true,
 	"experiments": true,
 	"trace":       true,
-	"hashring":    true,
-	"shard":       true,
 }
 
 // wallClockFuncs are the time package entry points that read the host

@@ -8,11 +8,11 @@ import (
 )
 
 // AnalyzerStalePointer proves the PR 8 re-fetch discipline at build
-// time. Commit and unwind boundaries (RuleTxn.Commit, unwind, shard
-// rebalances) replace controller-owned records wholesale: a pointer
-// fetched from a table before the boundary may address a record the
-// boundary already swapped out, so dereferencing it afterwards reads —
-// or worse, mutates — state the controller no longer owns. The in-tree
+// time. Commit and unwind boundaries (RuleTxn.Commit, unwind) replace
+// controller-owned records wholesale: a pointer fetched from a table
+// before the boundary may address a record the boundary already swapped
+// out, so dereferencing it afterwards reads — or worse, mutates — state
+// the controller no longer owns. The in-tree
 // fix shape is a re-fetch-and-compare after the boundary (see
 // internal/controller/dynamic.go); this analyzer makes forgetting that
 // re-fetch a build failure instead of a replay-suite coin flip.

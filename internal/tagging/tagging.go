@@ -25,71 +25,31 @@ type Allocator struct {
 	mu       sync.Mutex
 	hostTags map[topology.NodeID]uint16 // guarded by mu
 	next     uint16                     // guarded by mu
-	// last is the highest tag this allocator may hand out. A whole-space
-	// allocator uses MaxHostTag; regional controller shards carve
-	// [first, last] windows out of the VLAN space so tags allocated by
-	// different shards can never collide in a merged data plane.
-	first, last uint16
 }
 
-// NewAllocator returns an empty allocator over the whole host-tag space.
+// NewAllocator returns an empty allocator over the whole host-tag space,
+// 1..flowtable.MaxHostTag.
 func NewAllocator() *Allocator {
-	a, err := NewAllocatorRange(1, flowtable.MaxHostTag)
-	if err != nil {
-		// The full range is statically valid.
-		panic(fmt.Sprintf("tagging: %v", err))
-	}
-	return a
+	return &Allocator{hostTags: make(map[topology.NodeID]uint16), next: 1}
 }
-
-// NewAllocatorRange returns an allocator restricted to the inclusive
-// host-tag window [first, last]. Windows let regional controller shards
-// partition the 12-bit tag space: each shard tags only its own hosts,
-// and disjoint windows guarantee a tag steers packets into the right
-// host even when per-shard rule sets are merged onto shared switches.
-func NewAllocatorRange(first, last uint16) (*Allocator, error) {
-	if first < 1 || last > flowtable.MaxHostTag || first > last {
-		return nil, fmt.Errorf("tagging: bad host-tag window [%d, %d] (valid tags are 1..%d)",
-			first, last, flowtable.MaxHostTag)
-	}
-	return &Allocator{
-		hostTags: make(map[topology.NodeID]uint16),
-		next:     first,
-		first:    first,
-		last:     last,
-	}, nil
-}
-
-// Window reports the inclusive host-tag range this allocator draws from.
-func (a *Allocator) Window() (first, last uint16) { return a.first, a.last }
 
 // HostTag returns the tag for the APPLE host at switch v, allocating one
-// on first use. The 12-bit VLAN field allows 4094 hosts.
+// on first use. The 12-bit VLAN field allows MaxHostTag hosts; the next
+// new host is refused.
 func (a *Allocator) HostTag(v topology.NodeID) (uint16, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if tag, ok := a.hostTags[v]; ok {
 		return tag, nil
 	}
-	if a.next > a.last {
-		return 0, fmt.Errorf("tagging: host tag window [%d, %d] exhausted (%d hosts)",
-			a.first, a.last, a.last-a.first+1)
+	if a.next > flowtable.MaxHostTag {
+		return 0, fmt.Errorf("tagging: no host tag left for switch %d: all %d VLAN host tags are allocated",
+			v, flowtable.MaxHostTag)
 	}
 	tag := a.next
 	a.next++
 	a.hostTags[v] = tag
 	return tag, nil
-}
-
-// HostTags returns a copy of the current allocation.
-func (a *Allocator) HostTags() map[topology.NodeID]uint16 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make(map[topology.NodeID]uint16, len(a.hostTags))
-	for k, v := range a.hostTags {
-		out[k] = v
-	}
-	return out
 }
 
 // SubTag maps a sub-class index within its class to the 6-bit DS field.

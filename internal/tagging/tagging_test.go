@@ -1,6 +1,7 @@
 package tagging
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/apple-nfv/apple/internal/core"
@@ -9,45 +10,33 @@ import (
 	"github.com/apple-nfv/apple/internal/topology"
 )
 
-func TestAllocatorHostTags(t *testing.T) {
-	a := NewAllocator()
-	t1, err := a.HostTag(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2, err := a.HostTag(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t1 == t2 {
-		t.Fatal("distinct switches must get distinct tags")
-	}
-	if t1 == flowtable.HostTagEmpty || t1 == flowtable.HostTagFin {
-		t.Fatal("allocated tag collides with a sentinel")
-	}
-	again, err := a.HostTag(5)
-	if err != nil || again != t1 {
-		t.Fatalf("re-allocation changed tag: %v, %v", again, err)
-	}
-	m := a.HostTags()
-	if len(m) != 2 || m[5] != t1 {
-		t.Fatalf("HostTags = %v", m)
-	}
-	m[5] = 99
-	if a.HostTags()[5] != t1 {
-		t.Fatal("HostTags leaked internal map")
-	}
-}
-
+// TestAllocatorExhaustion walks the whole host-tag space: MaxHostTag
+// distinct hosts get tags 1..MaxHostTag in order, none a sentinel, a
+// repeat lookup returns the same tag even when the space is full, and the
+// next new host is refused.
 func TestAllocatorExhaustion(t *testing.T) {
 	a := NewAllocator()
 	for i := 0; i < int(flowtable.MaxHostTag); i++ {
-		if _, err := a.HostTag(topology.NodeID(i)); err != nil {
+		tag, err := a.HostTag(topology.NodeID(i))
+		if err != nil {
 			t.Fatalf("allocation %d failed: %v", i, err)
 		}
+		if want := uint16(i + 1); tag != want {
+			t.Fatalf("HostTag(%d) = %d, want %d", i, tag, want)
+		}
+		if tag == flowtable.HostTagEmpty || tag == flowtable.HostTagFin {
+			t.Fatalf("HostTag(%d) = %d collides with a sentinel", i, tag)
+		}
 	}
-	if _, err := a.HostTag(topology.NodeID(99999)); err == nil {
-		t.Fatal("exhausted allocator should fail")
+	if tag, err := a.HostTag(5); err != nil || tag != 6 {
+		t.Fatalf("re-allocation changed tag: %d, %v", tag, err)
+	}
+	_, err := a.HostTag(topology.NodeID(99999))
+	if err == nil {
+		t.Fatal("exhausted allocator should refuse a new host")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "99999") || !strings.Contains(msg, "4094") {
+		t.Fatalf("refusal %q should name the host and the size of the space", msg)
 	}
 }
 
@@ -251,77 +240,5 @@ func TestTaggingFitsWhereUntaggedOverflows(t *testing.T) {
 			t.Fatalf("switch %d uses %d tagged entries, vs %d untagged everywhere",
 				v, n, untaggedPerSwitch)
 		}
-	}
-}
-
-func TestAllocatorRangeWindows(t *testing.T) {
-	if _, err := NewAllocatorRange(0, 10); err == nil {
-		t.Error("first=0 should fail (tag 0 is HostTagEmpty)")
-	}
-	if _, err := NewAllocatorRange(1, flowtable.MaxHostTag+1); err == nil {
-		t.Error("last beyond MaxHostTag should fail")
-	}
-	if _, err := NewAllocatorRange(20, 10); err == nil {
-		t.Error("inverted window should fail")
-	}
-
-	a, err := NewAllocatorRange(100, 102)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first, last := a.Window(); first != 100 || last != 102 {
-		t.Fatalf("Window = [%d, %d], want [100, 102]", first, last)
-	}
-	for i, v := range []topology.NodeID{7, 8, 9} {
-		tag, err := a.HostTag(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := uint16(100 + i); tag != want {
-			t.Fatalf("HostTag(%d) = %d, want %d", v, tag, want)
-		}
-	}
-	// Re-asking for an allocated host works even with the window full.
-	if tag, err := a.HostTag(8); err != nil || tag != 101 {
-		t.Fatalf("repeat HostTag(8) = %d, %v", tag, err)
-	}
-	if _, err := a.HostTag(99); err == nil {
-		t.Fatal("window exhaustion should fail")
-	}
-}
-
-// TestAllocatorRangeDisjoint: two shard windows over the same hosts hand
-// out non-overlapping tags — the cross-shard collision-freedom the
-// regional sharding layer relies on.
-func TestAllocatorRangeDisjoint(t *testing.T) {
-	a, err := NewAllocatorRange(1, 2047)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewAllocatorRange(2048, flowtable.MaxHostTag)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[uint16]bool)
-	for v := topology.NodeID(0); v < 50; v++ {
-		ta, err := a.HostTag(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tb, err := b.HostTag(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seen[ta] || seen[tb] || ta == tb {
-			t.Fatalf("tag collision across windows: %d vs %d", ta, tb)
-		}
-		seen[ta], seen[tb] = true, true
-	}
-}
-
-func TestNewAllocatorCoversWholeSpace(t *testing.T) {
-	a := NewAllocator()
-	if first, last := a.Window(); first != 1 || last != flowtable.MaxHostTag {
-		t.Fatalf("default window = [%d, %d], want [1, %d]", first, last, flowtable.MaxHostTag)
 	}
 }

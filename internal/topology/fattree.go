@@ -4,7 +4,7 @@ import "fmt"
 
 // FatTreeLayout is a three-tier k-ary fat-tree (Al-Fares et al.): (k/2)²
 // core switches and k pods of k/2 aggregation plus k/2 edge switches.
-// It is the scale topology for the regional-sharding experiments —
+// It is the scale topology of applebench's fattree_* workloads —
 // FatTree(16) has 320 switches, FatTree(32) has 1280 — so the layout
 // keeps the structural indices alongside the Graph: shortest paths in a
 // fat-tree are a closed form over (pod, index) coordinates, and the
