@@ -199,7 +199,7 @@ func benchFig12(b *testing.B, build func(experiments.Options) (*experiments.Scen
 	b.Helper()
 	sc := scenario(b, build)
 	const snapshots = 48
-	var off, on, extra float64
+	var off, on, extra, refusedOff, refusedOn float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		resOff, err := experiments.Fig12(sc, snapshots, false)
@@ -212,10 +212,13 @@ func benchFig12(b *testing.B, build func(experiments.Options) (*experiments.Scen
 		}
 		off, on = resOff.MeanLoss*100, resOn.MeanLoss*100
 		extra = resOn.MeanExtraCores
+		refusedOff, refusedOn = float64(resOff.Refused()), float64(resOn.Refused())
 	}
 	b.ReportMetric(off, "loss-off-%")
 	b.ReportMetric(on, "loss-on-%")
 	b.ReportMetric(extra, "avg-extra-cores")
+	b.ReportMetric(refusedOff, "refused-windows-off")
+	b.ReportMetric(refusedOn, "refused-windows-on")
 }
 
 func BenchmarkFig12_FastFailover_Internet2(b *testing.B) { benchFig12(b, experiments.Internet2) }

@@ -165,8 +165,8 @@ func report(w *os.File, seed int64, draws, snapshots int) error {
 		fmt.Fprintf(w, "| %s | %.1f | %.1f | %.2fx |\n", row.Topology, row.AppleCores, row.IngressCores, row.Reduction())
 	}
 	fmt.Fprintf(w, "\n## Fig 12 — loss with/without fast failover\n\n")
-	fmt.Fprintln(w, "| topology | loss (off) | loss (on) | avg extra cores |")
-	fmt.Fprintln(w, "|---|---|---|---|")
+	fmt.Fprintln(w, "| topology | loss (off) | loss (on) | avg extra cores | refused windows (off/on) |")
+	fmt.Fprintln(w, "|---|---|---|---|---|")
 	for _, b := range builders {
 		sc, err := b(opts)
 		if err != nil {
@@ -180,8 +180,9 @@ func report(w *os.File, seed int64, draws, snapshots int) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "| %s | %.4f%% | %.4f%% | %.1f |\n",
-			sc.Name, 100*off.MeanLoss, 100*on.MeanLoss, on.MeanExtraCores)
+		fmt.Fprintf(w, "| %s | %.4f%% | %.4f%% | %.1f | %d/%d of %d |\n",
+			sc.Name, 100*off.MeanLoss, 100*on.MeanLoss, on.MeanExtraCores,
+			off.Refused(), on.Refused(), len(on.Windows))
 	}
 	return nil
 }

@@ -94,7 +94,7 @@ func run() int {
 
 	if *fig12 {
 		fmt.Println("Fig 12 — packet loss over time, with vs without fast failover")
-		fmt.Printf("%-10s %16s %16s %12s %10s\n", "Topology", "mean loss (off)", "mean loss (on)", "avg extra", "peak extra")
+		fmt.Printf("%-10s %16s %16s %12s %10s %14s\n", "Topology", "mean loss (off)", "mean loss (on)", "avg extra", "peak extra", "refused off/on")
 		for _, b := range builders {
 			sc, err := b(opts)
 			if err != nil {
@@ -111,8 +111,9 @@ func run() int {
 				fmt.Fprintf(os.Stderr, "applesim: %v\n", err)
 				return 1
 			}
-			fmt.Printf("%-10s %15.4f%% %15.4f%% %12.1f %10d\n",
-				sc.Name, 100*off.MeanLoss, 100*on.MeanLoss, on.MeanExtraCores, on.PeakExtraCores)
+			fmt.Printf("%-10s %15.4f%% %15.4f%% %12.1f %10d %14s\n",
+				sc.Name, 100*off.MeanLoss, 100*on.MeanLoss, on.MeanExtraCores, on.PeakExtraCores,
+				fmt.Sprintf("%d/%d of %d", off.Refused(), on.Refused(), len(on.Windows)))
 			if *plot {
 				fmt.Println(off.Loss.ASCIIPlot(72, 8))
 				fmt.Println(on.Loss.ASCIIPlot(72, 8))

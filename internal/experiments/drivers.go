@@ -3,15 +3,13 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/apple-nfv/apple/internal/controller"
 	"github.com/apple-nfv/apple/internal/core"
 	"github.com/apple-nfv/apple/internal/metrics"
-	"github.com/apple-nfv/apple/internal/sim"
 	"github.com/apple-nfv/apple/internal/tagging"
-	"github.com/apple-nfv/apple/internal/topology"
-	"github.com/apple-nfv/apple/internal/traffic"
 )
 
 // TableVRow is one row of the computation-time table.
@@ -130,7 +128,7 @@ func Fig10(sc *Scenario, draws int) (Fig10Row, error) {
 				alts, err := sc.Graph.AllShortestPaths(cl.Path[0], cl.Path[len(cl.Path)-1], 8)
 				if err == nil && len(alts) > 1 {
 					for _, alt := range alts {
-						if !samePath(alt, cl.Path) {
+						if !slices.Equal(alt, cl.Path) {
 							spec.AltPaths = append(spec.AltPaths, alt)
 						}
 					}
@@ -154,19 +152,6 @@ func Fig10(sc *Scenario, draws int) (Fig10Row, error) {
 	}
 	row.Box = box
 	return row, nil
-}
-
-// samePath compares node sequences.
-func samePath(a, b []topology.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Fig11Row compares hardware usage between APPLE's engine and the ingress
@@ -242,162 +227,4 @@ func Fig11(sc *Scenario, draws int) (Fig11Row, error) {
 	row.AppleCores /= float64(draws)
 	row.IngressCores /= float64(draws)
 	return row, nil
-}
-
-// Fig12Result is one replay run: the loss time series and the failover
-// hardware cost.
-type Fig12Result struct {
-	Topology     string
-	WithFailover bool
-	Loss         *metrics.TimeSeries
-	MeanLoss     float64
-	// PeakExtraCores is the maximum concurrent failover hardware;
-	// MeanExtraCores is the replay average (the paper's "average
-	// additional cores ... is less than 17" metric).
-	PeakExtraCores int
-	MeanExtraCores float64
-}
-
-// fig12ReoptWindow is how many snapshots pass between periodic runs of
-// the Optimization Engine during the Fig 12 replay. The paper's design
-// splits responsibility: the engine "runs periodically to make adjustment
-// according to the large time-scale network dynamics" (§III) while fast
-// failover absorbs small time-scale transients (§VI). Six hourly
-// snapshots per window tracks the diurnal ramp the way a periodic
-// re-optimizer would.
-const fig12ReoptWindow = 6
-
-// Fig12 regenerates the loss-over-time replay: the engine plans on each
-// upcoming window's mean matrix (large time-scale adjustment), and the
-// series is replayed snapshot by snapshot against that plan. With
-// failover enabled, the Dynamic Handler observes every snapshot and
-// reshapes sub-classes; without it, overloads simply drop traffic.
-func Fig12(sc *Scenario, snapshots int, withFailover bool) (Fig12Result, error) {
-	if sc == nil {
-		return Fig12Result{}, errors.New("experiments: nil scenario")
-	}
-	if snapshots <= 0 || snapshots > len(sc.Series) {
-		snapshots = len(sc.Series)
-	}
-	hostSwitches := make([]topology.NodeID, 0, len(sc.Avail))
-	for v := range sc.Avail {
-		hostSwitches = append(hostSwitches, v)
-	}
-	res := Fig12Result{
-		Topology:     sc.Name,
-		WithFailover: withFailover,
-		Loss:         metrics.NewTimeSeries(fmt.Sprintf("%s-loss", sc.Name)),
-	}
-	sum := 0.0
-	extraSum := 0.0
-	step := sc.SnapshotSeconds
-	if step <= 0 {
-		step = 1
-	}
-	var (
-		clock   *sim.Simulation
-		ctrl    *controller.Controller
-		handler *controller.DynamicHandler
-		prob    *core.Problem
-	)
-	for start := 0; start < snapshots; start += fig12ReoptWindow {
-		end := start + fig12ReoptWindow
-		if end > snapshots {
-			end = snapshots
-		}
-		// Periodic global optimization on the window mean — predictable
-		// traffic per the paper's premise ([16], [13], [43]). When a
-		// window's demand cannot be placed (a burst beyond the hardware),
-		// the previous plan stays and fast failover carries the excess.
-		if newProb, newClock, newCtrl, newHandler, err := fig12Replan(sc, hostSwitches, start, end, withFailover); err == nil {
-			prob, clock, ctrl, handler = newProb, newClock, newCtrl, newHandler
-		} else if ctrl == nil {
-			return Fig12Result{}, fmt.Errorf("experiments: %s: %w", sc.Name, err)
-		}
-		for t := start; t < end; t++ {
-			rates := classRates(prob, sc.Series[t])
-			if handler != nil {
-				if _, err := handler.Observe(rates); err != nil {
-					return Fig12Result{}, fmt.Errorf("experiments: snapshot %d: %w", t, err)
-				}
-			}
-			loss, err := ctrl.LossRate(rates)
-			if err != nil {
-				return Fig12Result{}, fmt.Errorf("experiments: snapshot %d: %w", t, err)
-			}
-			if err := res.Loss.Add(float64(t), loss); err != nil {
-				return Fig12Result{}, fmt.Errorf("experiments: %w", err)
-			}
-			sum += loss
-			if handler != nil {
-				extraSum += float64(handler.ExtraCores())
-			}
-			if err := clock.AdvanceTo(clock.Now() + time.Duration(step)*time.Second); err != nil {
-				return Fig12Result{}, fmt.Errorf("experiments: %w", err)
-			}
-		}
-		if handler != nil && handler.PeakExtraCores() > res.PeakExtraCores {
-			res.PeakExtraCores = handler.PeakExtraCores()
-		}
-	}
-	res.MeanLoss = sum / float64(snapshots)
-	res.MeanExtraCores = extraSum / float64(snapshots)
-	return res, nil
-}
-
-// fig12Replan solves and installs a fresh plan for one replay window.
-func fig12Replan(sc *Scenario, hostSwitches []topology.NodeID, start, end int, withFailover bool) (
-	*core.Problem, *sim.Simulation, *controller.Controller, *controller.DynamicHandler, error) {
-	winMean, err := traffic.Mean(sc.Series[start:end])
-	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("experiments: %w", err)
-	}
-	prob, err := sc.Problem(winMean)
-	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("experiments: %w", err)
-	}
-	pl, err := core.NewEngine(core.EngineOptions{}).Solve(prob)
-	if err != nil {
-		// The heuristic engine sometimes places what the repair loop
-		// cannot.
-		pl, err = core.SolveGreedy(prob)
-		if err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("experiments: %w", err)
-		}
-	}
-	clock := sim.New()
-	ctrl, err := controller.New(controller.Config{
-		Topology:              sc.Graph,
-		Clock:                 clock,
-		HostSwitches:          hostSwitches,
-		HostResourcesBySwitch: sc.Avail,
-		Seed:                  sc.Seed,
-	})
-	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("experiments: %w", err)
-	}
-	if err := ctrl.InstallPlacement(prob, pl); err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("experiments: %w", err)
-	}
-	var handler *controller.DynamicHandler
-	if withFailover {
-		handler, err = controller.NewDynamicHandler(ctrl)
-		if err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("experiments: %w", err)
-		}
-	}
-	return prob, clock, ctrl, handler, nil
-}
-
-// classRates maps one snapshot back onto the placed classes: every class
-// keeps its OD pair (path endpoints), so its snapshot rate is the OD
-// entry scaled by nothing — classes were built per OD pair.
-func classRates(prob *core.Problem, tm *traffic.Matrix) map[core.ClassID]float64 {
-	out := make(map[core.ClassID]float64, len(prob.Classes))
-	for _, c := range prob.Classes {
-		src := int(c.Path[0])
-		dst := int(c.Path[len(c.Path)-1])
-		out[c.ID] = tm.At(src, dst)
-	}
-	return out
 }

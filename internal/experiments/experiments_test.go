@@ -178,6 +178,7 @@ func TestFig12FailoverReducesLoss(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Fig12 with: %v", err)
 	}
+	t.Logf("loss off %.4f on %.4f, peak extra cores %d", without.MeanLoss, with.MeanLoss, with.PeakExtraCores)
 	if without.MeanLoss <= 0 {
 		t.Fatalf("baseline saw no loss (%v); the surge did not bite", without.MeanLoss)
 	}

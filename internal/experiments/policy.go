@@ -17,7 +17,6 @@ import (
 	"github.com/apple-nfv/apple/internal/core"
 	"github.com/apple-nfv/apple/internal/policy"
 	"github.com/apple-nfv/apple/internal/sim"
-	"github.com/apple-nfv/apple/internal/topology"
 )
 
 // DefaultAntiAffinity is the paper-style exclusion used across the
@@ -249,19 +248,9 @@ func PolicyAudit(sc *Scenario, pairs []policy.NFPair) (PolicyAuditRow, error) {
 		return row, fmt.Errorf("experiments: %s: verify: %w", sc.Name, err)
 	}
 
-	hostSwitches := make([]topology.NodeID, 0, len(sc.Avail))
-	for v := range sc.Avail {
-		hostSwitches = append(hostSwitches, v)
-	}
-	ctrl, err := controller.New(controller.Config{
-		Topology:              sc.Graph,
-		Clock:                 sim.New(),
-		HostSwitches:          hostSwitches,
-		HostResourcesBySwitch: sc.Avail,
-		Seed:                  sc.Seed,
-	})
+	ctrl, err := sc.newController(sim.New())
 	if err != nil {
-		return row, fmt.Errorf("experiments: %w", err)
+		return row, err
 	}
 	handler, err := controller.NewDynamicHandler(ctrl)
 	if err != nil {

@@ -10,8 +10,10 @@ import (
 	"errors"
 	"fmt"
 
+	"github.com/apple-nfv/apple/internal/controller"
 	"github.com/apple-nfv/apple/internal/core"
 	"github.com/apple-nfv/apple/internal/policy"
+	"github.com/apple-nfv/apple/internal/sim"
 	"github.com/apple-nfv/apple/internal/topology"
 	"github.com/apple-nfv/apple/internal/traffic"
 )
@@ -181,7 +183,7 @@ func AS3679(o Options) (*Scenario, error) {
 	}
 	series, err := traffic.SynthFNSS(masses, traffic.SynthOptions{
 		TotalMbps: 60_000 * o.Scale,
-		Snapshots: minInt(o.Snapshots, 24),
+		Snapshots: min(o.Snapshots, 24),
 		Seed:      o.Seed,
 	})
 	if err != nil {
@@ -242,9 +244,22 @@ func (sc *Scenario) MeanProblem() (*core.Problem, error) {
 	return sc.Problem(mean)
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
+// newController builds an empty controller on the scenario's deployment:
+// an APPLE host of the scenario's size at every switch it provisions.
+func (sc *Scenario) newController(clock *sim.Simulation) (*controller.Controller, error) {
+	hostSwitches := make([]topology.NodeID, 0, len(sc.Avail))
+	for v := range sc.Avail {
+		hostSwitches = append(hostSwitches, v)
 	}
-	return b
+	ctrl, err := controller.New(controller.Config{
+		Topology:              sc.Graph,
+		Clock:                 clock,
+		HostSwitches:          hostSwitches,
+		HostResourcesBySwitch: sc.Avail,
+		Seed:                  sc.Seed,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
+	return ctrl, nil
 }
