@@ -22,9 +22,9 @@ race:
 vet:
 	$(GO) vet ./...
 
-# lint runs applelint (cmd/applelint), the ten project-specific static
-# analyzers proving the concurrency, callback, determinism, transaction,
-# confinement, and lock-order contracts (see DESIGN.md §12), plus
+# lint runs applelint (cmd/applelint), the six project-specific static
+# analyzers proving the locking, callback, determinism, allocation and
+# transaction contracts (see DESIGN.md §12), plus
 # the gofmt formatting gate. Findings are duplicated into lint_findings.txt
 # (the artifact CI uploads), and the whole suite must finish inside the
 # 30s wall-clock budget — any diagnostic, unformatted file, or budget

@@ -1,15 +1,14 @@
 // Command applelint runs the project-specific static-analysis suite
 // (internal/lint) over the whole module: lockguard, guardedfield,
-// callbackonce, simclock, atomiccounter, noalloc, txnguard, confine,
-// stalepointer, and lockorder. It is stdlib-only — the module graph is
-// loaded with go/parser + go/types and the standard library is resolved
-// from $GOROOT source, so the tool needs no network and no third-party
-// dependencies.
+// callbackonce, simclock, noalloc and txnguard. It is stdlib-only — the
+// module graph is loaded with go/parser + go/types and the standard
+// library is resolved from $GOROOT source, so the tool needs no network
+// and no third-party dependencies. In-package _test.go files and
+// external test packages are not analyzed.
 //
 // Usage:
 //
-//	applelint [-analyzers lockguard,simclock] [-tests] [-list]
-//	          [-report findings.txt] [-budget 30s] [dir]
+//	applelint [-list] [-report findings.txt] [-budget 30s] [dir]
 //
 // dir defaults to the current directory; the module root is found by
 // walking upward to go.mod. -report duplicates every diagnostic (and the
@@ -37,29 +36,18 @@ func main() {
 
 func run(argv []string) int {
 	fs := flag.NewFlagSet("applelint", flag.ContinueOnError)
-	analyzerList := fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
-	withTests := fs.Bool("tests", false, "also analyze in-package _test.go files")
 	list := fs.Bool("list", false, "list available analyzers and exit")
 	reportPath := fs.String("report", "", "also write findings to this file (created even when clean)")
 	budget := fs.Duration("budget", 0, "fail when the whole run exceeds this wall-clock budget (0 disables)")
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
+	analyzers := lint.Analyzers()
 	if *list {
-		for _, a := range lint.Analyzers() {
+		for _, a := range analyzers {
 			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-
-	var names []string
-	if *analyzerList != "" {
-		names = strings.Split(*analyzerList, ",")
-	}
-	analyzers, err := lint.ByName(names)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
 	}
 
 	dir := "."
@@ -72,7 +60,7 @@ func run(argv []string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	pkgs, err := lint.LoadModule(root, lint.LoadOptions{Tests: *withTests})
+	pkgs, err := lint.LoadModule(root)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2

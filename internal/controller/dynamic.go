@@ -237,12 +237,19 @@ func (d *DynamicHandler) Counters() *metrics.Counters { return d.counters }
 func (d *DynamicHandler) Observe(rates map[core.ClassID]float64) (int, error) {
 	d.reapZombies()
 	// A class removed while in failover takes its failover state with it:
-	// its launches are torn down as a rollback would, and its epoch is
-	// forgotten — a late activation still drops itself, because the live
-	// assignment (if the ID returns) is not the one it was spawned for.
+	// its launches are torn down as a rollback would.
 	for _, classID := range sortedKeys(d.states) {
-		if _, live := d.c.assign.get(classID); !live {
+		if !d.c.assign.has(classID) {
 			d.endFailover(classID)
+		}
+	}
+	// Every removed class's epoch is forgotten, whether it left in
+	// failover or after a rollback. A late activation still drops itself,
+	// because the live assignment (if the ID returns) is not the one it
+	// was spawned for. Order cannot matter for a delete, so the map is
+	// ranged directly.
+	for classID := range d.epochs {
+		if !d.c.assign.has(classID) {
 			delete(d.epochs, classID)
 		}
 	}

@@ -288,3 +288,39 @@ func TestRemovedInFailoverForgetsState(t *testing.T) {
 	}
 	assertInvariants(t, d)
 }
+
+// TestRemovedAfterRollbackForgetsEpoch: a class that rolled back keeps
+// its epoch while it is installed, and loses it once it is removed
+// outside failover. Before the fix Observe forgot only the epochs of
+// classes still in failover, so this one leaked an int per class.
+func TestRemovedAfterRollbackForgetsEpoch(t *testing.T) {
+	c, d, _ := overloadedSetup(t)
+	if _, err := d.Observe(map[core.ClassID]float64{0: 1600}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cClock(c).Run(6 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	calm := map[core.ClassID]float64{0: 100}
+	for i := 0; i < 5 && len(d.states) > 0; i++ {
+		if _, err := d.Observe(calm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(d.states) != 0 || len(d.epochs) != 1 {
+		t.Fatalf("after the calm: %d failover states and %d epochs; want a rollback (0 states, 1 epoch)",
+			len(d.states), len(d.epochs))
+	}
+	txn := c.Begin()
+	txn.StageRemove(0)
+	if err := txn.Commit(TxnOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Observe(map[core.ClassID]float64{}); err != nil {
+		t.Fatal(err)
+	}
+	if len(d.epochs) != 0 {
+		t.Fatalf("removed class still has its epoch: %v", d.epochs)
+	}
+	assertInvariants(t, d)
+}

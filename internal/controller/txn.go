@@ -168,8 +168,6 @@ func (t *RuleTxn) Removed() int   { return t.removed }
 // first, updates next, removals last — and either commits them all or
 // unwinds every side effect. After Commit returns the transaction is
 // finished and must not be reused.
-//
-//apple:boundary
 func (t *RuleTxn) Commit(opts TxnOptions) (err error) {
 	if t.finished {
 		return fmt.Errorf("controller: transaction already finished")
@@ -252,8 +250,6 @@ func (t *RuleTxn) finish() {
 // replaced/removed classes back in, provisioned instances cancelled and
 // de-pooled, and every written portion and global-tag entry set back to
 // its recorded value.
-//
-//apple:boundary
 func (t *RuleTxn) unwind(cause error) {
 	t.finished = true
 	c := t.c

@@ -5,10 +5,10 @@ import (
 	"go/token"
 )
 
-// This file is the shared control-flow-graph core of applelint v2.
-// Every dataflow-capable analyzer (lockguard, callbackonce, stalepointer,
-// and the summary machinery behind txnguard/lockorder) builds its
-// function CFGs here instead of hand-rolling a syntax-directed walk.
+// This file is the shared control-flow-graph core of applelint. The
+// lock analysis behind lockguard, guardedfield and txnguard, and
+// callbackonce's path enumeration, build their function CFGs here
+// instead of hand-rolling a syntax-directed walk.
 //
 // The graph is a conventional basic-block CFG over go/ast statements:
 // straight-line statements and evaluated expressions (conditions, switch

@@ -195,44 +195,3 @@ func TestBuildCFG(t *testing.T) {
 		})
 	}
 }
-
-// TestSolveBackward exercises the backward solver with a
-// blocks-that-reach-a-return analysis: the before-state of a block is
-// true when some path from it ends in an explicit return statement.
-func TestSolveBackward(t *testing.T) {
-	stmts := parseFuncBody(t, `
-		if cond {
-			return
-		}
-		after()`)
-	g := buildCFG(stmts, cfgOptions{})
-	type reachRet struct{ reaches bool }
-	lat := lattice[*reachRet]{
-		clone: func(s *reachRet) *reachRet { c := *s; return &c },
-		equal: func(a, b *reachRet) bool { return a.reaches == b.reaches },
-		transfer: func(blk *cfgBlock, s *reachRet) {
-			if blk.ret != nil {
-				s.reaches = true
-			}
-		},
-		merge: func(have, incoming *reachRet) *reachRet {
-			have.reaches = have.reaches || incoming.reaches
-			return have
-		},
-	}
-	before, has := solveBackward(g, &reachRet{}, lat)
-	if !has[g.entry.index] || !before[g.entry.index].reaches {
-		t.Fatalf("entry should reach the explicit return through the then-branch")
-	}
-	for _, blk := range g.blocks {
-		if blk.join != joinBranch {
-			continue
-		}
-		if !has[blk.index] {
-			t.Fatalf("join block %d not solved", blk.index)
-		}
-		if before[blk.index].reaches {
-			t.Errorf("the if-join falls through to exit; it must not reach a return")
-		}
-	}
-}

@@ -2,17 +2,16 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 )
 
-// This file holds the dataflow layer over the CFG core: generic forward
-// and backward worklist solvers, plus the per-package call-summary
-// cache the whole-program analyzers (txnguard, lockorder) use to reason
-// across function boundaries without leaving the package.
+// This file holds the dataflow layer over the CFG core: a generic
+// forward worklist solver, plus the per-package call-summary cache
+// txnguard uses to reason across function boundaries without leaving
+// the package.
 
-// lattice supplies the per-analysis operations of the worklist solvers.
+// lattice supplies the per-analysis operations of the worklist solver.
 // S is the abstract state attached to block boundaries.
 type lattice[S any] struct {
 	clone func(S) S
@@ -20,18 +19,15 @@ type lattice[S any] struct {
 	// transfer applies blk's nodes to s in place; s is always a private
 	// clone, so transfer functions may mutate freely.
 	transfer func(blk *cfgBlock, s S)
-	// merge resolves a state disagreement at a join and returns the
-	// combined state. When nil, the solver instead adopts the state of
-	// the join's primary (first-linked) predecessor and records the
-	// block as a conflict — the behavior the lock analysis wants, since
-	// a disagreement there is itself the diagnostic.
-	merge func(have, incoming S) S
 }
 
 // solveForward runs a forward worklist analysis to fixpoint and returns
 // the entry state of every block (has[i] reports whether block i was
-// reached) plus the join blocks whose predecessors disagreed, for
-// lattices without a merge.
+// reached) plus the join blocks whose predecessors disagreed. There is
+// no merge: at a disagreement the solver adopts the state of the join's
+// primary (first-linked) predecessor and records the block as a
+// conflict — the behavior the lock analysis wants, since a disagreement
+// there is itself the diagnostic.
 func solveForward[S any](g *cfg, init S, lat lattice[S]) (in []S, has []bool, conflicts []*cfgBlock) {
 	in = make([]S, len(g.blocks))
 	has = make([]bool, len(g.blocks))
@@ -56,12 +52,6 @@ func solveForward[S any](g *cfg, init S, lat lattice[S]) (in []S, has []bool, co
 				has[i] = true
 				work = append(work, succ)
 			case lat.equal(in[i], out):
-			case lat.merge != nil:
-				merged := lat.merge(lat.clone(in[i]), out)
-				if !lat.equal(merged, in[i]) {
-					in[i] = merged
-					work = append(work, succ)
-				}
 			default:
 				if !conflicted[i] {
 					conflicted[i] = true
@@ -75,51 +65,6 @@ func solveForward[S any](g *cfg, init S, lat lattice[S]) (in []S, has []bool, co
 		}
 	}
 	return in, has, conflicts
-}
-
-// solveBackward runs a backward worklist analysis: init seeds every
-// terminal block (exit, returns, panics) and states flow against the
-// edges. It returns the state before each block. Backward lattices must
-// supply merge.
-func solveBackward[S any](g *cfg, init S, lat lattice[S]) (before []S, has []bool) {
-	before = make([]S, len(g.blocks))
-	after := make([]S, len(g.blocks))
-	hasAfter := make([]bool, len(g.blocks))
-	has = make([]bool, len(g.blocks))
-	var work []*cfgBlock
-	for _, b := range g.blocks {
-		if len(b.succs) == 0 {
-			after[b.index] = lat.clone(init)
-			hasAfter[b.index] = true
-			work = append(work, b)
-		}
-	}
-	maxSteps := (len(g.blocks) + 1) * 64
-	for steps := 0; len(work) > 0 && steps < maxSteps; steps++ {
-		blk := work[0]
-		work = work[1:]
-		s := lat.clone(after[blk.index])
-		lat.transfer(blk, s)
-		before[blk.index] = s
-		has[blk.index] = true
-		for _, pred := range blk.preds {
-			i := pred.index
-			switch {
-			case !hasAfter[i]:
-				after[i] = lat.clone(s)
-				hasAfter[i] = true
-				work = append(work, pred)
-			case lat.equal(after[i], s):
-			default:
-				merged := lat.merge(lat.clone(after[i]), s)
-				if !lat.equal(merged, after[i]) {
-					after[i] = merged
-					work = append(work, pred)
-				}
-			}
-		}
-	}
-	return before, has
 }
 
 // isPanicCall reports whether call invokes builtin panic.
@@ -140,13 +85,7 @@ func isPanicCall(pass *Pass, call *ast.CallExpr) bool {
 type funcSummary struct {
 	decl  *ast.FuncDecl
 	fn    *types.Func
-	calls []calleeRef
-}
-
-// calleeRef is one static in-package call site.
-type calleeRef struct {
-	fn  *types.Func
-	pos token.Pos
+	calls []*types.Func
 }
 
 // pkgSummaries indexes the summaries of one package.
@@ -179,7 +118,7 @@ func (p *Pass) summaries() *pkgSummaries {
 					return true
 				}
 				if callee := staticCallee(p, call); callee != nil && callee.Pkg() == p.Pkg {
-					sum.calls = append(sum.calls, calleeRef{fn: callee, pos: call.Pos()})
+					sum.calls = append(sum.calls, callee)
 				}
 				return true
 			})
@@ -228,14 +167,14 @@ func (s *pkgSummaries) reachableFrom(entries []*types.Func, stop func(*types.Fun
 			continue
 		}
 		for _, c := range sum.calls {
-			if _, seen := from[c.fn]; seen {
+			if _, seen := from[c]; seen {
 				continue
 			}
-			if stop != nil && stop(c.fn) {
+			if stop != nil && stop(c) {
 				continue
 			}
-			from[c.fn] = from[fn]
-			queue = append(queue, c.fn)
+			from[c] = from[fn]
+			queue = append(queue, c)
 		}
 	}
 	return from

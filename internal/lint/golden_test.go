@@ -12,17 +12,13 @@ import (
 // analyzers its directives reference so both the silenced and surviving
 // diagnostics are observable.
 var goldenAnalyzers = map[string][]string{
-	"lockguard":     {"lockguard"},
-	"guardedfield":  {"guardedfield"},
-	"callbackonce":  {"callbackonce"},
-	"simclock":      {"simclock"},
-	"atomiccounter": {"atomiccounter"},
-	"noalloc":       {"noalloc"},
-	"txnguard":      {"txnguard"},
-	"confine":       {"confine"},
-	"stalepointer":  {"stalepointer"},
-	"lockorder":     {"lockorder"},
-	"suppress":      {"lockguard", "guardedfield", "simclock"},
+	"lockguard":    {"lockguard"},
+	"guardedfield": {"guardedfield"},
+	"callbackonce": {"callbackonce"},
+	"simclock":     {"simclock"},
+	"noalloc":      {"noalloc"},
+	"txnguard":     {"txnguard"},
+	"suppress":     {"lockguard", "guardedfield", "simclock"},
 }
 
 // wantRe extracts expectation patterns from fixture comments: a
@@ -128,7 +124,7 @@ func claimWant(wants []*wantExpect, file string, line int, msg string) bool {
 }
 
 // TestModuleLintsClean is the integration gate: the entire repository
-// must pass all ten analyzers with zero diagnostics, so any newly
+// must pass all six analyzers with zero diagnostics, so any newly
 // introduced violation fails go test as well as make lint.
 func TestModuleLintsClean(t *testing.T) {
 	if testing.Short() {
@@ -138,7 +134,7 @@ func TestModuleLintsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := LoadModule(root, LoadOptions{})
+	pkgs, err := LoadModule(root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,14 +148,14 @@ func TestModuleLintsClean(t *testing.T) {
 	}
 }
 
-// TestByNameUnknown covers the driver's error path.
+// TestByNameUnknown covers the fixture runner's error path.
 func TestByNameUnknown(t *testing.T) {
 	if _, err := ByName([]string{"nosuch"}); err == nil {
 		t.Fatal("ByName accepted an unknown analyzer")
 	}
 	all, err := ByName(nil)
-	if err != nil || len(all) != 10 {
-		t.Fatalf("ByName(nil) = %d analyzers, err %v; want 10, nil", len(all), err)
+	if err != nil || len(all) != 6 {
+		t.Fatalf("ByName(nil) = %d analyzers, err %v; want 6, nil", len(all), err)
 	}
 }
 

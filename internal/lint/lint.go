@@ -5,8 +5,8 @@
 // explore. The suite is stdlib-only — go/parser + go/types + go/importer
 // — so the module stays zero-dependency.
 //
-// Ten analyzers ship (see DESIGN.md §12 for the invariant
-// catalogue):
+// Six analyzers ship (see DESIGN.md §12 for the invariant catalogue
+// and what each has found):
 //
 //   - lockguard: no blocking operation (channel send/recv, select,
 //     user-callback invocation, orchestrator Launch/ReconfigureIdle/
@@ -21,10 +21,8 @@
 //     exactly one callback exactly once (the PR 2 lifecycle contract).
 //   - simclock: no wall clock (time.Now/Since/Sleep/…) and no global
 //     math/rand source inside the deterministic packages (sim, lp,
-//     topology, traffic, experiments), so Table IV/V reproductions stay
-//     bit-reproducible.
-//   - atomiccounter: a struct field accessed through sync/atomic
-//     anywhere may never also be accessed with a plain load or store.
+//     policy, topology, traffic, experiments, trace), so Table IV/V
+//     reproductions and journals stay bit-reproducible.
 //   - noalloc: functions annotated "//apple:noalloc" (the compiled
 //     data-plane lookup chain) contain no construct that can allocate
 //     and call only annotated (in any package of the module), builtin,
@@ -32,17 +30,10 @@
 //   - txnguard: writes to "txn-owned" controller state reachable from
 //     InstallPlacement/AddClass/AddClassBatch/ReOptimize flow through a
 //     staged RuleTxn op (the PR 7 partial-install class).
-//   - confine: values confined to the simulation loop do not escape
-//     via goroutine captures, channel sends, or stored callbacks.
-//   - stalepointer: a pointer fetched before an "//apple:boundary"
-//     commit/unwind call is not dereferenced after it without a
-//     re-fetch (the PR 8 stale-assignment class).
-//   - lockorder: the package-level mutex acquisition graph, including
-//     acquisitions via in-package calls, is cycle-free.
 //
 // lockguard, guardedfield, and callbackonce run on a shared
-// intraprocedural CFG + dataflow core (cfg.go, dataflow.go); the
-// whole-program analyzers add a per-package call-summary cache on top.
+// intraprocedural CFG + forward dataflow core (cfg.go, dataflow.go);
+// txnguard adds a per-package call-summary cache on top.
 //
 // Diagnostics print as "file:line:col: [analyzer] message" and may be
 // suppressed with a "//lint:ignore <analyzer> <reason>" comment on the
@@ -115,12 +106,8 @@ func Analyzers() []*Analyzer {
 		AnalyzerGuardedField,
 		AnalyzerCallbackOnce,
 		AnalyzerSimClock,
-		AnalyzerAtomicCounter,
 		AnalyzerNoAlloc,
 		AnalyzerTxnGuard,
-		AnalyzerConfine,
-		AnalyzerStalePointer,
-		AnalyzerLockOrder,
 	}
 }
 

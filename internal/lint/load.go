@@ -73,19 +73,12 @@ type parsedDir struct {
 	imports    map[string]bool
 }
 
-// LoadOptions tunes module loading.
-type LoadOptions struct {
-	// Tests includes in-package _test.go files. External test packages
-	// (package foo_test) are never loaded.
-	Tests bool
-}
-
 // LoadModule parses and type-checks every package of the module rooted
 // at root, in dependency order. Directories named testdata and
-// hidden directories are skipped. The module must be self-contained:
-// imports are either standard library (resolved from $GOROOT source) or
-// module-internal.
-func LoadModule(root string, opts LoadOptions) ([]*Package, error) {
+// hidden directories are skipped, and so are _test.go files. The module
+// must be self-contained: imports are either standard library (resolved
+// from $GOROOT source) or module-internal.
+func LoadModule(root string) ([]*Package, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
 		return nil, err
@@ -108,7 +101,7 @@ func LoadModule(root string, opts LoadOptions) ([]*Package, error) {
 		if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
 		}
-		pd, perr := parseDir(fset, path, opts)
+		pd, perr := parseDir(fset, path)
 		if perr != nil {
 			return perr
 		}
@@ -142,7 +135,7 @@ func LoadModule(root string, opts LoadOptions) ([]*Package, error) {
 // packages may import only the standard library.
 func LoadDir(dir string) (*Package, error) {
 	fset := token.NewFileSet()
-	pd, err := parseDir(fset, dir, LoadOptions{})
+	pd, err := parseDir(fset, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -157,8 +150,8 @@ func LoadDir(dir string) (*Package, error) {
 	return pkgs[0], nil
 }
 
-// parseDir parses the buildable Go files of one directory; nil if none.
-func parseDir(fset *token.FileSet, dir string, opts LoadOptions) (*parsedDir, error) {
+// parseDir parses the non-test Go files of one directory; nil if none.
+func parseDir(fset *token.FileSet, dir string) (*parsedDir, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -166,10 +159,8 @@ func parseDir(fset *token.FileSet, dir string, opts LoadOptions) (*parsedDir, er
 	pd := &parsedDir{dir: dir, imports: make(map[string]bool)}
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") {
-			continue
-		}
-		if strings.HasSuffix(name, "_test.go") && !opts.Tests {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") ||
+			strings.HasSuffix(name, "_test.go") {
 			continue
 		}
 		file, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
@@ -177,10 +168,6 @@ func parseDir(fset *token.FileSet, dir string, opts LoadOptions) (*parsedDir, er
 			return nil, fmt.Errorf("lint: %w", err)
 		}
 		pkgName := file.Name.Name
-		if strings.HasSuffix(pkgName, "_test") {
-			// External test packages are out of scope.
-			continue
-		}
 		if pd.name == "" {
 			pd.name = pkgName
 		} else if pd.name != pkgName {

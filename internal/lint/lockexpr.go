@@ -98,14 +98,7 @@ func (w *lockWalker) call(call *ast.CallExpr, st lockState, async bool) {
 				w.blockingFinding(call.Pos(), sprintf("%s.%s() while %s is already held (self-deadlock)",
 					key, op, describeLock(h, w.pass)))
 			}
-			h := &heldLock{
-				key:   key,
-				class: w.lockClass(call.Fun.(*ast.SelectorExpr).X),
-				rlock: op == "RLock",
-				pos:   call.Pos(),
-			}
-			w.recordAcquire(h, st)
-			st[key] = h
+			st[key] = &heldLock{key: key, rlock: op == "RLock", pos: call.Pos()}
 		case "Unlock", "RUnlock":
 			delete(st, key)
 		case "TryLock", "TryRLock":
@@ -117,21 +110,7 @@ func (w *lockWalker) call(call *ast.CallExpr, st lockState, async bool) {
 	}
 
 	if key, rlock, ok := w.acquireHelper(call); ok {
-		sel := call.Fun.(*ast.SelectorExpr)
-		class := ""
-		if tv, ok := w.pass.Info.Types[sel.X]; ok {
-			if named, ok := deref(tv.Type).(*types.Named); ok {
-				class = named.Obj().Name() + ".mu"
-			}
-		}
-		h := &heldLock{
-			key:   key,
-			class: class,
-			rlock: rlock,
-			pos:   call.Pos(),
-		}
-		w.recordAcquire(h, st)
-		st[key] = h
+		st[key] = &heldLock{key: key, rlock: rlock, pos: call.Pos()}
 		return
 	}
 
@@ -140,7 +119,6 @@ func (w *lockWalker) call(call *ast.CallExpr, st lockState, async bool) {
 			h := st.anyHeld()
 			w.blockingFinding(call.Pos(), sprintf("%s while %s is held", desc, describeLock(h, w.pass)))
 		}
-		w.recordHeldCall(call, st)
 	}
 
 	// Immediately-invoked literal: runs synchronously under the current
@@ -169,29 +147,6 @@ func (w *lockWalker) call(call *ast.CallExpr, st lockState, async bool) {
 		}
 		w.expr(a, st, async)
 	}
-}
-
-// recordHeldCall feeds lockorder's interprocedural edges: an in-package
-// call made while locks are held inherits ordering edges from the
-// callee's transitive acquire set.
-func (w *lockWalker) recordHeldCall(call *ast.CallExpr, st lockState) {
-	if !w.record {
-		return
-	}
-	fn := staticCallee(w.pass, call)
-	if fn == nil || fn.Pkg() != w.pass.Pkg {
-		return
-	}
-	var held []string
-	for _, k := range st.sortedKeys() {
-		if c := st[k].class; c != "" {
-			held = append(held, c)
-		}
-	}
-	if len(held) == 0 {
-		return
-	}
-	w.facts.heldCalls = append(w.facts.heldCalls, heldCallFact{callee: fn, held: held, pos: call.Pos()})
 }
 
 type funcLitMode int

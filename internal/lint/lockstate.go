@@ -8,17 +8,15 @@ import (
 )
 
 // This file implements the per-function lock-state analysis shared by
-// lockguard, guardedfield, and lockorder: a forward dataflow over the
+// lockguard, guardedfield, and txnguard: a forward dataflow over the
 // shared CFG (cfg.go, dataflow.go) that tracks which mutexes are held
 // at every statement, records blocking operations performed under a
 // lock, checks Lock/Unlock pairing across all paths, and snapshots the
-// held set at every struct-field access and in-package call.
+// held set at every struct-field access.
 //
-// Mutexes are identified two ways: by the printed source expression of
-// their receiver ("h.mu", "sh.mu"), which is canonical within one
-// function body and drives the pairing/guard checks, and by their
-// type-level class ("Handler.mu"), which is canonical across the whole
-// package and drives the lockorder acquisition graph.
+// Mutexes are identified by the printed source expression of their
+// receiver ("h.mu", "st.mu"), which is canonical within one function
+// body.
 //
 // The analysis is intraprocedural and approximate: join blocks whose
 // predecessors disagree about the held set are themselves the
@@ -31,7 +29,6 @@ import (
 // heldLock is one currently-held mutex.
 type heldLock struct {
 	key      string // canonical receiver expression, e.g. "h.mu"
-	class    string // package-level lock class, e.g. "Handler.mu"
 	rlock    bool
 	pos      token.Pos // acquisition site
 	deferred bool      // release is registered via defer
@@ -100,31 +97,12 @@ type accessFact struct {
 	async bool       // lexically inside a go statement or worker-pool closure
 }
 
-// lockAcqEdge is one "acquired B while holding A" event, in class terms,
-// feeding the lockorder acquisition graph.
-type lockAcqEdge struct {
-	from, to string // lock classes
-	pos      token.Pos
-}
-
-// heldCallFact is one in-package call made while locks were held; the
-// lockorder analyzer combines it with the callee's transitive acquire
-// set for interprocedural ordering edges.
-type heldCallFact struct {
-	callee *types.Func
-	held   []string // lock classes, sorted
-	pos    token.Pos
-}
-
 // funcLockFacts is the analysis result for one top-level function
 // declaration (including every function literal nested in it).
 type funcLockFacts struct {
-	blocking  []lockFinding
-	pairing   []lockFinding
-	accesses  []accessFact
-	acqEdges  []lockAcqEdge
-	heldCalls []heldCallFact
-	acquired  map[string]token.Pos // classes acquired in synchronous context
+	blocking []lockFinding
+	pairing  []lockFinding
+	accesses []accessFact
 }
 
 // lockFactsFor computes (and caches) the lock facts of every function
@@ -142,7 +120,7 @@ func (p *Pass) lockFactsFor() map[*ast.FuncDecl]*funcLockFacts {
 			}
 			w := &lockWalker{
 				pass:     p,
-				facts:    &funcLockFacts{acquired: make(map[string]token.Pos)},
+				facts:    &funcLockFacts{},
 				funcName: fd.Name.Name,
 				record:   true,
 			}
@@ -278,13 +256,7 @@ func (w *lockWalker) transferBlock(blk *cfgBlock, st lockState, async bool) {
 		switch {
 		case n.acquire != nil:
 			key, op, _ := w.mutexOp(n.acquire)
-			st[key] = &heldLock{
-				key:   key,
-				class: w.lockClass(n.acquire.Fun.(*ast.SelectorExpr).X),
-				rlock: op == "TryRLock",
-				pos:   n.acquire.Pos(),
-			}
-			w.recordAcquire(st[key], st)
+			st[key] = &heldLock{key: key, rlock: op == "TryRLock", pos: n.acquire.Pos()}
 		case n.sel != nil:
 			if h := st.anyHeld(); h != nil {
 				w.blockingFinding(n.sel.Pos(),
@@ -352,48 +324,6 @@ func (w *lockWalker) nodeStmt(s ast.Stmt, st lockState, async bool) {
 			w.expr(x.Call.Fun, st, async)
 		}
 	}
-}
-
-// recordAcquire feeds the lockorder facts: the acquisition itself (in
-// synchronous context) and an ordering edge from every lock already
-// held when it happened.
-func (w *lockWalker) recordAcquire(h *heldLock, st lockState) {
-	if !w.record || h.class == "" {
-		return
-	}
-	if _, seen := w.facts.acquired[h.class]; !seen {
-		w.facts.acquired[h.class] = h.pos
-	}
-	for _, k := range st.sortedKeys() {
-		held := st[k]
-		if held.key == h.key || held.class == "" || held.class == h.class {
-			continue
-		}
-		w.facts.acqEdges = append(w.facts.acqEdges, lockAcqEdge{from: held.class, to: h.class, pos: h.pos})
-	}
-}
-
-// lockClass canonicalizes a mutex receiver expression to its
-// package-level class: "h.mu" on a *Handler receiver becomes
-// "Handler.mu", a package-level var "tableMu" becomes "pkg.tableMu".
-// Locals and unresolvable shapes fall back to the source expression,
-// which stays stable within the package.
-func (w *lockWalker) lockClass(muExpr ast.Expr) string {
-	switch x := ast.Unparen(muExpr).(type) {
-	case *ast.SelectorExpr:
-		if tv, ok := w.pass.Info.Types[x.X]; ok {
-			if named, ok := deref(tv.Type).(*types.Named); ok {
-				return named.Obj().Name() + "." + x.Sel.Name
-			}
-		}
-		return types.ExprString(x)
-	case *ast.Ident:
-		if v, ok := w.pass.Info.Uses[x].(*types.Var); ok && w.pass.Pkg != nil && v.Parent() == w.pass.Pkg.Scope() {
-			return w.pass.Pkg.Name() + "." + x.Name
-		}
-		return x.Name
-	}
-	return types.ExprString(muExpr)
 }
 
 func replace(dst, src lockState) {

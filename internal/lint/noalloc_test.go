@@ -44,7 +44,7 @@ func Hot(x int) int {
 			t.Fatal(err)
 		}
 	}
-	pkgs, err := LoadModule(root, LoadOptions{})
+	pkgs, err := LoadModule(root)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,9 +29,8 @@ import (
 //
 // Approximations, on the conservative side of the reviewer's burden:
 // calls through function values are not summarized, so writes performed
-// only behind stored callbacks are not reached (the confine analyzer
-// polices that escape route); writers never reached from an entry point
-// (test helpers, constructors) are not constrained.
+// only behind stored callbacks are not reached; writers never reached
+// from an entry point (test helpers, constructors) are not constrained.
 var AnalyzerTxnGuard = &Analyzer{
 	Name: "txnguard",
 	Doc:  "writes to txn-owned controller state reachable from InstallPlacement/AddClass/AddClassBatch/ReOptimize must go through a staged transaction op",

@@ -295,6 +295,83 @@ func TestCrashUnknownSwitchIsNoOp(t *testing.T) {
 	}
 }
 
+// TestLifecycleCallbackFiresExactlyOnce counts the callback contract of
+// Launch and ReconfigureIdle rather than checking which callback fired:
+// a call that returned nil fires onReady + onFail exactly once in total,
+// never synchronously, on every scripted fault and on the clean paths. A
+// second onFail on some abort path passes every test that only checks
+// the error; it fails this one.
+func TestLifecycleCallbackFiresExactlyOnce(t *testing.T) {
+	type readyFn = func(*vnf.Instance, *host.Host)
+	type failFn = func(vnf.ID, error)
+	launch := func(o *Orchestrator, onReady readyFn, onFail failFn) (vnf.ID, error) {
+		return o.Launch(policy.Firewall, 0, onReady, onFail)
+	}
+	reconfigure := func(o *Orchestrator, onReady readyFn, onFail failFn) (vnf.ID, error) {
+		if _, _, err := o.PlaceNow(policy.NAT, 0); err != nil {
+			return "", err
+		}
+		return o.ReconfigureIdle(policy.Firewall, 0, onReady, onFail)
+	}
+	crashAt := func(at time.Duration) FaultPlan {
+		return FaultPlan{Crashes: []HostCrash{{At: at, Switch: 0}}}
+	}
+	cases := []struct {
+		name string
+		plan FaultPlan
+		call func(*Orchestrator, readyFn, failFn) (vnf.ID, error)
+		// cancel cancels the instance right after the call returns.
+		cancel bool
+		ready  bool // the one callback is onReady, not onFail
+	}{
+		{name: "clean boot", call: launch, ready: true},
+		{name: "boot failure", plan: FaultPlan{BootFailOn: []int{1}}, call: launch},
+		{name: "boot timeout", plan: FaultPlan{BootTimeoutOn: []int{1}}, call: launch, ready: true},
+		{name: "host crash mid-boot", plan: crashAt(time.Second), call: launch},
+		{name: "cancel while booting", call: launch, cancel: true},
+		{name: "clean reconfigure", call: reconfigure, ready: true},
+		{name: "reconfigure failure", plan: FaultPlan{ReconfigureFailOn: []int{1}}, call: reconfigure},
+		{name: "host crash mid-reconfigure", plan: crashAt(10 * time.Millisecond), call: reconfigure},
+		{name: "cancel while reconfiguring", call: reconfigure, cancel: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			o, clock := newOrch(t)
+			addHost(t, o, "h0", 0)
+			if err := o.InjectFaults(tc.plan); err != nil {
+				t.Fatalf("InjectFaults: %v", err)
+			}
+			ready, failed := 0, 0
+			id, err := tc.call(o,
+				func(*vnf.Instance, *host.Host) { ready++ },
+				func(vnf.ID, error) { failed++ })
+			if err != nil {
+				t.Fatalf("lifecycle call: %v", err)
+			}
+			if tc.cancel {
+				if err := o.Cancel(id); err != nil {
+					t.Fatalf("Cancel: %v", err)
+				}
+			}
+			if ready+failed != 0 {
+				t.Fatalf("callback fired synchronously: onReady %d, onFail %d", ready, failed)
+			}
+			if err := clock.Run(0); err != nil {
+				t.Fatal(err)
+			}
+			if clock.Pending() != 0 {
+				t.Fatalf("%d events still queued after the drain", clock.Pending())
+			}
+			if ready+failed != 1 {
+				t.Fatalf("onReady fired %d times and onFail %d; want one callback in total", ready, failed)
+			}
+			if (ready == 1) != tc.ready {
+				t.Fatalf("onReady fired %d times, onFail %d; want onReady=%v", ready, failed, tc.ready)
+			}
+		})
+	}
+}
+
 // TestProbabilisticFaultsDeterministic: two orchestrators with the same
 // plan seed make identical fault decisions.
 func TestProbabilisticFaultsDeterministic(t *testing.T) {
