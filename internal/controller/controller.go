@@ -89,6 +89,18 @@ type Assignment struct {
 	SubTags []uint8
 }
 
+// clone returns a copy of a for the Dynamic Handler to reshape: the arrays
+// a reshape writes are its own, while hop vectors, instance rows and Base,
+// never written in place, stay shared (see sameGeneration).
+func (a *Assignment) clone() *Assignment {
+	b := *a
+	b.Subclasses = slices.Clone(a.Subclasses)
+	b.Weights = slices.Clone(a.Weights)
+	b.Instances = slices.Clone(a.Instances)
+	b.SubTags = slices.Clone(a.SubTags)
+	return &b
+}
+
 // Controller is the APPLE control plane.
 type Controller struct {
 	g        *topology.Graph
@@ -400,11 +412,15 @@ func (c *Controller) poolAdd(v topology.NodeID, nf policy.NF, inst *vnf.Instance
 	c.instPool[v][nf] = append(c.instPool[v][nf], inst)
 }
 
-// repoolInstance moves an instance at switch v to the pool bucket
-// matching its current NF type — the cleanup a ClickOS reconfiguration
-// needs, since the instance was pooled under the NF it had before. The
-// portion bookkeeping is keyed by ID and unaffected.
-func (c *Controller) repoolInstance(v topology.NodeID, inst *vnf.Instance) {
+// repoolInstance pools an instance at switch v under the bucket of its
+// current NF type, out of any other — a ClickOS reconfiguration changes
+// the NF it was pooled under. The portion bookkeeping is keyed by ID and
+// unaffected. txn records the buckets for unwind; it is nil when a failover
+// spawn is disposed of.
+func (c *Controller) repoolInstance(v topology.NodeID, inst *vnf.Instance, txn *RuleTxn) {
+	if txn != nil {
+		txn.trackPool(v)
+	}
 	id := inst.ID()
 	for nf, insts := range c.instPool[v] {
 		if nf == inst.NF() {
@@ -508,9 +524,9 @@ func (c *Controller) allocSubTagFor(a *Assignment, hosts []topology.NodeID, txn 
 	return 0, fmt.Errorf("controller: no conflict-free global tag for class %d (hosts too shared)", a.Class.ID)
 }
 
-// releaseSubTags frees a class's tail global tags from their hosts when
-// fast failover rolls back, an install aborts, or a transaction retires
-// the class (txn is nil outside a transaction).
+// releaseSubTags frees a class's global tags from index from on, from
+// their hosts: when a reshape drops sub-classes, an install aborts, or a
+// transaction retires the class.
 func (c *Controller) releaseSubTags(a *Assignment, from int, txn *RuleTxn) {
 	if !a.Global {
 		return

@@ -3,6 +3,7 @@ package controller
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/apple-nfv/apple/internal/core"
@@ -128,15 +129,6 @@ func (c *Controller) LossRate(rates map[core.ClassID]float64) (float64, error) {
 	return totalLost / totalRate, nil
 }
 
-// failoverState tracks one class's temporary reshaping.
-type failoverState struct {
-	// triggers are the overloaded instances that caused reshaping.
-	triggers map[vnf.ID]bool
-	// spawned lists instances created for extra sub-classes, to cancel on
-	// rollback.
-	spawned []vnf.ID
-}
-
 // DynamicHandler reacts to overload notifications with the §VI fast
 // failover: halve the weight of sub-classes traversing the overloaded
 // instance, spread the freed half onto the least-loaded sibling
@@ -144,14 +136,17 @@ type failoverState struct {
 // new ClickOS instance and a new sub-class. When the instance recovers,
 // everything rolls back and spawned instances are cancelled.
 //
-// Every mutation is transactional: a failed re-pin, activation, or rule
-// install unwinds all of its partial state (sub-class arrays, tags,
-// vSwitch rules, pool entries, core accounting), and CheckInvariants can
-// be asserted between any two events.
+// Every transition — an overload, a spawn activation, a rollback — commits
+// a reshaped clone of the live assignment through one RuleTxn, so a
+// failure unwinds all of it, and CheckInvariants can be asserted between
+// any two events.
 type DynamicHandler struct {
 	c         *Controller
-	detectors map[vnf.ID]*vnf.Detector        // confined to the simulation loop
-	states    map[core.ClassID]*failoverState // confined to the simulation loop
+	detectors map[vnf.ID]*vnf.Detector // confined to the simulation loop
+	// states holds the classes in failover, each with the instances
+	// launched for it, to cancel on rollback. Confined to the simulation
+	// loop.
+	states map[core.ClassID][]vnf.ID
 	// spawnedSet marks failover-launched instances; re-pinning avoids
 	// them because they are cancelled on their owner class's rollback.
 	// It is confined to the simulation loop.
@@ -171,11 +166,6 @@ type DynamicHandler struct {
 	// service but still holding (and accounting) their cores until a
 	// retried cancel succeeds. Confined to the simulation loop.
 	zombies map[vnf.ID]bool
-	// epochs invalidate in-flight spawn activations after a rollback.
-	// They live on the handler — not the per-class failover state — so a
-	// fresh overload after a rollback cannot reuse an epoch an old
-	// in-flight activation captured. Confined to the simulation loop.
-	epochs map[core.ClassID]int
 	// extraCores tracks hardware spent on failover instances.
 	extraCores int // confined to the simulation loop
 	peakExtra  int // confined to the simulation loop
@@ -191,12 +181,11 @@ func NewDynamicHandler(c *Controller) (*DynamicHandler, error) {
 	d := &DynamicHandler{
 		c:            c,
 		detectors:    make(map[vnf.ID]*vnf.Detector),
-		states:       make(map[core.ClassID]*failoverState),
+		states:       make(map[core.ClassID][]vnf.ID),
 		pending:      make(map[spawnKey]vnf.ID),
 		spawnedSet:   make(map[vnf.ID]bool),
 		spawnedCores: make(map[vnf.ID]int),
 		zombies:      make(map[vnf.ID]bool),
-		epochs:       make(map[core.ClassID]int),
 		counters:     metrics.NewCounters(),
 	}
 	for _, byNF := range c.instPool {
@@ -241,16 +230,6 @@ func (d *DynamicHandler) Observe(rates map[core.ClassID]float64) (int, error) {
 	for _, classID := range sortedKeys(d.states) {
 		if !d.c.assign.has(classID) {
 			d.endFailover(classID)
-		}
-	}
-	// Every removed class's epoch is forgotten, whether it left in
-	// failover or after a rollback. A late activation still drops itself,
-	// because the live assignment (if the ID returns) is not the one it
-	// was spawned for. Order cannot matter for a delete, so the map is
-	// ranged directly.
-	for classID := range d.epochs {
-		if !d.c.assign.has(classID) {
-			delete(d.epochs, classID)
 		}
 	}
 	// Pick up instances added since the handler was created (online
@@ -338,7 +317,7 @@ func (d *DynamicHandler) Observe(rates map[core.ClassID]float64) (int, error) {
 	// threshold (§VI: "the distribution will roll back to the normal
 	// state when the VNF instance is no longer overloaded").
 	for _, classID := range d.c.Classes() {
-		if d.states[classID] == nil {
+		if _, ok := d.states[classID]; !ok {
 			continue
 		}
 		if !d.baseWouldFit(classID, rates, loads) {
@@ -445,22 +424,32 @@ func (d *DynamicHandler) baseWouldFit(classID core.ClassID, rates map[core.Class
 // overload applies the §VI re-balancing for one overloaded instance.
 // loads is Observe's current load view: headroom is read from it, and
 // what the siblings absorb is charged against it while weights move; the
-// caller recomputes it from the reshaped weights afterwards.
+// caller recomputes it from the reshaped weights afterwards. The classes
+// routed through the instance are reshaped on clones that commit in one
+// transaction; spawns for the leftovers launch once it has.
 func (d *DynamicHandler) overload(instID vnf.ID, rates map[core.ClassID]float64, loads map[vnf.ID]float64) error {
+	var spawns []func()
+	txn := d.c.Begin()
 	for _, classID := range d.c.Classes() {
-		a, _ := d.c.assign.get(classID)
+		live, _ := d.c.assign.get(classID)
+		carried := false
+		for s, row := range live.Instances {
+			carried = carried || (live.Weights[s] > 0 && slices.Contains(row, instID))
+		}
+		if !carried {
+			continue
+		}
+		a := live.clone()
 		rate, ok := rates[classID]
 		if !ok {
 			rate = a.Class.RateMbps
 		}
-		changed := false
-		for s := range a.Subclasses {
+		for s := range live.Subclasses {
 			j := positionOf(a.Instances[s], instID)
 			if j < 0 || a.Weights[s] <= 0 {
 				continue
 			}
 			half := a.Weights[s] / 2
-			changed = true
 			remaining := half
 			// Spread onto least-loaded sibling sub-classes whose serving
 			// instance at position j has headroom.
@@ -479,6 +468,9 @@ func (d *DynamicHandler) overload(instID vnf.ID, rates map[core.ClassID]float64,
 				}
 				capacity, err := d.capacityOf(other)
 				if err != nil {
+					// Take back the tags re-pins drew for earlier classes.
+					txn.open()
+					txn.unwind(err)
 					return err
 				}
 				head := capacity - loads[other]
@@ -512,10 +504,7 @@ func (d *DynamicHandler) overload(instID vnf.ID, rates map[core.ClassID]float64,
 				// rule change ("re-balance the workload ... by requesting
 				// the Rule Generator to install new forwarding rules",
 				// §III), which shares capacity across classes.
-				absorbed := d.repin(a, s, j, &remaining, rate, loads)
-				if absorbed {
-					changed = true
-				}
+				d.repin(txn, a, s, j, &remaining, rate, loads)
 			}
 			if remaining > 1e-9 {
 				// Last resort: "the Dynamic Handler installs new ClickOS
@@ -524,20 +513,24 @@ func (d *DynamicHandler) overload(instID vnf.ID, rates map[core.ClassID]float64,
 				// instance until the new one is actually up; the
 				// activation callback moves it. On spawn failure the
 				// instance simply keeps dropping the excess.
-				_ = d.spawnSubclass(a, s, j, remaining, rate)
+				spawns = append(spawns, func() { _ = d.spawnSubclass(a, s, j, remaining, rate) })
 			}
 		}
-		if changed {
-			st := d.states[classID]
-			if st == nil {
-				st = &failoverState{triggers: make(map[vnf.ID]bool)}
-				d.states[classID] = st
-			}
-			st.triggers[instID] = true
-			if err := d.c.installClassification(a); err != nil {
-				return err
-			}
+		txn.stageReshape(a)
+	}
+	if len(txn.staged) == 0 {
+		return nil
+	}
+	if err := txn.Commit(TxnOptions{}); err != nil {
+		return err
+	}
+	for _, op := range txn.staged {
+		if _, ok := d.states[op.next.Class.ID]; !ok {
+			d.states[op.next.Class.ID] = nil
 		}
+	}
+	for _, spawn := range spawns {
+		spawn()
 	}
 	return nil
 }
@@ -545,11 +538,11 @@ func (d *DynamicHandler) overload(instID vnf.ID, rates map[core.ClassID]float64,
 // repin moves up to *remaining weight of sub-class src's position j onto
 // existing running instances with spare capacity, creating (or extending)
 // sibling sub-classes whose hop vector differs only at position j within
-// the order-compatible window. It updates loads and weights in place and
-// reports whether anything moved.
-func (d *DynamicHandler) repin(a *Assignment, src, j int, remaining *float64, rate float64, loads map[vnf.ID]float64) bool {
+// the order-compatible window. It reshapes the clone a and updates loads;
+// a new sub-class's global tag is recorded in txn, which commits a.
+func (d *DynamicHandler) repin(txn *RuleTxn, a *Assignment, src, j int, remaining *float64, rate float64, loads map[vnf.ID]float64) {
 	if rate <= 0 {
-		return false
+		return
 	}
 	nf := a.Class.Chain[j]
 	hops := a.Subclasses[src].Hops
@@ -560,7 +553,6 @@ func (d *DynamicHandler) repin(a *Assignment, src, j int, remaining *float64, ra
 	if j+1 < len(hops) {
 		hi = hops[j+1]
 	}
-	moved := false
 	for h := lo; h <= hi && *remaining > 1e-9; h++ {
 		v := a.Class.Path[h]
 		for _, inst := range d.c.instPool[v][nf] {
@@ -598,32 +590,20 @@ func (d *DynamicHandler) repin(a *Assignment, src, j int, remaining *float64, ra
 				sub.Hops[j] = h
 				insts := append([]vnf.ID(nil), a.Instances[src]...)
 				insts[j] = inst.ID()
-				tag, err := d.c.allocSubTagFor(a, subclassHosts(a.Class, sub.Hops), nil)
+				tag, err := d.c.allocSubTagFor(a, subclassHosts(a.Class, sub.Hops), txn)
 				if err != nil {
-					return moved
+					return
 				}
 				a.Subclasses = append(a.Subclasses, sub)
 				a.Instances = append(a.Instances, insts)
 				a.Weights = append(a.Weights, 0)
 				a.SubTags = append(a.SubTags, tag)
 				target = len(a.Subclasses) - 1
-				if err := d.c.installVSwitchRules(a, target); err != nil {
-					// Roll the new sub-class back — including any rules
-					// the partial install did land — and stop re-pinning.
-					d.c.removeVSwitchRules(a, target)
-					d.c.releaseSubTags(a, target, nil)
-					a.Subclasses = a.Subclasses[:target]
-					a.Instances = a.Instances[:target]
-					a.Weights = a.Weights[:target]
-					a.SubTags = a.SubTags[:target]
-					return moved
-				}
 			}
 			a.Weights[target] += w
 			a.Weights[src] -= w
 			loads[inst.ID()] += w * rate
 			*remaining -= w
-			moved = true
 			if d.c.tracer.Enabled() {
 				d.c.tracer.Emit(trace.Ev(trace.KindFailoverRepin).
 					WithClass(int64(a.Class.ID)).WithSub(target).WithPos(j).
@@ -631,7 +611,6 @@ func (d *DynamicHandler) repin(a *Assignment, src, j int, remaining *float64, ra
 			}
 		}
 	}
-	return moved
 }
 
 // sameExcept reports whether two instance vectors agree everywhere but
@@ -705,111 +684,77 @@ func (d *DynamicHandler) spawnSubclass(a *Assignment, src, j int, weight, rate f
 	if _, busy := d.pending[key]; busy {
 		return errors.New("controller: a failover instance is already being provisioned here")
 	}
-	st0 := d.states[a.Class.ID]
-	if st0 == nil {
-		st0 = &failoverState{triggers: make(map[vnf.ID]bool)}
-		d.states[a.Class.ID] = st0
-	}
-	epoch := d.epochs[a.Class.ID]
+	classID := a.Class.ID
 	launched := false
-	// activate commits the new sub-class transactionally: every step that
-	// can fail either happens before any shared state is touched, or is
-	// followed by a full unwind (arrays, tags, rules, pool, accounting).
-	activate := func(inst *vnf.Instance, h *host.Host) {
-		_ = h
+	// activate commits the new sub-class, and pools its instance, as one
+	// reshape of the live assignment; a failed commit leaves the instance
+	// to dispose of.
+	activate := func(inst *vnf.Instance, _ *host.Host) {
 		if d.pending[key] == inst.ID() {
 			delete(d.pending, key)
 		}
-		cur, live := d.c.assign.get(a.Class.ID)
-		if d.epochs[a.Class.ID] != epoch || src >= len(a.Weights) || !live || cur != a {
+		cur, live := d.c.assign.get(classID)
+		if !live || !sameGeneration(cur, a) {
 			// The overload rolled back — or a re-optimization cut the
-			// class over to a new assignment object — while the instance
-			// was booting; the distribution this spawn was computed
-			// against no longer exists, so drop the late activation.
-			// Committing against the orphaned assignment would install
-			// steering rules for a sub-class the live assignment does not
-			// have. A launched instance is cancelled (reclaiming its
-			// cores); a reconfigured VM returns to the idle pool under
-			// its current NF type.
+			// class over to a new assignment, or refreshed its rate —
+			// while the instance was booting; the distribution this spawn
+			// was computed against no longer exists, so drop the late
+			// activation. Another overload of the class keeps the
+			// generation, and the activation commits. A launched instance
+			// is cancelled (reclaiming its cores); a reconfigured VM
+			// returns to the idle pool under its current NF type.
 			d.counters.Inc(CtrStaleActivations)
 			if d.c.tracer.Enabled() {
 				d.c.tracer.Emit(trace.Ev(trace.KindFailoverStale).
-					WithClass(int64(a.Class.ID)).WithInst(string(inst.ID())))
+					WithClass(int64(classID)).WithInst(string(inst.ID())))
 			}
 			d.dropSpawned(v, inst)
 			return
 		}
-		s2 := len(a.Subclasses)
-		sub := core.Subclass{Portion: weight, Hops: append([]int(nil), a.Subclasses[src].Hops...)}
+		next := cur.clone()
+		s2 := len(next.Subclasses)
+		sub := core.Subclass{Portion: weight, Hops: append([]int(nil), next.Subclasses[src].Hops...)}
 		sub.Hops[j] = chosenHop
-		newInsts := append([]vnf.ID(nil), a.Instances[src]...)
+		newInsts := append([]vnf.ID(nil), next.Instances[src]...)
 		newInsts[j] = inst.ID()
-		tag, tagErr := d.c.allocSubTagFor(a, subclassHosts(a.Class, sub.Hops), nil)
-		if tagErr != nil {
+		txn := d.c.Begin()
+		tag, err := d.c.allocSubTagFor(next, subclassHosts(next.Class, sub.Hops), txn)
+		if err != nil {
 			d.counters.Inc(CtrSpawnFailures)
 			if d.c.tracer.Enabled() {
 				d.c.tracer.Emit(trace.Ev(trace.KindFailoverSpawnFail).
-					WithClass(int64(a.Class.ID)).WithInst(string(inst.ID())).WithErr(tagErr))
+					WithClass(int64(classID)).WithInst(string(inst.ID())).WithErr(err))
 			}
 			d.dropSpawned(v, inst)
-			return
-		}
-		if launched {
-			d.c.poolAdd(v, nf, inst)
-		} else {
-			// The reconfigured VM changed NF type; move it to the
-			// matching pool bucket so lookups stay consistent.
-			d.c.repoolInstance(v, inst)
-		}
-		if det, derr := vnf.DefaultDetector(inst.Spec().CapacityMbps); derr == nil {
-			d.detectors[inst.ID()] = det
-		}
-		a.SubTags = append(a.SubTags, tag)
-		a.Subclasses = append(a.Subclasses, sub)
-		a.Instances = append(a.Instances, newInsts)
-		a.Weights = append(a.Weights, 0)
-		unwind := func() {
-			d.counters.Inc(CtrActivationUnwinds)
-			if d.c.tracer.Enabled() {
-				d.c.tracer.Emit(trace.Ev(trace.KindFailoverUnwind).
-					WithClass(int64(a.Class.ID)).WithSub(s2).WithInst(string(inst.ID())))
-			}
-			d.c.removeVSwitchRules(a, s2)
-			d.c.releaseSubTags(a, s2, nil)
-			a.SubTags = a.SubTags[:s2]
-			a.Subclasses = a.Subclasses[:s2]
-			a.Instances = a.Instances[:s2]
-			a.Weights = a.Weights[:s2]
-			delete(d.detectors, inst.ID())
-			d.dropSpawned(v, inst)
-		}
-		if err := d.c.installVSwitchRules(a, s2); err != nil {
-			unwind()
 			return
 		}
 		// Exact weight transfer: never move more than src still carries,
 		// so the class total stays conserved even if src shrank while the
 		// VM was booting.
-		moved := weight
-		if a.Weights[src] < moved {
-			moved = a.Weights[src]
-		}
-		a.Weights[src] -= moved
-		a.Weights[s2] = moved
-		if err := d.c.installClassification(a); err != nil {
-			a.Weights[src] += moved
-			unwind()
-			// installClassification removed the class's old rules before
-			// failing; reinstall from the restored weights (same rule
-			// count as before the attempt, so this fits where the
-			// original did).
-			_ = d.c.installClassification(a)
+		moved := min(weight, next.Weights[src])
+		next.Weights[src] -= moved
+		next.SubTags = append(next.SubTags, tag)
+		next.Subclasses = append(next.Subclasses, sub)
+		next.Instances = append(next.Instances, newInsts)
+		next.Weights = append(next.Weights, moved)
+		d.c.repoolInstance(v, inst, txn)
+		txn.stageReshape(next)
+		if err := txn.Commit(TxnOptions{}); err != nil {
+			d.counters.Inc(CtrActivationUnwinds)
+			if d.c.tracer.Enabled() {
+				d.c.tracer.Emit(trace.Ev(trace.KindFailoverUnwind).
+					WithClass(int64(classID)).WithSub(s2).WithInst(string(inst.ID())).WithErr(err))
+			}
+			d.dropSpawned(v, inst)
 			return
+		}
+		if det, derr := vnf.DefaultDetector(inst.Spec().CapacityMbps); derr == nil {
+			d.detectors[inst.ID()] = det
 		}
 		d.counters.Inc(CtrActivations)
 		if d.c.tracer.Enabled() {
 			d.c.tracer.Emit(trace.Ev(trace.KindFailoverActivate).
-				WithClass(int64(a.Class.ID)).WithSub(s2).WithPos(j).
+				WithClass(int64(classID)).WithSub(s2).WithPos(j).
 				WithNode(int64(v)).WithInst(string(inst.ID())))
 		}
 	}
@@ -873,7 +818,7 @@ func (d *DynamicHandler) spawnSubclass(a *Assignment, src, j int, weight, rate f
 		// Only launched instances are torn down (and their cores
 		// reclaimed) at rollback; a reconfigured VM simply returns to the
 		// idle pool.
-		st0.spawned = append(st0.spawned, newID)
+		d.states[a.Class.ID] = append(d.states[a.Class.ID], newID)
 		d.spawnedSet[newID] = true
 		d.spawnedCores[newID] = spec.Cores
 		d.extraCores += spec.Cores
@@ -894,48 +839,52 @@ func (d *DynamicHandler) dropSpawned(v topology.NodeID, inst *vnf.Instance) {
 		d.cancelSpawned(id)
 		return
 	}
-	d.c.repoolInstance(v, inst)
+	d.c.repoolInstance(v, inst, nil)
 }
 
-// rollback restores one class's base distribution and cancels its
-// failover instances (§VI: "when a VNF instance is no longer overloaded,
+// rollback restores the base distribution of a class in failover and
+// cancels its failover instances (§VI: "when a VNF instance is no longer overloaded,
 // the newly installed ClickOS instances are cancelled to save hardware
-// resources").
+// resources"). The reshape flips classification back to the base
+// sub-classes before it retires the steering of the tail ones, so no
+// packet is classified onto a sub-class without steering.
 func (d *DynamicHandler) rollback(classID core.ClassID) error {
-	if d.states[classID] == nil {
-		return nil
-	}
-	a, _ := d.c.assign.get(classID)
-	// Bump the class epoch before touching anything: every in-flight
-	// activation captured the old value and will drop itself instead of
-	// committing against the restored distribution.
-	d.epochs[classID]++
+	live, _ := d.c.assign.get(classID)
 	if d.c.tracer.Enabled() {
 		d.c.tracer.Emit(trace.Ev(trace.KindFailoverRollback).
 			WithClass(int64(classID)).
-			WithVal(int64(len(a.Subclasses) - len(a.Base))))
+			WithVal(int64(len(live.Subclasses) - len(live.Base))))
 	}
-	// Drop re-pinned and spawned sub-classes (they occupy the tail),
-	// removing their steering rules first — a leaked rule would shadow
-	// the reinstall when a later failover reuses the same sub-class slot.
-	base := len(a.Base)
-	for s := base; s < len(a.Subclasses); s++ {
-		d.c.removeVSwitchRules(a, s)
+	base := len(live.Base)
+	next := live.clone()
+	next.Subclasses = next.Subclasses[:base]
+	next.Instances = next.Instances[:base]
+	next.SubTags = next.SubTags[:base]
+	next.Weights = append(next.Weights[:0], live.Base...)
+	// A new generation: activations still in flight drop themselves
+	// instead of committing against the restored distribution.
+	next.Base = slices.Clone(live.Base)
+	txn := d.c.Begin()
+	txn.stageReshape(next)
+	if err := txn.Commit(TxnOptions{}); err != nil {
+		return err
 	}
-	d.c.releaseSubTags(a, base, nil)
-	a.Subclasses = a.Subclasses[:base]
-	a.Instances = a.Instances[:base]
-	a.Weights = append(a.Weights[:0], a.Base...)
-	a.SubTags = a.SubTags[:base]
 	d.endFailover(classID)
 	d.counters.Inc(CtrRollbacks)
-	return d.c.installClassification(a)
+	return nil
+}
+
+// sameGeneration reports whether cur is a, or descends from a through
+// overloads and activations only: their clones share Base, while
+// installs, updates, refreshes and rollbacks build their own.
+func sameGeneration(cur, a *Assignment) bool {
+	return len(cur.Base) > 0 && len(a.Base) > 0 && &cur.Base[0] == &a.Base[0]
 }
 
 // endFailover cancels (or adopts) classID's failover launches and forgets
 // its failover state.
 func (d *DynamicHandler) endFailover(classID core.ClassID) {
-	for _, spawnedID := range d.states[classID].spawned {
+	for _, spawnedID := range d.states[classID] {
 		d.cancelSpawned(spawnedID)
 	}
 	delete(d.states, classID)

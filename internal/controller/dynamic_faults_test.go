@@ -1,6 +1,9 @@
 package controller
 
 import (
+	"errors"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -164,7 +167,8 @@ func TestRollbackWithLostCancelGoesStale(t *testing.T) {
 	}
 	assertInvariants(t, d)
 	// The boot completes → activation fires → dropped as stale (the
-	// rollback bumped the class epoch) → cancel retried and succeeds.
+	// rollback started a new generation of the class) → cancel retried
+	// and succeeds.
 	if err := clock.AdvanceTo(6 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -253,6 +257,68 @@ func TestLoadsRefreshedAfterTransition(t *testing.T) {
 				t.Fatalf("instance %s offered %v, current weights say %v (stale loads applied)", id, got, want)
 			}
 		}
+	}
+	assertInvariants(t, d)
+}
+
+// TestOverloadFaultLeavesStateUntouched: an overload reshapes a clone, so
+// a fault at its classification flip leaves weights and rules as they
+// were — byte-identical to before Observe — and launches no failover
+// instance: spawns follow the commit.
+func TestOverloadFaultLeavesStateUntouched(t *testing.T) {
+	c, d, _ := overloadedSetup(t)
+	want := stateDigest(t, c)
+	c.failpoint = func(p string) error {
+		if p == "reshape:cls:0" {
+			return errInjected
+		}
+		return nil
+	}
+	if _, err := d.Observe(map[core.ClassID]float64{0: 1600}); !errors.Is(err, errInjected) {
+		t.Fatalf("Observe = %v, want the injected fault", err)
+	}
+	if got := stateDigest(t, c); got != want {
+		t.Fatalf("state after the failed overload: %s", firstDiff(want, got))
+	}
+	if d.PendingSpawns() != 0 || d.ExtraCores() != 0 {
+		t.Fatalf("failed overload spawned: pending=%d extra=%d", d.PendingSpawns(), d.ExtraCores())
+	}
+	assertInvariants(t, d)
+}
+
+// TestRollbackEnforcedAtEveryStep: a rollback flips classification back to
+// the base sub-classes before it retires the re-pinned one's steering, so
+// the class passes its enforcement probes at every step of the reshape.
+// Removing the steering first would leave classification sending traffic
+// to a sub-class tag with no steering behind it.
+func TestRollbackEnforcedAtEveryStep(t *testing.T) {
+	c, d := repinSetup(t)
+	if err := observeOnce(d, repinSurge); err != nil {
+		t.Fatalf("overload: %v", err)
+	}
+	var steps []string
+	c.failpoint = func(p string) error {
+		if !strings.HasPrefix(p, "reshape:") {
+			return nil
+		}
+		steps = append(steps, p)
+		return c.CheckClassEnforcement(0)
+	}
+	if err := observeOnce(d, repinCalm); err != nil {
+		t.Fatalf("rollback: %v", err)
+	}
+	if !reflect.DeepEqual(steps, reshapePoints) {
+		t.Fatalf("rollback stepped through %v, want %v", steps, reshapePoints)
+	}
+	a, err := c.Assignment(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Subclasses) != len(a.Base) {
+		t.Fatalf("not rolled back: %d sub-classes, base %d", len(a.Subclasses), len(a.Base))
+	}
+	if err := c.CheckEnforcement(); err != nil {
+		t.Fatalf("enforcement after rollback: %v", err)
 	}
 	assertInvariants(t, d)
 }

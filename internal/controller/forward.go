@@ -109,15 +109,17 @@ func (c *Controller) InstanceNF(id vnf.ID) (policy.NF, error) {
 
 // CheckClassEnforcement forwards probe packets for one class from its
 // ingress and verifies the visited NF sequence equals the policy chain —
-// the end-to-end policy-enforcement property for that class. Several
-// source addresses are probed so multiple sub-classes are exercised.
+// the end-to-end policy-enforcement property for that class. One probe
+// starts each eighth of the class's source space, so every sub-class
+// holding an eighth or more of the traffic is exercised.
 func (c *Controller) CheckClassEnforcement(id core.ClassID) error {
 	a, ok := c.assign.get(id)
 	if !ok {
 		return fmt.Errorf("controller: class %d not installed", id)
 	}
+	slice := uint32(1) << (32 - a.Prefix.Len - 3)
 	for sub := uint32(0); sub < 8; sub++ {
-		hdr, err := c.FlowHeader(id, sub<<4)
+		hdr, err := c.FlowHeader(id, sub*slice)
 		if err != nil {
 			return err
 		}

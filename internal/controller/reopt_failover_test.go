@@ -10,10 +10,12 @@ package controller
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
 	"github.com/apple-nfv/apple/internal/core"
+	"github.com/apple-nfv/apple/internal/orchestrator"
 )
 
 // midFailoverFixture drives the overloaded single-firewall class into
@@ -232,5 +234,103 @@ func TestReoptMidFailoverStaleActivationDropped(t *testing.T) {
 	}
 	if n := d.PendingSpawns(); n != 0 {
 		t.Fatalf("leaked pending spawns: %d", n)
+	}
+}
+
+// TestStaleActivationVerdicts: a spawn booting across a transition is
+// judged by whether the class is still the generation the spawn was
+// computed against. A rollback, an update cutover (what ReOptimize commits
+// for a changed class) and a rate-only refresh each install a new one, so
+// the late activation is dropped. Another overload of the same class is a
+// handler reshape, which keeps the generation, so the activation commits
+// with the class weight conserved — the case copy-on-write reshapes, which
+// replace the assignment pointer, must not break.
+func TestStaleActivationVerdicts(t *testing.T) {
+	cases := []struct {
+		name   string
+		plan   orchestrator.FaultPlan
+		across func(t *testing.T, c *Controller, d *DynamicHandler)
+		commit bool
+	}{
+		// The lost cancel keeps the rolled-back launch booting into its
+		// activation.
+		{"rollback", orchestrator.FaultPlan{CancelFailOn: []int{1}}, func(t *testing.T, c *Controller, d *DynamicHandler) {
+			if err := observeOnce(d, map[core.ClassID]float64{0: 100}); err != nil {
+				t.Fatalf("rollback: %v", err)
+			}
+		}, false},
+		{"update", orchestrator.FaultPlan{}, func(t *testing.T, c *Controller, d *DynamicHandler) {
+			a, _ := c.assign.get(0)
+			dist := zeroDist(len(a.Class.Path), len(a.Class.Chain))
+			for j := range a.Class.Chain {
+				dist[a.Subclasses[0].Hops[j]][j] = 1
+			}
+			txn := c.Begin()
+			txn.StageUpdate(a.Class, dist)
+			if err := txn.Commit(TxnOptions{}); err != nil {
+				t.Fatalf("update: %v", err)
+			}
+		}, false},
+		{"refresh", orchestrator.FaultPlan{}, func(t *testing.T, c *Controller, d *DynamicHandler) {
+			a, _ := c.assign.get(0)
+			cl := a.Class
+			cl.RateMbps = 520
+			txn := c.Begin()
+			txn.StageRefresh(cl)
+			if err := txn.Commit(TxnOptions{}); err != nil {
+				t.Fatalf("refresh: %v", err)
+			}
+		}, false},
+		{"overload", orchestrator.FaultPlan{}, func(t *testing.T, c *Controller, d *DynamicHandler) {
+			if err := observeOnce(d, map[core.ClassID]float64{0: 1600}); err != nil {
+				t.Fatalf("second overload: %v", err)
+			}
+		}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, d, clock := faultySetup(t, tc.plan)
+			if err := observeOnce(d, map[core.ClassID]float64{0: 1600}); err != nil {
+				t.Fatalf("overload: %v", err)
+			}
+			if d.PendingSpawns() != 1 {
+				t.Fatal("no spawn in flight")
+			}
+			tc.across(t, c, d)
+			stale, activations := d.Counters().Get(CtrStaleActivations), d.Counters().Get(CtrActivations)
+			if err := clock.AdvanceTo(6 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			dStale := d.Counters().Get(CtrStaleActivations) - stale
+			dAct := d.Counters().Get(CtrActivations) - activations
+			a, err := c.Assignment(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			extra := len(a.Subclasses) - len(a.Base)
+			if tc.commit && (dAct != 1 || dStale != 0 || extra != 1) {
+				t.Fatalf("activation not committed: activations +%d, stale +%d, %d extra sub-classes", dAct, dStale, extra)
+			}
+			if !tc.commit && (dAct != 0 || dStale != 1 || extra != 0) {
+				t.Fatalf("activation not dropped: activations +%d, stale +%d, %d extra sub-classes", dAct, dStale, extra)
+			}
+			wsum, bsum := 0.0, 0.0
+			for _, w := range a.Weights {
+				wsum += w
+			}
+			for _, w := range a.Base {
+				bsum += w
+			}
+			if math.Abs(wsum-bsum) > weightTol {
+				t.Fatalf("weights %v sum to %v, base %v to %v", a.Weights, wsum, a.Base, bsum)
+			}
+			if d.PendingSpawns() != 0 {
+				t.Fatalf("leaked pending spawns: %d", d.PendingSpawns())
+			}
+			assertInvariants(t, d)
+			if err := c.CheckEnforcement(); err != nil {
+				t.Fatalf("enforcement: %v", err)
+			}
+		})
 	}
 }

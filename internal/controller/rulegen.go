@@ -280,7 +280,11 @@ func (c *Controller) emitClassRules(a *Assignment) ([]tableBatch, error) {
 	runs := make([][]chainRun, len(a.Subclasses))
 	for s, sub := range a.Subclasses {
 		runs[s] = chainRuns(sub.Hops)
-		reserveVSwitchRules(g, a, runs[s])
+		// Steering per run: the uplink entry, one rule per chain hop
+		// inside the host, and the exit.
+		for _, r := range runs[s] {
+			g.reserve(steeringKey(cl.Path[r.hop]), r.end-r.start+2)
+		}
 	}
 
 	// Routing along the class path (skip rules already present).
@@ -413,25 +417,6 @@ func (a *Assignment) classificationBlocks() ([][]headerspace.PrefixBlock, error)
 	return blocks, nil
 }
 
-// installClassification (re)installs the ingress classification rules of
-// a class from its current weights (Table III rows 2–3). The full rule
-// set is built before the table is touched, so a bad weight vector or
-// tag lookup fails without disturbing the installed rules; only then are
-// the class's existing rules swapped for the new ones. The Dynamic
-// Handler calls this after reshaping weights.
-func (c *Controller) installClassification(a *Assignment) error {
-	blocks, err := a.classificationBlocks()
-	if err != nil {
-		return err
-	}
-	g := newRuleGroups(1)
-	g.reserve(appleKey(a.Class.Path[0]), classificationSize(blocks))
-	if err := c.emitClassification(g, a, blocks); err != nil {
-		return err
-	}
-	return c.applyStaged(g.tables)
-}
-
 // classificationSize is how many operations emitClassification adds for
 // the given split: the removal, then one rule per prefix block.
 func classificationSize(blocks [][]headerspace.PrefixBlock) int {
@@ -516,27 +501,6 @@ func chainRuns(hops []int) []chainRun {
 	return runs
 }
 
-// installVSwitchRules programs the ⟨InPort, class, sub-class⟩ steering of
-// §V-B for sub-class s on every host it visits.
-func (c *Controller) installVSwitchRules(a *Assignment, s int) error {
-	runs := chainRuns(a.Subclasses[s].Hops)
-	g := newRuleGroups(len(runs))
-	reserveVSwitchRules(g, a, runs)
-	if err := c.emitVSwitchRules(g, a, s, runs); err != nil {
-		return err
-	}
-	return c.applyStaged(g.tables)
-}
-
-// reserveVSwitchRules reserves what emitVSwitchRules adds for a sub-class
-// with the given runs: per run, the uplink entry, one rule per chain hop
-// inside the host, and the exit.
-func reserveVSwitchRules(g *ruleGroups, a *Assignment, runs []chainRun) {
-	for _, r := range runs {
-		g.reserve(steeringKey(a.Class.Path[r.hop]), r.end-r.start+2)
-	}
-}
-
 // emitVSwitchRules compiles sub-class s's steering rules, run by run of
 // its hop vector, into the batches of the visited hosts' steering tables.
 func (c *Controller) emitVSwitchRules(g *ruleGroups, a *Assignment, s int, runs []chainRun) error {
@@ -614,28 +578,6 @@ func (c *Controller) emitVSwitchRules(g *ruleGroups, a *Assignment, s int, runs 
 		}})
 	}
 	return nil
-}
-
-// removeVSwitchRules deletes sub-class s's steering rules from every
-// host its hop vector visits — the inverse of installVSwitchRules, used
-// by rollback and unwind paths. Rules missing on a host are fine: a
-// partially failed install removes whatever made it in.
-func (c *Controller) removeVSwitchRules(a *Assignment, s int) {
-	if s < 0 || s >= len(a.Subclasses) {
-		return
-	}
-	name := fmt.Sprintf("vsw-%d-%d", a.Class.ID, s)
-	for _, v := range subclassHosts(a.Class, a.Subclasses[s].Hops) {
-		h, ok := c.hosts[v]
-		if !ok {
-			continue
-		}
-		steer, err := h.VSwitch().Table(host.TableSteering)
-		if err != nil {
-			continue
-		}
-		steer.Remove(name)
-	}
 }
 
 // expandForCapacity implements §IV-B's load distribution across multiple

@@ -258,24 +258,6 @@ func (c *Controller) deviceTable(d device, table int) (*flowtable.Table, error) 
 	return sw.Pipeline.Table(table)
 }
 
-// applyStaged installs emitted batches strictly in the order given, one
-// ApplyBatch per table, outside any transaction — the Dynamic Handler's
-// fast failover, whose own rollback removes what it installed.
-func (c *Controller) applyStaged(batches []tableBatch) error {
-	for _, b := range batches {
-		t, err := c.deviceTable(b.key.dev, b.key.table)
-		if err != nil {
-			return err
-		}
-		n, err := t.ApplyBatch(b.ops)
-		c.ruleUpdates.Add(int64(n))
-		if err != nil {
-			return fmt.Errorf("controller: %w", err)
-		}
-	}
-	return nil
-}
-
 // BatchOptions tunes AddClassBatch.
 type BatchOptions struct {
 	// Workers bounds the emit, apply, and verify worker pools; 0 means

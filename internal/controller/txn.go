@@ -1,16 +1,18 @@
 package controller
 
 // Rule transactions: commit-or-unwind mutation of the controller's flow
-// state. Every class-set mutation (InstallPlacement, AddClass,
-// AddClassBatch, ReOptimize) runs inside a RuleTxn, so a class can never
-// end up admitted in the assignment store with half its rules installed,
-// and provisioned instances cannot leak when a later stage fails.
+// state. Every rule mutation — InstallPlacement, AddClass, AddClassBatch,
+// ReOptimize and the Dynamic Handler's reshapes — runs inside a RuleTxn,
+// so a class can never end up admitted in the assignment store with half
+// its rules installed, and provisioned instances cannot leak when a later
+// stage fails.
 //
 // Protocol (make-before-break):
 //
 //	stage      — callers declare class-set deltas (adds, updates,
 //	             removals). Nothing is touched.
-//	commit     — deltas execute in add → update → remove order. New
+//	commit     — deltas execute in add → update → remove order (a
+//	             handler reshape commits with the updates). New
 //	             classes go through the class-install pipeline
 //	             (installNew, setup.go), one class per run. Within
 //	             an update, the new rules are installed before the stale
@@ -43,11 +45,14 @@ package controller
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"github.com/apple-nfv/apple/internal/core"
 	"github.com/apple-nfv/apple/internal/flowtable"
 	"github.com/apple-nfv/apple/internal/metrics"
+	"github.com/apple-nfv/apple/internal/policy"
 	"github.com/apple-nfv/apple/internal/topology"
 	"github.com/apple-nfv/apple/internal/trace"
 	"github.com/apple-nfv/apple/internal/vnf"
@@ -61,6 +66,7 @@ const (
 	txnUpdate                   // full rule cutover to a new distribution
 	txnRefresh                  // bookkeeping-only rate change, rules untouched
 	txnRemove                   // class teardown
+	txnReshape                  // Dynamic Handler reshape of weights and tail sub-classes
 )
 
 // txnOp is one staged class delta.
@@ -69,6 +75,7 @@ type txnOp struct {
 	cl   core.Class
 	dist [][]float64
 	id   core.ClassID
+	next *Assignment // txnReshape: the reshaped copy of the live assignment
 }
 
 // TxnOptions tunes Commit.
@@ -96,6 +103,8 @@ type RuleTxn struct {
 	// setGlobalTag).
 	prevPortion map[vnf.ID]portionPre
 	prevTags    map[hostTag]bool
+	// Pre-transaction pool buckets of the switches repoolInstance wrote.
+	prevPools map[topology.NodeID]map[policy.NF][]*vnf.Instance
 	// undo holds the inverse of every table batch applied, in apply
 	// order.
 	undo []tableUndo
@@ -159,6 +168,12 @@ func (t *RuleTxn) StageRemove(id core.ClassID) {
 	t.staged = append(t.staged, txnOp{kind: txnRemove, id: id})
 }
 
+// stageReshape stages a Dynamic Handler reshape: next is a reshaped
+// Assignment.clone of an installed class's live assignment.
+func (t *RuleTxn) stageReshape(next *Assignment) {
+	t.staged = append(t.staged, txnOp{kind: txnReshape, next: next})
+}
+
 // Installed and Removed report the rule churn of a committed
 // transaction.
 func (t *RuleTxn) Installed() int { return t.installed }
@@ -185,7 +200,7 @@ func (t *RuleTxn) Commit(opts TxnOptions) (err error) {
 		want func(txnOpKind) bool
 	}{
 		{"add", func(k txnOpKind) bool { return k == txnAdd || k == txnInstall }},
-		{"update", func(k txnOpKind) bool { return k == txnUpdate || k == txnRefresh }},
+		{"update", func(k txnOpKind) bool { return k == txnUpdate || k == txnRefresh || k == txnReshape }},
 		{"remove", func(k txnOpKind) bool { return k == txnRemove }},
 	}
 	for _, ph := range phases {
@@ -202,6 +217,8 @@ func (t *RuleTxn) Commit(opts TxnOptions) (err error) {
 				err = t.commitUpdate(op, opts)
 			case txnRefresh:
 				err = t.commitRefresh(op)
+			case txnReshape:
+				err = t.commitReshape(op)
 			case txnRemove:
 				err = t.commitRemove(op)
 			}
@@ -247,9 +264,9 @@ func (t *RuleTxn) finish() {
 
 // unwind restores the controller to its pre-transaction state: table
 // batches reverted newest first, admitted classes out of the store,
-// replaced/removed classes back in, provisioned instances cancelled and
-// de-pooled, and every written portion and global-tag entry set back to
-// its recorded value.
+// replaced/removed classes back in, re-bucketed pools restored,
+// provisioned instances cancelled and de-pooled, and every written portion
+// and global-tag entry set back to its recorded value.
 func (t *RuleTxn) unwind(cause error) {
 	t.finished = true
 	c := t.c
@@ -267,6 +284,9 @@ func (t *RuleTxn) unwind(cause error) {
 	for i := len(t.prevOrder) - 1; i >= 0; i-- {
 		id := t.prevOrder[i]
 		c.assign.put(id, t.prevAssign[id])
+	}
+	for v, pre := range t.prevPools {
+		c.instPool[v] = pre
 	}
 	for _, id := range t.provisioned {
 		_ = c.orch.Cancel(id)
@@ -322,6 +342,16 @@ func (t *RuleTxn) recordUndo(k tableKey, u flowtable.Undo) {
 	t.removed += u.Removed()
 }
 
+// applyEach applies batches in order, one table at a time.
+func (t *RuleTxn) applyEach(batches []tableBatch) error {
+	for _, b := range batches {
+		if err := t.apply(b.key, b.ops); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // apply runs one batch against one table in a single critical section,
 // keeping its undo token and accounting installed rules. The ordered
 // make-before-break steps of an update or removal are sequences of these.
@@ -355,8 +385,9 @@ type hostTag struct {
 // setPortion writes (or, with present false, deletes) one entry of the
 // instance-portion ledger. Inside a transaction the entry's prior state
 // is recorded the first time it is written, so unwind can put it back
-// exactly; txn is nil on the non-transactional paths (fast failover,
-// reap-after-commit) and during the unwind itself.
+// exactly; txn is nil only after a commit — reaping idle instances,
+// cancelling a rolled-back failover's launches — and during the unwind
+// itself.
 func (c *Controller) setPortion(txn *RuleTxn, id vnf.ID, load float64, present bool) {
 	if txn != nil {
 		if _, seen := txn.prevPortion[id]; !seen {
@@ -399,6 +430,22 @@ func (c *Controller) setGlobalTag(txn *RuleTxn, v topology.NodeID, tag uint8, on
 		c.hostGlobalTags[v] = make(map[uint8]bool)
 	}
 	c.hostGlobalTags[v][tag] = true
+}
+
+// trackPool records switch v's pool buckets on first write. The buckets
+// are copied: pool edits filter them in place.
+func (t *RuleTxn) trackPool(v topology.NodeID) {
+	if _, seen := t.prevPools[v]; seen {
+		return
+	}
+	if t.prevPools == nil {
+		t.prevPools = make(map[topology.NodeID]map[policy.NF][]*vnf.Instance)
+	}
+	pre := maps.Clone(t.c.instPool[v])
+	for nf, insts := range pre {
+		pre[nf] = slices.Clone(insts)
+	}
+	t.prevPools[v] = pre
 }
 
 // trackPrevAssign records the pre-image of a class the transaction is
@@ -615,30 +662,19 @@ func (t *RuleTxn) commitRemove(op txnOp) error {
 	if err := t.fail("remove:emit", op.id); err != nil {
 		return err
 	}
-	cl := a.Class
-	// Steering removals per host, hosts in the order the sub-classes
-	// first reach them.
-	steer := newRuleGroups(len(cl.Path))
-	for s := range a.Subclasses {
-		name := fmt.Sprintf("vsw-%d-%d", cl.ID, s)
-		for _, v := range subclassHosts(cl, a.Subclasses[s].Hops) {
-			steer.add(steeringKey(v), flowtable.BatchOp{Remove: name})
-		}
-	}
+	steer := steeringRemovals(a, 0)
 	if err := t.fail("remove:cls", op.id); err != nil {
 		return err
 	}
-	clsBatch := []flowtable.BatchOp{{Remove: fmt.Sprintf("cls-%d", cl.ID)}}
-	if err := t.apply(appleKey(cl.Path[0]), clsBatch); err != nil {
+	clsBatch := []flowtable.BatchOp{{Remove: fmt.Sprintf("cls-%d", a.Class.ID)}}
+	if err := t.apply(appleKey(a.Class.Path[0]), clsBatch); err != nil {
 		return err
 	}
 	if err := t.fail("remove:steer", op.id); err != nil {
 		return err
 	}
-	for _, b := range steer.tables {
-		if err := t.apply(b.key, b.ops); err != nil {
-			return err
-		}
+	if err := t.applyEach(steer); err != nil {
+		return err
 	}
 	if err := t.fail("remove:unregister", op.id); err != nil {
 		return err
@@ -647,6 +683,77 @@ func (t *RuleTxn) commitRemove(op txnOp) error {
 	c.assign.remove(op.id)
 	c.releaseSubTags(a, 0, t)
 	c.shiftPortions(t, a, -1)
+	return nil
+}
+
+// steeringRemovals removes the steering of a's sub-classes from index
+// from on: vsw-<id>-<s> on every host sub-class s visits, one batch per
+// host, hosts in the order the sub-classes first reach them. Each visits
+// at most one host per chain position, so nothing to drop allocates none.
+func steeringRemovals(a *Assignment, from int) []tableBatch {
+	steer := newRuleGroups(min(len(a.Class.Path), max(0, len(a.Subclasses)-from)*len(a.Class.Chain)))
+	for s := from; s < len(a.Subclasses); s++ {
+		name := fmt.Sprintf("vsw-%d-%d", a.Class.ID, s)
+		for _, v := range subclassHosts(a.Class, a.Subclasses[s].Hops) {
+			steer.add(steeringKey(v), flowtable.BatchOp{Remove: name})
+		}
+	}
+	return steer.tables
+}
+
+// commitReshape commits a Dynamic Handler reshape make-before-break. The
+// staged assignment keeps the live one's sub-classes but for the tail an
+// overload or activation appends and a rollback drops: steering of added
+// sub-classes first, then the classification flip (remove-then-install)
+// and the store swap, then retiring the dropped sub-classes' steering and
+// global tags. No other rule of the class is emitted.
+func (t *RuleTxn) commitReshape(op txnOp) error {
+	c := t.c
+	next := op.next
+	id := next.Class.ID
+	old, ok := c.assign.get(id)
+	if !ok {
+		return fmt.Errorf("controller: class %d is not installed", id)
+	}
+	if err := t.fail("reshape:steer", id); err != nil {
+		return err
+	}
+	steer := newRuleGroups(max(0, len(next.Subclasses)-len(old.Subclasses)))
+	for s := len(old.Subclasses); s < len(next.Subclasses); s++ {
+		if err := c.emitVSwitchRules(steer, next, s, chainRuns(next.Subclasses[s].Hops)); err != nil {
+			return err
+		}
+	}
+	if err := t.applyEach(steer.tables); err != nil {
+		return err
+	}
+	if err := t.fail("reshape:cls", id); err != nil {
+		return err
+	}
+	blocks, err := next.classificationBlocks()
+	if err != nil {
+		return err
+	}
+	cls := newRuleGroups(1)
+	cls.reserve(appleKey(next.Class.Path[0]), classificationSize(blocks))
+	if err := c.emitClassification(cls, next, blocks); err != nil {
+		return err
+	}
+	if err := t.applyEach(cls.tables); err != nil {
+		return err
+	}
+	if err := t.fail("reshape:swap", id); err != nil {
+		return err
+	}
+	t.trackPrevAssign(id, old)
+	c.assign.put(id, next)
+	if err := t.fail("reshape:retire", id); err != nil {
+		return err
+	}
+	if err := t.applyEach(steeringRemovals(old, len(next.Subclasses))); err != nil {
+		return err
+	}
+	c.releaseSubTags(old, len(next.Subclasses), t)
 	return nil
 }
 

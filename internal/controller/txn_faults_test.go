@@ -251,13 +251,17 @@ type faultRoute struct {
 	c       *Controller
 	handler *DynamicHandler
 	run     func() error
-	// kept, when set, names the classes of the call that by contract stay
-	// installed when failpoint pt aborts run. Only AddClassBatch ever
-	// keeps any: the classes admitted before an admission failure.
-	kept func(pt string) []core.Class
+	// expect, when set, returns the state a fault at pt must leave where
+	// that is not the pre-call state ("" where it is). AddClassBatch keeps
+	// the classes admitted before an admission failure; a failed spawn
+	// activation disposes of its instance.
+	expect func(t *testing.T, pt string) string
+	// reshapes marks the Dynamic Handler's transitions: they commit
+	// reshapes, which run no install pipeline.
+	reshapes bool
 }
 
-// faultRoutes lists every entry point that installs new classes.
+// faultRoutes lists every entry point that mutates rules.
 var faultRoutes = []struct {
 	name string
 	new  func(*testing.T) *faultRoute
@@ -282,17 +286,24 @@ var faultRoutes = []struct {
 		}
 		return &faultRoute{c: fx.c, handler: fx.handler,
 			run: func() error { return fx.c.AddClassBatch(batch, BatchOptions{Workers: 2, Verify: true}) },
-			kept: func(pt string) []core.Class {
-				for i, cl := range batch {
+			expect: func(t *testing.T, pt string) string {
+				for i, cl := range batch[1:] {
 					if pt == fmt.Sprintf("add:plan:%d", cl.ID) || pt == fmt.Sprintf("add:admit:%d", cl.ID) {
-						return batch[:i]
+						ref := newTxnFixture(t)
+						if err := ref.c.AddClassBatch(batch[:i+1], BatchOptions{}); err != nil {
+							t.Fatalf("reference install: %v", err)
+						}
+						return stateDigest(t, ref.c)
 					}
 				}
-				return nil
+				return ""
 			}}
 	}},
 	{"placement", newPlacementRoute},
 	{"reshaped", newReshapedRoute},
+	{"overload", newOverloadRoute},
+	{"rollback", newRollbackRoute},
+	{"activate", newActivateRoute},
 }
 
 // newReshapedRoute commits over classes the Dynamic Handler has reshaped:
@@ -380,6 +391,122 @@ func newPlacementRoute(t *testing.T) *faultRoute {
 	return &faultRoute{c: c, handler: handler, run: func() error { return c.InstallPlacement(prob, pl) }}
 }
 
+// repinSetup installs two firewall classes: class 0 nearly fills its
+// instance while class 1's has headroom, so repinSurge overloads class 0's
+// firewall and the handler re-pins the excess onto class 1's with a new
+// sub-class and no spawn, and repinCalm rolls that back.
+func repinSetup(t *testing.T) (*Controller, *DynamicHandler) {
+	t.Helper()
+	classes := []core.Class{
+		{ID: 0, Path: linePath(4), Chain: policy.Chain{policy.Firewall}, RateMbps: 800},
+		{ID: 1, Path: linePath(4), Chain: policy.Chain{policy.Firewall}, RateMbps: 900},
+	}
+	c, _, _, _ := setup(t, classes)
+	d, err := NewDynamicHandler(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, d
+}
+
+var (
+	repinSurge = map[core.ClassID]float64{0: 1200, 1: 100}
+	repinCalm  = map[core.ClassID]float64{0: 300, 1: 100}
+)
+
+// observeOnce is a handler route's call: one Observe, which must handle
+// exactly one transition.
+func observeOnce(d *DynamicHandler, rates map[core.ClassID]float64) error {
+	n, err := d.Observe(rates)
+	if err == nil && n != 1 {
+		return fmt.Errorf("Observe handled %d transitions, want 1", n)
+	}
+	return err
+}
+
+// newOverloadRoute is the handler's overload transition: class 0's
+// reshape re-pins half its weight onto class 1's firewall, adding a
+// sub-class and its steering.
+func newOverloadRoute(t *testing.T) *faultRoute {
+	t.Helper()
+	c, d := repinSetup(t)
+	return &faultRoute{c: c, handler: d, reshapes: true, run: func() error { return observeOnce(d, repinSurge) }}
+}
+
+// newRollbackRoute is the rollback that follows: class 0 returns to its
+// base weights and drops the re-pinned sub-class.
+func newRollbackRoute(t *testing.T) *faultRoute {
+	t.Helper()
+	c, d := repinSetup(t)
+	if err := observeOnce(d, repinSurge); err != nil {
+		t.Fatalf("overload: %v", err)
+	}
+	return &faultRoute{c: c, handler: d, reshapes: true, run: func() error { return observeOnce(d, repinCalm) }}
+}
+
+// spawnInFlight surges the lone firewall of faultySetup under plan: the
+// overload commits and launches one failover instance, still booting.
+func spawnInFlight(t *testing.T, plan orchestrator.FaultPlan) (*Controller, *DynamicHandler) {
+	t.Helper()
+	c, d, _ := faultySetup(t, plan)
+	if err := observeOnce(d, map[core.ClassID]float64{0: 1600}); err != nil {
+		t.Fatalf("overload: %v", err)
+	}
+	if n := d.PendingSpawns(); n != 1 {
+		t.Fatalf("%d spawns in flight, want 1", n)
+	}
+	return c, d
+}
+
+// newActivateRoute is a spawn activation: the call runs the clock until
+// the instance boots and its activation commits the new sub-class. The
+// activation runs in a callback that keeps its error, so the route returns
+// the first error a failpoint injected, and checks that a fault counts
+// one activation unwind instead of an activation. A fault must leave what
+// a failed boot leaves: the class as it was and the instance gone.
+func newActivateRoute(t *testing.T) *faultRoute {
+	t.Helper()
+	c, d := spawnInFlight(t, orchestrator.FaultPlan{})
+	run := func() error {
+		var fired error
+		if fp := c.failpoint; fp != nil {
+			c.failpoint = func(p string) error {
+				err := fp(p)
+				if fired == nil {
+					fired = err
+				}
+				return err
+			}
+		}
+		unwinds, activations := d.Counters().Get(CtrActivationUnwinds), d.Counters().Get(CtrActivations)
+		if err := cClock(c).Run(6 * time.Second); err != nil {
+			return err
+		}
+		wantUnwinds := uint64(0)
+		if fired != nil {
+			wantUnwinds = 1
+		}
+		du := d.Counters().Get(CtrActivationUnwinds) - unwinds
+		da := d.Counters().Get(CtrActivations) - activations
+		if du != wantUnwinds || da != 1-wantUnwinds {
+			return fmt.Errorf("%s rose by %d and %s by %d; want %d and %d",
+				CtrActivationUnwinds, du, CtrActivations, da, wantUnwinds, 1-wantUnwinds)
+		}
+		return fired
+	}
+	return &faultRoute{c: c, handler: d, reshapes: true, run: run,
+		expect: func(t *testing.T, _ string) string {
+			ref, refD := spawnInFlight(t, orchestrator.FaultPlan{BootFailOn: []int{1}})
+			if err := cClock(ref).Run(6 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if refD.Counters().Get(CtrSpawnFailures) != 1 {
+				t.Fatal("reference boot did not fail")
+			}
+			return stateDigest(t, ref)
+		}}
+}
+
 // probeFailpoints makes the route's call with a recording failpoint hook
 // and returns every point that fired, in order.
 func probeFailpoints(t *testing.T, newRoute func(*testing.T) *faultRoute) []string {
@@ -398,6 +525,9 @@ func probeFailpoints(t *testing.T, newRoute func(*testing.T) *faultRoute) []stri
 	}
 	return points
 }
+
+// reshapePoints are the steps of one handler reshape of class 0.
+var reshapePoints = []string{"reshape:steer:0", "reshape:cls:0", "reshape:swap:0", "reshape:retire:0"}
 
 // TestTxnFailpointCoverage pins the set of commit steps the injection
 // suite exercises: every stage boundary of every op kind must fire, on
@@ -428,6 +558,9 @@ func TestTxnFailpointCoverage(t *testing.T) {
 			"update:swap:1", "update:retire:1", "update:verify:1",
 			"remove:emit:0", "remove:cls:0", "remove:steer:0", "remove:unregister:0",
 		},
+		"overload": reshapePoints,
+		"rollback": reshapePoints,
+		"activate": reshapePoints,
 	}
 	for _, route := range faultRoutes {
 		points := probeFailpoints(t, route.new)
@@ -446,9 +579,9 @@ func TestTxnFailpointCoverage(t *testing.T) {
 // TestTxnUnwindRestoresStateAtEveryFailpoint injects a failure at each
 // step of each entry point in turn, on a fresh fixture each time, and
 // asserts the controller afterwards is byte-identical to its pre-call
-// state — or, for an admission failure inside AddClassBatch, to a
-// controller that only ever installed the classes before the failing one —
-// and passes the Dynamic Handler's invariant audit.
+// state — or to the route's expected state (AddClassBatch after an
+// admission failure, a failed spawn activation) — and passes the Dynamic
+// Handler's invariant audit.
 func TestTxnUnwindRestoresStateAtEveryFailpoint(t *testing.T) {
 	for _, route := range faultRoutes {
 		points := probeFailpoints(t, route.new)
@@ -459,12 +592,10 @@ func TestTxnUnwindRestoresStateAtEveryFailpoint(t *testing.T) {
 			t.Run(route.name+"/"+pt, func(t *testing.T) {
 				fx := route.new(t)
 				want := stateDigest(t, fx.c)
-				if fx.kept != nil && len(fx.kept(pt)) > 0 {
-					ref := route.new(t)
-					if err := ref.c.AddClassBatch(fx.kept(pt), BatchOptions{}); err != nil {
-						t.Fatalf("reference install: %v", err)
+				if fx.expect != nil {
+					if w := fx.expect(t, pt); w != "" {
+						want = w
 					}
-					want = stateDigest(t, ref.c)
 				}
 				fx.c.failpoint = func(p string) error {
 					if p == pt {
@@ -489,11 +620,11 @@ func TestTxnUnwindRestoresStateAtEveryFailpoint(t *testing.T) {
 	}
 }
 
-// TestJournalShapeOnEveryEntryPoint: whichever entry point runs the
-// pipeline, and whether it commits or a fault unwinds it, the journal has
-// one shape — txn.begin exactly once, then per pipeline run the classes'
-// flow.emit followed by one class-less flow.apply per device table, then
-// txn.commit or txn.unwind.
+// TestJournalShapeOnEveryEntryPoint: whichever entry point runs, and
+// whether it commits or a fault unwinds it, the journal has one shape —
+// txn.begin exactly once (one per handler transition), then per pipeline
+// run the classes' flow.emit followed by one class-less flow.apply per
+// device table, then txn.commit or txn.unwind.
 func TestJournalShapeOnEveryEntryPoint(t *testing.T) {
 	for _, route := range faultRoutes {
 		for _, faulted := range []bool{false, true} {
@@ -505,7 +636,8 @@ func TestJournalShapeOnEveryEntryPoint(t *testing.T) {
 			fx.c.tracer = rec
 			if faulted {
 				fx.c.failpoint = func(p string) error {
-					if strings.HasPrefix(p, "add:verify") || strings.HasPrefix(p, "add:apply:5") {
+					if strings.HasPrefix(p, "add:verify") || strings.HasPrefix(p, "add:apply:5") ||
+						strings.HasPrefix(p, "reshape:retire") {
 						return errInjected
 					}
 					return nil
@@ -542,7 +674,7 @@ func TestJournalShapeOnEveryEntryPoint(t *testing.T) {
 			if !reflect.DeepEqual(txn, want) {
 				t.Errorf("%s faulted=%v: transaction events %v, want %v", route.name, faulted, txn, want)
 			}
-			if !faulted && applies == 0 {
+			if !faulted && !fx.reshapes && applies == 0 {
 				t.Errorf("%s: committed run journaled no flow.apply", route.name)
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"github.com/apple-nfv/apple/internal/core"
 	"github.com/apple-nfv/apple/internal/policy"
 	"github.com/apple-nfv/apple/internal/sim"
+	"github.com/apple-nfv/apple/internal/vnf"
 )
 
 // allRuleNames collects every rule name installed across all switch and
@@ -295,7 +296,7 @@ func TestRepoolInstanceClearsTail(t *testing.T) {
 	if err := i2.Reconfigure(policy.NAT); err != nil {
 		t.Fatal(err)
 	}
-	c.repoolInstance(v, i2)
+	c.repoolInstance(v, i2, nil)
 	if got := len(c.instPool[v][policy.Firewall]); got != 1 {
 		t.Fatalf("firewall bucket size %d, want 1", got)
 	}
@@ -304,5 +305,39 @@ func TestRepoolInstanceClearsTail(t *testing.T) {
 	}
 	if orig[1] != nil {
 		t.Error("old bucket's truncated tail still pins the moved instance")
+	}
+}
+
+// TestRepoolUnwinds: re-bucketing inside a transaction — a reconfigured
+// instance moving buckets, a new one joining — is taken back by unwind.
+func TestRepoolUnwinds(t *testing.T) {
+	c, err := New(Config{Topology: lineTopo(t, 4), Clock: sim.New(), Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := linePath(4)[1]
+	var insts []*vnf.Instance
+	for range 3 {
+		inst, _, err := c.orch.PlaceNow(policy.Firewall, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		insts = append(insts, inst)
+	}
+	c.poolAdd(v, policy.Firewall, insts[0])
+	c.poolAdd(v, policy.Firewall, insts[1])
+	if err := insts[0].Reconfigure(policy.NAT); err != nil {
+		t.Fatal(err)
+	}
+	want := stateDigest(t, c)
+	txn := c.Begin()
+	c.repoolInstance(v, insts[0], txn)
+	c.repoolInstance(v, insts[2], txn)
+	txn.StageRemove(99) // fails the commit
+	if err := txn.Commit(TxnOptions{}); err == nil {
+		t.Fatal("commit should fail")
+	}
+	if got := stateDigest(t, c); got != want {
+		t.Fatalf("pool after unwind: %s", firstDiff(want, got))
 	}
 }

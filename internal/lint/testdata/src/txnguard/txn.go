@@ -56,6 +56,23 @@ func (c *Controller) poolAdd(id string) {
 	c.instPool[id]++ // want "Controller.instPool is written outside a RuleTxn (reached from entry InstallPlacement"
 }
 
+// Handler is a failover handler driven by Observe, the other entry point:
+// its reshapes must commit through a transaction like any class-set
+// mutation.
+type Handler struct {
+	c *Controller
+}
+
+// Observe reshapes a class in place, behind the transaction's back.
+func (h *Handler) Observe() {
+	h.reshape("z")
+	h.c.provision(&RuleTxn{})
+}
+
+func (h *Handler) reshape(id string) {
+	h.c.assign[id] = "s2" // want "Controller.assign is written outside a RuleTxn (reached from entry Observe"
+}
+
 // resetForTest is never reached from an entry point: unconstrained.
 func (c *Controller) resetForTest() {
 	c.instPool = nil

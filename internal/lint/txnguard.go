@@ -13,7 +13,8 @@ import (
 // AddClassBatch, ReOptimize and their variants) must flow through a
 // staged transaction op — a method of the package's *Txn type, or a
 // helper that takes the transaction as a parameter — or carry a reasoned
-// suppression.
+// suppression. The Dynamic Handler's Observe is an entry point too: its
+// overloads and rollbacks commit reshapes through the same transaction.
 //
 // Fields are opted in with the annotation
 //
@@ -33,7 +34,7 @@ import (
 // from an entry point (test helpers, constructors) are not constrained.
 var AnalyzerTxnGuard = &Analyzer{
 	Name: "txnguard",
-	Doc:  "writes to txn-owned controller state reachable from InstallPlacement/AddClass/AddClassBatch/ReOptimize must go through a staged transaction op",
+	Doc:  "writes to txn-owned controller state reachable from InstallPlacement/AddClass/AddClassBatch/ReOptimize/Observe must go through a staged transaction op",
 	Run:  runTxnGuard,
 }
 
@@ -110,12 +111,13 @@ func collectTxnOwned(pass *Pass) map[*types.Var]string {
 	return owned
 }
 
-// isTxnEntry recognizes the class-set mutation entry points whose call
-// trees the transaction discipline covers.
+// isTxnEntry recognizes the rule mutation entry points whose call trees
+// the transaction discipline covers: the class-set mutations and the
+// Dynamic Handler's Observe.
 func isTxnEntry(fn *types.Func) bool {
 	name := fn.Name()
 	return strings.HasPrefix(name, "AddClass") || strings.HasPrefix(name, "ReOptimize") ||
-		strings.HasPrefix(name, "InstallPlacement")
+		strings.HasPrefix(name, "InstallPlacement") || name == "Observe"
 }
 
 // txnLegal reports whether fn is a legal writer of txn-owned state: a
