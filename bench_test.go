@@ -455,6 +455,7 @@ func BenchmarkEnforcementProbe(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr, err := fw.Forward(hdr, classes[0].Path[0])

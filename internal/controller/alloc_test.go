@@ -210,6 +210,44 @@ func TestEmitOneBackingArrayPerTable(t *testing.T) {
 	}
 }
 
+// TestWalkAllocs: a Forward walk allocates its trace's two exact-size
+// slices — the switches and the instances — and nothing else, and a
+// passing class's eight enforcement probes allocate nothing, on a three-NF
+// chain and on a chain whose NAT rewrites the source mid-walk. Walking
+// into growing trace slices, with every host injection returning a fresh
+// slice of its own, made it 7–8 per walk and 56–64 per class.
+func TestWalkAllocs(t *testing.T) {
+	classes := []core.Class{
+		{ID: 0, Path: linePath(4), Chain: policy.Chain{policy.Firewall, policy.IDS, policy.Proxy}, RateMbps: 400},
+		{ID: 1, Path: linePath(4), Chain: policy.Chain{policy.NAT, policy.Firewall}, RateMbps: 300},
+	}
+	c, _, _, _ := setup(t, classes)
+	for _, cl := range classes {
+		hdr, err := c.FlowHeader(cl.ID, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fwd := testing.AllocsPerRun(100, func() {
+			tr, err := c.Forward(hdr, cl.Path[0])
+			if err != nil || !tr.Delivered || len(tr.Instances) != len(cl.Chain) || len(tr.Switches) != cap(tr.Switches) {
+				t.Fatalf("class %d: trace %+v, err %v", cl.ID, tr, err)
+			}
+		})
+		probes := testing.AllocsPerRun(20, func() {
+			if err := c.CheckClassEnforcement(cl.ID); err != nil {
+				t.Fatalf("class %d: %v", cl.ID, err)
+			}
+		})
+		t.Logf("chain %v: Forward %.1f allocations, CheckClassEnforcement %.1f", cl.Chain, fwd, probes)
+		if fwd > 2 {
+			t.Errorf("chain %v: Forward allocated %.1f objects; the gate is 2", cl.Chain, fwd)
+		}
+		if probes != 0 {
+			t.Errorf("chain %v: CheckClassEnforcement allocated %.1f objects; the gate is 0", cl.Chain, probes)
+		}
+	}
+}
+
 // TestLoadsBitIdentical (ROADMAP finding 7): two controllers built from
 // identical inputs report bit-identical loads — an instance's load is a
 // float sum over the classes it serves, and a sum taken in map order

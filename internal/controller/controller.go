@@ -62,6 +62,11 @@ const (
 type Switch struct {
 	ID       topology.NodeID
 	Pipeline *flowtable.Pipeline
+	// nbrs[p-firstNeighborPort] is the switch behind neighbour port p, and
+	// host the APPLE host on PortHost (nil if none). Both are set in New and
+	// never written again, so packet walks read them without a lock.
+	nbrs []*Switch
+	host *host.Host
 }
 
 // Assignment is the controller's record of one class's data-plane state:
@@ -218,13 +223,18 @@ func New(cfg Config) (*Controller, error) {
 			return nil, fmt.Errorf("controller: %w", err)
 		}
 		c.switches[n.ID] = &Switch{ID: n.ID, Pipeline: pl}
+	}
+	for _, n := range cfg.Topology.Nodes() {
 		nbrs, err := cfg.Topology.Neighbors(n.ID)
 		if err != nil {
 			return nil, fmt.Errorf("controller: %w", err)
 		}
+		sw := c.switches[n.ID]
+		sw.nbrs = make([]*Switch, len(nbrs))
 		ports := make(map[topology.NodeID]int, len(nbrs))
 		for i, nb := range nbrs {
 			ports[nb] = firstNeighborPort + i
+			sw.nbrs[i] = c.switches[nb]
 		}
 		c.nbrPort[n.ID] = ports
 	}
@@ -235,7 +245,8 @@ func New(cfg Config) (*Controller, error) {
 		}
 	}
 	for _, v := range hostSwitches {
-		if _, ok := c.switches[v]; !ok {
+		sw, ok := c.switches[v]
+		if !ok {
 			return nil, fmt.Errorf("controller: host switch %d not in topology", v)
 		}
 		hres := res
@@ -250,6 +261,7 @@ func New(cfg Config) (*Controller, error) {
 			return nil, fmt.Errorf("controller: %w", err)
 		}
 		c.hosts[v] = h
+		sw.host = h
 	}
 	return c, nil
 }

@@ -27,22 +27,57 @@ type Trace struct {
 	FinalHostTag uint16
 }
 
+// Walk buffer sizes: room for the switches and instances of any walk on
+// the paper's topologies, so a walk into them allocates nothing. A longer
+// walk still completes; its appends grow onto the heap.
+const (
+	walkSwitches  = 32
+	walkInstances = 8
+)
+
 // Forward injects a packet with the given header at the ingress switch
 // and walks it through physical pipelines and APPLE hosts until delivery
 // or drop, mirroring Fig 2's per-switch processing and Fig 3's scenarios.
+// The walk runs on stack buffers; the returned trace is one exact-size copy
+// of them (the partial trace on error).
 func (c *Controller) Forward(hdr headerspace.Header, ingress topology.NodeID) (Trace, error) {
-	var tr Trace
+	var sws [walkSwitches]topology.NodeID
+	var insts [walkInstances]vnf.ID
+	w, err := c.walk(hdr, ingress, Trace{Switches: sws[:0], Instances: insts[:0]})
+	return Trace{
+		Switches:     exactCopy(w.Switches),
+		Instances:    exactCopy(w.Instances),
+		Delivered:    w.Delivered,
+		FinalHostTag: w.FinalHostTag,
+	}, err
+}
+
+// exactCopy copies s into a heap slice of exactly its length; nil if empty.
+func exactCopy[E any](s []E) []E {
+	if len(s) == 0 {
+		return nil
+	}
+	out := make([]E, len(s))
+	copy(out, s)
+	return out
+}
+
+// walk is Forward appending into tr's Switches and Instances, which the
+// caller owns and sizes: tr is passed and returned by value so that
+// buffers on the caller's stack stay there. On error it returns the trace
+// walked so far, without the instances of a failed host injection.
+func (c *Controller) walk(hdr headerspace.Header, ingress topology.NodeID, tr Trace) (Trace, error) {
 	sw, ok := c.switches[ingress]
 	if !ok {
 		return tr, fmt.Errorf("controller: unknown ingress switch %d", ingress)
 	}
-	pkt := &flowtable.Packet{Hdr: hdr}
+	pkt := flowtable.Packet{Hdr: hdr}
 	// Generous bound: a packet can visit each switch at most a handful of
 	// times (once per host bounce plus transit).
 	maxSteps := 4*len(c.switches) + 16
 	for step := 0; step < maxSteps; step++ {
 		tr.Switches = append(tr.Switches, sw.ID)
-		res, err := sw.Pipeline.Process(pkt)
+		res, err := sw.Pipeline.Process(&pkt)
 		if err != nil {
 			return tr, fmt.Errorf("controller: switch %d: %w", sw.ID, err)
 		}
@@ -55,39 +90,27 @@ func (c *Controller) Forward(hdr headerspace.Header, ingress topology.NodeID) (T
 			tr.FinalHostTag = pkt.HostTag
 			return tr, nil
 		case res.Port == PortHost:
-			h, ok := c.hosts[sw.ID]
-			if !ok {
+			if sw.host == nil {
 				return tr, fmt.Errorf("controller: switch %d forwards to a missing host", sw.ID)
 			}
-			hostTr, err := h.Inject(pkt, host.UplinkPort)
+			visited, hres, err := sw.host.AppendInject(tr.Instances, &pkt, host.UplinkPort)
 			if err != nil {
 				return tr, fmt.Errorf("controller: %w", err)
 			}
-			if hostTr.Result.Disposition != flowtable.DispForward ||
-				hostTr.Result.Port != int(host.UplinkPort) {
-				return tr, fmt.Errorf("controller: host at %d did not return the packet (%+v)", sw.ID, hostTr.Result)
+			if hres.Disposition != flowtable.DispForward || hres.Port != int(host.UplinkPort) {
+				return tr, fmt.Errorf("controller: host at %d did not return the packet (%+v)", sw.ID, hres)
 			}
-			tr.Instances = append(tr.Instances, hostTr.Visited...)
+			tr.Instances = visited
 			// The packet re-enters the same switch from the host port.
 		default:
-			next, ok := c.neighborAt(sw.ID, res.Port)
-			if !ok {
+			i := res.Port - firstNeighborPort
+			if i < 0 || i >= len(sw.nbrs) {
 				return tr, fmt.Errorf("controller: switch %d has no neighbor on port %d", sw.ID, res.Port)
 			}
-			sw = c.switches[next]
+			sw = sw.nbrs[i]
 		}
 	}
 	return tr, fmt.Errorf("controller: packet exceeded %d forwarding steps (loop?)", maxSteps)
-}
-
-// neighborAt reverses the port map.
-func (c *Controller) neighborAt(v topology.NodeID, port int) (topology.NodeID, bool) {
-	for nb, p := range c.nbrPort[v] {
-		if p == port {
-			return nb, true
-		}
-	}
-	return 0, false
 }
 
 // InstanceNF resolves an instance ID to its current NF type.
@@ -111,19 +134,22 @@ func (c *Controller) InstanceNF(id vnf.ID) (policy.NF, error) {
 // ingress and verifies the visited NF sequence equals the policy chain —
 // the end-to-end policy-enforcement property for that class. One probe
 // starts each eighth of the class's source space, so every sub-class
-// holding an eighth or more of the traffic is exercised.
+// holding an eighth or more of the traffic is exercised. The probes share
+// one set of stack walk buffers, so a passing class allocates nothing.
 func (c *Controller) CheckClassEnforcement(id core.ClassID) error {
 	a, ok := c.assign.get(id)
 	if !ok {
 		return fmt.Errorf("controller: class %d not installed", id)
 	}
+	var sws [walkSwitches]topology.NodeID
+	var insts [walkInstances]vnf.ID
 	slice := uint32(1) << (32 - a.Prefix.Len - 3)
 	for sub := uint32(0); sub < 8; sub++ {
 		hdr, err := c.FlowHeader(id, sub*slice)
 		if err != nil {
 			return err
 		}
-		tr, err := c.Forward(hdr, a.Class.Path[0])
+		tr, err := c.walk(hdr, a.Class.Path[0], Trace{Switches: sws[:0], Instances: insts[:0]})
 		if err != nil {
 			return fmt.Errorf("controller: class %d probe %d: %w", id, sub, err)
 		}

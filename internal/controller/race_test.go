@@ -15,8 +15,10 @@ import (
 // forwarding — with correct enforcement — while AddClassBatch concurrently
 // classifies, tags, and installs a batch of new classes into the same
 // switch pipelines and vSwitches. Run under -race this is the controller
-// concurrency test; the assertions also catch semantic interference
-// (a probe observing a half-installed class).
+// concurrency test — it covers the walk's reads of each switch's
+// neighbour and host pointers, which New sets and nothing writes again —
+// and the assertions also catch semantic interference (a probe observing a
+// half-installed class).
 func TestForwardDuringBatchInstall(t *testing.T) {
 	g := lineTopo(t, 6)
 	c, err := New(Config{Topology: g, Clock: sim.New(), Seed: 7})

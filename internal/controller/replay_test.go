@@ -246,11 +246,7 @@ func (l *warmLoop) newController(t *testing.T) *controller.Controller {
 
 // rates maps a traffic matrix onto the class set by OD pair.
 func (l *warmLoop) rates(tm *traffic.Matrix) map[core.ClassID]float64 {
-	out := make(map[core.ClassID]float64, len(l.base.Classes))
-	for _, cl := range l.base.Classes {
-		out[cl.ID] = tm.At(int(cl.Path[0]), int(cl.Path[len(cl.Path)-1]))
-	}
-	return out
+	return classRates(l.base, tm)
 }
 
 // place solves window w's mean rates and returns them with the problem

@@ -40,10 +40,13 @@ func DefaultResources() policy.Resources {
 }
 
 // Host is one APPLE host. The port map, resource bookkeeping, and packet
-// counters are guarded by a read-write lock, so concurrent packet
-// injections (the data-plane read path) proceed in parallel with each
-// other and serialize only against attach/detach (the control-plane write
-// path). The vSwitch pipeline carries its own per-table locks.
+// counters are guarded by one read-write lock. Concurrent packet
+// injections (the data-plane read path) share it for port lookups but take
+// it exclusively for every counter bump — CountPacket runs at the ingress
+// port, at each instance port, and at the uplink on the way out — so they
+// serialize briefly several times per injection, against each other as
+// well as against attach/detach (the control-plane write path). vSwitch
+// lookups are wait-free and overlap freely.
 type Host struct {
 	mu       sync.RWMutex
 	name     string
@@ -257,33 +260,44 @@ const maxHopsSlack = 2
 // leaves (forwarded to the uplink), is dropped, or misses. The packet's
 // tag fields are updated in place by the vSwitch rules.
 func (h *Host) Inject(pkt *flowtable.Packet, ingress PortID) (Traversal, error) {
+	visited, res, err := h.AppendInject(nil, pkt, ingress)
+	return Traversal{Visited: visited, Result: res}, err
+}
+
+// AppendInject is Inject writing into the caller's buffer: it appends the
+// instances the packet passes through to visited and returns the extended
+// slice with the final vSwitch result, so a caller whose buffer has room
+// allocates nothing. The revisit check covers only what this injection
+// appended. On error the returned slice holds the instances visited so far.
+func (h *Host) AppendInject(visited []vnf.ID, pkt *flowtable.Packet, ingress PortID) ([]vnf.ID, flowtable.Result, error) {
 	if pkt == nil {
-		return Traversal{}, errors.New("host: nil packet")
+		return visited, flowtable.Result{}, errors.New("host: nil packet")
 	}
-	var tr Traversal
+	start := len(visited)
+	var res flowtable.Result
 	pkt.InPort = int(ingress)
 	h.CountPacket(ingress)
 	maxHops := h.NumInstances() + maxHopsSlack
 	for hop := 0; hop <= maxHops; hop++ {
-		res, err := h.vswitch.Process(pkt)
+		var err error
+		res, err = h.vswitch.Process(pkt)
 		if err != nil {
-			return tr, fmt.Errorf("host: vswitch: %w", err)
+			return visited, res, fmt.Errorf("host: vswitch: %w", err)
 		}
-		tr.Result = res
 		if res.Disposition != flowtable.DispForward {
-			return tr, nil
+			return visited, res, nil
 		}
 		port := PortID(res.Port)
 		if port == UplinkPort {
 			h.CountPacket(UplinkPort)
-			return tr, nil
+			return visited, res, nil
 		}
 		inst, err := h.InstanceAt(port)
 		if err != nil {
-			return tr, fmt.Errorf("host: rule %q forwards to unknown port %d", res.Rule, port)
+			return visited, res, fmt.Errorf("host: rule %q forwards to unknown port %d", res.Rule, port)
 		}
 		h.CountPacket(port)
-		tr.Visited = append(tr.Visited, inst.ID())
+		visited = append(visited, inst.ID())
 		// Header-modifying NFs (NAT) rewrite the source address — the
 		// behaviour that makes downstream header classification invalid
 		// and motivates global sub-class tags (§X). The rewritten address
@@ -291,16 +305,16 @@ func (h *Host) Inject(pkt *flowtable.Packet, ingress PortID) (Traversal, error) 
 		if inst.Spec().RewritesHeader {
 			pkt.Hdr.SrcIP = natAddress(inst.ID(), pkt.Hdr.SrcIP)
 		}
-		for _, seen := range tr.Visited[:len(tr.Visited)-1] {
+		for _, seen := range visited[start : len(visited)-1] {
 			if seen == inst.ID() {
-				return tr, fmt.Errorf("host: packet visited instance %s twice", inst.ID())
+				return visited, res, fmt.Errorf("host: packet visited instance %s twice", inst.ID())
 			}
 		}
 		// The instance returns the packet to the vSwitch on its own port
 		// (IncomePort identifies progress through the chain, §V-B).
 		pkt.InPort = int(port)
 	}
-	return tr, fmt.Errorf("host: packet exceeded %d intra-host hops", maxHops)
+	return visited, res, fmt.Errorf("host: packet exceeded %d intra-host hops", maxHops)
 }
 
 // natAddress maps a source address to the instance's CGNAT pool

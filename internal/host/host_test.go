@@ -1,10 +1,12 @@
 package host
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/apple-nfv/apple/internal/flowtable"
+	"github.com/apple-nfv/apple/internal/headerspace"
 	"github.com/apple-nfv/apple/internal/policy"
 	"github.com/apple-nfv/apple/internal/vnf"
 )
@@ -191,6 +193,94 @@ func TestInjectChainTraversal(t *testing.T) {
 	if h.Counter(UplinkPort) != 2 || h.Counter(fwPort) != 1 || h.Counter(idsPort) != 1 {
 		t.Fatalf("counters: uplink=%d fw=%d ids=%d",
 			h.Counter(UplinkPort), h.Counter(fwPort), h.Counter(idsPort))
+	}
+}
+
+// chainHost attaches one instance per NF and steers packets of sub-class 3
+// from the uplink through them in order and back out with host tag Fin.
+func chainHost(t *testing.T, nfs ...policy.NF) (*Host, []vnf.ID) {
+	t.Helper()
+	h := newHost(t)
+	steer, err := h.VSwitch().Table(TableSteering)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]vnf.ID, len(nfs))
+	in := UplinkPort
+	for i, nf := range nfs {
+		ids[i] = vnf.ID(nf.String() + "-" + string(rune('a'+i)))
+		port, err := h.Attach(newInstance(t, string(ids[i]), nf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := steer.Install(flowtable.Rule{
+			Name: "to-" + string(ids[i]), Priority: 10,
+			Match:   flowtable.Match{InPort: flowtable.IntPtr(int(in)), SubTag: flowtable.U8(3)},
+			Actions: []flowtable.Action{{Type: flowtable.ActForward, Port: int(port)}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		in = port
+	}
+	if err := steer.Install(flowtable.Rule{
+		Name: "out", Priority: 10,
+		Match: flowtable.Match{InPort: flowtable.IntPtr(int(in)), SubTag: flowtable.U8(3)},
+		Actions: []flowtable.Action{
+			{Type: flowtable.ActSetHostTag, Tag: flowtable.HostTagFin},
+			{Type: flowtable.ActForward, Port: int(UplinkPort)},
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return h, ids
+}
+
+// TestAppendInjectZeroAllocs: an injection into a buffer with room for the
+// chain allocates nothing, on a three-NF chain and on a chain whose NAT
+// rewrites the source address. Inject, which appends to a nil buffer,
+// allocates 3 and 2 objects on these chains.
+func TestAppendInjectZeroAllocs(t *testing.T) {
+	for _, chain := range []policy.Chain{
+		{policy.Firewall, policy.IDS, policy.Proxy},
+		{policy.NAT, policy.Firewall},
+	} {
+		h, ids := chainHost(t, chain...)
+		buf := make([]vnf.ID, 0, 8)
+		var visited []vnf.ID
+		allocs := testing.AllocsPerRun(100, func() {
+			pkt := flowtable.Packet{SubTag: 3, Hdr: headerspace.Header{SrcIP: 0x0A000001}}
+			var err error
+			var res flowtable.Result
+			visited, res, err = h.AppendInject(buf[:0], &pkt, UplinkPort)
+			if err != nil || res.Port != int(UplinkPort) || pkt.HostTag != flowtable.HostTagFin {
+				t.Fatalf("chain %v: result %+v, host tag %d, err %v", chain, res, pkt.HostTag, err)
+			}
+		})
+		if !slices.Equal(visited, ids) {
+			t.Fatalf("chain %v: visited %v, want %v", chain, visited, ids)
+		}
+		if allocs != 0 {
+			t.Errorf("chain %v: AppendInject allocated %.1f objects per injection into a buffer with room", chain, allocs)
+		}
+	}
+}
+
+// TestAppendInjectKeepsPrefix: AppendInject extends the caller's slice,
+// and its revisit check covers only what this injection appended — a
+// packet bouncing through the same host twice on its walk is not a loop.
+func TestAppendInjectKeepsPrefix(t *testing.T) {
+	h, ids := chainHost(t, policy.Firewall, policy.IDS)
+	visited := []vnf.ID{"elsewhere"}
+	for pass := 1; pass <= 2; pass++ {
+		pkt := flowtable.Packet{SubTag: 3}
+		var err error
+		if visited, _, err = h.AppendInject(visited, &pkt, UplinkPort); err != nil {
+			t.Fatalf("pass %d: %v", pass, err)
+		}
+	}
+	want := append(append([]vnf.ID{"elsewhere"}, ids...), ids...)
+	if !slices.Equal(visited, want) {
+		t.Fatalf("visited %v, want %v", visited, want)
 	}
 }
 
