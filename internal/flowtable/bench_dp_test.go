@@ -202,3 +202,72 @@ func BenchmarkProcessPipeline(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkLookupCold probes 128 tables of 1 300 classification rules
+// each (FatTree-16's hot-table size), a random table and an installed key
+// per probe, so the trie nodes a probe reads are in no cache. It is the
+// cache-cold twin of BenchmarkLookup, whose one table stays cache-resident
+// and so cannot see a dependent load added to a probe.
+func BenchmarkLookupCold(b *testing.B) {
+	const tables, rules = 128, 1300
+	rng := rand.New(rand.NewSource(3))
+	acts := []Action{{Type: ActForward, Port: 1}}
+	matches := make([][]Match, tables)
+	tbls := make([]*Table, tables)
+	for i := range tbls {
+		ops := make([]BatchOp, rules)
+		for j := range ops {
+			m := Match{
+				HostTag: U16(HostTagEmpty),
+				Src:     &Prefix{Addr: rng.Uint32(), Len: 27},
+				Dst:     &Prefix{Addr: rng.Uint32(), Len: 24},
+			}
+			matches[i] = append(matches[i], m)
+			ops[j] = BatchOp{Rule: Rule{Name: fmt.Sprint(j), Priority: 20, Match: m, Actions: acts}}
+		}
+		tbls[i] = NewTable()
+		if _, err := tbls[i].ApplyBatch(ops); err != nil {
+			b.Fatal(err)
+		}
+	}
+	type probe struct {
+		t *Table
+		p Packet
+	}
+	probes := make([]probe, 1<<16)
+	for i := range probes {
+		ti := rng.Intn(tables)
+		probes[i] = probe{tbls[ti], packetFor(matches[ti][rng.Intn(rules)], Packet{})}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pr := &probes[i&(len(probes)-1)]
+		if _, ok := pr.t.Lookup(pr.p); !ok {
+			b.Fatal("probe missed its rule")
+		}
+	}
+}
+
+// BenchmarkApplyBatch1 is what one rule costs to publish: a one-rule
+// ApplyBatchUndo and its Revert, at FatTree-16's hot-table size and at
+// 64 k rules.
+func BenchmarkApplyBatch1(b *testing.B) {
+	for _, n := range []int{1300, 64_000} {
+		tbl := churnTable(b, n)
+		ops := make([][]BatchOp, 1024)
+		for i := range ops {
+			ops[i] = []BatchOp{{Rule: churnRule(n + i)}}
+		}
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, undo, err := tbl.ApplyBatchUndo(ops[i%len(ops)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				tbl.Revert(undo)
+			}
+		})
+	}
+}

@@ -32,7 +32,8 @@ import (
 // slice (one header per shape), rewrites only the tuples the batch
 // touches, and shares the rest: a small tuple is two short parallel
 // slices copied whole, a large one a persistent hash trie (trie.go) of
-// which only the path to the touched key is copied.
+// which only the path to the touched key is copied — at the root, the one
+// page of eight children that path passes through.
 
 // Field-presence bits of a match shape, one per Match field.
 const (
@@ -165,8 +166,9 @@ const tupleHashCutoff = 8
 
 // tuple is one match shape's compiled rule set: (keys,ents) for a slice
 // tuple, root for a trie tuple. Field order follows what a probe reads:
-// the shape and bound every probe needs, then the root's bitmaps and
-// child array (a large trie's root holds only children), then the
+// the shape and bound every probe needs, then the root's bitmaps and its
+// eight page pointers (a large trie's root holds only children, so a
+// probe reads one of them and skips the root's data), then the
 // slice-tuple fields.
 type tuple struct {
 	srcMask, dstMask uint32
@@ -180,7 +182,7 @@ type tuple struct {
 	// next best would mean walking the whole trie), which costs at most a
 	// wasted probe and never a wrong answer.
 	bound rank
-	root  trieNode   // trie tuples
+	root  trieRoot   // trie tuples
 	keys  []matchKey // slice tuples: packed rule keys, match order
 	ents  []*entry   // the rule under each key
 	n     int        // rules in the tuple
@@ -239,7 +241,7 @@ func (t *tuple) add(gen uint64, k matchKey, e *entry) {
 	}
 	t.n++
 	if t.trie {
-		t.root.insert(gen, k.hash(), 0, k, e)
+		t.root.insert(gen, k.hash(), k, e)
 		return
 	}
 	// A slice tuple's slices are shared with published snapshots and at
@@ -249,7 +251,7 @@ func (t *tuple) add(gen uint64, k matchKey, e *entry) {
 	t.ents = slices.Concat(t.ents[:i], []*entry{e}, t.ents[i:])
 	if len(t.ents) > tupleHashCutoff {
 		for j, x := range t.ents {
-			t.root.insert(gen, t.keys[j].hash(), 0, t.keys[j], x)
+			t.root.insert(gen, t.keys[j].hash(), t.keys[j], x)
 		}
 		t.keys, t.ents, t.trie = nil, nil, true
 	}
@@ -264,11 +266,11 @@ func (t *tuple) remove(gen uint64, k matchKey, e *entry) {
 		t.keys = slices.Concat(t.keys[:i], t.keys[i+1:])
 		t.ents = slices.Concat(t.ents[:i], t.ents[i+1:])
 	case t.n > tupleHashCutoff/2:
-		t.root.remove(gen, k.hash(), 0, k, e)
+		t.root.remove(gen, k.hash(), k, e)
 		return // bound stays, possibly optimistic
 	default:
 		// Back to slices: collect what is left, in match order.
-		t.root.remove(gen, k.hash(), 0, k, e)
+		t.root.remove(gen, k.hash(), k, e)
 		t.ents = make([]*entry, 0, t.n)
 		t.root.each(func(x *entry) { t.ents = append(t.ents, x) })
 		slices.SortFunc(t.ents, byRank)
@@ -276,7 +278,7 @@ func (t *tuple) remove(gen uint64, k matchKey, e *entry) {
 		for i, x := range t.ents {
 			t.keys[i] = ruleKey(x.rule.Match, t.shape)
 		}
-		t.root, t.trie = trieNode{}, false
+		t.root, t.trie = trieRoot{}, false
 	}
 	if t.n > 0 {
 		t.bound = t.ents[0].rank()

@@ -339,16 +339,20 @@ func TestLookupZeroAllocs(t *testing.T) {
 // checkTailsZeroed fails if any slice reachable from the snapshot keeps a
 // non-zero value beyond its length: in-place edits of draft-owned slices
 // shrink them, and a stale tail would keep removed rules (Action slices,
-// name strings) reachable through the backing array.
+// name strings) reachable through the backing array. Root pages are held
+// to the same contract (checkRootPages).
 func checkTailsZeroed(t *testing.T, c *compiledTable) {
 	t.Helper()
-	var node func(n *trieNode)
-	node = func(n *trieNode) {
-		for i, s := range n.data[len(n.data):cap(n.data)] {
+	slots := func(data []trieSlot) {
+		for i, s := range data[len(data):cap(data)] {
 			if s != (trieSlot{}) {
 				t.Fatalf("trie data tail slot %d not zeroed: %+v", i, s)
 			}
 		}
+	}
+	var node func(n *trieNode)
+	node = func(n *trieNode) {
+		slots(n.data)
 		for i, k := range n.kids[len(n.kids):cap(n.kids)] {
 			if k.data != nil || k.kids != nil {
 				t.Fatalf("trie kids tail slot %d not zeroed", i)
@@ -359,7 +363,7 @@ func checkTailsZeroed(t *testing.T, c *compiledTable) {
 		}
 	}
 	for _, tp := range c.tuples[len(c.tuples):cap(c.tuples)] {
-		if tp.n != 0 || tp.ents != nil || tp.root.data != nil || tp.root.kids != nil {
+		if !reflect.ValueOf(tp).IsZero() {
 			t.Fatalf("tuple tail not zeroed: %+v", tp)
 		}
 	}
@@ -369,7 +373,13 @@ func checkTailsZeroed(t *testing.T, c *compiledTable) {
 				t.Fatalf("tuple ents tail slot %d not zeroed", i)
 			}
 		}
-		node(&tp.root)
+		slots(tp.root.data)
+		checkRootPages(t, &tp.root)
+		for _, pg := range tp.root.pages {
+			for i := 0; pg != nil && i < pageSize; i++ {
+				node(&pg[i])
+			}
+		}
 	}
 }
 

@@ -406,7 +406,14 @@ func checkTableAgainstModel(t *testing.T, when string, tbl *Table, m *modelTable
 // model, and compares the two after every step. The model reverts by
 // restoring a saved copy of its slice, so a Revert that misplaces a rule
 // or forgets one shows as a difference.
-func runTableOps(t *testing.T, data []byte) {
+//
+// A sequence that begins with tableOpsLarge runs the large variant.
+func runTableOps(t *testing.T, data []byte) (st tableOpsStats) {
+	large := len(data) > 0 && data[0] == tableOpsLarge
+	names, maxBatch, maxSteps := 6, 6, 64
+	if large {
+		names, maxBatch, maxSteps = 24, 64, 256
+	}
 	next := func() byte {
 		if len(data) == 0 {
 			return 0
@@ -419,7 +426,8 @@ func runTableOps(t *testing.T, data []byte) {
 	// several rules under one name all happen; every rule still carries a
 	// unique forward port, so DeepEqual tells same-named rules apart.
 	// One rule in four repeats the previous rule's match exactly, so
-	// several rules end up under one packed key.
+	// several rules end up under one packed key. In the large variant
+	// three rules in four are of one shape, host tag and /24 source.
 	serial := 0
 	var last Match
 	rule := func() Rule {
@@ -429,7 +437,13 @@ func runTableOps(t *testing.T, data []byte) {
 		}
 		rs, _ := fuzzRules(b[:])
 		r := rs[0]
-		r.Name = fmt.Sprintf("n%d", b[7]%6)
+		r.Name = fmt.Sprintf("n%d", int(b[7])%names)
+		if large && b[0]&3 != 0 {
+			r.Match = Match{
+				HostTag: U16(uint16(b[2])<<4 | uint16(b[3]&0xF)),
+				Src:     &Prefix{Addr: uint32(b[5])<<24 | uint32(b[6])<<16 | uint32(b[4])<<8, Len: 24},
+			}
+		}
 		if b[0]>>6 == 3 {
 			r.Match = last
 		}
@@ -439,6 +453,9 @@ func runTableOps(t *testing.T, data []byte) {
 		return r
 	}
 	capacity := 8 + int(next()%40)
+	if large {
+		capacity = 560 + int(next()%80)
+	}
 	tbl, err := NewBoundedTable(capacity)
 	if err != nil {
 		t.Fatal(err)
@@ -450,7 +467,7 @@ func runTableOps(t *testing.T, data []byte) {
 		rules []Rule // the model before the batch
 	}
 	var undos []pending
-	for step := 0; len(data) > 0 && step < 64; step++ {
+	for step := 0; len(data) > 0 && step < maxSteps; step++ {
 		var when string
 		switch op := next(); op % 4 {
 		case 0:
@@ -462,7 +479,7 @@ func runTableOps(t *testing.T, data []byte) {
 			}
 			undos = nil // tokens only revert newest-first with nothing in between
 		case 1:
-			name := fmt.Sprintf("n%d", next()%6)
+			name := fmt.Sprintf("n%d", int(next())%names)
 			when = fmt.Sprintf("step %d Remove(%s)", step, name)
 			if got, want := tbl.Remove(name), model.remove(name); got != want {
 				t.Fatalf("%s: removed %d, model %d", when, got, want)
@@ -470,11 +487,11 @@ func runTableOps(t *testing.T, data []byte) {
 			undos = nil
 		case 2:
 			var ops []BatchOp
-			for n := 1 + int(next()%6); n > 0; n-- {
+			for n := 1 + int(next())%maxBatch; n > 0; n-- {
 				flags := next()
 				var bo BatchOp
 				if flags&1 != 0 {
-					bo.Remove = fmt.Sprintf("n%d", next()%6)
+					bo.Remove = fmt.Sprintf("n%d", int(next())%names)
 				}
 				if flags&2 != 0 {
 					bo.Rule = rule()
@@ -502,8 +519,42 @@ func runTableOps(t *testing.T, data []byte) {
 			undos = undos[:len(undos)-1]
 			tbl.Revert(last.undo)
 			model.rules = last.rules
+			st.reverts++
 		}
 		checkTableAgainstModel(t, when, tbl, model, stray)
+		st.observe(tbl.compiled.Load())
+	}
+	return st
+}
+
+// tableOpsLarge, as the first byte of a table-ops sequence, selects the
+// large variant: a TCAM of 560–639 rules, batches of up to 64 steps, 24
+// rule names, and three rules in four of one shape, so that a sequence can
+// fill a trie root's every page and drain the tuple again. No sequence of
+// TestTableOpsRandom's small variant begins with it.
+const tableOpsLarge = 0xFB
+
+// tableOpsStats records what a table-ops sequence reached.
+type tableOpsStats struct {
+	full    shapeKey // the shape of a tuple seen with every root page present
+	filled  bool
+	drained bool // that tuple was later seen below the trie cutoff
+	reverts int
+}
+
+func (st *tableOpsStats) observe(c *compiledTable) {
+	if c == nil {
+		return
+	}
+	if st.filled {
+		i := c.indexOf(st.full)
+		st.drained = st.drained || i >= 0 && !c.tuples[i].trie
+		return
+	}
+	for _, tp := range c.tuples {
+		if tp.trie && !slices.Contains(tp.root.pages[:], nil) {
+			st.full, st.filled = tp.shape, true
+		}
 	}
 }
 
@@ -525,7 +576,8 @@ func FuzzTableOps(f *testing.F) {
 	}
 	seed = append(seed, 2, 2, 3, 1, 5, 1, 9, 0, 0, 0, 0, 1, 7, 2, 5, 1, 9, 0, 0, 0, 0, 1, 3)
 	f.Add(seed)
-	f.Fuzz(runTableOps)
+	f.Add(tableOpsLargeSeed(1))
+	f.Fuzz(func(t *testing.T, data []byte) { runTableOps(t, data) })
 }
 
 // tableOpsSeed returns n pseudo-random bytes, biased toward few match
@@ -542,10 +594,77 @@ func tableOpsSeed(seed int64, n int) []byte {
 	return out
 }
 
+// tableOpsLargeSeed returns a large-variant sequence in three phases. It
+// fills the TCAM in batches of 64, mostly with rules of the one shape, so
+// that the shape's trie root gets every page; one batch is reverted and
+// replayed, and the last ones run into the capacity mid-batch. It then
+// replaces names in a batch and reverts it, and removes the 24 names one
+// by one, which empties the table. Last, a batch takes the shape past the
+// trie cutoff and is reverted, and a second one does the same and is
+// removed name by name, below the cutoff before the table is empty.
+func tableOpsLargeSeed(seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	out := []byte{tableOpsLarge, byte(rng.Intn(80))}
+	bytes := func(n int) {
+		for ; n > 0; n-- {
+			out = append(out, byte(rng.Intn(256)))
+		}
+	}
+	bytes(8) // the stray packet
+	batch := func(n, replaceOneIn int) {
+		out = append(out, 2, byte(n-1))
+		for ; n > 0; n-- {
+			switch {
+			case rng.Intn(replaceOneIn) == 0:
+				out = append(out, 3, byte(rng.Intn(24))) // remove a name, install
+			case rng.Intn(16) == 0:
+				out = append(out, 6) // install unless the name is present
+			default:
+				out = append(out, 2)
+			}
+			bytes(8)
+		}
+	}
+	const revert = 3
+	removeAll := func() {
+		for _, name := range rng.Perm(24) {
+			out = append(out, 1, byte(name))
+		}
+	}
+	for i := 0; i < 12; i++ {
+		batch(64, 512)
+		if i == 4 {
+			out = append(out, revert)
+			batch(64, 512)
+		}
+	}
+	batch(8, 1)
+	out = append(out, revert)
+	removeAll()
+	batch(24, 512)
+	out = append(out, revert)
+	batch(24, 512)
+	removeAll()
+	return out
+}
+
 // TestTableOpsRandom runs the FuzzTableOps body over a few hundred
 // generated sequences, so plain `go test` covers mutation sequences too.
+// Their tables hold 8–47 rules, so no trie root of theirs comes near full;
+// the large variant covers full roots, on two sequences that must each
+// fill a root, drain it and revert.
 func TestTableOpsRandom(t *testing.T) {
-	for seed := int64(0); seed < 300; seed++ {
-		runTableOps(t, tableOpsSeed(seed, 100+int(seed)*4))
-	}
+	t.Run("small", func(t *testing.T) {
+		for seed := int64(0); seed < 300; seed++ {
+			runTableOps(t, tableOpsSeed(seed, 100+int(seed)*4))
+		}
+	})
+	t.Run("large", func(t *testing.T) {
+		for seed := int64(0); seed < 2; seed++ {
+			st := runTableOps(t, tableOpsLargeSeed(seed))
+			if !st.filled || !st.drained || st.reverts < 3 {
+				t.Fatalf("large sequence %d: root filled %v, drained %v, %d reverts", seed, st.filled, st.drained, st.reverts)
+			}
+		}
+	})
 }

@@ -15,11 +15,17 @@ import (
 // rule's install cost independent of how many rules the tuple already
 // holds.
 //
+// The root is the one node laid out differently (trieRoot): a tuple of a
+// thousand rules has all 64 root children, so the root's child array is
+// the largest thing on every path, and it is split into eight fixed pages
+// of eight children. A mutation copies the one page it passes through.
+//
 // Within one unpublished draft the copies are not repeated: every node
 // carries the generation that allocated its arrays, and a draft of that
-// generation edits them in place (no reader can have seen them yet). A
-// thousand-rule batch therefore copies each touched array once, not once
-// per rule.
+// generation edits them in place (no reader can have seen them yet); the
+// root remembers which of its pages the draft allocated. A thousand-rule
+// batch therefore copies each touched array and page once, not once per
+// rule.
 
 const (
 	trieBits = 6
@@ -28,6 +34,13 @@ const (
 	// at a time (shifts 0, 6, …, 60); a node below the last level holds
 	// keys whose hashes are equal in all 64 bits and is a flat list.
 	hashBits = 64
+
+	// The root's 64 children live in rootPages pages of pageSize, child i
+	// at pages[i>>pageBits][i&pageMask].
+	pageBits  = 3
+	pageSize  = 1 << pageBits
+	pageMask  = pageSize - 1
+	rootPages = 1 << (trieBits - pageBits)
 )
 
 // trieSlot is one distinct match key and the rules installed under it.
@@ -47,19 +60,16 @@ type trieDup struct {
 	next *trieDup
 }
 
-// trieNode is one trie node. For a node above the flat level, data[i] is
-// the slot at the i-th set bit of dataMap and kids[j] the child at the
-// j-th set bit of kidMap; a flat node uses neither bitmap.
+// trieNode is one trie node below the root. data[i] is the slot at the
+// i-th set bit of dataMap and kids[j] the child at the j-th set bit of
+// kidMap; a flat node uses neither bitmap.
 //
-// A node is a value, stored in its parent's kids array (the root in the
-// tuple header), not a separately allocated object: the bitmaps a lookup
-// needs to index a child's arrays arrive with the parent's array, so a
-// lookup takes one dependent load per level instead of two. A pointer
-// per child makes path copies three times smaller (a full root is 64
-// pointers instead of 64 headers) and probes a cache-hot table just as
-// fast, but a six-hop walk over 41 k cold classes measured 5 % slower
-// with it than with the hash map this structure replaced; by value it
-// is level with the map.
+// A node is a value, stored in its parent's kids array (or in a root
+// page), not a separately allocated object: the bitmaps a lookup needs to
+// index a child's arrays arrive with the parent's array, so a lookup
+// takes one dependent load per level instead of two. A pointer per child
+// makes path copies smaller but adds that load back: with it a cache-cold
+// probe measured about a fifth slower (DESIGN.md §8).
 type trieNode struct {
 	dataMap, kidMap uint64
 	kids            []trieNode
@@ -67,6 +77,24 @@ type trieNode struct {
 	// gen is the draft generation that allocated data and kids; a draft
 	// of that generation edits them in place.
 	gen uint64
+}
+
+// trieRoot is a trie's root, held by value in the tuple header. Its keys
+// sit in data at the dataMap bits exactly as in a trieNode, but its
+// children are indexed densely by hash bits: child i is
+// pages[i>>pageBits][i&pageMask], a value as everywhere else, and a page
+// none of whose children is present is nil. The page pointers are in the
+// header every probe already reads, so reaching a root child is still one
+// dependent load, and copying the path through a full root costs one
+// page of eight child headers instead of all 64.
+type trieRoot struct {
+	dataMap, kidMap uint64
+	pages           [rootPages]*[pageSize]trieNode
+	data            []trieSlot
+	// gen is the draft generation that allocated data; owned has bit p set
+	// when that draft allocated pages[p]. The draft edits both in place.
+	gen   uint64
+	owned uint8
 }
 
 // spread scatters one key word over 64 bits before the words are folded
@@ -91,12 +119,26 @@ func (k matchKey) hash() uint64 {
 }
 
 // find returns the best-ranked rule stored under key k (whose hash is h),
-// or nil.
+// or nil. The root is the walk's first step, not a call of its own, so a
+// probe is one call.
 //
 //apple:noalloc
-func (n *trieNode) find(h uint64, k matchKey) *entry {
-	for shift := uint(0); shift < hashBits; shift += trieBits {
-		bit := uint64(1) << (h >> shift & trieMask)
+func (r *trieRoot) find(h uint64, k matchKey) *entry {
+	i := h & trieMask
+	bit := uint64(1) << i
+	if r.dataMap&bit != 0 {
+		s := &r.data[bits.OnesCount64(r.dataMap&(bit-1))]
+		if s.key == k {
+			return s.e
+		}
+		return nil
+	}
+	if r.kidMap&bit == 0 {
+		return nil
+	}
+	n := &r.pages[i>>pageBits][i&pageMask]
+	for shift := uint(trieBits); shift < hashBits; shift += trieBits {
+		bit = uint64(1) << (h >> shift & trieMask)
 		if n.dataMap&bit != 0 {
 			s := &n.data[bits.OnesCount64(n.dataMap&(bit-1))]
 			if s.key == k {
@@ -117,6 +159,106 @@ func (n *trieNode) find(h uint64, k matchKey) *entry {
 	return nil
 }
 
+// own makes the root's data editable by the draft of generation gen,
+// copying it unless that draft allocated it, and starts the draft with
+// no pages of its own.
+func (r *trieRoot) own(gen uint64) {
+	if r.gen == gen {
+		return
+	}
+	r.data = append(make([]trieSlot, 0, len(r.data)+1), r.data...)
+	r.gen, r.owned = gen, 0
+}
+
+// page makes the page holding child i editable by the draft of generation
+// gen, copying it (or allocating it, if it is empty) unless that draft
+// already did, and returns it. Copying a page copies its children's
+// headers; their arrays stay shared until they are touched in turn.
+func (r *trieRoot) page(gen, i uint64) *[pageSize]trieNode {
+	r.own(gen)
+	p := i >> pageBits
+	if r.owned&(1<<p) == 0 {
+		pg := new([pageSize]trieNode)
+		if r.pages[p] != nil {
+			*pg = *r.pages[p]
+		}
+		r.pages[p] = pg
+		r.owned |= 1 << p
+	}
+	return r.pages[p]
+}
+
+// insert adds e under key k (hash h).
+func (r *trieRoot) insert(gen, h uint64, k matchKey, e *entry) {
+	r.own(gen)
+	i := h & trieMask
+	bit := uint64(1) << i
+	di := bits.OnesCount64(r.dataMap & (bit - 1))
+	switch {
+	case r.dataMap&bit != 0:
+		s := &r.data[di]
+		if s.key == k {
+			s.push(e)
+			return
+		}
+		kid := &r.page(gen, i)[i&pageMask]
+		*kid = splitSlot(gen, *s, 0)
+		kid.insert(gen, h, trieBits, k, e)
+		r.data = slices.Delete(r.data, di, di+1)
+		r.dataMap &^= bit
+		r.kidMap |= bit
+	case r.kidMap&bit != 0:
+		r.page(gen, i)[i&pageMask].insert(gen, h, trieBits, k, e)
+	default:
+		r.data = slices.Insert(r.data, di, trieSlot{key: k, e: e})
+		r.dataMap |= bit
+	}
+}
+
+// remove deletes e (by identity), which the trie holds under key k. A
+// child left with at most one slot is folded back into the root's data,
+// and a page left with no child is released.
+func (r *trieRoot) remove(gen, h uint64, k matchKey, e *entry) {
+	r.own(gen)
+	i := h & trieMask
+	bit := uint64(1) << i
+	di := bits.OnesCount64(r.dataMap & (bit - 1))
+	if r.dataMap&bit != 0 {
+		if r.data[di].drop(e) {
+			r.data = slices.Delete(r.data, di, di+1)
+			r.dataMap &^= bit
+		}
+		return
+	}
+	kid := &r.page(gen, i)[i&pageMask]
+	kid.remove(gen, h, trieBits, k, e)
+	if !kid.lone() {
+		return
+	}
+	if len(kid.data) == 1 {
+		r.data = slices.Insert(r.data, di, kid.data[0])
+		r.dataMap |= bit
+	}
+	*kid = trieNode{}
+	r.kidMap &^= bit
+	if p := i >> pageBits; r.kidMap>>(p*pageSize)&(1<<pageSize-1) == 0 {
+		r.pages[p] = nil
+		r.owned &^= 1 << p
+	}
+}
+
+// each calls visit for every rule in the trie, in no particular order.
+func (r *trieRoot) each(visit func(*entry)) {
+	eachSlot(r.data, visit)
+	for _, pg := range r.pages {
+		if pg != nil {
+			for i := range pg {
+				pg[i].each(visit)
+			}
+		}
+	}
+}
+
 // own makes the node's arrays editable by the draft of generation gen,
 // copying them unless that draft allocated them. The copies have room
 // for one more element, so the insert that usually follows does not
@@ -129,6 +271,23 @@ func (n *trieNode) own(gen uint64) {
 	n.data = append(make([]trieSlot, 0, len(n.data)+1), n.data...)
 	n.kids = append(make([]trieNode, 0, len(n.kids)+1), n.kids...)
 	n.gen = gen
+}
+
+// splitSlot returns the node that takes the place of slot s, of a node
+// at the level of the given shift, when a second key meets s there: a
+// child one level down that holds s alone.
+func splitSlot(gen uint64, s trieSlot, shift uint) trieNode {
+	kid := trieNode{gen: gen, data: []trieSlot{s}}
+	if shift+trieBits < hashBits {
+		kid.dataMap = 1 << (s.key.hash() >> (shift + trieBits) & trieMask)
+	}
+	return kid
+}
+
+// lone reports whether a child that just lost a rule must leave its
+// parent: it has no children and at most one slot, which moves up.
+func (n *trieNode) lone() bool {
+	return len(n.kids) == 0 && len(n.data) <= 1
 }
 
 // insert adds e under key k (hash h) to the subtree rooted at n, which
@@ -157,10 +316,7 @@ func (n *trieNode) insert(gen, h uint64, shift uint, k matchKey, e *entry) {
 			return
 		}
 		// Two keys meet in this slot: both move one level down.
-		kid := trieNode{gen: gen, data: []trieSlot{*s}}
-		if shift+trieBits < hashBits {
-			kid.dataMap = 1 << (s.key.hash() >> (shift + trieBits) & trieMask)
-		}
+		kid := splitSlot(gen, *s, shift)
 		kid.insert(gen, h, shift+trieBits, k, e)
 		n.data = slices.Delete(n.data, di, di+1)
 		n.dataMap &^= bit
@@ -198,7 +354,7 @@ func (n *trieNode) remove(gen, h uint64, shift uint, k matchKey, e *entry) {
 	ki := bits.OnesCount64(n.kidMap & (bit - 1))
 	kid := &n.kids[ki]
 	kid.remove(gen, h, shift+trieBits, k, e)
-	if len(kid.kids) > 0 || len(kid.data) > 1 {
+	if !kid.lone() {
 		return
 	}
 	if len(kid.data) == 1 {
@@ -211,14 +367,19 @@ func (n *trieNode) remove(gen, h uint64, shift uint, k matchKey, e *entry) {
 
 // each calls visit for every rule in the subtree, in no particular order.
 func (n *trieNode) each(visit func(*entry)) {
-	for i := range n.data {
-		visit(n.data[i].e)
-		for d := n.data[i].more; d != nil; d = d.next {
-			visit(d.e)
-		}
-	}
+	eachSlot(n.data, visit)
 	for i := range n.kids {
 		n.kids[i].each(visit)
+	}
+}
+
+// eachSlot calls visit for every rule of the slots.
+func eachSlot(data []trieSlot, visit func(*entry)) {
+	for i := range data {
+		visit(data[i].e)
+		for d := data[i].more; d != nil; d = d.next {
+			visit(d.e)
+		}
 	}
 }
 

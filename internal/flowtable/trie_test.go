@@ -1,7 +1,10 @@
 package flowtable
 
 import (
+	"fmt"
+	"maps"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -23,12 +26,115 @@ func TestCollidingKeyCollides(t *testing.T) {
 	}
 }
 
+// trieModel is a trie under test beside its map model. insert and remove
+// apply one step to both in the draft of generation gen, which the test
+// advances; keep checks the draft against the model and records both, and
+// checkHistory re-checks every recorded root against the model it had
+// then: a mutation that wrote into a node or page an older root shares
+// would corrupt that root.
+type trieModel struct {
+	t       *testing.T
+	gen     uint64
+	seq     uint64
+	root    trieRoot
+	model   map[matchKey][]*entry
+	keyOf   map[*entry]matchKey
+	history []publishedTrie
+}
+
+type publishedTrie struct {
+	root  trieRoot
+	model map[matchKey][]*entry
+}
+
+func newTrieModel(t *testing.T) *trieModel {
+	return &trieModel{t: t, gen: 1, model: make(map[matchKey][]*entry), keyOf: make(map[*entry]matchKey)}
+}
+
+func (m *trieModel) insert(k matchKey, prio int) *entry {
+	e := &entry{rule: Rule{Priority: prio}, seq: m.seq}
+	m.seq++
+	m.keyOf[e] = k
+	m.root.insert(m.gen, k.hash(), k, e)
+	ents := append(slices.Clone(m.model[k]), e)
+	slices.SortFunc(ents, byRank)
+	m.model[k] = ents
+	return e
+}
+
+func (m *trieModel) remove(e *entry) {
+	k := m.keyOf[e]
+	m.root.remove(m.gen, k.hash(), k, e)
+	m.model[k] = slices.DeleteFunc(slices.Clone(m.model[k]), func(x *entry) bool { return x == e })
+	if len(m.model[k]) == 0 {
+		delete(m.model, k)
+	}
+}
+
+func (m *trieModel) keep(when string) {
+	m.t.Helper()
+	m.check(when, &m.root, m.model)
+	// Model slices are replaced, never edited, by later steps.
+	m.history = append(m.history, publishedTrie{m.root, maps.Clone(m.model)})
+}
+
+func (m *trieModel) checkHistory() {
+	m.t.Helper()
+	for i := range m.history {
+		m.check(fmt.Sprintf("snapshot %d", i), &m.history[i].root, m.history[i].model)
+	}
+}
+
+func (m *trieModel) check(when string, root *trieRoot, model map[matchKey][]*entry) {
+	t := m.t
+	t.Helper()
+	count := 0
+	for k, ents := range model {
+		count += len(ents)
+		if got := root.find(k.hash(), k); got != ents[0] {
+			t.Fatalf("%s: find(%+v) = %p, want best %p", when, k, got, ents[0])
+		}
+	}
+	absent := matchKey{lo: 1, hi: 999, port: 99}
+	if got := root.find(absent.hash(), absent); got != nil {
+		t.Fatalf("%s: absent key found", when)
+	}
+	seen := 0
+	root.each(func(e *entry) {
+		seen++
+		if !slices.Contains(model[m.keyOf[e]], e) {
+			t.Fatalf("%s: each yielded an entry the model lacks", when)
+		}
+	})
+	if seen != count {
+		t.Fatalf("%s: each yielded %d entries, model has %d", when, seen, count)
+	}
+	checkRootPages(t, root)
+}
+
+// checkRootPages requires a root's pages to match its kidMap: a page
+// with no child is nil, and within a page a slot with no child is the
+// zero node, so a released child keeps nothing reachable.
+func checkRootPages(t *testing.T, r *trieRoot) {
+	t.Helper()
+	for p, pg := range r.pages {
+		kids := r.kidMap >> (p * pageSize) & (1<<pageSize - 1)
+		if (pg == nil) != (kids == 0) {
+			t.Fatalf("root page %d is nil=%v with children %08b", p, pg == nil, kids)
+		}
+		for i := 0; pg != nil && i < pageSize; i++ {
+			if kids&(1<<i) == 0 && !reflect.ValueOf(pg[i]).IsZero() {
+				t.Fatalf("root page %d slot %d has no child but is not zero: %+v", p, i, pg[i])
+			}
+		}
+	}
+}
+
 // TestTrieAgainstMap drives the persistent trie through thousands of
 // drafts of random inserts and removes — over a key pool with groups
 // that collide in all 64 hash bits and with several rules per key — and
-// checks every draft against a map model. Every published root is kept
-// with a copy of its model and re-checked at the end: a mutation that
-// wrote into a shared node would corrupt an older root.
+// checks every fiftieth draft against a map model, keeping it. Every kept
+// root is re-checked at the end.
 func TestTrieAgainstMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var pool []matchKey
@@ -39,82 +145,174 @@ func TestTrieAgainstMap(t *testing.T) {
 			pool = append(pool, collidingKey(k, 100), collidingKey(k, 200))
 		}
 	}
-	absent := matchKey{lo: 1, hi: 999, port: 99}
-
-	type published struct {
-		root  trieNode
-		model map[matchKey][]*entry
-	}
-	var history []published
-	model := make(map[matchKey][]*entry)
+	m := newTrieModel(t)
 	var live []*entry
-	keyOf := make(map[*entry]matchKey)
-	var root trieNode
-	seq := uint64(0)
-
-	check := func(when string, root trieNode, model map[matchKey][]*entry) {
-		t.Helper()
-		count := 0
-		for k, ents := range model {
-			count += len(ents)
-			if got := root.find(k.hash(), k); got != ents[0] {
-				t.Fatalf("%s: find(%+v) = %p, want best %p", when, k, got, ents[0])
-			}
-		}
-		if got := root.find(absent.hash(), absent); got != nil {
-			t.Fatalf("%s: absent key found", when)
-		}
-		seen := 0
-		root.each(func(e *entry) {
-			seen++
-			if !slices.Contains(model[keyOf[e]], e) {
-				t.Fatalf("%s: each yielded an entry the model lacks", when)
-			}
-		})
-		if seen != count {
-			t.Fatalf("%s: each yielded %d entries, model has %d", when, seen, count)
-		}
-	}
-
-	for gen := uint64(1); gen <= 3000; gen++ {
+	for ; m.gen <= 3000; m.gen++ {
 		for n := 1 + rng.Intn(4); n > 0; n-- {
 			if len(live) > 0 && rng.Intn(5) < 2 {
 				i := rng.Intn(len(live))
-				e := live[i]
+				m.remove(live[i])
 				live[i] = live[len(live)-1]
 				live = live[:len(live)-1]
-				k := keyOf[e]
-				root.remove(gen, k.hash(), 0, k, e)
-				model[k] = slices.DeleteFunc(slices.Clone(model[k]), func(x *entry) bool { return x == e })
-				if len(model[k]) == 0 {
-					delete(model, k)
-				}
 				continue
 			}
-			k := pool[rng.Intn(len(pool))]
-			e := &entry{rule: Rule{Priority: rng.Intn(3)}, seq: seq}
-			seq++
-			keyOf[e] = k
-			live = append(live, e)
-			root.insert(gen, k.hash(), 0, k, e)
-			ents := append(slices.Clone(model[k]), e)
-			slices.SortFunc(ents, byRank)
-			model[k] = ents
+			live = append(live, m.insert(pool[rng.Intn(len(pool))], rng.Intn(3)))
 		}
-		if gen%50 == 0 {
-			check("live", root, model)
-			frozen := make(map[matchKey][]*entry, len(model))
-			for k, ents := range model {
-				frozen[k] = ents // replaced, never edited, by later steps
-			}
-			history = append(history, published{root, frozen})
+		if m.gen%50 == 0 {
+			m.keep("live")
 		}
 	}
 	if len(live) < 500 {
 		t.Fatalf("only %d live entries at the end; the trie never grew deep", len(live))
 	}
-	for i, p := range history {
-		check("snapshot "+string(rune('a'+i%26)), p.root, p.model)
+	m.checkHistory()
+}
+
+// TestTrieRootPages drives a root through its pages' life: all eight
+// filled, each released when its last child folds back into the root's
+// data (some pages one fold per draft, some all folds in one), all
+// refilled, and one released and refilled inside a single draft. Every
+// draft is checked against the model and its set of pages; a one-key
+// draft must copy exactly the page it touches, and every kept root is
+// re-checked at the end.
+func TestTrieRootPages(t *testing.T) {
+	// Three keys for each of the 64 root slots.
+	var bySlot [1 << trieBits][]matchKey
+	rng := rand.New(rand.NewSource(11))
+	for missing := len(bySlot); missing > 0; {
+		k := matchKey{lo: rng.Uint64(), hi: rng.Uint64()}
+		if i := k.hash() & trieMask; len(bySlot[i]) < 3 {
+			bySlot[i] = append(bySlot[i], k)
+			if len(bySlot[i]) == 3 {
+				missing--
+			}
+		}
+	}
+	var ents [1 << trieBits][3]*entry
+	m := newTrieModel(t)
+	pagesPresent := func(when string, want uint8) {
+		t.Helper()
+		var got uint8
+		for p, pg := range m.root.pages {
+			if pg != nil {
+				got |= 1 << p
+			}
+		}
+		if got != want {
+			t.Fatalf("%s: pages present %08b, want %08b", when, got, want)
+		}
+	}
+	publish := func(when string) {
+		t.Helper()
+		m.keep(when)
+		m.gen++
+	}
+	slots := func(p int) []int {
+		out := make([]int, pageSize)
+		for i := range out {
+			out[i] = p*pageSize + i
+		}
+		return out
+	}
+
+	for p := 0; p < rootPages; p++ { // two keys per slot: eight children
+		for _, i := range slots(p) {
+			ents[i][0], ents[i][1] = m.insert(bySlot[i][0], 0), m.insert(bySlot[i][1], 1)
+		}
+		publish(fmt.Sprintf("filled page %d", p))
+		pagesPresent(fmt.Sprintf("filled page %d", p), 1<<(p+1)-1)
+	}
+	if m.root.kidMap != ^uint64(0) || m.root.dataMap != 0 {
+		t.Fatalf("full root: kidMap %x dataMap %x", m.root.kidMap, m.root.dataMap)
+	}
+
+	const one = 3*pageSize + 3
+	before := m.root.pages
+	ents[one][2] = m.insert(bySlot[one][2], 2)
+	for p := range before {
+		if copied := m.root.pages[p] != before[p]; copied != (p == one>>pageBits) {
+			t.Fatalf("one key into page %d: page %d copied = %v", one>>pageBits, p, copied)
+		}
+	}
+	publish("one key")
+
+	for p := 0; p < rootPages; p++ { // one key per slot again: every child folds
+		for _, i := range slots(p) {
+			m.remove(ents[i][1])
+			if i == one {
+				m.remove(ents[i][2])
+			}
+			if p%2 == 1 {
+				publish(fmt.Sprintf("fold slot %d", i))
+			}
+		}
+		if p%2 == 0 {
+			publish(fmt.Sprintf("folded page %d", p))
+		}
+		pagesPresent(fmt.Sprintf("folded page %d", p), ^uint8(0)<<(p+1))
+	}
+	if m.root.kidMap != 0 || m.root.dataMap != ^uint64(0) {
+		t.Fatalf("folded root: kidMap %x dataMap %x", m.root.kidMap, m.root.dataMap)
+	}
+
+	for p := rootPages - 1; p >= 0; p-- {
+		for _, i := range slots(p) {
+			ents[i][2] = m.insert(bySlot[i][2], 2)
+		}
+	}
+	publish("refilled")
+	pagesPresent("refilled", 0xFF)
+
+	for _, i := range slots(5) {
+		m.remove(ents[i][2])
+	}
+	pagesPresent("page 5 released in the draft", 0xFF&^(1<<5))
+	for _, i := range slots(5) {
+		ents[i][1] = m.insert(bySlot[i][1], 1)
+	}
+	publish("page 5 back")
+	pagesPresent("page 5 back", 0xFF)
+	m.checkHistory()
+}
+
+// TestBatchCopiesEachPageOnce counts the page allocations of a
+// thousand-key draft (inserts, with a remove after every other one) over
+// a published full root. page() allocates a page exactly when it replaces
+// a page pointer, so the pointer changes seen after each step are the
+// allocations: each page must be copied once, on first touch, and edited
+// in place from then on.
+func TestBatchCopiesEachPageOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	key := func() matchKey { return matchKey{lo: rng.Uint64(), hi: rng.Uint64()} }
+	var root trieRoot
+	var keys []matchKey
+	var ents []*entry
+	for i := 0; i < 2000; i++ {
+		keys, ents = append(keys, key()), append(ents, &entry{seq: uint64(i)})
+		root.insert(1, keys[i].hash(), keys[i], ents[i])
+	}
+	if slices.Contains(root.pages[:], nil) {
+		t.Fatal("2000 keys left a root page empty")
+	}
+	published := root.pages
+	var allocs [rootPages]int
+	for i := 0; i < 1000; i++ {
+		prev := root.pages
+		k := key()
+		root.insert(2, k.hash(), k, &entry{seq: uint64(2000 + i)})
+		if i%2 == 1 {
+			root.remove(2, keys[i].hash(), keys[i], ents[i])
+		}
+		for p := range prev {
+			if root.pages[p] != prev[p] {
+				allocs[p]++
+			}
+		}
+	}
+	for p, n := range allocs {
+		if n != 1 || root.pages[p] == published[p] {
+			t.Fatalf("a 1000-key draft allocated page %d %d times, want once", p, n)
+		}
 	}
 }
 
