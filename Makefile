@@ -2,7 +2,8 @@ GO ?= go
 FUZZTIME ?= 20s
 FUZZ_TARGETS := ./internal/flowtable:FuzzMatchLookup ./internal/flowtable:FuzzTableOps \
 	./internal/flowtable:FuzzSubsumes ./internal/flowtable:FuzzPrefixContains \
-	./internal/headerspace:FuzzClassifierOps ./internal/lp:FuzzSolverOps
+	./internal/headerspace:FuzzClassifierOps ./internal/lp:FuzzSolverOps \
+	./internal/controller:FuzzSameSplit
 
 # check is what CI's check job runs (followed by cover); lint, trace-smoke
 # and fuzz are the other three CI jobs. Performance is measured by the one

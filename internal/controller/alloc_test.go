@@ -72,25 +72,30 @@ func withRates(prob *core.Problem, f float64) *core.Problem {
 	return &out
 }
 
-// TestRateOnlyReoptimizeAllocs: when only rates drift, ReOptimize may
-// allocate, per class, the split comparison (sameSplit, measured here as
-// the base) and the three objects of the replacement Assignment — itself,
-// Weights and Base — and beyond that a number of allocations that does not
-// depend on the class count: the report, the transaction with its staging
-// slice, pre-image map and order, the placement membership map, the
-// portion pre-images of the 64 instances, and one sorted key list per
-// hosting switch in provisionTo. Measured 46; the gate is 56. A staging
-// slice and pre-image map that grow while classes are staged made it 67.
+// TestRateOnlyReoptimizeAllocs: when only rates drift, the split
+// comparison (sameSplit) allocates nothing — it streams the capacity
+// expansion of a coupling computed in controller-owned scratch against
+// the installed sub-classes — and a rate-only class allocates two objects:
+// its replacement Assignment and that one's fresh Base. Beyond those,
+// ReOptimize allocates a number of objects that does not depend on the
+// class count: the report, the transaction with its refresh list,
+// pre-image map and order, the portion pre-images of the 64 instances, and
+// one sorted key list per hosting switch in provisionTo. Measured 42; the
+// gate is 46. Materialising the sub-classes in sameSplit (six objects a
+// class), copying Weights on refresh and staging whole classes in a
+// transaction sized for every class made it 945 for the 100 classes, 46
+// of them beyond nine a class.
 func TestRateOnlyReoptimizeAllocs(t *testing.T) {
 	c, prob, pl := hundredClassFixture(t)
-	perClass := 0.0
 	for _, cl := range prob.Classes {
 		old, _ := c.assign.get(cl.ID)
-		perClass += 3 + testing.AllocsPerRun(1, func() {
+		if n := testing.AllocsPerRun(1, func() {
 			if same, err := c.sameSplit(old, cl, pl.Dist[cl.ID]); err != nil || !same {
 				t.Fatalf("class %d: sameSplit = %v, %v", cl.ID, same, err)
 			}
-		})
+		}); n != 0 {
+			t.Errorf("class %d: sameSplit allocated %.0f objects; the gate is 0", cl.ID, n)
+		}
 	}
 	// Alternate between two rate levels 20 % apart: every pass is
 	// rate-only for every class.
@@ -103,9 +108,11 @@ func TestRateOnlyReoptimizeAllocs(t *testing.T) {
 			t.Fatalf("pass %d: report %+v, err %v; want %d rate-only classes", pass, rep, err, hundredClasses)
 		}
 	})
-	t.Logf("rate-only ReOptimize of %d classes: %.0f allocations, %.0f of them per class", hundredClasses, total, perClass)
-	if fixed := total - perClass; fixed > 56 {
-		t.Errorf("%.0f allocations beyond the per-class %.0f; the gate is 56", fixed, perClass)
+	const perClass = 2
+	fixed := total - perClass*hundredClasses
+	t.Logf("rate-only ReOptimize of %d classes: %.0f allocations, %.0f beyond %d a class", hundredClasses, total, fixed, perClass)
+	if fixed > 46 {
+		t.Errorf("%.0f allocations beyond %d a class; the gate is 46", fixed, perClass)
 	}
 }
 

@@ -148,6 +148,9 @@ type Controller struct {
 	// unwind); never read by the parallel emit/apply workers. txn-owned:
 	// entry points mutate it only through staged RuleTxn ops.
 	passByDone bool
+	// reopt is ReOptimize's scratch, reused from pass to pass. Confined to
+	// the single writer, like passByDone.
+	reopt reoptScratch
 	// failpoint, when non-nil, runs at every named step of every rule
 	// transaction; a non-nil return aborts the transaction there (test
 	// hook for the fault-injection suite).

@@ -244,7 +244,8 @@ func TestExtraCoresAccessor(t *testing.T) {
 // takes its failover state with it. The next Observe cancels the spawned
 // instance, stops charging its cores and forgets the class's state, so
 // the same ID re-added later starts clean instead of inheriting a rollback
-// for a failover it never had (ROADMAP item 1(d)).
+// for a failover it never had (the removed-in-failover teardown fix in
+// CHANGES.md).
 func TestRemovedInFailoverForgetsState(t *testing.T) {
 	c, d, _ := overloadedSetup(t)
 	if _, err := d.Observe(map[core.ClassID]float64{0: 1600}); err != nil {

@@ -1,8 +1,10 @@
 package controller
 
-// Counts the replay tests in package controller_test assert on; they
-// build their scenarios with internal/experiments, which this package's
-// own tests cannot import.
+// Counts and views the replay tests in package controller_test assert on;
+// they build their scenarios with internal/experiments, which this
+// package's own tests cannot import.
+
+import "github.com/apple-nfv/apple/internal/topology"
 
 // DetectorCount reports how many instances the handler holds a detector
 // for.
@@ -17,4 +19,14 @@ func (c *Controller) PooledInstances() int {
 		}
 	}
 	return n
+}
+
+// GlobalTags returns, per hosting switch, the global sub-class tags the
+// ledger marks used there, ascending.
+func (c *Controller) GlobalTags() map[topology.NodeID][]uint8 {
+	out := make(map[topology.NodeID][]uint8, len(c.hostGlobalTags))
+	for v, tags := range c.hostGlobalTags {
+		out[v] = sortedKeys(tags)
+	}
+	return out
 }

@@ -15,6 +15,7 @@ package controller
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/apple-nfv/apple/internal/core"
 	"github.com/apple-nfv/apple/internal/metrics"
@@ -70,17 +71,16 @@ func (c *Controller) ReOptimize(prob *core.Problem, pl *core.Placement, opts Reo
 	if tol == 0 {
 		tol = DefaultRateTolerance
 	}
-	// Sized for one delta per class of the problem: staging a day's
-	// rate-only refreshes must not regrow the slice and the pre-image map
-	// class by class.
-	txn := c.begin(len(prob.Classes))
 
-	// Phase 1 — classify per-class deltas and stage them. Nothing is
-	// touched yet, so an error here needs no unwind.
+	// Phase 1 — classify every class against what is installed. Nothing
+	// is touched yet, so an error here needs no unwind. Verdicts go to
+	// controller-owned scratch, so the transaction is sized to the deltas
+	// before any is staged.
 	report := &ReoptReport{}
-	inPlacement := make(map[core.ClassID]bool, len(prob.Classes))
+	sc := &c.reopt
+	sc.verdicts = sc.verdicts[:0]
+	sc.kept = sc.kept[:0]
 	for _, cl := range prob.Classes {
-		inPlacement[cl.ID] = true
 		// The placement may have selected a partial-order chain variant;
 		// its Dist axes follow that chain, so the staged class must too.
 		cl.Chain = pl.ChainFor(cl)
@@ -88,44 +88,55 @@ func (c *Controller) ReOptimize(prob *core.Problem, pl *core.Placement, opts Reo
 		if !ok {
 			return nil, fmt.Errorf("controller: class %d missing from placement", cl.ID)
 		}
-		old, installed := c.assign.get(cl.ID)
-		if !installed {
-			txn.StageInstall(cl, dist)
-			report.Added++
-			continue
-		}
-		// A changed chain is always a full cutover: the installed steering
-		// rules encode the old NF sequence hop by hop, so even a split
-		// that compiles to the same sub-class shape (same hops, same
-		// portions — e.g. a one-host [firewall] becoming a one-host [ids])
-		// enforces the wrong policy if left in place. Rate-only refresh
-		// and the unchanged short-circuit only apply to same-chain deltas.
-		if !old.Class.Chain.Equal(cl.Chain) {
-			txn.StageUpdate(cl, dist)
-			report.Updated++
-			continue
-		}
-		same, err := c.sameSplit(old, cl, dist)
+		v, err := c.classify(cl, dist, tol)
 		if err != nil {
 			return nil, err
 		}
-		rateDrift := relDrift(old.Class.RateMbps, cl.RateMbps)
-		switch {
-		case same && tol >= 0 && rateDrift < tol:
-			report.Unchanged++
-		case same:
-			txn.StageRefresh(cl)
-			report.RateOnly++
-		default:
-			txn.StageUpdate(cl, dist)
+		switch v {
+		case reoptAdd:
+			report.Added++
+		case reoptUpdate:
 			report.Updated++
+		case reoptRefresh:
+			report.RateOnly++
+		case reoptUnchanged:
+			report.Unchanged++
+		}
+		if v != reoptAdd {
+			sc.kept = append(sc.kept, cl.ID)
+		}
+		sc.verdicts = append(sc.verdicts, v)
+	}
+	// Every installed class the placement does not keep is removed, in
+	// class order.
+	slices.Sort(sc.kept)
+	sc.kept = slices.Compact(sc.kept)
+	var removed []core.ClassID
+	if len(sc.kept) < c.assign.len() {
+		for _, id := range c.assign.ids() {
+			if _, keep := slices.BinarySearch(sc.kept, id); !keep {
+				removed = append(removed, id)
+			}
 		}
 	}
-	for _, id := range c.assign.ids() {
-		if !inPlacement[id] {
-			txn.StageRemove(id)
-			report.Removed++
+	report.Removed = len(removed)
+
+	// Stage in class order: installs, updates and refreshes, then removals.
+	txn := c.begin(report.Added+report.Updated+report.Removed, report.RateOnly,
+		report.Updated+report.RateOnly+report.Removed)
+	for i, cl := range prob.Classes {
+		cl.Chain = pl.ChainFor(cl)
+		switch sc.verdicts[i] {
+		case reoptAdd:
+			txn.StageInstall(cl, pl.Dist[cl.ID])
+		case reoptUpdate:
+			txn.StageUpdate(cl, pl.Dist[cl.ID])
+		case reoptRefresh:
+			txn.StageRefresh(cl.ID, cl.RateMbps)
 		}
+	}
+	for _, id := range removed {
+		txn.StageRemove(id)
 	}
 
 	// Phase 2 — provision up to the placement's instance counts, tracked
@@ -228,37 +239,87 @@ func (c *Controller) reapIdle(pl *core.Placement) int {
 	return reaped
 }
 
+// reoptVerdict is Phase 1's classification of one class of the problem.
+type reoptVerdict uint8
+
+const (
+	reoptAdd       reoptVerdict = iota // not installed: StageInstall
+	reoptUpdate                        // full make-before-break cutover: StageUpdate
+	reoptRefresh                       // same rules, new rate: StageRefresh
+	reoptUnchanged                     // nothing to stage
+)
+
+// reoptScratch is ReOptimize's working memory, kept on the controller and
+// reused from pass to pass so that classifying a class allocates nothing.
+// Confined to the single writer.
+type reoptScratch struct {
+	coupling core.Coupling  // sameSplit's sub-classes of the class at hand
+	verdicts []reoptVerdict // per class of the problem, in order
+	kept     []core.ClassID // installed classes the placement keeps
+}
+
+// classify decides how cl, whose placement distribution is dist, moves
+// from what is installed.
+func (c *Controller) classify(cl core.Class, dist [][]float64, tol float64) (reoptVerdict, error) {
+	old, installed := c.assign.get(cl.ID)
+	if !installed {
+		return reoptAdd, nil
+	}
+	// A changed chain or path is always a full cutover: the installed
+	// steering rules encode the old NF sequence hop by hop, and the old
+	// switches, so even a split that compiles to the same sub-class shape
+	// (same hop indices, same portions — e.g. a one-host [firewall]
+	// becoming a one-host [ids], or the same class moved one switch down
+	// a line) enforces the wrong policy, or none, if left in place.
+	// Rate-only refresh and the unchanged short-circuit only apply to
+	// deltas that keep both.
+	if !old.Class.Chain.Equal(cl.Chain) || !slices.Equal(old.Class.Path, cl.Path) {
+		return reoptUpdate, nil
+	}
+	same, err := c.sameSplit(old, cl, dist)
+	switch {
+	case err != nil:
+		return 0, err
+	case !same:
+		return reoptUpdate, nil
+	case tol >= 0 && relDrift(old.Class.RateMbps, cl.RateMbps) < tol:
+		return reoptUnchanged, nil
+	default:
+		return reoptRefresh, nil
+	}
+}
+
 // sameSplit reports whether the placement's distribution for cl compiles
 // to the same sub-class shape (hops and quantized portions) the installed
 // assignment already uses — in which case the class's rules would emit
-// identically and only bookkeeping may need to move.
+// identically and only bookkeeping may need to move. It walks the
+// capacity expansion of the coupling against the installed sub-classes
+// without building it, and counts it against the tag budget as
+// buildAssignment would: a split that cannot be installed is an error,
+// same or not.
 func (c *Controller) sameSplit(old *Assignment, cl core.Class, dist [][]float64) (bool, error) {
-	subs, err := core.Subclasses(cl, dist)
+	subs, err := c.reopt.coupling.Split(cl, dist)
 	if err != nil {
 		return false, fmt.Errorf("controller: %w", err)
 	}
-	expanded, err := expandForCapacity(cl, subs)
-	if err != nil {
+	same, n := true, 0
+	for _, sub := range subs {
+		k, err := capacitySlices(cl, sub.Portion)
+		if err != nil {
+			return false, fmt.Errorf("controller: %w", err)
+		}
+		q := quantPortion(sub.Portion / float64(k))
+		for s := n; same && s < n+k; s++ {
+			same = s < len(old.Subclasses) &&
+				quantPortion(old.Subclasses[s].Portion) == q &&
+				slices.Equal(old.Subclasses[s].Hops, sub.Hops)
+		}
+		n += k
+	}
+	if err := checkTagBudget(cl.ID, n); err != nil {
 		return false, fmt.Errorf("controller: %w", err)
 	}
-	if len(expanded) != len(old.Subclasses) {
-		return false, nil
-	}
-	for i := range expanded {
-		if quantPortion(expanded[i].Portion) != quantPortion(old.Subclasses[i].Portion) {
-			return false, nil
-		}
-		oh, nh := old.Subclasses[i].Hops, expanded[i].Hops
-		if len(oh) != len(nh) {
-			return false, nil
-		}
-		for j := range nh {
-			if oh[j] != nh[j] {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
+	return same && n == len(old.Subclasses), nil
 }
 
 // quantPortion snaps a portion onto the splitBits rule-emission grid —

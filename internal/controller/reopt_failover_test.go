@@ -190,10 +190,11 @@ func TestReoptMidFailoverFailpointUnwind(t *testing.T) {
 }
 
 // TestReoptMidFailoverStaleActivationDropped: a failover spawn still
-// booting when the re-optimization cuts the class over must drop its
+// booting when a re-optimization refreshes the class's rate must drop its
 // activation instead of committing against the orphaned assignment (a
 // late commit would install steering rules for a sub-class the live
-// assignment does not have).
+// assignment does not have). The pass is one rate-only refresh and
+// nothing else, so the refresh alone is what drops the spawn.
 func TestReoptMidFailoverStaleActivationDropped(t *testing.T) {
 	c, d, prob := overloadedSetup(t)
 	clock := cClock(c)
@@ -203,10 +204,10 @@ func TestReoptMidFailoverStaleActivationDropped(t *testing.T) {
 	if d.PendingSpawns() == 0 {
 		t.Fatal("no spawn in flight")
 	}
-	// Cut the class over while the instance is still booting: a rate
-	// change beyond the tolerance forces at least a rate-only refresh,
-	// which replaces the assignment object the pending activation
-	// captured.
+	// Refresh the class's rate while the instance is still booting: a
+	// rate change beyond the tolerance with the split unchanged is a
+	// rate-only refresh, and a refresh alone replaces the assignment
+	// generation the pending activation captured.
 	prob.Classes[0].RateMbps = 520
 	pl, err := core.SolveGreedy(prob)
 	if err != nil {
@@ -216,8 +217,8 @@ func TestReoptMidFailoverStaleActivationDropped(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReOptimize with spawn in flight: %v", err)
 	}
-	if rep.ClassesChanged()+rep.RateOnly == 0 {
-		t.Fatal("re-optimization did not replace the assignment")
+	if rep.RateOnly != 1 || rep.ClassesChanged() != 0 {
+		t.Fatalf("report %+v, want exactly one rate-only refresh and no class changed", *rep)
 	}
 	stalePre := d.Counters().Get(CtrStaleActivations)
 	if err := clock.Run(6 * time.Second); err != nil {
@@ -272,11 +273,8 @@ func TestStaleActivationVerdicts(t *testing.T) {
 			}
 		}, false},
 		{"refresh", orchestrator.FaultPlan{}, func(t *testing.T, c *Controller, d *DynamicHandler) {
-			a, _ := c.assign.get(0)
-			cl := a.Class
-			cl.RateMbps = 520
 			txn := c.Begin()
-			txn.StageRefresh(cl)
+			txn.StageRefresh(0, 520)
 			if err := txn.Commit(TxnOptions{}); err != nil {
 				t.Fatalf("refresh: %v", err)
 			}

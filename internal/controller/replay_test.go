@@ -7,6 +7,9 @@ package controller_test
 // reports pinned as counts.
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -35,12 +38,13 @@ type replay struct {
 	hours []replayHour
 }
 
-// newReplay solves one day of perDay snapshots of the scenario. Chains
-// lose their NAT, as in diurnal_reopt: re-optimising header-rewriting
-// classes under failover exhausts the 32 global tags per host within days.
-func newReplay(t *testing.T, build func(experiments.Options) (*experiments.Scenario, error), perDay int) *replay {
+// newReplay solves one day of 24 hourly snapshots of the scenario at the
+// given scenario seed. Unless keepNAT is set, chains lose their NAT, as in
+// diurnal_reopt: re-optimising header-rewriting classes under failover
+// runs out of global tags within days (finding 3).
+func newReplay(t *testing.T, build func(experiments.Options) (*experiments.Scenario, error), seed int64, keepNAT bool) *replay {
 	t.Helper()
-	sc, err := build(experiments.Options{Seed: 1, Snapshots: perDay})
+	sc, err := build(experiments.Options{Seed: seed, Snapshots: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,16 +53,9 @@ func newReplay(t *testing.T, build func(experiments.Options) (*experiments.Scena
 		t.Fatal(err)
 	}
 	for i := range base.Classes {
-		var ch policy.Chain
-		for _, nf := range base.Classes[i].Chain {
-			if nf != policy.NAT {
-				ch = append(ch, nf)
-			}
+		if !keepNAT {
+			base.Classes[i].Chain = withoutNAT(base.Classes[i].Chain)
 		}
-		if len(ch) == 0 {
-			ch = policy.Chain{policy.Firewall}
-		}
-		base.Classes[i].Chain = ch
 	}
 	eng, err := core.NewIncrementalEngine(base, core.IncrementalOptions{})
 	if err != nil {
@@ -86,17 +83,39 @@ func newReplay(t *testing.T, build func(experiments.Options) (*experiments.Scena
 	return r
 }
 
-// run replays days wrapped days on a fresh controller and handler, whose
-// hosts have twice the cores the placement plans with (failover instances
-// take cores the LP does not know about), calling each after every
-// Observe, and returns the transitions handled.
-func (r *replay) run(t *testing.T, days int, each func(c *controller.Controller, d *controller.DynamicHandler)) int {
+// withoutNAT drops NAT from a chain; a chain of NAT alone becomes a
+// firewall.
+func withoutNAT(chain policy.Chain) policy.Chain {
+	var ch policy.Chain
+	for _, nf := range chain {
+		if nf != policy.NAT {
+			ch = append(ch, nf)
+		}
+	}
+	if len(ch) == 0 {
+		ch = policy.Chain{policy.Firewall}
+	}
+	return ch
+}
+
+// replayRun is one controller and handler replaying a replay's hours.
+type replayRun struct {
+	r     *replay
+	c     *controller.Controller
+	d     *controller.DynamicHandler
+	clock *sim.Simulation
+}
+
+// start builds a fresh controller and handler whose hosts have headroom
+// times the cores and memory the placement plans with (failover instances
+// take cores the LP does not know about).
+func (r *replay) start(t *testing.T, headroom int) *replayRun {
 	t.Helper()
 	hosts := make([]topology.NodeID, 0, len(r.sc.Avail))
 	res := make(map[topology.NodeID]policy.Resources, len(r.sc.Avail))
 	for v, a := range r.sc.Avail {
 		hosts = append(hosts, v)
-		res[v] = policy.Resources{Cores: 2 * a.Cores, MemoryMB: 2 * a.MemoryMB}
+		res[v] = policy.Resources{Cores: headroom * a.Cores, MemoryMB: headroom * a.MemoryMB}
 	}
 	clock := sim.New()
 	c, err := controller.New(controller.Config{
@@ -110,23 +129,49 @@ func (r *replay) run(t *testing.T, days int, each func(c *controller.Controller,
 	if err != nil {
 		t.Fatal(err)
 	}
+	return &replayRun{r: r, c: c, d: d, clock: clock}
+}
+
+// hour replays snapshot h: ReOptimize with reaping, then Observe. It
+// returns the transitions Observe handled, or the first refusal.
+func (run *replayRun) hour(h int) (int, error) {
+	hr := run.r.hours[h]
+	if _, err := run.c.ReOptimize(hr.prob, hr.pl, controller.ReoptOptions{Reap: true}); err != nil {
+		return 0, fmt.Errorf("reoptimize: %w", err)
+	}
+	n, err := run.d.Observe(hr.rates)
+	if err != nil {
+		return 0, fmt.Errorf("observe: %w", err)
+	}
+	return n, nil
+}
+
+// tick advances the clock by one snapshot.
+func (run *replayRun) tick(t *testing.T) {
+	t.Helper()
+	if err := run.clock.AdvanceTo(run.clock.Now() + time.Duration(run.r.sc.SnapshotSeconds)*time.Second); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// run replays days wrapped days on a fresh controller and handler at 2×
+// headroom, calling each after every Observe, and returns the transitions
+// handled.
+func (r *replay) run(t *testing.T, days int, each func(c *controller.Controller, d *controller.DynamicHandler)) int {
+	t.Helper()
+	run := r.start(t, 2)
 	transitions := 0
 	for day := 0; day < days; day++ {
-		for hour, h := range r.hours {
-			if _, err := c.ReOptimize(h.prob, h.pl, controller.ReoptOptions{Reap: true}); err != nil {
-				t.Fatalf("%s day %d hour %d: reoptimize: %v", r.sc.Name, day, hour, err)
-			}
-			n, err := d.Observe(h.rates)
+		for h := range r.hours {
+			n, err := run.hour(h)
 			if err != nil {
-				t.Fatalf("%s day %d hour %d: observe: %v", r.sc.Name, day, hour, err)
+				t.Fatalf("%s day %d hour %d: %v", r.sc.Name, day, h, err)
 			}
 			transitions += n
 			if each != nil {
-				each(c, d)
+				each(run.c, run.d)
 			}
-			if err := clock.AdvanceTo(clock.Now() + time.Duration(r.sc.SnapshotSeconds)*time.Second); err != nil {
-				t.Fatal(err)
-			}
+			run.tick(t)
 		}
 	}
 	return transitions
@@ -139,7 +184,7 @@ func (r *replay) run(t *testing.T, days int, each func(c *controller.Controller,
 // scanned all of it. After every Observe of a twelve-day replay the handler
 // holds exactly one detector per pooled instance, and its invariants hold.
 func TestDetectorsFollowThePool(t *testing.T) {
-	r := newReplay(t, experiments.GEANT, 24)
+	r := newReplay(t, experiments.GEANT, 1, false)
 	hours, last, shrank := 0, 0, 0
 	r.run(t, 12, func(c *controller.Controller, d *controller.DynamicHandler) {
 		hours++
@@ -176,7 +221,7 @@ func TestTransitionCountRepeats(t *testing.T) {
 		builds, repeats = builds[:1], 2
 	}
 	for _, build := range builds {
-		r := newReplay(t, build, 24)
+		r := newReplay(t, build, 1, false)
 		want := r.run(t, 4, nil)
 		if want == 0 {
 			t.Fatalf("%s: the replay handled no transition", r.sc.Name)
@@ -365,5 +410,95 @@ func TestKnownGapVerifyDisagreesWithEnforcement(t *testing.T) {
 	t.Logf("unverified pass: %+v", *rep)
 	if err := l.c.CheckEnforcement(); err != nil {
 		t.Fatalf("known gap closed? enforcement now fails too: %v", err)
+	}
+}
+
+// globalTagLedger logs, per hosting switch, the global tags the ledger
+// marks used against the ones live sub-classes of header-rewriting
+// classes hold there. It returns how many marked tags no live sub-class
+// holds, and the most tags any one host has marked.
+func globalTagLedger(t *testing.T, c *controller.Controller) (unheld, fullest int) {
+	t.Helper()
+	held := make(map[topology.NodeID]map[uint8][]string)
+	for _, id := range c.Classes() {
+		a, err := c.Assignment(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !a.Global {
+			continue
+		}
+		for s, sub := range a.Subclasses {
+			seen := make(map[topology.NodeID]bool, len(sub.Hops))
+			for _, h := range sub.Hops {
+				v := a.Class.Path[h]
+				if seen[v] {
+					continue
+				}
+				seen[v] = true
+				if held[v] == nil {
+					held[v] = make(map[uint8][]string)
+				}
+				held[v][a.SubTags[s]] = append(held[v][a.SubTags[s]], fmt.Sprintf("%d/%d", id, s))
+			}
+		}
+	}
+	marked := c.GlobalTags()
+	hosts := make([]topology.NodeID, 0, len(marked))
+	for v := range marked {
+		hosts = append(hosts, v)
+	}
+	slices.Sort(hosts)
+	for _, v := range hosts {
+		var stale []uint8
+		for _, tag := range marked[v] {
+			if len(held[v][tag]) == 0 {
+				stale = append(stale, tag)
+			}
+		}
+		unheld += len(stale)
+		fullest = max(fullest, len(marked[v]))
+		t.Logf("host %d: %d global tags marked; held, as tag:[class/sub-class]: %v; marked but unheld: %v",
+			v, len(marked[v]), held[v], stale)
+	}
+	return unheld, fullest
+}
+
+// TestKnownGapFinding3 pins a known gap (ROADMAP item 1(b), finding 3 of
+// cmd/applebench's README). AS-3679 at scenario seed 3, NAT chains kept,
+// replayed hour by hour — warm Place, ReOptimize with reaping, Observe —
+// as diurnal_reopt replays: ReOptimize is refused for want of a
+// conflict-free global tag within the first day, at hour 9 (class 17) with
+// hosts at 2× the planned cores and at hour 11 (class 0) at 1×. At the
+// refusal the global-tag ledger marks exactly the tags live sub-classes
+// hold — none has leaked — and one host holds all 32: the tag space is a
+// function of live state, and live state has outgrown it. When 1(b) lands
+// this test fails: flip it into an assertion that the day replays clean.
+func TestKnownGapFinding3(t *testing.T) {
+	r := newReplay(t, experiments.AS3679, 3, true)
+	for _, tc := range []struct {
+		headroom, hour int
+		class          core.ClassID
+	}{{2, 9, 17}, {1, 11, 0}} {
+		run := r.start(t, tc.headroom)
+		h, err := 0, error(nil)
+		for ; h < len(r.hours); h++ {
+			if _, err = run.hour(h); err != nil {
+				break
+			}
+			run.tick(t)
+		}
+		if err == nil {
+			t.Fatalf("known gap closed? %s seed 3 at %d× headroom replays a day without refusal", r.sc.Name, tc.headroom)
+		}
+		t.Logf("%d× headroom, hour %d: %v", tc.headroom, h, err)
+		want := fmt.Sprintf("no conflict-free global tag for class %d ", tc.class)
+		if h != tc.hour || !strings.Contains(err.Error(), want) {
+			t.Errorf("%d× headroom: refused at hour %d with %q, want hour %d with %q", tc.headroom, h, err, tc.hour, want)
+		}
+		if unheld, fullest := globalTagLedger(t, run.c); unheld != 0 || fullest != 32 {
+			t.Errorf("%d× headroom: %d marked global tags held by no live sub-class, fullest host %d of 32; want 0 and 32",
+				tc.headroom, unheld, fullest)
+		}
 	}
 }

@@ -588,16 +588,9 @@ func (c *Controller) emitVSwitchRules(g *ruleGroups, a *Assignment, s int, runs 
 func expandForCapacity(cl core.Class, subs []core.Subclass) ([]core.Subclass, error) {
 	var out []core.Subclass
 	for _, sub := range subs {
-		share := cl.RateMbps * sub.Portion
-		k := 1
-		for _, nf := range cl.Chain {
-			spec, err := policy.SpecOf(nf)
-			if err != nil {
-				return nil, err
-			}
-			if need := int(ceilDiv(share, spec.CapacityMbps)); need > k {
-				k = need
-			}
+		k, err := capacitySlices(cl, sub.Portion)
+		if err != nil {
+			return nil, err
 		}
 		if k <= 1 {
 			out = append(out, sub)
@@ -610,11 +603,38 @@ func expandForCapacity(cl core.Class, subs []core.Subclass) ([]core.Subclass, er
 			})
 		}
 	}
-	if len(out) > globalTagBase {
-		return nil, fmt.Errorf("class %d needs %d sub-classes; the per-class tag budget is %d",
-			cl.ID, len(out), globalTagBase)
+	if err := checkTagBudget(cl.ID, len(out)); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// capacitySlices is how many equal slices expandForCapacity cuts a
+// sub-class carrying portion of cl into: enough that no slice exceeds one
+// instance's capacity at any chain position, and at least one.
+func capacitySlices(cl core.Class, portion float64) (int, error) {
+	share := cl.RateMbps * portion
+	k := 1
+	for _, nf := range cl.Chain {
+		spec, err := policy.SpecOf(nf)
+		if err != nil {
+			return 0, err
+		}
+		if need := int(ceilDiv(share, spec.CapacityMbps)); need > k {
+			k = need
+		}
+	}
+	return k, nil
+}
+
+// checkTagBudget refuses a class expanded into more sub-classes than its
+// tag space holds.
+func checkTagBudget(id core.ClassID, n int) error {
+	if n > globalTagBase {
+		return fmt.Errorf("class %d needs %d sub-classes; the per-class tag budget is %d",
+			id, n, globalTagBase)
+	}
+	return nil
 }
 
 // ceilDiv returns ceil(a/b) for positive b.

@@ -79,6 +79,13 @@ func (st *assignStore) remove(id core.ClassID) {
 	st.mu.Unlock()
 }
 
+// len returns how many classes are installed.
+func (st *assignStore) len() int {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return len(st.m)
+}
+
 // ids returns every installed class ID, sorted.
 func (st *assignStore) ids() []core.ClassID {
 	st.mu.RLock()

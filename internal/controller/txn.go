@@ -64,7 +64,6 @@ const (
 	txnAdd     txnOpKind = iota // greedy online placement (AddClass, AddClassBatch)
 	txnInstall                  // placement-driven install (InstallPlacement, ReOptimize adds)
 	txnUpdate                   // full rule cutover to a new distribution
-	txnRefresh                  // bookkeeping-only rate change, rules untouched
 	txnRemove                   // class teardown
 	txnReshape                  // Dynamic Handler reshape of weights and tail sub-classes
 )
@@ -90,11 +89,23 @@ type TxnOptions struct {
 	Audit func() error
 }
 
+// rateDelta is a staged refresh: class id's assignment is replaced with
+// one at rate. It commits in the update phase before staged[at], the op
+// staged after it, so deltas commit in the order they were staged.
+type rateDelta struct {
+	id   core.ClassID
+	rate float64
+	at   int
+}
+
 // RuleTxn stages a class-set delta and commits it atomically against the
 // controller. Obtain one from Controller.Begin.
 type RuleTxn struct {
 	c      *Controller
 	staged []txnOp
+	// refreshes are kept apart from staged: a day's rate-only refreshes
+	// are most of a re-optimization's deltas and need only these 24 bytes.
+	refreshes []rateDelta
 
 	opened   bool
 	finished bool
@@ -121,16 +132,18 @@ type RuleTxn struct {
 }
 
 // Begin starts an empty transaction.
-func (c *Controller) Begin() *RuleTxn { return c.begin(0) }
+func (c *Controller) Begin() *RuleTxn { return c.begin(0, 0, 0) }
 
-// begin starts an empty transaction with room for n staged deltas, for
-// callers that know how many classes they are about to stage.
-func (c *Controller) begin(n int) *RuleTxn {
+// begin starts an empty transaction with room for ops staged deltas,
+// refreshes refreshes and replaced pre-images of installed classes, for
+// callers that know what they are about to stage.
+func (c *Controller) begin(ops, refreshes, replaced int) *RuleTxn {
 	return &RuleTxn{
 		c:          c,
-		staged:     make([]txnOp, 0, n),
-		prevAssign: make(map[core.ClassID]*Assignment, n),
-		prevOrder:  make([]core.ClassID, 0, n),
+		staged:     make([]txnOp, 0, ops),
+		refreshes:  make([]rateDelta, 0, refreshes),
+		prevAssign: make(map[core.ClassID]*Assignment, replaced),
+		prevOrder:  make([]core.ClassID, 0, replaced),
 	}
 }
 
@@ -154,12 +167,12 @@ func (t *RuleTxn) StageUpdate(cl core.Class, dist [][]float64) {
 	t.staged = append(t.staged, txnOp{kind: txnUpdate, cl: cl, dist: dist})
 }
 
-// StageRefresh stages a bookkeeping-only rate change for an installed
-// class whose rule set is unchanged: the assignment is replaced with one
+// StageRefresh stages a bookkeeping-only rate change for installed class
+// id, whose rule set is unchanged: the assignment is replaced with one
 // carrying the new rate and the instance-portion ledger is retargeted,
 // but no flow table is touched.
-func (t *RuleTxn) StageRefresh(cl core.Class) {
-	t.staged = append(t.staged, txnOp{kind: txnRefresh, cl: cl})
+func (t *RuleTxn) StageRefresh(id core.ClassID, rate float64) {
+	t.refreshes = append(t.refreshes, rateDelta{id: id, rate: rate, at: len(t.staged)})
 }
 
 // StageRemove stages a class teardown: classification first (new packets
@@ -195,40 +208,50 @@ func (t *RuleTxn) Commit(opts TxnOptions) (err error) {
 			t.finish()
 		}
 	}()
+	// audited completes one class delta: the audit runs once it stands.
+	audited := func(err error) error {
+		if err == nil && opts.Audit != nil {
+			if err = opts.Audit(); err != nil {
+				return fmt.Errorf("controller: transaction audit after class delta: %w", err)
+			}
+		}
+		return err
+	}
 	phases := []struct {
-		name string
-		want func(txnOpKind) bool
+		want      func(txnOpKind) bool
+		refreshes bool
 	}{
-		{"add", func(k txnOpKind) bool { return k == txnAdd || k == txnInstall }},
-		{"update", func(k txnOpKind) bool { return k == txnUpdate || k == txnRefresh || k == txnReshape }},
-		{"remove", func(k txnOpKind) bool { return k == txnRemove }},
+		{want: func(k txnOpKind) bool { return k == txnAdd || k == txnInstall }},
+		{want: func(k txnOpKind) bool { return k == txnUpdate || k == txnReshape }, refreshes: true},
+		{want: func(k txnOpKind) bool { return k == txnRemove }},
 	}
 	for _, ph := range phases {
-		for i, op := range t.staged {
-			if !ph.want(op.kind) {
+		// Refreshes commit with the updates, each where it was staged
+		// among them.
+		r := 0
+		for i := 0; i <= len(t.staged); i++ {
+			for ; ph.refreshes && r < len(t.refreshes) && t.refreshes[r].at == i; r++ {
+				if err = audited(t.commitRefresh(t.refreshes[r])); err != nil {
+					return err
+				}
+			}
+			if i == len(t.staged) || !ph.want(t.staged[i].kind) {
 				continue
 			}
-			switch op.kind {
+			switch op := t.staged[i]; op.kind {
 			case txnAdd, txnInstall:
 				// One pipeline run per class keeps the per-class audit
 				// boundary; a batch of one runs every stage inline.
 				_, err = t.installNew(t.staged[i:i+1], 1, opts.Verify)
 			case txnUpdate:
 				err = t.commitUpdate(op, opts)
-			case txnRefresh:
-				err = t.commitRefresh(op)
 			case txnReshape:
 				err = t.commitReshape(op)
 			case txnRemove:
 				err = t.commitRemove(op)
 			}
-			if err != nil {
+			if err = audited(err); err != nil {
 				return err
-			}
-			if opts.Audit != nil {
-				if err = opts.Audit(); err != nil {
-					return fmt.Errorf("controller: transaction audit after class delta: %w", err)
-				}
 			}
 		}
 	}
@@ -247,7 +270,7 @@ func (t *RuleTxn) open() {
 	t.opened = true
 	metrics.Txn.Begun.Add(1)
 	if t.c.tracer.Enabled() {
-		t.c.tracer.Emit(trace.Ev(trace.KindTxnBegin).WithVal(int64(len(t.staged))))
+		t.c.tracer.Emit(trace.Ev(trace.KindTxnBegin).WithVal(int64(len(t.staged) + len(t.refreshes))))
 	}
 }
 
@@ -620,31 +643,27 @@ func (t *RuleTxn) commitUpdate(op txnOp, opts TxnOptions) error {
 
 // commitRefresh replaces an installed class's assignment with one
 // carrying a new rate but the same sub-class shape: no rules move, only
-// the store entry and the instance-portion ledger.
-func (t *RuleTxn) commitRefresh(op txnOp) error {
+// the store entry and the instance-portion ledger. The replacement is the
+// installed assignment at the new rate. It shares every array with it but
+// Base: a fresh Base makes it a new generation (sameGeneration), so a
+// failover spawn computed against the old rate is dropped. Weights is
+// shared safely because it is only ever written on an Assignment.clone.
+func (t *RuleTxn) commitRefresh(r rateDelta) error {
 	c := t.c
-	cl := op.cl
-	old, ok := c.assign.get(cl.ID)
+	old, ok := c.assign.get(r.id)
 	if !ok {
-		return fmt.Errorf("controller: class %d is not installed", cl.ID)
+		return fmt.Errorf("controller: class %d is not installed", r.id)
 	}
-	if err := t.fail("refresh:swap", cl.ID); err != nil {
+	if err := t.fail("refresh:swap", r.id); err != nil {
 		return err
 	}
-	newA := &Assignment{
-		Class:      cl,
-		Prefix:     old.Prefix,
-		Subclasses: old.Subclasses,
-		Weights:    append([]float64(nil), old.Weights...),
-		Base:       append([]float64(nil), old.Base...),
-		Instances:  old.Instances,
-		Global:     old.Global,
-		SubTags:    old.SubTags,
-	}
-	t.trackPrevAssign(cl.ID, old)
-	c.assign.put(cl.ID, newA)
+	newA := *old
+	newA.Class.RateMbps = r.rate
+	newA.Base = slices.Clone(old.Base)
+	t.trackPrevAssign(r.id, old)
+	c.assign.put(r.id, &newA)
 	c.shiftPortions(t, old, -1)
-	c.shiftPortions(t, newA, +1)
+	c.shiftPortions(t, &newA, +1)
 	return nil
 }
 

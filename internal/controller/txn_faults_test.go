@@ -229,14 +229,12 @@ func newTxnFixture(t *testing.T) *txnFixture {
 	dist4 := zeroDist(4, 1)
 	dist4[newHop][0] = 1
 	cl5 := core.Class{ID: 5, Path: linePath(4), Chain: policy.Chain{policy.NAT}, RateMbps: 200}
-	cl1r := reoptClasses()[1]
-	cl1r.RateMbps = 300
 
 	return &txnFixture{c: c, handler: handler, stage: func(txn *RuleTxn) {
 		txn.StageAdd(cl5)
 		txn.StageInstall(cl4, dist4)
 		txn.StageUpdate(cl0u, dist0)
-		txn.StageRefresh(cl1r)
+		txn.StageRefresh(reoptClasses()[1].ID, 300)
 		txn.StageRemove(2)
 	}}
 }

@@ -7,6 +7,7 @@ import (
 	"github.com/apple-nfv/apple/internal/core"
 	"github.com/apple-nfv/apple/internal/policy"
 	"github.com/apple-nfv/apple/internal/sim"
+	"github.com/apple-nfv/apple/internal/topology"
 	"github.com/apple-nfv/apple/internal/vnf"
 )
 
@@ -178,6 +179,57 @@ func TestReOptimizeAddRemove(t *testing.T) {
 	assertNoClassRules(t, c, 0)
 	if err := c.CheckEnforcement(); err != nil {
 		t.Errorf("CheckEnforcement: %v", err)
+	}
+}
+
+// TestReOptimizeReroutedClassCutsOver: a class moved onto other switches by
+// a path of the same length commits as a full make-before-break cutover,
+// like a changed chain, at its old rate and at +30 %. Its sub-classes keep
+// their hop indices, and a comparison of those alone judged the move
+// unchanged — packets entering at the new ingress were delivered through
+// no NF — or rate-only, which recorded the new path over rules left on the
+// old one, so enforcement failed at the new ingress.
+func TestReOptimizeReroutedClassCutsOver(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rate float64
+	}{{"same-rate", 300}, {"rate+30%", 390}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl := core.Class{ID: 0, Path: []topology.NodeID{0, 1, 2}, Chain: policy.Chain{policy.Firewall}, RateMbps: 300}
+			c, prob, _, _ := setup(t, []core.Class{cl})
+			handler, err := NewDynamicHandler(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			moved := cl
+			moved.Path = []topology.NodeID{1, 2, 3}
+			moved.RateMbps = tc.rate
+			next := &core.Problem{Topo: prob.Topo, Classes: []core.Class{moved}, Avail: prob.Avail}
+			pl, err := core.NewEngine(core.EngineOptions{}).Solve(next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := c.ReOptimize(next, pl, ReoptOptions{Verify: true, Audit: handler.CheckInvariants})
+			if err != nil {
+				t.Fatalf("ReOptimize: %v", err)
+			}
+			if rep.Updated != 1 || rep.RateOnly != 0 || rep.Unchanged != 0 {
+				t.Errorf("report %+v, want one update", *rep)
+			}
+			hdr, err := c.FlowHeader(0, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := c.Forward(hdr, moved.Path[0])
+			if err != nil || !tr.Delivered || len(tr.Instances) != 1 {
+				t.Errorf("walk from switch %d: trace %+v, err %v; want the firewall visited", moved.Path[0], tr, err)
+			} else if nf, err := c.InstanceNF(tr.Instances[0]); err != nil || nf != policy.Firewall {
+				t.Errorf("walk from switch %d visited %v (%v), want the firewall", moved.Path[0], nf, err)
+			}
+			if err := c.CheckEnforcement(); err != nil {
+				t.Errorf("CheckEnforcement: %v", err)
+			}
+		})
 	}
 }
 

@@ -61,12 +61,12 @@ func modelNames(m *lp.Model) []string {
 	return names
 }
 
-// TestModelLayoutDeterministic pins ROADMAP item 1(e)'s cold half: the
-// placement model's layout, and therefore the simplex's pivot sequence,
-// is a function of the problem alone. Both formulations are built
-// repeatedly and must name their variables and rows in the same order
-// every time; the solve must spend the same pivots every time. A range
-// over a Go map anywhere on the building path breaks both.
+// TestModelLayoutDeterministic pins the model-layout determinism fix in
+// CHANGES.md: the placement model's layout, and therefore the simplex's
+// pivot sequence, is a function of the problem alone. Both formulations
+// are built repeatedly and must name their variables and rows in the same
+// order every time; the solve must spend the same pivots every time. A
+// range over a Go map anywhere on the building path breaks both.
 func TestModelLayoutDeterministic(t *testing.T) {
 	prob := geantMeanProblem(t)
 	builders := []struct {

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Subclass is the §V-A concept: the flows of a class that traverse the
@@ -20,25 +20,49 @@ type Subclass struct {
 const subclassTolerance = 1e-9
 
 // Subclasses converts a class's fractional spatial distribution d into
+// concrete sub-classes (see Coupling.Split). The result and its hop
+// vectors are freshly allocated and belong to the caller.
+func Subclasses(c Class, dist [][]float64) ([]Subclass, error) {
+	var b Coupling
+	return b.Split(c, dist)
+}
+
+// Coupling is caller-owned scratch for the comonotone coupling. A
+// Coupling reused from class to class splits each one without allocating
+// once its buffers have grown to the largest class seen; a zero Coupling
+// allocates each of its four buffers once, sized for the class.
+type Coupling struct {
+	cum    []float64 // σ_j at hop i, at cum[j*len(path)+i]
+	breaks []float64
+	subs   []Subclass
+	hops   []int // every sub-class's hop vector, back to back
+}
+
+// Split converts a class's fractional spatial distribution d into
 // concrete sub-classes using the comonotone coupling: flows are indexed by
 // a quantile u ∈ [0,1) (by hash or by address split, §V-A), and the flow
 // at quantile u is processed for position j at the first hop where the
 // cumulative distribution σ_j exceeds u. Constraint (3) — σ_{j-1} ≥ σ_j
 // everywhere — guarantees the resulting hop sequences are non-decreasing,
-// i.e. every sub-class is enforceable in path order.
-func Subclasses(c Class, dist [][]float64) ([]Subclass, error) {
+// i.e. every sub-class is enforceable in path order. Adjacent quantile
+// intervals with identical hop vectors are merged.
+//
+// The sub-classes and their hop vectors live in b's buffers: they are
+// valid until the next Split on b, and callers that keep them must split
+// with a Coupling they never reuse (as Subclasses does).
+func (b *Coupling) Split(c Class, dist [][]float64) ([]Subclass, error) {
 	if len(dist) != len(c.Path) {
 		return nil, fmt.Errorf("core: class %d distribution has %d hops, path has %d",
 			c.ID, len(dist), len(c.Path))
 	}
-	nPos := len(c.Chain)
+	nPos, nHop := len(c.Chain), len(c.Path)
 	// Cumulative σ_j per hop, and the breakpoint set.
-	cum := make([][]float64, nPos)
-	breaks := []float64{0, 1}
+	b.cum = slices.Grow(b.cum[:0], nPos*nHop)[:nPos*nHop]
+	b.breaks = append(slices.Grow(b.breaks[:0], nPos*nHop+2), 0, 1)
 	for j := 0; j < nPos; j++ {
-		cum[j] = make([]float64, len(c.Path))
+		cum := b.cum[j*nHop : (j+1)*nHop]
 		acc := 0.0
-		for i := range c.Path {
+		for i := range dist {
 			if len(dist[i]) != nPos {
 				return nil, fmt.Errorf("core: class %d hop %d has %d positions, want %d",
 					c.ID, i, len(dist[i]), nPos)
@@ -48,41 +72,38 @@ func Subclasses(c Class, dist [][]float64) ([]Subclass, error) {
 				return nil, fmt.Errorf("core: class %d d[%d][%d]=%v out of [0,1]", c.ID, i, j, d)
 			}
 			acc += d
-			cum[j][i] = acc
+			cum[i] = acc
 			if acc > subclassTolerance && acc < 1-subclassTolerance {
-				breaks = append(breaks, acc)
+				b.breaks = append(b.breaks, acc)
 			}
 		}
 		if math.Abs(acc-1) > 1e-4 {
 			return nil, fmt.Errorf("core: class %d position %d sums to %v, want 1", c.ID, j, acc)
 		}
 	}
-	sort.Float64s(breaks)
+	slices.Sort(b.breaks)
 	// Deduplicate.
-	uniq := breaks[:1]
-	for _, b := range breaks[1:] {
-		if b-uniq[len(uniq)-1] > subclassTolerance {
-			uniq = append(uniq, b)
+	uniq := b.breaks[:1]
+	for _, x := range b.breaks[1:] {
+		if x-uniq[len(uniq)-1] > subclassTolerance {
+			uniq = append(uniq, x)
 		}
 	}
-	// hopAt returns the first hop where σ_j exceeds u.
-	hopAt := func(j int, u float64) (int, error) {
-		for i := range cum[j] {
-			if cum[j][i] > u+subclassTolerance {
-				return i, nil
-			}
-		}
-		return 0, fmt.Errorf("core: class %d: quantile %v uncovered at position %d", c.ID, u, j)
-	}
-	var out []Subclass
-	for k := 0; k+1 < len(uniq); k++ {
+	// One sub-class per quantile interval at most; each interval's hop
+	// vector is written behind the last kept one and kept only if it
+	// differs from it.
+	n := len(uniq) - 1
+	b.subs = slices.Grow(b.subs[:0], n)
+	b.hops = slices.Grow(b.hops[:0], n*nPos)[:n*nPos]
+	for k := 0; k < n; k++ {
 		lo, hi := uniq[k], uniq[k+1]
 		mid := (lo + hi) / 2
-		hops := make([]int, nPos)
-		for j := 0; j < nPos; j++ {
-			h, err := hopAt(j, mid)
-			if err != nil {
-				return nil, err
+		at := len(b.subs) * nPos
+		hops := b.hops[at : at+nPos : at+nPos]
+		for j := range hops {
+			h := firstAbove(b.cum[j*nHop:(j+1)*nHop], mid)
+			if h < 0 {
+				return nil, fmt.Errorf("core: class %d: quantile %v uncovered at position %d", c.ID, mid, j)
 			}
 			hops[j] = h
 		}
@@ -94,30 +115,24 @@ func Subclasses(c Class, dist [][]float64) ([]Subclass, error) {
 					c.ID, lo, hi, hops)
 			}
 		}
-		out = append(out, Subclass{Portion: hi - lo, Hops: hops})
-	}
-	// Merge adjacent sub-classes with identical hop vectors.
-	merged := out[:0]
-	for _, s := range out {
-		if len(merged) > 0 && equalInts(merged[len(merged)-1].Hops, s.Hops) {
-			merged[len(merged)-1].Portion += s.Portion
+		if last := len(b.subs) - 1; last >= 0 && slices.Equal(b.subs[last].Hops, hops) {
+			b.subs[last].Portion += hi - lo
 			continue
 		}
-		merged = append(merged, s)
+		b.subs = append(b.subs, Subclass{Portion: hi - lo, Hops: hops})
 	}
-	return merged, nil
+	return b.subs, nil
 }
 
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// firstAbove returns the first hop where the cumulative distribution σ
+// exceeds quantile u, or -1 if none does.
+func firstAbove(sigma []float64, u float64) int {
+	for i, s := range sigma {
+		if s > u+subclassTolerance {
+			return i
 		}
 	}
-	return true
+	return -1
 }
 
 // SubclassPortions extracts just the portion vector (input to
