@@ -1,9 +1,8 @@
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (§VIII prototype, §IX simulation), plus ablations of the
-// design choices called out in DESIGN.md §3. Each benchmark reports the
-// figure's headline metric via b.ReportMetric so `go test -bench` output
-// doubles as the experiment record (EXPERIMENTS.md is generated from the
-// same drivers via the cmd/ tools).
+// Benchmark harness: ablations of the design choices called out in
+// DESIGN.md §3 (EXPERIMENTS.md's Ablations table is read from
+// `go test -bench 'Ablation' -benchtime 1x .`), plus the end-to-end
+// enforcement probe. The paper's tables and figures are regenerated by
+// cmd/applereport, not by benchmarks.
 package apple_test
 
 import (
@@ -12,11 +11,9 @@ import (
 
 	apple "github.com/apple-nfv/apple"
 	"github.com/apple-nfv/apple/internal/core"
-	"github.com/apple-nfv/apple/internal/dataplane"
 	"github.com/apple-nfv/apple/internal/experiments"
 	"github.com/apple-nfv/apple/internal/flowtable"
 	"github.com/apple-nfv/apple/internal/host"
-	"github.com/apple-nfv/apple/internal/metrics"
 	"github.com/apple-nfv/apple/internal/orchestrator"
 	"github.com/apple-nfv/apple/internal/policy"
 	"github.com/apple-nfv/apple/internal/sim"
@@ -24,214 +21,21 @@ import (
 	"github.com/apple-nfv/apple/internal/vnf"
 )
 
-// benchOpts keeps benchmark scenarios at the paper's scale but with a
+// geant builds the GEANT scenario at the paper's scale but with a
 // shortened series (the engines see the same per-snapshot problem sizes).
-func benchOpts() experiments.Options {
-	return experiments.Options{Seed: 1, Snapshots: 96}
-}
-
-// scenario builds a named scenario, failing the benchmark on error.
-func scenario(b *testing.B, build func(experiments.Options) (*experiments.Scenario, error)) *experiments.Scenario {
+func geant(b *testing.B) *experiments.Scenario {
 	b.Helper()
-	sc, err := build(benchOpts())
+	sc, err := experiments.GEANT(experiments.Options{Seed: 1, Snapshots: 96})
 	if err != nil {
 		b.Fatalf("scenario: %v", err)
 	}
 	return sc
 }
 
-// ---------------------------------------------------------------------------
-// Table V: Optimization Engine computation time per topology.
-
-func benchTableV(b *testing.B, build func(experiments.Options) (*experiments.Scenario, error)) {
-	b.Helper()
-	sc := scenario(b, build)
-	prob, err := sc.MeanProblem()
-	if err != nil {
-		b.Fatalf("problem: %v", err)
-	}
-	engine := core.NewEngine(core.EngineOptions{})
-	b.ResetTimer()
-	var objective int
-	for i := 0; i < b.N; i++ {
-		pl, err := engine.Solve(prob)
-		if err != nil {
-			b.Fatalf("solve: %v", err)
-		}
-		objective = pl.Objective
-	}
-	b.ReportMetric(float64(len(prob.Classes)), "classes")
-	b.ReportMetric(float64(objective), "instances")
-}
-
-func BenchmarkTableV_Internet2(b *testing.B) { benchTableV(b, experiments.Internet2) }
-func BenchmarkTableV_GEANT(b *testing.B)     { benchTableV(b, experiments.GEANT) }
-func BenchmarkTableV_UNIV1(b *testing.B)     { benchTableV(b, experiments.UNIV1) }
-func BenchmarkTableV_AS3679(b *testing.B)    { benchTableV(b, experiments.AS3679) }
-
-// ---------------------------------------------------------------------------
-// Fig 6: passive-monitor overload curve.
-
-func BenchmarkFig6_OverloadCurve(b *testing.B) {
-	rates := []float64{2000, 6000, 10000, 12000, 16000, 24000}
-	var knee float64
-	for i := 0; i < b.N; i++ {
-		points, err := dataplane.OverloadCurve(rates, time.Second)
-		if err != nil {
-			b.Fatalf("curve: %v", err)
-		}
-		for _, p := range points {
-			if p.LossRate > 0 {
-				knee = p.RatePPS
-				break
-			}
-		}
-	}
-	b.ReportMetric(knee, "knee-pps")
-}
-
-// ---------------------------------------------------------------------------
-// Fig 7: VM setup time via failover throughput gap.
-
-func BenchmarkFig7_SetupTime(b *testing.B) {
-	var gap time.Duration
-	for i := 0; i < b.N; i++ {
-		res, err := dataplane.SetupTimeExperiment(5000, 2*time.Second, 10*time.Second, int64(i))
-		if err != nil {
-			b.Fatalf("setup: %v", err)
-		}
-		gap = res.Gap
-	}
-	b.ReportMetric(gap.Seconds(), "gap-s")
-}
-
-// ---------------------------------------------------------------------------
-// Fig 8: transfer-time distributions per failover strategy.
-
-func BenchmarkFig8_TransferCDF(b *testing.B) {
-	var spread float64
-	for i := 0; i < b.N; i++ {
-		base, err := dataplane.TransferTimes(dataplane.ScenarioNoFailover, dataplane.TransferConfig{Seed: int64(i)})
-		if err != nil {
-			b.Fatalf("transfer: %v", err)
-		}
-		rec, err := dataplane.TransferTimes(dataplane.ScenarioReconfigure, dataplane.TransferConfig{Seed: int64(i)})
-		if err != nil {
-			b.Fatalf("transfer: %v", err)
-		}
-		bs, err := metrics.Summarize(base)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rs, err := metrics.Summarize(rec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		spread = rs.Mean / bs.Mean
-	}
-	// ≈1.0: reconfiguration adds no overhead (the Fig 8 takeaway).
-	b.ReportMetric(spread, "reconfig/base")
-}
-
-// ---------------------------------------------------------------------------
-// Fig 9: overload detection timeline.
-
-func BenchmarkFig9_Detection(b *testing.B) {
-	var loss float64
-	for i := 0; i < b.N; i++ {
-		res, err := dataplane.DetectionExperiment(1000, 10000, 3*time.Second, 8*time.Second, 12*time.Second)
-		if err != nil {
-			b.Fatalf("detection: %v", err)
-		}
-		loss = res.TotalLoss
-	}
-	b.ReportMetric(loss*100, "loss-%")
-}
-
-// ---------------------------------------------------------------------------
-// Fig 10: TCAM reduction from the tagging scheme.
-
-func benchFig10(b *testing.B, build func(experiments.Options) (*experiments.Scenario, error)) {
-	b.Helper()
-	sc := scenario(b, build)
-	var median float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		row, err := experiments.Fig10(sc, 4)
-		if err != nil {
-			b.Fatalf("fig10: %v", err)
-		}
-		median = row.Box.Median
-	}
-	b.ReportMetric(median, "reduction-x")
-}
-
-func BenchmarkFig10_TCAM_Internet2(b *testing.B) { benchFig10(b, experiments.Internet2) }
-func BenchmarkFig10_TCAM_GEANT(b *testing.B)     { benchFig10(b, experiments.GEANT) }
-func BenchmarkFig10_TCAM_UNIV1(b *testing.B)     { benchFig10(b, experiments.UNIV1) }
-
-// ---------------------------------------------------------------------------
-// Fig 11: hardware usage, APPLE vs the ingress strawman.
-
-func benchFig11(b *testing.B, build func(experiments.Options) (*experiments.Scenario, error)) {
-	b.Helper()
-	sc := scenario(b, build)
-	var reduction float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		row, err := experiments.Fig11(sc, 4)
-		if err != nil {
-			b.Fatalf("fig11: %v", err)
-		}
-		reduction = row.Reduction()
-	}
-	b.ReportMetric(reduction, "ingress/apple-x")
-}
-
-func BenchmarkFig11_Cores_Internet2(b *testing.B) { benchFig11(b, experiments.Internet2) }
-func BenchmarkFig11_Cores_GEANT(b *testing.B)     { benchFig11(b, experiments.GEANT) }
-func BenchmarkFig11_Cores_UNIV1(b *testing.B)     { benchFig11(b, experiments.UNIV1) }
-
-// ---------------------------------------------------------------------------
-// Fig 12: loss under traffic dynamics with vs without fast failover.
-
-func benchFig12(b *testing.B, build func(experiments.Options) (*experiments.Scenario, error)) {
-	b.Helper()
-	sc := scenario(b, build)
-	const snapshots = 48
-	var off, on, extra, refusedOff, refusedOn float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resOff, err := experiments.Fig12(sc, snapshots, false)
-		if err != nil {
-			b.Fatalf("fig12 off: %v", err)
-		}
-		resOn, err := experiments.Fig12(sc, snapshots, true)
-		if err != nil {
-			b.Fatalf("fig12 on: %v", err)
-		}
-		off, on = resOff.MeanLoss*100, resOn.MeanLoss*100
-		extra = resOn.MeanExtraCores
-		refusedOff, refusedOn = float64(resOff.Refused()), float64(resOn.Refused())
-	}
-	b.ReportMetric(off, "loss-off-%")
-	b.ReportMetric(on, "loss-on-%")
-	b.ReportMetric(extra, "avg-extra-cores")
-	b.ReportMetric(refusedOff, "refused-windows-off")
-	b.ReportMetric(refusedOn, "refused-windows-on")
-}
-
-func BenchmarkFig12_FastFailover_Internet2(b *testing.B) { benchFig12(b, experiments.Internet2) }
-func BenchmarkFig12_FastFailover_GEANT(b *testing.B)     { benchFig12(b, experiments.GEANT) }
-func BenchmarkFig12_FastFailover_UNIV1(b *testing.B)     { benchFig12(b, experiments.UNIV1) }
-
-// ---------------------------------------------------------------------------
-// Ablations (DESIGN.md §3).
-
 // BenchmarkAblation_Aggregation shows why §IV-A aggregates flows into
 // classes: solve time grows superlinearly with input size.
 func BenchmarkAblation_Aggregation(b *testing.B) {
-	sc := scenario(b, experiments.GEANT)
+	sc := geant(b)
 	for _, classes := range []int{15, 30, 60} {
 		b.Run(className(classes), func(b *testing.B) {
 			sc.MaxClasses = classes
@@ -403,7 +207,7 @@ func deployBench(b *testing.B, g *apple.Topology) *apple.Framework {
 // BenchmarkAblation_Greedy compares the LP engine against the greedy
 // heuristic: solve time and placement quality (instance count).
 func BenchmarkAblation_Greedy(b *testing.B) {
-	sc := scenario(b, experiments.GEANT)
+	sc := geant(b)
 	prob, err := sc.MeanProblem()
 	if err != nil {
 		b.Fatal(err)

@@ -1,52 +1,61 @@
-// Command applereport runs the entire evaluation — Table V, Figs 6–12 —
-// in one pass and emits a markdown report in the shape of EXPERIMENTS.md,
-// so the paper-vs-measured record can be regenerated with a single
-// command.
+// Command applereport regenerates the paper's whole evaluation — Table V
+// and Figs 5–12 — in one pass and prints it as a markdown report in the
+// shape of EXPERIMENTS.md. It is the one evaluation command: every
+// measured number EXPERIMENTS.md quotes comes from its output.
 //
 // Usage:
 //
-//	applereport                   # full report to stdout
-//	applereport -quick            # smaller draws/snapshots for a fast pass
+//	applereport           # the full report at seed 1
+//	applereport -seed 7   # the same report on other traffic and chains
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"github.com/apple-nfv/apple/internal/dataplane"
 	"github.com/apple-nfv/apple/internal/experiments"
 	"github.com/apple-nfv/apple/internal/metrics"
+	"github.com/apple-nfv/apple/internal/orchestrator"
+)
+
+const (
+	// draws is how many traffic matrices Figs 10 and 11 sample.
+	draws = 6
+	// snapshots is the series length behind Figs 10–12: 16 six-snapshot
+	// re-optimisation windows in the Fig 12 replay.
+	snapshots = 96
 )
 
 func main() {
-	os.Exit(run())
-}
-
-func run() int {
-	var (
-		quick = flag.Bool("quick", false, "smaller draws and replay for a fast pass")
-		seed  = flag.Int64("seed", 1, "deterministic seed")
-	)
+	seed := flag.Int64("seed", 1, "deterministic seed")
 	flag.Parse()
-	draws, snapshots := 6, 96
-	if *quick {
-		draws, snapshots = 3, 48
-	}
-	if err := report(os.Stdout, *seed, draws, snapshots); err != nil {
+	if err := report(os.Stdout, *seed); err != nil {
 		fmt.Fprintf(os.Stderr, "applereport: %v\n", err)
-		return 1
+		os.Exit(1)
 	}
-	return 0
 }
 
-func report(w *os.File, seed int64, draws, snapshots int) error {
-	opts := experiments.Options{Seed: seed, Snapshots: maxInt(snapshots, 48)}
-	fmt.Fprintf(w, "# APPLE evaluation report (seed %d, %d draws, %d snapshots)\n\n", seed, draws, snapshots)
+// report writes every section, in paper order after Table V.
+func report(w io.Writer, seed int64) error {
+	fmt.Fprintf(w, "# APPLE evaluation report (seed %d)\n", seed)
+	for _, section := range []func(io.Writer, int64) error{
+		tableV, fig5, fig6, fig7, fig8, fig9, figs10to12,
+	} {
+		if err := section(w, seed); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
-	// Table V.
-	scs, err := experiments.All(opts)
+// tableV solves each topology's 672-snapshot mean problem, the paper's
+// Table V input, three times and reports the mean solve time.
+func tableV(w io.Writer, seed int64) error {
+	scs, err := experiments.All(experiments.Options{Seed: seed})
 	if err != nil {
 		return err
 	}
@@ -54,27 +63,43 @@ func report(w *os.File, seed int64, draws, snapshots int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "## Table V — optimization time\n\n")
+	fmt.Fprintf(w, "\n## Table V — optimization time (mean of 672 snapshots)\n\n")
 	fmt.Fprintln(w, "| topology | nodes | links | classes | time | instances |")
 	fmt.Fprintln(w, "|---|---|---|---|---|---|")
 	for _, r := range rows {
-		fmt.Fprintf(w, "| %s | %d | %d | %d | %v | %d |\n",
-			r.Topology, r.Nodes, r.Links, r.Classes, r.SolveTime.Round(time.Millisecond), r.Objective)
+		fmt.Fprintf(w, "| %s | %d | %d | %d | %.3f s | %d |\n",
+			r.Topology, r.Nodes, r.Links, r.Classes, r.SolveTime.Seconds(), r.Objective)
 	}
+	return nil
+}
 
-	// Fig 6.
-	fmt.Fprintf(w, "\n## Fig 6 — monitor loss vs rate\n\n")
-	fmt.Fprintln(w, "| rate (pps) | loss |")
-	fmt.Fprintln(w, "|---|---|")
-	points, err := dataplane.OverloadCurve([]float64{4000, 8000, 12000, 13000, 16000, 24000}, 2*time.Second)
+func fig5(w io.Writer, _ int64) error {
+	fmt.Fprintf(w, "\n## Fig 5 — ClickOS VM initiation pipeline\n\n")
+	fmt.Fprintln(w, "| step | share of boot | action |")
+	fmt.Fprintln(w, "|---|---|---|")
+	for _, s := range orchestrator.BootSteps() {
+		fmt.Fprintf(w, "| %d | %.0f%% | %s |\n", s.Seq, s.Share*100, s.Name)
+	}
+	return nil
+}
+
+func fig6(w io.Writer, _ int64) error {
+	points, err := dataplane.OverloadCurve([]float64{
+		1000, 2000, 4000, 6000, 8000, 10000, 11000, 12000, 13000, 16000, 20000, 28000,
+	}, 2*time.Second)
 	if err != nil {
 		return err
 	}
+	fmt.Fprintf(w, "\n## Fig 6 — monitor loss vs rate\n\n")
+	fmt.Fprintln(w, "| rate (pps) | loss |")
+	fmt.Fprintln(w, "|---|---|")
 	for _, p := range points {
 		fmt.Fprintf(w, "| %.0f | %.1f%% |\n", p.RatePPS, p.LossRate*100)
 	}
+	return nil
+}
 
-	// Fig 7.
+func fig7(w io.Writer, seed int64) error {
 	var gaps, boots []float64
 	for r := 0; r < 10; r++ {
 		res, err := dataplane.SetupTimeExperiment(5000, 2*time.Second, 10*time.Second, seed+int64(r))
@@ -94,8 +119,10 @@ func report(w *os.File, seed int64, draws, snapshots int) error {
 	}
 	fmt.Fprintf(w, "\n## Fig 7 — VM setup time\n\ngap %.2f–%.2f s (mean %.2f); boot %.2f–%.2f s (mean %.2f)\n",
 		gs.Min, gs.Max, gs.Mean, bs.Min, bs.Max, bs.Mean)
+	return nil
+}
 
-	// Fig 8.
+func fig8(w io.Writer, seed int64) error {
 	fmt.Fprintf(w, "\n## Fig 8 — 20 MB transfer times\n\n")
 	fmt.Fprintln(w, "| scenario | p50 | p90 |")
 	fmt.Fprintln(w, "|---|---|---|")
@@ -121,8 +148,10 @@ func report(w *os.File, seed int64, draws, snapshots int) error {
 		}
 		fmt.Fprintf(w, "| %s | %.3f s | %.3f s |\n", sc, p50, p90)
 	}
+	return nil
+}
 
-	// Fig 9.
+func fig9(w io.Writer, _ int64) error {
 	det, err := dataplane.DetectionExperiment(1000, 10000, 3*time.Second, 8*time.Second, 12*time.Second)
 	if err != nil {
 		return err
@@ -131,47 +160,50 @@ func report(w *os.File, seed int64, draws, snapshots int) error {
 	for _, e := range det.Events {
 		fmt.Fprintf(w, "- t=%.2fs %s\n", e.At.Seconds(), e.What)
 	}
+	return nil
+}
 
-	// Figs 10–12 on the three replay topologies.
-	builders := []func(experiments.Options) (*experiments.Scenario, error){
+// figs10to12 builds the three replay topologies of §IX once (AS-3679
+// appears only in Table V) and reports Figs 10, 11 and 12 on them.
+func figs10to12(w io.Writer, seed int64) error {
+	opts := experiments.Options{Seed: seed, Snapshots: snapshots}
+	var scs []*experiments.Scenario
+	for _, build := range []func(experiments.Options) (*experiments.Scenario, error){
 		experiments.Internet2, experiments.GEANT, experiments.UNIV1,
-	}
-	fmt.Fprintf(w, "\n## Fig 10 — TCAM reduction\n\n")
-	fmt.Fprintln(w, "| topology | min | median | max |")
-	fmt.Fprintln(w, "|---|---|---|---|")
-	for _, b := range builders {
-		sc, err := b(opts)
+	} {
+		sc, err := build(opts)
 		if err != nil {
 			return err
 		}
+		scs = append(scs, sc)
+	}
+
+	fmt.Fprintf(w, "\n## Fig 10 — TCAM reduction (%d matrices)\n\n", draws)
+	fmt.Fprintln(w, "| topology | min | median | max |")
+	fmt.Fprintln(w, "|---|---|---|---|")
+	for _, sc := range scs {
 		row, err := experiments.Fig10(sc, draws)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "| %s | %.2f | %.2f | %.2f |\n", row.Topology, row.Box.Min, row.Box.Median, row.Box.Max)
 	}
-	fmt.Fprintf(w, "\n## Fig 11 — cores vs ingress\n\n")
+
+	fmt.Fprintf(w, "\n## Fig 11 — cores vs ingress (%d matrices)\n\n", draws)
 	fmt.Fprintln(w, "| topology | APPLE | ingress | reduction |")
 	fmt.Fprintln(w, "|---|---|---|---|")
-	for _, b := range builders {
-		sc, err := b(opts)
-		if err != nil {
-			return err
-		}
+	for _, sc := range scs {
 		row, err := experiments.Fig11(sc, draws)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "| %s | %.1f | %.1f | %.2fx |\n", row.Topology, row.AppleCores, row.IngressCores, row.Reduction())
 	}
-	fmt.Fprintf(w, "\n## Fig 12 — loss with/without fast failover\n\n")
-	fmt.Fprintln(w, "| topology | loss (off) | loss (on) | avg extra cores | refused windows (off/on) |")
-	fmt.Fprintln(w, "|---|---|---|---|---|")
-	for _, b := range builders {
-		sc, err := b(opts)
-		if err != nil {
-			return err
-		}
+
+	fmt.Fprintf(w, "\n## Fig 12 — loss with/without fast failover (%d snapshots)\n\n", snapshots)
+	fmt.Fprintln(w, "| topology | loss (off) | loss (on) | avg extra cores | peak extra cores | refused windows (off/on) |")
+	fmt.Fprintln(w, "|---|---|---|---|---|---|")
+	for _, sc := range scs {
 		off, err := experiments.Fig12(sc, snapshots, false)
 		if err != nil {
 			return err
@@ -180,16 +212,9 @@ func report(w *os.File, seed int64, draws, snapshots int) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "| %s | %.4f%% | %.4f%% | %.1f | %d/%d of %d |\n",
-			sc.Name, 100*off.MeanLoss, 100*on.MeanLoss, on.MeanExtraCores,
+		fmt.Fprintf(w, "| %s | %.4f%% | %.4f%% | %.1f | %d | %d/%d of %d |\n",
+			sc.Name, 100*off.MeanLoss, 100*on.MeanLoss, on.MeanExtraCores, on.PeakExtraCores,
 			off.Refused(), on.Refused(), len(on.Windows))
 	}
 	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

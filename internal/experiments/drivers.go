@@ -9,6 +9,7 @@ import (
 	"github.com/apple-nfv/apple/internal/controller"
 	"github.com/apple-nfv/apple/internal/core"
 	"github.com/apple-nfv/apple/internal/metrics"
+	"github.com/apple-nfv/apple/internal/pool"
 	"github.com/apple-nfv/apple/internal/tagging"
 )
 
@@ -25,7 +26,8 @@ type TableVRow struct {
 
 // TableV regenerates the computation-time table: the Optimization Engine
 // runs on the series-mean matrix of every scenario, repeated and
-// averaged.
+// averaged. Topologies are timed one at a time, so no row's solve time
+// is measured while another topology's solve competes for the cores.
 func TableV(scenarios []*Scenario, repeats int) ([]TableVRow, error) {
 	if len(scenarios) == 0 {
 		return nil, errors.New("experiments: no scenarios")
@@ -33,14 +35,11 @@ func TableV(scenarios []*Scenario, repeats int) ([]TableVRow, error) {
 	if repeats <= 0 {
 		repeats = 3
 	}
-	// Per-topology runs are independent; each fills its own row, so the
-	// table order is deterministic.
-	out := make([]TableVRow, len(scenarios))
-	err := runIndexed(len(scenarios), 0, func(i int) error {
-		sc := scenarios[i]
+	out := make([]TableVRow, 0, len(scenarios))
+	for _, sc := range scenarios {
 		prob, err := sc.MeanProblem()
 		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", sc.Name, err)
+			return nil, fmt.Errorf("experiments: %s: %w", sc.Name, err)
 		}
 		row := TableVRow{
 			Topology: sc.Name,
@@ -52,17 +51,13 @@ func TableV(scenarios []*Scenario, repeats int) ([]TableVRow, error) {
 		for r := 0; r < repeats; r++ {
 			pl, err := core.NewEngine(core.EngineOptions{}).Solve(prob)
 			if err != nil {
-				return fmt.Errorf("experiments: %s: %w", sc.Name, err)
+				return nil, fmt.Errorf("experiments: %s: %w", sc.Name, err)
 			}
 			total += pl.SolveTime
 			row.Objective = pl.Objective
 		}
 		row.SolveTime = total / time.Duration(repeats)
-		out[i] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		out = append(out, row)
 	}
 	return out, nil
 }
@@ -99,7 +94,7 @@ func Fig10(sc *Scenario, draws int) (Fig10Row, error) {
 	// Draws are independent solves; ratios land by index so the boxplot
 	// input order matches the sequential driver exactly.
 	row.Ratios = make([]float64, draws)
-	err := runIndexed(draws, 0, func(d int) error {
+	err := pool.RunIndexed(draws, 0, func(d int) error {
 		tm := sc.Series[d*step]
 		prob, err := sc.Problem(tm)
 		if err != nil {
@@ -192,7 +187,7 @@ func Fig11(sc *Scenario, draws int) (Fig11Row, error) {
 	// the averages are bit-identical to the sequential accumulation order.
 	appleCores := make([]float64, draws)
 	ingressCores := make([]float64, draws)
-	err := runIndexed(draws, 0, func(d int) error {
+	err := pool.RunIndexed(draws, 0, func(d int) error {
 		prob, err := sc.Problem(sc.Series[d*step])
 		if err != nil {
 			return fmt.Errorf("experiments: %s draw %d: %w", sc.Name, d, err)

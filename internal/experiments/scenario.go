@@ -2,8 +2,8 @@
 // simulation evaluation (§IX): the four topology/traffic scenarios, and
 // the drivers that regenerate Table V (optimization time), Fig 10 (TCAM
 // reduction), Fig 11 (hardware usage vs the ingress strawman), and Fig 12
-// (loss under traffic dynamics with and without fast failover). The cmd/
-// tools and the benchmark harness are thin wrappers over this package.
+// (loss under traffic dynamics with and without fast failover).
+// cmd/applereport is a thin wrapper over this package.
 package experiments
 
 import (

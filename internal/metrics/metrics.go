@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // ErrEmpty is returned by summaries of empty samples.
@@ -284,41 +283,4 @@ func (s *TimeSeries) Integral() float64 {
 		total += dt * (s.vs[i] + s.vs[i-1]) / 2
 	}
 	return total
-}
-
-// ASCIIPlot renders the series as a coarse terminal plot of the given width
-// and height; handy for cmd/ tools since the environment has no plotting
-// library.
-func (s *TimeSeries) ASCIIPlot(width, height int) string {
-	if len(s.ts) == 0 || width < 2 || height < 2 {
-		return "(empty)"
-	}
-	minT, maxT := s.ts[0], s.ts[len(s.ts)-1]
-	maxV, _ := s.Max()
-	minV := math.Inf(1)
-	for _, v := range s.vs {
-		minV = math.Min(minV, v)
-	}
-	if maxT == minT {
-		maxT = minT + 1
-	}
-	if maxV == minV {
-		maxV = minV + 1
-	}
-	grid := make([][]byte, height)
-	for r := range grid {
-		grid[r] = []byte(strings.Repeat(" ", width))
-	}
-	for i := range s.ts {
-		c := int(float64(width-1) * (s.ts[i] - minT) / (maxT - minT))
-		r := int(float64(height-1) * (s.vs[i] - minV) / (maxV - minV))
-		grid[height-1-r][c] = '*'
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s  [%.3g..%.3g] over t=[%.3g..%.3g]\n", s.name, minV, maxV, minT, maxT)
-	for _, row := range grid {
-		b.Write(row)
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

@@ -207,9 +207,6 @@ func TestTimeSeriesEmpty(t *testing.T) {
 	if got := s.Integral(); got != 0 {
 		t.Fatalf("Integral of empty = %v", got)
 	}
-	if s.ASCIIPlot(10, 5) != "(empty)" {
-		t.Fatal("ASCIIPlot of empty should be (empty)")
-	}
 }
 
 func TestTimeSeriesCopies(t *testing.T) {
@@ -226,19 +223,6 @@ func TestTimeSeriesCopies(t *testing.T) {
 	ts[0] = 99
 	if got := s.Times()[0]; got != 0 {
 		t.Fatalf("Times leaked internal slice: %v", got)
-	}
-}
-
-func TestASCIIPlot(t *testing.T) {
-	s := NewTimeSeries("demo")
-	for i := 0; i < 10; i++ {
-		if err := s.Add(float64(i), float64(i%3)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	out := s.ASCIIPlot(20, 5)
-	if !strings.Contains(out, "demo") || !strings.Contains(out, "*") {
-		t.Fatalf("plot missing content:\n%s", out)
 	}
 }
 
