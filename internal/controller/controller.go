@@ -144,9 +144,9 @@ type Controller struct {
 	// setup hot path. Set at construction, never mutated afterwards.
 	tracer *trace.Recorder
 	// passByDone short-circuits ensurePassBy once every switch carries
-	// the rule. Confined to the commit path (sequential admit stage and
-	// unwind); never read by the parallel emit/apply workers. txn-owned:
-	// entry points mutate it only through staged RuleTxn ops.
+	// the rule. Confined to the commit path (admit stage and unwind) of
+	// the single writer. txn-owned: entry points mutate it only through
+	// staged RuleTxn ops.
 	passByDone bool
 	// reopt is ReOptimize's scratch, reused from pass to pass. Confined to
 	// the single writer, like passByDone.

@@ -15,7 +15,6 @@ import (
 	"github.com/apple-nfv/apple/internal/policy"
 	"github.com/apple-nfv/apple/internal/sim"
 	"github.com/apple-nfv/apple/internal/topology"
-	"github.com/apple-nfv/apple/internal/trace"
 )
 
 // Property-based enforcement testing: random small topologies, random
@@ -301,12 +300,11 @@ func parentInstallDigests(t *testing.T) map[string]string {
 
 // TestPropertyBatchMatchesSerial is the batch-of-one differential: for
 // every random scenario, N transactions of one class each (the AddClass
-// loop) and one transaction of N (AddClassBatch, at 1 and at 8 workers,
-// with the verify stage) must leave byte-identical controller state —
-// every table's rules in order, assignments, tags, rule-update counts —
-// identical Forward traces and enforcement verdicts, the state the two
-// pre-merge install paths left (testdata/install_digests.txt), and, across
-// worker counts, an identical journal.
+// loop) and one transaction of N (AddClassBatch, with the verify stage)
+// must leave byte-identical controller state — every table's rules in
+// order, assignments, tags, rule-update counts — identical Forward traces
+// and enforcement verdicts, and the state the two pre-merge install paths
+// left (testdata/install_digests.txt).
 func TestPropertyBatchMatchesSerial(t *testing.T) {
 	parent := parentInstallDigests(t)
 	seeds, removedReshaped, updatedReshaped := 0, 0, 0
@@ -351,39 +349,22 @@ func TestPropertyBatchMatchesSerial(t *testing.T) {
 		updatedReshaped += up
 		serialCut := installSum(t, twin)
 
-		var journals [][]trace.Event
-		for _, workers := range []int{1, 8} {
-			clock := sim.New()
-			rec, err := trace.NewRecorder(clock, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batch, err := New(Config{Topology: g, Clock: clock, Seed: 7, Tracer: rec})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := batch.AddClassBatch(accepted, BatchOptions{Workers: workers, Verify: true}); err != nil {
-				t.Fatalf("seed %d workers %d: AddClassBatch: %v", seed, workers, err)
-			}
-			if got, want := installSum(t, batch), parent[fmt.Sprintf("%d batch", seed)]; got != want {
-				t.Fatalf("seed %d workers %d: AddClassBatch digest %s, parent commit recorded %s", seed, workers, got, want)
-			}
-			assertSameInstall(t, fmt.Sprintf("seed %d workers %d", seed, workers), g, accepted, serial, batch)
-			// The same failover and the same removal and cutover of
-			// reshaped classes leave the same state, whichever route
-			// installed them.
-			label := fmt.Sprintf("seed %d workers %d", seed, workers)
-			if r, u := cutOverReshaped(t, label, batch, accepted); r != rm || u != up {
-				t.Fatalf("%s: removed %d and updated %d reshaped classes, the serial install %d and %d", label, r, u, rm, up)
-			}
-			if got := installSum(t, batch); got != serialCut {
-				t.Fatalf("%s: digest after the reshaped cut-over %s, after the AddClass loop %s", label, got, serialCut)
-			}
-			journals = append(journals, rec.Events())
+		batch := newPropController(t, g)
+		if err := batch.AddClassBatch(accepted, BatchOptions{Verify: true}); err != nil {
+			t.Fatalf("seed %d: AddClassBatch: %v", seed, err)
 		}
-		if !reflect.DeepEqual(journals[0], journals[1]) {
-			t.Fatalf("seed %d: journal differs between 1 and 8 workers (%d vs %d events)",
-				seed, len(journals[0]), len(journals[1]))
+		if got, want := installSum(t, batch), parent[fmt.Sprintf("%d batch", seed)]; got != want {
+			t.Fatalf("seed %d: AddClassBatch digest %s, parent commit recorded %s", seed, got, want)
+		}
+		label := fmt.Sprintf("seed %d batch", seed)
+		assertSameInstall(t, label, g, accepted, serial, batch)
+		// The same failover and the same removal and cutover of reshaped
+		// classes leave the same state, whichever route installed them.
+		if r, u := cutOverReshaped(t, label, batch, accepted); r != rm || u != up {
+			t.Fatalf("%s: removed %d and updated %d reshaped classes, the serial install %d and %d", label, r, u, rm, up)
+		}
+		if got := installSum(t, batch); got != serialCut {
+			t.Fatalf("%s: digest after the reshaped cut-over %s, after the AddClass loop %s", label, got, serialCut)
 		}
 	}
 	if 2*seeds != len(parent) {

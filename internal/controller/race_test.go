@@ -85,7 +85,7 @@ func TestForwardDuringBatchInstall(t *testing.T) {
 		}(r)
 	}
 
-	if err := c.AddClassBatch(batch, BatchOptions{Workers: 8, Verify: true}); err != nil {
+	if err := c.AddClassBatch(batch, BatchOptions{Verify: true}); err != nil {
 		close(stop)
 		wg.Wait()
 		t.Fatalf("AddClassBatch: %v", err)

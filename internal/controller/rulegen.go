@@ -191,8 +191,8 @@ func (c *Controller) journalAdmit(a *Assignment) {
 // the exact order emitClassRules first touches them: host-match targets,
 // then classification next-host tags, then vSwitch exit tags per
 // sub-class. The allocator memoizes, so repeat touches are no-ops and the
-// tag table depends only on arrival order — which is what lets the emit
-// stage run in parallel without allocating.
+// tag table depends only on arrival order — which is what keeps the emit
+// stage a read-only pass over the allocator.
 func (c *Controller) preallocHostTags(a *Assignment) error {
 	cl := a.Class
 	for _, sub := range a.Subclasses {
@@ -253,8 +253,8 @@ func steeringKey(v topology.NodeID) tableKey {
 // sub-class. A layout pass counts what each table will receive (the
 // ingress APPLE table's count is completed when the split is made), so
 // every rule is written once into a batch that never regrows. Pure with
-// respect to controller state — safe to run concurrently for different
-// classes.
+// respect to controller state: it writes nothing but the batches it
+// returns.
 func (c *Controller) emitClassRules(a *Assignment) ([]tableBatch, error) {
 	cl := a.Class
 	ingress := cl.Path[0]

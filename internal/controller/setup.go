@@ -3,28 +3,27 @@ package controller
 // The class-install pipeline. Every new class — an online arrival
 // (StageAdd) or a placement-driven install (StageInstall), committed one
 // at a time by RuleTxn.Commit or as a whole AddClassBatch — goes through
-// RuleTxn.installNew, in four stages:
+// RuleTxn.installNew, in four stages, all on the calling goroutine:
 //
-//  1. admit (sequential, arrival order): validation, sub-class derivation
-//     (greedy online planning, or the staged distribution), instance
-//     picking, tag allocation, and registration in the assignment store.
-//     Everything whose outcome depends on who came first stays here.
-//  2. emit (parallel): pure compilation of each admitted class into one
-//     right-sized batch per table it touches, written once, in the order
-//     emission first reaches each table. No controller state is written;
-//     tag lookups hit the allocator's memoized table populated by admit.
-//  3. apply (parallel per device table): a batch of one class applies its
+//  1. admit (arrival order): validation, sub-class derivation (greedy
+//     online planning, or the staged distribution), instance picking, tag
+//     allocation, and registration in the assignment store. Everything
+//     whose outcome depends on who came first happens here.
+//  2. emit: pure compilation of each admitted class into one right-sized
+//     batch per table it touches, written once, in the order emission
+//     first reaches each table. No controller state is written; tag
+//     lookups hit the allocator's memoized table populated by admit.
+//  3. apply (one batch per device table): a batch of one class applies its
 //     batches as emitted; a larger batch first concatenates them per table,
 //     preserving both arrival order and each class's internal emission
 //     order. Each table is installed in one critical section via
 //     flowtable.ApplyBatchUndo — the batched-TCAM-update analogue of
 //     coalescing per-switch OpenFlow barriers.
-//  4. verify (parallel, optional): CheckClassEnforcement re-injects probe
-//     packets for every admitted class; the data plane is read-only by
-//     then, so the probes race only with each other.
+//  4. verify (optional): CheckClassEnforcement re-injects probe packets
+//     for every admitted class.
 //
-// The worker count is pure mechanism: one worker runs every stage inline,
-// and any count leaves byte-identical state and an identical journal.
+// Forward and enforcement probes may read the tables from other
+// goroutines throughout; the pipeline itself is the one writer.
 
 import (
 	"cmp"
@@ -35,7 +34,6 @@ import (
 	"github.com/apple-nfv/apple/internal/core"
 	"github.com/apple-nfv/apple/internal/flowtable"
 	"github.com/apple-nfv/apple/internal/metrics"
-	"github.com/apple-nfv/apple/internal/pool"
 	"github.com/apple-nfv/apple/internal/topology"
 	"github.com/apple-nfv/apple/internal/trace"
 	"github.com/apple-nfv/apple/internal/vnf"
@@ -267,11 +265,11 @@ func (c *Controller) deviceTable(d device, table int) (*flowtable.Table, error) 
 
 // BatchOptions tunes AddClassBatch.
 type BatchOptions struct {
-	// Workers bounds the emit, apply, and verify worker pools; 0 means
-	// GOMAXPROCS.
+	// Deprecated: ignored; admission runs on the calling goroutine
+	// (ROADMAP 7(viii)).
 	Workers int
 	// Verify runs CheckClassEnforcement for every admitted class as a
-	// final parallel stage.
+	// final stage.
 	Verify bool
 }
 
@@ -296,7 +294,7 @@ func (c *Controller) AddClassBatch(classes []core.Class, opts BatchOptions) erro
 	}
 	txn.open()
 	sp := c.tracer.Begin(trace.Ev(trace.KindFlowBatch).WithVal(int64(len(classes))))
-	n, err := txn.installNew(txn.staged, opts.Workers, opts.Verify)
+	n, err := txn.installNew(txn.staged, opts.Verify)
 	sp.End(int64(txn.installed), err)
 	if err != nil && n == 0 {
 		txn.unwind(err)
@@ -313,10 +311,8 @@ func (c *Controller) AddClassBatch(classes []core.Class, opts BatchOptions) erro
 // transaction; with n > 0 it is the admission error of ops[n], which left
 // nothing behind, while ops[:n] are installed and verified.
 //
-// Failpoints fire and journal events are emitted only from this
-// coordinator, per class in index order, never from the worker closures,
-// so both are independent of the worker count.
-func (t *RuleTxn) installNew(ops []txnOp, workers int, verify bool) (int, error) {
+// Failpoints fire and journal events are emitted per class in index order.
+func (t *RuleTxn) installNew(ops []txnOp, verify bool) (int, error) {
 	c := t.c
 
 	// Stage 1 — admit, sequentially in arrival order.
@@ -340,11 +336,11 @@ func (t *RuleTxn) installNew(ops []txnOp, workers int, verify bool) (int, error)
 		return 0, err
 	}
 	staged := make([][]tableBatch, len(admitted))
-	if err := pool.RunIndexed(len(admitted), workers, func(i int) (err error) {
-		staged[i], err = c.emitClassRules(admitted[i])
-		return err
-	}); err != nil {
-		return 0, err
+	for i, a := range admitted {
+		var err error
+		if staged[i], err = c.emitClassRules(a); err != nil {
+			return 0, err
+		}
 	}
 	stagedRules := 0
 	for i, a := range admitted {
@@ -366,42 +362,29 @@ func (t *RuleTxn) installNew(ops []txnOp, workers int, verify bool) (int, error)
 		return 0, err
 	}
 	batches := mergeBatches(staged)
-	installed := make([]int, len(batches))
-	undos := make([]flowtable.Undo, len(batches))
-	applyErr := pool.RunIndexed(len(batches), workers, func(i int) error {
-		k := batches[i].key
-		tbl, err := c.deviceTable(k.dev, k.table)
-		if err != nil {
-			return err
-		}
-		installed[i], undos[i], err = tbl.ApplyBatchUndo(batches[i].ops)
-		return err
-	})
-	// Tokens first, error second: a failed apply leaves some groups
-	// applied, and the unwind needs the token of every one of them.
 	// Each device programs its own TCAM, so a run's simulated programming
 	// time is the makespan: the slowest device's installs (its tables
 	// program back to back) times the per-rule latency.
 	perDevice := make(map[device]int, len(batches))
-	total, slowest := 0, 0
+	slowest := 0
 	t.undo = slices.Grow(t.undo, len(batches))
-	for i, b := range batches {
-		t.recordUndo(b.key, undos[i])
-		total += installed[i]
-		perDevice[b.key.dev] += installed[i]
+	var applyErr error
+	for _, b := range batches {
+		var n int
+		n, applyErr = t.apply(b.key, b.ops)
+		perDevice[b.key.dev] += n
 		slowest = max(slowest, perDevice[b.key.dev])
+		if applyErr != nil {
+			break
+		}
+		if c.tracer.Enabled() {
+			c.tracer.Emit(trace.Ev(trace.KindFlowApply).
+				WithNode(int64(b.key.dev.node)).WithVal(int64(n)))
+		}
 	}
-	t.installed += total
-	c.ruleUpdates.Add(int64(total))
 	metrics.FlowSetup.SimInstall.Add(int64(slowest) * int64(c.orch.Latencies().RuleInstall))
 	if applyErr != nil {
-		return 0, fmt.Errorf("controller: %w", applyErr)
-	}
-	if c.tracer.Enabled() {
-		for i, b := range batches {
-			c.tracer.Emit(trace.Ev(trace.KindFlowApply).
-				WithNode(int64(b.key.dev.node)).WithVal(int64(installed[i])))
-		}
+		return 0, applyErr
 	}
 
 	// Stage 4 — verify. Read-only against the data plane.
@@ -410,10 +393,10 @@ func (t *RuleTxn) installNew(ops []txnOp, workers int, verify bool) (int, error)
 			return 0, err
 		}
 		metrics.FlowSetup.VerifyProbes.Add(int64(len(admitted)))
-		if err := pool.RunIndexed(len(admitted), workers, func(i int) error {
-			return c.CheckClassEnforcement(admitted[i].Class.ID)
-		}); err != nil {
-			return 0, err
+		for _, a := range admitted {
+			if err := c.CheckClassEnforcement(a.Class.ID); err != nil {
+				return 0, err
+			}
 		}
 		if c.tracer.Enabled() {
 			for _, a := range admitted {

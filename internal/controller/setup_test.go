@@ -1,0 +1,248 @@
+package controller
+
+import (
+	"slices"
+	"testing"
+	"time"
+
+	"github.com/apple-nfv/apple/internal/core"
+	"github.com/apple-nfv/apple/internal/flowtable"
+	"github.com/apple-nfv/apple/internal/metrics"
+	"github.com/apple-nfv/apple/internal/policy"
+	"github.com/apple-nfv/apple/internal/sim"
+	"github.com/apple-nfv/apple/internal/topology"
+)
+
+// Tests of the install pipeline's coalescing and accounting (setup.go).
+
+// namedOps returns one named install op per name.
+func namedOps(names ...string) []flowtable.BatchOp {
+	out := make([]flowtable.BatchOp, len(names))
+	for i, n := range names {
+		out[i] = flowtable.BatchOp{Rule: flowtable.Rule{Name: n}}
+	}
+	return out
+}
+
+// TestMergeBatchesOrder pins mergeBatches' layout: tables in the order the
+// run first reaches them, each table's ops class-major, every merged batch
+// allocated at exactly its length, and a one-class run returned as
+// emitted.
+func TestMergeBatchesOrder(t *testing.T) {
+	sw1 := tableKey{dev: device{node: 1}, table: TableRouting}
+	vsw1 := tableKey{dev: device{vswitch: true, node: 1}, table: 0}
+	sw2 := tableKey{dev: device{node: 2}, table: TableAPPLE}
+	perClass := [][]tableBatch{
+		{{key: sw1, ops: namedOps("a0", "a1")}, {key: vsw1, ops: namedOps("b0")}},
+		{{key: sw2, ops: namedOps("c0")}, {key: sw1, ops: namedOps("a2")}},
+		{{key: vsw1, ops: namedOps("b1", "b2")}},
+	}
+	want := []struct {
+		key   tableKey
+		names []string
+	}{
+		{sw1, []string{"a0", "a1", "a2"}},
+		{vsw1, []string{"b0", "b1", "b2"}},
+		{sw2, []string{"c0"}},
+	}
+	got := mergeBatches(perClass)
+	if len(got) != len(want) {
+		t.Fatalf("%d merged batches, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		b := got[i]
+		if b.key != w.key {
+			t.Errorf("batch %d is table %+v, want %+v", i, b.key, w.key)
+		}
+		var names []string
+		for _, op := range b.ops {
+			names = append(names, op.Rule.Name)
+		}
+		if !slices.Equal(names, w.names) {
+			t.Errorf("batch %d ops %v, want %v", i, names, w.names)
+		}
+		if cap(b.ops) != len(b.ops) {
+			t.Errorf("batch %d allocated at %d for %d ops", i, cap(b.ops), len(b.ops))
+		}
+	}
+
+	one := perClass[0]
+	if got := mergeBatches(perClass[:1]); len(got) != len(one) || &got[0] != &one[0] {
+		t.Error("a one-class run was copied instead of applied as emitted")
+	}
+}
+
+// TestBatchSimInstallIsMakespan: one AddClassBatch run accrues, as
+// simulated TCAM programming time, the installs of its busiest device
+// (a switch's tables, or a vSwitch's, program back to back) times the
+// per-rule latency — not the sum over devices, nor the busiest table.
+//
+// On a 4-switch line with APPLE hosts at 0, 2 and 3, every batch class
+// enters at switch 1 and heads for a different host, so switch 1's
+// classification and routing tables together outgrow any one vSwitch.
+func TestBatchSimInstallIsMakespan(t *testing.T) {
+	c, err := New(Config{Topology: lineTopo(t, 4), Clock: sim.New(), Seed: 7, HostSwitches: []topology.NodeID{0, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first class installs the pass-by rules, which are programmed
+	// outside the pipeline's account; the batch then pays only for its own
+	// rules.
+	if err := c.AddClass(core.Class{ID: 0, Path: []topology.NodeID{0, 1}, Chain: policy.Chain{policy.Firewall}, RateMbps: 100}); err != nil {
+		t.Fatal(err)
+	}
+	perTable := func() map[tableKey]int {
+		out := make(map[tableKey]int)
+		for v, sw := range c.switches {
+			for ti := 0; ti < sw.Pipeline.NumTables(); ti++ {
+				tbl, err := sw.Pipeline.Table(ti)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[tableKey{dev: device{node: v}, table: ti}] = tbl.Size()
+			}
+		}
+		for v, h := range c.hosts {
+			for ti := 0; ti < h.VSwitch().NumTables(); ti++ {
+				tbl, err := h.VSwitch().Table(ti)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[tableKey{dev: device{vswitch: true, node: v}, table: ti}] = tbl.Size()
+			}
+		}
+		return out
+	}
+	before := perTable()
+	sim0 := metrics.FlowSetup.SimInstall.Load()
+	const ingress = 1
+	batch := []core.Class{
+		{ID: 1, Path: []topology.NodeID{ingress, 0}, Chain: policy.Chain{policy.Proxy}, RateMbps: 100},
+		{ID: 2, Path: []topology.NodeID{ingress, 2}, Chain: policy.Chain{policy.IDS}, RateMbps: 100},
+		{ID: 3, Path: []topology.NodeID{ingress, 2, 3}, Chain: policy.Chain{policy.NAT}, RateMbps: 50},
+	}
+	if err := c.AddClassBatch(batch, BatchOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	got := time.Duration(metrics.FlowSetup.SimInstall.Load() - sim0)
+
+	perDevice := make(map[device]int)
+	sum, busiestTable := 0, 0
+	for k, n := range perTable() {
+		added := n - before[k]
+		if added < 0 {
+			t.Fatalf("table %+v lost %d rules to a batch of new classes", k, -added)
+		}
+		perDevice[k.dev] += added
+		sum += added
+		busiestTable = max(busiestTable, added)
+	}
+	busiest := 0
+	for _, n := range perDevice {
+		busiest = max(busiest, n)
+	}
+	// By hand: switch 1 takes three classification rules and three new
+	// routes (to 0, 2 and 3); a vSwitch takes two steering rules per
+	// class. The scenario must also tell the makespan from its two
+	// look-alikes.
+	if busiest != 6 || perDevice[device{node: ingress}] != busiest || busiest == sum || busiest == busiestTable {
+		t.Fatalf("scenario drifted: switch %d %d, busiest device %d, busiest table %d, all devices %d; want switch %d busiest at 6",
+			ingress, perDevice[device{node: ingress}], busiest, busiestTable, sum, ingress)
+	}
+	lat := c.orch.Latencies().RuleInstall
+	if want := time.Duration(busiest) * lat; got != want {
+		t.Fatalf("batch accrued %v of simulated install, want %d rules on the busiest device × %v = %v (all devices: %v, busiest table: %v)",
+			got, busiest, lat, want, time.Duration(sum)*lat, time.Duration(busiestTable)*lat)
+	}
+}
+
+// TestBatchFlowSetupCountersMatchLoop: a verified batch does the same
+// admission, emission, installation and probing work as verified
+// one-class transactions — the per-class counters move alike — but
+// coalesces it into fewer per-table critical sections.
+func TestBatchFlowSetupCountersMatchLoop(t *testing.T) {
+	classes := []core.Class{
+		{ID: 0, Path: linePath(4), Chain: policy.Chain{policy.Firewall}, RateMbps: 100},
+		{ID: 1, Path: linePath(4), Chain: policy.Chain{policy.Proxy}, RateMbps: 100},
+		{ID: 2, Path: linePath(3), Chain: policy.Chain{policy.IDS, policy.Firewall}, RateMbps: 100},
+		{ID: 3, Path: linePath(2), Chain: policy.Chain{policy.NAT}, RateMbps: 50},
+	}
+	delta := func(run func(c *Controller) error) metrics.FlowSetupSnapshot {
+		c, err := New(Config{Topology: lineTopo(t, 4), Clock: sim.New(), Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := metrics.FlowSetup.Snapshot()
+		if err := run(c); err != nil {
+			t.Fatal(err)
+		}
+		after := metrics.FlowSetup.Snapshot()
+		return metrics.FlowSetupSnapshot{
+			Arrivals:       after.Arrivals - before.Arrivals,
+			StagedRules:    after.StagedRules - before.StagedRules,
+			BatchInstalls:  after.BatchInstalls - before.BatchInstalls,
+			InstalledRules: after.InstalledRules - before.InstalledRules,
+			VerifyProbes:   after.VerifyProbes - before.VerifyProbes,
+		}
+	}
+	loop := delta(func(c *Controller) error {
+		for _, cl := range classes {
+			txn := c.Begin()
+			txn.StageAdd(cl)
+			if err := txn.Commit(TxnOptions{Verify: true}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	batch := delta(func(c *Controller) error {
+		return c.AddClassBatch(classes, BatchOptions{Verify: true})
+	})
+	if loop.Arrivals != int64(len(classes)) {
+		t.Fatalf("loop admitted %d classes, want %d", loop.Arrivals, len(classes))
+	}
+	for _, m := range []struct {
+		name        string
+		loop, batch int64
+	}{
+		{"Arrivals", loop.Arrivals, batch.Arrivals},
+		{"StagedRules", loop.StagedRules, batch.StagedRules},
+		{"InstalledRules", loop.InstalledRules, batch.InstalledRules},
+		{"VerifyProbes", loop.VerifyProbes, batch.VerifyProbes},
+	} {
+		if m.loop != m.batch {
+			t.Errorf("%s: loop %d, batch %d", m.name, m.loop, m.batch)
+		}
+	}
+	if batch.BatchInstalls >= loop.BatchInstalls {
+		t.Errorf("BatchInstalls: batch %d, loop %d; the batch should coalesce per table", batch.BatchInstalls, loop.BatchInstalls)
+	}
+}
+
+// TestApplyKeepsUndoOfFailedBatch: a table batch that fails part-way
+// leaves its earlier operations applied, and the transaction keeps that
+// batch's undo token, so the unwind takes them out again.
+func TestApplyKeepsUndoOfFailedBatch(t *testing.T) {
+	c, err := New(Config{Topology: lineTopo(t, 4), Clock: sim.New(), Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddClass(core.Class{ID: 0, Path: linePath(4), Chain: policy.Chain{policy.Firewall}, RateMbps: 100}); err != nil {
+		t.Fatal(err)
+	}
+	want := stateDigest(t, c)
+	txn := c.Begin()
+	txn.open()
+	batch := []flowtable.BatchOp{
+		{Rule: flowtable.Rule{Name: "applied", Priority: 1, Actions: []flowtable.Action{{Type: flowtable.ActDrop}}}},
+		{Rule: flowtable.Rule{Name: "invalid"}}, // no actions: refused
+	}
+	n, err := txn.apply(routingKey(0), batch)
+	if err == nil || n != 1 {
+		t.Fatalf("apply = %d, %v; want the first rule installed and the second refused", n, err)
+	}
+	txn.unwind(err)
+	if got := stateDigest(t, c); got != want {
+		t.Fatalf("unwind left the failed batch's applied rule: %s", firstDiff(want, got))
+	}
+}

@@ -37,7 +37,7 @@ func BenchmarkFlowSetupTrace(b *testing.B) {
 			b.StopTimer()
 			c := benchController(b, g)
 			b.StartTimer()
-			if err := c.AddClassBatch(classes, BatchOptions{Workers: 8}); err != nil {
+			if err := c.AddClassBatch(classes, BatchOptions{}); err != nil {
 				b.Fatalf("AddClassBatch: %v", err)
 			}
 		}
@@ -49,7 +49,7 @@ func BenchmarkFlowSetupTrace(b *testing.B) {
 			b.StopTimer()
 			c, _ := benchTracedController(b, g)
 			b.StartTimer()
-			if err := c.AddClassBatch(classes, BatchOptions{Workers: 8}); err != nil {
+			if err := c.AddClassBatch(classes, BatchOptions{}); err != nil {
 				b.Fatalf("AddClassBatch: %v", err)
 			}
 		}
@@ -88,7 +88,7 @@ func TestTracingDisabledAddsNoAllocs(t *testing.T) {
 		t.Fatal("controller with a Tracer config should have tracing enabled")
 	}
 	_, classes := benchWorkload(t)
-	if err := tc.AddClassBatch(classes[:4], BatchOptions{Workers: 4}); err != nil {
+	if err := tc.AddClassBatch(classes[:4], BatchOptions{}); err != nil {
 		t.Fatalf("AddClassBatch: %v", err)
 	}
 	if rec.Len() == 0 {

@@ -241,8 +241,8 @@ func (t *RuleTxn) Commit(opts TxnOptions) (err error) {
 			switch op := t.staged[i]; op.kind {
 			case txnAdd, txnInstall:
 				// One pipeline run per class keeps the per-class audit
-				// boundary; a batch of one runs every stage inline.
-				_, err = t.installNew(t.staged[i:i+1], 1, opts.Verify)
+				// boundary.
+				_, err = t.installNew(t.staged[i:i+1], opts.Verify)
 			case txnUpdate:
 				err = t.commitUpdate(op, opts)
 			case txnReshape:
@@ -368,7 +368,7 @@ func (t *RuleTxn) recordUndo(k tableKey, u flowtable.Undo) {
 // applyEach applies batches in order, one table at a time.
 func (t *RuleTxn) applyEach(batches []tableBatch) error {
 	for _, b := range batches {
-		if err := t.apply(b.key, b.ops); err != nil {
+		if _, err := t.apply(b.key, b.ops); err != nil {
 			return err
 		}
 	}
@@ -376,21 +376,24 @@ func (t *RuleTxn) applyEach(batches []tableBatch) error {
 }
 
 // apply runs one batch against one table in a single critical section,
-// keeping its undo token and accounting installed rules. The ordered
-// make-before-break steps of an update or removal are sequences of these.
-func (t *RuleTxn) apply(k tableKey, batch []flowtable.BatchOp) error {
+// keeping its undo token and accounting installed rules, and returns how
+// many rules it installed. The token is kept on error too: a failed batch
+// leaves its earlier operations applied, and the unwind needs that token.
+// The ordered make-before-break steps of an update or removal, and the
+// install pipeline's apply stage, are sequences of these.
+func (t *RuleTxn) apply(k tableKey, batch []flowtable.BatchOp) (int, error) {
 	tbl, err := t.c.deviceTable(k.dev, k.table)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	n, undo, err := tbl.ApplyBatchUndo(batch)
 	t.recordUndo(k, undo)
 	t.installed += n
 	t.c.ruleUpdates.Add(int64(n))
 	if err != nil {
-		return fmt.Errorf("controller: %w", err)
+		return n, fmt.Errorf("controller: %w", err)
 	}
-	return nil
+	return n, nil
 }
 
 // portionPre is the pre-transaction state of one portion-ledger entry.
@@ -589,7 +592,7 @@ func (t *RuleTxn) commitUpdate(op txnOp, opts TxnOptions) error {
 			clsBatch = batch
 			continue
 		}
-		if err := t.apply(nb.key, batch); err != nil {
+		if _, err := t.apply(nb.key, batch); err != nil {
 			return err
 		}
 	}
@@ -598,7 +601,7 @@ func (t *RuleTxn) commitUpdate(op txnOp, opts TxnOptions) error {
 		if err := t.fail("update:cls", cl.ID); err != nil {
 			return err
 		}
-		if err := t.apply(clsKey, clsBatch); err != nil {
+		if _, err := t.apply(clsKey, clsBatch); err != nil {
 			return err
 		}
 	}
@@ -619,7 +622,7 @@ func (t *RuleTxn) commitUpdate(op txnOp, opts TxnOptions) error {
 			continue
 		}
 		if batch := owned.removals(nil, ob.ops); len(batch) > 0 {
-			if err := t.apply(ob.key, batch); err != nil {
+			if _, err := t.apply(ob.key, batch); err != nil {
 				return err
 			}
 		}
@@ -686,7 +689,7 @@ func (t *RuleTxn) commitRemove(op txnOp) error {
 		return err
 	}
 	clsBatch := []flowtable.BatchOp{{Remove: fmt.Sprintf("cls-%d", a.Class.ID)}}
-	if err := t.apply(appleKey(a.Class.Path[0]), clsBatch); err != nil {
+	if _, err := t.apply(appleKey(a.Class.Path[0]), clsBatch); err != nil {
 		return err
 	}
 	if err := t.fail("remove:steer", op.id); err != nil {

@@ -153,7 +153,7 @@ func TestCommitCostIndependentOfInstalledState(t *testing.T) {
 		for id := range batch {
 			batch[id] = fatTreeClass(t, layout, id)
 		}
-		if err := c.AddClassBatch(batch, BatchOptions{Workers: 1}); err != nil {
+		if err := c.AddClassBatch(batch, BatchOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		churn := func(id int) {

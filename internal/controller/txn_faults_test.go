@@ -283,7 +283,7 @@ var faultRoutes = []struct {
 			{ID: 6, Path: linePath(3), Chain: policy.Chain{policy.Proxy, policy.IDS}, RateMbps: 80},
 		}
 		return &faultRoute{c: fx.c, handler: fx.handler,
-			run: func() error { return fx.c.AddClassBatch(batch, BatchOptions{Workers: 2, Verify: true}) },
+			run: func() error { return fx.c.AddClassBatch(batch, BatchOptions{Verify: true}) },
 			expect: func(t *testing.T, pt string) string {
 				for i, cl := range batch[1:] {
 					if pt == fmt.Sprintf("add:plan:%d", cl.ID) || pt == fmt.Sprintf("add:admit:%d", cl.ID) {

@@ -9,7 +9,6 @@ import (
 	"github.com/apple-nfv/apple/internal/controller"
 	"github.com/apple-nfv/apple/internal/core"
 	"github.com/apple-nfv/apple/internal/metrics"
-	"github.com/apple-nfv/apple/internal/pool"
 	"github.com/apple-nfv/apple/internal/tagging"
 )
 
@@ -91,28 +90,25 @@ func Fig10(sc *Scenario, draws int) (Fig10Row, error) {
 		step = 1
 	}
 	engine := core.NewEngine(core.EngineOptions{})
-	// Draws are independent solves; ratios land by index so the boxplot
-	// input order matches the sequential driver exactly.
-	row.Ratios = make([]float64, draws)
-	err := pool.RunIndexed(draws, 0, func(d int) error {
-		tm := sc.Series[d*step]
-		prob, err := sc.Problem(tm)
+	row.Ratios = make([]float64, 0, draws)
+	for d := range draws {
+		prob, err := sc.Problem(sc.Series[d*step])
 		if err != nil {
-			return fmt.Errorf("experiments: %s draw %d: %w", sc.Name, d, err)
+			return Fig10Row{}, fmt.Errorf("experiments: %s draw %d: %w", sc.Name, d, err)
 		}
 		pl, err := engine.Solve(prob)
 		if err != nil {
-			return fmt.Errorf("experiments: %s draw %d: %w", sc.Name, d, err)
+			return Fig10Row{}, fmt.Errorf("experiments: %s draw %d: %w", sc.Name, d, err)
 		}
 		specs := make([]tagging.ClassSpec, 0, len(prob.Classes))
 		for _, cl := range prob.Classes {
 			subs, err := core.Subclasses(cl, pl.Dist[cl.ID])
 			if err != nil {
-				return fmt.Errorf("experiments: %w", err)
+				return Fig10Row{}, fmt.Errorf("experiments: %w", err)
 			}
 			prefix, err := controller.ClassPrefix(cl.ID)
 			if err != nil {
-				return fmt.Errorf("experiments: %w", err)
+				return Fig10Row{}, fmt.Errorf("experiments: %w", err)
 			}
 			spec := tagging.ClassSpec{
 				Class:      cl,
@@ -133,13 +129,9 @@ func Fig10(sc *Scenario, draws int) (Fig10Row, error) {
 		}
 		usage, err := tagging.CountTCAM(specs, 8)
 		if err != nil {
-			return fmt.Errorf("experiments: %s draw %d: %w", sc.Name, d, err)
+			return Fig10Row{}, fmt.Errorf("experiments: %s draw %d: %w", sc.Name, d, err)
 		}
-		row.Ratios[d] = usage.Ratio()
-		return nil
-	})
-	if err != nil {
-		return Fig10Row{}, err
+		row.Ratios = append(row.Ratios, usage.Ratio())
 	}
 	box, err := metrics.NewBoxplot(row.Ratios)
 	if err != nil {
@@ -183,41 +175,29 @@ func Fig11(sc *Scenario, draws int) (Fig11Row, error) {
 	}
 	row := Fig11Row{Topology: sc.Name}
 	engine := core.NewEngine(core.EngineOptions{})
-	// Per-draw core totals land by index and are reduced afterwards, so
-	// the averages are bit-identical to the sequential accumulation order.
-	appleCores := make([]float64, draws)
-	ingressCores := make([]float64, draws)
-	err := pool.RunIndexed(draws, 0, func(d int) error {
+	for d := range draws {
 		prob, err := sc.Problem(sc.Series[d*step])
 		if err != nil {
-			return fmt.Errorf("experiments: %s draw %d: %w", sc.Name, d, err)
+			return Fig11Row{}, fmt.Errorf("experiments: %s draw %d: %w", sc.Name, d, err)
 		}
 		apple, err := engine.Solve(prob)
 		if err != nil {
-			return fmt.Errorf("experiments: %s draw %d: %w", sc.Name, d, err)
+			return Fig11Row{}, fmt.Errorf("experiments: %s draw %d: %w", sc.Name, d, err)
 		}
 		ing, err := core.SolveIngress(prob)
 		if err != nil {
-			return fmt.Errorf("experiments: %s draw %d: %w", sc.Name, d, err)
+			return Fig11Row{}, fmt.Errorf("experiments: %s draw %d: %w", sc.Name, d, err)
 		}
 		ar, err := apple.TotalResources()
 		if err != nil {
-			return fmt.Errorf("experiments: %w", err)
+			return Fig11Row{}, fmt.Errorf("experiments: %w", err)
 		}
 		ir, err := ing.TotalResources()
 		if err != nil {
-			return fmt.Errorf("experiments: %w", err)
+			return Fig11Row{}, fmt.Errorf("experiments: %w", err)
 		}
-		appleCores[d] = float64(ar.Cores)
-		ingressCores[d] = float64(ir.Cores)
-		return nil
-	})
-	if err != nil {
-		return Fig11Row{}, err
-	}
-	for d := 0; d < draws; d++ {
-		row.AppleCores += appleCores[d]
-		row.IngressCores += ingressCores[d]
+		row.AppleCores += float64(ar.Cores)
+		row.IngressCores += float64(ir.Cores)
 	}
 	row.AppleCores /= float64(draws)
 	row.IngressCores /= float64(draws)

@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"github.com/apple-nfv/apple/internal/bdd"
-	"github.com/apple-nfv/apple/internal/pool"
 )
 
 // ErrForeignSpace reports a predicate built by a different Space than the
@@ -40,7 +39,7 @@ var ErrNoPredicate = errors.New("headerspace: no such predicate")
 // overlaps without touching the others.
 //
 // Add and Remove write to the Space and are not safe for concurrent use.
-// Classify, ClassifyAll, Atom, Membership and NumClasses only read, so
+// Classify, Atom, Membership and NumClasses only read, so
 // any number of goroutines may call them while no one mutates the
 // classifier or its Space.
 type Classifier struct {
@@ -317,21 +316,6 @@ func (c *Classifier) Classify(h Header) int {
 		}
 	}
 	return int(c.rank[id])
-}
-
-// ClassifyAll classifies a batch of headers with a bounded worker pool —
-// the classify stage of the concurrent flow-setup pipeline. Classify only
-// reads, so lookups need no locking; workers≤0 uses one worker per
-// processor.
-func (c *Classifier) ClassifyAll(hdrs []Header, workers int) []int {
-	out := make([]int, len(hdrs))
-	// Classify never fails (atoms partition the space), so the pool error
-	// is always nil.
-	_ = pool.RunIndexed(len(hdrs), workers, func(i int) error {
-		out[i] = c.Classify(hdrs[i])
-		return nil
-	})
-	return out
 }
 
 // Membership returns, for class i, the indexes of the input predicates

@@ -322,10 +322,10 @@ func TestClassifyWalksLogarithmically(t *testing.T) {
 	}
 }
 
-// TestClassifyAllConcurrent classifies one batch from several pools at
+// TestClassifyConcurrent classifies one batch from several goroutines at
 // once; under -race it proves lookups share the classifier without
 // writing to it.
-func TestClassifyAllConcurrent(t *testing.T) {
+func TestClassifyConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	sp := NewSpace()
 	preds := make([]Predicate, 12)
@@ -337,6 +337,7 @@ func TestClassifyAllConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	hdrs := make([]Header, 4000)
+	want := make([]int, len(hdrs))
 	for i := range hdrs {
 		hdrs[i] = Header{
 			SrcIP:   10<<24 | rng.Uint32()&0x3ffff,
@@ -345,10 +346,8 @@ func TestClassifyAllConcurrent(t *testing.T) {
 			SrcPort: uint16(rng.Intn(8)),
 			DstPort: uint16(rng.Intn(2048)),
 		}
-	}
-	want := c.ClassifyAll(hdrs, 1)
-	for i, h := range hdrs {
-		if a, _ := c.Atom(want[i]); !a.Matches(h) {
+		want[i] = c.Classify(hdrs[i])
+		if a, _ := c.Atom(want[i]); !a.Matches(hdrs[i]) {
 			t.Fatalf("header %d classified into an atom that does not match it", i)
 		}
 	}
@@ -357,10 +356,9 @@ func TestClassifyAllConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got := c.ClassifyAll(hdrs, 4)
-			for i := range got {
-				if got[i] != want[i] {
-					t.Errorf("header %d: class %d with 4 workers, %d with 1", i, got[i], want[i])
+			for i, h := range hdrs {
+				if got := c.Classify(h); got != want[i] {
+					t.Errorf("header %d: class %d concurrently, %d alone", i, got, want[i])
 					return
 				}
 			}

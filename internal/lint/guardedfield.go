@@ -19,9 +19,8 @@ import (
 //	// confined to the simulation loop
 //	    The field belongs to single-threaded orchestration state driven
 //	    by the sim event loop; it may not be touched from a spawned
-//	    goroutine or a worker-pool closure (pool.RunIndexed). The check
-//	    is lexical (direct accesses only), which is exactly the level a
-//	    reviewer can audit.
+//	    goroutine. The check is lexical (direct accesses only), which is
+//	    exactly the level a reviewer can audit.
 //
 // The annotation may appear anywhere in the field's doc comment or
 // trailing line comment.
@@ -67,7 +66,7 @@ func runGuardedField(pass *Pass) {
 			if g.confined {
 				if acc.async {
 					pass.Reportf(acc.sel.Sel.Pos(),
-						"%s.%s is confined to the simulation loop but accessed from a goroutine or worker-pool closure",
+						"%s.%s is confined to the simulation loop but accessed from a goroutine",
 						g.structName, g.fieldName)
 				}
 				continue

@@ -15,7 +15,7 @@
 //   - guardedfield: struct fields annotated "guarded by <mu>" may only
 //     be accessed while that mutex is held; fields annotated "confined
 //     to the simulation loop" may not be touched from spawned
-//     goroutines or worker-pool closures.
+//     goroutines.
 //   - callbackonce: every control path through a completion closure
 //     scheduled by a function with onReady/onFail parameters invokes
 //     exactly one callback exactly once (the PR 2 lifecycle contract).

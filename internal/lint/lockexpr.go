@@ -130,15 +130,12 @@ func (w *lockWalker) call(call *ast.CallExpr, st lockState, async bool) {
 	} else {
 		w.expr(call.Fun, st, async)
 	}
-	litMode := w.funcLitArgMode(call)
+	deferred := runsLitLater(call)
 	for _, a := range call.Args {
 		if lit, ok := a.(*ast.FuncLit); ok {
-			switch litMode {
-			case litAsync:
-				w.analyzeBody(lit.Body.List, make(lockState), true, lit.Body.Rbrace, false)
-			case litDeferredLoop:
+			if deferred {
 				w.analyzeBody(lit.Body.List, make(lockState), false, lit.Body.Rbrace, false)
-			default:
+			} else {
 				// Synchronous higher-order call (sort.Slice and
 				// friends): the literal runs under the caller's locks.
 				w.analyzeBody(lit.Body.List, st.clone(), async, lit.Body.Rbrace, false)
@@ -149,27 +146,16 @@ func (w *lockWalker) call(call *ast.CallExpr, st lockState, async bool) {
 	}
 }
 
-type funcLitMode int
-
-const (
-	litSync funcLitMode = iota
-	litAsync
-	litDeferredLoop
-)
-
-// funcLitArgMode decides the concurrency context of function-literal
-// arguments from the callee: worker pools run them on other goroutines,
-// the simulation clock runs them later on the (single-threaded) event
-// loop, and everything else is assumed to call them synchronously.
-func (w *lockWalker) funcLitArgMode(call *ast.CallExpr) funcLitMode {
-	name := calleeName(call)
-	switch name {
-	case "RunIndexed":
-		return litAsync
+// runsLitLater reports whether the callee runs its function-literal
+// arguments later, on the (single-threaded) simulation event loop, rather
+// than synchronously under the caller's locks. Only a go statement runs a
+// literal on another goroutine.
+func runsLitLater(call *ast.CallExpr) bool {
+	switch calleeName(call) {
 	case "After", "At", "MustAfter", "Every", "OnEvent", "AfterFunc", "RunUntil":
-		return litDeferredLoop
+		return true
 	}
-	return litSync
+	return false
 }
 
 func calleeName(call *ast.CallExpr) string {

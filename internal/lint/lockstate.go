@@ -94,7 +94,7 @@ type accessFact struct {
 	field *types.Var
 	write bool
 	held  []heldLock // snapshot, sorted by key
-	async bool       // lexically inside a go statement or worker-pool closure
+	async bool       // lexically inside a go statement
 }
 
 // funcLockFacts is the analysis result for one top-level function

@@ -1,8 +1,7 @@
 // Fixture for the guardedfield analyzer: 'guarded by <mu>' fields must
 // only be touched with the mutex held (write lock for writes), fields
 // 'confined to the simulation loop' must never be touched from spawned
-// goroutines or worker-pool closures, and the annotation itself must
-// name a real sibling mutex.
+// goroutines, and the annotation itself must name a real sibling mutex.
 package guardedfield
 
 import "sync"
@@ -69,14 +68,6 @@ type badGuard struct {
 
 func (b *badGuard) use() int { return b.x }
 
-// RunIndexed stands in for the worker pool: it runs fn on other
-// goroutines.
-func RunIndexed(n, workers int, fn func(int)) {
-	for i := 0; i < n; i++ {
-		fn(i)
-	}
-}
-
 type loopState struct {
 	seq int // confined to the simulation loop
 }
@@ -92,11 +83,4 @@ func leakGoroutine(ls *loopState) {
 	go func() {
 		ls.seq++ // want "confined to the simulation loop but accessed"
 	}()
-}
-
-// leakPool touches confined state from a worker-pool closure.
-func leakPool(ls *loopState) {
-	RunIndexed(4, 2, func(i int) {
-		ls.seq = i // want "confined to the simulation loop but accessed"
-	})
 }

@@ -8,9 +8,10 @@ import (
 // FlowSetupCounters aggregates the controller's class-install pipeline
 // activity: how many arrivals were admitted, how much rule generation and
 // installation the emit/apply stages performed, and how contended the
-// flow-table write locks were. All fields are atomics so the pipeline's
-// workers record without locks; the controller records into the
-// package-level FlowSetup instance.
+// flow-table write locks were. All fields are atomics so a snapshot may
+// read them from another goroutine while the pipeline records without
+// locks; the controller records into the package-level FlowSetup
+// instance.
 type FlowSetupCounters struct {
 	// Batches counts AddClassBatch invocations.
 	Batches atomic.Int64
@@ -36,14 +37,14 @@ type FlowSetupCounters struct {
 	// run programs its devices concurrently and accrues the makespan: the
 	// slowest device's installs × latency. A batch of N classes is one
 	// run, N single-class installs are N runs, so the ratio of the two is
-	// the flow-setup speedup batching buys, independent of how many host
-	// cores the benchmark machine has. Updates, removals and failover do
-	// not accrue.
+	// the flow-setup speedup batching buys, independent of the benchmark
+	// machine. Updates, removals and failover do not accrue.
 	SimInstall atomic.Int64
 	// TableContention counts flow-table write-lock acquisitions that had
 	// to wait (a TryLock failed before the blocking Lock). Under the
-	// per-batch coalescing design this stays near zero; a high value
-	// means concurrent writers are fighting over one table.
+	// single-writer, per-batch coalescing design it counts only a
+	// writer waiting out a reader's lock; a high value means something
+	// else is writing the tables.
 	TableContention atomic.Int64
 	// TableCompiles counts compiled-matcher snapshot publications: one
 	// per Install/Remove and one per mutating ApplyBatch. A value close

@@ -7,11 +7,10 @@ import (
 )
 
 // LPCounters aggregates solver activity across an entire run. The fields
-// are atomics so the parallel experiment drivers (and any future
-// multi-goroutine engine) can record without locks. The Optimization
-// Engine records into the package-level LP instance; the metrics package
-// deliberately knows nothing about the lp package — callers pass plain
-// numbers.
+// are atomics so a snapshot may read them from another goroutine while
+// the engine records without locks. The Optimization Engine records into
+// the package-level LP instance; the metrics package deliberately knows
+// nothing about the lp package — callers pass plain numbers.
 type LPCounters struct {
 	Solves       atomic.Int64 // primary (cold) solves
 	WarmHits     atomic.Int64 // re-solves served from the previous basis

@@ -7,10 +7,10 @@ import (
 	"github.com/apple-nfv/apple/internal/topology"
 )
 
-// TestAllocatorConcurrentHostTags: the flow-setup pipeline shares one
-// allocator between its workers. Goroutines racing over the same switches,
-// each in its own order, must all see one tag per switch, distinct across
-// switches, and together filling 1..n without a gap.
+// TestAllocatorConcurrentHostTags: the allocator's concurrency contract.
+// Goroutines racing over the same switches, each in its own order, must
+// all see one tag per switch, distinct across switches, and together
+// filling 1..n without a gap.
 func TestAllocatorConcurrentHostTags(t *testing.T) {
 	const workers, switches = 8, 500
 	a := NewAllocator()

@@ -18,9 +18,10 @@ import (
 // Allocator hands out tag values. Host IDs are globally unique (they name
 // the next APPLE host to process a packet); sub-class IDs are only
 // meaningful within a class and are multiplexed across classes (§V-B).
-// The allocator is safe for concurrent use; the flow-setup pipeline's
-// admit stage pre-allocates every tag a class will reference, so the
-// parallel emit stage only performs read-through lookups here.
+// The allocator is safe for concurrent use. The controller calls it from
+// its one control-plane goroutine: the flow-setup pipeline's admit stage
+// pre-allocates every tag a class will reference, so the emit stage only
+// performs read-through lookups here.
 type Allocator struct {
 	mu       sync.Mutex
 	hostTags map[topology.NodeID]uint16 // guarded by mu

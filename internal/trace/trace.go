@@ -236,10 +236,10 @@ const DefaultCapacity = 1 << 16
 // virtual time. Methods on a nil *Recorder are no-ops, so callers hold
 // an always-valid handle and pay nothing when tracing is disabled.
 //
-// Emit may be called from worker goroutines (the ring is mutex-guarded),
-// but deterministic journals require deterministic emission order, so
-// the instrumented subsystems emit only from the simulation loop or from
-// pipeline coordinators — never inside parallel workers.
+// Emit may be called from any goroutine (the ring is mutex-guarded), but
+// deterministic journals require deterministic emission order, so the
+// instrumented subsystems emit only from the simulation loop and the
+// control-plane goroutine.
 type Recorder struct {
 	clock Clock
 	max   int
