@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 20s
 FUZZ_TARGETS := ./internal/flowtable:FuzzMatchLookup ./internal/flowtable:FuzzTableOps \
 	./internal/flowtable:FuzzSubsumes ./internal/flowtable:FuzzPrefixContains \
-	./internal/headerspace:FuzzClassifierOps ./internal/lp:FuzzSolverOps \
+	./internal/bdd:FuzzStoreOps ./internal/headerspace:FuzzClassifierOps ./internal/lp:FuzzSolverOps \
 	./internal/controller:FuzzSameSplit
 
 # check is what CI's check job runs (followed by cover); lint, trace-smoke

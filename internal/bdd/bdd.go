@@ -4,8 +4,14 @@
 // packet-header predicates as BDDs over header bits, following the approach
 // of Yang & Lam that the APPLE paper adopts for traffic aggregation
 // (§IV-A). The implementation uses the classic hash-consed node store with
-// a memoized Apply, so structurally equal predicates share one canonical
+// a cached Apply, so structurally equal predicates share one canonical
 // node and equality is a pointer comparison.
+//
+// The store is laid out the way BuDDy and CUDD lay theirs out: a node arena
+// that grows by doubling, an open-addressed unique table of arena indexes
+// keyed by the nodes themselves, and a direct-mapped, lossy operation cache
+// a quarter the size of the unique table. Its memory is O(nodes), however
+// many Apply calls are made on it.
 package bdd
 
 import (
@@ -35,13 +41,7 @@ type node struct {
 
 const terminalLevel = int32(math.MaxInt32)
 
-// opKey memoizes binary Apply operations.
-type opKey struct {
-	op   uint8
-	a, b Ref
-}
-
-// Binary operation codes for apply.
+// Binary operation codes for apply. Zero marks an empty cache entry.
 const (
 	opAnd uint8 = iota + 1
 	opOr
@@ -49,15 +49,34 @@ const (
 	opDiff // a AND NOT b
 )
 
+// cacheEntry is one slot of the operation cache: op(a, b) = r.
+type cacheEntry struct {
+	a, b Ref
+	op   uint8
+	r    Ref
+}
+
+// initialSlots is the unique table's size in a new store.
+const initialSlots = 512
+
 // Store owns the node table for a family of BDDs that share a variable
 // order. All Refs produced by a Store are only meaningful with that Store.
 //
 // Store is not safe for concurrent use.
 type Store struct {
-	nvars   int
-	nodes   []node
-	unique  map[node]Ref
-	memo    map[opKey]Ref
+	nvars int
+	// nodes is the arena: Ref r is nodes[r], so a Ref is its node's
+	// creation index. Its capacity is what unique holds at 3/4 load plus
+	// the two terminals, and it is re-made at twice that when full.
+	nodes []node
+	// unique finds a node's Ref by the node: open addressing with linear
+	// probing over a power-of-two table. A slot holds the Ref of the node
+	// it keys, or False (never a decision node) when empty.
+	unique []Ref
+	// cache is the direct-mapped Apply cache, len(unique)/4 entries: a
+	// result overwrites whatever its slot held, and the cache is re-made
+	// empty, not rehashed, whenever unique doubles.
+	cache   []cacheEntry
 	applies int
 }
 
@@ -69,9 +88,9 @@ func NewStore(nvars int) (*Store, error) {
 	}
 	s := &Store{
 		nvars:  nvars,
-		nodes:  make([]node, 2, 1024),
-		unique: make(map[node]Ref, 1024),
-		memo:   make(map[opKey]Ref, 1024),
+		nodes:  make([]node, 2, initialSlots*3/4+2),
+		unique: make([]Ref, initialSlots),
+		cache:  make([]cacheEntry, initialSlots/4),
 	}
 	s.nodes[False] = node{level: terminalLevel}
 	s.nodes[True] = node{level: terminalLevel}
@@ -95,10 +114,22 @@ func (s *Store) Vars() int { return s.nvars }
 func (s *Store) Size() int { return len(s.nodes) }
 
 // Applies returns the number of Apply steps the store has computed: the
-// recursive calls that neither a terminal rule nor the memo table
+// recursive calls that neither a terminal rule nor the operation cache
 // answered. It is the deterministic unit of BDD work, which the
-// complexity tests of the layers above count instead of wall time.
+// complexity tests of the layers above count instead of wall time. The
+// cache is lossy, so a step whose entry was overwritten is computed, and
+// counted, again when it recurs.
 func (s *Store) Applies() int { return s.applies }
+
+// hash mixes three 32-bit keys (Fibonacci hashing: the high half of a
+// multiply by 2^64/φ). Callers mask the result to their table size.
+func hash(a, b, c uint32) uint32 {
+	const phi = 0x9e3779b97f4a7c15
+	h := (uint64(a)*phi+uint64(b))*phi + uint64(c)
+	return uint32(h * phi >> 32)
+}
+
+func hashNode(n node) uint32 { return hash(uint32(n.level), uint32(n.lo), uint32(n.hi)) }
 
 // mk returns the canonical node (level, lo, hi), applying the reduction
 // rules: equal children collapse, and duplicates are shared.
@@ -107,13 +138,41 @@ func (s *Store) mk(level int32, lo, hi Ref) Ref {
 		return lo
 	}
 	key := node{level: level, lo: lo, hi: hi}
-	if r, ok := s.unique[key]; ok {
-		return r
+	mask := len(s.unique) - 1
+	i := int(hashNode(key)) & mask
+	for ; s.unique[i] != False; i = (i + 1) & mask {
+		if r := s.unique[i]; s.nodes[r] == key {
+			return r
+		}
 	}
 	r := Ref(len(s.nodes))
-	s.nodes = append(s.nodes, key)
-	s.unique[key] = r
+	s.nodes = append(s.nodes, key) // within capacity: grow keeps a free slot
+	s.unique[i] = r
+	if len(s.nodes) == cap(s.nodes) {
+		s.grow()
+	}
 	return r
+}
+
+// grow doubles the unique table and rehashes every node into it, re-makes
+// the arena at the capacity that table holds at 3/4 load, and re-makes the
+// cache empty at a quarter of its size. Refs are arena indexes, so none
+// moves.
+func (s *Store) grow() {
+	slots := 2 * len(s.unique)
+	nodes := make([]node, len(s.nodes), slots*3/4+2)
+	copy(nodes, s.nodes)
+	s.nodes = nodes
+	s.unique = make([]Ref, slots)
+	mask := slots - 1
+	for r := 2; r < len(nodes); r++ {
+		i := int(hashNode(nodes[r])) & mask
+		for s.unique[i] != False {
+			i = (i + 1) & mask
+		}
+		s.unique[i] = Ref(r)
+	}
+	s.cache = make([]cacheEntry, slots/4)
 }
 
 // Var returns the BDD for the single variable v (true when bit v is 1).
@@ -134,7 +193,7 @@ func (s *Store) NVar(v int) (Ref, error) {
 
 // Not returns the complement of a.
 func (s *Store) Not(a Ref) Ref {
-	// XOR with true: cheap and reuses the memo table.
+	// XOR with true: cheap and reuses the operation cache.
 	return s.apply(opXor, a, True)
 }
 
@@ -157,7 +216,17 @@ func (s *Store) Implies(a, b Ref) bool { return s.Diff(a, b) == False }
 // nodes are canonical this is a constant-time comparison.
 func (s *Store) Equiv(a, b Ref) bool { return a == b }
 
-// apply computes the binary operation with memoization (Bryant's Apply).
+// cacheSlot is the operation cache's slot for op(a, b).
+func (s *Store) cacheSlot(op uint8, a, b Ref) *cacheEntry {
+	return &s.cache[int(hash(uint32(op), uint32(a), uint32(b)))&(len(s.cache)-1)]
+}
+
+// apply computes the binary operation through the operation cache
+// (Bryant's Apply). A cache miss, including one on a result the cache
+// held and lost, recomputes the result, and because mk hash-conses, the
+// recomputation returns the same canonical Ref and creates no node: the
+// order nodes are created in, and so every Ref, is the same as with a
+// memo that never forgets.
 func (s *Store) apply(op uint8, a, b Ref) Ref {
 	switch op {
 	case opAnd:
@@ -207,13 +276,12 @@ func (s *Store) apply(op uint8, a, b Ref) Ref {
 			return False
 		}
 	}
-	// Normalize commutative operations for better memo hit rates.
+	// Normalize commutative operations for better cache hit rates.
 	if (op == opAnd || op == opOr || op == opXor) && a > b {
 		a, b = b, a
 	}
-	key := opKey{op: op, a: a, b: b}
-	if r, ok := s.memo[key]; ok {
-		return r
+	if e := s.cacheSlot(op, a, b); e.op == op && e.a == a && e.b == b {
+		return e.r
 	}
 	s.applies++
 	na, nb := s.nodes[a], s.nodes[b]
@@ -228,7 +296,8 @@ func (s *Store) apply(op uint8, a, b Ref) Ref {
 		level, alo, ahi, blo, bhi = na.level, na.lo, na.hi, nb.lo, nb.hi
 	}
 	r := s.mk(level, s.apply(op, alo, blo), s.apply(op, ahi, bhi))
-	s.memo[key] = r
+	// The slot is looked up again: the recursion may have re-made the cache.
+	*s.cacheSlot(op, a, b) = cacheEntry{a: a, b: b, op: op, r: r}
 	return r
 }
 

@@ -78,10 +78,11 @@ func (f *factor) etas() int { return len(f.etaPos) }
 func (f *factor) refactor(a *sparse, basis []int32) bool {
 	m := len(basis)
 	f.m = m
-	f.pivRow, f.pivPos, f.pivVal = f.pivRow[:0], f.pivPos[:0], f.pivVal[:0]
-	f.l.ptr, f.l.idx, f.l.val = append(f.l.ptr[:0], 0), f.l.idx[:0], f.l.val[:0]
-	f.u.ptr, f.u.idx, f.u.val = append(f.u.ptr[:0], 0), f.u.idx[:0], f.u.val[:0]
-	f.lSteps = f.lSteps[:0]
+	// Every step appends one entry to each of these: reserve all m at once.
+	f.pivRow, f.pivPos, f.pivVal = reserve(f.pivRow, m), reserve(f.pivPos, m), reserve(f.pivVal, m)
+	f.l.ptr, f.l.idx, f.l.val = append(reserve(f.l.ptr, m+1), 0), f.l.idx[:0], f.l.val[:0]
+	f.u.ptr, f.u.idx, f.u.val = append(reserve(f.u.ptr, m+1), 0), f.u.idx[:0], f.u.val[:0]
+	f.lSteps = reserve(f.lSteps, m)
 	f.etaPos, f.etaPiv = f.etaPos[:0], f.etaPiv[:0]
 	f.eta.ptr, f.eta.idx, f.eta.val = append(f.eta.ptr[:0], 0), f.eta.idx[:0], f.eta.val[:0]
 	f.rowDone, f.posDone = resize(f.rowDone, m), resize(f.posDone, m)
@@ -102,7 +103,7 @@ func (f *factor) refactor(a *sparse, basis []int32) bool {
 		f.rowCnt[i] = br.ptr[i+1]
 		br.ptr[i+1] += br.ptr[i]
 	}
-	br.idx, br.val = resize(br.idx, nnz), resize(br.val, nnz)
+	br.idx, br.val = resizeDoubling(br.idx, nnz), resizeDoubling(br.val, nnz)
 	next := resize(f.queue, m)
 	copy(next, br.ptr[:m])
 	for q, j := range basis {
@@ -194,7 +195,7 @@ func (f *factor) refactor(a *sparse, basis []int32) bool {
 	// U again by column, for ftran: counting sort of the U_k by position.
 	uc := &f.uByPos
 	uc.ptr = resize(uc.ptr, m+1)
-	uc.idx, uc.val = resize(uc.idx, len(f.u.idx)), resize(uc.val, len(f.u.idx))
+	uc.idx, uc.val = resizeDoubling(uc.idx, len(f.u.idx)), resizeDoubling(uc.val, len(f.u.idx))
 	for _, q := range f.u.idx {
 		uc.ptr[q+1]++
 	}

@@ -75,6 +75,27 @@ func resize[T any](s []T, n int) []T {
 	return s
 }
 
+// resizeDoubling is resize for the arrays the factor sizes by the basis's
+// nonzeros (B by row, U by position), which creep a little at every
+// refactor of a long solve: a new array gets as much headroom again, so a
+// solve reallocates them O(log) times.
+func resizeDoubling[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, 2*n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// reserve returns s emptied, with room for at least n elements.
+func reserve[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
 // needsArtificial reports whether a row's slack cannot hold the residual
 // of the all-at-lower-bound start: LE wants resid ≥ 0, GE wants resid ≤ 0,
 // EQ wants resid = 0.
