@@ -75,9 +75,7 @@ func BenchmarkAblation_CrossProduct(b *testing.B) {
 	for i := 0; i < 24; i++ {
 		if err := appleTable.Install(flowtable.Rule{
 			Name: "cls", Priority: 10 + i,
-			Match: flowtable.Match{Src: flowtable.PrefixPtr(flowtable.Prefix{
-				Addr: uint32(10<<24 | i<<12), Len: 20,
-			})},
+			Match: flowtable.Match{}.WithSrc(flowtable.Prefix{Addr: uint32(10<<24 | i<<12), Len: 20}),
 			Actions: []flowtable.Action{
 				{Type: flowtable.ActSetSubTag, Tag: uint16(i % 63)},
 				{Type: flowtable.ActGotoTable, Table: 1},
@@ -90,9 +88,7 @@ func BenchmarkAblation_CrossProduct(b *testing.B) {
 	for i := 0; i < 40; i++ {
 		if err := routing.Install(flowtable.Rule{
 			Name: "route", Priority: 5,
-			Match: flowtable.Match{Dst: flowtable.PrefixPtr(flowtable.Prefix{
-				Addr: uint32(172<<24 | 16<<16 | i<<8), Len: 24,
-			})},
+			Match:   flowtable.Match{}.WithDst(flowtable.Prefix{Addr: uint32(172<<24 | 16<<16 | i<<8), Len: 24}),
 			Actions: []flowtable.Action{{Type: flowtable.ActForward, Port: i%4 + 1}},
 		}); err != nil {
 			b.Fatal(err)

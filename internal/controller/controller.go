@@ -598,7 +598,7 @@ func (c *Controller) InstallACL(name string, src flowtable.Prefix) error {
 		if err := c.install(sw.Pipeline, TableRouting, flowtable.Rule{
 			Name:     name,
 			Priority: 100, // above routing's 10
-			Match:    flowtable.Match{Src: flowtable.PrefixPtr(src)},
+			Match:    flowtable.Match{}.WithSrc(src),
 			Actions:  []flowtable.Action{{Type: flowtable.ActDrop}},
 		}); err != nil {
 			return err

@@ -301,7 +301,7 @@ func (c *Controller) emitClassRules(a *Assignment) ([]tableBatch, error) {
 		}
 		g.add(routingKey(v), flowtable.BatchOp{SkipIfPresent: true, Rule: flowtable.Rule{
 			Name: routeName, Priority: 10,
-			Match:   flowtable.Match{Dst: flowtable.PrefixPtr(dstPrefix(dst))},
+			Match:   flowtable.Match{}.WithDst(dstPrefix(dst)),
 			Actions: []flowtable.Action{{Type: flowtable.ActForward, Port: port}},
 		}})
 	}
@@ -359,7 +359,7 @@ func (c *Controller) hostMatchOp(v topology.NodeID) (flowtable.BatchOp, error) {
 	}
 	return flowtable.BatchOp{SkipIfPresent: true, Rule: flowtable.Rule{
 		Name: "host-match", Priority: prioHostMatch,
-		Match:   flowtable.Match{HostTag: flowtable.U16(tag)},
+		Match:   flowtable.Match{}.WithHostTag(tag),
 		Actions: []flowtable.Action{{Type: flowtable.ActForward, Port: PortHost}},
 	}}, nil
 }
@@ -462,11 +462,8 @@ func (c *Controller) emitClassification(g *ruleGroups, a *Assignment, blocks [][
 			g.add(key, flowtable.BatchOp{Rule: flowtable.Rule{
 				Name:     name,
 				Priority: prioClassify,
-				Match: flowtable.Match{
-					HostTag: flowtable.U16(flowtable.HostTagEmpty),
-					Src:     flowtable.PrefixPtr(pfx),
-				},
-				Actions: actions,
+				Match:    flowtable.Match{}.WithHostTag(flowtable.HostTagEmpty).WithSrc(pfx),
+				Actions:  actions,
 			}})
 		}
 	}
@@ -517,15 +514,12 @@ func (c *Controller) emitVSwitchRules(g *ruleGroups, a *Assignment, s int, runs 
 		}
 		key := steeringKey(v)
 		match := func(inPort host.PortID) flowtable.Match {
-			m := flowtable.Match{
-				InPort: flowtable.IntPtr(int(inPort)),
-				SubTag: flowtable.U8(subTag),
-			}
+			m := flowtable.Match{}.WithInPort(int(inPort)).WithSubTag(subTag)
 			// Header-rewriting chains (§X): the NAT may already have
 			// changed the source address, so steering matches the
 			// globally unique tag alone.
 			if !a.Global {
-				m.Src = flowtable.PrefixPtr(a.Prefix)
+				m = m.WithSrc(a.Prefix)
 			}
 			return m
 		}

@@ -53,10 +53,10 @@ func auditTableIII(c *Controller) error {
 			if rows++; rows > 1 {
 				return fmt.Errorf("switch %d carries %d host-match rows, want at most 1", v, rows)
 			}
-			if r.Match.HostTag == nil {
+			tag, ok := r.Match.HostTag()
+			if !ok {
 				return fmt.Errorf("switch %d: host-match row %s matches no host tag", v, fmtRule(r))
 			}
-			tag := *r.Match.HostTag
 			if tag == flowtable.HostTagEmpty || tag == flowtable.HostTagFin {
 				return fmt.Errorf("switch %d: host-match row answers to sentinel tag %d", v, tag)
 			}
@@ -100,7 +100,8 @@ func auditTableIII(c *Controller) error {
 				if err := auditClassification(v, a, r, tagOwner); err != nil {
 					return err
 				}
-				cls[a.Class.ID] = append(cls[a.Class.ID], *r.Match.Src)
+				src, _ := r.Match.Src() // auditClassification checked it is set
+				cls[a.Class.ID] = append(cls[a.Class.ID], src)
 			default:
 				return fmt.Errorf("switch %d: rule %q has no place in the APPLE table", v, r.Name)
 			}
@@ -130,10 +131,10 @@ func auditTableIII(c *Controller) error {
 			if !ok || s >= len(a.Subclasses) {
 				return fmt.Errorf("host %d: steering rule %q names no live sub-class", v, r.Name)
 			}
-			if r.Match.SubTag == nil || *r.Match.SubTag != a.SubTags[s] {
+			if sub, ok := r.Match.SubTag(); !ok || sub != a.SubTags[s] {
 				return fmt.Errorf("host %d: steering rule %s does not match sub-class tag %d", v, fmtRule(r), a.SubTags[s])
 			}
-			if a.Global != (r.Match.Src == nil) || (r.Match.Src != nil && *r.Match.Src != a.Prefix) {
+			if src, ok := r.Match.Src(); a.Global == ok || (ok && src != a.Prefix) {
 				return fmt.Errorf("host %d: steering rule %s source match wrong for class %d (prefix %v, rewrites headers %v)",
 					v, fmtRule(r), id, a.Prefix, a.Global)
 			}
@@ -167,10 +168,10 @@ func auditClassification(v topology.NodeID, a *Assignment, r flowtable.Rule, tag
 	if v != ingress {
 		return fmt.Errorf("switch %d: classification row of class %d away from its ingress %d", v, cl.ID, ingress)
 	}
-	if r.Priority != prioClassify || r.Match.HostTag == nil || *r.Match.HostTag != flowtable.HostTagEmpty {
+	if tag, ok := r.Match.HostTag(); r.Priority != prioClassify || !ok || tag != flowtable.HostTagEmpty {
 		return fmt.Errorf("switch %d: classification row %s does not match untagged packets at priority %d", v, fmtRule(r), prioClassify)
 	}
-	if src := r.Match.Src; src == nil || src.Len < a.Prefix.Len || !a.Prefix.Contains(src.Addr) {
+	if src, ok := r.Match.Src(); !ok || src.Len < a.Prefix.Len || !a.Prefix.Contains(src.Addr) {
 		return fmt.Errorf("switch %d: classification row %s lies outside class %d's prefix %v", v, fmtRule(r), cl.ID, a.Prefix)
 	}
 	acts := r.Actions
@@ -307,7 +308,7 @@ func reinstall(t *testing.T, tbl *flowtable.Table, name string, edit func(i int,
 func hostMatchRule(tag uint16) flowtable.Rule {
 	return flowtable.Rule{
 		Name: "host-match", Priority: prioHostMatch,
-		Match:   flowtable.Match{HostTag: flowtable.U16(tag)},
+		Match:   flowtable.Match{}.WithHostTag(tag),
 		Actions: []flowtable.Action{{Type: flowtable.ActForward, Port: PortHost}},
 	}
 }
@@ -318,7 +319,8 @@ func hostMatchSwitch(t *testing.T, c *Controller) (topology.NodeID, uint16) {
 	t.Helper()
 	for _, v := range c.Switches() {
 		if rows := namedRules(appleTable(t, c, v), "host-match"); len(rows) > 0 {
-			return v, *rows[0].Match.HostTag
+			tag, _ := rows[0].Match.HostTag()
+			return v, tag
 		}
 	}
 	t.Fatal("no switch carries a host-match row")
@@ -392,14 +394,15 @@ func TestTableIIIAuditCatches(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := namedRules(appleTable(t, c, 0), "cls-0")[0]
-			r.Match.Src = flowtable.PrefixPtr(foreign)
+			r.Match = r.Match.WithSrc(foreign)
 			if err := appleTable(t, c, 0).Install(r); err != nil {
 				t.Fatal(err)
 			}
 		}, "outside class 0's prefix"},
 		{"classification of tagged packets", func(t *testing.T, c *Controller) {
 			reinstall(t, appleTable(t, c, 0), "cls-0", func(_ int, r *flowtable.Rule) bool {
-				r.Match.HostTag = nil
+				src, _ := r.Match.Src()
+				r.Match = flowtable.Match{}.WithSrc(src)
 				return true
 			})
 		}, "does not match untagged packets"},
@@ -420,14 +423,14 @@ func TestTableIIIAuditCatches(t *testing.T) {
 		{"steering on the wrong sub-class tag", func(t *testing.T, c *Controller) {
 			a, _ := c.assign.get(0)
 			reinstall(t, steerTable(t, c, 0), "vsw-0-0", func(_ int, r *flowtable.Rule) bool {
-				r.Match.SubTag = flowtable.U8(a.SubTags[0] + 1)
+				r.Match = r.Match.WithSubTag(a.SubTags[0] + 1)
 				return true
 			})
 		}, "does not match sub-class tag"},
 		{"steering a rewriting class by source", func(t *testing.T, c *Controller) {
 			a, _ := c.assign.get(1)
 			reinstall(t, steerTable(t, c, 1), "vsw-1-0", func(_ int, r *flowtable.Rule) bool {
-				r.Match.Src = flowtable.PrefixPtr(a.Prefix)
+				r.Match = r.Match.WithSrc(a.Prefix)
 				return true
 			})
 		}, "source match wrong for class 1"},

@@ -27,21 +27,28 @@ import (
 
 var errInjected = errors.New("injected fault")
 
-func fmtPtr[T any](p *T) string {
-	if p == nil {
+// fmtField renders one match field: its value, or "-" for a wildcard.
+func fmtField[T any](v T, ok bool) string {
+	if !ok {
 		return "-"
 	}
-	return fmt.Sprint(*p)
+	return fmt.Sprint(v)
 }
 
-// fmtRule renders a rule with its match pointers dereferenced, so two
-// semantically identical tables produce identical digests.
+// fmtRule renders a rule field by field, so two semantically identical
+// tables produce identical digests. The format is the digests' own:
+// wildcards print as "-" and each action as {Type Port Tag Table},
+// whatever the order of the types' fields in memory.
 func fmtRule(r flowtable.Rule) string {
 	m := r.Match
-	return fmt.Sprintf("%s p%d ht=%s st=%s in=%s src=%s dst=%s proto=%s sp=%s dp=%s act=%v",
-		r.Name, r.Priority, fmtPtr(m.HostTag), fmtPtr(m.SubTag), fmtPtr(m.InPort),
-		fmtPtr(m.Src), fmtPtr(m.Dst), fmtPtr(m.Proto), fmtPtr(m.SrcPort), fmtPtr(m.DstPort),
-		r.Actions)
+	acts := make([]string, len(r.Actions))
+	for i, a := range r.Actions {
+		acts[i] = fmt.Sprintf("{%v %d %d %d}", a.Type, a.Port, a.Tag, a.Table)
+	}
+	return fmt.Sprintf("%s p%d ht=%s st=%s in=%s src=%s dst=%s proto=%s sp=%s dp=%s act=[%s]",
+		r.Name, r.Priority, fmtField(m.HostTag()), fmtField(m.SubTag()), fmtField(m.InPort()),
+		fmtField(m.Src()), fmtField(m.Dst()), fmtField(m.Proto()), fmtField(m.SrcPort()), fmtField(m.DstPort()),
+		strings.Join(acts, " "))
 }
 
 // stateDigest serializes every piece of controller state the unwind

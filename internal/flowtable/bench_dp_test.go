@@ -27,23 +27,21 @@ func benchRules(rng *rand.Rand, n int) []Rule {
 		switch i % 5 {
 		case 0: // routing: dst /24
 			r.Priority = 10
-			r.Match = Match{Dst: &Prefix{Addr: rng.Uint32(), Len: 24}}
+			r.Match = Match{}.WithDst(Prefix{Addr: rng.Uint32(), Len: 24})
 		case 1: // host match: exact tag
 			r.Priority = 30
-			r.Match = Match{HostTag: U16(uint16(i) & MaxHostTag)}
+			r.Match = Match{}.WithHostTag(uint16(i) & MaxHostTag)
 		case 2: // classification: empty tag + src /27 + dst /24
 			r.Priority = 20
-			r.Match = Match{
-				HostTag: U16(HostTagEmpty),
-				Src:     &Prefix{Addr: rng.Uint32(), Len: 27},
-				Dst:     &Prefix{Addr: rng.Uint32(), Len: 24},
-			}
+			r.Match = Match{}.WithHostTag(HostTagEmpty).
+				WithSrc(Prefix{Addr: rng.Uint32(), Len: 27}).
+				WithDst(Prefix{Addr: rng.Uint32(), Len: 24})
 		case 3: // pass-by: tag + in-port
 			r.Priority = 25
-			r.Match = Match{HostTag: U16(uint16(i) & MaxHostTag), InPort: IntPtr(i % 8)}
+			r.Match = Match{}.WithHostTag(uint16(i) & MaxHostTag).WithInPort(i % 8)
 		case 4: // ACL: proto + dst port
 			r.Priority = 40
-			r.Match = Match{Proto: U8(uint8(i % 3)), DstPort: U16(uint16(i % 1024))}
+			r.Match = Match{}.WithProto(uint8(i % 3)).WithDstPort(uint16(i % 1024))
 		}
 		rules = append(rules, r)
 	}
@@ -60,24 +58,7 @@ func benchPackets(rng *rand.Rand, rules []Rule, n int) []Packet {
 		if len(rules) > 0 && i%2 == 0 {
 			// Derive from a random rule so the packet matches it.
 			r := rules[rng.Intn(len(rules))]
-			if r.Match.HostTag != nil {
-				p.HostTag = *r.Match.HostTag
-			}
-			if r.Match.InPort != nil {
-				p.InPort = *r.Match.InPort
-			}
-			if r.Match.Src != nil {
-				p.Hdr.SrcIP = r.Match.Src.Addr
-			}
-			if r.Match.Dst != nil {
-				p.Hdr.DstIP = r.Match.Dst.Addr
-			}
-			if r.Match.Proto != nil {
-				p.Hdr.Proto = *r.Match.Proto
-			}
-			if r.Match.DstPort != nil {
-				p.Hdr.DstPort = *r.Match.DstPort
-			}
+			p = packetFor(r.Match, p)
 		} else {
 			p.Hdr.SrcIP = rng.Uint32()
 			p.Hdr.DstIP = rng.Uint32()
@@ -217,11 +198,9 @@ func BenchmarkLookupCold(b *testing.B) {
 	for i := range tbls {
 		ops := make([]BatchOp, rules)
 		for j := range ops {
-			m := Match{
-				HostTag: U16(HostTagEmpty),
-				Src:     &Prefix{Addr: rng.Uint32(), Len: 27},
-				Dst:     &Prefix{Addr: rng.Uint32(), Len: 24},
-			}
+			m := Match{}.WithHostTag(HostTagEmpty).
+				WithSrc(Prefix{Addr: rng.Uint32(), Len: 27}).
+				WithDst(Prefix{Addr: rng.Uint32(), Len: 24})
 			matches[i] = append(matches[i], m)
 			ops[j] = BatchOp{Rule: Rule{Name: fmt.Sprint(j), Priority: 20, Match: m, Actions: acts}}
 		}

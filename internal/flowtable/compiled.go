@@ -22,11 +22,11 @@ import (
 // (a handful, per Table III) rather than rule count.
 //
 // Tie-breaking is a property of the rules, not of where they are stored:
-// every installed rule is one immutable entry (order.go) carrying its
-// priority and its per-table install sequence number, and a lookup
-// returns the matching entry that comes first in (priority descending,
-// sequence ascending) order — the same rule the linear scan's first hit
-// finds, byte for byte.
+// every installed rule is one entry (order.go) carrying its priority and
+// its per-table install sequence number, neither of which ever changes,
+// and a lookup returns the matching entry that comes first in (priority
+// descending, sequence ascending) order — the same rule the linear
+// scan's least-ranked hit finds, byte for byte.
 //
 // A snapshot is a short slice of tuple headers. A mutation clones that
 // slice (one header per shape), rewrites only the tuples the batch
@@ -35,25 +35,14 @@ import (
 // which only the path to the touched key is copied — at the root, the one
 // page of eight children that path passes through.
 
-// Field-presence bits of a match shape, one per Match field.
-const (
-	cHostTag uint8 = 1 << iota
-	cSubTag
-	cInPort
-	cSrc
-	cDst
-	cProto
-	cSrcPort
-	cDstPort
-)
-
 // matchKey packs every concrete field value of one shape into three
 // comparable machine words. Fields the shape treats as wildcards stay
 // zero on both the rule side and the packet side, so equality of keys is
 // exactly "the packet satisfies every concrete field". The packing is
-// the arena/SoA representation of Match: the eight pointer fields of a
-// rule collapse into this flat value plus the tuple's presence mask, and
-// a tuple stores its rules' keys in one contiguous slice.
+// the arena/SoA representation of Match: a rule's 56-byte value fields,
+// prefix lengths included, collapse into this 24-byte value plus the
+// tuple's shape, and a tuple stores its rules' keys in one contiguous
+// slice.
 type matchKey struct {
 	lo   uint64 // src addr (32, masked) | dst addr (32, masked) << 32
 	hi   uint64 // hostTag | subTag<<16 | proto<<24 | srcPort<<32 | dstPort<<48
@@ -61,10 +50,10 @@ type matchKey struct {
 }
 
 // shapeKey identifies a tuple: the concrete-field mask plus the two
-// prefix lengths (1..32; a nil or zero-length prefix is a wildcard and
-// contributes no bit).
+// prefix lengths (1..32; a prefix that is unset or of length ≤ 0 is a
+// wildcard and contributes no bit).
 type shapeKey struct {
-	mask           uint8
+	mask           Field
 	srcLen, dstLen int8
 }
 
@@ -86,72 +75,41 @@ func prefixMask(l int8) uint32 {
 	return ^uint32(0) << (32 - uint(l))
 }
 
-// shapeOf extracts a match's shape.
+// shapeOf extracts a match's shape: its presence mask, less any prefix
+// that matches everything.
 func shapeOf(m Match) shapeKey {
-	var s shapeKey
-	if m.HostTag != nil {
-		s.mask |= cHostTag
-	}
-	if m.SubTag != nil {
-		s.mask |= cSubTag
-	}
-	if m.InPort != nil {
-		s.mask |= cInPort
-	}
-	if m.Src != nil {
-		if l := clampLen(m.Src.Len); l > 0 {
-			s.mask |= cSrc
+	s := shapeKey{mask: m.set &^ (FieldSrc | FieldDst)}
+	if m.Has(FieldSrc) {
+		if l := clampLen(m.src.Len); l > 0 {
+			s.mask |= FieldSrc
 			s.srcLen = l
 		}
 	}
-	if m.Dst != nil {
-		if l := clampLen(m.Dst.Len); l > 0 {
-			s.mask |= cDst
+	if m.Has(FieldDst) {
+		if l := clampLen(m.dst.Len); l > 0 {
+			s.mask |= FieldDst
 			s.dstLen = l
 		}
-	}
-	if m.Proto != nil {
-		s.mask |= cProto
-	}
-	if m.SrcPort != nil {
-		s.mask |= cSrcPort
-	}
-	if m.DstPort != nil {
-		s.mask |= cDstPort
 	}
 	return s
 }
 
-// ruleKey packs the concrete field values of a match with the given
-// shape. Prefix addresses are masked to the compared bits so rules whose
-// spare low bits differ still collide onto one key, mirroring
+// ruleKey packs the concrete field values of a match whose shape is s
+// (shapeOf(m)). Prefix addresses are masked to the compared bits so rules
+// whose spare low bits differ still collide onto one key, mirroring
 // Prefix.Contains.
 func ruleKey(m Match, s shapeKey) matchKey {
 	var k matchKey
-	if s.mask&cSrc != 0 {
-		k.lo = uint64(m.Src.Addr & prefixMask(s.srcLen))
+	if s.mask&FieldSrc != 0 {
+		k.lo = uint64(m.src.Addr & prefixMask(s.srcLen))
 	}
-	if s.mask&cDst != 0 {
-		k.lo |= uint64(m.Dst.Addr&prefixMask(s.dstLen)) << 32
+	if s.mask&FieldDst != 0 {
+		k.lo |= uint64(m.dst.Addr&prefixMask(s.dstLen)) << 32
 	}
-	if s.mask&cHostTag != 0 {
-		k.hi = uint64(*m.HostTag)
-	}
-	if s.mask&cSubTag != 0 {
-		k.hi |= uint64(*m.SubTag) << 16
-	}
-	if s.mask&cProto != 0 {
-		k.hi |= uint64(*m.Proto) << 24
-	}
-	if s.mask&cSrcPort != 0 {
-		k.hi |= uint64(*m.SrcPort) << 32
-	}
-	if s.mask&cDstPort != 0 {
-		k.hi |= uint64(*m.DstPort) << 48
-	}
-	if s.mask&cInPort != 0 {
-		k.port = int64(*m.InPort)
-	}
+	// Every other field s leaves open is a wildcard of m's, and so zero.
+	k.hi = uint64(m.hostTag) | uint64(m.subTag)<<16 | uint64(m.proto)<<24 |
+		uint64(m.srcPort)<<32 | uint64(m.dstPort)<<48
+	k.port = int64(m.inPort)
 	return k
 }
 
@@ -190,10 +148,10 @@ type tuple struct {
 
 func newTuple(s shapeKey) tuple {
 	t := tuple{shape: s}
-	if s.mask&cSrc != 0 {
+	if s.mask&FieldSrc != 0 {
 		t.srcMask = prefixMask(s.srcLen)
 	}
-	if s.mask&cDst != 0 {
+	if s.mask&FieldDst != 0 {
 		t.dstMask = prefixMask(s.dstLen)
 	}
 	return t
@@ -207,28 +165,28 @@ func newTuple(s shapeKey) tuple {
 func (t *tuple) packetKey(p *Packet) matchKey {
 	var k matchKey
 	m := t.shape.mask
-	if m&cSrc != 0 {
+	if m&FieldSrc != 0 {
 		k.lo = uint64(p.Hdr.SrcIP & t.srcMask)
 	}
-	if m&cDst != 0 {
+	if m&FieldDst != 0 {
 		k.lo |= uint64(p.Hdr.DstIP&t.dstMask) << 32
 	}
-	if m&cHostTag != 0 {
+	if m&FieldHostTag != 0 {
 		k.hi = uint64(p.HostTag)
 	}
-	if m&cSubTag != 0 {
+	if m&FieldSubTag != 0 {
 		k.hi |= uint64(p.SubTag) << 16
 	}
-	if m&cProto != 0 {
+	if m&FieldProto != 0 {
 		k.hi |= uint64(p.Hdr.Proto) << 24
 	}
-	if m&cSrcPort != 0 {
+	if m&FieldSrcPort != 0 {
 		k.hi |= uint64(p.Hdr.SrcPort) << 32
 	}
-	if m&cDstPort != 0 {
+	if m&FieldDstPort != 0 {
 		k.hi |= uint64(p.Hdr.DstPort) << 48
 	}
-	if m&cInPort != 0 {
+	if m&FieldInPort != 0 {
 		k.port = int64(p.InPort)
 	}
 	return k

@@ -22,28 +22,28 @@ func diffRule(rng *rand.Rand, i int) Rule {
 	var m Match
 	mask := rng.Intn(256)
 	if mask&1 != 0 {
-		m.HostTag = U16(uint16(rng.Intn(5)))
+		m = m.WithHostTag(uint16(rng.Intn(5)))
 	}
 	if mask&2 != 0 {
-		m.SubTag = U8(uint8(rng.Intn(4)))
+		m = m.WithSubTag(uint8(rng.Intn(4)))
 	}
 	if mask&4 != 0 {
-		m.InPort = IntPtr(rng.Intn(4))
+		m = m.WithInPort(rng.Intn(4))
 	}
 	if mask&8 != 0 {
-		m.Src = &Prefix{Addr: rng.Uint32(), Len: rng.Intn(40) - 3}
+		m = m.WithSrc(Prefix{Addr: rng.Uint32(), Len: rng.Intn(40) - 3})
 	}
 	if mask&16 != 0 {
-		m.Dst = &Prefix{Addr: rng.Uint32(), Len: []int{0, 8, 16, 24, 32}[rng.Intn(5)]}
+		m = m.WithDst(Prefix{Addr: rng.Uint32(), Len: []int{0, 8, 16, 24, 32}[rng.Intn(5)]})
 	}
 	if mask&32 != 0 {
-		m.Proto = U8(uint8(rng.Intn(3)))
+		m = m.WithProto(uint8(rng.Intn(3)))
 	}
 	if mask&64 != 0 {
-		m.SrcPort = U16(uint16(rng.Intn(4)))
+		m = m.WithSrcPort(uint16(rng.Intn(4)))
 	}
 	if mask&128 != 0 {
-		m.DstPort = U16(uint16(rng.Intn(4)))
+		m = m.WithDstPort(uint16(rng.Intn(4)))
 	}
 	return Rule{
 		Name:     fmt.Sprintf("r%d", i),
@@ -104,9 +104,9 @@ func TestCompiledMatchesLinearRandom(t *testing.T) {
 // install in both matchers, including after a remove-and-reinstall.
 func TestCompiledTieBreakInstallOrder(t *testing.T) {
 	tbl := NewTable()
-	wide := Rule{Name: "wide", Priority: 5, Match: Match{Proto: U8(6)},
+	wide := Rule{Name: "wide", Priority: 5, Match: Match{}.WithProto(6),
 		Actions: []Action{{Type: ActForward, Port: 1}}}
-	narrow := Rule{Name: "narrow", Priority: 5, Match: Match{Proto: U8(6), SubTag: U8(3)},
+	narrow := Rule{Name: "narrow", Priority: 5, Match: Match{}.WithProto(6).WithSubTag(3),
 		Actions: []Action{{Type: ActForward, Port: 2}}}
 	if err := tbl.Install(wide); err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestCompiledHashedTuple(t *testing.T) {
 		r := Rule{
 			Name:     fmt.Sprintf("h%d", i),
 			Priority: 10,
-			Match:    Match{HostTag: U16(uint16(i))},
+			Match:    Match{}.WithHostTag(uint16(i)),
 			Actions:  []Action{{Type: ActForward, Port: i}},
 		}
 		if err := tbl.Install(r); err != nil {
@@ -276,14 +276,14 @@ func TestLookupZeroAllocs(t *testing.T) {
 	for i := 0; i < 3*tupleHashCutoff; i++ {
 		ops = append(ops, BatchOp{Rule: Rule{
 			Name: fmt.Sprintf("tag%d", i), Priority: 20,
-			Match:   Match{HostTag: U16(uint16(i))},
+			Match:   Match{}.WithHostTag(uint16(i)),
 			Actions: []Action{{Type: ActForward, Port: i}},
 		}})
 	}
 	for i := 0; i < 6; i++ {
 		ops = append(ops, BatchOp{Rule: Rule{
 			Name: fmt.Sprintf("dst%d", i), Priority: 10,
-			Match:   Match{Dst: &Prefix{Addr: rng.Uint32(), Len: 24}},
+			Match:   Match{}.WithDst(Prefix{Addr: rng.Uint32(), Len: 24}),
 			Actions: []Action{{Type: ActForward, Port: i}},
 		}})
 	}
@@ -311,12 +311,12 @@ func TestLookupZeroAllocs(t *testing.T) {
 	t1, _ := pl.Table(1)
 	t2, _ := pl.Table(2)
 	if err := t0.Install(Rule{Name: "classify", Priority: 1,
-		Match:   Match{HostTag: U16(HostTagEmpty)},
+		Match:   Match{}.WithHostTag(HostTagEmpty),
 		Actions: []Action{{Type: ActSetHostTag, Tag: 5}, {Type: ActGotoTable, Table: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := t1.Install(Rule{Name: "steer", Priority: 1,
-		Match:   Match{HostTag: U16(5)},
+		Match:   Match{}.WithHostTag(5),
 		Actions: []Action{{Type: ActSetSubTag, Tag: 2}, {Type: ActGotoTable, Table: 2}}}); err != nil {
 		t.Fatal(err)
 	}
@@ -405,10 +405,10 @@ func TestRemoveZeroesTails(t *testing.T) {
 			name = "drop"
 		}
 		ops = append(ops, BatchOp{Rule: Rule{Name: name, Priority: 50,
-			Match: Match{HostTag: U16(uint16(i))}, Actions: []Action{{Type: ActForward, Port: i}}}})
+			Match: Match{}.WithHostTag(uint16(i)), Actions: []Action{{Type: ActForward, Port: i}}}})
 	}
 	ops = append(ops, BatchOp{Rule: Rule{Name: "drop", Priority: 1, // a tuple that empties
-		Match: Match{Proto: U8(6)}, Actions: []Action{{Type: ActDrop}}}})
+		Match: Match{}.WithProto(6), Actions: []Action{{Type: ActDrop}}}})
 	ops = append(ops, BatchOp{Remove: "drop"})
 	if _, err := tbl.ApplyBatch(ops); err != nil {
 		t.Fatal(err)
@@ -425,14 +425,14 @@ func TestRemoveZeroesTails(t *testing.T) {
 		t.Fatalf("empty table still has %d tuples", len(c.tuples))
 	}
 	checkTailsZeroed(t, tbl.compiled.Load())
-	if tbl.order != nil || len(tbl.byName) != 0 {
-		t.Fatalf("writer-side structures not empty: order=%v byName=%v", tbl.order, tbl.byName)
+	if tbl.size != 0 || len(tbl.byName) != 0 {
+		t.Fatalf("writer-side structures not empty: size=%d byName=%v", tbl.size, tbl.byName)
 	}
 }
 
-// TestNameIndexConsistency checks the name index against the rule list
-// through installs, removes, and batches — including multiple rules
-// sharing one name.
+// TestNameIndexConsistency checks the name index against the compiled
+// snapshot through installs, removes, and batches — including multiple
+// rules sharing one name, whose chain must stay in install order.
 func TestNameIndexConsistency(t *testing.T) {
 	tbl := NewTable()
 	mk := func(name string, prio int) Rule {
@@ -441,8 +441,13 @@ func TestNameIndexConsistency(t *testing.T) {
 	check := func(when string) {
 		t.Helper()
 		counts := make(map[string]int)
-		for _, r := range tbl.Rules() {
-			counts[r.Name]++
+		if c := tbl.compiled.Load(); c != nil {
+			for _, tp := range c.tuples {
+				tp.root.each(func(e *entry) { counts[e.rule.Name]++ })
+				for _, e := range tp.ents {
+					counts[e.rule.Name]++
+				}
+			}
 		}
 		for name, n := range counts {
 			if !tbl.Has(name) {
@@ -451,8 +456,13 @@ func TestNameIndexConsistency(t *testing.T) {
 		}
 		tbl.mu.RLock()
 		indexed := make(map[string]int)
-		for name, ents := range tbl.byName {
-			indexed[name] = len(ents)
+		for name, head := range tbl.byName {
+			for e := head; e != nil; e = e.nextSameName {
+				if e.rule.Name != name || (e.nextSameName != nil && e.nextSameName.seq <= e.seq) {
+					t.Fatalf("%s: chain of %q holds %q (seq %d) out of install order", when, name, e.rule.Name, e.seq)
+				}
+				indexed[name]++
+			}
 		}
 		tbl.mu.RUnlock()
 		if !reflect.DeepEqual(indexed, counts) {
@@ -578,7 +588,7 @@ func processEdgeCases() []processCase {
 			build: func(t *testing.T) *Pipeline {
 				pl, _ := NewPipeline(3)
 				mustInstall(t, pl, 0, Rule{Name: "classify", Priority: 2,
-					Match: Match{HostTag: U16(HostTagEmpty)},
+					Match: Match{}.WithHostTag(HostTagEmpty),
 					Actions: []Action{
 						{Type: ActSetHostTag, Tag: 7},
 						{Type: ActSetSubTag, Tag: 3},
@@ -587,12 +597,12 @@ func processEdgeCases() []processCase {
 				// Table 1 matches only the rewritten tags; a stale-tag
 				// packet would fall to the low-priority drop.
 				mustInstall(t, pl, 1, Rule{Name: "steered", Priority: 2,
-					Match:   Match{HostTag: U16(7), SubTag: U8(3)},
+					Match:   Match{}.WithHostTag(7).WithSubTag(3),
 					Actions: []Action{{Type: ActGotoTable, Table: 2}}})
 				mustInstall(t, pl, 1, Rule{Name: "stale", Priority: 1,
 					Actions: []Action{{Type: ActDrop}}})
 				mustInstall(t, pl, 2, Rule{Name: "deliver", Priority: 1,
-					Match: Match{HostTag: U16(7)}, Actions: fwd(9)})
+					Match: Match{}.WithHostTag(7), Actions: fwd(9)})
 				return pl
 			},
 			pkt:  &Packet{HostTag: HostTagEmpty},
@@ -608,7 +618,7 @@ func processEdgeCases() []processCase {
 			build: func(t *testing.T) *Pipeline {
 				pl, _ := NewPipeline(1)
 				mustInstall(t, pl, 0, Rule{Name: "acl", Priority: 5,
-					Match: Match{Proto: U8(17)}, Actions: []Action{{Type: ActDrop}}})
+					Match: Match{}.WithProto(17), Actions: []Action{{Type: ActDrop}}})
 				mustInstall(t, pl, 0, Rule{Name: "pass", Priority: 0, Actions: fwd(1)})
 				return pl
 			},

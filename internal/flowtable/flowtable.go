@@ -67,56 +67,117 @@ func (p Prefix) String() string {
 	return fmt.Sprintf("%s/%d", headerspace.FormatIPv4(p.Addr), p.Len)
 }
 
-// Match is a ternary match. Nil pointer fields are wildcards. HostTag
-// deliberately distinguishes "wildcard" (nil) from "must be empty"
-// (&HostTagEmpty), which Table III's classification rows rely on.
+// Field names one match field; a Match's presence mask is a set of them.
+type Field uint8
+
+// Match fields, one presence bit each.
+const (
+	FieldHostTag Field = 1 << iota
+	FieldSubTag
+	FieldInPort
+	FieldSrc
+	FieldDst
+	FieldProto
+	FieldSrcPort
+	FieldDstPort
+)
+
+// Match is a ternary match in the flat layout of Open vSwitch's
+// classifier: the field values inline, plus a mask of the fields that are
+// concrete. A field whose bit is clear is a wildcard and holds its zero
+// value, so two matches are Equal exactly when they are ==. A set field is
+// concrete even at its zero value: HostTag deliberately distinguishes
+// "wildcard" from "must be empty" (WithHostTag(HostTagEmpty)), which Table
+// III's classification rows rely on. The With* setters are the only way
+// to set a value, and they set its bit with it.
 type Match struct {
-	HostTag *uint16
-	SubTag  *uint8
-	InPort  *int
-	Src     *Prefix
-	Dst     *Prefix
-	Proto   *uint8
-	SrcPort *uint16
-	DstPort *uint16
+	src, dst                  Prefix
+	inPort                    int
+	hostTag, srcPort, dstPort uint16
+	subTag, proto             uint8
+	set                       Field
 }
 
-// U16 returns a pointer to v, for building matches.
-func U16(v uint16) *uint16 { return &v }
+// Has reports whether field f is concrete (not a wildcard).
+func (m Match) Has(f Field) bool { return m.set&f != 0 }
 
-// U8 returns a pointer to v, for building matches.
-func U8(v uint8) *uint8 { return &v }
+// WithHostTag returns m matching host tag v.
+func (m Match) WithHostTag(v uint16) Match { m.hostTag, m.set = v, m.set|FieldHostTag; return m }
 
-// IntPtr returns a pointer to v, for building matches.
-func IntPtr(v int) *int { return &v }
+// WithSubTag returns m matching sub-class tag v.
+func (m Match) WithSubTag(v uint8) Match { m.subTag, m.set = v, m.set|FieldSubTag; return m }
 
-// PrefixPtr returns a pointer to p, for building matches.
-func PrefixPtr(p Prefix) *Prefix { return &p }
+// WithInPort returns m matching ingress port v.
+func (m Match) WithInPort(v int) Match { m.inPort, m.set = v, m.set|FieldInPort; return m }
+
+// WithSrc returns m matching source prefix p.
+func (m Match) WithSrc(p Prefix) Match { m.src, m.set = p, m.set|FieldSrc; return m }
+
+// WithDst returns m matching destination prefix p.
+func (m Match) WithDst(p Prefix) Match { m.dst, m.set = p, m.set|FieldDst; return m }
+
+// WithProto returns m matching IP protocol v.
+func (m Match) WithProto(v uint8) Match { m.proto, m.set = v, m.set|FieldProto; return m }
+
+// WithSrcPort returns m matching transport source port v.
+func (m Match) WithSrcPort(v uint16) Match { m.srcPort, m.set = v, m.set|FieldSrcPort; return m }
+
+// WithDstPort returns m matching transport destination port v.
+func (m Match) WithDstPort(v uint16) Match { m.dstPort, m.set = v, m.set|FieldDstPort; return m }
+
+// HostTag returns the matched host tag and whether the field is concrete.
+func (m Match) HostTag() (uint16, bool) { return m.hostTag, m.Has(FieldHostTag) }
+
+// SubTag returns the matched sub-class tag and whether the field is
+// concrete.
+func (m Match) SubTag() (uint8, bool) { return m.subTag, m.Has(FieldSubTag) }
+
+// InPort returns the matched ingress port and whether the field is
+// concrete.
+func (m Match) InPort() (int, bool) { return m.inPort, m.Has(FieldInPort) }
+
+// Src returns the matched source prefix and whether the field is concrete.
+func (m Match) Src() (Prefix, bool) { return m.src, m.Has(FieldSrc) }
+
+// Dst returns the matched destination prefix and whether the field is
+// concrete.
+func (m Match) Dst() (Prefix, bool) { return m.dst, m.Has(FieldDst) }
+
+// Proto returns the matched IP protocol and whether the field is concrete.
+func (m Match) Proto() (uint8, bool) { return m.proto, m.Has(FieldProto) }
+
+// SrcPort returns the matched source port and whether the field is
+// concrete.
+func (m Match) SrcPort() (uint16, bool) { return m.srcPort, m.Has(FieldSrcPort) }
+
+// DstPort returns the matched destination port and whether the field is
+// concrete.
+func (m Match) DstPort() (uint16, bool) { return m.dstPort, m.Has(FieldDstPort) }
 
 // Matches reports whether the packet satisfies every non-wildcard field.
 func (m Match) Matches(p Packet) bool {
-	if m.HostTag != nil && *m.HostTag != p.HostTag {
+	if m.Has(FieldHostTag) && m.hostTag != p.HostTag {
 		return false
 	}
-	if m.SubTag != nil && *m.SubTag != p.SubTag {
+	if m.Has(FieldSubTag) && m.subTag != p.SubTag {
 		return false
 	}
-	if m.InPort != nil && *m.InPort != p.InPort {
+	if m.Has(FieldInPort) && m.inPort != p.InPort {
 		return false
 	}
-	if m.Src != nil && !m.Src.Contains(p.Hdr.SrcIP) {
+	if m.Has(FieldSrc) && !m.src.Contains(p.Hdr.SrcIP) {
 		return false
 	}
-	if m.Dst != nil && !m.Dst.Contains(p.Hdr.DstIP) {
+	if m.Has(FieldDst) && !m.dst.Contains(p.Hdr.DstIP) {
 		return false
 	}
-	if m.Proto != nil && *m.Proto != p.Hdr.Proto {
+	if m.Has(FieldProto) && m.proto != p.Hdr.Proto {
 		return false
 	}
-	if m.SrcPort != nil && *m.SrcPort != p.Hdr.SrcPort {
+	if m.Has(FieldSrcPort) && m.srcPort != p.Hdr.SrcPort {
 		return false
 	}
-	if m.DstPort != nil && *m.DstPort != p.Hdr.DstPort {
+	if m.Has(FieldDstPort) && m.dstPort != p.Hdr.DstPort {
 		return false
 	}
 	return true
@@ -125,43 +186,28 @@ func (m Match) Matches(p Packet) bool {
 // Subsumes reports whether every packet matching o also matches m (m is at
 // least as general field-by-field). Used to detect shadowed rules.
 func (m Match) Subsumes(o Match) bool {
-	genU16 := func(a, b *uint16) bool { return a == nil || (b != nil && *a == *b) }
-	genU8 := func(a, b *uint8) bool { return a == nil || (b != nil && *a == *b) }
-	genInt := func(a, b *int) bool { return a == nil || (b != nil && *a == *b) }
-	genPfx := func(a, b *Prefix) bool {
-		if a == nil {
-			return true
-		}
-		if b == nil || b.Len < a.Len {
-			return false
-		}
-		return a.Contains(b.Addr)
+	if m.set&^o.set != 0 {
+		return false // a field m sets and o leaves open
 	}
-	return genU16(m.HostTag, o.HostTag) && genU8(m.SubTag, o.SubTag) &&
-		genInt(m.InPort, o.InPort) && genPfx(m.Src, o.Src) && genPfx(m.Dst, o.Dst) &&
-		genU8(m.Proto, o.Proto) && genU16(m.SrcPort, o.SrcPort) && genU16(m.DstPort, o.DstPort)
-}
-
-// eqField reports whether two optional match fields agree: both
-// wildcards, or both set to the same value.
-func eqField[T comparable](a, b *T) bool {
-	if a == nil || b == nil {
-		return a == b
+	pfx := func(f Field, a, b Prefix) bool {
+		return !m.Has(f) || (b.Len >= a.Len && a.Contains(b.Addr))
 	}
-	return *a == *b
+	return (!m.Has(FieldHostTag) || m.hostTag == o.hostTag) &&
+		(!m.Has(FieldSubTag) || m.subTag == o.subTag) &&
+		(!m.Has(FieldInPort) || m.inPort == o.inPort) &&
+		pfx(FieldSrc, m.src, o.src) && pfx(FieldDst, m.dst, o.dst) &&
+		(!m.Has(FieldProto) || m.proto == o.proto) &&
+		(!m.Has(FieldSrcPort) || m.srcPort == o.srcPort) &&
+		(!m.Has(FieldDstPort) || m.dstPort == o.dstPort)
 }
 
 // Equal reports whether m and o are the same ternary match, field by
-// field. A wildcard (nil) equals only a wildcard: a field set to its zero
-// value — &HostTagEmpty above all — is a different match.
-func (m Match) Equal(o Match) bool {
-	return eqField(m.HostTag, o.HostTag) && eqField(m.SubTag, o.SubTag) &&
-		eqField(m.InPort, o.InPort) && eqField(m.Src, o.Src) && eqField(m.Dst, o.Dst) &&
-		eqField(m.Proto, o.Proto) && eqField(m.SrcPort, o.SrcPort) && eqField(m.DstPort, o.DstPort)
-}
+// field. A wildcard equals only a wildcard: a field set to its zero value
+// — WithHostTag(HostTagEmpty) above all — is a different match.
+func (m Match) Equal(o Match) bool { return m == o }
 
 // ActionType enumerates rule actions.
-type ActionType int
+type ActionType uint8
 
 // Rule actions. A rule's action list executes in order; Forward and Drop
 // and GotoTable terminate processing of the current table.
@@ -191,12 +237,13 @@ func (a ActionType) String() string {
 	}
 }
 
-// Action is one instruction of a rule.
+// Action is one instruction of a rule. The fields are ordered widest
+// first so the struct packs into 24 bytes.
 type Action struct {
-	Type  ActionType
 	Port  int    // ActForward
-	Tag   uint16 // ActSetHostTag / ActSetSubTag
 	Table int    // ActGotoTable
+	Tag   uint16 // ActSetHostTag / ActSetSubTag
+	Type  ActionType
 }
 
 // Rule is a prioritized TCAM entry. Higher Priority wins; ties resolve to
@@ -228,19 +275,19 @@ func (r Rule) Equal(o Rule) bool {
 // or the post-batch table, never a mid-batch state.
 //
 // A mutation costs what it changes. Each rule is stored once, as an
-// immutable entry that the match-order tree, the name index and every
-// snapshot containing it share; installing or removing a rule touches
-// O(log n) tree and trie nodes and copies nothing else, however many
-// rules the table holds.
+// entry that the name index and every snapshot containing it share;
+// installing or removing a rule touches O(log n) trie nodes and copies
+// nothing else, however many rules the table holds. No structure keeps
+// the rules in match order: the compiled snapshot answers lookups, and
+// the ordered reads (Rules, Names, Shadowed) sort on demand.
 type Table struct {
-	mu sync.RWMutex
-	// order holds the installed entries in match order (priority
-	// descending, install order within a priority); see order.go.
-	order *orderNode // guarded by mu
-	size  int        // guarded by mu
-	// byName lists the installed entries carrying each name, so presence
-	// checks are O(1) and remove-by-name visits only the rules it removes.
-	byName map[string][]*entry // guarded by mu
+	mu   sync.RWMutex
+	size int // guarded by mu
+	// byName maps each installed name to the first entry carrying it; the
+	// rest follow on the entries' same-name links, in install order. It
+	// makes presence checks O(1) and remove-by-name visit only the rules
+	// it removes.
+	byName map[string]*entry // guarded by mu
 	// nextSeq is the install sequence number the next new rule receives.
 	nextSeq uint64 // guarded by mu
 	// draft is the successor snapshot under construction; non-nil only
@@ -330,24 +377,52 @@ func (t *Table) draftLocked() *compiledTable {
 	return t.draft
 }
 
-// linkLocked puts an entry into the match-order tree, the name index and
-// the draft snapshot. Callers hold mu and publish before unlocking.
+// linkLocked puts an entry into the name index, at its install-order
+// place in its name's chain, and into the draft snapshot. Callers hold mu
+// and publish before unlocking.
 func (t *Table) linkLocked(e *entry) {
 	t.draftLocked().add(t.gen, e)
-	t.order = orderInsert(t.order, e)
 	t.size++
 	if t.byName == nil {
-		t.byName = make(map[string][]*entry)
+		t.byName = make(map[string]*entry)
 	}
-	t.byName[e.rule.Name] = append(t.byName[e.rule.Name], e)
+	head := t.byName[e.rule.Name]
+	if head == nil || e.seq < head.seq {
+		e.nextSameName = head
+		t.byName[e.rule.Name] = e
+		return
+	}
+	prev := head
+	for prev.nextSameName != nil && prev.nextSameName.seq < e.seq {
+		prev = prev.nextSameName
+	}
+	e.nextSameName, prev.nextSameName = prev.nextSameName, e
 }
 
-// unlinkLocked takes an entry out of the match-order tree and the draft
-// snapshot; the caller has already dropped it from the name index.
+// unlinkLocked takes an entry out of the draft snapshot; the caller has
+// already dropped it from the name index.
 func (t *Table) unlinkLocked(e *entry) {
 	t.draftLocked().remove(t.gen, e)
-	t.order = orderRemove(t.order, e)
 	t.size--
+}
+
+// unnameLocked drops e, and only e, from its name's chain.
+func (t *Table) unnameLocked(e *entry) {
+	name := e.rule.Name
+	head := t.byName[name]
+	if head == e {
+		if e.nextSameName == nil {
+			delete(t.byName, name)
+		} else {
+			t.byName[name] = e.nextSameName
+		}
+		return
+	}
+	prev := head
+	for prev.nextSameName != e {
+		prev = prev.nextSameName
+	}
+	prev.nextSameName = e.nextSameName
 }
 
 // installLocked adds a rule after every installed rule of the same or a
@@ -382,20 +457,25 @@ func (t *Table) Install(r Rule) error {
 func (t *Table) Remove(name string) int {
 	t.lock()
 	defer t.mu.Unlock()
-	removed := len(t.removeLocked(name))
+	removed := 0
+	for e := t.removeLocked(name); e != nil; e = e.nextSameName {
+		removed++
+	}
 	t.publishLocked()
 	return removed
 }
 
-// removeLocked deletes all rules with the given name and returns their
-// entries. Callers hold mu and publish before unlocking.
-func (t *Table) removeLocked(name string) []*entry {
-	removed := t.byName[name]
+// removeLocked deletes all rules with the given name and returns the
+// first of their entries; the others follow on its same-name links, which
+// stay intact until a later link rewrites them. Callers hold mu and
+// publish before unlocking.
+func (t *Table) removeLocked(name string) *entry {
+	head := t.byName[name]
 	delete(t.byName, name)
-	for _, e := range removed {
+	for e := head; e != nil; e = e.nextSameName {
 		t.unlinkLocked(e)
 	}
-	return removed
+	return head
 }
 
 // BatchOp is one step of an ApplyBatch. A non-empty Remove deletes every
@@ -461,7 +541,7 @@ func (t *Table) ApplyBatchUndo(ops []BatchOp) (installed int, u Undo, err error)
 	firstSeq := t.nextSeq
 	for _, op := range ops {
 		if op.Remove != "" {
-			for _, e := range t.removeLocked(op.Remove) {
+			for e := t.removeLocked(op.Remove); e != nil; e = e.nextSameName {
 				if e.seq < firstSeq {
 					u.removed = append(u.removed, e)
 					continue
@@ -506,12 +586,7 @@ func (t *Table) Revert(u Undo) {
 	t.lock()
 	defer t.mu.Unlock()
 	for _, e := range u.added {
-		if named := t.byName[e.rule.Name]; len(named) == 1 {
-			delete(t.byName, e.rule.Name)
-		} else {
-			i := slices.Index(named, e)
-			t.byName[e.rule.Name] = slices.Delete(named, i, i+1)
-		}
+		t.unnameLocked(e)
 		t.unlinkLocked(e)
 	}
 	for _, e := range u.removed {
@@ -534,15 +609,22 @@ func (t *Table) Size() int {
 func (t *Table) Names() []string {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	seen := make(map[string]bool, len(t.byName))
-	out := make([]string, 0, len(t.byName))
-	t.order.walk(func(e *entry) bool {
-		if !seen[e.rule.Name] {
-			seen[e.rule.Name] = true
-			out = append(out, e.rule.Name)
+	// A name's place is that of its first entry in match order.
+	firsts := make([]*entry, 0, len(t.byName))
+	for _, head := range t.byName {
+		first := head
+		for e := head.nextSameName; e != nil; e = e.nextSameName {
+			if e.before(first) {
+				first = e
+			}
 		}
-		return len(out) < len(t.byName)
-	})
+		firsts = append(firsts, first)
+	}
+	slices.SortFunc(firsts, byRank)
+	out := make([]string, len(firsts))
+	for i, e := range firsts {
+		out[i] = e.rule.Name
+	}
 	return out
 }
 
@@ -550,16 +632,25 @@ func (t *Table) Names() []string {
 func (t *Table) Rules() []Rule {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.rulesLocked()
+	ents := t.sortedLocked()
+	out := make([]Rule, len(ents))
+	for i, e := range ents {
+		out[i] = e.rule
+	}
+	return out
 }
 
-// rulesLocked copies the rules out in match order. Callers hold mu.
-func (t *Table) rulesLocked() []Rule {
-	out := make([]Rule, 0, t.size)
-	t.order.walk(func(e *entry) bool {
-		out = append(out, e.rule)
-		return true
-	})
+// sortedLocked returns the installed entries in match order. Rank is a
+// total order (seq is unique per table), so the result does not depend on
+// the map's iteration order. Callers hold mu.
+func (t *Table) sortedLocked() []*entry {
+	out := make([]*entry, 0, t.size)
+	for _, head := range t.byName {
+		for e := head; e != nil; e = e.nextSameName {
+			out = append(out, e)
+		}
+	}
+	slices.SortFunc(out, byRank)
 	return out
 }
 
@@ -590,21 +681,24 @@ func (t *Table) lookupPtr(p *Packet) (Rule, bool) {
 	return e.rule, true
 }
 
-// LookupLinear is the reference matcher: the ternary linear scan over
-// the live rule list under a read lock, exactly as a priority-ordered
-// TCAM would evaluate it. The fuzz and differential suites run it side
-// by side with the compiled Lookup and require byte-identical results;
-// it is not meant for the hot path.
+// LookupLinear is the reference matcher: one ternary pass over every
+// installed rule under a read lock, keeping the matching rule that comes
+// first in match order — the rule a priority-ordered TCAM would report.
+// It shares nothing with the compiled matcher but the entries, and
+// allocates nothing. The fuzz and differential suites run it side by
+// side with the compiled Lookup and require byte-identical results; it
+// is not meant for the hot path.
 func (t *Table) LookupLinear(p Packet) (Rule, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var hit *entry
-	t.order.walk(func(e *entry) bool {
-		if e.rule.Match.Matches(p) {
-			hit = e
+	for _, head := range t.byName {
+		for e := head; e != nil; e = e.nextSameName {
+			if (hit == nil || e.before(hit)) && e.rule.Match.Matches(p) {
+				hit = e
+			}
 		}
-		return hit == nil
-	})
+	}
 	if hit == nil {
 		return Rule{}, false
 	}
@@ -751,7 +845,7 @@ func (t *Table) Has(name string) bool {
 // hasLocked reports whether any rule with the given name is installed.
 // Callers hold mu (read or write). O(1) via the name index.
 func (t *Table) hasLocked(name string) bool {
-	return len(t.byName[name]) > 0
+	return t.byName[name] != nil
 }
 
 // Shadowed returns the names of rules that can never match because an
@@ -762,11 +856,11 @@ func (t *Table) Shadowed() []string {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var out []string
-	rules := t.rulesLocked()
-	for i, r := range rules {
-		for _, earlier := range rules[:i] {
-			if earlier.Match.Subsumes(r.Match) {
-				out = append(out, r.Name)
+	ents := t.sortedLocked()
+	for i, e := range ents {
+		for _, earlier := range ents[:i] {
+			if earlier.rule.Match.Subsumes(e.rule.Match) {
+				out = append(out, e.rule.Name)
 				break
 			}
 		}

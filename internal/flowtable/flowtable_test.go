@@ -54,26 +54,24 @@ func TestMatchWildcardAndFields(t *testing.T) {
 	if !(Match{}).Matches(pkt) {
 		t.Fatal("all-wildcard match should match")
 	}
-	m := Match{
-		HostTag: U16(3),
-		SubTag:  U8(9),
-		InPort:  IntPtr(2),
-		Src:     PrefixPtr(Prefix{Addr: 0x0A010100, Len: 24}),
-		Proto:   U8(6),
-		DstPort: U16(80),
-	}
+	m := Match{}.WithHostTag(3).
+		WithSubTag(9).
+		WithInPort(2).
+		WithSrc(Prefix{Addr: 0x0A010100, Len: 24}).
+		WithProto(6).
+		WithDstPort(80)
 	if !m.Matches(pkt) {
 		t.Fatal("fully specified match should match")
 	}
 	for name, bad := range map[string]Match{
-		"host":    {HostTag: U16(4)},
-		"sub":     {SubTag: U8(1)},
-		"inport":  {InPort: IntPtr(9)},
-		"src":     {Src: PrefixPtr(Prefix{Addr: 0x0B000000, Len: 8})},
-		"dst":     {Dst: PrefixPtr(Prefix{Addr: 0x0A000000, Len: 8})},
-		"proto":   {Proto: U8(17)},
-		"srcport": {SrcPort: U16(99)},
-		"dstport": {DstPort: U16(443)},
+		"host":    Match{}.WithHostTag(4),
+		"sub":     Match{}.WithSubTag(1),
+		"inport":  Match{}.WithInPort(9),
+		"src":     Match{}.WithSrc(Prefix{Addr: 0x0B000000, Len: 8}),
+		"dst":     Match{}.WithDst(Prefix{Addr: 0x0A000000, Len: 8}),
+		"proto":   Match{}.WithProto(17),
+		"srcport": Match{}.WithSrcPort(99),
+		"dstport": Match{}.WithDstPort(443),
 	} {
 		if bad.Matches(pkt) {
 			t.Errorf("%s mismatch should not match", name)
@@ -82,8 +80,8 @@ func TestMatchWildcardAndFields(t *testing.T) {
 }
 
 func TestMatchSubsumes(t *testing.T) {
-	wide := Match{Src: PrefixPtr(Prefix{Addr: 0x0A000000, Len: 8})}
-	narrow := Match{Src: PrefixPtr(Prefix{Addr: 0x0A010100, Len: 24}), Proto: U8(6)}
+	wide := Match{}.WithSrc(Prefix{Addr: 0x0A000000, Len: 8})
+	narrow := Match{}.WithSrc(Prefix{Addr: 0x0A010100, Len: 24}).WithProto(6)
 	if !wide.Subsumes(narrow) {
 		t.Error("/8 should subsume /24+proto")
 	}
@@ -93,6 +91,82 @@ func TestMatchSubsumes(t *testing.T) {
 	if !(Match{}).Subsumes(narrow) {
 		t.Error("wildcard should subsume everything")
 	}
+	// Same base address: only the shorter prefix is the more general.
+	wide24 := Match{}.WithSrc(Prefix{Addr: 0x0A010100, Len: 24})
+	narrow25 := Match{}.WithSrc(Prefix{Addr: 0x0A010100, Len: 25})
+	if !wide24.Subsumes(narrow25) || narrow25.Subsumes(wide24) {
+		t.Error("/24 should subsume the /25 on its base address, and not the reverse")
+	}
+}
+
+// TestMatchZeroValuesAreConcrete pins that a field set to its zero value
+// is a concrete match, not the wildcard its zero-valued storage looks
+// like: Table III's "host tag must be empty" row, a rule on in-port 0,
+// and a set /0 source each differ from the all-wildcard match in Equal,
+// subsume nothing it does not, and keep their presence bit. The /0
+// source still matches every address, so it compiles to the wildcard's
+// shape. An Equal or Subsumes that compared values alone, or a setter
+// that skipped the bit for a zero value, fails here.
+func TestMatchZeroValuesAreConcrete(t *testing.T) {
+	var wild Match
+	for _, c := range []struct {
+		name  string
+		m     Match
+		f     Field
+		shape shapeKey
+		miss  Packet // a packet the wildcard matches and m does not
+	}{
+		{"host tag empty", Match{}.WithHostTag(HostTagEmpty), FieldHostTag,
+			shapeKey{mask: FieldHostTag}, Packet{HostTag: 5}},
+		{"in-port 0", Match{}.WithInPort(0), FieldInPort,
+			shapeKey{mask: FieldInPort}, Packet{InPort: 1}},
+		{"src /0", Match{}.WithSrc(Prefix{}), FieldSrc, shapeKey{}, Packet{}},
+	} {
+		if !c.m.Has(c.f) || c.m.Has(^c.f) || wild.Has(c.f) {
+			t.Errorf("%s: presence bits wrong", c.name)
+		}
+		if c.m.Equal(wild) || wild.Equal(c.m) || c.m == wild {
+			t.Errorf("%s: equal to the wildcard", c.name)
+		}
+		if !c.m.Equal(c.m) {
+			t.Errorf("%s: not equal to itself", c.name)
+		}
+		// The wildcard is more general; the set field is not.
+		if !wild.Subsumes(c.m) || c.m.Subsumes(wild) {
+			t.Errorf("%s: Subsumes(wildcard) = %v, wildcard.Subsumes = %v; want false, true",
+				c.name, c.m.Subsumes(wild), wild.Subsumes(c.m))
+		}
+		if got, ok := intersectMatch(wild, c.m); !ok || got != c.m {
+			t.Errorf("%s: wildcard ∧ m = %+v, %v", c.name, got, ok)
+		}
+		if got := shapeOf(c.m); got != c.shape {
+			t.Errorf("%s: shape %+v, want %+v", c.name, got, c.shape)
+		}
+		if !c.m.Matches(Packet{}) {
+			t.Errorf("%s: does not match the zero packet", c.name)
+		}
+		if c.shape.mask != 0 && c.m.Matches(c.miss) {
+			t.Errorf("%s: matches %+v", c.name, c.miss)
+		}
+	}
+	// A set zero value conflicts with every other value of its field, in
+	// either order of the conjunction.
+	for _, pair := range [][2]Match{
+		{Match{}.WithHostTag(HostTagEmpty), Match{}.WithHostTag(5)},
+		{Match{}.WithInPort(0), Match{}.WithInPort(1)},
+	} {
+		for _, ab := range [][2]Match{pair, {pair[1], pair[0]}} {
+			if m, ok := intersectMatch(ab[0], ab[1]); ok {
+				t.Errorf("%+v ∧ %+v = %+v, want disjoint", ab[0], ab[1], m)
+			}
+		}
+	}
+	if v, ok := (Match{}.WithHostTag(HostTagEmpty)).HostTag(); !ok || v != HostTagEmpty {
+		t.Errorf("HostTag() = %d, %v", v, ok)
+	}
+	if _, ok := wild.HostTag(); ok {
+		t.Error("the wildcard reports a host tag")
+	}
 }
 
 // TestTypedEquality pins Match/Rule/BatchOp equality — what decides
@@ -101,7 +175,7 @@ func TestMatchSubsumes(t *testing.T) {
 func TestTypedEquality(t *testing.T) {
 	base := BatchOp{Rule: Rule{
 		Name: "cls-7", Priority: 200,
-		Match: Match{HostTag: U16(HostTagEmpty), Src: PrefixPtr(Prefix{Addr: 0x0A007000, Len: 21})},
+		Match: Match{}.WithHostTag(HostTagEmpty).WithSrc(Prefix{Addr: 0x0A007000, Len: 21}),
 		Actions: []Action{
 			{Type: ActSetSubTag, Tag: 1},
 			{Type: ActSetHostTag, Tag: 9},
@@ -116,21 +190,23 @@ func TestTypedEquality(t *testing.T) {
 	}
 	ops := map[string]BatchOp{
 		"base": base,
-		// Same values behind fresh pointers and a fresh action slice.
+		// The same match built again, and a fresh action slice.
 		"copy": with(func(op *BatchOp) {
-			op.Rule.Match = Match{HostTag: U16(HostTagEmpty), Src: PrefixPtr(Prefix{Addr: 0x0A007000, Len: 21})}
+			op.Rule.Match = Match{}.WithHostTag(HostTagEmpty).WithSrc(Prefix{Addr: 0x0A007000, Len: 21})
 		}),
 		// Table III: "host tag must be empty" is not "any host tag".
-		"wildcard host tag": with(func(op *BatchOp) { op.Rule.Match.HostTag = nil }),
-		// A pointer to the zero value is a set field, not a wildcard.
-		"sub tag zero":    with(func(op *BatchOp) { op.Rule.Match.SubTag = U8(0) }),
-		"in-port zero":    with(func(op *BatchOp) { op.Rule.Match.InPort = IntPtr(0) }),
-		"proto zero":      with(func(op *BatchOp) { op.Rule.Match.Proto = U8(0) }),
-		"src port zero":   with(func(op *BatchOp) { op.Rule.Match.SrcPort = U16(0) }),
-		"dst port zero":   with(func(op *BatchOp) { op.Rule.Match.DstPort = U16(0) }),
-		"dst zero prefix": with(func(op *BatchOp) { op.Rule.Match.Dst = PrefixPtr(Prefix{}) }),
+		"wildcard host tag": with(func(op *BatchOp) {
+			op.Rule.Match = Match{}.WithSrc(Prefix{Addr: 0x0A007000, Len: 21})
+		}),
+		// A field set to its zero value is concrete, not a wildcard.
+		"sub tag zero":    with(func(op *BatchOp) { op.Rule.Match = op.Rule.Match.WithSubTag(0) }),
+		"in-port zero":    with(func(op *BatchOp) { op.Rule.Match = op.Rule.Match.WithInPort(0) }),
+		"proto zero":      with(func(op *BatchOp) { op.Rule.Match = op.Rule.Match.WithProto(0) }),
+		"src port zero":   with(func(op *BatchOp) { op.Rule.Match = op.Rule.Match.WithSrcPort(0) }),
+		"dst port zero":   with(func(op *BatchOp) { op.Rule.Match = op.Rule.Match.WithDstPort(0) }),
+		"dst zero prefix": with(func(op *BatchOp) { op.Rule.Match = op.Rule.Match.WithDst(Prefix{}) }),
 		"other prefix len": with(func(op *BatchOp) {
-			op.Rule.Match.Src = PrefixPtr(Prefix{Addr: 0x0A007000, Len: 22})
+			op.Rule.Match = op.Rule.Match.WithSrc(Prefix{Addr: 0x0A007000, Len: 22})
 		}),
 		// Actions execute in order.
 		"actions swapped": with(func(op *BatchOp) {
@@ -191,7 +267,7 @@ func TestTableInstallOrdering(t *testing.T) {
 	high := Rule{
 		Name:     "high",
 		Priority: 10,
-		Match:    Match{Proto: U8(6)},
+		Match:    Match{}.WithProto(6),
 		Actions:  []Action{{Type: ActForward, Port: 2}},
 	}
 	if err := tbl.Install(low); err != nil {
@@ -297,7 +373,7 @@ func TestTableIIIPipeline(t *testing.T) {
 	// Row 1: host match — host ID 5 is local, forward to the APPLE host.
 	if err := apple.Install(Rule{
 		Name: "host-match", Priority: 300,
-		Match:   Match{HostTag: U16(5)},
+		Match:   Match{}.WithHostTag(5),
 		Actions: []Action{{Type: ActForward, Port: applePort}},
 	}); err != nil {
 		t.Fatal(err)
@@ -306,7 +382,7 @@ func TestTableIIIPipeline(t *testing.T) {
 	// the APPLE host.
 	if err := apple.Install(Rule{
 		Name: "classify-local", Priority: 200,
-		Match:   Match{HostTag: U16(HostTagEmpty), Src: &subClass, Proto: U8(6)},
+		Match:   Match{}.WithHostTag(HostTagEmpty).WithSrc(subClass).WithProto(6),
 		Actions: []Action{{Type: ActSetSubTag, Tag: 7}, {Type: ActForward, Port: applePort}},
 	}); err != nil {
 		t.Fatal(err)
@@ -315,7 +391,7 @@ func TestTableIIIPipeline(t *testing.T) {
 	// continue to the next table.
 	if err := apple.Install(Rule{
 		Name: "classify-remote", Priority: 100,
-		Match:   Match{HostTag: U16(HostTagEmpty), Src: &subClass},
+		Match:   Match{}.WithHostTag(HostTagEmpty).WithSrc(subClass),
 		Actions: []Action{{Type: ActSetSubTag, Tag: 7}, {Type: ActSetHostTag, Tag: 6}, {Type: ActGotoTable, Table: 1}},
 	}); err != nil {
 		t.Fatal(err)
@@ -558,14 +634,14 @@ func TestCrossProductSemantics(t *testing.T) {
 	sub := Prefix{Addr: ip(t, "10.1.1.0"), Len: 24}
 	if err := t0.Install(Rule{
 		Name: "classify", Priority: 10,
-		Match:   Match{HostTag: U16(HostTagEmpty), Src: &sub},
+		Match:   Match{}.WithHostTag(HostTagEmpty).WithSrc(sub),
 		Actions: []Action{{Type: ActSetSubTag, Tag: 3}, {Type: ActSetHostTag, Tag: 2}, {Type: ActGotoTable, Table: 1}},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := t0.Install(Rule{
 		Name: "local", Priority: 20,
-		Match:   Match{HostTag: U16(4)},
+		Match:   Match{}.WithHostTag(4),
 		Actions: []Action{{Type: ActForward, Port: 9}},
 	}); err != nil {
 		t.Fatal(err)
@@ -576,7 +652,7 @@ func TestCrossProductSemantics(t *testing.T) {
 	for i, dst := range []string{"20.0.0.0", "30.0.0.0"} {
 		if err := t1.Install(Rule{
 			Name: "route" + dst, Priority: 5,
-			Match:   Match{Dst: PrefixPtr(Prefix{Addr: ip(t, dst), Len: 8})},
+			Match:   Match{}.WithDst(Prefix{Addr: ip(t, dst), Len: 8}),
 			Actions: []Action{{Type: ActForward, Port: i + 1}},
 		}); err != nil {
 			t.Fatal(err)
@@ -679,7 +755,7 @@ func TestShadowed(t *testing.T) {
 	wide := Rule{Name: "wide", Priority: 10, Actions: []Action{{Type: ActDrop}}}
 	narrow := Rule{
 		Name: "narrow", Priority: 5,
-		Match:   Match{Proto: U8(6)},
+		Match:   Match{}.WithProto(6),
 		Actions: []Action{{Type: ActForward, Port: 1}},
 	}
 	if err := tbl.Install(wide); err != nil {

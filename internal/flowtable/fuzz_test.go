@@ -27,28 +27,28 @@ func fuzzRules(data []byte) ([]Rule, []byte) {
 		var m Match
 		mask := b[1]
 		if mask&1 != 0 {
-			m.HostTag = U16(uint16(b[2]) & 0xFFF)
+			m = m.WithHostTag(uint16(b[2]) & 0xFFF)
 		}
 		if mask&2 != 0 {
-			m.SubTag = U8(b[3] & MaxSubTag)
+			m = m.WithSubTag(b[3] & MaxSubTag)
 		}
 		if mask&4 != 0 {
-			m.InPort = IntPtr(int(b[4] % 8))
+			m = m.WithInPort(int(b[4] % 8))
 		}
 		if mask&8 != 0 {
-			m.Src = &Prefix{Addr: uint32(b[5])<<24 | uint32(b[6])<<16, Len: int(b[7] % 33)}
+			m = m.WithSrc(Prefix{Addr: uint32(b[5])<<24 | uint32(b[6])<<16, Len: int(b[7] % 33)})
 		}
 		if mask&16 != 0 {
-			m.Dst = &Prefix{Addr: uint32(b[6])<<24 | uint32(b[5])<<8, Len: int(b[2] % 33)}
+			m = m.WithDst(Prefix{Addr: uint32(b[6])<<24 | uint32(b[5])<<8, Len: int(b[2] % 33)})
 		}
 		if mask&32 != 0 {
-			m.Proto = U8(b[3] % 3)
+			m = m.WithProto(b[3] % 3)
 		}
 		if mask&64 != 0 {
-			m.SrcPort = U16(uint16(b[2]) % 8)
+			m = m.WithSrcPort(uint16(b[2]) % 8)
 		}
 		if mask&128 != 0 {
-			m.DstPort = U16(uint16(b[7]) % 8)
+			m = m.WithDstPort(uint16(b[7]) % 8)
 		}
 		rules = append(rules, Rule{
 			Name:     fmt.Sprintf("r%d", len(rules)),
@@ -224,8 +224,8 @@ func FuzzPrefixContains(f *testing.F) {
 		// containment.
 		q := Prefix{Addr: v, Len: length/2 + length%2}
 		if q.Len >= p.Len && p.Contains(q.Addr) {
-			m := Match{Src: &p}
-			o := Match{Src: &q}
+			m := Match{}.WithSrc(p)
+			o := Match{}.WithSrc(q)
 			if !m.Subsumes(o) {
 				t.Fatalf("match on %v should subsume match on %v", p, q)
 			}
@@ -306,39 +306,41 @@ func (m *modelTable) applyBatch(ops []BatchOp) (installed int, err error) {
 // leaves open.
 func packetFor(m Match, spare Packet) Packet {
 	p := spare
-	if m.HostTag != nil {
-		p.HostTag = *m.HostTag
+	if v, ok := m.HostTag(); ok {
+		p.HostTag = v
 	}
-	if m.SubTag != nil {
-		p.SubTag = *m.SubTag
+	if v, ok := m.SubTag(); ok {
+		p.SubTag = v
 	}
-	if m.InPort != nil {
-		p.InPort = *m.InPort
+	if v, ok := m.InPort(); ok {
+		p.InPort = v
 	}
-	if m.Src != nil {
-		p.Hdr.SrcIP = m.Src.Addr
+	if v, ok := m.Src(); ok {
+		p.Hdr.SrcIP = v.Addr
 	}
-	if m.Dst != nil {
-		p.Hdr.DstIP = m.Dst.Addr
+	if v, ok := m.Dst(); ok {
+		p.Hdr.DstIP = v.Addr
 	}
-	if m.Proto != nil {
-		p.Hdr.Proto = *m.Proto
+	if v, ok := m.Proto(); ok {
+		p.Hdr.Proto = v
 	}
-	if m.SrcPort != nil {
-		p.Hdr.SrcPort = *m.SrcPort
+	if v, ok := m.SrcPort(); ok {
+		p.Hdr.SrcPort = v
 	}
-	if m.DstPort != nil {
-		p.Hdr.DstPort = *m.DstPort
+	if v, ok := m.DstPort(); ok {
+		p.Hdr.DstPort = v
 	}
 	return p
 }
 
 // checkTableAgainstModel requires the table to be indistinguishable from
-// the model: same rules in the same order, same name index, and, for a
-// packet aimed at every installed rule plus one stray, the same winner
-// from the compiled Lookup, from LookupLinear, from a first-match scan of
-// the model, and from a table built from scratch out of Rules().
-func checkTableAgainstModel(t *testing.T, when string, tbl *Table, m *modelTable, stray Packet) {
+// the model: same rules in the same order, strictly increasing in rank;
+// the same distinct names in that order; Has agreeing on every name of
+// the pool n0..n<pool-1>; and, for a packet aimed at every installed rule
+// plus one stray, the same winner from the compiled Lookup, from
+// LookupLinear, from a first-match scan of the model, and from a table
+// built from scratch out of Rules().
+func checkTableAgainstModel(t *testing.T, when string, tbl *Table, m *modelTable, pool int, stray Packet) {
 	t.Helper()
 	got := tbl.Rules()
 	if len(got) != len(m.rules) || tbl.Size() != len(m.rules) {
@@ -349,6 +351,16 @@ func checkTableAgainstModel(t *testing.T, when string, tbl *Table, m *modelTable
 			t.Fatalf("%s: rule %d is %+v, model has %+v", when, i, got[i], m.rules[i])
 		}
 	}
+	// Every rule of a sequence forwards to its own port, which finds the
+	// entry behind each rule Rules() returned.
+	var prev *entry
+	for _, r := range got {
+		e := entryOf(tbl, r)
+		if e == nil || (prev != nil && !prev.before(e)) {
+			t.Fatalf("%s: Rules() not strictly increasing in rank at %q", when, r.Name)
+		}
+		prev = e
+	}
 	var names []string
 	seen := make(map[string]bool)
 	for _, r := range m.rules {
@@ -356,12 +368,15 @@ func checkTableAgainstModel(t *testing.T, when string, tbl *Table, m *modelTable
 			seen[r.Name] = true
 			names = append(names, r.Name)
 		}
-		if !tbl.Has(r.Name) {
-			t.Fatalf("%s: Has(%q) = false for an installed rule", when, r.Name)
-		}
 	}
-	if gotNames := tbl.Names(); !reflect.DeepEqual(gotNames, names) && len(names) > 0 {
+	if gotNames := tbl.Names(); !slices.Equal(gotNames, names) {
 		t.Fatalf("%s: Names() = %v, model %v", when, gotNames, names)
+	}
+	for i := 0; i < pool; i++ {
+		name := fmt.Sprintf("n%d", i)
+		if got, want := tbl.Has(name), seen[name]; got != want {
+			t.Fatalf("%s: Has(%q) = %v, model %v", when, name, got, want)
+		}
 	}
 	rebuilt := NewTable()
 	ops := make([]BatchOp, len(got))
@@ -439,10 +454,8 @@ func runTableOps(t *testing.T, data []byte) (st tableOpsStats) {
 		r := rs[0]
 		r.Name = fmt.Sprintf("n%d", int(b[7])%names)
 		if large && b[0]&3 != 0 {
-			r.Match = Match{
-				HostTag: U16(uint16(b[2])<<4 | uint16(b[3]&0xF)),
-				Src:     &Prefix{Addr: uint32(b[5])<<24 | uint32(b[6])<<16 | uint32(b[4])<<8, Len: 24},
-			}
+			r.Match = Match{}.WithHostTag(uint16(b[2])<<4 | uint16(b[3]&0xF)).
+				WithSrc(Prefix{Addr: uint32(b[5])<<24 | uint32(b[6])<<16 | uint32(b[4])<<8, Len: 24})
 		}
 		if b[0]>>6 == 3 {
 			r.Match = last
@@ -521,10 +534,23 @@ func runTableOps(t *testing.T, data []byte) (st tableOpsStats) {
 			model.rules = last.rules
 			st.reverts++
 		}
-		checkTableAgainstModel(t, when, tbl, model, stray)
+		checkTableAgainstModel(t, when, tbl, model, names, stray)
 		st.observe(tbl.compiled.Load())
 	}
 	return st
+}
+
+// entryOf returns the installed entry holding r (its forward port is
+// unique in the table), or nil.
+func entryOf(tbl *Table, r Rule) *entry {
+	tbl.mu.RLock()
+	defer tbl.mu.RUnlock()
+	for e := tbl.byName[r.Name]; e != nil; e = e.nextSameName {
+		if e.rule.Actions[0].Port == r.Actions[0].Port {
+			return e
+		}
+	}
+	return nil
 }
 
 // tableOpsLarge, as the first byte of a table-ops sequence, selects the
@@ -648,6 +674,50 @@ func tableOpsLargeSeed(seed int64) []byte {
 	return out
 }
 
+// tableOpsSameNameSeed returns a small-variant sequence that keeps
+// several rules under one name and takes them out again in later
+// batches, each of which it then reverts: batch A installs three n0s,
+// two n1s and an n2; B adds an n0 and an n1 behind them; C replaces n0
+// and removes n1; D installs an n0 and removes every n0 in the same
+// batch, then installs another. B, C, D and A are reverted newest first,
+// then E installs three n3s, F removes them and is reverted, and a plain
+// Remove drops them. Rules of one priority tie on install order, so a
+// rule restored to the wrong place in its chain or in match order shows.
+func tableOpsSameNameSeed() []byte {
+	out := []byte{39, 0, 0, 0, 0, 0, 0, 0, 0} // capacity 47, the stray packet
+	serial := byte(0)
+	rule := func(prio, name byte) []byte {
+		serial++
+		return []byte{prio, 0x20, 0, serial, 0, 0, 0, name} // proto serial%3
+	}
+	const install, remove, removeInstall, revert = 2, 1, 3, 3
+	type step struct{ flags, name, prio byte }
+	batch := func(steps ...step) {
+		out = append(out, 2, byte(len(steps)-1))
+		for _, st := range steps {
+			out = append(out, st.flags)
+			if st.flags&1 != 0 {
+				out = append(out, st.name)
+			}
+			if st.flags&2 != 0 {
+				out = append(out, rule(st.prio, st.name)...)
+			}
+		}
+	}
+	batch(step{install, 0, 3}, step{install, 0, 5}, step{install, 1, 4},
+		step{install, 0, 3}, step{install, 1, 4}, step{install, 2, 1}) // A
+	batch(step{install, 0, 3}, step{install, 1, 4}) // B
+	out = append(out, revert)
+	batch(step{removeInstall, 0, 5}, step{install, 0, 3}, step{remove, 1, 0}, step{install, 1, 2}) // C
+	out = append(out, revert)
+	batch(step{install, 0, 4}, step{remove, 0, 0}, step{install, 0, 2}) // D
+	out = append(out, revert, revert)
+	batch(step{install, 3, 1}, step{install, 3, 1}, step{install, 3, 1}) // E
+	batch(step{remove, 3, 0}, step{install, 4, 1})                       // F
+	out = append(out, revert, 1, 3)
+	return out
+}
+
 // TestTableOpsRandom runs the FuzzTableOps body over a few hundred
 // generated sequences, so plain `go test` covers mutation sequences too.
 // Their tables hold 8–47 rules, so no trie root of theirs comes near full;
@@ -657,6 +727,11 @@ func TestTableOpsRandom(t *testing.T) {
 	t.Run("small", func(t *testing.T) {
 		for seed := int64(0); seed < 300; seed++ {
 			runTableOps(t, tableOpsSeed(seed, 100+int(seed)*4))
+		}
+	})
+	t.Run("same-name", func(t *testing.T) {
+		if st := runTableOps(t, tableOpsSameNameSeed()); st.reverts != 5 {
+			t.Fatalf("same-name sequence ran %d reverts, want 5", st.reverts)
 		}
 	})
 	t.Run("large", func(t *testing.T) {

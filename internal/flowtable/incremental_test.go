@@ -20,13 +20,13 @@ func churnRule(i int) Rule {
 	switch {
 	case i%16 == 0:
 		r.Priority = 300
-		r.Match = Match{HostTag: U16(uint16(i/16) & MaxHostTag)}
+		r.Match = Match{}.WithHostTag(uint16(i/16) & MaxHostTag)
 	case i%16 == 1 && i < 128:
 		r.Priority = 10
-		r.Match = Match{Proto: U8(uint8(i / 16)), DstPort: U16(uint16(i))}
+		r.Match = Match{}.WithProto(uint8(i / 16)).WithDstPort(uint16(i))
 	default:
 		r.Priority = 200
-		r.Match = Match{HostTag: U16(HostTagEmpty), Src: &Prefix{Addr: uint32(i) << 8, Len: 24}}
+		r.Match = Match{}.WithHostTag(HostTagEmpty).WithSrc(Prefix{Addr: uint32(i) << 8, Len: 24})
 	}
 	return r
 }
@@ -144,7 +144,7 @@ func TestRevertRestoresPosition(t *testing.T) {
 			// One priority, one shape, overlapping nowhere: position is
 			// only visible through Rules() order and tie-breaks.
 			if err := tbl.Install(Rule{Name: fmt.Sprintf("r%d", i), Priority: 7,
-				Match:   Match{HostTag: U16(uint16(i))},
+				Match:   Match{}.WithHostTag(uint16(i)),
 				Actions: []Action{{Type: ActForward, Port: i}}}); err != nil {
 				t.Fatal(err)
 			}
@@ -152,9 +152,9 @@ func TestRevertRestoresPosition(t *testing.T) {
 		// A wide rule installed between two narrow ones that overlap it:
 		// its place in the run decides who wins the tie.
 		for _, r := range []Rule{
-			{Name: "early", Priority: 7, Match: Match{SubTag: U8(1), Proto: U8(6)}, Actions: []Action{{Type: ActForward, Port: 1001}}},
-			{Name: "mid", Priority: 7, Match: Match{Proto: U8(6)}, Actions: []Action{{Type: ActForward, Port: 1002}}},
-			{Name: "late", Priority: 7, Match: Match{SubTag: U8(2), Proto: U8(6)}, Actions: []Action{{Type: ActForward, Port: 1003}}},
+			{Name: "early", Priority: 7, Match: Match{}.WithSubTag(1).WithProto(6), Actions: []Action{{Type: ActForward, Port: 1001}}},
+			{Name: "mid", Priority: 7, Match: Match{}.WithProto(6), Actions: []Action{{Type: ActForward, Port: 1002}}},
+			{Name: "late", Priority: 7, Match: Match{}.WithSubTag(2).WithProto(6), Actions: []Action{{Type: ActForward, Port: 1003}}},
 		} {
 			if err := tbl.Install(r); err != nil {
 				t.Fatal(err)
@@ -177,9 +177,9 @@ func TestRevertRestoresPosition(t *testing.T) {
 		_, undo, err := tbl.ApplyBatchUndo([]BatchOp{
 			{Remove: fmt.Sprintf("r%d", n/2)},
 			{Remove: "mid"},
-			{Rule: Rule{Name: "mid", Priority: 7, Match: Match{Proto: U8(6)}, Actions: []Action{{Type: ActForward, Port: 1004}}}},
+			{Rule: Rule{Name: "mid", Priority: 7, Match: Match{}.WithProto(6), Actions: []Action{{Type: ActForward, Port: 1004}}}},
 			{Remove: fmt.Sprintf("r%d", n/3), Rule: Rule{Name: "fresh", Priority: 7,
-				Match: Match{HostTag: U16(uint16(n + 5))}, Actions: []Action{{Type: ActDrop}}}},
+				Match: Match{}.WithHostTag(uint16(n + 5)), Actions: []Action{{Type: ActDrop}}}},
 		})
 		if err != nil {
 			t.Fatal(err)

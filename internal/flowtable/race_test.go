@@ -16,7 +16,7 @@ func raceRule(i int, prio int) Rule {
 	return Rule{
 		Name:     fmt.Sprintf("r%d", i),
 		Priority: prio,
-		Match:    Match{SubTag: U8(uint8(i) & MaxSubTag)},
+		Match:    Match{}.WithSubTag(uint8(i) & MaxSubTag),
 		Actions:  []Action{{Type: ActForward, Port: i}},
 	}
 }

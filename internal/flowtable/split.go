@@ -3,6 +3,7 @@ package flowtable
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/apple-nfv/apple/internal/headerspace"
 )
@@ -195,66 +196,40 @@ func CrossProduct(t1, t2 *Table) (*Table, error) {
 // intersectMatch returns the conjunction of two matches, or ok=false when
 // they are disjoint.
 func intersectMatch(a, b Match) (Match, bool) {
-	var out Match
-	ok := true
-	pickU16 := func(x, y *uint16) *uint16 {
-		switch {
-		case x == nil:
-			return y
-		case y == nil || *x == *y:
-			return x
-		default:
-			ok = false
-			return nil
-		}
+	out := Match{set: a.set | b.set}
+	var ok [8]bool
+	out.hostTag, ok[0] = meet(a.Has(FieldHostTag), b.Has(FieldHostTag), a.hostTag, b.hostTag)
+	out.subTag, ok[1] = meet(a.Has(FieldSubTag), b.Has(FieldSubTag), a.subTag, b.subTag)
+	out.inPort, ok[2] = meet(a.Has(FieldInPort), b.Has(FieldInPort), a.inPort, b.inPort)
+	out.src, ok[3] = meetPrefix(a.Has(FieldSrc), b.Has(FieldSrc), a.src, b.src)
+	out.dst, ok[4] = meetPrefix(a.Has(FieldDst), b.Has(FieldDst), a.dst, b.dst)
+	out.proto, ok[5] = meet(a.Has(FieldProto), b.Has(FieldProto), a.proto, b.proto)
+	out.srcPort, ok[6] = meet(a.Has(FieldSrcPort), b.Has(FieldSrcPort), a.srcPort, b.srcPort)
+	out.dstPort, ok[7] = meet(a.Has(FieldDstPort), b.Has(FieldDstPort), a.dstPort, b.dstPort)
+	return out, !slices.Contains(ok[:], false)
+}
+
+// meet is one scalar field of intersectMatch: whichever of x and y is set
+// (y, zero, when neither is), failing when both are set and disagree.
+func meet[T comparable](xSet, ySet bool, x, y T) (T, bool) {
+	if !xSet {
+		return y, true
 	}
-	pickU8 := func(x, y *uint8) *uint8 {
-		switch {
-		case x == nil:
-			return y
-		case y == nil || *x == *y:
-			return x
-		default:
-			ok = false
-			return nil
-		}
+	return x, !ySet || x == y
+}
+
+// meetPrefix is meet for a prefix field: of two set prefixes the longer
+// one, if the shorter contains it; otherwise they are disjoint.
+func meetPrefix(xSet, ySet bool, x, y Prefix) (Prefix, bool) {
+	if !xSet {
+		return y, true
 	}
-	pickInt := func(x, y *int) *int {
-		switch {
-		case x == nil:
-			return y
-		case y == nil || *x == *y:
-			return x
-		default:
-			ok = false
-			return nil
-		}
+	if !ySet {
+		return x, true
 	}
-	pickPfx := func(x, y *Prefix) *Prefix {
-		switch {
-		case x == nil:
-			return y
-		case y == nil:
-			return x
-		}
-		// The longer prefix wins if nested; otherwise disjoint.
-		longer, shorter := x, y
-		if y.Len > x.Len {
-			longer, shorter = y, x
-		}
-		if shorter.Contains(longer.Addr) {
-			return longer
-		}
-		ok = false
-		return nil
+	longer, shorter := x, y
+	if y.Len > x.Len {
+		longer, shorter = y, x
 	}
-	out.HostTag = pickU16(a.HostTag, b.HostTag)
-	out.SubTag = pickU8(a.SubTag, b.SubTag)
-	out.InPort = pickInt(a.InPort, b.InPort)
-	out.Src = pickPfx(a.Src, b.Src)
-	out.Dst = pickPfx(a.Dst, b.Dst)
-	out.Proto = pickU8(a.Proto, b.Proto)
-	out.SrcPort = pickU16(a.SrcPort, b.SrcPort)
-	out.DstPort = pickU16(a.DstPort, b.DstPort)
-	return out, ok
+	return longer, shorter.Contains(longer.Addr)
 }

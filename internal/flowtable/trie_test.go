@@ -320,14 +320,12 @@ func TestBatchCopiesEachPageOnce(t *testing.T) {
 // collide in all 64 hash bits, inside a tuple large enough to be a trie,
 // and checks Lookup against LookupLinear while they come and go.
 func TestFullHashCollisionThroughTable(t *testing.T) {
-	shape := shapeKey{mask: cHostTag | cSrc | cDst, srcLen: 32, dstLen: 32}
+	shape := shapeKey{mask: FieldHostTag | FieldSrc | FieldDst, srcLen: 32, dstLen: 32}
 	ruleFor := func(k matchKey, name string) Rule {
 		return Rule{Name: name, Priority: 5,
-			Match: Match{
-				HostTag: U16(uint16(k.hi)),
-				Src:     &Prefix{Addr: uint32(k.lo), Len: 32},
-				Dst:     &Prefix{Addr: uint32(k.lo >> 32), Len: 32},
-			},
+			Match: Match{}.WithHostTag(uint16(k.hi)).
+				WithSrc(Prefix{Addr: uint32(k.lo), Len: 32}).
+				WithDst(Prefix{Addr: uint32(k.lo >> 32), Len: 32}),
 			Actions: []Action{{Type: ActForward, Port: int(k.hi)}}}
 	}
 	base := matchKey{lo: 0x0A0000010B000002, hi: 1}

@@ -157,13 +157,13 @@ func TestInjectChainTraversal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := flowtable.U8(3)
+	const sub uint8 = 3
 	// From uplink: go to firewall.
 	install := func(name string, inPort PortID, actions ...flowtable.Action) {
 		t.Helper()
 		if err := steer.Install(flowtable.Rule{
 			Name: name, Priority: 10,
-			Match:   flowtable.Match{InPort: flowtable.IntPtr(int(inPort)), SubTag: sub},
+			Match:   flowtable.Match{}.WithInPort(int(inPort)).WithSubTag(sub),
 			Actions: actions,
 		}); err != nil {
 			t.Fatal(err)
@@ -215,7 +215,7 @@ func chainHost(t *testing.T, nfs ...policy.NF) (*Host, []vnf.ID) {
 		}
 		if err := steer.Install(flowtable.Rule{
 			Name: "to-" + string(ids[i]), Priority: 10,
-			Match:   flowtable.Match{InPort: flowtable.IntPtr(int(in)), SubTag: flowtable.U8(3)},
+			Match:   flowtable.Match{}.WithInPort(int(in)).WithSubTag(3),
 			Actions: []flowtable.Action{{Type: flowtable.ActForward, Port: int(port)}},
 		}); err != nil {
 			t.Fatal(err)
@@ -224,7 +224,7 @@ func chainHost(t *testing.T, nfs ...policy.NF) (*Host, []vnf.ID) {
 	}
 	if err := steer.Install(flowtable.Rule{
 		Name: "out", Priority: 10,
-		Match: flowtable.Match{InPort: flowtable.IntPtr(int(in)), SubTag: flowtable.U8(3)},
+		Match: flowtable.Match{}.WithInPort(int(in)).WithSubTag(3),
 		Actions: []flowtable.Action{
 			{Type: flowtable.ActSetHostTag, Tag: flowtable.HostTagFin},
 			{Type: flowtable.ActForward, Port: int(UplinkPort)},
@@ -367,14 +367,14 @@ func TestNATRewritesSource(t *testing.T) {
 	}
 	if err := steer.Install(flowtable.Rule{
 		Name: "in", Priority: 10,
-		Match:   flowtable.Match{InPort: flowtable.IntPtr(int(UplinkPort))},
+		Match:   flowtable.Match{}.WithInPort(int(UplinkPort)),
 		Actions: []flowtable.Action{{Type: flowtable.ActForward, Port: int(port)}},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := steer.Install(flowtable.Rule{
 		Name: "out", Priority: 10,
-		Match:   flowtable.Match{InPort: flowtable.IntPtr(int(port))},
+		Match:   flowtable.Match{}.WithInPort(int(port)),
 		Actions: []flowtable.Action{{Type: flowtable.ActForward, Port: int(UplinkPort)}},
 	}); err != nil {
 		t.Fatal(err)
