@@ -128,11 +128,11 @@ func fatTreeClass(t testing.TB, l *topology.FatTreeLayout, id int) core.Class {
 // TestCommitCostIndependentOfInstalledState pins the transaction's
 // O(delta) contract end to end: admitting and then removing one class
 // through Begin/StageAdd/Commit and Begin/StageRemove/Commit may allocate
-// at most 14 KB more on a controller holding about 64k rules than on one
+// at most 8 KB more on a controller holding about 64k rules than on one
 // holding about 1k. Whole-table pre-images, whole-map ledger copies or a
 // rebuild-everything publisher would each break it by an order of
-// magnitude. What does grow is the trie paths the two commits copy,
-// ≈10 KB and logarithmic in the table. The gate is on that difference in
+// magnitude. What does grow is the trie arrays the two commits copy,
+// ≈6 KB and logarithmic in the table. The gate is on that difference in
 // bytes, not on a ratio to the small cost: a ratio loosens when the fixed
 // part of an admission grows and tightens when it shrinks, and the fixed
 // part is not what this test is about.
@@ -192,7 +192,7 @@ func TestCommitCostIndependentOfInstalledState(t *testing.T) {
 	if smallRules > 2_000 || largeRules < 64_000 {
 		t.Fatalf("state sizes %d and %d rules are not the 1k and 64k the test is about", smallRules, largeRules)
 	}
-	const maxGrowth = 14 << 10
+	const maxGrowth = 8 << 10
 	if large-small > maxGrowth {
 		t.Fatalf("one class costs %.0f B at %d rules vs %.0f B at %d: %.0f B more, over %d", large, largeRules, small, smallRules, large-small, maxGrowth)
 	}

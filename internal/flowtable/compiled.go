@@ -28,12 +28,13 @@ import (
 // descending, sequence ascending) order — the same rule the linear
 // scan's least-ranked hit finds, byte for byte.
 //
-// A snapshot is a short slice of tuple headers. A mutation clones that
-// slice (one header per shape), rewrites only the tuples the batch
-// touches, and shares the rest: a small tuple is two short parallel
-// slices copied whole, a large one a persistent hash trie (trie.go) of
-// which only the path to the touched key is copied — at the root, the one
-// page of eight children that path passes through.
+// A snapshot is a short slice of pointers to tuple headers. A mutation
+// clones that slice (one pointer per shape), copies the header of each
+// tuple the batch touches, on first touch, and shares the rest: a small
+// tuple is two short parallel slices copied whole, a large one a
+// persistent hash trie (trie.go) of which only the arrays the change
+// writes are copied — at the root, the one page of eight children its
+// path passes through.
 
 // matchKey packs every concrete field value of one shape into three
 // comparable machine words. Fields the shape treats as wildcards stay
@@ -144,10 +145,13 @@ type tuple struct {
 	keys  []matchKey // slice tuples: packed rule keys, match order
 	ents  []*entry   // the rule under each key
 	n     int        // rules in the tuple
+	// gen is the draft generation that allocated this header; that draft
+	// edits it in place, any later one copies it first.
+	gen uint64
 }
 
-func newTuple(s shapeKey) tuple {
-	t := tuple{shape: s}
+func newTuple(gen uint64, s shapeKey) *tuple {
+	t := &tuple{shape: s, gen: gen}
 	if s.mask&FieldSrc != 0 {
 		t.srcMask = prefixMask(s.srcLen)
 	}
@@ -248,11 +252,11 @@ func (t *tuple) remove(gen uint64, k matchKey, e *entry) {
 // never mutated, so readers share it without synchronization; between
 // beginning a draft and publishing it, the writer edits it in place.
 type compiledTable struct {
-	tuples []tuple // sorted by bound, best first
+	tuples []*tuple // sorted by bound, best first
 }
 
 // draftOf starts the successor of c (nil for an empty table): a private
-// copy of the tuple headers whose contents are still shared.
+// copy of the tuple list whose headers are still shared.
 func draftOf(c *compiledTable) *compiledTable {
 	if c == nil {
 		return &compiledTable{}
@@ -270,15 +274,26 @@ func (c *compiledTable) indexOf(s shapeKey) int {
 	return -1
 }
 
+// own makes tuple i's header editable by the draft of generation gen,
+// copying it unless that draft allocated it, and returns it.
+func (c *compiledTable) own(gen uint64, i int) *tuple {
+	if t := c.tuples[i]; t.gen != gen {
+		cp := *t
+		cp.gen = gen
+		c.tuples[i] = &cp
+	}
+	return c.tuples[i]
+}
+
 // add indexes e in the draft.
 func (c *compiledTable) add(gen uint64, e *entry) {
 	s := shapeOf(e.rule.Match)
 	i := c.indexOf(s)
 	if i < 0 {
 		i = len(c.tuples)
-		c.tuples = append(c.tuples, newTuple(s))
+		c.tuples = append(c.tuples, newTuple(gen, s))
 	}
-	c.tuples[i].add(gen, ruleKey(e.rule.Match, s), e)
+	c.own(gen, i).add(gen, ruleKey(e.rule.Match, s), e)
 	c.settle(i)
 }
 
@@ -286,8 +301,9 @@ func (c *compiledTable) add(gen uint64, e *entry) {
 func (c *compiledTable) remove(gen uint64, e *entry) {
 	s := shapeOf(e.rule.Match)
 	i := c.indexOf(s)
-	c.tuples[i].remove(gen, ruleKey(e.rule.Match, s), e)
-	if c.tuples[i].n == 0 {
+	t := c.own(gen, i)
+	t.remove(gen, ruleKey(e.rule.Match, s), e)
+	if t.n == 0 {
 		c.tuples = slices.Delete(c.tuples, i, i+1)
 		return
 	}
@@ -314,7 +330,7 @@ func (c *compiledTable) settle(i int) {
 func (c *compiledTable) lookup(p *Packet) *entry {
 	var best *entry
 	for i := range c.tuples {
-		t := &c.tuples[i]
+		t := c.tuples[i]
 		if best != nil && !t.bound.before(best.rank()) {
 			break
 		}

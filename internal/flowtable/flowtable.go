@@ -292,10 +292,11 @@ type Table struct {
 	nextSeq uint64 // guarded by mu
 	// draft is the successor snapshot under construction; non-nil only
 	// inside a critical section that has mutated the table and not yet
-	// published. gen identifies it: trie arrays stamped with the current
-	// gen belong to the draft alone and are edited in place, everything
-	// else is shared with published snapshots and copied before it is
-	// changed. Publishing advances gen, which freezes the draft's arrays.
+	// published. gen identifies it: tuple headers and trie arrays stamped
+	// with the current gen belong to the draft alone and are edited in
+	// place, everything else is shared with published snapshots and copied
+	// before it is changed. Publishing advances gen, which freezes the
+	// draft's headers and arrays.
 	draft *compiledTable // guarded by mu
 	gen   uint64         // guarded by mu
 	// compiled is the current immutable matcher snapshot; nil only before

@@ -420,7 +420,9 @@ func checkTableAgainstModel(t *testing.T, when string, tbl *Table, m *modelTable
 // outstanding batch — runs it against a bounded table and the slice
 // model, and compares the two after every step. The model reverts by
 // restoring a saved copy of its slice, so a Revert that misplaces a rule
-// or forgets one shows as a difference.
+// or forgets one shows as a difference. Each published snapshot is held
+// for the next few steps (how many, the input's capacity byte says) and
+// must keep its answers through them.
 //
 // A sequence that begins with tableOpsLarge runs the large variant.
 func runTableOps(t *testing.T, data []byte) (st tableOpsStats) {
@@ -465,9 +467,13 @@ func runTableOps(t *testing.T, data []byte) (st tableOpsStats) {
 		r.Actions = []Action{{Type: ActForward, Port: serial}}
 		return r
 	}
-	capacity := 8 + int(next()%40)
-	if large {
-		capacity = 560 + int(next()%80)
+	// The capacity byte's high part is how many steps each published
+	// snapshot is held for: 1–7, or 1–4 in the large variant.
+	cb := int(next())
+	capacity, hold := 8+cb%40, 1+cb/40
+	if large { // cb was tableOpsLarge
+		cb = int(next())
+		capacity, hold = 560+cb%80, 1+cb/80
 	}
 	tbl, err := NewBoundedTable(capacity)
 	if err != nil {
@@ -480,6 +486,7 @@ func runTableOps(t *testing.T, data []byte) (st tableOpsStats) {
 		rules []Rule // the model before the batch
 	}
 	var undos []pending
+	var held []heldSnapshot
 	for step := 0; len(data) > 0 && step < maxSteps; step++ {
 		var when string
 		switch op := next(); op % 4 {
@@ -535,9 +542,55 @@ func runTableOps(t *testing.T, data []byte) (st tableOpsStats) {
 			st.reverts++
 		}
 		checkTableAgainstModel(t, when, tbl, model, names, stray)
-		st.observe(tbl.compiled.Load())
+		for _, h := range held {
+			h.check(t, when)
+			if h.full {
+				st.heldFull++
+			}
+		}
+		c := tbl.compiled.Load()
+		st.observe(c)
+		if c != nil {
+			held = append(held, holdSnapshot(c, step, st.filled, model.rules, stray))
+			if len(held) > hold {
+				held = held[1:]
+			}
+		}
 	}
 	return st
+}
+
+// heldSnapshot is a snapshot published by an earlier step of a table-ops
+// sequence, with the answers it gave then on a packet aimed at each rule
+// the table held and on the stray. Later steps must not change them: an
+// in-place write into an array the snapshot shares with a later draft
+// would.
+type heldSnapshot struct {
+	c    *compiledTable
+	step int
+	full bool // published after some tuple's trie root filled
+	pkts []Packet
+	want []*entry
+}
+
+func holdSnapshot(c *compiledTable, step int, full bool, rules []Rule, stray Packet) heldSnapshot {
+	h := heldSnapshot{c: c, step: step, full: full, pkts: []Packet{stray}}
+	for _, r := range rules {
+		h.pkts = append(h.pkts, packetFor(r.Match, stray))
+	}
+	for i := range h.pkts {
+		h.want = append(h.want, c.lookup(&h.pkts[i]))
+	}
+	return h
+}
+
+func (h heldSnapshot) check(t *testing.T, when string) {
+	t.Helper()
+	for i := range h.pkts {
+		if got := h.c.lookup(&h.pkts[i]); got != h.want[i] {
+			t.Fatalf("%s: snapshot of step %d changed its answer for %+v: %p, was %p", when, h.step, h.pkts[i], got, h.want[i])
+		}
+	}
 }
 
 // entryOf returns the installed entry holding r (its forward port is
@@ -566,6 +619,9 @@ type tableOpsStats struct {
 	filled  bool
 	drained bool // that tuple was later seen below the trie cutoff
 	reverts int
+	// heldFull counts the checks, after a later step, of a held snapshot
+	// published after that tuple filled.
+	heldFull int
 }
 
 func (st *tableOpsStats) observe(c *compiledTable) {
@@ -674,6 +730,54 @@ func tableOpsLargeSeed(seed int64) []byte {
 	return out
 }
 
+// tableOpsChurnSeed returns a large-variant sequence that fills a trie
+// root and then churns it while snapshots are held: each is held for
+// four steps. Eleven batches of 64 installs fill the TCAM, mostly with
+// rules of the one shape, so that its root gets every page; two names
+// are then removed to make room, and forty steps of single installs,
+// removes of a name, and two-rule batches (every other one reverted)
+// follow.
+func tableOpsChurnSeed(seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	out := []byte{tableOpsLarge, byte(3*80 + rng.Intn(16))} // hold 4, capacity 560–575
+	rule := func() {
+		for n := 8; n > 0; n-- {
+			out = append(out, byte(rng.Intn(256)))
+		}
+	}
+	for n := 8; n > 0; n-- { // the stray packet
+		out = append(out, byte(rng.Intn(256)))
+	}
+	const install, remove, batch, revert = 0, 1, 2, 3
+	const batchInstall = 2 // a batch step's flags: install, no remove
+	for i := 0; i < 11; i++ {
+		out = append(out, batch, 63)
+		for n := 64; n > 0; n-- {
+			out = append(out, batchInstall)
+			rule()
+		}
+	}
+	out = append(out, remove, byte(rng.Intn(24)), remove, byte(rng.Intn(24)))
+	for i := 0; i < 40; i++ {
+		switch i % 4 {
+		case 0, 2:
+			out = append(out, install)
+			rule()
+		case 1:
+			out = append(out, batch, 1, batchInstall)
+			rule()
+			out = append(out, batchInstall)
+			rule()
+			if i%8 == 1 {
+				out = append(out, revert)
+			}
+		case 3:
+			out = append(out, remove, byte(rng.Intn(24)))
+		}
+	}
+	return out
+}
+
 // tableOpsSameNameSeed returns a small-variant sequence that keeps
 // several rules under one name and takes them out again in later
 // batches, each of which it then reverts: batch A installs three n0s,
@@ -722,7 +826,8 @@ func tableOpsSameNameSeed() []byte {
 // generated sequences, so plain `go test` covers mutation sequences too.
 // Their tables hold 8–47 rules, so no trie root of theirs comes near full;
 // the large variant covers full roots, on two sequences that must each
-// fill a root, drain it and revert.
+// fill a root, drain it and revert, and on one that churns a full root
+// while the snapshots before it are held.
 func TestTableOpsRandom(t *testing.T) {
 	t.Run("small", func(t *testing.T) {
 		for seed := int64(0); seed < 300; seed++ {
@@ -732,6 +837,11 @@ func TestTableOpsRandom(t *testing.T) {
 	t.Run("same-name", func(t *testing.T) {
 		if st := runTableOps(t, tableOpsSameNameSeed()); st.reverts != 5 {
 			t.Fatalf("same-name sequence ran %d reverts, want 5", st.reverts)
+		}
+	})
+	t.Run("churn", func(t *testing.T) {
+		if st := runTableOps(t, tableOpsChurnSeed(1)); !st.filled || st.heldFull < 4*40 {
+			t.Fatalf("churn sequence: root filled %v, %d checks of a held full-root snapshot", st.filled, st.heldFull)
 		}
 	})
 	t.Run("large", func(t *testing.T) {

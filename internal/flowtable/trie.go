@@ -9,23 +9,27 @@ import (
 // hash-array-mapped trie in the compact two-bitmap layout (one bitmap for
 // slots that hold a key, one for slots that hold a child), so a node
 // stores only its occupied positions. Arrays reachable from a published
-// snapshot are never written. A mutation copies the arrays on the path
-// from the root to the touched slot — O(log₆₄ n) of them — and shares
-// everything else with the predecessor snapshot, which is what makes one
-// rule's install cost independent of how many rules the tuple already
-// holds.
+// snapshot are never written. A mutation copies an array only if it
+// writes it: a key added to or dropped from a node copies that node's
+// data, and a walk down to a child copies the kids array the child's
+// header lives in, while the node's data stays shared. Along the path
+// from the root to the touched slot — O(log₆₄ n) nodes — that is one
+// array per level, and everything else is shared with the predecessor
+// snapshot, which is what makes one rule's install cost independent of
+// how many rules the tuple already holds.
 //
 // The root is the one node laid out differently (trieRoot): a tuple of a
 // thousand rules has all 64 root children, so the root's child array is
 // the largest thing on every path, and it is split into eight fixed pages
-// of eight children. A mutation copies the one page it passes through.
+// of eight children. A mutation copies the one page it passes through,
+// and the root's data only if it writes there.
 //
 // Within one unpublished draft the copies are not repeated: every node
-// carries the generation that allocated its arrays, and a draft of that
-// generation edits them in place (no reader can have seen them yet); the
-// root remembers which of its pages the draft allocated. A thousand-rule
-// batch therefore copies each touched array and page once, not once per
-// rule.
+// records the generation that last copied one of its arrays and which of
+// the two that draft allocated, and the draft edits those in place (no
+// reader can have seen them yet); the root remembers the same for its
+// data and for each of its pages. A thousand-rule batch therefore copies
+// each touched array and page once, not once per rule.
 
 const (
 	trieBits = 6
@@ -41,6 +45,20 @@ const (
 	pageSize  = 1 << pageBits
 	pageMask  = pageSize - 1
 	rootPages = 1 << (trieBits - pageBits)
+
+	// A trieNode's stamp is a draft generation shifted left by stampBits,
+	// with ownsData and ownsKids set for the arrays that draft allocated.
+	// owns compares generations unshifted, so a draft too late for a
+	// stamp to hold (generation 2⁶² on) matches no stamp, even where its
+	// shifted generation equals an earlier draft's, and copies every
+	// array it writes.
+	ownsData  = 1
+	ownsKids  = 2
+	stampBits = 2
+
+	// rootOwnsData is the bit of trieRoot.owned above the page bits that
+	// says the draft allocated the root's data.
+	rootOwnsData = 1 << rootPages
 )
 
 // trieSlot is one distinct match key and the rules installed under it.
@@ -74,9 +92,11 @@ type trieNode struct {
 	dataMap, kidMap uint64
 	kids            []trieNode
 	data            []trieSlot
-	// gen is the draft generation that allocated data and kids; a draft
-	// of that generation edits them in place.
-	gen uint64
+	// stamp is the draft generation that last copied one of the arrays and
+	// which of them it allocated (ownsData, ownsKids); that draft edits
+	// those in place. Packing both into one word keeps the node, which
+	// every kids array and root page is made of, at 72 bytes.
+	stamp uint64
 }
 
 // trieRoot is a trie's root, held by value in the tuple header. Its keys
@@ -91,10 +111,11 @@ type trieRoot struct {
 	dataMap, kidMap uint64
 	pages           [rootPages]*[pageSize]trieNode
 	data            []trieSlot
-	// gen is the draft generation that allocated data; owned has bit p set
-	// when that draft allocated pages[p]. The draft edits both in place.
+	// gen is the draft generation owned is about: bit p is set when that
+	// draft allocated pages[p], and rootOwnsData when it allocated data.
+	// The draft edits those in place.
 	gen   uint64
-	owned uint8
+	owned uint16
 }
 
 // spread scatters one key word over 64 bits before the words are folded
@@ -159,23 +180,31 @@ func (r *trieRoot) find(h uint64, k matchKey) *entry {
 	return nil
 }
 
-// own makes the root's data editable by the draft of generation gen,
-// copying it unless that draft allocated it, and starts the draft with
-// no pages of its own.
-func (r *trieRoot) own(gen uint64) {
-	if r.gen == gen {
-		return
+// claim starts the draft of generation gen on the root with nothing of
+// its own, unless it already has.
+func (r *trieRoot) claim(gen uint64) {
+	if r.gen != gen {
+		r.gen, r.owned = gen, 0
 	}
-	r.data = append(make([]trieSlot, 0, len(r.data)+1), r.data...)
-	r.gen, r.owned = gen, 0
+}
+
+// ownData makes the root's data editable by the draft of generation gen,
+// copying it unless that draft allocated it. A copy has room for grow
+// more slots, the number the caller is about to add.
+func (r *trieRoot) ownData(gen uint64, grow int) {
+	r.claim(gen)
+	if r.owned&rootOwnsData == 0 {
+		r.data = append(make([]trieSlot, 0, len(r.data)+grow), r.data...)
+		r.owned |= rootOwnsData
+	}
 }
 
 // page makes the page holding child i editable by the draft of generation
 // gen, copying it (or allocating it, if it is empty) unless that draft
 // already did, and returns it. Copying a page copies its children's
-// headers; their arrays stay shared until they are touched in turn.
+// headers; their arrays stay shared until they are written in turn.
 func (r *trieRoot) page(gen, i uint64) *[pageSize]trieNode {
-	r.own(gen)
+	r.claim(gen)
 	p := i >> pageBits
 	if r.owned&(1<<p) == 0 {
 		pg := new([pageSize]trieNode)
@@ -190,12 +219,12 @@ func (r *trieRoot) page(gen, i uint64) *[pageSize]trieNode {
 
 // insert adds e under key k (hash h).
 func (r *trieRoot) insert(gen, h uint64, k matchKey, e *entry) {
-	r.own(gen)
 	i := h & trieMask
 	bit := uint64(1) << i
 	di := bits.OnesCount64(r.dataMap & (bit - 1))
 	switch {
 	case r.dataMap&bit != 0:
+		r.ownData(gen, 0)
 		s := &r.data[di]
 		if s.key == k {
 			s.push(e)
@@ -210,6 +239,7 @@ func (r *trieRoot) insert(gen, h uint64, k matchKey, e *entry) {
 	case r.kidMap&bit != 0:
 		r.page(gen, i)[i&pageMask].insert(gen, h, trieBits, k, e)
 	default:
+		r.ownData(gen, 1)
 		r.data = slices.Insert(r.data, di, trieSlot{key: k, e: e})
 		r.dataMap |= bit
 	}
@@ -219,11 +249,11 @@ func (r *trieRoot) insert(gen, h uint64, k matchKey, e *entry) {
 // child left with at most one slot is folded back into the root's data,
 // and a page left with no child is released.
 func (r *trieRoot) remove(gen, h uint64, k matchKey, e *entry) {
-	r.own(gen)
 	i := h & trieMask
 	bit := uint64(1) << i
 	di := bits.OnesCount64(r.dataMap & (bit - 1))
 	if r.dataMap&bit != 0 {
+		r.ownData(gen, 0)
 		if r.data[di].drop(e) {
 			r.data = slices.Delete(r.data, di, di+1)
 			r.dataMap &^= bit
@@ -236,6 +266,7 @@ func (r *trieRoot) remove(gen, h uint64, k matchKey, e *entry) {
 		return
 	}
 	if len(kid.data) == 1 {
+		r.ownData(gen, 1)
 		r.data = slices.Insert(r.data, di, kid.data[0])
 		r.dataMap |= bit
 	}
@@ -259,25 +290,48 @@ func (r *trieRoot) each(visit func(*entry)) {
 	}
 }
 
-// own makes the node's arrays editable by the draft of generation gen,
-// copying them unless that draft allocated them. The copies have room
-// for one more element, so the insert that usually follows does not
-// reallocate what was just copied. Copying kids copies the children's
-// headers; their arrays stay shared until they are touched in turn.
-func (n *trieNode) own(gen uint64) {
-	if n.gen == gen {
-		return
+// owns reports whether the draft of generation gen allocated the node's
+// array that bit (ownsData or ownsKids) names, and so may edit it in
+// place.
+func (n *trieNode) owns(gen, bit uint64) bool {
+	return n.stamp>>stampBits == gen && n.stamp&bit != 0
+}
+
+// mark records that the draft of generation gen allocated the array bit
+// names, forgetting what an earlier draft allocated.
+func (n *trieNode) mark(gen, bit uint64) {
+	if n.stamp>>stampBits != gen {
+		n.stamp = gen << stampBits
 	}
-	n.data = append(make([]trieSlot, 0, len(n.data)+1), n.data...)
-	n.kids = append(make([]trieNode, 0, len(n.kids)+1), n.kids...)
-	n.gen = gen
+	n.stamp |= bit
+}
+
+// ownData makes the node's data editable by the draft of generation gen,
+// copying it unless that draft allocated it. A copy has room for grow
+// more slots, the number the caller is about to add.
+func (n *trieNode) ownData(gen uint64, grow int) {
+	if !n.owns(gen, ownsData) {
+		n.data = append(make([]trieSlot, 0, len(n.data)+grow), n.data...)
+		n.mark(gen, ownsData)
+	}
+}
+
+// ownKids is ownData for the node's kids. Copying kids copies the
+// children's headers; their arrays stay shared until they are written in
+// turn.
+func (n *trieNode) ownKids(gen uint64, grow int) {
+	if !n.owns(gen, ownsKids) {
+		n.kids = append(make([]trieNode, 0, len(n.kids)+grow), n.kids...)
+		n.mark(gen, ownsKids)
+	}
 }
 
 // splitSlot returns the node that takes the place of slot s, of a node
 // at the level of the given shift, when a second key meets s there: a
 // child one level down that holds s alone.
 func splitSlot(gen uint64, s trieSlot, shift uint) trieNode {
-	kid := trieNode{gen: gen, data: []trieSlot{s}}
+	kid := trieNode{data: []trieSlot{s}}
+	kid.mark(gen, ownsData)
 	if shift+trieBits < hashBits {
 		kid.dataMap = 1 << (s.key.hash() >> (shift + trieBits) & trieMask)
 	}
@@ -294,14 +348,15 @@ func (n *trieNode) lone() bool {
 // sits at the level of the given shift. The caller owns the array n
 // lives in.
 func (n *trieNode) insert(gen, h uint64, shift uint, k matchKey, e *entry) {
-	n.own(gen)
 	if shift >= hashBits {
 		for i := range n.data {
 			if n.data[i].key == k {
+				n.ownData(gen, 0)
 				n.data[i].push(e)
 				return
 			}
 		}
+		n.ownData(gen, 1)
 		n.data = append(n.data, trieSlot{key: k, e: e})
 		return
 	}
@@ -310,6 +365,7 @@ func (n *trieNode) insert(gen, h uint64, shift uint, k matchKey, e *entry) {
 	ki := bits.OnesCount64(n.kidMap & (bit - 1))
 	switch {
 	case n.dataMap&bit != 0:
+		n.ownData(gen, 0)
 		s := &n.data[di]
 		if s.key == k {
 			s.push(e)
@@ -320,11 +376,14 @@ func (n *trieNode) insert(gen, h uint64, shift uint, k matchKey, e *entry) {
 		kid.insert(gen, h, shift+trieBits, k, e)
 		n.data = slices.Delete(n.data, di, di+1)
 		n.dataMap &^= bit
+		n.ownKids(gen, 1)
 		n.kids = slices.Insert(n.kids, ki, kid)
 		n.kidMap |= bit
 	case n.kidMap&bit != 0:
+		n.ownKids(gen, 0)
 		n.kids[ki].insert(gen, h, shift+trieBits, k, e)
 	default:
+		n.ownData(gen, 1)
 		n.data = slices.Insert(n.data, di, trieSlot{key: k, e: e})
 		n.dataMap |= bit
 	}
@@ -334,9 +393,9 @@ func (n *trieNode) insert(gen, h uint64, shift uint, k matchKey, e *entry) {
 // child left with a single slot is folded back into its parent, so the
 // trie never keeps chains of one-slot nodes behind.
 func (n *trieNode) remove(gen, h uint64, shift uint, k matchKey, e *entry) {
-	n.own(gen)
 	if shift >= hashBits {
 		i := slices.IndexFunc(n.data, func(s trieSlot) bool { return s.key == k })
+		n.ownData(gen, 0)
 		if n.data[i].drop(e) {
 			n.data = slices.Delete(n.data, i, i+1)
 		}
@@ -345,6 +404,7 @@ func (n *trieNode) remove(gen, h uint64, shift uint, k matchKey, e *entry) {
 	bit := uint64(1) << (h >> shift & trieMask)
 	di := bits.OnesCount64(n.dataMap & (bit - 1))
 	if n.dataMap&bit != 0 {
+		n.ownData(gen, 0)
 		if n.data[di].drop(e) {
 			n.data = slices.Delete(n.data, di, di+1)
 			n.dataMap &^= bit
@@ -352,12 +412,14 @@ func (n *trieNode) remove(gen, h uint64, shift uint, k matchKey, e *entry) {
 		return
 	}
 	ki := bits.OnesCount64(n.kidMap & (bit - 1))
+	n.ownKids(gen, 0)
 	kid := &n.kids[ki]
 	kid.remove(gen, h, shift+trieBits, k, e)
 	if !kid.lone() {
 		return
 	}
 	if len(kid.data) == 1 {
+		n.ownData(gen, 1)
 		n.data = slices.Insert(n.data, di, kid.data[0])
 		n.dataMap |= bit
 	}

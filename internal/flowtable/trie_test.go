@@ -3,10 +3,12 @@ package flowtable
 import (
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // collidingKey returns a key that differs from k yet hashes to the same
@@ -314,6 +316,130 @@ func TestBatchCopiesEachPageOnce(t *testing.T) {
 			t.Fatalf("a 1000-key draft allocated page %d %d times, want once", p, n)
 		}
 	}
+}
+
+// sameArray reports whether x and y share a backing array.
+func sameArray[T any](x, y []T) bool { return unsafe.SliceData(x) == unsafe.SliceData(y) }
+
+// TestDraftCopiesOnlyWrittenArrays pins the per-array copy rule against
+// a published trie whose root child c holds a key in its data and a
+// child in its kids, beside root keys of its own: a draft copies an
+// array only if it writes it. A key that lands in c's data leaves c's
+// kids and the root's data shared; a key that descends to c's child
+// leaves c's data and the root's data shared. A draft of a table that
+// touches one tuple copies that tuple's header and no other.
+func TestDraftCopiesOnlyWrittenArrays(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	// keyAt returns a fresh key whose hash has the given six-bit digits
+	// at levels 0, 1, … and none of notNext at the level after them.
+	keyAt := func(notNext []uint64, digits ...uint64) matchKey {
+		for {
+			k := matchKey{lo: rng.Uint64(), hi: rng.Uint64()}
+			h := k.hash()
+			ok := true
+			for l, d := range digits {
+				ok = ok && h>>(l*trieBits)&trieMask == d
+			}
+			next := h >> (len(digits) * trieBits) & trieMask
+			if ok && !slices.Contains(notNext, next) {
+				return k
+			}
+		}
+	}
+	const slot, sub = 21, 40 // c is the root's child at slot, c's child at sub
+	a := keyAt(nil, slot, sub)
+	b := keyAt([]uint64{sub}, slot)
+	b1 := b.hash() >> trieBits & trieMask
+	aNext := a.hash() >> (2 * trieBits) & trieMask
+	c2 := keyAt([]uint64{aNext}, slot, sub)
+	var pub trieRoot
+	for i, k := range []matchKey{a, b, c2, keyAt([]uint64{slot}), keyAt([]uint64{slot})} {
+		pub.insert(1, k.hash(), k, &entry{seq: uint64(i)})
+	}
+	kidOf := func(r *trieRoot) *trieNode { return &r.pages[slot>>pageBits][slot&pageMask] }
+	if c := kidOf(&pub); len(c.data) != 1 || len(c.kids) != 1 || len(pub.data) != 2 {
+		t.Fatalf("published trie: child holds %d keys and %d children, root %d keys", len(c.data), len(c.kids), len(pub.data))
+	}
+
+	d := pub
+	k := keyAt([]uint64{sub, b1}, slot)
+	d.insert(2, k.hash(), k, &entry{seq: 10})
+	c, pc := kidOf(&d), kidOf(&pub)
+	if len(c.data) != 2 || sameArray(c.data, pc.data) {
+		t.Fatalf("a key into the child's data left it shared (%d keys)", len(c.data))
+	}
+	if !sameArray(c.kids, pc.kids) {
+		t.Fatal("a key into the child's data copied its kids")
+	}
+	if !sameArray(d.data, pub.data) {
+		t.Fatal("a key below the root copied the root's data")
+	}
+
+	d = pub
+	k = keyAt([]uint64{aNext, c2.hash() >> (2 * trieBits) & trieMask}, slot, sub)
+	d.insert(2, k.hash(), k, &entry{seq: 11})
+	c = kidOf(&d)
+	if len(c.kids) != 1 || len(c.kids[0].data) != 3 || sameArray(c.kids, pc.kids) {
+		t.Fatal("a key into the grandchild did not copy the child's kids")
+	}
+	if !sameArray(c.data, pc.data) {
+		t.Fatal("a key into the grandchild copied the child's data")
+	}
+	if !sameArray(d.data, pub.data) {
+		t.Fatal("a key below the root copied the root's data")
+	}
+
+	tbl := NewTable()
+	for i := 0; i < 40; i++ { // several shapes, one of them a trie
+		if err := tbl.Install(churnRule(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := tbl.compiled.Load()
+	r := churnRule(40) // the trie shape
+	if err := tbl.Install(r); err != nil {
+		t.Fatal(err)
+	}
+	after := tbl.compiled.Load()
+	touched := shapeOf(r.Match)
+	if len(before.tuples) < 3 || len(after.tuples) != len(before.tuples) {
+		t.Fatalf("%d tuples before, %d after", len(before.tuples), len(after.tuples))
+	}
+	for _, tp := range after.tuples {
+		if old := before.tuples[before.indexOf(tp.shape)]; (old == tp) == (tp.shape == touched) {
+			t.Fatalf("tuple %+v: header shared = %v after a draft that touched %+v", tp.shape, old == tp, touched)
+		}
+	}
+}
+
+// TestStampOverflowCopies runs drafts whose generations are past what a
+// node's stamp can hold, the first of them one whose shifted generation
+// equals the published trie's. Such a draft must copy every array it
+// writes: every kept root is re-checked at the end.
+func TestStampOverflowCopies(t *testing.T) {
+	const maxStampGen = math.MaxUint64 >> stampBits // the last one a stamp holds
+	var n trieNode
+	n.mark(1, ownsData)
+	if !n.owns(1, ownsData) || n.owns(1, ownsKids) || n.owns(1+maxStampGen+1, ownsData) {
+		t.Fatalf("stamp %x: owns(1, data)=%v owns(1, kids)=%v owns(overflowed, data)=%v",
+			n.stamp, n.owns(1, ownsData), n.owns(1, ownsKids), n.owns(1+maxStampGen+1, ownsData))
+	}
+	rng := rand.New(rand.NewSource(17))
+	m := newTrieModel(t)
+	var live []*entry
+	for i := 0; i < 600; i++ {
+		live = append(live, m.insert(matchKey{lo: rng.Uint64(), hi: rng.Uint64()}, 0))
+	}
+	m.keep("published at generation 1")
+	for m.gen = 1 + maxStampGen + 1; m.gen < maxStampGen+10; m.gen++ {
+		for j := 0; j < 50; j++ {
+			i := rng.Intn(len(live))
+			m.remove(live[i])
+			live[i] = m.insert(matchKey{lo: rng.Uint64(), hi: rng.Uint64()}, 0)
+		}
+		m.keep(fmt.Sprintf("overflowed generation %d", m.gen))
+	}
+	m.checkHistory()
 }
 
 // TestFullHashCollisionThroughTable installs real rules whose packed keys
