@@ -3,6 +3,7 @@ package apple
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/apple-nfv/apple/internal/controller"
@@ -225,10 +226,13 @@ func (f *Framework) SubclassesOf(id ClassID) ([]Subclass, []float64, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("apple: %w", err)
 	}
-	subs := make([]Subclass, len(a.Subclasses))
-	copy(subs, a.Subclasses)
-	weights := make([]float64, len(a.Weights))
-	copy(weights, a.Weights)
+	subs := make([]Subclass, a.NumSubclasses())
+	weights := make([]float64, len(subs))
+	for s := range subs {
+		subs[s] = a.Subclass(s)
+		subs[s].Hops = slices.Clone(subs[s].Hops)
+		weights[s] = a.Weight(s)
+	}
 	return subs, weights, nil
 }
 

@@ -75,16 +75,18 @@ func withRates(prob *core.Problem, f float64) *core.Problem {
 // TestRateOnlyReoptimizeAllocs: when only rates drift, the split
 // comparison (sameSplit) allocates nothing — it streams the capacity
 // expansion of a coupling computed in controller-owned scratch against
-// the installed sub-classes — and a rate-only class allocates two objects:
-// its replacement Assignment and that one's fresh Base. Beyond those,
-// ReOptimize allocates a number of objects that does not depend on the
-// class count: the report, the transaction with its refresh list,
-// pre-image map and order, the portion pre-images of the 64 instances, and
-// one sorted key list per hosting switch in provisionTo. Measured 42; the
-// gate is 46. Materialising the sub-classes in sameSplit (six objects a
-// class), copying Weights on refresh and staging whole classes in a
-// transaction sized for every class made it 945 for the 100 classes, 46
-// of them beyond nine a class.
+// the installed sub-classes — and a rate-only class allocates one object:
+// its replacement Assignment, which shares the sub-class records and
+// carries a new generation number. Beyond those, ReOptimize allocates a
+// number of objects that does not depend on the class count: the report,
+// the transaction with its refresh list, pre-image map and order, the
+// portion pre-images of the 64 instances, and one sorted key list per
+// hosting switch in provisionTo. Measured 42; the gate is 42. Telling
+// generations apart by a fresh Base array made it two a class;
+// materialising the sub-classes in sameSplit (six objects a class),
+// copying Weights on refresh and staging whole classes in a transaction
+// sized for every class made it 945 for the 100 classes, 46 of them
+// beyond nine a class.
 func TestRateOnlyReoptimizeAllocs(t *testing.T) {
 	c, prob, pl := hundredClassFixture(t)
 	for _, cl := range prob.Classes {
@@ -108,11 +110,11 @@ func TestRateOnlyReoptimizeAllocs(t *testing.T) {
 			t.Fatalf("pass %d: report %+v, err %v; want %d rate-only classes", pass, rep, err, hundredClasses)
 		}
 	})
-	const perClass = 2
+	const perClass = 1
 	fixed := total - perClass*hundredClasses
 	t.Logf("rate-only ReOptimize of %d classes: %.0f allocations, %.0f beyond %d a class", hundredClasses, total, fixed, perClass)
-	if fixed > 46 {
-		t.Errorf("%.0f allocations beyond %d a class; the gate is 46", fixed, perClass)
+	if fixed > 42 {
+		t.Errorf("%.0f allocations beyond %d a class; the gate is 42", fixed, perClass)
 	}
 }
 
@@ -164,8 +166,8 @@ func TestRemoveCompilesNothing(t *testing.T) {
 	got := testing.AllocsPerRun(20, func() {
 		id := prob.Classes[next].ID
 		next++
-		if a, _ := c.assign.get(id); len(a.Subclasses) != 1 {
-			t.Fatalf("class %d has %d sub-classes; the count is stated for one", id, len(a.Subclasses))
+		if a, _ := c.assign.get(id); a.NumSubclasses() != 1 {
+			t.Fatalf("class %d has %d sub-classes; the count is stated for one", id, a.NumSubclasses())
 		}
 		txn := c.Begin()
 		txn.StageRemove(id)
@@ -265,10 +267,8 @@ func TestLoadsBitIdentical(t *testing.T) {
 	shared := 0
 	byInst := make(map[vnf.ID]int)
 	for _, a := range ref.assign.sorted() {
-		for _, row := range a.Instances {
-			for _, id := range row {
-				byInst[id]++
-			}
+		for _, id := range a.insts {
+			byInst[id]++
 		}
 	}
 	for _, n := range byInst {

@@ -70,40 +70,101 @@ type Switch struct {
 }
 
 // Assignment is the controller's record of one class's data-plane state:
-// its matching prefix, its sub-classes (hop vectors plus current traffic
-// weights), and the concrete instance serving each (sub-class, chain
-// position).
+// its sub-classes — hop vector, planned portion, current weight and tag
+// each — and the concrete instance serving each (sub-class, chain
+// position). Its matching prefix is ClassPrefix(Class.ID), recomputed on
+// demand. An installed Assignment is never written in place: the Dynamic
+// Handler reshapes a clone, re-optimization builds a replacement, and the
+// store swaps the pointer.
 type Assignment struct {
-	Class  core.Class
-	Prefix flowtable.Prefix
-	// Subclasses hold the hop vectors; Weights the *current* portions
-	// (fast failover temporarily reshapes them; Base keeps the originals
-	// for rollback).
-	Subclasses []core.Subclass
-	Weights    []float64
-	Base       []float64
-	// Instances[s][j] is the instance serving chain position j of
-	// sub-class s.
-	Instances [][]vnf.ID
+	Class core.Class
+	// subs are the sub-classes, the nBase the placement planned first and
+	// those the Dynamic Handler appended after them.
+	subs []subRecord
+	// insts[s*len(Class.Chain)+j] is the instance serving chain position j
+	// of sub-class s: one flat array, a row per sub-class.
+	insts []vnf.ID
+	// gen names the generation (sameGeneration): installs, updates,
+	// rate-only refreshes and rollbacks draw a new one from the controller,
+	// while the Dynamic Handler's reshapes keep it.
+	gen uint32
+	// nBase counts the base sub-classes, the ones a rollback restores; at
+	// most globalTagBase of them are ever admitted.
+	nBase uint8
 	// Global marks classes whose chain rewrites packet headers (NAT, §X):
 	// downstream matching cannot rely on the source address, so their
 	// sub-class tags come from the globally unique half of the tag space
 	// and vSwitch rules match on the tag alone.
 	Global bool
-	// SubTags[s] is the data-plane tag of sub-class s.
-	SubTags []uint8
 }
 
-// clone returns a copy of a for the Dynamic Handler to reshape: the arrays
-// a reshape writes are its own, while hop vectors, instance rows and Base,
-// never written in place, stay shared (see sameGeneration).
+// subRecord is one sub-class of an Assignment.
+type subRecord struct {
+	// hops[j] indexes Class.Path: chain position j is served there. Never
+	// written in place, so clones share it.
+	hops []int
+	// portion is the planned share (core.Subclass.Portion): the weight a
+	// rollback restores for a base sub-class, and what the instance-portion
+	// ledger charges for any sub-class.
+	portion float64
+	// weight is the current share; fast failover reshapes it on a clone.
+	weight float64
+	// tag is the sub-class's data-plane tag.
+	tag uint8
+}
+
+// Prefix returns the class's matching source prefix.
+func (a *Assignment) Prefix() flowtable.Prefix {
+	p, _ := ClassPrefix(a.Class.ID) // an installed class is inside the plan
+	return p
+}
+
+// NumSubclasses returns how many sub-classes the class has, Dynamic
+// Handler additions included.
+func (a *Assignment) NumSubclasses() int { return len(a.subs) }
+
+// NumBase returns how many of them are base sub-classes: the first
+// NumBase, which a rollback keeps.
+func (a *Assignment) NumBase() int { return int(a.nBase) }
+
+// Subclass returns sub-class s's hop vector and planned portion. The hop
+// vector is the assignment's own and must not be written.
+func (a *Assignment) Subclass(s int) core.Subclass {
+	return core.Subclass{Portion: a.subs[s].portion, Hops: a.subs[s].hops}
+}
+
+// Weight returns sub-class s's current traffic weight.
+func (a *Assignment) Weight(s int) float64 { return a.subs[s].weight }
+
+// Tag returns sub-class s's data-plane tag.
+func (a *Assignment) Tag(s int) uint8 { return a.subs[s].tag }
+
+// Instances returns the instances serving sub-class s, in chain order.
+// The row is the assignment's own and must not be written.
+func (a *Assignment) Instances(s int) []vnf.ID {
+	k := len(a.Class.Chain)
+	return a.insts[s*k : (s+1)*k : (s+1)*k]
+}
+
+// clone returns a copy of a for the Dynamic Handler to reshape: the
+// sub-class records, whose weights a reshape writes, are its own; hop
+// vectors and the instance array stay shared. The instance array is
+// clipped, so a row the reshape appends lands in a fresh array.
 func (a *Assignment) clone() *Assignment {
 	b := *a
-	b.Subclasses = slices.Clone(a.Subclasses)
-	b.Weights = slices.Clone(a.Weights)
-	b.Instances = slices.Clone(a.Instances)
-	b.SubTags = slices.Clone(a.SubTags)
+	b.subs = slices.Clone(a.subs)
+	b.insts = slices.Clip(a.insts)
 	return &b
+}
+
+// addSubclass appends sub-class r, served by the instances of sub-class
+// src but for chain position j, which inst serves. Only a clone is ever
+// extended, so the append copies the clipped instance array.
+func (a *Assignment) addSubclass(r subRecord, src, j int, inst vnf.ID) {
+	k := len(a.Class.Chain)
+	a.subs = append(a.subs, r)
+	a.insts = append(a.insts, a.insts[src*k:(src+1)*k]...)
+	a.insts[len(a.insts)-k+j] = inst
 }
 
 // Controller is the APPLE control plane.
@@ -151,6 +212,14 @@ type Controller struct {
 	// reopt is ReOptimize's scratch, reused from pass to pass. Confined to
 	// the single writer, like passByDone.
 	reopt reoptScratch
+	// gen is the last assignment generation handed out (nextGen). Confined
+	// to the single writer; an unwind does not take numbers back.
+	gen uint32
+	// actions holds every distinct action list the rule emitter has handed
+	// out, keyed by value: rules carrying equal lists share one clipped,
+	// read-only slice. Never pruned, it is bounded by the tag × port ×
+	// table space, not by the class count. Confined to the single writer.
+	actions actionMemo
 	// failpoint, when non-nil, runs at every named step of every rule
 	// transaction; a non-nil return aborts the transaction there (test
 	// hook for the fault-injection suite).
@@ -219,6 +288,7 @@ func New(cfg Config) (*Controller, error) {
 		instPortion:    make(map[vnf.ID]float64),
 		hostGlobalTags: make(map[topology.NodeID]map[uint8]bool),
 		tracer:         cfg.Tracer,
+		actions:        make(actionMemo),
 	}
 	for _, n := range cfg.Topology.Nodes() {
 		pl, err := flowtable.NewPipeline(2)
@@ -410,8 +480,9 @@ func (c *Controller) FlowHeader(id core.ClassID, sub uint32) (headerspace.Header
 	if err != nil {
 		return headerspace.Header{}, err
 	}
-	hostBits := uint32(32 - a.Prefix.Len)
-	src := a.Prefix.Addr | (sub & (1<<hostBits - 1))
+	prefix := a.Prefix()
+	hostBits := uint32(32 - prefix.Len)
+	src := prefix.Addr | (sub & (1<<hostBits - 1))
 	return headerspace.Header{
 		SrcIP: src,
 		DstIP: dst,
@@ -485,7 +556,8 @@ func (c *Controller) findInstance(id vnf.ID) (*vnf.Instance, error) {
 const globalTagBase = 32
 
 // subclassHosts returns the distinct hosting switches a sub-class with
-// the given hop vector visits.
+// the given hop vector visits. Only header-rewriting classes need them to
+// allocate a tag; every class needs them to find its steering rules.
 func subclassHosts(cl core.Class, hops []int) []topology.NodeID {
 	seen := make(map[topology.NodeID]bool, len(hops))
 	var out []topology.NodeID
@@ -500,18 +572,19 @@ func subclassHosts(cl core.Class, hops []int) []topology.NodeID {
 }
 
 // allocSubTagFor hands the tag for the assignment's next sub-class, given
-// the hosting switches that sub-class will visit: the sub-class index for
+// the hop vector that sub-class will follow: the sub-class index for
 // normal classes; for header-rewriting classes, the smallest upper-half
-// tag free on every visited host, which it marks used (recorded in txn;
-// nil outside a transaction).
-func (c *Controller) allocSubTagFor(a *Assignment, hosts []topology.NodeID, txn *RuleTxn) (uint8, error) {
+// tag free on every hosting switch it visits, which it marks used
+// (recorded in txn; nil outside a transaction).
+func (c *Controller) allocSubTagFor(a *Assignment, hops []int, txn *RuleTxn) (uint8, error) {
 	if !a.Global {
-		idx := len(a.SubTags)
+		idx := len(a.subs)
 		if idx >= globalTagBase {
 			return 0, fmt.Errorf("controller: class %d exceeds %d local sub-classes", a.Class.ID, globalTagBase)
 		}
 		return uint8(idx), nil
 	}
+	hosts := subclassHosts(a.Class, hops)
 	for tag := uint8(globalTagBase); tag <= uint8(flowtable.MaxSubTag); tag++ {
 		free := true
 		for _, v := range hosts {
@@ -522,8 +595,8 @@ func (c *Controller) allocSubTagFor(a *Assignment, hosts []topology.NodeID, txn 
 		}
 		// The tag must also differ from the class's own other sub-classes
 		// (they share the ingress classification stage).
-		for _, used := range a.SubTags {
-			if used == tag {
+		for _, r := range a.subs {
+			if r.tag == tag {
 				free = false
 				break
 			}
@@ -546,15 +619,17 @@ func (c *Controller) releaseSubTags(a *Assignment, from int, txn *RuleTxn) {
 	if !a.Global {
 		return
 	}
-	for s := from; s < len(a.SubTags); s++ {
-		if s >= len(a.Subclasses) {
-			continue
-		}
-		tag := a.SubTags[s]
-		for _, v := range subclassHosts(a.Class, a.Subclasses[s].Hops) {
-			c.setGlobalTag(txn, v, tag, false)
+	for _, r := range a.subs[min(from, len(a.subs)):] {
+		for _, v := range subclassHosts(a.Class, r.hops) {
+			c.setGlobalTag(txn, v, r.tag, false)
 		}
 	}
+}
+
+// nextGen hands out a new assignment generation.
+func (c *Controller) nextGen() uint32 {
+	c.gen++
+	return c.gen
 }
 
 // CheckTables scans every physical switch and vSwitch table for shadowed

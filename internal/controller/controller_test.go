@@ -255,7 +255,7 @@ func TestAssignmentAccessors(t *testing.T) {
 		t.Fatalf("Classes = %v", got)
 	}
 	a, err := c.Assignment(5)
-	if err != nil || len(a.Subclasses) == 0 {
+	if err != nil || a.NumSubclasses() == 0 {
 		t.Fatalf("Assignment = %+v, %v", a, err)
 	}
 	if _, err := c.Assignment(99); err == nil {
@@ -307,7 +307,7 @@ func TestACLCoexistsWithAPPLE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.InstallACL("block-class-0", blocked.Prefix); err != nil {
+	if err := c.InstallACL("block-class-0", blocked.Prefix()); err != nil {
 		t.Fatalf("InstallACL: %v", err)
 	}
 	// Class 0's packets are dropped by the ACL...

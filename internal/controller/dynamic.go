@@ -51,15 +51,15 @@ func (c *Controller) loadsInto(out map[vnf.ID]float64, rates map[core.ClassID]fl
 			rate = a.Class.RateMbps
 		}
 		total := 0.0
-		for _, w := range a.Weights {
-			total += w
+		for _, r := range a.subs {
+			total += r.weight
 		}
 		if total <= 0 {
 			continue
 		}
-		for s := range a.Subclasses {
-			share := rate * a.Weights[s] / total
-			for _, inst := range a.Instances[s] {
+		for s, r := range a.subs {
+			share := rate * r.weight / total
+			for _, inst := range a.Instances(s) {
 				out[inst] += share
 			}
 		}
@@ -105,16 +105,16 @@ func (c *Controller) LossRate(rates map[core.ClassID]float64) (float64, error) {
 			rate = a.Class.RateMbps
 		}
 		wsum := 0.0
-		for _, w := range a.Weights {
-			wsum += w
+		for _, r := range a.subs {
+			wsum += r.weight
 		}
 		if wsum <= 0 {
 			continue
 		}
-		for s := range a.Subclasses {
-			share := rate * a.Weights[s] / wsum
+		for s, r := range a.subs {
+			share := rate * r.weight / wsum
 			worst := 0.0
-			for _, inst := range a.Instances[s] {
+			for _, inst := range a.Instances(s) {
 				if l := lossByInst[inst]; l > worst {
 					worst = l
 				}
@@ -371,7 +371,7 @@ func (d *DynamicHandler) baseWouldFit(classID core.ClassID, rates map[core.Class
 	if !ok {
 		rate = a.Class.RateMbps
 	}
-	adj := make(map[vnf.ID]float64, len(a.Subclasses)*len(a.Class.Chain))
+	adj := make(map[vnf.ID]float64, len(a.insts))
 	shift := func(inst vnf.ID, by float64) {
 		cur, seen := adj[inst]
 		if !seen {
@@ -381,33 +381,34 @@ func (d *DynamicHandler) baseWouldFit(classID core.ClassID, rates map[core.Class
 	}
 	// Remove the class's current contribution.
 	wsum := 0.0
-	for _, w := range a.Weights {
-		wsum += w
+	for _, r := range a.subs {
+		wsum += r.weight
 	}
 	if wsum > 0 {
-		for s := range a.Subclasses {
-			share := rate * a.Weights[s] / wsum
-			for _, inst := range a.Instances[s] {
+		for s, r := range a.subs {
+			share := rate * r.weight / wsum
+			for _, inst := range a.Instances(s) {
 				shift(inst, -share)
 			}
 		}
 	}
 	// Add the base contribution back.
+	base := a.subs[:a.NumBase()]
 	bsum := 0.0
-	for _, w := range a.Base {
-		bsum += w
+	for _, r := range base {
+		bsum += r.portion
 	}
 	if bsum <= 0 {
 		return false
 	}
-	for s := range a.Base {
-		share := rate * a.Base[s] / bsum
-		for _, inst := range a.Instances[s] {
+	for s, r := range base {
+		share := rate * r.portion / bsum
+		for _, inst := range a.Instances(s) {
 			shift(inst, share)
 		}
 	}
-	for s := range a.Base {
-		for _, inst := range a.Instances[s] {
+	for s := range base {
+		for _, inst := range a.Instances(s) {
 			det := d.detectors[inst]
 			if det == nil {
 				continue
@@ -433,8 +434,8 @@ func (d *DynamicHandler) overload(instID vnf.ID, rates map[core.ClassID]float64,
 	for _, classID := range d.c.Classes() {
 		live, _ := d.c.assign.get(classID)
 		carried := false
-		for s, row := range live.Instances {
-			carried = carried || (live.Weights[s] > 0 && slices.Contains(row, instID))
+		for s, r := range live.subs {
+			carried = carried || (r.weight > 0 && slices.Contains(live.Instances(s), instID))
 		}
 		if !carried {
 			continue
@@ -444,12 +445,12 @@ func (d *DynamicHandler) overload(instID vnf.ID, rates map[core.ClassID]float64,
 		if !ok {
 			rate = a.Class.RateMbps
 		}
-		for s := range live.Subclasses {
-			j := positionOf(a.Instances[s], instID)
-			if j < 0 || a.Weights[s] <= 0 {
+		for s := range live.subs {
+			j := positionOf(a.Instances(s), instID)
+			if j < 0 || a.subs[s].weight <= 0 {
 				continue
 			}
-			half := a.Weights[s] / 2
+			half := a.subs[s].weight / 2
 			remaining := half
 			// Spread onto least-loaded sibling sub-classes whose serving
 			// instance at position j has headroom.
@@ -458,11 +459,11 @@ func (d *DynamicHandler) overload(instID vnf.ID, rates map[core.ClassID]float64,
 				headroom float64
 			}
 			var cands []cand
-			for s2 := range a.Subclasses {
+			for s2 := range a.subs {
 				if s2 == s {
 					continue
 				}
-				other := a.Instances[s2][j]
+				other := a.Instances(s2)[j]
 				if other == instID {
 					continue
 				}
@@ -493,9 +494,9 @@ func (d *DynamicHandler) overload(instID vnf.ID, rates map[core.ClassID]float64,
 				if absorbWeight <= 0 {
 					continue
 				}
-				a.Weights[cd.s] += absorbWeight
-				a.Weights[s] -= absorbWeight
-				loads[a.Instances[cd.s][j]] += absorbWeight * rate
+				a.subs[cd.s].weight += absorbWeight
+				a.subs[s].weight -= absorbWeight
+				loads[a.Instances(cd.s)[j]] += absorbWeight * rate
 				remaining -= absorbWeight
 			}
 			if remaining > 1e-9 {
@@ -545,7 +546,7 @@ func (d *DynamicHandler) repin(txn *RuleTxn, a *Assignment, src, j int, remainin
 		return
 	}
 	nf := a.Class.Chain[j]
-	hops := a.Subclasses[src].Hops
+	hops := a.subs[src].hops
 	lo, hi := 0, len(a.Class.Path)-1
 	if j > 0 {
 		lo = hops[j-1]
@@ -576,32 +577,27 @@ func (d *DynamicHandler) repin(txn *RuleTxn, a *Assignment, src, j int, remainin
 			// Build the target sub-class (src's hops with position j
 			// re-pinned); merge into an identical existing one if any.
 			target := -1
-			for s2 := range a.Subclasses {
-				if s2 == src || a.Instances[s2][j] != inst.ID() {
+			for s2 := range a.subs {
+				if s2 == src || a.Instances(s2)[j] != inst.ID() {
 					continue
 				}
-				if a.Subclasses[s2].Hops[j] == h && sameExcept(a.Instances[s2], a.Instances[src], j) {
+				if a.subs[s2].hops[j] == h && sameExcept(a.Instances(s2), a.Instances(src), j) {
 					target = s2
 					break
 				}
 			}
 			if target < 0 {
-				sub := core.Subclass{Hops: append([]int(nil), hops...)}
-				sub.Hops[j] = h
-				insts := append([]vnf.ID(nil), a.Instances[src]...)
-				insts[j] = inst.ID()
-				tag, err := d.c.allocSubTagFor(a, subclassHosts(a.Class, sub.Hops), txn)
+				subHops := append([]int(nil), hops...)
+				subHops[j] = h
+				tag, err := d.c.allocSubTagFor(a, subHops, txn)
 				if err != nil {
 					return
 				}
-				a.Subclasses = append(a.Subclasses, sub)
-				a.Instances = append(a.Instances, insts)
-				a.Weights = append(a.Weights, 0)
-				a.SubTags = append(a.SubTags, tag)
-				target = len(a.Subclasses) - 1
+				a.addSubclass(subRecord{hops: subHops, tag: tag}, src, j, inst.ID())
+				target = len(a.subs) - 1
 			}
-			a.Weights[target] += w
-			a.Weights[src] -= w
+			a.subs[target].weight += w
+			a.subs[src].weight -= w
 			loads[inst.ID()] += w * rate
 			*remaining -= w
 			if d.c.tracer.Enabled() {
@@ -633,7 +629,7 @@ func sameExcept(a, b []vnf.ID, j int) bool {
 // otherwise via a full orchestrated boot; the new sub-class only starts
 // carrying traffic when the instance is ready.
 func (d *DynamicHandler) spawnSubclass(a *Assignment, src, j int, weight, rate float64) error {
-	if !a.Global && len(a.Subclasses) >= globalTagBase {
+	if !a.Global && len(a.subs) >= globalTagBase {
 		return fmt.Errorf("controller: class %d sub-class tag space exhausted", a.Class.ID)
 	}
 	nf := a.Class.Chain[j]
@@ -644,7 +640,7 @@ func (d *DynamicHandler) spawnSubclass(a *Assignment, src, j int, weight, rate f
 	// Candidate switches: the sub-class's current hop for position j
 	// first, then any other path hop that keeps the chain order (between
 	// the neighbouring positions' hops) and has the resources.
-	hops := a.Subclasses[src].Hops
+	hops := a.subs[src].hops
 	lo, hi := 0, len(a.Class.Path)-1
 	if j > 0 {
 		lo = hops[j-1]
@@ -712,13 +708,11 @@ func (d *DynamicHandler) spawnSubclass(a *Assignment, src, j int, weight, rate f
 			return
 		}
 		next := cur.clone()
-		s2 := len(next.Subclasses)
-		sub := core.Subclass{Portion: weight, Hops: append([]int(nil), next.Subclasses[src].Hops...)}
-		sub.Hops[j] = chosenHop
-		newInsts := append([]vnf.ID(nil), next.Instances[src]...)
-		newInsts[j] = inst.ID()
+		s2 := len(next.subs)
+		subHops := append([]int(nil), next.subs[src].hops...)
+		subHops[j] = chosenHop
 		txn := d.c.Begin()
-		tag, err := d.c.allocSubTagFor(next, subclassHosts(next.Class, sub.Hops), txn)
+		tag, err := d.c.allocSubTagFor(next, subHops, txn)
 		if err != nil {
 			d.counters.Inc(CtrSpawnFailures)
 			if d.c.tracer.Enabled() {
@@ -731,12 +725,9 @@ func (d *DynamicHandler) spawnSubclass(a *Assignment, src, j int, weight, rate f
 		// Exact weight transfer: never move more than src still carries,
 		// so the class total stays conserved even if src shrank while the
 		// VM was booting.
-		moved := min(weight, next.Weights[src])
-		next.Weights[src] -= moved
-		next.SubTags = append(next.SubTags, tag)
-		next.Subclasses = append(next.Subclasses, sub)
-		next.Instances = append(next.Instances, newInsts)
-		next.Weights = append(next.Weights, moved)
+		moved := min(weight, next.subs[src].weight)
+		next.subs[src].weight -= moved
+		next.addSubclass(subRecord{hops: subHops, portion: weight, weight: moved, tag: tag}, src, j, inst.ID())
 		d.c.repoolInstance(v, inst, txn)
 		txn.stageReshape(next)
 		if err := txn.Commit(TxnOptions{}); err != nil {
@@ -853,19 +844,20 @@ func (d *DynamicHandler) rollback(classID core.ClassID) error {
 	if d.c.tracer.Enabled() {
 		d.c.tracer.Emit(trace.Ev(trace.KindFailoverRollback).
 			WithClass(int64(classID)).
-			WithVal(int64(len(live.Subclasses) - len(live.Base))))
+			WithVal(int64(len(live.subs) - live.NumBase())))
 	}
-	base := len(live.Base)
-	next := live.clone()
-	next.Subclasses = next.Subclasses[:base]
-	next.Instances = next.Instances[:base]
-	next.SubTags = next.SubTags[:base]
-	next.Weights = append(next.Weights[:0], live.Base...)
+	base := live.NumBase()
+	next := *live
+	next.subs = slices.Clone(live.subs[:base])
+	for s := range next.subs {
+		next.subs[s].weight = next.subs[s].portion
+	}
+	next.insts = slices.Clip(live.insts[:base*len(live.Class.Chain)])
 	// A new generation: activations still in flight drop themselves
 	// instead of committing against the restored distribution.
-	next.Base = slices.Clone(live.Base)
+	next.gen = d.c.nextGen()
 	txn := d.c.Begin()
-	txn.stageReshape(next)
+	txn.stageReshape(&next)
 	if err := txn.Commit(TxnOptions{}); err != nil {
 		return err
 	}
@@ -875,10 +867,10 @@ func (d *DynamicHandler) rollback(classID core.ClassID) error {
 }
 
 // sameGeneration reports whether cur is a, or descends from a through
-// overloads and activations only: their clones share Base, while
-// installs, updates, refreshes and rollbacks build their own.
+// overloads and activations only: their clones keep the generation
+// number, while installs, updates, refreshes and rollbacks draw a new one.
 func sameGeneration(cur, a *Assignment) bool {
-	return len(cur.Base) > 0 && len(a.Base) > 0 && &cur.Base[0] == &a.Base[0]
+	return cur.gen == a.gen
 }
 
 // endFailover cancels (or adopts) classID's failover launches and forgets

@@ -88,8 +88,8 @@ func TestSpawnBootFailureFreesSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Subclasses) != 2 {
-		t.Fatalf("retry did not activate: %d sub-classes", len(a.Subclasses))
+	if a.NumSubclasses() != 2 {
+		t.Fatalf("retry did not activate: %d sub-classes", a.NumSubclasses())
 	}
 	assertInvariants(t, d)
 }
@@ -120,8 +120,8 @@ func TestRollbackDuringBoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Subclasses) != len(a.Base) {
-		t.Fatalf("class not rolled back: %d sub-classes", len(a.Subclasses))
+	if a.NumSubclasses() != a.NumBase() {
+		t.Fatalf("class not rolled back: %d sub-classes", a.NumSubclasses())
 	}
 	// The cancelled boot's callback has not fired yet, so its slot is
 	// legitimately busy; it must clear once the callback lands.
@@ -183,8 +183,8 @@ func TestRollbackWithLostCancelGoesStale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Subclasses) != len(a.Base) {
-		t.Fatalf("stale activation resurrected a sub-class: %d", len(a.Subclasses))
+	if a.NumSubclasses() != a.NumBase() {
+		t.Fatalf("stale activation resurrected a sub-class: %d", a.NumSubclasses())
 	}
 	assertInvariants(t, d)
 }
@@ -243,12 +243,12 @@ func TestLoadsRefreshedAfterTransition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Subclasses) < 2 {
-		t.Fatalf("no spawned sub-class: %d", len(a.Subclasses))
+	if a.NumSubclasses() < 2 {
+		t.Fatalf("no spawned sub-class: %d", a.NumSubclasses())
 	}
 	loads := c.Loads(surge)
-	for s := range a.Subclasses {
-		for _, id := range a.Instances[s] {
+	for s := 0; s < a.NumSubclasses(); s++ {
+		for _, id := range a.Instances(s) {
 			inst, err := c.findInstance(id)
 			if err != nil {
 				t.Fatal(err)
@@ -314,8 +314,8 @@ func TestRollbackEnforcedAtEveryStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Subclasses) != len(a.Base) {
-		t.Fatalf("not rolled back: %d sub-classes, base %d", len(a.Subclasses), len(a.Base))
+	if a.NumSubclasses() != a.NumBase() {
+		t.Fatalf("not rolled back: %d sub-classes, base %d", a.NumSubclasses(), a.NumBase())
 	}
 	if err := c.CheckEnforcement(); err != nil {
 		t.Fatalf("enforcement after rollback: %v", err)

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -75,8 +76,8 @@ func TestFastFailoverReducesLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Subclasses) < 2 {
-		t.Fatalf("no new sub-class created: %d", len(a.Subclasses))
+	if a.NumSubclasses() < 2 {
+		t.Fatalf("no new sub-class created: %d", a.NumSubclasses())
 	}
 	afterLoss, err := c.LossRate(surge)
 	if err != nil {
@@ -114,13 +115,11 @@ func TestRollbackRestoresBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Subclasses) != len(a.Base) {
-		t.Fatalf("spawned sub-classes not rolled back: %d vs %d", len(a.Subclasses), len(a.Base))
+	if a.NumSubclasses() != a.NumBase() {
+		t.Fatalf("spawned sub-classes not rolled back: %d vs %d", a.NumSubclasses(), a.NumBase())
 	}
-	for i := range a.Weights {
-		if a.Weights[i] != a.Base[i] {
-			t.Fatalf("weights not restored: %v vs %v", a.Weights, a.Base)
-		}
+	if w, b := a.weights(), a.basePortions(); !slices.Equal(w, b) {
+		t.Fatalf("weights not restored: %v vs %v", w, b)
 	}
 	if after := len(c.Orchestrator().Instances()); after >= instancesDuring {
 		t.Fatalf("spawned instance not cancelled: %d vs %d during failover", after, instancesDuring)
@@ -148,8 +147,8 @@ func TestRebalanceToSiblingWithoutSpawn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Subclasses) < 2 {
-		t.Skipf("placement produced %d sub-classes; rebalance test needs ≥2", len(a.Subclasses))
+	if a.NumSubclasses() < 2 {
+		t.Skipf("placement produced %d sub-classes; rebalance test needs ≥2", a.NumSubclasses())
 	}
 	before := len(c.Orchestrator().Instances())
 	// Mild surge: total fits in 2×900 but the heavier sub-class tips its
@@ -215,8 +214,8 @@ func TestRepinSharesCapacityAcrossClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Subclasses) < 2 {
-		t.Fatalf("repin should have created a sub-class: %d", len(a.Subclasses))
+	if a.NumSubclasses() < 2 {
+		t.Fatalf("repin should have created a sub-class: %d", a.NumSubclasses())
 	}
 	// Rollback restores the single sub-class when load subsides.
 	if _, err := d.Observe(map[core.ClassID]float64{0: 300, 1: 100}); err != nil {
@@ -227,8 +226,8 @@ func TestRepinSharesCapacityAcrossClasses(t *testing.T) {
 	if a, err = c.Assignment(0); err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Subclasses) != len(a.Base) {
-		t.Fatalf("repin sub-classes not rolled back: %d vs base %d", len(a.Subclasses), len(a.Base))
+	if a.NumSubclasses() != a.NumBase() {
+		t.Fatalf("repin sub-classes not rolled back: %d vs base %d", a.NumSubclasses(), a.NumBase())
 	}
 	_ = before
 }

@@ -143,7 +143,7 @@ func (c *Controller) CheckClassEnforcement(id core.ClassID) error {
 	}
 	var sws [walkSwitches]topology.NodeID
 	var insts [walkInstances]vnf.ID
-	slice := uint32(1) << (32 - a.Prefix.Len - 3)
+	slice := uint32(1) << (32 - a.Prefix().Len - 3)
 	for sub := uint32(0); sub < 8; sub++ {
 		hdr, err := c.FlowHeader(id, sub*slice)
 		if err != nil {

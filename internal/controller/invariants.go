@@ -17,11 +17,10 @@ const weightTol = 1e-6
 // harness asserts it after every event — and returns the first violation
 // found:
 //
-//   - per class: sub-class arrays (Subclasses, Weights, Instances,
-//     SubTags) stay the same length, never shorter than Base, with
-//     non-negative weights summing to the Base total (weight
-//     conservation);
-//   - tags: local classes use SubTags[s] == s; header-rewriting classes
+//   - per class: one instance row per sub-class, never fewer sub-classes
+//     than base ones, with non-negative weights summing to the base
+//     sub-classes' planned portions (weight conservation);
+//   - tags: local classes tag sub-class s with s; header-rewriting classes
 //     use distinct upper-half tags registered on every visited host, and
 //     no host carries an orphaned global-tag registration;
 //   - vSwitch rules: every live sub-class has its steering rules on
@@ -39,30 +38,31 @@ func (d *DynamicHandler) CheckInvariants() error {
 	// Per-class structural and conservation checks.
 	for _, id := range c.Classes() {
 		a, _ := c.assign.get(id)
-		n := len(a.Subclasses)
-		if len(a.Weights) != n || len(a.Instances) != n || len(a.SubTags) != n {
-			return fmt.Errorf("invariant: class %d arrays disagree: %d subclasses, %d weights, %d instance rows, %d tags",
-				id, n, len(a.Weights), len(a.Instances), len(a.SubTags))
+		n := len(a.subs)
+		if len(a.insts) != n*len(a.Class.Chain) {
+			return fmt.Errorf("invariant: class %d has %d sub-classes but %d instances for a %d-NF chain",
+				id, n, len(a.insts), len(a.Class.Chain))
 		}
-		if n < len(a.Base) {
-			return fmt.Errorf("invariant: class %d has %d sub-classes, fewer than its %d base sub-classes", id, n, len(a.Base))
+		if n < a.NumBase() {
+			return fmt.Errorf("invariant: class %d has %d sub-classes, fewer than its %d base sub-classes", id, n, a.NumBase())
 		}
 		wsum, bsum := 0.0, 0.0
-		for s, w := range a.Weights {
-			if w < -weightTol {
-				return fmt.Errorf("invariant: class %d sub-class %d has negative weight %v", id, s, w)
+		for s, r := range a.subs {
+			if r.weight < -weightTol {
+				return fmt.Errorf("invariant: class %d sub-class %d has negative weight %v", id, s, r.weight)
 			}
-			wsum += w
+			wsum += r.weight
 		}
-		for _, b := range a.Base {
-			bsum += b
+		for _, r := range a.subs[:a.NumBase()] {
+			bsum += r.portion
 		}
 		if math.Abs(wsum-bsum) > weightTol {
 			return fmt.Errorf("invariant: class %d weight sum %v != base sum %v (conservation broken)", id, wsum, bsum)
 		}
 		// Tag discipline.
 		seen := make(map[uint8]bool, n)
-		for s, tag := range a.SubTags {
+		for s, r := range a.subs {
+			tag := r.tag
 			if !a.Global {
 				if int(tag) != s {
 					return fmt.Errorf("invariant: class %d sub-class %d carries local tag %d", id, s, tag)
@@ -76,16 +76,16 @@ func (d *DynamicHandler) CheckInvariants() error {
 				return fmt.Errorf("invariant: global class %d reuses tag %d", id, tag)
 			}
 			seen[tag] = true
-			for _, v := range subclassHosts(a.Class, a.Subclasses[s].Hops) {
+			for _, v := range subclassHosts(a.Class, r.hops) {
 				if !c.hostGlobalTags[v][tag] {
 					return fmt.Errorf("invariant: global class %d tag %d not registered at host %d", id, tag, v)
 				}
 			}
 		}
 		// Steering rules present for every live sub-class.
-		for s := range a.Subclasses {
+		for s, r := range a.subs {
 			name := fmt.Sprintf("vsw-%d-%d", id, s)
-			for _, v := range subclassHosts(a.Class, a.Subclasses[s].Hops) {
+			for _, v := range subclassHosts(a.Class, r.hops) {
 				h, ok := c.hosts[v]
 				if !ok {
 					return fmt.Errorf("invariant: class %d sub-class %d visits switch %d with no host", id, s, v)
@@ -121,11 +121,11 @@ func (d *DynamicHandler) CheckInvariants() error {
 				continue
 			}
 			a, ok := c.assign.get(core.ClassID(cid))
-			if !ok || s >= len(a.Subclasses) {
+			if !ok || s >= len(a.subs) {
 				return fmt.Errorf("invariant: stale rule %q at host %d (sub-class gone)", name, v)
 			}
 			visits := false
-			for _, hv := range subclassHosts(a.Class, a.Subclasses[s].Hops) {
+			for _, hv := range subclassHosts(a.Class, a.subs[s].hops) {
 				if hv == v {
 					visits = true
 					break
@@ -147,9 +147,9 @@ func (d *DynamicHandler) CheckInvariants() error {
 		if !a.Global {
 			continue
 		}
-		for s, tag := range a.SubTags {
-			for _, v := range subclassHosts(a.Class, a.Subclasses[s].Hops) {
-				used[vtag{int(v), tag}] = true
+		for _, r := range a.subs {
+			for _, v := range subclassHosts(a.Class, r.hops) {
+				used[vtag{int(v), r.tag}] = true
 			}
 		}
 	}

@@ -1,0 +1,193 @@
+package controller
+
+// What one installed class costs: the per-class record's layout, the live
+// heap a FatTree-16 class holds with its rules, and the sharing of the
+// rules' action lists. The flow table's own per-rule cost is pinned by
+// internal/flowtable's TestTableBytesPerRule.
+
+import (
+	"runtime"
+	"testing"
+	"unsafe"
+
+	"github.com/apple-nfv/apple/internal/core"
+	"github.com/apple-nfv/apple/internal/flowtable"
+	"github.com/apple-nfv/apple/internal/policy"
+	"github.com/apple-nfv/apple/internal/sim"
+	"github.com/apple-nfv/apple/internal/topology"
+)
+
+// TestAssignmentLayout pins the per-class record. The generation number
+// and the base count pack beside Global in one word, so an Assignment is
+// its class, two slice headers and that word: 144 bytes, where the five
+// parallel arrays, the row-per-sub-class instance table and the stored
+// prefix it replaced made 232. A sub-class record is its hop vector, its
+// planned portion, its weight and its tag: 48 bytes.
+func TestAssignmentLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Assignment{}); got != 144 {
+		t.Errorf("Assignment is %d bytes; the layout is pinned at 144", got)
+	}
+	if got := unsafe.Sizeof(subRecord{}); got != 48 {
+		t.Errorf("subRecord is %d bytes; the layout is pinned at 48", got)
+	}
+}
+
+// fatTreeChunk is how many classes loadFatTree admits per AddClassBatch.
+const fatTreeChunk = 2048
+
+// newFatTreeController builds a controller over FatTree-16 whose hosts
+// never run out of capacity, so that every class is admitted.
+func newFatTreeController(tb testing.TB) (*Controller, *topology.FatTreeLayout) {
+	tb.Helper()
+	l, err := topology.FatTree(16)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c, err := New(Config{
+		Topology:      l.Graph,
+		Clock:         sim.New(),
+		Seed:          1,
+		HostResources: policy.Resources{Cores: 1 << 20, MemoryMB: 1 << 30},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c, l
+}
+
+// loadFatTree admits {Firewall} classes [from, from+n) in chunks. Class i
+// enters at one of four ingress pods and leaves at an edge switch of
+// another pod, on the equal-cost path i picks.
+func loadFatTree(tb testing.TB, c *Controller, l *topology.FatTreeLayout, from, n int) {
+	tb.Helper()
+	k, half := l.K, l.K/2
+	batch := make([]core.Class, 0, fatTreeChunk)
+	for lo := from; lo < from+n; lo += fatTreeChunk {
+		batch = batch[:0]
+		for i := lo; i < min(lo+fatTreeChunk, from+n); i++ {
+			srcPod := i % 4
+			path, err := l.Path(srcPod, (i/4)%half, (srcPod+1+i%(k-1))%k, (i/(k*half))%half, i)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			batch = append(batch, core.Class{ID: core.ClassID(i), Path: path, Chain: policy.Chain{policy.Firewall}, RateMbps: 1})
+		}
+		if err := c.AddClassBatch(batch, BatchOptions{}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestControllerBytesPerClass caps the live heap one more installed class
+// costs on FatTree-16: its Assignment (144 B), its sub-class record (48
+// B), its instance and hop arrays (16 and 8 B) and its share of the rules
+// — the classification and steering rules it owns and the flow tables'
+// trie nodes, names and match fields they need. Measured over 4096
+// {Firewall} classes installed behind 512, so the first classes' routing,
+// host-match and pass-by rules and instances stay out of the figure:
+// 1 470 B a class, where a fresh action list per rule and the 232-byte
+// record with its six side arrays made it 1 758 B. The gate is 1 550 B,
+// the measured figure plus about 5 %.
+func TestControllerBytesPerClass(t *testing.T) {
+	const warm, n = 512, 4096
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	c, l := newFatTreeController(t)
+	loadFatTree(t, c, l, 0, warm)
+	before := heap()
+	loadFatTree(t, c, l, warm, n)
+	perClass := float64(heap()-before) / n
+	runtime.KeepAlive(c)
+	t.Logf("%.0f B of live heap per class; %d distinct action lists after %d classes", perClass, len(c.actions), warm+n)
+	if perClass > 1550 {
+		t.Fatalf("an installed class holds %.0f B, over 1550", perClass)
+	}
+}
+
+// TestActionListsShared: across every physical-switch and vSwitch table,
+// the installed rules' action lists use no more backing arrays than they
+// have distinct values — each distinct list is emitted once and shared —
+// and every shared list is clipped, so no append can write into it. Each
+// rule is fetched with Lookup, which hands out the installed slice itself,
+// on a packet built from the rule's own match.
+func TestActionListsShared(t *testing.T) {
+	c, l := newFatTreeController(t)
+	loadFatTree(t, c, l, 0, 1024)
+	arrays := make(map[*flowtable.Action]bool)
+	values := make(map[actionKey]bool)
+	rules := 0
+	visit := func(tbl *flowtable.Table) {
+		for _, r := range tbl.Rules() {
+			hit, ok := tbl.Lookup(packetMatching(r.Match))
+			if !ok || !hit.Equal(r) {
+				t.Fatalf("rule %q is not what a packet matching it finds (%q)", r.Name, hit.Name)
+			}
+			if len(hit.Actions) != cap(hit.Actions) {
+				t.Fatalf("rule %q: %d actions in an array of %d", r.Name, len(hit.Actions), cap(hit.Actions))
+			}
+			k := actionKey{n: len(hit.Actions)}
+			copy(k.acts[:], hit.Actions)
+			arrays[&hit.Actions[0]] = true
+			values[k] = true
+			rules++
+		}
+	}
+	for _, v := range c.Switches() {
+		for ti := 0; ti < c.switches[v].Pipeline.NumTables(); ti++ {
+			tbl, err := c.switches[v].Pipeline.Table(ti)
+			if err != nil {
+				t.Fatal(err)
+			}
+			visit(tbl)
+		}
+	}
+	for _, v := range c.Hosts() {
+		vs := c.hosts[v].VSwitch()
+		for ti := 0; ti < vs.NumTables(); ti++ {
+			tbl, err := vs.Table(ti)
+			if err != nil {
+				t.Fatal(err)
+			}
+			visit(tbl)
+		}
+	}
+	t.Logf("%d rules carry %d distinct action lists in %d arrays", rules, len(values), len(arrays))
+	if len(arrays) > len(values) {
+		t.Fatalf("%d rules carry %d distinct action lists in %d backing arrays", rules, len(values), len(arrays))
+	}
+}
+
+// packetMatching returns a packet every concrete field of m matches, with
+// the wildcarded fields left zero.
+func packetMatching(m flowtable.Match) flowtable.Packet {
+	var p flowtable.Packet
+	if v, ok := m.HostTag(); ok {
+		p.HostTag = v
+	}
+	if v, ok := m.SubTag(); ok {
+		p.SubTag = v
+	}
+	if v, ok := m.InPort(); ok {
+		p.InPort = v
+	}
+	if v, ok := m.Src(); ok {
+		p.Hdr.SrcIP = v.Addr
+	}
+	if v, ok := m.Dst(); ok {
+		p.Hdr.DstIP = v.Addr
+	}
+	if v, ok := m.Proto(); ok {
+		p.Hdr.Proto = v
+	}
+	if v, ok := m.SrcPort(); ok {
+		p.Hdr.SrcPort = v
+	}
+	if v, ok := m.DstPort(); ok {
+		p.Hdr.DstPort = v
+	}
+	return p
+}

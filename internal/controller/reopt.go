@@ -310,16 +310,16 @@ func (c *Controller) sameSplit(old *Assignment, cl core.Class, dist [][]float64)
 		}
 		q := quantPortion(sub.Portion / float64(k))
 		for s := n; same && s < n+k; s++ {
-			same = s < len(old.Subclasses) &&
-				quantPortion(old.Subclasses[s].Portion) == q &&
-				slices.Equal(old.Subclasses[s].Hops, sub.Hops)
+			same = s < len(old.subs) &&
+				quantPortion(old.subs[s].portion) == q &&
+				slices.Equal(old.subs[s].hops, sub.Hops)
 		}
 		n += k
 	}
 	if err := checkTagBudget(cl.ID, n); err != nil {
 		return false, fmt.Errorf("controller: %w", err)
 	}
-	return same && n == len(old.Subclasses), nil
+	return same && n == len(old.subs), nil
 }
 
 // quantPortion snaps a portion onto the splitBits rule-emission grid —

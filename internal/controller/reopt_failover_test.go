@@ -43,8 +43,8 @@ func newMidFailoverFixture(t *testing.T) *midFailoverFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Subclasses) < 2 {
-		t.Fatalf("fixture not mid-failover: %d sub-classes", len(a.Subclasses))
+	if a.NumSubclasses() < 2 {
+		t.Fatalf("fixture not mid-failover: %d sub-classes", a.NumSubclasses())
 	}
 	pl, err := core.SolveGreedy(prob)
 	if err != nil {
@@ -264,7 +264,7 @@ func TestStaleActivationVerdicts(t *testing.T) {
 			a, _ := c.assign.get(0)
 			dist := zeroDist(len(a.Class.Path), len(a.Class.Chain))
 			for j := range a.Class.Chain {
-				dist[a.Subclasses[0].Hops[j]][j] = 1
+				dist[a.Subclass(0).Hops[j]][j] = 1
 			}
 			txn := c.Begin()
 			txn.StageUpdate(a.Class, dist)
@@ -305,7 +305,7 @@ func TestStaleActivationVerdicts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			extra := len(a.Subclasses) - len(a.Base)
+			extra := a.NumSubclasses() - a.NumBase()
 			if tc.commit && (dAct != 1 || dStale != 0 || extra != 1) {
 				t.Fatalf("activation not committed: activations +%d, stale +%d, %d extra sub-classes", dAct, dStale, extra)
 			}
@@ -313,14 +313,14 @@ func TestStaleActivationVerdicts(t *testing.T) {
 				t.Fatalf("activation not dropped: activations +%d, stale +%d, %d extra sub-classes", dAct, dStale, extra)
 			}
 			wsum, bsum := 0.0, 0.0
-			for _, w := range a.Weights {
+			for _, w := range a.weights() {
 				wsum += w
 			}
-			for _, w := range a.Base {
+			for _, w := range a.basePortions() {
 				bsum += w
 			}
 			if math.Abs(wsum-bsum) > weightTol {
-				t.Fatalf("weights %v sum to %v, base %v to %v", a.Weights, wsum, a.Base, bsum)
+				t.Fatalf("weights %v sum to %v, base %v to %v", a.weights(), wsum, a.basePortions(), bsum)
 			}
 			if d.PendingSpawns() != 0 {
 				t.Fatalf("leaked pending spawns: %d", d.PendingSpawns())

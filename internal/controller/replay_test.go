@@ -428,7 +428,8 @@ func globalTagLedger(t *testing.T, c *controller.Controller) (unheld, fullest in
 		if !a.Global {
 			continue
 		}
-		for s, sub := range a.Subclasses {
+		for s := 0; s < a.NumSubclasses(); s++ {
+			sub := a.Subclass(s)
 			seen := make(map[topology.NodeID]bool, len(sub.Hops))
 			for _, h := range sub.Hops {
 				v := a.Class.Path[h]
@@ -439,7 +440,7 @@ func globalTagLedger(t *testing.T, c *controller.Controller) (unheld, fullest in
 				if held[v] == nil {
 					held[v] = make(map[uint8][]string)
 				}
-				held[v][a.SubTags[s]] = append(held[v][a.SubTags[s]], fmt.Sprintf("%d/%d", id, s))
+				held[v][a.Tag(s)] = append(held[v][a.Tag(s)], fmt.Sprintf("%d/%d", id, s))
 			}
 		}
 	}

@@ -25,8 +25,8 @@ func TestHeaderRewritingChainEnforced(t *testing.T) {
 		if !a.Global {
 			t.Fatalf("class %d contains NAT; must use global tags", id)
 		}
-		for _, tag := range a.SubTags {
-			if tag < globalTagBase {
+		for s := 0; s < a.NumSubclasses(); s++ {
+			if tag := a.Tag(s); tag < globalTagBase {
 				t.Fatalf("class %d has local tag %d; want ≥%d", id, tag, globalTagBase)
 			}
 		}
@@ -71,9 +71,9 @@ func TestMixedGlobalAndLocalTagsCoexist(t *testing.T) {
 		t.Fatalf("global flags wrong: %v %v", a0.Global, a1.Global)
 	}
 	// Local and global tags come from disjoint halves of the space.
-	for _, gt := range a0.SubTags {
-		for _, lt := range a1.SubTags {
-			if gt == lt {
+	for s0 := 0; s0 < a0.NumSubclasses(); s0++ {
+		for s1 := 0; s1 < a1.NumSubclasses(); s1++ {
+			if gt, lt := a0.Tag(s0), a1.Tag(s1); gt == lt {
 				t.Fatalf("global tag %d collides with local tag %d", gt, lt)
 			}
 		}
@@ -88,26 +88,23 @@ func TestGlobalTagAllocatorRecycles(t *testing.T) {
 		{ID: 0, Path: linePath(3), Chain: policy.Chain{policy.NAT}, RateMbps: 400},
 	}
 	c, _, _, _ := setup(t, classes)
-	a, err := c.Assignment(0)
+	live, err := c.Assignment(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	used := len(a.SubTags)
-	hosts := subclassHosts(a.Class, a.Subclasses[0].Hops)
+	a := live.clone()
+	used := a.NumSubclasses()
+	hops := a.Subclass(0).Hops
 	// Allocate and release a tail tag on the same hosts; the next
 	// allocation reuses it.
-	tag, err := c.allocSubTagFor(a, hosts, nil)
+	tag, err := c.allocSubTagFor(a, hops, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.SubTags = append(a.SubTags, tag)
-	a.Subclasses = append(a.Subclasses, a.Subclasses[0])
-	a.Instances = append(a.Instances, a.Instances[0])
+	a.addSubclass(subRecord{hops: hops, tag: tag}, 0, 0, a.Instances(0)[0])
 	c.releaseSubTags(a, used, nil)
-	a.SubTags = a.SubTags[:used]
-	a.Subclasses = a.Subclasses[:used]
-	a.Instances = a.Instances[:used]
-	again, err := c.allocSubTagFor(a, hosts, nil)
+	a = live.clone()
+	again, err := c.allocSubTagFor(a, hops, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +132,8 @@ func TestGlobalTagsConflictOnlyOnSharedHosts(t *testing.T) {
 		t.Fatal(err)
 	}
 	shares := func() bool {
-		for _, x := range subclassHosts(a0.Class, a0.Subclasses[0].Hops) {
-			for _, y := range subclassHosts(a1.Class, a1.Subclasses[0].Hops) {
+		for _, x := range subclassHosts(a0.Class, a0.Subclass(0).Hops) {
+			for _, y := range subclassHosts(a1.Class, a1.Subclass(0).Hops) {
 				if x == y {
 					return true
 				}
@@ -144,8 +141,8 @@ func TestGlobalTagsConflictOnlyOnSharedHosts(t *testing.T) {
 		}
 		return false
 	}()
-	if shares && a0.SubTags[0] == a1.SubTags[0] {
-		t.Fatalf("classes share a host but got the same global tag %d", a0.SubTags[0])
+	if shares && a0.Tag(0) == a1.Tag(0) {
+		t.Fatalf("classes share a host but got the same global tag %d", a0.Tag(0))
 	}
 	if err := c.CheckEnforcement(); err != nil {
 		t.Fatal(err)
@@ -157,25 +154,26 @@ func TestGlobalTagExhaustionOnOneInstance(t *testing.T) {
 		{ID: 0, Path: linePath(3), Chain: policy.Chain{policy.NAT}, RateMbps: 100},
 	}
 	c, _, _, _ := setup(t, classes)
-	a, err := c.Assignment(0)
+	live, err := c.Assignment(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hosts := subclassHosts(a.Class, a.Subclasses[0].Hops)
+	a := live.clone()
+	hops := a.Subclass(0).Hops
 	n := 0
 	for {
-		tag, err := c.allocSubTagFor(a, hosts, nil)
+		tag, err := c.allocSubTagFor(a, hops, nil)
 		if err != nil {
 			break // the 32-value global half is finite per host
 		}
-		a.SubTags = append(a.SubTags, tag)
+		a.addSubclass(subRecord{hops: hops, tag: tag}, 0, 0, a.Instances(0)[0])
 		n++
 		if n > 64 {
 			t.Fatal("allocator handed out more tags than the field holds")
 		}
 	}
-	if len(a.SubTags) > 32 {
-		t.Fatalf("one host can carry at most 32 global tags, got %d", len(a.SubTags))
+	if a.NumSubclasses() > 32 {
+		t.Fatalf("one host can carry at most 32 global tags, got %d", a.NumSubclasses())
 	}
 }
 
@@ -184,16 +182,18 @@ func TestLocalTagBudget(t *testing.T) {
 		{ID: 0, Path: linePath(3), Chain: policy.Chain{policy.Firewall}, RateMbps: 100},
 	}
 	c, _, _, _ := setup(t, classes)
-	a, err := c.Assignment(0)
+	live, err := c.Assignment(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for len(a.SubTags) < globalTagBase {
-		tag, err := c.allocSubTagFor(a, nil, nil)
+	a := live.clone()
+	hops := a.Subclass(0).Hops
+	for a.NumSubclasses() < globalTagBase {
+		tag, err := c.allocSubTagFor(a, hops, nil)
 		if err != nil {
-			t.Fatalf("allocation %d failed early: %v", len(a.SubTags), err)
+			t.Fatalf("allocation %d failed early: %v", a.NumSubclasses(), err)
 		}
-		a.SubTags = append(a.SubTags, tag)
+		a.addSubclass(subRecord{hops: hops, tag: tag}, 0, 0, a.Instances(0)[0])
 	}
 	if _, err := c.allocSubTagFor(a, nil, nil); err == nil {
 		t.Fatal("local budget must cap at 32 per class")

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/apple-nfv/apple/internal/core"
 	"github.com/apple-nfv/apple/internal/flowtable"
@@ -67,7 +68,7 @@ func (c *Controller) ensurePassBy(txn *RuleTxn) error {
 		}
 		n, undo, err := t.ApplyBatchUndo([]flowtable.BatchOp{{Rule: flowtable.Rule{
 			Name: "pass-by", Priority: prioPassBy,
-			Actions: []flowtable.Action{{Type: flowtable.ActGotoTable, Table: TableRouting}},
+			Actions: c.actions.of(flowtable.Action{Type: flowtable.ActGotoTable, Table: TableRouting}),
 		}}})
 		txn.recordUndo(tableKey{dev: device{node: v}, table: TableAPPLE}, undo)
 		c.ruleUpdates.Add(int64(n))
@@ -77,6 +78,37 @@ func (c *Controller) ensurePassBy(txn *RuleTxn) error {
 	}
 	c.passByDone = true
 	return nil
+}
+
+// maxActions is the longest action list the Rule Generator builds: a
+// classification rule's set-sub-tag, set-host-tag and goto-table.
+const maxActions = 3
+
+// actionKey is an action list by value.
+type actionKey struct {
+	n    int
+	acts [maxActions]flowtable.Action
+}
+
+// actionMemo interns action lists (Controller.actions).
+type actionMemo map[actionKey][]flowtable.Action
+
+// of returns the list equal to acts that every rule carrying it shares: a
+// clipped slice, so no append lands in it, that nobody writes — neither
+// the tables, which keep the slice they install, nor the controller.
+func (m actionMemo) of(acts ...flowtable.Action) []flowtable.Action {
+	if len(acts) > maxActions {
+		return slices.Clip(slices.Clone(acts))
+	}
+	k := actionKey{n: len(acts)}
+	copy(k.acts[:], acts)
+	if list, ok := m[k]; ok {
+		return list
+	}
+	list := make([]flowtable.Action, len(acts))
+	copy(list, acts)
+	m[k] = list
+	return list
 }
 
 // buildAssignment constructs the full assignment — capacity expansion,
@@ -97,8 +129,7 @@ func (c *Controller) buildAssignment(cl core.Class, subs []core.Subclass, txn *R
 	if err != nil {
 		return nil, fmt.Errorf("controller: %w", err)
 	}
-	prefix, err := ClassPrefix(cl.ID)
-	if err != nil {
+	if _, err := ClassPrefix(cl.ID); err != nil {
 		return nil, err
 	}
 	rewrites, err := cl.Chain.RewritesHeader()
@@ -106,20 +137,19 @@ func (c *Controller) buildAssignment(cl core.Class, subs []core.Subclass, txn *R
 		return nil, fmt.Errorf("controller: %w", err)
 	}
 	a := &Assignment{
-		Class:      cl,
-		Prefix:     prefix,
-		Subclasses: subs,
-		Weights:    core.SubclassPortions(subs),
-		Global:     rewrites,
+		Class:  cl,
+		subs:   make([]subRecord, 0, len(subs)),
+		insts:  make([]vnf.ID, len(subs)*len(cl.Chain)),
+		nBase:  uint8(len(subs)),
+		Global: rewrites,
 	}
-	a.Base = append([]float64(nil), a.Weights...)
 	// Assign instances first (least-portion-loaded of the right NF at the
 	// right switch); tags second, since global-tag allocation must avoid
-	// conflicts on the exact instances traversed.
-	a.Instances = make([][]vnf.ID, len(subs))
+	// conflicts on the exact instances traversed. A sub-class's record is
+	// appended once its tag is drawn, so a refusal releases exactly the tags
+	// drawn so far.
 	var charged []portionCharge
 	for s, sub := range subs {
-		a.Instances[s] = make([]vnf.ID, len(cl.Chain))
 		for j, nf := range cl.Chain {
 			v := cl.Path[sub.Hops[j]]
 			inst, err := c.pickInstance(v, nf)
@@ -128,24 +158,25 @@ func (c *Controller) buildAssignment(cl core.Class, subs []core.Subclass, txn *R
 				return nil, fmt.Errorf("controller: class %d sub %d position %d: %w", cl.ID, s, j, err)
 			}
 			id := inst.ID()
-			a.Instances[s][j] = id
+			a.insts[s*len(cl.Chain)+j] = id
 			load, present := c.instPortion[id]
 			charged = append(charged, portionCharge{id, portionPre{load, present}})
 			c.setPortion(txn, id, load+cl.RateMbps*sub.Portion, true)
 		}
 	}
-	for s := range subs {
-		tag, err := c.allocSubTagFor(a, subclassHosts(cl, subs[s].Hops), txn)
+	for _, sub := range subs {
+		tag, err := c.allocSubTagFor(a, sub.Hops, txn)
 		if err != nil {
 			c.refuseAssignment(txn, a, charged)
 			return nil, err
 		}
-		a.SubTags = append(a.SubTags, tag)
+		a.subs = append(a.subs, subRecord{hops: sub.Hops, portion: sub.Portion, weight: sub.Portion, tag: tag})
 	}
 	if err := c.preallocHostTags(a); err != nil {
 		c.refuseAssignment(txn, a, charged)
 		return nil, err
 	}
+	a.gen = c.nextGen()
 	return a, nil
 }
 
@@ -174,16 +205,16 @@ func (c *Controller) journalAdmit(a *Assignment) {
 		return
 	}
 	cl := a.Class
-	c.tracer.Emit(trace.Ev(trace.KindFlowAdmit).WithClass(int64(cl.ID)).WithVal(int64(len(a.Subclasses))))
-	for s, sub := range a.Subclasses {
-		for j := range cl.Chain {
+	c.tracer.Emit(trace.Ev(trace.KindFlowAdmit).WithClass(int64(cl.ID)).WithVal(int64(len(a.subs))))
+	for s, r := range a.subs {
+		for j, inst := range a.Instances(s) {
 			c.tracer.Emit(trace.Ev(trace.KindFlowPlace).
 				WithClass(int64(cl.ID)).WithSub(s).WithPos(j).
-				WithNode(int64(cl.Path[sub.Hops[j]])).
-				WithInst(string(a.Instances[s][j])))
+				WithNode(int64(cl.Path[r.hops[j]])).
+				WithInst(string(inst)))
 		}
 		c.tracer.Emit(trace.Ev(trace.KindFlowTag).
-			WithClass(int64(cl.ID)).WithSub(s).WithVal(int64(a.SubTags[s])))
+			WithClass(int64(cl.ID)).WithSub(s).WithVal(int64(r.tag)))
 	}
 }
 
@@ -195,8 +226,8 @@ func (c *Controller) journalAdmit(a *Assignment) {
 // stage a read-only pass over the allocator.
 func (c *Controller) preallocHostTags(a *Assignment) error {
 	cl := a.Class
-	for _, sub := range a.Subclasses {
-		for _, h := range sub.Hops {
+	for _, r := range a.subs {
+		for _, h := range r.hops {
 			if _, err := c.alloc.HostTag(cl.Path[h]); err != nil {
 				return fmt.Errorf("controller: %w", err)
 			}
@@ -214,15 +245,15 @@ func (c *Controller) preallocHostTags(a *Assignment) error {
 		if len(bs) == 0 {
 			continue
 		}
-		if first := cl.Path[a.Subclasses[s].Hops[0]]; first != ingress {
+		if first := cl.Path[a.subs[s].hops[0]]; first != ingress {
 			if _, err := c.alloc.HostTag(first); err != nil {
 				return fmt.Errorf("controller: %w", err)
 			}
 		}
 	}
 	// vSwitch exit rules rewrite the tag toward the next run's switch.
-	for s := range a.Subclasses {
-		runs := chainRuns(a.Subclasses[s].Hops)
+	for _, r := range a.subs {
+		runs := chainRuns(r.hops)
 		for ri := 0; ri+1 < len(runs); ri++ {
 			if _, err := c.alloc.HostTag(cl.Path[runs[ri+1].hop]); err != nil {
 				return fmt.Errorf("controller: %w", err)
@@ -254,7 +285,7 @@ func steeringKey(v topology.NodeID) tableKey {
 // ingress APPLE table's count is completed when the split is made), so
 // every rule is written once into a batch that never regrows. Pure with
 // respect to controller state: it writes nothing but the batches it
-// returns.
+// returns and, through the action memo, no value any rule carries.
 func (c *Controller) emitClassRules(a *Assignment) ([]tableBatch, error) {
 	cl := a.Class
 	ingress := cl.Path[0]
@@ -262,24 +293,24 @@ func (c *Controller) emitClassRules(a *Assignment) ([]tableBatch, error) {
 	// of the processing switches, at most one per hop entry; the ingress
 	// APPLE table.
 	hops := 0
-	for _, sub := range a.Subclasses {
-		hops += len(sub.Hops)
+	for _, r := range a.subs {
+		hops += len(r.hops)
 	}
 	g := newRuleGroups(len(cl.Path) + 2*min(len(cl.Path), hops) + 1)
 	for _, v := range cl.Path {
 		g.reserve(routingKey(v), 1)
 	}
-	for _, sub := range a.Subclasses {
-		for _, h := range sub.Hops {
+	for _, r := range a.subs {
+		for _, h := range r.hops {
 			g.reserve(appleKey(cl.Path[h]), 1)
 		}
 	}
 	// The ingress APPLE table takes its place here and its size below,
 	// once the split is known.
 	g.reserve(appleKey(ingress), 0)
-	runs := make([][]chainRun, len(a.Subclasses))
-	for s, sub := range a.Subclasses {
-		runs[s] = chainRuns(sub.Hops)
+	runs := make([][]chainRun, len(a.subs))
+	for s, r := range a.subs {
+		runs[s] = chainRuns(r.hops)
 		// Steering per run: the uplink entry, one rule per chain hop
 		// inside the host, and the exit.
 		for _, r := range runs[s] {
@@ -302,7 +333,7 @@ func (c *Controller) emitClassRules(a *Assignment) ([]tableBatch, error) {
 		g.add(routingKey(v), flowtable.BatchOp{SkipIfPresent: true, Rule: flowtable.Rule{
 			Name: routeName, Priority: 10,
 			Match:   flowtable.Match{}.WithDst(dstPrefix(dst)),
-			Actions: []flowtable.Action{{Type: flowtable.ActForward, Port: port}},
+			Actions: c.actions.of(flowtable.Action{Type: flowtable.ActForward, Port: port}),
 		}})
 	}
 	// Host-match rules at processing switches (idempotent). The ingress's
@@ -310,8 +341,8 @@ func (c *Controller) emitClassRules(a *Assignment) ([]tableBatch, error) {
 	// and added below, once that batch is sized.
 	var ingressMatch flowtable.BatchOp
 	atIngress := 0
-	for _, sub := range a.Subclasses {
-		for _, h := range sub.Hops {
+	for _, r := range a.subs {
+		for _, h := range r.hops {
 			op, err := c.hostMatchOp(cl.Path[h])
 			if err != nil {
 				return nil, err
@@ -343,7 +374,7 @@ func (c *Controller) emitClassRules(a *Assignment) ([]tableBatch, error) {
 		return nil, err
 	}
 	// vSwitch steering everywhere.
-	for s := range a.Subclasses {
+	for s := range a.subs {
 		if err := c.emitVSwitchRules(g, a, s, runs[s]); err != nil {
 			return nil, err
 		}
@@ -360,7 +391,7 @@ func (c *Controller) hostMatchOp(v topology.NodeID) (flowtable.BatchOp, error) {
 	return flowtable.BatchOp{SkipIfPresent: true, Rule: flowtable.Rule{
 		Name: "host-match", Priority: prioHostMatch,
 		Match:   flowtable.Match{}.WithHostTag(tag),
-		Actions: []flowtable.Action{{Type: flowtable.ActForward, Port: PortHost}},
+		Actions: c.actions.of(flowtable.Action{Type: flowtable.ActForward, Port: PortHost}),
 	}}, nil
 }
 
@@ -400,15 +431,15 @@ func (c *Controller) install(pl *flowtable.Pipeline, table int, r flowtable.Rule
 // and admit-stage tag preallocation.
 func (a *Assignment) classificationBlocks() ([][]headerspace.PrefixBlock, error) {
 	wsum := 0.0
-	for _, w := range a.Weights {
-		wsum += w
+	for _, r := range a.subs {
+		wsum += r.weight
 	}
 	if wsum <= 0 {
 		return nil, fmt.Errorf("controller: class %d has no positive weight", a.Class.ID)
 	}
-	norm := make([]float64, len(a.Weights))
-	for i, w := range a.Weights {
-		norm[i] = w / wsum
+	norm := make([]float64, len(a.subs))
+	for i, r := range a.subs {
+		norm[i] = r.weight / wsum
 	}
 	blocks, err := flowtable.SplitPortions(norm, splitBits)
 	if err != nil {
@@ -429,7 +460,8 @@ func classificationSize(blocks [][]headerspace.PrefixBlock) int {
 
 // emitClassification compiles the ingress classification stage into the
 // ingress APPLE table's batch: one removal of the class's existing rules,
-// then the fresh rule set from the current weights' split.
+// then the fresh rule set from the current weights' split. A sub-class's
+// rules share one action list.
 func (c *Controller) emitClassification(g *ruleGroups, a *Assignment, blocks [][]headerspace.PrefixBlock) error {
 	ingress := a.Class.Path[0]
 	key := appleKey(ingress)
@@ -440,25 +472,27 @@ func (c *Controller) emitClassification(g *ruleGroups, a *Assignment, blocks [][
 		if err != nil {
 			return err
 		}
-		prefixes, err := flowtable.SuffixRules(a.Prefix, bs, splitBits)
+		prefixes, err := flowtable.SuffixRules(a.Prefix(), bs, splitBits)
 		if err != nil {
 			return fmt.Errorf("controller: class %d: %w", a.Class.ID, err)
 		}
-		first := a.Class.Path[a.Subclasses[s].Hops[0]]
-		for _, pfx := range prefixes {
-			var actions []flowtable.Action
-			actions = append(actions, flowtable.Action{Type: flowtable.ActSetSubTag, Tag: uint16(subTag)})
-			if first == ingress {
-				actions = append(actions, flowtable.Action{Type: flowtable.ActForward, Port: PortHost})
-			} else {
-				hostTag, err := c.alloc.HostTag(first)
-				if err != nil {
-					return fmt.Errorf("controller: %w", err)
-				}
-				actions = append(actions,
-					flowtable.Action{Type: flowtable.ActSetHostTag, Tag: hostTag},
-					flowtable.Action{Type: flowtable.ActGotoTable, Table: TableRouting})
+		if len(prefixes) == 0 {
+			continue
+		}
+		setSub := flowtable.Action{Type: flowtable.ActSetSubTag, Tag: uint16(subTag)}
+		var actions []flowtable.Action
+		if first := a.Class.Path[a.subs[s].hops[0]]; first == ingress {
+			actions = c.actions.of(setSub, flowtable.Action{Type: flowtable.ActForward, Port: PortHost})
+		} else {
+			hostTag, err := c.alloc.HostTag(first)
+			if err != nil {
+				return fmt.Errorf("controller: %w", err)
 			}
+			actions = c.actions.of(setSub,
+				flowtable.Action{Type: flowtable.ActSetHostTag, Tag: hostTag},
+				flowtable.Action{Type: flowtable.ActGotoTable, Table: TableRouting})
+		}
+		for _, pfx := range prefixes {
 			g.add(key, flowtable.BatchOp{Rule: flowtable.Rule{
 				Name:     name,
 				Priority: prioClassify,
@@ -472,10 +506,10 @@ func (c *Controller) emitClassification(g *ruleGroups, a *Assignment, blocks [][
 
 // tagOf returns the data-plane tag of sub-class s.
 func (a *Assignment) tagOf(s int) (uint8, error) {
-	if s < 0 || s >= len(a.SubTags) {
+	if s < 0 || s >= len(a.subs) {
 		return 0, fmt.Errorf("controller: class %d has no tag for sub-class %d", a.Class.ID, s)
 	}
-	return a.SubTags[s], nil
+	return a.subs[s].tag, nil
 }
 
 // chainRun is a maximal group of consecutive chain positions served at
@@ -506,6 +540,7 @@ func (c *Controller) emitVSwitchRules(g *ruleGroups, a *Assignment, s int, runs 
 		return err
 	}
 	name := fmt.Sprintf("vsw-%d-%d", a.Class.ID, s)
+	prefix, row := a.Prefix(), a.Instances(s)
 	for ri, r := range runs {
 		v := a.Class.Path[r.hop]
 		h, ok := c.hosts[v]
@@ -519,12 +554,15 @@ func (c *Controller) emitVSwitchRules(g *ruleGroups, a *Assignment, s int, runs 
 			// changed the source address, so steering matches the
 			// globally unique tag alone.
 			if !a.Global {
-				m = m.WithSrc(a.Prefix)
+				m = m.WithSrc(prefix)
 			}
 			return m
 		}
 		portOf := func(j int) (host.PortID, error) {
-			return h.PortOf(a.Instances[s][j])
+			return h.PortOf(row[j])
+		}
+		forward := func(port host.PortID) []flowtable.Action {
+			return c.actions.of(flowtable.Action{Type: flowtable.ActForward, Port: int(port)})
 		}
 		// Entry from the uplink to the first instance of the run.
 		firstPort, err := portOf(r.start)
@@ -533,7 +571,7 @@ func (c *Controller) emitVSwitchRules(g *ruleGroups, a *Assignment, s int, runs 
 		}
 		g.add(key, flowtable.BatchOp{Rule: flowtable.Rule{
 			Name: name, Priority: 10, Match: match(host.UplinkPort),
-			Actions: []flowtable.Action{{Type: flowtable.ActForward, Port: int(firstPort)}},
+			Actions: forward(firstPort),
 		}})
 		// Chain hops within the host.
 		for j := r.start; j < r.end; j++ {
@@ -547,7 +585,7 @@ func (c *Controller) emitVSwitchRules(g *ruleGroups, a *Assignment, s int, runs 
 			}
 			g.add(key, flowtable.BatchOp{Rule: flowtable.Rule{
 				Name: name, Priority: 10, Match: match(from),
-				Actions: []flowtable.Action{{Type: flowtable.ActForward, Port: int(to)}},
+				Actions: forward(to),
 			}})
 		}
 		// Exit: rewrite the host tag toward the next run (or Fin) and
@@ -565,10 +603,9 @@ func (c *Controller) emitVSwitchRules(g *ruleGroups, a *Assignment, s int, runs 
 		}
 		g.add(key, flowtable.BatchOp{Rule: flowtable.Rule{
 			Name: name, Priority: 10, Match: match(lastPort),
-			Actions: []flowtable.Action{
-				{Type: flowtable.ActSetHostTag, Tag: nextTag},
-				{Type: flowtable.ActForward, Port: int(host.UplinkPort)},
-			},
+			Actions: c.actions.of(
+				flowtable.Action{Type: flowtable.ActSetHostTag, Tag: nextTag},
+				flowtable.Action{Type: flowtable.ActForward, Port: int(host.UplinkPort)}),
 		}})
 	}
 	return nil

@@ -28,12 +28,12 @@ func materializedSameSplit(old *Assignment, cl core.Class, dist [][]float64) (bo
 	if err != nil {
 		return false, fmt.Errorf("controller: %w", err)
 	}
-	if len(expanded) != len(old.Subclasses) {
+	if len(expanded) != old.NumSubclasses() {
 		return false, nil
 	}
 	for i := range expanded {
-		if quantPortion(expanded[i].Portion) != quantPortion(old.Subclasses[i].Portion) ||
-			!slices.Equal(expanded[i].Hops, old.Subclasses[i].Hops) {
+		if quantPortion(expanded[i].Portion) != quantPortion(old.Subclass(i).Portion) ||
+			!slices.Equal(expanded[i].Hops, old.Subclass(i).Hops) {
 			return false, nil
 		}
 	}
@@ -139,7 +139,17 @@ func decodeSplitCase(data []byte) splitCase {
 			subs[s].Hops = moved
 		}
 	}
-	return splitCase{cl: cl, dist: dist, old: &Assignment{Class: cl, Subclasses: subs}}
+	return splitCase{cl: cl, dist: dist, old: recordOf(cl, subs)}
+}
+
+// recordOf is an assignment of cl holding the given sub-classes, and only
+// what sameSplit reads of them.
+func recordOf(cl core.Class, subs []core.Subclass) *Assignment {
+	a := &Assignment{Class: cl, subs: make([]subRecord, len(subs))}
+	for s, sub := range subs {
+		a.subs[s] = subRecord{hops: sub.Hops, portion: sub.Portion, weight: sub.Portion}
+	}
+	return a
 }
 
 // splitTally counts the verdicts a run of runSameSplit reached, so a test
@@ -168,7 +178,7 @@ func runSameSplit(t testing.TB, data []byte, c *Controller, buf *core.Coupling, 
 	wantSame, werr := materializedSameSplit(sc.old, sc.cl, sc.dist)
 	if same != wantSame || (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
 		t.Fatalf("class %+v dist %v against %v: sameSplit %v, %v; materialized %v, %v",
-			sc.cl, sc.dist, sc.old.Subclasses, same, err, wantSame, werr)
+			sc.cl, sc.dist, sc.old.subclasses(), same, err, wantSame, werr)
 	}
 	switch {
 	case err != nil:

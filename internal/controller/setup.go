@@ -112,10 +112,8 @@ func (st *assignStore) references(id vnf.ID) bool {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	for _, a := range st.m {
-		for _, row := range a.Instances {
-			if slices.Contains(row, id) {
-				return true
-			}
+		if slices.Contains(a.insts, id) {
+			return true
 		}
 	}
 	return false
@@ -128,10 +126,8 @@ func (st *assignStore) referenced(size int) map[vnf.ID]bool {
 	defer st.mu.RUnlock()
 	set := make(map[vnf.ID]bool, size)
 	for _, a := range st.m {
-		for _, row := range a.Instances {
-			for _, id := range row {
-				set[id] = true
-			}
+		for _, id := range a.insts {
+			set[id] = true
 		}
 	}
 	return set

@@ -128,15 +128,15 @@ func auditTableIII(c *Controller) error {
 				continue
 			}
 			a, ok := c.assign.get(core.ClassID(id))
-			if !ok || s >= len(a.Subclasses) {
+			if !ok || s >= a.NumSubclasses() {
 				return fmt.Errorf("host %d: steering rule %q names no live sub-class", v, r.Name)
 			}
-			if sub, ok := r.Match.SubTag(); !ok || sub != a.SubTags[s] {
-				return fmt.Errorf("host %d: steering rule %s does not match sub-class tag %d", v, fmtRule(r), a.SubTags[s])
+			if sub, ok := r.Match.SubTag(); !ok || sub != a.Tag(s) {
+				return fmt.Errorf("host %d: steering rule %s does not match sub-class tag %d", v, fmtRule(r), a.Tag(s))
 			}
-			if src, ok := r.Match.Src(); a.Global == ok || (ok && src != a.Prefix) {
+			if src, ok := r.Match.Src(); a.Global == ok || (ok && src != a.Prefix()) {
 				return fmt.Errorf("host %d: steering rule %s source match wrong for class %d (prefix %v, rewrites headers %v)",
-					v, fmtRule(r), id, a.Prefix, a.Global)
+					v, fmtRule(r), id, a.Prefix(), a.Global)
 			}
 			for _, act := range r.Actions {
 				if act.Type != flowtable.ActSetHostTag || act.Tag == flowtable.HostTagFin {
@@ -171,18 +171,18 @@ func auditClassification(v topology.NodeID, a *Assignment, r flowtable.Rule, tag
 	if tag, ok := r.Match.HostTag(); r.Priority != prioClassify || !ok || tag != flowtable.HostTagEmpty {
 		return fmt.Errorf("switch %d: classification row %s does not match untagged packets at priority %d", v, fmtRule(r), prioClassify)
 	}
-	if src, ok := r.Match.Src(); !ok || src.Len < a.Prefix.Len || !a.Prefix.Contains(src.Addr) {
-		return fmt.Errorf("switch %d: classification row %s lies outside class %d's prefix %v", v, fmtRule(r), cl.ID, a.Prefix)
+	if src, ok := r.Match.Src(); !ok || src.Len < a.Prefix().Len || !a.Prefix().Contains(src.Addr) {
+		return fmt.Errorf("switch %d: classification row %s lies outside class %d's prefix %v", v, fmtRule(r), cl.ID, a.Prefix())
 	}
 	acts := r.Actions
 	s := -1
 	if len(acts) > 0 && acts[0].Type == flowtable.ActSetSubTag {
-		s = slices.Index(a.SubTags, uint8(acts[0].Tag))
+		s = slices.Index(a.tags(), uint8(acts[0].Tag))
 	}
 	if s < 0 {
-		return fmt.Errorf("switch %d: classification row %s sets no sub-class tag of class %d %v", v, fmtRule(r), cl.ID, a.SubTags)
+		return fmt.Errorf("switch %d: classification row %s sets no sub-class tag of class %d %v", v, fmtRule(r), cl.ID, a.tags())
 	}
-	first := cl.Path[a.Subclasses[s].Hops[0]]
+	first := cl.Path[a.Subclass(s).Hops[0]]
 	if first == ingress {
 		if len(acts) != 2 || acts[1] != (flowtable.Action{Type: flowtable.ActForward, Port: PortHost}) {
 			return fmt.Errorf("switch %d: classification row %s should hand sub-class %d to the ingress host", v, fmtRule(r), s)
@@ -214,7 +214,7 @@ func auditCoverage(a *Assignment, pfx []flowtable.Prefix) error {
 		}
 		total += size(p)
 	}
-	if want := size(a.Prefix); total != want {
+	if want := size(a.Prefix()); total != want {
 		return fmt.Errorf("class %d: classification covers %d of its prefix's %d addresses", a.Class.ID, total, want)
 	}
 	return nil
@@ -266,7 +266,7 @@ func steerTable(t *testing.T, c *Controller, id core.ClassID) *flowtable.Table {
 	if !ok {
 		t.Fatalf("class %d not installed", id)
 	}
-	tbl, err := c.hosts[a.Class.Path[a.Subclasses[0].Hops[0]]].VSwitch().Table(host.TableSteering)
+	tbl, err := c.hosts[a.Class.Path[a.Subclass(0).Hops[0]]].VSwitch().Table(host.TableSteering)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,14 +423,14 @@ func TestTableIIIAuditCatches(t *testing.T) {
 		{"steering on the wrong sub-class tag", func(t *testing.T, c *Controller) {
 			a, _ := c.assign.get(0)
 			reinstall(t, steerTable(t, c, 0), "vsw-0-0", func(_ int, r *flowtable.Rule) bool {
-				r.Match = r.Match.WithSubTag(a.SubTags[0] + 1)
+				r.Match = r.Match.WithSubTag(a.Tag(0) + 1)
 				return true
 			})
 		}, "does not match sub-class tag"},
 		{"steering a rewriting class by source", func(t *testing.T, c *Controller) {
 			a, _ := c.assign.get(1)
 			reinstall(t, steerTable(t, c, 1), "vsw-1-0", func(_ int, r *flowtable.Rule) bool {
-				r.Match = r.Match.WithSrc(a.Prefix)
+				r.Match = r.Match.WithSrc(a.Prefix())
 				return true
 			})
 		}, "source match wrong for class 1"},

@@ -308,7 +308,7 @@ func TestTopologyFailoverKeepsTableIII(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, id := range c.Classes() {
-				if a, _ := c.assign.get(id); len(a.Subclasses) > len(a.Base) {
+				if a, _ := c.assign.get(id); a.NumSubclasses() > a.NumBase() {
 					reshaped++
 				}
 			}
@@ -322,9 +322,9 @@ func TestTopologyFailoverKeepsTableIII(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, id := range c.Classes() {
-				if a, _ := c.assign.get(id); len(a.Subclasses) != len(a.Base) {
+				if a, _ := c.assign.get(id); a.NumSubclasses() != a.NumBase() {
 					t.Fatalf("seed %d: class %d still has %d sub-classes after the surge, %d at base",
-						seed, id, len(a.Subclasses), len(a.Base))
+						seed, id, a.NumSubclasses(), a.NumBase())
 				}
 			}
 			if err := audit(); err != nil {

@@ -585,7 +585,7 @@ func (t *RuleTxn) commitUpdate(op txnOp, opts TxnOptions) error {
 			continue // identical compilation — untouched
 		}
 		// At most one removal per old operation and per owned name.
-		drops := min(len(oldOps), len(old.Subclasses)+1)
+		drops := min(len(oldOps), len(old.subs)+1)
 		batch := make([]flowtable.BatchOp, 0, drops+len(nb.ops))
 		batch = append(owned.removals(batch, oldOps), nb.ops...)
 		if nb.key == clsKey {
@@ -647,10 +647,11 @@ func (t *RuleTxn) commitUpdate(op txnOp, opts TxnOptions) error {
 // commitRefresh replaces an installed class's assignment with one
 // carrying a new rate but the same sub-class shape: no rules move, only
 // the store entry and the instance-portion ledger. The replacement is the
-// installed assignment at the new rate. It shares every array with it but
-// Base: a fresh Base makes it a new generation (sameGeneration), so a
-// failover spawn computed against the old rate is dropped. Weights is
-// shared safely because it is only ever written on an Assignment.clone.
+// installed assignment at the new rate under a new generation number
+// (sameGeneration), so a failover spawn computed against the old rate is
+// dropped. It shares every array with the one it replaces, the sub-class
+// records included: their weights are only ever written on an
+// Assignment.clone. One allocation, the replacement itself.
 func (t *RuleTxn) commitRefresh(r rateDelta) error {
 	c := t.c
 	old, ok := c.assign.get(r.id)
@@ -662,7 +663,7 @@ func (t *RuleTxn) commitRefresh(r rateDelta) error {
 	}
 	newA := *old
 	newA.Class.RateMbps = r.rate
-	newA.Base = slices.Clone(old.Base)
+	newA.gen = c.nextGen()
 	t.trackPrevAssign(r.id, old)
 	c.assign.put(r.id, &newA)
 	c.shiftPortions(t, old, -1)
@@ -713,10 +714,10 @@ func (t *RuleTxn) commitRemove(op txnOp) error {
 // host, hosts in the order the sub-classes first reach them. Each visits
 // at most one host per chain position, so nothing to drop allocates none.
 func steeringRemovals(a *Assignment, from int) []tableBatch {
-	steer := newRuleGroups(min(len(a.Class.Path), max(0, len(a.Subclasses)-from)*len(a.Class.Chain)))
-	for s := from; s < len(a.Subclasses); s++ {
+	steer := newRuleGroups(min(len(a.Class.Path), max(0, len(a.subs)-from)*len(a.Class.Chain)))
+	for s := from; s < len(a.subs); s++ {
 		name := fmt.Sprintf("vsw-%d-%d", a.Class.ID, s)
-		for _, v := range subclassHosts(a.Class, a.Subclasses[s].Hops) {
+		for _, v := range subclassHosts(a.Class, a.subs[s].hops) {
 			steer.add(steeringKey(v), flowtable.BatchOp{Remove: name})
 		}
 	}
@@ -740,9 +741,9 @@ func (t *RuleTxn) commitReshape(op txnOp) error {
 	if err := t.fail("reshape:steer", id); err != nil {
 		return err
 	}
-	steer := newRuleGroups(max(0, len(next.Subclasses)-len(old.Subclasses)))
-	for s := len(old.Subclasses); s < len(next.Subclasses); s++ {
-		if err := c.emitVSwitchRules(steer, next, s, chainRuns(next.Subclasses[s].Hops)); err != nil {
+	steer := newRuleGroups(max(0, len(next.subs)-len(old.subs)))
+	for s := len(old.subs); s < len(next.subs); s++ {
+		if err := c.emitVSwitchRules(steer, next, s, chainRuns(next.subs[s].hops)); err != nil {
 			return err
 		}
 	}
@@ -772,20 +773,19 @@ func (t *RuleTxn) commitReshape(op txnOp) error {
 	if err := t.fail("reshape:retire", id); err != nil {
 		return err
 	}
-	if err := t.applyEach(steeringRemovals(old, len(next.Subclasses))); err != nil {
+	if err := t.applyEach(steeringRemovals(old, len(next.subs))); err != nil {
 		return err
 	}
-	c.releaseSubTags(old, len(next.Subclasses), t)
+	c.releaseSubTags(old, len(next.subs), t)
 	return nil
 }
 
 // shiftPortions adds (sign +1) or retires (sign -1) an assignment's
 // per-instance planned load in the portion ledger.
 func (c *Controller) shiftPortions(txn *RuleTxn, a *Assignment, sign float64) {
-	for s, sub := range a.Subclasses {
-		for j := range a.Class.Chain {
-			id := a.Instances[s][j]
-			c.setPortion(txn, id, c.instPortion[id]+sign*a.Class.RateMbps*sub.Portion, true)
+	for s, r := range a.subs {
+		for _, id := range a.Instances(s) {
+			c.setPortion(txn, id, c.instPortion[id]+sign*a.Class.RateMbps*r.portion, true)
 		}
 	}
 }

@@ -51,6 +51,53 @@ func fmtRule(r flowtable.Rule) string {
 		strings.Join(acts, " "))
 }
 
+// Views of an assignment's record in the shapes of the parallel arrays it
+// once held, so digests and failure messages read as they always have.
+// The generation number is left out of them: an unwind restores it with
+// the record, and the digests pinned in testdata predate it.
+
+func (a *Assignment) subclasses() []core.Subclass {
+	out := make([]core.Subclass, a.NumSubclasses())
+	for s := range out {
+		out[s] = a.Subclass(s)
+	}
+	return out
+}
+
+func (a *Assignment) weights() []float64 {
+	out := make([]float64, a.NumSubclasses())
+	for s := range out {
+		out[s] = a.Weight(s)
+	}
+	return out
+}
+
+// basePortions are the weights a rollback restores, one per base
+// sub-class.
+func (a *Assignment) basePortions() []float64 {
+	out := make([]float64, a.NumBase())
+	for s := range out {
+		out[s] = a.Subclass(s).Portion
+	}
+	return out
+}
+
+func (a *Assignment) instanceRows() [][]vnf.ID {
+	out := make([][]vnf.ID, a.NumSubclasses())
+	for s := range out {
+		out[s] = a.Instances(s)
+	}
+	return out
+}
+
+func (a *Assignment) tags() []uint8 {
+	out := make([]uint8, a.NumSubclasses())
+	for s := range out {
+		out[s] = a.Tag(s)
+	}
+	return out
+}
+
 // stateDigest serializes every piece of controller state the unwind
 // contract covers: assignments, portion ledger, global tags, instance
 // pools, orchestrator inventory, host resource usage, and every rule of
@@ -61,7 +108,7 @@ func stateDigest(t *testing.T, c *Controller) string {
 
 	for _, a := range c.assign.sorted() {
 		fmt.Fprintf(&b, "class %d: cl=%+v prefix=%v subs=%v w=%v base=%v inst=%v global=%v tags=%v\n",
-			int(a.Class.ID), a.Class, a.Prefix, a.Subclasses, a.Weights, a.Base, a.Instances, a.Global, a.SubTags)
+			int(a.Class.ID), a.Class, a.Prefix(), a.subclasses(), a.weights(), a.basePortions(), a.instanceRows(), a.Global, a.tags())
 	}
 
 	pids := make([]string, 0, len(c.instPortion))
@@ -214,7 +261,7 @@ func newTxnFixture(t *testing.T) *txnFixture {
 		t.Fatal("class 0 not installed")
 	}
 	newHop := 1
-	if a0.Subclasses[0].Hops[0] == 1 {
+	if a0.Subclass(0).Hops[0] == 1 {
 		newHop = 2
 	}
 	v2 := cl0.Path[newHop]
@@ -337,14 +384,14 @@ func newReshapedRoute(t *testing.T) *faultRoute {
 		t.Fatal(err)
 	}
 	for _, id := range []core.ClassID{0, 1} {
-		if a, _ := c.assign.get(id); len(a.Subclasses) <= len(a.Base) {
-			t.Fatalf("fixture: class %d was not reshaped: %d sub-classes", id, len(a.Subclasses))
+		if a, _ := c.assign.get(id); a.NumSubclasses() <= a.NumBase() {
+			t.Fatalf("fixture: class %d was not reshaped: %d sub-classes", id, a.NumSubclasses())
 		}
 	}
 	// Class 1 moves to the next switch down its path, where its chain's
 	// instances are provisioned ahead of the transaction.
 	a1, _ := c.assign.get(1)
-	newHop := a1.Subclasses[0].Hops[0] + 1
+	newHop := a1.Subclass(0).Hops[0] + 1
 	for _, nf := range classes[1].Chain {
 		inst, _, err := c.orch.PlaceNow(nf, classes[1].Path[newHop])
 		if err != nil {

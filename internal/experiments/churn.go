@@ -279,8 +279,8 @@ func ChurnReplay(cfg ChurnConfig) (*ChurnResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("churn: %w", err)
 		}
-		for s := 0; s < len(a.Base) && s < len(a.Subclasses); s++ {
-			for _, hop := range a.Subclasses[s].Hops {
+		for s := 0; s < a.NumBase(); s++ {
+			for _, hop := range a.Subclass(s).Hops {
 				baseHosts[a.Class.Path[hop]] = true
 			}
 		}
@@ -326,9 +326,9 @@ func ChurnReplay(cfg ChurnConfig) (*ChurnResult, error) {
 			if err != nil {
 				return fmt.Errorf("churn: %w", err)
 			}
-			subs = append(subs, fmt.Sprintf("c%d:%d/%d", i, len(a.Subclasses), len(a.Base)))
-			for s := len(a.Base); s < len(a.Subclasses); s++ {
-				for _, hop := range a.Subclasses[s].Hops {
+			subs = append(subs, fmt.Sprintf("c%d:%d/%d", i, a.NumSubclasses(), a.NumBase()))
+			for s := a.NumBase(); s < a.NumSubclasses(); s++ {
+				for _, hop := range a.Subclass(s).Hops {
 					spawnHosts[a.Class.Path[hop]] = true
 				}
 			}

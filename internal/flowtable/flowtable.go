@@ -252,7 +252,11 @@ type Rule struct {
 	Name     string
 	Priority int
 	Match    Match
-	Actions  []Action
+	// Actions is read-only once installed: the table keeps the caller's
+	// slice itself, and the rules one caller installs may share it, so
+	// neither the table nor anyone else writes it afterwards. Lookup hands
+	// it out as installed; Rules hands out copies.
+	Actions []Action
 }
 
 // Equal reports whether r and o install the same TCAM entry: name,
@@ -442,7 +446,10 @@ func (t *Table) installLocked(r Rule) (*entry, error) {
 }
 
 // Install adds a rule, keeping rules sorted by descending priority
-// (stable, so equal priorities keep install order).
+// (stable, so equal priorities keep install order). The table keeps
+// r.Actions itself, not a copy: the caller must not write it afterwards
+// (Rule.Actions). ApplyBatch and ApplyBatchUndo keep their rules' slices
+// the same way.
 func (t *Table) Install(r Rule) error {
 	t.lock()
 	defer t.mu.Unlock()
@@ -629,14 +636,24 @@ func (t *Table) Names() []string {
 	return out
 }
 
-// Rules returns a copy of the rules in match order.
+// Rules returns a copy of the rules in match order. The action lists are
+// copies too, carved from one array, so a caller may edit what it gets and
+// reinstall it without writing into an installed rule.
 func (t *Table) Rules() []Rule {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	ents := t.sortedLocked()
+	n := 0
+	for _, e := range ents {
+		n += len(e.rule.Actions)
+	}
+	acts := make([]Action, 0, n)
 	out := make([]Rule, len(ents))
 	for i, e := range ents {
 		out[i] = e.rule
+		at := len(acts)
+		acts = append(acts, e.rule.Actions...)
+		out[i].Actions = acts[at:len(acts):len(acts)]
 	}
 	return out
 }

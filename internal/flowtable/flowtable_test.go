@@ -3,6 +3,7 @@ package flowtable
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/apple-nfv/apple/internal/headerspace"
@@ -350,6 +351,40 @@ func TestRulesReturnsCopy(t *testing.T) {
 	rs[0].Name = "mutated"
 	if tbl.Rules()[0].Name != "a" {
 		t.Fatal("Rules leaked internal slice")
+	}
+}
+
+// TestRulesReturnsPrivateActions: the action lists Rules returns are the
+// caller's. Writing one — or appending to it — changes neither what Lookup
+// answers nor what Rules reports next, not even for a second rule that was
+// installed with the very same slice.
+func TestRulesReturnsPrivateActions(t *testing.T) {
+	tbl := NewTable()
+	shared := []Action{{Type: ActSetHostTag, Tag: 7}, {Type: ActForward, Port: 3}}
+	want := slices.Clone(shared)
+	for i, name := range []string{"a", "b"} {
+		r := Rule{Name: name, Priority: 10 - i, Match: Match{}.WithInPort(i), Actions: shared}
+		if err := tbl.Install(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := tbl.Rules()
+	got[0].Actions[0].Tag = 9
+	got[0].Actions[1].Port = 4
+	_ = append(got[0].Actions[:1], Action{Type: ActDrop})
+	if !slices.Equal(got[1].Actions, want) {
+		t.Fatalf("writing the first returned rule changed the second: %v", got[1].Actions)
+	}
+	for i, r := range tbl.Rules() {
+		if !slices.Equal(r.Actions, want) {
+			t.Fatalf("rule %d now reports actions %v, want %v", i, r.Actions, want)
+		}
+	}
+	for port, name := range []string{"a", "b"} {
+		hit, ok := tbl.Lookup(Packet{InPort: port})
+		if !ok || hit.Name != name || !slices.Equal(hit.Actions, want) {
+			t.Fatalf("Lookup on port %d = %+v, %v; want %s with %v", port, hit, ok, name, want)
+		}
 	}
 }
 
