@@ -33,7 +33,7 @@ import (
 // tuple the batch touches, on first touch, and shares the rest: a small
 // tuple is two short parallel slices copied whole, a large one a
 // persistent hash trie (trie.go) of which only the arrays the change
-// writes are copied — at the root, the one page of eight children its
+// writes are copied — at the root, the one page of four children its
 // path passes through.
 
 // matchKey packs every concrete field value of one shape into three
@@ -42,8 +42,9 @@ import (
 // exactly "the packet satisfies every concrete field". The packing is
 // the arena/SoA representation of Match: a rule's 56-byte value fields,
 // prefix lengths included, collapse into this 24-byte value plus the
-// tuple's shape, and a tuple stores its rules' keys in one contiguous
-// slice.
+// tuple's shape. A slice tuple stores its rules' keys in one contiguous
+// slice; a trie tuple stores none and packs a slot's key from the slot's
+// entry when a probe reaches it.
 type matchKey struct {
 	lo   uint64 // src addr (32, masked) | dst addr (32, masked) << 32
 	hi   uint64 // hostTag | subTag<<16 | proto<<24 | srcPort<<32 | dstPort<<48
@@ -71,7 +72,10 @@ func clampLen(l int) int8 {
 	return int8(l)
 }
 
-// prefixMask returns the 32-bit mask selecting the top l bits, l in 1..32.
+// prefixMask returns the 32-bit mask selecting the top l bits, l in
+// 0..32: a shift by 32 leaves no bit, so a length of 0 masks everything.
+//
+//apple:noalloc
 func prefixMask(l int8) uint32 {
 	return ^uint32(0) << (32 - uint(l))
 }
@@ -98,20 +102,21 @@ func shapeOf(m Match) shapeKey {
 // ruleKey packs the concrete field values of a match whose shape is s
 // (shapeOf(m)). Prefix addresses are masked to the compared bits so rules
 // whose spare low bits differ still collide onto one key, mirroring
-// Prefix.Contains.
-func ruleKey(m Match, s shapeKey) matchKey {
-	var k matchKey
-	if s.mask&FieldSrc != 0 {
-		k.lo = uint64(m.src.Addr & prefixMask(s.srcLen))
+// Prefix.Contains. A trie slot's key is packed this way again on every
+// probe that reaches it (trieSlot.key), so it takes no branch and no copy
+// of the match, and is small enough to inline.
+//
+//apple:noalloc
+func ruleKey(m *Match, s shapeKey) matchKey {
+	return matchKey{
+		// A prefix s leaves open has length 0 there, and so an empty mask.
+		lo: uint64(m.src.Addr&prefixMask(s.srcLen)) |
+			uint64(m.dst.Addr&prefixMask(s.dstLen))<<32,
+		// Every other field s leaves open is a wildcard of m's, and so zero.
+		hi: uint64(m.hostTag) | uint64(m.subTag)<<16 | uint64(m.proto)<<24 |
+			uint64(m.srcPort)<<32 | uint64(m.dstPort)<<48,
+		port: int64(m.inPort),
 	}
-	if s.mask&FieldDst != 0 {
-		k.lo |= uint64(m.dst.Addr&prefixMask(s.dstLen)) << 32
-	}
-	// Every other field s leaves open is a wildcard of m's, and so zero.
-	k.hi = uint64(m.hostTag) | uint64(m.subTag)<<16 | uint64(m.proto)<<24 |
-		uint64(m.srcPort)<<32 | uint64(m.dstPort)<<48
-	k.port = int64(m.inPort)
-	return k
 }
 
 // tupleHashCutoff is the rule count above which a tuple switches from a
@@ -126,7 +131,7 @@ const tupleHashCutoff = 8
 // tuple is one match shape's compiled rule set: (keys,ents) for a slice
 // tuple, root for a trie tuple. Field order follows what a probe reads:
 // the shape and bound every probe needs, then the root's bitmaps and its
-// eight page pointers (a large trie's root holds only children, so a
+// sixteen page pointers (a large trie's root holds only children, so a
 // probe reads one of them and skips the root's data), then the
 // slice-tuple fields.
 type tuple struct {
@@ -151,14 +156,7 @@ type tuple struct {
 }
 
 func newTuple(gen uint64, s shapeKey) *tuple {
-	t := &tuple{shape: s, gen: gen}
-	if s.mask&FieldSrc != 0 {
-		t.srcMask = prefixMask(s.srcLen)
-	}
-	if s.mask&FieldDst != 0 {
-		t.dstMask = prefixMask(s.dstLen)
-	}
-	return t
+	return &tuple{shape: s, gen: gen, srcMask: prefixMask(s.srcLen), dstMask: prefixMask(s.dstLen)}
 }
 
 // packetKey packs the packet fields this tuple's shape compares. It is
@@ -203,7 +201,7 @@ func (t *tuple) add(gen uint64, k matchKey, e *entry) {
 	}
 	t.n++
 	if t.trie {
-		t.root.insert(gen, k.hash(), k, e)
+		t.root.insert(gen, k.hash(), k, t.shape, e)
 		return
 	}
 	// A slice tuple's slices are shared with published snapshots and at
@@ -213,7 +211,7 @@ func (t *tuple) add(gen uint64, k matchKey, e *entry) {
 	t.ents = slices.Concat(t.ents[:i], []*entry{e}, t.ents[i:])
 	if len(t.ents) > tupleHashCutoff {
 		for j, x := range t.ents {
-			t.root.insert(gen, t.keys[j].hash(), t.keys[j], x)
+			t.root.insert(gen, t.keys[j].hash(), t.keys[j], t.shape, x)
 		}
 		t.keys, t.ents, t.trie = nil, nil, true
 	}
@@ -228,17 +226,17 @@ func (t *tuple) remove(gen uint64, k matchKey, e *entry) {
 		t.keys = slices.Concat(t.keys[:i], t.keys[i+1:])
 		t.ents = slices.Concat(t.ents[:i], t.ents[i+1:])
 	case t.n > tupleHashCutoff/2:
-		t.root.remove(gen, k.hash(), k, e)
+		t.root.remove(gen, k.hash(), k, t.shape, e)
 		return // bound stays, possibly optimistic
 	default:
 		// Back to slices: collect what is left, in match order.
-		t.root.remove(gen, k.hash(), k, e)
+		t.root.remove(gen, k.hash(), k, t.shape, e)
 		t.ents = make([]*entry, 0, t.n)
 		t.root.each(func(x *entry) { t.ents = append(t.ents, x) })
 		slices.SortFunc(t.ents, byRank)
 		t.keys = make([]matchKey, len(t.ents))
 		for i, x := range t.ents {
-			t.keys[i] = ruleKey(x.rule.Match, t.shape)
+			t.keys[i] = ruleKey(&x.rule.Match, t.shape)
 		}
 		t.root, t.trie = trieRoot{}, false
 	}
@@ -293,7 +291,7 @@ func (c *compiledTable) add(gen uint64, e *entry) {
 		i = len(c.tuples)
 		c.tuples = append(c.tuples, newTuple(gen, s))
 	}
-	c.own(gen, i).add(gen, ruleKey(e.rule.Match, s), e)
+	c.own(gen, i).add(gen, ruleKey(&e.rule.Match, s), e)
 	c.settle(i)
 }
 
@@ -302,7 +300,7 @@ func (c *compiledTable) remove(gen uint64, e *entry) {
 	s := shapeOf(e.rule.Match)
 	i := c.indexOf(s)
 	t := c.own(gen, i)
-	t.remove(gen, ruleKey(e.rule.Match, s), e)
+	t.remove(gen, ruleKey(&e.rule.Match, s), e)
 	if t.n == 0 {
 		c.tuples = slices.Delete(c.tuples, i, i+1)
 		return
@@ -337,7 +335,7 @@ func (c *compiledTable) lookup(p *Packet) *entry {
 		k := t.packetKey(p)
 		var e *entry
 		if t.trie {
-			e = t.root.find(k.hash(), k)
+			e = t.root.find(k.hash(), k, t.shape)
 		} else {
 			for n := range t.keys {
 				if t.keys[n] == k {

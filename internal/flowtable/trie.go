@@ -20,9 +20,9 @@ import (
 //
 // The root is the one node laid out differently (trieRoot): a tuple of a
 // thousand rules has all 64 root children, so the root's child array is
-// the largest thing on every path, and it is split into eight fixed pages
-// of eight children. A mutation copies the one page it passes through,
-// and the root's data only if it writes there.
+// the largest thing on every path, and it is split into sixteen fixed
+// pages of four children. A mutation copies the one page it passes
+// through, and the root's data only if it writes there.
 //
 // Within one unpublished draft the copies are not repeated: every node
 // records the generation that last copied one of its arrays and which of
@@ -41,7 +41,7 @@ const (
 
 	// The root's 64 children live in rootPages pages of pageSize, child i
 	// at pages[i>>pageBits][i&pageMask].
-	pageBits  = 3
+	pageBits  = 2
 	pageSize  = 1 << pageBits
 	pageMask  = pageSize - 1
 	rootPages = 1 << (trieBits - pageBits)
@@ -57,7 +57,9 @@ const (
 	stampBits = 2
 
 	// rootOwnsData is the bit of trieRoot.owned above the page bits that
-	// says the draft allocated the root's data.
+	// says the draft allocated the root's data. It must not share a bit
+	// with a page: a draft that copied that page would then edit a
+	// published data array in place.
 	rootOwnsData = 1 << rootPages
 )
 
@@ -66,8 +68,13 @@ const (
 // (same match at different priorities, or installed twice under different
 // names) the best-ranked one sits in e, where a lookup finds it without
 // another load, and the rest follow in match order.
+//
+// The slot does not store its key: every rule under it packs to the same
+// one, so the key is ruleKey(e.rule.Match, shape) for the tuple's shape.
+// A probe that reaches a slot loads e anyway, for its rank, and without
+// the 24-byte key a slot is 16 bytes, which every data array a write
+// copies is made of.
 type trieSlot struct {
-	key  matchKey
 	e    *entry
 	more *trieDup
 }
@@ -106,7 +113,7 @@ type trieNode struct {
 // none of whose children is present is nil. The page pointers are in the
 // header every probe already reads, so reaching a root child is still one
 // dependent load, and copying the path through a full root costs one
-// page of eight child headers instead of all 64.
+// page of four child headers instead of all 64.
 type trieRoot struct {
 	dataMap, kidMap uint64
 	pages           [rootPages]*[pageSize]trieNode
@@ -115,7 +122,7 @@ type trieRoot struct {
 	// draft allocated pages[p], and rootOwnsData when it allocated data.
 	// The draft edits those in place.
 	gen   uint64
-	owned uint16
+	owned uint32
 }
 
 // spread scatters one key word over 64 bits before the words are folded
@@ -139,17 +146,25 @@ func (k matchKey) hash() uint64 {
 	return x ^ x>>33
 }
 
-// find returns the best-ranked rule stored under key k (whose hash is h),
-// or nil. The root is the walk's first step, not a call of its own, so a
-// probe is one call.
+// key returns the match key the slot's rules share in a trie of the given
+// shape.
 //
 //apple:noalloc
-func (r *trieRoot) find(h uint64, k matchKey) *entry {
+func (s *trieSlot) key(shape shapeKey) matchKey {
+	return ruleKey(&s.e.rule.Match, shape)
+}
+
+// find returns the best-ranked rule stored under key k (whose hash is h)
+// in a trie of the given shape, or nil. The root is the walk's first
+// step, not a call of its own, so a probe is one call.
+//
+//apple:noalloc
+func (r *trieRoot) find(h uint64, k matchKey, shape shapeKey) *entry {
 	i := h & trieMask
 	bit := uint64(1) << i
 	if r.dataMap&bit != 0 {
 		s := &r.data[bits.OnesCount64(r.dataMap&(bit-1))]
-		if s.key == k {
+		if s.key(shape) == k {
 			return s.e
 		}
 		return nil
@@ -162,7 +177,7 @@ func (r *trieRoot) find(h uint64, k matchKey) *entry {
 		bit = uint64(1) << (h >> shift & trieMask)
 		if n.dataMap&bit != 0 {
 			s := &n.data[bits.OnesCount64(n.dataMap&(bit-1))]
-			if s.key == k {
+			if s.key(shape) == k {
 				return s.e
 			}
 			return nil
@@ -173,7 +188,7 @@ func (r *trieRoot) find(h uint64, k matchKey) *entry {
 		n = &n.kids[bits.OnesCount64(n.kidMap&(bit-1))]
 	}
 	for i := range n.data {
-		if n.data[i].key == k {
+		if n.data[i].key(shape) == k {
 			return n.data[i].e
 		}
 	}
@@ -217,8 +232,8 @@ func (r *trieRoot) page(gen, i uint64) *[pageSize]trieNode {
 	return r.pages[p]
 }
 
-// insert adds e under key k (hash h).
-func (r *trieRoot) insert(gen, h uint64, k matchKey, e *entry) {
+// insert adds e under key k (hash h) to a trie of the given shape.
+func (r *trieRoot) insert(gen, h uint64, k matchKey, shape shapeKey, e *entry) {
 	i := h & trieMask
 	bit := uint64(1) << i
 	di := bits.OnesCount64(r.dataMap & (bit - 1))
@@ -226,29 +241,29 @@ func (r *trieRoot) insert(gen, h uint64, k matchKey, e *entry) {
 	case r.dataMap&bit != 0:
 		r.ownData(gen, 0)
 		s := &r.data[di]
-		if s.key == k {
+		if s.key(shape) == k {
 			s.push(e)
 			return
 		}
 		kid := &r.page(gen, i)[i&pageMask]
-		*kid = splitSlot(gen, *s, 0)
-		kid.insert(gen, h, trieBits, k, e)
+		*kid = splitSlot(gen, *s, 0, shape)
+		kid.insert(gen, h, trieBits, k, shape, e)
 		r.data = slices.Delete(r.data, di, di+1)
 		r.dataMap &^= bit
 		r.kidMap |= bit
 	case r.kidMap&bit != 0:
-		r.page(gen, i)[i&pageMask].insert(gen, h, trieBits, k, e)
+		r.page(gen, i)[i&pageMask].insert(gen, h, trieBits, k, shape, e)
 	default:
 		r.ownData(gen, 1)
-		r.data = slices.Insert(r.data, di, trieSlot{key: k, e: e})
+		r.data = slices.Insert(r.data, di, trieSlot{e: e})
 		r.dataMap |= bit
 	}
 }
 
-// remove deletes e (by identity), which the trie holds under key k. A
-// child left with at most one slot is folded back into the root's data,
-// and a page left with no child is released.
-func (r *trieRoot) remove(gen, h uint64, k matchKey, e *entry) {
+// remove deletes e (by identity), which the trie of the given shape holds
+// under key k. A child left with at most one slot is folded back into the
+// root's data, and a page left with no child is released.
+func (r *trieRoot) remove(gen, h uint64, k matchKey, shape shapeKey, e *entry) {
 	i := h & trieMask
 	bit := uint64(1) << i
 	di := bits.OnesCount64(r.dataMap & (bit - 1))
@@ -261,7 +276,7 @@ func (r *trieRoot) remove(gen, h uint64, k matchKey, e *entry) {
 		return
 	}
 	kid := &r.page(gen, i)[i&pageMask]
-	kid.remove(gen, h, trieBits, k, e)
+	kid.remove(gen, h, trieBits, k, shape, e)
 	if !kid.lone() {
 		return
 	}
@@ -327,13 +342,13 @@ func (n *trieNode) ownKids(gen uint64, grow int) {
 }
 
 // splitSlot returns the node that takes the place of slot s, of a node
-// at the level of the given shift, when a second key meets s there: a
-// child one level down that holds s alone.
-func splitSlot(gen uint64, s trieSlot, shift uint) trieNode {
+// at the level of the given shift in a trie of the given shape, when a
+// second key meets s there: a child one level down that holds s alone.
+func splitSlot(gen uint64, s trieSlot, shift uint, shape shapeKey) trieNode {
 	kid := trieNode{data: []trieSlot{s}}
 	kid.mark(gen, ownsData)
 	if shift+trieBits < hashBits {
-		kid.dataMap = 1 << (s.key.hash() >> (shift + trieBits) & trieMask)
+		kid.dataMap = 1 << (s.key(shape).hash() >> (shift + trieBits) & trieMask)
 	}
 	return kid
 }
@@ -347,17 +362,17 @@ func (n *trieNode) lone() bool {
 // insert adds e under key k (hash h) to the subtree rooted at n, which
 // sits at the level of the given shift. The caller owns the array n
 // lives in.
-func (n *trieNode) insert(gen, h uint64, shift uint, k matchKey, e *entry) {
+func (n *trieNode) insert(gen, h uint64, shift uint, k matchKey, shape shapeKey, e *entry) {
 	if shift >= hashBits {
 		for i := range n.data {
-			if n.data[i].key == k {
+			if n.data[i].key(shape) == k {
 				n.ownData(gen, 0)
 				n.data[i].push(e)
 				return
 			}
 		}
 		n.ownData(gen, 1)
-		n.data = append(n.data, trieSlot{key: k, e: e})
+		n.data = append(n.data, trieSlot{e: e})
 		return
 	}
 	bit := uint64(1) << (h >> shift & trieMask)
@@ -367,13 +382,13 @@ func (n *trieNode) insert(gen, h uint64, shift uint, k matchKey, e *entry) {
 	case n.dataMap&bit != 0:
 		n.ownData(gen, 0)
 		s := &n.data[di]
-		if s.key == k {
+		if s.key(shape) == k {
 			s.push(e)
 			return
 		}
 		// Two keys meet in this slot: both move one level down.
-		kid := splitSlot(gen, *s, shift)
-		kid.insert(gen, h, shift+trieBits, k, e)
+		kid := splitSlot(gen, *s, shift, shape)
+		kid.insert(gen, h, shift+trieBits, k, shape, e)
 		n.data = slices.Delete(n.data, di, di+1)
 		n.dataMap &^= bit
 		n.ownKids(gen, 1)
@@ -381,10 +396,10 @@ func (n *trieNode) insert(gen, h uint64, shift uint, k matchKey, e *entry) {
 		n.kidMap |= bit
 	case n.kidMap&bit != 0:
 		n.ownKids(gen, 0)
-		n.kids[ki].insert(gen, h, shift+trieBits, k, e)
+		n.kids[ki].insert(gen, h, shift+trieBits, k, shape, e)
 	default:
 		n.ownData(gen, 1)
-		n.data = slices.Insert(n.data, di, trieSlot{key: k, e: e})
+		n.data = slices.Insert(n.data, di, trieSlot{e: e})
 		n.dataMap |= bit
 	}
 }
@@ -392,9 +407,9 @@ func (n *trieNode) insert(gen, h uint64, shift uint, k matchKey, e *entry) {
 // remove deletes e (by identity), which the subtree holds under key k. A
 // child left with a single slot is folded back into its parent, so the
 // trie never keeps chains of one-slot nodes behind.
-func (n *trieNode) remove(gen, h uint64, shift uint, k matchKey, e *entry) {
+func (n *trieNode) remove(gen, h uint64, shift uint, k matchKey, shape shapeKey, e *entry) {
 	if shift >= hashBits {
-		i := slices.IndexFunc(n.data, func(s trieSlot) bool { return s.key == k })
+		i := slices.IndexFunc(n.data, func(s trieSlot) bool { return s.key(shape) == k })
 		n.ownData(gen, 0)
 		if n.data[i].drop(e) {
 			n.data = slices.Delete(n.data, i, i+1)
@@ -414,7 +429,7 @@ func (n *trieNode) remove(gen, h uint64, shift uint, k matchKey, e *entry) {
 	ki := bits.OnesCount64(n.kidMap & (bit - 1))
 	n.ownKids(gen, 0)
 	kid := &n.kids[ki]
-	kid.remove(gen, h, shift+trieBits, k, e)
+	kid.remove(gen, h, shift+trieBits, k, shape, e)
 	if !kid.lone() {
 		return
 	}

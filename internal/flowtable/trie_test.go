@@ -20,6 +20,31 @@ func collidingKey(k matchKey, hi uint64) matchKey {
 	return matchKey{lo: k.lo ^ spread(k.hi, mul) ^ spread(hi, mul), hi: hi, port: k.port}
 }
 
+// fullShape compares every field at full width, so every matchKey is the
+// key of some match under it: the trie tests build their entries with
+// keyedEntry, whose match packs to the key they chose.
+var fullShape = shapeKey{
+	mask: FieldHostTag | FieldSubTag | FieldInPort | FieldSrc | FieldDst |
+		FieldProto | FieldSrcPort | FieldDstPort,
+	srcLen: 32, dstLen: 32,
+}
+
+// keyedEntry returns an entry of priority prio and install number seq
+// whose match packs to k under fullShape, which a trie slot holding it
+// recomputes its key from.
+func keyedEntry(t *testing.T, k matchKey, prio int, seq uint64) *entry {
+	t.Helper()
+	m := Match{}.WithSrc(Prefix{Addr: uint32(k.lo), Len: 32}).
+		WithDst(Prefix{Addr: uint32(k.lo >> 32), Len: 32}).
+		WithHostTag(uint16(k.hi)).WithSubTag(uint8(k.hi >> 16)).WithProto(uint8(k.hi >> 24)).
+		WithSrcPort(uint16(k.hi >> 32)).WithDstPort(uint16(k.hi >> 48)).
+		WithInPort(int(k.port))
+	if shapeOf(m) != fullShape || ruleKey(&m, fullShape) != k {
+		t.Fatalf("key %+v: match of shape %+v packs to %+v", k, shapeOf(m), ruleKey(&m, fullShape))
+	}
+	return &entry{rule: Rule{Priority: prio, Match: m}, seq: seq}
+}
+
 func TestCollidingKeyCollides(t *testing.T) {
 	k := matchKey{lo: 0x0A0B0C0D11223344, hi: 7, port: 3}
 	c := collidingKey(k, 9)
@@ -54,10 +79,10 @@ func newTrieModel(t *testing.T) *trieModel {
 }
 
 func (m *trieModel) insert(k matchKey, prio int) *entry {
-	e := &entry{rule: Rule{Priority: prio}, seq: m.seq}
+	e := keyedEntry(m.t, k, prio, m.seq)
 	m.seq++
 	m.keyOf[e] = k
-	m.root.insert(m.gen, k.hash(), k, e)
+	m.root.insert(m.gen, k.hash(), k, fullShape, e)
 	ents := append(slices.Clone(m.model[k]), e)
 	slices.SortFunc(ents, byRank)
 	m.model[k] = ents
@@ -66,7 +91,7 @@ func (m *trieModel) insert(k matchKey, prio int) *entry {
 
 func (m *trieModel) remove(e *entry) {
 	k := m.keyOf[e]
-	m.root.remove(m.gen, k.hash(), k, e)
+	m.root.remove(m.gen, k.hash(), k, fullShape, e)
 	m.model[k] = slices.DeleteFunc(slices.Clone(m.model[k]), func(x *entry) bool { return x == e })
 	if len(m.model[k]) == 0 {
 		delete(m.model, k)
@@ -93,12 +118,12 @@ func (m *trieModel) check(when string, root *trieRoot, model map[matchKey][]*ent
 	count := 0
 	for k, ents := range model {
 		count += len(ents)
-		if got := root.find(k.hash(), k); got != ents[0] {
+		if got := root.find(k.hash(), k, fullShape); got != ents[0] {
 			t.Fatalf("%s: find(%+v) = %p, want best %p", when, k, got, ents[0])
 		}
 	}
 	absent := matchKey{lo: 1, hi: 999, port: 99}
-	if got := root.find(absent.hash(), absent); got != nil {
+	if got := root.find(absent.hash(), absent, fullShape); got != nil {
 		t.Fatalf("%s: absent key found", when)
 	}
 	seen := 0
@@ -122,7 +147,7 @@ func checkRootPages(t *testing.T, r *trieRoot) {
 	for p, pg := range r.pages {
 		kids := r.kidMap >> (p * pageSize) & (1<<pageSize - 1)
 		if (pg == nil) != (kids == 0) {
-			t.Fatalf("root page %d is nil=%v with children %08b", p, pg == nil, kids)
+			t.Fatalf("root page %d is nil=%v with children %04b", p, pg == nil, kids)
 		}
 		for i := 0; pg != nil && i < pageSize; i++ {
 			if kids&(1<<i) == 0 && !reflect.ValueOf(pg[i]).IsZero() {
@@ -170,7 +195,7 @@ func TestTrieAgainstMap(t *testing.T) {
 	m.checkHistory()
 }
 
-// TestTrieRootPages drives a root through its pages' life: all eight
+// TestTrieRootPages drives a root through its pages' life: all sixteen
 // filled, each released when its last child folds back into the root's
 // data (some pages one fold per draft, some all folds in one), all
 // refilled, and one released and refilled inside a single draft. Every
@@ -192,16 +217,16 @@ func TestTrieRootPages(t *testing.T) {
 	}
 	var ents [1 << trieBits][3]*entry
 	m := newTrieModel(t)
-	pagesPresent := func(when string, want uint8) {
+	pagesPresent := func(when string, want uint16) {
 		t.Helper()
-		var got uint8
+		var got uint16
 		for p, pg := range m.root.pages {
 			if pg != nil {
 				got |= 1 << p
 			}
 		}
 		if got != want {
-			t.Fatalf("%s: pages present %08b, want %08b", when, got, want)
+			t.Fatalf("%s: pages present %016b, want %016b", when, got, want)
 		}
 	}
 	publish := func(when string) {
@@ -217,7 +242,7 @@ func TestTrieRootPages(t *testing.T) {
 		return out
 	}
 
-	for p := 0; p < rootPages; p++ { // two keys per slot: eight children
+	for p := 0; p < rootPages; p++ { // two keys per slot: a full page
 		for _, i := range slots(p) {
 			ents[i][0], ents[i][1] = m.insert(bySlot[i][0], 0), m.insert(bySlot[i][1], 1)
 		}
@@ -251,7 +276,7 @@ func TestTrieRootPages(t *testing.T) {
 		if p%2 == 0 {
 			publish(fmt.Sprintf("folded page %d", p))
 		}
-		pagesPresent(fmt.Sprintf("folded page %d", p), ^uint8(0)<<(p+1))
+		pagesPresent(fmt.Sprintf("folded page %d", p), ^uint16(0)<<(p+1))
 	}
 	if m.root.kidMap != 0 || m.root.dataMap != ^uint64(0) {
 		t.Fatalf("folded root: kidMap %x dataMap %x", m.root.kidMap, m.root.dataMap)
@@ -263,17 +288,17 @@ func TestTrieRootPages(t *testing.T) {
 		}
 	}
 	publish("refilled")
-	pagesPresent("refilled", 0xFF)
+	pagesPresent("refilled", 0xFFFF)
 
 	for _, i := range slots(5) {
 		m.remove(ents[i][2])
 	}
-	pagesPresent("page 5 released in the draft", 0xFF&^(1<<5))
+	pagesPresent("page 5 released in the draft", 0xFFFF&^(1<<5))
 	for _, i := range slots(5) {
 		ents[i][1] = m.insert(bySlot[i][1], 1)
 	}
 	publish("page 5 back")
-	pagesPresent("page 5 back", 0xFF)
+	pagesPresent("page 5 back", 0xFFFF)
 	m.checkHistory()
 }
 
@@ -290,8 +315,9 @@ func TestBatchCopiesEachPageOnce(t *testing.T) {
 	var keys []matchKey
 	var ents []*entry
 	for i := 0; i < 2000; i++ {
-		keys, ents = append(keys, key()), append(ents, &entry{seq: uint64(i)})
-		root.insert(1, keys[i].hash(), keys[i], ents[i])
+		keys = append(keys, key())
+		ents = append(ents, keyedEntry(t, keys[i], 0, uint64(i)))
+		root.insert(1, keys[i].hash(), keys[i], fullShape, ents[i])
 	}
 	if slices.Contains(root.pages[:], nil) {
 		t.Fatal("2000 keys left a root page empty")
@@ -301,9 +327,9 @@ func TestBatchCopiesEachPageOnce(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		prev := root.pages
 		k := key()
-		root.insert(2, k.hash(), k, &entry{seq: uint64(2000 + i)})
+		root.insert(2, k.hash(), k, fullShape, keyedEntry(t, k, 0, uint64(2000+i)))
 		if i%2 == 1 {
-			root.remove(2, keys[i].hash(), keys[i], ents[i])
+			root.remove(2, keys[i].hash(), keys[i], fullShape, ents[i])
 		}
 		for p := range prev {
 			if root.pages[p] != prev[p] {
@@ -354,7 +380,7 @@ func TestDraftCopiesOnlyWrittenArrays(t *testing.T) {
 	c2 := keyAt([]uint64{aNext}, slot, sub)
 	var pub trieRoot
 	for i, k := range []matchKey{a, b, c2, keyAt([]uint64{slot}), keyAt([]uint64{slot})} {
-		pub.insert(1, k.hash(), k, &entry{seq: uint64(i)})
+		pub.insert(1, k.hash(), k, fullShape, keyedEntry(t, k, 0, uint64(i)))
 	}
 	kidOf := func(r *trieRoot) *trieNode { return &r.pages[slot>>pageBits][slot&pageMask] }
 	if c := kidOf(&pub); len(c.data) != 1 || len(c.kids) != 1 || len(pub.data) != 2 {
@@ -363,7 +389,7 @@ func TestDraftCopiesOnlyWrittenArrays(t *testing.T) {
 
 	d := pub
 	k := keyAt([]uint64{sub, b1}, slot)
-	d.insert(2, k.hash(), k, &entry{seq: 10})
+	d.insert(2, k.hash(), k, fullShape, keyedEntry(t, k, 0, 10))
 	c, pc := kidOf(&d), kidOf(&pub)
 	if len(c.data) != 2 || sameArray(c.data, pc.data) {
 		t.Fatalf("a key into the child's data left it shared (%d keys)", len(c.data))
@@ -377,7 +403,7 @@ func TestDraftCopiesOnlyWrittenArrays(t *testing.T) {
 
 	d = pub
 	k = keyAt([]uint64{aNext, c2.hash() >> (2 * trieBits) & trieMask}, slot, sub)
-	d.insert(2, k.hash(), k, &entry{seq: 11})
+	d.insert(2, k.hash(), k, fullShape, keyedEntry(t, k, 0, 11))
 	c = kidOf(&d)
 	if len(c.kids) != 1 || len(c.kids[0].data) != 3 || sameArray(c.kids, pc.kids) {
 		t.Fatal("a key into the grandchild did not copy the child's kids")
@@ -462,7 +488,7 @@ func TestFullHashCollisionThroughTable(t *testing.T) {
 	tbl := NewTable()
 	for i, k := range keys {
 		r := ruleFor(k, string(rune('a'+i)))
-		if got := ruleKey(r.Match, shape); got != k {
+		if got := ruleKey(&r.Match, shape); got != k {
 			t.Fatalf("rule %d packs to %+v, want %+v", i, got, k)
 		}
 		if err := tbl.Install(r); err != nil {
@@ -497,4 +523,68 @@ func TestFullHashCollisionThroughTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAll("one collider back")
+}
+
+// TestSlotKeyMasksSpareBits installs two rules whose source prefixes
+// differ only in bits their length leaves open, 10.0.0.5/24 and
+// 10.0.0.9/24, at different priorities, into a trie tuple. They pack to
+// one key, so they share one slot, whose key is recomputed from the best
+// rule's match and must be masked the way the packet's is. Lookup must
+// agree with LookupLinear when the better rule is removed, reverted, and
+// removed and installed again.
+func TestSlotKeyMasksSpareBits(t *testing.T) {
+	rule := func(name string, addr uint32, prio int) Rule {
+		return Rule{Name: name, Priority: prio,
+			Match:   Match{}.WithSrc(Prefix{Addr: addr, Len: 24}),
+			Actions: []Action{{Type: ActForward, Port: prio}}}
+	}
+	const net = 10<<24 | 0<<16 | 0<<8
+	high, low := rule("high", net|9, 9), rule("low", net|5, 5)
+	shape := shapeOf(high.Match)
+	if ruleKey(&high.Match, shape) != ruleKey(&low.Match, shape) {
+		t.Fatal("10.0.0.9/24 and 10.0.0.5/24 pack to different keys")
+	}
+	tbl := NewTable()
+	for i := 1; i <= 20; i++ { // filler so the tuple is a trie
+		if err := tbl.Install(rule(fmt.Sprintf("f%d", i), net|uint32(i)<<8|uint32(i), 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range []Rule{low, high} {
+		if err := tbl.Install(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c := tbl.compiled.Load(); len(c.tuples) != 1 || !c.tuples[0].trie {
+		t.Fatalf("expected one trie tuple, got %+v", c)
+	}
+	check := func(when, want string) {
+		t.Helper()
+		for _, host := range []uint32{0, 5, 9, 200, 255} {
+			pkt := Packet{}
+			pkt.Hdr.SrcIP = net | host
+			got, ok := tbl.Lookup(pkt)
+			lin, linOK := tbl.LookupLinear(pkt)
+			if ok != linOK || got.Name != lin.Name || got.Name != want {
+				t.Fatalf("%s: 10.0.0.%d: Lookup (%q,%v), LookupLinear (%q,%v), want %q",
+					when, host, got.Name, ok, lin.Name, linOK, want)
+			}
+		}
+	}
+	check("both installed", "high")
+	_, undo, err := tbl.ApplyBatchUndo([]BatchOp{{Remove: "high"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("best removed", "low")
+	tbl.Revert(undo)
+	check("removal reverted", "high")
+	tbl.Remove("high")
+	check("best removed again", "low")
+	if err := tbl.Install(high); err != nil {
+		t.Fatal(err)
+	}
+	check("best reinstalled", "high")
+	tbl.Remove("low")
+	check("other removed", "high")
 }
