@@ -212,6 +212,11 @@ type Controller struct {
 	// reopt is ReOptimize's scratch, reused from pass to pass. Confined to
 	// the single writer, like passByDone.
 	reopt reoptScratch
+	// spare is the transaction buffer set the next Begin takes (nil while
+	// a transaction holds it), and arena the rule groups' backing store.
+	// Confined to the single writer.
+	spare *txnScratch
+	arena ruleArena
 	// gen is the last assignment generation handed out (nextGen). Confined
 	// to the single writer; an unwind does not take numbers back.
 	gen uint32

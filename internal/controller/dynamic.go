@@ -430,6 +430,7 @@ func (d *DynamicHandler) baseWouldFit(classID core.ClassID, rates map[core.Class
 // transaction; spawns for the leftovers launch once it has.
 func (d *DynamicHandler) overload(instID vnf.ID, rates map[core.ClassID]float64, loads map[vnf.ID]float64) error {
 	var spawns []func()
+	var reshaped []core.ClassID // the transaction's buffers are gone once it commits
 	txn := d.c.Begin()
 	for _, classID := range d.c.Classes() {
 		live, _ := d.c.assign.get(classID)
@@ -518,16 +519,17 @@ func (d *DynamicHandler) overload(instID vnf.ID, rates map[core.ClassID]float64,
 			}
 		}
 		txn.stageReshape(a)
+		reshaped = append(reshaped, classID)
 	}
-	if len(txn.staged) == 0 {
+	if len(reshaped) == 0 {
 		return nil
 	}
 	if err := txn.Commit(TxnOptions{}); err != nil {
 		return err
 	}
-	for _, op := range txn.staged {
-		if _, ok := d.states[op.next.Class.ID]; !ok {
-			d.states[op.next.Class.ID] = nil
+	for _, id := range reshaped {
+		if _, ok := d.states[id]; !ok {
+			d.states[id] = nil
 		}
 	}
 	for _, spawn := range spawns {

@@ -154,7 +154,9 @@ func TestAdmitArrivalRecordsSideEffectsInTxn(t *testing.T) {
 	}
 
 	// Simulate a later-stage failure: the unwind alone must erase every
-	// admit-stage side effect.
+	// admit-stage side effect. The unwind gives the transaction's buffers
+	// back, so the instance is read first.
+	inst := txn.provisioned[0]
 	txn.unwind(errors.New("install failed"))
 	if c.assign.has(cl.ID) {
 		t.Fatal("unwind left the admitted class in the assignment store")
@@ -162,7 +164,7 @@ func TestAdmitArrivalRecordsSideEffectsInTxn(t *testing.T) {
 	if after := len(c.Orchestrator().Instances()); after != before {
 		t.Fatalf("unwind left provisioned instances alive: %d instances before, %d after", before, after)
 	}
-	if _, ok := c.instPortion[txn.provisioned[0]]; ok {
+	if _, ok := c.instPortion[inst]; ok {
 		t.Fatal("unwind left the cancelled instance in the portion ledger")
 	}
 }

@@ -122,7 +122,8 @@ func (c *Controller) ReOptimize(prob *core.Problem, pl *core.Placement, opts Reo
 	report.Removed = len(removed)
 
 	// Stage in class order: installs, updates and refreshes, then removals.
-	txn := c.begin(report.Added+report.Updated+report.Removed, report.RateOnly,
+	txn := c.Begin()
+	txn.grow(report.Added+report.Updated+report.Removed, report.RateOnly,
 		report.Updated+report.RateOnly+report.Removed)
 	for i, cl := range prob.Classes {
 		cl.Chain = pl.ChainFor(cl)

@@ -296,7 +296,7 @@ func (c *Controller) emitClassRules(a *Assignment) ([]tableBatch, error) {
 	for _, r := range a.subs {
 		hops += len(r.hops)
 	}
-	g := newRuleGroups(len(cl.Path) + 2*min(len(cl.Path), hops) + 1)
+	g := c.arena.groups(len(cl.Path) + 2*min(len(cl.Path), hops) + 1)
 	for _, v := range cl.Path {
 		g.reserve(routingKey(v), 1)
 	}

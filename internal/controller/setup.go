@@ -176,14 +176,62 @@ func findBatch(batches []tableBatch, k tableKey) ([]flowtable.BatchOp, bool) {
 // allocated once at its final size: reserve declares, in emission order,
 // how many operations each table will receive; add fills them, allocating
 // a table's batch on its first operation at what was reserved by then.
+// Both the table list and the batches come from the controller's rule
+// arena when it has room.
 type ruleGroups struct {
 	tables []tableBatch
 	need   []int // parallel to tables: operations reserved
+	arena  *ruleArena
 }
 
-// newRuleGroups makes room for up to bound tables.
-func newRuleGroups(bound int) *ruleGroups {
-	return &ruleGroups{tables: make([]tableBatch, 0, bound), need: make([]int, 0, bound)}
+// Sizes of the rule arena: room for one FatTree class's emission (eight
+// tables, ten operations) or the removal batches of a few classes.
+const (
+	arenaTables = 16
+	arenaOps    = 16
+)
+
+// ruleArena is the controller's backing store for rule groups: fixed
+// arrays from which a group's table list and each of its batches are
+// carved, each with exactly the capacity asked for, so that no batch can
+// grow into another's memory. What it hands out is valid until the next
+// reset, which a transaction makes at every class boundary of a commit and
+// when it ends. A request it cannot fit is allocated as a fresh slice, so
+// a bulk install works as it would without the arena and what the arena
+// holds stays fixed. Confined to the single writer.
+type ruleArena struct {
+	tables        [arenaTables]tableBatch
+	need          [arenaTables]int
+	ops           [arenaOps]flowtable.BatchOp
+	nTables, nOps int // carved so far
+}
+
+// groups makes room for up to bound tables.
+func (a *ruleArena) groups(bound int) *ruleGroups {
+	if a.nTables+bound > arenaTables {
+		return &ruleGroups{tables: make([]tableBatch, 0, bound), need: make([]int, 0, bound), arena: a}
+	}
+	lo, hi := a.nTables, a.nTables+bound
+	a.nTables = hi
+	return &ruleGroups{tables: a.tables[lo:lo:hi], need: a.need[lo:lo:hi], arena: a}
+}
+
+// batch returns an empty batch with room for n operations.
+func (a *ruleArena) batch(n int) []flowtable.BatchOp {
+	if a.nOps+n > arenaOps {
+		return make([]flowtable.BatchOp, 0, n)
+	}
+	lo, hi := a.nOps, a.nOps+n
+	a.nOps = hi
+	return a.ops[lo:lo:hi]
+}
+
+// reset takes back everything carved, zeroing it so the arena pins
+// nothing of the batches it held.
+func (a *ruleArena) reset() {
+	clear(a.tables[:a.nTables])
+	clear(a.ops[:a.nOps])
+	a.nTables, a.nOps = 0, 0
 }
 
 // slot returns the index of table k's batch, opening it behind the
@@ -203,7 +251,7 @@ func (g *ruleGroups) add(k tableKey, op flowtable.BatchOp) {
 	i := g.slot(k)
 	b := &g.tables[i]
 	if b.ops == nil {
-		b.ops = make([]flowtable.BatchOp, 0, g.need[i])
+		b.ops = g.arena.batch(g.need[i])
 	}
 	b.ops = append(b.ops, op)
 }
@@ -312,7 +360,7 @@ func (t *RuleTxn) installNew(ops []txnOp, verify bool) (int, error) {
 	c := t.c
 
 	// Stage 1 — admit, sequentially in arrival order.
-	admitted := make([]*Assignment, 0, len(ops))
+	admitted := emptyWithRoom(t.runAdmitted, len(ops))
 	var admitErr error
 	for _, op := range ops {
 		a, err := t.admit(op)
@@ -325,13 +373,15 @@ func (t *RuleTxn) installNew(ops []txnOp, verify bool) (int, error) {
 		}
 		admitted = append(admitted, a)
 	}
+	t.runAdmitted = admitted
 	metrics.FlowSetup.Arrivals.Add(int64(len(admitted)))
 
 	// Stage 2 — emit. Pure: reads admit-stage state only.
 	if err := t.failEach("add:emit", admitted); err != nil {
 		return 0, err
 	}
-	staged := make([][]tableBatch, len(admitted))
+	staged := emptyWithRoom(t.runEmitted, len(admitted))[:len(admitted)]
+	t.runEmitted = staged
 	for i, a := range admitted {
 		var err error
 		if staged[i], err = c.emitClassRules(a); err != nil {
@@ -361,7 +411,11 @@ func (t *RuleTxn) installNew(ops []txnOp, verify bool) (int, error) {
 	// Each device programs its own TCAM, so a run's simulated programming
 	// time is the makespan: the slowest device's installs (its tables
 	// program back to back) times the per-rule latency.
-	perDevice := make(map[device]int, len(batches))
+	if t.runPerDevice == nil {
+		t.runPerDevice = make(map[device]int, len(batches))
+	}
+	perDevice := t.runPerDevice
+	clear(perDevice)
 	slowest := 0
 	t.undo = slices.Grow(t.undo, len(batches))
 	var applyErr error

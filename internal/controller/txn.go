@@ -99,16 +99,29 @@ type rateDelta struct {
 }
 
 // RuleTxn stages a class-set delta and commits it atomically against the
-// controller. Obtain one from Controller.Begin.
+// controller. Obtain one from Controller.Begin. A finished transaction
+// holds no buffers: it must not be staged on again.
 type RuleTxn struct {
-	c      *Controller
+	c *Controller
+	*txnScratch
+
+	opened   bool
+	finished bool
+
+	installed int
+	removed   int
+}
+
+// txnScratch is a transaction's delta-sized working memory. The
+// controller keeps one spare set (Controller.spare): Begin takes it, and
+// finish and unwind clear it and give it back once the transaction is
+// done reading it, so a commit reuses the buffers of the commit before
+// it. A transaction begun while the spare set is out gets a fresh one.
+type txnScratch struct {
 	staged []txnOp
 	// refreshes are kept apart from staged: a day's rate-only refreshes
 	// are most of a re-optimization's deltas and need only these 24 bytes.
 	refreshes []rateDelta
-
-	opened   bool
-	finished bool
 	// Pre-transaction values of the portion-ledger and global-tag entries
 	// the transaction wrote, recorded on first write (setPortion,
 	// setGlobalTag).
@@ -126,24 +139,87 @@ type RuleTxn struct {
 	prevOrder  []core.ClassID
 	// Instances provisioned during the txn.
 	provisioned []vnf.ID
+	// One install-pipeline run's admitted assignments, their emitted
+	// batches and the rules installed per device (installNew).
+	runAdmitted  []*Assignment
+	runEmitted   [][]tableBatch
+	runPerDevice map[device]int
+}
 
-	installed int
-	removed   int
+// scratchCap is the most entries a buffer of the spare set may hold, or
+// have room for, and still be kept: a bulk load or a large
+// re-optimization grows its buffers past it, and they are dropped rather
+// than held by the controller until the next bulk operation.
+const scratchCap = 16
+
+// reset empties every buffer for the next transaction, dropping the ones
+// grown past scratchCap.
+func (s *txnScratch) reset() {
+	s.staged = reuse(s.staged)
+	s.refreshes = reuse(s.refreshes)
+	s.prevPortion = reuseMap(s.prevPortion)
+	s.prevTags = reuseMap(s.prevTags)
+	s.prevPools = reuseMap(s.prevPools)
+	s.undo = reuse(s.undo)
+	s.admitted = reuse(s.admitted)
+	s.prevAssign = reuseMap(s.prevAssign)
+	s.prevOrder = reuse(s.prevOrder)
+	s.provisioned = reuse(s.provisioned)
+	s.runAdmitted = reuse(s.runAdmitted)
+	s.runEmitted = reuse(s.runEmitted)
+	s.runPerDevice = reuseMap(s.runPerDevice)
+}
+
+// reuse empties s, zeroing what it held so a kept buffer pins nothing of
+// the transaction, or drops it if it has room for more than scratchCap
+// entries.
+func reuse[S ~[]E, E any](s S) S {
+	if cap(s) > scratchCap {
+		return nil
+	}
+	clear(s)
+	return s[:0]
+}
+
+// reuseMap empties m, or drops it if it holds more than scratchCap
+// entries: a map keeps the buckets it grew.
+func reuseMap[M ~map[K]V, K comparable, V any](m M) M {
+	if len(m) > scratchCap {
+		return nil
+	}
+	clear(m)
+	return m
+}
+
+// emptyWithRoom returns s emptied, or a new empty slice if s has room for
+// fewer than n entries. (slices.Grow allocates twice under the race
+// detector.)
+func emptyWithRoom[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, 0, n)
+	}
+	return s[:0]
 }
 
 // Begin starts an empty transaction.
-func (c *Controller) Begin() *RuleTxn { return c.begin(0, 0, 0) }
+func (c *Controller) Begin() *RuleTxn {
+	s := c.spare
+	if s == nil {
+		s = new(txnScratch)
+	}
+	c.spare = nil
+	return &RuleTxn{c: c, txnScratch: s}
+}
 
-// begin starts an empty transaction with room for ops staged deltas,
-// refreshes refreshes and replaced pre-images of installed classes, for
-// callers that know what they are about to stage.
-func (c *Controller) begin(ops, refreshes, replaced int) *RuleTxn {
-	return &RuleTxn{
-		c:          c,
-		staged:     make([]txnOp, 0, ops),
-		refreshes:  make([]rateDelta, 0, refreshes),
-		prevAssign: make(map[core.ClassID]*Assignment, replaced),
-		prevOrder:  make([]core.ClassID, 0, replaced),
+// grow makes room for ops staged deltas, refreshes refreshes and replaced
+// pre-images of installed classes, for callers that know what they are
+// about to stage. It is called before anything is staged.
+func (t *RuleTxn) grow(ops, refreshes, replaced int) {
+	t.staged = emptyWithRoom(t.staged, ops)
+	t.refreshes = emptyWithRoom(t.refreshes, refreshes)
+	t.prevOrder = emptyWithRoom(t.prevOrder, replaced)
+	if t.prevAssign == nil || replaced > scratchCap {
+		t.prevAssign = make(map[core.ClassID]*Assignment, replaced)
 	}
 }
 
@@ -208,8 +284,10 @@ func (t *RuleTxn) Commit(opts TxnOptions) (err error) {
 			t.finish()
 		}
 	}()
-	// audited completes one class delta: the audit runs once it stands.
+	// audited completes one class delta: the rule groups it emitted are
+	// dead, and the audit runs once it stands.
 	audited := func(err error) error {
+		t.c.arena.reset()
 		if err == nil && opts.Audit != nil {
 			if err = opts.Audit(); err != nil {
 				return fmt.Errorf("controller: transaction audit after class delta: %w", err)
@@ -283,6 +361,19 @@ func (t *RuleTxn) finish() {
 	if t.c.tracer.Enabled() {
 		t.c.tracer.Emit(trace.Ev(trace.KindTxnCommit).WithVal(int64(t.installed)))
 	}
+	t.release()
+}
+
+// release ends the transaction's hold on its buffers: the rule arena is
+// reset, and the buffer set is cleared and becomes the controller's spare
+// set, unless another transaction's set got there first.
+func (t *RuleTxn) release() {
+	t.c.arena.reset()
+	t.txnScratch.reset()
+	if t.c.spare == nil {
+		t.c.spare = t.txnScratch
+	}
+	t.txnScratch = nil
 }
 
 // unwind restores the controller to its pre-transaction state: table
@@ -329,6 +420,7 @@ func (t *RuleTxn) unwind(cause error) {
 	if c.tracer.Enabled() {
 		c.tracer.Emit(trace.Ev(trace.KindTxnUnwind).WithVal(int64(len(restored))).WithErr(cause))
 	}
+	t.release()
 }
 
 // fail triggers the named failpoint when the test hook is set.
@@ -480,6 +572,9 @@ func (t *RuleTxn) trackPrevAssign(id core.ClassID, a *Assignment) {
 	if _, ok := t.prevAssign[id]; ok {
 		return
 	}
+	if t.prevAssign == nil {
+		t.prevAssign = make(map[core.ClassID]*Assignment)
+	}
 	t.prevAssign[id] = a
 	t.prevOrder = append(t.prevOrder, id)
 }
@@ -586,7 +681,7 @@ func (t *RuleTxn) commitUpdate(op txnOp, opts TxnOptions) error {
 		}
 		// At most one removal per old operation and per owned name.
 		drops := min(len(oldOps), len(old.subs)+1)
-		batch := make([]flowtable.BatchOp, 0, drops+len(nb.ops))
+		batch := c.arena.batch(drops + len(nb.ops))
 		batch = append(owned.removals(batch, oldOps), nb.ops...)
 		if nb.key == clsKey {
 			clsBatch = batch
@@ -621,7 +716,8 @@ func (t *RuleTxn) commitUpdate(op txnOp, opts TxnOptions) error {
 		if _, inNew := findBatch(newG, ob.key); inNew {
 			continue
 		}
-		if batch := owned.removals(nil, ob.ops); len(batch) > 0 {
+		drops := min(len(ob.ops), len(old.subs)+1)
+		if batch := owned.removals(c.arena.batch(drops), ob.ops); len(batch) > 0 {
 			if _, err := t.apply(ob.key, batch); err != nil {
 				return err
 			}
@@ -685,7 +781,7 @@ func (t *RuleTxn) commitRemove(op txnOp) error {
 	if err := t.fail("remove:emit", op.id); err != nil {
 		return err
 	}
-	steer := steeringRemovals(a, 0)
+	steer := c.steeringRemovals(a, 0)
 	if err := t.fail("remove:cls", op.id); err != nil {
 		return err
 	}
@@ -713,12 +809,26 @@ func (t *RuleTxn) commitRemove(op txnOp) error {
 // from on: vsw-<id>-<s> on every host sub-class s visits, one batch per
 // host, hosts in the order the sub-classes first reach them. Each visits
 // at most one host per chain position, so nothing to drop allocates none.
-func steeringRemovals(a *Assignment, from int) []tableBatch {
-	steer := newRuleGroups(min(len(a.Class.Path), max(0, len(a.subs)-from)*len(a.Class.Chain)))
+// A hop vector never decreases and a path never revisits a switch, so
+// the hosts a sub-class visits are its distinct hops, in order: one
+// removal is reserved per visit, then added.
+func (c *Controller) steeringRemovals(a *Assignment, from int) []tableBatch {
+	steer := c.arena.groups(min(len(a.Class.Path), max(0, len(a.subs)-from)*len(a.Class.Chain)))
 	for s := from; s < len(a.subs); s++ {
-		name := fmt.Sprintf("vsw-%d-%d", a.Class.ID, s)
-		for _, v := range subclassHosts(a.Class, a.subs[s].hops) {
-			steer.add(steeringKey(v), flowtable.BatchOp{Remove: name})
+		hops := a.subs[s].hops
+		for j, h := range hops {
+			if j == 0 || h != hops[j-1] {
+				steer.reserve(steeringKey(a.Class.Path[h]), 1)
+			}
+		}
+	}
+	for s := from; s < len(a.subs); s++ {
+		remove := flowtable.BatchOp{Remove: fmt.Sprintf("vsw-%d-%d", a.Class.ID, s)}
+		hops := a.subs[s].hops
+		for j, h := range hops {
+			if j == 0 || h != hops[j-1] {
+				steer.add(steeringKey(a.Class.Path[h]), remove)
+			}
 		}
 	}
 	return steer.tables
@@ -741,7 +851,7 @@ func (t *RuleTxn) commitReshape(op txnOp) error {
 	if err := t.fail("reshape:steer", id); err != nil {
 		return err
 	}
-	steer := newRuleGroups(max(0, len(next.subs)-len(old.subs)))
+	steer := c.arena.groups(max(0, len(next.subs)-len(old.subs)))
 	for s := len(old.subs); s < len(next.subs); s++ {
 		if err := c.emitVSwitchRules(steer, next, s, chainRuns(next.subs[s].hops)); err != nil {
 			return err
@@ -757,7 +867,7 @@ func (t *RuleTxn) commitReshape(op txnOp) error {
 	if err != nil {
 		return err
 	}
-	cls := newRuleGroups(1)
+	cls := c.arena.groups(1)
 	cls.reserve(appleKey(next.Class.Path[0]), classificationSize(blocks))
 	if err := c.emitClassification(cls, next, blocks); err != nil {
 		return err
@@ -773,7 +883,7 @@ func (t *RuleTxn) commitReshape(op txnOp) error {
 	if err := t.fail("reshape:retire", id); err != nil {
 		return err
 	}
-	if err := t.applyEach(steeringRemovals(old, len(next.subs))); err != nil {
+	if err := t.applyEach(c.steeringRemovals(old, len(next.subs))); err != nil {
 		return err
 	}
 	c.releaseSubTags(old, len(next.subs), t)

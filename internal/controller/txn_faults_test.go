@@ -628,6 +628,16 @@ func TestTxnFailpointCoverage(t *testing.T) {
 	}
 }
 
+// failAt is a failpoint hook that injects a fault at pt alone.
+func failAt(pt string) func(string) error {
+	return func(p string) error {
+		if p == pt {
+			return errInjected
+		}
+		return nil
+	}
+}
+
 // TestTxnUnwindRestoresStateAtEveryFailpoint injects a failure at each
 // step of each entry point in turn, on a fresh fixture each time, and
 // asserts the controller afterwards is byte-identical to its pre-call
@@ -649,12 +659,7 @@ func TestTxnUnwindRestoresStateAtEveryFailpoint(t *testing.T) {
 						want = w
 					}
 				}
-				fx.c.failpoint = func(p string) error {
-					if p == pt {
-						return errInjected
-					}
-					return nil
-				}
+				fx.c.failpoint = failAt(pt)
 				if err := fx.run(); !errors.Is(err, errInjected) {
 					t.Fatalf("run = %v, want injected fault", err)
 				}
@@ -670,6 +675,136 @@ func TestTxnUnwindRestoresStateAtEveryFailpoint(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestTxnScratchIsolated: a transaction reuses the buffers of the one
+// before it (Controller.spare) and the controller's rule arena, and
+// neither carries anything from one transaction to the next.
+//
+// On one controller per entry point, every failpoint is injected twice in
+// a row, and each unwind must restore the pre-call state byte for byte;
+// the call then commits. A twin controller makes the same calls, each
+// starting from fresh buffers, and must agree after every call. The
+// reference has to fail as often: an unwound call still draws instance
+// IDs and boot times from the orchestrator. Failpoints after which the route expects another state than the
+// pre-call one — AddClassBatch's admission refusals, a failed activation
+// — leave the next call something else to do; they run on fresh fixtures
+// in TestTxnUnwindRestoresStateAtEveryFailpoint, after the fixtures' own
+// commits have used the spare set.
+func TestTxnScratchIsolated(t *testing.T) {
+	for _, route := range faultRoutes {
+		t.Run(route.name, func(t *testing.T) {
+			points := probeFailpoints(t, route.new)
+			fx, twin := route.new(t), route.new(t)
+			want := stateDigest(t, fx.c)
+			call := func(what string, failpoint func(string) error) error {
+				t.Helper()
+				fx.c.failpoint, twin.c.failpoint = failpoint, failpoint
+				twin.c.spare = nil
+				err, twinErr := fx.run(), twin.run()
+				if (err == nil) != (twinErr == nil) {
+					t.Fatalf("%s: %v, and from fresh buffers %v", what, err, twinErr)
+				}
+				if got, fresh := stateDigest(t, fx.c), stateDigest(t, twin.c); got != fresh {
+					t.Fatalf("%s: state differs from fresh buffers': %s", what, firstDiff(fresh, got))
+				}
+				return err
+			}
+			for _, pt := range points {
+				if fx.expect != nil && fx.expect(t, pt) != "" {
+					continue
+				}
+				for run := 1; run <= 2; run++ {
+					what := fmt.Sprintf("fault at %s, run %d", pt, run)
+					if err := call(what, failAt(pt)); !errors.Is(err, errInjected) {
+						t.Fatalf("%s: %v, want the injected fault", what, err)
+					}
+					if got := stateDigest(t, fx.c); got != want {
+						t.Fatalf("%s: %s", what, firstDiff(want, got))
+					}
+				}
+			}
+			if err := call("commit after the faults", nil); err != nil {
+				t.Fatalf("commit after the faults: %v", err)
+			}
+			if err := fx.c.CheckEnforcement(); err != nil {
+				t.Errorf("CheckEnforcement after the commit: %v", err)
+			}
+		})
+	}
+
+	// Two transactions open at once: the second takes a fresh buffer set,
+	// and the first ends — committed or unwound — after the second has
+	// committed and given its set back.
+	for _, commitA := range []bool{true, false} {
+		t.Run(fmt.Sprintf("overlap/commitA=%v", commitA), func(t *testing.T) {
+			fx := newTxnFixture(t)
+			c := fx.c
+			cl := core.Class{ID: 5, Path: linePath(4), Chain: policy.Chain{policy.Firewall}, RateMbps: 120}
+			a := c.Begin()
+			a.StageAdd(cl)
+			b := c.Begin()
+			if a.txnScratch == b.txnScratch {
+				t.Fatal("two open transactions share one buffer set")
+			}
+			b.StageRemove(2)
+			if err := b.Commit(fx.opts()); err != nil {
+				t.Fatalf("commit B: %v", err)
+			}
+			afterB := stateDigest(t, c)
+			if !commitA {
+				c.failpoint = failAt("add:apply:5")
+				if err := a.Commit(fx.opts()); !errors.Is(err, errInjected) {
+					t.Fatalf("commit A = %v, want the injected fault", err)
+				}
+				if got := stateDigest(t, c); got != afterB {
+					t.Fatalf("unwinding A: %s", firstDiff(afterB, got))
+				}
+				c.failpoint = nil
+				a = c.Begin()
+				a.StageAdd(cl)
+			}
+			if err := a.Commit(fx.opts()); err != nil {
+				t.Fatalf("commit A: %v", err)
+			}
+			ref := newTxnFixture(t)
+			for _, stage := range []func(*RuleTxn){
+				func(txn *RuleTxn) { txn.StageRemove(2) },
+				func(txn *RuleTxn) { txn.StageAdd(cl) },
+			} {
+				txn := ref.c.Begin()
+				stage(txn)
+				if err := txn.Commit(ref.opts()); err != nil {
+					t.Fatalf("reference: %v", err)
+				}
+			}
+			if got, w := stateDigest(t, c), stateDigest(t, ref.c); got != w {
+				t.Errorf("after B then A: %s", firstDiff(w, got))
+			}
+		})
+	}
+
+	// The rule arena is empty at every class boundary of a commit: what a
+	// class delta emitted is dead once it stands.
+	t.Run("arena", func(t *testing.T) {
+		fx := newTxnFixture(t)
+		txn := fx.c.Begin()
+		fx.stage(txn)
+		boundaries := 0
+		audit := func() error {
+			boundaries++
+			if n := fx.c.arena.nTables + fx.c.arena.nOps; n != 0 {
+				return fmt.Errorf("class boundary %d: %d arena slots still carved", boundaries, n)
+			}
+			return fx.handler.CheckInvariants()
+		}
+		if err := txn.Commit(TxnOptions{Verify: true, Audit: audit}); err != nil {
+			t.Fatal(err)
+		}
+		if boundaries != 5 {
+			t.Fatalf("%d class boundaries, want one per staged delta (5)", boundaries)
+		}
+	})
 }
 
 // TestJournalShapeOnEveryEntryPoint: whichever entry point runs, and
