@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -106,9 +105,6 @@ func MustNewStore(nvars int) *Store {
 	return s
 }
 
-// Vars returns the number of variables the store was created with.
-func (s *Store) Vars() int { return s.nvars }
-
 // Size returns the number of canonical nodes allocated (including the two
 // terminals).
 func (s *Store) Size() int { return len(s.nodes) }
@@ -175,46 +171,17 @@ func (s *Store) grow() {
 	s.cache = make([]cacheEntry, slots/4)
 }
 
-// Var returns the BDD for the single variable v (true when bit v is 1).
-func (s *Store) Var(v int) (Ref, error) {
-	if v < 0 || v >= s.nvars {
-		return False, fmt.Errorf("bdd: variable %d out of range [0,%d)", v, s.nvars)
-	}
-	return s.mk(int32(v), False, True), nil
-}
-
-// NVar returns the BDD for the negation of variable v.
-func (s *Store) NVar(v int) (Ref, error) {
-	if v < 0 || v >= s.nvars {
-		return False, fmt.Errorf("bdd: variable %d out of range [0,%d)", v, s.nvars)
-	}
-	return s.mk(int32(v), True, False), nil
-}
-
-// Not returns the complement of a.
-func (s *Store) Not(a Ref) Ref {
-	// XOR with true: cheap and reuses the operation cache.
-	return s.apply(opXor, a, True)
-}
-
 // And returns a ∧ b.
 func (s *Store) And(a, b Ref) Ref { return s.apply(opAnd, a, b) }
 
 // Or returns a ∨ b.
 func (s *Store) Or(a, b Ref) Ref { return s.apply(opOr, a, b) }
 
-// Xor returns a ⊕ b.
-func (s *Store) Xor(a, b Ref) Ref { return s.apply(opXor, a, b) }
-
 // Diff returns a ∧ ¬b.
 func (s *Store) Diff(a, b Ref) Ref { return s.apply(opDiff, a, b) }
 
 // Implies reports whether a ⇒ b holds for all assignments.
 func (s *Store) Implies(a, b Ref) bool { return s.Diff(a, b) == False }
-
-// Equiv reports whether a and b denote the same Boolean function. Because
-// nodes are canonical this is a constant-time comparison.
-func (s *Store) Equiv(a, b Ref) bool { return a == b }
 
 // cacheSlot is the operation cache's slot for op(a, b).
 func (s *Store) cacheSlot(op uint8, a, b Ref) *cacheEntry {
@@ -331,19 +298,8 @@ func (s *Store) CubeLits(lits []Literal) (Ref, error) {
 	return r, nil
 }
 
-// Cube returns the conjunction of literals given by bits: for each pair
-// (variable, value) the literal v or ¬v.
-func (s *Store) Cube(lits map[int]bool) (Ref, error) {
-	sorted := make([]Literal, 0, len(lits))
-	for v, val := range lits {
-		sorted = append(sorted, Literal{Var: v, Val: val})
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Var < sorted[j].Var })
-	return s.CubeLits(sorted)
-}
-
 // SatCount returns the number of satisfying assignments of a over all
-// s.Vars() variables, as a float64 (exact for counts below 2^53).
+// the store's variables, as a float64 (exact for counts below 2^53).
 func (s *Store) SatCount(a Ref) float64 {
 	memo := make(map[Ref]float64)
 	var count func(r Ref) float64 // satisfying fraction over remaining vars
@@ -365,26 +321,9 @@ func (s *Store) SatCount(a Ref) float64 {
 	return count(a) * math.Pow(2, float64(s.nvars))
 }
 
-// Eval evaluates the function at the given assignment. assignment must have
-// at least s.Vars() entries; assignment[v] is the value of variable v.
-func (s *Store) Eval(a Ref, assignment []bool) (bool, error) {
-	if len(assignment) < s.nvars {
-		return false, fmt.Errorf("bdd: assignment has %d entries, need %d", len(assignment), s.nvars)
-	}
-	for a != False && a != True {
-		n := s.nodes[a]
-		if assignment[n.level] {
-			a = n.hi
-		} else {
-			a = n.lo
-		}
-	}
-	return a == True, nil
-}
-
 // EvalBits evaluates the function at the assignment packed into bits:
 // variable v is bit 63-(v mod 64) of bits[v/64], so variable 0 is the most
-// significant bit of the first word. bits must hold at least s.Vars() bits.
+// significant bit of the first word. bits must hold a bit per variable of the store.
 // It allocates nothing and writes nothing, so any number of goroutines may
 // evaluate against a store that no one is mutating.
 //
@@ -402,7 +341,9 @@ func (s *Store) EvalBits(a Ref, bits []uint64) bool {
 }
 
 // AnySat returns one satisfying assignment of a, or an error if a is False.
-// Unconstrained variables are reported as false.
+// Unconstrained variables are reported as false. No production path reads
+// an example back out of a predicate; the headerspace tests' Predicate
+// Example oracle does.
 func (s *Store) AnySat(a Ref) ([]bool, error) {
 	if a == False {
 		return nil, errors.New("bdd: unsatisfiable")
@@ -418,27 +359,6 @@ func (s *Store) AnySat(a Ref) ([]bool, error) {
 		}
 	}
 	return out, nil
-}
-
-// NodeCount returns the number of distinct decision nodes reachable from a
-// (excluding terminals); a measure of predicate complexity.
-func (s *Store) NodeCount(a Ref) int {
-	seen := make(map[Ref]struct{})
-	var walk func(r Ref)
-	walk = func(r Ref) {
-		if r == False || r == True {
-			return
-		}
-		if _, ok := seen[r]; ok {
-			return
-		}
-		seen[r] = struct{}{}
-		n := s.nodes[r]
-		walk(n.lo)
-		walk(n.hi)
-	}
-	walk(a)
-	return len(seen)
 }
 
 // String renders a small BDD as nested if-then-else text for debugging.

@@ -118,7 +118,7 @@ func TestSatCount(t *testing.T) {
 
 func TestCube(t *testing.T) {
 	s := MustNewStore(8)
-	c, err := s.Cube(map[int]bool{0: true, 3: false, 7: true})
+	c, err := s.CubeLits([]Literal{{0, true}, {3, false}, {7, true}})
 	if err != nil {
 		t.Fatalf("Cube: %v", err)
 	}
@@ -136,7 +136,7 @@ func TestCube(t *testing.T) {
 	if err != nil || ok {
 		t.Fatalf("Eval on violating assignment = %v, %v", ok, err)
 	}
-	if _, err := s.Cube(map[int]bool{9: true}); err == nil {
+	if _, err := s.CubeLits([]Literal{{9, true}}); err == nil {
 		t.Fatal("out-of-range cube variable should fail")
 	}
 }
@@ -165,22 +165,11 @@ func TestEvalNeedsFullAssignment(t *testing.T) {
 	}
 }
 
-func TestNodeCount(t *testing.T) {
-	s := MustNewStore(3)
-	if s.NodeCount(True) != 0 || s.NodeCount(False) != 0 {
-		t.Fatal("terminals should have 0 nodes")
-	}
-	x := mustVar(t, s, 0)
-	if s.NodeCount(x) != 1 {
-		t.Fatalf("NodeCount(x) = %d, want 1", s.NodeCount(x))
-	}
-}
-
 // randomFormula builds a random formula tree and returns both the BDD and a
 // reference evaluator closure.
 func randomFormula(s *Store, rng *rand.Rand, depth int) (Ref, func([]bool) bool) {
 	if depth == 0 || rng.Intn(4) == 0 {
-		v := rng.Intn(s.Vars())
+		v := rng.Intn(s.nvars)
 		if rng.Intn(2) == 0 {
 			r, _ := s.Var(v)
 			return r, func(a []bool) bool { return a[v] }
@@ -240,11 +229,11 @@ func TestQuickXorProperties(t *testing.T) {
 	refOf := func(bits uint8) Ref {
 		// Build the parity-constrained cube for the low 3 bits of the seed:
 		// an arbitrary but deterministic family of functions.
-		lits := map[int]bool{}
-		for v := 0; v < 3; v++ {
-			lits[v] = bits&(1<<v) != 0
+		lits := make([]Literal, 3)
+		for v := range lits {
+			lits[v] = Literal{Var: v, Val: bits&(1<<v) != 0}
 		}
-		c, err := s.Cube(lits)
+		c, err := s.CubeLits(lits)
 		if err != nil {
 			t.Fatalf("Cube: %v", err)
 		}
@@ -291,10 +280,10 @@ func TestEquivAndString(t *testing.T) {
 	s := MustNewStore(2)
 	x := mustVar(t, s, 0)
 	y := mustVar(t, s, 1)
-	if !s.Equiv(s.And(x, y), s.And(y, x)) {
+	if s.And(x, y) != s.And(y, x) {
 		t.Fatal("commutativity should make equivalent Refs")
 	}
-	if s.Equiv(x, y) {
+	if x == y {
 		t.Fatal("distinct variables must differ")
 	}
 	if got := s.String(False); got != "F" {

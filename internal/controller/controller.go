@@ -136,9 +136,6 @@ func (a *Assignment) Subclass(s int) core.Subclass {
 // Weight returns sub-class s's current traffic weight.
 func (a *Assignment) Weight(s int) float64 { return a.subs[s].weight }
 
-// Tag returns sub-class s's data-plane tag.
-func (a *Assignment) Tag(s int) uint8 { return a.subs[s].tag }
-
 // Instances returns the instances serving sub-class s, in chain order.
 // The row is the assignment's own and must not be written.
 func (a *Assignment) Instances(s int) []vnf.ID {
@@ -672,7 +669,8 @@ func (c *Controller) CheckTables() error {
 // path of Fig 1: access control, routing, and traffic engineering keep
 // owning the next table while APPLE's table only classifies and tags.
 // The rule outranks routing but, by Table III's design, never disturbs
-// APPLE's steering of permitted traffic.
+// APPLE's steering of permitted traffic. No driver installs an ACL yet;
+// TestACLCoexistsWithAPPLE exercises the path.
 func (c *Controller) InstallACL(name string, src flowtable.Prefix) error {
 	for _, sw := range c.switches {
 		if err := c.install(sw.Pipeline, TableRouting, flowtable.Rule{

@@ -30,3 +30,6 @@ func (c *Controller) GlobalTags() map[topology.NodeID][]uint8 {
 	}
 	return out
 }
+
+// Tag returns sub-class s's data-plane tag.
+func (a *Assignment) Tag(s int) uint8 { return a.subs[s].tag }

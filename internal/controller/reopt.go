@@ -23,9 +23,10 @@ import (
 	"github.com/apple-nfv/apple/internal/vnf"
 )
 
-// DefaultRateTolerance is the relative rate drift below which a class
-// whose sub-class split did not move is left entirely untouched.
-const DefaultRateTolerance = 0.05
+// rateTolerance is the relative rate drift below which a class whose
+// sub-class split did not move is left entirely untouched
+// (TestReOptimizeRateToleranceBoundary pins it).
+const rateTolerance = 0.05
 
 // ReoptOptions tunes ReOptimize.
 type ReoptOptions struct {
@@ -33,9 +34,6 @@ type ReoptOptions struct {
 	Verify bool
 	// Audit runs at every class boundary of the commit (see TxnOptions).
 	Audit func() error
-	// RateTolerance overrides DefaultRateTolerance; negative disables the
-	// unchanged short-circuit entirely.
-	RateTolerance float64
 	// Reap decommissions instances left unreferenced and idle after the
 	// commit, down to the placement's instance counts.
 	Reap bool
@@ -67,11 +65,6 @@ func (c *Controller) ReOptimize(prob *core.Problem, pl *core.Placement, opts Reo
 	if prob == nil || pl == nil {
 		return nil, fmt.Errorf("controller: nil problem or placement")
 	}
-	tol := opts.RateTolerance
-	if tol == 0 {
-		tol = DefaultRateTolerance
-	}
-
 	// Phase 1 — classify every class against what is installed. Nothing
 	// is touched yet, so an error here needs no unwind. Verdicts go to
 	// controller-owned scratch, so the transaction is sized to the deltas
@@ -88,7 +81,7 @@ func (c *Controller) ReOptimize(prob *core.Problem, pl *core.Placement, opts Reo
 		if !ok {
 			return nil, fmt.Errorf("controller: class %d missing from placement", cl.ID)
 		}
-		v, err := c.classify(cl, dist, tol)
+		v, err := c.classify(cl, dist)
 		if err != nil {
 			return nil, err
 		}
@@ -261,7 +254,7 @@ type reoptScratch struct {
 
 // classify decides how cl, whose placement distribution is dist, moves
 // from what is installed.
-func (c *Controller) classify(cl core.Class, dist [][]float64, tol float64) (reoptVerdict, error) {
+func (c *Controller) classify(cl core.Class, dist [][]float64) (reoptVerdict, error) {
 	old, installed := c.assign.get(cl.ID)
 	if !installed {
 		return reoptAdd, nil
@@ -283,7 +276,7 @@ func (c *Controller) classify(cl core.Class, dist [][]float64, tol float64) (reo
 		return 0, err
 	case !same:
 		return reoptUpdate, nil
-	case tol >= 0 && relDrift(old.Class.RateMbps, cl.RateMbps) < tol:
+	case relDrift(old.Class.RateMbps, cl.RateMbps) < rateTolerance:
 		return reoptUnchanged, nil
 	default:
 		return reoptRefresh, nil

@@ -106,6 +106,52 @@ func TestReOptimizeNoChange(t *testing.T) {
 	}
 }
 
+// TestReOptimizeRateToleranceBoundary pins rateTolerance (5 %) from both
+// sides. The installed placement is re-applied with every class's rate
+// scaled, so the split cannot move and only the rate check decides; the
+// rates sit far under one instance's capacity, so 7 % more load cannot
+// add a capacity slice. At 1.03x every class is Unchanged and keeps its
+// installed rate; at 1.07x every class is refreshed RateOnly and carries
+// the new one.
+func TestReOptimizeRateToleranceBoundary(t *testing.T) {
+	classes := []core.Class{
+		{ID: 0, Path: linePath(4), Chain: policy.Chain{policy.Firewall, policy.IDS}, RateMbps: 120},
+		{ID: 1, Path: linePath(4), Chain: policy.Chain{policy.Proxy}, RateMbps: 90},
+		{ID: 2, Path: linePath(3), Chain: policy.Chain{policy.Firewall}, RateMbps: 60},
+	}
+	for _, tc := range []struct {
+		factor   float64
+		rateOnly bool
+	}{{1.03, false}, {1.07, true}} {
+		c, prob, pl, _ := setup(t, classes)
+		scaled := withRates(prob, tc.factor)
+		rep, err := c.ReOptimize(scaled, pl, ReoptOptions{Verify: true})
+		if err != nil {
+			t.Fatalf("%.2fx: ReOptimize: %v", tc.factor, err)
+		}
+		n := len(classes)
+		if tc.rateOnly && (rep.RateOnly != n || rep.Unchanged != 0 || rep.ClassesChanged() != 0) {
+			t.Errorf("%.2fx: report %+v, want all %d classes rate-only", tc.factor, rep, n)
+		}
+		if !tc.rateOnly && (rep.Unchanged != n || rep.RateOnly != 0 || rep.ClassesChanged() != 0) {
+			t.Errorf("%.2fx: report %+v, want all %d classes unchanged", tc.factor, rep, n)
+		}
+		for i, cl := range scaled.Classes {
+			a, err := c.Assignment(cl.ID)
+			if err != nil {
+				t.Fatalf("Assignment(%d): %v", cl.ID, err)
+			}
+			want := classes[i].RateMbps
+			if tc.rateOnly {
+				want = cl.RateMbps
+			}
+			if a.Class.RateMbps != want {
+				t.Errorf("%.2fx: class %d installed rate %v, want %v", tc.factor, cl.ID, a.Class.RateMbps, want)
+			}
+		}
+	}
+}
+
 // TestReOptimizeRateDrift: a 30% uniform rate shift re-targets every class
 // without adding or removing any, and the installed rates track the new
 // snapshot.

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/apple-nfv/apple/internal/lp"
-	"github.com/apple-nfv/apple/internal/trace"
 )
 
 // IncrementalEngine is the continuous re-optimization variant of the
@@ -44,21 +43,19 @@ import (
 // The engine is not safe for concurrent use.
 type IncrementalEngine struct {
 	prob   *Problem
-	opts   IncrementalOptions
 	md     *model
 	solver *lp.Solver
 	rVar   []lp.VarID // per class index, bounds pin the snapshot rate
 	solved bool
 }
 
-// IncrementalOptions tunes the incremental engine.
-type IncrementalOptions struct {
-	// MaxRepairRounds bounds the round-and-repair loop (default 25).
-	MaxRepairRounds int
-	// Tracer, when non-nil, journals one lp.solve span per Place call
-	// plus an lp.resolve event per repair re-solve.
-	Tracer *trace.Recorder
-}
+// IncrementalOptions tunes the incremental engine. It has no settable
+// field: the repair loop is bounded by incrementalRepairRounds.
+type IncrementalOptions struct{}
+
+// incrementalRepairRounds bounds the incremental engine's round-and-repair
+// loop.
+const incrementalRepairRounds = 25
 
 // PlaceStats instruments one Place call. Pivot counts are deterministic
 // for a fixed problem and snapshot sequence, which makes them the right
@@ -84,10 +81,7 @@ type PlaceStats struct {
 // class universe. The per-class RateMbps values in prob seed the
 // consolidation bias; the actual rates of each snapshot are supplied to
 // Place.
-func NewIncrementalEngine(prob *Problem, opts IncrementalOptions) (*IncrementalEngine, error) {
-	if opts.MaxRepairRounds <= 0 {
-		opts.MaxRepairRounds = 25
-	}
+func NewIncrementalEngine(prob *Problem, _ IncrementalOptions) (*IncrementalEngine, error) {
 	if err := prob.Validate(); err != nil {
 		return nil, err
 	}
@@ -100,15 +94,11 @@ func NewIncrementalEngine(prob *Problem, opts IncrementalOptions) (*IncrementalE
 	}
 	return &IncrementalEngine{
 		prob:   prob,
-		opts:   opts,
 		md:     md,
 		solver: lp.NewSolver(md.m),
 		rVar:   rVar,
 	}, nil
 }
-
-// Problem returns the class universe the engine was built over.
-func (e *IncrementalEngine) Problem() *Problem { return e.prob }
 
 // Place solves the snapshot whose per-class rates are given and returns
 // a placement over the classes with positive rate. Classes missing from
@@ -121,10 +111,6 @@ func (e *IncrementalEngine) Problem() *Problem { return e.prob }
 // basis is rejected).
 func (e *IncrementalEngine) Place(rates map[ClassID]float64) (pl *Placement, st PlaceStats, err error) {
 	start := time.Now()
-	if e.opts.Tracer.Enabled() {
-		sp := e.opts.Tracer.Begin(trace.Ev(trace.KindLPSolve).WithVal(int64(len(rates))))
-		defer func() { sp.End(int64(st.Pivots), err) }()
-	}
 	// Retarget the parametric bounds: pin each r to the snapshot rate and
 	// lift the previous snapshot's repair caps — except caps the basis is
 	// resting on. Hardware does not grow between snapshots, so a binding
@@ -191,7 +177,7 @@ func (e *IncrementalEngine) Place(rates map[ClassID]float64) (pl *Placement, st 
 	// runs, over this engine's long-lived solver.
 	r := &repairer{
 		md: e.md, solver: e.solver,
-		maxRounds: e.opts.MaxRepairRounds, tracer: e.opts.Tracer,
+		maxRounds: incrementalRepairRounds,
 	}
 	counts, err := r.repair(sol)
 	st.Pivots += r.iters

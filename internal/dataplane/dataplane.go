@@ -41,8 +41,6 @@ const Window = 100 * time.Millisecond
 type Monitor struct {
 	capacityPPS float64
 	enabled     bool
-	received    uint64
-	forwarded   uint64
 }
 
 // NewMonitor creates an enabled monitor with the given capacity.
@@ -57,13 +55,9 @@ func NewMonitor(capacityPPS float64) (*Monitor, error) {
 // everything — the state of a VM that is still booting).
 func (m *Monitor) SetEnabled(on bool) { m.enabled = on }
 
-// Enabled reports the current state.
-func (m *Monitor) Enabled() bool { return m.enabled }
-
 // Offer delivers a burst of packets arriving uniformly over the window
 // ending at now; it returns how many were forwarded.
 func (m *Monitor) Offer(now time.Duration, packets float64) float64 {
-	m.received += uint64(packets)
 	if !m.enabled {
 		return 0
 	}
@@ -72,13 +66,7 @@ func (m *Monitor) Offer(now time.Duration, packets float64) float64 {
 	if out > capacity {
 		out = capacity
 	}
-	m.forwarded += uint64(out)
 	return out
-}
-
-// Stats returns total received and forwarded packet counts.
-func (m *Monitor) Stats() (received, forwarded uint64) {
-	return m.received, m.forwarded
 }
 
 // Source is a pktgen-style constant-bit-rate packet source whose rate can
@@ -121,7 +109,7 @@ func RunLink(clock *sim.Simulation, src *Source, monitors []*Monitor,
 	if clock == nil || src == nil || len(monitors) == 0 {
 		return nil, 0, errors.New("dataplane: nil clock, source, or monitors")
 	}
-	series := metrics.NewTimeSeries("loss")
+	series := new(metrics.TimeSeries)
 	var sent, lost float64
 	h, err := clock.Every(Window, Window, func(now time.Duration) {
 		pkts := src.PacketsPerWindow()

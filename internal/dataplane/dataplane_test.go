@@ -44,10 +44,6 @@ func TestMonitorForwardsUpToCapacity(t *testing.T) {
 	if got := m.Offer(0, 10); got != 0 {
 		t.Fatalf("disabled monitor forwarded %v", got)
 	}
-	recv, fwd := m.Stats()
-	if recv != 560 || fwd != 150 {
-		t.Fatalf("stats = %d/%d", recv, fwd)
-	}
 }
 
 func TestRunLinkValidation(t *testing.T) {
@@ -111,6 +107,16 @@ func TestFig6CurveShape(t *testing.T) {
 	}
 }
 
+// seriesMax is the largest value of a non-empty series.
+func seriesMax(s *metrics.TimeSeries) float64 {
+	m := math.Inf(-1)
+	for i := 0; i < s.Len(); i++ {
+		_, v := s.Point(i)
+		m = math.Max(m, v)
+	}
+	return m
+}
+
 // TestFig7SetupTimeGap: the throughput gap approximates the orchestrated
 // boot time, which lands in the measured 3.9–4.6 s window.
 func TestFig7SetupTimeGap(t *testing.T) {
@@ -128,11 +134,7 @@ func TestFig7SetupTimeGap(t *testing.T) {
 		t.Fatalf("gap %v vs boot %v: approximation too loose", res.Gap, res.BootTime)
 	}
 	// Throughput must drop to zero somewhere and recover to full rate.
-	maxT, err := res.Throughput.Max()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if maxT < 4900 {
+	if maxT := seriesMax(res.Throughput); maxT < 4900 {
 		t.Fatalf("max throughput %v, want ≈5000", maxT)
 	}
 	sawZero := false
@@ -202,12 +204,28 @@ func TestFig8ScenariosOverlap(t *testing.T) {
 	}
 }
 
+// TestFig8TransferScale: without an outage a run moves the paper's 20 MB
+// over the 300 Mbps bottleneck after a twelve-RTT slow start at 2 ms, so
+// the ten runs average 20 MiB / 37.5 MB/s + 24 ms ≈ 0.583 s, give or take
+// the 3 % jitter.
+func TestFig8TransferScale(t *testing.T) {
+	times, err := TransferTimes(ScenarioNoFailover, TransferConfig{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := metrics.Summarize(times)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := float64(20<<20)/(300e6/8) + 12*0.002
+	if s.N != 10 || math.Abs(s.Mean/want-1) > 0.04 {
+		t.Fatalf("%d runs averaging %.4f s, want 10 around %.4f s", s.N, s.Mean, want)
+	}
+}
+
 func TestFig8Validation(t *testing.T) {
 	if _, err := TransferTimes(TransferScenario(99), TransferConfig{}); err == nil {
 		t.Error("unknown scenario should fail")
-	}
-	if _, err := TransferTimes(ScenarioNoFailover, TransferConfig{FileBytes: -1}); err == nil {
-		t.Error("negative size should fail")
 	}
 	if ScenarioReconfigure.String() == "" || TransferScenario(99).String() == "" {
 		t.Error("scenario names should render")
@@ -254,11 +272,7 @@ func TestFig9ZeroLossTimeline(t *testing.T) {
 		t.Fatalf("activation lag %v, want ≈100ms", d)
 	}
 	// While split, monitor B carries half the load.
-	maxB, err := res.MonBRate.Max()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(maxB-5000) > 100 {
+	if maxB := seriesMax(res.MonBRate); math.Abs(maxB-5000) > 100 {
 		t.Fatalf("monitor B peak %v, want ≈5000", maxB)
 	}
 }

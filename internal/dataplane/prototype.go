@@ -87,7 +87,7 @@ func SetupTimeExperiment(ratePPS float64, switchAt, duration time.Duration, seed
 		return SetupTimeResult{}, fmt.Errorf("dataplane: %w", err)
 	}
 
-	tput := metrics.NewTimeSeries("throughput-pps")
+	tput := new(metrics.TimeSeries)
 	gapWindows := 0
 	h, err := clock.Every(Window, Window, func(now time.Duration) {
 		pkts := src.PacketsPerWindow()
@@ -153,36 +153,20 @@ func (s TransferScenario) String() string {
 	}
 }
 
+// The Fig 8 transfer, at the prototype's scale: a 20 MB file over a
+// 300 Mbps bottleneck with a 2 ms RTT, ten runs per scenario.
+const (
+	transferFileBytes      = 20 << 20
+	transferBottleneckMbps = 300
+	transferRTT            = 2 * time.Millisecond
+	transferRuns           = 10
+)
+
 // TransferConfig parameterizes the Fig 8 TCP model.
 type TransferConfig struct {
-	// FileBytes is the transfer size (20 MB in the paper).
-	FileBytes float64
-	// BottleneckMbps is the path rate the transfer converges to.
-	BottleneckMbps float64
-	// RTT drives the slow-start ramp.
-	RTT time.Duration
-	// Runs is the sample count per scenario (10 in the paper).
-	Runs int
 	// Seed drives run-to-run jitter ("their differences are due to the
 	// statistical fluctuation").
 	Seed int64
-}
-
-// withDefaults fills zero fields with prototype-scale values.
-func (c TransferConfig) withDefaults() TransferConfig {
-	if c.FileBytes == 0 {
-		c.FileBytes = 20 << 20
-	}
-	if c.BottleneckMbps == 0 {
-		c.BottleneckMbps = 300
-	}
-	if c.RTT == 0 {
-		c.RTT = 2 * time.Millisecond
-	}
-	if c.Runs == 0 {
-		c.Runs = 10
-	}
-	return c
 }
 
 // TransferTimes regenerates one Fig 8 curve: the distribution of times to
@@ -190,14 +174,10 @@ func (c TransferConfig) withDefaults() TransferConfig {
 // exponential slow-start ramp to the bottleneck rate, frozen (plus an RTO
 // penalty) while the path is down.
 func TransferTimes(scenario TransferScenario, cfg TransferConfig) ([]float64, error) {
-	cfg = cfg.withDefaults()
-	if cfg.FileBytes <= 0 || cfg.BottleneckMbps <= 0 || cfg.Runs <= 0 {
-		return nil, fmt.Errorf("dataplane: bad transfer config %+v", cfg)
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	lat := orchestrator.DefaultLatencies()
-	out := make([]float64, 0, cfg.Runs)
-	for run := 0; run < cfg.Runs; run++ {
+	out := make([]float64, 0, transferRuns)
+	for run := 0; run < transferRuns; run++ {
 		// Outage window [start, end) during which no progress is made.
 		var outage time.Duration
 		switch scenario {
@@ -217,12 +197,12 @@ func TransferTimes(scenario TransferScenario, cfg TransferConfig) ([]float64, er
 		default:
 			return nil, fmt.Errorf("dataplane: unknown scenario %v", scenario)
 		}
-		bytesPerSec := cfg.BottleneckMbps * 1e6 / 8
+		bytesPerSec := transferBottleneckMbps * 1e6 / 8
 		// Slow start: exponential growth doubles cwnd per RTT from ~4 KiB
 		// until the bottleneck; contributes a startup delay.
 		rampRTTs := 12.0 // ≈ log2(bottleneck×RTT / 4KiB), prototype scale
-		startup := time.Duration(rampRTTs * float64(cfg.RTT))
-		base := cfg.FileBytes/bytesPerSec + startup.Seconds()
+		startup := time.Duration(rampRTTs * float64(transferRTT))
+		base := transferFileBytes/bytesPerSec + startup.Seconds()
 		if outage > 0 {
 			// Frozen progress plus one retransmission timeout to recover.
 			base += outage.Seconds() + 0.2
@@ -282,9 +262,9 @@ func DetectionExperiment(lowPPS, highPPS float64, step, stepBack, duration time.
 		return DetectionResult{}, err
 	}
 	res := DetectionResult{
-		SendRate: metrics.NewTimeSeries("send-pps"),
-		MonARate: metrics.NewTimeSeries("monA-pps"),
-		MonBRate: metrics.NewTimeSeries("monB-pps"),
+		SendRate: new(metrics.TimeSeries),
+		MonARate: new(metrics.TimeSeries),
+		MonBRate: new(metrics.TimeSeries),
 	}
 	logEvent := func(now time.Duration, what string) {
 		res.Events = append(res.Events, DetectionEvent{At: now, What: what})

@@ -24,30 +24,31 @@ import (
 	"github.com/apple-nfv/apple/internal/trace"
 )
 
+// The churn replay's fixed shape: a line of churnSwitches switches;
+// every wave runs churnSurgeObserves then churnCoolObserves Observe
+// calls, each followed by a churnStepSeconds clock advance (shorter than
+// a 4.6 s worst-case boot, so activations land between observations, not
+// conveniently before them). Every class is planned at churnPlannedMbps;
+// churnSurgeMbps overloads the planned instance and churnBaseMbps sits
+// below the rollback threshold.
+const (
+	churnSwitches      = 4
+	churnSurgeObserves = 2
+	churnCoolObserves  = 2
+	churnStepSeconds   = 3
+	churnPlannedMbps   = 450
+	churnSurgeMbps     = 1600
+	churnBaseMbps      = 100
+)
+
 // ChurnConfig parameterizes one churn replay. The zero value is usable:
-// withChurnDefaults fills every field.
+// withChurnDefaults fills the zero fields that have a default.
 type ChurnConfig struct {
-	// Switches is the length of the line topology (default 4).
-	Switches int
 	// Classes is how many traffic classes share the line (default 1).
 	// Odd-numbered classes run the line in reverse.
 	Classes int
 	// Waves is the number of surge → recovery cycles (default 3).
 	Waves int
-	// SurgeObserves / CoolObserves are Observe calls per phase, each
-	// followed by a StepSeconds clock advance (defaults 2 and 2).
-	SurgeObserves int
-	CoolObserves  int
-	// StepSeconds is the virtual time between observations (default 3 —
-	// shorter than a 4.6 s worst-case boot, so activations land between
-	// observations, not conveniently before them).
-	StepSeconds int
-	// PlannedMbps is the per-class rate the LP provisions for (default
-	// 450). SurgeMbps (default 1600) overloads the planned instance;
-	// BaseMbps (default 100) sits below the rollback threshold.
-	PlannedMbps float64
-	SurgeMbps   float64
-	BaseMbps    float64
 	// HostCores caps every host's core count (0 keeps the 64-core
 	// default). Tight hosts force spawns onto a different switch than
 	// the base instance — the setup a targeted host-crash plan needs.
@@ -77,32 +78,11 @@ type ChurnConfig struct {
 }
 
 func (cfg ChurnConfig) withChurnDefaults() ChurnConfig {
-	if cfg.Switches == 0 {
-		cfg.Switches = 4
-	}
 	if cfg.Classes == 0 {
 		cfg.Classes = 1
 	}
 	if cfg.Waves == 0 {
 		cfg.Waves = 3
-	}
-	if cfg.SurgeObserves == 0 {
-		cfg.SurgeObserves = 2
-	}
-	if cfg.CoolObserves == 0 {
-		cfg.CoolObserves = 2
-	}
-	if cfg.StepSeconds == 0 {
-		cfg.StepSeconds = 3
-	}
-	if cfg.PlannedMbps == 0 {
-		cfg.PlannedMbps = 450
-	}
-	if cfg.SurgeMbps == 0 {
-		cfg.SurgeMbps = 1600
-	}
-	if cfg.BaseMbps == 0 {
-		cfg.BaseMbps = 100
 	}
 	return cfg
 }
@@ -153,34 +133,6 @@ type ChurnResult struct {
 	HandlerCounters map[string]uint64
 }
 
-// TraceString flattens the replay into one deterministic string: the
-// per-step trace followed by sorted counter values. Two replays of the
-// same config must produce equal TraceStrings; a zero fault plan must
-// produce the TraceString of a fault-free run.
-func (r *ChurnResult) TraceString() string {
-	var b strings.Builder
-	for _, line := range r.Trace {
-		b.WriteString(line)
-		b.WriteByte('\n')
-	}
-	fmt.Fprintf(&b, "final extra=%d peak=%d pending=%d zombies=%d transitions=%d events=%d\n",
-		r.FinalExtraCores, r.PeakExtraCores, r.PendingSpawns, r.Zombies, r.Transitions, r.Events)
-	for _, set := range []struct {
-		name string
-		vals map[string]uint64
-	}{{"orch", r.OrchCounters}, {"handler", r.HandlerCounters}} {
-		keys := make([]string, 0, len(set.vals))
-		for k := range set.vals {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(&b, "%s.%s=%d\n", set.name, k, set.vals[k])
-		}
-	}
-	return b.String()
-}
-
 // churnLine builds the harness topology: a line of n backbone switches.
 func churnLine(n int) (*topology.Graph, error) {
 	g := topology.NewGraph("churn-line")
@@ -198,15 +150,15 @@ func churnLine(n int) (*topology.Graph, error) {
 }
 
 // churnClasses lays cfg.Classes firewall classes along the line,
-// odd-numbered ones in reverse, each planned at cfg.PlannedMbps.
+// odd-numbered ones in reverse, each planned at churnPlannedMbps.
 func churnClasses(cfg ChurnConfig) []core.Class {
-	fwd := make([]topology.NodeID, cfg.Switches)
+	fwd := make([]topology.NodeID, churnSwitches)
 	for i := range fwd {
 		fwd[i] = topology.NodeID(i)
 	}
-	rev := make([]topology.NodeID, cfg.Switches)
+	rev := make([]topology.NodeID, churnSwitches)
 	for i := range rev {
-		rev[i] = fwd[cfg.Switches-1-i]
+		rev[i] = fwd[churnSwitches-1-i]
 	}
 	classes := make([]core.Class, cfg.Classes)
 	for i := range classes {
@@ -218,7 +170,7 @@ func churnClasses(cfg ChurnConfig) []core.Class {
 			ID:       core.ClassID(i),
 			Path:     path,
 			Chain:    policy.Chain{policy.Firewall},
-			RateMbps: cfg.PlannedMbps,
+			RateMbps: churnPlannedMbps,
 		}
 	}
 	return classes
@@ -231,7 +183,7 @@ func churnClasses(cfg ChurnConfig) []core.Class {
 // violations are reported in the result.
 func ChurnReplay(cfg ChurnConfig) (*ChurnResult, error) {
 	cfg = cfg.withChurnDefaults()
-	g, err := churnLine(cfg.Switches)
+	g, err := churnLine(churnSwitches)
 	if err != nil {
 		return nil, fmt.Errorf("churn: %w", err)
 	}
@@ -304,8 +256,8 @@ func ChurnReplay(cfg ChurnConfig) (*ChurnResult, error) {
 	surge := make(map[core.ClassID]float64, cfg.Classes)
 	base := make(map[core.ClassID]float64, cfg.Classes)
 	for i := 0; i < cfg.Classes; i++ {
-		surge[core.ClassID(i)] = cfg.SurgeMbps
-		base[core.ClassID(i)] = cfg.BaseMbps
+		surge[core.ClassID(i)] = churnSurgeMbps
+		base[core.ClassID(i)] = churnBaseMbps
 	}
 
 	spawnHosts := make(map[topology.NodeID]bool)
@@ -316,7 +268,7 @@ func ChurnReplay(cfg ChurnConfig) (*ChurnResult, error) {
 			return fmt.Errorf("churn: observe at t=%v: %w", now, err)
 		}
 		res.Transitions += n
-		now += time.Duration(cfg.StepSeconds) * time.Second
+		now += time.Duration(churnStepSeconds) * time.Second
 		if err := clock.AdvanceTo(now); err != nil {
 			return fmt.Errorf("churn: advance: %w", err)
 		}
@@ -366,7 +318,7 @@ func ChurnReplay(cfg ChurnConfig) (*ChurnResult, error) {
 	}
 
 	for wave := 0; wave < cfg.Waves; wave++ {
-		for i := 0; i < cfg.SurgeObserves; i++ {
+		for i := 0; i < churnSurgeObserves; i++ {
 			if err := step(surge, fmt.Sprintf("wave%d-surge%d", wave, i)); err != nil {
 				return nil, err
 			}
@@ -376,7 +328,7 @@ func ChurnReplay(cfg ChurnConfig) (*ChurnResult, error) {
 				}
 			}
 		}
-		for i := 0; i < cfg.CoolObserves; i++ {
+		for i := 0; i < churnCoolObserves; i++ {
 			if err := step(base, fmt.Sprintf("wave%d-cool%d", wave, i)); err != nil {
 				return nil, err
 			}

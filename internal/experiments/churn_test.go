@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,6 +23,34 @@ func mustChurn(t *testing.T, cfg ChurnConfig) *ChurnResult {
 		t.Fatalf("invariant violated: %v\ntrace:\n%s", r.InvariantErr, r.TraceString())
 	}
 	return r
+}
+
+// TestChurnReplayShape pins the replay's fixed schedule: each wave is two
+// surge then two cool observations, each 3 s of virtual time after the
+// last; the surge overloads the planned instance, so the handler spawns,
+// and the base rate rolls every spawn back by the end.
+func TestChurnReplayShape(t *testing.T) {
+	r, err := ChurnReplay(ChurnConfig{Waves: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for wave := 0; wave < 2; wave++ {
+		want = append(want, fmt.Sprintf("wave%d-surge0", wave), fmt.Sprintf("wave%d-surge1", wave),
+			fmt.Sprintf("wave%d-cool0", wave), fmt.Sprintf("wave%d-cool1", wave))
+	}
+	if len(r.Trace) < len(want) {
+		t.Fatalf("%d trace lines, want at least %d", len(r.Trace), len(want))
+	}
+	for k, label := range want {
+		f := strings.Fields(r.Trace[k])
+		if at := fmt.Sprintf("t=%v", time.Duration(3*(k+1))*time.Second); f[0] != at || f[1] != label {
+			t.Fatalf("trace line %d = %q, want %s at %s", k, r.Trace[k], label, at)
+		}
+	}
+	if r.PeakExtraCores == 0 || r.FinalExtraCores != 0 {
+		t.Fatalf("extra cores peak %d, final %d; want a spawn that rolls back", r.PeakExtraCores, r.FinalExtraCores)
+	}
 }
 
 // TestChurnZeroPlanIdentity: the fault layer must be invisible when

@@ -19,17 +19,6 @@ import (
 	"github.com/apple-nfv/apple/internal/sim"
 )
 
-// DefaultAntiAffinity is the paper-style exclusion used across the
-// evaluation: an IDS and a Proxy must not share an APPLE host (a noisy
-// DPI neighbour next to a latency-sensitive terminating NF).
-func DefaultAntiAffinity() []policy.NFPair {
-	p, err := policy.NewNFPair(policy.IDS, policy.Proxy)
-	if err != nil {
-		panic(err) // static catalogue NFs; cannot fail
-	}
-	return []policy.NFPair{p}
-}
-
 // auditTenant is the tenant every mean-problem class is filed under when
 // the scenario's flat chains are rebuilt as a policy hierarchy.
 const auditTenant = "mean"
@@ -144,17 +133,6 @@ type PolicyAuditRow struct {
 	AuditViolations int
 }
 
-// Overhead is the instance-count cost of the exclusions relative to the
-// flat solve. It can be negative: the hierarchy also relaxes the excluded
-// pair's relative order, and the extra packing freedom sometimes saves
-// more instances than the separation costs.
-func (r PolicyAuditRow) Overhead() float64 {
-	if r.FlatObjective == 0 {
-		return 0
-	}
-	return float64(r.Objective-r.FlatObjective) / float64(r.FlatObjective)
-}
-
 // ColocatedPairs counts the hosts of a placement on which both sides of
 // an excluded pair hold at least one instance.
 func ColocatedPairs(pl *core.Placement, pairs []policy.NFPair) int {
@@ -172,7 +150,8 @@ func ColocatedPairs(pl *core.Placement, pairs []policy.NFPair) int {
 // PolicyAudit runs the audit for one scenario: solve the mean problem
 // flat, rebuild it through the hierarchy with the given exclusions, solve
 // again, and install the constrained placement into a controller whose
-// invariant, shadow-table and enforcement audits must all pass.
+// invariant, shadow-table and enforcement audits must all pass. No report
+// prints it; TestPolicyAuditAllTopologies runs it on all four topologies.
 func PolicyAudit(sc *Scenario, pairs []policy.NFPair) (PolicyAuditRow, error) {
 	if sc == nil {
 		return PolicyAuditRow{}, errors.New("experiments: nil scenario")
@@ -265,17 +244,4 @@ func PolicyAudit(sc *Scenario, pairs []policy.NFPair) (PolicyAuditRow, error) {
 		}
 	}
 	return row, nil
-}
-
-// PolicyAuditAll audits every scenario in Table V order.
-func PolicyAuditAll(scs []*Scenario, pairs []policy.NFPair) ([]PolicyAuditRow, error) {
-	rows := make([]PolicyAuditRow, 0, len(scs))
-	for _, sc := range scs {
-		row, err := PolicyAudit(sc, pairs)
-		if err != nil {
-			return rows, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }

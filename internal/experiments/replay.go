@@ -54,9 +54,6 @@ type ReplayWindow struct {
 	RateDrift float64
 }
 
-// RulesTouched is the window's flow-table churn.
-func (w ReplayWindow) RulesTouched() int { return w.Report.RulesInstalled + w.Report.RulesRemoved }
-
 // ReplayResult is one whole replay: the passes, the loss time series and
 // the failover hardware cost.
 type ReplayResult struct {
@@ -114,7 +111,7 @@ func Replay(sc *Scenario, cfg ReplayConfig) (*ReplayResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	res := &ReplayResult{Topology: sc.Name, Loss: metrics.NewTimeSeries(sc.Name + "-loss")}
+	res := &ReplayResult{Topology: sc.Name, Loss: new(metrics.TimeSeries)}
 	step := time.Duration(max(sc.SnapshotSeconds, 1)) * time.Second
 	lossSum, extraSum := 0.0, 0.0
 	var prevRates map[core.ClassID]float64

@@ -89,7 +89,9 @@ const (
 // concrete even at its zero value: HostTag deliberately distinguishes
 // "wildcard" from "must be empty" (WithHostTag(HostTagEmpty)), which Table
 // III's classification rows rely on. The With* setters are the only way
-// to set a value, and they set its bit with it.
+// to set a value, and they set its bit with it. APPLE's rules never match
+// the protocol or a transport port, so those three setters live with the
+// tests, which drive the whole 5-tuple through the matchers.
 type Match struct {
 	src, dst                  Prefix
 	inPort                    int
@@ -115,15 +117,6 @@ func (m Match) WithSrc(p Prefix) Match { m.src, m.set = p, m.set|FieldSrc; retur
 
 // WithDst returns m matching destination prefix p.
 func (m Match) WithDst(p Prefix) Match { m.dst, m.set = p, m.set|FieldDst; return m }
-
-// WithProto returns m matching IP protocol v.
-func (m Match) WithProto(v uint8) Match { m.proto, m.set = v, m.set|FieldProto; return m }
-
-// WithSrcPort returns m matching transport source port v.
-func (m Match) WithSrcPort(v uint16) Match { m.srcPort, m.set = v, m.set|FieldSrcPort; return m }
-
-// WithDstPort returns m matching transport destination port v.
-func (m Match) WithDstPort(v uint16) Match { m.dstPort, m.set = v, m.set|FieldDstPort; return m }
 
 // HostTag returns the matched host tag and whether the field is concrete.
 func (m Match) HostTag() (uint16, bool) { return m.hostTag, m.Has(FieldHostTag) }
@@ -317,7 +310,9 @@ func NewTable() *Table { return &Table{} }
 
 // NewBoundedTable returns an empty table that rejects installs beyond the
 // given TCAM capacity — the "power-hungry and expensive resource" budget
-// the tagging scheme economizes (§I, §V-B).
+// the tagging scheme economizes (§I, §V-B). Every production table is
+// unbounded today; TestBoundedTable and FuzzTableOps (installs past the
+// capacity mid-batch) exercise the bound.
 func NewBoundedTable(capacity int) (*Table, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("flowtable: capacity %d must be positive", capacity)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 	"sort"
 
 	"github.com/apple-nfv/apple/internal/bdd"
@@ -14,9 +13,6 @@ import (
 // classifier's; its BDD reference means nothing in this store.
 var ErrForeignSpace = errors.New("headerspace: predicate from a different Space")
 
-// ErrNoPredicate reports a predicate index outside the classifier's set.
-var ErrNoPredicate = errors.New("headerspace: no such predicate")
-
 // Classifier maps concrete headers to equivalence-class IDs. Classes are
 // the atomic predicates of the input predicate set (Yang & Lam, Theorem
 // 1): the unique coarsest partition of the header space such that every
@@ -24,8 +20,8 @@ var ErrNoPredicate = errors.New("headerspace: no such predicate")
 // class ID exactly when no input predicate distinguishes them — the
 // aggregation granularity the APPLE Optimization Engine runs on (§IV-A).
 //
-// The partition is maintained incrementally: Add refines and Remove
-// merges only the atoms the predicate overlaps. Every atom carries its
+// The partition is built incrementally: each predicate in turn splits only
+// the atoms it overlaps. Every atom carries its
 // signature, the indexes of the predicates that cover it. Classes are
 // numbered in signature order: at the first predicate that tells two
 // atoms apart, the atom inside it comes first, so the residual atom no
@@ -38,21 +34,19 @@ var ErrNoPredicate = errors.New("headerspace: no such predicate")
 // restricting a predicate slice by slice enumerates the atoms it
 // overlaps without touching the others.
 //
-// Add and Remove write to the Space and are not safe for concurrent use.
-// Classify, Atom, Membership and NumClasses only read, so
-// any number of goroutines may call them while no one mutates the
-// classifier or its Space.
+// NewClassifier writes to the Space, which is not safe for concurrent
+// use. Classify, Atom, Membership and NumClasses only read, so any number
+// of goroutines may call them while no one writes to the Space.
 type Classifier struct {
 	sp    *Space
 	preds []Predicate
 
-	// atoms is indexed by internal id. Ids are stable across Add and
-	// Remove; a freed id has ref bdd.False and waits on free for reuse.
+	// atoms is indexed by internal id; an id, once given, is never
+	// freed, and every atom is non-empty.
 	atoms  []atom
-	free   []int32
 	slices []bdd.Ref
 
-	// order lists the live ids in class order and rank is its inverse.
+	// order lists the ids in class order and rank is its inverse.
 	order []int32
 	rank  []int32
 
@@ -78,8 +72,11 @@ func sigBefore(a, b []int32) bool {
 	return len(a) > len(b)
 }
 
-// NewClassifier returns the classifier over preds: the fold of Add over
-// them. All predicates must come from sp.
+// NewClassifier returns the classifier over preds, refining the partition
+// by each predicate in turn. A predicate disjoint from every earlier one
+// costs a constant number of BDD operations per index slice; otherwise the
+// cost follows the number of atoms it overlaps, not the number of atoms.
+// All predicates must come from sp.
 func NewClassifier(sp *Space, preds []Predicate) (*Classifier, error) {
 	if sp == nil {
 		return nil, errors.New("headerspace: classifier: nil Space")
@@ -95,19 +92,8 @@ func NewClassifier(sp *Space, preds []Predicate) (*Classifier, error) {
 	return c, nil
 }
 
-// Add appends p to the predicate set, splitting the atoms it cuts, and
-// returns its index. A predicate disjoint from every earlier one costs a
-// constant number of BDD operations per index slice; otherwise the cost
-// follows the number of atoms p overlaps, not the number of atoms.
-func (c *Classifier) Add(p Predicate) (int, error) {
-	if err := c.add(p); err != nil {
-		return 0, err
-	}
-	c.reorder()
-	return len(c.preds) - 1, nil
-}
-
-// add is Add without the renumbering, so a fold pays for one sort.
+// add appends p to the predicate set, splitting the atoms it cuts. It
+// leaves the classes unnumbered, so a fold pays for one reorder.
 func (c *Classifier) add(p Predicate) error {
 	if p.sp != c.sp {
 		return ErrForeignSpace
@@ -180,11 +166,6 @@ func (c *Classifier) split(id int32, in bdd.Ref, pi int32) {
 // alloc returns an unused atom id, widening the index when it needs a
 // new bit.
 func (c *Classifier) alloc() int32 {
-	if n := len(c.free); n > 0 {
-		id := c.free[n-1]
-		c.free = c.free[:n-1]
-		return id
-	}
 	id := int32(len(c.atoms))
 	c.atoms = append(c.atoms, atom{})
 	for len(c.slices) < bits.Len32(uint32(id)) {
@@ -206,13 +187,11 @@ func (c *Classifier) move(ref bdd.Ref, from, to int32) {
 	}
 }
 
-// reorder renumbers the classes: live atoms in signature order.
+// reorder numbers the classes: atoms in signature order.
 func (c *Classifier) reorder() {
 	c.order = c.order[:0]
 	for id := range c.atoms {
-		if c.atoms[id].ref != bdd.False {
-			c.order = append(c.order, int32(id))
-		}
+		c.order = append(c.order, int32(id))
 	}
 	sort.Slice(c.order, func(x, y int) bool {
 		return sigBefore(c.atoms[c.order[x]].sig, c.atoms[c.order[y]].sig)
@@ -225,62 +204,6 @@ func (c *Classifier) reorder() {
 		c.rank[id] = int32(i)
 	}
 }
-
-// Remove deletes predicate i from the set, merging the atoms only it
-// told apart; later predicates move down one index. The Space keeps the
-// BDD nodes of the merged atoms: a Space only grows.
-func (c *Classifier) Remove(i int) error {
-	if i < 0 || i >= len(c.preds) {
-		return fmt.Errorf("%w: %d of %d", ErrNoPredicate, i, len(c.preds))
-	}
-	c.preds = slices.Delete(c.preds, i, i+1)
-	var inside []int32 // the atoms predicate i covered
-	for id := range c.atoms {
-		a := &c.atoms[id]
-		k, covered := slices.BinarySearch(a.sig, int32(i))
-		if covered {
-			a.sig = slices.Delete(a.sig, k, k+1)
-			inside = append(inside, int32(id))
-		}
-		for ; k < len(a.sig); k++ {
-			a.sig[k]--
-		}
-	}
-	// An atom that lost i now shares its signature with at most one
-	// other atom, the one that differed from it only outside i; equal
-	// signatures sort next to each other.
-	c.reorder()
-	merged := false
-	for _, id := range inside {
-		for _, r := range [2]int{int(c.rank[id]) - 1, int(c.rank[id]) + 1} {
-			if r < 0 || r >= len(c.order) {
-				continue
-			}
-			twin := c.order[r]
-			if c.atoms[twin].ref == bdd.False || !slices.Equal(c.atoms[id].sig, c.atoms[twin].sig) {
-				continue // merged away already, or a different class
-			}
-			// The atom inside the predicate moves: it is the small one.
-			c.atoms[twin].ref = c.sp.store.Or(c.atoms[twin].ref, c.atoms[id].ref)
-			c.move(c.atoms[id].ref, id, twin)
-			c.atoms[id] = atom{}
-			c.free = append(c.free, id)
-			merged = true
-			break
-		}
-	}
-	if merged {
-		c.reorder()
-	}
-	c.residual = -1
-	if last := c.order[len(c.order)-1]; len(c.atoms[last].sig) == 0 {
-		c.residual = last
-	}
-	return nil
-}
-
-// NumPredicates returns the size of the predicate set.
-func (c *Classifier) NumPredicates() int { return len(c.preds) }
 
 // NumClasses returns the number of atoms (equivalence classes).
 func (c *Classifier) NumClasses() int { return len(c.order) }
@@ -353,68 +276,4 @@ func (c *Classifier) Overlapping(p Predicate) ([]Overlap, error) {
 	}
 	sort.Slice(out, func(x, y int) bool { return out[x].Class < out[y].Class })
 	return out, nil
-}
-
-// CheckPartition verifies the defining properties of atomic predicates:
-// atoms are pairwise disjoint, non-empty, their union is the full space,
-// and every input predicate equals the union of the atoms it covers. It
-// also checks the classifier's own bookkeeping against them: classes in
-// signature order, each signature equal to the predicates that cover the
-// atom, and each index slice equal to the union of the atoms it should
-// hold. It is used by tests and available as a runtime self-check.
-func (c *Classifier) CheckPartition() error {
-	union := c.sp.False()
-	want := make([]Predicate, len(c.slices))
-	for k := range want {
-		want[k] = c.sp.False()
-	}
-	for i, id := range c.order {
-		a := Predicate{sp: c.sp, ref: c.atoms[id].ref}
-		if a.IsFalse() {
-			return fmt.Errorf("headerspace: atom %d is empty", i)
-		}
-		if union.Overlaps(a) {
-			return fmt.Errorf("headerspace: atom %d overlaps earlier atoms", i)
-		}
-		union = union.Or(a)
-		if i > 0 && !sigBefore(c.atoms[c.order[i-1]].sig, c.atoms[id].sig) {
-			return fmt.Errorf("headerspace: atoms %d and %d out of signature order", i-1, i)
-		}
-		if int(c.rank[id]) != i {
-			return fmt.Errorf("headerspace: atom %d ranked %d", i, c.rank[id])
-		}
-		if (len(c.atoms[id].sig) == 0) != (id == c.residual) {
-			return fmt.Errorf("headerspace: atom %d: residual is id %d", i, c.residual)
-		}
-		for k := range want {
-			if id>>uint(k)&1 != 0 {
-				want[k] = want[k].Or(a)
-			}
-		}
-	}
-	if !union.IsTrue() {
-		return fmt.Errorf("headerspace: atoms do not cover the header space")
-	}
-	for k, s := range c.slices {
-		if s != want[k].ref {
-			return fmt.Errorf("headerspace: index slice %d is not the union of its atoms", k)
-		}
-	}
-	for j, p := range c.preds {
-		rebuilt := c.sp.False()
-		for i, id := range c.order {
-			a := Predicate{sp: c.sp, ref: c.atoms[id].ref}
-			_, member := slices.BinarySearch(c.atoms[id].sig, int32(j))
-			if p.Covers(a) != member {
-				return fmt.Errorf("headerspace: atom %d signature wrong about predicate %d", i, j)
-			}
-			if member {
-				rebuilt = rebuilt.Or(a)
-			}
-		}
-		if !rebuilt.Equal(p) {
-			return fmt.Errorf("headerspace: predicate %d is not a union of atoms", j)
-		}
-	}
-	return nil
 }

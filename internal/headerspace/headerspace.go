@@ -7,7 +7,6 @@
 package headerspace
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -146,9 +145,6 @@ type Predicate struct {
 // True returns the predicate matching every header.
 func (s *Space) True() Predicate { return Predicate{sp: s, ref: bdd.True} }
 
-// False returns the empty predicate.
-func (s *Space) False() Predicate { return Predicate{sp: s, ref: bdd.False} }
-
 // Prefix returns the predicate fixing the top plen bits of field f to the
 // top plen bits of value. plen of 0 matches everything; plen equal to the
 // field width is an exact match.
@@ -178,32 +174,6 @@ func (s *Space) Prefix(f Field, value uint32, plen int) (Predicate, error) {
 // Exact returns the predicate matching field f equal to value.
 func (s *Space) Exact(f Field, value uint32) (Predicate, error) {
 	return s.Prefix(f, value, f.width())
-}
-
-// Range returns the predicate lo ≤ f ≤ hi, decomposed internally into
-// maximal aligned prefixes (the same decomposition the TCAM rule generator
-// uses, so rule counts and predicate structure agree).
-func (s *Space) Range(f Field, lo, hi uint32) (Predicate, error) {
-	if lo > hi {
-		return Predicate{}, fmt.Errorf("headerspace: empty range [%d,%d]", lo, hi)
-	}
-	w := f.width()
-	if w == 0 {
-		return Predicate{}, fmt.Errorf("headerspace: unknown field %v", f)
-	}
-	maxVal := uint64(1)<<uint(w) - 1
-	if uint64(hi) > maxVal {
-		return Predicate{}, fmt.Errorf("headerspace: range end %d exceeds %d-bit field %v", hi, w, f)
-	}
-	out := s.False()
-	for _, pr := range RangeToPrefixes(lo, hi, w) {
-		p, err := s.Prefix(f, pr.Value<<uint(w-pr.Len), pr.Len)
-		if err != nil {
-			return Predicate{}, err
-		}
-		out = out.Or(p)
-	}
-	return out, nil
 }
 
 // PrefixBlock is an aligned value block: the Len top bits of a w-bit field
@@ -252,27 +222,8 @@ func (p Predicate) Or(q Predicate) Predicate {
 	return Predicate{sp: p.sp, ref: p.sp.store.Or(p.ref, q.ref)}
 }
 
-// Not returns the complement of p.
-func (p Predicate) Not() Predicate {
-	return Predicate{sp: p.sp, ref: p.sp.store.Not(p.ref)}
-}
-
-// Diff returns p ∧ ¬q.
-func (p Predicate) Diff(q Predicate) Predicate {
-	return Predicate{sp: p.sp, ref: p.sp.store.Diff(p.ref, q.ref)}
-}
-
 // IsFalse reports whether p matches no header.
 func (p Predicate) IsFalse() bool { return p.ref == bdd.False }
-
-// IsTrue reports whether p matches every header.
-func (p Predicate) IsTrue() bool { return p.ref == bdd.True }
-
-// Equal reports whether p and q denote the same header set.
-func (p Predicate) Equal(q Predicate) bool { return p.sp == q.sp && p.ref == q.ref }
-
-// Overlaps reports whether p and q share any header.
-func (p Predicate) Overlaps(q Predicate) bool { return !p.And(q).IsFalse() }
 
 // Covers reports whether every header in q is in p.
 func (p Predicate) Covers(q Predicate) bool { return p.sp.store.Implies(q.ref, p.ref) }
@@ -281,42 +232,6 @@ func (p Predicate) Covers(q Predicate) bool { return p.sp.store.Implies(q.ref, p
 func (p Predicate) Fraction() float64 {
 	return math.Ldexp(p.sp.store.SatCount(p.ref), -totalBits)
 }
-
-// Matches reports whether the concrete header h satisfies p.
-func (p Predicate) Matches(h Header) bool {
-	w := h.words()
-	return p.sp.store.EvalBits(p.ref, w[:])
-}
-
-// Example returns one concrete header matched by p, or an error when p is
-// empty. Unconstrained bits are zero.
-func (p Predicate) Example() (Header, error) {
-	asg, err := p.sp.store.AnySat(p.ref)
-	if err != nil {
-		return Header{}, errors.New("headerspace: empty predicate has no example")
-	}
-	read := func(off, width int) uint32 {
-		var v uint32
-		for i := 0; i < width; i++ {
-			v <<= 1
-			if asg[off+i] {
-				v |= 1
-			}
-		}
-		return v
-	}
-	return Header{
-		SrcIP:   read(srcIPOff, 32),
-		DstIP:   read(dstIPOff, 32),
-		Proto:   uint8(read(protoOff, 8)),
-		SrcPort: uint16(read(srcPortOff, 16)),
-		DstPort: uint16(read(dstPortOff, 16)),
-	}, nil
-}
-
-// Complexity returns the BDD node count of p, a proxy for how many TCAM
-// rules p needs when compiled without tagging.
-func (p Predicate) Complexity() int { return p.sp.store.NodeCount(p.ref) }
 
 // ParseIPv4 parses dotted-quad notation into a host-order uint32.
 func ParseIPv4(s string) (uint32, error) {
@@ -338,32 +253,4 @@ func ParseIPv4(s string) (uint32, error) {
 // FormatIPv4 renders a host-order uint32 as dotted-quad notation.
 func FormatIPv4(v uint32) string {
 	return fmt.Sprintf("%d.%d.%d.%d", v>>24, v>>16&0xff, v>>8&0xff, v&0xff)
-}
-
-// ParseCIDR parses "a.b.c.d/len" into the network address and prefix
-// length.
-func ParseCIDR(s string) (addr uint32, plen int, err error) {
-	slash := strings.IndexByte(s, '/')
-	if slash < 0 {
-		return 0, 0, fmt.Errorf("headerspace: bad CIDR %q: missing /", s)
-	}
-	addr, err = ParseIPv4(s[:slash])
-	if err != nil {
-		return 0, 0, err
-	}
-	plen, err = strconv.Atoi(s[slash+1:])
-	if err != nil || plen < 0 || plen > 32 {
-		return 0, 0, fmt.Errorf("headerspace: bad CIDR %q: bad prefix length", s)
-	}
-	return addr, plen, nil
-}
-
-// CIDR is a convenience wrapper building a dstIP or srcIP prefix predicate
-// from CIDR notation.
-func (s *Space) CIDR(f Field, cidr string) (Predicate, error) {
-	addr, plen, err := ParseCIDR(cidr)
-	if err != nil {
-		return Predicate{}, err
-	}
-	return s.Prefix(f, addr, plen)
 }

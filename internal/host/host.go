@@ -26,11 +26,9 @@ type PortID int
 // UplinkPort is the vSwitch port facing the physical network.
 const UplinkPort PortID = 0
 
-// Table indices of the vSwitch pipeline.
-const (
-	TableSteering = 0 // APPLE steering and tagging
-	TableApps     = 1 // other applications (production VM rules)
-)
+// TableSteering is the vSwitch table APPLE's steering and tagging rules
+// live in; table 1 is left to other applications (production VM rules).
+const TableSteering = 0
 
 // DefaultResources is the per-host hardware the paper assumes (§IX-A:
 // "64 cores at each APPLE host"), with a memory budget sized for a mix of
@@ -92,9 +90,6 @@ func (h *Host) Switch() topology.NodeID { return h.attached }
 
 // VSwitch returns the host's virtual switch pipeline.
 func (h *Host) VSwitch() *flowtable.Pipeline { return h.vswitch }
-
-// Total returns the host's full hardware vector.
-func (h *Host) Total() policy.Resources { return h.total }
 
 // Used returns the hardware reserved by attached instances.
 func (h *Host) Used() policy.Resources {
@@ -234,7 +229,9 @@ func (h *Host) CountPacket(port PortID) {
 	h.mu.Unlock()
 }
 
-// Counter reads a per-port counter.
+// Counter reads a per-port counter: the statistic the paper's prototype
+// polls (§VII-B). Nothing in this reproduction polls it yet; TestCounters
+// and TestInjectChainTraversal check what Inject counts.
 func (h *Host) Counter(port PortID) uint64 {
 	h.mu.RLock()
 	defer h.mu.RUnlock()

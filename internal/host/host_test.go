@@ -49,8 +49,8 @@ func TestAttachDetachResources(t *testing.T) {
 	if h.Name() != "host-1" || h.Switch() != 3 {
 		t.Fatal("identity wrong")
 	}
-	if h.Total().Cores != 64 {
-		t.Fatalf("default cores = %d, want 64 (paper §IX-A)", h.Total().Cores)
+	if h.total.Cores != 64 {
+		t.Fatalf("default cores = %d, want 64 (paper §IX-A)", h.total.Cores)
 	}
 	fw := newInstance(t, "fw-1", policy.Firewall) // 4 cores
 	port, err := h.Attach(fw)

@@ -106,7 +106,7 @@ func checkSyncInvocation(pass *Pass, fd *ast.FuncDecl, cbs map[types.Object]bool
 }
 
 // scheduledClosures finds function literals passed to clock-scheduling
-// calls (After/At/MustAfter/Every) that reference a completion callback.
+// calls (After/At/Every) that reference a completion callback.
 func scheduledClosures(pass *Pass, fd *ast.FuncDecl, cbs map[types.Object]bool) []*ast.FuncLit {
 	var out []*ast.FuncLit
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -115,7 +115,7 @@ func scheduledClosures(pass *Pass, fd *ast.FuncDecl, cbs map[types.Object]bool) 
 			return true
 		}
 		switch calleeName(call) {
-		case "After", "At", "MustAfter", "Every", "AfterFunc":
+		case "After", "At", "Every", "AfterFunc":
 		default:
 			return true
 		}

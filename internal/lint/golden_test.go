@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"fmt"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -11,14 +13,14 @@ import (
 // analyzers exercised against it. The suppress fixture runs the
 // analyzers its directives reference so both the silenced and surviving
 // diagnostics are observable.
-var goldenAnalyzers = map[string][]string{
-	"lockguard":    {"lockguard"},
-	"guardedfield": {"guardedfield"},
-	"callbackonce": {"callbackonce"},
-	"simclock":     {"simclock"},
-	"noalloc":      {"noalloc"},
-	"txnguard":     {"txnguard"},
-	"suppress":     {"lockguard", "guardedfield", "simclock"},
+var goldenAnalyzers = map[string][]*Analyzer{
+	"lockguard":    {AnalyzerLockguard},
+	"guardedfield": {AnalyzerGuardedField},
+	"callbackonce": {AnalyzerCallbackOnce},
+	"simclock":     {AnalyzerSimClock},
+	"noalloc":      {AnalyzerNoAlloc},
+	"txnguard":     {AnalyzerTxnGuard},
+	"suppress":     {AnalyzerLockguard, AnalyzerGuardedField, AnalyzerSimClock},
 }
 
 // wantRe extracts expectation patterns from fixture comments: a
@@ -47,13 +49,13 @@ func TestGolden(t *testing.T) {
 		}
 		name := e.Name()
 		seen[name] = true
-		names, ok := goldenAnalyzers[name]
+		analyzers, ok := goldenAnalyzers[name]
 		if !ok {
 			t.Errorf("fixture directory %q has no goldenAnalyzers entry", name)
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
-			runGolden(t, filepath.Join("testdata", "src", name), names)
+			runGolden(t, filepath.Join("testdata", "src", name), analyzers)
 		})
 	}
 	for name := range goldenAnalyzers {
@@ -63,12 +65,28 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-func runGolden(t *testing.T, dir string, names []string) {
-	pkg, err := LoadDir(dir)
+// loadFixture parses and type-checks one fixture directory as a package
+// with a synthetic import path. Fixtures may import only the standard
+// library.
+func loadFixture(dir string) (*Package, error) {
+	fset := token.NewFileSet()
+	pd, err := parseDir(fset, dir)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	analyzers, err := ByName(names)
+	if pd == nil {
+		return nil, fmt.Errorf("lint: no Go files in %s", dir)
+	}
+	pd.importPath = "fixture/" + filepath.Base(dir)
+	pkgs, err := typeCheck(fset, []*parsedDir{pd})
+	if err != nil {
+		return nil, err
+	}
+	return pkgs[0], nil
+}
+
+func runGolden(t *testing.T, dir string, analyzers []*Analyzer) {
+	pkg, err := loadFixture(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,17 +163,6 @@ func TestModuleLintsClean(t *testing.T) {
 		for _, d := range RunPackage(pkg, Analyzers()) {
 			t.Errorf("%s", d)
 		}
-	}
-}
-
-// TestByNameUnknown covers the fixture runner's error path.
-func TestByNameUnknown(t *testing.T) {
-	if _, err := ByName([]string{"nosuch"}); err == nil {
-		t.Fatal("ByName accepted an unknown analyzer")
-	}
-	all, err := ByName(nil)
-	if err != nil || len(all) != 6 {
-		t.Fatalf("ByName(nil) = %d analyzers, err %v; want 6, nil", len(all), err)
 	}
 }
 

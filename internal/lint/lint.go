@@ -111,27 +111,6 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// ByName resolves a subset of the suite from names; nil names means all.
-func ByName(names []string) ([]*Analyzer, error) {
-	all := Analyzers()
-	if len(names) == 0 {
-		return all, nil
-	}
-	byName := make(map[string]*Analyzer, len(all))
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, n := range names {
-		a, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("lint: unknown analyzer %q", n)
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
 // RunPackage runs the given analyzers over one loaded package and
 // returns its diagnostics with suppression comments applied, sorted by
 // position.

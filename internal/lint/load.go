@@ -130,26 +130,6 @@ func LoadModule(root string) ([]*Package, error) {
 	return typeCheck(fset, sorted)
 }
 
-// LoadDir parses and type-checks a single directory as one package with
-// a synthetic import path — the golden-test fixture loader. Fixture
-// packages may import only the standard library.
-func LoadDir(dir string) (*Package, error) {
-	fset := token.NewFileSet()
-	pd, err := parseDir(fset, dir)
-	if err != nil {
-		return nil, err
-	}
-	if pd == nil {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
-	pd.importPath = "fixture/" + filepath.Base(dir)
-	pkgs, err := typeCheck(fset, []*parsedDir{pd})
-	if err != nil {
-		return nil, err
-	}
-	return pkgs[0], nil
-}
-
 // parseDir parses the non-test Go files of one directory; nil if none.
 func parseDir(fset *token.FileSet, dir string) (*parsedDir, error) {
 	entries, err := os.ReadDir(dir)

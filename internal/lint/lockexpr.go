@@ -152,7 +152,7 @@ func (w *lockWalker) call(call *ast.CallExpr, st lockState, async bool) {
 // literal on another goroutine.
 func runsLitLater(call *ast.CallExpr) bool {
 	switch calleeName(call) {
-	case "After", "At", "MustAfter", "Every", "OnEvent", "AfterFunc", "RunUntil":
+	case "After", "At", "Every", "OnEvent", "AfterFunc":
 		return true
 	}
 	return false

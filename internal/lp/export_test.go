@@ -13,3 +13,20 @@ func SuspendCertificates() (restore func()) {
 	onOptimal = nil
 	return func() { onOptimal = hook }
 }
+
+// Solve solves the LP relaxation of the model (integrality flags are
+// ignored) with a bounded-variable two-phase primal revised simplex over a
+// sparse column store. Variable bounds lo ≤ x ≤ hi are handled natively in
+// the ratio test (nonbasic variables may sit at either bound), so finite
+// bounds never generate rows. It returns ErrInfeasible, ErrUnbounded, or
+// ErrIterLimit wrapped with context on failure; on success Solution.Status
+// is StatusOptimal.
+func Solve(m *Model) (Solution, error) {
+	s := NewSolver(m)
+	return s.Solve()
+}
+
+// IsInteger reports whether v is marked integral.
+func (m *Model) IsInteger(v VarID) bool {
+	return m.validVar(v) && m.vars[v].integer
+}

@@ -8,14 +8,6 @@ import (
 
 // MILPOptions tunes branch-and-bound.
 type MILPOptions struct {
-	// MaxNodes caps the number of explored nodes; 0 means the default.
-	MaxNodes int
-	// Gap is the relative optimality gap at which search stops early;
-	// 0 means prove optimality (within tolerance).
-	Gap float64
-	// IntTol is the tolerance within which a value counts as integral;
-	// 0 means the default 1e-6.
-	IntTol float64
 	// Exclusions lists variable pairs of which at most one may be
 	// positive in the final solution (SOS1-style complementarity, used
 	// for anti-affinity co-location: q_a and q_b on one host cannot both
@@ -25,13 +17,19 @@ type MILPOptions struct {
 	Exclusions [][2]VarID
 }
 
-const defaultMaxNodes = 10000
+// Branch-and-bound explores at most maxNodes nodes, proves optimality
+// (within tolerance) rather than stopping at a gap, and counts a value
+// within intTol of an integer as integral.
+const (
+	maxNodes = 10000
+	intTol   = 1e-6
+)
 
 // violatedExclusion returns the first exclusion pair with both variables
 // meaningfully positive in sol, in declaration order (deterministic).
 func violatedExclusion(opts MILPOptions, sol *Solution) (a, b VarID, violated bool) {
 	for _, ex := range opts.Exclusions {
-		if sol.Values[ex[0]] > opts.IntTol && sol.Values[ex[1]] > opts.IntTol {
+		if sol.Values[ex[0]] > intTol && sol.Values[ex[1]] > intTol {
 			return ex[0], ex[1], true
 		}
 	}
@@ -41,14 +39,8 @@ func violatedExclusion(opts MILPOptions, sol *Solution) (a, b VarID, violated bo
 // SolveMILP solves the model respecting integrality flags by LP-based
 // branch and bound (best-first on the parent bound, branching on the most
 // fractional variable). For models with no integer variables it is
-// equivalent to Solve.
+// equivalent to one Solver.Solve.
 func SolveMILP(m *Model, opts MILPOptions) (Solution, error) {
-	if opts.MaxNodes <= 0 {
-		opts.MaxNodes = defaultMaxNodes
-	}
-	if opts.IntTol <= 0 {
-		opts.IntTol = 1e-6
-	}
 	hasInt := false
 	for _, v := range m.vars {
 		if v.integer {
@@ -127,7 +119,7 @@ func SolveMILP(m *Model, opts MILPOptions) (Solution, error) {
 		return s.ReSolve()
 	}
 
-	for len(queue) > 0 && nodes < opts.MaxNodes {
+	for len(queue) > 0 && nodes < maxNodes {
 		nd := pop()
 		if nd.lb >= best.Objective-1e-9 {
 			continue // pruned by bound
@@ -147,7 +139,7 @@ func SolveMILP(m *Model, opts MILPOptions) (Solution, error) {
 		}
 		// Find the most fractional integer variable.
 		branchVar := VarID(-1)
-		worst := opts.IntTol
+		worst := intTol
 		for j, v := range m.vars {
 			if !v.integer {
 				continue
@@ -181,12 +173,6 @@ func SolveMILP(m *Model, opts MILPOptions) (Solution, error) {
 		down := append(append([]bound(nil), nd.bounds...), bound{v: branchVar, lo: math.Inf(-1), hi: floor})
 		up := append(append([]bound(nil), nd.bounds...), bound{v: branchVar, lo: floor + 1, hi: math.Inf(1)})
 		queue = append(queue, node{bounds: down, lb: sol.Objective}, node{bounds: up, lb: sol.Objective})
-		if opts.Gap > 0 && best.Status == StatusOptimal {
-			rel := (best.Objective - nd.lb) / math.Max(1, math.Abs(best.Objective))
-			if rel <= opts.Gap {
-				break
-			}
-		}
 	}
 	// Leave the model at its root bounds for the caller.
 	for v := range touched {
@@ -197,7 +183,7 @@ func SolveMILP(m *Model, opts MILPOptions) (Solution, error) {
 	best.Iterations = totalIters
 	best.Nodes = nodes
 	if best.Status != StatusOptimal {
-		if nodes >= opts.MaxNodes {
+		if nodes >= maxNodes {
 			return best, fmt.Errorf("%w: %d branch-and-bound nodes", ErrIterLimit, nodes)
 		}
 		return best, fmt.Errorf("%w: %s (no integral solution)", ErrInfeasible, m.name)

@@ -114,11 +114,6 @@ func (m *Model) SetInteger(v VarID) error {
 	return nil
 }
 
-// IsInteger reports whether v is marked integral.
-func (m *Model) IsInteger(v VarID) bool {
-	return m.validVar(v) && m.vars[v].integer
-}
-
 // Bounds returns the current [lo, hi] bounds of v.
 func (m *Model) Bounds(v VarID) (lo, hi float64, err error) {
 	if !m.validVar(v) {
@@ -146,14 +141,6 @@ func (m *Model) SetBounds(v VarID, lo, hi float64) error {
 	m.vars[v].lo = lo
 	m.vars[v].hi = hi
 	return nil
-}
-
-// SetUpper replaces only the upper bound of v, keeping the lower bound.
-func (m *Model) SetUpper(v VarID, hi float64) error {
-	if !m.validVar(v) {
-		return fmt.Errorf("lp: unknown variable %d", v)
-	}
-	return m.SetBounds(v, m.vars[v].lo, hi)
 }
 
 // VariableName returns the name given at AddVariable.

@@ -51,15 +51,6 @@ func (c *Counters) Get(name string) uint64 {
 	return v
 }
 
-// Names returns the counter names in first-increment order.
-func (c *Counters) Names() []string {
-	c.mu.Lock()
-	out := make([]string, len(c.order))
-	copy(out, c.order)
-	c.mu.Unlock()
-	return out
-}
-
 // Snapshot copies the current values.
 func (c *Counters) Snapshot() map[string]uint64 {
 	c.mu.Lock()

@@ -72,18 +72,6 @@ func (c *LPCounters) Snapshot() LPSnapshot {
 	}
 }
 
-// Reset zeroes the counters (benchmark harness hygiene between phases).
-func (c *LPCounters) Reset() {
-	c.Solves.Store(0)
-	c.WarmHits.Store(0)
-	c.WarmMisses.Store(0)
-	c.Phase1Pivots.Store(0)
-	c.Phase2Pivots.Store(0)
-	c.DualPivots.Store(0)
-	c.Phase1Nanos.Store(0)
-	c.Phase2Nanos.Store(0)
-}
-
 // Sub returns the counter deltas accumulated between two snapshots.
 func (s LPSnapshot) Sub(prev LPSnapshot) LPSnapshot {
 	return LPSnapshot{

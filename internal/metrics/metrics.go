@@ -40,8 +40,8 @@ func sortedCopy(xs []float64) []float64 {
 
 // percentileSorted computes the p-th percentile of an already sorted,
 // NaN-free, non-empty sample by linear interpolation between closest
-// ranks. It is the shared kernel of Percentile, Summarize, and
-// NewBoxplot, letting each sort at most once.
+// ranks. It is the shared kernel of Summarize, NewBoxplot and the tests'
+// Percentile oracle, letting each sort at most once.
 func percentileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 1 {
 		return sorted[0]
@@ -93,22 +93,6 @@ func Summarize(xs []float64) (Summary, error) {
 	}
 	s.Median = percentileSorted(sortedCopy(xs), 50)
 	return s, nil
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
-// interpolation between closest ranks. xs need not be sorted. It returns
-// ErrEmpty for an empty sample and ErrNaN for one containing NaN.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if err := checkNaN(xs); err != nil {
-		return 0, err
-	}
-	if p < 0 || p > 100 {
-		return 0, fmt.Errorf("metrics: percentile %v out of [0,100]", p)
-	}
-	return percentileSorted(sortedCopy(xs), p), nil
 }
 
 // Boxplot is the five-number summary used in Fig 10, plus the mean.
@@ -169,13 +153,6 @@ func NewCDF(xs []float64) (*CDF, error) {
 	return &CDF{xs: sortedCopy(xs)}, nil
 }
 
-// At returns P(X ≤ x).
-func (c *CDF) At(x float64) float64 {
-	// Index of first element > x.
-	i := sort.SearchFloat64s(c.xs, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.xs))
-}
-
 // Quantile returns the smallest sample value v with P(X ≤ v) ≥ q, for
 // q in (0, 1].
 func (c *CDF) Quantile(q float64) (float64, error) {
@@ -189,36 +166,13 @@ func (c *CDF) Quantile(q float64) (float64, error) {
 	return c.xs[i], nil
 }
 
-// Points returns the CDF as (value, cumulative probability) steps, one per
-// sample, for plotting.
-func (c *CDF) Points() ([]float64, []float64) {
-	xs := make([]float64, len(c.xs))
-	ps := make([]float64, len(c.xs))
-	copy(xs, c.xs)
-	for i := range ps {
-		ps[i] = float64(i+1) / float64(len(c.xs))
-	}
-	return xs, ps
-}
-
-// N returns the sample size.
-func (c *CDF) N() int { return len(c.xs) }
-
 // TimeSeries is an append-only series of (time, value) points with
-// non-decreasing times, used for loss-over-time and throughput plots.
+// non-decreasing times, used for loss-over-time and throughput plots. The
+// zero value is an empty series.
 type TimeSeries struct {
-	name string
-	ts   []float64
-	vs   []float64
+	ts []float64
+	vs []float64
 }
-
-// NewTimeSeries creates a named, empty series.
-func NewTimeSeries(name string) *TimeSeries {
-	return &TimeSeries{name: name}
-}
-
-// Name returns the series name.
-func (s *TimeSeries) Name() string { return s.name }
 
 // Add appends a point. Times must be non-decreasing.
 func (s *TimeSeries) Add(t, v float64) error {
@@ -235,52 +189,3 @@ func (s *TimeSeries) Len() int { return len(s.ts) }
 
 // Point returns the i-th (time, value) pair.
 func (s *TimeSeries) Point(i int) (float64, float64) { return s.ts[i], s.vs[i] }
-
-// Values returns a copy of the value column.
-func (s *TimeSeries) Values() []float64 {
-	out := make([]float64, len(s.vs))
-	copy(out, s.vs)
-	return out
-}
-
-// Times returns a copy of the time column.
-func (s *TimeSeries) Times() []float64 {
-	out := make([]float64, len(s.ts))
-	copy(out, s.ts)
-	return out
-}
-
-// Max returns the maximum value, or ErrEmpty.
-func (s *TimeSeries) Max() (float64, error) {
-	if len(s.vs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := math.Inf(-1)
-	for _, v := range s.vs {
-		m = math.Max(m, v)
-	}
-	return m, nil
-}
-
-// Mean returns the mean value, or ErrEmpty.
-func (s *TimeSeries) Mean() (float64, error) {
-	if len(s.vs) == 0 {
-		return 0, ErrEmpty
-	}
-	sum := 0.0
-	for _, v := range s.vs {
-		sum += v
-	}
-	return sum / float64(len(s.vs)), nil
-}
-
-// Integral returns the trapezoidal integral of the series over time; for a
-// loss-rate series this is total loss volume.
-func (s *TimeSeries) Integral() float64 {
-	total := 0.0
-	for i := 1; i < len(s.ts); i++ {
-		dt := s.ts[i] - s.ts[i-1]
-		total += dt * (s.vs[i] + s.vs[i-1]) / 2
-	}
-	return total
-}

@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 )
 
@@ -26,8 +25,6 @@ type Registry struct {
 	counters map[string]*Counters          // guarded by mu
 	lp       map[string]*LPCounters        // guarded by mu
 	flow     map[string]*FlowSetupCounters // guarded by mu
-	txn      map[string]*TxnCounters       // guarded by mu
-	reopt    map[string]*ReoptCounters     // guarded by mu
 	gauges   map[string]func() float64     // guarded by mu
 }
 
@@ -37,8 +34,6 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counters),
 		lp:       make(map[string]*LPCounters),
 		flow:     make(map[string]*FlowSetupCounters),
-		txn:      make(map[string]*TxnCounters),
-		reopt:    make(map[string]*ReoptCounters),
 		gauges:   make(map[string]func() float64),
 	}
 }
@@ -52,10 +47,8 @@ func (r *Registry) registerLocked(name string, kind string) error {
 	_, c := r.counters[name]
 	_, l := r.lp[name]
 	_, f := r.flow[name]
-	_, t := r.txn[name]
-	_, re := r.reopt[name]
 	_, g := r.gauges[name]
-	if c || l || f || t || re || g {
+	if c || l || f || g {
 		return fmt.Errorf("metrics: duplicate registry name %q", name)
 	}
 	return nil
@@ -105,36 +98,6 @@ func (r *Registry) AddFlowSetup(name string, c *FlowSetupCounters) error {
 	return nil
 }
 
-// AddTxn registers a named rule-transaction counter family (usually the
-// process-wide &Txn).
-func (r *Registry) AddTxn(name string, c *TxnCounters) error {
-	if c == nil {
-		return fmt.Errorf("metrics: nil txn counters %q", name)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.registerLocked(name, "txn counters"); err != nil {
-		return err
-	}
-	r.txn[name] = c
-	return nil
-}
-
-// AddReopt registers a named re-optimization counter family (usually the
-// process-wide &Reopt).
-func (r *Registry) AddReopt(name string, c *ReoptCounters) error {
-	if c == nil {
-		return fmt.Errorf("metrics: nil reopt counters %q", name)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.registerLocked(name, "reopt counters"); err != nil {
-		return err
-	}
-	r.reopt[name] = c
-	return nil
-}
-
 // AddGauge registers a named gauge callback, read at snapshot time.
 func (r *Registry) AddGauge(name string, fn func() float64) error {
 	if fn == nil {
@@ -156,8 +119,6 @@ type RegistrySnapshot struct {
 	Counters  map[string]map[string]uint64 `json:"counters,omitempty"`
 	LP        map[string]LPSnapshot        `json:"lp,omitempty"`
 	FlowSetup map[string]FlowSetupSnapshot `json:"flow_setup,omitempty"`
-	Txn       map[string]TxnSnapshot       `json:"txn,omitempty"`
-	Reopt     map[string]ReoptSnapshot     `json:"reopt,omitempty"`
 	Gauges    map[string]float64           `json:"gauges,omitempty"`
 }
 
@@ -177,14 +138,6 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	flows := make(map[string]*FlowSetupCounters, len(r.flow))
 	for k, v := range r.flow {
 		flows[k] = v
-	}
-	txns := make(map[string]*TxnCounters, len(r.txn))
-	for k, v := range r.txn {
-		txns[k] = v
-	}
-	reopts := make(map[string]*ReoptCounters, len(r.reopt))
-	for k, v := range r.reopt {
-		reopts[k] = v
 	}
 	gauges := make(map[string]func() float64, len(r.gauges))
 	for k, v := range r.gauges {
@@ -211,18 +164,6 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 			snap.FlowSetup[name] = c.Snapshot()
 		}
 	}
-	if len(txns) > 0 {
-		snap.Txn = make(map[string]TxnSnapshot, len(txns))
-		for name, c := range txns {
-			snap.Txn[name] = c.Snapshot()
-		}
-	}
-	if len(reopts) > 0 {
-		snap.Reopt = make(map[string]ReoptSnapshot, len(reopts))
-		for name, c := range reopts {
-			snap.Reopt[name] = c.Snapshot()
-		}
-	}
 	if len(gauges) > 0 {
 		snap.Gauges = make(map[string]float64, len(gauges))
 		for name, fn := range gauges {
@@ -232,13 +173,9 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	return snap
 }
 
-// WriteJSON writes the snapshot as indented JSON. Map keys marshal in sorted order, so the artifact is
-// deterministic for deterministic counter values.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	return r.Snapshot().WriteJSON(w)
-}
-
-// WriteJSON writes the snapshot as indented JSON.
+// WriteJSON writes the snapshot as indented JSON. Map keys marshal in
+// sorted order, so the artifact is deterministic for deterministic
+// counter values.
 func (s RegistrySnapshot) WriteJSON(w io.Writer) error {
 	data, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
@@ -249,31 +186,4 @@ func (s RegistrySnapshot) WriteJSON(w io.Writer) error {
 		return fmt.Errorf("metrics: %w", err)
 	}
 	return nil
-}
-
-// Names lists every registered name, sorted, for reporting.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.counters)+len(r.lp)+len(r.flow)+len(r.txn)+len(r.reopt)+len(r.gauges))
-	for k := range r.counters {
-		out = append(out, k)
-	}
-	for k := range r.lp {
-		out = append(out, k)
-	}
-	for k := range r.flow {
-		out = append(out, k)
-	}
-	for k := range r.txn {
-		out = append(out, k)
-	}
-	for k := range r.reopt {
-		out = append(out, k)
-	}
-	for k := range r.gauges {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

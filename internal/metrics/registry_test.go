@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-func TestRegistrySnapshotAndNames(t *testing.T) {
+func TestRegistrySnapshot(t *testing.T) {
 	reg := NewRegistry()
 	orch := NewCounters()
 	orch.Add("launches", 3)
@@ -43,10 +43,6 @@ func TestRegistrySnapshotAndNames(t *testing.T) {
 	if snap.Gauges["extra_cores"] != 4.5 {
 		t.Fatalf("gauges: %+v", snap.Gauges)
 	}
-	want := []string{"extra_cores", "flow_setup", "lp", "orchestrator"}
-	if got := reg.Names(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("names: %v, want %v", got, want)
-	}
 }
 
 // TestRegistryJSONRoundTrip: the written artifact must unmarshal back
@@ -67,7 +63,7 @@ func TestRegistryJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := reg.WriteJSON(&buf); err != nil {
+	if err := reg.Snapshot().WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
 	var got RegistrySnapshot
@@ -79,7 +75,7 @@ func TestRegistryJSONRoundTrip(t *testing.T) {
 	}
 	// Determinism: writing twice yields identical bytes.
 	var buf2 bytes.Buffer
-	if err := reg.WriteJSON(&buf2); err != nil {
+	if err := reg.Snapshot().WriteJSON(&buf2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {

@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // TxnCounters aggregates rule-transaction activity: how many RuleTxn
 // commits ran, how many had to unwind, and how much flow-table churn
@@ -29,31 +26,6 @@ type TxnCounters struct {
 
 // Txn is the process-wide rule-transaction counter set.
 var Txn TxnCounters
-
-// TxnSnapshot is a point-in-time copy of the counters.
-type TxnSnapshot struct {
-	Begun, Committed, Unwound    int64
-	RulesInstalled, RulesRemoved int64
-	TablesRestored               int64
-}
-
-// Snapshot copies the current values.
-func (c *TxnCounters) Snapshot() TxnSnapshot {
-	return TxnSnapshot{
-		Begun:          c.Begun.Load(),
-		Committed:      c.Committed.Load(),
-		Unwound:        c.Unwound.Load(),
-		RulesInstalled: c.RulesInstalled.Load(),
-		RulesRemoved:   c.RulesRemoved.Load(),
-		TablesRestored: c.TablesRestored.Load(),
-	}
-}
-
-// String renders the snapshot as one log line.
-func (s TxnSnapshot) String() string {
-	return fmt.Sprintf("begun=%d committed=%d unwound=%d installed=%d removed=%d restored=%d",
-		s.Begun, s.Committed, s.Unwound, s.RulesInstalled, s.RulesRemoved, s.TablesRestored)
-}
 
 // ReoptCounters aggregates the continuous re-optimization loop: per
 // traffic snapshot, how the incremental solver performed and how much of
@@ -87,41 +59,3 @@ type ReoptCounters struct {
 
 // Reopt is the process-wide re-optimization counter set.
 var Reopt ReoptCounters
-
-// ReoptSnapshot is a point-in-time copy of the counters.
-type ReoptSnapshot struct {
-	Snapshots               int64
-	WarmSolves, ColdSolves  int64
-	SolvePivots, SolveNanos int64
-	ClassesAdded            int64
-	ClassesRemoved          int64
-	ClassesUpdated          int64
-	ClassesRateOnly         int64
-	ClassesUnchanged        int64
-	RulesTouched            int64
-}
-
-// Snapshot copies the current values.
-func (c *ReoptCounters) Snapshot() ReoptSnapshot {
-	return ReoptSnapshot{
-		Snapshots:        c.Snapshots.Load(),
-		WarmSolves:       c.WarmSolves.Load(),
-		ColdSolves:       c.ColdSolves.Load(),
-		SolvePivots:      c.SolvePivots.Load(),
-		SolveNanos:       c.SolveNanos.Load(),
-		ClassesAdded:     c.ClassesAdded.Load(),
-		ClassesRemoved:   c.ClassesRemoved.Load(),
-		ClassesUpdated:   c.ClassesUpdated.Load(),
-		ClassesRateOnly:  c.ClassesRateOnly.Load(),
-		ClassesUnchanged: c.ClassesUnchanged.Load(),
-		RulesTouched:     c.RulesTouched.Load(),
-	}
-}
-
-// String renders the snapshot as one log line.
-func (s ReoptSnapshot) String() string {
-	return fmt.Sprintf("snapshots=%d warm=%d cold=%d pivots=%d solve=%dns add=%d del=%d upd=%d rate=%d same=%d rules=%d",
-		s.Snapshots, s.WarmSolves, s.ColdSolves, s.SolvePivots, s.SolveNanos,
-		s.ClassesAdded, s.ClassesRemoved, s.ClassesUpdated, s.ClassesRateOnly,
-		s.ClassesUnchanged, s.RulesTouched)
-}

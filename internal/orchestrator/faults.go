@@ -127,16 +127,6 @@ func (p FaultPlan) validate() error {
 	return nil
 }
 
-// Zero reports whether the plan injects nothing. A zero plan installed
-// via InjectFaults leaves behaviour byte-identical to no plan at all.
-func (p FaultPlan) Zero() bool {
-	return p.BootFailProb == 0 && p.BootTimeoutProb == 0 &&
-		p.ReconfigureFailProb == 0 && p.CancelFailProb == 0 &&
-		len(p.BootFailOn) == 0 && len(p.BootTimeoutOn) == 0 &&
-		len(p.ReconfigureFailOn) == 0 && len(p.CancelFailOn) == 0 &&
-		len(p.Crashes) == 0
-}
-
 // faultState is the live injection machinery: the plan, its dedicated
 // RNG, and per-operation ordinal counters.
 type faultState struct {

@@ -218,23 +218,6 @@ func (o *Orchestrator) AddHost(h *host.Host) error {
 	return nil
 }
 
-// HostsAt returns the hosts attached to switch v.
-func (o *Orchestrator) HostsAt(v topology.NodeID) []*host.Host {
-	out := make([]*host.Host, len(o.hosts[v]))
-	copy(out, o.hosts[v])
-	return out
-}
-
-// Switches returns the switches that have at least one APPLE host, sorted.
-func (o *Orchestrator) Switches() []topology.NodeID {
-	out := make([]topology.NodeID, 0, len(o.hosts))
-	for v := range o.hosts {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Available is the A_v poll: total headroom across the hosts at switch v.
 func (o *Orchestrator) Available(v topology.NodeID) policy.Resources {
 	var total policy.Resources

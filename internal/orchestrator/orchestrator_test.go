@@ -118,12 +118,8 @@ func TestAvailablePolling(t *testing.T) {
 	if got := o.Available(9).Cores; got != 0 {
 		t.Fatalf("Available at empty switch = %d", got)
 	}
-	sw := o.Switches()
-	if len(sw) != 1 || sw[0] != 3 {
-		t.Fatalf("Switches = %v", sw)
-	}
-	if len(o.HostsAt(3)) != 2 {
-		t.Fatal("HostsAt wrong")
+	if len(o.hosts) != 1 || len(o.hosts[3]) != 2 {
+		t.Fatalf("hosts by switch = %v, want both at switch 3", o.hosts)
 	}
 }
 

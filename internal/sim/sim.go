@@ -16,10 +16,6 @@ import (
 	"time"
 )
 
-// ErrStopped is returned by Run when the simulation was halted by Stop
-// before the event queue drained or the horizon elapsed.
-var ErrStopped = errors.New("sim: stopped")
-
 // Event is a callback scheduled to run at a virtual time.
 type Event func(now time.Duration)
 
@@ -109,7 +105,6 @@ type Simulation struct {
 	now      time.Duration
 	queue    eventQueue
 	seq      uint64
-	stopped  bool
 	fired    uint64
 	observer Event
 }
@@ -130,17 +125,6 @@ func (s *Simulation) Fired() uint64 { return s.fired }
 // it to assert system invariants between events — e.g. the churn replay
 // checks the Dynamic Handler after every boot completion and crash.
 func (s *Simulation) OnEvent(fn Event) { s.observer = fn }
-
-// Pending returns the number of live events still queued.
-func (s *Simulation) Pending() int {
-	n := 0
-	for _, it := range s.queue {
-		if !it.dead {
-			n++
-		}
-	}
-	return n
-}
 
 // At schedules fn to run at absolute virtual time at. Scheduling in the past
 // is an error; scheduling exactly at the current time runs fn later in the
@@ -165,16 +149,6 @@ func (s *Simulation) After(delay time.Duration, fn Event) (Handle, error) {
 		return Handle{}, fmt.Errorf("sim: negative delay %v", delay)
 	}
 	return s.At(s.now+delay, fn)
-}
-
-// MustAfter is After for wiring code where the delay is a non-negative
-// constant; it panics on error.
-func (s *Simulation) MustAfter(delay time.Duration, fn Event) Handle {
-	h, err := s.After(delay, fn)
-	if err != nil {
-		panic(err)
-	}
-	return h
 }
 
 // Every schedules fn to run periodically starting at start and then every
@@ -219,21 +193,13 @@ func (s *Simulation) Every(start, period time.Duration, fn Event) (Handle, error
 	return Handle{it: sentinel}, nil
 }
 
-// Stop halts Run after the currently executing event returns.
-func (s *Simulation) Stop() { s.stopped = true }
-
 // Run executes events in time order until the queue drains or the virtual
-// clock would pass horizon. A non-positive horizon means no limit. It
-// returns ErrStopped if Stop was called.
+// clock would pass horizon. A non-positive horizon means no limit.
 func (s *Simulation) Run(horizon time.Duration) error {
 	if horizon <= 0 {
 		horizon = time.Duration(math.MaxInt64)
 	}
-	s.stopped = false
 	for len(s.queue) > 0 {
-		if s.stopped {
-			return ErrStopped
-		}
 		it := heap.Pop(&s.queue).(*item)
 		if it.dead {
 			continue
@@ -268,43 +234,6 @@ func (s *Simulation) AdvanceTo(t time.Duration) error {
 	}
 	if s.now < t {
 		s.now = t
-	}
-	return nil
-}
-
-// RunUntil executes events until the predicate returns true (checked after
-// each event), the queue drains, or the horizon passes.
-func (s *Simulation) RunUntil(horizon time.Duration, done func() bool) error {
-	if done == nil {
-		return s.Run(horizon)
-	}
-	if horizon <= 0 {
-		horizon = time.Duration(math.MaxInt64)
-	}
-	s.stopped = false
-	for len(s.queue) > 0 {
-		if s.stopped {
-			return ErrStopped
-		}
-		if done() {
-			return nil
-		}
-		it := heap.Pop(&s.queue).(*item)
-		if it.dead {
-			continue
-		}
-		if it.at > horizon {
-			heap.Push(&s.queue, it)
-			s.now = horizon
-			return nil
-		}
-		s.now = it.at
-		it.dead = true
-		s.fired++
-		it.fn(s.now)
-		if s.observer != nil {
-			s.observer(s.now)
-		}
 	}
 	return nil
 }

@@ -7,6 +7,27 @@ import (
 	"time"
 )
 
+// Pending returns the number of live events still queued.
+func (s *Simulation) Pending() int {
+	n := 0
+	for _, it := range s.queue {
+		if !it.dead {
+			n++
+		}
+	}
+	return n
+}
+
+// MustAfter is After for the tests' constant, non-negative delays; it
+// panics on error.
+func (s *Simulation) MustAfter(delay time.Duration, fn Event) Handle {
+	h, err := s.After(delay, fn)
+	if err != nil {
+		panic(err)
+	}
+	return h
+}
+
 func TestRunOrdersEventsByTime(t *testing.T) {
 	s := New()
 	var got []int
@@ -98,25 +119,6 @@ func TestHorizonStopsClock(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	s := New()
-	n := 0
-	for i := 1; i <= 5; i++ {
-		s.MustAfter(time.Duration(i)*time.Second, func(time.Duration) {
-			n++
-			if n == 2 {
-				s.Stop()
-			}
-		})
-	}
-	if err := s.Run(0); err != ErrStopped {
-		t.Fatalf("Run = %v, want ErrStopped", err)
-	}
-	if n != 2 {
-		t.Fatalf("fired %d events, want 2", n)
-	}
-}
-
 func TestEvery(t *testing.T) {
 	s := New()
 	var ticks []time.Duration
@@ -149,27 +151,6 @@ func TestEveryRejectsBadPeriod(t *testing.T) {
 	s := New()
 	if _, err := s.Every(0, 0, func(time.Duration) {}); err == nil {
 		t.Fatal("zero period should fail")
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	s := New()
-	n := 0
-	for i := 1; i <= 10; i++ {
-		s.MustAfter(time.Duration(i)*time.Second, func(time.Duration) { n++ })
-	}
-	if err := s.RunUntil(0, func() bool { return n >= 4 }); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
-	if n != 4 {
-		t.Fatalf("fired %d, want 4", n)
-	}
-	// Remaining events still run on a subsequent Run.
-	if err := s.Run(0); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if n != 10 {
-		t.Fatalf("fired %d total, want 10", n)
 	}
 }
 
@@ -277,9 +258,12 @@ func TestOnEventObserver(t *testing.T) {
 	if len(events) != 2 || events[0] != time.Second || events[1] != 2*time.Second {
 		t.Fatalf("observer saw %v, want [1s 2s]", events)
 	}
-	// RunUntil drives the observer too.
-	if err := s.RunUntil(time.Minute, func() bool { return fired == 3 }); err != nil {
+	// A later Run drives the observer over the rest of the queue.
+	if err := s.Run(0); err != nil {
 		t.Fatal(err)
+	}
+	if fired != 3 {
+		t.Fatalf("fired %d events, want 3", fired)
 	}
 	if len(events) != 3 || events[2] != 3*time.Second {
 		t.Fatalf("observer saw %v, want the 3s event appended", events)

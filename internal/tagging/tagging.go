@@ -53,15 +53,6 @@ func (a *Allocator) HostTag(v topology.NodeID) (uint16, error) {
 	return tag, nil
 }
 
-// SubTag maps a sub-class index within its class to the 6-bit DS field.
-func SubTag(s int) (uint8, error) {
-	if s < 0 || s > int(flowtable.MaxSubTag) {
-		return 0, fmt.Errorf("tagging: sub-class index %d beyond the %d-value tag field",
-			s, flowtable.MaxSubTag+1)
-	}
-	return uint8(s), nil
-}
-
 // ClassSpec couples a traffic class with its data-plane identity: the
 // header prefix that matches its flows, the sub-classes derived from the
 // Optimization Engine's distribution, and any additional equal-cost paths
@@ -195,16 +186,4 @@ func CountTCAM(classes []ClassSpec, splitBits int) (Usage, error) {
 		u.PerSwitchTagged[v]++
 	}
 	return u, nil
-}
-
-// CrossProductPenalty estimates the extra TCAM a switch without pipeline
-// support pays (§V-B: "the semantics can still be retained by the
-// cross-product of the two tables, but the TCAM consumption would
-// increase"): with tables of the given sizes, the merged table holds up
-// to appleRules×otherRules entries instead of appleRules+otherRules.
-func CrossProductPenalty(appleRules, otherRules int) (merged, pipelined int, err error) {
-	if appleRules < 0 || otherRules < 0 {
-		return 0, 0, fmt.Errorf("tagging: negative rule counts %d, %d", appleRules, otherRules)
-	}
-	return appleRules * otherRules, appleRules + otherRules, nil
 }

@@ -40,19 +40,6 @@ func TestAllocatorExhaustion(t *testing.T) {
 	}
 }
 
-func TestSubTag(t *testing.T) {
-	tag, err := SubTag(63)
-	if err != nil || tag != 63 {
-		t.Fatalf("SubTag(63) = %v, %v", tag, err)
-	}
-	if _, err := SubTag(64); err == nil {
-		t.Fatal("SubTag(64) should fail")
-	}
-	if _, err := SubTag(-1); err == nil {
-		t.Fatal("SubTag(-1) should fail")
-	}
-}
-
 // spec builds a simple 4-hop class with the given sub-class split.
 func spec(id int, pathLen int, portions []float64) ClassSpec {
 	path := make([]topology.NodeID, pathLen)
@@ -192,19 +179,6 @@ func TestUsageRatio(t *testing.T) {
 	}
 	if (Usage{Tagged: 5, Untagged: 20}).Ratio() != 4 {
 		t.Error("ratio arithmetic wrong")
-	}
-}
-
-func TestCrossProductPenalty(t *testing.T) {
-	merged, pipelined, err := CrossProductPenalty(10, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged != 500 || pipelined != 60 {
-		t.Fatalf("penalty = %d/%d", merged, pipelined)
-	}
-	if _, _, err := CrossProductPenalty(-1, 5); err == nil {
-		t.Fatal("negative counts should fail")
 	}
 }
 

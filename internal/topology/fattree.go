@@ -67,9 +67,6 @@ func FatTree(k int) (*FatTreeLayout, error) {
 	return l, nil
 }
 
-// NumSwitches returns the total switch count: (k/2)² + k².
-func (l *FatTreeLayout) NumSwitches() int { return l.Graph.NumNodes() }
-
 // Path returns a shortest path between two edge switches in closed form.
 // h picks deterministically among the equal-cost paths (the fat-tree has
 // (k/2)² of them between pods), so callers can spread classes across the

@@ -201,9 +201,3 @@ func ByName(name string) (*Graph, error) {
 		return nil, fmt.Errorf("topology: unknown topology %q", name)
 	}
 }
-
-// All returns the four built-in topologies in the order the paper's
-// Table V lists them.
-func All() []*Graph {
-	return []*Graph{Internet2(), GEANT(), UNIV1(), AS3679()}
-}

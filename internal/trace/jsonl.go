@@ -45,9 +45,3 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 		out = append(out, ev)
 	}
 }
-
-// WriteJSONL dumps the recorder's retained events; see the package-level
-// WriteJSONL for the format.
-func (r *Recorder) WriteJSONL(w io.Writer) error {
-	return WriteJSONL(w, r.Events())
-}

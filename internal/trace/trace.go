@@ -8,7 +8,8 @@
 // instrumentation points Emit single events (a tag allocation, a
 // failover activation) or Begin/End a span (a batch install, an LP
 // solve). Events land in a bounded ring buffer; when it fills, the
-// oldest events are dropped and counted, so a recorder can run inside a
+// oldest events are dropped (Seq stays global, so the first retained
+// event's Seq counts them), so a recorder can run inside a
 // long experiment without growing without bound.
 //
 // A nil *Recorder is a valid, disabled recorder: every method is a
@@ -244,12 +245,11 @@ type Recorder struct {
 	clock Clock
 	max   int
 
-	mu      sync.Mutex
-	buf     []Event // guarded by mu
-	next    int     // guarded by mu; ring write index once buf is full
-	seq     uint64  // guarded by mu
-	spans   uint64  // guarded by mu
-	dropped uint64  // guarded by mu
+	mu    sync.Mutex
+	buf   []Event // guarded by mu
+	next  int     // guarded by mu; ring write index once buf is full
+	seq   uint64  // guarded by mu
+	spans uint64  // guarded by mu
 }
 
 // NewRecorder creates a recorder reading virtual time from clock, with a
@@ -292,7 +292,6 @@ func (r *Recorder) Emit(ev Event) {
 		if r.next == r.max {
 			r.next = 0
 		}
-		r.dropped++
 	}
 	r.mu.Unlock()
 }
@@ -356,24 +355,4 @@ func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.buf)
-}
-
-// Total returns the number of events ever emitted, including dropped.
-func (r *Recorder) Total() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq
-}
-
-// Dropped returns the number of events evicted by the ring bound.
-func (r *Recorder) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
 }

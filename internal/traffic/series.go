@@ -7,14 +7,15 @@ import (
 	"math/rand"
 )
 
+// hoursPerSnapshot is the diurnal phase advance per snapshot: one
+// snapshot per hour.
+const hoursPerSnapshot = 1
+
 // DiurnalOptions parameterizes a diurnal/weekly time-varying series.
 type DiurnalOptions struct {
 	// Snapshots is the series length. The paper combines 672 snapshots
 	// per topology (four weeks of hourly matrices).
 	Snapshots int
-	// HoursPerSnapshot sets the diurnal phase advance per snapshot
-	// (default 1).
-	HoursPerSnapshot float64
 	// PeakFactor is the peak-to-trough ratio of the daily cycle
 	// (default 3).
 	PeakFactor float64
@@ -31,9 +32,6 @@ type DiurnalOptions struct {
 func (o DiurnalOptions) withDefaults() DiurnalOptions {
 	if o.Snapshots == 0 {
 		o.Snapshots = 672
-	}
-	if o.HoursPerSnapshot == 0 {
-		o.HoursPerSnapshot = 1
 	}
 	if o.PeakFactor == 0 {
 		o.PeakFactor = 3
@@ -73,7 +71,7 @@ func Diurnal(base *Matrix, opts DiurnalOptions) ([]*Matrix, error) {
 	// mult(t) = 1 + amp*sin(...) has mean 1.
 	amp := (o.PeakFactor - 1) / (o.PeakFactor + 1)
 	for s := 0; s < o.Snapshots; s++ {
-		hour := float64(s) * o.HoursPerSnapshot
+		hour := float64(s) * hoursPerSnapshot
 		day := int(hour/24) % 7
 		// Peak at 14:00, trough at 02:00.
 		phase := 2 * math.Pi * (math.Mod(hour, 24) - 8) / 24
@@ -94,6 +92,10 @@ func Diurnal(base *Matrix, opts DiurnalOptions) ([]*Matrix, error) {
 	return out, nil
 }
 
+// paretoShape is the flow-duration tail index of ReplayTrace: heavy
+// tailed, with a finite mean.
+const paretoShape = 1.5
+
 // ReplayOptions parameterizes the UNIV1-style trace replay, where flows
 // arrive between random source-destination pairs and each snapshot covers
 // one second (§IX-A: "we replay the corresponding trace between random
@@ -107,8 +109,6 @@ type ReplayOptions struct {
 	MeanFlows int
 	// MeanRateMbps is the average per-flow rate.
 	MeanRateMbps float64
-	// ParetoShape controls flow-duration heavy-tailedness (default 1.5).
-	ParetoShape float64
 	// Endpoints restricts flow sources and destinations to these nodes
 	// (e.g. edge racks only); nil allows every node.
 	Endpoints []int
@@ -132,13 +132,6 @@ func ReplayTrace(opts ReplayOptions) ([]*Matrix, error) {
 	}
 	if opts.MeanRateMbps <= 0 {
 		return nil, fmt.Errorf("traffic: mean rate %v must be positive", opts.MeanRateMbps)
-	}
-	shape := opts.ParetoShape
-	if shape == 0 {
-		shape = 1.5
-	}
-	if shape <= 1 {
-		return nil, fmt.Errorf("traffic: pareto shape %v must be >1", shape)
 	}
 	endpoints := opts.Endpoints
 	if endpoints == nil {
@@ -164,7 +157,7 @@ func ReplayTrace(opts ReplayOptions) ([]*Matrix, error) {
 	// ~4 seconds, then arrival rate λ = MeanFlows/meanDur keeps the target
 	// concurrency.
 	const meanDur = 4.0
-	xm := meanDur * (shape - 1) / shape
+	xm := meanDur * (paretoShape - 1) / paretoShape
 	lambda := float64(opts.MeanFlows) / meanDur
 	// Poisson arrivals over the horizon.
 	t := 0.0
@@ -174,7 +167,7 @@ func ReplayTrace(opts ReplayOptions) ([]*Matrix, error) {
 		if t >= horizon {
 			break
 		}
-		dur := xm / math.Pow(rng.Float64(), 1/shape)
+		dur := xm / math.Pow(rng.Float64(), 1/paretoShape)
 		rate := opts.MeanRateMbps * (0.5 + rng.Float64()) // ±50% spread
 		si := rng.Intn(len(endpoints))
 		di := rng.Intn(len(endpoints) - 1)
@@ -197,15 +190,15 @@ func ReplayTrace(opts ReplayOptions) ([]*Matrix, error) {
 	return out, nil
 }
 
+// logNormSigma is SynthFNSS's per-OD lognormal spread across snapshots.
+const logNormSigma = 0.4
+
 // SynthOptions parameterizes the FNSS-style synthesis used for AS-3679.
 type SynthOptions struct {
 	// TotalMbps is the target mean matrix total.
 	TotalMbps float64
 	// Snapshots is the series length.
 	Snapshots int
-	// LogNormSigma is the per-OD lognormal spread across snapshots
-	// (default 0.4).
-	LogNormSigma float64
 	// Seed makes the series deterministic.
 	Seed int64
 }
@@ -217,13 +210,6 @@ func SynthFNSS(masses []float64, opts SynthOptions) ([]*Matrix, error) {
 	if opts.Snapshots < 1 {
 		return nil, fmt.Errorf("traffic: snapshots %d must be ≥1", opts.Snapshots)
 	}
-	sigma := opts.LogNormSigma
-	if sigma == 0 {
-		sigma = 0.4
-	}
-	if sigma < 0 {
-		return nil, fmt.Errorf("traffic: negative sigma %v", sigma)
-	}
 	base, err := Gravity(masses, opts.TotalMbps)
 	if err != nil {
 		return nil, err
@@ -232,6 +218,9 @@ func SynthFNSS(masses []float64, opts SynthOptions) ([]*Matrix, error) {
 	n := base.N()
 	out := make([]*Matrix, 0, opts.Snapshots)
 	// E[lognormal(mu=-sigma^2/2, sigma)] = 1 keeps the series mean at base.
+	// sigma is a variable so mu is rounded as float64 arithmetic rounds
+	// it: a constant expression would be exact, and the series would move.
+	sigma := logNormSigma
 	mu := -sigma * sigma / 2
 	for s := 0; s < opts.Snapshots; s++ {
 		snap := MustNewMatrix(n)
@@ -249,27 +238,4 @@ func SynthFNSS(masses []float64, opts SynthOptions) ([]*Matrix, error) {
 		out = append(out, snap)
 	}
 	return out, nil
-}
-
-// RelativeVariance returns Var/Mean² of the per-snapshot totals of a
-// series, the statistic the aggregation-smoothing claim in §IV-A is about.
-func RelativeVariance(series []*Matrix) (float64, error) {
-	if len(series) < 2 {
-		return 0, errors.New("traffic: need ≥2 snapshots")
-	}
-	mean := 0.0
-	for _, m := range series {
-		mean += m.Total()
-	}
-	mean /= float64(len(series))
-	if mean == 0 {
-		return 0, errors.New("traffic: zero-mean series")
-	}
-	v := 0.0
-	for _, m := range series {
-		d := m.Total() - mean
-		v += d * d
-	}
-	v /= float64(len(series) - 1)
-	return v / (mean * mean), nil
 }

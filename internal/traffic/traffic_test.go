@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -239,6 +240,29 @@ func TestDiurnalValidation(t *testing.T) {
 	}
 }
 
+// TestDiurnalHourlyCycle: a snapshot is one hour, so the daily cycle
+// peaks at snapshot 14 (14:00) at PeakFactor times the 02:00 trough, and
+// repeats every 24 snapshots.
+func TestDiurnalHourlyCycle(t *testing.T) {
+	base := MustNewMatrix(2)
+	if err := base.Set(0, 1, 100); err != nil {
+		t.Fatal(err)
+	}
+	series, err := Diurnal(base, DiurnalOptions{Snapshots: 48, MVRA: 1e-9, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := func(s int) float64 { return series[s].At(0, 1) }
+	if r := at(14) / at(2); math.Abs(r-3) > 0.03 {
+		t.Fatalf("14:00 / 02:00 = %v, want the peak factor 3", r)
+	}
+	for s := 0; s < 24; s++ {
+		if r := at(s+24) / at(s); math.Abs(r-1) > 0.01 {
+			t.Fatalf("snapshot %d / snapshot %d = %v, want a 24-snapshot day", s+24, s, r)
+		}
+	}
+}
+
 func TestWeekendDip(t *testing.T) {
 	base := MustNewMatrix(2)
 	if err := base.Set(0, 1, 100); err != nil {
@@ -299,7 +323,6 @@ func TestReplayTraceValidation(t *testing.T) {
 		func(o ReplayOptions) ReplayOptions { o.Snapshots = 0; return o },
 		func(o ReplayOptions) ReplayOptions { o.MeanFlows = 0; return o },
 		func(o ReplayOptions) ReplayOptions { o.MeanRateMbps = 0; return o },
-		func(o ReplayOptions) ReplayOptions { o.ParetoShape = 0.5; return o },
 	}
 	for i, f := range bad {
 		if _, err := ReplayTrace(f(base)); err == nil {
@@ -330,8 +353,34 @@ func TestSynthFNSS(t *testing.T) {
 	if _, err := SynthFNSS(masses, SynthOptions{TotalMbps: 10, Snapshots: 0}); err == nil {
 		t.Error("zero snapshots should fail")
 	}
-	if _, err := SynthFNSS(masses, SynthOptions{TotalMbps: 10, Snapshots: 1, LogNormSigma: -1}); err == nil {
-		t.Error("negative sigma should fail")
+}
+
+// TestSynthFNSSSpread: each OD pair fluctuates lognormally with σ = 0.4
+// around the gravity matrix, so its coefficient of variation across
+// snapshots is √(e^σ² − 1) ≈ 0.417 and its mean stays at the base.
+func TestSynthFNSSSpread(t *testing.T) {
+	series, err := SynthFNSS([]float64{1, 1}, SynthOptions{TotalMbps: 100, Snapshots: 2000, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := Gravity([]float64{1, 1}, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mean, sq := 0.0, 0.0
+	for _, m := range series {
+		v := m.At(0, 1)
+		mean += v
+		sq += v * v
+	}
+	n := float64(len(series))
+	mean /= n
+	cv := math.Sqrt(sq/n-mean*mean) / mean
+	if math.Abs(cv-0.417) > 0.03 {
+		t.Fatalf("coefficient of variation %v, want ≈0.417 (σ = 0.4)", cv)
+	}
+	if r := mean / base.At(0, 1); math.Abs(r-1) > 0.03 {
+		t.Fatalf("mean / base = %v, want ≈1", r)
 	}
 }
 
@@ -385,4 +434,28 @@ func TestRelativeVarianceValidation(t *testing.T) {
 	if _, err := RelativeVariance([]*Matrix{z, z}); err == nil {
 		t.Error("zero-mean series should fail")
 	}
+}
+
+// RelativeVariance returns Var/Mean² of the per-snapshot totals of a
+// series, the statistic the aggregation-smoothing claim in §IV-A is about
+// and the tests' measure of a series' spread.
+func RelativeVariance(series []*Matrix) (float64, error) {
+	if len(series) < 2 {
+		return 0, errors.New("traffic: need ≥2 snapshots")
+	}
+	mean := 0.0
+	for _, m := range series {
+		mean += m.Total()
+	}
+	mean /= float64(len(series))
+	if mean == 0 {
+		return 0, errors.New("traffic: zero-mean series")
+	}
+	v := 0.0
+	for _, m := range series {
+		d := m.Total() - mean
+		v += d * d
+	}
+	v /= float64(len(series) - 1)
+	return v / (mean * mean), nil
 }

@@ -125,15 +125,6 @@ func (i *Instance) SetOffered(mbps float64) error {
 // Offered returns the current offered load in Mbps.
 func (i *Instance) Offered() float64 { return i.offered }
 
-// Processed returns the throughput actually served: a booting or stopped
-// instance serves nothing; a running one serves up to capacity.
-func (i *Instance) Processed() float64 {
-	if i.state != StateRunning {
-		return 0
-	}
-	return math.Min(i.offered, i.spec.CapacityMbps)
-}
-
 // LossRate returns the fraction of offered traffic dropped — the fluid
 // version of the Fig 6 curve: zero below the capacity knee, then rising as
 // 1 − capacity/offered. A non-running instance loses everything offered.
@@ -148,11 +139,6 @@ func (i *Instance) LossRate() float64 {
 		return 0
 	}
 	return 1 - i.spec.CapacityMbps/i.offered
-}
-
-// Utilization returns offered/capacity.
-func (i *Instance) Utilization() float64 {
-	return i.offered / i.spec.CapacityMbps
 }
 
 // Detector is the hysteresis overload detector from §VII-B: an instance is

@@ -126,25 +126,6 @@ func TestLossCurveFig6Shape(t *testing.T) {
 	}
 }
 
-func TestProcessedAndUtilization(t *testing.T) {
-	i := newRunning(t, policy.IDS) // 600 Mbps
-	if err := i.SetOffered(300); err != nil {
-		t.Fatal(err)
-	}
-	if i.Processed() != 300 || i.Utilization() != 0.5 {
-		t.Fatalf("processed=%v util=%v", i.Processed(), i.Utilization())
-	}
-	if err := i.SetOffered(1200); err != nil {
-		t.Fatal(err)
-	}
-	if i.Processed() != 600 {
-		t.Fatalf("processed above capacity = %v, want 600", i.Processed())
-	}
-	if i.Offered() != 1200 {
-		t.Fatal("Offered lost")
-	}
-}
-
 func TestBootingInstanceLosesEverything(t *testing.T) {
 	i, err := New("boot", policy.NAT)
 	if err != nil {
@@ -153,8 +134,8 @@ func TestBootingInstanceLosesEverything(t *testing.T) {
 	if err := i.SetOffered(100); err != nil {
 		t.Fatal(err)
 	}
-	if i.LossRate() != 1 || i.Processed() != 0 {
-		t.Fatalf("booting instance: loss=%v processed=%v", i.LossRate(), i.Processed())
+	if i.LossRate() != 1 {
+		t.Fatalf("booting instance: loss=%v, want 1", i.LossRate())
 	}
 	if err := i.SetOffered(0); err != nil {
 		t.Fatal(err)
