@@ -9,13 +9,27 @@ FUZZ_TARGETS := ./internal/flowtable:FuzzMatchLookup ./internal/flowtable:FuzzTa
 # and fuzz are the other three CI jobs. Performance is measured by the one
 # end-to-end benchmark BENCHMARK.json declares (cmd/applebench/run.sh),
 # not by a make target: it gates counts and bytes, never wall time.
-.PHONY: build test race vet lint bench-check fuzz cover check trace-smoke clean
+.PHONY: build test tier1 race vet lint bench-check fuzz cover check trace-smoke clean
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# tier1 runs every test once, verbosely, into tier1.log, prints the
+# `--- PASS` count and fails on any failing test or on fewer passes than
+# the standing floor ROADMAP.md sets.
+TIER1_FLOOR := 719
+tier1:
+	@$(GO) test -v ./... > tier1.log 2>&1; status=$$?; \
+	passes=$$(grep -c -- '--- PASS' tier1.log); \
+	fails=$$(grep -c -- '--- FAIL' tier1.log); \
+	echo "tier1: $$passes passed, $$fails failed (floor $(TIER1_FLOOR))"; \
+	if [ $$status -ne 0 ] || [ $$fails -ne 0 ]; then \
+		grep -E -- '--- FAIL|^FAIL|^panic:' tier1.log || tail -n 20 tier1.log; exit 1; \
+	fi; \
+	if [ $$passes -lt $(TIER1_FLOOR) ]; then echo "tier1: below the floor of $(TIER1_FLOOR)"; exit 1; fi
 
 race:
 	$(GO) test -race ./...
@@ -61,7 +75,7 @@ cover:
 	$(GO) test -cover -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
 
-check: build vet lint test race bench-check
+check: build vet lint tier1 race bench-check
 
 # trace-smoke runs a traced churn replay end to end (cmd/appletrace) and
 # writes the observability artifacts — the virtual-time journal
@@ -77,4 +91,4 @@ trace-smoke:
 # clean removes only what .gitignore lists: nothing it deletes is tracked.
 clean:
 	$(GO) clean ./...
-	rm -f lint_findings.txt coverage.out churn_trace.jsonl churn_metrics.json
+	rm -f lint_findings.txt coverage.out churn_trace.jsonl churn_metrics.json tier1.log

@@ -407,31 +407,6 @@ func (c *Controller) Switches() []topology.NodeID { return sortedKeys(c.switches
 // Hosts returns the switches with an APPLE host, sorted.
 func (c *Controller) Hosts() []topology.NodeID { return sortedKeys(c.hosts) }
 
-// InstancePortions returns a copy of the per-instance planned-load
-// ledger. Callers must be quiesced with respect to commits (the same
-// contract as Avail).
-func (c *Controller) InstancePortions() map[vnf.ID]float64 {
-	out := make(map[vnf.ID]float64, len(c.instPortion))
-	for id, p := range c.instPortion {
-		out[id] = p
-	}
-	return out
-}
-
-// HostGlobalTags returns, per hosting switch, the sorted global
-// sub-class tags in use by header-rewriting classes steered through it.
-// Callers must be quiesced with respect to commits.
-func (c *Controller) HostGlobalTags() map[topology.NodeID][]uint8 {
-	out := make(map[topology.NodeID][]uint8, len(c.hostGlobalTags))
-	for v, tags := range c.hostGlobalTags {
-		if len(tags) == 0 {
-			continue
-		}
-		out[v] = sortedKeys(tags)
-	}
-	return out
-}
-
 // MaxClassID is the largest class ID the synthetic address plan can
 // express (the /24 extension plan below: 2^20 classes).
 const MaxClassID = 1<<20 - 1
@@ -634,34 +609,54 @@ func (c *Controller) nextGen() uint32 {
 	return c.gen
 }
 
-// CheckTables scans every physical switch and vSwitch table for shadowed
-// rules — entries that can never match because an earlier rule subsumes
-// them. The Rule Generator should never produce any; a non-empty result
-// indicates a broken sub-class.
-func (c *Controller) CheckTables() error {
-	for v, sw := range c.switches {
-		for ti := 0; ti < sw.Pipeline.NumTables(); ti++ {
-			t, err := sw.Pipeline.Table(ti)
+// eachTable calls f on every flow table the controller programs: each
+// switch's pipeline tables, then each host's vSwitch tables, in ascending
+// node order and table order within a device. It stops at f's first
+// error. This is the one place that decides which tables a controller
+// has and in what order.
+func (c *Controller) eachTable(f func(tableKey, *flowtable.Table) error) error {
+	visit := func(dev device, pl *flowtable.Pipeline) error {
+		for ti := 0; ti < pl.NumTables(); ti++ {
+			t, err := pl.Table(ti)
 			if err != nil {
 				return fmt.Errorf("controller: %w", err)
 			}
-			if sh := t.Shadowed(); len(sh) > 0 {
-				return fmt.Errorf("controller: switch %d table %d has shadowed rules %v", v, ti, sh)
+			if err := f(tableKey{dev: dev, table: ti}, t); err != nil {
+				return err
 			}
 		}
+		return nil
 	}
-	for v, h := range c.hosts {
-		for ti := 0; ti < h.VSwitch().NumTables(); ti++ {
-			t, err := h.VSwitch().Table(ti)
-			if err != nil {
-				return fmt.Errorf("controller: %w", err)
-			}
-			if sh := t.Shadowed(); len(sh) > 0 {
-				return fmt.Errorf("controller: host at %d table %d has shadowed rules %v", v, ti, sh)
-			}
+	for _, v := range c.Switches() {
+		if err := visit(device{node: v}, c.switches[v].Pipeline); err != nil {
+			return err
+		}
+	}
+	for _, v := range c.Hosts() {
+		if err := visit(device{vswitch: true, node: v}, c.hosts[v].VSwitch()); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// CheckTables scans every physical switch and vSwitch table for shadowed
+// rules — entries that can never match because an earlier rule subsumes
+// them — and reports the first offender in eachTable order. The Rule
+// Generator should never produce any; a non-empty result indicates a
+// broken sub-class.
+func (c *Controller) CheckTables() error {
+	return c.eachTable(func(k tableKey, t *flowtable.Table) error {
+		sh := t.Shadowed()
+		switch {
+		case len(sh) == 0:
+			return nil
+		case k.dev.vswitch:
+			return fmt.Errorf("controller: host at %d table %d has shadowed rules %v", k.dev.node, k.table, sh)
+		default:
+			return fmt.Errorf("controller: switch %d table %d has shadowed rules %v", k.dev.node, k.table, sh)
+		}
+	})
 }
 
 // InstallACL installs an access-control drop rule for the given source

@@ -1,14 +1,12 @@
 package controller
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"github.com/apple-nfv/apple/internal/core"
 	"github.com/apple-nfv/apple/internal/flowtable"
-	"github.com/apple-nfv/apple/internal/topology"
 )
 
 // Compiled-vs-linear differential property over the same 200 random
@@ -57,23 +55,6 @@ func diffProbePackets(t *testing.T, rng *rand.Rand, c *Controller, accepted []co
 	return pkts
 }
 
-// diffPipelines collects every pipeline in the deployment, labeled.
-func diffPipelines(t *testing.T, c *Controller, g *topology.Graph) map[string]*flowtable.Pipeline {
-	t.Helper()
-	out := make(map[string]*flowtable.Pipeline)
-	for _, n := range g.Nodes() {
-		sw, err := c.Switch(n.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[fmt.Sprintf("sw%d", n.ID)] = sw.Pipeline
-		if h, err := c.Host(n.ID); err == nil {
-			out[fmt.Sprintf("host%d", n.ID)] = h.VSwitch()
-		}
-	}
-	return out
-}
-
 // TestPropertyCompiledMatchesLinear is the 200-seed differential: for
 // every table, Lookup == LookupLinear; for every pipeline, Process ==
 // ProcessLinear including the error and the final mutated packet.
@@ -93,30 +74,35 @@ func TestPropertyCompiledMatchesLinear(t *testing.T) {
 			continue
 		}
 		pkts := diffProbePackets(t, rng, c, accepted)
-		for name, pl := range diffPipelines(t, c, g) {
-			for ti := 0; ti < pl.NumTables(); ti++ {
-				tb, err := pl.Table(ti)
-				if err != nil {
-					t.Fatal(err)
+		if err := c.eachTable(func(k tableKey, tb *flowtable.Table) error {
+			for pi, pkt := range pkts {
+				got, ok := tb.Lookup(pkt)
+				want, wantOK := tb.LookupLinear(pkt)
+				if ok != wantOK || !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d %+v packet %d: compiled (%+v,%v) != linear (%+v,%v)\npacket %+v",
+						seed, k, pi, got, ok, want, wantOK, pkt)
 				}
-				for pi, pkt := range pkts {
-					got, ok := tb.Lookup(pkt)
-					want, wantOK := tb.LookupLinear(pkt)
-					if ok != wantOK || !reflect.DeepEqual(got, want) {
-						t.Fatalf("seed %d %s table %d packet %d: compiled (%+v,%v) != linear (%+v,%v)\npacket %+v",
-							seed, name, ti, pi, got, ok, want, wantOK, pkt)
-					}
-				}
+			}
+			if k.table != 0 {
+				return nil
+			}
+			// Once per device, the whole pipeline.
+			pl := c.switches[k.dev.node].Pipeline
+			if k.dev.vswitch {
+				pl = c.hosts[k.dev.node].VSwitch()
 			}
 			for pi := range pkts {
 				pc, pLin := pkts[pi], pkts[pi]
 				resC, errC := pl.Process(&pc)
 				resL, errL := pl.ProcessLinear(&pLin)
 				if (errC == nil) != (errL == nil) || !reflect.DeepEqual(resC, resL) || pc != pLin {
-					t.Fatalf("seed %d %s packet %d: compiled (%+v,%v,pkt %+v) != linear (%+v,%v,pkt %+v)",
-						seed, name, pi, resC, errC, pc, resL, errL, pLin)
+					t.Fatalf("seed %d %+v packet %d: compiled (%+v,%v,pkt %+v) != linear (%+v,%v,pkt %+v)",
+						seed, k.dev, pi, resC, errC, pc, resL, errL, pLin)
 				}
 			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

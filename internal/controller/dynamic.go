@@ -354,11 +354,19 @@ func (d *DynamicHandler) forgetUnpooled() {
 		}
 		delete(d.detectors, id)
 		delete(d.spawnedSet, id)
-		if cores, ok := d.spawnedCores[id]; ok {
-			d.extraCores -= cores
-			delete(d.spawnedCores, id)
-		}
+		d.releaseCores(id)
 	}
+}
+
+// releaseCores ends the core accounting of a failover launch, reporting
+// whether it had any.
+func (d *DynamicHandler) releaseCores(id vnf.ID) bool {
+	cores, ok := d.spawnedCores[id]
+	if ok {
+		d.extraCores -= cores
+		delete(d.spawnedCores, id)
+	}
+	return ok
 }
 
 // baseWouldFit simulates restoring classID's base distribution on top of
@@ -771,11 +779,9 @@ func (d *DynamicHandler) spawnSubclass(a *Assignment, src, j int, weight, rate f
 					WithClass(int64(a.Class.ID)).WithInst(string(id)).WithErr(aerr))
 			}
 		}
-		if cores, ok := d.spawnedCores[id]; ok {
+		if d.releaseCores(id) {
 			// The orchestrator already freed (or lost) the VM; drop our
 			// core accounting for it.
-			d.extraCores -= cores
-			delete(d.spawnedCores, id)
 			delete(d.spawnedSet, id)
 			delete(d.zombies, id)
 		}
@@ -900,10 +906,7 @@ func (d *DynamicHandler) endFailover(classID core.ClassID) {
 func (d *DynamicHandler) cancelSpawned(id vnf.ID) {
 	if d.c.assign.references(id) {
 		delete(d.spawnedSet, id)
-		if cores, ok := d.spawnedCores[id]; ok {
-			d.extraCores -= cores
-			delete(d.spawnedCores, id)
-		}
+		d.releaseCores(id)
 		delete(d.zombies, id)
 		d.counters.Inc(CtrSpawnAdoptions)
 		return
@@ -911,14 +914,10 @@ func (d *DynamicHandler) cancelSpawned(id vnf.ID) {
 	delete(d.detectors, id)
 	delete(d.spawnedSet, id)
 	d.c.dropFromPool(id, nil)
-	cores, accounted := d.spawnedCores[id]
 	err := d.c.orch.Cancel(id)
 	switch {
 	case err == nil, errors.Is(err, orchestrator.ErrUnknownInstance):
-		if accounted {
-			d.extraCores -= cores
-			delete(d.spawnedCores, id)
-		}
+		d.releaseCores(id)
 		delete(d.zombies, id)
 	default:
 		// The cancel RPC was lost: the VM still runs and holds its
@@ -947,10 +946,7 @@ func (d *DynamicHandler) reapZombies() {
 		if err != nil && !errors.Is(err, orchestrator.ErrUnknownInstance) {
 			continue
 		}
-		if cores, ok := d.spawnedCores[id]; ok {
-			d.extraCores -= cores
-			delete(d.spawnedCores, id)
-		}
+		d.releaseCores(id)
 		delete(d.zombies, id)
 		d.counters.Inc(CtrZombiesReaped)
 		if d.c.tracer.Enabled() {

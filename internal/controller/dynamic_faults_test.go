@@ -267,7 +267,7 @@ func TestLoadsRefreshedAfterTransition(t *testing.T) {
 // instance: spawns follow the commit.
 func TestOverloadFaultLeavesStateUntouched(t *testing.T) {
 	c, d, _ := overloadedSetup(t)
-	want := stateDigest(t, c)
+	want := c.Snapshot().String()
 	c.failpoint = func(p string) error {
 		if p == "reshape:cls:0" {
 			return errInjected
@@ -277,7 +277,7 @@ func TestOverloadFaultLeavesStateUntouched(t *testing.T) {
 	if _, err := d.Observe(map[core.ClassID]float64{0: 1600}); !errors.Is(err, errInjected) {
 		t.Fatalf("Observe = %v, want the injected fault", err)
 	}
-	if got := stateDigest(t, c); got != want {
+	if got := c.Snapshot().String(); got != want {
 		t.Fatalf("state after the failed overload: %s", firstDiff(want, got))
 	}
 	if d.PendingSpawns() != 0 || d.ExtraCores() != 0 {

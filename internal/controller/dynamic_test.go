@@ -118,8 +118,8 @@ func TestRollbackRestoresBase(t *testing.T) {
 	if a.NumSubclasses() != a.NumBase() {
 		t.Fatalf("spawned sub-classes not rolled back: %d vs %d", a.NumSubclasses(), a.NumBase())
 	}
-	if w, b := a.weights(), a.basePortions(); !slices.Equal(w, b) {
-		t.Fatalf("weights not restored: %v vs %v", w, b)
+	if snap := a.snapshot(); !slices.Equal(snap.Weights, snap.Base) {
+		t.Fatalf("weights not restored: %v vs %v", snap.Weights, snap.Base)
 	}
 	if after := len(c.Orchestrator().Instances()); after >= instancesDuring {
 		t.Fatalf("spawned instance not cancelled: %d vs %d during failover", after, instancesDuring)

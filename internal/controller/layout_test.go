@@ -126,7 +126,7 @@ func TestActionListsShared(t *testing.T) {
 	arrays := make(map[*flowtable.Action]bool)
 	values := make(map[actionKey]bool)
 	rules := 0
-	visit := func(tbl *flowtable.Table) {
+	if err := c.eachTable(func(_ tableKey, tbl *flowtable.Table) error {
 		for _, r := range tbl.Rules() {
 			hit, ok := tbl.Lookup(packetMatching(r.Match))
 			if !ok || !hit.Equal(r) {
@@ -141,25 +141,9 @@ func TestActionListsShared(t *testing.T) {
 			values[k] = true
 			rules++
 		}
-	}
-	for _, v := range c.Switches() {
-		for ti := 0; ti < c.switches[v].Pipeline.NumTables(); ti++ {
-			tbl, err := c.switches[v].Pipeline.Table(ti)
-			if err != nil {
-				t.Fatal(err)
-			}
-			visit(tbl)
-		}
-	}
-	for _, v := range c.Hosts() {
-		vs := c.hosts[v].VSwitch()
-		for ti := 0; ti < vs.NumTables(); ti++ {
-			tbl, err := vs.Table(ti)
-			if err != nil {
-				t.Fatal(err)
-			}
-			visit(tbl)
-		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	t.Logf("%d rules carry %d distinct action lists in %d arrays", rules, len(values), len(arrays))
 	if len(arrays) > len(values) {

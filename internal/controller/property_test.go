@@ -239,42 +239,11 @@ func TestPropertyEnforcement(t *testing.T) {
 	}
 }
 
-// gatherTables snapshots every rule of every switch and vSwitch table.
-func gatherTables(t *testing.T, c *Controller, g *topology.Graph) map[string][]flowtable.Rule {
-	t.Helper()
-	out := make(map[string][]flowtable.Rule)
-	for _, n := range g.Nodes() {
-		sw, err := c.Switch(n.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for ti := 0; ti < sw.Pipeline.NumTables(); ti++ {
-			tb, err := sw.Pipeline.Table(ti)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[fmt.Sprintf("sw%d/t%d", n.ID, ti)] = tb.Rules()
-		}
-		h, err := c.Host(n.ID)
-		if err != nil {
-			continue
-		}
-		for ti := 0; ti < h.VSwitch().NumTables(); ti++ {
-			tb, err := h.VSwitch().Table(ti)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[fmt.Sprintf("host%d/t%d", n.ID, ti)] = tb.Rules()
-		}
-	}
-	return out
-}
-
 // installSum hashes everything the install differentials compare: the
 // full state digest plus the rule-update odometer.
 func installSum(t *testing.T, c *Controller) string {
 	t.Helper()
-	return fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%supdates=%d\n", stateDigest(t, c), c.RuleUpdates()))))
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%supdates=%d\n", c.Snapshot().String(), c.RuleUpdates()))))
 }
 
 // parentInstallDigests loads testdata/install_digests.txt: one
@@ -465,14 +434,14 @@ func assertSameInstall(t *testing.T, label string, g *topology.Graph, accepted [
 			t.Fatalf("%s: class %d assignment differs\nserial: %+v\nbatch:  %+v", label, cl.ID, as, ab)
 		}
 	}
-	st, bt := gatherTables(t, serial, g), gatherTables(t, batch, g)
-	if !reflect.DeepEqual(st, bt) {
-		for k := range st {
-			if !reflect.DeepEqual(st[k], bt[k]) {
-				t.Fatalf("%s: table %s differs\nserial: %v\nbatch:  %v", label, k, st[k], bt[k])
-			}
+	st, bt := serial.Snapshot().Tables, batch.Snapshot().Tables
+	if len(st) != len(bt) {
+		t.Fatalf("%s: %d tables serial, %d batch", label, len(st), len(bt))
+	}
+	for i := range st {
+		if !reflect.DeepEqual(st[i], bt[i]) {
+			t.Fatalf("%s: table differs\nserial: %+v\nbatch:  %+v", label, st[i], bt[i])
 		}
-		t.Fatalf("%s: table sets differ", label)
 	}
 	// Packet-level identity: traces of every probe must match
 	// exactly, and enforcement verdicts must agree.

@@ -108,7 +108,7 @@ func TestReoptMidFailoverAuditBoundaryUnwind(t *testing.T) {
 	for k := 0; k < boundaries; k++ {
 		t.Run(boundaryName(k), func(t *testing.T) {
 			fx := newMidFailoverFixture(t)
-			pre := stateDigest(t, fx.c)
+			pre := fx.c.Snapshot().String()
 			calls := 0
 			_, err := fx.c.ReOptimize(fx.prob, fx.pl, ReoptOptions{
 				Audit: func() error {
@@ -122,7 +122,7 @@ func TestReoptMidFailoverAuditBoundaryUnwind(t *testing.T) {
 			if !errors.Is(err, errInjected) {
 				t.Fatalf("ReOptimize = %v, want injected fault", err)
 			}
-			post := stateDigest(t, fx.c)
+			post := fx.c.Snapshot().String()
 			if post != pre {
 				t.Errorf("state not restored after fault at boundary %d: %s", k, firstDiff(pre, post))
 			}
@@ -166,7 +166,7 @@ func TestReoptMidFailoverFailpointUnwind(t *testing.T) {
 		t.Run(pt, func(t *testing.T) {
 			fx := newMidFailoverFixture(t)
 			cl := fx.prob.Classes[0]
-			pre := stateDigest(t, fx.c)
+			pre := fx.c.Snapshot().String()
 			txn := fx.c.Begin()
 			txn.StageUpdate(cl, fx.pl.Dist[cl.ID])
 			fx.c.failpoint = func(p string) error {
@@ -178,7 +178,7 @@ func TestReoptMidFailoverFailpointUnwind(t *testing.T) {
 			if err := txn.Commit(TxnOptions{Verify: true, Audit: fx.d.CheckInvariants}); !errors.Is(err, errInjected) {
 				t.Fatalf("Commit = %v, want injected fault", err)
 			}
-			post := stateDigest(t, fx.c)
+			post := fx.c.Snapshot().String()
 			if post != pre {
 				t.Errorf("state not restored after fault at %s: %s", pt, firstDiff(pre, post))
 			}
@@ -312,15 +312,15 @@ func TestStaleActivationVerdicts(t *testing.T) {
 			if !tc.commit && (dAct != 0 || dStale != 1 || extra != 0) {
 				t.Fatalf("activation not dropped: activations +%d, stale +%d, %d extra sub-classes", dAct, dStale, extra)
 			}
-			wsum, bsum := 0.0, 0.0
-			for _, w := range a.weights() {
+			snap, wsum, bsum := a.snapshot(), 0.0, 0.0
+			for _, w := range snap.Weights {
 				wsum += w
 			}
-			for _, w := range a.basePortions() {
+			for _, w := range snap.Base {
 				bsum += w
 			}
 			if math.Abs(wsum-bsum) > weightTol {
-				t.Fatalf("weights %v sum to %v, base %v to %v", a.weights(), wsum, a.basePortions(), bsum)
+				t.Fatalf("weights %v sum to %v, base %v to %v", snap.Weights, wsum, snap.Base, bsum)
 			}
 			if d.PendingSpawns() != 0 {
 				t.Fatalf("leaked pending spawns: %d", d.PendingSpawns())

@@ -192,7 +192,7 @@ func installDigest(t *testing.T, seed int64, prob *core.Problem) string {
 	if err := c.InstallPlacement(prob, pl); err != nil {
 		t.Fatal(err)
 	}
-	return stateDigest(t, c)
+	return c.Snapshot().String()
 }
 
 // TestHierarchyVsFlatDifferential is the 200-seed differential: a problem

@@ -178,7 +178,7 @@ func runSameSplit(t testing.TB, data []byte, c *Controller, buf *core.Coupling, 
 	wantSame, werr := materializedSameSplit(sc.old, sc.cl, sc.dist)
 	if same != wantSame || (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
 		t.Fatalf("class %+v dist %v against %v: sameSplit %v, %v; materialized %v, %v",
-			sc.cl, sc.dist, sc.old.subclasses(), same, err, wantSame, werr)
+			sc.cl, sc.dist, sc.old.snapshot().Subclasses, same, err, wantSame, werr)
 	}
 	switch {
 	case err != nil:

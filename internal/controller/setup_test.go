@@ -91,29 +91,13 @@ func TestBatchSimInstallIsMakespan(t *testing.T) {
 	if err := c.AddClass(core.Class{ID: 0, Path: []topology.NodeID{0, 1}, Chain: policy.Chain{policy.Firewall}, RateMbps: 100}); err != nil {
 		t.Fatal(err)
 	}
-	perTable := func() map[tableKey]int {
-		out := make(map[tableKey]int)
-		for v, sw := range c.switches {
-			for ti := 0; ti < sw.Pipeline.NumTables(); ti++ {
-				tbl, err := sw.Pipeline.Table(ti)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out[tableKey{dev: device{node: v}, table: ti}] = tbl.Size()
-			}
-		}
-		for v, h := range c.hosts {
-			for ti := 0; ti < h.VSwitch().NumTables(); ti++ {
-				tbl, err := h.VSwitch().Table(ti)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out[tableKey{dev: device{vswitch: true, node: v}, table: ti}] = tbl.Size()
-			}
-		}
-		return out
+	before := make(map[tableKey]int)
+	if err := c.eachTable(func(k tableKey, tbl *flowtable.Table) error {
+		before[k] = tbl.Size()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	before := perTable()
 	sim0 := metrics.FlowSetup.SimInstall.Load()
 	const ingress = 1
 	batch := []core.Class{
@@ -128,14 +112,17 @@ func TestBatchSimInstallIsMakespan(t *testing.T) {
 
 	perDevice := make(map[device]int)
 	sum, busiestTable := 0, 0
-	for k, n := range perTable() {
-		added := n - before[k]
+	if err := c.eachTable(func(k tableKey, tbl *flowtable.Table) error {
+		added := tbl.Size() - before[k]
 		if added < 0 {
 			t.Fatalf("table %+v lost %d rules to a batch of new classes", k, -added)
 		}
 		perDevice[k.dev] += added
 		sum += added
 		busiestTable = max(busiestTable, added)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	busiest := 0
 	for _, n := range perDevice {
@@ -230,7 +217,7 @@ func TestApplyKeepsUndoOfFailedBatch(t *testing.T) {
 	if err := c.AddClass(core.Class{ID: 0, Path: linePath(4), Chain: policy.Chain{policy.Firewall}, RateMbps: 100}); err != nil {
 		t.Fatal(err)
 	}
-	want := stateDigest(t, c)
+	want := c.Snapshot().String()
 	txn := c.Begin()
 	txn.open()
 	batch := []flowtable.BatchOp{
@@ -242,7 +229,7 @@ func TestApplyKeepsUndoOfFailedBatch(t *testing.T) {
 		t.Fatalf("apply = %d, %v; want the first rule installed and the second refused", n, err)
 	}
 	txn.unwind(err)
-	if got := stateDigest(t, c); got != want {
+	if got := c.Snapshot().String(); got != want {
 		t.Fatalf("unwind left the failed batch's applied rule: %s", firstDiff(want, got))
 	}
 }

@@ -174,13 +174,13 @@ func auditClassification(v topology.NodeID, a *Assignment, r flowtable.Rule, tag
 	if src, ok := r.Match.Src(); !ok || src.Len < a.Prefix().Len || !a.Prefix().Contains(src.Addr) {
 		return fmt.Errorf("switch %d: classification row %s lies outside class %d's prefix %v", v, fmtRule(r), cl.ID, a.Prefix())
 	}
-	acts := r.Actions
+	acts, tags := r.Actions, a.snapshot().Tags
 	s := -1
 	if len(acts) > 0 && acts[0].Type == flowtable.ActSetSubTag {
-		s = slices.Index(a.tags(), uint8(acts[0].Tag))
+		s = slices.Index(tags, uint8(acts[0].Tag))
 	}
 	if s < 0 {
-		return fmt.Errorf("switch %d: classification row %s sets no sub-class tag of class %d %v", v, fmtRule(r), cl.ID, a.tags())
+		return fmt.Errorf("switch %d: classification row %s sets no sub-class tag of class %d %v", v, fmtRule(r), cl.ID, tags)
 	}
 	first := cl.Path[a.Subclass(s).Hops[0]]
 	if first == ingress {

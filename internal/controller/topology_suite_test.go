@@ -130,14 +130,14 @@ func TestTopologyBatchMatchesLoop(t *testing.T) {
 				continue
 			}
 			whole++
-			state := stateDigest(t, c)
+			state := c.Snapshot().String()
 			loop := newPropController(t, g)
 			for _, cl := range classes {
 				if err := loop.AddClass(cl); err != nil {
 					t.Fatalf("seed %d: AddClass(%d) refused a class the batch admitted: %v", seed, cl.ID, err)
 				}
 			}
-			if got := stateDigest(t, loop); got != state {
+			if got := loop.Snapshot().String(); got != state {
 				t.Fatalf("seed %d: AddClass loop and batch differ at %s", seed, firstDiff(state, got))
 			}
 		}
@@ -205,7 +205,7 @@ func TestTopologyReplayDeterministic(t *testing.T) {
 // provisioned, and the state must not move.
 func assertQuiescent(t *testing.T, label string, c *Controller, prob *core.Problem, pl *core.Placement, audit func() error) {
 	t.Helper()
-	pre := stateDigest(t, c)
+	pre := c.Snapshot().String()
 	rep, err := c.ReOptimize(prob, pl, ReoptOptions{Verify: true, Audit: audit})
 	if err != nil {
 		t.Fatalf("%s: re-optimising to the installed placement: %v", label, err)
@@ -214,7 +214,7 @@ func assertQuiescent(t *testing.T, label string, c *Controller, prob *core.Probl
 		rep.RulesInstalled != 0 || rep.RulesRemoved != 0 || rep.Provisioned != 0 {
 		t.Fatalf("%s: re-optimising to the installed placement reported %+v", label, rep)
 	}
-	if post := stateDigest(t, c); post != pre {
+	if post := c.Snapshot().String(); post != pre {
 		t.Fatalf("%s: re-optimising to the installed placement moved %s", label, firstDiff(pre, post))
 	}
 }
@@ -253,9 +253,9 @@ func TestTopologyReOptimizeIdempotent(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: Solve of the drifted snapshot: %v", seed, err)
 			}
-			pre := stateDigest(t, c)
+			pre := c.Snapshot().String()
 			if _, err := c.ReOptimize(drifted, pl2, ReoptOptions{Verify: true, Audit: audit, Reap: true}); err != nil {
-				if post := stateDigest(t, c); post != pre {
+				if post := c.Snapshot().String(); post != pre {
 					t.Fatalf("seed %d: refused re-optimisation (%v) moved %s", seed, err, firstDiff(pre, post))
 				}
 				continue
@@ -387,7 +387,7 @@ func TestTopologyRemovalLeavesNoTrace(t *testing.T) {
 				a, _ := c.assign.get(id)
 				want += a.Class.RateMbps * float64(len(a.Class.Chain))
 			}
-			for _, p := range c.InstancePortions() {
+			for _, p := range c.Snapshot().Portions {
 				got += p
 			}
 			if math.Abs(got-want) > 1e-6*math.Max(1, want) {

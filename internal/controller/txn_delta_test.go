@@ -20,19 +20,18 @@ import (
 func passByCount(t *testing.T, c *Controller) int {
 	t.Helper()
 	n := 0
-	for v, sw := range c.switches {
-		tbl, err := sw.Pipeline.Table(TableAPPLE)
-		if err != nil {
-			t.Fatal(err)
+	for _, tbl := range c.Snapshot().Tables {
+		if tbl.VSwitch || tbl.Table != TableAPPLE {
+			continue
 		}
 		rules := 0
-		for _, r := range tbl.Rules() {
+		for _, r := range tbl.Rules {
 			if r.Name == "pass-by" {
 				rules++
 			}
 		}
 		if rules > 1 {
-			t.Fatalf("switch %d has %d pass-by rules", v, rules)
+			t.Fatalf("switch %d has %d pass-by rules", tbl.Node, rules)
 		}
 		n += rules
 	}

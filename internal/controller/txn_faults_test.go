@@ -10,195 +10,19 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/apple-nfv/apple/internal/core"
-	"github.com/apple-nfv/apple/internal/flowtable"
 	"github.com/apple-nfv/apple/internal/orchestrator"
 	"github.com/apple-nfv/apple/internal/policy"
 	"github.com/apple-nfv/apple/internal/sim"
 	"github.com/apple-nfv/apple/internal/topology"
 	"github.com/apple-nfv/apple/internal/trace"
-	"github.com/apple-nfv/apple/internal/vnf"
 )
 
 var errInjected = errors.New("injected fault")
-
-// fmtField renders one match field: its value, or "-" for a wildcard.
-func fmtField[T any](v T, ok bool) string {
-	if !ok {
-		return "-"
-	}
-	return fmt.Sprint(v)
-}
-
-// fmtRule renders a rule field by field, so two semantically identical
-// tables produce identical digests. The format is the digests' own:
-// wildcards print as "-" and each action as {Type Port Tag Table},
-// whatever the order of the types' fields in memory.
-func fmtRule(r flowtable.Rule) string {
-	m := r.Match
-	acts := make([]string, len(r.Actions))
-	for i, a := range r.Actions {
-		acts[i] = fmt.Sprintf("{%v %d %d %d}", a.Type, a.Port, a.Tag, a.Table)
-	}
-	return fmt.Sprintf("%s p%d ht=%s st=%s in=%s src=%s dst=%s proto=%s sp=%s dp=%s act=[%s]",
-		r.Name, r.Priority, fmtField(m.HostTag()), fmtField(m.SubTag()), fmtField(m.InPort()),
-		fmtField(m.Src()), fmtField(m.Dst()), fmtField(m.Proto()), fmtField(m.SrcPort()), fmtField(m.DstPort()),
-		strings.Join(acts, " "))
-}
-
-// Views of an assignment's record in the shapes of the parallel arrays it
-// once held, so digests and failure messages read as they always have.
-// The generation number is left out of them: an unwind restores it with
-// the record, and the digests pinned in testdata predate it.
-
-func (a *Assignment) subclasses() []core.Subclass {
-	out := make([]core.Subclass, a.NumSubclasses())
-	for s := range out {
-		out[s] = a.Subclass(s)
-	}
-	return out
-}
-
-func (a *Assignment) weights() []float64 {
-	out := make([]float64, a.NumSubclasses())
-	for s := range out {
-		out[s] = a.Weight(s)
-	}
-	return out
-}
-
-// basePortions are the weights a rollback restores, one per base
-// sub-class.
-func (a *Assignment) basePortions() []float64 {
-	out := make([]float64, a.NumBase())
-	for s := range out {
-		out[s] = a.Subclass(s).Portion
-	}
-	return out
-}
-
-func (a *Assignment) instanceRows() [][]vnf.ID {
-	out := make([][]vnf.ID, a.NumSubclasses())
-	for s := range out {
-		out[s] = a.Instances(s)
-	}
-	return out
-}
-
-func (a *Assignment) tags() []uint8 {
-	out := make([]uint8, a.NumSubclasses())
-	for s := range out {
-		out[s] = a.Tag(s)
-	}
-	return out
-}
-
-// stateDigest serializes every piece of controller state the unwind
-// contract covers: assignments, portion ledger, global tags, instance
-// pools, orchestrator inventory, host resource usage, and every rule of
-// every switch and vSwitch table.
-func stateDigest(t *testing.T, c *Controller) string {
-	t.Helper()
-	var b strings.Builder
-
-	for _, a := range c.assign.sorted() {
-		fmt.Fprintf(&b, "class %d: cl=%+v prefix=%v subs=%v w=%v base=%v inst=%v global=%v tags=%v\n",
-			int(a.Class.ID), a.Class, a.Prefix(), a.subclasses(), a.weights(), a.basePortions(), a.instanceRows(), a.Global, a.tags())
-	}
-
-	pids := make([]string, 0, len(c.instPortion))
-	for id := range c.instPortion {
-		pids = append(pids, string(id))
-	}
-	sort.Strings(pids)
-	for _, id := range pids {
-		fmt.Fprintf(&b, "portion %s=%.9f\n", id, c.instPortion[vnf.ID(id)])
-	}
-
-	tagNodes := make([]int, 0, len(c.hostGlobalTags))
-	for v := range c.hostGlobalTags {
-		tagNodes = append(tagNodes, int(v))
-	}
-	sort.Ints(tagNodes)
-	for _, vi := range tagNodes {
-		tags := c.hostGlobalTags[topology.NodeID(vi)]
-		keys := make([]int, 0, len(tags))
-		for tag, on := range tags {
-			if on {
-				keys = append(keys, int(tag))
-			}
-		}
-		sort.Ints(keys)
-		fmt.Fprintf(&b, "gtags %d=%v\n", vi, keys)
-	}
-
-	poolNodes := make([]int, 0, len(c.instPool))
-	for v := range c.instPool {
-		poolNodes = append(poolNodes, int(v))
-	}
-	sort.Ints(poolNodes)
-	for _, vi := range poolNodes {
-		byNF := c.instPool[topology.NodeID(vi)]
-		nfs := make([]int, 0, len(byNF))
-		for nf := range byNF {
-			nfs = append(nfs, int(nf))
-		}
-		sort.Ints(nfs)
-		for _, nfi := range nfs {
-			var names []string
-			for _, inst := range byNF[policy.NF(nfi)] {
-				names = append(names, string(inst.ID()))
-			}
-			fmt.Fprintf(&b, "pool %d/%d=%v\n", vi, nfi, names)
-		}
-	}
-
-	fmt.Fprintf(&b, "orch=%v\n", c.orch.Instances())
-	hostNodes := make([]int, 0, len(c.hosts))
-	for v := range c.hosts {
-		hostNodes = append(hostNodes, int(v))
-	}
-	sort.Ints(hostNodes)
-	for _, vi := range hostNodes {
-		fmt.Fprintf(&b, "hostres %d=%+v\n", vi, c.hosts[topology.NodeID(vi)].Used())
-	}
-
-	swNodes := make([]int, 0, len(c.switches))
-	for v := range c.switches {
-		swNodes = append(swNodes, int(v))
-	}
-	sort.Ints(swNodes)
-	for _, vi := range swNodes {
-		pl := c.switches[topology.NodeID(vi)].Pipeline
-		for ti := 0; ti < pl.NumTables(); ti++ {
-			tbl, err := pl.Table(ti)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range tbl.Rules() {
-				fmt.Fprintf(&b, "sw %d/%d %s\n", vi, ti, fmtRule(r))
-			}
-		}
-	}
-	for _, vi := range hostNodes {
-		pl := c.hosts[topology.NodeID(vi)].VSwitch()
-		for ti := 0; ti < pl.NumTables(); ti++ {
-			tbl, err := pl.Table(ti)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range tbl.Rules() {
-				fmt.Fprintf(&b, "vsw %d/%d %s\n", vi, ti, fmtRule(r))
-			}
-		}
-	}
-	return b.String()
-}
 
 func firstDiff(a, b string) string {
 	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
@@ -345,7 +169,7 @@ var faultRoutes = []struct {
 						if err := ref.c.AddClassBatch(batch[:i+1], BatchOptions{}); err != nil {
 							t.Fatalf("reference install: %v", err)
 						}
-						return stateDigest(t, ref.c)
+						return ref.c.Snapshot().String()
 					}
 				}
 				return ""
@@ -555,7 +379,7 @@ func newActivateRoute(t *testing.T) *faultRoute {
 			if refD.Counters().Get(CtrSpawnFailures) != 1 {
 				t.Fatal("reference boot did not fail")
 			}
-			return stateDigest(t, ref)
+			return ref.Snapshot().String()
 		}}
 }
 
@@ -653,7 +477,7 @@ func TestTxnUnwindRestoresStateAtEveryFailpoint(t *testing.T) {
 		for _, pt := range points {
 			t.Run(route.name+"/"+pt, func(t *testing.T) {
 				fx := route.new(t)
-				want := stateDigest(t, fx.c)
+				want := fx.c.Snapshot().String()
 				if fx.expect != nil {
 					if w := fx.expect(t, pt); w != "" {
 						want = w
@@ -663,7 +487,7 @@ func TestTxnUnwindRestoresStateAtEveryFailpoint(t *testing.T) {
 				if err := fx.run(); !errors.Is(err, errInjected) {
 					t.Fatalf("run = %v, want injected fault", err)
 				}
-				if got := stateDigest(t, fx.c); got != want {
+				if got := fx.c.Snapshot().String(); got != want {
 					t.Errorf("state after fault at %s: %s", pt, firstDiff(want, got))
 				}
 				if err := fx.handler.CheckInvariants(); err != nil {
@@ -696,7 +520,7 @@ func TestTxnScratchIsolated(t *testing.T) {
 		t.Run(route.name, func(t *testing.T) {
 			points := probeFailpoints(t, route.new)
 			fx, twin := route.new(t), route.new(t)
-			want := stateDigest(t, fx.c)
+			want := fx.c.Snapshot().String()
 			call := func(what string, failpoint func(string) error) error {
 				t.Helper()
 				fx.c.failpoint, twin.c.failpoint = failpoint, failpoint
@@ -705,7 +529,7 @@ func TestTxnScratchIsolated(t *testing.T) {
 				if (err == nil) != (twinErr == nil) {
 					t.Fatalf("%s: %v, and from fresh buffers %v", what, err, twinErr)
 				}
-				if got, fresh := stateDigest(t, fx.c), stateDigest(t, twin.c); got != fresh {
+				if got, fresh := fx.c.Snapshot().String(), twin.c.Snapshot().String(); got != fresh {
 					t.Fatalf("%s: state differs from fresh buffers': %s", what, firstDiff(fresh, got))
 				}
 				return err
@@ -719,7 +543,7 @@ func TestTxnScratchIsolated(t *testing.T) {
 					if err := call(what, failAt(pt)); !errors.Is(err, errInjected) {
 						t.Fatalf("%s: %v, want the injected fault", what, err)
 					}
-					if got := stateDigest(t, fx.c); got != want {
+					if got := fx.c.Snapshot().String(); got != want {
 						t.Fatalf("%s: %s", what, firstDiff(want, got))
 					}
 				}
@@ -751,13 +575,13 @@ func TestTxnScratchIsolated(t *testing.T) {
 			if err := b.Commit(fx.opts()); err != nil {
 				t.Fatalf("commit B: %v", err)
 			}
-			afterB := stateDigest(t, c)
+			afterB := c.Snapshot().String()
 			if !commitA {
 				c.failpoint = failAt("add:apply:5")
 				if err := a.Commit(fx.opts()); !errors.Is(err, errInjected) {
 					t.Fatalf("commit A = %v, want the injected fault", err)
 				}
-				if got := stateDigest(t, c); got != afterB {
+				if got := c.Snapshot().String(); got != afterB {
 					t.Fatalf("unwinding A: %s", firstDiff(afterB, got))
 				}
 				c.failpoint = nil
@@ -778,7 +602,7 @@ func TestTxnScratchIsolated(t *testing.T) {
 					t.Fatalf("reference: %v", err)
 				}
 			}
-			if got, w := stateDigest(t, c), stateDigest(t, ref.c); got != w {
+			if got, w := c.Snapshot().String(), ref.c.Snapshot().String(); got != w {
 				t.Errorf("after B then A: %s", firstDiff(w, got))
 			}
 		})
@@ -883,7 +707,7 @@ func TestInstallPlacementDeterministic(t *testing.T) {
 		if n := len(fx.c.instPool); n < 3 {
 			t.Fatalf("placement provisions at %d switches, want >= 3", n)
 		}
-		got := stateDigest(t, fx.c)
+		got := fx.c.Snapshot().String()
 		if run == 0 {
 			first = got
 		} else if got != first {
@@ -997,7 +821,7 @@ func TestAddClassBatchLateRefusalMatchesLoop(t *testing.T) {
 	if err := batch.AddClassBatch(classes, BatchOptions{}); err == nil {
 		t.Fatal("batch with a refused class should return its admission error")
 	}
-	if want, got := stateDigest(t, loop), stateDigest(t, batch); got != want {
+	if want, got := loop.Snapshot().String(), batch.Snapshot().String(); got != want {
 		t.Fatalf("batch differs from the loop: %s", firstDiff(want, got))
 	}
 }

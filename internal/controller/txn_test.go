@@ -11,44 +11,16 @@ import (
 	"github.com/apple-nfv/apple/internal/vnf"
 )
 
-// allRuleNames collects every rule name installed across all switch and
-// vSwitch tables.
-func allRuleNames(t *testing.T, c *Controller) map[string]bool {
-	t.Helper()
-	names := make(map[string]bool)
-	for _, sw := range c.switches {
-		for ti := 0; ti < sw.Pipeline.NumTables(); ti++ {
-			tbl, err := sw.Pipeline.Table(ti)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, n := range tbl.Names() {
-				names[n] = true
-			}
-		}
-	}
-	for _, h := range c.hosts {
-		for ti := 0; ti < h.VSwitch().NumTables(); ti++ {
-			tbl, err := h.VSwitch().Table(ti)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, n := range tbl.Names() {
-				names[n] = true
-			}
-		}
-	}
-	return names
-}
-
 // assertNoClassRules fails if any rule owned by the class survives.
 func assertNoClassRules(t *testing.T, c *Controller, id core.ClassID) {
 	t.Helper()
 	vsw := "vsw-" + itoa(int(id)) + "-"
 	cls := "cls-" + itoa(int(id))
-	for n := range allRuleNames(t, c) {
-		if strings.HasPrefix(n, vsw) || n == cls {
-			t.Errorf("stale rule %q for removed class %d", n, id)
+	for _, tbl := range c.Snapshot().Tables {
+		for _, r := range tbl.Rules {
+			if strings.HasPrefix(r.Name, vsw) || r.Name == cls {
+				t.Errorf("stale rule %q for removed class %d", r.Name, id)
+			}
 		}
 	}
 }
@@ -304,7 +276,7 @@ func TestTxnStageRemoveDirect(t *testing.T) {
 // fault injection.
 func TestTxnAtomicAcrossOps(t *testing.T) {
 	c, _, _, _ := setup(t, reoptClasses())
-	pre := allRuleNames(t, c)
+	pre := c.Snapshot().String()
 	txn := c.Begin()
 	txn.StageAdd(core.Class{ID: 7, Path: linePath(4), Chain: policy.Chain{policy.Firewall}, RateMbps: 100})
 	txn.StageRemove(99) // not installed — commit must fail
@@ -314,14 +286,8 @@ func TestTxnAtomicAcrossOps(t *testing.T) {
 	if _, err := c.Assignment(7); err == nil {
 		t.Error("unwound add left class 7 installed")
 	}
-	post := allRuleNames(t, c)
-	if len(post) != len(pre) {
-		t.Errorf("rule set changed across unwind: %d -> %d names", len(pre), len(post))
-	}
-	for n := range pre {
-		if !post[n] {
-			t.Errorf("rule %q lost in unwind", n)
-		}
+	if post := c.Snapshot().String(); post != pre {
+		t.Errorf("state changed across unwind: %s", firstDiff(pre, post))
 	}
 	if err := c.CheckEnforcement(); err != nil {
 		t.Errorf("CheckEnforcement: %v", err)
@@ -427,7 +393,7 @@ func TestRepoolUnwinds(t *testing.T) {
 	if err := insts[0].Reconfigure(policy.NAT); err != nil {
 		t.Fatal(err)
 	}
-	want := stateDigest(t, c)
+	want := c.Snapshot().String()
 	txn := c.Begin()
 	c.repoolInstance(v, insts[0], txn)
 	c.repoolInstance(v, insts[2], txn)
@@ -435,7 +401,7 @@ func TestRepoolUnwinds(t *testing.T) {
 	if err := txn.Commit(TxnOptions{}); err == nil {
 		t.Fatal("commit should fail")
 	}
-	if got := stateDigest(t, c); got != want {
+	if got := c.Snapshot().String(); got != want {
 		t.Fatalf("pool after unwind: %s", firstDiff(want, got))
 	}
 }

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -278,6 +279,49 @@ func TestMILPInfeasible(t *testing.T) {
 	_, err := SolveMILP(m, MILPOptions{})
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
+	}
+}
+
+// TestMILPNodeLimitIsNotOptimal is Jeroslow's parity row: 2·Σxᵢ + y = n
+// with n odd, the xᵢ binary and y a unit-cost binary escape. Every
+// integral point has y = 1, but the relaxation reaches 0 at every node
+// that fixes fewer than about n/2 of the xᵢ, so proving the optimum takes
+// exponentially many nodes. At n = 5 the search closes and reports the
+// optimum; at n = 15 it reaches the node limit with the incumbent found
+// and its bound still open, which is not a proof.
+func TestMILPNodeLimitIsNotOptimal(t *testing.T) {
+	parity := func(n int) *Model {
+		m := NewModel(fmt.Sprintf("jeroslow-%d", n))
+		y := addVar(t, m, "y", 0, 1, 1)
+		terms := []Term{{y, 1}}
+		for i := 0; i < n; i++ {
+			terms = append(terms, Term{addVar(t, m, fmt.Sprintf("x%d", i), 0, 1, 0), 2})
+		}
+		for _, tm := range terms {
+			if err := m.SetInteger(tm.Var); err != nil {
+				t.Fatal(err)
+			}
+		}
+		addCon(t, m, "parity", EQ, float64(n), terms...)
+		return m
+	}
+	sol, err := SolveMILP(parity(5), MILPOptions{})
+	if err != nil || sol.Status != StatusOptimal || !almost(sol.Objective, 1) {
+		t.Fatalf("n=5: status %v objective %v err %v, want the proved optimum 1", sol.Status, sol.Objective, err)
+	}
+	sol, err = SolveMILP(parity(15), MILPOptions{})
+	if !errors.Is(err, ErrIterLimit) || sol.Status != StatusIterLimit {
+		t.Fatalf("n=15: status %v err %v, want ErrIterLimit", sol.Status, err)
+	}
+	if !almost(sol.Objective, 1) || sol.Nodes != maxNodes {
+		t.Fatalf("n=15: incumbent objective %v after %d nodes, want 1 after %d", sol.Objective, sol.Nodes, maxNodes)
+	}
+	sum := sol.Values[0]
+	for _, x := range sol.Values[1:] {
+		sum += 2 * x
+	}
+	if sum != 15 {
+		t.Fatalf("n=15: incumbent %v does not satisfy the parity row", sol.Values)
 	}
 }
 

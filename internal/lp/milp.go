@@ -19,7 +19,9 @@ type MILPOptions struct {
 
 // Branch-and-bound explores at most maxNodes nodes, proves optimality
 // (within tolerance) rather than stopping at a gap, and counts a value
-// within intTol of an integer as integral.
+// within intTol of an integer as integral. A search that reaches maxNodes
+// with a node still open below the incumbent has proved nothing: it
+// returns the incumbent with ErrIterLimit.
 const (
 	maxNodes = 10000
 	intTol   = 1e-6
@@ -39,7 +41,9 @@ func violatedExclusion(opts MILPOptions, sol *Solution) (a, b VarID, violated bo
 // SolveMILP solves the model respecting integrality flags by LP-based
 // branch and bound (best-first on the parent bound, branching on the most
 // fractional variable). For models with no integer variables it is
-// equivalent to one Solver.Solve.
+// equivalent to one Solver.Solve. When the node limit stops the search
+// before the incumbent is proved optimal, the error wraps ErrIterLimit and
+// the solution, status StatusIterLimit, carries the incumbent if any.
 func SolveMILP(m *Model, opts MILPOptions) (Solution, error) {
 	hasInt := false
 	for _, v := range m.vars {
@@ -182,17 +186,22 @@ func SolveMILP(m *Model, opts MILPOptions) (Solution, error) {
 	}
 	best.Iterations = totalIters
 	best.Nodes = nodes
-	if best.Status != StatusOptimal {
-		if nodes >= maxNodes {
-			return best, fmt.Errorf("%w: %d branch-and-bound nodes", ErrIterLimit, nodes)
-		}
-		return best, fmt.Errorf("%w: %s (no integral solution)", ErrInfeasible, m.name)
-	}
 	// Snap near-integral values exactly.
-	for j, v := range m.vars {
-		if v.integer {
-			best.Values[j] = math.Round(best.Values[j])
+	if best.Values != nil {
+		for j, v := range m.vars {
+			if v.integer {
+				best.Values[j] = math.Round(best.Values[j])
+			}
 		}
+	}
+	for _, nd := range queue {
+		if nd.lb < best.Objective-1e-9 {
+			best.Status = StatusIterLimit
+			return best, fmt.Errorf("%w: %d branch-and-bound nodes, optimality not proved", ErrIterLimit, nodes)
+		}
+	}
+	if best.Status != StatusOptimal {
+		return best, fmt.Errorf("%w: %s (no integral solution)", ErrInfeasible, m.name)
 	}
 	return best, nil
 }
