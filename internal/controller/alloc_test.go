@@ -148,6 +148,10 @@ func TestObserveAllocsNoTransition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The first Observe gives every pooled instance its detector.
+	if _, err := d.Observe(nil); err != nil {
+		t.Fatal(err)
+	}
 	insts := make([]vnf.ID, 0, len(d.detectors))
 	for id := range d.detectors {
 		insts = append(insts, id)

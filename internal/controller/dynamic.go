@@ -46,24 +46,51 @@ func (c *Controller) Loads(rates map[core.ClassID]float64) map[vnf.ID]float64 {
 func (c *Controller) loadsInto(out map[vnf.ID]float64, rates map[core.ClassID]float64) {
 	clear(out)
 	for _, a := range c.assign.sorted() {
-		rate, ok := rates[a.Class.ID]
-		if !ok {
-			rate = a.Class.RateMbps
-		}
-		total := 0.0
-		for _, r := range a.subs {
-			total += r.weight
-		}
-		if total <= 0 {
-			continue
-		}
-		for s, r := range a.subs {
-			share := rate * r.weight / total
+		a.eachShare(a.rateUnder(rates), func(s int, share float64) {
 			for _, inst := range a.Instances(s) {
 				out[inst] += share
 			}
-		}
+		})
 	}
+}
+
+// rateUnder returns the class's rate (Mbps) under rates, its planned rate
+// when rates does not name it.
+func (a *Assignment) rateUnder(rates map[core.ClassID]float64) float64 {
+	if rate, ok := rates[a.Class.ID]; ok {
+		return rate
+	}
+	return a.Class.RateMbps
+}
+
+// eachShare calls f with every sub-class and the share of rate it carries,
+// rate × weight ÷ Σweight. A class with no weight carries nothing.
+func (a *Assignment) eachShare(rate float64, f func(s int, share float64)) {
+	total := 0.0
+	for _, r := range a.subs {
+		total += r.weight
+	}
+	if total <= 0 {
+		return
+	}
+	for s, r := range a.subs {
+		f(s, rate*r.weight/total)
+	}
+}
+
+// hopWindow returns the path hops chain position j of sub-class s can be
+// served at without breaking chain order: from the hop of position j-1 to
+// that of position j+1, or to the path's ends at the chain's ends.
+func (a *Assignment) hopWindow(s, j int) (lo, hi int) {
+	hops := a.subs[s].hops
+	lo, hi = 0, len(a.Class.Path)-1
+	if j > 0 {
+		lo = hops[j-1]
+	}
+	if j+1 < len(hops) {
+		hi = hops[j+1]
+	}
+	return lo, hi
 }
 
 // ApplyLoads pushes computed loads onto the instances (zero for
@@ -100,19 +127,7 @@ func (c *Controller) LossRate(rates map[core.ClassID]float64) (float64, error) {
 	}
 	totalRate, totalLost := 0.0, 0.0
 	for _, a := range c.assign.sorted() {
-		rate, ok := rates[a.Class.ID]
-		if !ok {
-			rate = a.Class.RateMbps
-		}
-		wsum := 0.0
-		for _, r := range a.subs {
-			wsum += r.weight
-		}
-		if wsum <= 0 {
-			continue
-		}
-		for s, r := range a.subs {
-			share := rate * r.weight / wsum
+		a.eachShare(a.rateUnder(rates), func(s int, share float64) {
 			worst := 0.0
 			for _, inst := range a.Instances(s) {
 				if l := lossByInst[inst]; l > worst {
@@ -121,7 +136,7 @@ func (c *Controller) LossRate(rates map[core.ClassID]float64) (float64, error) {
 			}
 			totalRate += share
 			totalLost += share * worst
-		}
+		})
 	}
 	if totalRate == 0 {
 		return 0, nil
@@ -147,10 +162,6 @@ type DynamicHandler struct {
 	// launched for it, to cancel on rollback. Confined to the simulation
 	// loop.
 	states map[core.ClassID][]vnf.ID
-	// spawnedSet marks failover-launched instances; re-pinning avoids
-	// them because they are cancelled on their owner class's rollback.
-	// It is confined to the simulation loop.
-	spawnedSet map[vnf.ID]bool
 	// pending guards against spawning more than one failover instance per
 	// (switch, NF) at a time — Fig 4 shows one new ClickOS VM per
 	// overload, and the paper reports <17 additional cores in total. The
@@ -158,48 +169,37 @@ type DynamicHandler struct {
 	// exactly-one-callback contract guarantees the slot is released.
 	// It is confined to the simulation loop.
 	pending map[spawnKey]vnf.ID
-	// spawnedCores records the cores accounted per failover launch;
-	// extraCores is always its sum, even across dropped activations,
-	// crashes, and failed cancels. Confined to the simulation loop.
-	spawnedCores map[vnf.ID]int
-	// zombies are spawned instances whose Cancel RPC was lost: out of
-	// service but still holding (and accounting) their cores until a
-	// retried cancel succeeds. Confined to the simulation loop.
-	zombies map[vnf.ID]bool
-	// extraCores tracks hardware spent on failover instances.
-	extraCores int // confined to the simulation loop
-	peakExtra  int // confined to the simulation loop
-	counters   *metrics.Counters
+	// launches is the failover ledger: one record per launched instance
+	// whose cores are still held, in service or a zombie. Re-pinning
+	// avoids its instances because they are cancelled on their owner
+	// class's rollback. Confined to the simulation loop.
+	launches  map[vnf.ID]launch
+	peakExtra int // confined to the simulation loop
+	counters  *metrics.Counters
 }
 
-// NewDynamicHandler attaches a handler to the controller, creating a
-// hysteresis detector per placed instance (thresholds per §VII-B).
+// launch is the ledger record of one failover launch: the cores it holds,
+// and whether its Cancel RPC was lost — a zombie is out of service but
+// holds its cores until a retried cancel succeeds.
+type launch struct {
+	cores  int
+	zombie bool
+}
+
+// NewDynamicHandler attaches a handler to the controller. Observe gives
+// every pooled instance a hysteresis detector (thresholds per §VII-B).
 func NewDynamicHandler(c *Controller) (*DynamicHandler, error) {
 	if c == nil {
 		return nil, errors.New("controller: nil controller")
 	}
-	d := &DynamicHandler{
-		c:            c,
-		detectors:    make(map[vnf.ID]*vnf.Detector),
-		states:       make(map[core.ClassID][]vnf.ID),
-		pending:      make(map[spawnKey]vnf.ID),
-		spawnedSet:   make(map[vnf.ID]bool),
-		spawnedCores: make(map[vnf.ID]int),
-		zombies:      make(map[vnf.ID]bool),
-		counters:     metrics.NewCounters(),
-	}
-	for _, byNF := range c.instPool {
-		for _, insts := range byNF {
-			for _, inst := range insts {
-				det, err := vnf.DefaultDetector(inst.Spec().CapacityMbps)
-				if err != nil {
-					return nil, fmt.Errorf("controller: %w", err)
-				}
-				d.detectors[inst.ID()] = det
-			}
-		}
-	}
-	return d, nil
+	return &DynamicHandler{
+		c:         c,
+		detectors: make(map[vnf.ID]*vnf.Detector),
+		states:    make(map[core.ClassID][]vnf.ID),
+		pending:   make(map[spawnKey]vnf.ID),
+		launches:  make(map[vnf.ID]launch),
+		counters:  metrics.NewCounters(),
+	}, nil
 }
 
 // PeakExtraCores reports the maximum cores ever concurrently dedicated to
@@ -208,14 +208,28 @@ func (d *DynamicHandler) PeakExtraCores() int { return d.peakExtra }
 
 // ExtraCores reports the cores currently dedicated to failover instances
 // (the paper's Fig 12 metric is the average of this over the replay).
-func (d *DynamicHandler) ExtraCores() int { return d.extraCores }
+func (d *DynamicHandler) ExtraCores() int {
+	sum := 0
+	for _, l := range d.launches {
+		sum += l.cores
+	}
+	return sum
+}
 
 // PendingSpawns reports the (switch, NF) spawn slots currently occupied
 // by an in-flight provisioning.
 func (d *DynamicHandler) PendingSpawns() int { return len(d.pending) }
 
 // Zombies reports spawned instances whose cancel is still being retried.
-func (d *DynamicHandler) Zombies() int { return len(d.zombies) }
+func (d *DynamicHandler) Zombies() int {
+	n := 0
+	for _, l := range d.launches {
+		if l.zombie {
+			n++
+		}
+	}
+	return n
+}
 
 // Counters returns the handler's failover activity counters.
 func (d *DynamicHandler) Counters() *metrics.Counters { return d.counters }
@@ -336,9 +350,8 @@ func (d *DynamicHandler) Observe(rates map[core.ClassID]float64) (int, error) {
 // forgetUnpooled drops what the handler still holds for instances that
 // left the pool behind its back — reaped idle after a re-optimization, or
 // cancelled by a transaction unwind: their detectors, and for a failover
-// launch its spawn marker and core accounting (the instance is gone, so
-// are its cores). Zombies and in-flight spawns have no detector and are
-// not touched.
+// launch its ledger record (the instance is gone, so are its cores).
+// Zombies and in-flight spawns have no detector and are not touched.
 func (d *DynamicHandler) forgetUnpooled() {
 	pooled := make(map[vnf.ID]bool, len(d.detectors))
 	for _, byNF := range d.c.instPool {
@@ -353,20 +366,8 @@ func (d *DynamicHandler) forgetUnpooled() {
 			continue
 		}
 		delete(d.detectors, id)
-		delete(d.spawnedSet, id)
-		d.releaseCores(id)
+		delete(d.launches, id)
 	}
-}
-
-// releaseCores ends the core accounting of a failover launch, reporting
-// whether it had any.
-func (d *DynamicHandler) releaseCores(id vnf.ID) bool {
-	cores, ok := d.spawnedCores[id]
-	if ok {
-		d.extraCores -= cores
-		delete(d.spawnedCores, id)
-	}
-	return ok
 }
 
 // baseWouldFit simulates restoring classID's base distribution on top of
@@ -375,10 +376,7 @@ func (d *DynamicHandler) releaseCores(id vnf.ID) bool {
 // instances only; the what-if lives in a map of just those.
 func (d *DynamicHandler) baseWouldFit(classID core.ClassID, rates map[core.ClassID]float64, loads map[vnf.ID]float64) bool {
 	a, _ := d.c.assign.get(classID)
-	rate, ok := rates[classID]
-	if !ok {
-		rate = a.Class.RateMbps
-	}
+	rate := a.rateUnder(rates)
 	adj := make(map[vnf.ID]float64, len(a.insts))
 	shift := func(inst vnf.ID, by float64) {
 		cur, seen := adj[inst]
@@ -388,18 +386,11 @@ func (d *DynamicHandler) baseWouldFit(classID core.ClassID, rates map[core.Class
 		adj[inst] = cur + by
 	}
 	// Remove the class's current contribution.
-	wsum := 0.0
-	for _, r := range a.subs {
-		wsum += r.weight
-	}
-	if wsum > 0 {
-		for s, r := range a.subs {
-			share := rate * r.weight / wsum
-			for _, inst := range a.Instances(s) {
-				shift(inst, -share)
-			}
+	a.eachShare(rate, func(s int, share float64) {
+		for _, inst := range a.Instances(s) {
+			shift(inst, -share)
 		}
-	}
+	})
 	// Add the base contribution back.
 	base := a.subs[:a.NumBase()]
 	bsum := 0.0
@@ -450,10 +441,7 @@ func (d *DynamicHandler) overload(instID vnf.ID, rates map[core.ClassID]float64,
 			continue
 		}
 		a := live.clone()
-		rate, ok := rates[classID]
-		if !ok {
-			rate = a.Class.RateMbps
-		}
+		rate := a.rateUnder(rates)
 		for s := range live.subs {
 			j := positionOf(a.Instances(s), instID)
 			if j < 0 || a.subs[s].weight <= 0 {
@@ -476,14 +464,14 @@ func (d *DynamicHandler) overload(instID vnf.ID, rates map[core.ClassID]float64,
 				if other == instID {
 					continue
 				}
-				capacity, err := d.capacityOf(other)
+				inst, err := d.c.findInstance(other)
 				if err != nil {
 					// Take back the tags re-pins drew for earlier classes.
 					txn.open()
 					txn.unwind(err)
 					return err
 				}
-				head := capacity - loads[other]
+				head := inst.Spec().CapacityMbps - loads[other]
 				if head > 0 {
 					cands = append(cands, cand{s: s2, headroom: head})
 				}
@@ -547,9 +535,9 @@ func (d *DynamicHandler) overload(instID vnf.ID, rates map[core.ClassID]float64,
 }
 
 // repin moves up to *remaining weight of sub-class src's position j onto
-// existing running instances with spare capacity, creating (or extending)
-// sibling sub-classes whose hop vector differs only at position j within
-// the order-compatible window. It reshapes the clone a and updates loads;
+// existing running instances with spare capacity, creating sibling
+// sub-classes whose hop vector differs only at position j within the
+// order-compatible window. It reshapes the clone a and updates loads;
 // a new sub-class's global tag is recorded in txn, which commits a.
 func (d *DynamicHandler) repin(txn *RuleTxn, a *Assignment, src, j int, remaining *float64, rate float64, loads map[vnf.ID]float64) {
 	if rate <= 0 {
@@ -557,20 +545,14 @@ func (d *DynamicHandler) repin(txn *RuleTxn, a *Assignment, src, j int, remainin
 	}
 	nf := a.Class.Chain[j]
 	hops := a.subs[src].hops
-	lo, hi := 0, len(a.Class.Path)-1
-	if j > 0 {
-		lo = hops[j-1]
-	}
-	if j+1 < len(hops) {
-		hi = hops[j+1]
-	}
+	lo, hi := a.hopWindow(src, j)
 	for h := lo; h <= hi && *remaining > 1e-9; h++ {
 		v := a.Class.Path[h]
 		for _, inst := range d.c.instPool[v][nf] {
 			if *remaining <= 1e-9 {
 				break
 			}
-			if inst.State() != vnf.StateRunning || d.spawnedSet[inst.ID()] {
+			if _, launched := d.launches[inst.ID()]; launched || inst.State() != vnf.StateRunning {
 				continue
 			}
 			head := inst.Spec().CapacityMbps*0.9 - loads[inst.ID()]
@@ -584,53 +566,27 @@ func (d *DynamicHandler) repin(txn *RuleTxn, a *Assignment, src, j int, remainin
 			if w <= 1e-9 {
 				continue
 			}
-			// Build the target sub-class (src's hops with position j
-			// re-pinned); merge into an identical existing one if any.
-			target := -1
-			for s2 := range a.subs {
-				if s2 == src || a.Instances(s2)[j] != inst.ID() {
-					continue
-				}
-				if a.subs[s2].hops[j] == h && sameExcept(a.Instances(s2), a.Instances(src), j) {
-					target = s2
-					break
-				}
+			// A new sub-class takes the weight: src's hops with position
+			// j re-pinned to h. There is never an existing one to extend:
+			// one serving position j on inst is a sibling of src, and the
+			// spread before repin filled inst to its full capacity.
+			subHops := append([]int(nil), hops...)
+			subHops[j] = h
+			tag, err := d.c.allocSubTagFor(a, subHops, txn)
+			if err != nil {
+				return
 			}
-			if target < 0 {
-				subHops := append([]int(nil), hops...)
-				subHops[j] = h
-				tag, err := d.c.allocSubTagFor(a, subHops, txn)
-				if err != nil {
-					return
-				}
-				a.addSubclass(subRecord{hops: subHops, tag: tag}, src, j, inst.ID())
-				target = len(a.subs) - 1
-			}
-			a.subs[target].weight += w
+			a.addSubclass(subRecord{hops: subHops, weight: w, tag: tag}, src, j, inst.ID())
 			a.subs[src].weight -= w
 			loads[inst.ID()] += w * rate
 			*remaining -= w
 			if d.c.tracer.Enabled() {
 				d.c.tracer.Emit(trace.Ev(trace.KindFailoverRepin).
-					WithClass(int64(a.Class.ID)).WithSub(target).WithPos(j).
+					WithClass(int64(a.Class.ID)).WithSub(len(a.subs) - 1).WithPos(j).
 					WithNode(int64(v)).WithInst(string(inst.ID())))
 			}
 		}
 	}
-}
-
-// sameExcept reports whether two instance vectors agree everywhere but
-// position j.
-func sameExcept(a, b []vnf.ID, j int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if i != j && a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // spawnSubclass creates a new instance for chain position j and a new
@@ -651,13 +607,7 @@ func (d *DynamicHandler) spawnSubclass(a *Assignment, src, j int, weight, rate f
 	// first, then any other path hop that keeps the chain order (between
 	// the neighbouring positions' hops) and has the resources.
 	hops := a.subs[src].hops
-	lo, hi := 0, len(a.Class.Path)-1
-	if j > 0 {
-		lo = hops[j-1]
-	}
-	if j+1 < len(hops) {
-		hi = hops[j+1]
-	}
+	lo, hi := a.hopWindow(src, j)
 	candidates := []int{hops[j]}
 	for h := lo; h <= hi; h++ {
 		if h != hops[j] {
@@ -779,12 +729,9 @@ func (d *DynamicHandler) spawnSubclass(a *Assignment, src, j int, weight, rate f
 					WithClass(int64(a.Class.ID)).WithInst(string(id)).WithErr(aerr))
 			}
 		}
-		if d.releaseCores(id) {
-			// The orchestrator already freed (or lost) the VM; drop our
-			// core accounting for it.
-			delete(d.spawnedSet, id)
-			delete(d.zombies, id)
-		}
+		// The orchestrator already freed (or lost) the VM, and its cores
+		// with it.
+		delete(d.launches, id)
 	}
 	var newID vnf.ID
 	var err error
@@ -818,12 +765,8 @@ func (d *DynamicHandler) spawnSubclass(a *Assignment, src, j int, weight, rate f
 		// reclaimed) at rollback; a reconfigured VM simply returns to the
 		// idle pool.
 		d.states[a.Class.ID] = append(d.states[a.Class.ID], newID)
-		d.spawnedSet[newID] = true
-		d.spawnedCores[newID] = spec.Cores
-		d.extraCores += spec.Cores
-		if d.extraCores > d.peakExtra {
-			d.peakExtra = d.extraCores
-		}
+		d.launches[newID] = launch{cores: spec.Cores}
+		d.peakExtra = max(d.peakExtra, d.ExtraCores())
 	}
 	return nil
 }
@@ -834,7 +777,7 @@ func (d *DynamicHandler) spawnSubclass(a *Assignment, src, j int, weight, rate f
 // for reuse.
 func (d *DynamicHandler) dropSpawned(v topology.NodeID, inst *vnf.Instance) {
 	id := inst.ID()
-	if d.spawnedSet[id] || d.zombies[id] {
+	if _, launched := d.launches[id]; launched {
 		d.cancelSpawned(id)
 		return
 	}
@@ -891,38 +834,35 @@ func (d *DynamicHandler) endFailover(classID core.ClassID) {
 }
 
 // cancelSpawned tears down a failover launch: the instance leaves the
-// pool and detectors immediately; its cores stay accounted until the
+// pool and detectors immediately; its ledger record stays until the
 // orchestrator confirms the cancel. An instance that is already gone
 // (cancelled earlier, boot failed, or lost in a host crash) just has its
-// accounting cleared; a lost cancel RPC turns it into a zombie retried
-// on the next Observe.
+// record deleted; a lost cancel RPC turns it into a zombie retried on the
+// next Observe — with no cores if the ledger no longer held any.
 //
 // One exception: an instance a re-optimization pass has since promoted
 // into the installed placement is ADOPTED, not cancelled — killing it
 // would leave live steering rules forwarding to a dead port. Adoption
-// ends the handler's temporary-hardware accounting for it (it is now
-// part of the plan, so it no longer counts toward ExtraCores) and keeps
-// it in service.
+// deletes its ledger record (it is now part of the plan, so it no longer
+// counts toward ExtraCores) and keeps it in service.
 func (d *DynamicHandler) cancelSpawned(id vnf.ID) {
 	if d.c.assign.references(id) {
-		delete(d.spawnedSet, id)
-		d.releaseCores(id)
-		delete(d.zombies, id)
+		delete(d.launches, id)
 		d.counters.Inc(CtrSpawnAdoptions)
 		return
 	}
 	delete(d.detectors, id)
-	delete(d.spawnedSet, id)
 	d.c.dropFromPool(id, nil)
 	err := d.c.orch.Cancel(id)
 	switch {
 	case err == nil, errors.Is(err, orchestrator.ErrUnknownInstance):
-		d.releaseCores(id)
-		delete(d.zombies, id)
+		delete(d.launches, id)
 	default:
 		// The cancel RPC was lost: the VM still runs and holds its
-		// cores, so the accounting stays truthful until a retry lands.
-		d.zombies[id] = true
+		// cores, so the ledger stays truthful until a retry lands.
+		l := d.launches[id]
+		l.zombie = true
+		d.launches[id] = l
 		d.counters.Inc(CtrZombieCancels)
 		if d.c.tracer.Enabled() {
 			d.c.tracer.Emit(trace.Ev(trace.KindFailoverZombie).WithInst(string(id)).WithErr(err))
@@ -933,21 +873,19 @@ func (d *DynamicHandler) cancelSpawned(id vnf.ID) {
 // reapZombies retries cancels that previously failed, keeping ExtraCores
 // truthful until the orchestrator confirms each instance is gone.
 func (d *DynamicHandler) reapZombies() {
-	if len(d.zombies) == 0 {
-		return
+	var ids []vnf.ID
+	for id, l := range d.launches {
+		if l.zombie {
+			ids = append(ids, id)
+		}
 	}
-	ids := make([]vnf.ID, 0, len(d.zombies))
-	for id := range d.zombies {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		err := d.c.orch.Cancel(id)
 		if err != nil && !errors.Is(err, orchestrator.ErrUnknownInstance) {
 			continue
 		}
-		d.releaseCores(id)
-		delete(d.zombies, id)
+		delete(d.launches, id)
 		d.counters.Inc(CtrZombiesReaped)
 		if d.c.tracer.Enabled() {
 			d.c.tracer.Emit(trace.Ev(trace.KindFailoverReap).WithInst(string(id)))
@@ -969,13 +907,4 @@ func positionOf(insts []vnf.ID, instID vnf.ID) int {
 		}
 	}
 	return -1
-}
-
-// capacityOf returns the datasheet capacity of a placed instance.
-func (d *DynamicHandler) capacityOf(id vnf.ID) (float64, error) {
-	inst, err := d.c.findInstance(id)
-	if err != nil {
-		return 0, err
-	}
-	return inst.Spec().CapacityMbps, nil
 }

@@ -59,9 +59,7 @@ func TestSpawnBootFailureFreesSlot(t *testing.T) {
 	if d.PendingSpawns() != 1 || d.ExtraCores() == 0 {
 		t.Fatalf("spawn not in flight: pending=%d extra=%d", d.PendingSpawns(), d.ExtraCores())
 	}
-	if err := clock.Run(6 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	clock.Run(6 * time.Second)
 	// The boot failed: slot free, cores released, class unchanged.
 	if d.PendingSpawns() != 0 {
 		t.Fatalf("pending slot leaked after boot failure: %d", d.PendingSpawns())
@@ -106,9 +104,7 @@ func TestRollbackDuringBoot(t *testing.T) {
 		t.Fatalf("pending = %d, want 1", d.PendingSpawns())
 	}
 	// Recovery before the 3.9 s boot completes.
-	if err := clock.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	clock.Run(time.Second)
 	n, err := d.Observe(map[core.ClassID]float64{0: 100})
 	if err != nil {
 		t.Fatal(err)
@@ -148,9 +144,7 @@ func TestRollbackWithLostCancelGoesStale(t *testing.T) {
 	if _, err := d.Observe(map[core.ClassID]float64{0: 1600}); err != nil {
 		t.Fatal(err)
 	}
-	if err := clock.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	clock.Run(time.Second)
 	if _, err := d.Observe(map[core.ClassID]float64{0: 100}); err != nil {
 		t.Fatal(err)
 	}
@@ -196,9 +190,7 @@ func TestZombieReapedOnNextObserve(t *testing.T) {
 	if _, err := d.Observe(map[core.ClassID]float64{0: 1600}); err != nil {
 		t.Fatal(err)
 	}
-	if err := clock.Run(6 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	clock.Run(6 * time.Second)
 	if _, err := d.Observe(map[core.ClassID]float64{0: 100}); err != nil {
 		t.Fatal(err)
 	}
@@ -219,6 +211,30 @@ func TestZombieReapedOnNextObserve(t *testing.T) {
 	assertInvariants(t, d)
 }
 
+// TestInvariantsCatchLaunchCancelledBehindTheHandler: an activated
+// launch's VM cancelled at the orchestrator, not through the handler,
+// leaves the ledger holding cores for an instance nobody manages, and
+// CheckInvariants names it.
+func TestInvariantsCatchLaunchCancelledBehindTheHandler(t *testing.T) {
+	c, d, clock := faultySetup(t, orchestrator.FaultPlan{})
+	if _, err := d.Observe(map[core.ClassID]float64{0: 1600}); err != nil {
+		t.Fatal(err)
+	}
+	clock.Run(6 * time.Second)
+	if d.Counters().Get(CtrActivations) != 1 || len(d.states[0]) != 1 {
+		t.Fatalf("surge did not activate one launch: %s, launches %v", d.Counters(), d.states[0])
+	}
+	assertInvariants(t, d)
+	id := d.states[0][0]
+	if err := c.Orchestrator().Cancel(id); err != nil {
+		t.Fatal(err)
+	}
+	err := d.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), string(id)) || !strings.Contains(err.Error(), "unknown to the orchestrator") {
+		t.Fatalf("CheckInvariants = %v, want %s reported unknown to the orchestrator", err, id)
+	}
+}
+
 // TestLoadsRefreshedAfterTransition: after Observe handles a transition,
 // instance offered loads must reflect the post-rebalance weights — the
 // seed applied loads computed before the detector loop, so every
@@ -230,9 +246,7 @@ func TestLoadsRefreshedAfterTransition(t *testing.T) {
 	if _, err := d.Observe(surge); err != nil {
 		t.Fatal(err)
 	}
-	if err := clock.Run(6 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	clock.Run(6 * time.Second)
 	// Sustained surge: the second Observe re-balances again (the spawned
 	// sibling absorbs weight). Offered loads must match the weights as
 	// they stand after that re-balance.

@@ -69,9 +69,7 @@ func TestFastFailoverReducesLoss(t *testing.T) {
 	}
 	// Let the spawned instance boot (ClickOS reconfigure is impossible —
 	// no idle instance — so this is a full orchestrated boot ≤4.6 s).
-	if err := clock.Run(6 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	clock.Run(6 * time.Second)
 	a, err := c.Assignment(0)
 	if err != nil {
 		t.Fatal(err)
@@ -99,9 +97,7 @@ func TestRollbackRestoresBase(t *testing.T) {
 	if _, err := d.Observe(map[core.ClassID]float64{0: 1600}); err != nil {
 		t.Fatal(err)
 	}
-	if err := clock.Run(6 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	clock.Run(6 * time.Second)
 	instancesDuring := len(c.Orchestrator().Instances())
 	// Drop below the rollback threshold (0.44 × 900 ≈ 396).
 	n, err := d.Observe(map[core.ClassID]float64{0: 100})
@@ -156,9 +152,7 @@ func TestRebalanceToSiblingWithoutSpawn(t *testing.T) {
 	if _, err := d.Observe(map[core.ClassID]float64{0: 1700}); err != nil {
 		t.Fatal(err)
 	}
-	if err := clock.Run(6 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	clock.Run(6 * time.Second)
 	loss, err := c.LossRate(map[core.ClassID]float64{0: 1700})
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +169,7 @@ func cClock(c *Controller) simClock { return c.clock }
 type simClock = clockIface
 
 type clockIface interface {
-	Run(horizon time.Duration) error
+	Run(horizon time.Duration)
 }
 
 // TestRepinSharesCapacityAcrossClasses: when a class's instance overloads
@@ -232,6 +226,67 @@ func TestRepinSharesCapacityAcrossClasses(t *testing.T) {
 	_ = before
 }
 
+// TestSustainedOverloadExtendsRepinnedSubclass: a sustained overload
+// re-balances the same source sub-class twice. The first pass re-pins
+// weight onto the other class's instance as a new sub-class; the second
+// adds weight to that sub-class, through the sibling spread, and creates
+// no new sub-class or tag — which is why repin never has an existing
+// sub-class to extend.
+func TestSustainedOverloadExtendsRepinnedSubclass(t *testing.T) {
+	classes := []core.Class{
+		{ID: 0, Path: linePath(4), Chain: policy.Chain{policy.Firewall}, RateMbps: 800},
+		{ID: 1, Path: linePath(4), Chain: policy.Chain{policy.Firewall}, RateMbps: 900},
+	}
+	c, _, _, _ := setup(t, classes)
+	d, err := NewDynamicHandler(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Observe(map[core.ClassID]float64{0: 1600, 1: 100}); err != nil {
+		t.Fatal(err)
+	}
+	first, err := c.Assignment(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.NumSubclasses() != 2 || first.Weight(1) <= 0 {
+		t.Fatalf("first pass: %d sub-classes, re-pinned weight %v; want one re-pinned sub-class",
+			first.NumSubclasses(), first.Weight(1))
+	}
+	overloaded, repinned := first.Instances(0)[0], first.Instances(1)[0]
+	// Class 0 surges further while class 1 goes quiet: its instance is
+	// still overloaded (was && now) and past capacity, and the re-pinned
+	// sub-class's instance has headroom again.
+	rates := map[core.ClassID]float64{0: 1800, 1: 0}
+	if loads := c.Loads(rates); loads[overloaded] <= 900 || loads[repinned] >= 900 {
+		t.Fatalf("second-pass loads %v: want %s past capacity and %s below it", loads, overloaded, repinned)
+	}
+	n, err := d.Observe(rates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 1 {
+		t.Fatalf("second pass handled %d transitions, want the one sustained overload", n)
+	}
+	second, err := c.Assignment(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.NumSubclasses() != 2 {
+		t.Fatalf("second pass left %d sub-classes, want the same 2", second.NumSubclasses())
+	}
+	for s := range 2 {
+		if second.Tag(s) != first.Tag(s) || !slices.Equal(second.Instances(s), first.Instances(s)) {
+			t.Fatalf("sub-class %d changed: tag %d on %v, was tag %d on %v",
+				s, second.Tag(s), second.Instances(s), first.Tag(s), first.Instances(s))
+		}
+	}
+	if second.Weight(1) <= first.Weight(1) {
+		t.Fatalf("re-pinned sub-class weight %v -> %v, want it to grow", first.Weight(1), second.Weight(1))
+	}
+	assertInvariants(t, d)
+}
+
 func TestExtraCoresAccessor(t *testing.T) {
 	_, d, _ := overloadedSetup(t)
 	if d.ExtraCores() != 0 {
@@ -250,9 +305,7 @@ func TestRemovedInFailoverForgetsState(t *testing.T) {
 	if _, err := d.Observe(map[core.ClassID]float64{0: 1600}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cClock(c).Run(6 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	cClock(c).Run(6 * time.Second)
 	if len(d.states) != 1 || d.ExtraCores() == 0 {
 		t.Fatalf("surge left %d failover states and %d extra cores; want class 0 in failover on a spawned instance",
 			len(d.states), d.ExtraCores())

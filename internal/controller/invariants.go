@@ -26,9 +26,10 @@ const weightTol = 1e-6
 //   - vSwitch rules: every live sub-class has its steering rules on
 //     every host it visits, and no host carries a stale "vsw-*" rule for
 //     a sub-class that no longer exists;
-//   - core accounting: ExtraCores equals the summed cores of tracked
-//     spawned instances, each of which the orchestrator still manages
-//     (or lost to a crash whose abort callback is still in flight);
+//   - core accounting: every launch in the failover ledger is still
+//     managed by the orchestrator (or lost to a crash whose abort
+//     callback is still in flight), and PeakExtraCores is at least
+//     ExtraCores;
 //   - pending spawn slots: every occupied (switch, NF) slot names an
 //     instance with a lifecycle callback still scheduled — no orphans;
 //   - pools: every pooled instance sits in the bucket of its current NF
@@ -160,24 +161,16 @@ func (d *DynamicHandler) CheckInvariants() error {
 			}
 		}
 	}
-	// Core accounting: ExtraCores is exactly the summed cores of tracked
-	// spawns, each still known to the orchestrator (or crashed with its
-	// abort callback still in flight), each tracked as live or zombie.
-	sum := 0
-	for id, cores := range d.spawnedCores {
-		sum += cores
+	// Core accounting: the ledger holds cores only for launches the
+	// orchestrator still manages (or lost to a crash whose abort callback
+	// is still in flight).
+	for id, l := range d.launches {
 		if !c.orch.Known(id) && !c.orch.Crashed(id) {
-			return fmt.Errorf("invariant: spawned instance %s accounted (%d cores) but unknown to the orchestrator", id, cores)
-		}
-		if !d.spawnedSet[id] && !d.zombies[id] {
-			return fmt.Errorf("invariant: spawned instance %s accounted but tracked neither live nor zombie", id)
+			return fmt.Errorf("invariant: launched instance %s holds %d cores but is unknown to the orchestrator", id, l.cores)
 		}
 	}
-	if sum != d.extraCores {
-		return fmt.Errorf("invariant: ExtraCores=%d but tracked spawned cores sum to %d", d.extraCores, sum)
-	}
-	if d.extraCores < 0 || d.peakExtra < d.extraCores {
-		return fmt.Errorf("invariant: ExtraCores=%d, PeakExtraCores=%d out of range", d.extraCores, d.peakExtra)
+	if extra := d.ExtraCores(); d.peakExtra < extra {
+		return fmt.Errorf("invariant: ExtraCores=%d above PeakExtraCores=%d", extra, d.peakExtra)
 	}
 	// Pending spawn slots: the exactly-one-callback contract means every
 	// occupied slot has its callback still scheduled.

@@ -36,9 +36,7 @@ func newMidFailoverFixture(t *testing.T) *midFailoverFixture {
 	if _, err := d.Observe(map[core.ClassID]float64{0: 1600}); err != nil {
 		t.Fatalf("Observe: %v", err)
 	}
-	if err := clock.Run(6 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	clock.Run(6 * time.Second)
 	a, err := c.Assignment(0)
 	if err != nil {
 		t.Fatal(err)
@@ -72,6 +70,12 @@ func TestReoptMidFailoverCommitsAndRollsBack(t *testing.T) {
 	if err := fx.d.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after reopt: %v", err)
 	}
+	launched := fx.d.states[0]
+	if len(launched) != 1 || fx.d.ExtraCores() != 4 {
+		t.Fatalf("before recovery: launches %v holding %d extra cores; want one launch of 4 cores",
+			launched, fx.d.ExtraCores())
+	}
+	spawned := launched[0]
 	// Surge subsides: the handler's rollback must not cancel instances
 	// the re-optimized placement routes traffic through.
 	if _, err := fx.d.Observe(map[core.ClassID]float64{0: 100}); err != nil {
@@ -85,6 +89,20 @@ func TestReoptMidFailoverCommitsAndRollsBack(t *testing.T) {
 	}
 	if n := fx.d.PendingSpawns(); n != 0 {
 		t.Fatalf("leaked pending spawns: %d", n)
+	}
+	// The rollback adopted the launch: it joined the plan, so its cores
+	// are no longer failover hardware, and it stays managed and pooled.
+	if got := fx.d.Counters().Get(CtrSpawnAdoptions); got != 1 {
+		t.Fatalf("spawn adoptions = %d, want 1", got)
+	}
+	if got := fx.d.ExtraCores(); got != 0 {
+		t.Fatalf("adopted launch still counts %d extra cores", got)
+	}
+	if !fx.c.Orchestrator().Known(spawned) {
+		t.Fatalf("adopted instance %s no longer managed by the orchestrator", spawned)
+	}
+	if _, err := fx.c.findInstance(spawned); err != nil {
+		t.Fatalf("adopted instance %s left the pool: %v", spawned, err)
 	}
 }
 
@@ -221,9 +239,7 @@ func TestReoptMidFailoverStaleActivationDropped(t *testing.T) {
 		t.Fatalf("report %+v, want exactly one rate-only refresh and no class changed", *rep)
 	}
 	stalePre := d.Counters().Get(CtrStaleActivations)
-	if err := clock.Run(6 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	clock.Run(6 * time.Second)
 	if got := d.Counters().Get(CtrStaleActivations); got <= stalePre {
 		t.Fatalf("stale activation not dropped (counter %d -> %d)", stalePre, got)
 	}

@@ -24,9 +24,7 @@ func TestSnapshotIsAValue(t *testing.T) {
 	if _, err := d.Observe(map[core.ClassID]float64{0: 1600, 1: 100}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cClock(c).Run(6 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	cClock(c).Run(6 * time.Second)
 	if a, err := c.Assignment(0); err != nil || a.NumSubclasses() == a.NumBase() {
 		t.Fatalf("the overload spawned no sub-class (%v)", err)
 	}

@@ -204,9 +204,7 @@ func newReshapedRoute(t *testing.T) *faultRoute {
 	if _, err := handler.Observe(map[core.ClassID]float64{0: 1600, 1: 1200}); err != nil {
 		t.Fatalf("Observe: %v", err)
 	}
-	if err := clock.Run(6 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	clock.Run(6 * time.Second)
 	for _, id := range []core.ClassID{0, 1} {
 		if a, _ := c.assign.get(id); a.NumSubclasses() <= a.NumBase() {
 			t.Fatalf("fixture: class %d was not reshaped: %d sub-classes", id, a.NumSubclasses())
@@ -355,9 +353,7 @@ func newActivateRoute(t *testing.T) *faultRoute {
 			}
 		}
 		unwinds, activations := d.Counters().Get(CtrActivationUnwinds), d.Counters().Get(CtrActivations)
-		if err := cClock(c).Run(6 * time.Second); err != nil {
-			return err
-		}
+		cClock(c).Run(6 * time.Second)
 		wantUnwinds := uint64(0)
 		if fired != nil {
 			wantUnwinds = 1
@@ -373,9 +369,7 @@ func newActivateRoute(t *testing.T) *faultRoute {
 	return &faultRoute{c: c, handler: d, reshapes: true, run: run,
 		expect: func(t *testing.T, _ string) string {
 			ref, refD := spawnInFlight(t, orchestrator.FaultPlan{BootFailOn: []int{1}})
-			if err := cClock(ref).Run(6 * time.Second); err != nil {
-				t.Fatal(err)
-			}
+			cClock(ref).Run(6 * time.Second)
 			if refD.Counters().Get(CtrSpawnFailures) != 1 {
 				t.Fatal("reference boot did not fail")
 			}

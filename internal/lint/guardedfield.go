@@ -23,7 +23,7 @@ import (
 //	    exactly the level a reviewer can audit.
 //
 // The annotation may appear anywhere in the field's doc comment or
-// trailing line comment.
+// trailing line comment, in any letter case and wrapped across lines.
 //
 // Fresh locals are exempt from the lock requirement: when every value a
 // local ever holds was allocated in the function itself (a composite
@@ -37,8 +37,8 @@ var AnalyzerGuardedField = &Analyzer{
 }
 
 var (
-	guardedRe  = regexp.MustCompile(`guarded by (\w+)`)
-	confinedRe = regexp.MustCompile(`confined to the simulation loop`)
+	guardedRe  = regexp.MustCompile(`(?i)guarded\s+by\s+(\w+)`)
+	confinedRe = regexp.MustCompile(`(?i)confined\s+to\s+the\s+simulation\s+loop`)
 )
 
 // guardInfo is the parsed annotation of one struct field.

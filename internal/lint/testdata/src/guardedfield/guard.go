@@ -70,6 +70,11 @@ func (b *badGuard) use() int { return b.x }
 
 type loopState struct {
 	seq int // confined to the simulation loop
+	// Confined to the simulation loop, written as a sentence.
+	ticks int
+	// pending is wrapped mid-annotation: it is confined to the simulation
+	// loop all the same.
+	pending map[int]bool
 }
 
 // tick touches confined state from the loop itself: clean.
@@ -82,5 +87,14 @@ func (ls *loopState) tick() int {
 func leakGoroutine(ls *loopState) {
 	go func() {
 		ls.seq++ // want "confined to the simulation loop but accessed"
+	}()
+}
+
+// leakAnnotated reads the capitalised and the wrapped confined fields
+// from a spawned goroutine: both annotations count.
+func leakAnnotated(ls *loopState) {
+	go func() {
+		ls.ticks++            // want "loopState.ticks is confined to the simulation loop"
+		delete(ls.pending, 0) // want "loopState.pending is confined to the simulation loop"
 	}()
 }

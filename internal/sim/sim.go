@@ -195,7 +195,7 @@ func (s *Simulation) Every(start, period time.Duration, fn Event) (Handle, error
 
 // Run executes events in time order until the queue drains or the virtual
 // clock would pass horizon. A non-positive horizon means no limit.
-func (s *Simulation) Run(horizon time.Duration) error {
+func (s *Simulation) Run(horizon time.Duration) {
 	if horizon <= 0 {
 		horizon = time.Duration(math.MaxInt64)
 	}
@@ -209,7 +209,7 @@ func (s *Simulation) Run(horizon time.Duration) error {
 			// a later Run.
 			heap.Push(&s.queue, it)
 			s.now = horizon
-			return nil
+			return
 		}
 		s.now = it.at
 		it.dead = true
@@ -219,7 +219,6 @@ func (s *Simulation) Run(horizon time.Duration) error {
 			s.observer(s.now)
 		}
 	}
-	return nil
 }
 
 // AdvanceTo runs all events up to t and then sets the clock to exactly t,
@@ -229,9 +228,7 @@ func (s *Simulation) AdvanceTo(t time.Duration) error {
 	if t < s.now {
 		return fmt.Errorf("sim: advance to %v before now %v", t, s.now)
 	}
-	if err := s.Run(t); err != nil {
-		return err
-	}
+	s.Run(t)
 	if s.now < t {
 		s.now = t
 	}

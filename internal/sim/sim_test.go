@@ -37,9 +37,7 @@ func TestRunOrdersEventsByTime(t *testing.T) {
 			t.Fatalf("At: %v", err)
 		}
 	}
-	if err := s.Run(0); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run(0)
 	want := []int{1, 2, 0}
 	for i := range want {
 		if got[i] != want[i] {
@@ -57,9 +55,7 @@ func TestSameInstantIsFIFO(t *testing.T) {
 			t.Fatalf("At: %v", err)
 		}
 	}
-	if err := s.Run(0); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run(0)
 	if !sort.IntsAreSorted(got) {
 		t.Fatalf("same-instant events not FIFO: %v", got)
 	}
@@ -68,9 +64,7 @@ func TestSameInstantIsFIFO(t *testing.T) {
 func TestSchedulingInThePastFails(t *testing.T) {
 	s := New()
 	s.MustAfter(time.Second, func(time.Duration) {})
-	if err := s.Run(0); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run(0)
 	if _, err := s.At(0, func(time.Duration) {}); err == nil {
 		t.Fatal("At(0) after clock advanced should fail")
 	}
@@ -96,9 +90,7 @@ func TestCancel(t *testing.T) {
 	if h.Cancel() {
 		t.Fatal("second Cancel should report false")
 	}
-	if err := s.Run(0); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run(0)
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
@@ -108,9 +100,7 @@ func TestHorizonStopsClock(t *testing.T) {
 	s := New()
 	fired := false
 	s.MustAfter(10*time.Second, func(time.Duration) { fired = true })
-	if err := s.Run(3 * time.Second); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run(3 * time.Second)
 	if fired {
 		t.Fatal("event beyond horizon fired")
 	}
@@ -133,9 +123,7 @@ func TestEvery(t *testing.T) {
 		t.Fatalf("Every: %v", err)
 	}
 	s.MustAfter(5500*time.Millisecond, func(time.Duration) { h.Cancel() })
-	if err := s.Run(0); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run(0)
 	want := []time.Duration{time.Second, 3 * time.Second, 5 * time.Second}
 	if len(ticks) != len(want) {
 		t.Fatalf("ticks = %v, want %v", ticks, want)
@@ -176,9 +164,7 @@ func TestRandomScheduleIsNonDecreasing(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			s.MustAfter(time.Duration(rng.Intn(100))*time.Millisecond, spawn)
 		}
-		if err := s.Run(0); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
+		s.Run(0)
 		for i := 1; i < len(times); i++ {
 			if times[i] < times[i-1] {
 				t.Fatalf("trial %d: time went backwards: %v after %v", trial, times[i], times[i-1])
@@ -197,9 +183,7 @@ func TestFiredCounter(t *testing.T) {
 	}
 	h := s.MustAfter(time.Millisecond, func(time.Duration) {})
 	h.Cancel()
-	if err := s.Run(0); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run(0)
 	if s.Fired() != 7 {
 		t.Fatalf("Fired() = %d, want 7", s.Fired())
 	}
@@ -209,16 +193,12 @@ func TestHorizonPreservesFutureEvents(t *testing.T) {
 	s := New()
 	fired := false
 	s.MustAfter(10*time.Second, func(time.Duration) { fired = true })
-	if err := s.Run(3 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	s.Run(3 * time.Second)
 	if fired {
 		t.Fatal("event fired early")
 	}
 	// The event must survive the early horizon and fire on a later Run.
-	if err := s.Run(0); err != nil {
-		t.Fatal(err)
-	}
+	s.Run(0)
 	if !fired {
 		t.Fatal("event beyond an early horizon was lost")
 	}
@@ -252,16 +232,12 @@ func TestOnEventObserver(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Run(2500 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	s.Run(2500 * time.Millisecond)
 	if len(events) != 2 || events[0] != time.Second || events[1] != 2*time.Second {
 		t.Fatalf("observer saw %v, want [1s 2s]", events)
 	}
 	// A later Run drives the observer over the rest of the queue.
-	if err := s.Run(0); err != nil {
-		t.Fatal(err)
-	}
+	s.Run(0)
 	if fired != 3 {
 		t.Fatalf("fired %d events, want 3", fired)
 	}
@@ -289,9 +265,7 @@ func TestEveryCancelBeforeFirstTick(t *testing.T) {
 	if s.Pending() != 0 {
 		t.Fatalf("Pending() = %d after cancel, want 0", s.Pending())
 	}
-	if err := s.Run(0); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run(0)
 	if ticks != 0 {
 		t.Fatalf("cancelled Every ticked %d times", ticks)
 	}
@@ -314,9 +288,7 @@ func TestEveryCancelBetweenTicks(t *testing.T) {
 			t.Error("Cancel with a queued tick should report true")
 		}
 	})
-	if err := s.Run(10 * time.Second); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run(10 * time.Second)
 	if ticks != 2 {
 		t.Fatalf("ticks = %d, want 2", ticks)
 	}
@@ -341,9 +313,7 @@ func TestEveryCancelDuringTick(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Every: %v", err)
 	}
-	if err := s.Run(0); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run(0)
 	if ticks != 1 {
 		t.Fatalf("ticks = %d, want 1", ticks)
 	}
@@ -369,7 +339,7 @@ func TestEveryCancelAfterPanic(t *testing.T) {
 				t.Fatal("expected the tick panic to propagate")
 			}
 		}()
-		_ = s.Run(0)
+		s.Run(0)
 	}()
 	if s.Pending() != 0 {
 		t.Fatalf("Pending() = %d after panic, want 0", s.Pending())
