@@ -33,20 +33,18 @@ func (c *Controller) AddClass(cl core.Class) error {
 	return txn.Commit(TxnOptions{})
 }
 
-// planClass greedily places one class against live capacity and returns
-// its sub-classes plus any instances provisioned along the way. On
-// failure the provisioned instances are already cancelled (all-or-
-// nothing).
-func (c *Controller) planClass(cl core.Class, txn *RuleTxn) ([]core.Subclass, []vnf.ID, error) {
+// planClass places one class greedily against live capacity — the
+// core.GreedyDist packing over the planned headroom of the running
+// instances along the path — and returns its distribution plus any
+// instances provisioned along the way. On failure the provisioned
+// instances are already cancelled (all-or-nothing).
+func (c *Controller) planClass(cl core.Class, txn *RuleTxn) ([][]float64, []vnf.ID, error) {
 	// Eligible hops: path switches with an APPLE host.
 	var hops []int
 	for i, v := range cl.Path {
 		if _, ok := c.hosts[v]; ok {
 			hops = append(hops, i)
 		}
-	}
-	if len(hops) == 0 {
-		return nil, nil, fmt.Errorf("controller: class %d has no APPLE host on its path", cl.ID)
 	}
 	// Planned headroom per (switch, NF) from the instPortion bookkeeping.
 	slack := func(v topology.NodeID, nf policy.NF) float64 {
@@ -61,93 +59,39 @@ func (c *Controller) planClass(cl core.Class, txn *RuleTxn) ([]core.Subclass, []
 		}
 		return total
 	}
-	// Greedy dominance-respecting allocation, as in core.SolveGreedy but
-	// against live capacity. Instances provisioned along the way are
-	// cancelled if the class turns out to be unplaceable (all-or-nothing).
 	var provisioned []vnf.ID
-	fail := func(err error) error {
-		c.unwindProvisioned(provisioned, txn)
-		return err
-	}
-	dist := make([][]float64, len(cl.Path))
-	for i := range dist {
-		dist[i] = make([]float64, len(cl.Chain))
-	}
-	cumPrev := make([]float64, len(cl.Path))
-	for i := range cumPrev {
-		cumPrev[i] = 1
-	}
-	for j, nf := range cl.Chain {
+	dist, err := core.GreedyDist(cl, hops, func(i int, nf policy.NF, take float64) float64 {
+		v := cl.Path[i]
 		spec, err := policy.SpecOf(nf)
 		if err != nil {
-			return nil, nil, fail(fmt.Errorf("controller: %w", err))
+			return 0
 		}
-		remaining := 1.0
-		cum := 0.0
-		for _, i := range hops {
-			if remaining <= 1e-12 {
+		// Provision new instances through the Resource Orchestrator until
+		// the hop can absorb take.
+		for slack(v, nf) < take*cl.RateMbps-1e-9 {
+			if !spec.Resources().Fits(c.orch.Available(v)) {
 				break
 			}
-			budget := cumPrev[i] - cum
-			if budget <= 1e-12 {
-				continue
+			inst, _, err := c.orch.PlaceNow(nf, v)
+			if err != nil {
+				break
 			}
-			take := math.Min(remaining, budget)
-			v := cl.Path[i]
-			// Provision new instances until the hop can absorb `take`.
-			for slack(v, nf) < take*cl.RateMbps-1e-9 {
-				if !spec.Resources().Fits(c.orch.Available(v)) {
-					break
-				}
-				inst, _, err := c.orch.PlaceNow(nf, v)
-				if err != nil {
-					break
-				}
-				provisioned = append(provisioned, inst.ID())
-				if c.instPool[v] == nil {
-					c.instPool[v] = make(map[policy.NF][]*vnf.Instance)
-				}
-				c.instPool[v][nf] = append(c.instPool[v][nf], inst)
+			provisioned = append(provisioned, inst.ID())
+			c.poolAdd(v, nf, inst)
+		}
+		if cl.RateMbps <= 1e-12 {
+			if len(c.instPool[v][nf]) == 0 {
+				return 0
 			}
-			var frac float64
-			if cl.RateMbps <= 1e-12 {
-				if len(c.instPool[v][nf]) == 0 {
-					continue
-				}
-				frac = take
-			} else {
-				frac = math.Min(take, slack(v, nf)/cl.RateMbps)
-			}
-			if frac <= 1e-12 {
-				continue
-			}
-			dist[i][j] += frac
-			cum += frac
-			remaining -= frac
+			return take
 		}
-		if remaining > 1e-9 {
-			return nil, nil, fail(fmt.Errorf("controller: class %d position %d: %.3f of the class cannot be placed online (insufficient capacity on the path)",
-				cl.ID, j, remaining))
-		}
-		// Normalize exactly and refresh the dominance bound.
-		total := 0.0
-		for i := range cl.Path {
-			total += dist[i][j]
-		}
-		for i := range cl.Path {
-			dist[i][j] /= total
-		}
-		acc := 0.0
-		for i := range cl.Path {
-			acc += dist[i][j]
-			cumPrev[i] = acc
-		}
-	}
-	subs, err := core.Subclasses(cl, dist)
+		return math.Min(take, slack(v, nf)/cl.RateMbps)
+	})
 	if err != nil {
-		return nil, nil, fail(fmt.Errorf("controller: %w", err))
+		c.unwindProvisioned(provisioned, txn)
+		return nil, nil, fmt.Errorf("controller: %w", err)
 	}
-	return subs, provisioned, nil
+	return dist, provisioned, nil
 }
 
 // dropFromPool removes a cancelled instance from the placement pools and

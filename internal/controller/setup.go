@@ -475,7 +475,9 @@ func (t *RuleTxn) admit(op txnOp) (*Assignment, error) {
 	if err := c.ensurePassBy(t); err != nil {
 		return nil, err
 	}
-	var subs []core.Subclass
+	// An online add plans its distribution against live headroom; an
+	// install brings the one its placement solved.
+	dist := op.dist
 	var provisioned []vnf.ID
 	var err error
 	if op.kind == txnAdd {
@@ -484,19 +486,17 @@ func (t *RuleTxn) admit(op txnOp) (*Assignment, error) {
 		}
 		// planClass is all-or-nothing: on failure its own provisioning is
 		// already cancelled.
-		if subs, provisioned, err = c.planClass(cl, t); err != nil {
+		if dist, provisioned, err = c.planClass(cl, t); err != nil {
 			return nil, err
 		}
-	} else {
-		if err := t.fail("install:plan", cl.ID); err != nil {
-			return nil, err
-		}
-		if subs, err = core.Subclasses(cl, op.dist); err != nil {
-			return nil, fmt.Errorf("controller: %w", err)
-		}
+	} else if err := t.fail("install:plan", cl.ID); err != nil {
+		return nil, err
 	}
 	var a *Assignment
-	if err = t.fail("add:admit", cl.ID); err == nil {
+	subs, err := core.Subclasses(cl, dist)
+	if err != nil {
+		err = fmt.Errorf("controller: %w", err)
+	} else if err = t.fail("add:admit", cl.ID); err == nil {
 		a, err = c.buildAssignment(cl, subs, t)
 	}
 	if err != nil {

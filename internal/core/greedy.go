@@ -10,12 +10,79 @@ import (
 	"github.com/apple-nfv/apple/internal/topology"
 )
 
+// GreedyDist packs one class's chain onto its eligible hops, the path
+// indices of its APPLE hosts in path order, and returns the class's
+// spatial distribution d[hop][position]. For each chain position it offers
+// the class to the hops one after another; absorb(i, nf, take) returns
+// how much of the offered fraction take hop i can process for nf, never
+// more than take. take is the Eq. (3) budget: the part of the class not
+// yet placed for this position, capped by how far the previous position's
+// cumulative share σ_{j-1}(i) runs ahead of this one's. Each position is
+// renormalised to sum to exactly 1 before it bounds the next.
+//
+// Where the capacity behind absorb lives is the caller's business: the
+// offline engine (SolveGreedy) grants from a capacity state it builds as
+// it goes, the controller's online admission from live headroom. The two
+// refusals — no host on the path, no headroom for a position — are built
+// here, naming the class, the position, the NF and the fraction left.
+func GreedyDist(c Class, hops []int, absorb func(i int, nf policy.NF, take float64) float64) ([][]float64, error) {
+	if len(hops) == 0 {
+		return nil, fmt.Errorf("core: class %d has no APPLE host on its path", c.ID)
+	}
+	d := make([][]float64, len(c.Path))
+	for i := range d {
+		d[i] = make([]float64, len(c.Chain))
+	}
+	// cumPrev[i] = σ_{j-1} up to hop i; for j=0 there is no dominance
+	// bound (treat as 1 everywhere).
+	cumPrev := make([]float64, len(c.Path))
+	for i := range cumPrev {
+		cumPrev[i] = 1
+	}
+	for j, nf := range c.Chain {
+		remaining := 1.0 // fraction of the class still unassigned
+		cum := 0.0
+		for _, i := range hops {
+			if remaining <= 1e-12 {
+				break
+			}
+			// Dominance budget: σ_j(i) may not exceed σ_{j-1}(i).
+			budget := cumPrev[i] - cum
+			if budget <= 1e-12 {
+				continue
+			}
+			frac := absorb(i, nf, math.Min(remaining, budget))
+			if frac <= 1e-12 {
+				continue
+			}
+			d[i][j] += frac
+			cum += frac
+			remaining -= frac
+		}
+		if remaining > 1e-9 {
+			return nil, fmt.Errorf("core: class %d position %d (%v): %.4f of the class cannot be placed (no headroom on the path)",
+				c.ID, j, nf, remaining)
+		}
+		// Exact cleanup: make the position sum exactly 1.
+		total := 0.0
+		for i := range c.Path {
+			total += d[i][j]
+		}
+		acc := 0.0
+		for i := range c.Path {
+			d[i][j] /= total
+			acc += d[i][j]
+			cumPrev[i] = acc
+		}
+	}
+	return d, nil
+}
+
 // SolveGreedy is the heuristic engine the paper leaves to future work
 // ("For gigantic networks including hundreds of switches... we plan to
 // propose heuristic algorithms", §IV-D). It processes classes in
-// descending rate order and, for each chain position, packs load onto
-// existing instances along the path before opening new ones, respecting
-// the chain-order dominance constraint (Eq. 3) by construction.
+// descending rate order and packs each with GreedyDist, granting load
+// from existing instances along the path before opening new ones.
 //
 // It runs in O(|H|·|P|·|C|) — no LP — and produces feasible but generally
 // more instances than the LP engine; the gap is quantified by
@@ -63,83 +130,38 @@ func SolveGreedy(prob *Problem) (*Placement, error) {
 	dist := make(map[ClassID][][]float64, len(prob.Classes))
 	for _, ci := range order {
 		c := prob.Classes[ci]
-		hops := prob.eligibleHops(c)
-		if len(hops) == 0 {
-			return nil, fmt.Errorf("core: class %d has no APPLE host on its path", c.ID)
-		}
-		d := make([][]float64, len(c.Path))
-		for i := range d {
-			d[i] = make([]float64, len(c.Chain))
-		}
-		// cumPrev[i] = σ_{j-1} up to hop i; for j=0 there is no dominance
-		// bound (treat as 1 everywhere).
-		cumPrev := make([]float64, len(c.Path))
-		for i := range cumPrev {
-			cumPrev[i] = 1
-		}
-		for j, nf := range c.Chain {
-			remaining := 1.0 // fraction of the class still unassigned
-			cum := 0.0
-			for _, i := range hops {
-				if remaining <= 1e-12 {
+		d, err := GreedyDist(c, prob.eligibleHops(c), func(i int, nf policy.NF, take float64) float64 {
+			v := c.Path[i]
+			key := qKey{v: v, nf: nf}
+			// Rate this hop can absorb: existing slack plus however many
+			// new instances fit.
+			for slack[key] < take*c.RateMbps-1e-9 {
+				if !addInstance(v, nf) {
 					break
 				}
-				// Dominance budget: σ_j(i) may not exceed σ_{j-1}(i).
-				budget := cumPrev[i] - cum
-				if budget <= 1e-12 {
-					continue
-				}
-				take := math.Min(remaining, budget)
-				v := c.Path[i]
-				key := qKey{v: v, nf: nf}
-				// Rate this hop can absorb: existing slack plus however
-				// many new instances fit.
-				for slack[key] < take*c.RateMbps-1e-9 {
+			}
+			var frac float64
+			if c.RateMbps <= 1e-12 {
+				// Zero-rate classes still need coverage for policy
+				// enforcement; any host hop can take it all, but at least
+				// one instance must exist.
+				if slack[key] <= 0 && counts[v][nf] == 0 {
 					if !addInstance(v, nf) {
-						break
+						return 0
 					}
 				}
-				var frac float64
-				if c.RateMbps <= 1e-12 {
-					// Zero-rate classes still need coverage for policy
-					// enforcement; any host hop can take it all, but at
-					// least one instance must exist.
-					if slack[key] <= 0 && counts[v][nf] == 0 {
-						if !addInstance(v, nf) {
-							continue
-						}
-					}
-					frac = take
-				} else {
-					frac = math.Min(take, slack[key]/c.RateMbps)
-				}
-				if frac <= 1e-12 {
-					continue
-				}
-				d[i][j] += frac
-				slack[key] -= frac * c.RateMbps
-				cum += frac
-				remaining -= frac
+				frac = take
+			} else {
+				frac = math.Min(take, slack[key]/c.RateMbps)
 			}
-			if remaining > 1e-9 {
-				return nil, fmt.Errorf("core: greedy could not place class %d position %d (%.4f unassigned): insufficient resources",
-					c.ID, j, remaining)
+			if frac <= 1e-12 {
+				return 0
 			}
-			// Exact cleanup: make the position sum exactly 1.
-			total := 0.0
-			for i := range c.Path {
-				total += d[i][j]
-			}
-			if total > 0 {
-				for i := range c.Path {
-					d[i][j] /= total
-				}
-			}
-			acc := 0.0
-			for i := range c.Path {
-				acc += d[i][j]
-				cumPrev[i] = acc
-			}
+			slack[key] -= frac * c.RateMbps
+			return frac
+		})
+		if err != nil {
+			return nil, err
 		}
 		dist[c.ID] = d
 	}
