@@ -67,8 +67,9 @@ func (c *Controller) planClass(cl core.Class, txn *RuleTxn) ([][]float64, []vnf.
 			return 0
 		}
 		// Provision new instances through the Resource Orchestrator until
-		// the hop can absorb take.
-		for slack(v, nf) < take*cl.RateMbps-1e-9 {
+		// the hop can absorb take, and at least one: a zero-rate class
+		// still needs its chain enforced.
+		for len(c.instPool[v][nf]) == 0 || slack(v, nf) < take*cl.RateMbps-1e-9 {
 			if !spec.Resources().Fits(c.orch.Available(v)) {
 				break
 			}

@@ -168,3 +168,29 @@ func TestAdmitArrivalRecordsSideEffectsInTxn(t *testing.T) {
 		t.Fatal("unwind left the cancelled instance in the portion ledger")
 	}
 }
+
+// TestAddClassZeroRate: a class with no traffic yet still needs its chain
+// enforced, so online admission opens an instance per NF on a path with
+// room, as SolveGreedy does offline.
+func TestAddClassZeroRate(t *testing.T) {
+	for _, chain := range []policy.Chain{
+		{policy.Firewall},
+		{policy.NAT, policy.Firewall},
+	} {
+		t.Run(chain.String(), func(t *testing.T) {
+			c, err := New(Config{Topology: lineTopo(t, 4), Clock: sim.New(), Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.AddClass(core.Class{ID: 0, Path: linePath(4), Chain: chain}); err != nil {
+				t.Fatalf("AddClass: %v", err)
+			}
+			if n := len(c.Orchestrator().Instances()); n != len(chain) {
+				t.Fatalf("%d instances for a %d-NF chain", n, len(chain))
+			}
+			if err := c.CheckEnforcement(); err != nil {
+				t.Fatalf("CheckEnforcement: %v", err)
+			}
+		})
+	}
+}
