@@ -178,25 +178,26 @@ func figs10to12(w io.Writer, seed int64) error {
 		scs = append(scs, sc)
 	}
 
+	tcam := make([]experiments.Fig10Row, len(scs))
+	cores := make([]experiments.Fig11Row, len(scs))
+	for i, sc := range scs {
+		var err error
+		if tcam[i], cores[i], err = experiments.Figs10And11(sc, draws); err != nil {
+			return err
+		}
+	}
+
 	fmt.Fprintf(w, "\n## Fig 10 — TCAM reduction (%d matrices)\n\n", draws)
 	fmt.Fprintln(w, "| topology | min | median | max |")
 	fmt.Fprintln(w, "|---|---|---|---|")
-	for _, sc := range scs {
-		row, err := experiments.Fig10(sc, draws)
-		if err != nil {
-			return err
-		}
+	for _, row := range tcam {
 		fmt.Fprintf(w, "| %s | %.2f | %.2f | %.2f |\n", row.Topology, row.Box.Min, row.Box.Median, row.Box.Max)
 	}
 
 	fmt.Fprintf(w, "\n## Fig 11 — cores vs ingress (%d matrices)\n\n", draws)
 	fmt.Fprintln(w, "| topology | APPLE | ingress | reduction |")
 	fmt.Fprintln(w, "|---|---|---|---|")
-	for _, sc := range scs {
-		row, err := experiments.Fig11(sc, draws)
-		if err != nil {
-			return err
-		}
+	for _, row := range cores {
 		fmt.Fprintf(w, "| %s | %.1f | %.1f | %.2fx |\n", row.Topology, row.AppleCores, row.IngressCores, row.Reduction())
 	}
 

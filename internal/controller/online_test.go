@@ -2,11 +2,15 @@ package controller
 
 import (
 	"errors"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/apple-nfv/apple/internal/core"
 	"github.com/apple-nfv/apple/internal/policy"
 	"github.com/apple-nfv/apple/internal/sim"
+	"github.com/apple-nfv/apple/internal/topology"
 )
 
 func TestAddClassOnline(t *testing.T) {
@@ -192,5 +196,128 @@ func TestAddClassZeroRate(t *testing.T) {
 				t.Fatalf("CheckEnforcement: %v", err)
 			}
 		})
+	}
+}
+
+// TestGreedyBudgetBothPlacers drives the offline engine (SolveGreedy) and
+// online admission (AddClass), which share core.GreedyDist, through a
+// binding Eq. (3) budget. Hop 0's host has two cores: room for a NAT,
+// not for a firewall. The firewall therefore opens at hop 1, and the NAT,
+// though it would fit at hop 0, may not run before the firewall, so it
+// must follow it to hop 1. Where hop 1 is the last host and the firewall
+// fills it, both placers refuse the class at the NAT's position.
+func TestGreedyBudgetBothPlacers(t *testing.T) {
+	small := policy.Resources{Cores: 2, MemoryMB: 1024}
+	cl := core.Class{ID: 0, Path: linePath(3), Chain: policy.Chain{policy.Firewall, policy.NAT}, RateMbps: 500}
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		refusal string // "" when the class places
+	}{
+		{
+			name: "budget binds",
+			cfg:  Config{HostResourcesBySwitch: map[topology.NodeID]policy.Resources{0: small}},
+		},
+		{
+			name: "short of capacity",
+			cfg: Config{
+				HostSwitches:          []topology.NodeID{0, 1},
+				HostResourcesBySwitch: map[topology.NodeID]policy.Resources{0: small, 1: {Cores: 4, MemoryMB: 1024}},
+			},
+			refusal: "class 0 position 1 (nat)",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			newController := func() *Controller {
+				cfg := tc.cfg
+				cfg.Topology, cfg.Clock, cfg.Seed = lineTopo(t, 3), sim.New(), 7
+				c, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return c
+			}
+			offline := newController()
+			prob := &core.Problem{Topo: offline.g, Classes: []core.Class{cl}, Avail: offline.Avail()}
+			pl, gerr := core.SolveGreedy(prob)
+			online := newController()
+			aerr := online.AddClass(cl)
+			if tc.refusal != "" {
+				for _, err := range []error{gerr, aerr} {
+					if err == nil || !strings.Contains(err.Error(), tc.refusal) {
+						t.Errorf("SolveGreedy: %v; AddClass: %v; want both to name %q", gerr, aerr, tc.refusal)
+					}
+				}
+				if n := len(online.Orchestrator().Instances()); n != 0 {
+					t.Errorf("refused AddClass left %d instances", n)
+				}
+				return
+			}
+			if gerr != nil || aerr != nil {
+				t.Fatalf("SolveGreedy: %v; AddClass: %v", gerr, aerr)
+			}
+			if want := [][]float64{{0, 0}, {1, 1}, {0, 0}}; !reflect.DeepEqual(pl.Dist[cl.ID], want) {
+				t.Errorf("SolveGreedy Dist = %v, want %v", pl.Dist[cl.ID], want)
+			}
+			if err := pl.Verify(prob); err != nil {
+				t.Errorf("Verify: %v", err)
+			}
+			if err := offline.InstallPlacement(prob, pl); err != nil {
+				t.Fatalf("InstallPlacement: %v", err)
+			}
+			for _, p := range []struct {
+				placer string
+				c      *Controller
+			}{{"SolveGreedy", offline}, {"AddClass", online}} {
+				a, err := p.c.Assignment(cl.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if a.NumSubclasses() != 1 || !slices.Equal(a.Subclass(0).Hops, []int{1, 1}) {
+					t.Errorf("%s: %d sub-classes, first at hops %v; want one at [1 1]", p.placer, a.NumSubclasses(), a.Subclass(0).Hops)
+				}
+				if err := p.c.CheckEnforcement(); err != nil {
+					t.Errorf("%s: CheckEnforcement: %v", p.placer, err)
+				}
+			}
+		})
+	}
+}
+
+// TestKnownGapZeroRateClassGetsNoInstance pins a known gap (ROADMAP items
+// 14 and 20(b)). A lone class with no traffic yet loads no instance, so
+// the LP engine opens none: Eq. (5) holds trivially at zero load, Verify
+// accepts the empty placement, and the install then finds no instance to
+// enforce the chain with. SolveGreedy, and online admission, open one.
+// Item 20(b)'s linking rows d ≤ q close it; then Counts holds the
+// firewall, the install succeeds, and this test becomes an assertion
+// that the engine and SolveGreedy open the same instance.
+func TestKnownGapZeroRateClassGetsNoInstance(t *testing.T) {
+	c, err := New(Config{Topology: lineTopo(t, 4), Clock: sim.New(), Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := core.Class{ID: 0, Path: linePath(4), Chain: policy.Chain{policy.Firewall}}
+	prob := &core.Problem{Topo: c.g, Classes: []core.Class{cl}, Avail: c.Avail()}
+	gr, err := core.SolveGreedy(prob)
+	if err != nil {
+		t.Fatalf("SolveGreedy: %v", err)
+	}
+	if n := gr.TotalInstances(); n != 1 {
+		t.Fatalf("SolveGreedy opened %d instances, want 1", n)
+	}
+	pl, err := core.NewEngine(core.EngineOptions{}).Solve(prob)
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	if len(pl.Counts) != 0 {
+		t.Fatalf("known gap closed? the engine opened %v", pl.Counts)
+	}
+	if err := pl.Verify(prob); err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	err = c.InstallPlacement(prob, pl)
+	if err == nil || !strings.Contains(err.Error(), "no running firewall instance at switch 0") {
+		t.Fatalf("InstallPlacement: %v, want the missing-firewall refusal", err)
 	}
 }

@@ -10,21 +10,15 @@ import (
 	"github.com/apple-nfv/apple/internal/topology"
 )
 
-// GreedyDist packs one class's chain onto its eligible hops, the path
-// indices of its APPLE hosts in path order, and returns the class's
-// spatial distribution d[hop][position]. For each chain position it offers
-// the class to the hops one after another; absorb(i, nf, take) returns
-// how much of the offered fraction take hop i can process for nf, never
-// more than take. take is the Eq. (3) budget: the part of the class not
-// yet placed for this position, capped by how far the previous position's
-// cumulative share σ_{j-1}(i) runs ahead of this one's. Each position is
-// renormalised to sum to exactly 1 before it bounds the next.
-//
-// Where the capacity behind absorb lives is the caller's business: the
-// offline engine (SolveGreedy) grants from a capacity state it builds as
-// it goes, the controller's online admission from live headroom. The two
-// refusals — no host on the path, no headroom for a position — are built
-// here, naming the class, the position, the NF and the fraction left.
+// GreedyDist packs one class's chain onto its eligible hops (the path
+// indices of its APPLE hosts, in path order) and returns its distribution
+// d[hop][position]. Each position is offered to the hops in turn:
+// absorb(i, nf, take) returns how much of take hop i processes for nf,
+// where take is the Eq. (3) budget — what is left of the class, capped by
+// how far σ_{j-1}(i) runs ahead of σ_j so far. The capacity behind absorb
+// is the caller's: SolveGreedy's offline state, or the controller's live
+// headroom. Both refusals — no host on the path, no headroom for a
+// position — are built here.
 func GreedyDist(c Class, hops []int, absorb func(i int, nf policy.NF, take float64) float64) ([][]float64, error) {
 	if len(hops) == 0 {
 		return nil, fmt.Errorf("core: class %d has no APPLE host on its path", c.ID)

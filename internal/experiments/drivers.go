@@ -68,79 +68,6 @@ type Fig10Row struct {
 	Box      metrics.Boxplot
 }
 
-// Fig10 regenerates the TCAM-reduction boxplot: for draws snapshots
-// spread across the series, the engine solves the placement, sub-classes
-// are derived, and the tagged/untagged TCAM footprints are counted. For
-// multipath scenarios every class's ECMP alternates are charged to the
-// untagged baseline, which is why the data-center reduction is largest
-// (§IX-C).
-func Fig10(sc *Scenario, draws int) (Fig10Row, error) {
-	if sc == nil {
-		return Fig10Row{}, errors.New("experiments: nil scenario")
-	}
-	if draws <= 0 {
-		draws = 8
-	}
-	if draws > len(sc.Series) {
-		draws = len(sc.Series)
-	}
-	row := Fig10Row{Topology: sc.Name}
-	step := len(sc.Series) / draws
-	if step == 0 {
-		step = 1
-	}
-	engine := core.NewEngine(core.EngineOptions{})
-	row.Ratios = make([]float64, 0, draws)
-	for d := range draws {
-		prob, err := sc.Problem(sc.Series[d*step])
-		if err != nil {
-			return Fig10Row{}, fmt.Errorf("experiments: %s draw %d: %w", sc.Name, d, err)
-		}
-		pl, err := engine.Solve(prob)
-		if err != nil {
-			return Fig10Row{}, fmt.Errorf("experiments: %s draw %d: %w", sc.Name, d, err)
-		}
-		specs := make([]tagging.ClassSpec, 0, len(prob.Classes))
-		for _, cl := range prob.Classes {
-			subs, err := core.Subclasses(cl, pl.Dist[cl.ID])
-			if err != nil {
-				return Fig10Row{}, fmt.Errorf("experiments: %w", err)
-			}
-			prefix, err := controller.ClassPrefix(cl.ID)
-			if err != nil {
-				return Fig10Row{}, fmt.Errorf("experiments: %w", err)
-			}
-			spec := tagging.ClassSpec{
-				Class:      cl,
-				Prefix:     prefix,
-				Subclasses: subs,
-			}
-			if sc.Multipath {
-				alts, err := sc.Graph.AllShortestPaths(cl.Path[0], cl.Path[len(cl.Path)-1], 8)
-				if err == nil && len(alts) > 1 {
-					for _, alt := range alts {
-						if !slices.Equal(alt, cl.Path) {
-							spec.AltPaths = append(spec.AltPaths, alt)
-						}
-					}
-				}
-			}
-			specs = append(specs, spec)
-		}
-		usage, err := tagging.CountTCAM(specs, 8)
-		if err != nil {
-			return Fig10Row{}, fmt.Errorf("experiments: %s draw %d: %w", sc.Name, d, err)
-		}
-		row.Ratios = append(row.Ratios, usage.Ratio())
-	}
-	box, err := metrics.NewBoxplot(row.Ratios)
-	if err != nil {
-		return Fig10Row{}, fmt.Errorf("experiments: %w", err)
-	}
-	row.Box = box
-	return row, nil
-}
-
 // Fig11Row compares hardware usage between APPLE's engine and the ingress
 // strawman for one topology.
 type Fig11Row struct {
@@ -158,10 +85,18 @@ func (r Fig11Row) Reduction() float64 {
 	return r.IngressCores / r.AppleCores
 }
 
-// Fig11 regenerates the average-CPU-core comparison over draws snapshots.
-func Fig11(sc *Scenario, draws int) (Fig11Row, error) {
+// Figs10And11 regenerates both figures from one pass over draws snapshots
+// spread across the series, solving each snapshot's placement once.
+//
+// Fig 10 is the TCAM-reduction boxplot: sub-classes are derived from the
+// placement and the tagged/untagged TCAM footprints counted. For
+// multipath scenarios every class's ECMP alternates are charged to the
+// untagged baseline, which is why the data-center reduction is largest
+// (§IX-C). Fig 11 is the average CPU-core count of the placement against
+// the ingress strawman's on the same snapshot.
+func Figs10And11(sc *Scenario, draws int) (Fig10Row, Fig11Row, error) {
 	if sc == nil {
-		return Fig11Row{}, errors.New("experiments: nil scenario")
+		return Fig10Row{}, Fig11Row{}, errors.New("experiments: nil scenario")
 	}
 	if draws <= 0 {
 		draws = 8
@@ -173,33 +108,81 @@ func Fig11(sc *Scenario, draws int) (Fig11Row, error) {
 	if step == 0 {
 		step = 1
 	}
-	row := Fig11Row{Topology: sc.Name}
+	tcam := Fig10Row{Topology: sc.Name, Ratios: make([]float64, 0, draws)}
+	cores := Fig11Row{Topology: sc.Name}
 	engine := core.NewEngine(core.EngineOptions{})
 	for d := range draws {
 		prob, err := sc.Problem(sc.Series[d*step])
 		if err != nil {
-			return Fig11Row{}, fmt.Errorf("experiments: %s draw %d: %w", sc.Name, d, err)
+			return Fig10Row{}, Fig11Row{}, fmt.Errorf("experiments: %s draw %d: %w", sc.Name, d, err)
 		}
-		apple, err := engine.Solve(prob)
+		pl, err := engine.Solve(prob)
 		if err != nil {
-			return Fig11Row{}, fmt.Errorf("experiments: %s draw %d: %w", sc.Name, d, err)
+			return Fig10Row{}, Fig11Row{}, fmt.Errorf("experiments: %s draw %d: %w", sc.Name, d, err)
 		}
+		ratio, err := tcamRatio(sc, prob, pl)
+		if err != nil {
+			return Fig10Row{}, Fig11Row{}, fmt.Errorf("experiments: %s draw %d: %w", sc.Name, d, err)
+		}
+		tcam.Ratios = append(tcam.Ratios, ratio)
 		ing, err := core.SolveIngress(prob)
 		if err != nil {
-			return Fig11Row{}, fmt.Errorf("experiments: %s draw %d: %w", sc.Name, d, err)
+			return Fig10Row{}, Fig11Row{}, fmt.Errorf("experiments: %s draw %d: %w", sc.Name, d, err)
 		}
-		ar, err := apple.TotalResources()
+		ar, err := pl.TotalResources()
 		if err != nil {
-			return Fig11Row{}, fmt.Errorf("experiments: %w", err)
+			return Fig10Row{}, Fig11Row{}, fmt.Errorf("experiments: %w", err)
 		}
 		ir, err := ing.TotalResources()
 		if err != nil {
-			return Fig11Row{}, fmt.Errorf("experiments: %w", err)
+			return Fig10Row{}, Fig11Row{}, fmt.Errorf("experiments: %w", err)
 		}
-		row.AppleCores += float64(ar.Cores)
-		row.IngressCores += float64(ir.Cores)
+		cores.AppleCores += float64(ar.Cores)
+		cores.IngressCores += float64(ir.Cores)
 	}
-	row.AppleCores /= float64(draws)
-	row.IngressCores /= float64(draws)
-	return row, nil
+	box, err := metrics.NewBoxplot(tcam.Ratios)
+	if err != nil {
+		return Fig10Row{}, Fig11Row{}, fmt.Errorf("experiments: %w", err)
+	}
+	tcam.Box = box
+	cores.AppleCores /= float64(draws)
+	cores.IngressCores /= float64(draws)
+	return tcam, cores, nil
+}
+
+// tcamRatio is one snapshot's Fig 10 sample: the untagged over the
+// tagged TCAM footprint of the placement's sub-classes.
+func tcamRatio(sc *Scenario, prob *core.Problem, pl *core.Placement) (float64, error) {
+	specs := make([]tagging.ClassSpec, 0, len(prob.Classes))
+	for _, cl := range prob.Classes {
+		subs, err := core.Subclasses(cl, pl.Dist[cl.ID])
+		if err != nil {
+			return 0, err
+		}
+		prefix, err := controller.ClassPrefix(cl.ID)
+		if err != nil {
+			return 0, err
+		}
+		spec := tagging.ClassSpec{
+			Class:      cl,
+			Prefix:     prefix,
+			Subclasses: subs,
+		}
+		if sc.Multipath {
+			alts, err := sc.Graph.AllShortestPaths(cl.Path[0], cl.Path[len(cl.Path)-1], 8)
+			if err == nil && len(alts) > 1 {
+				for _, alt := range alts {
+					if !slices.Equal(alt, cl.Path) {
+						spec.AltPaths = append(spec.AltPaths, alt)
+					}
+				}
+			}
+		}
+		specs = append(specs, spec)
+	}
+	usage, err := tagging.CountTCAM(specs, 8)
+	if err != nil {
+		return 0, err
+	}
+	return usage.Ratio(), nil
 }

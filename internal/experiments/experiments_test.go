@@ -105,9 +105,9 @@ func TestFig10ReductionShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, err := Fig10(i2, 4)
+	row, _, err := Figs10And11(i2, 4)
 	if err != nil {
-		t.Fatalf("Fig10: %v", err)
+		t.Fatalf("Figs10And11: %v", err)
 	}
 	if len(row.Ratios) != 4 {
 		t.Fatalf("ratios = %v", row.Ratios)
@@ -115,7 +115,7 @@ func TestFig10ReductionShape(t *testing.T) {
 	if row.Box.Min < 1.5 {
 		t.Errorf("tagging reduction %v is implausibly small", row.Box.Min)
 	}
-	if _, err := Fig10(nil, 1); err == nil {
+	if _, _, err := Figs10And11(nil, 1); err == nil {
 		t.Error("nil scenario should fail")
 	}
 }
@@ -125,12 +125,12 @@ func TestFig10MultipathBeatsSinglePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := Fig10(u, 3)
+	multi, _, err := Figs10And11(u, 3)
 	if err != nil {
 		t.Fatalf("Fig10 multipath: %v", err)
 	}
 	u.Multipath = false
-	single, err := Fig10(u, 3)
+	single, _, err := Figs10And11(u, 3)
 	if err != nil {
 		t.Fatalf("Fig10 single: %v", err)
 	}
@@ -145,15 +145,12 @@ func TestFig11APPLEBeatsIngress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, err := Fig11(i2, 3)
+	_, row, err := Figs10And11(i2, 3)
 	if err != nil {
-		t.Fatalf("Fig11: %v", err)
+		t.Fatalf("Figs10And11: %v", err)
 	}
 	if row.Reduction() <= 1.5 {
 		t.Errorf("reduction = %v; APPLE should clearly beat ingress on Internet2", row.Reduction())
-	}
-	if _, err := Fig11(nil, 1); err == nil {
-		t.Error("nil scenario should fail")
 	}
 }
 
