@@ -117,13 +117,21 @@ func (gc greedyCase) feasible() (bool, error) {
 	}
 }
 
-// greedyTally counts the outcomes a run of runGreedyDist reached, so a
-// test can tell a generator that exercises every outcome from a
-// degenerate one.
-type greedyTally struct{ placed, refused, refusedLater, noHost int }
+// greedyOutcome is what one run of runGreedyDist reached, so a test can
+// tell a generator that exercises every outcome from a degenerate one.
+type greedyOutcome int
+
+const (
+	greedyPlaced greedyOutcome = iota
+	greedyRefusedFirst
+	// greedyRefusedLater is a refusal past the first position, where the
+	// Eq. (3) budget shaped it.
+	greedyRefusedLater
+	greedyNoHost
+)
 
 // runGreedyDist is the body of FuzzGreedyDist.
-func runGreedyDist(t testing.TB, data []byte, tally *greedyTally) {
+func runGreedyDist(t testing.TB, data []byte) greedyOutcome {
 	gc := decodeGreedyCase(data)
 	pos := make(map[policy.NF]int, len(gc.cl.Chain))
 	for j, nf := range gc.cl.Chain {
@@ -145,8 +153,7 @@ func runGreedyDist(t testing.TB, data []byte, tally *greedyTally) {
 		if err == nil || !strings.Contains(err.Error(), "no APPLE host") {
 			t.Fatalf("case %+v: no eligible hop, got %v", gc, err)
 		}
-		tally.noHost++
-		return
+		return greedyNoHost
 	}
 	if err != nil {
 		ok, lerr := gc.feasible()
@@ -156,13 +163,11 @@ func runGreedyDist(t testing.TB, data []byte, tally *greedyTally) {
 		if ok {
 			t.Fatalf("case %+v: GreedyDist refused (%v) but a distribution exists", gc, err)
 		}
-		tally.refused++
 		if lastPos > 0 {
-			// The last position offered is the one refused: past its
-			// first position the Eq. (3) budget shaped the refusal.
-			tally.refusedLater++
+			// The last position offered is the one refused.
+			return greedyRefusedLater
 		}
-		return
+		return greedyRefusedFirst
 	}
 	if _, err := Subclasses(gc.cl, d); err != nil {
 		t.Fatalf("case %+v: distribution %v: %v", gc, d, err)
@@ -181,7 +186,7 @@ func runGreedyDist(t testing.TB, data []byte, tally *greedyTally) {
 			prev[i] = acc
 		}
 	}
-	tally.placed++
+	return greedyPlaced
 }
 
 func greedySeed(seed int64, n int) []byte {
@@ -198,8 +203,7 @@ func FuzzGreedyDist(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		f.Add(greedySeed(seed, 40))
 	}
-	var tally greedyTally
-	f.Fuzz(func(t *testing.T, data []byte) { runGreedyDist(t, data, &tally) })
+	f.Fuzz(func(t *testing.T, data []byte) { runGreedyDist(t, data) })
 }
 
 // TestGreedyDistRandom runs the FuzzGreedyDist body over generated
@@ -207,12 +211,13 @@ func FuzzGreedyDist(f *testing.F) {
 // every outcome: a placement, a refusal the LP confirms, one past the
 // first position, and a path with no host.
 func TestGreedyDistRandom(t *testing.T) {
-	var tally greedyTally
+	var n [greedyNoHost + 1]int
 	for seed := int64(0); seed < 2000; seed++ {
-		runGreedyDist(t, greedySeed(seed, 16+int(seed%48)), &tally)
+		n[runGreedyDist(t, greedySeed(seed, 16+int(seed%48)))]++
 	}
-	t.Logf("outcomes over 2000 inputs: %+v", tally)
-	if tally.placed < 200 || tally.refused < 200 || tally.refusedLater < 50 || tally.noHost < 20 {
-		t.Fatalf("outcomes %+v: the generator is degenerate", tally)
+	placed, refused, later, noHost := n[greedyPlaced], n[greedyRefusedFirst]+n[greedyRefusedLater], n[greedyRefusedLater], n[greedyNoHost]
+	t.Logf("outcomes over 2000 inputs: %d placed, %d refused (%d past position 0), %d with no host", placed, refused, later, noHost)
+	if placed < 200 || refused < 200 || later < 50 || noHost < 20 {
+		t.Fatalf("outcomes %v: the generator is degenerate", n)
 	}
 }
