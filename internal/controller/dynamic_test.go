@@ -7,6 +7,8 @@ import (
 
 	"github.com/apple-nfv/apple/internal/core"
 	"github.com/apple-nfv/apple/internal/policy"
+	"github.com/apple-nfv/apple/internal/sim"
+	"github.com/apple-nfv/apple/internal/topology"
 )
 
 // overloadedSetup builds one class at 450 Mbps through a firewall, with a
@@ -345,4 +347,68 @@ func TestRemovedInFailoverForgetsState(t *testing.T) {
 			n, rollbacks, d.Counters().Get(CtrRollbacks))
 	}
 	assertInvariants(t, d)
+}
+
+// TestReshapedSubclassGetsHostMatch: a failover sub-class that moves to a
+// switch no class processed at before needs that switch's host-match
+// rule, or its packets pass the switch by and skip the NF. Switch 0's
+// host fits one firewall, so the surge's spawn lands at switch 1, whose
+// APPLE table holds only pass-by. Every source of the class must then
+// visit one firewall. Without the rule, the 2 048 of 4 096 sources
+// classified onto the new sub-class reached none, and the enforcement
+// probes failed ("probe 4 visited 0 instances").
+func TestReshapedSubclassGetsHostMatch(t *testing.T) {
+	g := lineTopo(t, 4)
+	clock := sim.New()
+	c, err := New(Config{Topology: g, Clock: clock, Seed: 7,
+		HostResourcesBySwitch: map[topology.NodeID]policy.Resources{0: {Cores: 4, MemoryMB: 1024}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := core.Class{ID: 0, Path: linePath(4), Chain: policy.Chain{policy.Firewall}, RateMbps: 450}
+	dist := zeroDist(4, 1)
+	dist[0][0] = 1
+	pl := &core.Placement{
+		Counts: map[topology.NodeID]map[policy.NF]int{0: {policy.Firewall: 1}},
+		Dist:   map[core.ClassID][][]float64{0: dist},
+	}
+	if err := c.InstallPlacement(&core.Problem{Topo: g, Classes: []core.Class{cl}, Avail: c.Avail()}, pl); err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDynamicHandler(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Observe(map[core.ClassID]float64{0: 1600}); err != nil {
+		t.Fatalf("Observe: %v", err)
+	}
+	clock.Run(6 * time.Second)
+	a, _ := c.assign.get(0)
+	if a.NumSubclasses() != 2 || a.Subclass(1).Hops[0] != 1 {
+		t.Fatalf("fixture: want the spawn's sub-class at hop 1, got %d sub-classes", a.NumSubclasses())
+	}
+	prefix := a.Prefix()
+	unserved := 0
+	for src := uint32(0); src < 1<<(32-prefix.Len); src++ {
+		hdr, err := c.FlowHeader(0, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := c.Forward(hdr, 0)
+		if err != nil || !tr.Delivered {
+			t.Fatalf("source %d: delivered %v, err %v", src, tr.Delivered, err)
+		}
+		if len(tr.Instances) != 1 {
+			unserved++
+		}
+	}
+	if unserved != 0 {
+		t.Errorf("%d of %d sources visit no firewall", unserved, 1<<(32-prefix.Len))
+	}
+	if err := c.CheckClassEnforcement(0); err != nil {
+		t.Errorf("CheckClassEnforcement: %v", err)
+	}
+	if err := d.CheckInvariants(); err != nil {
+		t.Errorf("CheckInvariants: %v", err)
+	}
 }

@@ -26,6 +26,9 @@ const weightTol = 1e-6
 //   - vSwitch rules: every live sub-class has its steering rules on
 //     every host it visits, and no host carries a stale "vsw-*" rule for
 //     a sub-class that no longer exists;
+//   - host-match: every switch a live sub-class's chain run enters carries
+//     its host-match rule, except the ingress when the sub-class's first
+//     run is there (classification hands those packets to the host);
 //   - core accounting: every launch in the failover ledger is still
 //     managed by the orchestrator (or lost to a crash whose abort
 //     callback is still in flight), and PeakExtraCores is at least
@@ -97,6 +100,23 @@ func (d *DynamicHandler) CheckInvariants() error {
 				}
 				if !steer.Has(name) {
 					return fmt.Errorf("invariant: rule %q missing at host %d", name, v)
+				}
+			}
+		}
+		// Host-match at every switch a run enters off the ingress: without
+		// it, packets tagged for that switch pass it by and skip the run.
+		for s, r := range a.subs {
+			for _, run := range chainRuns(r.hops) {
+				if run.hop == 0 {
+					continue
+				}
+				v := a.Class.Path[run.hop]
+				apple, err := c.switches[v].Pipeline.Table(TableAPPLE)
+				if err != nil {
+					return fmt.Errorf("invariant: %w", err)
+				}
+				if !apple.Has("host-match") {
+					return fmt.Errorf("invariant: class %d sub-class %d processes at switch %d, which has no host-match rule", id, s, v)
 				}
 			}
 		}

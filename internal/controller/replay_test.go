@@ -386,30 +386,23 @@ func TestKnownGapRateOnlyReoptStrandsNewInstances(t *testing.T) {
 	}
 }
 
-// TestKnownGapVerifyDisagreesWithEnforcement pins a known gap (ROADMAP
-// items 1 and 3). On GEANT's second Fig 12 window under failover, the
-// commit's enforcement probes refuse the re-optimisation (class 15, a
-// firewall→ids chain with no NAT, is probed through one of its two NFs),
-// yet the same pass committed without probes leaves a data plane that
-// CheckEnforcement passes. One of the two checks is wrong. Item 3's
-// verifier decides which; then this test becomes an assertion that they
-// agree.
-func TestKnownGapVerifyDisagreesWithEnforcement(t *testing.T) {
+// TestReoptVerifyAgreesWithEnforcement: on GEANT's second Fig 12 window
+// under failover, the commit's enforcement probes and CheckEnforcement
+// agree. They used to disagree: the probes refused the re-optimisation
+// (class 15, firewall→ids, was probed through one of its two NFs) while
+// the pass committed without probes passed CheckEnforcement. The probes
+// were right: a failover sub-class had moved to a switch without a
+// host-match rule, so its packets passed that switch by and skipped the
+// NF there.
+func TestReoptVerifyAgreesWithEnforcement(t *testing.T) {
 	l := newWarmLoop(t, experiments.GEANT)
 	l.window(t, 0, true)
 	_, prob, pl := l.place(t, 1)
-	_, verr := l.reopt(prob, pl, true)
-	t.Logf("verified pass: %v", verr)
-	if verr == nil {
-		t.Fatal("known gap closed? the verified pass committed")
+	if _, err := l.reopt(prob, pl, true); err != nil {
+		t.Fatalf("verified pass: %v", err)
 	}
-	rep, err := l.reopt(prob, pl, false)
-	if err != nil {
-		t.Fatalf("unverified pass: %v", err)
-	}
-	t.Logf("unverified pass: %+v", *rep)
 	if err := l.c.CheckEnforcement(); err != nil {
-		t.Fatalf("known gap closed? enforcement now fails too: %v", err)
+		t.Fatalf("enforcement after the verified pass: %v", err)
 	}
 }
 

@@ -837,7 +837,8 @@ func (c *Controller) steeringRemovals(a *Assignment, from int) []tableBatch {
 // commitReshape commits a Dynamic Handler reshape make-before-break. The
 // staged assignment keeps the live one's sub-classes but for the tail an
 // overload or activation appends and a rollback drops: steering of added
-// sub-classes first, then the classification flip (remove-then-install)
+// sub-classes first, with the host-match rule of every switch they process
+// at (skip-if-present), then the classification flip (remove-then-install)
 // and the store swap, then retiring the dropped sub-classes' steering and
 // global tags. No other rule of the class is emitted.
 func (t *RuleTxn) commitReshape(op txnOp) error {
@@ -851,9 +852,29 @@ func (t *RuleTxn) commitReshape(op txnOp) error {
 	if err := t.fail("reshape:steer", id); err != nil {
 		return err
 	}
-	steer := c.arena.groups(max(0, len(next.subs)-len(old.subs)))
+	runs := make([][]chainRun, len(next.subs))
+	tables := 0
 	for s := len(old.subs); s < len(next.subs); s++ {
-		if err := c.emitVSwitchRules(steer, next, s, chainRuns(next.subs[s].hops)); err != nil {
+		runs[s] = chainRuns(next.subs[s].hops)
+		tables += 2 * len(runs[s])
+	}
+	steer := c.arena.groups(tables)
+	for s := len(old.subs); s < len(next.subs); s++ {
+		for _, r := range runs[s] {
+			v := next.Class.Path[r.hop]
+			steer.reserve(appleKey(v), 1)
+			steer.reserve(steeringKey(v), r.end-r.start+2)
+		}
+	}
+	for s := len(old.subs); s < len(next.subs); s++ {
+		for _, r := range runs[s] {
+			op, err := c.hostMatchOp(next.Class.Path[r.hop])
+			if err != nil {
+				return err
+			}
+			steer.add(appleKey(next.Class.Path[r.hop]), op)
+		}
+		if err := c.emitVSwitchRules(steer, next, s, runs[s]); err != nil {
 			return err
 		}
 	}
