@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -410,5 +411,34 @@ func TestReshapedSubclassGetsHostMatch(t *testing.T) {
 	}
 	if err := d.CheckInvariants(); err != nil {
 		t.Errorf("CheckInvariants: %v", err)
+	}
+}
+
+// TestRemoveInFailoverKeepsLedger: the portion ledger charges base
+// sub-classes only, so removing a class in failover takes back exactly
+// what its base charged. Taking back its spawned sub-class too drove the
+// spawned firewall's entry to −225, an instance that reapIdle then never
+// reaps and pickInstance prefers.
+func TestRemoveInFailoverKeepsLedger(t *testing.T) {
+	c, d, _ := overloadedSetup(t)
+	if _, err := d.Observe(map[core.ClassID]float64{0: 1600}); err != nil {
+		t.Fatalf("Observe: %v", err)
+	}
+	cClock(c).Run(6 * time.Second)
+	if a, _ := c.assign.get(0); a.NumSubclasses() <= a.NumBase() {
+		t.Fatalf("fixture: class 0 has no failover sub-class")
+	}
+	if err := d.CheckInvariants(); err != nil {
+		t.Fatalf("CheckInvariants in failover: %v", err)
+	}
+	txn := c.Begin()
+	txn.StageRemove(0)
+	if err := txn.Commit(TxnOptions{Audit: d.CheckInvariants}); err != nil {
+		t.Fatalf("remove: %v", err)
+	}
+	for _, id := range sortedKeys(c.instPortion) {
+		if p := c.instPortion[id]; math.Abs(p) > 1e-9 {
+			t.Errorf("instance %s keeps portion %v with no class installed", id, p)
+		}
 	}
 }

@@ -8,8 +8,12 @@ import (
 	"github.com/apple-nfv/apple/internal/vnf"
 )
 
-// weightTol is the float tolerance for weight-conservation checks.
-const weightTol = 1e-6
+// weightTol is the float tolerance for weight-conservation checks, and
+// ledgerTol the relative one for the portion ledger.
+const (
+	weightTol = 1e-6
+	ledgerTol = 1e-6
+)
 
 // CheckInvariants audits the controller and handler state that the
 // transactional failover discipline promises to keep consistent. It is
@@ -29,6 +33,10 @@ const weightTol = 1e-6
 //   - host-match: every switch a live sub-class's chain run enters carries
 //     its host-match rule, except the ingress when the sub-class's first
 //     run is there (classification hands those packets to the host);
+//   - portion ledger: each instance's entry is Σ rate × portion over
+//     the installed assignments' base sub-classes it serves (to 1e-6
+//     relative, absolute below 1 Mbps), and an instance no base
+//     sub-class serves carries none;
 //   - core accounting: every launch in the failover ledger is still
 //     managed by the orchestrator (or lost to a crash whose abort
 //     callback is still in flight), and PeakExtraCores is at least
@@ -179,6 +187,27 @@ func (d *DynamicHandler) CheckInvariants() error {
 			if on && !used[vtag{int(v), tag}] {
 				return fmt.Errorf("invariant: host %d holds orphaned global tag %d", v, tag)
 			}
+		}
+	}
+	// Portion ledger: what buildAssignment charged for every installed
+	// base sub-class, and nothing else.
+	planned := make(map[vnf.ID]float64, len(c.instPortion))
+	for _, a := range c.assign.sorted() {
+		for s, r := range a.subs[:a.NumBase()] {
+			for _, id := range a.Instances(s) {
+				planned[id] += a.Class.RateMbps * r.portion
+			}
+		}
+	}
+	for _, id := range sortedKeys(c.instPortion) {
+		got, want := c.instPortion[id], planned[id]
+		if math.Abs(got-want) > ledgerTol*math.Max(1, math.Abs(want)) {
+			return fmt.Errorf("invariant: instance %s carries portion %v in the ledger, but its base sub-classes plan %v", id, got, want)
+		}
+	}
+	for id, want := range planned {
+		if _, ok := c.instPortion[id]; !ok && want != 0 {
+			return fmt.Errorf("invariant: instance %s has no ledger entry, but its base sub-classes plan %v", id, want)
 		}
 	}
 	// Core accounting: the ledger holds cores only for launches the

@@ -462,8 +462,11 @@ func globalTagLedger(t *testing.T, c *controller.Controller) (unheld, fullest in
 // cmd/applebench's README). AS-3679 at scenario seed 3, NAT chains kept,
 // replayed hour by hour — warm Place, ReOptimize with reaping, Observe —
 // as diurnal_reopt replays: ReOptimize is refused for want of a
-// conflict-free global tag within the first day, at hour 9 (class 17) with
-// hosts at 2× the planned cores and at hour 11 (class 0) at 1×. At the
+// conflict-free global tag within the first day, at hour 20 (class 106)
+// with hosts at 2× the planned cores and at hour 10 (class 121) at 1×.
+// (Hours 9 and 11, classes 17 and 0, while the portion ledger also took
+// back what the handler's sub-classes were never charged: its negative
+// entries drew instance picks to spawned firewalls.) At the
 // refusal the global-tag ledger marks exactly the tags live sub-classes
 // hold — none has leaked — and one host holds all 32: the tag space is a
 // function of live state, and live state has outgrown it. When 1(b) lands
@@ -473,7 +476,7 @@ func TestKnownGapFinding3(t *testing.T) {
 	for _, tc := range []struct {
 		headroom, hour int
 		class          core.ClassID
-	}{{2, 9, 17}, {1, 11, 0}} {
+	}{{2, 20, 106}, {1, 10, 121}} {
 		run := r.start(t, tc.headroom)
 		h, err := 0, error(nil)
 		for ; h < len(r.hours); h++ {

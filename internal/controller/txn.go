@@ -912,9 +912,11 @@ func (t *RuleTxn) commitReshape(op txnOp) error {
 }
 
 // shiftPortions adds (sign +1) or retires (sign -1) an assignment's
-// per-instance planned load in the portion ledger.
+// per-instance planned load in the portion ledger. The ledger carries base
+// sub-classes only, the ones buildAssignment charged: the Dynamic
+// Handler's sub-classes move weight, not plans, and are never charged.
 func (c *Controller) shiftPortions(txn *RuleTxn, a *Assignment, sign float64) {
-	for s, r := range a.subs {
+	for s, r := range a.subs[:a.NumBase()] {
 		for _, id := range a.Instances(s) {
 			c.setPortion(txn, id, c.instPortion[id]+sign*a.Class.RateMbps*r.portion, true)
 		}
