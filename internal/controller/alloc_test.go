@@ -219,14 +219,14 @@ func TestRemoveCompilesNothing(t *testing.T) {
 // tables of its path's switches — each filled to exactly the capacity it
 // was given, whether carved from the rule arena or allocated: no batch is
 // regrown or copied, and none can grow into another's memory. A
-// removal's steering batches (steeringRemovals) are sized the same way:
-// one removal per host each sub-class visits.
+// removal's retire batches (retireRules) are sized the same way: one
+// removal per host each sub-class visits.
 func TestEmitOneBackingArrayPerTable(t *testing.T) {
 	c, prob, _ := hundredClassFixture(t)
 	for _, cl := range prob.Classes {
 		a, _ := c.assign.get(cl.ID)
 		c.arena.reset()
-		steer := c.steeringRemovals(a, 0)
+		steer := c.retireRules(a, nil)
 		for _, b := range steer {
 			if len(b.ops) == 0 || len(b.ops) != cap(b.ops) {
 				t.Fatalf("class %d: steering removals for %+v: %d operations in an array of %d", cl.ID, b.key, len(b.ops), cap(b.ops))
@@ -258,7 +258,7 @@ func TestEmitOneBackingArrayPerTable(t *testing.T) {
 	jumbo := core.Class{ID: 0, Path: linePath(4), Chain: policy.Chain{policy.Firewall}, RateMbps: 2500}
 	jc, _, _, _ := setup(t, []core.Class{jumbo})
 	a, _ := jc.assign.get(jumbo.ID)
-	steer := jc.steeringRemovals(a, 0)
+	steer := jc.retireRules(a, nil)
 	if len(steer) != 1 || len(steer[0].ops) != a.NumSubclasses() || len(steer[0].ops) != cap(steer[0].ops) {
 		t.Fatalf("jumbo class of %d sub-classes: steering removals %+v", a.NumSubclasses(), steer)
 	}

@@ -589,17 +589,14 @@ func (c *Controller) allocSubTagFor(a *Assignment, hops []int, txn *RuleTxn) (ui
 	return 0, fmt.Errorf("controller: no conflict-free global tag for class %d (hosts too shared)", a.Class.ID)
 }
 
-// releaseSubTags frees a class's global tags from index from on, from
-// their hosts: when a reshape drops sub-classes, an install aborts, or a
-// transaction retires the class.
-func (c *Controller) releaseSubTags(a *Assignment, from int, txn *RuleTxn) {
+// releaseSubTag frees the global tag of a class's sub-class s from its
+// hosts: when a cutover retires the sub-class or an install aborts.
+func (c *Controller) releaseSubTag(a *Assignment, s int, txn *RuleTxn) {
 	if !a.Global {
 		return
 	}
-	for _, r := range a.subs[min(from, len(a.subs)):] {
-		for _, v := range subclassHosts(a.Class, r.hops) {
-			c.setGlobalTag(txn, v, r.tag, false)
-		}
+	for _, v := range subclassHosts(a.Class, a.subs[s].hops) {
+		c.setGlobalTag(txn, v, a.subs[s].tag, false)
 	}
 }
 

@@ -283,7 +283,7 @@ func TestOverloadFaultLeavesStateUntouched(t *testing.T) {
 	c, d, _ := overloadedSetup(t)
 	want := c.Snapshot().String()
 	c.failpoint = func(p string) error {
-		if p == "reshape:cls:0" {
+		if p == "cutover:cls:0" {
 			return errInjected
 		}
 		return nil
@@ -302,7 +302,7 @@ func TestOverloadFaultLeavesStateUntouched(t *testing.T) {
 
 // TestRollbackEnforcedAtEveryStep: a rollback flips classification back to
 // the base sub-classes before it retires the re-pinned one's steering, so
-// the class passes its enforcement probes at every step of the reshape.
+// the class passes its enforcement probes at every step of the cutover.
 // Removing the steering first would leave classification sending traffic
 // to a sub-class tag with no steering behind it.
 func TestRollbackEnforcedAtEveryStep(t *testing.T) {
@@ -312,7 +312,7 @@ func TestRollbackEnforcedAtEveryStep(t *testing.T) {
 	}
 	var steps []string
 	c.failpoint = func(p string) error {
-		if !strings.HasPrefix(p, "reshape:") {
+		if !strings.HasPrefix(p, "cutover:") {
 			return nil
 		}
 		steps = append(steps, p)

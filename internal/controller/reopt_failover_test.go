@@ -159,7 +159,7 @@ func boundaryName(k int) string {
 }
 
 // TestReoptMidFailoverFailpointUnwind drives the mid-failover class
-// through a staged cutover (the same commitUpdate path ReOptimize takes
+// through a staged cutover (the same update cutover ReOptimize commits
 // for a changed class) with a failure injected at every commit step, and
 // asserts each unwind restores the armed failover state byte-identically.
 func TestReoptMidFailoverFailpointUnwind(t *testing.T) {

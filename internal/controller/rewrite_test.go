@@ -102,7 +102,7 @@ func TestGlobalTagAllocatorRecycles(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.addSubclass(subRecord{hops: hops, tag: tag}, 0, 0, a.Instances(0)[0])
-	c.releaseSubTags(a, used, nil)
+	c.releaseSubTag(a, used, nil)
 	a = live.clone()
 	again, err := c.allocSubTagFor(a, hops, nil)
 	if err != nil {

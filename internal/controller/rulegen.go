@@ -193,7 +193,9 @@ func (c *Controller) refuseAssignment(txn *RuleTxn, a *Assignment, charged []por
 	for i := len(charged) - 1; i >= 0; i-- {
 		c.setPortion(txn, charged[i].id, charged[i].pre.load, charged[i].pre.present)
 	}
-	c.releaseSubTags(a, 0, txn)
+	for s := range a.subs {
+		c.releaseSubTag(a, s, txn)
+	}
 }
 
 // journalAdmit journals an admitted plan: one admit event, then the
@@ -318,23 +320,8 @@ func (c *Controller) emitClassRules(a *Assignment) ([]tableBatch, error) {
 		}
 	}
 
-	// Routing along the class path (skip rules already present).
-	dst := cl.Path[len(cl.Path)-1]
-	routeName := fmt.Sprintf("route-%d", dst)
-	for i, v := range cl.Path {
-		port := PortDeliver
-		if i < len(cl.Path)-1 {
-			p, ok := c.nbrPort[v][cl.Path[i+1]]
-			if !ok {
-				return nil, fmt.Errorf("controller: class %d path hop %d-%d is not a link", cl.ID, v, cl.Path[i+1])
-			}
-			port = p
-		}
-		g.add(routingKey(v), flowtable.BatchOp{SkipIfPresent: true, Rule: flowtable.Rule{
-			Name: routeName, Priority: 10,
-			Match:   flowtable.Match{}.WithDst(dstPrefix(dst)),
-			Actions: c.actions.of(flowtable.Action{Type: flowtable.ActForward, Port: port}),
-		}})
+	if err := c.emitRouting(g, cl); err != nil {
+		return nil, err
 	}
 	// Host-match rules at processing switches (idempotent). The ingress's
 	// own leads the classification rules in one batch, so it is built here
@@ -380,6 +367,30 @@ func (c *Controller) emitClassRules(a *Assignment) ([]tableBatch, error) {
 		}
 	}
 	return g.tables, nil
+}
+
+// emitRouting compiles the routing rules along the class path into the
+// path's routing tables (skip-if-present: classes to the same destination
+// share them).
+func (c *Controller) emitRouting(g *ruleGroups, cl core.Class) error {
+	dst := cl.Path[len(cl.Path)-1]
+	routeName := fmt.Sprintf("route-%d", dst)
+	for i, v := range cl.Path {
+		port := PortDeliver
+		if i < len(cl.Path)-1 {
+			p, ok := c.nbrPort[v][cl.Path[i+1]]
+			if !ok {
+				return fmt.Errorf("controller: class %d path hop %d-%d is not a link", cl.ID, v, cl.Path[i+1])
+			}
+			port = p
+		}
+		g.add(routingKey(v), flowtable.BatchOp{SkipIfPresent: true, Rule: flowtable.Rule{
+			Name: routeName, Priority: 10,
+			Match:   flowtable.Match{}.WithDst(dstPrefix(dst)),
+			Actions: c.actions.of(flowtable.Action{Type: flowtable.ActForward, Port: port}),
+		}})
+	}
+	return nil
 }
 
 // hostMatchOp is processing switch v's host-match rule.

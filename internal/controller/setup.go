@@ -164,14 +164,6 @@ func batchIndex(batches []tableBatch, k tableKey) int {
 	return -1
 }
 
-// findBatch returns the operations batches holds for table k.
-func findBatch(batches []tableBatch, k tableKey) ([]flowtable.BatchOp, bool) {
-	if i := batchIndex(batches, k); i >= 0 {
-		return batches[i].ops, true
-	}
-	return nil, false
-}
-
 // ruleGroups builds one class's per-table batches so that every batch is
 // allocated once at its final size: reserve declares, in emission order,
 // how many operations each table will receive; add fills them, allocating

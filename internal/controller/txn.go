@@ -14,11 +14,13 @@ package controller
 //	commit     — deltas execute in add → update → remove order (a
 //	             handler reshape commits with the updates). New
 //	             classes go through the class-install pipeline
-//	             (installNew, setup.go), one class per run. Within
-//	             an update, the new rules are installed before the stale
-//	             ones are removed, and each flow table changes in a
-//	             single ApplyBatch critical section (the copy-on-write
-//	             matcher publishes old/new atomically per table).
+//	             (installNew, setup.go), one class per run. An update, a
+//	             reshape and a removal are one cutover each (cutover):
+//	             what the next assignment needs is installed before the
+//	             classification flips to it and what the live one had is
+//	             retired, and each flow table changes in single
+//	             ApplyBatch critical sections (the copy-on-write matcher
+//	             publishes old/new atomically per table).
 //	verify     — optional enforcement probes after each class's rules
 //	             land; an optional audit hook (CheckInvariants in the
 //	             harnesses) runs at every class boundary, proving the
@@ -47,7 +49,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"strings"
 
 	"github.com/apple-nfv/apple/internal/core"
 	"github.com/apple-nfv/apple/internal/flowtable"
@@ -63,12 +64,14 @@ type txnOpKind int
 const (
 	txnAdd     txnOpKind = iota // greedy online placement (AddClass, AddClassBatch)
 	txnInstall                  // placement-driven install (InstallPlacement, ReOptimize adds)
-	txnUpdate                   // full rule cutover to a new distribution
-	txnRemove                   // class teardown
-	txnReshape                  // Dynamic Handler reshape of weights and tail sub-classes
+	txnUpdate                   // cutover to a new distribution
+	txnRemove                   // cutover to nothing: class teardown
+	txnReshape                  // cutover to a Dynamic Handler reshape of weights and tail sub-classes
 )
 
-// txnOp is one staged class delta.
+// txnOp is one staged class delta. The kind records how a cutover
+// obtains its next assignment: built from cl and dist (txnUpdate), staged
+// as next (txnReshape), or none (txnRemove).
 type txnOp struct {
 	kind txnOpKind
 	cl   core.Class
@@ -236,11 +239,12 @@ func (t *RuleTxn) StageInstall(cl core.Class, dist [][]float64) {
 	t.staged = append(t.staged, txnOp{kind: txnInstall, cl: cl, dist: dist})
 }
 
-// StageUpdate stages a full cutover of an installed class to a new
-// distribution: new steering and classification rules are installed
-// before the stale ones are removed (make-before-break).
+// StageUpdate stages a cutover of an installed class to a new
+// distribution: what the new assignment needs is installed before the
+// classification flips to it and the stale rules are removed
+// (make-before-break).
 func (t *RuleTxn) StageUpdate(cl core.Class, dist [][]float64) {
-	t.staged = append(t.staged, txnOp{kind: txnUpdate, cl: cl, dist: dist})
+	t.staged = append(t.staged, txnOp{kind: txnUpdate, cl: cl, dist: dist, id: cl.ID})
 }
 
 // StageRefresh stages a bookkeeping-only rate change for installed class
@@ -251,8 +255,9 @@ func (t *RuleTxn) StageRefresh(id core.ClassID, rate float64) {
 	t.refreshes = append(t.refreshes, rateDelta{id: id, rate: rate, at: len(t.staged)})
 }
 
-// StageRemove stages a class teardown: classification first (new packets
-// stop matching), steering after, shared rules left in place.
+// StageRemove stages a class teardown, a cutover to nothing:
+// classification first (new packets stop matching), steering after,
+// shared rules left in place.
 func (t *RuleTxn) StageRemove(id core.ClassID) {
 	t.staged = append(t.staged, txnOp{kind: txnRemove, id: id})
 }
@@ -260,7 +265,7 @@ func (t *RuleTxn) StageRemove(id core.ClassID) {
 // stageReshape stages a Dynamic Handler reshape: next is a reshaped
 // Assignment.clone of an installed class's live assignment.
 func (t *RuleTxn) stageReshape(next *Assignment) {
-	t.staged = append(t.staged, txnOp{kind: txnReshape, next: next})
+	t.staged = append(t.staged, txnOp{kind: txnReshape, id: next.Class.ID, next: next})
 }
 
 // Installed and Removed report the rule churn of a committed
@@ -316,17 +321,12 @@ func (t *RuleTxn) Commit(opts TxnOptions) (err error) {
 			if i == len(t.staged) || !ph.want(t.staged[i].kind) {
 				continue
 			}
-			switch op := t.staged[i]; op.kind {
-			case txnAdd, txnInstall:
+			if op := t.staged[i]; op.kind == txnAdd || op.kind == txnInstall {
 				// One pipeline run per class keeps the per-class audit
 				// boundary.
 				_, err = t.installNew(t.staged[i:i+1], opts.Verify)
-			case txnUpdate:
-				err = t.commitUpdate(op, opts)
-			case txnReshape:
-				err = t.commitReshape(op)
-			case txnRemove:
-				err = t.commitRemove(op)
+			} else {
+				err = t.commitCutover(op, opts)
 			}
 			if err = audited(err); err != nil {
 				return err
@@ -471,8 +471,8 @@ func (t *RuleTxn) applyEach(batches []tableBatch) error {
 // keeping its undo token and accounting installed rules, and returns how
 // many rules it installed. The token is kept on error too: a failed batch
 // leaves its earlier operations applied, and the unwind needs that token.
-// The ordered make-before-break steps of an update or removal, and the
-// install pipeline's apply stage, are sequences of these.
+// The ordered make-before-break steps of a cutover, and the install
+// pipeline's apply stage, are sequences of these.
 func (t *RuleTxn) apply(k tableKey, batch []flowtable.BatchOp) (int, error) {
 	tbl, err := t.c.deviceTable(k.dev, k.table)
 	if err != nil {
@@ -579,165 +579,303 @@ func (t *RuleTxn) trackPrevAssign(id core.ClassID, a *Assignment) {
 	t.prevOrder = append(t.prevOrder, id)
 }
 
-// ownedNames are the rule names one class owns outright: its ingress
-// classification and its per-sub-class steering. Shared idempotent rules
-// (route-*, host-match, pass-by) are never the class's to remove — other
-// classes may depend on them.
-type ownedNames struct {
-	cls       string // cls-<id>
-	vswPrefix string // vsw-<id>-
-}
-
-func ownedBy(id core.ClassID) ownedNames {
-	return ownedNames{cls: fmt.Sprintf("cls-%d", id), vswPrefix: fmt.Sprintf("vsw-%d-", id)}
-}
-
-func (o ownedNames) owns(name string) bool {
-	return name == o.cls || strings.HasPrefix(name, o.vswPrefix)
-}
-
-// removals appends to out one remove operation per class-owned rule name
-// in one table's ops, in first-appearance order. The operations on one
-// name are emitted together, so a name is new when it is not the one
-// appended last.
-func (o ownedNames) removals(out, ops []flowtable.BatchOp) []flowtable.BatchOp {
-	for _, op := range ops {
-		name := op.Rule.Name
-		if op.Remove != "" {
-			name = op.Remove
-		}
-		if !o.owns(name) || (len(out) > 0 && out[len(out)-1].Remove == name) {
-			continue
-		}
-		out = append(out, flowtable.BatchOp{Remove: name})
-	}
-	return out
-}
-
-// commitUpdate cuts an installed class over to a new distribution with
-// zero transient violations:
-//
-//  1. shared adds and changed steering tables swap first — each table's
-//     old steering rules are removed and the new ones installed in one
-//     ApplyBatch (packets in flight match either the complete old or the
-//     complete new rule set of that table, never a mix);
-//  2. the ingress classification flips (its emitted batch is already
-//     remove-then-install);
-//  3. the store pointer swaps to the new assignment;
-//  4. tables only the old placement used are cleaned of the class's
-//     rules, old global tags are released and old portions retired.
-//
-// Tables whose old and new rule groups compile identically are skipped —
-// this is what makes rules-touched proportional to drift.
-func (t *RuleTxn) commitUpdate(op txnOp, opts TxnOptions) error {
+// commitCutover commits a staged update, reshape or removal as one
+// cutover of the class's live assignment to next. Only how next is
+// obtained differs: an update builds it from the staged distribution, a
+// reshape staged it, a removal has none. An update is journaled and, with
+// opts.Verify, probed once it stands.
+func (t *RuleTxn) commitCutover(op txnOp, opts TxnOptions) error {
 	c := t.c
-	cl := op.cl
-	old, ok := c.assign.get(cl.ID)
+	old, ok := c.assign.get(op.id)
 	if !ok {
-		return fmt.Errorf("controller: class %d is not installed", cl.ID)
+		return fmt.Errorf("controller: class %d is not installed", op.id)
 	}
-	if err := t.fail("update:plan", cl.ID); err != nil {
-		return err
+	if op.kind != txnUpdate {
+		return t.cutover(old, op.next, op.kind == txnReshape)
 	}
-	subs, err := core.Subclasses(cl, op.dist)
-	if err != nil {
-		return fmt.Errorf("controller: %w", err)
-	}
-	if err := c.ensurePassBy(t); err != nil {
-		return err
-	}
-	if err := t.fail("update:build", cl.ID); err != nil {
-		return err
-	}
-	// Build the replacement assignment without registering it. Old global
-	// tags are still registered, so a global class draws fresh,
-	// non-conflicting tags; portions double-count old+new until retire —
-	// the capacity a make-before-break window genuinely holds.
-	newA, err := c.buildAssignment(cl, subs, t)
+	next, err := t.buildUpdate(op)
 	if err != nil {
 		return err
 	}
-	oldG, err := c.emitClassRules(old)
-	if err != nil {
+	if err := t.cutover(old, next, false); err != nil {
 		return err
 	}
-	newG, err := c.emitClassRules(newA)
-	if err != nil {
+	c.journalAdmit(next)
+	if !opts.Verify {
+		return nil
+	}
+	if err := t.fail("update:verify", op.id); err != nil {
 		return err
 	}
-	owned := ownedBy(old.Class.ID)
-	clsKey := appleKey(cl.Path[0])
+	metrics.FlowSetup.VerifyProbes.Add(1)
+	if err := c.CheckClassEnforcement(op.id); err != nil {
+		return err
+	}
+	if c.tracer.Enabled() {
+		c.tracer.Emit(trace.Ev(trace.KindFlowVerify).WithClass(int64(op.id)))
+	}
+	return nil
+}
 
-	// Phase 1: shared adds and changed steering tables, new rules in the
-	// same batch that drops that table's old generation.
-	if err := t.fail("update:steer", cl.ID); err != nil {
+// buildUpdate builds an update's next assignment from the staged
+// distribution without registering it. The live assignment's global tags
+// are still marked, so a header-rewriting class draws fresh,
+// non-conflicting ones, and the ledger charges next's base on top of the
+// live one's until the cutover retires it: the capacity a make-before-break
+// window really holds.
+func (t *RuleTxn) buildUpdate(op txnOp) (*Assignment, error) {
+	if err := t.fail("update:plan", op.id); err != nil {
+		return nil, err
+	}
+	subs, err := core.Subclasses(op.cl, op.dist)
+	if err != nil {
+		return nil, fmt.Errorf("controller: %w", err)
+	}
+	if err := t.c.ensurePassBy(t); err != nil {
+		return nil, err
+	}
+	if err := t.fail("update:build", op.id); err != nil {
+		return nil, err
+	}
+	return t.c.buildAssignment(op.cl, subs, t)
+}
+
+// cutover moves a class from its live assignment old to next, or removes
+// it when next is nil, make-before-break in four steps, each behind one
+// failpoint:
+//
+//  1. make (cutover:steer): what next needs and old lacks is installed.
+//     A sub-class of next that keeps old's steering (keepsSteering) is
+//     left alone. Every other one gets its steering and the host-match
+//     rule of every switch it processes at, and a new path gets its
+//     routing. On a host where it replaces old's sub-class of the same
+//     index, the old rules' removal and the new rules share one batch.
+//  2. flip (cutover:cls): the ingress classification moves to next's
+//     sub-classes in one remove-then-install batch, or is removed.
+//  3. swap (cutover:swap): the store holds next, or no longer the class.
+//  4. retire (cutover:retire): the steering of old's sub-classes that
+//     next does not keep is removed where step 1 did not replace it, and
+//     old's classification if next enters elsewhere. Their global tags
+//     are freed, and old's base portion charges are taken back unless
+//     keepsBase says next carries old's base: a reshape never moves it,
+//     while an update's next was charged when it was built.
+//
+// Each flow table changes in single ApplyBatch critical sections, so a
+// packet meets a table's complete old or complete new rule set.
+func (t *RuleTxn) cutover(old, next *Assignment, keepsBase bool) error {
+	c := t.c
+	id := old.Class.ID
+	if err := t.fail("cutover:steer", id); err != nil {
 		return err
 	}
-	var clsBatch []flowtable.BatchOp
-	for _, nb := range newG {
-		oldOps, _ := findBatch(oldG, nb.key)
-		if flowtable.BatchEqual(oldOps, nb.ops) {
-			continue // identical compilation — untouched
+	if next != nil {
+		made, err := c.makeRules(old, next)
+		if err != nil {
+			return err
 		}
-		// At most one removal per old operation and per owned name.
-		drops := min(len(oldOps), len(old.subs)+1)
-		batch := c.arena.batch(drops + len(nb.ops))
-		batch = append(owned.removals(batch, oldOps), nb.ops...)
-		if nb.key == clsKey {
-			clsBatch = batch
+		if err := t.applyEach(made); err != nil {
+			return err
+		}
+	}
+	if err := t.fail("cutover:cls", id); err != nil {
+		return err
+	}
+	flip, err := c.flipRules(old, next)
+	if err != nil {
+		return err
+	}
+	if err := t.applyEach(flip); err != nil {
+		return err
+	}
+	if err := t.fail("cutover:swap", id); err != nil {
+		return err
+	}
+	t.trackPrevAssign(id, old)
+	if next != nil {
+		c.assign.put(id, next)
+	} else {
+		c.assign.remove(id)
+	}
+	if err := t.fail("cutover:retire", id); err != nil {
+		return err
+	}
+	if err := t.applyEach(c.retireRules(old, next)); err != nil {
+		return err
+	}
+	for s := range old.subs {
+		if !keepsSteering(old, next, s) {
+			c.releaseSubTag(old, s, t)
+		}
+	}
+	if !keepsBase {
+		c.shiftPortions(t, old, -1)
+	}
+	return nil
+}
+
+// keepsSteering reports whether sub-class s of next stands as old's does:
+// the same path, chain, hop vector, tag and instance row, so its steering
+// compiles to the rules already installed. Nothing stands when next is
+// nil.
+func keepsSteering(old, next *Assignment, s int) bool {
+	return next != nil && s < len(old.subs) && s < len(next.subs) &&
+		old.subs[s].tag == next.subs[s].tag &&
+		slices.Equal(old.subs[s].hops, next.subs[s].hops) &&
+		slices.Equal(old.Instances(s), next.Instances(s)) &&
+		slices.Equal(old.Class.Path, next.Class.Path) &&
+		old.Class.Chain.Equal(next.Class.Chain)
+}
+
+// visits reports whether sub-class s of a processes at switch v.
+func (a *Assignment) visits(s int, v topology.NodeID) bool {
+	if s >= len(a.subs) {
+		return false
+	}
+	for _, h := range a.subs[s].hops {
+		if a.Class.Path[h] == v {
+			return true
+		}
+	}
+	return false
+}
+
+// makeRules compiles the cutover's make step into one batch per table, in
+// the order emission first reaches each: routing along a new path, then
+// per sub-class of next that old's steering does not serve, the host-match
+// rule of each switch it processes at and its steering there, behind the
+// removal of old's same-index rules on a host old's sub-class visits too.
+func (c *Controller) makeRules(old, next *Assignment) ([]tableBatch, error) {
+	cl := next.Class
+	newPath := !slices.Equal(old.Class.Path, cl.Path)
+	runs := make([][]chainRun, len(next.subs))
+	tables := 0
+	for s, r := range next.subs {
+		if !keepsSteering(old, next, s) {
+			runs[s] = chainRuns(r.hops)
+			tables += 2 * len(runs[s])
+		}
+	}
+	if newPath {
+		tables += len(cl.Path)
+	}
+	// A class touches at most three tables per path switch: its routing,
+	// APPLE and steering tables.
+	g := c.arena.groups(min(tables, 3*len(cl.Path)))
+	if newPath {
+		for _, v := range cl.Path {
+			g.reserve(routingKey(v), 1)
+		}
+	}
+	for s := range next.subs {
+		for _, r := range runs[s] {
+			v := cl.Path[r.hop]
+			g.reserve(appleKey(v), 1)
+			n := r.end - r.start + 2 // uplink entry, chain hops, exit
+			if old.visits(s, v) {
+				n++
+			}
+			g.reserve(steeringKey(v), n)
+		}
+	}
+	if newPath {
+		if err := c.emitRouting(g, cl); err != nil {
+			return nil, err
+		}
+	}
+	for s := range next.subs {
+		if runs[s] == nil {
 			continue
 		}
-		if _, err := t.apply(nb.key, batch); err != nil {
-			return err
+		replaced := flowtable.BatchOp{Remove: fmt.Sprintf("vsw-%d-%d", cl.ID, s)}
+		for _, r := range runs[s] {
+			v := cl.Path[r.hop]
+			op, err := c.hostMatchOp(v)
+			if err != nil {
+				return nil, err
+			}
+			g.add(appleKey(v), op)
+			if old.visits(s, v) {
+				g.add(steeringKey(v), replaced)
+			}
+		}
+		if err := c.emitVSwitchRules(g, next, s, runs[s]); err != nil {
+			return nil, err
 		}
 	}
-	// Phase 2: ingress classification flip.
-	if clsBatch != nil {
-		if err := t.fail("update:cls", cl.ID); err != nil {
-			return err
+	return g.tables, nil
+}
+
+// flipRules compiles the cutover's flip: next's classification at its
+// ingress behind the removal of the class's rules there, or that removal
+// alone at old's ingress when next is nil.
+func (c *Controller) flipRules(old, next *Assignment) ([]tableBatch, error) {
+	g := c.arena.groups(1)
+	if next == nil {
+		key := appleKey(old.Class.Path[0])
+		g.reserve(key, 1)
+		g.add(key, flowtable.BatchOp{Remove: fmt.Sprintf("cls-%d", old.Class.ID)})
+		return g.tables, nil
+	}
+	blocks, err := next.classificationBlocks()
+	if err != nil {
+		return nil, err
+	}
+	g.reserve(appleKey(next.Class.Path[0]), classificationSize(blocks))
+	if err := c.emitClassification(g, next, blocks); err != nil {
+		return nil, err
+	}
+	return g.tables, nil
+}
+
+// retireRules compiles the cutover's retire step: the removal of old's
+// classification when next enters at another switch, and of the steering
+// of every sub-class of old that next does not keep, on each host it
+// visits unless the make step replaced it there. One batch per table,
+// hosts in the order the sub-classes first reach them. Nothing to remove
+// allocates nothing.
+func (c *Controller) retireRules(old, next *Assignment) []tableBatch {
+	cl := old.Class
+	moved := next != nil && next.Class.Path[0] != cl.Path[0]
+	tables := 0
+	if moved {
+		tables++
+	}
+	eachRetired(old, next, func(int, topology.NodeID) { tables++ })
+	g := c.arena.groups(min(tables, len(cl.Path)+1))
+	if moved {
+		g.reserve(appleKey(cl.Path[0]), 1)
+	}
+	eachRetired(old, next, func(_ int, v topology.NodeID) { g.reserve(steeringKey(v), 1) })
+	if moved {
+		g.add(appleKey(cl.Path[0]), flowtable.BatchOp{Remove: fmt.Sprintf("cls-%d", cl.ID)})
+	}
+	last, retired := -1, flowtable.BatchOp{}
+	eachRetired(old, next, func(s int, v topology.NodeID) {
+		if s != last {
+			last, retired.Remove = s, fmt.Sprintf("vsw-%d-%d", cl.ID, s)
 		}
-		if _, err := t.apply(clsKey, clsBatch); err != nil {
-			return err
-		}
-	}
-	// Phase 3: swap the control-plane view.
-	if err := t.fail("update:swap", cl.ID); err != nil {
-		return err
-	}
-	t.trackPrevAssign(cl.ID, old)
-	c.assign.put(cl.ID, newA)
-	c.journalAdmit(newA)
-	// Phase 4: retire the old generation — tables the new placement no
-	// longer touches, old global tags, old portions.
-	if err := t.fail("update:retire", cl.ID); err != nil {
-		return err
-	}
-	for _, ob := range oldG {
-		if _, inNew := findBatch(newG, ob.key); inNew {
+		g.add(steeringKey(v), retired)
+	})
+	return g.tables
+}
+
+// eachRetired calls f with every sub-class s of old that next does not
+// keep and every host v it visits that next's sub-class s does not, in
+// sub-class order and, within one, in path order. A hop vector never
+// decreases and a path never revisits a switch, so the hosts a sub-class
+// visits are its distinct hops.
+func eachRetired(old, next *Assignment, f func(s int, v topology.NodeID)) {
+	for s, r := range old.subs {
+		if keepsSteering(old, next, s) {
 			continue
 		}
-		drops := min(len(ob.ops), len(old.subs)+1)
-		if batch := owned.removals(c.arena.batch(drops), ob.ops); len(batch) > 0 {
-			if _, err := t.apply(ob.key, batch); err != nil {
-				return err
+		for j, h := range r.hops {
+			v := old.Class.Path[h]
+			if (j == 0 || h != r.hops[j-1]) && (next == nil || !next.visits(s, v)) {
+				f(s, v)
 			}
 		}
 	}
-	c.releaseSubTags(old, 0, t)
-	c.shiftPortions(t, old, -1)
-	if opts.Verify {
-		if err := t.fail("update:verify", cl.ID); err != nil {
-			return err
-		}
-		metrics.FlowSetup.VerifyProbes.Add(1)
-		if err := c.CheckClassEnforcement(cl.ID); err != nil {
-			return err
-		}
-		if c.tracer.Enabled() {
-			c.tracer.Emit(trace.Ev(trace.KindFlowVerify).WithClass(int64(cl.ID)))
-		}
-	}
-	return nil
 }
 
 // commitRefresh replaces an installed class's assignment with one
@@ -764,150 +902,6 @@ func (t *RuleTxn) commitRefresh(r rateDelta) error {
 	c.assign.put(r.id, &newA)
 	c.shiftPortions(t, old, -1)
 	c.shiftPortions(t, &newA, +1)
-	return nil
-}
-
-// commitRemove tears one class down: classification first (arriving
-// packets stop matching), steering after, shared rules untouched. The
-// class-owned names and the tables holding them follow from the assignment
-// alone — cls-<id> at the ingress, vsw-<id>-<s> on every host sub-class s
-// visits, handler-added sub-classes included — so nothing is compiled.
-func (t *RuleTxn) commitRemove(op txnOp) error {
-	c := t.c
-	a, ok := c.assign.get(op.id)
-	if !ok {
-		return fmt.Errorf("controller: class %d is not installed", op.id)
-	}
-	if err := t.fail("remove:emit", op.id); err != nil {
-		return err
-	}
-	steer := c.steeringRemovals(a, 0)
-	if err := t.fail("remove:cls", op.id); err != nil {
-		return err
-	}
-	clsBatch := []flowtable.BatchOp{{Remove: fmt.Sprintf("cls-%d", a.Class.ID)}}
-	if _, err := t.apply(appleKey(a.Class.Path[0]), clsBatch); err != nil {
-		return err
-	}
-	if err := t.fail("remove:steer", op.id); err != nil {
-		return err
-	}
-	if err := t.applyEach(steer); err != nil {
-		return err
-	}
-	if err := t.fail("remove:unregister", op.id); err != nil {
-		return err
-	}
-	t.trackPrevAssign(op.id, a)
-	c.assign.remove(op.id)
-	c.releaseSubTags(a, 0, t)
-	c.shiftPortions(t, a, -1)
-	return nil
-}
-
-// steeringRemovals removes the steering of a's sub-classes from index
-// from on: vsw-<id>-<s> on every host sub-class s visits, one batch per
-// host, hosts in the order the sub-classes first reach them. Each visits
-// at most one host per chain position, so nothing to drop allocates none.
-// A hop vector never decreases and a path never revisits a switch, so
-// the hosts a sub-class visits are its distinct hops, in order: one
-// removal is reserved per visit, then added.
-func (c *Controller) steeringRemovals(a *Assignment, from int) []tableBatch {
-	steer := c.arena.groups(min(len(a.Class.Path), max(0, len(a.subs)-from)*len(a.Class.Chain)))
-	for s := from; s < len(a.subs); s++ {
-		hops := a.subs[s].hops
-		for j, h := range hops {
-			if j == 0 || h != hops[j-1] {
-				steer.reserve(steeringKey(a.Class.Path[h]), 1)
-			}
-		}
-	}
-	for s := from; s < len(a.subs); s++ {
-		remove := flowtable.BatchOp{Remove: fmt.Sprintf("vsw-%d-%d", a.Class.ID, s)}
-		hops := a.subs[s].hops
-		for j, h := range hops {
-			if j == 0 || h != hops[j-1] {
-				steer.add(steeringKey(a.Class.Path[h]), remove)
-			}
-		}
-	}
-	return steer.tables
-}
-
-// commitReshape commits a Dynamic Handler reshape make-before-break. The
-// staged assignment keeps the live one's sub-classes but for the tail an
-// overload or activation appends and a rollback drops: steering of added
-// sub-classes first, with the host-match rule of every switch they process
-// at (skip-if-present), then the classification flip (remove-then-install)
-// and the store swap, then retiring the dropped sub-classes' steering and
-// global tags. No other rule of the class is emitted.
-func (t *RuleTxn) commitReshape(op txnOp) error {
-	c := t.c
-	next := op.next
-	id := next.Class.ID
-	old, ok := c.assign.get(id)
-	if !ok {
-		return fmt.Errorf("controller: class %d is not installed", id)
-	}
-	if err := t.fail("reshape:steer", id); err != nil {
-		return err
-	}
-	runs := make([][]chainRun, len(next.subs))
-	tables := 0
-	for s := len(old.subs); s < len(next.subs); s++ {
-		runs[s] = chainRuns(next.subs[s].hops)
-		tables += 2 * len(runs[s])
-	}
-	steer := c.arena.groups(tables)
-	for s := len(old.subs); s < len(next.subs); s++ {
-		for _, r := range runs[s] {
-			v := next.Class.Path[r.hop]
-			steer.reserve(appleKey(v), 1)
-			steer.reserve(steeringKey(v), r.end-r.start+2)
-		}
-	}
-	for s := len(old.subs); s < len(next.subs); s++ {
-		for _, r := range runs[s] {
-			op, err := c.hostMatchOp(next.Class.Path[r.hop])
-			if err != nil {
-				return err
-			}
-			steer.add(appleKey(next.Class.Path[r.hop]), op)
-		}
-		if err := c.emitVSwitchRules(steer, next, s, runs[s]); err != nil {
-			return err
-		}
-	}
-	if err := t.applyEach(steer.tables); err != nil {
-		return err
-	}
-	if err := t.fail("reshape:cls", id); err != nil {
-		return err
-	}
-	blocks, err := next.classificationBlocks()
-	if err != nil {
-		return err
-	}
-	cls := c.arena.groups(1)
-	cls.reserve(appleKey(next.Class.Path[0]), classificationSize(blocks))
-	if err := c.emitClassification(cls, next, blocks); err != nil {
-		return err
-	}
-	if err := t.applyEach(cls.tables); err != nil {
-		return err
-	}
-	if err := t.fail("reshape:swap", id); err != nil {
-		return err
-	}
-	t.trackPrevAssign(id, old)
-	c.assign.put(id, next)
-	if err := t.fail("reshape:retire", id); err != nil {
-		return err
-	}
-	if err := t.applyEach(c.steeringRemovals(old, len(next.subs))); err != nil {
-		return err
-	}
-	c.releaseSubTags(old, len(next.subs), t)
 	return nil
 }
 

@@ -186,9 +186,9 @@ var faultRoutes = []struct {
 // a surge on classes 0 and 1 leaves each with a spawned sub-class the
 // planner never knew (steering rules vsw-<id>-1 included), and the
 // transaction then removes class 0, cuts class 1 over to a switch it does
-// not use yet, and admits a new class. Removal derives its rule names from
-// the assignment and the cutover diffs per-table batches, so both must
-// cover — and on a fault restore — the handler-added sub-class.
+// not use yet, and admits a new class. Both cutovers derive what to make
+// and retire from the live assignment, so both must cover — and on a fault
+// restore — the handler-added sub-class.
 func newReshapedRoute(t *testing.T) *faultRoute {
 	t.Helper()
 	classes := []core.Class{
@@ -396,22 +396,37 @@ func probeFailpoints(t *testing.T, newRoute func(*testing.T) *faultRoute) []stri
 	return points
 }
 
+// cutoverPoints are the four steps of one cutover of class id: make, flip,
+// swap and retire.
+func cutoverPoints(id int) []string {
+	var pts []string
+	for _, step := range []string{"steer", "cls", "swap", "retire"} {
+		pts = append(pts, fmt.Sprintf("cutover:%s:%d", step, id))
+	}
+	return pts
+}
+
 // reshapePoints are the steps of one handler reshape of class 0.
-var reshapePoints = []string{"reshape:steer:0", "reshape:cls:0", "reshape:swap:0", "reshape:retire:0"}
+var reshapePoints = cutoverPoints(0)
 
 // TestTxnFailpointCoverage pins the set of commit steps the injection
 // suite exercises: every stage boundary of every op kind must fire, on
-// every entry point that reaches it.
+// every entry point that reaches it. An update, a reshape and a removal
+// are one cutover each, and every cutover fires all four of its steps.
 func TestTxnFailpointCoverage(t *testing.T) {
+	with := func(pts []string, more ...[]string) []string {
+		for _, m := range more {
+			pts = append(pts, m...)
+		}
+		return pts
+	}
 	required := map[string][]string{
-		"commit": {
+		"commit": with([]string{
 			"add:plan:5", "add:admit:5", "add:emit:5", "add:apply:5", "add:verify:5",
 			"install:plan:4", "add:admit:4", "add:emit:4", "add:apply:4", "add:verify:4",
-			"update:plan:0", "update:build:0", "update:steer:0",
-			"update:swap:0", "update:retire:0", "update:verify:0",
+			"update:plan:0", "update:build:0", "update:verify:0",
 			"refresh:swap:1",
-			"remove:emit:2", "remove:cls:2", "remove:steer:2", "remove:unregister:2",
-		},
+		}, cutoverPoints(0), cutoverPoints(2)),
 		"batch": {
 			"add:plan:5", "add:admit:5", "add:emit:5", "add:apply:5", "add:verify:5",
 			"add:plan:4", "add:admit:4", "add:emit:4", "add:apply:4", "add:verify:4",
@@ -422,12 +437,10 @@ func TestTxnFailpointCoverage(t *testing.T) {
 			"install:plan:1", "add:admit:1", "add:emit:1", "add:apply:1",
 			"install:plan:5", "add:admit:5", "add:emit:5", "add:apply:5",
 		},
-		"reshaped": {
+		"reshaped": with([]string{
 			"add:plan:5", "add:admit:5", "add:emit:5", "add:apply:5", "add:verify:5",
-			"update:plan:1", "update:build:1", "update:steer:1", "update:cls:1",
-			"update:swap:1", "update:retire:1", "update:verify:1",
-			"remove:emit:0", "remove:cls:0", "remove:steer:0", "remove:unregister:0",
-		},
+			"update:plan:1", "update:build:1", "update:verify:1",
+		}, cutoverPoints(1), cutoverPoints(0)),
 		"overload": reshapePoints,
 		"rollback": reshapePoints,
 		"activate": reshapePoints,
@@ -642,7 +655,7 @@ func TestJournalShapeOnEveryEntryPoint(t *testing.T) {
 			if faulted {
 				fx.c.failpoint = func(p string) error {
 					if strings.HasPrefix(p, "add:verify") || strings.HasPrefix(p, "add:apply:5") ||
-						strings.HasPrefix(p, "reshape:retire") {
+						strings.HasPrefix(p, "cutover:retire") {
 						return errInjected
 					}
 					return nil

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -403,5 +404,94 @@ func TestRepoolUnwinds(t *testing.T) {
 	}
 	if got := c.Snapshot().String(); got != want {
 		t.Fatalf("pool after unwind: %s", firstDiff(want, got))
+	}
+}
+
+// TestUpdateKeepsUnchangedSteering: an update cuts over only the
+// sub-classes whose steering changes. Class 0's firewall sub-classes at
+// hops 0, 1 and 2 become 0, 1 and 3, on one firewall per switch, so the
+// first two keep their path, hops, tags and instances: the cutover applies
+// no batch to their hosts' steering tables, and their rules stand as
+// installed, while the third moves from host 2 to host 3.
+func TestUpdateKeepsUnchangedSteering(t *testing.T) {
+	c, err := New(Config{Topology: lineTopo(t, 4), Clock: sim.New(), Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handler, err := NewDynamicHandler(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := topology.NodeID(0); v < 4; v++ {
+		inst, _, err := c.orch.PlaceNow(policy.Firewall, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.poolAdd(v, policy.Firewall, inst)
+	}
+	cl := core.Class{ID: 0, Path: linePath(4), Chain: policy.Chain{policy.Firewall}, RateMbps: 400}
+	dist := func(hops ...int) [][]float64 {
+		d := zeroDist(4, 1)
+		for i, h := range hops {
+			d[h][0] = []float64{0.25, 0.25, 0.5}[i]
+		}
+		return d
+	}
+	txn := c.Begin()
+	txn.StageInstall(cl, dist(0, 1, 2))
+	if err := txn.Commit(TxnOptions{Verify: true}); err != nil {
+		t.Fatal(err)
+	}
+	old, _ := c.assign.get(0)
+	kept := map[tableKey]bool{steeringKey(0): true, steeringKey(1): true}
+	steering := func() []TableSnapshot {
+		var out []TableSnapshot
+		for _, tbl := range c.Snapshot().Tables {
+			if tbl.VSwitch && (tbl.Node == 0 || tbl.Node == 1) {
+				out = append(out, tbl)
+			}
+		}
+		return out
+	}
+	before := steering()
+
+	txn = c.Begin()
+	txn.StageUpdate(cl, dist(0, 1, 3))
+	var touched []tableKey
+	c.failpoint = func(p string) error {
+		if p == "update:verify:0" {
+			for _, u := range txn.undo {
+				touched = append(touched, u.key)
+			}
+		}
+		return nil
+	}
+	if err := txn.Commit(TxnOptions{Verify: true, Audit: handler.CheckInvariants}); err != nil {
+		t.Fatal(err)
+	}
+	c.failpoint = nil
+	next, _ := c.assign.get(0)
+	for s := 0; s < 3; s++ {
+		same := old.subs[s].tag == next.subs[s].tag &&
+			reflect.DeepEqual(old.Subclass(s).Hops, next.Subclass(s).Hops) &&
+			reflect.DeepEqual(old.Instances(s), next.Instances(s))
+		if same != (s < 2) {
+			t.Fatalf("fixture: sub-class %d: hops %v → %v, instances %v → %v", s,
+				old.Subclass(s).Hops, next.Subclass(s).Hops, old.Instances(s), next.Instances(s))
+		}
+	}
+	if len(touched) == 0 {
+		t.Fatal("the update applied no batch")
+	}
+	for _, k := range touched {
+		if kept[k] {
+			t.Errorf("the update applied a batch to %+v, which only kept sub-classes use", k)
+		}
+	}
+	if !reflect.DeepEqual(steering(), before) {
+		t.Error("the kept sub-classes' steering rules changed")
+	}
+	if err := c.CheckEnforcement(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -492,18 +492,6 @@ type BatchOp struct {
 	SkipIfPresent bool
 }
 
-// Equal reports whether op and o are the same batch step.
-func (op BatchOp) Equal(o BatchOp) bool {
-	return op.Remove == o.Remove && op.SkipIfPresent == o.SkipIfPresent && op.Rule.Equal(o.Rule)
-}
-
-// BatchEqual reports whether two batches would apply the same steps in
-// the same order — the Rule Generator's test for "this table's rules
-// compile identically, leave it alone".
-func BatchEqual(a, b []BatchOp) bool {
-	return slices.EqualFunc(a, b, BatchOp.Equal)
-}
-
 // Undo is the inverse of one ApplyBatchUndo: the rules the batch added
 // and the rules it removed. It holds the table's own entries, so it is
 // sized by the batch, not by the table, and a rule it restores returns to
