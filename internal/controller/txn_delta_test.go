@@ -205,7 +205,7 @@ func TestCommitCostIndependentOfInstalledState(t *testing.T) {
 
 // TestCommitFixedCost pins the fixed part of one class's life on a small
 // controller (about 1.7k rules): admitting and removing it allocates
-// 6 366 B (7 012 B under the race detector). The two transactions reuse
+// 6 367 B (7 089 B under the race detector). The two transactions reuse
 // the controller's spare buffer set and carve their rule groups from its
 // arena; while each allocated its own, the pair cost 10 267 B (11 480 B).
 // The gate is 7 400 B, the race detector's figure plus about 5 %.
