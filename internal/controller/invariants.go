@@ -9,11 +9,8 @@ import (
 )
 
 // weightTol is the float tolerance for weight-conservation checks, and
-// ledgerTol the relative one for the portion ledger.
-const (
-	weightTol = 1e-6
-	ledgerTol = 1e-6
-)
+// the relative one for the portion ledger.
+const weightTol = 1e-6
 
 // CheckInvariants audits the controller and handler state that the
 // transactional failover discipline promises to keep consistent. It is
@@ -192,6 +189,9 @@ func (d *DynamicHandler) CheckInvariants() error {
 	// Portion ledger: what buildAssignment charged for every installed
 	// base sub-class, and nothing else.
 	planned := make(map[vnf.ID]float64, len(c.instPortion))
+	for id := range c.instPortion {
+		planned[id] = 0
+	}
 	for _, a := range c.assign.sorted() {
 		for s, r := range a.subs[:a.NumBase()] {
 			for _, id := range a.Instances(s) {
@@ -199,15 +199,10 @@ func (d *DynamicHandler) CheckInvariants() error {
 			}
 		}
 	}
-	for _, id := range sortedKeys(c.instPortion) {
+	for _, id := range sortedKeys(planned) {
 		got, want := c.instPortion[id], planned[id]
-		if math.Abs(got-want) > ledgerTol*math.Max(1, math.Abs(want)) {
+		if math.Abs(got-want) > weightTol*math.Max(1, math.Abs(want)) {
 			return fmt.Errorf("invariant: instance %s carries portion %v in the ledger, but its base sub-classes plan %v", id, got, want)
-		}
-	}
-	for id, want := range planned {
-		if _, ok := c.instPortion[id]; !ok && want != 0 {
-			return fmt.Errorf("invariant: instance %s has no ledger entry, but its base sub-classes plan %v", id, want)
 		}
 	}
 	// Core accounting: the ledger holds cores only for launches the
