@@ -13,6 +13,10 @@ import (
 // without the engines having solved anything.
 var Certified int
 
+// Objectives lists, in solve order, the objective of every LP solve the
+// observer certified; the cold-solve golden test reads it.
+var Objectives []float64
+
 // TestMain points the solveObserver seam at lp.CheckCertificate: every LP
 // solve any test of this package drives through Engine or
 // IncrementalEngine — the cold solve, each repair re-solve, each snapshot
@@ -24,6 +28,7 @@ func TestMain(m *testing.M) {
 			panic(fmt.Sprintf("model %q: %v", md.Name(), err))
 		}
 		Certified++
+		Objectives = append(Objectives, sol.Objective)
 	}
 	os.Exit(m.Run())
 }
