@@ -9,7 +9,7 @@ FUZZ_TARGETS := ./internal/flowtable:FuzzMatchLookup ./internal/flowtable:FuzzTa
 # and fuzz are the other three CI jobs. Performance is measured by the one
 # end-to-end benchmark BENCHMARK.json declares (cmd/applebench/run.sh),
 # not by a make target: it gates counts and bytes, never wall time.
-.PHONY: build test tier1 race vet lint bench-check fuzz cover check trace-smoke clean
+.PHONY: build test tier1 race vet lint bench-check fuzz cover check trace-smoke profile-cold clean
 
 build:
 	$(GO) build ./...
@@ -88,7 +88,15 @@ trace-smoke:
 	$(GO) run ./cmd/appletrace -journal churn_trace.jsonl -metrics churn_metrics.json
 	$(GO) test -run 'TestChurnTrace' ./internal/experiments
 
+# profile-cold runs BenchmarkColdPath (root bench_test.go) — mean problem,
+# policy hierarchy, classifier, solve and install on the four paper
+# topologies — and writes its allocation profile to cold.memprofile for
+# `go tool pprof -sample_index=alloc_space apple.test cold.memprofile`,
+# sampling one allocation per 8 KiB; check does not run this target.
+profile-cold:
+	$(GO) test -run '^$$' -bench '^BenchmarkColdPath$$' -benchtime 10x -memprofile cold.memprofile -memprofilerate 8192 -o apple.test .
+
 # clean removes only what .gitignore lists: nothing it deletes is tracked.
 clean:
 	$(GO) clean ./...
-	rm -f lint_findings.txt coverage.out churn_trace.jsonl churn_metrics.json tier1.log
+	rm -f lint_findings.txt coverage.out churn_trace.jsonl churn_metrics.json tier1.log cold.memprofile apple.test

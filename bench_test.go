@@ -1,7 +1,8 @@
 // Benchmark harness: ablations of the design choices called out in
 // DESIGN.md §3 (EXPERIMENTS.md's Ablations table is read from
-// `go test -bench 'Ablation' -benchtime 1x .`), plus the end-to-end
-// enforcement probe. The paper's tables and figures are regenerated by
+// `go test -bench 'Ablation' -benchtime 1x .`), the end-to-end
+// enforcement probe, and the cold path's allocation profile
+// (`make profile-cold`). The paper's tables and figures are regenerated by
 // cmd/applereport, not by benchmarks.
 package apple_test
 
@@ -10,9 +11,11 @@ import (
 	"time"
 
 	apple "github.com/apple-nfv/apple"
+	"github.com/apple-nfv/apple/internal/controller"
 	"github.com/apple-nfv/apple/internal/core"
 	"github.com/apple-nfv/apple/internal/experiments"
 	"github.com/apple-nfv/apple/internal/flowtable"
+	"github.com/apple-nfv/apple/internal/headerspace"
 	"github.com/apple-nfv/apple/internal/host"
 	"github.com/apple-nfv/apple/internal/orchestrator"
 	"github.com/apple-nfv/apple/internal/policy"
@@ -263,5 +266,76 @@ func BenchmarkEnforcementProbe(b *testing.B) {
 		if !tr.Delivered {
 			b.Fatal("probe not delivered")
 		}
+	}
+}
+
+// BenchmarkColdPath runs one cold policy-to-installed pass on each of the
+// four paper topologies, the layers paper_lifecycle drives: the 24-snapshot
+// mean problem, its policy hierarchy, a classifier over the class prefixes,
+// the engine's solve and a fresh controller's InstallPlacement. Its
+// -memprofile (`make profile-cold`) attributes the cold path's bytes to
+// those layers.
+func BenchmarkColdPath(b *testing.B) {
+	scs, err := experiments.All(experiments.Options{Seed: 1, Snapshots: 24})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, sc := range scs {
+			coldPath(b, sc)
+		}
+	}
+}
+
+// coldPath is one topology's pass of BenchmarkColdPath.
+func coldPath(b *testing.B, sc *experiments.Scenario) {
+	prob, err := sc.MeanProblem()
+	if err != nil {
+		b.Fatal(err)
+	}
+	h, tenants, err := experiments.ScenarioHierarchy(prob, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := core.ApplyHierarchy(prob, h, tenants); err != nil {
+		b.Fatal(err)
+	}
+	sp := headerspace.NewSpace()
+	preds := make([]headerspace.Predicate, len(prob.Classes))
+	for i, cl := range prob.Classes {
+		px, err := controller.ClassPrefix(cl.ID)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if preds[i], err = sp.Prefix(headerspace.FieldSrcIP, px.Addr, px.Len); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := headerspace.NewClassifier(sp, preds); err != nil {
+		b.Fatal(err)
+	}
+	pl, err := core.NewEngine(core.EngineOptions{}).Solve(prob)
+	if err != nil {
+		b.Fatalf("%s: solve: %v", sc.Name, err)
+	}
+	core.AdoptChains(prob, pl)
+	hosts := make([]topology.NodeID, 0, len(sc.Avail))
+	for v := range sc.Avail {
+		hosts = append(hosts, v)
+	}
+	ctrl, err := controller.New(controller.Config{
+		Topology:              sc.Graph,
+		Clock:                 sim.New(),
+		HostSwitches:          hosts,
+		HostResourcesBySwitch: sc.Avail,
+		Seed:                  sc.Seed,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := ctrl.InstallPlacement(prob, pl); err != nil {
+		b.Fatalf("%s: install: %v", sc.Name, err)
 	}
 }
