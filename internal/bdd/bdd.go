@@ -11,7 +11,9 @@
 // that grows by doubling, an open-addressed unique table of arena indexes
 // keyed by the nodes themselves, and a direct-mapped, lossy operation cache
 // a quarter the size of the unique table. Its memory is O(nodes), however
-// many Apply calls are made on it.
+// many Apply calls are made on it. A caller that knows roughly how many
+// nodes it will create reserves them (Reserve), so the tables are made
+// once at that size instead of doubling their way up to it.
 package bdd
 
 import (
@@ -77,6 +79,8 @@ type Store struct {
 	// empty, not rehashed, whenever unique doubles.
 	cache   []cacheEntry
 	applies int
+	// doublings counts grow calls: the times mk filled the arena.
+	doublings int
 }
 
 // NewStore creates a store for BDDs over nvars Boolean variables, with the
@@ -150,12 +154,36 @@ func (s *Store) mk(level int32, lo, hi Ref) Ref {
 	return r
 }
 
-// grow doubles the unique table and rehashes every node into it, re-makes
-// the arena at the capacity that table holds at 3/4 load, and re-makes the
-// cache empty at a quarter of its size. Refs are arena indexes, so none
-// moves.
+// grow doubles the tables when mk has filled the arena.
 func (s *Store) grow() {
-	slots := 2 * len(s.unique)
+	s.doublings++
+	s.resize(2 * len(s.unique))
+}
+
+// Reserve makes the tables hold at least n nodes, terminals included,
+// before mk next has to grow them: it resizes them once, to the smallest
+// power-of-two slot count that holds n at 3/4 load, and does nothing when
+// they already hold n. The nodes, and so every Ref, are unchanged.
+func (s *Store) Reserve(n int) {
+	slots := len(s.unique)
+	for slots*3/4+2 < n {
+		slots *= 2
+	}
+	if slots > len(s.unique) {
+		s.resize(slots)
+	}
+}
+
+// Tables reports the unique table's slot count, which sizes the arena (3/4
+// of it) and the cache (a quarter), and how many times mk has doubled the
+// tables since NewStore. The classifier's allocation test reads it.
+func (s *Store) Tables() (slots, doublings int) { return len(s.unique), s.doublings }
+
+// resize re-makes the unique table at slots and rehashes every node into
+// it, re-makes the arena at the capacity that table holds at 3/4 load, and
+// re-makes the cache empty at a quarter of its size. Refs are arena
+// indexes, so none moves.
+func (s *Store) resize(slots int) {
 	nodes := make([]node, len(s.nodes), slots*3/4+2)
 	copy(nodes, s.nodes)
 	s.nodes = nodes
@@ -296,6 +324,25 @@ func (s *Store) CubeLits(lits []Literal) (Ref, error) {
 		}
 	}
 	return r, nil
+}
+
+// Nodes returns the number of distinct decision nodes reachable from
+// roots: the size of the shared graph the roots span, terminals excluded.
+func (s *Store) Nodes(roots []Ref) int {
+	seen := make([]uint64, (len(s.nodes)+63)/64)
+	stack := append([]Ref(nil), roots...)
+	n := 0
+	for len(stack) > 0 {
+		r := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if r <= True || seen[r/64]&(1<<(r%64)) != 0 {
+			continue
+		}
+		seen[r/64] |= 1 << (r % 64)
+		n++
+		stack = append(stack, s.nodes[r].lo, s.nodes[r].hi)
+	}
+	return n
 }
 
 // SatCount returns the number of satisfying assignments of a over all

@@ -284,3 +284,35 @@ func TestOpCacheBounded(t *testing.T) {
 		t.Errorf("the tables take %d bytes for %d nodes; the bound is 48 a node", bytes, s.Size())
 	}
 }
+
+// TestReserveKeepsRefs: a store reserved for 5 000 nodes makes the same
+// nodes in the same order as one that doubles its way up, so every Ref
+// agrees, and it never doubles on the way there. Nodes counts the shared
+// graph once: a formula and its copy add nothing.
+func TestReserveKeepsRefs(t *testing.T) {
+	grown, reserved := MustNewStore(10), MustNewStore(10)
+	reserved.Reserve(5000)
+	if slots, _ := reserved.Tables(); slots*3/4+2 < 5000 || slots/2*3/4+2 >= 5000 {
+		t.Fatalf("Reserve(5000) made %d slots; want the smallest power of two holding 5000 nodes", slots)
+	}
+	g, r := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+	var roots []Ref
+	for reserved.Size() < 4000 {
+		a, _ := randomFormula(grown, g, 7)
+		b, _ := randomFormula(reserved, r, 7)
+		if a != b {
+			t.Fatalf("Ref %d in the growing store, %d in the reserved one", a, b)
+		}
+		roots = append(roots, b)
+	}
+	if _, d := reserved.Tables(); d != 0 {
+		t.Errorf("the reserved store doubled %d times below its reservation", d)
+	}
+	if _, d := grown.Tables(); d == 0 {
+		t.Error("the unreserved store never doubled: the test built too little")
+	}
+	n := reserved.Nodes(roots)
+	if n == 0 || n > reserved.Size()-2 || reserved.Nodes(append(roots, roots...)) != n {
+		t.Errorf("Nodes = %d over a store of %d nodes", n, reserved.Size())
+	}
+}
