@@ -3,10 +3,9 @@ package core_test
 import (
 	"crypto/sha256"
 	"fmt"
-	"maps"
 	"math"
 	"os"
-	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -83,8 +82,8 @@ func coldSolveLine(t *testing.T, sc *experiments.Scenario, seed int64) string {
 // countsDigest hashes q_n^v in (switch, NF) order.
 func countsDigest(pl *core.Placement) string {
 	var b strings.Builder
-	for _, v := range slices.Sorted(maps.Keys(pl.Counts)) {
-		for _, nf := range slices.Sorted(maps.Keys(pl.Counts[v])) {
+	for _, v := range sortedKeys(pl.Counts) {
+		for _, nf := range sortedKeys(pl.Counts[v]) {
 			fmt.Fprintf(&b, "%d/%d=%d;", v, nf, pl.Counts[v][nf])
 		}
 	}
@@ -94,7 +93,7 @@ func countsDigest(pl *core.Placement) string {
 // distDigest hashes the bits of every d value in class order.
 func distDigest(pl *core.Placement) string {
 	var b strings.Builder
-	for _, id := range slices.Sorted(maps.Keys(pl.Dist)) {
+	for _, id := range sortedKeys(pl.Dist) {
 		fmt.Fprintf(&b, "%d:", id)
 		for _, row := range pl.Dist[id] {
 			for _, x := range row {
@@ -106,3 +105,12 @@ func distDigest(pl *core.Placement) string {
 }
 
 func shortSum(s string) string { return fmt.Sprintf("%x", sha256.Sum256([]byte(s)))[:16] }
+
+func sortedKeys[K ~int, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
