@@ -42,55 +42,78 @@ type model struct {
 	m    *lp.Model
 	// hops[classIdx] caches prob.eligibleHops for the class.
 	hops [][]int
-	// dVar[classIdx][hopIdx][chainIdx]; -1 where the hop cannot host.
-	dVar [][][]lp.VarID
+	// dVar holds the flow variables: class ci's for path index i and chain
+	// position j is dVar[dOff[ci]+i*len(chain)+j], -1 where the hop cannot
+	// host.
+	dVar []lp.VarID
+	dOff []int
 	qVar map[qKey]lp.VarID
-	// qKeys lists qVar's keys in (switch, NF) order.
+	// qKeys lists qVar's keys in (switch, NF) order, and qObj their
+	// objective coefficients.
 	qKeys []qKey
+	qObj  []float64
 }
 
-func newModel(name string, prob *Problem) *model {
-	return &model{
+// newModel plans the model for prob: every class's eligible hops and the
+// (switch, NF) keys of the q variables. It then reserves the LP's
+// variables, rows and terms, which the plan determines, so the model is
+// built without regrowing; rVars adds one rate variable and one coverage
+// term per class (the parametric form).
+func newModel(name string, prob *Problem, rVars bool) (*model, error) {
+	md := &model{
 		prob: prob,
 		m:    lp.NewModel(name),
 		hops: make([][]int, len(prob.Classes)),
-		dVar: make([][][]lp.VarID, len(prob.Classes)),
-		qVar: make(map[qKey]lp.VarID),
+		dOff: make([]int, len(prob.Classes)),
 	}
+	if err := md.planHops(); err != nil {
+		return nil, err
+	}
+	md.planKeys()
+	md.reserve(rVars)
+	return md, nil
 }
 
-// addFlowVars creates class ci's flow variables, one per (eligible hop,
-// chain position), named prefix[class][hop][position]. The upper bound
-// implied by Eq. (4) and non-negativity is left off as redundant.
-func (md *model) addFlowVars(ci int, prefix string) error {
-	c := md.prob.Classes[ci]
-	hops := md.prob.eligibleHops(c)
-	if len(hops) == 0 {
-		return fmt.Errorf("core: class %d has no APPLE host on its path", c.ID)
+// planHops caches every class's eligible hops, all in one array, and lays
+// out the flow-variable index.
+func (md *model) planHops() error {
+	nPath, nDist := 0, 0
+	for _, c := range md.prob.Classes {
+		nPath += len(c.Path)
+		nDist += len(c.Path) * len(c.Chain)
 	}
-	md.hops[ci] = hops
-	md.dVar[ci] = make([][]lp.VarID, len(c.Path))
-	for i := range c.Path {
-		md.dVar[ci][i] = make([]lp.VarID, len(c.Chain))
-		for j := range c.Chain {
-			md.dVar[ci][i][j] = -1
-		}
-	}
-	for _, i := range hops {
-		for j := range c.Chain {
-			v, err := md.m.AddVariable(fmt.Sprintf("%s[%d][%d][%d]", prefix, c.ID, i, j), 0, math.Inf(1), 0)
-			if err != nil {
-				return fmt.Errorf("core: %w", err)
+	all := make([]int, 0, nPath)
+	for ci, c := range md.prob.Classes {
+		lo := len(all)
+		for i, v := range c.Path {
+			if md.prob.hostSwitch(v) {
+				all = append(all, i)
 			}
-			md.dVar[ci][i][j] = v
 		}
+		if len(all) == lo {
+			return fmt.Errorf("core: class %d has no APPLE host on its path", c.ID)
+		}
+		md.hops[ci] = all[lo:len(all):len(all)]
+	}
+	md.dVar = make([]lp.VarID, nDist)
+	off := 0
+	for ci, c := range md.prob.Classes {
+		md.dOff[ci] = off
+		off += len(c.Path) * len(c.Chain)
+	}
+	for k := range md.dVar {
+		md.dVar[k] = -1
 	}
 	return nil
 }
 
-// addInstanceVars creates the integer q variables of Eq. (1), one per
-// (switch, NF) some class could use, in sorted key order; caps optionally
-// bounds selected ones from above.
+// d returns class ci's flow variable at path index i and chain position j.
+func (md *model) d(ci, i, j int) lp.VarID {
+	return md.dVar[md.dOff[ci]+i*len(md.prob.Classes[ci].Chain)+j]
+}
+
+// planKeys lists the (switch, NF) pairs some class could use, in sorted
+// key order, with the objective coefficient of each one's q variable.
 //
 // The pure Σq objective is degenerate — any split of a class's load
 // across its path costs the same fractional q, so the LP may scatter
@@ -99,7 +122,7 @@ func (md *model) addFlowVars(ci int, prefix string) error {
 // demand (total rate of classes passing v and needing nf) strictly
 // cheaper, so degenerate optima consolidate. The perturbation is far
 // below 1, so the instance total is still minimized first.
-func (md *model) addInstanceVars(caps map[qKey]float64) error {
+func (md *model) planKeys() {
 	potential := make(map[qKey]float64)
 	maxPotential := 0.0
 	for ci, c := range md.prob.Classes {
@@ -120,17 +143,75 @@ func (md *model) addInstanceVars(caps map[qKey]float64) error {
 		}
 		return md.qKeys[i].nf < md.qKeys[j].nf
 	})
-	for _, key := range md.qKeys {
-		hi := math.Inf(1)
-		if c, ok := caps[key]; ok {
-			hi = c
-		}
+	md.qObj = make([]float64, len(md.qKeys))
+	for k, key := range md.qKeys {
 		obj := 1.0 // Eq. (1)
 		if maxPotential > 0 {
 			obj += 1e-3 * (1 - potential[key]/maxPotential)
 		}
-		obj += 1e-7 * float64(key.v) // deterministic tie break
-		v, err := md.m.AddVariable(fmt.Sprintf("q[%d][%v]", key.v, key.nf), 0, hi, obj)
+		md.qObj[k] = obj + 1e-7*float64(key.v) // deterministic tie break
+	}
+	md.qVar = make(map[qKey]lp.VarID, len(md.qKeys))
+}
+
+// reserve sizes the LP from the plan. Per class with h eligible hops and
+// a chain of k: h·k flow variables, k coverage rows of h terms (plus the
+// rate term), and k−1 rounds of h order rows whose prefix sums hold
+// 2, 4, …, 2h terms. Per (switch, NF) key: a q variable and a capacity
+// row over its flow variables plus q, which covers every flow variable
+// once. Per switch: a cores row and a memory row, one term per key each.
+func (md *model) reserve(rVars bool) {
+	vars, cons, terms, flows := len(md.qKeys), 0, 0, 0
+	for ci, c := range md.prob.Classes {
+		h, k := len(md.hops[ci]), len(c.Chain)
+		cover := h
+		if rVars {
+			vars++
+			cover++
+		}
+		flows += h * k
+		cons += k + max(k-1, 0)*h
+		terms += k*cover + max(k-1, 0)*h*(h+1)
+	}
+	switches := 0
+	for k, key := range md.qKeys {
+		if k == 0 || key.v != md.qKeys[k-1].v {
+			switches++
+		}
+	}
+	vars += flows
+	cons += len(md.qKeys) + 2*switches
+	terms += flows + 3*len(md.qKeys)
+	md.m.Reserve(vars, cons, terms)
+}
+
+// addFlowVars creates class ci's flow variables, one per (eligible hop,
+// chain position), named prefix[class][hop][position]. The upper bound
+// implied by Eq. (4) and non-negativity is left off as redundant.
+func (md *model) addFlowVars(ci int, prefix string) error {
+	c := md.prob.Classes[ci]
+	for _, i := range md.hops[ci] {
+		for j := range c.Chain {
+			v, err := md.m.AddVariable(fmt.Sprintf("%s[%d][%d][%d]", prefix, c.ID, i, j), 0, math.Inf(1), 0)
+			if err != nil {
+				return fmt.Errorf("core: %w", err)
+			}
+			md.dVar[md.dOff[ci]+i*len(c.Chain)+j] = v
+		}
+	}
+	return nil
+}
+
+// addInstanceVars creates the integer q variables of Eq. (1), one per
+// planned (switch, NF) key in key order, so their IDs are consecutive;
+// caps optionally bounds selected ones from above.
+func (md *model) addInstanceVars(caps map[qKey]float64) error {
+	for k, key := range md.qKeys {
+		hi := math.Inf(1)
+		if c, ok := caps[key]; ok {
+			hi = c
+		}
+		v, err := md.m.AddVariable(fmt.Sprintf("q[%d][%v]", key.v, key.nf), 0, hi, md.qObj[k])
 		if err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
@@ -143,16 +224,18 @@ func (md *model) addInstanceVars(caps map[qKey]float64) error {
 }
 
 // addCoverageRows adds Eq. (4) for class ci: at every chain position the
-// flow over all eligible hops, plus extra, equals rhs.
-func (md *model) addCoverageRows(ci int, rhs float64, extra ...lp.Term) error {
+// flow over all eligible hops, minus the rate variable r when r ≥ 0,
+// equals rhs.
+func (md *model) addCoverageRows(ci int, rhs float64, r lp.VarID) error {
 	c := md.prob.Classes[ci]
 	for j := range c.Chain {
-		terms := make([]lp.Term, 0, len(md.hops[ci])+len(extra))
 		for _, i := range md.hops[ci] {
-			terms = append(terms, lp.Term{Var: md.dVar[ci][i][j], Coef: 1})
+			md.m.AddTerm(md.d(ci, i, j), 1)
 		}
-		terms = append(terms, extra...)
-		if err := md.m.AddConstraint(fmt.Sprintf("full[%d][%d]", c.ID, j), lp.EQ, rhs, terms...); err != nil {
+		if r >= 0 {
+			md.m.AddTerm(r, -1)
+		}
+		if err := md.m.EndConstraint(fmt.Sprintf("full[%d][%d]", c.ID, j), lp.EQ, rhs); err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
 	}
@@ -166,14 +249,12 @@ func (md *model) addOrderRows(ci int) error {
 	c, hops := md.prob.Classes[ci], md.hops[ci]
 	for j := 1; j < len(c.Chain); j++ {
 		for hi, i := range hops {
-			terms := make([]lp.Term, 0, 2*(hi+1))
 			for _, k := range hops[:hi+1] {
-				terms = append(terms,
-					lp.Term{Var: md.dVar[ci][k][j-1], Coef: 1},
-					lp.Term{Var: md.dVar[ci][k][j], Coef: -1})
+				md.m.AddTerm(md.d(ci, k, j-1), 1)
+				md.m.AddTerm(md.d(ci, k, j), -1)
 			}
 			name := fmt.Sprintf("order[%d][%d][%d]", c.ID, i, j)
-			if err := md.m.AddConstraint(name, lp.GE, 0, terms...); err != nil {
+			if err := md.m.EndConstraint(name, lp.GE, 0); err != nil {
 				return fmt.Errorf("core: %w", err)
 			}
 		}
@@ -183,25 +264,51 @@ func (md *model) addOrderRows(ci int) error {
 
 // addCapacityRows adds Eq. (5): per (v, nf), the load the flow variables
 // put on the NF is at most capacity·q. flowCoef is what one unit of a
-// class's flow variable weighs in Mbps.
+// class's flow variable weighs in Mbps. Each key's flow terms are
+// gathered by a counting sort into one array, in class, hop and position
+// order; the q variables are consecutive in key order, so a key's index
+// is its q variable's offset from the first.
 func (md *model) addCapacityRows(flowCoef func(Class) float64) error {
-	loads := make(map[qKey][]lp.Term, len(md.qKeys))
+	if len(md.qKeys) == 0 {
+		return nil
+	}
+	q0 := md.qVar[md.qKeys[0]]
+	at := make([]int, len(md.qKeys)+1)
 	for ci, c := range md.prob.Classes {
 		for _, i := range md.hops[ci] {
-			for j, nf := range c.Chain {
-				key := qKey{v: c.Path[i], nf: nf}
-				loads[key] = append(loads[key], lp.Term{Var: md.dVar[ci][i][j], Coef: flowCoef(c)})
+			for _, nf := range c.Chain {
+				at[md.qVar[qKey{v: c.Path[i], nf: nf}]-q0+1]++
 			}
 		}
 	}
-	for _, key := range md.qKeys {
+	for k := range md.qKeys {
+		at[k+1] += at[k]
+	}
+	loads := make([]lp.Term, at[len(md.qKeys)])
+	next := at[:len(md.qKeys)]
+	for ci, c := range md.prob.Classes {
+		for _, i := range md.hops[ci] {
+			for j, nf := range c.Chain {
+				k := md.qVar[qKey{v: c.Path[i], nf: nf}] - q0
+				loads[next[k]] = lp.Term{Var: md.d(ci, i, j), Coef: flowCoef(c)}
+				next[k]++
+			}
+		}
+	}
+	lo := 0
+	for k, key := range md.qKeys {
 		spec, err := policy.SpecOf(key.nf)
 		if err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
-		terms := append(loads[key], lp.Term{Var: md.qVar[key], Coef: -spec.CapacityMbps})
+		// next[k] has advanced to the end of key k's terms.
+		for _, t := range loads[lo:next[k]] {
+			md.m.AddTerm(t.Var, t.Coef)
+		}
+		lo = next[k]
+		md.m.AddTerm(md.qVar[key], -spec.CapacityMbps)
 		name := fmt.Sprintf("cap[%d][%v]", key.v, key.nf)
-		if err := md.m.AddConstraint(name, lp.LE, 0, terms...); err != nil {
+		if err := md.m.EndConstraint(name, lp.LE, 0); err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
 	}
@@ -214,24 +321,34 @@ func (md *model) addResourceRows() error {
 	for lo := 0; lo < len(md.qKeys); {
 		v := md.qKeys[lo].v
 		hi := lo
-		var coreTerms, memTerms []lp.Term
-		for ; hi < len(md.qKeys) && md.qKeys[hi].v == v; hi++ {
-			key := md.qKeys[hi]
-			spec, err := policy.SpecOf(key.nf)
-			if err != nil {
-				return fmt.Errorf("core: %w", err)
-			}
-			coreTerms = append(coreTerms, lp.Term{Var: md.qVar[key], Coef: float64(spec.Cores)})
-			memTerms = append(memTerms, lp.Term{Var: md.qVar[key], Coef: float64(spec.MemoryMB)})
+		for hi < len(md.qKeys) && md.qKeys[hi].v == v {
+			hi++
 		}
 		avail := md.prob.Avail[v]
-		if err := md.m.AddConstraint(fmt.Sprintf("cores[%d]", v), lp.LE, float64(avail.Cores), coreTerms...); err != nil {
-			return fmt.Errorf("core: %w", err)
+		if err := md.addResourceRow(md.qKeys[lo:hi], fmt.Sprintf("cores[%d]", v), float64(avail.Cores),
+			func(s policy.Spec) float64 { return float64(s.Cores) }); err != nil {
+			return err
 		}
-		if err := md.m.AddConstraint(fmt.Sprintf("mem[%d]", v), lp.LE, float64(avail.MemoryMB), memTerms...); err != nil {
-			return fmt.Errorf("core: %w", err)
+		if err := md.addResourceRow(md.qKeys[lo:hi], fmt.Sprintf("mem[%d]", v), float64(avail.MemoryMB),
+			func(s policy.Spec) float64 { return float64(s.MemoryMB) }); err != nil {
+			return err
 		}
 		lo = hi
+	}
+	return nil
+}
+
+// addResourceRow adds Σ use(spec)·q ≤ avail over one switch's keys.
+func (md *model) addResourceRow(keys []qKey, name string, avail float64, use func(policy.Spec) float64) error {
+	for _, key := range keys {
+		spec, err := policy.SpecOf(key.nf)
+		if err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+		md.m.AddTerm(md.qVar[key], use(spec))
+	}
+	if err := md.m.EndConstraint(name, lp.LE, avail); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	return nil
 }
@@ -240,7 +357,10 @@ func (md *model) addResourceRows() error {
 // distributions d. caps optionally adds upper bounds on selected q
 // variables (the orientation rescue's switch coloring).
 func buildModel(prob *Problem, caps map[qKey]float64) (*model, error) {
-	md := newModel("apple-placement", prob)
+	md, err := newModel("apple-placement", prob, false)
+	if err != nil {
+		return nil, err
+	}
 	for ci := range prob.Classes {
 		if err := md.addFlowVars(ci, "d"); err != nil {
 			return nil, err
@@ -251,7 +371,7 @@ func buildModel(prob *Problem, caps map[qKey]float64) (*model, error) {
 	}
 	for ci := range prob.Classes {
 		// Eq. (4): every chain position processes 100% of the class.
-		if err := md.addCoverageRows(ci, 1); err != nil {
+		if err := md.addCoverageRows(ci, 1, -1); err != nil {
 			return nil, err
 		}
 		if err := md.addOrderRows(ci); err != nil {
@@ -273,7 +393,10 @@ func buildModel(prob *Problem, caps map[qKey]float64) (*model, error) {
 // returned slice maps class index → r variable, whose bounds pin the
 // class's rate (initially to its RateMbps).
 func buildParametricModel(prob *Problem) (*model, []lp.VarID, error) {
-	md := newModel("apple-placement-parametric", prob)
+	md, err := newModel("apple-placement-parametric", prob, true)
+	if err != nil {
+		return nil, nil, err
+	}
 	rVar := make([]lp.VarID, len(prob.Classes))
 	for ci, c := range prob.Classes {
 		rv, err := md.m.AddVariable(fmt.Sprintf("r[%d]", c.ID), c.RateMbps, c.RateMbps, 0)
@@ -292,7 +415,7 @@ func buildParametricModel(prob *Problem) (*model, []lp.VarID, error) {
 	}
 	for ci := range prob.Classes {
 		// Eq. (4): Σ_i x − r = 0 at every chain position.
-		if err := md.addCoverageRows(ci, 0, lp.Term{Var: rVar[ci], Coef: -1}); err != nil {
+		if err := md.addCoverageRows(ci, 0, rVar[ci]); err != nil {
 			return nil, nil, err
 		}
 		if err := md.addOrderRows(ci); err != nil {
@@ -372,7 +495,7 @@ func extractDist(md *model, sol *lp.Solution, active func(Class) bool) map[Class
 		for i := range c.Path {
 			dist[i] = make([]float64, len(c.Chain))
 			for j := range c.Chain {
-				if v := md.dVar[ci][i][j]; v >= 0 {
+				if v := md.d(ci, i, j); v >= 0 {
 					dist[i][j] = math.Max(0, sol.Value(v))
 				}
 			}

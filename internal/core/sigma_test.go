@@ -24,7 +24,10 @@ func solveExplicitSigma(prob *Problem) (*Placement, error) {
 // class in place of the coverage and order rows; every other step is the
 // shared one.
 func buildExplicitSigmaModel(prob *Problem) (*model, error) {
-	md := newModel("apple-placement-sigma", prob)
+	md, err := newModel("apple-placement-sigma", prob, false)
+	if err != nil {
+		return nil, err
+	}
 	for ci := range prob.Classes {
 		if err := md.addFlowVars(ci, "d"); err != nil {
 			return nil, err
@@ -70,7 +73,7 @@ func addSigmaConstraints(md *model, ci int, c Class) error {
 			// Eq. (2): σ^i = σ^{i-1} + d^i.
 			terms := []lp.Term{
 				{Var: sigma[hi][j], Coef: 1},
-				{Var: md.dVar[ci][i][j], Coef: -1},
+				{Var: md.d(ci, i, j), Coef: -1},
 			}
 			if hi > 0 {
 				terms = append(terms, lp.Term{Var: sigma[hi-1][j], Coef: -1})

@@ -58,11 +58,12 @@ func CheckCertificate(m *Model, values, duals []float64) error {
 			return fmt.Errorf("lp: certificate: dual of row %d (%s) = %v", i, con.name, y)
 		}
 		act, mag := 0.0, math.Abs(con.rhs)
-		for _, t := range con.terms {
-			act += t.Coef * values[t.Var]
-			mag += math.Abs(t.Coef * values[t.Var])
-			d[t.Var] -= y * t.Coef
-			dmag[t.Var] += math.Abs(y * t.Coef)
+		idx, val := m.row(i)
+		for k, j := range idx {
+			act += val[k] * values[j]
+			mag += math.Abs(val[k] * values[j])
+			d[j] -= y * val[k]
+			dmag[j] += math.Abs(y * val[k])
 		}
 		tol := certTol * (1 + mag)
 		slack := con.rhs - act // ≥ 0 on ≤ rows, ≤ 0 on ≥ rows, 0 on = rows

@@ -178,6 +178,16 @@ type tableau struct {
 	nz      []int32   // scratch: pivot-row nonzero columns
 }
 
+// rowTerms returns constraint i's merged terms as Terms.
+func rowTerms(m *Model, i int) []Term {
+	idx, val := m.row(i)
+	out := make([]Term, len(idx))
+	for k, j := range idx {
+		out[k] = Term{Var: VarID(j), Coef: val[k]}
+	}
+	return out
+}
+
 // newTableau converts the model. Structural variables start nonbasic at
 // their lower bound; each row's slack absorbs the residual when it can,
 // otherwise the row gets an artificial and joins phase 1.
@@ -189,7 +199,7 @@ func newTableau(m *Model) (*tableau, error) {
 	resid := make([]float64, nrows)
 	for i, con := range m.cons {
 		r := con.rhs
-		for _, t := range con.terms {
+		for _, t := range rowTerms(m, i) {
 			r -= t.Coef * m.vars[t.Var].lo
 		}
 		resid[i] = r
@@ -236,7 +246,7 @@ func newTableau(m *Model) (*tableau, error) {
 	artCol := nv + nrows
 	for i, con := range m.cons {
 		row := t.a[i*n : (i+1)*n]
-		for _, term := range con.terms {
+		for _, term := range rowTerms(m, i) {
 			row[int(term.Var)] += term.Coef
 		}
 		slack := nv + i

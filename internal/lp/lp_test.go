@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -155,6 +156,50 @@ func TestAddConstraintValidation(t *testing.T) {
 	}
 	if err := m.AddConstraint("bad-coef", LE, 1, Term{x, math.NaN()}); err == nil {
 		t.Error("NaN coefficient should fail")
+	}
+}
+
+// TestStreamedRowsMatchAddConstraint: a row built term by term with
+// AddTerm and closed by EndConstraint lands in the row store exactly as
+// AddConstraint puts it — duplicates summed in first-appearance order,
+// zeros dropped — and a row EndConstraint refuses leaves no pending term
+// behind for the next one.
+func TestStreamedRowsMatchAddConstraint(t *testing.T) {
+	terms := func(x, y, z VarID) []Term {
+		return []Term{{z, 2}, {x, 1}, {z, -2}, {y, 0.5}, {x, 0.25}, {y, -0.25}, {x, 3}}
+	}
+	built, streamed := NewModel("built"), NewModel("streamed")
+	streamed.Reserve(3, 2, 8)
+	for _, m := range []*Model{built, streamed} {
+		for _, name := range []string{"x", "y", "z"} {
+			addVar(t, m, name, 0, 1, 0)
+		}
+	}
+	addCon(t, built, "r", LE, 1, terms(0, 1, 2)...)
+	for _, bad := range []struct {
+		v    VarID
+		coef float64
+	}{{7, 1}, {0, math.NaN()}} {
+		streamed.AddTerm(1, 4)
+		streamed.AddTerm(bad.v, bad.coef)
+		if err := streamed.EndConstraint("bad", LE, 1); err == nil {
+			t.Fatalf("EndConstraint accepted the term %v·x%d", bad.coef, bad.v)
+		}
+	}
+	for _, tm := range terms(0, 1, 2) {
+		streamed.AddTerm(tm.Var, tm.Coef)
+	}
+	if err := streamed.EndConstraint("r", LE, 1); err != nil {
+		t.Fatal(err)
+	}
+	if streamed.NumConstraints() != 1 {
+		t.Fatalf("%d constraints after one accepted and two refused rows", streamed.NumConstraints())
+	}
+	want := []Term{{0, 4.25}, {1, 0.25}}
+	for _, m := range []*Model{built, streamed} {
+		if got := rowTerms(m, 0); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: row %v, want %v", m.Name(), got, want)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -56,12 +57,11 @@ type variable struct {
 	integer bool
 }
 
-// constraint is a linear constraint in sparse form.
+// constraint is a linear constraint; its terms are in Model.rows.
 type constraint struct {
 	name  string
 	sense Sense
 	rhs   float64
-	terms []Term
 }
 
 // Model is a linear (or mixed-integer) minimization program under
@@ -70,12 +70,31 @@ type Model struct {
 	name string
 	vars []variable
 	cons []constraint
-	slot []int32 // AddConstraint scratch, all zero between calls
+	// rows holds every constraint's terms in one compressed sparse row
+	// store: constraint i's are idx/val[ptr[i]:ptr[i+1]], duplicates
+	// merged and zeros dropped. Terms past ptr[len(cons)] are the pending
+	// ones of the constraint AddTerm is building. The solver reads this
+	// store as its row store; it never writes to it.
+	rows sparse
+	// bad is the first unknown variable a pending term named, -1 if none.
+	bad  VarID
+	slot []int32 // EndConstraint scratch, all zero between calls
 }
 
 // NewModel returns an empty minimization model.
 func NewModel(name string) *Model {
-	return &Model{name: name}
+	return &Model{name: name, rows: sparse{ptr: []int32{0}}, bad: -1}
+}
+
+// Reserve makes room for vars more variables, cons more constraints and
+// terms more constraint terms, so a caller that knows the model's size
+// builds it without regrowing its arrays.
+func (m *Model) Reserve(vars, cons, terms int) {
+	m.vars = slices.Grow(m.vars, vars)
+	m.cons = slices.Grow(m.cons, cons)
+	m.rows.ptr = slices.Grow(m.rows.ptr, cons)
+	m.rows.idx = slices.Grow(m.rows.idx, terms)
+	m.rows.val = slices.Grow(m.rows.val, terms)
 }
 
 // Name returns the model name.
@@ -164,43 +183,92 @@ func (m *Model) validVar(v VarID) bool { return v >= 0 && int(v) < len(m.vars) }
 // AddConstraint adds Σ terms (sense) rhs. Terms referencing the same
 // variable are accumulated. Zero-coefficient terms are dropped.
 func (m *Model) AddConstraint(name string, sense Sense, rhs float64, terms ...Term) error {
+	for _, t := range terms {
+		m.AddTerm(t.Var, t.Coef)
+	}
+	return m.EndConstraint(name, sense, rhs)
+}
+
+// AddTerm appends coef·v to the constraint under construction, which
+// EndConstraint closes. A model builder that streams its rows this way
+// keeps no slice of terms per row: they go straight into the model's row
+// store. An unknown variable is reported by EndConstraint.
+func (m *Model) AddTerm(v VarID, coef float64) {
+	if !m.validVar(v) {
+		if m.bad < 0 {
+			m.bad = v
+		}
+		v = -1
+	}
+	m.rows.idx = append(m.rows.idx, int32(v))
+	m.rows.val = append(m.rows.val, coef)
+}
+
+// EndConstraint closes the constraint AddTerm has been building as
+// Σ terms (sense) rhs, merging terms that name the same variable in
+// first-appearance order and dropping zero coefficients, exactly as
+// AddConstraint does. On an error the pending terms are discarded and the
+// model is as it was before the first AddTerm.
+func (m *Model) EndConstraint(name string, sense Sense, rhs float64) error {
+	start := int(m.rows.ptr[len(m.cons)])
+	idx, val := m.rows.idx[start:], m.rows.val[start:]
+	if err := m.checkPending(name, sense, rhs, idx, val); err != nil {
+		m.rows.idx, m.rows.val, m.bad = m.rows.idx[:start], m.rows.val[:start], -1
+		return err
+	}
+	// Merge duplicate variables in place, in first-appearance order: while
+	// the row is being merged slot[v] is v's merged position plus one.
+	if len(m.slot) < len(m.vars) {
+		m.slot = append(m.slot, make([]int32, len(m.vars)-len(m.slot))...)
+	}
+	n := 0
+	for k, v := range idx {
+		if at := m.slot[v]; at > 0 {
+			val[at-1] += val[k]
+			continue
+		}
+		idx[n], val[n] = v, val[k]
+		n++
+		m.slot[v] = int32(n)
+	}
+	kept := 0
+	for k := 0; k < n; k++ {
+		m.slot[idx[k]] = 0
+		if val[k] != 0 {
+			idx[kept], val[kept] = idx[k], val[k]
+			kept++
+		}
+	}
+	end := start + kept
+	m.rows.idx, m.rows.val = m.rows.idx[:end], m.rows.val[:end]
+	m.rows.ptr = append(m.rows.ptr, int32(end))
+	m.cons = append(m.cons, constraint{name: name, sense: sense, rhs: rhs})
+	return nil
+}
+
+// checkPending validates a constraint before EndConstraint closes it.
+func (m *Model) checkPending(name string, sense Sense, rhs float64, idx []int32, val []float64) error {
 	if sense != LE && sense != GE && sense != EQ {
 		return fmt.Errorf("lp: constraint %q: bad sense %v", name, sense)
 	}
 	if math.IsNaN(rhs) || math.IsInf(rhs, 0) {
 		return fmt.Errorf("lp: constraint %q: bad rhs %v", name, rhs)
 	}
-	for _, t := range terms {
-		if !m.validVar(t.Var) {
-			return fmt.Errorf("lp: constraint %q references unknown variable %d", name, t.Var)
+	for k, v := range idx {
+		if v < 0 {
+			return fmt.Errorf("lp: constraint %q references unknown variable %d", name, m.bad)
 		}
-		if math.IsNaN(t.Coef) || math.IsInf(t.Coef, 0) {
-			return fmt.Errorf("lp: constraint %q: bad coefficient %v", name, t.Coef)
-		}
-	}
-	// Merge duplicate variables in place, in first-appearance order: while
-	// the row is being built slot[v] is v's position in compact plus one.
-	if len(m.slot) < len(m.vars) {
-		m.slot = append(m.slot, make([]int32, len(m.vars)-len(m.slot))...)
-	}
-	compact := make([]Term, 0, len(terms))
-	for _, t := range terms {
-		if k := m.slot[t.Var]; k > 0 {
-			compact[k-1].Coef += t.Coef
-			continue
-		}
-		compact = append(compact, t)
-		m.slot[t.Var] = int32(len(compact))
-	}
-	kept := compact[:0]
-	for _, t := range compact {
-		m.slot[t.Var] = 0
-		if t.Coef != 0 {
-			kept = append(kept, t)
+		if c := val[k]; math.IsNaN(c) || math.IsInf(c, 0) {
+			return fmt.Errorf("lp: constraint %q: bad coefficient %v", name, c)
 		}
 	}
-	m.cons = append(m.cons, constraint{name: name, sense: sense, rhs: rhs, terms: kept})
 	return nil
+}
+
+// row returns constraint i's merged terms.
+func (m *Model) row(i int) (idx []int32, val []float64) {
+	lo, hi := m.rows.ptr[i], m.rows.ptr[i+1]
+	return m.rows.idx[lo:hi], m.rows.val[lo:hi]
 }
 
 // Status is the outcome of a solve.

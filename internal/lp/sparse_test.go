@@ -127,7 +127,7 @@ func runSolverOps(t testing.TB, data []byte) {
 			// Repeat the previous row: redundant when it is an equality,
 			// and a duplicate-term merge when the same variable recurs.
 			prev := m.cons[len(m.cons)-1]
-			if err := m.AddConstraint("dup", prev.sense, prev.rhs, prev.terms...); err != nil {
+			if err := m.AddConstraint("dup", prev.sense, prev.rhs, rowTerms(m, len(m.cons)-1)...); err != nil {
 				t.Fatal(err)
 			}
 			continue

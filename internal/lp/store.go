@@ -34,10 +34,11 @@ type revised struct {
 	// valid marks an optimal basis a ReSolve may warm-start from.
 	valid bool
 
-	cols sparse    // A by column, all n columns
-	rows sparse    // A by row over the real (non-artificial) columns
-	rhs  []float64 // b
-	lu   factor    // the basis B
+	cols  sparse    // A by column, all n columns
+	rows  sparse    // A by row over the structural columns: the model's own store
+	slack []float64 // row i's slack coefficient, ±1: A's entry at column nv+i
+	rhs   []float64 // b
+	lu    factor    // the basis B
 
 	basis []int32   // basic column per basis position
 	xB    []float64 // value of the basic variable per position
@@ -113,26 +114,30 @@ func needsArtificial(sense Sense, resid float64) bool {
 // load converts the model for a cold start. Structural variables start
 // nonbasic at their lower bound; each row's slack absorbs the residual
 // when it can, otherwise the row gets an artificial and joins phase 1.
-// It reports whether the starting basis factorized (it is diagonal, so
-// only a broken invariant can say no).
+// The model's own row store is the solver's row store, read in place; the
+// slacks are kept beside it (slack) and the column store is its transpose
+// plus the slack and artificial unit columns. It reports whether the
+// starting basis factorized (it is diagonal, so only a broken invariant
+// can say no).
 func (t *revised) load(m *Model) bool {
 	nv, nrows := len(m.vars), len(m.cons)
 	t.nv, t.m = nv, nrows
+	nnz := m.rows.ptr[nrows]
+	t.rows = sparse{ptr: m.rows.ptr[:nrows+1], idx: m.rows.idx[:nnz], val: m.rows.val[:nnz]}
+	rs := &t.rows
 
-	// Residual of each row at the starting point, and the matrix sizes.
+	// Residual of each row at the starting point.
 	resid := resize(t.work, nrows)
 	t.nart = 0
-	nnz := 0
 	for i, con := range m.cons {
 		r := con.rhs
-		for _, term := range con.terms {
-			r -= term.Coef * m.vars[term.Var].lo
+		for e := rs.ptr[i]; e < rs.ptr[i+1]; e++ {
+			r -= rs.val[e] * m.vars[rs.idx[e]].lo
 		}
 		resid[i] = r
 		if needsArtificial(con.sense, r) {
 			t.nart++
 		}
-		nnz += len(con.terms)
 	}
 	n := nv + nrows + t.nart
 	t.n = n
@@ -142,7 +147,7 @@ func (t *revised) load(m *Model) bool {
 	t.atUpper, t.inBasis = resize(t.atUpper, n), resize(t.inBasis, n)
 	t.alpha, t.seen = resize(t.alpha, n), resize(t.seen, n)
 	t.rhs, t.xB = resize(t.rhs, nrows), resize(t.xB, nrows)
-	t.basis = resize(t.basis, nrows)
+	t.basis, t.slack = resize(t.basis, nrows), resize(t.slack, nrows)
 	t.col, t.rho = resize(t.col, nrows), resize(t.rho, nrows)
 	for j, v := range m.vars {
 		t.c[j], t.lo[j], t.hi[j] = v.obj, v.lo, v.hi
@@ -151,40 +156,30 @@ func (t *revised) load(m *Model) bool {
 	// Column store: the structural columns by counting sort over the rows,
 	// then one signed unit column per slack and per artificial.
 	cs := &t.cols
+	ncol := int(nnz) + nrows + t.nart
 	cs.ptr = resize(cs.ptr, n+1)
-	cs.idx, cs.val = resize(cs.idx, nnz+nrows+t.nart), resize(cs.val, nnz+nrows+t.nart)
-	for _, con := range m.cons {
-		for _, term := range con.terms {
-			cs.ptr[term.Var+1]++
-		}
+	cs.idx, cs.val = resize(cs.idx, ncol), resize(cs.val, ncol)
+	for _, j := range rs.idx {
+		cs.ptr[j+1]++
 	}
 	for j := 0; j < nv; j++ {
 		cs.ptr[j+1] += cs.ptr[j]
 	}
 	next := resize(t.alphaIdx, nv) // fill cursors; alphaIdx is idle during a load
 	copy(next, cs.ptr[:nv])
-	for i, con := range m.cons {
-		for _, term := range con.terms {
-			e := next[term.Var]
-			cs.idx[e], cs.val[e] = int32(i), term.Coef
-			next[term.Var]++
+	for i := 0; i < nrows; i++ {
+		for e := rs.ptr[i]; e < rs.ptr[i+1]; e++ {
+			j := rs.idx[e]
+			cs.idx[next[j]], cs.val[next[j]] = int32(i), rs.val[e]
+			next[j]++
 		}
 	}
 	t.alphaIdx = next[:0]
 
-	// Row store over the real columns: the model's terms plus the slack.
-	rs := &t.rows
-	rs.ptr = resize(rs.ptr, nrows+1)
-	rs.idx, rs.val = resize(rs.idx, nnz+nrows), resize(rs.val, nnz+nrows)
-
 	artCol := nv + nrows
-	ce, re := cs.ptr[nv], int32(0)
+	ce := cs.ptr[nv]
 	for i, con := range m.cons {
 		t.rhs[i] = con.rhs
-		for _, term := range con.terms {
-			rs.idx[re], rs.val[re] = int32(term.Var), term.Coef
-			re++
-		}
 		slack := nv + i
 		sign := 1.0
 		t.hi[slack] = math.Inf(1)
@@ -197,9 +192,7 @@ func (t *revised) load(m *Model) bool {
 		cs.idx[ce], cs.val[ce] = int32(i), sign
 		ce++
 		cs.ptr[slack+1] = ce
-		rs.idx[re], rs.val[re] = int32(slack), sign
-		re++
-		rs.ptr[i+1] = re
+		t.slack[i] = sign
 		if !needsArtificial(con.sense, resid[i]) {
 			sval := sign * resid[i]
 			if sval < 0 {
@@ -280,6 +273,14 @@ func (t *revised) priceRow(r int) {
 				idx = append(idx, j)
 			}
 			t.alpha[j] += ri * t.rows.val[e]
+		}
+		// The row's slack, read last as if the row store held it.
+		if j := int32(t.nv + i); !t.inBasis[j] {
+			if !t.seen[j] {
+				t.seen[j] = true
+				idx = append(idx, j)
+			}
+			t.alpha[j] += ri * t.slack[i]
 		}
 	}
 	t.alphaIdx = idx
