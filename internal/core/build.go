@@ -67,7 +67,16 @@ func BuildProblem(g *topology.Graph, tm *traffic.Matrix, gen *policy.Generator,
 		src, dst int
 		rate     float64
 	}
-	var pairs []od
+	// Two passes over the N² entries: count, then fill an exact slice.
+	n := 0
+	for s := 0; s < tm.N(); s++ {
+		for d := 0; d < tm.N(); d++ {
+			if tm.At(s, d) >= minRate {
+				n++
+			}
+		}
+	}
+	pairs := make([]od, 0, n)
 	for s := 0; s < tm.N(); s++ {
 		for d := 0; d < tm.N(); d++ {
 			if r := tm.At(s, d); r >= minRate {
@@ -91,7 +100,7 @@ func BuildProblem(g *topology.Graph, tm *traffic.Matrix, gen *policy.Generator,
 	if opts.MaxClasses > 0 && len(pairs) > opts.MaxClasses {
 		pairs = pairs[:opts.MaxClasses]
 	}
-	prob := &Problem{Topo: g, Avail: avail}
+	prob := &Problem{Topo: g, Avail: avail, Classes: make([]Class, 0, len(pairs))}
 	for i, p := range pairs {
 		path, err := g.ShortestPath(topology.NodeID(p.src), topology.NodeID(p.dst))
 		if err != nil {
