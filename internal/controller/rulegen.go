@@ -39,6 +39,7 @@ func (c *Controller) InstallPlacement(prob *core.Problem, pl *core.Placement) er
 		}
 		txn.StageInstall(cl, dist)
 	}
+	txn.reserveUndo()
 	txn.open()
 	if _, err := c.provisionTo(pl, txn, true); err != nil {
 		txn.unwind(err)

@@ -450,6 +450,34 @@ type tableUndo struct {
 	token flowtable.Undo
 }
 
+// reserveUndo sizes the undo list once for a transaction of staged
+// placement installs, instead of regrowing it run by run. A class
+// installed from a distribution touches the routing table of each switch
+// on its path, the APPLE and steering tables of each switch that
+// processes a share of it, and the ingress APPLE table: at most
+// len(Path)+2P+1 batches for P processing positions, the bound
+// emitClassRules sizes its groups by. Each switch may also take the
+// pass-by row, once.
+func (t *RuleTxn) reserveUndo() {
+	n := len(t.undo)
+	if !t.c.passByDone {
+		n += len(t.c.switches)
+	}
+	for _, op := range t.staged {
+		if op.kind != txnInstall {
+			continue
+		}
+		procs := 0
+		for _, shares := range op.dist {
+			if slices.ContainsFunc(shares, func(x float64) bool { return x > 0 }) {
+				procs++
+			}
+		}
+		n += len(op.cl.Path) + 2*procs + 1
+	}
+	t.undo = slices.Grow(t.undo, n-len(t.undo))
+}
+
 // recordUndo keeps a batch's undo token for unwind and accounts the
 // rules the batch removed.
 func (t *RuleTxn) recordUndo(k tableKey, u flowtable.Undo) {
