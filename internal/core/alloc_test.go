@@ -1,0 +1,99 @@
+package core_test
+
+import (
+	"runtime"
+	"testing"
+
+	"github.com/apple-nfv/apple/internal/core"
+	"github.com/apple-nfv/apple/internal/experiments"
+	"github.com/apple-nfv/apple/internal/policy"
+	"github.com/apple-nfv/apple/internal/traffic"
+)
+
+// measure returns the heap allocations and bytes f makes. The package's
+// tests run one at a time, so the counters see f alone.
+func measure(f func()) (allocs, bytes uint64) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// geantMean is GEANT's 24-snapshot scenario and its mean matrix, the
+// problem paper_lifecycle builds and solves.
+func geantMean(t *testing.T) (*experiments.Scenario, *traffic.Matrix) {
+	t.Helper()
+	sc, err := experiments.GEANT(experiments.Options{Seed: 1, Snapshots: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mean, err := traffic.Mean(sc.Series)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc, mean
+}
+
+// TestBuildProblemAllocs: building GEANT's 24-snapshot mean problem
+// makes at most 465 allocations. The OD pairs and the classes are counted
+// before their slices are made; grown by append (scratch mutation) they
+// take 476. What remains is per class: its route and its chain.
+func TestBuildProblemAllocs(t *testing.T) {
+	const limit = 465
+	sc, mean := geantMean(t)
+	gen, err := policy.NewGenerator(sc.Seed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prob *core.Problem
+	allocs, _ := measure(func() {
+		prob, err = core.BuildProblem(sc.Graph, mean, gen, sc.Avail,
+			core.BuildOptions{MinRateMbps: sc.MinRateMbps, MaxClasses: sc.MaxClasses})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d classes: %d allocations", len(prob.Classes), allocs)
+	if allocs > limit {
+		t.Errorf("BuildProblem made %d allocations for %d classes; the limit is %d", allocs, len(prob.Classes), limit)
+	}
+}
+
+// TestSolveBytes: Engine.Solve on GEANT's 24-snapshot mean problem, as
+// paper_lifecycle compiles it, allocates at most 600 000 bytes: 551 000
+// measured. The model streams its rows into one flat term store that the
+// solver reads in place; with a []Term per row copied into the model and
+// again into the solver's row store (scratch mutation: lp's model.go and
+// store.go and core's model.go as they were) it takes 725 672.
+func TestSolveBytes(t *testing.T) {
+	const limit = 600_000
+	if raceDetector {
+		t.Skip("the race detector allocates beside the solve")
+	}
+	sc, mean := geantMean(t)
+	prob, err := sc.Problem(mean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, tenants, err := experiments.ScenarioHierarchy(prob, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.ApplyHierarchy(prob, h, tenants); err != nil {
+		t.Fatal(err)
+	}
+	eng := core.NewEngine(core.EngineOptions{})
+	defer core.SuspendObserver()()
+	allocs, bytes := measure(func() {
+		_, err = eng.Solve(prob)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d classes: %d bytes in %d objects", len(prob.Classes), bytes, allocs)
+	if bytes > limit {
+		t.Errorf("Engine.Solve allocated %d bytes; the ceiling is %d", bytes, limit)
+	}
+}

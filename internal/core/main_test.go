@@ -17,6 +17,15 @@ var Certified int
 // observer certified; the cold-solve golden test reads it.
 var Objectives []float64
 
+// SuspendObserver switches the certificate observer off until the
+// returned function is called, for tests that measure what a solve alone
+// allocates.
+func SuspendObserver() (restore func()) {
+	saved := solveObserver
+	solveObserver = nil
+	return func() { solveObserver = saved }
+}
+
 // TestMain points the solveObserver seam at lp.CheckCertificate: every LP
 // solve any test of this package drives through Engine or
 // IncrementalEngine — the cold solve, each repair re-solve, each snapshot
