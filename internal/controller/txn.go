@@ -52,6 +52,7 @@ import (
 
 	"github.com/apple-nfv/apple/internal/core"
 	"github.com/apple-nfv/apple/internal/flowtable"
+	"github.com/apple-nfv/apple/internal/headerspace"
 	"github.com/apple-nfv/apple/internal/metrics"
 	"github.com/apple-nfv/apple/internal/policy"
 	"github.com/apple-nfv/apple/internal/topology"
@@ -679,7 +680,8 @@ func (t *RuleTxn) buildUpdate(op txnOp) (*Assignment, error) {
 //     routing. On a host where it replaces old's sub-class of the same
 //     index, the old rules' removal and the new rules share one batch.
 //  2. flip (cutover:cls): the ingress classification moves to next's
-//     sub-classes in one remove-then-install batch, or is removed.
+//     sub-classes in one remove-then-install batch, or is removed. When
+//     next's classification compiles to the installed rules, they stand.
 //  3. swap (cutover:swap): the store holds next, or no longer the class.
 //  4. retire (cutover:retire): the steering of old's sub-classes that
 //     next does not keep is removed where step 1 did not replace it, and
@@ -835,7 +837,8 @@ func (c *Controller) makeRules(old, next *Assignment) ([]tableBatch, error) {
 
 // flipRules compiles the cutover's flip: next's classification at its
 // ingress behind the removal of the class's rules there, or that removal
-// alone at old's ingress when next is nil.
+// alone at old's ingress when next is nil. It compiles nothing when
+// next's classification is the one installed (sameClassification).
 func (c *Controller) flipRules(old, next *Assignment) ([]tableBatch, error) {
 	g := c.arena.groups(1)
 	if next == nil {
@@ -848,11 +851,36 @@ func (c *Controller) flipRules(old, next *Assignment) ([]tableBatch, error) {
 	if err != nil {
 		return nil, err
 	}
+	if sameClassification(old, next, blocks) {
+		return nil, nil
+	}
 	g.reserve(appleKey(next.Class.Path[0]), classificationSize(blocks))
 	if err := c.emitClassification(g, next, blocks); err != nil {
 		return nil, err
 	}
 	return g.tables, nil
+}
+
+// sameClassification reports whether next's classification, split into
+// blocks, compiles to the rules old installed at the ingress. The rules'
+// name and prefixes follow from the class ID, the ingress and the blocks,
+// and each sub-class's actions from its tag and the switch of its first
+// hop (whose host tag is fixed once drawn), so those must agree.
+func sameClassification(old, next *Assignment, blocks [][]headerspace.PrefixBlock) bool {
+	if old.Class.Path[0] != next.Class.Path[0] || len(old.subs) != len(next.subs) {
+		return false
+	}
+	installed, err := old.classificationBlocks()
+	if err != nil || len(installed) != len(blocks) {
+		return false
+	}
+	for s, bs := range blocks {
+		if !slices.Equal(installed[s], bs) || old.subs[s].tag != next.subs[s].tag ||
+			old.Class.Path[old.subs[s].hops[0]] != next.Class.Path[next.subs[s].hops[0]] {
+			return false
+		}
+	}
+	return true
 }
 
 // retireRules compiles the cutover's retire step: the removal of old's

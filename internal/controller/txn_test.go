@@ -495,3 +495,78 @@ func TestUpdateKeepsUnchangedSteering(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestUpdateKeepsUnchangedClassification: an update whose classification
+// compiles to the installed rules leaves them standing. Class 0's one
+// sub-class keeps its firewall at the ingress and moves its IDS from host
+// 1 to host 2: the ingress, the tag, the first-hop switch and the split
+// blocks are unchanged, so the cutover's flip applies no batch — no
+// cls-0 rule is removed or reinstalled — though its failpoint still
+// fires, and the class is enforced on its new steering.
+func TestUpdateKeepsUnchangedClassification(t *testing.T) {
+	c, err := New(Config{Topology: lineTopo(t, 4), Clock: sim.New(), Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := topology.NodeID(0); v < 4; v++ {
+		for _, nf := range []policy.NF{policy.Firewall, policy.IDS} {
+			inst, _, err := c.orch.PlaceNow(nf, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.poolAdd(v, nf, inst)
+		}
+	}
+	cl := core.Class{ID: 0, Path: linePath(4), Chain: policy.Chain{policy.Firewall, policy.IDS}, RateMbps: 200}
+	dist := func(ids int) [][]float64 {
+		d := zeroDist(4, 2)
+		d[0][0], d[ids][1] = 1, 1
+		return d
+	}
+	txn := c.Begin()
+	txn.StageInstall(cl, dist(1))
+	if err := txn.Commit(TxnOptions{Verify: true}); err != nil {
+		t.Fatal(err)
+	}
+	old, _ := c.assign.get(0)
+	updates := c.RuleUpdates()
+
+	txn = c.Begin()
+	txn.StageUpdate(cl, dist(2))
+	var touched []tableUndo
+	flips := 0
+	c.failpoint = func(p string) error {
+		switch p {
+		case "cutover:cls:0":
+			flips++
+		case "update:verify:0":
+			touched = append(touched, txn.undo...)
+		}
+		return nil
+	}
+	if err := txn.Commit(TxnOptions{Verify: true}); err != nil {
+		t.Fatal(err)
+	}
+	c.failpoint = nil
+	next, _ := c.assign.get(0)
+	if len(old.subs) != 1 || len(next.subs) != 1 || old.subs[0].tag != next.subs[0].tag ||
+		!reflect.DeepEqual(old.Subclass(0).Hops, []int{0, 1}) || !reflect.DeepEqual(next.Subclass(0).Hops, []int{0, 2}) {
+		t.Fatalf("fixture: sub-classes %d → %d, hops %v → %v", len(old.subs), len(next.subs),
+			old.Subclass(0).Hops, next.Subclass(0).Hops)
+	}
+	if flips != 1 {
+		t.Errorf("the cutover:cls failpoint fired %d times, want once", flips)
+	}
+	if len(touched) == 0 {
+		t.Fatal("the update applied no batch")
+	}
+	for _, u := range touched {
+		if u.key == appleKey(0) && u.token.Removed() > 0 {
+			t.Errorf("the update removed %d rules from the ingress APPLE table; its classification is unchanged", u.token.Removed())
+		}
+	}
+	if err := c.CheckEnforcement(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("the update programmed %d rules", c.RuleUpdates()-updates)
+}
