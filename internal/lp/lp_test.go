@@ -335,21 +335,7 @@ func TestMILPInfeasible(t *testing.T) {
 // optimum; at n = 15 it reaches the node limit with the incumbent found
 // and its bound still open, which is not a proof.
 func TestMILPNodeLimitIsNotOptimal(t *testing.T) {
-	parity := func(n int) *Model {
-		m := NewModel(fmt.Sprintf("jeroslow-%d", n))
-		y := addVar(t, m, "y", 0, 1, 1)
-		terms := []Term{{y, 1}}
-		for i := 0; i < n; i++ {
-			terms = append(terms, Term{addVar(t, m, fmt.Sprintf("x%d", i), 0, 1, 0), 2})
-		}
-		for _, tm := range terms {
-			if err := m.SetInteger(tm.Var); err != nil {
-				t.Fatal(err)
-			}
-		}
-		addCon(t, m, "parity", EQ, float64(n), terms...)
-		return m
-	}
+	parity := func(n int) *Model { return parityModel(t, n) }
 	sol, err := SolveMILP(parity(5), MILPOptions{})
 	if err != nil || sol.Status != StatusOptimal || !almost(sol.Objective, 1) {
 		t.Fatalf("n=5: status %v objective %v err %v, want the proved optimum 1", sol.Status, sol.Objective, err)
@@ -368,6 +354,56 @@ func TestMILPNodeLimitIsNotOptimal(t *testing.T) {
 	if sum != 15 {
 		t.Fatalf("n=15: incumbent %v does not satisfy the parity row", sol.Values)
 	}
+}
+
+// parityModel is Jeroslow's parity row over n binaries plus the escape y.
+func parityModel(t *testing.T, n int) *Model {
+	t.Helper()
+	m := NewModel(fmt.Sprintf("jeroslow-%d", n))
+	y := addVar(t, m, "y", 0, 1, 1)
+	terms := []Term{{y, 1}}
+	for i := 0; i < n; i++ {
+		terms = append(terms, Term{addVar(t, m, fmt.Sprintf("x%d", i), 0, 1, 0), 2})
+	}
+	for _, tm := range terms {
+		if err := m.SetInteger(tm.Var); err != nil {
+			t.Fatal(err)
+		}
+	}
+	addCon(t, m, "parity", EQ, float64(n), terms...)
+	return m
+}
+
+// TestMILPSkipsNodeAtPivotLimit: a node whose LP runs out of pivots is
+// skipped, not the end of the search. On the n = 5 parity row the second
+// node's re-solve is made to return ErrIterLimit; the search goes on and
+// finds the incumbent 1, but the skipped node's bound, the root's 0, is
+// below it, so the result is no proof: StatusIterLimit and ErrIterLimit,
+// exactly as when the node limit leaves a node open.
+func TestMILPSkipsNodeAtPivotLimit(t *testing.T) {
+	calls, after := 0, 0
+	resolveNode = func(s *Solver) (Solution, error) {
+		calls++
+		if calls == 2 {
+			return Solution{Status: StatusIterLimit}, fmt.Errorf("%w: injected", ErrIterLimit)
+		}
+		if calls > 2 {
+			after++
+		}
+		return s.ReSolve()
+	}
+	defer func() { resolveNode = (*Solver).ReSolve }()
+	sol, err := SolveMILP(parityModel(t, 5), MILPOptions{})
+	if after == 0 {
+		t.Fatalf("the search stopped at the node that hit the pivot limit: %v", err)
+	}
+	if !errors.Is(err, ErrIterLimit) || sol.Status != StatusIterLimit {
+		t.Fatalf("status %v, err %v after a skipped node below the incumbent; want ErrIterLimit", sol.Status, err)
+	}
+	if sol.Values == nil || !almost(sol.Objective, 1) {
+		t.Fatalf("incumbent %v (objective %v), want the parity optimum 1", sol.Values, sol.Objective)
+	}
+	t.Logf("%d nodes re-solved after the skipped one; %v", after, err)
 }
 
 func TestSetIntegerValidation(t *testing.T) {

@@ -21,11 +21,17 @@ type MILPOptions struct {
 // (within tolerance) rather than stopping at a gap, and counts a value
 // within intTol of an integer as integral. A search that reaches maxNodes
 // with a node still open below the incumbent has proved nothing: it
-// returns the incumbent with ErrIterLimit.
+// returns the incumbent with ErrIterLimit. So has one that skipped a node
+// whose LP hit its pivot limit, if that node's bound was below the
+// incumbent.
 const (
 	maxNodes = 10000
 	intTol   = 1e-6
 )
+
+// resolveNode re-solves one branch-and-bound node; tests replace it to
+// make a node's LP hit its pivot limit.
+var resolveNode = (*Solver).ReSolve
 
 // violatedExclusion returns the first exclusion pair with both variables
 // meaningfully positive in sol, in declaration order (deterministic).
@@ -43,7 +49,10 @@ func violatedExclusion(opts MILPOptions, sol *Solution) (a, b VarID, violated bo
 // fractional variable). For models with no integer variables it is
 // equivalent to one Solver.Solve. When the node limit stops the search
 // before the incumbent is proved optimal, the error wraps ErrIterLimit and
-// the solution, status StatusIterLimit, carries the incumbent if any.
+// the solution, status StatusIterLimit, carries the incumbent if any. A
+// node whose LP hits its pivot limit is skipped and counted as open at its
+// parent's bound, so it costs the proof only if that bound could have
+// beaten the incumbent.
 func SolveMILP(m *Model, opts MILPOptions) (Solution, error) {
 	hasInt := false
 	for _, v := range m.vars {
@@ -120,8 +129,10 @@ func SolveMILP(m *Model, opts MILPOptions) (Solution, error) {
 			}
 			touched[b.v] = true
 		}
-		return s.ReSolve()
+		return resolveNode(s)
 	}
+	// skipped holds the bounds of the nodes whose LP hit its pivot limit.
+	var skipped []float64
 
 	for len(queue) > 0 && nodes < maxNodes {
 		nd := pop()
@@ -132,8 +143,13 @@ func SolveMILP(m *Model, opts MILPOptions) (Solution, error) {
 		nodes++
 		totalIters += sol.Iterations
 		if err != nil {
-			// Infeasible subproblem: prune. Other errors abort.
-			if sol.Status == StatusInfeasible {
+			// Infeasible subproblem: prune. A node whose LP ran out of
+			// pivots is skipped, its bound kept. Other errors abort.
+			switch sol.Status {
+			case StatusInfeasible:
+				continue
+			case StatusIterLimit:
+				skipped = append(skipped, nd.lb)
 				continue
 			}
 			return sol, fmt.Errorf("lp: branch-and-bound node failed: %w", err)
@@ -198,6 +214,13 @@ func SolveMILP(m *Model, opts MILPOptions) (Solution, error) {
 		if nd.lb < best.Objective-1e-9 {
 			best.Status = StatusIterLimit
 			return best, fmt.Errorf("%w: %d branch-and-bound nodes, optimality not proved", ErrIterLimit, nodes)
+		}
+	}
+	for _, lb := range skipped {
+		if lb < best.Objective-1e-9 {
+			best.Status = StatusIterLimit
+			return best, fmt.Errorf("%w: %d of %d branch-and-bound nodes hit the pivot limit, optimality not proved",
+				ErrIterLimit, len(skipped), nodes)
 		}
 	}
 	if best.Status != StatusOptimal {
