@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/apple-nfv/apple/internal/lp"
@@ -85,11 +86,7 @@ func (md *model) planHops() error {
 	all := make([]int, 0, nPath)
 	for ci, c := range md.prob.Classes {
 		lo := len(all)
-		for i, v := range c.Path {
-			if md.prob.hostSwitch(v) {
-				all = append(all, i)
-			}
-		}
+		all = md.prob.appendEligibleHops(all, c)
 		if len(all) == lo {
 			return fmt.Errorf("core: class %d has no APPLE host on its path", c.ID)
 		}
@@ -107,10 +104,14 @@ func (md *model) planHops() error {
 	return nil
 }
 
-// d returns class ci's flow variable at path index i and chain position j.
-func (md *model) d(ci, i, j int) lp.VarID {
-	return md.dVar[md.dOff[ci]+i*len(md.prob.Classes[ci].Chain)+j]
+// dAt is the index in dVar of class ci's flow variable at path index i
+// and chain position j.
+func (md *model) dAt(ci, i, j int) int {
+	return md.dOff[ci] + i*len(md.prob.Classes[ci].Chain) + j
 }
+
+// d returns class ci's flow variable at path index i and chain position j.
+func (md *model) d(ci, i, j int) lp.VarID { return md.dVar[md.dAt(ci, i, j)] }
 
 // planKeys lists the (switch, NF) pairs some class could use, in sorted
 // key order, with the objective coefficient of each one's q variable.
@@ -196,7 +197,7 @@ func (md *model) addFlowVars(ci int, prefix string) error {
 			if err != nil {
 				return fmt.Errorf("core: %w", err)
 			}
-			md.dVar[md.dOff[ci]+i*len(c.Chain)+j] = v
+			md.dVar[md.dAt(ci, i, j)] = v
 		}
 	}
 	return nil
@@ -285,7 +286,7 @@ func (md *model) addCapacityRows(flowCoef func(Class) float64) error {
 		at[k+1] += at[k]
 	}
 	loads := make([]lp.Term, at[len(md.qKeys)])
-	next := at[:len(md.qKeys)]
+	next := slices.Clone(at[:len(md.qKeys)])
 	for ci, c := range md.prob.Classes {
 		for _, i := range md.hops[ci] {
 			for j, nf := range c.Chain {
@@ -295,17 +296,14 @@ func (md *model) addCapacityRows(flowCoef func(Class) float64) error {
 			}
 		}
 	}
-	lo := 0
 	for k, key := range md.qKeys {
 		spec, err := policy.SpecOf(key.nf)
 		if err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
-		// next[k] has advanced to the end of key k's terms.
-		for _, t := range loads[lo:next[k]] {
+		for _, t := range loads[at[k]:at[k+1]] {
 			md.m.AddTerm(t.Var, t.Coef)
 		}
-		lo = next[k]
 		md.m.AddTerm(md.qVar[key], -spec.CapacityMbps)
 		name := fmt.Sprintf("cap[%d][%v]", key.v, key.nf)
 		if err := md.m.EndConstraint(name, lp.LE, 0); err != nil {

@@ -162,14 +162,16 @@ func (p *Problem) hostSwitch(v topology.NodeID) bool {
 
 // eligibleHops returns the path indices of class c whose switch can host
 // instances.
-func (p *Problem) eligibleHops(c Class) []int {
-	var out []int
+func (p *Problem) eligibleHops(c Class) []int { return p.appendEligibleHops(nil, c) }
+
+// appendEligibleHops appends class c's eligible hops to dst.
+func (p *Problem) appendEligibleHops(dst []int, c Class) []int {
 	for i, v := range c.Path {
 		if p.hostSwitch(v) {
-			out = append(out, i)
+			dst = append(dst, i)
 		}
 	}
-	return out
+	return dst
 }
 
 // Placement is the engine output: q (instance counts per switch and NF)
