@@ -40,9 +40,9 @@ import (
 // comparable machine words. Fields the shape treats as wildcards stay
 // zero on both the rule side and the packet side, so equality of keys is
 // exactly "the packet satisfies every concrete field". The packing is
-// the arena/SoA representation of Match: a rule's 56-byte value fields,
-// prefix lengths included, collapse into this 24-byte value plus the
-// tuple's shape. A slice tuple stores its rules' keys in one contiguous
+// the arena/SoA representation of Match: a rule's 32-byte Match, prefix
+// lengths included, collapses into this 24-byte value plus the tuple's
+// shape. A slice tuple stores its rules' keys in one contiguous
 // slice; a trie tuple stores none and packs a slot's key from the slot's
 // entry when a probe reaches it.
 type matchKey struct {
@@ -61,7 +61,7 @@ type shapeKey struct {
 
 // clampLen normalizes a Prefix.Len to the effective number of compared
 // bits: Contains treats Len <= 0 as match-everything and Len >= 32 as
-// full-address equality.
+// full-address equality. A Match stores its prefix lengths clamped.
 func clampLen(l int) int8 {
 	if l <= 0 {
 		return 0
@@ -84,17 +84,13 @@ func prefixMask(l int8) uint32 {
 // that matches everything.
 func shapeOf(m Match) shapeKey {
 	s := shapeKey{mask: m.set &^ (FieldSrc | FieldDst)}
-	if m.Has(FieldSrc) {
-		if l := clampLen(m.src.Len); l > 0 {
-			s.mask |= FieldSrc
-			s.srcLen = l
-		}
+	if m.Has(FieldSrc) && m.srcLen > 0 {
+		s.mask |= FieldSrc
+		s.srcLen = m.srcLen
 	}
-	if m.Has(FieldDst) {
-		if l := clampLen(m.dst.Len); l > 0 {
-			s.mask |= FieldDst
-			s.dstLen = l
-		}
+	if m.Has(FieldDst) && m.dstLen > 0 {
+		s.mask |= FieldDst
+		s.dstLen = m.dstLen
 	}
 	return s
 }
@@ -110,8 +106,8 @@ func shapeOf(m Match) shapeKey {
 func ruleKey(m *Match, s shapeKey) matchKey {
 	return matchKey{
 		// A prefix s leaves open has length 0 there, and so an empty mask.
-		lo: uint64(m.src.Addr&prefixMask(s.srcLen)) |
-			uint64(m.dst.Addr&prefixMask(s.dstLen))<<32,
+		lo: uint64(m.srcAddr&prefixMask(s.srcLen)) |
+			uint64(m.dstAddr&prefixMask(s.dstLen))<<32,
 		// Every other field s leaves open is a wildcard of m's, and so zero.
 		hi: uint64(m.hostTag) | uint64(m.subTag)<<16 | uint64(m.proto)<<24 |
 			uint64(m.srcPort)<<32 | uint64(m.dstPort)<<48,
@@ -194,14 +190,14 @@ func (t *tuple) packetKey(p *Packet) matchKey {
 	return k
 }
 
-// add indexes e under key k.
-func (t *tuple) add(gen uint64, k matchKey, e *entry) {
+// add indexes e under key k; dups is the table's duplicate index.
+func (t *tuple) add(gen uint64, k matchKey, e *entry, dups *dupIndex) {
 	if r := e.rank(); t.n == 0 || r.before(t.bound) {
 		t.bound = r
 	}
 	t.n++
 	if t.trie {
-		t.root.insert(gen, k.hash(), k, t.shape, e)
+		t.root.insert(gen, k.hash(), k, t.shape, e, dups)
 		return
 	}
 	// A slice tuple's slices are shared with published snapshots and at
@@ -211,14 +207,15 @@ func (t *tuple) add(gen uint64, k matchKey, e *entry) {
 	t.ents = slices.Concat(t.ents[:i], []*entry{e}, t.ents[i:])
 	if len(t.ents) > tupleHashCutoff {
 		for j, x := range t.ents {
-			t.root.insert(gen, t.keys[j].hash(), t.keys[j], t.shape, x)
+			t.root.insert(gen, t.keys[j].hash(), t.keys[j], t.shape, x, dups)
 		}
 		t.keys, t.ents, t.trie = nil, nil, true
 	}
 }
 
-// remove drops e (by identity), which the tuple holds under key k.
-func (t *tuple) remove(gen uint64, k matchKey, e *entry) {
+// remove drops e (by identity), which the tuple holds under key k; dups
+// is the table's duplicate index.
+func (t *tuple) remove(gen uint64, k matchKey, e *entry, dups *dupIndex) {
 	t.n--
 	switch {
 	case !t.trie:
@@ -226,17 +223,19 @@ func (t *tuple) remove(gen uint64, k matchKey, e *entry) {
 		t.keys = slices.Concat(t.keys[:i], t.keys[i+1:])
 		t.ents = slices.Concat(t.ents[:i], t.ents[i+1:])
 	case t.n > tupleHashCutoff/2:
-		t.root.remove(gen, k.hash(), k, t.shape, e)
+		t.root.remove(gen, k.hash(), k, t.shape, e, dups)
 		return // bound stays, possibly optimistic
 	default:
-		// Back to slices: collect what is left, in match order.
-		t.root.remove(gen, k.hash(), k, t.shape, e)
+		// Back to slices: collect what is left, in match order. A slice
+		// tuple keeps every rule itself, so the duplicates leave dups.
+		t.root.remove(gen, k.hash(), k, t.shape, e, dups)
 		t.ents = make([]*entry, 0, t.n)
-		t.root.each(func(x *entry) { t.ents = append(t.ents, x) })
+		t.root.each(*dups, func(x *entry) { t.ents = append(t.ents, x) })
 		slices.SortFunc(t.ents, byRank)
 		t.keys = make([]matchKey, len(t.ents))
 		for i, x := range t.ents {
 			t.keys[i] = ruleKey(&x.rule.Match, t.shape)
+			delete(*dups, x)
 		}
 		t.root, t.trie = trieRoot{}, false
 	}
@@ -283,24 +282,25 @@ func (c *compiledTable) own(gen uint64, i int) *tuple {
 	return c.tuples[i]
 }
 
-// add indexes e in the draft.
-func (c *compiledTable) add(gen uint64, e *entry) {
+// add indexes e in the draft; dups is the table's duplicate index.
+func (c *compiledTable) add(gen uint64, e *entry, dups *dupIndex) {
 	s := shapeOf(e.rule.Match)
 	i := c.indexOf(s)
 	if i < 0 {
 		i = len(c.tuples)
 		c.tuples = append(c.tuples, newTuple(gen, s))
 	}
-	c.own(gen, i).add(gen, ruleKey(&e.rule.Match, s), e)
+	c.own(gen, i).add(gen, ruleKey(&e.rule.Match, s), e, dups)
 	c.settle(i)
 }
 
-// remove drops e, which the draft indexes.
-func (c *compiledTable) remove(gen uint64, e *entry) {
+// remove drops e, which the draft indexes; dups is the table's duplicate
+// index.
+func (c *compiledTable) remove(gen uint64, e *entry, dups *dupIndex) {
 	s := shapeOf(e.rule.Match)
 	i := c.indexOf(s)
 	t := c.own(gen, i)
-	t.remove(gen, ruleKey(&e.rule.Match, s), e)
+	t.remove(gen, ruleKey(&e.rule.Match, s), e, dups)
 	if t.n == 0 {
 		c.tuples = slices.Delete(c.tuples, i, i+1)
 		return

@@ -425,8 +425,8 @@ func TestRemoveZeroesTails(t *testing.T) {
 		t.Fatalf("empty table still has %d tuples", len(c.tuples))
 	}
 	checkTailsZeroed(t, tbl.compiled.Load())
-	if tbl.size != 0 || len(tbl.byName) != 0 {
-		t.Fatalf("writer-side structures not empty: size=%d byName=%v", tbl.size, tbl.byName)
+	if tbl.size != 0 || len(tbl.byName) != 0 || len(tbl.dups) != 0 {
+		t.Fatalf("writer-side structures not empty: size=%d byName=%v dups=%v", tbl.size, tbl.byName, tbl.dups)
 	}
 }
 
@@ -441,20 +441,20 @@ func TestNameIndexConsistency(t *testing.T) {
 	check := func(when string) {
 		t.Helper()
 		counts := make(map[string]int)
+		tbl.mu.RLock()
 		if c := tbl.compiled.Load(); c != nil {
 			for _, tp := range c.tuples {
-				tp.root.each(func(e *entry) { counts[e.rule.Name]++ })
+				tp.root.each(tbl.dups, func(e *entry) { counts[e.rule.Name]++ })
 				for _, e := range tp.ents {
 					counts[e.rule.Name]++
 				}
 			}
 		}
 		for name, n := range counts {
-			if !tbl.Has(name) {
+			if !tbl.hasLocked(name) {
 				t.Fatalf("%s: Has(%q) false with %d rules present", when, name, n)
 			}
 		}
-		tbl.mu.RLock()
 		indexed := make(map[string]int)
 		for name, head := range tbl.byName {
 			for e := head; e != nil; e = e.nextSameName {

@@ -92,10 +92,16 @@ const (
 // to set a value, and they set its bit with it. APPLE's rules never match
 // the protocol or a transport port, so those three setters live with the
 // tests, which drive the whole 5-tuple through the matchers.
+//
+// A prefix is kept as its address and its length clamped to 0..32, the
+// bits Prefix.Contains compares: a length below 0 matches as 0 does and
+// one above 32 as 32 does, so WithSrc(Prefix{a, 40}) reads back, and is
+// Equal to, WithSrc(Prefix{a, 32}). That packs a Match into 32 bytes.
 type Match struct {
-	src, dst                  Prefix
 	inPort                    int
+	srcAddr, dstAddr          uint32
 	hostTag, srcPort, dstPort uint16
+	srcLen, dstLen            int8
 	subTag, proto             uint8
 	set                       Field
 }
@@ -112,11 +118,18 @@ func (m Match) WithSubTag(v uint8) Match { m.subTag, m.set = v, m.set|FieldSubTa
 // WithInPort returns m matching ingress port v.
 func (m Match) WithInPort(v int) Match { m.inPort, m.set = v, m.set|FieldInPort; return m }
 
-// WithSrc returns m matching source prefix p.
-func (m Match) WithSrc(p Prefix) Match { m.src, m.set = p, m.set|FieldSrc; return m }
+// WithSrc returns m matching source prefix p, its length clamped to 0..32.
+func (m Match) WithSrc(p Prefix) Match {
+	m.srcAddr, m.srcLen, m.set = p.Addr, clampLen(p.Len), m.set|FieldSrc
+	return m
+}
 
-// WithDst returns m matching destination prefix p.
-func (m Match) WithDst(p Prefix) Match { m.dst, m.set = p, m.set|FieldDst; return m }
+// WithDst returns m matching destination prefix p, its length clamped to
+// 0..32.
+func (m Match) WithDst(p Prefix) Match {
+	m.dstAddr, m.dstLen, m.set = p.Addr, clampLen(p.Len), m.set|FieldDst
+	return m
+}
 
 // HostTag returns the matched host tag and whether the field is concrete.
 func (m Match) HostTag() (uint16, bool) { return m.hostTag, m.Has(FieldHostTag) }
@@ -129,12 +142,17 @@ func (m Match) SubTag() (uint8, bool) { return m.subTag, m.Has(FieldSubTag) }
 // concrete.
 func (m Match) InPort() (int, bool) { return m.inPort, m.Has(FieldInPort) }
 
-// Src returns the matched source prefix and whether the field is concrete.
-func (m Match) Src() (Prefix, bool) { return m.src, m.Has(FieldSrc) }
+// Src returns the matched source prefix, its length clamped to 0..32, and
+// whether the field is concrete.
+func (m Match) Src() (Prefix, bool) { return m.src(), m.Has(FieldSrc) }
 
-// Dst returns the matched destination prefix and whether the field is
-// concrete.
-func (m Match) Dst() (Prefix, bool) { return m.dst, m.Has(FieldDst) }
+// Dst returns the matched destination prefix, its length clamped to
+// 0..32, and whether the field is concrete.
+func (m Match) Dst() (Prefix, bool) { return m.dst(), m.Has(FieldDst) }
+
+func (m Match) src() Prefix { return Prefix{Addr: m.srcAddr, Len: int(m.srcLen)} }
+
+func (m Match) dst() Prefix { return Prefix{Addr: m.dstAddr, Len: int(m.dstLen)} }
 
 // Proto returns the matched IP protocol and whether the field is concrete.
 func (m Match) Proto() (uint8, bool) { return m.proto, m.Has(FieldProto) }
@@ -158,10 +176,10 @@ func (m Match) Matches(p Packet) bool {
 	if m.Has(FieldInPort) && m.inPort != p.InPort {
 		return false
 	}
-	if m.Has(FieldSrc) && !m.src.Contains(p.Hdr.SrcIP) {
+	if m.Has(FieldSrc) && !m.src().Contains(p.Hdr.SrcIP) {
 		return false
 	}
-	if m.Has(FieldDst) && !m.dst.Contains(p.Hdr.DstIP) {
+	if m.Has(FieldDst) && !m.dst().Contains(p.Hdr.DstIP) {
 		return false
 	}
 	if m.Has(FieldProto) && m.proto != p.Hdr.Proto {
@@ -188,7 +206,7 @@ func (m Match) Subsumes(o Match) bool {
 	return (!m.Has(FieldHostTag) || m.hostTag == o.hostTag) &&
 		(!m.Has(FieldSubTag) || m.subTag == o.subTag) &&
 		(!m.Has(FieldInPort) || m.inPort == o.inPort) &&
-		pfx(FieldSrc, m.src, o.src) && pfx(FieldDst, m.dst, o.dst) &&
+		pfx(FieldSrc, m.src(), o.src()) && pfx(FieldDst, m.dst(), o.dst()) &&
 		(!m.Has(FieldProto) || m.proto == o.proto) &&
 		(!m.Has(FieldSrcPort) || m.srcPort == o.srcPort) &&
 		(!m.Has(FieldDstPort) || m.dstPort == o.dstPort)
@@ -287,6 +305,10 @@ type Table struct {
 	byName map[string]*entry // guarded by mu
 	// nextSeq is the install sequence number the next new rule receives.
 	nextSeq uint64 // guarded by mu
+	// dups holds the rules of trie tuples that share a packed key with a
+	// better-ranked rule (trie.go). No lookup can return them, so no
+	// snapshot holds them: they live here until the rule ahead leaves.
+	dups dupIndex // guarded by mu
 	// draft is the successor snapshot under construction; non-nil only
 	// inside a critical section that has mutated the table and not yet
 	// published. gen identifies it: tuple headers and trie arrays stamped
@@ -381,7 +403,7 @@ func (t *Table) draftLocked() *compiledTable {
 // place in its name's chain, and into the draft snapshot. Callers hold mu
 // and publish before unlocking.
 func (t *Table) linkLocked(e *entry) {
-	t.draftLocked().add(t.gen, e)
+	t.draftLocked().add(t.gen, e, &t.dups)
 	t.size++
 	if t.byName == nil {
 		t.byName = make(map[string]*entry)
@@ -402,7 +424,7 @@ func (t *Table) linkLocked(e *entry) {
 // unlinkLocked takes an entry out of the draft snapshot; the caller has
 // already dropped it from the name index.
 func (t *Table) unlinkLocked(e *entry) {
-	t.draftLocked().remove(t.gen, e)
+	t.draftLocked().remove(t.gen, e, &t.dups)
 	t.size--
 }
 

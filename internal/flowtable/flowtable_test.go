@@ -170,6 +170,60 @@ func TestMatchZeroValuesAreConcrete(t *testing.T) {
 	}
 }
 
+// TestMatchClampsPrefixLength pins how a Match stores a prefix: its
+// address and its length clamped to 0..32, the bits Prefix.Contains
+// compares. A length below 0 or above 32 reads back as 0 or 32, two
+// matches are Equal exactly when their clamped prefixes are, and Matches
+// and Subsumes agree with Contains on the prefixes as given. The in-port
+// is not packed: any int reads back as set.
+func TestMatchClampsPrefixLength(t *testing.T) {
+	clamp := func(l int) int { return min(max(l, 0), 32) }
+	lens := []int{-1 << 40, -7, -1, 0, 1, 8, 24, 31, 32, 33, 40, 1 << 40}
+	addrs := []uint32{0x0A010203, 0x0A0102FF, 0x0A01FF00, 0x8A010203}
+	fields := []struct {
+		name string
+		with func(Prefix) Match
+		get  func(Match) (Prefix, bool)
+		pkt  func(uint32) Packet
+	}{
+		{"Src", Match{}.WithSrc, Match.Src, func(v uint32) (p Packet) { p.Hdr.SrcIP = v; return p }},
+		{"Dst", Match{}.WithDst, Match.Dst, func(v uint32) (p Packet) { p.Hdr.DstIP = v; return p }},
+	}
+	for _, f := range fields {
+		for _, l := range lens {
+			p := Prefix{Addr: addrs[0], Len: l}
+			if got, ok := f.get(f.with(p)); !ok || got != (Prefix{Addr: p.Addr, Len: clamp(l)}) {
+				t.Errorf("%s(%v) reads back as %v, %v; want length %d", f.name, p, got, ok, clamp(l))
+			}
+		}
+		for _, li := range lens {
+			for _, lj := range lens {
+				for _, a := range addrs {
+					pi, pj := Prefix{Addr: addrs[0], Len: li}, Prefix{Addr: a, Len: lj}
+					mi, mj := f.with(pi), f.with(pj)
+					wantEq := a == addrs[0] && clamp(li) == clamp(lj)
+					if mi.Equal(mj) != wantEq {
+						t.Errorf("%s: %v Equal %v = %v, want %v", f.name, pi, pj, mi.Equal(mj), wantEq)
+					}
+					wantSub := clamp(lj) >= clamp(li) && pi.Contains(a)
+					if mi.Subsumes(mj) != wantSub {
+						t.Errorf("%s: %v Subsumes %v = %v, want %v", f.name, pi, pj, mi.Subsumes(mj), wantSub)
+					}
+				}
+			}
+			for _, v := range addrs {
+				p := Prefix{Addr: addrs[0], Len: li}
+				if got := f.with(p).Matches(f.pkt(v)); got != p.Contains(v) {
+					t.Errorf("%s: %v Matches %#x = %v, Contains %v", f.name, p, v, got, !got)
+				}
+			}
+		}
+	}
+	if v, ok := (Match{}.WithInPort(1 << 40)).InPort(); !ok || v != 1<<40 {
+		t.Errorf("WithInPort(1<<40) reads back as %d, %v", v, ok)
+	}
+}
+
 // TestTypedEquality pins Match and Rule equality — what the controller's
 // layout and Table III audits compare installed rules with — on the cases
 // a looser comparison gets wrong, and against reflect.DeepEqual on every

@@ -220,10 +220,11 @@ func FuzzPrefixContains(f *testing.F) {
 				t.Fatalf("%v contains %#x but the shorter %v does not", p, v, q)
 			}
 		}
-		// Prefix subsumption (the genPfx rule in Match.Subsumes) implies
+		// Prefix subsumption (the genPfx rule in Match.Subsumes, which
+		// compares the lengths a Match stores, clamped to 0..32) implies
 		// containment.
 		q := Prefix{Addr: v, Len: length/2 + length%2}
-		if q.Len >= p.Len && p.Contains(q.Addr) {
+		if clampLen(q.Len) >= clampLen(p.Len) && p.Contains(q.Addr) {
 			m := Match{}.WithSrc(p)
 			o := Match{}.WithSrc(q)
 			if !m.Subsumes(o) {
@@ -542,6 +543,7 @@ func runTableOps(t *testing.T, data []byte) (st tableOpsStats) {
 			st.reverts++
 		}
 		checkTableAgainstModel(t, when, tbl, model, names, stray)
+		st.dupsHeld = max(st.dupsHeld, checkDupIndex(t, when, tbl))
 		for _, h := range held {
 			h.check(t, when)
 			if h.full {
@@ -558,6 +560,42 @@ func runTableOps(t *testing.T, data []byte) (st tableOpsStats) {
 		}
 	}
 	return st
+}
+
+// checkDupIndex requires the table's duplicate index to hold exactly the
+// rules of its trie tuples that no slot holds: behind each slot's rule,
+// in match order, the rules of the same key, and no list for any other
+// rule. It returns how many rules the index holds.
+func checkDupIndex(t *testing.T, when string, tbl *Table) int {
+	t.Helper()
+	tbl.mu.RLock()
+	defer tbl.mu.RUnlock()
+	rules, lists, held := 0, 0, 0
+	if c := tbl.compiled.Load(); c != nil {
+		for _, tp := range c.tuples {
+			rules += len(tp.ents)
+			tp.root.each(nil, func(best *entry) {
+				rules++
+				key, prev := ruleKey(&best.rule.Match, tp.shape), best
+				if tbl.dups[best] != nil {
+					lists++
+				}
+				for d := tbl.dups[best]; d != nil; d = d.next {
+					if !prev.before(d.e) || ruleKey(&d.e.rule.Match, tp.shape) != key {
+						t.Fatalf("%s: duplicate %q of %q out of match order or of another key", when, d.e.rule.Name, best.rule.Name)
+					}
+					prev = d.e
+					rules++
+					held++
+				}
+			})
+		}
+	}
+	if rules != tbl.size || lists != len(tbl.dups) {
+		t.Fatalf("%s: snapshot and duplicate index hold %d rules in %d lists; table has %d rules, index %d lists",
+			when, rules, lists, tbl.size, len(tbl.dups))
+	}
+	return held
 }
 
 // heldSnapshot is a snapshot published by an earlier step of a table-ops
@@ -622,6 +660,8 @@ type tableOpsStats struct {
 	// heldFull counts the checks, after a later step, of a held snapshot
 	// published after that tuple filled.
 	heldFull int
+	// dupsHeld is the most rules the duplicate index held after a step.
+	dupsHeld int
 }
 
 func (st *tableOpsStats) observe(c *compiledTable) {
@@ -659,6 +699,7 @@ func FuzzTableOps(f *testing.F) {
 	seed = append(seed, 2, 2, 3, 1, 5, 1, 9, 0, 0, 0, 0, 1, 7, 2, 5, 1, 9, 0, 0, 0, 0, 1, 3)
 	f.Add(seed)
 	f.Add(tableOpsLargeSeed(1))
+	f.Add(tableOpsDupSeed())
 	f.Fuzz(func(t *testing.T, data []byte) { runTableOps(t, data) })
 }
 
@@ -822,6 +863,37 @@ func tableOpsSameNameSeed() []byte {
 	return out
 }
 
+// tableOpsDupSeed returns a small-variant sequence that drives one
+// packed key's duplicates through a trie tuple. Nine host-tag rules under
+// n5 make the tuple a trie; five rules of one match follow, under n0–n4
+// at priorities 3, 7, 5, 3 and 9, so that each new one lands before, in
+// the middle of or behind the others. A batch removes the best, n0, and
+// is reverted; a batch removes n5 and n0, which folds the trie back to
+// slices with the duplicates among them, and is reverted too, which takes
+// the tuple past the cutoff again. Then n0 and n2 leave one by one, each
+// promoting the next, n5 leaves (the fold again), and the last three go.
+// Each snapshot is held for four steps.
+func tableOpsDupSeed() []byte {
+	out := []byte{3*40 + 39, 0, 0, 0, 0, 0, 0, 0, 0} // capacity 47, hold 4, the stray packet
+	const install, remove, batch, revert = 0, 1, 2, 3
+	const repeat = 0xC0 // a rule byte 0 with both top bits set repeats the last match
+	const hostTag = 1   // a rule's field mask: host tag only
+	for tag := byte(0); tag < 9; tag++ {
+		out = append(out, install, 1, hostTag, tag, 0, 0, 0, 0, 5)
+	}
+	out = append(out, install, 3, hostTag, 200, 0, 0, 0, 0, 1)
+	for _, r := range [][2]byte{{7, 2}, {5, 3}, {3, 4}, {9, 0}} {
+		out = append(out, install, repeat|r[0], hostTag, 200, 0, 0, 0, 0, r[1])
+	}
+	const removeOnly = 1 // a batch step's flags: remove, no install
+	out = append(out, batch, 0, removeOnly, 0, revert)
+	out = append(out, batch, 1, removeOnly, 5, removeOnly, 0, revert)
+	for _, name := range []byte{0, 2, 5, 3, 1, 4} {
+		out = append(out, remove, name)
+	}
+	return out
+}
+
 // TestTableOpsRandom runs the FuzzTableOps body over a few hundred
 // generated sequences, so plain `go test` covers mutation sequences too.
 // Their tables hold 8–47 rules, so no trie root of theirs comes near full;
@@ -837,6 +909,11 @@ func TestTableOpsRandom(t *testing.T) {
 	t.Run("same-name", func(t *testing.T) {
 		if st := runTableOps(t, tableOpsSameNameSeed()); st.reverts != 5 {
 			t.Fatalf("same-name sequence ran %d reverts, want 5", st.reverts)
+		}
+	})
+	t.Run("duplicates", func(t *testing.T) {
+		if st := runTableOps(t, tableOpsDupSeed()); st.reverts != 2 || st.dupsHeld != 4 {
+			t.Fatalf("duplicate sequence: %d reverts, the index held at most %d rules; want 2 and 4", st.reverts, st.dupsHeld)
 		}
 	})
 	t.Run("churn", func(t *testing.T) {

@@ -9,11 +9,13 @@ import (
 
 // TestRuleLayout pins the sizes of what every installed rule carries, so
 // that growing one past its allocation size class is a visible decision:
-// an entry is one 128-byte object, a Match lives inline in it, an action
-// list costs 24 bytes a step, a trie node, of which every kids array and
-// root page is made, is 72 bytes with its draft stamp, and a trie slot,
-// of which every data array is made, is two pointers: its key is packed
-// from its entry's Match. A tuple header, which every publication that
+// an entry is one 96-byte object; the Match in it is 32 bytes, its
+// prefixes an address and a clamped length each, which makes the Rule 80;
+// an action list costs 24 bytes a step; a trie node, of which every kids
+// array and root page is made, is 72 bytes with its draft stamp; and a
+// trie slot, of which every data array is made, is one pointer: its key
+// is packed from its entry's Match, and the key's lower-ranked rules wait
+// in the table's dupIndex. A tuple header, which every publication that
 // touches the tuple copies, is 280 bytes (a 288-byte size class) with the
 // root's sixteen page pointers inline.
 func TestRuleLayout(t *testing.T) {
@@ -21,11 +23,12 @@ func TestRuleLayout(t *testing.T) {
 		name      string
 		got, want uintptr
 	}{
-		{"Match", unsafe.Sizeof(Match{}), 56},
+		{"Match", unsafe.Sizeof(Match{}), 32},
+		{"Rule", unsafe.Sizeof(Rule{}), 80},
 		{"Action", unsafe.Sizeof(Action{}), 24},
-		{"entry", unsafe.Sizeof(entry{}), 128},
+		{"entry", unsafe.Sizeof(entry{}), 96},
 		{"trieNode", unsafe.Sizeof(trieNode{}), 72},
-		{"trieSlot", unsafe.Sizeof(trieSlot{}), 16},
+		{"trieSlot", unsafe.Sizeof(trieSlot{}), 8},
 		{"tuple", unsafe.Sizeof(tuple{}), 280},
 	} {
 		if c.got > c.want {
@@ -69,8 +72,9 @@ func fatTreeRule(i int) Rule {
 // Match fields, a match-order treap, a slice per name and 32-byte actions
 // it was 406 B; with value fields, no treap, an intrusive name chain and
 // 24-byte actions 311 B; with 16-byte trie slots that keep no key of
-// their own it is 279 B. The gate is 290 B, the measured figure plus
-// about 4 %.
+// their own 279 B; with a 32-byte Match (a 96-byte entry) and 8-byte
+// slots that keep no duplicate list it is 236 B. The gate is 245 B, the
+// measured figure plus about 4 %.
 func TestTableBytesPerRule(t *testing.T) {
 	const n = 20_000
 	heap := func() uint64 {
@@ -92,7 +96,7 @@ func TestTableBytesPerRule(t *testing.T) {
 	perRule := float64(heap()-before) / n
 	runtime.KeepAlive(tbl)
 	t.Logf("%.0f B of live heap per rule", perRule)
-	if perRule > 290 {
-		t.Fatalf("table holds %.0f B per rule, over 290", perRule)
+	if perRule > 245 {
+		t.Fatalf("table holds %.0f B per rule, over 245", perRule)
 	}
 }

@@ -201,8 +201,11 @@ func intersectMatch(a, b Match) (Match, bool) {
 	out.hostTag, ok[0] = meet(a.Has(FieldHostTag), b.Has(FieldHostTag), a.hostTag, b.hostTag)
 	out.subTag, ok[1] = meet(a.Has(FieldSubTag), b.Has(FieldSubTag), a.subTag, b.subTag)
 	out.inPort, ok[2] = meet(a.Has(FieldInPort), b.Has(FieldInPort), a.inPort, b.inPort)
-	out.src, ok[3] = meetPrefix(a.Has(FieldSrc), b.Has(FieldSrc), a.src, b.src)
-	out.dst, ok[4] = meetPrefix(a.Has(FieldDst), b.Has(FieldDst), a.dst, b.dst)
+	src, srcOK := meetPrefix(a.Has(FieldSrc), b.Has(FieldSrc), a.src(), b.src())
+	dst, dstOK := meetPrefix(a.Has(FieldDst), b.Has(FieldDst), a.dst(), b.dst())
+	// Both are one of the clamped inputs, so they fit the packed fields.
+	out.srcAddr, out.srcLen, ok[3] = src.Addr, int8(src.Len), srcOK
+	out.dstAddr, out.dstLen, ok[4] = dst.Addr, int8(dst.Len), dstOK
 	out.proto, ok[5] = meet(a.Has(FieldProto), b.Has(FieldProto), a.proto, b.proto)
 	out.srcPort, ok[6] = meet(a.Has(FieldSrcPort), b.Has(FieldSrcPort), a.srcPort, b.srcPort)
 	out.dstPort, ok[7] = meet(a.Has(FieldDstPort), b.Has(FieldDstPort), a.dstPort, b.dstPort)

@@ -30,6 +30,13 @@ import (
 // reader can have seen them yet); the root remembers the same for its
 // data and for each of its pages. A thousand-rule batch therefore copies
 // each touched array and page once, not once per rule.
+//
+// A slot holds one rule, the best-ranked of its key, which is all a
+// lookup can return. The key's other rules are the writer's alone: they
+// wait in the table's dupIndex, under mu, for the rule ahead of them to
+// leave, and no snapshot holds them. Adding or removing such a rule
+// writes nothing in the trie, so it copies no array; only a change of a
+// key's best rule does.
 
 const (
 	trieBits = 6
@@ -63,23 +70,28 @@ const (
 	rootOwnsData = 1 << rootPages
 )
 
-// trieSlot is one distinct match key and the rules installed under it.
-// Almost always that is a single rule; when several rules share a key
-// (same match at different priorities, or installed twice under different
-// names) the best-ranked one sits in e, where a lookup finds it without
-// another load, and the rest follow in match order.
+// trieSlot is one distinct match key and the best-ranked rule installed
+// under it. Almost always that is the key's only rule; when several rules
+// share a key (same match at different priorities, or installed twice
+// under different names) the rest wait in the table's dupIndex.
 //
-// The slot does not store its key: every rule under it packs to the same
-// one, so the key is ruleKey(e.rule.Match, shape) for the tuple's shape.
-// A probe that reaches a slot loads e anyway, for its rank, and without
-// the 24-byte key a slot is 16 bytes, which every data array a write
-// copies is made of.
+// The slot does not store its key: every rule of the key packs to the
+// same one, so the key is ruleKey(e.rule.Match, shape) for the tuple's
+// shape. A probe that reaches a slot loads e anyway, for its rank, and
+// without the 24-byte key and the duplicate list a slot is one pointer,
+// 8 bytes, which every data array a write copies is made of.
 type trieSlot struct {
-	e    *entry
-	more *trieDup
+	e *entry
 }
 
-// trieDup is an immutable list cell of a slot's lower-ranked rules.
+// dupIndex holds, for the best-ranked rule of every trie slot whose key
+// has more than one rule, the key's other rules in match order. It is
+// the table's, guarded by its mu: only writers read it, so its lists are
+// edited in place, and it reflects the newest draft, never an older
+// snapshot. A nil index is empty; add and displace make it.
+type dupIndex map[*entry]*trieDup
+
+// trieDup is a list cell of a key's lower-ranked rules.
 type trieDup struct {
 	e    *entry
 	next *trieDup
@@ -232,8 +244,36 @@ func (r *trieRoot) page(gen, i uint64) *[pageSize]trieNode {
 	return r.pages[p]
 }
 
-// insert adds e under key k (hash h) to a trie of the given shape.
-func (r *trieRoot) insert(gen, h uint64, k matchKey, shape shapeKey, e *entry) {
+// insert adds e under key k (hash h) to a trie of the given shape. If
+// the key's best rule comes before e, e joins that rule's duplicates and
+// the trie is not touched; otherwise e takes the key's slot and the rule
+// it displaces heads e's duplicates.
+func (r *trieRoot) insert(gen, h uint64, k matchKey, shape shapeKey, e *entry, dups *dupIndex) {
+	best := r.find(h, k, shape)
+	if best != nil && best.before(e) {
+		dups.add(best, e)
+		return
+	}
+	if best != nil {
+		dups.displace(best, e)
+	}
+	r.put(gen, h, k, shape, e)
+}
+
+// remove deletes e (by identity), which the trie of the given shape holds
+// under key k. If e is one of the key's duplicates it leaves dups and the
+// trie is not touched; otherwise the next duplicate takes its slot, or
+// the slot goes.
+func (r *trieRoot) remove(gen, h uint64, k matchKey, shape shapeKey, e *entry, dups *dupIndex) {
+	if best := r.find(h, k, shape); best != e {
+		dups.drop(best, e)
+		return
+	}
+	r.replace(gen, h, k, shape, dups.promote(e))
+}
+
+// put stores e in key k's slot, adding the slot if the key has none.
+func (r *trieRoot) put(gen, h uint64, k matchKey, shape shapeKey, e *entry) {
 	i := h & trieMask
 	bit := uint64(1) << i
 	di := bits.OnesCount64(r.dataMap & (bit - 1))
@@ -242,17 +282,17 @@ func (r *trieRoot) insert(gen, h uint64, k matchKey, shape shapeKey, e *entry) {
 		r.ownData(gen, 0)
 		s := &r.data[di]
 		if s.key(shape) == k {
-			s.push(e)
+			s.e = e
 			return
 		}
 		kid := &r.page(gen, i)[i&pageMask]
 		*kid = splitSlot(gen, *s, 0, shape)
-		kid.insert(gen, h, trieBits, k, shape, e)
+		kid.put(gen, h, trieBits, k, shape, e)
 		r.data = slices.Delete(r.data, di, di+1)
 		r.dataMap &^= bit
 		r.kidMap |= bit
 	case r.kidMap&bit != 0:
-		r.page(gen, i)[i&pageMask].insert(gen, h, trieBits, k, shape, e)
+		r.page(gen, i)[i&pageMask].put(gen, h, trieBits, k, shape, e)
 	default:
 		r.ownData(gen, 1)
 		r.data = slices.Insert(r.data, di, trieSlot{e: e})
@@ -260,23 +300,25 @@ func (r *trieRoot) insert(gen, h uint64, k matchKey, shape shapeKey, e *entry) {
 	}
 }
 
-// remove deletes e (by identity), which the trie of the given shape holds
-// under key k. A child left with at most one slot is folded back into the
-// root's data, and a page left with no child is released.
-func (r *trieRoot) remove(gen, h uint64, k matchKey, shape shapeKey, e *entry) {
+// replace stores next in key k's slot, which the trie holds, or deletes
+// the slot if next is nil. A child left with at most one slot is folded
+// back into the root's data, and a page left with no child is released.
+func (r *trieRoot) replace(gen, h uint64, k matchKey, shape shapeKey, next *entry) {
 	i := h & trieMask
 	bit := uint64(1) << i
 	di := bits.OnesCount64(r.dataMap & (bit - 1))
 	if r.dataMap&bit != 0 {
 		r.ownData(gen, 0)
-		if r.data[di].drop(e) {
+		if next != nil {
+			r.data[di].e = next
+		} else {
 			r.data = slices.Delete(r.data, di, di+1)
 			r.dataMap &^= bit
 		}
 		return
 	}
 	kid := &r.page(gen, i)[i&pageMask]
-	kid.remove(gen, h, trieBits, k, shape, e)
+	kid.replace(gen, h, trieBits, k, shape, next)
 	if !kid.lone() {
 		return
 	}
@@ -293,13 +335,15 @@ func (r *trieRoot) remove(gen, h uint64, k matchKey, shape shapeKey, e *entry) {
 	}
 }
 
-// each calls visit for every rule in the trie, in no particular order.
-func (r *trieRoot) each(visit func(*entry)) {
-	eachSlot(r.data, visit)
+// each calls visit for every rule in the trie, the duplicates dups holds
+// for its slots included, in no particular order. Only the trie dups
+// belongs to, the newest draft's, has them all.
+func (r *trieRoot) each(dups dupIndex, visit func(*entry)) {
+	eachSlot(r.data, dups, visit)
 	for _, pg := range r.pages {
 		if pg != nil {
 			for i := range pg {
-				pg[i].each(visit)
+				pg[i].each(dups, visit)
 			}
 		}
 	}
@@ -359,15 +403,15 @@ func (n *trieNode) lone() bool {
 	return len(n.kids) == 0 && len(n.data) <= 1
 }
 
-// insert adds e under key k (hash h) to the subtree rooted at n, which
-// sits at the level of the given shift. The caller owns the array n
-// lives in.
-func (n *trieNode) insert(gen, h uint64, shift uint, k matchKey, shape shapeKey, e *entry) {
+// put stores e in key k's slot (hash h) in the subtree rooted at n,
+// which sits at the level of the given shift, adding the slot if the key
+// has none. The caller owns the array n lives in.
+func (n *trieNode) put(gen, h uint64, shift uint, k matchKey, shape shapeKey, e *entry) {
 	if shift >= hashBits {
 		for i := range n.data {
 			if n.data[i].key(shape) == k {
 				n.ownData(gen, 0)
-				n.data[i].push(e)
+				n.data[i].e = e
 				return
 			}
 		}
@@ -383,12 +427,12 @@ func (n *trieNode) insert(gen, h uint64, shift uint, k matchKey, shape shapeKey,
 		n.ownData(gen, 0)
 		s := &n.data[di]
 		if s.key(shape) == k {
-			s.push(e)
+			s.e = e
 			return
 		}
 		// Two keys meet in this slot: both move one level down.
 		kid := splitSlot(gen, *s, shift, shape)
-		kid.insert(gen, h, shift+trieBits, k, shape, e)
+		kid.put(gen, h, shift+trieBits, k, shape, e)
 		n.data = slices.Delete(n.data, di, di+1)
 		n.dataMap &^= bit
 		n.ownKids(gen, 1)
@@ -396,7 +440,7 @@ func (n *trieNode) insert(gen, h uint64, shift uint, k matchKey, shape shapeKey,
 		n.kidMap |= bit
 	case n.kidMap&bit != 0:
 		n.ownKids(gen, 0)
-		n.kids[ki].insert(gen, h, shift+trieBits, k, shape, e)
+		n.kids[ki].put(gen, h, shift+trieBits, k, shape, e)
 	default:
 		n.ownData(gen, 1)
 		n.data = slices.Insert(n.data, di, trieSlot{e: e})
@@ -404,14 +448,17 @@ func (n *trieNode) insert(gen, h uint64, shift uint, k matchKey, shape shapeKey,
 	}
 }
 
-// remove deletes e (by identity), which the subtree holds under key k. A
-// child left with a single slot is folded back into its parent, so the
-// trie never keeps chains of one-slot nodes behind.
-func (n *trieNode) remove(gen, h uint64, shift uint, k matchKey, shape shapeKey, e *entry) {
+// replace stores next in key k's slot, which the subtree holds, or
+// deletes the slot if next is nil. A child left with a single slot is
+// folded back into its parent, so the trie never keeps chains of one-slot
+// nodes behind.
+func (n *trieNode) replace(gen, h uint64, shift uint, k matchKey, shape shapeKey, next *entry) {
 	if shift >= hashBits {
 		i := slices.IndexFunc(n.data, func(s trieSlot) bool { return s.key(shape) == k })
 		n.ownData(gen, 0)
-		if n.data[i].drop(e) {
+		if next != nil {
+			n.data[i].e = next
+		} else {
 			n.data = slices.Delete(n.data, i, i+1)
 		}
 		return
@@ -420,7 +467,9 @@ func (n *trieNode) remove(gen, h uint64, shift uint, k matchKey, shape shapeKey,
 	di := bits.OnesCount64(n.dataMap & (bit - 1))
 	if n.dataMap&bit != 0 {
 		n.ownData(gen, 0)
-		if n.data[di].drop(e) {
+		if next != nil {
+			n.data[di].e = next
+		} else {
 			n.data = slices.Delete(n.data, di, di+1)
 			n.dataMap &^= bit
 		}
@@ -429,7 +478,7 @@ func (n *trieNode) remove(gen, h uint64, shift uint, k matchKey, shape shapeKey,
 	ki := bits.OnesCount64(n.kidMap & (bit - 1))
 	n.ownKids(gen, 0)
 	kid := &n.kids[ki]
-	kid.remove(gen, h, shift+trieBits, k, shape, e)
+	kid.replace(gen, h, shift+trieBits, k, shape, next)
 	if !kid.lone() {
 		return
 	}
@@ -442,59 +491,80 @@ func (n *trieNode) remove(gen, h uint64, shift uint, k matchKey, shape shapeKey,
 	n.kidMap &^= bit
 }
 
-// each calls visit for every rule in the subtree, in no particular order.
-func (n *trieNode) each(visit func(*entry)) {
-	eachSlot(n.data, visit)
+// each calls visit for every rule in the subtree, the duplicates dups
+// holds for its slots included, in no particular order.
+func (n *trieNode) each(dups dupIndex, visit func(*entry)) {
+	eachSlot(n.data, dups, visit)
 	for i := range n.kids {
-		n.kids[i].each(visit)
+		n.kids[i].each(dups, visit)
 	}
 }
 
-// eachSlot calls visit for every rule of the slots.
-func eachSlot(data []trieSlot, visit func(*entry)) {
+// eachSlot calls visit for the rule of every slot and for the duplicates
+// dups holds behind it.
+func eachSlot(data []trieSlot, dups dupIndex, visit func(*entry)) {
 	for i := range data {
 		visit(data[i].e)
-		for d := data[i].more; d != nil; d = d.next {
+		for d := dups[data[i].e]; d != nil; d = d.next {
 			visit(d.e)
 		}
 	}
 }
 
-// push adds e to the slot, keeping its rules in match order. The list
-// cells are shared with published snapshots, so the prefix up to the
-// insertion point is copied, never relinked.
-func (s *trieSlot) push(e *entry) {
-	if e.before(s.e) {
-		s.e, s.more = e, &trieDup{e: s.e, next: s.more}
+// add files e, which best precedes, among best's duplicates in match
+// order.
+func (d *dupIndex) add(best, e *entry) {
+	if *d == nil {
+		*d = make(dupIndex)
+	}
+	l := (*d)[best]
+	if l == nil || e.before(l.e) {
+		(*d)[best] = &trieDup{e: e, next: l}
 		return
 	}
-	s.more = s.more.insert(e)
+	for l.next != nil && !e.before(l.next.e) {
+		l = l.next
+	}
+	l.next = &trieDup{e: e, next: l.next}
 }
 
-func (d *trieDup) insert(e *entry) *trieDup {
-	if d == nil || e.before(d.e) {
-		return &trieDup{e: e, next: d}
+// displace makes e, which precedes best, the key's best rule: best and
+// its duplicates become e's.
+func (d *dupIndex) displace(best, e *entry) {
+	if *d == nil {
+		*d = make(dupIndex)
 	}
-	return &trieDup{e: d.e, next: d.next.insert(e)}
+	(*d)[e] = &trieDup{e: best, next: (*d)[best]}
+	delete(*d, best)
 }
 
-// drop removes e, which the slot holds, and reports whether the slot is
-// now empty.
-func (s *trieSlot) drop(e *entry) (empty bool) {
-	if s.e != e {
-		s.more = s.more.without(e)
-		return false
+// drop removes e from best's duplicates, which hold it.
+func (d dupIndex) drop(best, e *entry) {
+	l := d[best]
+	if l.e == e {
+		if l.next == nil {
+			delete(d, best)
+		} else {
+			d[best] = l.next
+		}
+		return
 	}
-	if s.more == nil {
-		return true
+	for l.next.e != e {
+		l = l.next
 	}
-	s.e, s.more = s.more.e, s.more.next
-	return false
+	l.next = l.next.next
 }
 
-func (d *trieDup) without(e *entry) *trieDup {
-	if d.e == e {
-		return d.next
+// promote removes best, a key's best rule, and returns the duplicate that
+// takes its place with the rest behind it, or nil if it had none.
+func (d dupIndex) promote(best *entry) *entry {
+	l := d[best]
+	if l == nil {
+		return nil
 	}
-	return &trieDup{e: d.e, next: d.next.without(e)}
+	delete(d, best)
+	if l.next != nil {
+		d[l.e] = l.next
+	}
+	return l.e
 }

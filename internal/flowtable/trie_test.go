@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -53,17 +54,19 @@ func TestCollidingKeyCollides(t *testing.T) {
 	}
 }
 
-// trieModel is a trie under test beside its map model. insert and remove
-// apply one step to both in the draft of generation gen, which the test
-// advances; keep checks the draft against the model and records both, and
-// checkHistory re-checks every recorded root against the model it had
-// then: a mutation that wrote into a node or page an older root shares
-// would corrupt that root.
+// trieModel is a trie under test, with its duplicate index, beside its
+// map model. insert and remove apply one step to both in the draft of
+// generation gen, which the test advances; keep checks the draft against
+// the model and records both, and checkHistory re-checks every recorded
+// root against the model it had then: a mutation that wrote into a node
+// or page an older root shares would corrupt that root. The duplicate
+// index belongs to the newest draft alone, so only keep checks it.
 type trieModel struct {
 	t       *testing.T
 	gen     uint64
 	seq     uint64
 	root    trieRoot
+	dups    dupIndex
 	model   map[matchKey][]*entry
 	keyOf   map[*entry]matchKey
 	history []publishedTrie
@@ -82,7 +85,7 @@ func (m *trieModel) insert(k matchKey, prio int) *entry {
 	e := keyedEntry(m.t, k, prio, m.seq)
 	m.seq++
 	m.keyOf[e] = k
-	m.root.insert(m.gen, k.hash(), k, fullShape, e)
+	m.root.insert(m.gen, k.hash(), k, fullShape, e, &m.dups)
 	ents := append(slices.Clone(m.model[k]), e)
 	slices.SortFunc(ents, byRank)
 	m.model[k] = ents
@@ -91,7 +94,7 @@ func (m *trieModel) insert(k matchKey, prio int) *entry {
 
 func (m *trieModel) remove(e *entry) {
 	k := m.keyOf[e]
-	m.root.remove(m.gen, k.hash(), k, fullShape, e)
+	m.root.remove(m.gen, k.hash(), k, fullShape, e, &m.dups)
 	m.model[k] = slices.DeleteFunc(slices.Clone(m.model[k]), func(x *entry) bool { return x == e })
 	if len(m.model[k]) == 0 {
 		delete(m.model, k)
@@ -101,6 +104,7 @@ func (m *trieModel) remove(e *entry) {
 func (m *trieModel) keep(when string) {
 	m.t.Helper()
 	m.check(when, &m.root, m.model)
+	m.checkEach(when)
 	// Model slices are replaced, never edited, by later steps.
 	m.history = append(m.history, publishedTrie{m.root, maps.Clone(m.model)})
 }
@@ -126,17 +130,43 @@ func (m *trieModel) check(when string, root *trieRoot, model map[matchKey][]*ent
 	if got := root.find(absent.hash(), absent, fullShape); got != nil {
 		t.Fatalf("%s: absent key found", when)
 	}
+	checkRootPages(t, root)
+}
+
+// checkEach requires the live root and the duplicate index to hold
+// exactly the model's rules between them, each key's duplicates in match
+// order behind its slot's rule, and the index to hold no list for a rule
+// that is no slot's.
+func (m *trieModel) checkEach(when string) {
+	t := m.t
+	t.Helper()
+	count, lists := 0, 0
+	for k, ents := range m.model {
+		count += len(ents)
+		if len(ents) > 1 {
+			lists++
+		}
+		var dups []*entry
+		for d := m.dups[ents[0]]; d != nil; d = d.next {
+			dups = append(dups, d.e)
+		}
+		if !slices.Equal(dups, ents[1:]) {
+			t.Fatalf("%s: key %+v has duplicates %v, want %v", when, k, dups, ents[1:])
+		}
+	}
+	if len(m.dups) != lists {
+		t.Fatalf("%s: duplicate index has %d lists, model %d keys with duplicates", when, len(m.dups), lists)
+	}
 	seen := 0
-	root.each(func(e *entry) {
+	m.root.each(m.dups, func(e *entry) {
 		seen++
-		if !slices.Contains(model[m.keyOf[e]], e) {
+		if !slices.Contains(m.model[m.keyOf[e]], e) {
 			t.Fatalf("%s: each yielded an entry the model lacks", when)
 		}
 	})
 	if seen != count {
 		t.Fatalf("%s: each yielded %d entries, model has %d", when, seen, count)
 	}
-	checkRootPages(t, root)
 }
 
 // checkRootPages requires a root's pages to match its kidMap: a page
@@ -160,8 +190,9 @@ func checkRootPages(t *testing.T, r *trieRoot) {
 // TestTrieAgainstMap drives the persistent trie through thousands of
 // drafts of random inserts and removes — over a key pool with groups
 // that collide in all 64 hash bits and with several rules per key — and
-// checks every fiftieth draft against a map model, keeping it. Every kept
-// root is re-checked at the end.
+// checks every fiftieth draft against a map model, keeping it, its
+// duplicate index included. Every kept root's lookups are re-checked at
+// the end; the duplicates are the newest draft's alone.
 func TestTrieAgainstMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var pool []matchKey
@@ -312,12 +343,13 @@ func TestBatchCopiesEachPageOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	key := func() matchKey { return matchKey{lo: rng.Uint64(), hi: rng.Uint64()} }
 	var root trieRoot
+	var dups dupIndex
 	var keys []matchKey
 	var ents []*entry
 	for i := 0; i < 2000; i++ {
 		keys = append(keys, key())
 		ents = append(ents, keyedEntry(t, keys[i], 0, uint64(i)))
-		root.insert(1, keys[i].hash(), keys[i], fullShape, ents[i])
+		root.insert(1, keys[i].hash(), keys[i], fullShape, ents[i], &dups)
 	}
 	if slices.Contains(root.pages[:], nil) {
 		t.Fatal("2000 keys left a root page empty")
@@ -327,9 +359,9 @@ func TestBatchCopiesEachPageOnce(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		prev := root.pages
 		k := key()
-		root.insert(2, k.hash(), k, fullShape, keyedEntry(t, k, 0, uint64(2000+i)))
+		root.insert(2, k.hash(), k, fullShape, keyedEntry(t, k, 0, uint64(2000+i)), &dups)
 		if i%2 == 1 {
-			root.remove(2, keys[i].hash(), keys[i], fullShape, ents[i])
+			root.remove(2, keys[i].hash(), keys[i], fullShape, ents[i], &dups)
 		}
 		for p := range prev {
 			if root.pages[p] != prev[p] {
@@ -379,8 +411,9 @@ func TestDraftCopiesOnlyWrittenArrays(t *testing.T) {
 	aNext := a.hash() >> (2 * trieBits) & trieMask
 	c2 := keyAt([]uint64{aNext}, slot, sub)
 	var pub trieRoot
+	var dups dupIndex // every key is distinct
 	for i, k := range []matchKey{a, b, c2, keyAt([]uint64{slot}), keyAt([]uint64{slot})} {
-		pub.insert(1, k.hash(), k, fullShape, keyedEntry(t, k, 0, uint64(i)))
+		pub.insert(1, k.hash(), k, fullShape, keyedEntry(t, k, 0, uint64(i)), &dups)
 	}
 	kidOf := func(r *trieRoot) *trieNode { return &r.pages[slot>>pageBits][slot&pageMask] }
 	if c := kidOf(&pub); len(c.data) != 1 || len(c.kids) != 1 || len(pub.data) != 2 {
@@ -389,7 +422,7 @@ func TestDraftCopiesOnlyWrittenArrays(t *testing.T) {
 
 	d := pub
 	k := keyAt([]uint64{sub, b1}, slot)
-	d.insert(2, k.hash(), k, fullShape, keyedEntry(t, k, 0, 10))
+	d.insert(2, k.hash(), k, fullShape, keyedEntry(t, k, 0, 10), &dups)
 	c, pc := kidOf(&d), kidOf(&pub)
 	if len(c.data) != 2 || sameArray(c.data, pc.data) {
 		t.Fatalf("a key into the child's data left it shared (%d keys)", len(c.data))
@@ -403,7 +436,7 @@ func TestDraftCopiesOnlyWrittenArrays(t *testing.T) {
 
 	d = pub
 	k = keyAt([]uint64{aNext, c2.hash() >> (2 * trieBits) & trieMask}, slot, sub)
-	d.insert(2, k.hash(), k, fullShape, keyedEntry(t, k, 0, 11))
+	d.insert(2, k.hash(), k, fullShape, keyedEntry(t, k, 0, 11), &dups)
 	c = kidOf(&d)
 	if len(c.kids) != 1 || len(c.kids[0].data) != 3 || sameArray(c.kids, pc.kids) {
 		t.Fatal("a key into the grandchild did not copy the child's kids")
@@ -587,4 +620,155 @@ func TestSlotKeyMasksSpareBits(t *testing.T) {
 	check("best reinstalled", "high")
 	tbl.Remove("low")
 	check("other removed", "high")
+}
+
+// TestTrieDuplicatesPromoteInMatchOrder puts five rules of one key, at
+// mixed priorities, into a trie among a hundred other keys, one draft
+// each, and then removes the key's best rule draft after draft. Each time
+// the next rule in match order must take the slot, with the rest behind
+// it in the duplicate index in match order (trieModel.keep checks both),
+// and every kept root must still answer as it did.
+func TestTrieDuplicatesPromoteInMatchOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	m := newTrieModel(t)
+	for i := 0; i < 100; i++ {
+		m.insert(matchKey{lo: rng.Uint64(), hi: rng.Uint64()}, 0)
+	}
+	m.keep("filler")
+	m.gen++
+	k := matchKey{lo: rng.Uint64(), hi: 5}
+	var ents []*entry
+	for _, prio := range []int{3, 7, 5, 3, 9} {
+		ents = append(ents, m.insert(k, prio))
+		m.keep(fmt.Sprintf("priority %d added", prio))
+		m.gen++
+	}
+	slices.SortFunc(ents, byRank)
+	if len(m.dups) != 1 || m.dups[ents[0]] == nil {
+		t.Fatalf("duplicate index %v, want one list behind the priority-9 rule", m.dups)
+	}
+	for i, e := range ents {
+		if got := m.root.find(k.hash(), k, fullShape); got != e {
+			t.Fatalf("before removal %d: find = %p, want %p (priority %d)", i, got, e, e.rule.Priority)
+		}
+		m.remove(e)
+		m.keep(fmt.Sprintf("best %d removed", i))
+		m.gen++
+	}
+	if got := m.root.find(k.hash(), k, fullShape); got != nil || len(m.dups) != 0 {
+		t.Fatalf("all five removed: find = %p, duplicate index %v", got, m.dups)
+	}
+	m.checkHistory()
+}
+
+// dataHolding returns the data array of the node of r that holds, or
+// would hold, key k.
+func dataHolding(r *trieRoot, k matchKey) []trieSlot {
+	h := k.hash()
+	i := h & trieMask
+	if r.dataMap>>i&1 != 0 || r.kidMap>>i&1 == 0 {
+		return r.data
+	}
+	n := &r.pages[i>>pageBits][i&pageMask]
+	for shift := uint(trieBits); shift < hashBits; shift += trieBits {
+		bit := uint64(1) << (h >> shift & trieMask)
+		if n.kidMap&bit == 0 {
+			break
+		}
+		n = &n.kids[bits.OnesCount64(n.kidMap&(bit-1))]
+	}
+	return n.data
+}
+
+// TestTableDuplicateKeys installs four rules of one match, under
+// different names and at mixed priorities, into a trie tuple of two
+// hundred keys. Lookup must return the best of them; adding or removing
+// a rule the best precedes must publish a trie that shares every array
+// and page with the one before, the data array holding the key included;
+// a reverted batch that removed the best must bring it back; and
+// removing the best each time must promote the next in match order,
+// until the key is gone and the duplicate index is empty.
+func TestTableDuplicateKeys(t *testing.T) {
+	tbl := NewTable()
+	fill := make([]BatchOp, 200)
+	for i := range fill {
+		fill[i] = BatchOp{Rule: Rule{Name: fmt.Sprintf("f%d", i), Priority: 1,
+			Match: Match{}.WithHostTag(uint16(i)), Actions: []Action{{Type: ActForward, Port: i}}}}
+	}
+	if _, err := tbl.ApplyBatch(fill); err != nil {
+		t.Fatal(err)
+	}
+	match := Match{}.WithHostTag(900)
+	rule := func(name string, prio int) Rule {
+		return Rule{Name: name, Priority: prio, Match: match, Actions: []Action{{Type: ActForward, Port: 1000 + prio}}}
+	}
+	for _, r := range []Rule{rule("a", 5), rule("b", 9), rule("c", 5), rule("d", 7)} {
+		if err := tbl.Install(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pkt := packetFor(match, Packet{})
+	expect := func(when, want string) {
+		t.Helper()
+		got, ok := tbl.Lookup(pkt)
+		lin, linOK := tbl.LookupLinear(pkt)
+		if ok != (want != "") || got.Name != want || ok != linOK || lin.Name != got.Name {
+			t.Fatalf("%s: Lookup (%q, %v), LookupLinear (%q, %v), want %q", when, got.Name, ok, lin.Name, linOK, want)
+		}
+	}
+	expect("four installed", "b")
+
+	shape := shapeOf(match)
+	k := ruleKey(&match, shape)
+	trie := func() *tuple {
+		t.Helper()
+		c := tbl.compiled.Load()
+		i := c.indexOf(shape)
+		if i < 0 || !c.tuples[i].trie {
+			t.Fatal("the host-tag tuple is not a trie")
+		}
+		return c.tuples[i]
+	}
+	sharedWith := func(before *tuple) bool {
+		after := trie()
+		return after.root.pages == before.root.pages && sameArray(after.root.data, before.root.data) &&
+			sameArray(dataHolding(&after.root, k), dataHolding(&before.root, k))
+	}
+	if c := trie(); sameArray(dataHolding(&c.root, k), c.root.data) {
+		t.Fatal("the key sits in the root's data; the test needs it below")
+	}
+	before := trie()
+	if err := tbl.Install(rule("e", 2)); err != nil {
+		t.Fatal(err)
+	}
+	if !sharedWith(before) {
+		t.Fatal("adding a rule the best precedes copied part of the published trie")
+	}
+	expect("a duplicate added", "b")
+	before = trie()
+	if tbl.Remove("e") != 1 || !sharedWith(before) {
+		t.Fatal("removing a rule the best precedes copied part of the published trie")
+	}
+	expect("a duplicate removed", "b")
+
+	_, undo, err := tbl.ApplyBatchUndo([]BatchOp{{Remove: "b"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect("best removed in a batch", "d")
+	before = trie()
+	tbl.Revert(undo)
+	if sharedWith(before) {
+		t.Fatal("reverting the best's removal left the published trie as it was")
+	}
+	expect("batch reverted", "b")
+	for _, c := range []struct{ remove, next string }{{"b", "d"}, {"d", "a"}, {"a", "c"}, {"c", ""}} {
+		if tbl.Remove(c.remove) != 1 {
+			t.Fatalf("Remove(%q) removed nothing", c.remove)
+		}
+		expect(c.remove+" removed", c.next)
+	}
+	if len(tbl.dups) != 0 {
+		t.Fatalf("duplicate index %v after the key emptied", tbl.dups)
+	}
 }
