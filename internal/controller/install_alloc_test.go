@@ -14,14 +14,16 @@ import (
 
 // TestColdInstallBytes: a cold InstallPlacement of Internet2's
 // 24-snapshot mean problem, placed by Engine, on a fresh controller,
-// allocates at most 237 000 bytes: 227 632 measured. The transaction sizes
+// allocates at most 234 000 bytes: 227 632 measured. The transaction sizes
 // its undo list once from the staged installs (RuleTxn.reserveUndo);
 // regrown class by class (scratch mutation: InstallPlacement without that
-// call) the install took 267 776 with 128-byte flow-table entries. Those
-// entries, before the Match packed its prefixes into 32 bytes, took the
-// install to 243 456.
+// call) the install took 267 776 with 128-byte flow-table entries. The
+// ceiling is about 3 % over the measured figure, not 4, so that it fails
+// with either flow-table lever reverted (scratch mutations): Match back to
+// two Prefix fields, 235 920; trie slots back to 16 bytes with their
+// duplicate lists, 235 168; both, 243 456.
 func TestColdInstallBytes(t *testing.T) {
-	const limit = 237_000
+	const limit = 234_000
 	if raceDetector {
 		t.Skip("the race detector allocates beside the install")
 	}

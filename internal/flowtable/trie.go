@@ -336,8 +336,8 @@ func (r *trieRoot) replace(gen, h uint64, k matchKey, shape shapeKey, next *entr
 }
 
 // each calls visit for every rule in the trie, the duplicates dups holds
-// for its slots included, in no particular order. Only the trie dups
-// belongs to, the newest draft's, has them all.
+// for its slots included, in no particular order. dups describes the
+// newest draft only, so only that draft's trie yields every rule.
 func (r *trieRoot) each(dups dupIndex, visit func(*entry)) {
 	eachSlot(r.data, dups, visit)
 	for _, pg := range r.pages {
