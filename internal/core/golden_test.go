@@ -79,6 +79,71 @@ func coldSolveLine(t *testing.T, sc *experiments.Scenario, seed int64) string {
 		math.Float64bits(core.Objectives[0]), countsDigest(pl), distDigest(pl))
 }
 
+// TestWarmPlaceGolden is TestColdSolveGolden's counterpart on the warm
+// path Replay, Fig 12 and diurnal_reopt run: each paper topology's
+// 24-snapshot mean problem at scenario seed 1 seeds an IncrementalEngine,
+// and the 24 hourly snapshots are fed through Place in order. Per Place it
+// records the pivots, the dual pivots, whether the carried basis was
+// accepted, the instance total, and digests of the placement's Counts and
+// Dist (or the error, if Place refuses the snapshot). Any change to the
+// warm model's layout, to the bounds Place retargets or to the shared
+// round-and-repair tail shows here.
+func TestWarmPlaceGolden(t *testing.T) {
+	raw, err := os.ReadFile("testdata/warm_places.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	scs, err := experiments.All(experiments.Options{Seed: 1, Snapshots: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, sc := range scs {
+		got = append(got, warmPlaceLines(t, sc)...)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d places, warm_places.txt has %d lines; this tree gives:\n%s",
+			len(got), len(want), strings.Join(got, "\n"))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("place %d:\n got %s\nwant %s", i, got[i], want[i])
+		}
+	}
+}
+
+// warmPlaceLines replays sc's snapshots through one IncrementalEngine and
+// formats one golden line per Place.
+func warmPlaceLines(t *testing.T, sc *experiments.Scenario) []string {
+	t.Helper()
+	prob, err := sc.MeanProblem()
+	if err != nil {
+		t.Fatalf("%s: %v", sc.Name, err)
+	}
+	eng, err := core.NewIncrementalEngine(prob, core.IncrementalOptions{})
+	if err != nil {
+		t.Fatalf("%s: %v", sc.Name, err)
+	}
+	name := strings.ReplaceAll(sc.Name, " ", "_")
+	var out []string
+	for k, tm := range sc.Series {
+		rates := make(map[core.ClassID]float64, len(prob.Classes))
+		for _, c := range prob.Classes {
+			rates[c.ID] = tm.At(int(c.Path[0]), int(c.Path[len(c.Path)-1]))
+		}
+		pl, st, err := eng.Place(rates)
+		line := fmt.Sprintf("%s snap=%d pivots=%d dual=%d warm=%t", name, k, st.Pivots, st.DualPivots, st.WarmAccepted)
+		if err != nil {
+			line += fmt.Sprintf(" err=%q", err.Error())
+		} else {
+			line += fmt.Sprintf(" inst=%d counts=%s dist=%s", pl.TotalInstances(), countsDigest(pl), distDigest(pl))
+		}
+		out = append(out, line)
+	}
+	return out
+}
+
 // countsDigest hashes q_n^v in (switch, NF) order.
 func countsDigest(pl *core.Placement) string {
 	var b strings.Builder
