@@ -62,7 +62,7 @@ func TestBuildProblemAllocs(t *testing.T) {
 }
 
 // TestSolveBytes: Engine.Solve on GEANT's 24-snapshot mean problem, as
-// paper_lifecycle compiles it, allocates at most 600 000 bytes: 551 000
+// paper_lifecycle compiles it, allocates at most 600 000 bytes: 561 000
 // measured. The model streams its rows into one flat term store that the
 // solver reads in place; with a []Term per row copied into the model and
 // again into the solver's row store (scratch mutation: lp's model.go and

@@ -9,8 +9,8 @@ import (
 )
 
 // TestPaperProblemsCertified solves the four paper scenarios' series-mean
-// problems through both formulations — Engine (σ-eliminated) and the first
-// Place of IncrementalEngine (parametric) — under TestMain's observer, so
+// problems through both engines — Engine (in shares) and the first Place
+// of IncrementalEngine (in Mbps) — under TestMain's observer, so
 // the cold solve and every round-and-repair re-solve of each is checked
 // against an independent optimality certificate. It lives in the external
 // test package because experiments imports core.

@@ -63,8 +63,8 @@ func modelNames(m *lp.Model) []string {
 
 // TestModelLayoutDeterministic pins the model-layout determinism fix in
 // CHANGES.md: the placement model's layout, and therefore the simplex's
-// pivot sequence, is a function of the problem alone. Both formulations
-// are built repeatedly and must name their variables and rows in the same
+// pivot sequence, is a function of the problem alone. The model is built
+// repeatedly in both units and must name its variables and rows in the same
 // order every time; the solve must spend the same pivots every time. A
 // range over a Go map anywhere on the building path breaks both.
 func TestModelLayoutDeterministic(t *testing.T) {
@@ -73,8 +73,8 @@ func TestModelLayoutDeterministic(t *testing.T) {
 		name  string
 		build func() (*model, error)
 	}{
-		{"eliminated", func() (*model, error) { return buildModel(prob, nil) }},
-		{"parametric", func() (*model, error) { md, _, err := buildParametricModel(prob); return md, err }},
+		{"shares", func() (*model, error) { return buildModel(prob, nil, shareUnit) }},
+		{"mbps", func() (*model, error) { return buildModel(prob, nil, mbpsUnit) }},
 	}
 	for _, b := range builders {
 		var want []string

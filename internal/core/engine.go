@@ -37,11 +37,13 @@ type EngineOptions struct {
 	// rounding. Only practical for small instances; the paper (and this
 	// engine by default) uses the relaxation.
 	Exact bool
-	// MaxRepairRounds bounds the round-and-repair loop (default 25).
+	// MaxRepairRounds bounds the round-and-repair loop (default
+	// defaultRepairRounds).
 	MaxRepairRounds int
 	// MaxAffinityRounds bounds anti-affinity evictions per solve (default
-	// 64). Each eviction zeroes one q variable and warm re-solves, and can
-	// surface new resource violations, so the cap is generous.
+	// defaultAffinityRounds). Each eviction zeroes one q variable and warm
+	// re-solves, and can surface new resource violations, so the cap is
+	// generous.
 	MaxAffinityRounds int
 	// MaxVariantSolves bounds the total number of full solves spent on
 	// partial-order chain-variant selection (default 16). The first solve
@@ -54,6 +56,13 @@ type EngineOptions struct {
 	Tracer *trace.Recorder
 }
 
+// The round-and-repair bounds both engines default to: resource caps, and
+// anti-affinity evictions, per solve.
+const (
+	defaultRepairRounds   = 25
+	defaultAffinityRounds = 64
+)
+
 // Engine is the LP-relaxation Optimization Engine of §IV-D.
 type Engine struct {
 	opts EngineOptions
@@ -62,10 +71,10 @@ type Engine struct {
 // NewEngine creates an engine.
 func NewEngine(opts EngineOptions) *Engine {
 	if opts.MaxRepairRounds <= 0 {
-		opts.MaxRepairRounds = 25
+		opts.MaxRepairRounds = defaultRepairRounds
 	}
 	if opts.MaxAffinityRounds <= 0 {
-		opts.MaxAffinityRounds = 64
+		opts.MaxAffinityRounds = defaultAffinityRounds
 	}
 	if opts.MaxVariantSolves <= 0 {
 		opts.MaxVariantSolves = 16
@@ -193,58 +202,50 @@ func cloneClasses(p *Problem) *Problem {
 // orientation rescue's switch coloring). It returns the placement
 // (without SolveTime) and the simplex pivots spent.
 func (e *Engine) solveFixed(prob *Problem, caps map[qKey]float64) (*Placement, int, error) {
-	md, err := buildModel(prob, caps)
+	md, err := buildModel(prob, caps, shareUnit)
 	if err != nil {
 		return nil, 0, err
 	}
 	return e.solveModel(md)
 }
 
-// solveModel solves a built model: the LP relaxation plus the
-// interleaved round-and-repair search (resource violations, then
-// anti-affinity co-locations), or branch-and-bound with co-location
-// exclusions under the Exact option.
+// solveModel solves a built model: the LP relaxation plus the shared
+// round-and-repair tail (resource violations, then anti-affinity
+// co-locations), or branch-and-bound with co-location exclusions under the
+// Exact option.
 func (e *Engine) solveModel(md *model) (*Placement, int, error) {
-	var solver *lp.Solver // stays nil under Exact: branch-and-bound owns its own
-	var sol lp.Solution
-	var err error
 	if e.opts.Exact {
-		sol, err = lp.SolveMILP(md.m, lp.MILPOptions{Exclusions: exclusionPairs(md)})
-	} else {
-		solver = lp.NewSolver(md.m)
-		sol, err = solver.Solve()
+		sol, err := lp.SolveMILP(md.m, lp.MILPOptions{Exclusions: exclusionPairs(md)})
+		if err != nil {
+			return nil, 0, fmt.Errorf("core: optimization failed: %w", err)
+		}
+		recordSolve(md.m, nil, &sol, false)
+		pl := &Placement{
+			Counts:     extractCounts(md, &sol, false),
+			Dist:       extractDist(md, &sol, nil),
+			Iterations: sol.Iterations,
+			Method:     "branch-and-bound",
+		}
+		pl.Objective = pl.TotalInstances()
+		return pl, sol.Iterations, nil
 	}
+	solver := lp.NewSolver(md.m)
+	sol, err := solver.Solve()
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: optimization failed: %w", err)
 	}
 	recordSolve(md.m, solver, &sol, false)
-	iters := sol.Iterations
-	var counts map[topology.NodeID]map[policy.NF]int
-	if e.opts.Exact {
-		counts = extractCounts(md, &sol, false)
-	} else {
-		r := &repairer{
-			md: md, solver: solver,
-			maxRounds: e.opts.MaxRepairRounds, maxEvicts: e.opts.MaxAffinityRounds,
-			tracer: e.opts.Tracer,
-		}
-		counts, err = r.repair(sol)
-		iters += r.iters
-		if err != nil {
-			return nil, iters, err
-		}
-		sol = r.sol
+	r := &repairer{
+		md: md, solver: solver,
+		maxRounds: e.opts.MaxRepairRounds, maxEvicts: e.opts.MaxAffinityRounds,
+		tracer: e.opts.Tracer,
 	}
-	pl := &Placement{
-		Counts:     counts,
-		Dist:       extractDist(md, &sol, nil),
-		Iterations: iters,
-		Method:     "lp-relaxation",
+	pl, err := r.place(sol, nil)
+	iters := sol.Iterations + r.iters
+	if err != nil {
+		return nil, iters, err
 	}
-	if e.opts.Exact {
-		pl.Method = "branch-and-bound"
-	}
-	pl.Objective = pl.TotalInstances()
+	pl.Iterations, pl.Method = iters, "lp-relaxation"
 	return pl, iters, nil
 }
 
@@ -267,9 +268,9 @@ var errRepairAbort = errors.New("core: repair aborted")
 // repair loop (same candidate order, same caps, same re-solves) whenever
 // no accepted cap dead-ends further down.
 //
-// Engine and IncrementalEngine both run this one search; it leaves the
-// solver at the accepted leaf, so the incremental engine's next snapshot
-// warm-starts from the repaired basis.
+// Engine and IncrementalEngine both run this one search, through place; it
+// leaves the solver at the accepted leaf, so the incremental engine's next
+// snapshot warm-starts from the repaired basis.
 type repairer struct {
 	md        *model
 	solver    *lp.Solver
@@ -282,6 +283,21 @@ type repairer struct {
 	dualIters int
 	rounds    int // resource caps applied (monotone across backtracking)
 	evicts    int // anti-affinity evictions attempted (monotone)
+}
+
+// place is the relaxation tail both engines run on a solved relaxation:
+// round and repair it, then read the placement of the classes active
+// admits (nil: every class) off the accepted leaf. The caller sets
+// Iterations, Method and SolveTime; r's counters hold the search's pivots
+// and caps, also on error.
+func (r *repairer) place(sol lp.Solution, active func(Class) bool) (*Placement, error) {
+	counts, err := r.repair(sol)
+	if err != nil {
+		return nil, err
+	}
+	pl := &Placement{Counts: counts, Dist: extractDist(r.md, &r.sol, active)}
+	pl.Objective = pl.TotalInstances()
+	return pl, nil
 }
 
 func (r *repairer) repair(sol lp.Solution) (map[topology.NodeID]map[policy.NF]int, error) {

@@ -14,48 +14,28 @@ import (
 // traffic snapshots over a fixed class universe, carrying the simplex
 // basis from one snapshot to the next.
 //
-// The standard model (buildModel) cannot warm-start across snapshots:
-// per-class rates enter Eq. (5) as constraint COEFFICIENTS, so a rate
-// change rewrites the matrix and invalidates the basis. This engine uses
-// an equivalent parametric reformulation in absolute flow:
-//
-//	x_{h,j}^i = T_h · d_{h,j}^i   (Mbps of class h processed at hop i,
-//	                               chain position j)
-//	r_h                           (class h's rate, a variable pinned by
-//	                               bounds: lo = hi = T_h)
-//
-//	Eq. (4):  Σ_i x_{h,j}^i − r_h = 0          (per class, position)
-//	Eq. (3):  prefix sums of x dominate         (rate-free: multiply the
-//	          the next position's prefix sums    d form by T_h ≥ 0)
-//	Eq. (5):  Σ x − capacity·q ≤ 0              (coefficients all 1)
-//	Eq. (6):  unchanged (q only)
-//
-// Every coefficient is now rate-independent; a new snapshot is purely a
-// change of the r bounds, so Solver.ReSolve's dual simplex repairs the
-// previous optimal basis in a few pivots instead of solving cold.
-//
-// Both formulations are built from the same steps in model.go. The
-// consolidation bias on q (see addInstanceVars) is computed once from the
-// universe's base rates and kept across snapshots: it only breaks ties
-// among equal-instance-count optima, and a stable bias keeps successive
-// placements close together — exactly what a delta-rule commit wants.
+// It builds the one placement model (model.go) in the Mbps unit: every
+// coefficient is rate-free and each class's rate is a column pinned by its
+// bounds, so a new snapshot is a bound change, and Solver.ReSolve's dual
+// simplex repairs the previous optimal basis in a few pivots instead of
+// solving cold. The round-and-repair tail, anti-affinity evictions
+// included, is Engine's. The consolidation bias on q (see planKeys) is
+// computed once from the universe's base rates and kept across snapshots:
+// it only breaks ties among equal-instance-count optima, and a stable bias
+// keeps successive placements close together — exactly what a delta-rule
+// commit wants.
 //
 // The engine is not safe for concurrent use.
 type IncrementalEngine struct {
 	prob   *Problem
 	md     *model
 	solver *lp.Solver
-	rVar   []lp.VarID // per class index, bounds pin the snapshot rate
 	solved bool
 }
 
 // IncrementalOptions tunes the incremental engine. It has no settable
-// field: the repair loop is bounded by incrementalRepairRounds.
+// field: the repair loop takes the defaults Engine does.
 type IncrementalOptions struct{}
-
-// incrementalRepairRounds bounds the incremental engine's round-and-repair
-// loop.
-const incrementalRepairRounds = 25
 
 // PlaceStats instruments one Place call. Pivot counts are deterministic
 // for a fixed problem and snapshot sequence, which makes them the right
@@ -77,27 +57,19 @@ type PlaceStats struct {
 	SolveTime time.Duration
 }
 
-// NewIncrementalEngine builds the parametric model over the problem's
-// class universe. The per-class RateMbps values in prob seed the
+// NewIncrementalEngine builds the placement model, in Mbps, over the
+// problem's class universe. The per-class RateMbps values in prob seed the
 // consolidation bias; the actual rates of each snapshot are supplied to
 // Place.
 func NewIncrementalEngine(prob *Problem, _ IncrementalOptions) (*IncrementalEngine, error) {
 	if err := prob.Validate(); err != nil {
 		return nil, err
 	}
-	if len(prob.AntiAffinity) > 0 {
-		return nil, fmt.Errorf("core: incremental engine does not support anti-affinity constraints (use Engine.Solve)")
-	}
-	md, rVar, err := buildParametricModel(prob)
+	md, err := buildModel(prob, nil, mbpsUnit)
 	if err != nil {
 		return nil, err
 	}
-	return &IncrementalEngine{
-		prob:   prob,
-		md:     md,
-		solver: lp.NewSolver(md.m),
-		rVar:   rVar,
-	}, nil
+	return &IncrementalEngine{prob: prob, md: md, solver: lp.NewSolver(md.m)}, nil
 }
 
 // Place solves the snapshot whose per-class rates are given and returns
@@ -111,20 +83,20 @@ func NewIncrementalEngine(prob *Problem, _ IncrementalOptions) (*IncrementalEngi
 // basis is rejected).
 func (e *IncrementalEngine) Place(rates map[ClassID]float64) (pl *Placement, st PlaceStats, err error) {
 	start := time.Now()
-	// Retarget the parametric bounds: pin each r to the snapshot rate and
+	// Retarget the bounds: pin each r to the snapshot rate and
 	// lift the previous snapshot's repair caps — except caps the basis is
 	// resting on. Hardware does not grow between snapshots, so a binding
 	// cap is still true; and relaxing it to +Inf would evict the variable
 	// from its resting bound and destroy the dual feasibility the warm
 	// start needs (the reason repair-heavy topologies used to fall back
 	// cold on every pass).
-	changes := make([]lp.BoundChange, 0, len(e.rVar)+len(e.md.qKeys))
+	changes := make([]lp.BoundChange, 0, len(e.md.rVar)+len(e.md.qKeys))
 	for ci, c := range e.prob.Classes {
 		r := rates[c.ID]
 		if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
 			return nil, st, fmt.Errorf("core: class %d has invalid rate %v", c.ID, r)
 		}
-		changes = append(changes, lp.BoundChange{Var: e.rVar[ci], Lo: r, Hi: r})
+		changes = append(changes, lp.BoundChange{Var: e.md.rVar[ci], Lo: r, Hi: r})
 	}
 	kept := 0
 	for _, key := range e.md.qKeys {
@@ -173,13 +145,13 @@ func (e *IncrementalEngine) Place(rates map[ClassID]float64) (pl *Placement, st 
 	}
 	e.solved = true
 
-	// Round-and-repair, warm throughout: the same search Engine.Solve
-	// runs, over this engine's long-lived solver.
+	// Round-and-repair, warm throughout, over this engine's long-lived
+	// solver.
 	r := &repairer{
 		md: e.md, solver: e.solver,
-		maxRounds: incrementalRepairRounds,
+		maxRounds: defaultRepairRounds, maxEvicts: defaultAffinityRounds,
 	}
-	counts, err := r.repair(sol)
+	pl, err = r.place(sol, func(c Class) bool { return rates[c.ID] > 0 })
 	st.Pivots += r.iters
 	st.DualPivots += r.dualIters
 	st.RepairRounds = r.rounds
@@ -189,15 +161,7 @@ func (e *IncrementalEngine) Place(rates map[ClassID]float64) (pl *Placement, st 
 		}
 		return nil, st, err
 	}
-
-	pl = &Placement{
-		Counts:     counts,
-		Dist:       extractDist(e.md, &r.sol, func(c Class) bool { return rates[c.ID] > 0 }),
-		SolveTime:  time.Since(start),
-		Iterations: st.Pivots,
-		Method:     "lp-parametric",
-	}
-	pl.Objective = pl.TotalInstances()
-	st.SolveTime = pl.SolveTime
+	st.SolveTime = time.Since(start)
+	pl.SolveTime, pl.Iterations, pl.Method = st.SolveTime, st.Pivots, "lp-parametric"
 	return pl, st, nil
 }

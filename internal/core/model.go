@@ -11,21 +11,23 @@ import (
 	"github.com/apple-nfv/apple/internal/topology"
 )
 
-// This file states the placement program of §IV-D once. The two
-// production formulations are short compositions of the same steps:
+// This file states the placement program of §IV-D once, in a unit the
+// caller picks. x_{h,j}^i is the amount of class h's chain position j
+// processed at hop i, counted in units of scale(h) Mbps, and r_h is the
+// class's whole rate in that unit, a column pinned by its bounds (σ of
+// Eq. (2) is eliminated into prefix sums of x):
 //
-//	buildModel            d_{h,j}^i ∈ [0,1], the share of class h's
-//	                      position j processed at hop i (σ of Eq. (2)
-//	                      eliminated into prefix sums of d)
-//	buildParametricModel  x_{h,j}^i = T_h·d_{h,j}^i in Mbps, plus one
-//	                      variable r_h per class pinned to T_h by bounds
+//	Eq. (4):  Σ_i x_{h,j}^i − r_h = 0          per class and position
+//	Eq. (3):  prefix sums of x at j−1 dominate those at j
+//	Eq. (5):  Σ scale(h)·x − capacity·q ≤ 0    per (switch, NF)
+//	Eq. (6):  per switch, over the q variables only
 //
-// They share the flow variables, the consolidation bias and q variables
-// of Eq. (1), the Eq. (3) order rows and the Eq. (6) resource rows, and
-// differ only where the mathematics does: Eq. (4) reads Σ_i d = 1 against
-// Σ_i x − r = 0, and Eq. (5)'s flow coefficients are T_h against 1. The
-// parametric form keeps every rate out of the matrix, so a new traffic
-// snapshot is a change of the r bounds and the previous basis survives.
+// Engine counts in shares (scale = T_h, r pinned at 1: x is the paper's
+// d); IncrementalEngine counts in Mbps (scale = 1, r pinned at the
+// snapshot's T_h), which keeps every rate out of the matrix, so a new
+// snapshot only moves r's bounds and the previous basis survives. Dantzig
+// pricing is not scale-invariant, so the unit stays per engine (DESIGN.md
+// §6 has the measurements).
 //
 // Nothing here ranges over a map: variables and rows are created in class
 // order and in sorted (switch, NF) order, so the column layout — and with
@@ -48,6 +50,8 @@ type model struct {
 	// host.
 	dVar []lp.VarID
 	dOff []int
+	// rVar holds each class's rate column r, in class order.
+	rVar []lp.VarID
 	qVar map[qKey]lp.VarID
 	// qKeys lists qVar's keys in (switch, NF) order, and qObj their
 	// objective coefficients.
@@ -58,9 +62,8 @@ type model struct {
 // newModel plans the model for prob: every class's eligible hops and the
 // (switch, NF) keys of the q variables. It then reserves the LP's
 // variables, rows and terms, which the plan determines, so the model is
-// built without regrowing; rVars adds one rate variable and one coverage
-// term per class (the parametric form).
-func newModel(name string, prob *Problem, rVars bool) (*model, error) {
+// built without regrowing.
+func newModel(name string, prob *Problem) (*model, error) {
 	md := &model{
 		prob: prob,
 		m:    lp.NewModel(name),
@@ -71,7 +74,7 @@ func newModel(name string, prob *Problem, rVars bool) (*model, error) {
 		return nil, err
 	}
 	md.planKeys()
-	md.reserve(rVars)
+	md.reserve()
 	return md, nil
 }
 
@@ -156,23 +159,18 @@ func (md *model) planKeys() {
 }
 
 // reserve sizes the LP from the plan. Per class with h eligible hops and
-// a chain of k: h·k flow variables, k coverage rows of h terms (plus the
-// rate term), and k−1 rounds of h order rows whose prefix sums hold
+// a chain of k: a rate variable, h·k flow variables, k coverage rows of
+// h+1 terms, and k−1 rounds of h order rows whose prefix sums hold
 // 2, 4, …, 2h terms. Per (switch, NF) key: a q variable and a capacity
 // row over its flow variables plus q, which covers every flow variable
 // once. Per switch: a cores row and a memory row, one term per key each.
-func (md *model) reserve(rVars bool) {
-	vars, cons, terms, flows := len(md.qKeys), 0, 0, 0
+func (md *model) reserve() {
+	vars, cons, terms, flows := len(md.qKeys)+len(md.prob.Classes), 0, 0, 0
 	for ci, c := range md.prob.Classes {
 		h, k := len(md.hops[ci]), len(c.Chain)
-		cover := h
-		if rVars {
-			vars++
-			cover++
-		}
 		flows += h * k
 		cons += k + max(k-1, 0)*h
-		terms += k*cover + max(k-1, 0)*h*(h+1)
+		terms += k*(h+1) + max(k-1, 0)*h*(h+1)
 	}
 	switches := 0
 	for k, key := range md.qKeys {
@@ -187,13 +185,13 @@ func (md *model) reserve(rVars bool) {
 }
 
 // addFlowVars creates class ci's flow variables, one per (eligible hop,
-// chain position), named prefix[class][hop][position]. The upper bound
-// implied by Eq. (4) and non-negativity is left off as redundant.
-func (md *model) addFlowVars(ci int, prefix string) error {
+// chain position), named x[class][hop][position]. The upper bound implied
+// by Eq. (4) and non-negativity is left off as redundant.
+func (md *model) addFlowVars(ci int) error {
 	c := md.prob.Classes[ci]
 	for _, i := range md.hops[ci] {
 		for j := range c.Chain {
-			v, err := md.m.AddVariable(fmt.Sprintf("%s[%d][%d][%d]", prefix, c.ID, i, j), 0, math.Inf(1), 0)
+			v, err := md.m.AddVariable(fmt.Sprintf("x[%d][%d][%d]", c.ID, i, j), 0, math.Inf(1), 0)
 			if err != nil {
 				return fmt.Errorf("core: %w", err)
 			}
@@ -225,18 +223,15 @@ func (md *model) addInstanceVars(caps map[qKey]float64) error {
 }
 
 // addCoverageRows adds Eq. (4) for class ci: at every chain position the
-// flow over all eligible hops, minus the rate variable r when r ≥ 0,
-// equals rhs.
-func (md *model) addCoverageRows(ci int, rhs float64, r lp.VarID) error {
+// flow over all eligible hops equals the class's rate column.
+func (md *model) addCoverageRows(ci int) error {
 	c := md.prob.Classes[ci]
 	for j := range c.Chain {
 		for _, i := range md.hops[ci] {
 			md.m.AddTerm(md.d(ci, i, j), 1)
 		}
-		if r >= 0 {
-			md.m.AddTerm(r, -1)
-		}
-		if err := md.m.EndConstraint(fmt.Sprintf("full[%d][%d]", c.ID, j), lp.EQ, rhs); err != nil {
+		md.m.AddTerm(md.rVar[ci], -1)
+		if err := md.m.EndConstraint(fmt.Sprintf("full[%d][%d]", c.ID, j), lp.EQ, 0); err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
 	}
@@ -245,7 +240,7 @@ func (md *model) addCoverageRows(ci int, rhs float64, r lp.VarID) error {
 
 // addOrderRows adds Eq. (3) for class ci: σ_{j-1}^i ≥ σ_j^i at every
 // eligible hop, with σ eliminated into prefix sums of the flow variables.
-// The rows are the same in d and in x (the d form scaled by T_h ≥ 0).
+// The rows are the same in every unit (scaling by a positive unit).
 func (md *model) addOrderRows(ci int) error {
 	c, hops := md.prob.Classes[ci], md.hops[ci]
 	for j := 1; j < len(c.Chain); j++ {
@@ -264,12 +259,12 @@ func (md *model) addOrderRows(ci int) error {
 }
 
 // addCapacityRows adds Eq. (5): per (v, nf), the load the flow variables
-// put on the NF is at most capacity·q. flowCoef is what one unit of a
-// class's flow variable weighs in Mbps. Each key's flow terms are
+// put on the NF is at most capacity·q. scale is what one unit of a class's
+// flow variable weighs in Mbps. Each key's flow terms are
 // gathered by a counting sort into one array, in class, hop and position
 // order; the q variables are consecutive in key order, so a key's index
 // is its q variable's offset from the first.
-func (md *model) addCapacityRows(flowCoef func(Class) float64) error {
+func (md *model) addCapacityRows(scale func(Class) float64) error {
 	if len(md.qKeys) == 0 {
 		return nil
 	}
@@ -291,7 +286,7 @@ func (md *model) addCapacityRows(flowCoef func(Class) float64) error {
 		for _, i := range md.hops[ci] {
 			for j, nf := range c.Chain {
 				k := md.qVar[qKey{v: c.Path[i], nf: nf}] - q0
-				loads[next[k]] = lp.Term{Var: md.d(ci, i, j), Coef: flowCoef(c)}
+				loads[next[k]] = lp.Term{Var: md.d(ci, i, j), Coef: scale(c)}
 				next[k]++
 			}
 		}
@@ -351,16 +346,29 @@ func (md *model) addResourceRow(keys []qKey, name string, avail float64, use fun
 	return nil
 }
 
-// buildModel constructs the σ-eliminated LP/ILP of §IV-D in the class
-// distributions d. caps optionally adds upper bounds on selected q
-// variables (the orientation rescue's switch coloring).
-func buildModel(prob *Problem, caps map[qKey]float64) (*model, error) {
-	md, err := newModel("apple-placement", prob, false)
+// shareUnit and mbpsUnit are buildModel's two scales: a flow variable
+// counts shares of its class (T_h Mbps each) or Mbps.
+func shareUnit(c Class) float64 { return c.RateMbps }
+func mbpsUnit(Class) float64    { return 1 }
+
+// buildModel constructs the LP/ILP of §IV-D with flows counted in units of
+// scale(h) Mbps. Every rate column is created pinned at 1, which is the
+// whole class in the share unit; a caller counting in another unit pins
+// r to the rate in that unit. caps optionally adds upper bounds on
+// selected q variables (the orientation rescue's switch coloring).
+func buildModel(prob *Problem, caps map[qKey]float64, scale func(Class) float64) (*model, error) {
+	md, err := newModel("apple-placement", prob)
 	if err != nil {
 		return nil, err
 	}
-	for ci := range prob.Classes {
-		if err := md.addFlowVars(ci, "d"); err != nil {
+	md.rVar = make([]lp.VarID, len(prob.Classes))
+	for ci, c := range prob.Classes {
+		r, err := md.m.AddVariable(fmt.Sprintf("r[%d]", c.ID), 1, 1, 0)
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		md.rVar[ci] = r
+		if err := md.addFlowVars(ci); err != nil {
 			return nil, err
 		}
 	}
@@ -368,16 +376,14 @@ func buildModel(prob *Problem, caps map[qKey]float64) (*model, error) {
 		return nil, err
 	}
 	for ci := range prob.Classes {
-		// Eq. (4): every chain position processes 100% of the class.
-		if err := md.addCoverageRows(ci, 1, -1); err != nil {
+		if err := md.addCoverageRows(ci); err != nil {
 			return nil, err
 		}
 		if err := md.addOrderRows(ci); err != nil {
 			return nil, err
 		}
 	}
-	// Eq. (5): a share d of class h loads the NF with d·T_h.
-	if err := md.addCapacityRows(func(c Class) float64 { return c.RateMbps }); err != nil {
+	if err := md.addCapacityRows(scale); err != nil {
 		return nil, err
 	}
 	if err := md.addResourceRows(); err != nil {
@@ -386,73 +392,33 @@ func buildModel(prob *Problem, caps map[qKey]float64) (*model, error) {
 	return md, nil
 }
 
-// buildParametricModel constructs the rate-free reformulation described
-// on IncrementalEngine: md.dVar holds the absolute flows x, and the
-// returned slice maps class index → r variable, whose bounds pin the
-// class's rate (initially to its RateMbps).
-func buildParametricModel(prob *Problem) (*model, []lp.VarID, error) {
-	md, err := newModel("apple-placement-parametric", prob, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	rVar := make([]lp.VarID, len(prob.Classes))
-	for ci, c := range prob.Classes {
-		rv, err := md.m.AddVariable(fmt.Sprintf("r[%d]", c.ID), c.RateMbps, c.RateMbps, 0)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: %w", err)
-		}
-		rVar[ci] = rv
-		if err := md.addFlowVars(ci, "x"); err != nil {
-			return nil, nil, err
-		}
-	}
-	// The bias is computed once from the universe's base rates and kept
-	// across snapshots (see IncrementalEngine).
-	if err := md.addInstanceVars(nil); err != nil {
-		return nil, nil, err
-	}
-	for ci := range prob.Classes {
-		// Eq. (4): Σ_i x − r = 0 at every chain position.
-		if err := md.addCoverageRows(ci, 0, rVar[ci]); err != nil {
-			return nil, nil, err
-		}
-		if err := md.addOrderRows(ci); err != nil {
-			return nil, nil, err
-		}
-	}
-	// Eq. (5): x is already in Mbps, so rates never touch the matrix.
-	if err := md.addCapacityRows(func(Class) float64 { return 1 }); err != nil {
-		return nil, nil, err
-	}
-	if err := md.addResourceRows(); err != nil {
-		return nil, nil, err
-	}
-	return md, rVar, nil
-}
-
 // PlacementModel builds, without solving it, the LP the engines solve for
-// prob: the σ-eliminated formulation of Engine.Solve or, with parametric
-// set, the rate-free one of IncrementalEngine — in which case it also
-// returns each class's rate variable, in class order, whose bounds pin the
-// snapshot rate. The q variables are the model's integer-flagged ones. It
-// exists so the solver's differential tests can run on the real placement
-// models from outside this package; no engine calls it.
+// prob: Engine.Solve's, in shares, or with parametric set
+// IncrementalEngine's, in Mbps with each rate column pinned at the class's
+// RateMbps. It also returns the rate columns, in class order. The q
+// variables are the model's integer-flagged ones. It exists so the
+// solver's differential tests can run on the real placement models from
+// outside this package; no engine calls it.
 func PlacementModel(prob *Problem, parametric bool) (*lp.Model, []lp.VarID, error) {
 	if err := prob.Validate(); err != nil {
 		return nil, nil, err
 	}
+	scale := shareUnit
 	if parametric {
-		md, rVar, err := buildParametricModel(prob)
-		if err != nil {
-			return nil, nil, err
-		}
-		return md.m, rVar, nil
+		scale = mbpsUnit
 	}
-	md, err := buildModel(prob, nil)
+	md, err := buildModel(prob, nil, scale)
 	if err != nil {
 		return nil, nil, err
 	}
-	return md.m, nil, nil
+	if parametric {
+		for ci, c := range prob.Classes {
+			if err := md.m.SetBounds(md.rVar[ci], c.RateMbps, c.RateMbps); err != nil {
+				return nil, nil, fmt.Errorf("core: %w", err)
+			}
+		}
+	}
+	return md.m, md.rVar, nil
 }
 
 // extractCounts reads q values; when roundUp is set, fractional LP values
@@ -480,8 +446,7 @@ func extractCounts(md *model, sol *lp.Solution, roundUp bool) map[topology.NodeI
 
 // extractDist reads the flow values back into per-class distributions,
 // cleaning numerical noise and normalizing each chain position to sum to
-// exactly 1 — which is also what turns the parametric model's absolute
-// flows x back into d = x / rate. Classes for which active reports false
+// exactly 1 — which is also what turns flows in any unit into shares. Classes for which active reports false
 // are omitted; a nil active keeps every class.
 func extractDist(md *model, sol *lp.Solution, active func(Class) bool) map[ClassID][][]float64 {
 	out := make(map[ClassID][][]float64, len(md.prob.Classes))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -256,7 +257,7 @@ func TestVerifyRejectsColocatedPair(t *testing.T) {
 	}
 }
 
-func TestGreedyAndIncrementalRejectAntiAffinity(t *testing.T) {
+func TestGreedyRejectsAntiAffinity(t *testing.T) {
 	g := lineTopo(t, 2)
 	prob := &Problem{
 		Topo:         g,
@@ -267,8 +268,46 @@ func TestGreedyAndIncrementalRejectAntiAffinity(t *testing.T) {
 	if _, err := SolveGreedy(prob); err == nil {
 		t.Fatal("greedy should reject anti-affinity")
 	}
-	if _, err := NewIncrementalEngine(prob, IncrementalOptions{}); err == nil {
-		t.Fatal("incremental should reject anti-affinity")
+}
+
+// TestIncrementalAntiAffinitySeparatesPair: the incremental engine runs
+// Engine's repair tail, evictions included, so on
+// TestAntiAffinityRepairSeparatesPair's problem Place co-locates no pair,
+// passes Verify, and places the instances Engine.Solve places.
+func TestIncrementalAntiAffinitySeparatesPair(t *testing.T) {
+	g := lineTopo(t, 2)
+	prob := &Problem{
+		Topo: g,
+		Classes: []Class{{
+			ID: 1, Path: path(2),
+			Chain:    policy.Chain{policy.IDS, policy.Proxy},
+			RateMbps: 400,
+		}},
+		Avail:        bigHosts(2),
+		AntiAffinity: []policy.NFPair{mustPair(t, policy.IDS, policy.Proxy)},
+	}
+	cold, err := NewEngine(EngineOptions{}).Solve(prob)
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	eng, err := NewIncrementalEngine(prob, IncrementalOptions{})
+	if err != nil {
+		t.Fatalf("NewIncrementalEngine: %v", err)
+	}
+	pl, _, err := eng.Place(ratesOf(prob))
+	if err != nil {
+		t.Fatalf("Place: %v", err)
+	}
+	if err := pl.Verify(prob); err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	for v, m := range pl.Counts {
+		if m[policy.IDS] > 0 && m[policy.Proxy] > 0 {
+			t.Fatalf("switch %d co-locates ids and proxy: %v", v, m)
+		}
+	}
+	if !reflect.DeepEqual(pl.Counts, cold.Counts) {
+		t.Fatalf("Place counts %v, Engine.Solve counts %v", pl.Counts, cold.Counts)
 	}
 }
 

@@ -24,12 +24,12 @@ func solveExplicitSigma(prob *Problem) (*Placement, error) {
 // class in place of the coverage and order rows; every other step is the
 // shared one.
 func buildExplicitSigmaModel(prob *Problem) (*model, error) {
-	md, err := newModel("apple-placement-sigma", prob, false)
+	md, err := newModel("apple-placement-sigma", prob)
 	if err != nil {
 		return nil, err
 	}
 	for ci := range prob.Classes {
-		if err := md.addFlowVars(ci, "d"); err != nil {
+		if err := md.addFlowVars(ci); err != nil {
 			return nil, err
 		}
 	}

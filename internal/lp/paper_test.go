@@ -14,11 +14,11 @@ import (
 
 // TestPaperModelsMatchDenseReference is the dense-vs-sparse differential on
 // the models the engines really solve: the four paper scenarios, scenario
-// seeds 1 and 2, both formulations. Each model is solved cold by the
+// seeds 1 and 2, both units. Each model is solved cold by the
 // production engine and by the dense tableau it replaced, then driven
 // through the same 24 warm re-solves — the scenario's snapshot rates on the
-// parametric model (what IncrementalEngine.Place does), a walk of instance
-// caps on the σ-eliminated one (what round-and-repair does). After every
+// Mbps model (what IncrementalEngine.Place does), a walk of instance caps
+// on the share model (what round-and-repair does). After every
 // step the pair checks status, objective and rounded instance counts, and
 // TestMain's hook certifies the sparse solve.
 func TestPaperModelsMatchDenseReference(t *testing.T) {
@@ -109,7 +109,7 @@ func capWalk(m *lp.Model, last *lp.Solution, k int, prev []lp.BoundChange) []lp.
 }
 
 // as3679Parametric builds the largest model the engines solve: the
-// parametric placement LP of AS-3679's mean problem (scenario seed 1).
+// placement LP in Mbps of AS-3679's mean problem (scenario seed 1).
 func as3679Parametric(t *testing.T) *lp.Model {
 	t.Helper()
 	sc, err := experiments.AS3679(experiments.Options{Seed: 1, Snapshots: 24})
