@@ -591,3 +591,42 @@ func TestModelAccessors(t *testing.T) {
 		t.Fatal("counters wrong after adds")
 	}
 }
+
+// TestBealeCycling solves Beale's 1955 example, the classic LP on which
+// Dantzig's rule with lowest-index tie-breaks cycles through six
+// degenerate bases and never leaves the starting vertex:
+//
+//	min −¾x4 + 20x5 − ½x6 + 6x7
+//	s.t. ¼x4 −  8x5 −  x6 + 9x7 ≤ 0
+//	     ½x4 − 12x5 − ½x6 + 3x7 ≤ 0
+//	                    x6       ≤ 1,   x ≥ 0
+//
+// The slacks of the three rows are the textbook x1–x3 and the starting
+// basis. The solver must reach the optimum −5/4 at x4 = x6 = 1 with a
+// valid certificate. The log says whether today's pricing cycled: a cycle
+// runs Dantzig's rule to its pivot limit before Bland's rule takes over.
+func TestBealeCycling(t *testing.T) {
+	m := NewModel("beale")
+	x4 := addVar(t, m, "x4", 0, math.Inf(1), -0.75)
+	x5 := addVar(t, m, "x5", 0, math.Inf(1), 20)
+	x6 := addVar(t, m, "x6", 0, math.Inf(1), -0.5)
+	x7 := addVar(t, m, "x7", 0, math.Inf(1), 6)
+	addCon(t, m, "r1", LE, 0, Term{x4, 0.25}, Term{x5, -8}, Term{x6, -1}, Term{x7, 9})
+	addCon(t, m, "r2", LE, 0, Term{x4, 0.5}, Term{x5, -12}, Term{x6, -0.5}, Term{x7, 3})
+	addCon(t, m, "r3", LE, 1, Term{x6, 1})
+	s := NewSolver(m)
+	sol, err := s.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !almost(sol.Objective, -1.25) || !almost(sol.Value(x4), 1) || !almost(sol.Value(x6), 1) ||
+		!almost(sol.Value(x5), 0) || !almost(sol.Value(x7), 0) {
+		t.Fatalf("objective %v at %v, want −1.25 at x4 = x6 = 1", sol.Objective, sol.Values)
+	}
+	if err := CheckCertificate(m, sol.Values, s.Duals()); err != nil {
+		t.Fatal(err)
+	}
+	cycled := sol.Iterations >= dantzigLimit
+	t.Logf("Dantzig's rule cycled: %t; %d pivots (phase 1 %d, phase 2 %d)",
+		cycled, sol.Iterations, sol.Phase1Iterations, sol.Phase2Iterations)
+}

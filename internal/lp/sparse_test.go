@@ -89,6 +89,12 @@ func (p *enginePair) SetBounds(v VarID, lo, hi float64) {
 // sequence of SetBounds / ReSolve / Solve calls and forced refactors. Both
 // engines see every call; after every solve they must agree, and the sparse
 // engine's answer must carry a valid optimality certificate.
+//
+// When the first byte's bits 3–4 read 1 the model is degenerate on
+// purpose, the way the placement models are: every variable starts at 0,
+// about two rows in three have a zero right-hand side, and some columns
+// are copies of an earlier one (same bounds, cost and coefficients), so
+// many bases share a vertex and Dantzig's rule meets ties.
 func runSolverOps(t testing.TB, data []byte) {
 	const maxVars, maxRows, maxOps = 8, 10, 24
 	next := func() int {
@@ -100,10 +106,26 @@ func runSolverOps(t testing.TB, data []byte) {
 		return int(b)
 	}
 	m := NewModel("fuzz")
-	nv := 1 + next()%maxVars
+	head := next()
+	nv := 1 + head%maxVars
+	degenerate := head/8%4 == 1
+	origin := make([]VarID, 0, nv) // the column each variable copies, itself if none
 	for j := 0; j < nv; j++ {
 		b := next()
+		if degenerate && j > 0 && b%4 == 0 {
+			k := origin[b/4%j]
+			v := m.vars[k]
+			if _, err := m.AddVariable(fmt.Sprintf("x%d=x%d", j, k), v.lo, v.hi, v.obj); err != nil {
+				t.Fatal(err)
+			}
+			origin = append(origin, k)
+			continue
+		}
+		origin = append(origin, VarID(j))
 		lo := float64(b % 3)
+		if degenerate {
+			lo = 0
+		}
 		hi := math.Inf(1)
 		switch b / 3 % 4 {
 		case 0:
@@ -123,6 +145,9 @@ func runSolverOps(t testing.TB, data []byte) {
 			c := next()
 			terms[k] = Term{Var: VarID(c % nv), Coef: float64(c/8%7 - 3)}
 		}
+		if degenerate {
+			terms = withCopies(terms, origin)
+		}
 		if b/3%5 == 0 && i > 0 {
 			// Repeat the previous row: redundant when it is an equality,
 			// and a duplicate-term merge when the same variable recurs.
@@ -132,7 +157,12 @@ func runSolverOps(t testing.TB, data []byte) {
 			}
 			continue
 		}
-		if err := m.AddConstraint(fmt.Sprintf("r%d", i), Sense(1+b/15%3), float64(next()%13-3), terms...); err != nil {
+		c := next()
+		rhs := float64(c%13 - 3)
+		if degenerate && c%3 != 0 {
+			rhs = 0
+		}
+		if err := m.AddConstraint(fmt.Sprintf("r%d", i), Sense(1+b/15%3), rhs, terms...); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -172,6 +202,21 @@ func runSolverOps(t testing.TB, data []byte) {
 	}
 }
 
+// withCopies rewrites a row's terms onto copied columns: each term moves to
+// the column its variable copies and is repeated on every copy of it, so
+// copies stay identical columns.
+func withCopies(terms []Term, origin []VarID) []Term {
+	out := make([]Term, 0, len(terms))
+	for _, tm := range terms {
+		for j, o := range origin {
+			if o == origin[tm.Var] {
+				out = append(out, Term{Var: VarID(j), Coef: tm.Coef})
+			}
+		}
+	}
+	return out
+}
+
 func solverOpsSeed(seed int64, n int) []byte {
 	out := make([]byte, n)
 	rand.New(rand.NewSource(seed)).Read(out)
@@ -188,7 +233,23 @@ func FuzzSolverOps(f *testing.F) {
 	// Two variables, an equality repeated three times, then cap, re-solve,
 	// uncap, cold solve.
 	f.Add([]byte{1, 2, 5, 2, 5, 4, 16, 8 + 0, 8 + 1, 6, 0, 0, 0, 0, 13, 0, 5, 1, 5, 0, 0, 0})
+	// Degenerate models (see runSolverOps): two random ones, and six
+	// variables of which x3 copies x1 and x5 copies x2 under five rows
+	// (one repeated, three through the origin), then cap x1, re-solve,
+	// refactor, uncap x3, solve cold.
+	f.Add(degenerateSeed(3, 120))
+	f.Add(degenerateSeed(4, 200))
+	f.Add([]byte{8 + 5, 9, 3, 9, 2, 1, 5, 4, 9, 3, 8, 5,
+		1, 36, 37, 9, 20, 38, 22, 18, 1, 0, 0, 34, 37, 22, 2, 3, 34, 6,
+		8 + 5, 0, 9, 1, 2, 24 + 6, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) { runSolverOps(t, data) })
+}
+
+// degenerateSeed is solverOpsSeed with the first byte's degenerate mode set.
+func degenerateSeed(seed int64, n int) []byte {
+	out := solverOpsSeed(seed, n)
+	out[0] = out[0]&^(3<<3) | 1<<3
+	return out
 }
 
 // TestSolverOpsRandom runs the FuzzSolverOps body over generated sequences,
