@@ -214,13 +214,15 @@ func TestRemoveCompilesNothing(t *testing.T) {
 	}
 }
 
-// TestEmitOneBackingArrayPerTable: emission hands back exactly one batch
-// per table the class touches — tables are routing, APPLE or steering
-// tables of its path's switches — each filled to exactly the capacity it
-// was given, whether carved from the rule arena or allocated: no batch is
-// regrown or copied, and none can grow into another's memory. A
-// removal's retire batches (retireRules) are sized the same way: one
-// removal per host each sub-class visits.
+// TestEmitOneBackingArrayPerTable: a class install's make and flip steps
+// (makeRules and flipRules from nothing) each hand back exactly one batch
+// per table the step touches — tables are routing, APPLE or steering
+// tables of its path's switches, and only the ingress APPLE table can
+// appear in both — each filled to exactly the capacity it was given,
+// whether carved from the rule arena or allocated: no batch is regrown or
+// copied, and none can grow into another's memory. A removal's retire
+// batches (retireRules) are sized the same way: one removal per host each
+// sub-class visits.
 func TestEmitOneBackingArrayPerTable(t *testing.T) {
 	c, prob, _ := hundredClassFixture(t)
 	for _, cl := range prob.Classes {
@@ -235,22 +237,32 @@ func TestEmitOneBackingArrayPerTable(t *testing.T) {
 		if len(steer) == 0 {
 			t.Fatalf("class %d: no steering removals", cl.ID)
 		}
-		batches, err := c.emitClassRules(a)
+		made, err := c.makeRules(nil, a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen := make(map[tableKey]bool, len(batches))
-		for _, b := range batches {
-			if seen[b.key] {
-				t.Fatalf("class %d: two batches for table %+v", cl.ID, b.key)
-			}
-			seen[b.key] = true
-			if len(b.ops) == 0 || len(b.ops) != cap(b.ops) {
-				t.Fatalf("class %d table %+v: %d operations in an array of %d", cl.ID, b.key, len(b.ops), cap(b.ops))
+		flip, err := c.flipRules(nil, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(flip) != 1 || flip[0].key != appleKey(cl.Path[0]) {
+			t.Fatalf("class %d: flip batches %+v, want the ingress APPLE table's alone", cl.ID, flip)
+		}
+		for step, batches := range [][]tableBatch{made, flip} {
+			seen := make(map[tableKey]bool, len(batches))
+			for _, b := range batches {
+				if seen[b.key] {
+					t.Fatalf("class %d step %d: two batches for table %+v", cl.ID, step, b.key)
+				}
+				seen[b.key] = true
+				if len(b.ops) == 0 || len(b.ops) != cap(b.ops) {
+					t.Fatalf("class %d step %d table %+v: %d operations in an array of %d",
+						cl.ID, step, b.key, len(b.ops), cap(b.ops))
+				}
 			}
 		}
-		if len(batches) > 3*len(cl.Path) {
-			t.Fatalf("class %d: %d batches for a %d-switch path", cl.ID, len(batches), len(cl.Path))
+		if n := len(made) + len(flip); n > 3*len(cl.Path)+1 {
+			t.Fatalf("class %d: %d batches for a %d-switch path", cl.ID, n, len(cl.Path))
 		}
 	}
 	// A jumbo class is cut into equal slices on the same hops (§IV-B), so

@@ -226,6 +226,12 @@ type Controller struct {
 	// transaction; a non-nil return aborts the transaction there (test
 	// hook for the fault-injection suite).
 	failpoint func(point string) error
+	// published, when non-nil, runs after every table batch a rule
+	// transaction applies and after every one its unwind reverts, with the
+	// table's key: each moment a packet can first meet a table's new rules
+	// (test hook for the publication walks). It must not keep the key's
+	// batch or any transaction buffer.
+	published func(tableKey)
 }
 
 // Config for New.

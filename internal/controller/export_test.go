@@ -6,6 +6,9 @@ package controller
 
 import "github.com/apple-nfv/apple/internal/topology"
 
+// RaceDetector is raceDetector, for the external tests.
+const RaceDetector = raceDetector
+
 // DetectorCount reports how many instances the handler holds a detector
 // for.
 func (d *DynamicHandler) DetectorCount() int { return len(d.detectors) }

@@ -1,5 +1,5 @@
 //go:build !race
 
-package controller_test
+package controller
 
 const raceDetector = false

@@ -217,7 +217,7 @@ func TestDetectorsFollowThePool(t *testing.T) {
 func TestTransitionCountRepeats(t *testing.T) {
 	builds := []func(experiments.Options) (*experiments.Scenario, error){experiments.GEANT, experiments.AS3679}
 	repeats := 10
-	if raceDetector {
+	if controller.RaceDetector {
 		builds, repeats = builds[:1], 2
 	}
 	for _, build := range builds {

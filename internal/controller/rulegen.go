@@ -113,18 +113,16 @@ func (m actionMemo) of(acts ...flowtable.Action) []flowtable.Action {
 }
 
 // buildAssignment constructs the full assignment — capacity expansion,
-// instance picks, and every tag the class will ever reference: sub-class
-// tags and host tags, the latter in the exact first-touch order the rule
-// emitter uses — without registering it in the store or journaling it.
-// The pipeline's admit stage uses it for new classes; RuleTxn's update
-// cutover uses it to build the replacement generation while the old one
-// is still registered (so global-tag allocation avoids the live tags).
-// Afterwards emitClassRules is a pure function of the assignment and the
-// allocator's (now read-only for this class) tag tables. The
-// portion-ledger and global-tag writes are recorded in txn, and taken back
-// here when the class is refused: a refused class must leave the ledgers as
-// it found them even when the transaction goes on without it (AddClassBatch
-// keeps the classes admitted before an admission failure).
+// instance picks and sub-class tags — without registering it in the store
+// or journaling it. The pipeline's admit stage uses it for new classes;
+// RuleTxn's update cutover uses it to build the replacement generation
+// while the old one is still registered (so global-tag allocation avoids
+// the live tags). Host tags are not drawn here: the make step draws them
+// when it first names a switch (makeRules). The portion-ledger and
+// global-tag writes are recorded in txn, and taken back here when the
+// class is refused: a refused class must leave the ledgers as it found
+// them even when the transaction goes on without it (AddClassBatch keeps
+// the classes admitted before an admission failure).
 func (c *Controller) buildAssignment(cl core.Class, subs []core.Subclass, txn *RuleTxn) (*Assignment, error) {
 	subs, err := expandForCapacity(cl, subs)
 	if err != nil {
@@ -173,10 +171,6 @@ func (c *Controller) buildAssignment(cl core.Class, subs []core.Subclass, txn *R
 		}
 		a.subs = append(a.subs, subRecord{hops: sub.Hops, portion: sub.Portion, weight: sub.Portion, tag: tag})
 	}
-	if err := c.preallocHostTags(a); err != nil {
-		c.refuseAssignment(txn, a, charged)
-		return nil, err
-	}
 	a.gen = c.nextGen()
 	return a, nil
 }
@@ -221,51 +215,6 @@ func (c *Controller) journalAdmit(a *Assignment) {
 	}
 }
 
-// preallocHostTags touches every host tag the class's rules will carry, in
-// the exact order emitClassRules first touches them: host-match targets,
-// then classification next-host tags, then vSwitch exit tags per
-// sub-class. The allocator memoizes, so repeat touches are no-ops and the
-// tag table depends only on arrival order — which is what keeps the emit
-// stage a read-only pass over the allocator.
-func (c *Controller) preallocHostTags(a *Assignment) error {
-	cl := a.Class
-	for _, r := range a.subs {
-		for _, h := range r.hops {
-			if _, err := c.alloc.HostTag(cl.Path[h]); err != nil {
-				return fmt.Errorf("controller: %w", err)
-			}
-		}
-	}
-	// Classification: a sub-class whose first hop is off-ingress carries a
-	// SetHostTag action, but only when it received prefix blocks (zero
-	// weights get none).
-	blocks, err := a.classificationBlocks()
-	if err != nil {
-		return err
-	}
-	ingress := cl.Path[0]
-	for s, bs := range blocks {
-		if len(bs) == 0 {
-			continue
-		}
-		if first := cl.Path[a.subs[s].hops[0]]; first != ingress {
-			if _, err := c.alloc.HostTag(first); err != nil {
-				return fmt.Errorf("controller: %w", err)
-			}
-		}
-	}
-	// vSwitch exit rules rewrite the tag toward the next run's switch.
-	for _, r := range a.subs {
-		runs := chainRuns(r.hops)
-		for ri := 0; ri+1 < len(runs); ri++ {
-			if _, err := c.alloc.HostTag(cl.Path[runs[ri+1].hop]); err != nil {
-				return fmt.Errorf("controller: %w", err)
-			}
-		}
-	}
-	return nil
-}
-
 // Table keys of the three kinds of table a class's rules live in.
 func routingKey(v topology.NodeID) tableKey {
 	return tableKey{dev: device{node: v}, table: TableRouting}
@@ -277,97 +226,6 @@ func appleKey(v topology.NodeID) tableKey {
 
 func steeringKey(v topology.NodeID) tableKey {
 	return tableKey{dev: device{vswitch: true, node: v}, table: host.TableSteering}
-}
-
-// emitClassRules compiles an admitted class into one batch per table it
-// touches, tables in the order emission first reaches them and, within a
-// table, operations in install order: routing along the path, host-match
-// at processing switches (both skip-if-present: other classes share them),
-// ingress classification (remove-then-install), and vSwitch steering per
-// sub-class. A layout pass counts what each table will receive (the
-// ingress APPLE table's count is completed when the split is made), so
-// every rule is written once into a batch that never regrows. Pure with
-// respect to controller state: it writes nothing but the batches it
-// returns and, through the action memo, no value any rule carries.
-func (c *Controller) emitClassRules(a *Assignment) ([]tableBatch, error) {
-	cl := a.Class
-	ingress := cl.Path[0]
-	// Tables touched: routing along the path; the APPLE and steering tables
-	// of the processing switches, at most one per hop entry; the ingress
-	// APPLE table.
-	hops := 0
-	for _, r := range a.subs {
-		hops += len(r.hops)
-	}
-	g := c.arena.groups(len(cl.Path) + 2*min(len(cl.Path), hops) + 1)
-	for _, v := range cl.Path {
-		g.reserve(routingKey(v), 1)
-	}
-	for _, r := range a.subs {
-		for _, h := range r.hops {
-			g.reserve(appleKey(cl.Path[h]), 1)
-		}
-	}
-	// The ingress APPLE table takes its place here and its size below,
-	// once the split is known.
-	g.reserve(appleKey(ingress), 0)
-	runs := make([][]chainRun, len(a.subs))
-	for s, r := range a.subs {
-		runs[s] = chainRuns(r.hops)
-		// Steering per run: the uplink entry, one rule per chain hop
-		// inside the host, and the exit.
-		for _, r := range runs[s] {
-			g.reserve(steeringKey(cl.Path[r.hop]), r.end-r.start+2)
-		}
-	}
-
-	if err := c.emitRouting(g, cl); err != nil {
-		return nil, err
-	}
-	// Host-match rules at processing switches (idempotent). The ingress's
-	// own leads the classification rules in one batch, so it is built here
-	// and added below, once that batch is sized.
-	var ingressMatch flowtable.BatchOp
-	atIngress := 0
-	for _, r := range a.subs {
-		for _, h := range r.hops {
-			op, err := c.hostMatchOp(cl.Path[h])
-			if err != nil {
-				return nil, err
-			}
-			if cl.Path[h] == ingress {
-				ingressMatch = op
-				atIngress++
-				continue
-			}
-			g.add(appleKey(cl.Path[h]), op)
-		}
-	}
-	// The split is made here, between the last host-match rule and the
-	// classification rules, and not in the layout pass. Its scratch slices
-	// are a few bytes each; Go packs objects that small into shared
-	// 16-byte blocks, next to the rules' names and match fields, and a
-	// block lives as long as any rule in it. Made ahead of the routing
-	// rules, the split left 0.4 MB more of those blocks pinned behind a
-	// 41k-class FatTree than it does from here.
-	blocks, err := a.classificationBlocks()
-	if err != nil {
-		return nil, err
-	}
-	g.reserve(appleKey(ingress), classificationSize(blocks))
-	for ; atIngress > 0; atIngress-- {
-		g.add(appleKey(ingress), ingressMatch)
-	}
-	if err := c.emitClassification(g, a, blocks); err != nil {
-		return nil, err
-	}
-	// vSwitch steering everywhere.
-	for s := range a.subs {
-		if err := c.emitVSwitchRules(g, a, s, runs[s]); err != nil {
-			return nil, err
-		}
-	}
-	return g.tables, nil
 }
 
 // emitRouting compiles the routing rules along the class path into the
@@ -439,8 +297,8 @@ func (c *Controller) install(pl *flowtable.Pipeline, table int, r flowtable.Rule
 }
 
 // classificationBlocks normalizes the class's current weights and splits
-// them onto the address grid — the shared core of classification emission
-// and admit-stage tag preallocation.
+// them onto the address grid: what the flip step compiles, and what
+// sameClassification compares.
 func (a *Assignment) classificationBlocks() ([][]headerspace.PrefixBlock, error) {
 	wsum := 0.0
 	for _, r := range a.subs {

@@ -6,19 +6,24 @@ package controller
 // RuleTxn.installNew, in four stages, all on the calling goroutine:
 //
 //  1. admit (arrival order): validation, sub-class derivation (greedy
-//     online planning, or the staged distribution), instance picking, tag
-//     allocation, and registration in the assignment store. Everything
-//     whose outcome depends on who came first happens here.
-//  2. emit: pure compilation of each admitted class into one right-sized
-//     batch per table it touches, written once, in the order emission
-//     first reaches each table. No controller state is written; tag
-//     lookups hit the allocator's memoized table populated by admit.
-//  3. apply (one batch per device table): a batch of one class applies its
-//     batches as emitted; a larger batch first concatenates them per table,
-//     preserving both arrival order and each class's internal emission
-//     order. Each table is installed in one critical section via
-//     flowtable.ApplyBatchUndo — the batched-TCAM-update analogue of
-//     coalescing per-switch OpenFlow barriers.
+//     online planning, or the staged distribution), instance picking,
+//     sub-class tag allocation, and registration in the assignment store.
+//     Everything whose outcome depends on who came first happens here.
+//  2. emit: each admitted class is compiled as a cutover from nothing, by
+//     the cutover's own compilers: its make step (makeRules(nil, a):
+//     routing, host-match rules and steering) and its flip step
+//     (flipRules(nil, a): the ingress classification), each one
+//     right-sized batch per table, written once. The make step draws the
+//     host tags the class's rules carry, class by class; nothing else of
+//     the controller is written.
+//  3. apply (one batch per device table and step): every class's make
+//     batches, then every class's flip batches, so no classification is
+//     published before the steering it leads to. A run of one class
+//     applies its batches as compiled; a larger run first concatenates
+//     each step's batches per table, preserving both arrival order and
+//     each class's internal order. Each table is installed in one critical
+//     section via flowtable.ApplyBatchUndo — the batched-TCAM-update
+//     analogue of coalescing per-switch OpenFlow barriers.
 //  4. verify (optional): CheckClassEnforcement re-injects probe packets
 //     for every admitted class.
 //
@@ -176,8 +181,9 @@ type ruleGroups struct {
 	arena  *ruleArena
 }
 
-// Sizes of the rule arena: room for one FatTree class's emission (eight
-// tables, ten operations) or the removal batches of a few classes.
+// Sizes of the rule arena: room for one FatTree class's make and flip
+// steps (eight tables, ten operations) or the removal batches of a few
+// classes.
 const (
 	arenaTables = 16
 	arenaOps    = 16
@@ -248,10 +254,10 @@ func (g *ruleGroups) add(k tableKey, op flowtable.BatchOp) {
 	b.ops = append(b.ops, op)
 }
 
-// mergeBatches concatenates the per-class batches of an install run per
-// table: tables in first-appearance order and, within a table, class-major
-// emission order, each merged batch allocated once. A run of one class is
-// applied as emitted.
+// mergeBatches concatenates the per-class batches of one step of an
+// install run per table: tables in first-appearance order and, within a
+// table, class-major order, each merged batch allocated once. A run of one
+// class is applied as compiled.
 func mergeBatches(perClass [][]tableBatch) []tableBatch {
 	if len(perClass) == 1 {
 		return perClass[0]
@@ -368,60 +374,70 @@ func (t *RuleTxn) installNew(ops []txnOp, verify bool) (int, error) {
 	t.runAdmitted = admitted
 	metrics.FlowSetup.Arrivals.Add(int64(len(admitted)))
 
-	// Stage 2 — emit. Pure: reads admit-stage state only.
+	// Stage 2 — emit: each class compiled as a cutover from nothing, its
+	// make step in compiled[i] and its flip in compiled[n+i].
 	if err := t.failEach("add:emit", admitted); err != nil {
 		return 0, err
 	}
-	staged := emptyWithRoom(t.runEmitted, len(admitted))[:len(admitted)]
-	t.runEmitted = staged
-	for i, a := range admitted {
-		var err error
-		if staged[i], err = c.emitClassRules(a); err != nil {
-			return 0, err
-		}
-	}
+	n := len(admitted)
+	compiled := emptyWithRoom(t.runEmitted, 2*n)[:2*n]
+	t.runEmitted = compiled
 	stagedRules := 0
 	for i, a := range admitted {
-		n := 0
-		for _, b := range staged[i] {
-			n += len(b.ops)
+		var err error
+		if compiled[i], err = c.makeRules(nil, a); err != nil {
+			return 0, err
 		}
-		stagedRules += n
+		if compiled[n+i], err = c.flipRules(nil, a); err != nil {
+			return 0, err
+		}
+		rules := 0
+		for _, step := range [2][]tableBatch{compiled[i], compiled[n+i]} {
+			for _, b := range step {
+				rules += len(b.ops)
+			}
+		}
+		stagedRules += rules
 		if c.tracer.Enabled() {
 			c.tracer.Emit(trace.Ev(trace.KindFlowEmit).
-				WithClass(int64(a.Class.ID)).WithVal(int64(n)))
+				WithClass(int64(a.Class.ID)).WithVal(int64(rules)))
 		}
 	}
 	metrics.FlowSetup.StagedRules.Add(int64(stagedRules))
 
-	// Stage 3 — one batch per device table, preserving arrival-major
-	// emission order, each applied in one critical section.
+	// Stage 3 — make, then flip: each step one batch per device table,
+	// preserving arrival-major emission order, each applied in one
+	// critical section. No class's classification is published before
+	// every class's steering stands.
 	if err := t.failEach("add:apply", admitted); err != nil {
 		return 0, err
 	}
-	batches := mergeBatches(staged)
+	steps := [2][]tableBatch{mergeBatches(compiled[:n]), mergeBatches(compiled[n:])}
 	// Each device programs its own TCAM, so a run's simulated programming
 	// time is the makespan: the slowest device's installs (its tables
 	// program back to back) times the per-rule latency.
 	if t.runPerDevice == nil {
-		t.runPerDevice = make(map[device]int, len(batches))
+		t.runPerDevice = make(map[device]int, len(steps[0]))
 	}
 	perDevice := t.runPerDevice
 	clear(perDevice)
 	slowest := 0
-	t.undo = slices.Grow(t.undo, len(batches))
+	t.undo = slices.Grow(t.undo, len(steps[0])+len(steps[1]))
 	var applyErr error
-	for _, b := range batches {
-		var n int
-		n, applyErr = t.apply(b.key, b.ops)
-		perDevice[b.key.dev] += n
-		slowest = max(slowest, perDevice[b.key.dev])
-		if applyErr != nil {
-			break
-		}
-		if c.tracer.Enabled() {
-			c.tracer.Emit(trace.Ev(trace.KindFlowApply).
-				WithNode(int64(b.key.dev.node)).WithVal(int64(n)))
+apply:
+	for _, batches := range steps {
+		for _, b := range batches {
+			var rules int
+			rules, applyErr = t.apply(b.key, b.ops)
+			perDevice[b.key.dev] += rules
+			slowest = max(slowest, perDevice[b.key.dev])
+			if applyErr != nil {
+				break apply
+			}
+			if c.tracer.Enabled() {
+				c.tracer.Emit(trace.Ev(trace.KindFlowApply).
+					WithNode(int64(b.key.dev.node)).WithVal(int64(rules)))
+			}
 		}
 	}
 	metrics.FlowSetup.SimInstall.Add(int64(slowest) * int64(c.orch.Latencies().RuleInstall))

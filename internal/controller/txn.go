@@ -12,15 +12,18 @@ package controller
 //	stage      — callers declare class-set deltas (adds, updates,
 //	             removals). Nothing is touched.
 //	commit     — deltas execute in add → update → remove order (a
-//	             handler reshape commits with the updates). New
-//	             classes go through the class-install pipeline
-//	             (installNew, setup.go), one class per run. An update, a
-//	             reshape and a removal are one cutover each (cutover):
-//	             what the next assignment needs is installed before the
-//	             classification flips to it and what the live one had is
-//	             retired, and each flow table changes in single
-//	             ApplyBatch critical sections (the copy-on-write matcher
-//	             publishes old/new atomically per table).
+//	             handler reshape commits with the updates). Every delta
+//	             is a cutover from the live assignment to the next one,
+//	             compiled by the same three functions (makeRules,
+//	             flipRules, retireRules): what the next assignment needs
+//	             is installed before the classification flips to it and
+//	             what the live one had is retired. An update, a reshape
+//	             and a removal are one cutover each (cutover). A new
+//	             class is a cutover from nothing — make, then flip —
+//	             through the class-install pipeline (installNew,
+//	             setup.go), one class per run. Each flow table changes in
+//	             single ApplyBatch critical sections (the copy-on-write
+//	             matcher publishes old/new atomically per table).
 //	verify     — optional enforcement probes after each class's rules
 //	             land; an optional audit hook (CheckInvariants in the
 //	             harnesses) runs at every class boundary, proving the
@@ -143,8 +146,9 @@ type txnScratch struct {
 	prevOrder  []core.ClassID
 	// Instances provisioned during the txn.
 	provisioned []vnf.ID
-	// One install-pipeline run's admitted assignments, their emitted
-	// batches and the rules installed per device (installNew).
+	// One install-pipeline run's admitted assignments, their make batches
+	// then their flip batches, and the rules installed per device
+	// (installNew).
 	runAdmitted  []*Assignment
 	runEmitted   [][]tableBatch
 	runPerDevice map[device]int
@@ -391,6 +395,9 @@ func (t *RuleTxn) unwind(cause error) {
 		if tbl, err := c.deviceTable(u.key.dev, u.key.table); err == nil {
 			tbl.Revert(u.token)
 			restored[u.key] = true
+			if c.published != nil {
+				c.published(u.key)
+			}
 		}
 	}
 	for i := len(t.admitted) - 1; i >= 0; i-- {
@@ -453,12 +460,11 @@ type tableUndo struct {
 
 // reserveUndo sizes the undo list once for a transaction of staged
 // placement installs, instead of regrowing it run by run. A class
-// installed from a distribution touches the routing table of each switch
-// on its path, the APPLE and steering tables of each switch that
-// processes a share of it, and the ingress APPLE table: at most
-// len(Path)+2P+1 batches for P processing positions, the bound
-// emitClassRules sizes its groups by. Each switch may also take the
-// pass-by row, once.
+// installed from a distribution takes, in its make step, a batch for the
+// routing table of each switch on its path and for the APPLE and steering
+// tables of each switch that processes a share of it, and in its flip step
+// one for the ingress APPLE table: at most len(Path)+2P+1 batches for P
+// processing positions. Each switch may also take the pass-by row, once.
 func (t *RuleTxn) reserveUndo() {
 	n := len(t.undo)
 	if !t.c.passByDone {
@@ -480,10 +486,14 @@ func (t *RuleTxn) reserveUndo() {
 }
 
 // recordUndo keeps a batch's undo token for unwind and accounts the
-// rules the batch removed.
+// rules the batch removed. Every batch a transaction applies — apply's and
+// the pass-by rows — ends here, once its table is published.
 func (t *RuleTxn) recordUndo(k tableKey, u flowtable.Undo) {
 	t.undo = append(t.undo, tableUndo{key: k, token: u})
 	t.removed += u.Removed()
+	if t.c.published != nil {
+		t.c.published(k)
+	}
 }
 
 // applyEach applies batches in order, one table at a time.
@@ -691,7 +701,9 @@ func (t *RuleTxn) buildUpdate(op txnOp) (*Assignment, error) {
 //     while an update's next was charged when it was built.
 //
 // Each flow table changes in single ApplyBatch critical sections, so a
-// packet meets a table's complete old or complete new rule set.
+// packet meets a table's complete old or complete new rule set. A new
+// class has no live assignment: installNew compiles it with steps 1 and 2
+// from nothing and applies them in that order, and fires no cutover point.
 func (t *RuleTxn) cutover(old, next *Assignment, keepsBase bool) error {
 	c := t.c
 	id := old.Class.ID
@@ -745,10 +757,10 @@ func (t *RuleTxn) cutover(old, next *Assignment, keepsBase bool) error {
 
 // keepsSteering reports whether sub-class s of next stands as old's does:
 // the same path, chain, hop vector, tag and instance row, so its steering
-// compiles to the rules already installed. Nothing stands when next is
-// nil.
+// compiles to the rules already installed. Nothing stands when old or next
+// is nil.
 func keepsSteering(old, next *Assignment, s int) bool {
-	return next != nil && s < len(old.subs) && s < len(next.subs) &&
+	return old != nil && next != nil && s < len(old.subs) && s < len(next.subs) &&
 		old.subs[s].tag == next.subs[s].tag &&
 		slices.Equal(old.subs[s].hops, next.subs[s].hops) &&
 		slices.Equal(old.Instances(s), next.Instances(s)) &&
@@ -756,9 +768,10 @@ func keepsSteering(old, next *Assignment, s int) bool {
 		old.Class.Chain.Equal(next.Class.Chain)
 }
 
-// visits reports whether sub-class s of a processes at switch v.
+// visits reports whether sub-class s of a processes at switch v. A nil
+// assignment visits nothing.
 func (a *Assignment) visits(s int, v topology.NodeID) bool {
-	if s >= len(a.subs) {
+	if a == nil || s >= len(a.subs) {
 		return false
 	}
 	for _, h := range a.subs[s].hops {
@@ -774,9 +787,12 @@ func (a *Assignment) visits(s int, v topology.NodeID) bool {
 // per sub-class of next that old's steering does not serve, the host-match
 // rule of each switch it processes at and its steering there, behind the
 // removal of old's same-index rules on a host old's sub-class visits too.
+// A nil old is a class install: the path is new and no sub-class is kept.
+// The host tags the rules carry are drawn here, sub-class by sub-class in
+// hop order, so the allocator's table follows the order classes are made.
 func (c *Controller) makeRules(old, next *Assignment) ([]tableBatch, error) {
 	cl := next.Class
-	newPath := !slices.Equal(old.Class.Path, cl.Path)
+	newPath := old == nil || !slices.Equal(old.Class.Path, cl.Path)
 	runs := make([][]chainRun, len(next.subs))
 	tables := 0
 	for s, r := range next.subs {
@@ -816,7 +832,7 @@ func (c *Controller) makeRules(old, next *Assignment) ([]tableBatch, error) {
 		if runs[s] == nil {
 			continue
 		}
-		replaced := flowtable.BatchOp{Remove: fmt.Sprintf("vsw-%d-%d", cl.ID, s)}
+		var replaced flowtable.BatchOp
 		for _, r := range runs[s] {
 			v := cl.Path[r.hop]
 			op, err := c.hostMatchOp(v)
@@ -825,6 +841,9 @@ func (c *Controller) makeRules(old, next *Assignment) ([]tableBatch, error) {
 			}
 			g.add(appleKey(v), op)
 			if old.visits(s, v) {
+				if replaced.Remove == "" {
+					replaced.Remove = fmt.Sprintf("vsw-%d-%d", cl.ID, s)
+				}
 				g.add(steeringKey(v), replaced)
 			}
 		}
@@ -838,7 +857,8 @@ func (c *Controller) makeRules(old, next *Assignment) ([]tableBatch, error) {
 // flipRules compiles the cutover's flip: next's classification at its
 // ingress behind the removal of the class's rules there, or that removal
 // alone at old's ingress when next is nil. It compiles nothing when
-// next's classification is the one installed (sameClassification).
+// next's classification is the one installed (sameClassification); a nil
+// old, a class install, has none installed.
 func (c *Controller) flipRules(old, next *Assignment) ([]tableBatch, error) {
 	g := c.arena.groups(1)
 	if next == nil {
@@ -851,7 +871,7 @@ func (c *Controller) flipRules(old, next *Assignment) ([]tableBatch, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sameClassification(old, next, blocks) {
+	if old != nil && sameClassification(old, next, blocks) {
 		return nil, nil
 	}
 	g.reserve(appleKey(next.Class.Path[0]), classificationSize(blocks))

@@ -172,7 +172,7 @@ func classRates(prob *core.Problem, tm *traffic.Matrix) map[core.ClassID]float64
 // test fails: flip it into an assertion that no class fails.
 func TestKnownGapFinding2(t *testing.T) {
 	n := 256
-	if raceDetector {
+	if controller.RaceDetector {
 		n = 16
 	}
 	builds := []func(experiments.Options) (*experiments.Scenario, error){

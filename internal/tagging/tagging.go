@@ -19,9 +19,9 @@ import (
 // the next APPLE host to process a packet); sub-class IDs are only
 // meaningful within a class and are multiplexed across classes (§V-B).
 // The allocator is safe for concurrent use. The controller calls it from
-// its one control-plane goroutine: the flow-setup pipeline's admit stage
-// pre-allocates every tag a class will reference, so the emit stage only
-// performs read-through lookups here.
+// its one control-plane goroutine: a host's tag is drawn when a class's
+// make step first names the host, so the tag table follows the order
+// classes are made in.
 type Allocator struct {
 	mu       sync.Mutex
 	hostTags map[topology.NodeID]uint16 // guarded by mu
