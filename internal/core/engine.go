@@ -37,9 +37,6 @@ type EngineOptions struct {
 	// rounding. Only practical for small instances; the paper (and this
 	// engine by default) uses the relaxation.
 	Exact bool
-	// MaxRepairRounds bounds the round-and-repair loop (default
-	// defaultRepairRounds).
-	MaxRepairRounds int
 	// MaxAffinityRounds bounds anti-affinity evictions per solve (default
 	// defaultAffinityRounds). Each eviction zeroes one q variable and warm
 	// re-solves, and can surface new resource violations, so the cap is
@@ -56,8 +53,9 @@ type EngineOptions struct {
 	Tracer *trace.Recorder
 }
 
-// The round-and-repair bounds both engines default to: resource caps, and
-// anti-affinity evictions, per solve.
+// The round-and-repair bounds per solve, shared by both engines: resource
+// caps, and anti-affinity evictions (Engine's default, which
+// EngineOptions.MaxAffinityRounds overrides).
 const (
 	defaultRepairRounds   = 25
 	defaultAffinityRounds = 64
@@ -70,9 +68,6 @@ type Engine struct {
 
 // NewEngine creates an engine.
 func NewEngine(opts EngineOptions) *Engine {
-	if opts.MaxRepairRounds <= 0 {
-		opts.MaxRepairRounds = defaultRepairRounds
-	}
 	if opts.MaxAffinityRounds <= 0 {
 		opts.MaxAffinityRounds = defaultAffinityRounds
 	}
@@ -237,8 +232,8 @@ func (e *Engine) solveModel(md *model) (*Placement, int, error) {
 	recordSolve(md.m, solver, &sol, false)
 	r := &repairer{
 		md: md, solver: solver,
-		maxRounds: e.opts.MaxRepairRounds, maxEvicts: e.opts.MaxAffinityRounds,
-		tracer: e.opts.Tracer,
+		maxEvicts: e.opts.MaxAffinityRounds,
+		tracer:    e.opts.Tracer,
 	}
 	pl, err := r.place(sol, nil)
 	iters := sol.Iterations + r.iters
@@ -274,7 +269,6 @@ var errRepairAbort = errors.New("core: repair aborted")
 type repairer struct {
 	md        *model
 	solver    *lp.Solver
-	maxRounds int // resource caps allowed
 	maxEvicts int // anti-affinity evictions allowed
 	tracer    *trace.Recorder
 
@@ -303,7 +297,7 @@ func (r *repairer) place(sol lp.Solution, active func(Class) bool) (*Placement, 
 func (r *repairer) repair(sol lp.Solution) (map[topology.NodeID]map[policy.NF]int, error) {
 	counts := extractCounts(r.md, &sol, true)
 	if violSwitch, ok := findViolatedSwitch(r.md.prob, counts); ok {
-		if r.rounds >= r.maxRounds {
+		if r.rounds >= defaultRepairRounds {
 			return nil, fmt.Errorf("core: could not repair resource violation at switch %d after %d rounds",
 				violSwitch, r.rounds)
 		}

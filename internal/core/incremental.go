@@ -148,8 +148,7 @@ func (e *IncrementalEngine) Place(rates map[ClassID]float64) (pl *Placement, st 
 	// Round-and-repair, warm throughout, over this engine's long-lived
 	// solver.
 	r := &repairer{
-		md: e.md, solver: e.solver,
-		maxRounds: defaultRepairRounds, maxEvicts: defaultAffinityRounds,
+		md: e.md, solver: e.solver, maxEvicts: defaultAffinityRounds,
 	}
 	pl, err = r.place(sol, func(c Class) bool { return rates[c.ID] > 0 })
 	st.Pivots += r.iters
