@@ -3,7 +3,8 @@ FUZZTIME ?= 20s
 FUZZ_TARGETS := ./internal/flowtable:FuzzMatchLookup ./internal/flowtable:FuzzTableOps \
 	./internal/flowtable:FuzzSubsumes ./internal/flowtable:FuzzPrefixContains \
 	./internal/bdd:FuzzStoreOps ./internal/headerspace:FuzzClassifierOps ./internal/lp:FuzzSolverOps \
-	./internal/controller:FuzzSameSplit ./internal/core:FuzzGreedyDist
+	./internal/controller:FuzzSameSplit ./internal/controller:FuzzTagDiscipline \
+	./internal/core:FuzzGreedyDist
 
 # check is what CI's check job runs (followed by cover); lint, trace-smoke
 # and fuzz are the other three CI jobs. Performance is measured by the one

@@ -190,13 +190,6 @@ type Controller struct {
 	// measured 70 ms when driven through the clock. Atomic: read by
 	// RuleUpdates from goroutines other than the writer.
 	ruleUpdates atomic.Int64
-	// hostGlobalTags tracks, per hosting switch, the global sub-class
-	// tags in use by header-rewriting classes steered through its APPLE
-	// host (§X). Their vSwitch rules match ⟨in-port, tag⟩ without a
-	// source prefix, so two such classes visiting the same host must not
-	// share a tag. txn-owned: admit and re-optimization paths mutate it
-	// only through staged RuleTxn ops.
-	hostGlobalTags map[topology.NodeID]map[uint8]bool
 	// tracer journals flow-setup and failover events on the virtual
 	// clock; nil (the default) disables tracing with no allocation on the
 	// setup hot path. Set at construction, never mutated afterwards.
@@ -284,19 +277,18 @@ func New(cfg Config) (*Controller, error) {
 	}
 	orch.SetTracer(cfg.Tracer)
 	c := &Controller{
-		g:              cfg.Topology,
-		clock:          cfg.Clock,
-		orch:           orch,
-		alloc:          tagging.NewAllocator(),
-		switches:       make(map[topology.NodeID]*Switch),
-		hosts:          make(map[topology.NodeID]*host.Host),
-		nbrPort:        make(map[topology.NodeID]map[topology.NodeID]int),
-		assign:         newAssignStore(),
-		instPool:       make(map[topology.NodeID]map[policy.NF][]*vnf.Instance),
-		instPortion:    make(map[vnf.ID]float64),
-		hostGlobalTags: make(map[topology.NodeID]map[uint8]bool),
-		tracer:         cfg.Tracer,
-		actions:        make(actionMemo),
+		g:           cfg.Topology,
+		clock:       cfg.Clock,
+		orch:        orch,
+		alloc:       tagging.NewAllocator(),
+		switches:    make(map[topology.NodeID]*Switch),
+		hosts:       make(map[topology.NodeID]*host.Host),
+		nbrPort:     make(map[topology.NodeID]map[topology.NodeID]int),
+		assign:      newAssignStore(),
+		instPool:    make(map[topology.NodeID]map[policy.NF][]*vnf.Instance),
+		instPortion: make(map[vnf.ID]float64),
+		tracer:      cfg.Tracer,
+		actions:     make(actionMemo),
 	}
 	for _, n := range cfg.Topology.Nodes() {
 		pl, err := flowtable.NewPipeline(2)
@@ -534,13 +526,15 @@ func (c *Controller) findInstance(id vnf.ID) (*vnf.Instance, error) {
 
 // Tag space split (§X): classes whose chains keep headers intact multiplex
 // tags [0, globalTagBase) per class; header-rewriting chains draw tags
-// from [globalTagBase, MaxSubTag], unique among classes sharing an
-// instance (their steering rules match the tag without a source prefix).
+// from [globalTagBase, MaxSubTag], unique among classes sharing a host:
+// their steering rules match ⟨in-port, tag⟩ without a source prefix.
+// Which global tags a host holds is read off the class records
+// (globalTags); nothing else records it.
 const globalTagBase = 32
 
 // subclassHosts returns the distinct hosting switches a sub-class with
-// the given hop vector visits. Only header-rewriting classes need them to
-// allocate a tag; every class needs them to find its steering rules.
+// the given hop vector visits: every class needs them to find its
+// steering rules, and a header-rewriting class's tag is unique on them.
 func subclassHosts(cl core.Class, hops []int) []topology.NodeID {
 	seen := make(map[topology.NodeID]bool, len(hops))
 	var out []topology.NodeID
@@ -554,11 +548,32 @@ func subclassHosts(cl core.Class, hops []int) []topology.NodeID {
 	return out
 }
 
+// globalTags returns the tags of a's sub-classes that visit any of hosts,
+// bit t for tag t, when a is a header-rewriting class, and none otherwise.
+// A nil assignment holds none.
+func (a *Assignment) globalTags(hosts []topology.NodeID) uint64 {
+	if a == nil || !a.Global {
+		return 0
+	}
+	var set uint64
+	for s, r := range a.subs {
+		for _, v := range hosts {
+			if a.visits(s, v) {
+				set |= 1 << r.tag
+				break
+			}
+		}
+	}
+	return set
+}
+
 // allocSubTagFor hands the tag for the assignment's next sub-class, given
 // the hop vector that sub-class will follow: the sub-class index for
 // normal classes; for header-rewriting classes, the smallest upper-half
-// tag free on every hosting switch it visits, which it marks used
-// (recorded in txn; nil outside a transaction).
+// tag that none of the class's own sub-classes holds (they share the
+// ingress classification stage) and that no other header-rewriting
+// sub-class holds on a hosting switch it visits: neither an installed one
+// nor one that a reshape staged in txn (nil outside a transaction) adds.
 func (c *Controller) allocSubTagFor(a *Assignment, hops []int, txn *RuleTxn) (uint8, error) {
 	if !a.Global {
 		idx := len(a.subs)
@@ -568,42 +583,22 @@ func (c *Controller) allocSubTagFor(a *Assignment, hops []int, txn *RuleTxn) (ui
 		return uint8(idx), nil
 	}
 	hosts := subclassHosts(a.Class, hops)
-	for tag := uint8(globalTagBase); tag <= uint8(flowtable.MaxSubTag); tag++ {
-		free := true
-		for _, v := range hosts {
-			if c.hostGlobalTags[v][tag] {
-				free = false
-				break
-			}
+	var used uint64
+	for _, r := range a.subs {
+		used |= 1 << r.tag
+	}
+	used |= c.assign.globalTags(hosts)
+	if txn != nil {
+		for _, op := range txn.staged {
+			used |= op.next.globalTags(hosts)
 		}
-		// The tag must also differ from the class's own other sub-classes
-		// (they share the ingress classification stage).
-		for _, r := range a.subs {
-			if r.tag == tag {
-				free = false
-				break
-			}
+	}
+	for tag := uint8(globalTagBase); tag <= flowtable.MaxSubTag; tag++ {
+		if used&(1<<tag) == 0 {
+			return tag, nil
 		}
-		if !free {
-			continue
-		}
-		for _, v := range hosts {
-			c.setGlobalTag(txn, v, tag, true)
-		}
-		return tag, nil
 	}
 	return 0, fmt.Errorf("controller: no conflict-free global tag for class %d (hosts too shared)", a.Class.ID)
-}
-
-// releaseSubTag frees the global tag of a class's sub-class s from its
-// hosts: when a cutover retires the sub-class or an install aborts.
-func (c *Controller) releaseSubTag(a *Assignment, s int, txn *RuleTxn) {
-	if !a.Global {
-		return
-	}
-	for _, v := range subclassHosts(a.Class, a.subs[s].hops) {
-		c.setGlobalTag(txn, v, a.subs[s].tag, false)
-	}
 }
 
 // nextGen hands out a new assignment generation.

@@ -466,7 +466,8 @@ func (d *DynamicHandler) overload(instID vnf.ID, rates map[core.ClassID]float64,
 				}
 				inst, err := d.c.findInstance(other)
 				if err != nil {
-					// Take back the tags re-pins drew for earlier classes.
+					// End the transaction: the reshapes staged so far
+					// are dropped.
 					txn.open()
 					txn.unwind(err)
 					return err
@@ -537,8 +538,9 @@ func (d *DynamicHandler) overload(instID vnf.ID, rates map[core.ClassID]float64,
 // repin moves up to *remaining weight of sub-class src's position j onto
 // existing running instances with spare capacity, creating sibling
 // sub-classes whose hop vector differs only at position j within the
-// order-compatible window. It reshapes the clone a and updates loads;
-// a new sub-class's global tag is recorded in txn, which commits a.
+// order-compatible window. It reshapes the clone a and updates loads; a
+// new sub-class's global tag avoids those of the reshapes staged in txn,
+// which commits a.
 func (d *DynamicHandler) repin(txn *RuleTxn, a *Assignment, src, j int, remaining *float64, rate float64, loads map[vnf.ID]float64) {
 	if rate <= 0 {
 		return

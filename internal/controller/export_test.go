@@ -25,13 +25,9 @@ func (c *Controller) PooledInstances() int {
 }
 
 // GlobalTags returns, per hosting switch, the global sub-class tags the
-// ledger marks used there, ascending.
+// installed header-rewriting sub-classes hold there, ascending.
 func (c *Controller) GlobalTags() map[topology.NodeID][]uint8 {
-	out := make(map[topology.NodeID][]uint8, len(c.hostGlobalTags))
-	for v, tags := range c.hostGlobalTags {
-		out[v] = sortedKeys(tags)
-	}
-	return out
+	return c.Snapshot().GlobalTags
 }
 
 // Tag returns sub-class s's data-plane tag.

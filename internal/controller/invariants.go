@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"github.com/apple-nfv/apple/internal/core"
+	"github.com/apple-nfv/apple/internal/topology"
 	"github.com/apple-nfv/apple/internal/vnf"
 )
 
@@ -22,8 +23,8 @@ const weightTol = 1e-6
 //     than base ones, with non-negative weights summing to the base
 //     sub-classes' planned portions (weight conservation);
 //   - tags: local classes tag sub-class s with s; header-rewriting classes
-//     use distinct upper-half tags registered on every visited host, and
-//     no host carries an orphaned global-tag registration;
+//     use distinct upper-half tags, and no two of them share a tag at a
+//     host they both visit (their steering matches ⟨in-port, tag⟩ alone);
 //   - vSwitch rules: every live sub-class has its steering rules on
 //     every host it visits, and no host carries a stale "vsw-*" rule for
 //     a sub-class that no longer exists;
@@ -44,6 +45,13 @@ const weightTol = 1e-6
 //     type (unless mid-reconfiguration or dead), exactly once.
 func (d *DynamicHandler) CheckInvariants() error {
 	c := d.c
+	// globalOwner names the header-rewriting class holding each tag at each
+	// host.
+	type hostTag struct {
+		v   topology.NodeID
+		tag uint8
+	}
+	globalOwner := make(map[hostTag]core.ClassID)
 	// Per-class structural and conservation checks.
 	for _, id := range c.Classes() {
 		a, _ := c.assign.get(id)
@@ -86,9 +94,10 @@ func (d *DynamicHandler) CheckInvariants() error {
 			}
 			seen[tag] = true
 			for _, v := range subclassHosts(a.Class, r.hops) {
-				if !c.hostGlobalTags[v][tag] {
-					return fmt.Errorf("invariant: global class %d tag %d not registered at host %d", id, tag, v)
+				if other, ok := globalOwner[hostTag{v, tag}]; ok {
+					return fmt.Errorf("invariant: global classes %d and %d share tag %d at host %d", other, id, tag, v)
 				}
+				globalOwner[hostTag{v, tag}] = id
 			}
 		}
 		// Steering rules present for every live sub-class.
@@ -159,30 +168,6 @@ func (d *DynamicHandler) CheckInvariants() error {
 			}
 			if !visits {
 				return fmt.Errorf("invariant: stale rule %q at host %d (sub-class does not visit it)", name, v)
-			}
-		}
-	}
-	// No orphaned global-tag registrations.
-	type vtag struct {
-		v   int
-		tag uint8
-	}
-	used := make(map[vtag]bool)
-	for _, id := range c.Classes() {
-		a, _ := c.assign.get(id)
-		if !a.Global {
-			continue
-		}
-		for _, r := range a.subs {
-			for _, v := range subclassHosts(a.Class, r.hops) {
-				used[vtag{int(v), r.tag}] = true
-			}
-		}
-	}
-	for v, tags := range c.hostGlobalTags {
-		for tag, on := range tags {
-			if on && !used[vtag{int(v), tag}] {
-				return fmt.Errorf("invariant: host %d holds orphaned global tag %d", v, tag)
 			}
 		}
 	}

@@ -6,7 +6,10 @@ package controller
 // unwind reverts; the tests below walk a class's probes there.
 
 import (
+	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/apple-nfv/apple/internal/core"
@@ -218,6 +221,66 @@ func TestInstallPublicationsConsistent(t *testing.T) {
 				// admission failure, so what stands is checked as one more
 				// publication.
 				checkPublications(t, append(*pubs, publication{walks: probeWalks(t, c, classes)}), before, after)
+			}
+		})
+	}
+}
+
+// TestReshapePublicationsConsistent: per-packet consistency of the Dynamic
+// Handler's reshapes, walked at every publication. On the overload,
+// rollback, spawn-activation and NAT-overload routes of faultRoutes, each
+// probe of every installed class must walk, after every table publication
+// of the call, as it did before the call or as it does after a clean one.
+// Each route runs clean, then once more per cutover step it fires with a
+// fault injected there, walking the unwind's reverts and what the call
+// leaves: the state before the call, for every one of these routes.
+func TestReshapePublicationsConsistent(t *testing.T) {
+	for _, route := range faultRoutes {
+		if !slices.Contains([]string{"overload", "rollback", "activate", "overload-nat"}, route.name) {
+			continue
+		}
+		t.Run(route.name, func(t *testing.T) {
+			fx := route.new(t)
+			var classes []core.Class
+			for _, id := range fx.c.Classes() {
+				a, _ := fx.c.assign.get(id)
+				classes = append(classes, a.Class)
+			}
+			before := probeWalks(t, fx.c, classes)
+			var points []string
+			fx.c.failpoint = func(p string) error {
+				if strings.HasPrefix(p, "cutover:") {
+					points = append(points, p)
+				}
+				return nil
+			}
+			pubs, stop := recordPublications(t, fx.c, classes)
+			if err := fx.run(); err != nil {
+				t.Fatalf("clean run: %v", err)
+			}
+			stop()
+			after := probeWalks(t, fx.c, classes)
+			if slices.Equal(after, before) {
+				t.Fatal("the reshape moved no probe")
+			}
+			if len(*pubs) == 0 {
+				t.Fatal("no publication walked")
+			}
+			checkPublications(t, *pubs, before, after)
+
+			for _, pt := range points {
+				fx := route.new(t)
+				fx.c.failpoint = failAt(pt)
+				pubs, stop := recordPublications(t, fx.c, classes)
+				if err := fx.run(); !errors.Is(err, errInjected) {
+					t.Fatalf("fault at %s: run = %v, want the injected fault", pt, err)
+				}
+				stop()
+				left := probeWalks(t, fx.c, classes)
+				if !slices.Equal(left, before) {
+					t.Errorf("fault at %s left the probes walking otherwise than before the call", pt)
+				}
+				checkPublications(t, *pubs, before, after)
 			}
 		})
 	}

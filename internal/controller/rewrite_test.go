@@ -1,10 +1,14 @@
 package controller
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/apple-nfv/apple/internal/core"
 	"github.com/apple-nfv/apple/internal/policy"
+	"github.com/apple-nfv/apple/internal/sim"
+	"github.com/apple-nfv/apple/internal/topology"
 )
 
 // TestHeaderRewritingChainEnforced is the §X scenario: a chain containing
@@ -83,33 +87,137 @@ func TestMixedGlobalAndLocalTagsCoexist(t *testing.T) {
 	}
 }
 
+// TestGlobalTagAllocatorRecycles: a global tag is held exactly while an
+// installed sub-class carries it. A committed reshape's tail sub-class
+// keeps its tag from another draw on the same hosts; its rollback retires
+// the sub-class, and the next draw gets the tag again.
 func TestGlobalTagAllocatorRecycles(t *testing.T) {
 	classes := []core.Class{
 		{ID: 0, Path: linePath(3), Chain: policy.Chain{policy.NAT}, RateMbps: 400},
 	}
 	c, _, _, _ := setup(t, classes)
+	d, err := NewDynamicHandler(c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	live, err := c.Assignment(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := live.clone()
-	used := a.NumSubclasses()
-	hops := a.Subclass(0).Hops
-	// Allocate and release a tail tag on the same hosts; the next
-	// allocation reuses it.
-	tag, err := c.allocSubTagFor(a, hops, nil)
+	hops := live.Subclass(0).Hops
+	next := live.clone()
+	tag, err := c.allocSubTagFor(next, hops, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.addSubclass(subRecord{hops: hops, tag: tag}, 0, 0, a.Instances(0)[0])
-	c.releaseSubTag(a, used, nil)
-	a = live.clone()
-	again, err := c.allocSubTagFor(a, hops, nil)
+	next.addSubclass(subRecord{hops: hops, tag: tag}, 0, 0, next.Instances(0)[0])
+	txn := c.Begin()
+	txn.stageReshape(next)
+	if err := txn.Commit(TxnOptions{Audit: d.CheckInvariants}); err != nil {
+		t.Fatalf("reshape: %v", err)
+	}
+	if held, err := c.allocSubTagFor(live.clone(), hops, nil); err != nil || held == tag {
+		t.Fatalf("with the reshape installed, a draw on its hosts got %d (err %v); tag %d is held", held, err, tag)
+	}
+	if err := d.rollback(0); err != nil {
+		t.Fatalf("rollback: %v", err)
+	}
+	assertInvariants(t, d)
+	back, err := c.Assignment(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := c.allocSubTagFor(back.clone(), hops, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again != tag {
-		t.Fatalf("released tag %d not recycled (got %d)", tag, again)
+		t.Fatalf("rolled-back tag %d not recycled (got %d)", tag, again)
+	}
+}
+
+// natPairOnSharedFirewall installs two {NAT, Firewall} classes on a
+// 4-switch line at 400 Mbps each: each has its own NAT at switch 0, both
+// share the firewall at switch 1, and a second firewall at switch 2
+// carries nothing. The two classes visit hosts 0 and 1, so their global
+// tags differ.
+func natPairOnSharedFirewall(t *testing.T) (*Controller, *DynamicHandler) {
+	t.Helper()
+	g := lineTopo(t, 4)
+	c, err := New(Config{Topology: g, Clock: sim.New(), Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var classes []core.Class
+	dists := make(map[core.ClassID][][]float64)
+	for id := range core.ClassID(2) {
+		classes = append(classes, core.Class{ID: id, Path: linePath(4), Chain: policy.Chain{policy.NAT, policy.Firewall}, RateMbps: 400})
+		dist := zeroDist(4, 2)
+		dist[0][0], dist[1][1] = 1, 1
+		dists[id] = dist
+	}
+	pl := &core.Placement{
+		Counts: map[topology.NodeID]map[policy.NF]int{0: {policy.NAT: 2}, 1: {policy.Firewall: 1}, 2: {policy.Firewall: 1}},
+		Dist:   dists,
+	}
+	if err := c.InstallPlacement(&core.Problem{Topo: g, Classes: classes, Avail: c.Avail()}, pl); err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDynamicHandler(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a0, _ := c.assign.get(0)
+	a1, _ := c.assign.get(1)
+	if a0.Tag(0) == a1.Tag(0) || a0.Instances(0)[1] != a1.Instances(0)[1] || a0.Instances(0)[0] == a1.Instances(0)[0] {
+		t.Fatalf("fixture: tags %d/%d, instances %v/%v; want distinct tags and NATs, one firewall",
+			a0.Tag(0), a1.Tag(0), a0.Instances(0), a1.Instances(0))
+	}
+	return c, d
+}
+
+// TestStagedReshapesHoldTheirTags: one Observe at 700 Mbps a class puts
+// 1 400 Mbps on the 900 Mbps firewall two NAT classes share, and the one
+// transaction that reshapes both re-pins
+// each onto the idle firewall at switch 2. Both new sub-classes visit
+// hosts 0 and 2, where the installed classes hold the same two tags, so
+// each draws the lowest tag free of those: the same one, unless the
+// second draw sees the reshape already staged for the first class.
+func TestStagedReshapesHoldTheirTags(t *testing.T) {
+	c, d := natPairOnSharedFirewall(t)
+	if _, err := d.Observe(map[core.ClassID]float64{0: 700, 1: 700}); err != nil {
+		t.Fatalf("Observe: %v", err)
+	}
+	var added []uint8
+	for _, id := range []core.ClassID{0, 1} {
+		a, _ := c.assign.get(id)
+		if a.NumSubclasses() != 2 || a.Class.Path[a.Subclass(1).Hops[1]] != 2 {
+			t.Fatalf("class %d: %d sub-classes; want one re-pinned onto the firewall at switch 2", id, a.NumSubclasses())
+		}
+		added = append(added, a.Tag(1))
+	}
+	if added[0] == added[1] {
+		t.Fatalf("both re-pinned sub-classes carry tag %d at hosts 0 and 2", added[0])
+	}
+	assertInvariants(t, d)
+	if err := c.CheckEnforcement(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInvariantsNameSharedGlobalTag: CheckInvariants names two
+// header-rewriting classes that carry one tag at a host both visit.
+func TestInvariantsNameSharedGlobalTag(t *testing.T) {
+	c, d := natPairOnSharedFirewall(t)
+	a0, _ := c.assign.get(0)
+	a1, _ := c.assign.get(1)
+	bad := a1.clone()
+	bad.subs[0].tag = a0.Tag(0)
+	c.assign.put(1, bad)
+	err := d.CheckInvariants()
+	want := fmt.Sprintf("global classes 0 and 1 share tag %d at host 0", a0.Tag(0))
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("CheckInvariants = %v, want %q", err, want)
 	}
 }
 

@@ -118,11 +118,11 @@ func (m actionMemo) of(acts ...flowtable.Action) []flowtable.Action {
 // RuleTxn's update cutover uses it to build the replacement generation
 // while the old one is still registered (so global-tag allocation avoids
 // the live tags). Host tags are not drawn here: the make step draws them
-// when it first names a switch (makeRules). The portion-ledger and
-// global-tag writes are recorded in txn, and taken back here when the
-// class is refused: a refused class must leave the ledgers as it found
-// them even when the transaction goes on without it (AddClassBatch keeps
-// the classes admitted before an admission failure).
+// when it first names a switch (makeRules). The portion-ledger writes are
+// recorded in txn, and taken back here when the class is refused: a
+// refused class must leave the ledger as it found it even when the
+// transaction goes on without it (AddClassBatch keeps the classes admitted
+// before an admission failure).
 func (c *Controller) buildAssignment(cl core.Class, subs []core.Subclass, txn *RuleTxn) (*Assignment, error) {
 	subs, err := expandForCapacity(cl, subs)
 	if err != nil {
@@ -144,16 +144,15 @@ func (c *Controller) buildAssignment(cl core.Class, subs []core.Subclass, txn *R
 	}
 	// Assign instances first (least-portion-loaded of the right NF at the
 	// right switch); tags second, since global-tag allocation must avoid
-	// conflicts on the exact instances traversed. A sub-class's record is
-	// appended once its tag is drawn, so a refusal releases exactly the tags
-	// drawn so far.
+	// conflicts on the exact hosts traversed. A sub-class's record is
+	// appended once its tag is drawn, so the next draw avoids it.
 	var charged []portionCharge
 	for s, sub := range subs {
 		for j, nf := range cl.Chain {
 			v := cl.Path[sub.Hops[j]]
 			inst, err := c.pickInstance(v, nf)
 			if err != nil {
-				c.refuseAssignment(txn, a, charged)
+				c.refuseAssignment(txn, charged)
 				return nil, fmt.Errorf("controller: class %d sub %d position %d: %w", cl.ID, s, j, err)
 			}
 			id := inst.ID()
@@ -166,7 +165,7 @@ func (c *Controller) buildAssignment(cl core.Class, subs []core.Subclass, txn *R
 	for _, sub := range subs {
 		tag, err := c.allocSubTagFor(a, sub.Hops, txn)
 		if err != nil {
-			c.refuseAssignment(txn, a, charged)
+			c.refuseAssignment(txn, charged)
 			return nil, err
 		}
 		a.subs = append(a.subs, subRecord{hops: sub.Hops, portion: sub.Portion, weight: sub.Portion, tag: tag})
@@ -183,13 +182,10 @@ type portionCharge struct {
 }
 
 // refuseAssignment takes back a half-built assignment's ledger writes,
-// newest first, and frees the global tags it marked.
-func (c *Controller) refuseAssignment(txn *RuleTxn, a *Assignment, charged []portionCharge) {
+// newest first.
+func (c *Controller) refuseAssignment(txn *RuleTxn, charged []portionCharge) {
 	for i := len(charged) - 1; i >= 0; i-- {
 		c.setPortion(txn, charged[i].id, charged[i].pre.load, charged[i].pre.present)
-	}
-	for s := range a.subs {
-		c.releaseSubTag(a, s, txn)
 	}
 }
 

@@ -138,6 +138,18 @@ func (st *assignStore) referenced(size int) map[vnf.ID]bool {
 	return set
 }
 
+// globalTags returns the tags the installed header-rewriting sub-classes
+// hold on any of hosts, bit t for tag t (Assignment.globalTags).
+func (st *assignStore) globalTags(hosts []topology.NodeID) uint64 {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	var set uint64
+	for _, a := range st.m {
+		set |= a.globalTags(hosts)
+	}
+	return set
+}
+
 // device identifies one programmable pipeline: a physical switch's TCAM or
 // a host's vSwitch.
 type device struct {

@@ -24,7 +24,8 @@ type Snapshot struct {
 	// to each instance.
 	Portions map[vnf.ID]float64
 	// GlobalTags lists, per hosting switch, the global sub-class tags in
-	// use by header-rewriting classes steered through it, ascending.
+	// use by header-rewriting classes steered through it, ascending: read
+	// off the class records, which are the one record of them.
 	GlobalTags map[topology.NodeID][]uint8
 	// Pools lists each (switch, NF) pool's instances in pool order.
 	Pools map[topology.NodeID]map[policy.NF][]vnf.ID
@@ -67,19 +68,32 @@ type TableSnapshot struct {
 func (c *Controller) Snapshot() Snapshot {
 	s := Snapshot{
 		Portions:   make(map[vnf.ID]float64, len(c.instPortion)),
-		GlobalTags: make(map[topology.NodeID][]uint8, len(c.hostGlobalTags)),
+		GlobalTags: make(map[topology.NodeID][]uint8),
 		Pools:      make(map[topology.NodeID]map[policy.NF][]vnf.ID, len(c.instPool)),
 		Instances:  c.orch.Instances(),
 		HostUsed:   make(map[topology.NodeID]policy.Resources, len(c.hosts)),
 	}
+	gtags := make(map[topology.NodeID]uint64)
 	for _, a := range c.assign.sorted() {
 		s.Classes = append(s.Classes, a.snapshot())
+		if !a.Global {
+			continue
+		}
+		for _, r := range a.subs {
+			for _, v := range subclassHosts(a.Class, r.hops) {
+				gtags[v] |= 1 << r.tag
+			}
+		}
 	}
 	for id, p := range c.instPortion {
 		s.Portions[id] = p
 	}
-	for v, tags := range c.hostGlobalTags {
-		s.GlobalTags[v] = sortedKeys(tags)
+	for v, set := range gtags {
+		for tag := uint8(0); set != 0; tag, set = tag+1, set>>1 {
+			if set&1 != 0 {
+				s.GlobalTags[v] = append(s.GlobalTags[v], tag)
+			}
+		}
 	}
 	for v, byNF := range c.instPool {
 		pools := make(map[policy.NF][]vnf.ID, len(byNF))

@@ -33,7 +33,7 @@ package controller
 //	             batch returned), deletes admitted assignments,
 //	             re-registers replaced/removed ones, cancels provisioned
 //	             instances, and writes back the pre-transaction value of
-//	             every portion and global-tag entry it changed.
+//	             every portion entry it changed.
 //	             Controller state is bit-identical to the
 //	             pre-transaction state.
 //
@@ -129,11 +129,9 @@ type txnScratch struct {
 	// refreshes are kept apart from staged: a day's rate-only refreshes
 	// are most of a re-optimization's deltas and need only these 24 bytes.
 	refreshes []rateDelta
-	// Pre-transaction values of the portion-ledger and global-tag entries
-	// the transaction wrote, recorded on first write (setPortion,
-	// setGlobalTag).
+	// Pre-transaction values of the portion-ledger entries the transaction
+	// wrote, recorded on first write (setPortion).
 	prevPortion map[vnf.ID]portionPre
-	prevTags    map[hostTag]bool
 	// Pre-transaction pool buckets of the switches repoolInstance wrote.
 	prevPools map[topology.NodeID]map[policy.NF][]*vnf.Instance
 	// undo holds the inverse of every table batch applied, in apply
@@ -166,7 +164,6 @@ func (s *txnScratch) reset() {
 	s.staged = reuse(s.staged)
 	s.refreshes = reuse(s.refreshes)
 	s.prevPortion = reuseMap(s.prevPortion)
-	s.prevTags = reuseMap(s.prevTags)
 	s.prevPools = reuseMap(s.prevPools)
 	s.undo = reuse(s.undo)
 	s.admitted = reuse(s.admitted)
@@ -385,7 +382,7 @@ func (t *RuleTxn) release() {
 // batches reverted newest first, admitted classes out of the store,
 // replaced/removed classes back in, re-bucketed pools restored,
 // provisioned instances cancelled and de-pooled, and every written portion
-// and global-tag entry set back to its recorded value.
+// entry set back to its recorded value.
 func (t *RuleTxn) unwind(cause error) {
 	t.finished = true
 	c := t.c
@@ -416,9 +413,6 @@ func (t *RuleTxn) unwind(cause error) {
 	}
 	for id, pre := range t.prevPortion {
 		c.setPortion(nil, id, pre.load, pre.present)
-	}
-	for ht, on := range t.prevTags {
-		c.setGlobalTag(nil, ht.host, ht.tag, on)
 	}
 	// Reverting may have removed pass-by rules installed during this
 	// transaction; force the next admission to re-verify them.
@@ -533,12 +527,6 @@ type portionPre struct {
 	present bool
 }
 
-// hostTag names one global sub-class tag on one hosting switch.
-type hostTag struct {
-	host topology.NodeID
-	tag  uint8
-}
-
 // setPortion writes (or, with present false, deletes) one entry of the
 // instance-portion ledger. Inside a transaction the entry's prior state
 // is recorded the first time it is written, so unwind can put it back
@@ -560,33 +548,6 @@ func (c *Controller) setPortion(txn *RuleTxn, id vnf.ID, load float64, present b
 	} else {
 		delete(c.instPortion, id)
 	}
-}
-
-// setGlobalTag marks a global sub-class tag used or free on one hosting
-// switch, with the same first-write recording as setPortion. A host's
-// tag set exists exactly while it holds a tag, so freeing what was marked
-// restores the map as it was.
-func (c *Controller) setGlobalTag(txn *RuleTxn, v topology.NodeID, tag uint8, on bool) {
-	if txn != nil {
-		k := hostTag{host: v, tag: tag}
-		if _, seen := txn.prevTags[k]; !seen {
-			if txn.prevTags == nil {
-				txn.prevTags = make(map[hostTag]bool)
-			}
-			txn.prevTags[k] = c.hostGlobalTags[v][tag]
-		}
-	}
-	if !on {
-		delete(c.hostGlobalTags[v], tag)
-		if len(c.hostGlobalTags[v]) == 0 {
-			delete(c.hostGlobalTags, v)
-		}
-		return
-	}
-	if c.hostGlobalTags[v] == nil {
-		c.hostGlobalTags[v] = make(map[uint8]bool)
-	}
-	c.hostGlobalTags[v][tag] = true
 }
 
 // trackPool records switch v's pool buckets on first write. The buckets
@@ -657,9 +618,9 @@ func (t *RuleTxn) commitCutover(op txnOp, opts TxnOptions) error {
 }
 
 // buildUpdate builds an update's next assignment from the staged
-// distribution without registering it. The live assignment's global tags
-// are still marked, so a header-rewriting class draws fresh,
-// non-conflicting ones, and the ledger charges next's base on top of the
+// distribution without registering it. The live assignment is still
+// installed, so a header-rewriting class draws global tags that do not
+// conflict with its own, and the ledger charges next's base on top of the
 // live one's until the cutover retires it: the capacity a make-before-break
 // window really holds.
 func (t *RuleTxn) buildUpdate(op txnOp) (*Assignment, error) {
@@ -695,10 +656,10 @@ func (t *RuleTxn) buildUpdate(op txnOp) (*Assignment, error) {
 //  3. swap (cutover:swap): the store holds next, or no longer the class.
 //  4. retire (cutover:retire): the steering of old's sub-classes that
 //     next does not keep is removed where step 1 did not replace it, and
-//     old's classification if next enters elsewhere. Their global tags
-//     are freed, and old's base portion charges are taken back unless
-//     keepsBase says next carries old's base: a reshape never moves it,
-//     while an update's next was charged when it was built.
+//     old's classification if next enters elsewhere. Old's base portion
+//     charges are taken back unless keepsBase says next carries old's
+//     base: a reshape never moves it, while an update's next was charged
+//     when it was built.
 //
 // Each flow table changes in single ApplyBatch critical sections, so a
 // packet meets a table's complete old or complete new rule set. A new
@@ -743,11 +704,6 @@ func (t *RuleTxn) cutover(old, next *Assignment, keepsBase bool) error {
 	}
 	if err := t.applyEach(c.retireRules(old, next)); err != nil {
 		return err
-	}
-	for s := range old.subs {
-		if !keepsSteering(old, next, s) {
-			c.releaseSubTag(old, s, t)
-		}
 	}
 	if !keepsBase {
 		c.shiftPortions(t, old, -1)

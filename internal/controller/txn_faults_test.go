@@ -180,6 +180,7 @@ var faultRoutes = []struct {
 	{"overload", newOverloadRoute},
 	{"rollback", newRollbackRoute},
 	{"activate", newActivateRoute},
+	{"overload-nat", newNATOverloadRoute},
 }
 
 // newReshapedRoute commits over classes the Dynamic Handler has reshaped:
@@ -305,6 +306,16 @@ func newOverloadRoute(t *testing.T) *faultRoute {
 	t.Helper()
 	c, d := repinSetup(t)
 	return &faultRoute{c: c, handler: d, reshapes: true, run: func() error { return observeOnce(d, repinSurge) }}
+}
+
+// newNATOverloadRoute is an overload of the firewall two NAT classes
+// share (natPairOnSharedFirewall): one transaction reshapes both, each
+// re-pinned onto the idle firewall with a new global sub-class.
+func newNATOverloadRoute(t *testing.T) *faultRoute {
+	t.Helper()
+	c, d := natPairOnSharedFirewall(t)
+	return &faultRoute{c: c, handler: d, reshapes: true,
+		run: func() error { return observeOnce(d, map[core.ClassID]float64{0: 700, 1: 700}) }}
 }
 
 // newRollbackRoute is the rollback that follows: class 0 returns to its
@@ -441,9 +452,10 @@ func TestTxnFailpointCoverage(t *testing.T) {
 			"add:plan:5", "add:admit:5", "add:emit:5", "add:apply:5", "add:verify:5",
 			"update:plan:1", "update:build:1", "update:verify:1",
 		}, cutoverPoints(1), cutoverPoints(0)),
-		"overload": reshapePoints,
-		"rollback": reshapePoints,
-		"activate": reshapePoints,
+		"overload":     reshapePoints,
+		"rollback":     reshapePoints,
+		"activate":     reshapePoints,
+		"overload-nat": with(cutoverPoints(0), cutoverPoints(1)),
 	}
 	for _, route := range faultRoutes {
 		points := probeFailpoints(t, route.new)

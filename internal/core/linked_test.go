@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
@@ -10,18 +9,15 @@ import (
 	"github.com/apple-nfv/apple/internal/lp"
 )
 
-// TestKnownGapLinkedModelStalls pins ROADMAP item 22's stall: Internet2's
+// TestLinkedModelSolves is ROADMAP item 22's former stall: Internet2's
 // 24-snapshot mean problem at scenario seed 1, under its tenant
 // hierarchy, in Engine's unit (shares), with one linking row
 // x[h][i][j] − q[v][n] ≤ 0 per flow variable appended after the model's
-// rows — the disaggregated facility-location rows of item 20 — is not
-// solved: Dantzig pricing spends the pivot budget without progress and
-// the solve ends in ErrIterLimit. It asserts the defect. The fix item
-// 22(b) makes flips it into an optimal, certified solve.
-func TestKnownGapLinkedModelStalls(t *testing.T) {
-	if raceDetector {
-		t.Skip("one goroutine's 20 000 pivots: 5 s, and 40 s under the race detector")
-	}
+// rows — the disaggregated facility-location rows of item 20. Dantzig
+// pricing cycled on its degenerate vertices until a 20 000-pivot limit and
+// then ended in ErrIterLimit; switching to Bland's rule after a run of
+// degenerate pivots (lp's blandRun) solves it to a certified optimum.
+func TestLinkedModelSolves(t *testing.T) {
 	sc, err := experiments.Internet2(experiments.Options{Seed: 1, Snapshots: 24})
 	if err != nil {
 		t.Fatal(err)
@@ -76,10 +72,14 @@ func TestKnownGapLinkedModelStalls(t *testing.T) {
 	if linked == 0 {
 		t.Fatal("no flow variable linked")
 	}
-	sol, err := lp.NewSolver(m).Solve()
+	s := lp.NewSolver(m)
+	sol, err := s.Solve()
 	t.Logf("%d rows + %d linking rows: status %v after %d pivots (phase 1 %d, phase 2 %d): %v",
 		rows, linked, sol.Status, sol.Iterations, sol.Phase1Iterations, sol.Phase2Iterations, err)
-	if !errors.Is(err, lp.ErrIterLimit) {
-		t.Fatalf("the linked model solved (status %v, err %v): item 22's stall is gone; flip this test", sol.Status, err)
+	if err != nil || sol.Status != lp.StatusOptimal {
+		t.Fatalf("the linked model: status %v, err %v; want optimal", sol.Status, err)
+	}
+	if err := lp.CheckCertificate(m, sol.Values, s.Duals()); err != nil {
+		t.Fatalf("certificate: %v", err)
 	}
 }

@@ -2,6 +2,13 @@ package lp
 
 import "math"
 
+// dantzigLimit is the pivot count after which the dense reference's
+// optimize switches from Dantzig's rule to Bland's rule. The production
+// solver switches after a run of degenerate pivots instead (blandRun), so
+// the two may take different pivots past that run, as they already may
+// among tied columns.
+const dantzigLimit = 20000
+
 // This file is the dense Gauss-Jordan tableau the package solved with
 // before the sparse revised simplex replaced it, kept verbatim (minus the
 // phase timers) as the reference the differential and fuzz tests compare

@@ -8,9 +8,11 @@ import (
 
 const (
 	eps = 1e-9
-	// dantzigLimit is the pivot count after which the solver switches from
-	// Dantzig's rule to Bland's rule to guarantee termination.
-	dantzigLimit = 20000
+	// blandRun is the run of consecutive degenerate pivots — ratio-test
+	// steps of at most eps, which leave the objective where it was — after
+	// which a solve stops pricing by Dantzig's rule, which can cycle, and
+	// prices by Bland's rule, which cannot, to its end.
+	blandRun = 256
 	// hardIterLimit aborts pathological instances.
 	hardIterLimit = 200000
 	// dualTol is the reduced-cost tolerance below which a saved basis still
@@ -65,6 +67,7 @@ func (s *Solver) Solve() (Solution, error) {
 	// failed state (mid-phase-1, artificials still basic) is not a valid
 	// base, so the next ReSolve goes cold.
 	t.valid = false
+	t.degenerate, t.bland = 0, false
 	// Crossed bounds (possible via branch-and-bound tightening, which
 	// bypasses SetBounds validation) make the model trivially infeasible;
 	// the solver would otherwise misread such a column as fixed.
@@ -132,6 +135,7 @@ func (s *Solver) ReSolve() (Solution, error) {
 	// Primal clean-up: the dual run restores primal feasibility, and any
 	// eps-level dual infeasibility left behind is mopped up here (usually
 	// zero pivots).
+	t.degenerate, t.bland = 0, false
 	status, it2 := t.optimize(t.c, false)
 	sol := Solution{
 		Status:           status,
@@ -292,7 +296,11 @@ func (t *revised) evictArtificials() bool {
 // upper bound enters (moving down) when its reduced cost is positive. The
 // ratio test limits the move by the first basic variable to hit either of
 // its bounds, or by the entering variable's own opposite bound — the
-// latter is a bound flip that changes no basis at all.
+// latter is a bound flip that changes no basis at all. Pricing follows
+// Dantzig's rule, the most improving column, until the solve has made
+// blandRun degenerate pivots in a row, counted across both phases of a
+// cold solve; from then on it follows Bland's rule, the lowest-index
+// improving column.
 func (t *revised) optimize(c []float64, phase1 bool) (Status, int) {
 	cols := t.n
 	if !phase1 {
@@ -305,7 +313,6 @@ func (t *revised) optimize(c []float64, phase1 bool) (Status, int) {
 		if iters >= hardIterLimit {
 			return StatusIterLimit, iters
 		}
-		useBland := iters >= dantzigLimit
 		// Price from the maintained reduced-cost row.
 		enter := -1
 		dir := 1.0
@@ -321,7 +328,7 @@ func (t *revised) optimize(c []float64, phase1 bool) (Status, int) {
 			// out; a basic column's reduced cost is exactly 0.
 			if score > best && !t.inBasis[j] && t.hi[j]-t.lo[j] >= eps {
 				enter, dir = j, d
-				if useBland {
+				if t.bland {
 					break
 				}
 				best = score
@@ -376,6 +383,11 @@ func (t *revised) optimize(c []float64, phase1 bool) (Status, int) {
 		}
 		if math.IsInf(limit, 1) {
 			return StatusUnbounded, iters
+		}
+		if limit > eps {
+			t.degenerate = 0
+		} else if t.degenerate++; t.degenerate >= blandRun {
+			t.bland = true
 		}
 		if leave < 0 {
 			t.boundFlip(enter, dir, limit)

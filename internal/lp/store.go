@@ -33,6 +33,11 @@ type revised struct {
 
 	// valid marks an optimal basis a ReSolve may warm-start from.
 	valid bool
+	// degenerate is the solve's current run of degenerate primal pivots,
+	// and bland marks that it reached blandRun: the solve prices by
+	// Bland's rule from then on (optimize).
+	degenerate int
+	bland      bool
 
 	cols  sparse    // A by column, all n columns
 	rows  sparse    // A by row over the structural columns: the model's own store
