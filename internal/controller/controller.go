@@ -103,9 +103,9 @@ type subRecord struct {
 	// hops[j] indexes Class.Path: chain position j is served there. Never
 	// written in place, so clones share it.
 	hops []int
-	// portion is the planned share (core.Subclass.Portion): the weight a
-	// rollback restores for a base sub-class, and what the instance-portion
-	// ledger charges for any sub-class.
+	// portion is the planned share (core.Subclass.Portion): for a base
+	// sub-class, the weight a rollback restores and what the
+	// instance-portion ledger charges (Assignment.charge).
 	portion float64
 	// weight is the current share; fast failover reshapes it on a clone.
 	weight float64
@@ -173,19 +173,16 @@ type Controller struct {
 	switches map[topology.NodeID]*Switch
 	hosts    map[topology.NodeID]*host.Host
 	nbrPort  map[topology.NodeID]map[topology.NodeID]int
-	// assign holds per-class data-plane state behind one RWMutex, so
-	// Forward and enforcement probes can read it while the single writer
-	// commits. txn-owned: admit and install paths mutate it only through
-	// staged RuleTxn ops.
+	// assign holds per-class data-plane state, and the instance-portion
+	// ledger that follows it, behind one RWMutex, so Forward and
+	// enforcement probes can read it while the single writer commits.
+	// txn-owned: admit and install paths mutate it only through staged
+	// RuleTxn ops.
 	assign *assignStore
 	// instPool[v][nf] lists the running instances available at v.
 	// txn-owned: admit and re-optimization paths mutate it only through
 	// staged RuleTxn ops.
 	instPool map[topology.NodeID]map[policy.NF][]*vnf.Instance
-	// instPortion tracks the total traffic portion×rate assigned per
-	// instance, for least-loaded selection. txn-owned: admit and
-	// re-optimization paths mutate it only through staged RuleTxn ops.
-	instPortion map[vnf.ID]float64
 	// ruleUpdates counts TCAM rule (re)installations, each costing the
 	// measured 70 ms when driven through the clock. Atomic: read by
 	// RuleUpdates from goroutines other than the writer.
@@ -194,13 +191,8 @@ type Controller struct {
 	// clock; nil (the default) disables tracing with no allocation on the
 	// setup hot path. Set at construction, never mutated afterwards.
 	tracer *trace.Recorder
-	// passByDone short-circuits ensurePassBy once every switch carries
-	// the rule. Confined to the commit path (admit stage and unwind) of
-	// the single writer. txn-owned: entry points mutate it only through
-	// staged RuleTxn ops.
-	passByDone bool
 	// reopt is ReOptimize's scratch, reused from pass to pass. Confined to
-	// the single writer, like passByDone.
+	// the single writer.
 	reopt reoptScratch
 	// spare is the transaction buffer set the next Begin takes (nil while
 	// a transaction holds it), and arena the rule groups' backing store.
@@ -277,18 +269,24 @@ func New(cfg Config) (*Controller, error) {
 	}
 	orch.SetTracer(cfg.Tracer)
 	c := &Controller{
-		g:           cfg.Topology,
-		clock:       cfg.Clock,
-		orch:        orch,
-		alloc:       tagging.NewAllocator(),
-		switches:    make(map[topology.NodeID]*Switch),
-		hosts:       make(map[topology.NodeID]*host.Host),
-		nbrPort:     make(map[topology.NodeID]map[topology.NodeID]int),
-		assign:      newAssignStore(),
-		instPool:    make(map[topology.NodeID]map[policy.NF][]*vnf.Instance),
-		instPortion: make(map[vnf.ID]float64),
-		tracer:      cfg.Tracer,
-		actions:     make(actionMemo),
+		g:        cfg.Topology,
+		clock:    cfg.Clock,
+		orch:     orch,
+		alloc:    tagging.NewAllocator(),
+		switches: make(map[topology.NodeID]*Switch),
+		hosts:    make(map[topology.NodeID]*host.Host),
+		nbrPort:  make(map[topology.NodeID]map[topology.NodeID]int),
+		assign:   newAssignStore(),
+		instPool: make(map[topology.NodeID]map[policy.NF][]*vnf.Instance),
+		tracer:   cfg.Tracer,
+		actions:  make(actionMemo),
+	}
+	// Table III's last APPLE row: whatever no class rule matches goes on
+	// to the other applications' table. Every switch carries it from the
+	// start, and nothing removes it.
+	passBy := flowtable.Rule{
+		Name: "pass-by", Priority: prioPassBy,
+		Actions: c.actions.of(flowtable.Action{Type: flowtable.ActGotoTable, Table: TableRouting}),
 	}
 	for _, n := range cfg.Topology.Nodes() {
 		pl, err := flowtable.NewPipeline(2)
@@ -296,6 +294,9 @@ func New(cfg Config) (*Controller, error) {
 			return nil, fmt.Errorf("controller: %w", err)
 		}
 		c.switches[n.ID] = &Switch{ID: n.ID, Pipeline: pl}
+		if err := c.install(pl, TableAPPLE, passBy); err != nil {
+			return nil, err
+		}
 	}
 	for _, n := range cfg.Topology.Nodes() {
 		nbrs, err := cfg.Topology.Neighbors(n.ID)
@@ -475,7 +476,7 @@ func (c *Controller) poolAdd(v topology.NodeID, nf policy.NF, inst *vnf.Instance
 
 // repoolInstance pools an instance at switch v under the bucket of its
 // current NF type, out of any other — a ClickOS reconfiguration changes
-// the NF it was pooled under. The portion bookkeeping is keyed by ID and
+// the NF it was pooled under. The portion ledger is keyed by ID and
 // unaffected. txn records the buckets for unwind; it is nil when a failover
 // spawn is disposed of.
 func (c *Controller) repoolInstance(v topology.NodeID, inst *vnf.Instance, txn *RuleTxn) {

@@ -33,9 +33,9 @@ const (
 // Loads computes the offered load every instance would see given
 // per-class traffic rates (Mbps), using the current sub-class weights.
 func (c *Controller) Loads(rates map[core.ClassID]float64) map[vnf.ID]float64 {
-	// The portion ledger has one entry per instance carrying planned load:
-	// the size the result is about to have.
-	out := make(map[vnf.ID]float64, len(c.instPortion))
+	// The portion ledger has an entry per instance a base sub-class
+	// charges: about the size the result is about to have.
+	out := make(map[vnf.ID]float64, c.assign.charged())
 	c.loadsInto(out, rates)
 	return out
 }

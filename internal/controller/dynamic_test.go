@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"maps"
 	"math"
 	"slices"
 	"testing"
@@ -350,6 +351,71 @@ func TestRemovedInFailoverForgetsState(t *testing.T) {
 	assertInvariants(t, d)
 }
 
+// TestReshapeKeepsLedgerBits: a handler reshape keeps its class's base,
+// so the store moves no charge when it swaps one in (sameBase), and an
+// overload and its rollback leave every ledger entry bit-identical.
+// Charging the reshape and taking the live assignment back would not:
+// class 0 charges 0.7 and class 2 0.1 to one firewall, whose entry
+// 0.7 + 0.1 comes back from (L + 0.7) − 0.7 as 0.8.
+func TestReshapeKeepsLedgerBits(t *testing.T) {
+	g := lineTopo(t, 4)
+	c, err := New(Config{Topology: g, Clock: sim.New(), Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes := []core.Class{
+		{ID: 0, Path: linePath(4), Chain: policy.Chain{policy.Firewall}, RateMbps: 0.7},
+		{ID: 1, Path: linePath(4), Chain: policy.Chain{policy.Firewall}, RateMbps: 0.1},
+		{ID: 2, Path: linePath(4), Chain: policy.Chain{policy.Firewall}, RateMbps: 0.1},
+	}
+	// Classes 0 and 2 share switch 0's firewall; class 1's, at switch 1,
+	// is where the overload re-pins their excess.
+	pl := &core.Placement{
+		Counts: map[topology.NodeID]map[policy.NF]int{0: {policy.Firewall: 1}, 1: {policy.Firewall: 1}},
+		Dist:   map[core.ClassID][][]float64{},
+	}
+	for id, hop := range []int{0, 1, 0} {
+		dist := zeroDist(4, 1)
+		dist[hop][0] = 1
+		pl.Dist[core.ClassID(id)] = dist
+	}
+	if err := c.InstallPlacement(&core.Problem{Topo: g, Classes: classes, Avail: c.Avail()}, pl); err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDynamicHandler(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := c.assign.portions()
+	shared, _ := c.assign.get(0)
+	if l := before[shared.Instances(0)[0]]; l+0.7-0.7 == l {
+		t.Fatalf("fixture: the shared firewall's entry %v survives (L + 0.7) − 0.7", l)
+	}
+	// The surge overloads the shared firewall; class 2, reshaped with
+	// class 0, may roll back in the same call.
+	if n, err := d.Observe(map[core.ClassID]float64{0: 1000, 1: 10, 2: 10}); err != nil || n == 0 {
+		t.Fatalf("overload: %d transitions, %v", n, err)
+	}
+	if a, _ := c.assign.get(0); a.NumSubclasses() <= a.NumBase() {
+		t.Fatal("fixture: the overload did not reshape class 0")
+	}
+	assertLedger := func(when string) {
+		t.Helper()
+		if got := c.assign.portions(); !maps.Equal(got, before) {
+			t.Fatalf("ledger after the %s is %v, want %v bit for bit", when, got, before)
+		}
+	}
+	assertLedger("overload")
+	if n, err := d.Observe(map[core.ClassID]float64{0: 1, 1: 1, 2: 1}); err != nil || n == 0 {
+		t.Fatalf("rollback: %d transitions, %v", n, err)
+	}
+	if a, _ := c.assign.get(0); a.NumSubclasses() != a.NumBase() {
+		t.Fatal("fixture: the rollback left class 0 reshaped")
+	}
+	assertLedger("rollback")
+	assertInvariants(t, d)
+}
+
 // TestReshapedSubclassGetsHostMatch: a failover sub-class that moves to a
 // switch no class processed at before needs that switch's host-match
 // rule, or its packets pass the switch by and skip the NF. Switch 0's
@@ -436,8 +502,9 @@ func TestRemoveInFailoverKeepsLedger(t *testing.T) {
 	if err := txn.Commit(TxnOptions{Audit: d.CheckInvariants}); err != nil {
 		t.Fatalf("remove: %v", err)
 	}
-	for _, id := range sortedKeys(c.instPortion) {
-		if p := c.instPortion[id]; math.Abs(p) > 1e-9 {
+	ledger := c.assign.portions()
+	for _, id := range sortedKeys(ledger) {
+		if p := ledger[id]; math.Abs(p) > 1e-9 {
 			t.Errorf("instance %s keeps portion %v with no class installed", id, p)
 		}
 	}

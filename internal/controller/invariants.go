@@ -171,21 +171,18 @@ func (d *DynamicHandler) CheckInvariants() error {
 			}
 		}
 	}
-	// Portion ledger: what buildAssignment charged for every installed
-	// base sub-class, and nothing else.
-	planned := make(map[vnf.ID]float64, len(c.instPortion))
-	for id := range c.instPortion {
+	// Portion ledger: what the installed base sub-classes charge, and
+	// nothing else.
+	ledger := c.assign.portions()
+	planned := make(map[vnf.ID]float64, len(ledger))
+	for id := range ledger {
 		planned[id] = 0
 	}
 	for _, a := range c.assign.sorted() {
-		for s, r := range a.subs[:a.NumBase()] {
-			for _, id := range a.Instances(s) {
-				planned[id] += a.Class.RateMbps * r.portion
-			}
-		}
+		a.charge(planned, 1)
 	}
 	for _, id := range sortedKeys(planned) {
-		got, want := c.instPortion[id], planned[id]
+		got, want := ledger[id], planned[id]
 		if math.Abs(got-want) > weightTol*math.Max(1, math.Abs(want)) {
 			return fmt.Errorf("invariant: instance %s carries portion %v in the ledger, but its base sub-classes plan %v", id, got, want)
 		}

@@ -36,9 +36,9 @@ func (c *Controller) AddClass(cl core.Class) error {
 // planClass places one class greedily against live capacity — the
 // core.GreedyDist packing over the planned headroom of the running
 // instances along the path — and returns its distribution plus any
-// instances provisioned along the way. On failure the provisioned
-// instances are already cancelled (all-or-nothing).
-func (c *Controller) planClass(cl core.Class, txn *RuleTxn) ([][]float64, []vnf.ID, error) {
+// instances provisioned along the way, which on failure the caller
+// cancels.
+func (c *Controller) planClass(cl core.Class) ([][]float64, []vnf.ID, error) {
 	// Eligible hops: path switches with an APPLE host.
 	var hops []int
 	for i, v := range cl.Path {
@@ -46,14 +46,14 @@ func (c *Controller) planClass(cl core.Class, txn *RuleTxn) ([][]float64, []vnf.
 			hops = append(hops, i)
 		}
 	}
-	// Planned headroom per (switch, NF) from the instPortion bookkeeping.
+	// Planned headroom per (switch, NF) from the instance-portion ledger.
 	slack := func(v topology.NodeID, nf policy.NF) float64 {
 		total := 0.0
 		for _, inst := range c.instPool[v][nf] {
 			if inst.State() != vnf.StateRunning {
 				continue
 			}
-			if head := inst.Spec().CapacityMbps - c.instPortion[inst.ID()]; head > 0 {
+			if head := inst.Spec().CapacityMbps - c.assign.load(inst.ID()); head > 0 {
 				total += head
 			}
 		}
@@ -89,14 +89,17 @@ func (c *Controller) planClass(cl core.Class, txn *RuleTxn) ([][]float64, []vnf.
 		return math.Min(take, slack(v, nf)/cl.RateMbps)
 	})
 	if err != nil {
-		c.unwindProvisioned(provisioned, txn)
-		return nil, nil, fmt.Errorf("controller: %w", err)
+		return nil, provisioned, fmt.Errorf("controller: %w", err)
 	}
 	return dist, provisioned, nil
 }
 
-// dropFromPool removes a cancelled instance from the placement pools and
-// the portion ledger.
+// dropFromPool removes a cancelled instance, which no installed
+// assignment references, from the placement pools and the portion ledger.
+// txn is the transaction the instance was provisioned in, nil once a
+// commit has finished (reaping, cancelling a failover launch) and during
+// the unwind itself: the pool write happens in a transaction or after
+// one, which is what txnguard reads off the parameter.
 func (c *Controller) dropFromPool(id vnf.ID, txn *RuleTxn) {
 	for v, byNF := range c.instPool {
 		for nf, insts := range byNF {
@@ -120,5 +123,5 @@ func (c *Controller) dropFromPool(id vnf.ID, txn *RuleTxn) {
 			c.instPool[v][nf] = kept
 		}
 	}
-	c.setPortion(txn, id, 0, false)
+	c.assign.forget(id)
 }

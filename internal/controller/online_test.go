@@ -168,7 +168,7 @@ func TestAdmitArrivalRecordsSideEffectsInTxn(t *testing.T) {
 	if after := len(c.Orchestrator().Instances()); after != before {
 		t.Fatalf("unwind left provisioned instances alive: %d instances before, %d after", before, after)
 	}
-	if _, ok := c.instPortion[inst]; ok {
+	if _, ok := c.assign.portions()[inst]; ok {
 		t.Fatal("unwind left the cancelled instance in the portion ledger")
 	}
 }

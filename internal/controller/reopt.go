@@ -204,11 +204,10 @@ func (c *Controller) provisionTo(pl *core.Placement, txn *RuleTxn, strict bool) 
 	return placed, nil
 }
 
-// reapIdle cancels pooled instances no installed assignment references
-// and whose planned load is zero, down to the placement's counts. Runs
-// only after a successful commit.
+// reapIdle cancels pooled instances no installed assignment references,
+// down to the placement's counts. Runs only after a successful commit.
 func (c *Controller) reapIdle(pl *core.Placement) int {
-	referenced := c.assign.referenced(len(c.instPortion))
+	referenced := c.assign.referenced()
 	reaped := 0
 	for _, v := range sortedKeys(c.instPool) {
 		byNF := c.instPool[v]
@@ -218,7 +217,7 @@ func (c *Controller) reapIdle(pl *core.Placement) int {
 			var victims []vnf.ID
 			for i := len(insts) - 1; i >= 0 && over > len(victims); i-- {
 				id := insts[i].ID()
-				if referenced[id] || math.Abs(c.instPortion[id]) > 1e-9 {
+				if referenced[id] {
 					continue
 				}
 				victims = append(victims, id)

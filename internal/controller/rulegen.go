@@ -48,39 +48,6 @@ func (c *Controller) InstallPlacement(prob *core.Problem, pl *core.Placement) er
 	return txn.Commit(TxnOptions{})
 }
 
-// ensurePassBy installs the Table III pass-by row on every switch that
-// does not have it yet, handing each install's undo token to txn.
-func (c *Controller) ensurePassBy(txn *RuleTxn) error {
-	// Fast path: once every switch carries the rule, later admissions
-	// skip the full O(switches) table scan — on FatTree-16 (320 switches
-	// × 10^5 classes) the rescan dominated setup.
-	// The flag is cleared on transaction unwind, which is the only path
-	// that can ever remove an installed pass-by rule.
-	if c.passByDone {
-		return nil
-	}
-	for v, sw := range c.switches {
-		t, err := sw.Pipeline.Table(TableAPPLE)
-		if err != nil {
-			return fmt.Errorf("controller: %w", err)
-		}
-		if t.Has("pass-by") {
-			continue
-		}
-		n, undo, err := t.ApplyBatchUndo([]flowtable.BatchOp{{Rule: flowtable.Rule{
-			Name: "pass-by", Priority: prioPassBy,
-			Actions: c.actions.of(flowtable.Action{Type: flowtable.ActGotoTable, Table: TableRouting}),
-		}}})
-		txn.recordUndo(tableKey{dev: device{node: v}, table: TableAPPLE}, undo)
-		c.ruleUpdates.Add(int64(n))
-		if err != nil {
-			return fmt.Errorf("controller: %w", err)
-		}
-	}
-	c.passByDone = true
-	return nil
-}
-
 // maxActions is the longest action list the Rule Generator builds: a
 // classification rule's set-sub-tag, set-host-tag and goto-table.
 const maxActions = 3
@@ -118,11 +85,9 @@ func (m actionMemo) of(acts ...flowtable.Action) []flowtable.Action {
 // RuleTxn's update cutover uses it to build the replacement generation
 // while the old one is still registered (so global-tag allocation avoids
 // the live tags). Host tags are not drawn here: the make step draws them
-// when it first names a switch (makeRules). The portion-ledger writes are
-// recorded in txn, and taken back here when the class is refused: a
-// refused class must leave the ledger as it found it even when the
-// transaction goes on without it (AddClassBatch keeps the classes admitted
-// before an admission failure).
+// when it first names a switch (makeRules). Nothing is charged to the
+// portion ledger until the store holds the assignment (assignStore.put),
+// so a refused class leaves nothing to take back.
 func (c *Controller) buildAssignment(cl core.Class, subs []core.Subclass, txn *RuleTxn) (*Assignment, error) {
 	subs, err := expandForCapacity(cl, subs)
 	if err != nil {
@@ -143,50 +108,32 @@ func (c *Controller) buildAssignment(cl core.Class, subs []core.Subclass, txn *R
 		Global: rewrites,
 	}
 	// Assign instances first (least-portion-loaded of the right NF at the
-	// right switch); tags second, since global-tag allocation must avoid
+	// right switch), each pick seeing the loads the earlier ones will
+	// charge; tags second, since global-tag allocation must avoid
 	// conflicts on the exact hosts traversed. A sub-class's record is
 	// appended once its tag is drawn, so the next draw avoids it.
-	var charged []portionCharge
+	var pending []pendingLoad
 	for s, sub := range subs {
 		for j, nf := range cl.Chain {
 			v := cl.Path[sub.Hops[j]]
-			inst, err := c.pickInstance(v, nf)
+			inst, err := c.pickInstance(v, nf, pending)
 			if err != nil {
-				c.refuseAssignment(txn, charged)
 				return nil, fmt.Errorf("controller: class %d sub %d position %d: %w", cl.ID, s, j, err)
 			}
 			id := inst.ID()
 			a.insts[s*len(cl.Chain)+j] = id
-			load, present := c.instPortion[id]
-			charged = append(charged, portionCharge{id, portionPre{load, present}})
-			c.setPortion(txn, id, load+cl.RateMbps*sub.Portion, true)
+			pending = c.addPending(pending, id, cl.RateMbps*sub.Portion)
 		}
 	}
 	for _, sub := range subs {
 		tag, err := c.allocSubTagFor(a, sub.Hops, txn)
 		if err != nil {
-			c.refuseAssignment(txn, charged)
 			return nil, err
 		}
 		a.subs = append(a.subs, subRecord{hops: sub.Hops, portion: sub.Portion, weight: sub.Portion, tag: tag})
 	}
 	a.gen = c.nextGen()
 	return a, nil
-}
-
-// portionCharge is one ledger entry buildAssignment charged, with what it
-// held before.
-type portionCharge struct {
-	id  vnf.ID
-	pre portionPre
-}
-
-// refuseAssignment takes back a half-built assignment's ledger writes,
-// newest first.
-func (c *Controller) refuseAssignment(txn *RuleTxn, charged []portionCharge) {
-	for i := len(charged) - 1; i >= 0; i-- {
-		c.setPortion(txn, charged[i].id, charged[i].pre.load, charged[i].pre.present)
-	}
 }
 
 // journalAdmit journals an admitted plan: one admit event, then the
@@ -261,16 +208,47 @@ func (c *Controller) hostMatchOp(v topology.NodeID) (flowtable.BatchOp, error) {
 	}}, nil
 }
 
-// pickInstance returns the least-loaded running instance of nf at v.
-func (c *Controller) pickInstance(v topology.NodeID, nf policy.NF) (*vnf.Instance, error) {
-	pool := c.instPool[v][nf]
+// pendingLoad is the load an instance will carry once the assignment
+// under construction is charged.
+type pendingLoad struct {
+	id   vnf.ID
+	load float64
+}
+
+// addPending adds load to id's pending load, which starts from the
+// ledger's.
+func (c *Controller) addPending(pending []pendingLoad, id vnf.ID, load float64) []pendingLoad {
+	for i := range pending {
+		if pending[i].id == id {
+			pending[i].load += load
+			return pending
+		}
+	}
+	return append(pending, pendingLoad{id, c.assign.load(id) + load})
+}
+
+// plannedLoad returns id's pending load, or the ledger's when the
+// assignment under construction does not charge it.
+func (c *Controller) plannedLoad(id vnf.ID, pending []pendingLoad) float64 {
+	for _, p := range pending {
+		if p.id == id {
+			return p.load
+		}
+	}
+	return c.assign.load(id)
+}
+
+// pickInstance returns the least-loaded running instance of nf at v,
+// counting the pending loads of the assignment under construction.
+func (c *Controller) pickInstance(v topology.NodeID, nf policy.NF, pending []pendingLoad) (*vnf.Instance, error) {
 	var best *vnf.Instance
-	for _, inst := range pool {
+	bestLoad := 0.0
+	for _, inst := range c.instPool[v][nf] {
 		if inst.State() != vnf.StateRunning {
 			continue
 		}
-		if best == nil || c.instPortion[inst.ID()] < c.instPortion[best.ID()] {
-			best = inst
+		if load := c.plannedLoad(inst.ID(), pending); best == nil || load < bestLoad {
+			best, bestLoad = inst, load
 		}
 	}
 	if best == nil {

@@ -33,6 +33,7 @@ package controller
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 
@@ -46,14 +47,22 @@ import (
 
 // assignStore is the id→assignment map behind one lock: the single
 // control-plane writer mutates it while Forward and enforcement probes
-// read it from other goroutines.
+// read it from other goroutines. It also keeps the instance-portion
+// ledger, which follows the class records: put and remove are its only
+// writers but for forget, so whatever puts an assignment back — a
+// transaction unwind included — puts its charges back too.
 type assignStore struct {
 	mu sync.RWMutex
 	m  map[core.ClassID]*Assignment // guarded by mu
+	// portion is the planned load, rate × portion, that the installed base
+	// sub-classes put on each instance, for least-loaded selection. An
+	// entry stays, near zero, once nothing charges the instance, until
+	// the instance leaves the pools (forget). Guarded by mu.
+	portion map[vnf.ID]float64
 }
 
 func newAssignStore() *assignStore {
-	return &assignStore{m: make(map[core.ClassID]*Assignment)}
+	return &assignStore{m: make(map[core.ClassID]*Assignment), portion: make(map[vnf.ID]float64)}
 }
 
 func (st *assignStore) get(id core.ClassID) (*Assignment, bool) {
@@ -68,18 +77,86 @@ func (st *assignStore) has(id core.ClassID) bool {
 	return ok
 }
 
-// put registers a class's assignment, replacing any existing one.
+// put registers a class's assignment, replacing any existing one: a's
+// base sub-classes are charged to the ledger, then the replaced one's are
+// taken back. An assignment with the replaced one's base (sameBase) moves
+// no charge, so a handler reshape and its rollback leave the ledger
+// bit-identical.
 func (st *assignStore) put(id core.ClassID, a *Assignment) {
 	st.mu.Lock()
+	old := st.m[id]
 	st.m[id] = a
+	if !sameBase(old, a) {
+		a.charge(st.portion, 1)
+		old.charge(st.portion, -1)
+	}
 	st.mu.Unlock()
 }
 
-// remove deletes a class's assignment.
+// remove deletes a class's assignment and takes back its charges.
 func (st *assignStore) remove(id core.ClassID) {
 	st.mu.Lock()
+	st.m[id].charge(st.portion, -1)
 	delete(st.m, id)
 	st.mu.Unlock()
+}
+
+// load returns the planned load the ledger holds for an instance.
+func (st *assignStore) load(id vnf.ID) float64 {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.portion[id]
+}
+
+// charged returns how many instances the ledger holds an entry for.
+func (st *assignStore) charged() int {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return len(st.portion)
+}
+
+// portions returns a copy of the ledger.
+func (st *assignStore) portions() map[vnf.ID]float64 {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return maps.Clone(st.portion)
+}
+
+// forget deletes the ledger entry of an instance leaving the pools, which
+// no installed assignment references any more.
+func (st *assignStore) forget(id vnf.ID) {
+	st.mu.Lock()
+	delete(st.portion, id)
+	st.mu.Unlock()
+}
+
+// charge adds sign × rate × portion of every base sub-class of a to the
+// ledger entry of each instance serving it. The Dynamic Handler's
+// sub-classes move weight, not plans, and are never charged. A nil
+// assignment charges nothing.
+func (a *Assignment) charge(ledger map[vnf.ID]float64, sign float64) {
+	if a == nil {
+		return
+	}
+	for s, r := range a.subs[:a.nBase] {
+		for _, id := range a.Instances(s) {
+			ledger[id] += sign * a.Class.RateMbps * r.portion
+		}
+	}
+}
+
+// sameBase reports whether next charges what old does: the same rate,
+// and the same base portions served by the same instance rows.
+func sameBase(old, next *Assignment) bool {
+	if old == nil || next == nil || old.Class.RateMbps != next.Class.RateMbps || old.nBase != next.nBase {
+		return false
+	}
+	for s := range int(old.nBase) {
+		if old.subs[s].portion != next.subs[s].portion || !slices.Equal(old.Instances(s), next.Instances(s)) {
+			return false
+		}
+	}
+	return true
 }
 
 // len returns how many classes are installed.
@@ -125,11 +202,11 @@ func (st *assignStore) references(id vnf.ID) bool {
 }
 
 // referenced returns the set of instances the installed assignments route
-// traffic through; size is how many the caller expects.
-func (st *assignStore) referenced(size int) map[vnf.ID]bool {
+// traffic through.
+func (st *assignStore) referenced() map[vnf.ID]bool {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	set := make(map[vnf.ID]bool, size)
+	set := make(map[vnf.ID]bool, len(st.portion))
 	for _, a := range st.m {
 		for _, id := range a.insts {
 			set[id] = true
@@ -480,9 +557,9 @@ apply:
 // admit runs the sequential stage for one new class. On success the
 // instances it provisioned and the class it registered are recorded in
 // the transaction; on failure nothing of the class remains — its
-// provisioning is cancelled, its ledger writes taken back — so an
-// admission error can drop one class from a batch without unwinding the
-// classes before it.
+// provisioning is cancelled, and nothing was charged to the portion
+// ledger, which only the store's put charges — so an admission error can
+// drop one class from a batch without unwinding the classes before it.
 func (t *RuleTxn) admit(op txnOp) (*Assignment, error) {
 	c := t.c
 	cl := op.cl
@@ -491,9 +568,6 @@ func (t *RuleTxn) admit(op txnOp) (*Assignment, error) {
 	}
 	if c.assign.has(cl.ID) {
 		return nil, fmt.Errorf("controller: class %d already installed", cl.ID)
-	}
-	if err := c.ensurePassBy(t); err != nil {
-		return nil, err
 	}
 	// An online add plans its distribution against live headroom; an
 	// install brings the one its placement solved.
@@ -504,9 +578,8 @@ func (t *RuleTxn) admit(op txnOp) (*Assignment, error) {
 		if err := t.fail("add:plan", cl.ID); err != nil {
 			return nil, err
 		}
-		// planClass is all-or-nothing: on failure its own provisioning is
-		// already cancelled.
-		if dist, provisioned, err = c.planClass(cl, t); err != nil {
+		if dist, provisioned, err = c.planClass(cl); err != nil {
+			c.unwindProvisioned(provisioned, t)
 			return nil, err
 		}
 	} else if err := t.fail("install:plan", cl.ID); err != nil {

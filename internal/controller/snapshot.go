@@ -20,8 +20,9 @@ import (
 type Snapshot struct {
 	// Classes holds each installed class's record, by ascending class ID.
 	Classes []ClassSnapshot
-	// Portions is the instance-portion ledger: the planned load charged
-	// to each instance.
+	// Portions is the instance-portion ledger: the planned load the base
+	// sub-classes charge to each instance, summed from the class records
+	// in class order, which are the one record of it.
 	Portions map[vnf.ID]float64
 	// GlobalTags lists, per hosting switch, the global sub-class tags in
 	// use by header-rewriting classes steered through it, ascending: read
@@ -67,7 +68,7 @@ type TableSnapshot struct {
 // quiesced with respect to commits (the same contract as Avail).
 func (c *Controller) Snapshot() Snapshot {
 	s := Snapshot{
-		Portions:   make(map[vnf.ID]float64, len(c.instPortion)),
+		Portions:   make(map[vnf.ID]float64),
 		GlobalTags: make(map[topology.NodeID][]uint8),
 		Pools:      make(map[topology.NodeID]map[policy.NF][]vnf.ID, len(c.instPool)),
 		Instances:  c.orch.Instances(),
@@ -76,6 +77,7 @@ func (c *Controller) Snapshot() Snapshot {
 	gtags := make(map[topology.NodeID]uint64)
 	for _, a := range c.assign.sorted() {
 		s.Classes = append(s.Classes, a.snapshot())
+		a.charge(s.Portions, 1)
 		if !a.Global {
 			continue
 		}
@@ -84,9 +86,6 @@ func (c *Controller) Snapshot() Snapshot {
 				gtags[v] |= 1 << r.tag
 			}
 		}
-	}
-	for id, p := range c.instPortion {
-		s.Portions[id] = p
 	}
 	for v, set := range gtags {
 		for tag := uint8(0); set != 0; tag, set = tag+1, set>>1 {

@@ -31,15 +31,17 @@ package controller
 //	unwind     — on any error the transaction reverts every table batch
 //	             it applied (newest first, each from the undo token the
 //	             batch returned), deletes admitted assignments,
-//	             re-registers replaced/removed ones, cancels provisioned
-//	             instances, and writes back the pre-transaction value of
-//	             every portion entry it changed.
-//	             Controller state is bit-identical to the
+//	             re-registers replaced/removed ones, restores the pool
+//	             buckets it re-bucketed and cancels provisioned instances:
+//	             four kinds of state. The instance-portion ledger follows
+//	             the class records (assignStore.put and remove), so it
+//	             comes back with them, each entry to within rounding.
+//	             Controller state is otherwise bit-identical to the
 //	             pre-transaction state.
 //
 // Everything the transaction remembers for that is sized by its own
-// delta — the rules its batches added and removed, the ledger entries it
-// wrote — never by what is installed.
+// delta — the rules its batches added and removed, the classes and pools
+// it replaced — never by what is installed.
 //
 // Process-global telemetry (metrics counters, the rule-update odometer,
 // the trace journal) is monotone and deliberately not rolled back: an
@@ -129,9 +131,6 @@ type txnScratch struct {
 	// refreshes are kept apart from staged: a day's rate-only refreshes
 	// are most of a re-optimization's deltas and need only these 24 bytes.
 	refreshes []rateDelta
-	// Pre-transaction values of the portion-ledger entries the transaction
-	// wrote, recorded on first write (setPortion).
-	prevPortion map[vnf.ID]portionPre
 	// Pre-transaction pool buckets of the switches repoolInstance wrote.
 	prevPools map[topology.NodeID]map[policy.NF][]*vnf.Instance
 	// undo holds the inverse of every table batch applied, in apply
@@ -163,7 +162,6 @@ const scratchCap = 16
 func (s *txnScratch) reset() {
 	s.staged = reuse(s.staged)
 	s.refreshes = reuse(s.refreshes)
-	s.prevPortion = reuseMap(s.prevPortion)
 	s.prevPools = reuseMap(s.prevPools)
 	s.undo = reuse(s.undo)
 	s.admitted = reuse(s.admitted)
@@ -251,8 +249,8 @@ func (t *RuleTxn) StageUpdate(cl core.Class, dist [][]float64) {
 
 // StageRefresh stages a bookkeeping-only rate change for installed class
 // id, whose rule set is unchanged: the assignment is replaced with one
-// carrying the new rate and the instance-portion ledger is retargeted,
-// but no flow table is touched.
+// carrying the new rate, which the store charges to the instance-portion
+// ledger in place of the old one, but no flow table is touched.
 func (t *RuleTxn) StageRefresh(id core.ClassID, rate float64) {
 	t.refreshes = append(t.refreshes, rateDelta{id: id, rate: rate, at: len(t.staged)})
 }
@@ -379,10 +377,10 @@ func (t *RuleTxn) release() {
 }
 
 // unwind restores the controller to its pre-transaction state: table
-// batches reverted newest first, admitted classes out of the store,
-// replaced/removed classes back in, re-bucketed pools restored,
-// provisioned instances cancelled and de-pooled, and every written portion
-// entry set back to its recorded value.
+// batches reverted newest first, admitted classes out of the store and
+// replaced/removed classes back in — their portion charges with them —
+// re-bucketed pools restored, and provisioned instances cancelled and
+// de-pooled.
 func (t *RuleTxn) unwind(cause error) {
 	t.finished = true
 	c := t.c
@@ -411,12 +409,6 @@ func (t *RuleTxn) unwind(cause error) {
 		_ = c.orch.Cancel(id)
 		c.dropFromPool(id, nil)
 	}
-	for id, pre := range t.prevPortion {
-		c.setPortion(nil, id, pre.load, pre.present)
-	}
-	// Reverting may have removed pass-by rules installed during this
-	// transaction; force the next admission to re-verify them.
-	c.passByDone = false
 	metrics.Txn.Unwound.Add(1)
 	metrics.Txn.TablesRestored.Add(int64(len(restored)))
 	if c.tracer.Enabled() {
@@ -458,12 +450,9 @@ type tableUndo struct {
 // routing table of each switch on its path and for the APPLE and steering
 // tables of each switch that processes a share of it, and in its flip step
 // one for the ingress APPLE table: at most len(Path)+2P+1 batches for P
-// processing positions. Each switch may also take the pass-by row, once.
+// processing positions.
 func (t *RuleTxn) reserveUndo() {
 	n := len(t.undo)
-	if !t.c.passByDone {
-		n += len(t.c.switches)
-	}
 	for _, op := range t.staged {
 		if op.kind != txnInstall {
 			continue
@@ -479,17 +468,6 @@ func (t *RuleTxn) reserveUndo() {
 	t.undo = slices.Grow(t.undo, n-len(t.undo))
 }
 
-// recordUndo keeps a batch's undo token for unwind and accounts the
-// rules the batch removed. Every batch a transaction applies — apply's and
-// the pass-by rows — ends here, once its table is published.
-func (t *RuleTxn) recordUndo(k tableKey, u flowtable.Undo) {
-	t.undo = append(t.undo, tableUndo{key: k, token: u})
-	t.removed += u.Removed()
-	if t.c.published != nil {
-		t.c.published(k)
-	}
-}
-
 // applyEach applies batches in order, one table at a time.
 func (t *RuleTxn) applyEach(batches []tableBatch) error {
 	for _, b := range batches {
@@ -501,53 +479,28 @@ func (t *RuleTxn) applyEach(batches []tableBatch) error {
 }
 
 // apply runs one batch against one table in a single critical section,
-// keeping its undo token and accounting installed rules, and returns how
-// many rules it installed. The token is kept on error too: a failed batch
-// leaves its earlier operations applied, and the unwind needs that token.
-// The ordered make-before-break steps of a cutover, and the install
-// pipeline's apply stage, are sequences of these.
+// keeping its undo token and accounting installed and removed rules, and
+// returns how many rules it installed. The token is kept on error too: a
+// failed batch leaves its earlier operations applied, and the unwind needs
+// that token. The ordered make-before-break steps of a cutover, and the
+// install pipeline's apply stage, are sequences of these.
 func (t *RuleTxn) apply(k tableKey, batch []flowtable.BatchOp) (int, error) {
 	tbl, err := t.c.deviceTable(k.dev, k.table)
 	if err != nil {
 		return 0, err
 	}
 	n, undo, err := tbl.ApplyBatchUndo(batch)
-	t.recordUndo(k, undo)
+	t.undo = append(t.undo, tableUndo{key: k, token: undo})
+	t.removed += undo.Removed()
+	if t.c.published != nil {
+		t.c.published(k)
+	}
 	t.installed += n
 	t.c.ruleUpdates.Add(int64(n))
 	if err != nil {
 		return n, fmt.Errorf("controller: %w", err)
 	}
 	return n, nil
-}
-
-// portionPre is the pre-transaction state of one portion-ledger entry.
-type portionPre struct {
-	load    float64
-	present bool
-}
-
-// setPortion writes (or, with present false, deletes) one entry of the
-// instance-portion ledger. Inside a transaction the entry's prior state
-// is recorded the first time it is written, so unwind can put it back
-// exactly; txn is nil only after a commit — reaping idle instances,
-// cancelling a rolled-back failover's launches — and during the unwind
-// itself.
-func (c *Controller) setPortion(txn *RuleTxn, id vnf.ID, load float64, present bool) {
-	if txn != nil {
-		if _, seen := txn.prevPortion[id]; !seen {
-			if txn.prevPortion == nil {
-				txn.prevPortion = make(map[vnf.ID]portionPre)
-			}
-			old, had := c.instPortion[id]
-			txn.prevPortion[id] = portionPre{load: old, present: had}
-		}
-	}
-	if present {
-		c.instPortion[id] = load
-	} else {
-		delete(c.instPortion, id)
-	}
 }
 
 // trackPool records switch v's pool buckets on first write. The buckets
@@ -591,13 +544,13 @@ func (t *RuleTxn) commitCutover(op txnOp, opts TxnOptions) error {
 		return fmt.Errorf("controller: class %d is not installed", op.id)
 	}
 	if op.kind != txnUpdate {
-		return t.cutover(old, op.next, op.kind == txnReshape)
+		return t.cutover(old, op.next)
 	}
 	next, err := t.buildUpdate(op)
 	if err != nil {
 		return err
 	}
-	if err := t.cutover(old, next, false); err != nil {
+	if err := t.cutover(old, next); err != nil {
 		return err
 	}
 	c.journalAdmit(next)
@@ -620,9 +573,9 @@ func (t *RuleTxn) commitCutover(op txnOp, opts TxnOptions) error {
 // buildUpdate builds an update's next assignment from the staged
 // distribution without registering it. The live assignment is still
 // installed, so a header-rewriting class draws global tags that do not
-// conflict with its own, and the ledger charges next's base on top of the
-// live one's until the cutover retires it: the capacity a make-before-break
-// window really holds.
+// conflict with its own, and next's instances are picked against a ledger
+// that still charges the live one's base: the cutover's swap charges next
+// before it takes the live base back (assignStore.put).
 func (t *RuleTxn) buildUpdate(op txnOp) (*Assignment, error) {
 	if err := t.fail("update:plan", op.id); err != nil {
 		return nil, err
@@ -630,9 +583,6 @@ func (t *RuleTxn) buildUpdate(op txnOp) (*Assignment, error) {
 	subs, err := core.Subclasses(op.cl, op.dist)
 	if err != nil {
 		return nil, fmt.Errorf("controller: %w", err)
-	}
-	if err := t.c.ensurePassBy(t); err != nil {
-		return nil, err
 	}
 	if err := t.fail("update:build", op.id); err != nil {
 		return nil, err
@@ -653,19 +603,17 @@ func (t *RuleTxn) buildUpdate(op txnOp) (*Assignment, error) {
 //  2. flip (cutover:cls): the ingress classification moves to next's
 //     sub-classes in one remove-then-install batch, or is removed. When
 //     next's classification compiles to the installed rules, they stand.
-//  3. swap (cutover:swap): the store holds next, or no longer the class.
+//  3. swap (cutover:swap): the store holds next, or no longer the class,
+//     and its portion ledger charges next's base in place of old's.
 //  4. retire (cutover:retire): the steering of old's sub-classes that
 //     next does not keep is removed where step 1 did not replace it, and
-//     old's classification if next enters elsewhere. Old's base portion
-//     charges are taken back unless keepsBase says next carries old's
-//     base: a reshape never moves it, while an update's next was charged
-//     when it was built.
+//     old's classification if next enters elsewhere.
 //
 // Each flow table changes in single ApplyBatch critical sections, so a
 // packet meets a table's complete old or complete new rule set. A new
 // class has no live assignment: installNew compiles it with steps 1 and 2
 // from nothing and applies them in that order, and fires no cutover point.
-func (t *RuleTxn) cutover(old, next *Assignment, keepsBase bool) error {
+func (t *RuleTxn) cutover(old, next *Assignment) error {
 	c := t.c
 	id := old.Class.ID
 	if err := t.fail("cutover:steer", id); err != nil {
@@ -702,13 +650,7 @@ func (t *RuleTxn) cutover(old, next *Assignment, keepsBase bool) error {
 	if err := t.fail("cutover:retire", id); err != nil {
 		return err
 	}
-	if err := t.applyEach(c.retireRules(old, next)); err != nil {
-		return err
-	}
-	if !keepsBase {
-		c.shiftPortions(t, old, -1)
-	}
-	return nil
+	return t.applyEach(c.retireRules(old, next))
 }
 
 // keepsSteering reports whether sub-class s of next stands as old's does:
@@ -912,12 +854,12 @@ func eachRetired(old, next *Assignment, f func(s int, v topology.NodeID)) {
 
 // commitRefresh replaces an installed class's assignment with one
 // carrying a new rate but the same sub-class shape: no rules move, only
-// the store entry and the instance-portion ledger. The replacement is the
-// installed assignment at the new rate under a new generation number
-// (sameGeneration), so a failover spawn computed against the old rate is
-// dropped. It shares every array with the one it replaces, the sub-class
-// records included: their weights are only ever written on an
-// Assignment.clone. One allocation, the replacement itself.
+// the store entry, and with it the instance-portion ledger's charges. The
+// replacement is the installed assignment at the new rate under a new
+// generation number (sameGeneration), so a failover spawn computed
+// against the old rate is dropped. It shares every array with the one it
+// replaces, the sub-class records included: their weights are only ever
+// written on an Assignment.clone. One allocation, the replacement itself.
 func (t *RuleTxn) commitRefresh(r rateDelta) error {
 	c := t.c
 	old, ok := c.assign.get(r.id)
@@ -932,19 +874,5 @@ func (t *RuleTxn) commitRefresh(r rateDelta) error {
 	newA.gen = c.nextGen()
 	t.trackPrevAssign(r.id, old)
 	c.assign.put(r.id, &newA)
-	c.shiftPortions(t, old, -1)
-	c.shiftPortions(t, &newA, +1)
 	return nil
-}
-
-// shiftPortions adds (sign +1) or retires (sign -1) an assignment's
-// per-instance planned load in the portion ledger. The ledger carries base
-// sub-classes only, the ones buildAssignment charged: the Dynamic
-// Handler's sub-classes move weight, not plans, and are never charged.
-func (c *Controller) shiftPortions(txn *RuleTxn, a *Assignment, sign float64) {
-	for s, r := range a.subs[:a.NumBase()] {
-		for _, id := range a.Instances(s) {
-			c.setPortion(txn, id, c.instPortion[id]+sign*a.Class.RateMbps*r.portion, true)
-		}
-	}
 }

@@ -1,8 +1,10 @@
 package controller
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
-	"strings"
+	"slices"
 	"testing"
 
 	"github.com/apple-nfv/apple/internal/core"
@@ -11,103 +13,57 @@ import (
 	"github.com/apple-nfv/apple/internal/topology"
 )
 
-// Tests for the transaction's delta-sized bookkeeping: the pass-by
-// short-circuit, and the cost of a one-class commit not growing with the
-// installed state.
+// Tests for the transaction's delta-sized bookkeeping: the pass-by rows
+// it never touches, and the cost of a one-class commit not growing with
+// the installed state.
 
-// passByCount returns how many switches carry the pass-by rule, failing
-// on a duplicate.
-func passByCount(t *testing.T, c *Controller) int {
+// passByRows returns every pass-by rule of the switches' APPLE tables,
+// one line per rule, in switch order.
+func passByRows(t *testing.T, c *Controller) []string {
 	t.Helper()
-	n := 0
+	var rows []string
 	for _, tbl := range c.Snapshot().Tables {
 		if tbl.VSwitch || tbl.Table != TableAPPLE {
 			continue
 		}
-		rules := 0
 		for _, r := range tbl.Rules {
 			if r.Name == "pass-by" {
-				rules++
+				rows = append(rows, fmt.Sprintf("%d %s", tbl.Node, fmtRule(r)))
 			}
 		}
-		if rules > 1 {
-			t.Fatalf("switch %d has %d pass-by rules", tbl.Node, rules)
-		}
-		n += rules
 	}
-	return n
+	return rows
 }
 
-// TestPassByFlagSurvivesCommitAndUnwind pins both halves of the pass-by
-// short-circuit. Once every switch carries the rule the flag is trusted
-// and later commits do not rescan the switches; an unwind clears it, and
-// the next admission re-installs the rule *inside its transaction*, so
-// that transaction's own unwind takes the rule out again.
-func TestPassByFlagSurvivesCommitAndUnwind(t *testing.T) {
+// TestPassByInstalledByNew: New puts Table III's pass-by row on every
+// switch, counting each as a rule update, and no transaction touches the
+// rows: a failed and then a committed AddClass leave them as they were.
+func TestPassByInstalledByNew(t *testing.T) {
 	c, err := New(Config{Topology: lineTopo(t, 4), Clock: sim.New(), Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	class := func(id int) core.Class {
-		return core.Class{ID: core.ClassID(id), Path: linePath(4), Chain: policy.Chain{policy.Firewall}, RateMbps: 10}
+	rows := passByRows(t, c)
+	if len(rows) != len(c.switches) {
+		t.Fatalf("New left %d pass-by rows on %d switches: %v", len(rows), len(c.switches), rows)
 	}
-	failing := func(id int) error {
-		c.failpoint = func(p string) error {
-			if strings.HasPrefix(p, "add:apply") {
-				return errInjected
-			}
-			return nil
-		}
-		defer func() { c.failpoint = nil }()
-		return c.AddClass(class(id))
+	if n := c.RuleUpdates(); n != len(c.switches) {
+		t.Fatalf("New counted %d rule updates, want one per switch (%d)", n, len(c.switches))
 	}
-	switches := len(c.switches)
-
-	// An unwound first admission installed pass-by everywhere and must
-	// take it back; twice, to show the second one re-installed and
-	// re-tracked it rather than trusting stale state.
-	for round := 0; round < 2; round++ {
-		if err := failing(1); err == nil {
-			t.Fatal("failpoint did not abort the commit")
-		}
-		if n := passByCount(t, c); n != 0 || c.passByDone {
-			t.Fatalf("round %d: after unwind %d switches keep pass-by, passByDone=%v", round, n, c.passByDone)
-		}
+	cl := core.Class{ID: 1, Path: linePath(4), Chain: policy.Chain{policy.Firewall}, RateMbps: 10}
+	c.failpoint = failAt("add:apply:1")
+	if err := c.AddClass(cl); !errors.Is(err, errInjected) {
+		t.Fatalf("AddClass = %v, want the injected fault", err)
 	}
-	if err := c.AddClass(class(1)); err != nil {
+	if got := passByRows(t, c); !slices.Equal(got, rows) {
+		t.Fatalf("after an unwound AddClass the pass-by rows are %v, want %v", got, rows)
+	}
+	c.failpoint = nil
+	if err := c.AddClass(cl); err != nil {
 		t.Fatal(err)
 	}
-	if n := passByCount(t, c); n != switches || !c.passByDone {
-		t.Fatalf("after commit %d/%d switches carry pass-by, passByDone=%v", n, switches, c.passByDone)
-	}
-
-	// With the flag set, a commit does not visit the switches at all: a
-	// rule taken out behind the controller's back stays out.
-	sw0, err := c.switches[linePath(4)[0]].Pipeline.Table(TableAPPLE)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw0.Remove("pass-by")
-	if err := c.AddClass(class(2)); err != nil {
-		t.Fatal(err)
-	}
-	if sw0.Has("pass-by") {
-		t.Fatal("commit rescanned the switches although passByDone was set")
-	}
-
-	// An unwind that installed no pass-by rule leaves the others alone,
-	// still clears the flag, and the next admission repairs the gap.
-	if err := failing(3); err == nil {
-		t.Fatal("failpoint did not abort the commit")
-	}
-	if n := passByCount(t, c); n != switches-1 || c.passByDone {
-		t.Fatalf("after late unwind %d switches carry pass-by, passByDone=%v", n, c.passByDone)
-	}
-	if err := c.AddClass(class(3)); err != nil {
-		t.Fatal(err)
-	}
-	if n := passByCount(t, c); n != switches || !c.passByDone {
-		t.Fatalf("after repair %d/%d switches carry pass-by, passByDone=%v", n, switches, c.passByDone)
+	if got := passByRows(t, c); !slices.Equal(got, rows) {
+		t.Fatalf("after a committed AddClass the pass-by rows are %v, want %v", got, rows)
 	}
 }
 

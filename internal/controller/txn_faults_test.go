@@ -9,6 +9,7 @@ package controller
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -20,9 +21,32 @@ import (
 	"github.com/apple-nfv/apple/internal/sim"
 	"github.com/apple-nfv/apple/internal/topology"
 	"github.com/apple-nfv/apple/internal/trace"
+	"github.com/apple-nfv/apple/internal/vnf"
 )
 
 var errInjected = errors.New("injected fault")
+
+// ledgerRestored compares the live portion ledger with a copy taken
+// before a call that must leave it as it was. Snapshot derives its
+// portions from the class records, so the digests no longer see the live
+// ledger, which an unwind restores through assignStore.put and remove to
+// within rounding: every old entry must be back to within 1e-9 relative
+// (of at least 1), and an entry the call added must read at most 1e-9.
+func ledgerRestored(before, after map[vnf.ID]float64) error {
+	for _, id := range sortedKeys(before) {
+		old := before[id]
+		got, ok := after[id]
+		if !ok || math.Abs(got-old) > 1e-9*math.Max(1, math.Abs(old)) {
+			return fmt.Errorf("ledger entry of %s is %v (present %v), was %v", id, got, ok, old)
+		}
+	}
+	for _, id := range sortedKeys(after) {
+		if _, had := before[id]; !had && math.Abs(after[id]) > 1e-9 {
+			return fmt.Errorf("ledger gained entry %s=%v", id, after[id])
+		}
+	}
+	return nil
+}
 
 func firstDiff(a, b string) string {
 	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
@@ -497,9 +521,10 @@ func TestTxnUnwindRestoresStateAtEveryFailpoint(t *testing.T) {
 			t.Run(route.name+"/"+pt, func(t *testing.T) {
 				fx := route.new(t)
 				want := fx.c.Snapshot().String()
+				ledger := fx.c.assign.portions()
 				if fx.expect != nil {
 					if w := fx.expect(t, pt); w != "" {
-						want = w
+						want, ledger = w, nil
 					}
 				}
 				fx.c.failpoint = failAt(pt)
@@ -508,6 +533,11 @@ func TestTxnUnwindRestoresStateAtEveryFailpoint(t *testing.T) {
 				}
 				if got := fx.c.Snapshot().String(); got != want {
 					t.Errorf("state after fault at %s: %s", pt, firstDiff(want, got))
+				}
+				if ledger != nil {
+					if err := ledgerRestored(ledger, fx.c.assign.portions()); err != nil {
+						t.Errorf("after fault at %s: %v", pt, err)
+					}
 				}
 				if err := fx.handler.CheckInvariants(); err != nil {
 					t.Errorf("CheckInvariants after unwind: %v", err)
@@ -539,7 +569,7 @@ func TestTxnScratchIsolated(t *testing.T) {
 		t.Run(route.name, func(t *testing.T) {
 			points := probeFailpoints(t, route.new)
 			fx, twin := route.new(t), route.new(t)
-			want := fx.c.Snapshot().String()
+			want, ledger := fx.c.Snapshot().String(), fx.c.assign.portions()
 			call := func(what string, failpoint func(string) error) error {
 				t.Helper()
 				fx.c.failpoint, twin.c.failpoint = failpoint, failpoint
@@ -564,6 +594,9 @@ func TestTxnScratchIsolated(t *testing.T) {
 					}
 					if got := fx.c.Snapshot().String(); got != want {
 						t.Fatalf("%s: %s", what, firstDiff(want, got))
+					}
+					if err := ledgerRestored(ledger, fx.c.assign.portions()); err != nil {
+						t.Fatalf("%s: %v", what, err)
 					}
 				}
 			}
@@ -763,8 +796,8 @@ func TestTxnUnwindSurvivesCancelFailure(t *testing.T) {
 			}
 		}
 	}
-	if len(c.instPortion) != 0 {
-		t.Errorf("portion ledger not empty after unwind: %v", c.instPortion)
+	if ledger := c.assign.portions(); len(ledger) != 0 {
+		t.Errorf("portion ledger not empty after unwind: %v", ledger)
 	}
 }
 

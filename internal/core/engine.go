@@ -20,12 +20,15 @@ import (
 var solveObserver func(m *lp.Model, s *lp.Solver, sol *lp.Solution)
 
 // recordSolve feeds one solve's instrumentation into the process-wide
-// solver counters. s is the solver that produced sol, nil when sol came
-// out of branch-and-bound.
+// solver counters, failed solves included. s is the solver that produced
+// sol, nil when sol came out of branch-and-bound.
 func recordSolve(m *lp.Model, s *lp.Solver, sol *lp.Solution, resolve bool) {
 	metrics.LP.RecordSolve(resolve, sol.WarmStarted,
 		sol.Phase1Iterations, sol.Phase2Iterations, sol.DualIterations,
 		sol.Phase1Time, sol.Phase2Time)
+	if sol.Status == lp.StatusSingular {
+		metrics.LP.Singular.Add(1)
+	}
 	if solveObserver != nil && s != nil && sol.Status == lp.StatusOptimal {
 		solveObserver(m, s, sol)
 	}
@@ -226,10 +229,10 @@ func (e *Engine) solveModel(md *model) (*Placement, int, error) {
 	}
 	solver := lp.NewSolver(md.m)
 	sol, err := solver.Solve()
+	recordSolve(md.m, solver, &sol, false)
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: optimization failed: %w", err)
 	}
-	recordSolve(md.m, solver, &sol, false)
 	r := &repairer{
 		md: md, solver: solver,
 		maxEvicts: e.opts.MaxAffinityRounds,

@@ -374,36 +374,44 @@ func parityModel(t *testing.T, n int) *Model {
 	return m
 }
 
-// TestMILPSkipsNodeAtPivotLimit: a node whose LP runs out of pivots is
-// skipped, not the end of the search. On the n = 5 parity row the second
-// node's re-solve is made to return ErrIterLimit; the search goes on and
-// finds the incumbent 1, but the skipped node's bound, the root's 0, is
-// below it, so the result is no proof: StatusIterLimit and ErrIterLimit,
-// exactly as when the node limit leaves a node open.
+// TestMILPSkipsNodeAtPivotLimit: a node whose LP runs out of pivots, or
+// meets a basis that does not factorize, is skipped, not the end of the
+// search. On the n = 5 parity row the second node's re-solve is made to
+// return ErrIterLimit, then ErrSingular; the search goes on and finds the
+// incumbent 1, but the skipped node's bound, the root's 0, is below it, so
+// the result is no proof: StatusIterLimit and ErrIterLimit, exactly as
+// when the node limit leaves a node open.
 func TestMILPSkipsNodeAtPivotLimit(t *testing.T) {
-	calls, after := 0, 0
-	resolveNode = func(s *Solver) (Solution, error) {
-		calls++
-		if calls == 2 {
-			return Solution{Status: StatusIterLimit}, fmt.Errorf("%w: injected", ErrIterLimit)
-		}
-		if calls > 2 {
-			after++
-		}
-		return s.ReSolve()
+	for _, tc := range []struct {
+		status Status
+		err    error
+	}{{StatusIterLimit, ErrIterLimit}, {StatusSingular, ErrSingular}} {
+		t.Run(tc.status.String(), func(t *testing.T) {
+			calls, after := 0, 0
+			resolveNode = func(s *Solver) (Solution, error) {
+				calls++
+				if calls == 2 {
+					return Solution{Status: tc.status}, fmt.Errorf("%w: injected", tc.err)
+				}
+				if calls > 2 {
+					after++
+				}
+				return s.ReSolve()
+			}
+			defer func() { resolveNode = (*Solver).ReSolve }()
+			sol, err := SolveMILP(parityModel(t, 5), MILPOptions{})
+			if after == 0 {
+				t.Fatalf("the search stopped at the skipped node: %v", err)
+			}
+			if !errors.Is(err, ErrIterLimit) || sol.Status != StatusIterLimit {
+				t.Fatalf("status %v, err %v after a skipped node below the incumbent; want ErrIterLimit", sol.Status, err)
+			}
+			if sol.Values == nil || !almost(sol.Objective, 1) {
+				t.Fatalf("incumbent %v (objective %v), want the parity optimum 1", sol.Values, sol.Objective)
+			}
+			t.Logf("%d nodes re-solved after the skipped one; %v", after, err)
+		})
 	}
-	defer func() { resolveNode = (*Solver).ReSolve }()
-	sol, err := SolveMILP(parityModel(t, 5), MILPOptions{})
-	if after == 0 {
-		t.Fatalf("the search stopped at the node that hit the pivot limit: %v", err)
-	}
-	if !errors.Is(err, ErrIterLimit) || sol.Status != StatusIterLimit {
-		t.Fatalf("status %v, err %v after a skipped node below the incumbent; want ErrIterLimit", sol.Status, err)
-	}
-	if sol.Values == nil || !almost(sol.Objective, 1) {
-		t.Fatalf("incumbent %v (objective %v), want the parity optimum 1", sol.Values, sol.Objective)
-	}
-	t.Logf("%d nodes re-solved after the skipped one; %v", after, err)
 }
 
 func TestSetIntegerValidation(t *testing.T) {

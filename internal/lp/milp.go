@@ -22,15 +22,15 @@ type MILPOptions struct {
 // within intTol of an integer as integral. A search that reaches maxNodes
 // with a node still open below the incumbent has proved nothing: it
 // returns the incumbent with ErrIterLimit. So has one that skipped a node
-// whose LP hit its pivot limit, if that node's bound was below the
-// incumbent.
+// whose LP hit its pivot limit or a basis that does not factorize, if that
+// node's bound was below the incumbent.
 const (
 	maxNodes = 10000
 	intTol   = 1e-6
 )
 
 // resolveNode re-solves one branch-and-bound node; tests replace it to
-// make a node's LP hit its pivot limit.
+// make a node's LP hit its pivot limit or a singular basis.
 var resolveNode = (*Solver).ReSolve
 
 // violatedExclusion returns the first exclusion pair with both variables
@@ -50,9 +50,9 @@ func violatedExclusion(opts MILPOptions, sol *Solution) (a, b VarID, violated bo
 // equivalent to one Solver.Solve. When the node limit stops the search
 // before the incumbent is proved optimal, the error wraps ErrIterLimit and
 // the solution, status StatusIterLimit, carries the incumbent if any. A
-// node whose LP hits its pivot limit is skipped and counted as open at its
-// parent's bound, so it costs the proof only if that bound could have
-// beaten the incumbent.
+// node whose LP hits its pivot limit, or a basis that does not factorize,
+// is skipped and counted as open at its parent's bound, so it costs the
+// proof only if that bound could have beaten the incumbent.
 func SolveMILP(m *Model, opts MILPOptions) (Solution, error) {
 	hasInt := false
 	for _, v := range m.vars {
@@ -131,7 +131,8 @@ func SolveMILP(m *Model, opts MILPOptions) (Solution, error) {
 		}
 		return resolveNode(s)
 	}
-	// skipped holds the bounds of the nodes whose LP hit its pivot limit.
+	// skipped holds the bounds of the nodes whose LP hit its pivot limit
+	// or a singular basis.
 	var skipped []float64
 
 	for len(queue) > 0 && nodes < maxNodes {
@@ -144,11 +145,12 @@ func SolveMILP(m *Model, opts MILPOptions) (Solution, error) {
 		totalIters += sol.Iterations
 		if err != nil {
 			// Infeasible subproblem: prune. A node whose LP ran out of
-			// pivots is skipped, its bound kept. Other errors abort.
+			// pivots or met a singular basis is skipped, its bound kept.
+			// Other errors abort.
 			switch sol.Status {
 			case StatusInfeasible:
 				continue
-			case StatusIterLimit:
+			case StatusIterLimit, StatusSingular:
 				skipped = append(skipped, nd.lb)
 				continue
 			}

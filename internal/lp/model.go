@@ -280,6 +280,9 @@ const (
 	StatusInfeasible
 	StatusUnbounded
 	StatusIterLimit
+	// StatusSingular: a refactor found the basis no longer factorizes, so
+	// the solve was given up before any pivot limit.
+	StatusSingular
 )
 
 // String returns the status name.
@@ -293,14 +296,17 @@ func (s Status) String() string {
 		return "unbounded"
 	case StatusIterLimit:
 		return "iteration-limit"
+	case StatusSingular:
+		return "singular"
 	default:
 		return fmt.Sprintf("Status(%d)", int(s))
 	}
 }
 
 // Solution is the result of Solve, Solver.Solve/ReSolve, or SolveMILP.
-// On infeasible/unbounded/iteration-limit outcomes Objective is 0 and
-// Values is nil; only the status and iteration counters are meaningful.
+// On infeasible, unbounded, iteration-limit and singular outcomes
+// Objective is 0 and Values is nil; only the status and iteration
+// counters are meaningful.
 type Solution struct {
 	Status     Status
 	Objective  float64
@@ -341,5 +347,6 @@ var (
 	ErrInfeasible = errors.New("lp: infeasible")
 	ErrUnbounded  = errors.New("lp: unbounded")
 	ErrIterLimit  = errors.New("lp: iteration limit exceeded")
+	ErrSingular   = errors.New("lp: basis does not factorize")
 	ErrEmptyModel = errors.New("lp: model has no variables")
 )

@@ -78,7 +78,7 @@ func (s *Solver) Solve() (Solution, error) {
 		}
 	}
 	p1Start := wallClock()
-	status, it1 := StatusIterLimit, 0
+	status, it1 := StatusSingular, 0
 	if t.load(s.model) {
 		status, it1 = t.phase1()
 	}
@@ -214,6 +214,8 @@ func solveErr(status Status, name string, iters int) error {
 		return fmt.Errorf("%w: %s", ErrInfeasible, name)
 	case StatusUnbounded:
 		return fmt.Errorf("%w: %s", ErrUnbounded, name)
+	case StatusSingular:
+		return fmt.Errorf("%w: %s after %d pivots", ErrSingular, name, iters)
 	default:
 		return fmt.Errorf("%w: %s after %d pivots", ErrIterLimit, name, iters)
 	}
@@ -254,7 +256,7 @@ func (t *revised) phase1() (Status, int) {
 		return StatusInfeasible, iters
 	}
 	if !t.evictArtificials() {
-		return StatusIterLimit, iters
+		return StatusSingular, iters
 	}
 	for k := t.realCols(); k < t.n; k++ {
 		t.hi[k] = 0 // fixed: never re-enters pricing
@@ -347,7 +349,7 @@ func (t *revised) optimize(c []float64, phase1 bool) (Status, int) {
 		}
 		refreshed = false
 		if !t.refactorDue() {
-			return StatusIterLimit, iters
+			return StatusSingular, iters
 		}
 		t.ftran(enter)
 		// Ratio test: smallest step over basic-variable bound hits and the

@@ -433,9 +433,9 @@ func TestWarmInfeasibleConfirmedCold(t *testing.T) {
 
 // TestSingularRefactor: a basis that does not factorize — two positions
 // claiming one column, or a column scaled to nothing — is refused with
-// StatusIterLimit by every loop that can hit a refactor, never a panic;
-// Solve-level callers see ErrIterLimit or a transparent cold fallback, and
-// never the values of the corrupt basis.
+// StatusSingular by every primal loop that can hit a refactor, never a
+// panic; Solve-level callers see ErrSingular or a transparent cold
+// fallback, and never the values of the corrupt basis.
 func TestSingularRefactor(t *testing.T) {
 	solved := func() *Solver {
 		s := NewSolver(chainModel(t, 12))
@@ -470,7 +470,7 @@ func TestSingularRefactor(t *testing.T) {
 	}
 
 	// Primal loop: make a column attractive, corrupt the basis, force the
-	// refactor — the loop must give up with StatusIterLimit.
+	// refactor — the loop must give up with StatusSingular.
 	s = solved()
 	st = s.t
 	fillEtaFile(st)
@@ -480,11 +480,11 @@ func TestSingularRefactor(t *testing.T) {
 		}
 	}
 	st.basis[3] = st.basis[2]
-	if status, _ := st.optimize(st.c, false); status != StatusIterLimit {
-		t.Fatalf("optimize on a singular basis: %v, want %v", status, StatusIterLimit)
+	if status, _ := st.optimize(st.c, false); status != StatusSingular {
+		t.Fatalf("optimize on a singular basis: %v, want %v", status, StatusSingular)
 	}
-	if err := solveErr(StatusIterLimit, "m", 0); !errors.Is(err, ErrIterLimit) {
-		t.Fatalf("StatusIterLimit maps to %v", err)
+	if err := solveErr(StatusSingular, "m", 0); !errors.Is(err, ErrSingular) || errors.Is(err, ErrIterLimit) {
+		t.Fatalf("StatusSingular maps to %v, want ErrSingular alone", err)
 	}
 
 	// Warm path: the same corruption under ReSolve is a rejected warm

@@ -20,6 +20,7 @@ type LPCounters struct {
 	DualPivots   atomic.Int64 // dual-simplex pivots of warm re-solves
 	Phase1Nanos  atomic.Int64
 	Phase2Nanos  atomic.Int64
+	Singular     atomic.Int64 // solves given up on a basis that does not factorize
 }
 
 // LP is the process-wide solver counter set.
@@ -56,6 +57,7 @@ type LPSnapshot struct {
 	DualPivots   int64
 	Phase1Time   time.Duration
 	Phase2Time   time.Duration
+	Singular     int64
 }
 
 // Snapshot reads the counters.
@@ -69,6 +71,7 @@ func (c *LPCounters) Snapshot() LPSnapshot {
 		DualPivots:   c.DualPivots.Load(),
 		Phase1Time:   time.Duration(c.Phase1Nanos.Load()),
 		Phase2Time:   time.Duration(c.Phase2Nanos.Load()),
+		Singular:     c.Singular.Load(),
 	}
 }
 
@@ -83,6 +86,7 @@ func (s LPSnapshot) Sub(prev LPSnapshot) LPSnapshot {
 		DualPivots:   s.DualPivots - prev.DualPivots,
 		Phase1Time:   s.Phase1Time - prev.Phase1Time,
 		Phase2Time:   s.Phase2Time - prev.Phase2Time,
+		Singular:     s.Singular - prev.Singular,
 	}
 }
 

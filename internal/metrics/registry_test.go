@@ -18,6 +18,7 @@ func TestRegistrySnapshot(t *testing.T) {
 	}
 	var lp LPCounters
 	lp.RecordSolve(false, false, 10, 20, 0, time.Millisecond, 2*time.Millisecond)
+	lp.Singular.Add(1)
 	if err := reg.AddLP("lp", &lp); err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestRegistrySnapshot(t *testing.T) {
 	if snap.Counters["orchestrator"]["launches"] != 3 || snap.Counters["orchestrator"]["boots"] != 1 {
 		t.Fatalf("counters: %+v", snap.Counters)
 	}
-	if snap.LP["lp"].Solves != 1 || snap.LP["lp"].Phase2Pivots != 20 {
+	if snap.LP["lp"].Solves != 1 || snap.LP["lp"].Phase2Pivots != 20 || snap.LP["lp"].Singular != 1 {
 		t.Fatalf("lp: %+v", snap.LP)
 	}
 	if snap.FlowSetup["flow_setup"].Arrivals != 7 {
