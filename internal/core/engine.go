@@ -29,6 +29,12 @@ func recordSolve(m *lp.Model, s *lp.Solver, sol *lp.Solution, resolve bool) {
 	if sol.Status == lp.StatusSingular {
 		metrics.LP.Singular.Add(1)
 	}
+	if sol.ColdDual {
+		metrics.LP.ColdDual.Add(1)
+	}
+	if sol.ColdFallback {
+		metrics.LP.ColdFallback.Add(1)
+	}
 	if solveObserver != nil && s != nil && sol.Status == lp.StatusOptimal {
 		solveObserver(m, s, sol)
 	}

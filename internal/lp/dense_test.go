@@ -10,10 +10,11 @@ import "math"
 const dantzigLimit = 20000
 
 // This file is the dense Gauss-Jordan tableau the package solved with
-// before the sparse revised simplex replaced it, kept verbatim (minus the
-// phase timers) as the reference the differential and fuzz tests compare
-// the production engine against: same pricing, same ratio tests, same warm
-// contract, a different representation of B⁻¹A.
+// before the sparse revised simplex replaced it, kept (minus the phase
+// timers) as the reference the differential and fuzz tests compare the
+// production engine against, and given the production engine's dual cold
+// start and its fallbacks: same pricing, same ratio tests, same starts,
+// same warm contract, a different representation of B⁻¹A.
 
 // denseSolver is Solver over a dense tableau.
 type denseSolver struct {
@@ -26,7 +27,10 @@ func newDenseSolver(m *Model) *denseSolver {
 	return &denseSolver{model: m}
 }
 
-// Solve runs a cold two-phase solve, discarding any previous basis.
+// Solve runs a cold solve, discarding any previous basis: the dual
+// simplex from the slack basis when that basis is dual feasible, the
+// two-phase method otherwise or when the dual run fails — the production
+// solver's cold start and fallbacks, pivot rule for pivot rule.
 func (s *denseSolver) Solve() (Solution, error) {
 	if len(s.model.vars) == 0 {
 		return Solution{}, ErrEmptyModel
@@ -41,23 +45,45 @@ func (s *denseSolver) Solve() (Solution, error) {
 			return sol, solveErr(StatusInfeasible, s.model.name, 0)
 		}
 	}
-	t, err := newTableau(s.model)
-	if err != nil {
-		return Solution{}, err
+	dIters := 0
+	if dualStartable(s.model) {
+		t := newTableau(s.model, true)
+		s.t = t
+		status, iters, ok := t.dualSimplex(hardIterLimit)
+		dIters = iters
+		if ok && status == StatusOptimal {
+			status, it2 := t.optimize(t.c, false)
+			if status == StatusOptimal {
+				sol := Solution{
+					Status:           status,
+					DualIterations:   dIters,
+					Phase2Iterations: it2,
+					Iterations:       dIters + it2,
+					Nodes:            1,
+					ColdDual:         true,
+				}
+				s.finish(&sol)
+				return sol, nil
+			}
+			dIters += it2
+		}
 	}
+	t := newTableau(s.model, false)
 	s.t = t
 	status, it1 := t.phase1()
 	sol := Solution{
 		Status:           status,
 		Phase1Iterations: it1,
-		Iterations:       it1,
+		DualIterations:   dIters,
+		Iterations:       it1 + dIters,
 		Nodes:            1,
+		ColdFallback:     true,
 	}
 	if status != StatusOptimal {
 		// A failed tableau (mid-phase-1, artificials still basic) is not a
 		// valid warm-start base; drop it so the next ReSolve goes cold.
 		s.t = nil
-		return sol, solveErr(status, s.model.name, it1)
+		return sol, solveErr(status, s.model.name, sol.Iterations)
 	}
 	status, it2 := t.optimize(t.c, false)
 	sol.Phase2Iterations = it2
@@ -85,6 +111,7 @@ func (s *denseSolver) ReSolve() (Solution, error) {
 		return s.Solve()
 	}
 	t := s.t
+	t.degenerate, t.bland = 0, false
 	status, dIters, ok := t.dualSimplex(dualIterBudget(t.m))
 	if !ok {
 		// Warm start rejected: cold solve.
@@ -183,6 +210,12 @@ type tableau struct {
 	red     []float64 // maintained reduced-cost row
 	inBasis []bool    // basic-column marks
 	nz      []int32   // scratch: pivot-row nonzero columns
+
+	// degenerate and bland are the production solver's guard on the dual
+	// simplex (see revised.dualSimplex); bland also switches optimize to
+	// Bland's rule, as it does there.
+	degenerate int
+	bland      bool
 }
 
 // rowTerms returns constraint i's merged terms as Terms.
@@ -195,19 +228,27 @@ func rowTerms(m *Model, i int) []Term {
 	return out
 }
 
-// newTableau converts the model. Structural variables start nonbasic at
-// their lower bound; each row's slack absorbs the residual when it can,
-// otherwise the row gets an artificial and joins phase 1.
-func newTableau(m *Model) (*tableau, error) {
+// newTableau converts the model. With dual unset, structural variables
+// start nonbasic at their lower bound; each row's slack absorbs the
+// residual when it can, otherwise the row gets an artificial and joins
+// phase 1. With dual set, a column whose cost is negative rests at its
+// upper bound and every slack is basic at the residual, in its bounds or
+// not, with no artificials (revised.load's dual start).
+func newTableau(m *Model, dual bool) *tableau {
 	nv := len(m.vars)
 	nrows := len(m.cons)
 
-	// Residual of each row at the all-at-lower-bound starting point.
+	// Residual of each row at the starting point.
 	resid := make([]float64, nrows)
 	for i, con := range m.cons {
 		r := con.rhs
 		for _, t := range rowTerms(m, i) {
-			r -= t.Coef * m.vars[t.Var].lo
+			v := m.vars[t.Var]
+			x := v.lo
+			if dual && v.obj < 0 {
+				x = v.hi
+			}
+			r -= t.Coef * x
 		}
 		resid[i] = r
 	}
@@ -216,6 +257,9 @@ func newTableau(m *Model) (*tableau, error) {
 	needArt := make([]bool, nrows)
 	nart := 0
 	for i, con := range m.cons {
+		if dual {
+			break
+		}
 		switch con.sense {
 		case LE:
 			needArt[i] = resid[i] < -eps
@@ -249,6 +293,7 @@ func newTableau(m *Model) (*tableau, error) {
 		t.c[j] = v.obj
 		t.lo[j] = v.lo
 		t.hi[j] = v.hi
+		t.atUpper[j] = dual && v.obj < 0
 	}
 	artCol := nv + nrows
 	for i, con := range m.cons {
@@ -268,7 +313,10 @@ func newTableau(m *Model) (*tableau, error) {
 		row[slack] = sign
 		t.lo[slack] = 0
 		t.hi[slack] = shi
-		if !needArt[i] {
+		if dual {
+			t.basis[i] = slack
+			t.xB[i] = sign * resid[i]
+		} else if !needArt[i] {
 			sval := sign * resid[i]
 			if sval < 0 {
 				sval = 0 // eps-level residual noise
@@ -303,7 +351,7 @@ func newTableau(m *Model) (*tableau, error) {
 			row[bj] = 1
 		}
 	}
-	return t, nil
+	return t
 }
 
 // realCols is the number of non-artificial columns.
@@ -413,7 +461,7 @@ func (t *tableau) optimize(c []float64, phase1 bool) (Status, int) {
 		if iters >= hardIterLimit {
 			return StatusIterLimit, iters
 		}
-		useBland := iters >= dantzigLimit
+		useBland := t.bland || iters >= dantzigLimit
 		// Price from the maintained reduced-cost row.
 		enter := -1
 		dir := 1.0
@@ -497,13 +545,15 @@ func (t *tableau) optimize(c []float64, phase1 bool) (Status, int) {
 	}
 }
 
-// dualSimplex restores primal feasibility after bound changes, preserving
-// dual feasibility throughout — the warm-start workhorse. Returns ok=false
-// when the warm start must be abandoned (dual-infeasible start or pivot
-// budget exceeded); the caller falls back to a cold solve. A returned
-// StatusInfeasible is a dual-unboundedness certificate: the violated row
-// proves no setting of the nonbasic variables can bring the basic variable
-// inside its bounds.
+// dualSimplex restores primal feasibility, preserving dual feasibility
+// throughout — the warm-start workhorse, and a cold solve's first run.
+// Returns ok=false when the run must be abandoned (dual-infeasible start
+// or pivot budget exceeded); the caller falls back to a cold two-phase
+// solve. A returned StatusInfeasible is a dual-unboundedness certificate:
+// the violated row proves no setting of the nonbasic variables can bring
+// the basic variable inside its bounds. The leaving row is the most
+// violated basic variable until blandRun degenerate dual pivots in a row,
+// then the infeasible one of lowest column index.
 func (t *tableau) dualSimplex(maxIter int) (Status, int, bool) {
 	real := t.realCols()
 	t.refreshRed(t.c)
@@ -524,19 +574,19 @@ func (t *tableau) dualSimplex(maxIter int) (Status, int, bool) {
 		if iters >= maxIter {
 			return StatusIterLimit, iters, false
 		}
-		// Leaving row: the most violated basic variable.
 		r := -1
 		below := false
 		worst := 1e-9
 		for i := 0; i < t.m; i++ {
 			bi := t.basis[i]
-			if v := t.lo[bi] - t.xB[i]; v > worst {
-				worst, r, below = v, i, true
+			v, under := t.lo[bi]-t.xB[i], true
+			if hb := t.hi[bi]; !math.IsInf(hb, 1) && t.xB[i]-hb > v {
+				v, under = t.xB[i]-hb, false
 			}
-			if hb := t.hi[bi]; !math.IsInf(hb, 1) {
-				if v := t.xB[i] - hb; v > worst {
-					worst, r, below = v, i, false
-				}
+			if v > worst && !t.bland {
+				worst, r, below = v, i, under
+			} else if v > 1e-9 && t.bland && (r < 0 || bi < t.basis[r]) {
+				r, below = i, under
 			}
 		}
 		if r < 0 {
@@ -572,6 +622,11 @@ func (t *tableau) dualSimplex(maxIter int) (Status, int, bool) {
 		}
 		if enter < 0 {
 			return StatusInfeasible, iters, true
+		}
+		if bestRatio > eps {
+			t.degenerate = 0
+		} else if t.degenerate++; t.degenerate >= blandRun {
+			t.bland = true
 		}
 		target := t.lo[t.basis[r]]
 		if !below {

@@ -15,8 +15,9 @@ func SuspendCertificates() (restore func()) {
 }
 
 // Solve solves the LP relaxation of the model (integrality flags are
-// ignored) with a bounded-variable two-phase primal revised simplex over a
-// sparse column store. Variable bounds lo ≤ x ≤ hi are handled natively in
+// ignored) with a cold Solver.Solve: the bounded-variable revised simplex
+// over a sparse column store, dual from the slack basis or two-phase
+// primal. Variable bounds lo ≤ x ≤ hi are handled natively in
 // the ratio test (nonbasic variables may sit at either bound), so finite
 // bounds never generate rows. It returns ErrInfeasible, ErrUnbounded, or
 // ErrIterLimit wrapped with context on failure; on success Solution.Status

@@ -1,11 +1,12 @@
 // Package lp is a self-contained linear-programming toolkit: a modeling
 // layer, a bounded-variable revised simplex over a sparse column store (LU
-// basis factorization with an eta file; primal two-phase for cold solves,
-// dual for warm re-solves), an optimality-certificate checker, and a
-// branch-and-bound wrapper for mixed-integer programs. It stands in for
-// CPLEX in the APPLE Optimization Engine (§IV-D): the engine builds the
-// placement ILP here, solves the LP relaxation, and rounds — exactly the
-// solution strategy the paper describes.
+// basis factorization with an eta file; the dual simplex from the slack
+// basis for cold solves, with the primal two-phase method as its fallback,
+// and the dual simplex for warm re-solves), an optimality-certificate
+// checker, and a branch-and-bound wrapper for mixed-integer programs. It
+// stands in for CPLEX in the APPLE Optimization Engine (§IV-D): the engine
+// builds the placement ILP here, solves the LP relaxation, and rounds —
+// exactly the solution strategy the paper describes.
 package lp
 
 import (
@@ -314,16 +315,29 @@ type Solution struct {
 	Iterations int       // total simplex pivots (phase 1 + phase 2 + dual)
 	Nodes      int       // branch-and-bound nodes (1 for pure LP)
 
-	// Phase split instrumentation (Table V observability).
-	Phase1Iterations int           // phase-1 (feasibility) pivots
-	Phase2Iterations int           // phase-2 (optimality) pivots
-	DualIterations   int           // dual-simplex pivots of a warm re-solve
-	Phase1Time       time.Duration // wall time spent in phase 1
-	Phase2Time       time.Duration // wall time spent in phase 2 (and dual)
+	// Phase split instrumentation (Table V observability). A cold solve
+	// that starts with the dual simplex (ColdDual) counts its dual run in
+	// DualIterations and Phase1Time, the time to a feasible basis, and its
+	// primal clean-up in Phase2Iterations and Phase2Time; its
+	// Phase1Iterations is 0. A warm re-solve counts its dual run in
+	// DualIterations and all its time in Phase2Time.
+	Phase1Iterations int           // primal phase-1 (feasibility) pivots
+	Phase2Iterations int           // primal phase-2 (optimality) pivots
+	DualIterations   int           // dual-simplex pivots, cold or warm
+	Phase1Time       time.Duration // wall time to a feasible basis of a cold solve
+	Phase2Time       time.Duration // wall time from there (all of a warm re-solve)
 	// WarmStarted reports whether this solution came from a warm re-solve
 	// that reused the previous basis (Solver.ReSolve hit) rather than a
-	// cold two-phase solve.
+	// cold solve.
 	WarmStarted bool
+	// ColdDual reports a cold solve (Solver.Solve, or a ReSolve that fell
+	// back to one) answered by the dual simplex from the slack basis, with
+	// no artificials and no phase 1. ColdFallback reports one answered by
+	// the two-phase primal method instead; the dual pivots of a start
+	// given up on the way are in DualIterations, and its time in
+	// Phase1Time. A warm re-solve sets neither.
+	ColdDual     bool
+	ColdFallback bool
 }
 
 // TotalPivots sums the per-phase pivot counters. It usually equals

@@ -54,7 +54,15 @@ func wallClock() time.Time {
 	return time.Now()
 }
 
-// Solve runs a cold two-phase solve, discarding any previous basis.
+// Solve runs a cold solve, discarding any previous basis. When the slack
+// basis is dual feasible (dualStartable) it starts there with no
+// artificial columns and runs the dual simplex to a feasible basis, then
+// the primal clean-up ReSolve runs. It falls back to the two-phase primal
+// method when the slack basis is not dual feasible, or when the dual run
+// hits the pivot limit, meets a singular basis, finds the model
+// infeasible (a verdict the two-phase method then confirms, as ReSolve's
+// are) or leaves a basis the clean-up cannot finish from.
+// Solution.ColdDual and ColdFallback report which path answered.
 func (s *Solver) Solve() (Solution, error) {
 	if len(s.model.vars) == 0 {
 		return Solution{}, ErrEmptyModel
@@ -67,7 +75,6 @@ func (s *Solver) Solve() (Solution, error) {
 	// failed state (mid-phase-1, artificials still basic) is not a valid
 	// base, so the next ReSolve goes cold.
 	t.valid = false
-	t.degenerate, t.bland = 0, false
 	// Crossed bounds (possible via branch-and-bound tightening, which
 	// bypasses SetBounds validation) make the model trivially infeasible;
 	// the solver would otherwise misread such a column as fixed.
@@ -77,20 +84,75 @@ func (s *Solver) Solve() (Solution, error) {
 			return sol, solveErr(StatusInfeasible, s.model.name, 0)
 		}
 	}
-	p1Start := wallClock()
+	start := wallClock()
+	dIters := 0
+	if dualStartable(s.model) {
+		sol, ok := s.solveDual(start)
+		if ok {
+			return sol, nil
+		}
+		dIters = sol.Iterations
+	}
+	return s.solveTwoPhase(start, dIters)
+}
+
+// solveDual is Solve's dual start: the slack basis, the dual simplex to a
+// feasible basis, the primal clean-up. It reports false when the solve
+// must fall back to the two-phase method, with the pivots spent in
+// sol.Iterations.
+func (s *Solver) solveDual(start time.Time) (Solution, bool) {
+	t := s.t
+	t.degenerate, t.bland = 0, false
+	if !t.load(s.model, true) {
+		return Solution{}, false
+	}
+	status, dIters, ok := t.dualSimplex(hardIterLimit)
+	if !ok || status != StatusOptimal {
+		return Solution{Iterations: dIters}, false
+	}
+	p2Start := wallClock()
+	status, it2 := t.optimize(t.c, false)
+	sol := Solution{
+		Status:           status,
+		DualIterations:   dIters,
+		Phase2Iterations: it2,
+		Iterations:       dIters + it2,
+		Phase1Time:       p2Start.Sub(start),
+		Phase2Time:       wallClock().Sub(p2Start),
+		Nodes:            1,
+		ColdDual:         true,
+	}
+	if status != StatusOptimal {
+		return sol, false
+	}
+	t.valid = true
+	s.finish(&sol)
+	return sol, true
+}
+
+// solveTwoPhase is Solve's two-phase primal path: phase 1 drives the
+// artificials of the rows the all-at-lower-bound start violates to zero,
+// phase 2 optimizes. dIters are the pivots of a cold dual run given up on
+// the way here, counted as dual pivots; start is when the solve began, so
+// Phase1Time covers that run too.
+func (s *Solver) solveTwoPhase(start time.Time, dIters int) (Solution, error) {
+	t := s.t
+	t.degenerate, t.bland = 0, false
 	status, it1 := StatusSingular, 0
-	if t.load(s.model) {
+	if t.load(s.model, false) {
 		status, it1 = t.phase1()
 	}
 	sol := Solution{
 		Status:           status,
 		Phase1Iterations: it1,
-		Iterations:       it1,
-		Phase1Time:       wallClock().Sub(p1Start),
+		DualIterations:   dIters,
+		Iterations:       it1 + dIters,
+		Phase1Time:       wallClock().Sub(start),
 		Nodes:            1,
+		ColdFallback:     true,
 	}
 	if status != StatusOptimal {
-		return sol, solveErr(status, s.model.name, it1)
+		return sol, solveErr(status, s.model.name, sol.Iterations)
 	}
 	p2Start := wallClock()
 	status, it2 := t.optimize(t.c, false)
@@ -104,6 +166,20 @@ func (s *Solver) Solve() (Solution, error) {
 	t.valid = true
 	s.finish(&sol)
 	return sol, nil
+}
+
+// dualStartable reports whether the slack basis is dual feasible once
+// every column rests at the bound its cost favours: the lower bound for a
+// cost ≥ 0, the upper bound for a negative one. With the slacks basic the
+// reduced costs are the costs, so the only column that breaks it is one
+// whose cost is negative and whose upper bound is infinite.
+func dualStartable(m *Model) bool {
+	for _, v := range m.vars {
+		if v.obj < 0 && math.IsInf(v.hi, 1) {
+			return false
+		}
+	}
+	return true
 }
 
 // ReSolve re-optimizes after bound changes (Solver.SetBounds/SetUpper),
@@ -121,6 +197,7 @@ func (s *Solver) ReSolve() (Solution, error) {
 	}
 	t := s.t
 	start := wallClock()
+	t.degenerate, t.bland = 0, false
 	status, dIters, ok := t.dualSimplex(dualIterBudget(t.m))
 	if !ok {
 		// Warm start rejected: cold solve.
@@ -135,7 +212,6 @@ func (s *Solver) ReSolve() (Solution, error) {
 	// Primal clean-up: the dual run restores primal feasibility, and any
 	// eps-level dual infeasibility left behind is mopped up here (usually
 	// zero pivots).
-	t.degenerate, t.bland = 0, false
 	status, it2 := t.optimize(t.c, false)
 	sol := Solution{
 		Status:           status,
@@ -300,9 +376,9 @@ func (t *revised) evictArtificials() bool {
 // its bounds, or by the entering variable's own opposite bound — the
 // latter is a bound flip that changes no basis at all. Pricing follows
 // Dantzig's rule, the most improving column, until the solve has made
-// blandRun degenerate pivots in a row, counted across both phases of a
-// cold solve; from then on it follows Bland's rule, the lowest-index
-// improving column.
+// blandRun degenerate pivots in a row, counted across the runs of one
+// solve (both phases of a two-phase solve; a dual run and its clean-up);
+// from then on it follows Bland's rule, the lowest-index improving column.
 func (t *revised) optimize(c []float64, phase1 bool) (Status, int) {
 	cols := t.n
 	if !phase1 {
@@ -406,13 +482,21 @@ func (t *revised) optimize(c []float64, phase1 bool) (Status, int) {
 	}
 }
 
-// dualSimplex restores primal feasibility after bound changes, preserving
-// dual feasibility throughout — the warm-start workhorse. Returns ok=false
-// when the warm start must be abandoned (dual-infeasible start, pivot
-// budget exceeded, or a basis that will not refactor); the caller falls
-// back to a cold solve. A returned StatusInfeasible is a
-// dual-unboundedness certificate: the violated row proves no setting of
-// the nonbasic variables can bring the basic variable inside its bounds.
+// dualSimplex restores primal feasibility, preserving dual feasibility
+// throughout: the warm-start workhorse, and a cold solve's first run from
+// the slack basis. Returns ok=false when the run must be abandoned
+// (dual-infeasible start, pivot budget exceeded, or a basis that will not
+// refactor); the caller falls back to a cold two-phase solve. A returned
+// StatusInfeasible is a dual-unboundedness certificate: the violated row
+// proves no setting of the nonbasic variables can bring the basic variable
+// inside its bounds.
+//
+// The leaving row is the most violated basic variable, until the solve
+// has made blandRun degenerate dual pivots in a row — ones whose dual
+// step, the entering column's ratio, is at most eps, which leave the dual
+// objective where it was. From then on it is the infeasible basic
+// variable of lowest column index (Bland's rule for the dual, which
+// cannot cycle), to the end of the solve.
 func (t *revised) dualSimplex(maxIter int) (Status, int, bool) {
 	real := t.realCols()
 	if t.stale {
@@ -436,19 +520,19 @@ func (t *revised) dualSimplex(maxIter int) (Status, int, bool) {
 		if iters >= maxIter {
 			return StatusIterLimit, iters, false
 		}
-		// Leaving row: the most violated basic variable.
 		r := -1
 		below := false
 		worst := 1e-9
 		for i := 0; i < t.m; i++ {
 			bi := t.basis[i]
-			if v := t.lo[bi] - t.xB[i]; v > worst {
-				worst, r, below = v, i, true
+			v, under := t.lo[bi]-t.xB[i], true
+			if hb := t.hi[bi]; !math.IsInf(hb, 1) && t.xB[i]-hb > v {
+				v, under = t.xB[i]-hb, false
 			}
-			if hb := t.hi[bi]; !math.IsInf(hb, 1) {
-				if v := t.xB[i] - hb; v > worst {
-					worst, r, below = v, i, false
-				}
+			if v > worst && !t.bland {
+				worst, r, below = v, i, under
+			} else if v > 1e-9 && t.bland && (r < 0 || bi < t.basis[r]) {
+				r, below = i, under
 			}
 		}
 		if r < 0 {
@@ -488,6 +572,11 @@ func (t *revised) dualSimplex(maxIter int) (Status, int, bool) {
 		}
 		if enter < 0 {
 			return StatusInfeasible, iters, true
+		}
+		if bestRatio > eps {
+			t.degenerate = 0
+		} else if t.degenerate++; t.degenerate >= blandRun {
+			t.bland = true
 		}
 		target := t.lo[t.basis[r]]
 		if !below {

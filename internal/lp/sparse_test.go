@@ -35,11 +35,22 @@ func newEnginePair(t testing.TB, m *Model) *enginePair {
 	return &enginePair{t: t, sparse: NewSolver(m), dense: newDenseSolver(cloneModel(m))}
 }
 
+// coldDual and coldFallback count the cold solves the pairs have seen
+// answered by the dual start and by the two-phase fallback, so a test can
+// check that it exercised both.
+var coldDual, coldFallback int
+
 func (p *enginePair) compare(what string, s, d Solution, serr, derr error) (Solution, error) {
 	p.t.Helper()
 	if s.Status != d.Status || (serr == nil) != (derr == nil) {
 		p.t.Fatalf("%s: sparse %v (%v), dense %v (%v)", what, s.Status, serr, d.Status, derr)
 	}
+	if s.ColdDual != d.ColdDual || s.ColdFallback != d.ColdFallback || s.WarmStarted != d.WarmStarted {
+		p.t.Fatalf("%s: sparse started dual %t, fallback %t, warm %t; dense %t, %t, %t", what,
+			s.ColdDual, s.ColdFallback, s.WarmStarted, d.ColdDual, d.ColdFallback, d.WarmStarted)
+	}
+	coldDual += b2i(s.ColdDual)
+	coldFallback += b2i(s.ColdFallback)
 	if serr != nil {
 		if s.Values != nil || s.Objective != 0 {
 			p.t.Fatalf("%s: failed solve carries values %v, objective %v", what, s.Values, s.Objective)
@@ -242,6 +253,12 @@ func FuzzSolverOps(f *testing.F) {
 	f.Add([]byte{8 + 5, 9, 3, 9, 2, 1, 5, 4, 9, 3, 8, 5,
 		1, 36, 37, 9, 20, 38, 22, 18, 1, 0, 0, 34, 37, 22, 2, 3, 34, 6,
 		8 + 5, 0, 9, 1, 2, 24 + 6, 0, 0, 0})
+	// Both cold starts: x0 ∈ [0,1] and x1 ≥ 0, both at cost −2, under
+	// 2x0 + x1 ≤ 4 and x1 + x0 ≥ 2. x1's cost is negative and its upper
+	// bound infinite, so the first solve falls back to the two-phase
+	// method; then x1 is capped at 2, re-solved warm, and solved cold
+	// again, now by the dual start.
+	f.Add([]byte{1, 0, 2, 6, 2, 2, 1, 40, 33, 7, 19, 33, 32, 5, 8 + 3, 0, 9, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) { runSolverOps(t, data) })
 }
 
@@ -255,13 +272,26 @@ func degenerateSeed(seed int64, n int) []byte {
 // TestSolverOpsRandom runs the FuzzSolverOps body over generated sequences,
 // so plain `go test` covers them too.
 func TestSolverOpsRandom(t *testing.T) {
-	before := certified
+	before, dual, fallback := certified, coldDual, coldFallback
 	for seed := int64(0); seed < 400; seed++ {
 		runSolverOps(t, solverOpsSeed(seed, 40+int(seed%120)))
 	}
 	if certified-before < 400 {
 		t.Fatalf("only %d optimal solves certified over 400 sequences: the generator is degenerate", certified-before)
 	}
+	dual, fallback = coldDual-dual, coldFallback-fallback
+	if dual == 0 || fallback == 0 {
+		t.Fatalf("cold solves by the dual start %d, by the two-phase fallback %d: one start went unexercised",
+			dual, fallback)
+	}
+	t.Logf("cold solves: %d by the dual start, %d by the two-phase fallback", dual, fallback)
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TestNoRows: variables and zero constraints. Every pivot is a bound flip,
@@ -380,12 +410,20 @@ func chainModel(t testing.TB, n int) *Model {
 
 // TestRefactorMidPhase1: the fixed refactor schedule fires while
 // artificials are still basic and the phase-1 cost vector is live; the
-// solve must carry on to the dense reference's optimum.
+// solve must carry on to the dense reference's optimum. A column whose
+// cost is negative and whose upper bound is infinite makes the slack basis
+// dual infeasible, so the chain is solved by the two-phase fallback.
 func TestRefactorMidPhase1(t *testing.T) {
-	p := newEnginePair(t, chainModel(t, 3*refactorEvery))
+	m := chainModel(t, 3*refactorEvery)
+	z := addVar(t, m, "z", 0, math.Inf(1), -1)
+	addCon(t, m, "zcap", LE, 1, Term{z, 1})
+	p := newEnginePair(t, m)
 	sol, err := p.Solve("cold")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !sol.ColdFallback || sol.ColdDual || sol.DualIterations != 0 {
+		t.Fatalf("solved by %+v, want the two-phase fallback with no dual run", sol)
 	}
 	if sol.Phase1Iterations <= refactorEvery {
 		t.Fatalf("phase 1 took %d pivots: no refactor landed inside it (schedule: every %d)",
@@ -397,6 +435,39 @@ func TestRefactorMidPhase1(t *testing.T) {
 		p.SetBounds(VarID(k), 0, 1+float64(k%2))
 		if _, err := p.ReSolve(fmt.Sprintf("cap %d", k)); err != nil && !errors.Is(err, ErrInfeasible) {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestDualColdStartRefactors: the chain's slack basis is dual feasible
+// (its negative costs rest on finite upper bounds), so the cold solve runs
+// the dual simplex with no artificials, and its fixed refactor schedule
+// fires inside that run; the solve must carry on to the dense reference's
+// optimum, and the basis it ends on must warm-start re-solves.
+func TestDualColdStartRefactors(t *testing.T) {
+	p := newEnginePair(t, chainModel(t, 3*refactorEvery))
+	sol, err := p.Solve("cold")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sol.ColdDual || sol.ColdFallback || sol.Phase1Iterations != 0 {
+		t.Fatalf("solved by %+v, want the dual cold start", sol)
+	}
+	if sol.DualIterations <= refactorEvery {
+		t.Fatalf("the dual run took %d pivots: no refactor landed inside it (schedule: every %d)",
+			sol.DualIterations, refactorEvery)
+	}
+	if !p.sparse.HasBasis() {
+		t.Fatal("dual cold start left no basis")
+	}
+	for k := 0; k < 8; k++ {
+		p.SetBounds(VarID(3*k), 0, 1)
+		sol, err := p.ReSolve(fmt.Sprintf("cap %d", k))
+		if err != nil && !errors.Is(err, ErrInfeasible) {
+			t.Fatal(err)
+		}
+		if err == nil && !sol.WarmStarted {
+			t.Fatalf("cap %d: re-solve did not warm-start from the dual cold start's basis", k)
 		}
 	}
 }

@@ -116,15 +116,19 @@ func needsArtificial(sense Sense, resid float64) bool {
 	}
 }
 
-// load converts the model for a cold start. Structural variables start
-// nonbasic at their lower bound; each row's slack absorbs the residual
-// when it can, otherwise the row gets an artificial and joins phase 1.
+// load converts the model for a cold start. With dual unset, structural
+// variables start nonbasic at their lower bound; each row's slack absorbs
+// the residual when it can, otherwise the row gets an artificial and joins
+// phase 1. With dual set (the dual simplex's start, see dualStartable) a
+// column whose cost is negative rests at its upper bound instead, and
+// every slack is basic at the residual, out of its bounds or not: there
+// are no artificials, and primal feasibility is the dual simplex's job.
 // The model's own row store is the solver's row store, read in place; the
 // slacks are kept beside it (slack) and the column store is its transpose
 // plus the slack and artificial unit columns. It reports whether the
 // starting basis factorized (it is diagonal, so only a broken invariant
 // can say no).
-func (t *revised) load(m *Model) bool {
+func (t *revised) load(m *Model, dual bool) bool {
 	nv, nrows := len(m.vars), len(m.cons)
 	t.nv, t.m = nv, nrows
 	nnz := m.rows.ptr[nrows]
@@ -137,10 +141,15 @@ func (t *revised) load(m *Model) bool {
 	for i, con := range m.cons {
 		r := con.rhs
 		for e := rs.ptr[i]; e < rs.ptr[i+1]; e++ {
-			r -= rs.val[e] * m.vars[rs.idx[e]].lo
+			v := &m.vars[rs.idx[e]]
+			x := v.lo
+			if dual && v.obj < 0 {
+				x = v.hi
+			}
+			r -= rs.val[e] * x
 		}
 		resid[i] = r
-		if needsArtificial(con.sense, r) {
+		if !dual && needsArtificial(con.sense, r) {
 			t.nart++
 		}
 	}
@@ -156,6 +165,7 @@ func (t *revised) load(m *Model) bool {
 	t.col, t.rho = resize(t.col, nrows), resize(t.rho, nrows)
 	for j, v := range m.vars {
 		t.c[j], t.lo[j], t.hi[j] = v.obj, v.lo, v.hi
+		t.atUpper[j] = dual && v.obj < 0
 	}
 
 	// Column store: the structural columns by counting sort over the rows,
@@ -198,7 +208,10 @@ func (t *revised) load(m *Model) bool {
 		ce++
 		cs.ptr[slack+1] = ce
 		t.slack[i] = sign
-		if !needsArtificial(con.sense, resid[i]) {
+		if dual {
+			t.basis[i] = int32(slack)
+			t.xB[i] = sign * resid[i]
+		} else if !needsArtificial(con.sense, resid[i]) {
 			sval := sign * resid[i]
 			if sval < 0 {
 				sval = 0 // eps-level residual noise

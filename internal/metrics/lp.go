@@ -17,10 +17,16 @@ type LPCounters struct {
 	WarmMisses   atomic.Int64 // re-solves that fell back to a cold solve
 	Phase1Pivots atomic.Int64
 	Phase2Pivots atomic.Int64
-	DualPivots   atomic.Int64 // dual-simplex pivots of warm re-solves
+	// DualPivots counts dual-simplex pivots: those of warm re-solves, and
+	// those of cold solves that start with the dual simplex from the slack
+	// basis, whose time goes to Phase1Nanos (the time to a feasible basis)
+	// and whose primal clean-up goes to Phase2Pivots and Phase2Nanos.
+	DualPivots   atomic.Int64
 	Phase1Nanos  atomic.Int64
 	Phase2Nanos  atomic.Int64
 	Singular     atomic.Int64 // solves given up on a basis that does not factorize
+	ColdDual     atomic.Int64 // cold solves answered by the dual simplex from the slack basis
+	ColdFallback atomic.Int64 // cold solves answered by the two-phase primal fallback
 }
 
 // LP is the process-wide solver counter set.
@@ -58,6 +64,8 @@ type LPSnapshot struct {
 	Phase1Time   time.Duration
 	Phase2Time   time.Duration
 	Singular     int64
+	ColdDual     int64
+	ColdFallback int64
 }
 
 // Snapshot reads the counters.
@@ -72,6 +80,8 @@ func (c *LPCounters) Snapshot() LPSnapshot {
 		Phase1Time:   time.Duration(c.Phase1Nanos.Load()),
 		Phase2Time:   time.Duration(c.Phase2Nanos.Load()),
 		Singular:     c.Singular.Load(),
+		ColdDual:     c.ColdDual.Load(),
+		ColdFallback: c.ColdFallback.Load(),
 	}
 }
 
@@ -87,12 +97,14 @@ func (s LPSnapshot) Sub(prev LPSnapshot) LPSnapshot {
 		Phase1Time:   s.Phase1Time - prev.Phase1Time,
 		Phase2Time:   s.Phase2Time - prev.Phase2Time,
 		Singular:     s.Singular - prev.Singular,
+		ColdDual:     s.ColdDual - prev.ColdDual,
+		ColdFallback: s.ColdFallback - prev.ColdFallback,
 	}
 }
 
 // String renders the snapshot compactly for logs.
 func (s LPSnapshot) String() string {
-	return fmt.Sprintf("solves=%d warm=%d/%d pivots=%d+%d+%d p1=%v p2=%v",
-		s.Solves, s.WarmHits, s.WarmHits+s.WarmMisses,
+	return fmt.Sprintf("solves=%d warm=%d/%d cold=%d/%d pivots=%d+%d+%d p1=%v p2=%v",
+		s.Solves, s.WarmHits, s.WarmHits+s.WarmMisses, s.ColdDual, s.ColdDual+s.ColdFallback,
 		s.Phase1Pivots, s.Phase2Pivots, s.DualPivots, s.Phase1Time, s.Phase2Time)
 }

@@ -19,6 +19,8 @@ func TestRegistrySnapshot(t *testing.T) {
 	var lp LPCounters
 	lp.RecordSolve(false, false, 10, 20, 0, time.Millisecond, 2*time.Millisecond)
 	lp.Singular.Add(1)
+	lp.ColdDual.Add(2)
+	lp.ColdFallback.Add(1)
 	if err := reg.AddLP("lp", &lp); err != nil {
 		t.Fatal(err)
 	}
@@ -35,8 +37,12 @@ func TestRegistrySnapshot(t *testing.T) {
 	if snap.Counters["orchestrator"]["launches"] != 3 || snap.Counters["orchestrator"]["boots"] != 1 {
 		t.Fatalf("counters: %+v", snap.Counters)
 	}
-	if snap.LP["lp"].Solves != 1 || snap.LP["lp"].Phase2Pivots != 20 || snap.LP["lp"].Singular != 1 {
+	if l := snap.LP["lp"]; l.Solves != 1 || l.Phase2Pivots != 20 || l.Singular != 1 ||
+		l.ColdDual != 2 || l.ColdFallback != 1 {
 		t.Fatalf("lp: %+v", snap.LP)
+	}
+	if d := snap.LP["lp"].Sub(LPSnapshot{ColdDual: 1, ColdFallback: 1}); d.ColdDual != 1 || d.ColdFallback != 0 {
+		t.Fatalf("lp delta: %+v", d)
 	}
 	if snap.FlowSetup["flow_setup"].Arrivals != 7 {
 		t.Fatalf("flow setup: %+v", snap.FlowSetup)
