@@ -116,7 +116,7 @@ func TestReportSeed1(t *testing.T) {
 
 	t.Run("Fig12", func(t *testing.T) {
 		rows := table(t, out, "Fig 12")
-		if got, want := column(rows, 4), []string{"8", "140", "32"}; !slices.Equal(got, want) {
+		if got, want := column(rows, 4), []string{"8", "116", "56"}; !slices.Equal(got, want) {
 			t.Errorf("peak extra cores = %v, want %v", got, want)
 		}
 		if got, want := column(rows, 5), []string{"0/0 of 16", "0/0 of 16", "0/0 of 16"}; !slices.Equal(got, want) {

@@ -19,9 +19,10 @@ import (
 // problem, rebuilt as a policy hierarchy and solved by Engine, at scenario
 // seeds 1–3. Per solve it records the phase-1, phase-2 and dual pivots, the
 // bits of the cold LP objective, and digests of the placement's Counts and
-// Dist. testdata/cold_solves.txt was written before the model's term store
-// and the solver's load were reworked; any change to term order, to the
-// merge of duplicate terms, or to a pivot rule shows here.
+// Dist. testdata/cold_solves.txt was last written when the cold solve
+// moved to the dual simplex's start (every pivot is a dual pivot; Counts
+// did not move); any change to term order, to the merge of duplicate
+// terms, or to a pivot rule shows here.
 func TestColdSolveGolden(t *testing.T) {
 	raw, err := os.ReadFile("testdata/cold_solves.txt")
 	if err != nil {

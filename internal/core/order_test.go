@@ -82,9 +82,9 @@ func orderTotals(t *testing.T, prob *core.Problem) (cold, warm int) {
 // says why in CHANGES.md.
 const (
 	pathGapColdCounts = 0
-	pathGapColdDist   = 11
+	pathGapColdDist   = 12
 	pathGapWarmCounts = 0
-	pathGapWarmDist   = 67
+	pathGapWarmDist   = 69
 )
 
 // TestPlacementPathSensitivity solves the 12 paper problems (the four
