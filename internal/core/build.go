@@ -101,8 +101,18 @@ func BuildProblem(g *topology.Graph, tm *traffic.Matrix, gen *policy.Generator,
 		pairs = pairs[:opts.MaxClasses]
 	}
 	prob := &Problem{Topo: g, Avail: avail, Classes: make([]Class, 0, len(pairs))}
+	// One shortest-path tree per source, built when a class first needs it.
+	trees := make([]topology.Paths, g.NumNodes())
+	routed := make([]bool, g.NumNodes())
 	for i, p := range pairs {
-		path, err := g.ShortestPath(topology.NodeID(p.src), topology.NodeID(p.dst))
+		if !routed[p.src] {
+			tree, err := g.PathsFrom(topology.NodeID(p.src))
+			if err != nil {
+				return nil, fmt.Errorf("core: routing class %d: %w", i, err)
+			}
+			trees[p.src], routed[p.src] = tree, true
+		}
+		path, err := trees[p.src].To(topology.NodeID(p.dst))
 		if err != nil {
 			return nil, fmt.Errorf("core: routing class %d: %w", i, err)
 		}

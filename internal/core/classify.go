@@ -83,6 +83,8 @@ func BuildProblemFromPolicies(g *topology.Graph, tm *traffic.Matrix, sp *headers
 	prob := &Problem{Topo: g, Avail: avail}
 	nextID := ClassID(0)
 	for i := 0; i < g.NumNodes(); i++ {
+		var tree topology.Paths // i's shortest-path tree, built when a pair first needs it
+		routed := false
 		for j := 0; j < g.NumNodes(); j++ {
 			rate := tm.At(i, j)
 			if rate < minRate {
@@ -96,7 +98,13 @@ func BuildProblemFromPolicies(g *topology.Graph, tm *traffic.Matrix, sp *headers
 			if pairFrac == 0 {
 				continue
 			}
-			path, err := g.ShortestPath(topology.NodeID(i), topology.NodeID(j))
+			if !routed {
+				if tree, err = g.PathsFrom(topology.NodeID(i)); err != nil {
+					return nil, fmt.Errorf("core: routing pair (%d,%d): %w", i, j, err)
+				}
+				routed = true
+			}
+			path, err := tree.To(topology.NodeID(j))
 			if err != nil {
 				return nil, fmt.Errorf("core: routing pair (%d,%d): %w", i, j, err)
 			}

@@ -208,28 +208,50 @@ func (g *Graph) Connected() bool {
 
 // ShortestPath returns one minimum-weight path from src to dst as a node
 // sequence including both endpoints. Ties are broken deterministically by
-// preferring the lower predecessor ID.
+// preferring the lower predecessor ID. It is PathsFrom(src).To(dst); a
+// caller routing several destinations from one source builds the tree once.
 func (g *Graph) ShortestPath(src, dst NodeID) ([]NodeID, error) {
-	dist, pred, err := g.dijkstra(src)
+	tree, err := g.PathsFrom(src)
 	if err != nil {
 		return nil, err
 	}
-	if !g.valid(dst) {
+	return tree.To(dst)
+}
+
+// Paths is the shortest-path tree of one source: every node's
+// minimum-weight path from it, by predecessor.
+type Paths struct {
+	src  NodeID
+	dist []float64
+	pred []NodeID
+}
+
+// PathsFrom computes src's shortest-path tree, with ShortestPath's
+// lowest-predecessor tie break.
+func (g *Graph) PathsFrom(src NodeID) (Paths, error) {
+	dist, pred, err := g.dijkstra(src)
+	if err != nil {
+		return Paths{}, err
+	}
+	return Paths{src: src, dist: dist, pred: pred}, nil
+}
+
+// To returns the tree's path from its source to dst, both endpoints
+// included, in a slice of exactly the path's length.
+func (p Paths) To(dst NodeID) ([]NodeID, error) {
+	if dst < 0 || int(dst) >= len(p.dist) {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownNode, dst)
 	}
-	if math.IsInf(dist[dst], 1) {
-		return nil, fmt.Errorf("%w: %d -> %d", ErrNoPath, src, dst)
+	if math.IsInf(p.dist[dst], 1) {
+		return nil, fmt.Errorf("%w: %d -> %d", ErrNoPath, p.src, dst)
 	}
-	var rev []NodeID
-	for n := dst; ; n = pred[n] {
-		rev = append(rev, n)
-		if n == src {
-			break
-		}
+	hops := 1
+	for n := dst; n != p.src; n = p.pred[n] {
+		hops++
 	}
-	out := make([]NodeID, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
+	out := make([]NodeID, hops)
+	for n, i := dst, hops-1; i >= 0; n, i = p.pred[n], i-1 {
+		out[i] = n
 	}
 	return out, nil
 }

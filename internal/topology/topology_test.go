@@ -1,7 +1,9 @@
 package topology
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -182,6 +184,60 @@ func TestAllShortestPathsCap(t *testing.T) {
 
 // TestShortestPathIsOptimal cross-checks Dijkstra against brute-force DFS
 // enumeration on the small Internet2 graph.
+// TestPathsFromTieBreak: one source's tree gives, for every destination,
+// the shortest path whose predecessors are the lowest-ID ones, read back
+// from the destination: of the ECMP set, the path that is least reversed.
+// Each path comes in a slice of exactly its length. The four paper
+// topologies carry many equal-cost ties (UNIV1's two tiers above all).
+func TestPathsFromTieBreak(t *testing.T) {
+	for _, g := range []*Graph{Internet2(), GEANT(), UNIV1(), AS3679()} {
+		for s := 0; s < g.NumNodes(); s++ {
+			tree, err := g.PathsFrom(NodeID(s))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for d := 0; d < g.NumNodes(); d++ {
+				got, err := tree.To(NodeID(d))
+				if err != nil {
+					t.Fatalf("%s: To(%d) from %d: %v", g.Name(), d, s, err)
+				}
+				all, err := g.AllShortestPaths(NodeID(s), NodeID(d), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []NodeID
+				for _, p := range all {
+					r := slices.Clone(p)
+					slices.Reverse(r)
+					if want == nil || slices.Compare(r, want) < 0 {
+						want = r
+					}
+				}
+				slices.Reverse(want)
+				if !slices.Equal(got, want) || cap(got) != len(got) {
+					t.Fatalf("%s: %d -> %d: tree path %v (cap %d), want %v", g.Name(), s, d, got, cap(got), want)
+				}
+			}
+		}
+	}
+	g := NewGraph("disc")
+	a := g.AddNode("a", KindEdge)
+	b := g.AddNode("b", KindEdge)
+	if _, err := g.PathsFrom(7); !errors.Is(err, ErrUnknownNode) {
+		t.Fatalf("PathsFrom(unknown) = %v, want ErrUnknownNode", err)
+	}
+	tree, err := g.PathsFrom(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tree.To(b); !errors.Is(err, ErrNoPath) {
+		t.Fatalf("To(disconnected) = %v, want ErrNoPath", err)
+	}
+	if _, err := tree.To(-1); !errors.Is(err, ErrUnknownNode) {
+		t.Fatalf("To(-1) = %v, want ErrUnknownNode", err)
+	}
+}
+
 func TestShortestPathIsOptimal(t *testing.T) {
 	g := Internet2()
 	n := g.NumNodes()
