@@ -31,7 +31,10 @@ func newDenseSolver(m *Model) *denseSolver {
 // simplex from the slack basis when that basis is dual feasible, the
 // two-phase method otherwise or when the dual run fails — the production
 // solver's cold start and fallbacks, pivot rule for pivot rule.
-func (s *denseSolver) Solve() (Solution, error) {
+func (s *denseSolver) Solve() (Solution, error) { return s.solve(true) }
+
+// solve is Solve, with the dual start tried only when dual is set.
+func (s *denseSolver) solve(dual bool) (Solution, error) {
 	if len(s.model.vars) == 0 {
 		return Solution{}, ErrEmptyModel
 	}
@@ -46,7 +49,7 @@ func (s *denseSolver) Solve() (Solution, error) {
 		}
 	}
 	dIters := 0
-	if dualStartable(s.model) {
+	if dual && dualStartable(s.model) {
 		t := newTableau(s.model, true)
 		s.t = t
 		status, iters, ok := t.dualSimplex(hardIterLimit)
@@ -104,8 +107,8 @@ func (s *denseSolver) Solve() (Solution, error) {
 // infeasibility from numerical drift, or a pivot budget blow-out) the
 // solver transparently falls back to a cold Solve; Solution.WarmStarted
 // reports which path produced the answer. A dual-simplex infeasibility
-// verdict is confirmed with a cold solve before being reported, so
-// callers never act on a spurious certificate.
+// verdict is confirmed with a cold two-phase solve before being reported,
+// so callers never act on a spurious certificate.
 func (s *denseSolver) ReSolve() (Solution, error) {
 	if s.t == nil {
 		return s.Solve()
@@ -118,10 +121,10 @@ func (s *denseSolver) ReSolve() (Solution, error) {
 		return s.Solve()
 	}
 	if status == StatusInfeasible {
-		// Confirm the certificate from scratch; a cold solve also leaves
-		// the solver in a well-defined state for the caller's next bound
-		// change.
-		return s.Solve()
+		// Confirm the certificate from scratch with the two-phase method; a
+		// cold solve also leaves the solver in a well-defined state for the
+		// caller's next bound change.
+		return s.solve(false)
 	}
 	// Primal clean-up: the dual run restores primal feasibility, and any
 	// eps-level dual infeasibility left behind is mopped up here (usually

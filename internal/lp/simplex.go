@@ -63,7 +63,10 @@ func wallClock() time.Time {
 // infeasible (a verdict the two-phase method then confirms, as ReSolve's
 // are) or leaves a basis the clean-up cannot finish from.
 // Solution.ColdDual and ColdFallback report which path answered.
-func (s *Solver) Solve() (Solution, error) {
+func (s *Solver) Solve() (Solution, error) { return s.solve(true) }
+
+// solve is Solve, with the dual start tried only when dual is set.
+func (s *Solver) solve(dual bool) (Solution, error) {
 	if len(s.model.vars) == 0 {
 		return Solution{}, ErrEmptyModel
 	}
@@ -86,7 +89,7 @@ func (s *Solver) Solve() (Solution, error) {
 	}
 	start := wallClock()
 	dIters := 0
-	if dualStartable(s.model) {
+	if dual && dualStartable(s.model) {
 		sol, ok := s.solveDual(start)
 		if ok {
 			return sol, nil
@@ -189,8 +192,9 @@ func dualStartable(m *Model) bool {
 // infeasibility from numerical drift, a pivot budget blow-out, or a basis
 // that no longer factorizes) the solver transparently falls back to a cold
 // Solve; Solution.WarmStarted reports which path produced the answer. A
-// dual-simplex infeasibility verdict is confirmed with a cold solve before
-// being reported, so callers never act on a spurious certificate.
+// dual-simplex infeasibility verdict is confirmed with a cold two-phase
+// solve before being reported, so callers never act on a spurious
+// certificate.
 func (s *Solver) ReSolve() (Solution, error) {
 	if !s.HasBasis() {
 		return s.Solve()
@@ -204,10 +208,11 @@ func (s *Solver) ReSolve() (Solution, error) {
 		return s.Solve()
 	}
 	if status == StatusInfeasible {
-		// Confirm the certificate from scratch; a cold solve also leaves
-		// the solver in a well-defined state for the caller's next bound
-		// change.
-		return s.Solve()
+		// Confirm the certificate from scratch with the two-phase method (a
+		// cold dual run would only reach the same verdict on the way); a
+		// cold solve also leaves the solver in a well-defined state for the
+		// caller's next bound change.
+		return s.solve(false)
 	}
 	// Primal clean-up: the dual run restores primal feasibility, and any
 	// eps-level dual infeasibility left behind is mopped up here (usually

@@ -473,9 +473,9 @@ func TestDualColdStartRefactors(t *testing.T) {
 }
 
 // TestWarmInfeasibleConfirmedCold: a re-solve the dual simplex finds
-// infeasible is re-derived by a cold solve before it is reported, leaves no
-// basis and no values behind, and the solver recovers once the bound is
-// restored.
+// infeasible is re-derived by a cold two-phase solve, with no cold dual run
+// on the way, before it is reported, leaves no basis and no values behind,
+// and the solver recovers once the bound is restored.
 func TestWarmInfeasibleConfirmedCold(t *testing.T) {
 	m := NewModel("warm-infeasible")
 	x := addVar(t, m, "x", 0, math.Inf(1), 1)
@@ -490,8 +490,8 @@ func TestWarmInfeasibleConfirmedCold(t *testing.T) {
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
-	if sol.WarmStarted || sol.Phase1Iterations == 0 {
-		t.Fatalf("infeasibility not confirmed by a cold two-phase solve: %+v", sol)
+	if sol.WarmStarted || sol.Phase1Iterations == 0 || !sol.ColdFallback || sol.DualIterations != 0 {
+		t.Fatalf("infeasibility not confirmed by a cold two-phase solve alone: %+v", sol)
 	}
 	if p.sparse.HasBasis() || p.sparse.Duals() != nil || p.sparse.RestingAtUpper(y) {
 		t.Fatal("infeasible solve left a basis behind")
