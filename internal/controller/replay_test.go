@@ -456,13 +456,11 @@ func globalTagHolders(t *testing.T, c *controller.Controller) (fullest int) {
 // as diurnal_reopt replays: ReOptimize is refused for want of a
 // conflict-free global tag within the first day, at hour 16 (class 0)
 // with hosts at 2× the planned cores and at hour 10 (class 212) at 1×.
-// The hour and the class follow the LP vertex the placements end on
-// (ROADMAP item 27): hour 20 (class 106) and hour 10 (class 121) while a
-// cold solve ran the two-phase primal method, which ends on another
-// optimal vertex than the dual start. (Hours 9 and 11, classes 17 and 0,
-// while the portion ledger also took back what the handler's sub-classes
-// were never charged: its negative entries drew instance picks to spawned
-// firewalls.) At the refusal one
+// The hour and the class follow the optimal LP vertex the placements end
+// on (ROADMAP item 27), so a change to the solver's pivot path moves them.
+// (Hours 9 and 11, classes 17 and 0, while the portion ledger also took
+// back what the handler's sub-classes were never charged: its negative
+// entries drew instance picks to spawned firewalls.) At the refusal one
 // host's live sub-classes hold all 32 global tags: the tag space is a
 // function of live state, and live state has outgrown it. When 1(b) lands
 // this test fails: flip it into an assertion that the day replays clean.

@@ -256,12 +256,13 @@ func newTableau(m *Model, dual bool) *tableau {
 		resid[i] = r
 	}
 	// A row needs an artificial when its slack cannot hold the residual:
-	// LE wants resid ≥ 0, GE wants resid ≤ 0, EQ wants resid = 0.
+	// LE wants resid ≥ 0, GE wants resid ≤ 0, EQ wants resid = 0. The dual
+	// start has none.
 	needArt := make([]bool, nrows)
 	nart := 0
 	for i, con := range m.cons {
 		if dual {
-			break
+			continue
 		}
 		switch con.sense {
 		case LE:
