@@ -54,17 +54,7 @@ func TestColdSolveGolden(t *testing.T) {
 // formats one golden line.
 func coldSolveLine(t *testing.T, sc *experiments.Scenario, seed int64) string {
 	t.Helper()
-	prob, err := sc.MeanProblem()
-	if err != nil {
-		t.Fatalf("%s: %v", sc.Name, err)
-	}
-	h, tenants, err := experiments.ScenarioHierarchy(prob, nil)
-	if err != nil {
-		t.Fatalf("%s: %v", sc.Name, err)
-	}
-	if err := core.ApplyHierarchy(prob, h, tenants); err != nil {
-		t.Fatalf("%s: %v", sc.Name, err)
-	}
+	prob := hierarchyProblem(t, sc)
 	core.Objectives = core.Objectives[:0]
 	before := metrics.LP.Snapshot()
 	pl, err := core.NewEngine(core.EngineOptions{}).Solve(prob)
