@@ -78,7 +78,7 @@ func TestBuildProblemAllocs(t *testing.T) {
 // paper_lifecycle compiles it, allocates at most 470 000 bytes: 448 584
 // measured. The cold solve starts from the slack basis with the dual
 // simplex, with no artificial columns; solved by the two-phase method
-// (scratch mutation: dualStartable always false) it takes 560 776. The
+// that start replaced, it took 560 776. The
 // model streams its rows into one flat term store that the solver reads
 // in place; with a []Term per row copied into the model and again into
 // the solver's row store (scratch mutation: lp's model.go and store.go

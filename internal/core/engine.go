@@ -24,16 +24,9 @@ var solveObserver func(m *lp.Model, s *lp.Solver, sol *lp.Solution)
 // sol, nil when sol came out of branch-and-bound.
 func recordSolve(m *lp.Model, s *lp.Solver, sol *lp.Solution, resolve bool) {
 	metrics.LP.RecordSolve(resolve, sol.WarmStarted,
-		sol.Phase1Iterations, sol.Phase2Iterations, sol.DualIterations,
-		sol.Phase1Time, sol.Phase2Time)
+		sol.Phase2Iterations, sol.DualIterations, sol.Phase1Time, sol.Phase2Time)
 	if sol.Status == lp.StatusSingular {
 		metrics.LP.Singular.Add(1)
-	}
-	if sol.ColdDual {
-		metrics.LP.ColdDual.Add(1)
-	}
-	if sol.ColdFallback {
-		metrics.LP.ColdFallback.Add(1)
 	}
 	if solveObserver != nil && s != nil && sol.Status == lp.StatusOptimal {
 		solveObserver(m, s, sol)

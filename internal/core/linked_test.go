@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/apple-nfv/apple/internal/core"
@@ -18,7 +20,49 @@ import (
 // then ended in ErrIterLimit; switching to Bland's rule after a run of
 // degenerate pivots (lp's blandRun) solves it to a certified optimum.
 func TestLinkedModelSolves(t *testing.T) {
-	sc, err := experiments.Internet2(experiments.Options{Seed: 1, Snapshots: 24})
+	m, rows, linked := linkedModel(t, experiments.Internet2, 1)
+	s := lp.NewSolver(m)
+	sol, err := s.Solve()
+	t.Logf("%d rows + %d linking rows: status %v after %d pivots (dual %d, phase 2 %d): %v",
+		rows, linked, sol.Status, sol.Iterations, sol.DualIterations, sol.Phase2Iterations, err)
+	if err != nil || sol.Status != lp.StatusOptimal {
+		t.Fatalf("the linked model: status %v, err %v; want optimal", sol.Status, err)
+	}
+	if err := lp.CheckCertificate(m, sol.Values, s.Duals()); err != nil {
+		t.Fatalf("certificate: %v", err)
+	}
+}
+
+// TestKnownGapLinkedAS3679Singular is ROADMAP item 22's open case: the
+// same linking rows on AS-3679 at scenario seed 3. The dual run ends in
+// an infeasibility verdict whose Farkas row proves nothing (its left side
+// ranges over [0, ∞) around y·b = 0): the model is feasible, the ratio
+// test took a tiny pivot on the way. The solve must never call it
+// infeasible; it reports StatusSingular. When item 22's ratio test lands
+// this test fails: flip it into TestLinkedModelSolves's assertion.
+func TestKnownGapLinkedAS3679Singular(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 10 000-pivot solve")
+	}
+	m, rows, linked := linkedModel(t, experiments.AS3679, 3)
+	sol, err := lp.NewSolver(m).Solve()
+	t.Logf("%d rows + %d linking rows: status %v after %d pivots (dual %d, phase 2 %d): %v",
+		rows, linked, sol.Status, sol.Iterations, sol.DualIterations, sol.Phase2Iterations, err)
+	if errors.Is(err, lp.ErrInfeasible) || sol.Status == lp.StatusInfeasible {
+		t.Fatalf("a feasible model reported infeasible: %v", err)
+	}
+	if sol.Status != lp.StatusSingular || !errors.Is(err, lp.ErrSingular) || !strings.Contains(err.Error(), "Farkas row") {
+		t.Fatalf("known gap closed? status %v, err %v; want %v with an unproven Farkas row", sol.Status, err, lp.StatusSingular)
+	}
+}
+
+// linkedModel builds the placement model of a scenario's 24-snapshot mean
+// problem at a scenario seed, under its tenant hierarchy, in shares, with
+// one linking row x[h][i][j] − q[v][n] ≤ 0 per flow variable appended
+// after the model's own rows, of which it also returns the counts.
+func linkedModel(t *testing.T, build func(experiments.Options) (*experiments.Scenario, error), seed int64) (m *lp.Model, rows, linked int) {
+	t.Helper()
+	sc, err := build(experiments.Options{Seed: seed, Snapshots: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +77,7 @@ func TestLinkedModelSolves(t *testing.T) {
 	if err := core.ApplyHierarchy(prob, h, tenants); err != nil {
 		t.Fatal(err)
 	}
-	m, _, err := core.PlacementModel(prob, false)
+	m, _, err = core.PlacementModel(prob, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,18 +112,9 @@ func TestLinkedModelSolves(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	linked := m.NumConstraints() - rows
+	linked = m.NumConstraints() - rows
 	if linked == 0 {
 		t.Fatal("no flow variable linked")
 	}
-	s := lp.NewSolver(m)
-	sol, err := s.Solve()
-	t.Logf("%d rows + %d linking rows: status %v after %d pivots (phase 1 %d, phase 2 %d): %v",
-		rows, linked, sol.Status, sol.Iterations, sol.Phase1Iterations, sol.Phase2Iterations, err)
-	if err != nil || sol.Status != lp.StatusOptimal {
-		t.Fatalf("the linked model: status %v, err %v; want optimal", sol.Status, err)
-	}
-	if err := lp.CheckCertificate(m, sol.Values, s.Duals()); err != nil {
-		t.Fatalf("certificate: %v", err)
-	}
+	return m, rows, linked
 }

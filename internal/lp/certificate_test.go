@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -100,5 +101,54 @@ func TestDualsLifecycle(t *testing.T) {
 	d := s.Duals()
 	if len(d) != 2 || !almost(d[0], 2) || !almost(d[1], -1) {
 		t.Fatalf("duals = %v, want [2 -1]", d)
+	}
+}
+
+// TestProvesInfeasible runs the Farkas row check by hand on a single row
+// and its multiples y. On x ≤ 0.5, y ≤ 2, x + y ≥ 3 the row −1 turns the
+// rows into −x − y + s = −3, whose left side ranges over [−2.5, ∞) for s
+// the slack: −3 is outside, so the row proves the model infeasible, as
+// does every nonzero multiple, and a solve must say so. Raise y's bound
+// to 3 and the model is feasible: no row may prove anything. A column z
+// with no upper bound opens the range when its coefficient in the row,
+// y·a_z, exceeds eps, the dual ratio test's zero: a_z = 1e−12 leaves every
+// proof standing, a_z = 1e−8 voids those of rows larger than 0.1.
+func TestProvesInfeasible(t *testing.T) {
+	build := func(yHi, zCoef float64) *Model {
+		m := NewModel("farkas")
+		x := addVar(t, m, "x", 0, 0.5, 1)
+		y := addVar(t, m, "y", 0, yHi, 1)
+		terms := []Term{{x, 1}, {y, 1}}
+		if zCoef != 0 {
+			terms = append(terms, Term{addVar(t, m, "z", 0, math.Inf(1), 1), zCoef})
+		}
+		addCon(t, m, "need", GE, 3, terms...)
+		return m
+	}
+	g := make([]float64, 3)
+	rows := []float64{-2, -1, -0.5, -1e-3, 0, 1e-3, 0.5, 1, 2}
+	cases := []struct {
+		name   string
+		m      *Model
+		proves func(y float64) bool
+	}{
+		{"infeasible", build(2, 0), func(y float64) bool { return y != 0 }},
+		{"feasible", build(3, 0), func(float64) bool { return false }},
+		{"dust on an unbounded column", build(2, 1e-12), func(y float64) bool { return y != 0 }},
+		{"a coefficient above eps", build(2, 1e-8), func(y float64) bool { return y != 0 && math.Abs(y) <= 0.1 }},
+	}
+	for _, tc := range cases {
+		for _, y := range rows {
+			if got, want := provesInfeasible(tc.m, []float64{y}, g), tc.proves(y); got != want {
+				t.Errorf("%s: row %v proves infeasibility: %t, want %t", tc.name, y, got, want)
+			}
+		}
+	}
+	for _, tc := range cases[:3] {
+		before := proven
+		_, err := newEnginePair(t, tc.m).Solve(tc.name)
+		if infeasible := tc.name != "feasible"; errors.Is(err, ErrInfeasible) != infeasible || (proven > before) != infeasible {
+			t.Errorf("%s: solve %v with %d verdicts proven", tc.name, err, proven-before)
+		}
 	}
 }

@@ -9,12 +9,28 @@ import "math"
 // among tied columns.
 const dantzigLimit = 20000
 
+// dustTol is the magnitude below which the dense reference's pivot skips
+// a row's elimination: the row's entry in the entering column is
+// cancellation dust, and the update would move no entry of the row by
+// more than dustTol times the pivot row's largest entry, far below
+// anything the pivot rules read. Dust is most of a long-lived tableau
+// (on AS-3679's share model, 24 warm steps after the dual cold start,
+// 97 % of B⁻¹A's nonzeros are below 1e-13), and every dusty row an
+// elimination visits spreads more. Larger values, like dropping dust from
+// the eliminated rows, move the dense engine's basic values by enough to
+// reach an infeasibility verdict on a basic variable 2–4e-9 below its
+// bound where the sparse engine reaches none, at one warm step of UNIV1
+// seed 1's share model.
+const dustTol = 1e-20
+
 // This file is the dense Gauss-Jordan tableau the package solved with
 // before the sparse revised simplex replaced it, kept (minus the phase
 // timers) as the reference the differential and fuzz tests compare the
-// production engine against, and given the production engine's dual cold
-// start and its fallbacks: same pricing, same ratio tests, same starts,
-// same warm contract, a different representation of B⁻¹A.
+// production engine against, and given the production engine's cold
+// start: same pricing, same ratio tests, same start, same infeasibility
+// check, same warm contract, a different representation of B⁻¹A. Its
+// primal two-phase method, which the production engine no longer has, is
+// kept beside it as an oracle with a start of its own (twoPhase).
 
 // denseSolver is Solver over a dense tableau.
 type denseSolver struct {
@@ -28,13 +44,11 @@ func newDenseSolver(m *Model) *denseSolver {
 }
 
 // Solve runs a cold solve, discarding any previous basis: the dual
-// simplex from the slack basis when that basis is dual feasible, the
-// two-phase method otherwise or when the dual run fails — the production
-// solver's cold start and fallbacks, pivot rule for pivot rule.
-func (s *denseSolver) Solve() (Solution, error) { return s.solve(true) }
-
-// solve is Solve, with the dual start tried only when dual is set.
-func (s *denseSolver) solve(dual bool) (Solution, error) {
+// simplex from the slack basis, with a negative cost on a column with no
+// upper bound priced at 0, then the primal clean-up at the true costs; an
+// infeasibility verdict stands only if its Farkas row proves it — the
+// production solver's cold start, pivot rule for pivot rule.
+func (s *denseSolver) Solve() (Solution, error) {
 	if len(s.model.vars) == 0 {
 		return Solution{}, ErrEmptyModel
 	}
@@ -48,53 +62,28 @@ func (s *denseSolver) solve(dual bool) (Solution, error) {
 			return sol, solveErr(StatusInfeasible, s.model.name, 0)
 		}
 	}
-	dIters := 0
-	if dual && dualStartable(s.model) {
-		t := newTableau(s.model, true)
-		s.t = t
-		status, iters, ok := t.dualSimplex(hardIterLimit)
-		dIters = iters
-		if ok && status == StatusOptimal {
-			status, it2 := t.optimize(t.c, false)
-			if status == StatusOptimal {
-				sol := Solution{
-					Status:           status,
-					DualIterations:   dIters,
-					Phase2Iterations: it2,
-					Iterations:       dIters + it2,
-					Nodes:            1,
-					ColdDual:         true,
-				}
-				s.finish(&sol)
-				return sol, nil
-			}
-			dIters += it2
-		}
-	}
 	t := newTableau(s.model, false)
 	s.t = t
-	status, it1 := t.phase1()
-	sol := Solution{
-		Status:           status,
-		Phase1Iterations: it1,
-		DualIterations:   dIters,
-		Iterations:       it1 + dIters,
-		Nodes:            1,
-		ColdFallback:     true,
+	status, dIters := t.dualSimplex(t.cd, hardIterLimit)
+	if status == StatusInfeasible && !provesInfeasible(s.model, t.farkasRow(s.model), make([]float64, t.nv)) {
+		status = StatusSingular
 	}
-	if status != StatusOptimal {
-		// A failed tableau (mid-phase-1, artificials still basic) is not a
-		// valid warm-start base; drop it so the next ReSolve goes cold.
-		s.t = nil
-		return sol, solveErr(status, s.model.name, sol.Iterations)
+	return s.cleanUp(Solution{Status: status, DualIterations: dIters, Iterations: dIters, Nodes: 1})
+}
+
+// cleanUp runs the primal clean-up at the true costs after a dual run that
+// ended StatusOptimal in sol, and completes sol; after any other ending it
+// drops the tableau, so the next ReSolve goes cold.
+func (s *denseSolver) cleanUp(sol Solution) (Solution, error) {
+	if sol.Status == StatusOptimal {
+		var it2 int
+		sol.Status, it2 = s.t.optimize(s.t.c, false)
+		sol.Phase2Iterations = it2
+		sol.Iterations += it2
 	}
-	status, it2 := t.optimize(t.c, false)
-	sol.Phase2Iterations = it2
-	sol.Iterations += it2
-	sol.Status = status
-	if status != StatusOptimal {
+	if sol.Status != StatusOptimal {
 		s.t = nil
-		return sol, solveErr(status, s.model.name, sol.Iterations)
+		return sol, solveErr(sol.Status, s.model.name, sol.Iterations)
 	}
 	s.finish(&sol)
 	return sol, nil
@@ -104,46 +93,45 @@ func (s *denseSolver) solve(dual bool) (Solution, error) {
 // warm-starting from the current basis with the dual simplex. The basis
 // stays dual feasible under any bound change, so this usually converges in
 // a few pivots. When the warm start is rejected (no prior basis, dual
-// infeasibility from numerical drift, or a pivot budget blow-out) the
-// solver transparently falls back to a cold Solve; Solution.WarmStarted
-// reports which path produced the answer. A dual-simplex infeasibility
-// verdict is confirmed with a cold two-phase solve before being reported,
-// so callers never act on a spurious certificate.
+// infeasibility from numerical drift, or a pivot budget blow-out) or
+// reaches an infeasibility verdict, the solver falls back to a cold Solve;
+// Solution.WarmStarted reports which path produced the answer.
 func (s *denseSolver) ReSolve() (Solution, error) {
 	if s.t == nil {
 		return s.Solve()
 	}
 	t := s.t
 	t.degenerate, t.bland = 0, false
-	status, dIters, ok := t.dualSimplex(dualIterBudget(t.m))
-	if !ok {
-		// Warm start rejected: cold solve.
+	status, dIters := t.dualSimplex(t.c, dualIterBudget(t.m))
+	if status != StatusOptimal {
 		return s.Solve()
 	}
-	if status == StatusInfeasible {
-		// Confirm the certificate from scratch with the two-phase method; a
-		// cold solve also leaves the solver in a well-defined state for the
-		// caller's next bound change.
-		return s.solve(false)
+	return s.cleanUp(Solution{Status: status, DualIterations: dIters, Iterations: dIters, WarmStarted: true, Nodes: 1})
+}
+
+// twoPhase solves m cold by the primal two-phase method on a dense
+// tableau: every structural column starts at its lower bound, each row
+// whose slack cannot hold the residual gets an artificial, phase 1 drives
+// the artificials to zero and phase 2 optimizes. It shares the engines'
+// pricing and ratio tests but neither their start nor their infeasibility
+// verdicts, which makes it the oracle enginePair checks every cold
+// verdict against.
+func twoPhase(m *Model) (Solution, error) {
+	if len(m.vars) == 0 {
+		return Solution{}, ErrEmptyModel
 	}
-	// Primal clean-up: the dual run restores primal feasibility, and any
-	// eps-level dual infeasibility left behind is mopped up here (usually
-	// zero pivots).
-	status, it2 := t.optimize(t.c, false)
-	sol := Solution{
-		Status:           status,
-		DualIterations:   dIters,
-		Phase2Iterations: it2,
-		Iterations:       dIters + it2,
-		WarmStarted:      true,
-		Nodes:            1,
+	for _, v := range m.vars {
+		if v.lo > v.hi {
+			return Solution{Status: StatusInfeasible}, solveErr(StatusInfeasible, m.name, 0)
+		}
 	}
+	s := &denseSolver{model: m, t: newTableau(m, true)}
+	status, it1 := s.t.phase1()
+	sol := Solution{Status: status, Iterations: it1, Nodes: 1}
 	if status != StatusOptimal {
-		s.t = nil
-		return sol, solveErr(status, s.model.name, sol.Iterations)
+		return sol, solveErr(status, m.name, it1)
 	}
-	s.finish(&sol)
-	return sol, nil
+	return s.cleanUp(sol)
 }
 
 // SetBounds updates the bounds of v in the model and, when a tableau is
@@ -191,9 +179,9 @@ func (s *denseSolver) finish(sol *Solution) {
 
 // tableau is the dense bounded-variable simplex working state:
 // minimize c·x subject to Ax + Σs = b, lo ≤ x ≤ hi, with one slack per row
-// (bounds [0,∞) for inequalities, [0,0] for equalities) and artificial
-// columns only for rows whose slack-basis start violates the slack bounds.
-// `a` is maintained as B⁻¹A by Gauss-Jordan pivoting; basic-variable
+// (bounds [0,∞) for inequalities, [0,0] for equalities) and, in twoPhase's
+// start only, artificial columns for the rows whose slacks cannot hold the
+// residual. `a` is maintained as B⁻¹A by Gauss-Jordan pivoting; basic-variable
 // values xB are maintained incrementally and never stored in the matrix.
 type tableau struct {
 	m, n int // rows, structural+slack+artificial columns
@@ -207,7 +195,8 @@ type tableau struct {
 	lo, hi  []float64 // per-column bounds
 	atUpper []bool    // nonbasic column rests at hi (else at lo)
 
-	c   []float64 // phase-2 costs
+	c   []float64 // costs
+	cd  []float64 // a cold dual run's costs (revised.cd)
 	art []float64 // phase-1 costs (1 on artificials)
 
 	red     []float64 // maintained reduced-cost row
@@ -219,6 +208,8 @@ type tableau struct {
 	// Bland's rule, as it does there.
 	degenerate int
 	bland      bool
+	// verdict is the row of dualSimplex's last infeasibility verdict.
+	verdict int
 }
 
 // rowTerms returns constraint i's merged terms as Terms.
@@ -231,15 +222,17 @@ func rowTerms(m *Model, i int) []Term {
 	return out
 }
 
-// newTableau converts the model. With dual unset, structural variables
-// start nonbasic at their lower bound; each row's slack absorbs the
-// residual when it can, otherwise the row gets an artificial and joins
-// phase 1. With dual set, a column whose cost is negative rests at its
-// upper bound and every slack is basic at the residual, in its bounds or
-// not, with no artificials (revised.load's dual start).
-func newTableau(m *Model, dual bool) *tableau {
+// newTableau converts the model. Unless twoPhase is set it takes
+// revised.load's start: every slack basic at the residual, in its bounds
+// or not, a column whose cost is negative resting at its upper bound when
+// that is finite, and cd pricing it at 0 when it is not. With twoPhase set
+// every structural column starts at its lower bound; each row's slack
+// absorbs the residual when it can, otherwise the row gets an artificial
+// and joins phase 1.
+func newTableau(m *Model, twoPhase bool) *tableau {
 	nv := len(m.vars)
 	nrows := len(m.cons)
+	atUpper := func(v variable) bool { return !twoPhase && v.obj < 0 && !math.IsInf(v.hi, 1) }
 
 	// Residual of each row at the starting point.
 	resid := make([]float64, nrows)
@@ -248,7 +241,7 @@ func newTableau(m *Model, dual bool) *tableau {
 		for _, t := range rowTerms(m, i) {
 			v := m.vars[t.Var]
 			x := v.lo
-			if dual && v.obj < 0 {
+			if atUpper(v) {
 				x = v.hi
 			}
 			r -= t.Coef * x
@@ -256,12 +249,12 @@ func newTableau(m *Model, dual bool) *tableau {
 		resid[i] = r
 	}
 	// A row needs an artificial when its slack cannot hold the residual:
-	// LE wants resid ≥ 0, GE wants resid ≤ 0, EQ wants resid = 0. The dual
-	// start has none.
+	// LE wants resid ≥ 0, GE wants resid ≤ 0, EQ wants resid = 0. The slack
+	// basis start has none.
 	needArt := make([]bool, nrows)
 	nart := 0
 	for i, con := range m.cons {
-		if dual {
+		if !twoPhase {
 			continue
 		}
 		switch con.sense {
@@ -289,15 +282,19 @@ func newTableau(m *Model, dual bool) *tableau {
 		lo:      make([]float64, n),
 		hi:      make([]float64, n),
 		c:       make([]float64, n),
+		cd:      make([]float64, n),
 		art:     make([]float64, n),
 		atUpper: make([]bool, n),
 		inBasis: make([]bool, n),
 	}
 	for j, v := range m.vars {
-		t.c[j] = v.obj
+		t.c[j], t.cd[j] = v.obj, v.obj
 		t.lo[j] = v.lo
 		t.hi[j] = v.hi
-		t.atUpper[j] = dual && v.obj < 0
+		t.atUpper[j] = atUpper(v)
+		if !twoPhase && v.obj < 0 && math.IsInf(v.hi, 1) {
+			t.cd[j] = 0
+		}
 	}
 	artCol := nv + nrows
 	for i, con := range m.cons {
@@ -317,7 +314,7 @@ func newTableau(m *Model, dual bool) *tableau {
 		row[slack] = sign
 		t.lo[slack] = 0
 		t.hi[slack] = shi
-		if dual {
+		if !twoPhase {
 			t.basis[i] = slack
 			t.xB[i] = sign * resid[i]
 		} else if !needArt[i] {
@@ -549,34 +546,32 @@ func (t *tableau) optimize(c []float64, phase1 bool) (Status, int) {
 	}
 }
 
-// dualSimplex restores primal feasibility, preserving dual feasibility
-// throughout — the warm-start workhorse, and a cold solve's first run.
-// Returns ok=false when the run must be abandoned (dual-infeasible start
-// or pivot budget exceeded); the caller falls back to a cold two-phase
-// solve. A returned StatusInfeasible is a dual-unboundedness certificate:
-// the violated row proves no setting of the nonbasic variables can bring
-// the basic variable inside its bounds. The leaving row is the most
-// violated basic variable until blandRun degenerate dual pivots in a row,
-// then the infeasible one of lowest column index.
-func (t *tableau) dualSimplex(maxIter int) (Status, int, bool) {
+// dualSimplex restores primal feasibility for the costs c, preserving dual
+// feasibility throughout — the warm-start workhorse, and a cold solve's
+// first run — with revised.dualSimplex's statuses. At a returned
+// StatusInfeasible, verdict is the violated row, whose multipliers
+// farkasRow reads. The leaving row is the most violated basic variable
+// until blandRun degenerate dual pivots in a row, then the infeasible one
+// of lowest column index.
+func (t *tableau) dualSimplex(c []float64, maxIter int) (Status, int) {
 	real := t.realCols()
-	t.refreshRed(t.c)
+	t.refreshRed(c)
 	for j := 0; j < real; j++ {
 		if t.inBasis[j] || t.hi[j]-t.lo[j] < eps {
 			continue
 		}
 		if t.atUpper[j] {
 			if t.red[j] > dualTol {
-				return StatusIterLimit, 0, false
+				return StatusIterLimit, 0
 			}
 		} else if t.red[j] < -dualTol {
-			return StatusIterLimit, 0, false
+			return StatusIterLimit, 0
 		}
 	}
 	iters := 0
 	for {
 		if iters >= maxIter {
-			return StatusIterLimit, iters, false
+			return StatusIterLimit, iters
 		}
 		r := -1
 		below := false
@@ -594,7 +589,7 @@ func (t *tableau) dualSimplex(maxIter int) (Status, int, bool) {
 			}
 		}
 		if r < 0 {
-			return StatusOptimal, iters, true
+			return StatusOptimal, iters
 		}
 		// Entering column: the dual ratio test. For a basic variable below
 		// its lower bound we need columns whose movement raises it; above
@@ -625,7 +620,8 @@ func (t *tableau) dualSimplex(maxIter int) (Status, int, bool) {
 			}
 		}
 		if enter < 0 {
-			return StatusInfeasible, iters, true
+			t.verdict = r
+			return StatusInfeasible, iters
 		}
 		if bestRatio > eps {
 			t.degenerate = 0
@@ -704,7 +700,7 @@ func (t *tableau) replaceBasic(r, j int, targetBound float64, leavingAtUpper boo
 	for jj := range prow {
 		v := prow[jj] * inv
 		// Drop eps-dust to fight fill-in and drift accumulation.
-		if v < 1e-13 && v > -1e-13 {
+		if v < dropTol && v > -dropTol {
 			v = 0
 		}
 		prow[jj] = v
@@ -719,7 +715,8 @@ func (t *tableau) replaceBasic(r, j int, targetBound float64, leavingAtUpper boo
 			continue
 		}
 		f := t.a[i*n+j]
-		if f == 0 {
+		if f < dustTol && f > -dustTol {
+			t.a[i*n+j] = 0 // as the elimination would leave it
 			continue
 		}
 		irow := t.a[i*n : (i+1)*n]
@@ -769,6 +766,19 @@ func (t *tableau) setVarBounds(j int, lo, hi float64) {
 			t.xB[i] -= aij * shift
 		}
 	}
+}
+
+// farkasRow reads row verdict of B⁻¹ off the slack columns: row i's slack
+// is ±e_i in A (− on ≥ rows), so B⁻¹ times it is ± column i of B⁻¹.
+func (t *tableau) farkasRow(m *Model) []float64 {
+	y := make([]float64, t.m)
+	for i, con := range m.cons {
+		y[i] = t.a[t.verdict*t.n+t.nv+i]
+		if con.sense == GE {
+			y[i] = -y[i]
+		}
+	}
+	return y
 }
 
 // duals reads y = c_B·B⁻¹ off the slack columns: row i's slack is ±e_i

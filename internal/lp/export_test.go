@@ -16,12 +16,12 @@ func SuspendCertificates() (restore func()) {
 
 // Solve solves the LP relaxation of the model (integrality flags are
 // ignored) with a cold Solver.Solve: the bounded-variable revised simplex
-// over a sparse column store, dual from the slack basis or two-phase
-// primal. Variable bounds lo ≤ x ≤ hi are handled natively in
+// over a sparse column store, dual from the slack basis with a primal
+// clean-up. Variable bounds lo ≤ x ≤ hi are handled natively in
 // the ratio test (nonbasic variables may sit at either bound), so finite
-// bounds never generate rows. It returns ErrInfeasible, ErrUnbounded, or
-// ErrIterLimit wrapped with context on failure; on success Solution.Status
-// is StatusOptimal.
+// bounds never generate rows. It returns ErrInfeasible, ErrUnbounded,
+// ErrIterLimit or ErrSingular wrapped with context on failure; on success
+// Solution.Status is StatusOptimal.
 func Solve(m *Model) (Solution, error) {
 	s := NewSolver(m)
 	return s.Solve()

@@ -218,8 +218,8 @@ func TestDuplicateTermsAccumulate(t *testing.T) {
 }
 
 func TestDegenerateRedundantRows(t *testing.T) {
-	// Same constraint three times; one EQ duplicated — exercises artificial
-	// eviction on redundant rows.
+	// Same constraint three times; one EQ duplicated — leaves fixed slacks
+	// of redundant rows basic at zero.
 	m := NewModel("degenerate")
 	x := addVar(t, m, "x", 0, math.Inf(1), 1)
 	y := addVar(t, m, "y", 0, math.Inf(1), 1)
@@ -636,8 +636,8 @@ func TestBealeCycling(t *testing.T) {
 		t.Fatal(err)
 	}
 	cycled := sol.Iterations >= blandRun
-	t.Logf("Dantzig's rule cycled: %t; %d pivots (phase 1 %d, phase 2 %d)",
-		cycled, sol.Iterations, sol.Phase1Iterations, sol.Phase2Iterations)
+	t.Logf("Dantzig's rule cycled: %t; %d pivots (dual %d, phase 2 %d)",
+		cycled, sol.Iterations, sol.DualIterations, sol.Phase2Iterations)
 	if sol.Iterations > blandRun+8 {
 		t.Fatalf("%d pivots, more than blandRun+8 = %d: the switch to Bland's rule did not end the cycle", sol.Iterations, blandRun+8)
 	}

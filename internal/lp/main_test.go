@@ -7,8 +7,9 @@ import (
 )
 
 // certified counts the optimal solves whose certificate TestMain's hook
-// checked; tests that must not pass vacuously read it.
-var certified int
+// checked, and proven the infeasibility verdicts whose Farkas row the
+// solver proved; tests that must not pass vacuously read them.
+var certified, proven int
 
 // TestMain points the onOptimal seam at CheckCertificate, so every optimal
 // solve any test of this package makes — cold, warm, or a branch-and-bound
@@ -21,5 +22,6 @@ func TestMain(m *testing.M) {
 		}
 		certified++
 	}
+	onInfeasible = func() { proven++ }
 	os.Exit(m.Run())
 }

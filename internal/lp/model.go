@@ -1,8 +1,8 @@
 // Package lp is a self-contained linear-programming toolkit: a modeling
 // layer, a bounded-variable revised simplex over a sparse column store (LU
-// basis factorization with an eta file; the dual simplex from the slack
-// basis for cold solves, with the primal two-phase method as its fallback,
-// and the dual simplex for warm re-solves), an optimality-certificate
+// basis factorization with an eta file; the dual simplex, from the slack
+// basis for cold solves and from the last optimal basis for warm
+// re-solves, each followed by a primal clean-up), an optimality-certificate
 // checker, and a branch-and-bound wrapper for mixed-integer programs. It
 // stands in for CPLEX in the APPLE Optimization Engine (§IV-D): the engine
 // builds the placement ILP here, solves the LP relaxation, and rounds —
@@ -281,8 +281,10 @@ const (
 	StatusInfeasible
 	StatusUnbounded
 	StatusIterLimit
-	// StatusSingular: a refactor found the basis no longer factorizes, so
-	// the solve was given up before any pivot limit.
+	// StatusSingular: the solve was given up to numerical trouble before
+	// any pivot limit, because a refactor found the basis no longer
+	// factorizes or because the dual simplex reached an infeasibility
+	// verdict whose Farkas row does not prove it.
 	StatusSingular
 )
 
@@ -312,17 +314,15 @@ type Solution struct {
 	Status     Status
 	Objective  float64
 	Values     []float64 // indexed by VarID
-	Iterations int       // total simplex pivots (phase 1 + phase 2 + dual)
+	Iterations int       // total simplex pivots (dual + phase 2)
 	Nodes      int       // branch-and-bound nodes (1 for pure LP)
 
 	// Phase split instrumentation (Table V observability). A cold solve
-	// that starts with the dual simplex (ColdDual) counts its dual run in
-	// DualIterations and Phase1Time, the time to a feasible basis, and its
-	// primal clean-up in Phase2Iterations and Phase2Time; its
-	// Phase1Iterations is 0. A warm re-solve counts its dual run in
-	// DualIterations and all its time in Phase2Time.
-	Phase1Iterations int           // primal phase-1 (feasibility) pivots
-	Phase2Iterations int           // primal phase-2 (optimality) pivots
+	// counts its dual run in DualIterations and Phase1Time, the time to a
+	// feasible basis, and its primal clean-up in Phase2Iterations and
+	// Phase2Time. A warm re-solve counts its dual run in DualIterations and
+	// all its time in Phase2Time.
+	Phase2Iterations int           // primal clean-up (optimality) pivots
 	DualIterations   int           // dual-simplex pivots, cold or warm
 	Phase1Time       time.Duration // wall time to a feasible basis of a cold solve
 	Phase2Time       time.Duration // wall time from there (all of a warm re-solve)
@@ -330,14 +330,6 @@ type Solution struct {
 	// that reused the previous basis (Solver.ReSolve hit) rather than a
 	// cold solve.
 	WarmStarted bool
-	// ColdDual reports a cold solve (Solver.Solve, or a ReSolve that fell
-	// back to one) answered by the dual simplex from the slack basis, with
-	// no artificials and no phase 1. ColdFallback reports one answered by
-	// the two-phase primal method instead; the dual pivots of a start
-	// given up on the way are in DualIterations, and its time in
-	// Phase1Time. A warm re-solve sets neither.
-	ColdDual     bool
-	ColdFallback bool
 }
 
 // TotalPivots sums the per-phase pivot counters. It usually equals
@@ -345,7 +337,7 @@ type Solution struct {
 // for callers (the trace instrumentation) that aggregate solutions whose
 // Iterations field was overwritten by a MILP search total.
 func (s *Solution) TotalPivots() int {
-	return s.Phase1Iterations + s.Phase2Iterations + s.DualIterations
+	return s.Phase2Iterations + s.DualIterations
 }
 
 // Value returns the solution value of v.
@@ -361,6 +353,6 @@ var (
 	ErrInfeasible = errors.New("lp: infeasible")
 	ErrUnbounded  = errors.New("lp: unbounded")
 	ErrIterLimit  = errors.New("lp: iteration limit exceeded")
-	ErrSingular   = errors.New("lp: basis does not factorize")
+	ErrSingular   = errors.New("lp: numerically singular")
 	ErrEmptyModel = errors.New("lp: model has no variables")
 )

@@ -54,30 +54,25 @@ func wallClock() time.Time {
 	return time.Now()
 }
 
-// Solve runs a cold solve, discarding any previous basis. When the slack
-// basis is dual feasible (dualStartable) it starts there with no
-// artificial columns and runs the dual simplex to a feasible basis, then
-// the primal clean-up ReSolve runs. It falls back to the two-phase primal
-// method when the slack basis is not dual feasible, or when the dual run
-// hits the pivot limit, meets a singular basis, finds the model
-// infeasible (a verdict the two-phase method then confirms, as ReSolve's
-// are) or leaves a basis the clean-up cannot finish from.
-// Solution.ColdDual and ColdFallback report which path answered.
-func (s *Solver) Solve() (Solution, error) { return s.solve(true) }
-
-// solve is Solve, with the dual start tried only when dual is set.
-func (s *Solver) solve(dual bool) (Solution, error) {
+// Solve runs a cold solve, discarding any previous basis. It starts from
+// the slack basis (load), runs the dual simplex to a feasible basis, then
+// the primal clean-up ReSolve runs. A column whose cost is negative and
+// whose upper bound is infinite would make the slack basis dual
+// infeasible, so the dual run prices it at cost 0 (revised.cd) and the
+// clean-up at its true cost, which it proves optimal or unbounded: a dual
+// phase 1 by cost modification (Koberstein 2005). An infeasibility verdict
+// of the dual run stands only if its Farkas row proves it
+// (provesInfeasible); one that does not is reported as StatusSingular,
+// never as StatusInfeasible.
+func (s *Solver) Solve() (Solution, error) {
 	if len(s.model.vars) == 0 {
 		return Solution{}, ErrEmptyModel
 	}
 	if s.t == nil {
 		s.t = &revised{}
 	}
-	t := s.t
-	// Until this solve ends optimal there is no basis to warm-start from: a
-	// failed state (mid-phase-1, artificials still basic) is not a valid
-	// base, so the next ReSolve goes cold.
-	t.valid = false
+	// Until this solve ends optimal there is no basis to warm-start from.
+	s.t.valid = false
 	// Crossed bounds (possible via branch-and-bound tightening, which
 	// bypasses SetBounds validation) make the model trivially infeasible;
 	// the solver would otherwise misread such a column as fixed.
@@ -88,101 +83,61 @@ func (s *Solver) solve(dual bool) (Solution, error) {
 		}
 	}
 	start := wallClock()
-	dIters := 0
-	if dual && dualStartable(s.model) {
-		sol, ok := s.solveDual(start)
-		if ok {
-			return sol, nil
-		}
-		dIters = sol.Iterations
+	if !s.t.load(s.model) {
+		sol := Solution{Status: StatusSingular, Nodes: 1}
+		return sol, solveErr(StatusSingular, s.model.name, 0)
 	}
-	return s.solveTwoPhase(start, dIters)
+	return s.solveFromSlack(start)
 }
 
-// solveDual is Solve's dual start: the slack basis, the dual simplex to a
-// feasible basis, the primal clean-up. It reports false when the solve
-// must fall back to the two-phase method, with the pivots spent in
-// sol.Iterations.
-func (s *Solver) solveDual(start time.Time) (Solution, bool) {
+// solveFromSlack is the rest of Solve once load has set up the slack
+// basis; start is when the solve began. The dual run's pivots are its
+// DualIterations and its time is Phase1Time, the time to a feasible basis.
+func (s *Solver) solveFromSlack(start time.Time) (Solution, error) {
 	t := s.t
 	t.degenerate, t.bland = 0, false
-	if !t.load(s.model, true) {
-		return Solution{}, false
-	}
-	status, dIters, ok := t.dualSimplex(hardIterLimit)
-	if !ok || status != StatusOptimal {
-		return Solution{Iterations: dIters}, false
-	}
+	status, dIters := t.dualSimplex(t.cd, hardIterLimit)
 	p2Start := wallClock()
-	status, it2 := t.optimize(t.c, false)
 	sol := Solution{
-		Status:           status,
-		DualIterations:   dIters,
-		Phase2Iterations: it2,
-		Iterations:       dIters + it2,
-		Phase1Time:       p2Start.Sub(start),
-		Phase2Time:       wallClock().Sub(p2Start),
-		Nodes:            1,
-		ColdDual:         true,
+		Status:         status,
+		DualIterations: dIters,
+		Iterations:     dIters,
+		Phase1Time:     p2Start.Sub(start),
+		Nodes:          1,
 	}
-	if status != StatusOptimal {
-		return sol, false
+	switch {
+	case status == StatusOptimal:
+		return s.cleanUp(sol, p2Start)
+	// The row is row r of B⁻¹, which priceRow left in rho; red is free
+	// scratch, as every run recomputes it before reading it.
+	case status == StatusInfeasible && !provesInfeasible(s.model, t.rho, t.red):
+		sol.Status = StatusSingular
+		return sol, fmt.Errorf("%w: %s after %d pivots: the Farkas row of an infeasibility verdict proves nothing",
+			ErrSingular, s.model.name, dIters)
+	case status == StatusInfeasible && onInfeasible != nil:
+		onInfeasible()
 	}
-	t.valid = true
-	s.finish(&sol)
-	return sol, true
+	return sol, solveErr(status, s.model.name, dIters)
 }
 
-// solveTwoPhase is Solve's two-phase primal path: phase 1 drives the
-// artificials of the rows the all-at-lower-bound start violates to zero,
-// phase 2 optimizes. dIters are the pivots of a cold dual run given up on
-// the way here, counted as dual pivots; start is when the solve began, so
-// Phase1Time covers that run too.
-func (s *Solver) solveTwoPhase(start time.Time, dIters int) (Solution, error) {
+// cleanUp runs the primal clean-up from the primal feasible basis a dual
+// run ended on, pricing the true costs c, and completes sol with it; start
+// is when its Phase2Time began. After a cold dual run it prices in any
+// column the run priced at 0; after a warm one it mops up eps-level dual
+// infeasibility. Both usually take zero pivots.
+func (s *Solver) cleanUp(sol Solution, start time.Time) (Solution, error) {
 	t := s.t
-	t.degenerate, t.bland = 0, false
-	status, it1 := StatusSingular, 0
-	if t.load(s.model, false) {
-		status, it1 = t.phase1()
-	}
-	sol := Solution{
-		Status:           status,
-		Phase1Iterations: it1,
-		DualIterations:   dIters,
-		Iterations:       it1 + dIters,
-		Phase1Time:       wallClock().Sub(start),
-		Nodes:            1,
-		ColdFallback:     true,
-	}
-	if status != StatusOptimal {
-		return sol, solveErr(status, s.model.name, sol.Iterations)
-	}
-	p2Start := wallClock()
-	status, it2 := t.optimize(t.c, false)
+	status, it2 := t.optimize(t.c)
+	sol.Status = status
 	sol.Phase2Iterations = it2
 	sol.Iterations += it2
-	sol.Phase2Time = wallClock().Sub(p2Start)
-	sol.Status = status
-	if status != StatusOptimal {
+	sol.Phase2Time = wallClock().Sub(start)
+	t.valid = status == StatusOptimal
+	if !t.valid {
 		return sol, solveErr(status, s.model.name, sol.Iterations)
 	}
-	t.valid = true
 	s.finish(&sol)
 	return sol, nil
-}
-
-// dualStartable reports whether the slack basis is dual feasible once
-// every column rests at the bound its cost favours: the lower bound for a
-// cost ≥ 0, the upper bound for a negative one. With the slacks basic the
-// reduced costs are the costs, so the only column that breaks it is one
-// whose cost is negative and whose upper bound is infinite.
-func dualStartable(m *Model) bool {
-	for _, v := range m.vars {
-		if v.obj < 0 && math.IsInf(v.hi, 1) {
-			return false
-		}
-	}
-	return true
 }
 
 // ReSolve re-optimizes after bound changes (Solver.SetBounds/SetUpper),
@@ -192,9 +147,8 @@ func dualStartable(m *Model) bool {
 // infeasibility from numerical drift, a pivot budget blow-out, or a basis
 // that no longer factorizes) the solver transparently falls back to a cold
 // Solve; Solution.WarmStarted reports which path produced the answer. A
-// dual-simplex infeasibility verdict is confirmed with a cold two-phase
-// solve before being reported, so callers never act on a spurious
-// certificate.
+// warm infeasibility verdict is re-derived by a cold Solve too, which
+// proves its Farkas row before any caller sees it.
 func (s *Solver) ReSolve() (Solution, error) {
 	if !s.HasBasis() {
 		return s.Solve()
@@ -202,37 +156,70 @@ func (s *Solver) ReSolve() (Solution, error) {
 	t := s.t
 	start := wallClock()
 	t.degenerate, t.bland = 0, false
-	status, dIters, ok := t.dualSimplex(dualIterBudget(t.m))
-	if !ok {
-		// Warm start rejected: cold solve.
+	status, dIters := t.dualSimplex(t.c, dualIterBudget(t.m))
+	if status != StatusOptimal {
+		// A rejected warm start, or a verdict to re-derive; a cold solve
+		// also leaves the solver in a well-defined state for the caller's
+		// next bound change.
 		return s.Solve()
 	}
-	if status == StatusInfeasible {
-		// Confirm the certificate from scratch with the two-phase method (a
-		// cold dual run would only reach the same verdict on the way); a
-		// cold solve also leaves the solver in a well-defined state for the
-		// caller's next bound change.
-		return s.solve(false)
+	return s.cleanUp(Solution{DualIterations: dIters, Iterations: dIters, WarmStarted: true, Nodes: 1}, start)
+}
+
+// provesInfeasible reports whether the row multipliers y prove m
+// infeasible (Farkas's lemma). Every point of the rows Ax + Ss = b, S the
+// slack signs, satisfies gᵀx + (yᵀS)s = y·b for g = yᵀA; when y·b lies
+// outside the range the left side takes over the bounds of the structural
+// and slack columns, no point within the bounds satisfies the rows. A
+// column with an infinite bound opens the range only when its coefficient
+// exceeds eps, the dual ratio test's zero. It reads nothing but the model
+// and y, like CheckCertificate; g is scratch of at least len(m.vars).
+func provesInfeasible(m *Model, y, g []float64) bool {
+	g = g[:len(m.vars)]
+	clear(g)
+	yb, low, high := 0.0, 0.0, 0.0 // y·b, and the range of the left side
+	mag := 0.0                     // the magnitude of what was summed
+	// add widens [low, high] by the range of gj·x over lo ≤ x ≤ hi.
+	add := func(gj, lo, hi float64) {
+		if math.IsInf(hi, 1) {
+			if math.Abs(gj) <= eps {
+				return
+			}
+		} else {
+			mag += math.Abs(gj * hi)
+		}
+		mag += math.Abs(gj * lo)
+		if gj < 0 {
+			lo, hi = hi, lo
+		}
+		low += gj * lo
+		high += gj * hi
 	}
-	// Primal clean-up: the dual run restores primal feasibility, and any
-	// eps-level dual infeasibility left behind is mopped up here (usually
-	// zero pivots).
-	status, it2 := t.optimize(t.c, false)
-	sol := Solution{
-		Status:           status,
-		DualIterations:   dIters,
-		Phase2Iterations: it2,
-		Iterations:       dIters + it2,
-		Phase2Time:       wallClock().Sub(start),
-		WarmStarted:      true,
-		Nodes:            1,
+	for i, con := range m.cons {
+		yi := y[i]
+		if yi == 0 {
+			continue
+		}
+		yb += yi * con.rhs
+		mag += math.Abs(yi * con.rhs)
+		idx, val := m.row(i)
+		for k, j := range idx {
+			g[j] += yi * val[k]
+		}
+		// The slack of an inequality rests in [0, ∞), with coefficient yi
+		// on a ≤ row and −yi on a ≥ row; an equality's is fixed at 0.
+		switch con.sense {
+		case LE:
+			add(yi, 0, math.Inf(1))
+		case GE:
+			add(-yi, 0, math.Inf(1))
+		}
 	}
-	if status != StatusOptimal {
-		t.valid = false
-		return sol, solveErr(status, s.model.name, sol.Iterations)
+	for j, v := range m.vars {
+		add(g[j], v.lo, v.hi)
 	}
-	s.finish(&sol)
-	return sol, nil
+	tol := 1e-9 * (1 + mag)
+	return yb < low-tol || yb > high+tol
 }
 
 // SetBounds updates the bounds of v in the model and, when a basis is
@@ -275,6 +262,11 @@ func (s *Solver) Duals() []float64 {
 // solve is complete, so no pivot decision can read it.
 var onOptimal func(s *Solver, sol *Solution)
 
+// onInfeasible is its twin for verdicts: lp's own tests count through it
+// the infeasibility verdicts whose Farkas row provesInfeasible accepted.
+// It is nil in production.
+var onInfeasible func()
+
 // finish extracts values and the objective into an optimal solution.
 func (s *Solver) finish(sol *Solution) {
 	sol.Values = s.t.extract(s.model)
@@ -310,85 +302,17 @@ func dualIterBudget(m int) int {
 	return b
 }
 
-// phase1 drives the artificial objective to zero (when artificials exist),
-// evicts leftover basic artificials and pins every artificial at zero so
-// it can never re-enter.
-func (t *revised) phase1() (Status, int) {
-	if t.nart == 0 {
-		return StatusOptimal, 0
-	}
-	st, iters := t.optimize(t.art, true)
-	if st == StatusUnbounded {
-		// The phase-1 objective is bounded below by zero, so an unbounded
-		// verdict can only be eps-level noise; treat it as a solver failure
-		// rather than a statement about the model.
-		return StatusIterLimit, iters
-	}
-	if st != StatusOptimal {
-		return st, iters
-	}
-	infeas := 0.0
-	for i := 0; i < t.m; i++ {
-		if int(t.basis[i]) >= t.realCols() {
-			infeas += t.xB[i]
-		}
-	}
-	if infeas > 1e-6 {
-		return StatusInfeasible, iters
-	}
-	if !t.evictArtificials() {
-		return StatusSingular, iters
-	}
-	for k := t.realCols(); k < t.n; k++ {
-		t.hi[k] = 0 // fixed: never re-enters pricing
-	}
-	return StatusOptimal, iters
-}
-
-// evictArtificials pivots basic artificial variables (at value ~0) out
-// where a real column with a usable pivot exists. Rows that are all-zero
-// over real columns are redundant; their artificial stays basic at 0. It
-// reports false when a refactor on the way fails.
-func (t *revised) evictArtificials() bool {
-	real := t.realCols()
-	for i := 0; i < t.m; i++ {
-		if int(t.basis[i]) < real {
-			continue
-		}
-		if !t.refactorDue() {
-			return false
-		}
-		t.priceRow(i)
-		pivotCol := -1
-		for _, j := range t.alphaIdx {
-			if math.Abs(t.alpha[j]) > eps && (pivotCol < 0 || int(j) < pivotCol) {
-				pivotCol = int(j)
-			}
-		}
-		if pivotCol >= 0 {
-			t.ftran(pivotCol)
-			t.replaceBasic(i, pivotCol, 0, false)
-		}
-	}
-	return true
-}
-
 // optimize runs bounded-variable primal simplex pivots for the cost vector
-// c. In phase 2 artificial columns are never priced in. A nonbasic column
-// at its lower bound enters when its reduced cost is negative; one at its
-// upper bound enters (moving down) when its reduced cost is positive. The
-// ratio test limits the move by the first basic variable to hit either of
-// its bounds, or by the entering variable's own opposite bound — the
-// latter is a bound flip that changes no basis at all. Pricing follows
-// Dantzig's rule, the most improving column, until the solve has made
-// blandRun degenerate pivots in a row, counted across the runs of one
-// solve (both phases of a two-phase solve; a dual run and its clean-up);
-// from then on it follows Bland's rule, the lowest-index improving column.
-func (t *revised) optimize(c []float64, phase1 bool) (Status, int) {
-	cols := t.n
-	if !phase1 {
-		cols = t.realCols()
-	}
+// c. A nonbasic column at its lower bound enters when its reduced cost is
+// negative; one at its upper bound enters (moving down) when its reduced
+// cost is positive. The ratio test limits the move by the first basic
+// variable to hit either of its bounds, or by the entering variable's own
+// opposite bound — the latter is a bound flip that changes no basis at
+// all. Pricing follows Dantzig's rule, the most improving column, until
+// the solve has made blandRun degenerate pivots in a row, counted across
+// the runs of one solve (a dual run and its clean-up); from then on it
+// follows Bland's rule, the lowest-index improving column.
+func (t *revised) optimize(c []float64) (Status, int) {
 	t.refreshRed(c)
 	refreshed := true
 	iters := 0
@@ -400,7 +324,7 @@ func (t *revised) optimize(c []float64, phase1 bool) (Status, int) {
 		enter := -1
 		dir := 1.0
 		best := eps
-		for j := 0; j < cols; j++ {
+		for j := 0; j < t.n; j++ {
 			score := -t.red[j] // improvement rate moving up from lo
 			d := 1.0
 			if t.atUpper[j] {
@@ -487,14 +411,15 @@ func (t *revised) optimize(c []float64, phase1 bool) (Status, int) {
 	}
 }
 
-// dualSimplex restores primal feasibility, preserving dual feasibility
-// throughout: the warm-start workhorse, and a cold solve's first run from
-// the slack basis. Returns ok=false when the run must be abandoned
-// (dual-infeasible start, pivot budget exceeded, or a basis that will not
-// refactor); the caller falls back to a cold two-phase solve. A returned
-// StatusInfeasible is a dual-unboundedness certificate: the violated row
-// proves no setting of the nonbasic variables can bring the basic variable
-// inside its bounds.
+// dualSimplex restores primal feasibility for the costs c, preserving dual
+// feasibility throughout: the warm-start workhorse, and a cold solve's
+// first run from the slack basis. It returns StatusOptimal at a primal
+// feasible basis; StatusIterLimit when the start is not dual feasible
+// (only a warm start, after drift, can meet one) or maxIter pivots did not
+// reach one; StatusSingular when the basis will not refactor. A returned
+// StatusInfeasible is a dual-unboundedness verdict: no nonbasic column can
+// move the violated basic variable of row r toward its bounds, and rho
+// holds row r of B⁻¹, the Farkas row provesInfeasible checks.
 //
 // The leaving row is the most violated basic variable, until the solve
 // has made blandRun degenerate dual pivots in a row — ones whose dual
@@ -502,28 +427,27 @@ func (t *revised) optimize(c []float64, phase1 bool) (Status, int) {
 // objective where it was. From then on it is the infeasible basic
 // variable of lowest column index (Bland's rule for the dual, which
 // cannot cycle), to the end of the solve.
-func (t *revised) dualSimplex(maxIter int) (Status, int, bool) {
-	real := t.realCols()
+func (t *revised) dualSimplex(c []float64, maxIter int) (Status, int) {
 	if t.stale {
 		t.recomputeXB()
 	}
-	t.refreshRed(t.c)
-	for j := 0; j < real; j++ {
+	t.refreshRed(c)
+	for j := 0; j < t.n; j++ {
 		if t.inBasis[j] || t.hi[j]-t.lo[j] < eps {
 			continue
 		}
 		if t.atUpper[j] {
 			if t.red[j] > dualTol {
-				return StatusIterLimit, 0, false
+				return StatusIterLimit, 0
 			}
 		} else if t.red[j] < -dualTol {
-			return StatusIterLimit, 0, false
+			return StatusIterLimit, 0
 		}
 	}
 	iters := 0
 	for {
 		if iters >= maxIter {
-			return StatusIterLimit, iters, false
+			return StatusIterLimit, iters
 		}
 		r := -1
 		below := false
@@ -541,10 +465,10 @@ func (t *revised) dualSimplex(maxIter int) (Status, int, bool) {
 			}
 		}
 		if r < 0 {
-			return StatusOptimal, iters, true
+			return StatusOptimal, iters
 		}
 		if !t.refactorDue() {
-			return StatusIterLimit, iters, false
+			return StatusSingular, iters
 		}
 		// Entering column: the dual ratio test. For a basic variable below
 		// its lower bound we need columns whose movement raises it; above
@@ -576,7 +500,7 @@ func (t *revised) dualSimplex(maxIter int) (Status, int, bool) {
 			}
 		}
 		if enter < 0 {
-			return StatusInfeasible, iters, true
+			return StatusInfeasible, iters
 		}
 		if bestRatio > eps {
 			t.degenerate = 0
@@ -632,11 +556,6 @@ func (t *revised) replaceBasic(r, j int, targetBound float64, leavingAtUpper boo
 	}
 	leaving := int(t.basis[r])
 	t.atUpper[leaving] = leavingAtUpper
-	if leaving >= t.realCols() {
-		// An artificial that leaves the basis is pinned at zero for good.
-		t.hi[leaving] = 0
-		t.atUpper[leaving] = false
-	}
 	t.xB[r] = enterVal
 
 	// Row r of the updated B⁻¹A is α/α_j, and every reduced cost moves by

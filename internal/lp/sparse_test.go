@@ -20,8 +20,10 @@ func cloneModel(m *Model) *Model {
 // enginePair drives the production solver and the dense reference through
 // the same calls and fails the test the moment they disagree on status,
 // objective (1e-7 relative) or the instance count ⌈x − 1e-6⌉ of an integer
-// variable (the relaxation rounding of core.extractCounts). TestMain's
-// hook certifies every optimal sparse solve besides.
+// variable (the relaxation rounding of core.extractCounts). Every cold
+// answer, a Solve's or a ReSolve's that went cold, is also checked against
+// the dense two-phase method's on status and objective (twoPhase).
+// TestMain's hook certifies every optimal sparse solve besides.
 type enginePair struct {
 	t      testing.TB
 	sparse *Solver
@@ -35,22 +37,23 @@ func newEnginePair(t testing.TB, m *Model) *enginePair {
 	return &enginePair{t: t, sparse: NewSolver(m), dense: newDenseSolver(cloneModel(m))}
 }
 
-// coldDual and coldFallback count the cold solves the pairs have seen
-// answered by the dual start and by the two-phase fallback, so a test can
-// check that it exercised both.
-var coldDual, coldFallback int
+// coldPlain and coldModified count the cold solves the pairs have seen
+// start with every cost as it is and with some cost modified (a negative
+// cost on a column with no upper bound, which the dual run prices at 0),
+// so a test can check that it exercised both.
+var coldPlain, coldModified int
 
 func (p *enginePair) compare(what string, s, d Solution, serr, derr error) (Solution, error) {
 	p.t.Helper()
 	if s.Status != d.Status || (serr == nil) != (derr == nil) {
 		p.t.Fatalf("%s: sparse %v (%v), dense %v (%v)", what, s.Status, serr, d.Status, derr)
 	}
-	if s.ColdDual != d.ColdDual || s.ColdFallback != d.ColdFallback || s.WarmStarted != d.WarmStarted {
-		p.t.Fatalf("%s: sparse started dual %t, fallback %t, warm %t; dense %t, %t, %t", what,
-			s.ColdDual, s.ColdFallback, s.WarmStarted, d.ColdDual, d.ColdFallback, d.WarmStarted)
+	if s.WarmStarted != d.WarmStarted {
+		p.t.Fatalf("%s: sparse warm %t, dense warm %t", what, s.WarmStarted, d.WarmStarted)
 	}
-	coldDual += b2i(s.ColdDual)
-	coldFallback += b2i(s.ColdFallback)
+	if !s.WarmStarted {
+		p.checkCold(what, s)
+	}
 	if serr != nil {
 		if s.Values != nil || s.Objective != 0 {
 			p.t.Fatalf("%s: failed solve carries values %v, objective %v", what, s.Values, s.Objective)
@@ -70,6 +73,26 @@ func (p *enginePair) compare(what string, s, d Solution, serr, derr error) (Solu
 	}
 	p.Dense = d
 	return s, nil
+}
+
+// checkCold counts a cold answer's start and checks its status and
+// objective against twoPhase's on the model as it stands.
+func (p *enginePair) checkCold(what string, s Solution) {
+	p.t.Helper()
+	m := p.dense.model
+	modified := false
+	for _, v := range m.vars {
+		modified = modified || v.obj < 0 && math.IsInf(v.hi, 1)
+	}
+	coldModified += b2i(modified)
+	coldPlain += b2i(!modified)
+	o, err := twoPhase(m)
+	if s.Status != o.Status {
+		p.t.Fatalf("%s: cold %v, two-phase %v (%v)", what, s.Status, o.Status, err)
+	}
+	if diff := math.Abs(s.Objective - o.Objective); diff > 1e-7*(1+math.Abs(o.Objective)) {
+		p.t.Fatalf("%s: cold objective %v vs two-phase %v", what, s.Objective, o.Objective)
+	}
 }
 
 func (p *enginePair) Solve(what string) (Solution, error) {
@@ -255,10 +278,20 @@ func FuzzSolverOps(f *testing.F) {
 		8 + 5, 0, 9, 1, 2, 24 + 6, 0, 0, 0})
 	// Both cold starts: x0 ∈ [0,1] and x1 ≥ 0, both at cost −2, under
 	// 2x0 + x1 ≤ 4 and x1 + x0 ≥ 2. x1's cost is negative and its upper
-	// bound infinite, so the first solve falls back to the two-phase
-	// method; then x1 is capped at 2, re-solved warm, and solved cold
-	// again, now by the dual start.
+	// bound infinite, so the first solve's dual run prices it at 0 and its
+	// clean-up prices it in; then x1 is capped at 2, re-solved warm, and
+	// solved cold again, now with every cost as it is.
 	f.Add([]byte{1, 0, 2, 6, 2, 2, 1, 40, 33, 7, 19, 33, 32, 5, 8 + 3, 0, 9, 1, 0})
+	// A cost-modified start that ends unbounded: x0 ≥ 0 at cost −1 and
+	// x1 ≥ 0 at cost 1 under x0 + x1 ≥ 2 and x1 − x0 ≤ 1. The dual run
+	// reaches a feasible basis, and the clean-up finds x0 unbounded; then
+	// x0 is capped at 3 and solved again.
+	f.Add([]byte{1, 6, 3, 6, 5, 2, 16, 32, 33, 5, 4, 33, 16, 4, 5, 0, 13})
+	// A cost-modified start that ends infeasible: x0 ≥ 0 at cost −1 and
+	// x1 ∈ [0,2] at cost 1 under x0 + x1 ≥ 3 and x0 ≤ 0. The dual run's
+	// verdict is proven by its Farkas row; x0 is capped at 3 and the
+	// verdict re-derived.
+	f.Add([]byte{1, 6, 3, 12, 5, 2, 16, 32, 33, 6, 3, 32, 3, 5, 0, 13})
 	f.Fuzz(func(t *testing.T, data []byte) { runSolverOps(t, data) })
 }
 
@@ -272,19 +305,23 @@ func degenerateSeed(seed int64, n int) []byte {
 // TestSolverOpsRandom runs the FuzzSolverOps body over generated sequences,
 // so plain `go test` covers them too.
 func TestSolverOpsRandom(t *testing.T) {
-	before, dual, fallback := certified, coldDual, coldFallback
+	before, verdicts, plain, modified := certified, proven, coldPlain, coldModified
 	for seed := int64(0); seed < 400; seed++ {
 		runSolverOps(t, solverOpsSeed(seed, 40+int(seed%120)))
 	}
 	if certified-before < 400 {
 		t.Fatalf("only %d optimal solves certified over 400 sequences: the generator is degenerate", certified-before)
 	}
-	dual, fallback = coldDual-dual, coldFallback-fallback
-	if dual == 0 || fallback == 0 {
-		t.Fatalf("cold solves by the dual start %d, by the two-phase fallback %d: one start went unexercised",
-			dual, fallback)
+	verdicts, plain, modified = proven-verdicts, coldPlain-plain, coldModified-modified
+	if verdicts == 0 {
+		t.Fatal("no infeasibility verdict proven over 400 sequences: the row check went unexercised")
 	}
-	t.Logf("cold solves: %d by the dual start, %d by the two-phase fallback", dual, fallback)
+	if plain == 0 || modified == 0 {
+		t.Fatalf("cold solves with every cost as it is %d, with costs modified %d: one start went unexercised",
+			plain, modified)
+	}
+	t.Logf("cold solves: %d with every cost as it is, %d with costs modified; %d verdicts proven",
+		plain, modified, verdicts)
 }
 
 func b2i(b bool) int {
@@ -345,13 +382,13 @@ func TestAllVariablesFixed(t *testing.T) {
 	}
 }
 
-// TestRedundantRowsKeepPlaceholderBasic: three copies of one equality leave
-// phase 1 with two artificials basic at zero. Eviction swaps each for a
-// real column when the row offers one — here only a fixed slack of a
-// sibling row does — so two basis positions end up held by zero-valued
-// placeholders (an artificial, or a slack pinned to [0,0]). The basis must
-// keep factorizing with them in it, through warm re-solves, and a bound
-// change that breaks the equality must still be reported infeasible.
+// TestRedundantRowsKeepPlaceholderBasic: three copies of one equality
+// start with three fixed slacks basic at 6, outside their bounds [0,0].
+// The dual run pivots x in on one row, which brings the other two slacks
+// to zero, so two basis positions end up held by zero-valued placeholders
+// (slacks pinned to [0,0]). The basis must keep factorizing with them in
+// it, through warm re-solves, and a bound change that breaks the equality
+// must still be reported infeasible.
 func TestRedundantRowsKeepPlaceholderBasic(t *testing.T) {
 	m := NewModel("redundant")
 	x := addVar(t, m, "x", 0, math.Inf(1), 1)
@@ -390,9 +427,10 @@ func TestRedundantRowsKeepPlaceholderBasic(t *testing.T) {
 	}
 }
 
-// chainModel is n equalities x_i + x_{i+1} = 2 over n+1 variables with
-// costs that alternate in sign: every row needs an artificial, so phase 1
-// alone outlasts the eta file several times over.
+// chainModel is n equalities x_i + x_{i+1} = 2 over n+1 variables in
+// [0,3] with costs that alternate in sign: every row's slack starts at a
+// residual outside its bounds, so the dual run alone outlasts the eta file
+// several times over.
 func chainModel(t testing.TB, n int) *Model {
 	m := NewModel("chain")
 	for j := 0; j <= n; j++ {
@@ -408,11 +446,12 @@ func chainModel(t testing.TB, n int) *Model {
 	return m
 }
 
-// TestRefactorMidPhase1: the fixed refactor schedule fires while
-// artificials are still basic and the phase-1 cost vector is live; the
-// solve must carry on to the dense reference's optimum. A column whose
-// cost is negative and whose upper bound is infinite makes the slack basis
-// dual infeasible, so the chain is solved by the two-phase fallback.
+// TestRefactorMidPhase1: a column z whose cost is negative and whose
+// upper bound is infinite makes the slack basis dual infeasible, so the
+// dual run, the solve's phase 1, prices z at 0 (cost modification). The
+// fixed refactor schedule fires inside that run; the solve must carry on,
+// and the clean-up must price z in at its true cost, to the dense
+// reference's optimum and the two-phase method's objective.
 func TestRefactorMidPhase1(t *testing.T) {
 	m := chainModel(t, 3*refactorEvery)
 	z := addVar(t, m, "z", 0, math.Inf(1), -1)
@@ -422,12 +461,12 @@ func TestRefactorMidPhase1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sol.ColdFallback || sol.ColdDual || sol.DualIterations != 0 {
-		t.Fatalf("solved by %+v, want the two-phase fallback with no dual run", sol)
+	if sol.DualIterations <= refactorEvery {
+		t.Fatalf("the dual run took %d pivots: no refactor landed inside it (schedule: every %d)",
+			sol.DualIterations, refactorEvery)
 	}
-	if sol.Phase1Iterations <= refactorEvery {
-		t.Fatalf("phase 1 took %d pivots: no refactor landed inside it (schedule: every %d)",
-			sol.Phase1Iterations, refactorEvery)
+	if sol.Phase2Iterations == 0 || sol.Value(z) != 1 {
+		t.Fatalf("the clean-up took %d pivots and left z = %v: it did not price z in", sol.Phase2Iterations, sol.Value(z))
 	}
 	// The same schedule has to hold across warm re-solves: walk a cap down
 	// the chain until the eta file has turned over again.
@@ -440,18 +479,15 @@ func TestRefactorMidPhase1(t *testing.T) {
 }
 
 // TestDualColdStartRefactors: the chain's slack basis is dual feasible
-// (its negative costs rest on finite upper bounds), so the cold solve runs
-// the dual simplex with no artificials, and its fixed refactor schedule
-// fires inside that run; the solve must carry on to the dense reference's
-// optimum, and the basis it ends on must warm-start re-solves.
+// (its negative costs rest on finite upper bounds), so the cold solve's
+// dual run prices every column at its true cost, and its fixed refactor
+// schedule fires inside that run; the solve must carry on to the dense
+// reference's optimum, and the basis it ends on must warm-start re-solves.
 func TestDualColdStartRefactors(t *testing.T) {
 	p := newEnginePair(t, chainModel(t, 3*refactorEvery))
 	sol, err := p.Solve("cold")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !sol.ColdDual || sol.ColdFallback || sol.Phase1Iterations != 0 {
-		t.Fatalf("solved by %+v, want the dual cold start", sol)
 	}
 	if sol.DualIterations <= refactorEvery {
 		t.Fatalf("the dual run took %d pivots: no refactor landed inside it (schedule: every %d)",
@@ -473,9 +509,9 @@ func TestDualColdStartRefactors(t *testing.T) {
 }
 
 // TestWarmInfeasibleConfirmedCold: a re-solve the dual simplex finds
-// infeasible is re-derived by a cold two-phase solve, with no cold dual run
-// on the way, before it is reported, leaves no basis and no values behind,
-// and the solver recovers once the bound is restored.
+// infeasible is re-derived by a cold dual run, whose Farkas row is proven,
+// before it is reported; it leaves no basis and no values behind, and the
+// solver recovers once the bound is restored.
 func TestWarmInfeasibleConfirmedCold(t *testing.T) {
 	m := NewModel("warm-infeasible")
 	x := addVar(t, m, "x", 0, math.Inf(1), 1)
@@ -486,12 +522,14 @@ func TestWarmInfeasibleConfirmedCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.SetBounds(x, 0, 0.5)
+	before := proven
 	sol, err := p.ReSolve("cap")
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
-	if sol.WarmStarted || sol.Phase1Iterations == 0 || !sol.ColdFallback || sol.DualIterations != 0 {
-		t.Fatalf("infeasibility not confirmed by a cold two-phase solve alone: %+v", sol)
+	if sol.WarmStarted || sol.DualIterations == 0 || proven != before+1 {
+		t.Fatalf("infeasibility not re-derived by a cold dual run with a proven row (%d proven): %+v",
+			proven-before, sol)
 	}
 	if p.sparse.HasBasis() || p.sparse.Duals() != nil || p.sparse.RestingAtUpper(y) {
 		t.Fatal("infeasible solve left a basis behind")
@@ -499,6 +537,34 @@ func TestWarmInfeasibleConfirmedCold(t *testing.T) {
 	p.SetBounds(x, 0, 2)
 	if sol, err = p.ReSolve("restore"); err != nil || !almost(sol.Objective, 3.5) || sol.WarmStarted {
 		t.Fatalf("after restore: %+v, %v", sol, err)
+	}
+}
+
+// TestUnprovenVerdictIsSingular: a dual run whose basic values are wrong
+// (here a slack set below its bound behind the solver's back) can report
+// an infeasibility verdict on a feasible model. Its Farkas row proves
+// nothing, and the solve must end StatusSingular with ErrSingular and no
+// basis, never StatusInfeasible.
+func TestUnprovenVerdictIsSingular(t *testing.T) {
+	m := NewModel("unproven")
+	x := addVar(t, m, "x", 0, math.Inf(1), 1)
+	addCon(t, m, "cap", LE, 5, Term{x, 1})
+	s := NewSolver(m)
+	s.t = &revised{}
+	if !s.t.load(m) {
+		t.Fatal("slack basis does not factorize")
+	}
+	s.t.xB[0] = -1 // the slack of x ≤ 5 rests at 5; no column can raise it
+	before := proven
+	sol, err := s.solveFromSlack(wallClock())
+	if !errors.Is(err, ErrSingular) || sol.Status != StatusSingular || sol.Values != nil {
+		t.Fatalf("corrupt verdict: %+v, %v; want StatusSingular and ErrSingular", sol, err)
+	}
+	if proven != before || s.HasBasis() {
+		t.Fatalf("an unproven verdict counted as proven (%d) or left a basis behind", proven-before)
+	}
+	if sol, err = s.Solve(); err != nil || sol.Value(x) != 0 {
+		t.Fatalf("a clean cold solve after the corrupt one: %+v, %v", sol, err)
 	}
 }
 
@@ -551,7 +617,7 @@ func TestSingularRefactor(t *testing.T) {
 		}
 	}
 	st.basis[3] = st.basis[2]
-	if status, _ := st.optimize(st.c, false); status != StatusSingular {
+	if status, _ := st.optimize(st.c); status != StatusSingular {
 		t.Fatalf("optimize on a singular basis: %v, want %v", status, StatusSingular)
 	}
 	if err := solveErr(StatusSingular, "m", 0); !errors.Is(err, ErrSingular) || errors.Is(err, ErrIterLimit) {

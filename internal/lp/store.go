@@ -18,18 +18,16 @@ type sparse struct {
 
 // revised is the bounded-variable revised-simplex working state:
 // minimize c·x subject to Ax + Σs = b, lo ≤ x ≤ hi, with one slack per row
-// (bounds [0,∞) for inequalities, [0,0] for equalities) and artificial
-// columns only for rows whose slack-basis start violates the slack bounds.
-// A is stored once, sparse, and never modified; the basis lives in the
-// factor (LU plus eta file); the basic values xB and the reduced-cost row
-// are maintained incrementally, exactly as a tableau would maintain them.
+// (bounds [0,∞) for inequalities, [0,0] for equalities). A is stored
+// once, sparse, and never modified; the basis lives in the factor (LU plus
+// eta file); the basic values xB and the reduced-cost row are maintained
+// incrementally, exactly as a tableau would maintain them.
 // What a tableau keeps as B⁻¹A is computed on demand instead: one column
 // (the entering one, into col) and one row (the pivot row, into alpha)
 // per pivot.
 type revised struct {
-	m, n int // rows, structural+slack+artificial columns
+	m, n int // rows, structural+slack columns
 	nv   int // structural columns
-	nart int // artificial columns (always the trailing ones)
 
 	// valid marks an optimal basis a ReSolve may warm-start from.
 	valid bool
@@ -55,12 +53,14 @@ type revised struct {
 	atUpper []bool    // nonbasic column rests at hi (else at lo)
 	inBasis []bool    // basic-column marks
 
-	c   []float64 // phase-2 costs
-	art []float64 // phase-1 costs (1 on artificials)
+	c []float64 // costs
+	// cd are a cold dual run's costs: c, with 0 for a negative cost on a
+	// column with no upper bound (load).
+	cd  []float64
 	red []float64 // maintained reduced-cost row
 
 	col      []float64 // B⁻¹A_j of the entering column, by basis position
-	alpha    []float64 // row r of B⁻¹A over the nonbasic real columns
+	alpha    []float64 // row r of B⁻¹A over the nonbasic columns
 	alphaIdx []int32   // the columns alpha may be nonzero at
 	seen     []bool    // membership in alphaIdx
 	work     []float64 // m-vector scratch, all zero between uses
@@ -70,8 +70,8 @@ type revised struct {
 // resize returns s with length n and every element zeroed, reusing the
 // backing array when it is large enough. A new array gets a quarter of
 // headroom: the sizes asked for creep (the basis gains nonzeros from one
-// refactor to the next, a cold start may need a few more artificials than
-// the last), and creeping must not mean reallocating every time.
+// refactor to the next), and creeping must not mean reallocating every
+// time.
 func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n, n+n/4)
@@ -102,78 +102,48 @@ func reserve[T any](s []T, n int) []T {
 	return s[:0]
 }
 
-// needsArtificial reports whether a row's slack cannot hold the residual
-// of the all-at-lower-bound start: LE wants resid ≥ 0, GE wants resid ≤ 0,
-// EQ wants resid = 0.
-func needsArtificial(sense Sense, resid float64) bool {
-	switch sense {
-	case LE:
-		return resid < -eps
-	case GE:
-		return resid > eps
-	default:
-		return math.Abs(resid) > eps
-	}
-}
-
-// load converts the model for a cold start. With dual unset, structural
-// variables start nonbasic at their lower bound; each row's slack absorbs
-// the residual when it can, otherwise the row gets an artificial and joins
-// phase 1. With dual set (the dual simplex's start, see dualStartable) a
-// column whose cost is negative rests at its upper bound instead, and
-// every slack is basic at the residual, out of its bounds or not: there
-// are no artificials, and primal feasibility is the dual simplex's job.
-// The model's own row store is the solver's row store, read in place; the
-// slacks are kept beside it (slack) and the column store is its transpose
-// plus the slack and artificial unit columns. It reports whether the
-// starting basis factorized (it is diagonal, so only a broken invariant
-// can say no).
-func (t *revised) load(m *Model, dual bool) bool {
+// load converts the model for a cold start from the slack basis: every
+// slack basic at its row's residual, within its bounds or not, and every
+// structural column nonbasic at the bound its cost favours, the upper one
+// for a negative cost when it is finite, the lower one otherwise. The
+// slack basis is then dual feasible for the costs cd, which price a
+// negative cost on a column with no upper bound at 0, and primal
+// feasibility is the dual simplex's job. The model's own row store is the
+// solver's row store, read in place; the slacks are kept beside it (slack)
+// and the column store is its transpose plus the slack unit columns. It
+// reports whether the starting basis factorized (it is diagonal, so only a
+// broken invariant can say no).
+func (t *revised) load(m *Model) bool {
 	nv, nrows := len(m.vars), len(m.cons)
-	t.nv, t.m = nv, nrows
+	n := nv + nrows
+	t.nv, t.m, t.n = nv, nrows, n
 	nnz := m.rows.ptr[nrows]
 	t.rows = sparse{ptr: m.rows.ptr[:nrows+1], idx: m.rows.idx[:nnz], val: m.rows.val[:nnz]}
 	rs := &t.rows
 
-	// Residual of each row at the starting point.
-	resid := resize(t.work, nrows)
-	t.nart = 0
-	for i, con := range m.cons {
-		r := con.rhs
-		for e := rs.ptr[i]; e < rs.ptr[i+1]; e++ {
-			v := &m.vars[rs.idx[e]]
-			x := v.lo
-			if dual && v.obj < 0 {
-				x = v.hi
-			}
-			r -= rs.val[e] * x
-		}
-		resid[i] = r
-		if !dual && needsArtificial(con.sense, r) {
-			t.nart++
-		}
-	}
-	n := nv + nrows + t.nart
-	t.n = n
-
 	t.lo, t.hi = resize(t.lo, n), resize(t.hi, n)
-	t.c, t.art, t.red = resize(t.c, n), resize(t.art, n), resize(t.red, n)
+	t.c, t.cd, t.red = resize(t.c, n), resize(t.cd, n), resize(t.red, n)
 	t.atUpper, t.inBasis = resize(t.atUpper, n), resize(t.inBasis, n)
 	t.alpha, t.seen = resize(t.alpha, n), resize(t.seen, n)
-	t.rhs, t.xB = resize(t.rhs, nrows), resize(t.xB, nrows)
+	t.rhs, t.xB, t.work = resize(t.rhs, nrows), resize(t.xB, nrows), resize(t.work, nrows)
 	t.basis, t.slack = resize(t.basis, nrows), resize(t.slack, nrows)
 	t.col, t.rho = resize(t.col, nrows), resize(t.rho, nrows)
 	for j, v := range m.vars {
-		t.c[j], t.lo[j], t.hi[j] = v.obj, v.lo, v.hi
-		t.atUpper[j] = dual && v.obj < 0
+		t.c[j], t.cd[j], t.lo[j], t.hi[j] = v.obj, v.obj, v.lo, v.hi
+		if v.obj < 0 {
+			if math.IsInf(v.hi, 1) {
+				t.cd[j] = 0
+			} else {
+				t.atUpper[j] = true
+			}
+		}
 	}
 
 	// Column store: the structural columns by counting sort over the rows,
-	// then one signed unit column per slack and per artificial.
+	// then one signed unit column per slack.
 	cs := &t.cols
-	ncol := int(nnz) + nrows + t.nart
 	cs.ptr = resize(cs.ptr, n+1)
-	cs.idx, cs.val = resize(cs.idx, ncol), resize(cs.val, ncol)
+	cs.idx, cs.val = resize(cs.idx, int(nnz)+nrows), resize(cs.val, int(nnz)+nrows)
 	for _, j := range rs.idx {
 		cs.ptr[j+1]++
 	}
@@ -191,9 +161,13 @@ func (t *revised) load(m *Model, dual bool) bool {
 	}
 	t.alphaIdx = next[:0]
 
-	artCol := nv + nrows
 	ce := cs.ptr[nv]
 	for i, con := range m.cons {
+		// The row's residual at the starting point is its slack's value.
+		resid := con.rhs
+		for e := rs.ptr[i]; e < rs.ptr[i+1]; e++ {
+			resid -= rs.val[e] * t.value(int(rs.idx[e]))
+		}
 		t.rhs[i] = con.rhs
 		slack := nv + i
 		sign := 1.0
@@ -208,46 +182,13 @@ func (t *revised) load(m *Model, dual bool) bool {
 		ce++
 		cs.ptr[slack+1] = ce
 		t.slack[i] = sign
-		if dual {
-			t.basis[i] = int32(slack)
-			t.xB[i] = sign * resid[i]
-		} else if !needsArtificial(con.sense, resid[i]) {
-			sval := sign * resid[i]
-			if sval < 0 {
-				sval = 0 // eps-level residual noise
-			}
-			t.basis[i] = int32(slack)
-			t.xB[i] = sval
-		} else {
-			t.basis[i] = int32(artCol)
-			t.xB[i] = math.Abs(resid[i])
-			artCol++
-		}
+		t.basis[i] = int32(slack)
+		t.inBasis[slack] = true
+		t.xB[i] = sign * resid
 	}
-	// The artificial columns trail the slacks in row order: ±e_i, signed so
-	// the artificial starts at |resid| ≥ 0.
-	for i, bj := range t.basis {
-		t.inBasis[bj] = true
-		if int(bj) < nv+nrows {
-			continue
-		}
-		tau := 1.0
-		if resid[i] < 0 {
-			tau = -1
-		}
-		cs.idx[ce], cs.val[ce] = int32(i), tau
-		ce++
-		cs.ptr[bj+1] = ce
-		t.hi[bj] = math.Inf(1)
-		t.art[bj] = 1
-	}
-	t.work = resize(resid, nrows)
 	t.stale = false
 	return t.lu.refactor(&t.cols, t.basis)
 }
-
-// realCols is the number of non-artificial columns.
-func (t *revised) realCols() int { return t.n - t.nart }
 
 // value returns the resting value of a nonbasic column.
 func (t *revised) value(j int) float64 {
@@ -266,7 +207,7 @@ func (t *revised) ftran(j int) {
 	t.lu.ftran(w, t.col)
 }
 
-// priceRow computes row r of B⁻¹A over the nonbasic real columns into
+// priceRow computes row r of B⁻¹A over the nonbasic columns into
 // t.alpha and lists the columns it touched in t.alphaIdx: ρ = B⁻ᵀe_r, then
 // α_j = ρ·A_j accumulated row-wise, so only the rows ρ is nonzero on are
 // read. Basic columns are skipped (their entries are 0, or 1 at r).

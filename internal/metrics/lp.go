@@ -12,21 +12,22 @@ import (
 // the package-level LP instance; the metrics package deliberately knows
 // nothing about the lp package — callers pass plain numbers.
 type LPCounters struct {
-	Solves       atomic.Int64 // primary (cold) solves
-	WarmHits     atomic.Int64 // re-solves served from the previous basis
-	WarmMisses   atomic.Int64 // re-solves that fell back to a cold solve
+	Solves     atomic.Int64 // primary (cold) solves
+	WarmHits   atomic.Int64 // re-solves served from the previous basis
+	WarmMisses atomic.Int64 // re-solves that fell back to a cold solve
+	// Phase1Pivots counts primal phase-1 pivots. No solve has a primal
+	// phase 1 since every cold solve starts with the dual simplex, so it
+	// stays 0; cmd/applebench still sums it into lp.pivots.
 	Phase1Pivots atomic.Int64
-	Phase2Pivots atomic.Int64
+	Phase2Pivots atomic.Int64 // primal clean-up pivots
 	// DualPivots counts dual-simplex pivots: those of warm re-solves, and
-	// those of cold solves that start with the dual simplex from the slack
-	// basis, whose time goes to Phase1Nanos (the time to a feasible basis)
-	// and whose primal clean-up goes to Phase2Pivots and Phase2Nanos.
-	DualPivots   atomic.Int64
-	Phase1Nanos  atomic.Int64
-	Phase2Nanos  atomic.Int64
-	Singular     atomic.Int64 // solves given up on a basis that does not factorize
-	ColdDual     atomic.Int64 // cold solves answered by the dual simplex from the slack basis
-	ColdFallback atomic.Int64 // cold solves answered by the two-phase primal fallback
+	// those of cold solves, whose time goes to Phase1Nanos (the time to a
+	// feasible basis) and whose primal clean-up goes to Phase2Pivots and
+	// Phase2Nanos.
+	DualPivots  atomic.Int64
+	Phase1Nanos atomic.Int64
+	Phase2Nanos atomic.Int64
+	Singular    atomic.Int64 // solves given up as numerically singular (lp.StatusSingular)
 }
 
 // LP is the process-wide solver counter set.
@@ -36,7 +37,7 @@ var LP LPCounters
 // distinguishes re-solves that reused the previous basis from ones that
 // fell back to (or started as) a cold solve; pass resolve=false for a
 // primary solve, which counts toward Solves instead of the hit/miss pair.
-func (c *LPCounters) RecordSolve(resolve, warmHit bool, phase1, phase2, dual int, t1, t2 time.Duration) {
+func (c *LPCounters) RecordSolve(resolve, warmHit bool, phase2, dual int, t1, t2 time.Duration) {
 	if resolve {
 		if warmHit {
 			c.WarmHits.Add(1)
@@ -46,7 +47,6 @@ func (c *LPCounters) RecordSolve(resolve, warmHit bool, phase1, phase2, dual int
 	} else {
 		c.Solves.Add(1)
 	}
-	c.Phase1Pivots.Add(int64(phase1))
 	c.Phase2Pivots.Add(int64(phase2))
 	c.DualPivots.Add(int64(dual))
 	c.Phase1Nanos.Add(int64(t1))
@@ -64,8 +64,6 @@ type LPSnapshot struct {
 	Phase1Time   time.Duration
 	Phase2Time   time.Duration
 	Singular     int64
-	ColdDual     int64
-	ColdFallback int64
 }
 
 // Snapshot reads the counters.
@@ -80,8 +78,6 @@ func (c *LPCounters) Snapshot() LPSnapshot {
 		Phase1Time:   time.Duration(c.Phase1Nanos.Load()),
 		Phase2Time:   time.Duration(c.Phase2Nanos.Load()),
 		Singular:     c.Singular.Load(),
-		ColdDual:     c.ColdDual.Load(),
-		ColdFallback: c.ColdFallback.Load(),
 	}
 }
 
@@ -97,14 +93,12 @@ func (s LPSnapshot) Sub(prev LPSnapshot) LPSnapshot {
 		Phase1Time:   s.Phase1Time - prev.Phase1Time,
 		Phase2Time:   s.Phase2Time - prev.Phase2Time,
 		Singular:     s.Singular - prev.Singular,
-		ColdDual:     s.ColdDual - prev.ColdDual,
-		ColdFallback: s.ColdFallback - prev.ColdFallback,
 	}
 }
 
 // String renders the snapshot compactly for logs.
 func (s LPSnapshot) String() string {
-	return fmt.Sprintf("solves=%d warm=%d/%d cold=%d/%d pivots=%d+%d+%d p1=%v p2=%v",
-		s.Solves, s.WarmHits, s.WarmHits+s.WarmMisses, s.ColdDual, s.ColdDual+s.ColdFallback,
+	return fmt.Sprintf("solves=%d warm=%d/%d pivots=%d+%d+%d p1=%v p2=%v",
+		s.Solves, s.WarmHits, s.WarmHits+s.WarmMisses,
 		s.Phase1Pivots, s.Phase2Pivots, s.DualPivots, s.Phase1Time, s.Phase2Time)
 }

@@ -17,10 +17,8 @@ func TestRegistrySnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	var lp LPCounters
-	lp.RecordSolve(false, false, 10, 20, 0, time.Millisecond, 2*time.Millisecond)
+	lp.RecordSolve(false, false, 20, 0, time.Millisecond, 2*time.Millisecond)
 	lp.Singular.Add(1)
-	lp.ColdDual.Add(2)
-	lp.ColdFallback.Add(1)
 	if err := reg.AddLP("lp", &lp); err != nil {
 		t.Fatal(err)
 	}
@@ -37,11 +35,10 @@ func TestRegistrySnapshot(t *testing.T) {
 	if snap.Counters["orchestrator"]["launches"] != 3 || snap.Counters["orchestrator"]["boots"] != 1 {
 		t.Fatalf("counters: %+v", snap.Counters)
 	}
-	if l := snap.LP["lp"]; l.Solves != 1 || l.Phase2Pivots != 20 || l.Singular != 1 ||
-		l.ColdDual != 2 || l.ColdFallback != 1 {
+	if l := snap.LP["lp"]; l.Solves != 1 || l.Phase2Pivots != 20 || l.Singular != 1 {
 		t.Fatalf("lp: %+v", snap.LP)
 	}
-	if d := snap.LP["lp"].Sub(LPSnapshot{ColdDual: 1, ColdFallback: 1}); d.ColdDual != 1 || d.ColdFallback != 0 {
+	if d := snap.LP["lp"].Sub(LPSnapshot{Solves: 1, Singular: 1}); d.Solves != 0 || d.Phase2Pivots != 20 || d.Singular != 0 {
 		t.Fatalf("lp delta: %+v", d)
 	}
 	if snap.FlowSetup["flow_setup"].Arrivals != 7 {
@@ -62,7 +59,7 @@ func TestRegistryJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var lp LPCounters
-	lp.RecordSolve(true, true, 1, 2, 3, time.Microsecond, time.Millisecond)
+	lp.RecordSolve(true, true, 2, 3, time.Microsecond, time.Millisecond)
 	if err := reg.AddLP("lp", &lp); err != nil {
 		t.Fatal(err)
 	}
