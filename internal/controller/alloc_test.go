@@ -216,9 +216,9 @@ func TestRemoveCompilesNothing(t *testing.T) {
 
 // TestEmitOneBackingArrayPerTable: a class install's make and flip steps
 // (makeRules and flipRules from nothing) each hand back exactly one batch
-// per table the step touches — tables are routing, APPLE or steering
-// tables of its path's switches, and only the ingress APPLE table can
-// appear in both — each filled to exactly the capacity it was given,
+// per table the step touches — the make step routing and steering tables
+// of its path's switches, the flip step the ingress APPLE table alone —
+// each filled to exactly the capacity it was given,
 // whether carved from the rule arena or allocated: no batch is regrown or
 // copied, and none can grow into another's memory. A removal's retire
 // batches (retireRules) are sized the same way: one removal per host each
@@ -248,6 +248,11 @@ func TestEmitOneBackingArrayPerTable(t *testing.T) {
 		if len(flip) != 1 || flip[0].key != appleKey(cl.Path[0]) {
 			t.Fatalf("class %d: flip batches %+v, want the ingress APPLE table's alone", cl.ID, flip)
 		}
+		for _, b := range made {
+			if b.key.table == TableAPPLE && !b.key.dev.vswitch {
+				t.Fatalf("class %d: the make step emits into switch %d's APPLE table", cl.ID, b.key.dev.node)
+			}
+		}
 		for step, batches := range [][]tableBatch{made, flip} {
 			seen := make(map[tableKey]bool, len(batches))
 			for _, b := range batches {
@@ -261,7 +266,7 @@ func TestEmitOneBackingArrayPerTable(t *testing.T) {
 				}
 			}
 		}
-		if n := len(made) + len(flip); n > 3*len(cl.Path)+1 {
+		if n := len(made) + len(flip); n > 2*len(cl.Path)+1 {
 			t.Fatalf("class %d: %d batches for a %d-switch path", cl.ID, n, len(cl.Path))
 		}
 	}

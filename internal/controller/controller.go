@@ -25,7 +25,6 @@ import (
 	"github.com/apple-nfv/apple/internal/orchestrator"
 	"github.com/apple-nfv/apple/internal/policy"
 	"github.com/apple-nfv/apple/internal/sim"
-	"github.com/apple-nfv/apple/internal/tagging"
 	"github.com/apple-nfv/apple/internal/topology"
 	"github.com/apple-nfv/apple/internal/trace"
 	"github.com/apple-nfv/apple/internal/vnf"
@@ -62,11 +61,13 @@ const (
 type Switch struct {
 	ID       topology.NodeID
 	Pipeline *flowtable.Pipeline
-	// nbrs[p-firstNeighborPort] is the switch behind neighbour port p, and
-	// host the APPLE host on PortHost (nil if none). Both are set in New and
-	// never written again, so packet walks read them without a lock.
-	nbrs []*Switch
-	host *host.Host
+	// nbrs[p-firstNeighborPort] is the switch behind neighbour port p, host
+	// the APPLE host on PortHost (nil if none) and hostTag the host ID that
+	// names it (0 if none). All are set in New and never written again, so
+	// packet walks and the rule emitters read them without a lock.
+	nbrs    []*Switch
+	host    *host.Host
+	hostTag uint16
 }
 
 // Assignment is the controller's record of one class's data-plane state:
@@ -169,7 +170,6 @@ type Controller struct {
 	g        *topology.Graph
 	clock    *sim.Simulation
 	orch     *orchestrator.Orchestrator
-	alloc    *tagging.Allocator
 	switches map[topology.NodeID]*Switch
 	hosts    map[topology.NodeID]*host.Host
 	nbrPort  map[topology.NodeID]map[topology.NodeID]int
@@ -246,7 +246,11 @@ type Config struct {
 }
 
 // New builds a controller, its switch pipelines, and one APPLE host per
-// hosting switch.
+// hosting switch. Each switch's APPLE table starts with Table III's
+// deployment rows: every switch its pass-by row, and every hosting switch
+// the host-match row of its host, whose tag is 1 + the switch's rank among
+// the hosting switches. Nothing removes or re-tags them, so they do not
+// depend on which classes came and went.
 func New(cfg Config) (*Controller, error) {
 	if cfg.Topology == nil {
 		return nil, errors.New("controller: nil topology")
@@ -254,6 +258,18 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.Clock == nil {
 		return nil, errors.New("controller: nil clock")
 	}
+	hostSwitches := cfg.HostSwitches
+	if hostSwitches == nil {
+		for _, n := range cfg.Topology.Nodes() {
+			hostSwitches = append(hostSwitches, n.ID)
+		}
+	}
+	if len(hostSwitches) > int(flowtable.MaxHostTag) {
+		return nil, fmt.Errorf("controller: %d hosting switches, but the 12-bit VLAN host tag names at most %d hosts",
+			len(hostSwitches), flowtable.MaxHostTag)
+	}
+	ranked := slices.Clone(hostSwitches)
+	slices.Sort(ranked)
 	res := cfg.HostResources
 	if res.Cores == 0 {
 		res = host.DefaultResources()
@@ -272,7 +288,6 @@ func New(cfg Config) (*Controller, error) {
 		g:        cfg.Topology,
 		clock:    cfg.Clock,
 		orch:     orch,
-		alloc:    tagging.NewAllocator(),
 		switches: make(map[topology.NodeID]*Switch),
 		hosts:    make(map[topology.NodeID]*host.Host),
 		nbrPort:  make(map[topology.NodeID]map[topology.NodeID]int),
@@ -282,8 +297,7 @@ func New(cfg Config) (*Controller, error) {
 		actions:  make(actionMemo),
 	}
 	// Table III's last APPLE row: whatever no class rule matches goes on
-	// to the other applications' table. Every switch carries it from the
-	// start, and nothing removes it.
+	// to the other applications' table.
 	passBy := flowtable.Rule{
 		Name: "pass-by", Priority: prioPassBy,
 		Actions: c.actions.of(flowtable.Action{Type: flowtable.ActGotoTable, Table: TableRouting}),
@@ -312,12 +326,7 @@ func New(cfg Config) (*Controller, error) {
 		}
 		c.nbrPort[n.ID] = ports
 	}
-	hostSwitches := cfg.HostSwitches
-	if hostSwitches == nil {
-		for _, n := range cfg.Topology.Nodes() {
-			hostSwitches = append(hostSwitches, n.ID)
-		}
-	}
+	toHost := c.actions.of(flowtable.Action{Type: flowtable.ActForward, Port: PortHost})
 	for _, v := range hostSwitches {
 		sw, ok := c.switches[v]
 		if !ok {
@@ -334,8 +343,17 @@ func New(cfg Config) (*Controller, error) {
 		if err := orch.AddHost(h); err != nil {
 			return nil, fmt.Errorf("controller: %w", err)
 		}
+		rank, _ := slices.BinarySearch(ranked, v)
 		c.hosts[v] = h
-		sw.host = h
+		sw.host, sw.hostTag = h, uint16(1+rank)
+		// Table III's first row: packets tagged for this host go to it.
+		if err := c.install(sw.Pipeline, TableAPPLE, flowtable.Rule{
+			Name: "host-match", Priority: prioHostMatch,
+			Match:   flowtable.Match{}.WithHostTag(sw.hostTag),
+			Actions: toHost,
+		}); err != nil {
+			return nil, err
+		}
 	}
 	return c, nil
 }

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/apple-nfv/apple/internal/core"
@@ -70,6 +71,43 @@ func TestNewValidation(t *testing.T) {
 		HostSwitches: []topology.NodeID{99},
 	}); err == nil {
 		t.Error("unknown host switch should fail")
+	}
+}
+
+// TestInstallRefusedAtSwitchWithoutHost: a placement whose Dist processes
+// a class at a switch with no APPLE host is refused, and leaves the
+// controller as it was. Such a switch has no host tag, so no rule may
+// lead there. Whether the placement also counts instances at that switch
+// (refused when provisioning finds no host) or at a hosting switch only
+// (refused when no instance at the switch can serve the class), nothing
+// of the install stands.
+func TestInstallRefusedAtSwitchWithoutHost(t *testing.T) {
+	g := lineTopo(t, 4)
+	cl := core.Class{ID: 0, Path: linePath(4), Chain: policy.Chain{policy.Firewall}, RateMbps: 100}
+	dist := [][]float64{{0}, {1}, {0}, {0}}
+	for _, tc := range []struct {
+		at   topology.NodeID
+		want string
+	}{
+		{1, "no host at switch 1 fits"},
+		{0, "no running firewall instance at switch 1"},
+	} {
+		c, err := New(Config{Topology: g, Clock: sim.New(), Seed: 7, HostSwitches: []topology.NodeID{0, 2, 3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := c.Snapshot().String()
+		pl := &core.Placement{
+			Counts: map[topology.NodeID]map[policy.NF]int{tc.at: {policy.Firewall: 1}},
+			Dist:   map[core.ClassID][][]float64{cl.ID: dist},
+		}
+		err = c.InstallPlacement(&core.Problem{Topo: g, Classes: []core.Class{cl}, Avail: c.Avail()}, pl)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("instances at switch %d: InstallPlacement = %v, want a refusal with %q", tc.at, err, tc.want)
+		}
+		if got := c.Snapshot().String(); got != before {
+			t.Errorf("instances at switch %d: the refused install changed the controller: %s", tc.at, firstDiff(before, got))
+		}
 	}
 }
 

@@ -420,8 +420,9 @@ func TestReshapeKeepsLedgerBits(t *testing.T) {
 // switch no class processed at before needs that switch's host-match
 // rule, or its packets pass the switch by and skip the NF. Switch 0's
 // host fits one firewall, so the surge's spawn lands at switch 1, whose
-// APPLE table holds only pass-by. Every source of the class must then
-// visit one firewall. Without the rule, the 2 048 of 4 096 sources
+// APPLE table holds only what New installed there. Every source of the
+// class must then visit one firewall. When reshapes installed no
+// host-match rule and New none either, the 2 048 of 4 096 sources
 // classified onto the new sub-class reached none, and the enforcement
 // probes failed ("probe 4 visited 0 instances").
 func TestReshapedSubclassGetsHostMatch(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"github.com/apple-nfv/apple/internal/core"
+	"github.com/apple-nfv/apple/internal/flowtable"
 	"github.com/apple-nfv/apple/internal/topology"
 	"github.com/apple-nfv/apple/internal/vnf"
 )
@@ -28,9 +29,8 @@ const weightTol = 1e-6
 //   - vSwitch rules: every live sub-class has its steering rules on
 //     every host it visits, and no host carries a stale "vsw-*" rule for
 //     a sub-class that no longer exists;
-//   - host-match: every switch a live sub-class's chain run enters carries
-//     its host-match rule, except the ingress when the sub-class's first
-//     run is there (classification hands those packets to the host);
+//   - host-match: every hosting switch answers its own host tag with its
+//     host-match rule, so packets tagged for its host enter it;
 //   - portion ledger: each instance's entry is Σ rate × portion over
 //     the installed assignments' base sub-classes it serves (to 1e-6
 //     relative, absolute below 1 Mbps), and an instance no base
@@ -117,23 +117,6 @@ func (d *DynamicHandler) CheckInvariants() error {
 				}
 			}
 		}
-		// Host-match at every switch a run enters off the ingress: without
-		// it, packets tagged for that switch pass it by and skip the run.
-		for s, r := range a.subs {
-			for _, run := range chainRuns(r.hops) {
-				if run.hop == 0 {
-					continue
-				}
-				v := a.Class.Path[run.hop]
-				apple, err := c.switches[v].Pipeline.Table(TableAPPLE)
-				if err != nil {
-					return fmt.Errorf("invariant: %w", err)
-				}
-				if !apple.Has("host-match") {
-					return fmt.Errorf("invariant: class %d sub-class %d processes at switch %d, which has no host-match rule", id, s, v)
-				}
-			}
-		}
 		// Classification present at the ingress.
 		ingress, err := c.switches[a.Class.Path[0]].Pipeline.Table(TableAPPLE)
 		if err != nil {
@@ -143,9 +126,20 @@ func (d *DynamicHandler) CheckInvariants() error {
 			return fmt.Errorf("invariant: class %d has no classification rules at its ingress", id)
 		}
 	}
-	// No stale steering rules: every "vsw-<class>-<s>" on any host must
-	// name a live sub-class that visits that host.
+	// Per host: its switch answers the host's tag with the host-match row
+	// (without it, packets tagged for the host pass the switch by and skip
+	// the NFs there), and no steering rule is stale: every
+	// "vsw-<class>-<s>" must name a live sub-class that visits the host.
 	for v, h := range c.hosts {
+		sw := c.switches[v]
+		apple, err := sw.Pipeline.Table(TableAPPLE)
+		if err != nil {
+			return fmt.Errorf("invariant: %w", err)
+		}
+		r, _ := apple.Lookup(flowtable.Packet{HostTag: sw.hostTag})
+		if tag, ok := r.Match.HostTag(); r.Name != "host-match" || !ok || tag != sw.hostTag {
+			return fmt.Errorf("invariant: switch %d answers its host tag %d with %q, not its host-match rule", v, sw.hostTag, r.Name)
+		}
 		steer, err := h.VSwitch().Table(0)
 		if err != nil {
 			return fmt.Errorf("invariant: %w", err)

@@ -334,7 +334,7 @@ func TestFirstRouteWindow(t *testing.T) {
 }
 
 // TestPublishedHookAllocs: the publication hook costs no allocation. An
-// install and removal of one class — nine table publications —
+// install and removal of one class — eight table publications —
 // allocates as many objects with the hook nil, the default, as with a hook
 // that does nothing.
 func TestPublishedHookAllocs(t *testing.T) {

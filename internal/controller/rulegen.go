@@ -84,10 +84,9 @@ func (m actionMemo) of(acts ...flowtable.Action) []flowtable.Action {
 // or journaling it. The pipeline's admit stage uses it for new classes;
 // RuleTxn's update cutover uses it to build the replacement generation
 // while the old one is still registered (so global-tag allocation avoids
-// the live tags). Host tags are not drawn here: the make step draws them
-// when it first names a switch (makeRules). Nothing is charged to the
-// portion ledger until the store holds the assignment (assignStore.put),
-// so a refused class leaves nothing to take back.
+// the live tags). Nothing is charged to the portion ledger until the
+// store holds the assignment (assignStore.put), so a refused class leaves
+// nothing to take back.
 func (c *Controller) buildAssignment(cl core.Class, subs []core.Subclass, txn *RuleTxn) (*Assignment, error) {
 	subs, err := expandForCapacity(cl, subs)
 	if err != nil {
@@ -193,19 +192,6 @@ func (c *Controller) emitRouting(g *ruleGroups, cl core.Class) error {
 		}})
 	}
 	return nil
-}
-
-// hostMatchOp is processing switch v's host-match rule.
-func (c *Controller) hostMatchOp(v topology.NodeID) (flowtable.BatchOp, error) {
-	tag, err := c.alloc.HostTag(v)
-	if err != nil {
-		return flowtable.BatchOp{}, fmt.Errorf("controller: %w", err)
-	}
-	return flowtable.BatchOp{SkipIfPresent: true, Rule: flowtable.Rule{
-		Name: "host-match", Priority: prioHostMatch,
-		Match:   flowtable.Match{}.WithHostTag(tag),
-		Actions: c.actions.of(flowtable.Action{Type: flowtable.ActForward, Port: PortHost}),
-	}}, nil
 }
 
 // pendingLoad is the load an instance will carry once the assignment
@@ -328,12 +314,8 @@ func (c *Controller) emitClassification(g *ruleGroups, a *Assignment, blocks [][
 		if first := a.Class.Path[a.subs[s].hops[0]]; first == ingress {
 			actions = c.actions.of(setSub, flowtable.Action{Type: flowtable.ActForward, Port: PortHost})
 		} else {
-			hostTag, err := c.alloc.HostTag(first)
-			if err != nil {
-				return fmt.Errorf("controller: %w", err)
-			}
 			actions = c.actions.of(setSub,
-				flowtable.Action{Type: flowtable.ActSetHostTag, Tag: hostTag},
+				flowtable.Action{Type: flowtable.ActSetHostTag, Tag: c.switches[first].hostTag},
 				flowtable.Action{Type: flowtable.ActGotoTable, Table: TableRouting})
 		}
 		for _, pfx := range prefixes {
@@ -440,10 +422,7 @@ func (c *Controller) emitVSwitchRules(g *ruleGroups, a *Assignment, s int, runs 
 		}
 		nextTag := flowtable.HostTagFin
 		if ri+1 < len(runs) {
-			nextTag, err = c.alloc.HostTag(a.Class.Path[runs[ri+1].hop])
-			if err != nil {
-				return fmt.Errorf("controller: %w", err)
-			}
+			nextTag = c.switches[a.Class.Path[runs[ri+1].hop]].hostTag
 		}
 		g.add(key, flowtable.BatchOp{Rule: flowtable.Rule{
 			Name: name, Priority: 10, Match: match(lastPort),

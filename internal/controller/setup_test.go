@@ -85,12 +85,8 @@ func TestBatchSimInstallIsMakespan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The first class installs the pass-by rules, which are programmed
-	// outside the pipeline's account; the batch then pays only for its own
-	// rules.
-	if err := c.AddClass(core.Class{ID: 0, Path: []topology.NodeID{0, 1}, Chain: policy.Chain{policy.Firewall}, RateMbps: 100}); err != nil {
-		t.Fatal(err)
-	}
+	// New programs the pass-by and host-match rows outside the pipeline's
+	// account; the batch pays only for its own rules.
 	before := make(map[tableKey]int)
 	if err := c.eachTable(func(k tableKey, tbl *flowtable.Table) error {
 		before[k] = tbl.Size()

@@ -26,9 +26,9 @@ import (
 //
 //   - each switch carries at most one pass-by row, and exactly one once a
 //     class is installed: lowest priority, match-all, goto routing;
-//   - host-match rows sit only on switches with an APPLE host, one per
-//     switch, forward to the host port, and no two switches answer to the
-//     same host tag;
+//   - every switch with an APPLE host carries exactly one host-match row
+//     and every other switch none; each forwards to the host port, and no
+//     two switches answer to the same host tag;
 //   - cls-N rows sit only at installed class N's ingress, match untagged
 //     packets inside N's prefix, are pairwise disjoint and together cover
 //     the prefix; each sets a sub-class tag of N and then either hands the
@@ -50,9 +50,7 @@ func auditTableIII(c *Controller) error {
 			if r.Name != "host-match" {
 				continue
 			}
-			if rows++; rows > 1 {
-				return fmt.Errorf("switch %d carries %d host-match rows, want at most 1", v, rows)
-			}
+			rows++
 			tag, ok := r.Match.HostTag()
 			if !ok {
 				return fmt.Errorf("switch %d: host-match row %s matches no host tag", v, fmtRule(r))
@@ -64,6 +62,11 @@ func auditTableIII(c *Controller) error {
 				return fmt.Errorf("host tag %d answered by switches %d and %d", tag, prev, v)
 			}
 			tagOwner[tag] = v
+		}
+		if _, hosted := c.hosts[v]; !hosted && rows > 0 {
+			return fmt.Errorf("switch %d has no APPLE host but carries %d host-match rows", v, rows)
+		} else if hosted && rows != 1 {
+			return fmt.Errorf("switch %d carries %d host-match rows, want exactly 1", v, rows)
 		}
 	}
 
@@ -84,9 +87,6 @@ func auditTableIII(c *Controller) error {
 					return fmt.Errorf("switch %d: pass-by row %s is not Table III's match-all goto-routing row", v, fmtRule(r))
 				}
 			case r.Name == "host-match":
-				if _, ok := c.hosts[v]; !ok {
-					return fmt.Errorf("switch %d has no APPLE host but carries a host-match row", v)
-				}
 				if r.Priority != prioHostMatch || len(r.Actions) != 1 ||
 					r.Actions[0] != (flowtable.Action{Type: flowtable.ActForward, Port: PortHost}) {
 					return fmt.Errorf("switch %d: host-match row %s does not forward to the host port", v, fmtRule(r))
@@ -354,6 +354,14 @@ func TestTableIIIAuditCatches(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, "no APPLE host"},
+		{"host without its host-match row", func(t *testing.T, c *Controller) {
+			appleTable(t, c, 2).Remove("host-match")
+		}, "carries 0 host-match rows, want exactly 1"},
+		{"second host-match row", func(t *testing.T, c *Controller) {
+			if err := appleTable(t, c, 1).Install(hostMatchRule(4000)); err != nil {
+				t.Fatal(err)
+			}
+		}, "carries 2 host-match rows, want exactly 1"},
 		{"host tag answered twice", func(t *testing.T, c *Controller) {
 			v, tag := hostMatchSwitch(t, c)
 			other := topology.NodeID(0)

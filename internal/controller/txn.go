@@ -447,10 +447,10 @@ type tableUndo struct {
 // reserveUndo sizes the undo list once for a transaction of staged
 // placement installs, instead of regrowing it run by run. A class
 // installed from a distribution takes, in its make step, a batch for the
-// routing table of each switch on its path and for the APPLE and steering
-// tables of each switch that processes a share of it, and in its flip step
-// one for the ingress APPLE table: at most len(Path)+2P+1 batches for P
-// processing positions.
+// routing table of each switch on its path and for the steering table of
+// each switch that processes a share of it, and in its flip step one for
+// the ingress APPLE table: at most len(Path)+P+1 batches for P processing
+// positions.
 func (t *RuleTxn) reserveUndo() {
 	n := len(t.undo)
 	for _, op := range t.staged {
@@ -463,7 +463,7 @@ func (t *RuleTxn) reserveUndo() {
 				procs++
 			}
 		}
-		n += len(op.cl.Path) + 2*procs + 1
+		n += len(op.cl.Path) + procs + 1
 	}
 	t.undo = slices.Grow(t.undo, n-len(t.undo))
 }
@@ -596,9 +596,8 @@ func (t *RuleTxn) buildUpdate(op txnOp) (*Assignment, error) {
 //
 //  1. make (cutover:steer): what next needs and old lacks is installed.
 //     A sub-class of next that keeps old's steering (keepsSteering) is
-//     left alone. Every other one gets its steering and the host-match
-//     rule of every switch it processes at, and a new path gets its
-//     routing. On a host where it replaces old's sub-class of the same
+//     left alone. Every other one gets its steering, and a new path gets
+//     its routing. On a host where it replaces old's sub-class of the same
 //     index, the old rules' removal and the new rules share one batch.
 //  2. flip (cutover:cls): the ingress classification moves to next's
 //     sub-classes in one remove-then-install batch, or is removed. When
@@ -682,12 +681,11 @@ func (a *Assignment) visits(s int, v topology.NodeID) bool {
 
 // makeRules compiles the cutover's make step into one batch per table, in
 // the order emission first reaches each: routing along a new path, then
-// per sub-class of next that old's steering does not serve, the host-match
-// rule of each switch it processes at and its steering there, behind the
-// removal of old's same-index rules on a host old's sub-class visits too.
-// A nil old is a class install: the path is new and no sub-class is kept.
-// The host tags the rules carry are drawn here, sub-class by sub-class in
-// hop order, so the allocator's table follows the order classes are made.
+// per sub-class of next that old's steering does not serve, its steering
+// on each host it visits, behind the removal of old's same-index rules on
+// a host old's sub-class visits too. A nil old is a class install: the
+// path is new and no sub-class is kept. The host-match rows the steering
+// leads through are New's.
 func (c *Controller) makeRules(old, next *Assignment) ([]tableBatch, error) {
 	cl := next.Class
 	newPath := old == nil || !slices.Equal(old.Class.Path, cl.Path)
@@ -696,15 +694,15 @@ func (c *Controller) makeRules(old, next *Assignment) ([]tableBatch, error) {
 	for s, r := range next.subs {
 		if !keepsSteering(old, next, s) {
 			runs[s] = chainRuns(r.hops)
-			tables += 2 * len(runs[s])
+			tables += len(runs[s])
 		}
 	}
 	if newPath {
 		tables += len(cl.Path)
 	}
-	// A class touches at most three tables per path switch: its routing,
-	// APPLE and steering tables.
-	g := c.arena.groups(min(tables, 3*len(cl.Path)))
+	// A class touches at most two tables per path switch: its routing and
+	// steering tables.
+	g := c.arena.groups(min(tables, 2*len(cl.Path)))
 	if newPath {
 		for _, v := range cl.Path {
 			g.reserve(routingKey(v), 1)
@@ -713,7 +711,6 @@ func (c *Controller) makeRules(old, next *Assignment) ([]tableBatch, error) {
 	for s := range next.subs {
 		for _, r := range runs[s] {
 			v := cl.Path[r.hop]
-			g.reserve(appleKey(v), 1)
 			n := r.end - r.start + 2 // uplink entry, chain hops, exit
 			if old.visits(s, v) {
 				n++
@@ -733,11 +730,6 @@ func (c *Controller) makeRules(old, next *Assignment) ([]tableBatch, error) {
 		var replaced flowtable.BatchOp
 		for _, r := range runs[s] {
 			v := cl.Path[r.hop]
-			op, err := c.hostMatchOp(v)
-			if err != nil {
-				return nil, err
-			}
-			g.add(appleKey(v), op)
 			if old.visits(s, v) {
 				if replaced.Remove == "" {
 					replaced.Remove = fmt.Sprintf("vsw-%d-%d", cl.ID, s)
@@ -783,7 +775,7 @@ func (c *Controller) flipRules(old, next *Assignment) ([]tableBatch, error) {
 // blocks, compiles to the rules old installed at the ingress. The rules'
 // name and prefixes follow from the class ID, the ingress and the blocks,
 // and each sub-class's actions from its tag and the switch of its first
-// hop (whose host tag is fixed once drawn), so those must agree.
+// hop (whose host tag New fixed), so those must agree.
 func sameClassification(old, next *Assignment, blocks [][]headerspace.PrefixBlock) bool {
 	if old.Class.Path[0] != next.Class.Path[0] || len(old.subs) != len(next.subs) {
 		return false

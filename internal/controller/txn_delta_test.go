@@ -5,21 +5,23 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/apple-nfv/apple/internal/core"
+	"github.com/apple-nfv/apple/internal/flowtable"
 	"github.com/apple-nfv/apple/internal/policy"
 	"github.com/apple-nfv/apple/internal/sim"
 	"github.com/apple-nfv/apple/internal/topology"
 )
 
-// Tests for the transaction's delta-sized bookkeeping: the pass-by rows
-// it never touches, and the cost of a one-class commit not growing with
-// the installed state.
+// Tests for the transaction's delta-sized bookkeeping: the rows New
+// installs, which it never touches, and the cost of a one-class commit
+// not growing with the installed state.
 
-// passByRows returns every pass-by rule of the switches' APPLE tables,
-// one line per rule, in switch order.
-func passByRows(t *testing.T, c *Controller) []string {
+// deploymentRows returns every pass-by and host-match rule of the
+// switches' APPLE tables, one line per rule, in switch order.
+func deploymentRows(t *testing.T, c *Controller) []string {
 	t.Helper()
 	var rows []string
 	for _, tbl := range c.Snapshot().Tables {
@@ -27,7 +29,7 @@ func passByRows(t *testing.T, c *Controller) []string {
 			continue
 		}
 		for _, r := range tbl.Rules {
-			if r.Name == "pass-by" {
+			if r.Name == "pass-by" || r.Name == "host-match" {
 				rows = append(rows, fmt.Sprintf("%d %s", tbl.Node, fmtRule(r)))
 			}
 		}
@@ -36,34 +38,99 @@ func passByRows(t *testing.T, c *Controller) []string {
 }
 
 // TestPassByInstalledByNew: New puts Table III's pass-by row on every
-// switch, counting each as a rule update, and no transaction touches the
-// rows: a failed and then a committed AddClass leave them as they were.
+// switch and, on every hosting switch, the host-match row answering to
+// tag 1 + the switch's rank among the hosting switches, in whatever order
+// Config.HostSwitches names them; a switch it leaves out gets none. Each
+// row counts as a rule update. No transaction touches the rows: a failed
+// and then a committed AddClass leave them as they were. CheckInvariants
+// fails once any hosting switch loses its host-match row, whether a class
+// processes there or not.
 func TestPassByInstalledByNew(t *testing.T) {
-	c, err := New(Config{Topology: lineTopo(t, 4), Clock: sim.New(), Seed: 7})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		hosting []topology.NodeID
+		tags    map[topology.NodeID]uint16
+	}{
+		{tags: map[topology.NodeID]uint16{0: 1, 1: 2, 2: 3, 3: 4}},
+		{hosting: []topology.NodeID{3, 1}, tags: map[topology.NodeID]uint16{1: 1, 3: 2}},
+	} {
+		c, err := New(Config{Topology: lineTopo(t, 4), Clock: sim.New(), Seed: 7, HostSwitches: tc.hosting})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range c.Switches() {
+			tbl := appleTable(t, c, v)
+			if n := len(namedRules(tbl, "pass-by")); n != 1 {
+				t.Errorf("hosts %v: New left %d pass-by rows on switch %d", tc.hosting, n, v)
+			}
+			var want []string
+			if tag, ok := tc.tags[v]; ok {
+				want = []string{fmtRule(hostMatchRule(tag))}
+			}
+			var got []string
+			for _, r := range namedRules(tbl, "host-match") {
+				got = append(got, fmtRule(r))
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("hosts %v: switch %d carries host-match rows %v, want %v", tc.hosting, v, got, want)
+			}
+		}
+		if n, want := c.RuleUpdates(), len(c.switches)+len(c.hosts); n != want {
+			t.Errorf("hosts %v: New counted %d rule updates, want one per switch and host (%d)", tc.hosting, n, want)
+		}
+		rows := deploymentRows(t, c)
+		cl := core.Class{ID: 1, Path: linePath(4), Chain: policy.Chain{policy.Firewall}, RateMbps: 10}
+		c.failpoint = failAt("add:apply:1")
+		if err := c.AddClass(cl); !errors.Is(err, errInjected) {
+			t.Fatalf("AddClass = %v, want the injected fault", err)
+		}
+		if got := deploymentRows(t, c); !slices.Equal(got, rows) {
+			t.Fatalf("hosts %v: after an unwound AddClass the rows are %v, want %v", tc.hosting, got, rows)
+		}
+		c.failpoint = nil
+		if err := c.AddClass(cl); err != nil {
+			t.Fatal(err)
+		}
+		if got := deploymentRows(t, c); !slices.Equal(got, rows) {
+			t.Fatalf("hosts %v: after a committed AddClass the rows are %v, want %v", tc.hosting, got, rows)
+		}
+		d, err := NewDynamicHandler(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.CheckInvariants(); err != nil {
+			t.Fatalf("hosts %v: %v", tc.hosting, err)
+		}
+		for _, v := range c.Hosts() {
+			tbl := appleTable(t, c, v)
+			row := namedRules(tbl, "host-match")[0]
+			tbl.Remove("host-match")
+			if err := d.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "not its host-match rule") {
+				t.Errorf("hosts %v: CheckInvariants = %v with switch %d's host-match row removed", tc.hosting, err, v)
+			}
+			if err := tbl.Install(row); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	rows := passByRows(t, c)
-	if len(rows) != len(c.switches) {
-		t.Fatalf("New left %d pass-by rows on %d switches: %v", len(rows), len(c.switches), rows)
+}
+
+// TestNewRefusesMoreHostsThanTags: the 12-bit VLAN host tag names at most
+// MaxHostTag hosts, so New refuses a line of one switch more, all hosting,
+// naming the limit, before it builds anything per switch: the refusal
+// allocates a few dozen objects, where a pipeline per switch would be tens
+// of thousands.
+func TestNewRefusesMoreHostsThanTags(t *testing.T) {
+	g := lineTopo(t, int(flowtable.MaxHostTag)+1)
+	var err error
+	allocs := testing.AllocsPerRun(1, func() {
+		_, err = New(Config{Topology: g, Clock: sim.New()})
+	})
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(flowtable.MaxHostTag)) {
+		t.Fatalf("New = %v, want a refusal naming the limit of %d hosts", err, flowtable.MaxHostTag)
 	}
-	if n := c.RuleUpdates(); n != len(c.switches) {
-		t.Fatalf("New counted %d rule updates, want one per switch (%d)", n, len(c.switches))
-	}
-	cl := core.Class{ID: 1, Path: linePath(4), Chain: policy.Chain{policy.Firewall}, RateMbps: 10}
-	c.failpoint = failAt("add:apply:1")
-	if err := c.AddClass(cl); !errors.Is(err, errInjected) {
-		t.Fatalf("AddClass = %v, want the injected fault", err)
-	}
-	if got := passByRows(t, c); !slices.Equal(got, rows) {
-		t.Fatalf("after an unwound AddClass the pass-by rows are %v, want %v", got, rows)
-	}
-	c.failpoint = nil
-	if err := c.AddClass(cl); err != nil {
-		t.Fatal(err)
-	}
-	if got := passByRows(t, c); !slices.Equal(got, rows) {
-		t.Fatalf("after a committed AddClass the pass-by rows are %v, want %v", got, rows)
+	t.Logf("refusal: %.0f allocations", allocs)
+	if allocs > 100 {
+		t.Errorf("the refusal allocated %.0f objects; want it to come before any pipeline or host is built", allocs)
 	}
 }
 

@@ -1,57 +1,25 @@
-// Package tagging implements APPLE's flow-tagging scheme (§V-B): the
-// allocation of host-ID and sub-class-ID tag values, and the TCAM
-// accounting that Fig 10 reports — how many physical-switch TCAM entries
-// the tagged data plane needs versus the no-tagging baseline where every
-// switch on a flow's path(s) re-classifies the flow.
+// Package tagging models APPLE's flow-tagging scheme (§V-B) for the TCAM
+// accounting that Fig 10 reports: how many physical-switch TCAM entries the
+// tagged data plane needs versus the no-tagging baseline where every
+// switch on a flow's path(s) re-classifies the flow. The tag values
+// themselves are the controller's: a host ID is fixed per hosting switch
+// when the controller is built, and sub-class IDs per class when it is
+// admitted.
+//
+// CountTCAM counts a host-match row only at a switch where some sub-class
+// processes, as Fig 10 does. The controller installs one on every hosting
+// switch from the start, so its tables can hold more host-match rows than
+// the figure counts, at switches that process nothing.
 package tagging
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/apple-nfv/apple/internal/core"
 	"github.com/apple-nfv/apple/internal/flowtable"
 	"github.com/apple-nfv/apple/internal/topology"
 )
-
-// Allocator hands out tag values. Host IDs are globally unique (they name
-// the next APPLE host to process a packet); sub-class IDs are only
-// meaningful within a class and are multiplexed across classes (§V-B).
-// The allocator is safe for concurrent use. The controller calls it from
-// its one control-plane goroutine: a host's tag is drawn when a class's
-// make step first names the host, so the tag table follows the order
-// classes are made in.
-type Allocator struct {
-	mu       sync.Mutex
-	hostTags map[topology.NodeID]uint16 // guarded by mu
-	next     uint16                     // guarded by mu
-}
-
-// NewAllocator returns an empty allocator over the whole host-tag space,
-// 1..flowtable.MaxHostTag.
-func NewAllocator() *Allocator {
-	return &Allocator{hostTags: make(map[topology.NodeID]uint16), next: 1}
-}
-
-// HostTag returns the tag for the APPLE host at switch v, allocating one
-// on first use. The 12-bit VLAN field allows MaxHostTag hosts; the next
-// new host is refused.
-func (a *Allocator) HostTag(v topology.NodeID) (uint16, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if tag, ok := a.hostTags[v]; ok {
-		return tag, nil
-	}
-	if a.next > flowtable.MaxHostTag {
-		return 0, fmt.Errorf("tagging: no host tag left for switch %d: all %d VLAN host tags are allocated",
-			v, flowtable.MaxHostTag)
-	}
-	tag := a.next
-	a.next++
-	a.hostTags[v] = tag
-	return tag, nil
-}
 
 // ClassSpec couples a traffic class with its data-plane identity: the
 // header prefix that matches its flows, the sub-classes derived from the

@@ -1,7 +1,6 @@
 package tagging
 
 import (
-	"strings"
 	"testing"
 
 	"github.com/apple-nfv/apple/internal/core"
@@ -9,36 +8,6 @@ import (
 	"github.com/apple-nfv/apple/internal/policy"
 	"github.com/apple-nfv/apple/internal/topology"
 )
-
-// TestAllocatorExhaustion walks the whole host-tag space: MaxHostTag
-// distinct hosts get tags 1..MaxHostTag in order, none a sentinel, a
-// repeat lookup returns the same tag even when the space is full, and the
-// next new host is refused.
-func TestAllocatorExhaustion(t *testing.T) {
-	a := NewAllocator()
-	for i := 0; i < int(flowtable.MaxHostTag); i++ {
-		tag, err := a.HostTag(topology.NodeID(i))
-		if err != nil {
-			t.Fatalf("allocation %d failed: %v", i, err)
-		}
-		if want := uint16(i + 1); tag != want {
-			t.Fatalf("HostTag(%d) = %d, want %d", i, tag, want)
-		}
-		if tag == flowtable.HostTagEmpty || tag == flowtable.HostTagFin {
-			t.Fatalf("HostTag(%d) = %d collides with a sentinel", i, tag)
-		}
-	}
-	if tag, err := a.HostTag(5); err != nil || tag != 6 {
-		t.Fatalf("re-allocation changed tag: %d, %v", tag, err)
-	}
-	_, err := a.HostTag(topology.NodeID(99999))
-	if err == nil {
-		t.Fatal("exhausted allocator should refuse a new host")
-	}
-	if msg := err.Error(); !strings.Contains(msg, "99999") || !strings.Contains(msg, "4094") {
-		t.Fatalf("refusal %q should name the host and the size of the space", msg)
-	}
-}
 
 // spec builds a simple 4-hop class with the given sub-class split.
 func spec(id int, pathLen int, portions []float64) ClassSpec {
