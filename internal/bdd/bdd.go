@@ -10,10 +10,12 @@
 // The store is laid out the way BuDDy and CUDD lay theirs out: a node arena
 // that grows by doubling, an open-addressed unique table of arena indexes
 // keyed by the nodes themselves, and a direct-mapped, lossy operation cache
-// a quarter the size of the unique table. Its memory is O(nodes), however
-// many Apply calls are made on it. A caller that knows roughly how many
-// nodes it will create reserves them (Reserve), so the tables are made
-// once at that size instead of doubling their way up to it.
+// a quarter the size of the unique table, made by the first Apply after
+// each resize, so a store that only builds cubes never makes one. Its
+// memory is O(nodes), however many Apply calls are made on it. A caller
+// that knows roughly how many nodes it will create reserves them
+// (Reserve), so the tables are made once at that size instead of doubling
+// their way up to it.
 package bdd
 
 import (
@@ -75,8 +77,10 @@ type Store struct {
 	// it keys, or False (never a decision node) when empty.
 	unique []Ref
 	// cache is the direct-mapped Apply cache, len(unique)/4 entries: a
-	// result overwrites whatever its slot held, and the cache is re-made
-	// empty, not rehashed, whenever unique doubles.
+	// result overwrites whatever its slot held. It is nil until apply needs
+	// it, and dropped, not rehashed, whenever unique is re-made, so a run
+	// of mk calls with no Apply between them (cubes, prefixes) makes no
+	// cache at any of the sizes it passes through.
 	cache   []cacheEntry
 	applies int
 	// doublings counts grow calls: the times mk filled the arena.
@@ -93,7 +97,6 @@ func NewStore(nvars int) (*Store, error) {
 		nvars:  nvars,
 		nodes:  make([]node, 2, initialSlots*3/4+2),
 		unique: make([]Ref, initialSlots),
-		cache:  make([]cacheEntry, initialSlots/4),
 	}
 	s.nodes[False] = node{level: terminalLevel}
 	s.nodes[True] = node{level: terminalLevel}
@@ -175,14 +178,15 @@ func (s *Store) Reserve(n int) {
 }
 
 // Tables reports the unique table's slot count, which sizes the arena (3/4
-// of it) and the cache (a quarter), and how many times mk has doubled the
-// tables since NewStore. The classifier's allocation test reads it.
+// of it) and the cache (a quarter, once an Apply has made it), and how
+// many times mk has doubled the tables since NewStore. The classifier's
+// allocation test reads it.
 func (s *Store) Tables() (slots, doublings int) { return len(s.unique), s.doublings }
 
 // resize re-makes the unique table at slots and rehashes every node into
 // it, re-makes the arena at the capacity that table holds at 3/4 load, and
-// re-makes the cache empty at a quarter of its size. Refs are arena
-// indexes, so none moves.
+// drops the cache: the next apply makes it empty at a quarter of the new
+// size. Refs are arena indexes, so none moves.
 func (s *Store) resize(slots int) {
 	nodes := make([]node, len(s.nodes), slots*3/4+2)
 	copy(nodes, s.nodes)
@@ -196,7 +200,7 @@ func (s *Store) resize(slots int) {
 		}
 		s.unique[i] = Ref(r)
 	}
-	s.cache = make([]cacheEntry, slots/4)
+	s.cache = nil
 }
 
 // And returns a ∧ b.
@@ -211,8 +215,12 @@ func (s *Store) Diff(a, b Ref) Ref { return s.apply(opDiff, a, b) }
 // Implies reports whether a ⇒ b holds for all assignments.
 func (s *Store) Implies(a, b Ref) bool { return s.Diff(a, b) == False }
 
-// cacheSlot is the operation cache's slot for op(a, b).
+// cacheSlot is the operation cache's slot for op(a, b). It makes the
+// cache, empty at a quarter of the unique table, when there is none.
 func (s *Store) cacheSlot(op uint8, a, b Ref) *cacheEntry {
+	if s.cache == nil {
+		s.cache = make([]cacheEntry, len(s.unique)/4)
+	}
 	return &s.cache[int(hash(uint32(op), uint32(a), uint32(b)))&(len(s.cache)-1)]
 }
 

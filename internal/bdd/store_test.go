@@ -316,3 +316,38 @@ func TestReserveKeepsRefs(t *testing.T) {
 		t.Errorf("Nodes = %d over a store of %d nodes", n, reserved.Size())
 	}
 }
+
+// TestCacheMadeByFirstApply: a store that only builds cubes makes no
+// Apply cache, whatever sizes its tables double through. 300 /20 source
+// prefixes, the class plan the classifier's allocation test builds, grow
+// the tables and leave the cache nil; the Implies that follows makes it,
+// empty, at a quarter of the unique table's slots.
+func TestCacheMadeByFirstApply(t *testing.T) {
+	const n = 300
+	s := MustNewStore(32)
+	cubes := make([]Ref, n)
+	for i := range cubes {
+		var lits [20]Literal
+		for b := range lits {
+			lits[b] = Literal{Var: b, Val: (10<<24|uint32(i)<<12)&(1<<uint(31-b)) != 0}
+		}
+		var err error
+		if cubes[i], err = s.CubeLits(lits[:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slots, doublings := s.Tables()
+	t.Logf("%d prefixes: %d nodes, %d slots after %d doublings", n, s.Size(), slots, doublings)
+	if doublings == 0 {
+		t.Fatal("the prefixes never outgrew the initial tables: the test built too little")
+	}
+	if s.cache != nil {
+		t.Fatalf("building cubes made a cache of %d entries; want none", len(s.cache))
+	}
+	if s.Implies(cubes[0], cubes[1]) {
+		t.Fatal("two disjoint prefixes: one implies the other")
+	}
+	if len(s.cache) != slots/4 || s.Applies() == 0 {
+		t.Errorf("after an Implies the cache has %d entries and %d Apply steps ran; want %d entries", len(s.cache), s.Applies(), slots/4)
+	}
+}

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/apple-nfv/apple/internal/lp"
@@ -102,6 +105,35 @@ func TestModelLayoutDeterministic(t *testing.T) {
 			want = pl.Iterations
 		} else if pl.Iterations != want {
 			t.Fatalf("solve %d spent %d pivots, solve 0 spent %d", i, pl.Iterations, want)
+		}
+	}
+}
+
+// TestModelNamesDigest pins every variable and row name of GEANT's mean
+// placement model, in both units, to a digest recorded while the model
+// still stored a formatted string per column and row: the names it now
+// derives on demand from the layout must be those strings, byte for byte.
+func TestModelNamesDigest(t *testing.T) {
+	prob := geantMeanProblem(t)
+	for _, tc := range []struct {
+		unit   string
+		scale  func(Class) float64
+		names  int
+		digest string
+	}{
+		{"shares", shareUnit, 987, "fffc0ffec800d1d8d1ed3a4d63e5c96c96f529937a353052350914fa2c587344"},
+		{"mbps", mbpsUnit, 987, "fffc0ffec800d1d8d1ed3a4d63e5c96c96f529937a353052350914fa2c587344"},
+	} {
+		md, err := buildModel(prob, nil, tc.scale)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.unit, err)
+		}
+		names := modelNames(md.m)
+		sum := sha256.Sum256([]byte(strings.Join(names, "\n")))
+		got := hex.EncodeToString(sum[:])
+		t.Logf("%s: %d names, first %q, last %q, sha256 %s", tc.unit, len(names), names[0], names[len(names)-1], got)
+		if len(names) != tc.names || got != tc.digest {
+			t.Errorf("%s: %d names with sha256 %s; want %d with %s", tc.unit, len(names), got, tc.names, tc.digest)
 		}
 	}
 }

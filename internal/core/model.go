@@ -62,7 +62,8 @@ type model struct {
 // newModel plans the model for prob: every class's eligible hops and the
 // (switch, NF) keys of the q variables. It then reserves the LP's
 // variables, rows and terms, which the plan determines, so the model is
-// built without regrowing.
+// built without regrowing, and names them on demand from the same plan
+// (VariableName, ConstraintName), so the model stores no names.
 func newModel(name string, prob *Problem) (*model, error) {
 	md := &model{
 		prob: prob,
@@ -75,7 +76,69 @@ func newModel(name string, prob *Problem) (*model, error) {
 	}
 	md.planKeys()
 	md.reserve()
+	md.m.SetNamer(md)
 	return md, nil
+}
+
+// VariableName names LP column v by the layout buildModel creates: per
+// class in class order its rate column r[class] and then its flow
+// variables x[class][hop][position], hop by hop; after every class the q
+// variables q[switch][nf] in key order. It walks the classes, so it costs
+// O(classes) a call; only error text and tests call it.
+func (md *model) VariableName(v lp.VarID) string {
+	k := int(v)
+	for ci, c := range md.prob.Classes {
+		if k == 0 {
+			return fmt.Sprintf("r[%d]", c.ID)
+		}
+		n := len(md.hops[ci]) * len(c.Chain)
+		if k <= n {
+			k--
+			return fmt.Sprintf("x[%d][%d][%d]", c.ID, md.hops[ci][k/len(c.Chain)], k%len(c.Chain))
+		}
+		k -= 1 + n
+	}
+	if k < len(md.qKeys) {
+		return fmt.Sprintf("q[%d][%v]", md.qKeys[k].v, md.qKeys[k].nf)
+	}
+	return ""
+}
+
+// ConstraintName names LP row i by the layout buildModel creates: per
+// class in class order its coverage rows full[class][position] and then
+// its order rows order[class][hop][position], position by position; then
+// the capacity rows cap[switch][nf] in key order; then per switch the
+// rows cores[switch] and mem[switch].
+func (md *model) ConstraintName(i int) string {
+	for ci, c := range md.prob.Classes {
+		h, k := len(md.hops[ci]), len(c.Chain)
+		if i < k {
+			return fmt.Sprintf("full[%d][%d]", c.ID, i)
+		}
+		i -= k
+		n := max(k-1, 0) * h
+		if i < n {
+			return fmt.Sprintf("order[%d][%d][%d]", c.ID, md.hops[ci][i%h], i/h+1)
+		}
+		i -= n
+	}
+	if i < len(md.qKeys) {
+		return fmt.Sprintf("cap[%d][%v]", md.qKeys[i].v, md.qKeys[i].nf)
+	}
+	i -= len(md.qKeys)
+	for k, key := range md.qKeys {
+		if k > 0 && key.v == md.qKeys[k-1].v {
+			continue
+		}
+		switch i {
+		case 0:
+			return fmt.Sprintf("cores[%d]", key.v)
+		case 1:
+			return fmt.Sprintf("mem[%d]", key.v)
+		}
+		i -= 2
+	}
+	return ""
 }
 
 // planHops caches every class's eligible hops, all in one array, and lays
@@ -185,13 +248,13 @@ func (md *model) reserve() {
 }
 
 // addFlowVars creates class ci's flow variables, one per (eligible hop,
-// chain position), named x[class][hop][position]. The upper bound implied
+// chain position), x[class][hop][position]. The upper bound implied
 // by Eq. (4) and non-negativity is left off as redundant.
 func (md *model) addFlowVars(ci int) error {
 	c := md.prob.Classes[ci]
 	for _, i := range md.hops[ci] {
 		for j := range c.Chain {
-			v, err := md.m.AddVariable(fmt.Sprintf("x[%d][%d][%d]", c.ID, i, j), 0, math.Inf(1), 0)
+			v, err := md.m.AddVariable("", 0, math.Inf(1), 0)
 			if err != nil {
 				return fmt.Errorf("core: %w", err)
 			}
@@ -210,7 +273,7 @@ func (md *model) addInstanceVars(caps map[qKey]float64) error {
 		if c, ok := caps[key]; ok {
 			hi = c
 		}
-		v, err := md.m.AddVariable(fmt.Sprintf("q[%d][%v]", key.v, key.nf), 0, hi, md.qObj[k])
+		v, err := md.m.AddVariable("", 0, hi, md.qObj[k])
 		if err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
@@ -231,7 +294,7 @@ func (md *model) addCoverageRows(ci int) error {
 			md.m.AddTerm(md.d(ci, i, j), 1)
 		}
 		md.m.AddTerm(md.rVar[ci], -1)
-		if err := md.m.EndConstraint(fmt.Sprintf("full[%d][%d]", c.ID, j), lp.EQ, 0); err != nil {
+		if err := md.m.EndConstraint("", lp.EQ, 0); err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
 	}
@@ -244,13 +307,12 @@ func (md *model) addCoverageRows(ci int) error {
 func (md *model) addOrderRows(ci int) error {
 	c, hops := md.prob.Classes[ci], md.hops[ci]
 	for j := 1; j < len(c.Chain); j++ {
-		for hi, i := range hops {
+		for hi := range hops {
 			for _, k := range hops[:hi+1] {
 				md.m.AddTerm(md.d(ci, k, j-1), 1)
 				md.m.AddTerm(md.d(ci, k, j), -1)
 			}
-			name := fmt.Sprintf("order[%d][%d][%d]", c.ID, i, j)
-			if err := md.m.EndConstraint(name, lp.GE, 0); err != nil {
+			if err := md.m.EndConstraint("", lp.GE, 0); err != nil {
 				return fmt.Errorf("core: %w", err)
 			}
 		}
@@ -300,8 +362,7 @@ func (md *model) addCapacityRows(scale func(Class) float64) error {
 			md.m.AddTerm(t.Var, t.Coef)
 		}
 		md.m.AddTerm(md.qVar[key], -spec.CapacityMbps)
-		name := fmt.Sprintf("cap[%d][%v]", key.v, key.nf)
-		if err := md.m.EndConstraint(name, lp.LE, 0); err != nil {
+		if err := md.m.EndConstraint("", lp.LE, 0); err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
 	}
@@ -318,11 +379,11 @@ func (md *model) addResourceRows() error {
 			hi++
 		}
 		avail := md.prob.Avail[v]
-		if err := md.addResourceRow(md.qKeys[lo:hi], fmt.Sprintf("cores[%d]", v), float64(avail.Cores),
+		if err := md.addResourceRow(md.qKeys[lo:hi], float64(avail.Cores),
 			func(s policy.Spec) float64 { return float64(s.Cores) }); err != nil {
 			return err
 		}
-		if err := md.addResourceRow(md.qKeys[lo:hi], fmt.Sprintf("mem[%d]", v), float64(avail.MemoryMB),
+		if err := md.addResourceRow(md.qKeys[lo:hi], float64(avail.MemoryMB),
 			func(s policy.Spec) float64 { return float64(s.MemoryMB) }); err != nil {
 			return err
 		}
@@ -332,7 +393,7 @@ func (md *model) addResourceRows() error {
 }
 
 // addResourceRow adds Σ use(spec)·q ≤ avail over one switch's keys.
-func (md *model) addResourceRow(keys []qKey, name string, avail float64, use func(policy.Spec) float64) error {
+func (md *model) addResourceRow(keys []qKey, avail float64, use func(policy.Spec) float64) error {
 	for _, key := range keys {
 		spec, err := policy.SpecOf(key.nf)
 		if err != nil {
@@ -340,7 +401,7 @@ func (md *model) addResourceRow(keys []qKey, name string, avail float64, use fun
 		}
 		md.m.AddTerm(md.qVar[key], use(spec))
 	}
-	if err := md.m.EndConstraint(name, lp.LE, avail); err != nil {
+	if err := md.m.EndConstraint("", lp.LE, avail); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
 	return nil
@@ -362,8 +423,8 @@ func buildModel(prob *Problem, caps map[qKey]float64, scale func(Class) float64)
 		return nil, err
 	}
 	md.rVar = make([]lp.VarID, len(prob.Classes))
-	for ci, c := range prob.Classes {
-		r, err := md.m.AddVariable(fmt.Sprintf("r[%d]", c.ID), 1, 1, 0)
+	for ci := range prob.Classes {
+		r, err := md.m.AddVariable("", 1, 1, 0)
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}

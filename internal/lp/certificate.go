@@ -41,11 +41,11 @@ func CheckCertificate(m *Model, values, duals []float64) error {
 	for j, v := range m.vars {
 		x := values[j]
 		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return fmt.Errorf("lp: certificate: %s = %v", v.name, x)
+			return fmt.Errorf("lp: certificate: %s = %v", m.VariableName(VarID(j)), x)
 		}
 		btol := certTol * (1 + math.Abs(x))
 		if x < v.lo-btol || x > v.hi+btol {
-			return fmt.Errorf("lp: certificate: %s = %v outside [%v, %v]", v.name, x, v.lo, v.hi)
+			return fmt.Errorf("lp: certificate: %s = %v outside [%v, %v]", m.VariableName(VarID(j)), x, v.lo, v.hi)
 		}
 		d[j] = v.obj
 		dmag[j] = math.Abs(v.obj)
@@ -55,7 +55,7 @@ func CheckCertificate(m *Model, values, duals []float64) error {
 	for i, con := range m.cons {
 		y := duals[i]
 		if math.IsNaN(y) || math.IsInf(y, 0) {
-			return fmt.Errorf("lp: certificate: dual of row %d (%s) = %v", i, con.name, y)
+			return fmt.Errorf("lp: certificate: dual of row %d (%s) = %v", i, m.ConstraintName(i), y)
 		}
 		act, mag := 0.0, math.Abs(con.rhs)
 		idx, val := m.row(i)
@@ -70,25 +70,25 @@ func CheckCertificate(m *Model, values, duals []float64) error {
 		switch con.sense {
 		case LE:
 			if slack < -tol {
-				return fmt.Errorf("lp: certificate: row %d (%s): %v > rhs %v", i, con.name, act, con.rhs)
+				return fmt.Errorf("lp: certificate: row %d (%s): %v > rhs %v", i, m.ConstraintName(i), act, con.rhs)
 			}
 			if y > certTol*(1+math.Abs(y)) {
-				return fmt.Errorf("lp: certificate: row %d (%s): dual %v > 0 on a <= row", i, con.name, y)
+				return fmt.Errorf("lp: certificate: row %d (%s): dual %v > 0 on a <= row", i, m.ConstraintName(i), y)
 			}
 		case GE:
 			if slack > tol {
-				return fmt.Errorf("lp: certificate: row %d (%s): %v < rhs %v", i, con.name, act, con.rhs)
+				return fmt.Errorf("lp: certificate: row %d (%s): %v < rhs %v", i, m.ConstraintName(i), act, con.rhs)
 			}
 			if y < -certTol*(1+math.Abs(y)) {
-				return fmt.Errorf("lp: certificate: row %d (%s): dual %v < 0 on a >= row", i, con.name, y)
+				return fmt.Errorf("lp: certificate: row %d (%s): dual %v < 0 on a >= row", i, m.ConstraintName(i), y)
 			}
 		case EQ:
 			if math.Abs(slack) > tol {
-				return fmt.Errorf("lp: certificate: row %d (%s): %v != rhs %v", i, con.name, act, con.rhs)
+				return fmt.Errorf("lp: certificate: row %d (%s): %v != rhs %v", i, m.ConstraintName(i), act, con.rhs)
 			}
 		}
 		if math.Abs(slack) > tol && math.Abs(y*slack) > certTol*(1+mag*math.Abs(y)) {
-			return fmt.Errorf("lp: certificate: row %d (%s): slack %v with dual %v", i, con.name, slack, y)
+			return fmt.Errorf("lp: certificate: row %d (%s): slack %v with dual %v", i, m.ConstraintName(i), slack, y)
 		}
 		dual += y * con.rhs
 	}
@@ -100,13 +100,13 @@ func CheckCertificate(m *Model, values, duals []float64) error {
 		case d[j] > dtol:
 			// Raising x_j costs: it must rest at its lower bound.
 			if x-v.lo > btol {
-				return fmt.Errorf("lp: certificate: %s = %v above its lower bound %v with reduced cost %v", v.name, x, v.lo, d[j])
+				return fmt.Errorf("lp: certificate: %s = %v above its lower bound %v with reduced cost %v", m.VariableName(VarID(j)), x, v.lo, d[j])
 			}
 			dual += d[j] * v.lo
 		case d[j] < -dtol:
 			// Raising x_j pays: it must rest at a finite upper bound.
 			if math.IsInf(v.hi, 1) || v.hi-x > btol {
-				return fmt.Errorf("lp: certificate: %s = %v below its upper bound %v with reduced cost %v", v.name, x, v.hi, d[j])
+				return fmt.Errorf("lp: certificate: %s = %v below its upper bound %v with reduced cost %v", m.VariableName(VarID(j)), x, v.hi, d[j])
 			}
 			dual += d[j] * v.hi
 		default:

@@ -442,6 +442,41 @@ func TestVariableName(t *testing.T) {
 	}
 }
 
+// indexNamer names variable v "v<v>" and row i "row<i>".
+type indexNamer struct{}
+
+func (indexNamer) VariableName(v VarID) string { return fmt.Sprintf("v%d", v) }
+func (indexNamer) ConstraintName(i int) string { return fmt.Sprintf("row%d", i) }
+
+// TestNamerNamesTheRest: with a Namer set, a name given to AddVariable or
+// EndConstraint still comes back, every other name is the Namer's, and an
+// error about a variable or row being added names it by the Namer too.
+func TestNamerNamesTheRest(t *testing.T) {
+	m := NewModel("named")
+	m.SetNamer(indexNamer{})
+	x := addVar(t, m, "alpha", 0, 1, 0)
+	y := addVar(t, m, "", 0, 1, 0)
+	if err := m.AddConstraint("cap", LE, 1, Term{x, 1}, Term{y, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AddConstraint("", GE, 0, Term{x, 1}); err != nil {
+		t.Fatal(err)
+	}
+	got := []string{m.VariableName(x), m.VariableName(y), m.ConstraintName(0), m.ConstraintName(1)}
+	if want := []string{"alpha", "v1", "cap", "row1"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("names %q, want %q", got, want)
+	}
+	if _, err := m.AddVariable("", 1, 0, 0); err == nil || err.Error() != `lp: variable "v2": lower bound 1 above upper bound 0` {
+		t.Errorf("crossed bounds on a new variable: %v", err)
+	}
+	if err := m.SetBounds(y, math.NaN(), 1); err == nil || err.Error() != `lp: NaN bound for variable "v1"` {
+		t.Errorf("a NaN bound: %v", err)
+	}
+	if err := m.AddConstraint("", LE, math.Inf(1), Term{x, 1}); err == nil || err.Error() != `lp: constraint "row2": bad rhs +Inf` {
+		t.Errorf("an infinite rhs on a new row: %v", err)
+	}
+}
+
 // TestRandomLPsAgainstBruteForce generates small random LPs over bounded
 // boxes and cross-checks the simplex optimum against dense grid search on
 // the vertices (implied by checking feasibility of a fine grid; for box +

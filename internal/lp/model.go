@@ -52,7 +52,6 @@ type Term struct {
 
 // variable is the model-side record of a decision variable.
 type variable struct {
-	name    string
 	lo, hi  float64
 	obj     float64
 	integer bool
@@ -60,7 +59,6 @@ type variable struct {
 
 // constraint is a linear constraint; its terms are in Model.rows.
 type constraint struct {
-	name  string
 	sense Sense
 	rhs   float64
 }
@@ -80,7 +78,26 @@ type Model struct {
 	// bad is the first unknown variable a pending term named, -1 if none.
 	bad  VarID
 	slot []int32 // EndConstraint scratch, all zero between calls
+	// varNames and conNames hold the non-empty names given to AddVariable
+	// and EndConstraint, by index; each stays nil until its first one.
+	// Every other name comes from namer, on demand.
+	varNames, conNames []string
+	namer              Namer
 }
+
+// Namer names a model's variables and constraints on demand, so a builder
+// that lays its model out by a rule of its own need not store a string
+// per column and row that only error text and tests ever read. Either
+// method may be asked for the index of the variable or constraint being
+// added, which does not exist yet.
+type Namer interface {
+	VariableName(v VarID) string
+	ConstraintName(i int) string
+}
+
+// SetNamer makes n name every variable and constraint that was given no
+// name of its own.
+func (m *Model) SetNamer(n Namer) { m.namer = n }
 
 // NewModel returns an empty minimization model.
 func NewModel(name string) *Model {
@@ -111,17 +128,31 @@ func (m *Model) NumConstraints() int { return len(m.cons) }
 // coefficient obj, returning its ID. Use math.Inf(1) for an unbounded hi.
 // Negative lower bounds are supported by internal shifting.
 func (m *Model) AddVariable(name string, lo, hi, obj float64) (VarID, error) {
-	if math.IsNaN(lo) || math.IsNaN(hi) || math.IsNaN(obj) {
-		return 0, fmt.Errorf("lp: NaN in variable %q", name)
+	v := VarID(len(m.vars))
+	if err := m.checkBounds(v, name, lo, hi); err != nil {
+		return 0, err
+	}
+	if math.IsNaN(obj) {
+		return 0, fmt.Errorf("lp: NaN in variable %q", m.varName(v, name))
+	}
+	m.vars = append(m.vars, variable{lo: lo, hi: hi, obj: obj})
+	m.varNames = setName(m.varNames, int(v), name)
+	return v, nil
+}
+
+// checkBounds validates bounds [lo, hi] for variable v, named name if
+// that is not empty.
+func (m *Model) checkBounds(v VarID, name string, lo, hi float64) error {
+	if math.IsNaN(lo) || math.IsNaN(hi) {
+		return fmt.Errorf("lp: NaN bound for variable %q", m.varName(v, name))
 	}
 	if math.IsInf(lo, 0) {
-		return 0, fmt.Errorf("lp: variable %q: free (unbounded-below) variables are not supported", name)
+		return fmt.Errorf("lp: variable %q: free (unbounded-below) variables are not supported", m.varName(v, name))
 	}
 	if lo > hi {
-		return 0, fmt.Errorf("lp: variable %q: lower bound %v above upper bound %v", name, lo, hi)
+		return fmt.Errorf("lp: variable %q: lower bound %v above upper bound %v", m.varName(v, name), lo, hi)
 	}
-	m.vars = append(m.vars, variable{name: name, lo: lo, hi: hi, obj: obj})
-	return VarID(len(m.vars) - 1), nil
+	return nil
 }
 
 // SetInteger marks a variable as integral for SolveMILP. Solve (the LP
@@ -149,34 +180,71 @@ func (m *Model) SetBounds(v VarID, lo, hi float64) error {
 	if !m.validVar(v) {
 		return fmt.Errorf("lp: unknown variable %d", v)
 	}
-	if math.IsNaN(lo) || math.IsNaN(hi) {
-		return fmt.Errorf("lp: NaN bound for variable %q", m.vars[v].name)
-	}
-	if math.IsInf(lo, 0) {
-		return fmt.Errorf("lp: variable %q: free (unbounded-below) variables are not supported", m.vars[v].name)
-	}
-	if lo > hi {
-		return fmt.Errorf("lp: variable %q: lower bound %v above upper bound %v", m.vars[v].name, lo, hi)
+	if err := m.checkBounds(v, "", lo, hi); err != nil {
+		return err
 	}
 	m.vars[v].lo = lo
 	m.vars[v].hi = hi
 	return nil
 }
 
-// VariableName returns the name given at AddVariable.
+// VariableName returns the name given at AddVariable, or else the one
+// the model's Namer gives v.
 func (m *Model) VariableName(v VarID) string {
 	if !m.validVar(v) {
 		return fmt.Sprintf("var(%d)", v)
 	}
-	return m.vars[v].name
+	return m.varName(v, "")
 }
 
-// ConstraintName returns the name given to the i-th AddConstraint call.
+// ConstraintName returns the name given to the i-th AddConstraint or
+// EndConstraint call, or else the one the model's Namer gives it.
 func (m *Model) ConstraintName(i int) string {
 	if i < 0 || i >= len(m.cons) {
 		return fmt.Sprintf("con(%d)", i)
 	}
-	return m.cons[i].name
+	return m.conName(i, "")
+}
+
+// varName names variable v, which may be the one AddVariable is adding:
+// by given if that is not empty, else by the name stored for v, else by
+// the Namer.
+func (m *Model) varName(v VarID, given string) string {
+	switch {
+	case given != "":
+		return given
+	case int(v) < len(m.varNames) && m.varNames[v] != "":
+		return m.varNames[v]
+	case m.namer != nil:
+		return m.namer.VariableName(v)
+	}
+	return ""
+}
+
+// conName is varName for constraint i.
+func (m *Model) conName(i int, given string) string {
+	switch {
+	case given != "":
+		return given
+	case i < len(m.conNames) && m.conNames[i] != "":
+		return m.conNames[i]
+	case m.namer != nil:
+		return m.namer.ConstraintName(i)
+	}
+	return ""
+}
+
+// setName stores name at index i of names, growing names only for a
+// non-empty name.
+func setName(names []string, i int, name string) []string {
+	if name == "" {
+		return names
+	}
+	if len(names) <= i {
+		names = append(names, make([]string, i+1-len(names))...)
+	}
+	names[i] = name
+	return names
 }
 
 func (m *Model) validVar(v VarID) bool { return v >= 0 && int(v) < len(m.vars) }
@@ -243,27 +311,35 @@ func (m *Model) EndConstraint(name string, sense Sense, rhs float64) error {
 	end := start + kept
 	m.rows.idx, m.rows.val = m.rows.idx[:end], m.rows.val[:end]
 	m.rows.ptr = append(m.rows.ptr, int32(end))
-	m.cons = append(m.cons, constraint{name: name, sense: sense, rhs: rhs})
+	m.conNames = setName(m.conNames, len(m.cons), name)
+	m.cons = append(m.cons, constraint{sense: sense, rhs: rhs})
 	return nil
 }
 
 // checkPending validates a constraint before EndConstraint closes it.
 func (m *Model) checkPending(name string, sense Sense, rhs float64, idx []int32, val []float64) error {
 	if sense != LE && sense != GE && sense != EQ {
-		return fmt.Errorf("lp: constraint %q: bad sense %v", name, sense)
+		return m.pendingErr(name, ": bad sense %v", sense)
 	}
 	if math.IsNaN(rhs) || math.IsInf(rhs, 0) {
-		return fmt.Errorf("lp: constraint %q: bad rhs %v", name, rhs)
+		return m.pendingErr(name, ": bad rhs %v", rhs)
 	}
 	for k, v := range idx {
 		if v < 0 {
-			return fmt.Errorf("lp: constraint %q references unknown variable %d", name, m.bad)
+			return m.pendingErr(name, " references unknown variable %d", m.bad)
 		}
 		if c := val[k]; math.IsNaN(c) || math.IsInf(c, 0) {
-			return fmt.Errorf("lp: constraint %q: bad coefficient %v", name, c)
+			return m.pendingErr(name, ": bad coefficient %v", c)
 		}
 	}
 	return nil
+}
+
+// pendingErr is an error about the constraint EndConstraint is closing,
+// named name if that is not empty: the name is looked up only here, so a
+// constraint that passes its checks is never named.
+func (m *Model) pendingErr(name, format string, args ...any) error {
+	return fmt.Errorf("lp: constraint %q"+format, append([]any{m.conName(len(m.cons), name)}, args...)...)
 }
 
 // row returns constraint i's merged terms.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/apple-nfv/apple/internal/core"
@@ -196,5 +197,56 @@ func TestWarmReSolveAllocatesOnlyValues(t *testing.T) {
 	}
 	if allocs > 2*2 {
 		t.Fatalf("%.1f objects per two warm ReSolves, want at most 2 each", allocs)
+	}
+}
+
+// TestCertificateNamesPlacementColumns: the placement model stores no
+// names, and CheckCertificate's failures still name the column or row at
+// fault as the model's builder lays them out. On GEANT's share model the
+// certificate of a cold solve holds; moved below its bound, class 0's
+// first flow variable fails it as x[class][hop][0], and a NaN dual on row
+// 0 fails it as full[class][0].
+func TestCertificateNamesPlacementColumns(t *testing.T) {
+	sc, err := experiments.GEANT(experiments.Options{Seed: 1, Snapshots: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prob, err := sc.MeanProblem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, rVar, err := core.PlacementModel(prob, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := lp.NewSolver(m)
+	sol, err := s.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	duals := s.Duals()
+	if err := lp.CheckCertificate(m, sol.Values, duals); err != nil {
+		t.Fatalf("the optimal solve's certificate fails: %v", err)
+	}
+	id := prob.Classes[0].ID
+
+	x := rVar[0] + 1
+	var class, hop, pos int
+	if _, err := fmt.Sscanf(m.VariableName(x), "x[%d][%d][%d]", &class, &hop, &pos); err != nil ||
+		class != int(id) || pos != 0 {
+		t.Fatalf("column %d is named %q; want x[%d][hop][0]", x, m.VariableName(x), id)
+	}
+	values := append([]float64(nil), sol.Values...)
+	values[x] = -1
+	err = lp.CheckCertificate(m, values, duals)
+	if want := fmt.Sprintf("lp: certificate: %s = -1 outside", m.VariableName(x)); err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("a flow variable at -1 fails the certificate with %v; want %q", err, want)
+	}
+
+	bad := append([]float64(nil), duals...)
+	bad[0] = math.NaN()
+	err = lp.CheckCertificate(m, sol.Values, bad)
+	if want := fmt.Sprintf("lp: certificate: dual of row 0 (full[%d][0]) = NaN", id); err == nil || err.Error() != want {
+		t.Errorf("a NaN dual fails the certificate with %v; want %q", err, want)
 	}
 }

@@ -58,7 +58,7 @@ func wallClock() time.Time {
 // the slack basis (load), runs the dual simplex to a feasible basis, then
 // the primal clean-up ReSolve runs. A column whose cost is negative and
 // whose upper bound is infinite would make the slack basis dual
-// infeasible, so the dual run prices it at cost 0 (revised.cd) and the
+// infeasible, so the dual run prices it at cost 0 (revised.dualCosts) and the
 // clean-up at its true cost, which it proves optimal or unbounded: a dual
 // phase 1 by cost modification (Koberstein 2005). An infeasibility verdict
 // of the dual run stands only if its Farkas row proves it
@@ -96,7 +96,7 @@ func (s *Solver) Solve() (Solution, error) {
 func (s *Solver) solveFromSlack(start time.Time) (Solution, error) {
 	t := s.t
 	t.degenerate, t.bland = 0, false
-	status, dIters := t.dualSimplex(t.cd, hardIterLimit)
+	status, dIters := t.dualSimplex(t.dualCosts(), hardIterLimit)
 	p2Start := wallClock()
 	sol := Solution{
 		Status:         status,

@@ -68,7 +68,7 @@ func (p *enginePair) compare(what string, s, d Solution, serr, derr error) (Solu
 	}
 	for j, v := range p.sparse.model.vars {
 		if qs, qd := math.Ceil(s.Values[j]-1e-6), math.Ceil(d.Values[j]-1e-6); v.integer && qs != qd {
-			p.t.Fatalf("%s: %s rounds to %v, dense to %v (%v vs %v)", what, v.name, qs, qd, s.Values[j], d.Values[j])
+			p.t.Fatalf("%s: %s rounds to %v, dense to %v (%v vs %v)", what, p.sparse.model.VariableName(VarID(j)), qs, qd, s.Values[j], d.Values[j])
 		}
 	}
 	p.Dense = d

@@ -55,7 +55,9 @@ type revised struct {
 
 	c []float64 // costs
 	// cd are a cold dual run's costs: c, with 0 for a negative cost on a
-	// column with no upper bound (load).
+	// column with no upper bound. load fills it only when the model has
+	// such a column and leaves it empty otherwise, when c is those costs
+	// (dualCosts).
 	cd  []float64
 	red []float64 // maintained reduced-cost row
 
@@ -68,13 +70,12 @@ type revised struct {
 }
 
 // resize returns s with length n and every element zeroed, reusing the
-// backing array when it is large enough. A new array gets a quarter of
-// headroom: the sizes asked for creep (the basis gains nonzeros from one
-// refactor to the next), and creeping must not mean reallocating every
-// time.
+// backing array when it is large enough. It is for the arrays sized by
+// the model's dimensions, its rows, columns and nonzeros, which never
+// change over a Solver's life: a new array is made at exactly n.
 func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n, n+n/4)
+		return make([]T, n)
 	}
 	s = s[:n]
 	clear(s)
@@ -84,7 +85,8 @@ func resize[T any](s []T, n int) []T {
 // resizeDoubling is resize for the arrays the factor sizes by the basis's
 // nonzeros (B by row, U by position), which creep a little at every
 // refactor of a long solve: a new array gets as much headroom again, so a
-// solve reallocates them O(log) times.
+// solve reallocates them O(log) times, as append does the L, U and eta
+// arrays.
 func resizeDoubling[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n, 2*n)
@@ -107,12 +109,12 @@ func reserve[T any](s []T, n int) []T {
 // structural column nonbasic at the bound its cost favours, the upper one
 // for a negative cost when it is finite, the lower one otherwise. The
 // slack basis is then dual feasible for the costs cd, which price a
-// negative cost on a column with no upper bound at 0, and primal
-// feasibility is the dual simplex's job. The model's own row store is the
-// solver's row store, read in place; the slacks are kept beside it (slack)
-// and the column store is its transpose plus the slack unit columns. It
-// reports whether the starting basis factorized (it is diagonal, so only a
-// broken invariant can say no).
+// negative cost on a column with no upper bound at 0 (dualCosts), and
+// primal feasibility is the dual simplex's job. The model's own row store
+// is the solver's row store, read in place; the slacks are kept beside it
+// (slack) and the column store is its transpose plus the slack unit
+// columns. It reports whether the starting basis factorized (it is
+// diagonal, so only a broken invariant can say no).
 func (t *revised) load(m *Model) bool {
 	nv, nrows := len(m.vars), len(m.cons)
 	n := nv + nrows
@@ -122,20 +124,26 @@ func (t *revised) load(m *Model) bool {
 	rs := &t.rows
 
 	t.lo, t.hi = resize(t.lo, n), resize(t.hi, n)
-	t.c, t.cd, t.red = resize(t.c, n), resize(t.cd, n), resize(t.red, n)
+	t.c, t.red = resize(t.c, n), resize(t.red, n)
 	t.atUpper, t.inBasis = resize(t.atUpper, n), resize(t.inBasis, n)
 	t.alpha, t.seen = resize(t.alpha, n), resize(t.seen, n)
 	t.rhs, t.xB, t.work = resize(t.rhs, nrows), resize(t.xB, nrows), resize(t.work, nrows)
 	t.basis, t.slack = resize(t.basis, nrows), resize(t.slack, nrows)
 	t.col, t.rho = resize(t.col, nrows), resize(t.rho, nrows)
+	t.cd = t.cd[:0]
 	for j, v := range m.vars {
-		t.c[j], t.cd[j], t.lo[j], t.hi[j] = v.obj, v.obj, v.lo, v.hi
-		if v.obj < 0 {
-			if math.IsInf(v.hi, 1) {
-				t.cd[j] = 0
-			} else {
-				t.atUpper[j] = true
+		t.c[j], t.lo[j], t.hi[j] = v.obj, v.lo, v.hi
+		if v.obj < 0 && !math.IsInf(v.hi, 1) {
+			t.atUpper[j] = true
+		}
+	}
+	for j, v := range m.vars {
+		if v.obj < 0 && math.IsInf(v.hi, 1) {
+			if len(t.cd) == 0 {
+				t.cd = resize(t.cd, n)
+				copy(t.cd, t.c)
 			}
+			t.cd[j] = 0
 		}
 	}
 
@@ -150,7 +158,9 @@ func (t *revised) load(m *Model) bool {
 	for j := 0; j < nv; j++ {
 		cs.ptr[j+1] += cs.ptr[j]
 	}
-	next := resize(t.alphaIdx, nv) // fill cursors; alphaIdx is idle during a load
+	// Fill cursors: alphaIdx is idle during a load, and made here at the
+	// most priceRow lists, the n−m = nv nonbasic columns.
+	next := resize(t.alphaIdx, nv)
 	copy(next, cs.ptr[:nv])
 	for i := 0; i < nrows; i++ {
 		for e := rs.ptr[i]; e < rs.ptr[i+1]; e++ {
@@ -188,6 +198,15 @@ func (t *revised) load(m *Model) bool {
 	}
 	t.stale = false
 	return t.lu.refactor(&t.cols, t.basis)
+}
+
+// dualCosts are the costs a cold dual run prices: cd when load filled it,
+// else c, which are then the same.
+func (t *revised) dualCosts() []float64 {
+	if len(t.cd) > 0 {
+		return t.cd
+	}
+	return t.c
 }
 
 // value returns the resting value of a nonbasic column.
