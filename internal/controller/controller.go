@@ -62,12 +62,15 @@ type Switch struct {
 	ID       topology.NodeID
 	Pipeline *flowtable.Pipeline
 	// nbrs[p-firstNeighborPort] is the switch behind neighbour port p, host
-	// the APPLE host on PortHost (nil if none) and hostTag the host ID that
-	// names it (0 if none). All are set in New and never written again, so
-	// packet walks and the rule emitters read them without a lock.
+	// the APPLE host on PortHost (nil if none), hostTag the host ID that
+	// names it (0 if none) and route the name of every switch's routing
+	// rule toward this one, "route-<ID>". All are set in New and never
+	// written again, so packet walks, the rule emitters and the audits
+	// read them without a lock.
 	nbrs    []*Switch
 	host    *host.Host
 	hostTag uint16
+	route   string
 }
 
 // Assignment is the controller's record of one class's data-plane state:
@@ -291,7 +294,7 @@ func New(cfg Config) (*Controller, error) {
 		switches: make(map[topology.NodeID]*Switch),
 		hosts:    make(map[topology.NodeID]*host.Host),
 		nbrPort:  make(map[topology.NodeID]map[topology.NodeID]int),
-		assign:   newAssignStore(),
+		assign:   newAssignStore(cfg.Topology.NumNodes()),
 		instPool: make(map[topology.NodeID]map[policy.NF][]*vnf.Instance),
 		tracer:   cfg.Tracer,
 		actions:  make(actionMemo),
@@ -307,7 +310,7 @@ func New(cfg Config) (*Controller, error) {
 		if err != nil {
 			return nil, fmt.Errorf("controller: %w", err)
 		}
-		c.switches[n.ID] = &Switch{ID: n.ID, Pipeline: pl}
+		c.switches[n.ID] = &Switch{ID: n.ID, Pipeline: pl, route: fmt.Sprintf("route-%d", n.ID)}
 		if err := c.install(pl, TableAPPLE, passBy); err != nil {
 			return nil, err
 		}

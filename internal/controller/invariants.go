@@ -31,6 +31,8 @@ const weightTol = 1e-6
 //     a sub-class that no longer exists;
 //   - host-match: every hosting switch answers its own host tag with its
 //     host-match rule, so packets tagged for its host enter it;
+//   - routes: every switch of every installed class's path carries the
+//     route toward the class's destination (checkRoutes);
 //   - portion ledger: each instance's entry is Σ rate × portion over
 //     the installed assignments' base sub-classes it serves (to 1e-6
 //     relative, absolute below 1 Mbps), and an instance no base
@@ -125,6 +127,9 @@ func (d *DynamicHandler) CheckInvariants() error {
 		if !ingress.Has(fmt.Sprintf("cls-%d", id)) {
 			return fmt.Errorf("invariant: class %d has no classification rules at its ingress", id)
 		}
+		if err := c.checkRoutes(a); err != nil {
+			return err
+		}
 	}
 	// Per host: its switch answers the host's tag with the host-match row
 	// (without it, packets tagged for the host pass the switch by and skip
@@ -213,6 +218,24 @@ func (d *DynamicHandler) CheckInvariants() error {
 					return fmt.Errorf("invariant: instance %s (NF %v) pooled under %v at switch %d", inst.ID(), inst.NF(), nf, v)
 				}
 			}
+		}
+	}
+	return nil
+}
+
+// checkRoutes reports the first switch of a's path whose routing table
+// lacks the route toward a's destination. It allocates nothing while the
+// routes stand.
+func (c *Controller) checkRoutes(a *Assignment) error {
+	path := a.Class.Path
+	route := c.switches[path[len(path)-1]].route
+	for _, v := range path {
+		routing, err := c.switches[v].Pipeline.Table(TableRouting)
+		if err != nil {
+			return fmt.Errorf("invariant: %w", err)
+		}
+		if !routing.Has(route) {
+			return fmt.Errorf("invariant: class %d finds no %q at switch %d of its path", a.Class.ID, route, v)
 		}
 	}
 	return nil

@@ -334,7 +334,9 @@ func TestFirstRouteWindow(t *testing.T) {
 }
 
 // TestPublishedHookAllocs: the publication hook costs no allocation. An
-// install and removal of one class — eight table publications —
+// install and removal of one class — four table publications, the
+// ingress APPLE table and the host's steering table each way; class 0
+// holds every route the class needs, so no routing table changes —
 // allocates as many objects with the hook nil, the default, as with a hook
 // that does nothing.
 func TestPublishedHookAllocs(t *testing.T) {
@@ -357,7 +359,7 @@ func TestPublishedHookAllocs(t *testing.T) {
 	c.published = func(tableKey) { publications++ }
 	cycle()
 	c.published = nil
-	if publications < 8 {
+	if publications < 4 {
 		t.Fatalf("an install and removal published %d tables", publications)
 	}
 	unhooked := testing.AllocsPerRun(20, cycle)

@@ -7,6 +7,7 @@ package controller_test
 // reports pinned as counts.
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
@@ -21,6 +22,7 @@ import (
 	"github.com/apple-nfv/apple/internal/sim"
 	"github.com/apple-nfv/apple/internal/topology"
 	"github.com/apple-nfv/apple/internal/traffic"
+	"github.com/apple-nfv/apple/internal/vnf"
 )
 
 // replayHour is one snapshot of a replay: the rates, and the problem and
@@ -500,47 +502,51 @@ func TestKnownGapFinding3(t *testing.T) {
 // 0, 2 and 0 again on three topologies, and the whole day, hours 0…23 and
 // then 0 again, on all four.
 //
-// Both end with the same rules on every switch, rule for rule, and the
-// same steering rules by name on every host; the ports those steer
-// through follow the instances, whose IDs differ unless the case says
-// they are the same, and then the portion ledgers must be equal too
-// (before the ledger was read off the class records, the short trip left
-// it off by up to 2.3e-13 in 3 of Internet2's 17 and 14 of UNIV1's 23
-// entries). Two known gaps are pinned as the counts they leave:
-//   - routes (25(c), second bullet): routing rules are shared
-//     SkipIfPresent rules a removal never retires (DESIGN.md §7), so on
-//     UNIV1 the trips keep routes to destinations only the earlier hours
-//     served: 23 more after the short trip (the 17 classes hour 2 carries
-//     and hour 0 does not), 83 after the day.
-//   - instances (25(b)): the day leaves GEANT with 40 instances against a
-//     fresh controller's 29, and AS-3679 with 57 against 50.
+// Both end with the same rules on every switch, rule for rule, routes
+// included, and the same steering rules by name on every host; the ports
+// those steer through follow the instances, whose IDs differ unless the
+// case says they are the same, and then the portion ledgers must be equal
+// too (before the ledger was read off the class records, the short trip
+// left it off by up to 2.3e-13 in 3 of Internet2's 17 and 14 of UNIV1's
+// 23 entries). The fresh controller runs exactly the hour's planned
+// instances in every (switch, NF) pool. One known gap is pinned as what it
+// leaves: the day leaves GEANT and AS-3679 with more instances than a
+// fresh controller (25(b)), in the pools listed in surplus.
 //
-// The host-match rows, of which the short trip used to leave 5 more on
-// UNIV1, are New's and no longer follow the classes.
+// Routes and host-match rows used to be gaps too. Routes were installed
+// skip-if-present and never retired, so UNIV1 kept 23 routes after the
+// short trip and 83 after the day (232 and 292 rules against 209); they
+// now live while a class crosses their switch. The host-match rows, of
+// which the short trip left 5 more on UNIV1, are New's.
 func TestReoptHistoryIndependent(t *testing.T) {
 	day := make([]int, 0, 25)
 	for h := 0; h < 24; h++ {
 		day = append(day, h)
 	}
 	day = append(day, 0)
-	type counts struct{ instances, rules, routes int }
+	type counts struct{ instances, rules int }
 	for _, tc := range []struct {
 		name    string
 		build   func(experiments.Options) (*experiments.Scenario, error)
 		hours   []int
 		sameIDs bool
-		// fresh is what the fresh controller holds, and trip what the
-		// sequence leaves where a known gap makes it differ.
-		fresh, trip counts
+		// fresh is what the fresh controller holds, and instances what the
+		// sequence leaves where item 25(b) makes it differ.
+		fresh     counts
+		instances int
+		// surplus lists, as "switch/NF+n", the pools the sequence leaves
+		// larger than the hour's plan; none is smaller.
+		surplus []string
 	}{
-		{name: "Internet2/0-2-0", build: experiments.Internet2, hours: []int{0, 2, 0}, sameIDs: true, fresh: counts{17, 258, 61}},
-		{name: "GEANT/0-2-0", build: experiments.GEANT, hours: []int{0, 2, 0}, fresh: counts{29, 409, 86}},
-		{name: "UNIV1/0-2-0", build: experiments.UNIV1, hours: []int{0, 2, 0}, sameIDs: true,
-			fresh: counts{23, 209, 47}, trip: counts{23, 232, 70}},
-		{name: "Internet2/day", build: experiments.Internet2, hours: day, fresh: counts{17, 258, 61}},
-		{name: "GEANT/day", build: experiments.GEANT, hours: day, fresh: counts{29, 409, 86}, trip: counts{40, 409, 86}},
-		{name: "UNIV1/day", build: experiments.UNIV1, hours: day, fresh: counts{23, 209, 47}, trip: counts{23, 292, 130}},
-		{name: "AS-3679/day", build: experiments.AS3679, hours: day, fresh: counts{50, 1860, 410}, trip: counts{57, 1860, 410}},
+		{name: "Internet2/0-2-0", build: experiments.Internet2, hours: []int{0, 2, 0}, sameIDs: true, fresh: counts{17, 258}},
+		{name: "GEANT/0-2-0", build: experiments.GEANT, hours: []int{0, 2, 0}, fresh: counts{29, 409}},
+		{name: "UNIV1/0-2-0", build: experiments.UNIV1, hours: []int{0, 2, 0}, sameIDs: true, fresh: counts{23, 209}},
+		{name: "Internet2/day", build: experiments.Internet2, hours: day, fresh: counts{17, 258}},
+		{name: "GEANT/day", build: experiments.GEANT, hours: day, fresh: counts{29, 409}, instances: 40,
+			surplus: []string{"0/firewall+1", "0/proxy+1", "0/ids+2", "4/firewall+3", "4/proxy+1", "6/proxy+1", "6/ids+2"}},
+		{name: "UNIV1/day", build: experiments.UNIV1, hours: day, fresh: counts{23, 209}},
+		{name: "AS-3679/day", build: experiments.AS3679, hours: day, fresh: counts{50, 1860}, instances: 57,
+			surplus: []string{"3/proxy+1", "3/ids+1", "6/firewall+1", "6/proxy+1", "8/firewall+1", "21/ids+1", "23/firewall+1"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newReplay(t, tc.build, 1, false)
@@ -554,47 +560,82 @@ func TestReoptHistoryIndependent(t *testing.T) {
 				return run.c.Snapshot()
 			}
 			trip, fresh := apply(r.start(t, 2), tc.hours...), apply(r.start(t, 2), tc.hours[len(tc.hours)-1])
-			tripRoutes, tripOthers := ruleLines(trip)
-			freshRoutes, freshOthers := ruleLines(fresh)
-			got := counts{len(trip.Instances), len(tripRoutes) + len(tripOthers), len(tripRoutes)}
-			gotFresh := counts{len(fresh.Instances), len(freshRoutes) + len(freshOthers), len(freshRoutes)}
+			tripRules, freshRules := ruleLines(trip), ruleLines(fresh)
+			got := counts{len(trip.Instances), len(tripRules)}
+			gotFresh := counts{len(fresh.Instances), len(freshRules)}
 			t.Logf("%+v after the sequence, %+v fresh", got, gotFresh)
-			if tc.trip == (counts{}) {
-				tc.trip = tc.fresh
+			want := tc.fresh
+			if tc.instances != 0 {
+				want.instances = tc.instances
 			}
-			if got != tc.trip || gotFresh != tc.fresh {
-				t.Errorf("%+v after the sequence and %+v fresh, want %+v and %+v", got, gotFresh, tc.trip, tc.fresh)
+			if got != want || gotFresh != tc.fresh {
+				t.Errorf("%+v after the sequence and %+v fresh, want %+v and %+v", got, gotFresh, want, tc.fresh)
 			}
-			if !slices.Equal(tripOthers, freshOthers) {
-				t.Errorf("the rules other than routes differ:\n  after the sequence %v\n  fresh %v", tripOthers, freshOthers)
-			}
-			if tc.trip.routes == tc.fresh.routes && !slices.Equal(tripRoutes, freshRoutes) {
-				t.Errorf("the routes differ:\n  after the sequence %v\n  fresh %v", tripRoutes, freshRoutes)
+			if !slices.Equal(tripRules, freshRules) {
+				t.Errorf("the rules differ:\n  after the sequence %v\n  fresh %v", tripRules, freshRules)
 			}
 			if tc.sameIDs && !maps.Equal(trip.Portions, fresh.Portions) {
 				t.Errorf("the portion ledgers differ:\n  after the sequence %v\n  fresh %v", trip.Portions, fresh.Portions)
+			}
+			plan := r.hours[tc.hours[len(tc.hours)-1]].pl.Counts
+			if diff := poolSurplus(fresh.Pools, plan); len(diff) != 0 {
+				t.Errorf("the fresh controller's pools differ from the plan: %v", diff)
+			}
+			if diff := poolSurplus(trip.Pools, plan); !slices.Equal(diff, tc.surplus) {
+				t.Errorf("the sequence leaves pools off the plan by %v, want %v", diff, tc.surplus)
 			}
 		})
 	}
 }
 
-// ruleLines returns a snapshot's routing rules and its other rules, one
-// sorted line each: a switch's rules in full, a host's steering rules by
-// name alone, since the ports they steer through follow instance IDs.
-func ruleLines(s controller.Snapshot) (routes, others []string) {
+// poolSurplus lists each (switch, NF) pool whose size differs from the
+// plan's count, as "switch/NF+n" (or -n), by switch and then NF.
+func poolSurplus(pools map[topology.NodeID]map[policy.NF][]vnf.ID, plan map[topology.NodeID]map[policy.NF]int) []string {
+	type pool struct {
+		v  topology.NodeID
+		nf policy.NF
+	}
+	size := make(map[pool]int)
+	for v, byNF := range pools {
+		for nf, insts := range byNF {
+			size[pool{v, nf}] += len(insts)
+		}
+	}
+	for v, byNF := range plan {
+		for nf, n := range byNF {
+			size[pool{v, nf}] -= n
+		}
+	}
+	keys := make([]pool, 0, len(size))
+	for p := range size {
+		keys = append(keys, p)
+	}
+	slices.SortFunc(keys, func(a, b pool) int {
+		return cmp.Or(cmp.Compare(a.v, b.v), cmp.Compare(a.nf, b.nf))
+	})
+	var out []string
+	for _, p := range keys {
+		if n := size[p]; n != 0 {
+			out = append(out, fmt.Sprintf("%d/%v%+d", p.v, p.nf, n))
+		}
+	}
+	return out
+}
+
+// ruleLines returns a snapshot's rules, one sorted line each: a switch's
+// rules in full, a host's steering rules by name alone, since the ports
+// they steer through follow instance IDs.
+func ruleLines(s controller.Snapshot) []string {
+	var lines []string
 	for _, tbl := range s.Tables {
 		for _, r := range tbl.Rules {
-			switch {
-			case tbl.VSwitch:
-				others = append(others, fmt.Sprintf("host %d %s", tbl.Node, r.Name))
-			case strings.HasPrefix(r.Name, "route-"):
-				routes = append(routes, fmt.Sprintf("switch %d %v", tbl.Node, r))
-			default:
-				others = append(others, fmt.Sprintf("switch %d table %d %v", tbl.Node, tbl.Table, r))
+			if tbl.VSwitch {
+				lines = append(lines, fmt.Sprintf("host %d %s", tbl.Node, r.Name))
+			} else {
+				lines = append(lines, fmt.Sprintf("switch %d table %d %v", tbl.Node, tbl.Table, r))
 			}
 		}
 	}
-	slices.Sort(routes)
-	slices.Sort(others)
-	return routes, others
+	slices.Sort(lines)
+	return lines
 }

@@ -170,13 +170,18 @@ func steeringKey(v topology.NodeID) tableKey {
 	return tableKey{dev: device{vswitch: true, node: v}, table: host.TableSteering}
 }
 
-// emitRouting compiles the routing rules along the class path into the
-// path's routing tables (skip-if-present: classes to the same destination
-// share them).
-func (c *Controller) emitRouting(g *ruleGroups, cl core.Class) error {
+// emitRouting compiles the class's route toward its destination into the
+// routing table of each path switch i with fresh[i] set: the switches
+// where the class is the route's first holder (assignStore.unheld).
+// Classes to one destination share one route per switch, which forwards to
+// the next hop of the class that installed it.
+func (c *Controller) emitRouting(g *ruleGroups, cl core.Class, fresh []bool) error {
 	dst := cl.Path[len(cl.Path)-1]
-	routeName := fmt.Sprintf("route-%d", dst)
-	for i, v := range cl.Path {
+	for i, f := range fresh {
+		if !f {
+			continue
+		}
+		v := cl.Path[i]
 		port := PortDeliver
 		if i < len(cl.Path)-1 {
 			p, ok := c.nbrPort[v][cl.Path[i+1]]
@@ -185,13 +190,18 @@ func (c *Controller) emitRouting(g *ruleGroups, cl core.Class) error {
 			}
 			port = p
 		}
-		g.add(routingKey(v), flowtable.BatchOp{SkipIfPresent: true, Rule: flowtable.Rule{
-			Name: routeName, Priority: 10,
-			Match:   flowtable.Match{}.WithDst(dstPrefix(dst)),
-			Actions: c.actions.of(flowtable.Action{Type: flowtable.ActForward, Port: port}),
-		}})
+		g.add(routingKey(v), flowtable.BatchOp{Rule: c.routeRule(dst, port)})
 	}
 	return nil
+}
+
+// routeRule is the route toward dst that forwards to port.
+func (c *Controller) routeRule(dst topology.NodeID, port int) flowtable.Rule {
+	return flowtable.Rule{
+		Name: c.switches[dst].route, Priority: 10,
+		Match:   flowtable.Match{}.WithDst(dstPrefix(dst)),
+		Actions: c.actions.of(flowtable.Action{Type: flowtable.ActForward, Port: port}),
+	}
 }
 
 // pendingLoad is the load an instance will carry once the assignment

@@ -7,15 +7,16 @@ package controller
 //
 //  1. admit (arrival order): validation, sub-class derivation (greedy
 //     online planning, or the staged distribution), instance picking,
-//     sub-class tag allocation, and registration in the assignment store.
-//     Everything whose outcome depends on who came first happens here.
+//     sub-class tag allocation, the switches whose route the class is the
+//     first to hold, and registration in the assignment store. Everything
+//     whose outcome depends on who came first happens here.
 //  2. emit: each admitted class is compiled as a cutover from nothing, by
-//     the cutover's own compilers: its make step (makeRules(nil, a):
-//     routing, host-match rules and steering) and its flip step
-//     (flipRules(nil, a): the ingress classification), each one
-//     right-sized batch per table, written once. The make step draws the
-//     host tags the class's rules carry, class by class; nothing else of
-//     the controller is written.
+//     the cutover's own compilers: its make step (makeRules(nil, a, ...):
+//     the routes admit found it first to hold, then steering) and its
+//     flip step (flipRules(nil, a): the ingress classification), each one
+//     right-sized batch per table, written once. The host tags and
+//     host-match rows the rules lead through are New's; nothing of the
+//     controller is written.
 //  3. apply (one batch per device table and step): every class's make
 //     batches, then every class's flip batches, so no classification is
 //     published before the steering it leads to. A run of one class
@@ -48,9 +49,10 @@ import (
 // assignStore is the id→assignment map behind one lock: the single
 // control-plane writer mutates it while Forward and enforcement probes
 // read it from other goroutines. It also keeps the instance-portion
-// ledger, which follows the class records: put and remove are its only
-// writers but for forget, so whatever puts an assignment back — a
-// transaction unwind included — puts its charges back too.
+// ledger and the route holder counts, which follow the class records: put
+// and remove are their only writers (but for forget, on the ledger), so
+// whatever puts an assignment back — a transaction unwind included — puts
+// its charges and holds back too.
 type assignStore struct {
 	mu sync.RWMutex
 	m  map[core.ClassID]*Assignment // guarded by mu
@@ -59,10 +61,22 @@ type assignStore struct {
 	// entry stays, near zero, once nothing charges the instance, until
 	// the instance leaves the pools (forget). Guarded by mu.
 	portion map[vnf.ID]float64
+	// held[v][dst] counts the installed classes whose path crosses switch
+	// v toward destination dst: the classes route-<dst> at v stands for.
+	// One row per switch, indexed by destination and sized by the
+	// topology, so a put or remove allocates nothing for it. Guarded by
+	// mu.
+	held [][]int32
 }
 
-func newAssignStore() *assignStore {
-	return &assignStore{m: make(map[core.ClassID]*Assignment), portion: make(map[vnf.ID]float64)}
+// newAssignStore makes an empty store for a topology of n switches.
+func newAssignStore(n int) *assignStore {
+	counts := make([]int32, n*n)
+	held := make([][]int32, n)
+	for v := range held {
+		held[v] = counts[v*n : (v+1)*n : (v+1)*n]
+	}
+	return &assignStore{m: make(map[core.ClassID]*Assignment), portion: make(map[vnf.ID]float64), held: held}
 }
 
 func (st *assignStore) get(id core.ClassID) (*Assignment, bool) {
@@ -78,10 +92,10 @@ func (st *assignStore) has(id core.ClassID) bool {
 }
 
 // put registers a class's assignment, replacing any existing one: a's
-// base sub-classes are charged to the ledger, then the replaced one's are
-// taken back. An assignment with the replaced one's base (sameBase) moves
-// no charge, so a handler reshape and its rollback leave the ledger
-// bit-identical.
+// base sub-classes are charged to the ledger and its path holds its
+// routes, then the replaced one's are taken back. An assignment with the
+// replaced one's base (sameBase) moves no charge, so a handler reshape and
+// its rollback leave the ledger bit-identical.
 func (st *assignStore) put(id core.ClassID, a *Assignment) {
 	st.mu.Lock()
 	old := st.m[id]
@@ -90,15 +104,73 @@ func (st *assignStore) put(id core.ClassID, a *Assignment) {
 		a.charge(st.portion, 1)
 		old.charge(st.portion, -1)
 	}
+	a.hold(st.held, 1)
+	old.hold(st.held, -1)
 	st.mu.Unlock()
 }
 
-// remove deletes a class's assignment and takes back its charges.
+// remove deletes a class's assignment and takes back its charges and
+// holds.
 func (st *assignStore) remove(id core.ClassID) {
 	st.mu.Lock()
 	st.m[id].charge(st.portion, -1)
+	st.m[id].hold(st.held, -1)
 	delete(st.m, id)
 	st.mu.Unlock()
+}
+
+// holders returns how many installed classes cross switch v toward dst.
+func (st *assignStore) holders(v, dst topology.NodeID) int32 {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.held[v][dst]
+}
+
+// unheld appends to fresh, for each switch of path in order, whether no
+// installed class crosses it toward path's destination: the switches
+// whose route a class on path would be the first to hold.
+func (st *assignStore) unheld(path []topology.NodeID, fresh []bool) []bool {
+	dst := path[len(path)-1]
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	for _, v := range path {
+		fresh = append(fresh, st.held[v][dst] == 0)
+	}
+	return fresh
+}
+
+// lowestHop returns the next hop at switch v of the lowest-numbered
+// installed class that crosses v toward dst; v must not be dst, and some
+// class must cross it. It scans the store: the retire step asks it only to
+// re-point a route its installer left (Controller.eachRouteRetired).
+func (st *assignStore) lowestHop(v, dst topology.NodeID) topology.NodeID {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	var hop topology.NodeID
+	var lowest core.ClassID
+	found := false
+	for id, a := range st.m {
+		path := a.Class.Path
+		if (found && id > lowest) || path[len(path)-1] != dst {
+			continue
+		}
+		if i := slices.Index(path, v); i >= 0 && i < len(path)-1 {
+			hop, lowest, found = path[i+1], id, true
+		}
+	}
+	return hop
+}
+
+// hold adds sign to the holder count of every (switch, destination) pair
+// a's path crosses. A nil assignment holds nothing.
+func (a *Assignment) hold(held [][]int32, sign int32) {
+	if a == nil {
+		return
+	}
+	dst := a.Class.Path[len(a.Class.Path)-1]
+	for _, v := range a.Class.Path {
+		held[v][dst] += sign
+	}
 }
 
 // load returns the planned load the ledger holds for an instance.
@@ -447,6 +519,7 @@ func (t *RuleTxn) installNew(ops []txnOp, verify bool) (int, error) {
 	c := t.c
 
 	// Stage 1 — admit, sequentially in arrival order.
+	t.fresh = t.fresh[:0]
 	admitted := emptyWithRoom(t.runAdmitted, len(ops))
 	var admitErr error
 	for _, op := range ops {
@@ -472,11 +545,14 @@ func (t *RuleTxn) installNew(ops []txnOp, verify bool) (int, error) {
 	compiled := emptyWithRoom(t.runEmitted, 2*n)[:2*n]
 	t.runEmitted = compiled
 	stagedRules := 0
+	fresh := t.fresh
 	for i, a := range admitted {
 		var err error
-		if compiled[i], err = c.makeRules(nil, a); err != nil {
+		hops := len(a.Class.Path)
+		if compiled[i], err = c.makeRules(nil, a, fresh[:hops]); err != nil {
 			return 0, err
 		}
+		fresh = fresh[hops:]
 		if compiled[n+i], err = c.flipRules(nil, a); err != nil {
 			return 0, err
 		}
@@ -556,10 +632,13 @@ apply:
 
 // admit runs the sequential stage for one new class. On success the
 // instances it provisioned and the class it registered are recorded in
-// the transaction; on failure nothing of the class remains — its
-// provisioning is cancelled, and nothing was charged to the portion
-// ledger, which only the store's put charges — so an admission error can
-// drop one class from a batch without unwinding the classes before it.
+// the transaction, and the switches whose route it is the first to hold
+// are marked in t.fresh; the class after it in a run sees it hold them.
+// On failure nothing of the class remains — its provisioning is
+// cancelled, and nothing was charged to the portion ledger or the route
+// holder counts, which only the store's put moves — so an admission error
+// can drop one class from a batch without unwinding the classes before
+// it.
 func (t *RuleTxn) admit(op txnOp) (*Assignment, error) {
 	c := t.c
 	cl := op.cl
@@ -596,6 +675,7 @@ func (t *RuleTxn) admit(op txnOp) (*Assignment, error) {
 		c.unwindProvisioned(provisioned, t)
 		return nil, err
 	}
+	t.fresh = c.assign.unheld(cl.Path, t.fresh)
 	c.assign.put(cl.ID, a)
 	c.journalAdmit(a)
 	t.provisioned = append(t.provisioned, provisioned...)

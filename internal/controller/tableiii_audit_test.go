@@ -37,7 +37,9 @@ import (
 //   - the APPLE table holds no other rule;
 //   - every vsw-N-s steering rule names a live sub-class, matches its tag,
 //     and matches N's prefix exactly when N's chain keeps headers intact;
-//     every host tag it writes is Fin or answered by a switch on N's path.
+//     every host tag it writes is Fin or answered by a switch on N's path;
+//   - every routing table holds exactly the routes the class records
+//     derive (auditRoutes), and each leads on to a switch with a route.
 func auditTableIII(c *Controller) error {
 	tagOwner := make(map[uint16]topology.NodeID)
 	for _, v := range c.Switches() {
@@ -117,6 +119,10 @@ func auditTableIII(c *Controller) error {
 		}
 	}
 
+	if err := auditRoutes(c, false); err != nil {
+		return err
+	}
+
 	for _, v := range c.Hosts() {
 		steer, err := c.hosts[v].VSwitch().Table(host.TableSteering)
 		if err != nil {
@@ -146,6 +152,87 @@ func auditTableIII(c *Controller) error {
 					return fmt.Errorf("host %d: steering rule %q writes host tag %d, answered by no switch on class %d's path",
 						v, r.Name, act.Tag, id)
 				}
+			}
+		}
+	}
+	return nil
+}
+
+// auditRoutes checks every switch's routing table against the routes the
+// class records derive: route-D at switch v while some installed class
+// crosses v toward D, and no other rule. Each matches D's destination
+// prefix and has one action: at D, delivery; elsewhere, forwarding to a
+// neighbour that carries route-D too, so no class's packets are forwarded
+// into a switch with no route toward its destination. With every set, it
+// must also forward to the next hop of every class crossing v toward D:
+// the destination-keyed table cannot do that for two classes whose paths
+// part at v (ROADMAP item 28), which the suites' random paths do, so only
+// the tests of that gap ask it.
+func auditRoutes(c *Controller, every bool) error {
+	type route struct{ v, dst topology.NodeID }
+	type holder struct {
+		id   core.ClassID
+		next topology.NodeID
+	}
+	holders := make(map[route][]holder)
+	for _, id := range c.Classes() {
+		a, _ := c.assign.get(id)
+		p := a.Class.Path
+		for i, v := range p {
+			h := holder{id: id, next: v}
+			if i+1 < len(p) {
+				h.next = p[i+1]
+			}
+			holders[route{v, p[len(p)-1]}] = append(holders[route{v, p[len(p)-1]}], h)
+		}
+	}
+	for _, v := range c.Switches() {
+		tbl, err := c.switches[v].Pipeline.Table(TableRouting)
+		if err != nil {
+			return err
+		}
+		seen := make(map[string]bool)
+		for _, r := range tbl.Rules() {
+			var d int
+			if k, _ := fmt.Sscanf(r.Name, "route-%d", &d); k != 1 || r.Name != fmt.Sprintf("route-%d", d) {
+				return fmt.Errorf("switch %d: rule %q has no place in the routing table", v, r.Name)
+			}
+			if seen[r.Name] {
+				return fmt.Errorf("switch %d carries %q twice", v, r.Name)
+			}
+			seen[r.Name] = true
+			dst := topology.NodeID(d)
+			hs, ok := holders[route{v, dst}]
+			if !ok {
+				return fmt.Errorf("switch %d: stale %q: no installed class crosses it toward switch %d", v, r.Name, dst)
+			}
+			if !r.Match.Equal(flowtable.Match{}.WithDst(dstPrefix(dst))) || len(r.Actions) != 1 || r.Actions[0].Type != flowtable.ActForward {
+				return fmt.Errorf("switch %d: %s does not forward packets to switch %d's prefix", v, fmtRule(r), dst)
+			}
+			port := r.Actions[0].Port
+			next := v
+			if v != dst {
+				next = -1
+				for w, p := range c.nbrPort[v] {
+					if p == port {
+						next = w
+					}
+				}
+				if _, routed := holders[route{next, dst}]; !routed {
+					return fmt.Errorf("switch %d: %q forwards to port %d, toward no switch with a route to switch %d", v, r.Name, port, dst)
+				}
+			} else if port != PortDeliver {
+				return fmt.Errorf("switch %d: %q forwards to port %d at its destination", v, r.Name, port)
+			}
+			for _, h := range hs {
+				if every && h.next != next {
+					return fmt.Errorf("switch %d: %q forwards to switch %d, but class %d crosses it toward switch %d", v, r.Name, next, h.id, h.next)
+				}
+			}
+		}
+		for _, dst := range c.Switches() {
+			if hs, ok := holders[route{v, dst}]; ok && !seen[c.switches[dst].route] {
+				return fmt.Errorf("switch %d lacks %q, which class %d crosses it toward", v, c.switches[dst].route, hs[0].id)
 			}
 		}
 	}
@@ -252,6 +339,16 @@ func auditFixture(t *testing.T) *Controller {
 func appleTable(t *testing.T, c *Controller, v topology.NodeID) *flowtable.Table {
 	t.Helper()
 	tbl, err := c.switches[v].Pipeline.Table(TableAPPLE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
+// routingTable returns switch v's routing table.
+func routingTable(t *testing.T, c *Controller, v topology.NodeID) *flowtable.Table {
+	t.Helper()
+	tbl, err := c.switches[v].Pipeline.Table(TableRouting)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,6 +546,40 @@ func TestTableIIIAuditCatches(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, "names no live sub-class"},
+		{"route missing from a path switch", func(t *testing.T, c *Controller) {
+			routingTable(t, c, 1).Remove("route-3")
+		}, `switch 1 lacks "route-3"`},
+		{"route no class crosses", func(t *testing.T, c *Controller) {
+			if err := routingTable(t, c, 0).Install(c.routeRule(2, firstNeighborPort)); err != nil {
+				t.Fatal(err)
+			}
+		}, `stale "route-2"`},
+		{"route into a switch with no route", func(t *testing.T, c *Controller) {
+			reinstall(t, routingTable(t, c, 1), "route-3", func(_ int, r *flowtable.Rule) bool {
+				r.Actions[0].Port = 99
+				return true
+			})
+		}, "toward no switch with a route"},
+		{"route forwarding at its destination", func(t *testing.T, c *Controller) {
+			reinstall(t, routingTable(t, c, 3), "route-3", func(_ int, r *flowtable.Rule) bool {
+				r.Actions[0].Port = firstNeighborPort
+				return true
+			})
+		}, "at its destination"},
+		{"route that drops", func(t *testing.T, c *Controller) {
+			reinstall(t, routingTable(t, c, 2), "route-3", func(_ int, r *flowtable.Rule) bool {
+				r.Actions = []flowtable.Action{{Type: flowtable.ActDrop}}
+				return true
+			})
+		}, "does not forward packets to switch 3's prefix"},
+		{"foreign rule in the routing table", func(t *testing.T, c *Controller) {
+			if err := routingTable(t, c, 2).Install(flowtable.Rule{
+				Name: "te-reroute", Priority: 50,
+				Actions: []flowtable.Action{{Type: flowtable.ActForward, Port: firstNeighborPort}},
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}, "no place in the routing table"},
 		{"foreign rule in the APPLE table", func(t *testing.T, c *Controller) {
 			if err := appleTable(t, c, 2).Install(flowtable.Rule{
 				Name: "te-reroute", Priority: 50,

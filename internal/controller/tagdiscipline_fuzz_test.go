@@ -123,11 +123,14 @@ func runTagDiscipline(t *testing.T, data []byte) {
 	}
 }
 
-// FuzzTagDiscipline runs runTagDiscipline; its three seeds also run in
-// plain `go test`.
+// FuzzTagDiscipline runs runTagDiscipline; its four seeds also run in
+// plain `go test`. The fourth draws one {Firewall} class over the whole
+// line, adds it, removes it — the last class toward switch 3, so every
+// route toward it retires — and adds it back.
 func FuzzTagDiscipline(f *testing.F) {
 	for seed := int64(1); seed <= 3; seed++ {
 		f.Add(splitSeed(seed, 5+2*tagOps))
 	}
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 0, 0, 0})
 	f.Fuzz(runTagDiscipline)
 }

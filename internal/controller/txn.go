@@ -33,9 +33,10 @@ package controller
 //	             batch returned), deletes admitted assignments,
 //	             re-registers replaced/removed ones, restores the pool
 //	             buckets it re-bucketed and cancels provisioned instances:
-//	             four kinds of state. The instance-portion ledger follows
-//	             the class records (assignStore.put and remove), so it
-//	             comes back with them, each entry to within rounding.
+//	             four kinds of state. The instance-portion ledger and the
+//	             route holder counts follow the class records
+//	             (assignStore.put and remove), so they come back with
+//	             them, each ledger entry to within rounding.
 //	             Controller state is otherwise bit-identical to the
 //	             pre-transaction state.
 //
@@ -149,6 +150,11 @@ type txnScratch struct {
 	runAdmitted  []*Assignment
 	runEmitted   [][]tableBatch
 	runPerDevice map[device]int
+	// fresh marks, switch by switch along the path of each class of the
+	// install run (or of the cutover's next), whether the class is the
+	// first holder of that switch's route (assignStore.unheld): the
+	// routes its make step installs.
+	fresh []bool
 }
 
 // scratchCap is the most entries a buffer of the spare set may hold, or
@@ -171,6 +177,7 @@ func (s *txnScratch) reset() {
 	s.runAdmitted = reuse(s.runAdmitted)
 	s.runEmitted = reuse(s.runEmitted)
 	s.runPerDevice = reuseMap(s.runPerDevice)
+	s.fresh = reuse(s.fresh)
 }
 
 // reuse empties s, zeroing what it held so a kept buffer pins nothing of
@@ -256,8 +263,8 @@ func (t *RuleTxn) StageRefresh(id core.ClassID, rate float64) {
 }
 
 // StageRemove stages a class teardown, a cutover to nothing:
-// classification first (new packets stop matching), steering after,
-// shared rules left in place.
+// classification first (new packets stop matching), then steering, then
+// the routes no other class holds.
 func (t *RuleTxn) StageRemove(id core.ClassID) {
 	t.staged = append(t.staged, txnOp{kind: txnRemove, id: id})
 }
@@ -447,10 +454,10 @@ type tableUndo struct {
 // reserveUndo sizes the undo list once for a transaction of staged
 // placement installs, instead of regrowing it run by run. A class
 // installed from a distribution takes, in its make step, a batch for the
-// routing table of each switch on its path and for the steering table of
-// each switch that processes a share of it, and in its flip step one for
-// the ingress APPLE table: at most len(Path)+P+1 batches for P processing
-// positions.
+// routing table of each switch on its path whose route it is the first
+// to hold and for the steering table of each switch that processes a
+// share of it, and in its flip step one for the ingress APPLE table: at
+// most len(Path)+P+1 batches for P processing positions.
 func (t *RuleTxn) reserveUndo() {
 	n := len(t.undo)
 	for _, op := range t.staged {
@@ -596,17 +603,21 @@ func (t *RuleTxn) buildUpdate(op txnOp) (*Assignment, error) {
 //
 //  1. make (cutover:steer): what next needs and old lacks is installed.
 //     A sub-class of next that keeps old's steering (keepsSteering) is
-//     left alone. Every other one gets its steering, and a new path gets
-//     its routing. On a host where it replaces old's sub-class of the same
-//     index, the old rules' removal and the new rules share one batch.
+//     left alone. Every other one gets its steering, and each switch of a
+//     new path whose route no installed class holds yet (old still
+//     counting) gets it. On a host where it replaces old's sub-class of
+//     the same index, the old rules' removal and the new rules share one
+//     batch.
 //  2. flip (cutover:cls): the ingress classification moves to next's
 //     sub-classes in one remove-then-install batch, or is removed. When
 //     next's classification compiles to the installed rules, they stand.
 //  3. swap (cutover:swap): the store holds next, or no longer the class,
-//     and its portion ledger charges next's base in place of old's.
+//     its portion ledger charges next's base in place of old's, and its
+//     route holder counts move from old's path to next's.
 //  4. retire (cutover:retire): the steering of old's sub-classes that
-//     next does not keep is removed where step 1 did not replace it, and
-//     old's classification if next enters elsewhere.
+//     next does not keep is removed where step 1 did not replace it,
+//     old's classification if next enters elsewhere, and the route at
+//     each switch of old's path that the swap left no holder.
 //
 // Each flow table changes in single ApplyBatch critical sections, so a
 // packet meets a table's complete old or complete new rule set. A new
@@ -619,7 +630,8 @@ func (t *RuleTxn) cutover(old, next *Assignment) error {
 		return err
 	}
 	if next != nil {
-		made, err := c.makeRules(old, next)
+		t.fresh = c.assign.unheld(next.Class.Path, t.fresh[:0])
+		made, err := c.makeRules(old, next, t.fresh)
 		if err != nil {
 			return err
 		}
@@ -680,15 +692,16 @@ func (a *Assignment) visits(s int, v topology.NodeID) bool {
 }
 
 // makeRules compiles the cutover's make step into one batch per table, in
-// the order emission first reaches each: routing along a new path, then
+// the order emission first reaches each: the route of each switch of
+// next's path that fresh marks — the switches whose route next is the
+// first to hold, decided by the caller before next is registered — then
 // per sub-class of next that old's steering does not serve, its steering
 // on each host it visits, behind the removal of old's same-index rules on
-// a host old's sub-class visits too. A nil old is a class install: the
-// path is new and no sub-class is kept. The host-match rows the steering
-// leads through are New's.
-func (c *Controller) makeRules(old, next *Assignment) ([]tableBatch, error) {
+// a host old's sub-class visits too. A nil old is a class install: no
+// sub-class is kept. The host-match rows the steering leads through are
+// New's.
+func (c *Controller) makeRules(old, next *Assignment, fresh []bool) ([]tableBatch, error) {
 	cl := next.Class
-	newPath := old == nil || !slices.Equal(old.Class.Path, cl.Path)
 	runs := make([][]chainRun, len(next.subs))
 	tables := 0
 	for s, r := range next.subs {
@@ -697,15 +710,17 @@ func (c *Controller) makeRules(old, next *Assignment) ([]tableBatch, error) {
 			tables += len(runs[s])
 		}
 	}
-	if newPath {
-		tables += len(cl.Path)
+	for _, f := range fresh {
+		if f {
+			tables++
+		}
 	}
 	// A class touches at most two tables per path switch: its routing and
 	// steering tables.
 	g := c.arena.groups(min(tables, 2*len(cl.Path)))
-	if newPath {
-		for _, v := range cl.Path {
-			g.reserve(routingKey(v), 1)
+	for i, f := range fresh {
+		if f {
+			g.reserve(routingKey(cl.Path[i]), 1)
 		}
 	}
 	for s := range next.subs {
@@ -718,10 +733,8 @@ func (c *Controller) makeRules(old, next *Assignment) ([]tableBatch, error) {
 			g.reserve(steeringKey(v), n)
 		}
 	}
-	if newPath {
-		if err := c.emitRouting(g, cl); err != nil {
-			return nil, err
-		}
+	if err := c.emitRouting(g, cl, fresh); err != nil {
+		return nil, err
 	}
 	for s := range next.subs {
 		if runs[s] == nil {
@@ -793,25 +806,34 @@ func sameClassification(old, next *Assignment, blocks [][]headerspace.PrefixBloc
 	return true
 }
 
-// retireRules compiles the cutover's retire step: the removal of old's
-// classification when next enters at another switch, and of the steering
-// of every sub-class of old that next does not keep, on each host it
-// visits unless the make step replaced it there. One batch per table,
-// hosts in the order the sub-classes first reach them. Nothing to remove
-// allocates nothing.
+// retireRules compiles the cutover's retire step, run once the store
+// holds next: the removal of old's classification when next enters at
+// another switch, of the steering of every sub-class of old that next
+// does not keep, on each host it visits unless the make step replaced it
+// there, and of the route at each switch of old's path that no installed
+// class crosses any more, each behind the re-pointing of the routes that
+// forward into it (eachRouteRetired). One batch per table: hosts in the
+// order the sub-classes first reach them, then switches in path order.
+// Nothing to remove allocates nothing.
 func (c *Controller) retireRules(old, next *Assignment) []tableBatch {
 	cl := old.Class
+	dst := cl.Path[len(cl.Path)-1]
 	moved := next != nil && next.Class.Path[0] != cl.Path[0]
-	tables := 0
+	steered, routed := 0, 0
+	eachRetired(old, next, func(int, topology.NodeID) { steered++ })
+	c.eachRouteRetired(old, func(topology.NodeID, int) { routed++ }, func(topology.NodeID) { routed++ })
+	tables := min(steered, len(cl.Path)) + routed
 	if moved {
 		tables++
 	}
-	eachRetired(old, next, func(int, topology.NodeID) { tables++ })
-	g := c.arena.groups(min(tables, len(cl.Path)+1))
+	g := c.arena.groups(tables)
 	if moved {
 		g.reserve(appleKey(cl.Path[0]), 1)
 	}
 	eachRetired(old, next, func(_ int, v topology.NodeID) { g.reserve(steeringKey(v), 1) })
+	c.eachRouteRetired(old,
+		func(u topology.NodeID, _ int) { g.reserve(routingKey(u), 1) },
+		func(w topology.NodeID) { g.reserve(routingKey(w), 1) })
 	if moved {
 		g.add(appleKey(cl.Path[0]), flowtable.BatchOp{Remove: fmt.Sprintf("cls-%d", cl.ID)})
 	}
@@ -822,7 +844,46 @@ func (c *Controller) retireRules(old, next *Assignment) []tableBatch {
 		}
 		g.add(steeringKey(v), retired)
 	})
+	route := c.switches[dst].route
+	c.eachRouteRetired(old,
+		func(u topology.NodeID, port int) {
+			g.add(routingKey(u), flowtable.BatchOp{Remove: route, Rule: c.routeRule(dst, port)})
+		},
+		func(w topology.NodeID) { g.add(routingKey(w), flowtable.BatchOp{Remove: route}) })
 	return g.tables
+}
+
+// eachRouteRetired calls retire with every switch w of a's path that no
+// installed class crosses toward a's destination any more, in path order,
+// and before it repoint with each neighbour u of w whose route toward that
+// destination forwards into w while some installed class still crosses u:
+// repoint gets the port toward the next hop at u of the lowest-numbered
+// such class. Such a route was installed by a class since gone, whose path
+// the classes holding it now leave (ROADMAP item 28); once w's route went
+// it would forward them into a switch with no route.
+func (c *Controller) eachRouteRetired(a *Assignment, repoint func(u topology.NodeID, port int), retire func(w topology.NodeID)) {
+	path := a.Class.Path
+	dst := path[len(path)-1]
+	probe := flowtable.Packet{Hdr: headerspace.Header{DstIP: dstPrefix(dst).Addr}}
+	for _, w := range path {
+		if c.assign.holders(w, dst) > 0 {
+			continue
+		}
+		for _, nb := range c.switches[w].nbrs {
+			u := nb.ID
+			if u == dst || c.assign.holders(u, dst) == 0 {
+				continue
+			}
+			routing, err := nb.Pipeline.Table(TableRouting)
+			if err != nil {
+				continue
+			}
+			if r, ok := routing.Lookup(probe); ok && r.Actions[0].Port == c.nbrPort[u][w] {
+				repoint(u, c.nbrPort[u][c.assign.lowestHop(u, dst)])
+			}
+		}
+		retire(w)
+	}
 }
 
 // eachRetired calls f with every sub-class s of old that next does not

@@ -150,8 +150,12 @@ func fatTreeClass(t testing.TB, l *topology.FatTreeLayout, id int) core.Class {
 // churnCost admits and removes one class at a time, each in its own
 // Begin/StageAdd/Commit and Begin/StageRemove/Commit, on a FatTree-8
 // controller holding the given number of classes, and returns the bytes
-// one add+remove allocates and how many rules the controller holds.
-func churnCost(t *testing.T, layout *topology.FatTreeLayout, classes int) (bytesPerOp float64, rules int) {
+// one add+remove allocates and how many rules the controller holds. The
+// churned classes are the first ones after the installed range whose
+// routes the installed classes all hold already, or, with alone set, that
+// each hold some route no installed class holds, which their add installs
+// and their removal retires.
+func churnCost(t *testing.T, layout *topology.FatTreeLayout, classes int, alone bool) (bytesPerOp float64, rules int) {
 	t.Helper()
 	c, err := New(Config{
 		Topology: layout.Graph, Clock: sim.New(), Seed: 1,
@@ -167,26 +171,33 @@ func churnCost(t *testing.T, layout *topology.FatTreeLayout, classes int) (bytes
 	if err := c.AddClassBatch(batch, BatchOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	churn := func(id int) {
+	const warm, reps = 8, 64
+	churned := make([]core.Class, 0, warm+reps)
+	for id := classes; len(churned) < cap(churned); id++ {
+		cl := fatTreeClass(t, layout, id)
+		if slices.Contains(c.assign.unheld(cl.Path, nil), true) == alone {
+			churned = append(churned, cl)
+		}
+	}
+	churn := func(cl core.Class) {
 		txn := c.Begin()
-		txn.StageAdd(fatTreeClass(t, layout, id))
+		txn.StageAdd(cl)
 		if err := txn.Commit(TxnOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		txn = c.Begin()
-		txn.StageRemove(core.ClassID(id))
+		txn.StageRemove(cl.ID)
 		if err := txn.Commit(TxnOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 8; i++ { // warm lazily built state
-		churn(classes + i)
+	for _, cl := range churned[:warm] { // warm lazily built state
+		churn(cl)
 	}
-	const reps = 64
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for i := 0; i < reps; i++ {
-		churn(classes + 8 + i)
+	for _, cl := range churned[warm:] {
+		churn(cl)
 	}
 	runtime.ReadMemStats(&after)
 	for _, sw := range c.switches {
@@ -209,13 +220,18 @@ func churnCost(t *testing.T, layout *topology.FatTreeLayout, classes int) (bytes
 // bytes, not on a ratio to the small cost: a ratio loosens when the fixed
 // part of an admission grows and tightens when it shrinks, and the fixed
 // part is not what this test is about (TestCommitFixedCost gates it).
+// Both sizes churn classes whose routes the installed classes hold, so
+// neither side installs or retires a route: 4 408 B at 1.7k rules and
+// 10 287 B at 65.6k. (Churning the first classes after the installed
+// ones, half of which hold a route alone at 1.7k rules, measured two
+// kinds of churn against each other.)
 func TestCommitCostIndependentOfInstalledState(t *testing.T) {
 	layout, err := topology.FatTree(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, smallRules := churnCost(t, layout, 300)
-	large, largeRules := churnCost(t, layout, 21_500)
+	small, smallRules := churnCost(t, layout, 300, false)
+	large, largeRules := churnCost(t, layout, 21_500, false)
 	t.Logf("add+remove of one class: %.0f B at %d rules, %.0f B at %d rules", small, smallRules, large, largeRules)
 	if smallRules > 2_000 || largeRules < 64_000 {
 		t.Fatalf("state sizes %d and %d rules are not the 1k and 64k the test is about", smallRules, largeRules)
@@ -227,20 +243,37 @@ func TestCommitCostIndependentOfInstalledState(t *testing.T) {
 }
 
 // TestCommitFixedCost pins the fixed part of one class's life on a small
-// controller (about 1.7k rules): admitting and removing it allocates
-// 5 309 B (5 933–6 049 B over six runs under the race detector). The two
-// transactions reuse the controller's spare buffer set and carve their
-// rule groups from its arena; while each allocated its own, the pair cost
-// 10 267 B (11 480 B), when the pair measured 6 367 B (7 089 B). The gate
-// is 6 350 B, the race detector's largest figure plus about 5 %.
+// controller (about 1.7k rules), in two kinds of churn:
+//   - a class whose routes the installed classes all hold: admitting and
+//     removing it allocates 4 408 B (5 008 B under the race detector;
+//     4 416 B and 5 021 B while routes were installed skip-if-present and
+//     never retired). The two transactions reuse the controller's spare
+//     buffer set and carve their rule groups from its arena; while each
+//     allocated its own, the pair cost 10 267 B (11 480 B), when the pair
+//     measured 6 367 B (7 089 B). The gate is 6 350 B, set at 5 309 B
+//     (5 933–6 049 B under the race detector) plus about 5 % when the
+//     first 72 classes after the installed ones were churned whatever
+//     their routes: 36 of them hold a route alone.
+//   - a class that holds some route alone, so its add installs the route
+//     and its removal retires it: 6 019 B (6 578 B; 5 620 B and 6 206 B
+//     while the route, installed once, stayed). The gate is 6 900 B, the
+//     race figure plus about 5 %.
 func TestCommitFixedCost(t *testing.T) {
 	layout, err := topology.FatTree(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost, rules := churnCost(t, layout, 300)
-	t.Logf("add+remove of one class at %d rules: %.0f B", rules, cost)
-	if cost > 6350 {
-		t.Fatalf("add+remove of one class allocates %.0f B, over 6350", cost)
+	for _, tc := range []struct {
+		name  string
+		alone bool
+		gate  float64
+	}{{"shared routes", false, 6350}, {"routes alone", true, 6900}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cost, rules := churnCost(t, layout, 300, tc.alone)
+			t.Logf("add+remove of one class at %d rules: %.0f B", rules, cost)
+			if cost > tc.gate {
+				t.Fatalf("add+remove of one class allocates %.0f B, over %.0f", cost, tc.gate)
+			}
+		})
 	}
 }

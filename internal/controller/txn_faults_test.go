@@ -205,6 +205,42 @@ var faultRoutes = []struct {
 	{"rollback", newRollbackRoute},
 	{"activate", newActivateRoute},
 	{"overload-nat", newNATOverloadRoute},
+	{"retire", newRetireRoute},
+}
+
+// newRetireRoute is a transaction whose removals retire routes and
+// re-point one. On the ring 0-1-2-3-0 with one host, at switch 0, class 0
+// runs 0→1→2 and class 1 0→3→2, both processed at switch 0, so class 1 is
+// enforced though switch 0's route-2 forwards it to switch 1, class 0's
+// next hop; class 3 runs 1→0. The transaction admits class 2 (3→0), then
+// removes class 0: no class then crosses switch 1 toward switch 2, so its
+// route retires, behind the re-pointing of switch 0's route to class 1's
+// next hop, switch 3. It removes class 3 last, retiring route-0 at switch
+// 1, so a fault at any of class 3's steps unwinds class 0's retire step.
+func newRetireRoute(t *testing.T) *faultRoute {
+	t.Helper()
+	c := ringController(t, 0)
+	for _, cl := range []core.Class{
+		{ID: 0, Path: []topology.NodeID{0, 1, 2}, Chain: policy.Chain{policy.Firewall}, RateMbps: 200},
+		{ID: 1, Path: []topology.NodeID{0, 3, 2}, Chain: policy.Chain{policy.IDS}, RateMbps: 200},
+		{ID: 3, Path: []topology.NodeID{1, 0}, Chain: policy.Chain{policy.Firewall}, RateMbps: 100},
+	} {
+		if err := c.AddClass(cl); err != nil {
+			t.Fatalf("AddClass(%d): %v", cl.ID, err)
+		}
+	}
+	handler, err := NewDynamicHandler(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl2 := core.Class{ID: 2, Path: []topology.NodeID{3, 0}, Chain: policy.Chain{policy.Proxy}, RateMbps: 100}
+	return &faultRoute{c: c, handler: handler, run: func() error {
+		txn := c.Begin()
+		txn.StageAdd(cl2)
+		txn.StageRemove(0)
+		txn.StageRemove(3)
+		return txn.Commit(TxnOptions{Verify: true, Audit: auditWith(c, handler)})
+	}}
 }
 
 // newReshapedRoute commits over classes the Dynamic Handler has reshaped:
@@ -480,6 +516,9 @@ func TestTxnFailpointCoverage(t *testing.T) {
 		"rollback":     reshapePoints,
 		"activate":     reshapePoints,
 		"overload-nat": with(cutoverPoints(0), cutoverPoints(1)),
+		"retire": with([]string{
+			"add:plan:2", "add:admit:2", "add:emit:2", "add:apply:2", "add:verify:2",
+		}, cutoverPoints(0), cutoverPoints(3)),
 	}
 	for _, route := range faultRoutes {
 		points := probeFailpoints(t, route.new)

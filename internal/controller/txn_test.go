@@ -207,7 +207,8 @@ func TestReOptimizeAddRemove(t *testing.T) {
 // their hop indices, and a comparison of those alone judged the move
 // unchanged — packets entering at the new ingress were delivered through
 // no NF — or rate-only, which recorded the new path over rules left on the
-// old one, so enforcement failed at the new ingress.
+// old one, so enforcement failed at the new ingress. The routes only the
+// old path used, toward switch 2, are gone; the new path's stand.
 func TestReOptimizeReroutedClassCutsOver(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -248,6 +249,8 @@ func TestReOptimizeReroutedClassCutsOver(t *testing.T) {
 			if err := c.CheckEnforcement(); err != nil {
 				t.Errorf("CheckEnforcement: %v", err)
 			}
+			wantRoutes(t, c, "after the cutover", 2)
+			wantRoutes(t, c, "after the cutover", 3, 1, 2, 3)
 		})
 	}
 }

@@ -451,7 +451,7 @@ func TestNameIndexConsistency(t *testing.T) {
 			}
 		}
 		for name, n := range counts {
-			if !tbl.hasLocked(name) {
+			if tbl.byName[name] == nil {
 				t.Fatalf("%s: Has(%q) false with %d rules present", when, name, n)
 			}
 		}
@@ -487,7 +487,6 @@ func TestNameIndexConsistency(t *testing.T) {
 	check("after remove")
 	if _, err := tbl.ApplyBatch([]BatchOp{
 		{Remove: "solo", Rule: mk("solo", 1)},
-		{Rule: mk("solo", 2), SkipIfPresent: true},
 		{Remove: "nothing"},
 		{Rule: mk("fresh", 3)},
 	}); err != nil {

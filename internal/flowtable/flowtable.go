@@ -504,14 +504,12 @@ func (t *Table) removeLocked(name string) *entry {
 }
 
 // BatchOp is one step of an ApplyBatch. A non-empty Remove deletes every
-// rule of that name first; a rule with actions is then installed, unless
-// SkipIfPresent is set and a rule of the same name is already in the
-// table (the idempotent install the Rule Generator uses for shared
-// routing, host-match, and pass-by rows).
+// rule of that name first; a rule with a name or actions is then
+// installed. The table installs what it is given: whether a rule is
+// needed is the caller's decision, made before the batch.
 type BatchOp struct {
-	Remove        string
-	Rule          Rule
-	SkipIfPresent bool
+	Remove string
+	Rule   Rule
 }
 
 // Undo is the inverse of one ApplyBatchUndo: the rules the batch added
@@ -530,8 +528,7 @@ func (u Undo) Removed() int { return len(u.removed) }
 // TCAM transaction. The compiled snapshot is republished exactly once,
 // after the last operation, so concurrent lookups observe the batch
 // atomically: either none of it or all of it. It returns how many rules
-// were actually installed (skip-if-present hits and removes are not
-// counted). On a validation or capacity error, operations already
+// were installed (removes are not counted). On a validation or capacity error, operations already
 // applied remain in place (and are published) and the error is returned;
 // callers treat a mid-batch failure as a broken generator, not a
 // recoverable state.
@@ -570,10 +567,6 @@ func (t *Table) ApplyBatchUndo(ops []BatchOp) (installed int, u Undo, err error)
 		}
 		if len(op.Rule.Actions) == 0 && op.Rule.Name == "" {
 			continue // remove-only op
-		}
-		if op.SkipIfPresent && t.hasLocked(op.Rule.Name) {
-			metrics.FlowSetup.SkippedRules.Add(1)
-			continue
 		}
 		e, err := t.installLocked(op.Rule)
 		if err != nil {
@@ -858,16 +851,11 @@ func (pl *Pipeline) process(p *Packet, linear bool) (Result, error) {
 	}
 }
 
-// Has reports whether any rule with the given name is installed.
+// Has reports whether any rule with the given name is installed: O(1)
+// via the name index, and allocation-free.
 func (t *Table) Has(name string) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.hasLocked(name)
-}
-
-// hasLocked reports whether any rule with the given name is installed.
-// Callers hold mu (read or write). O(1) via the name index.
-func (t *Table) hasLocked(name string) bool {
 	return t.byName[name] != nil
 }
 

@@ -268,13 +268,12 @@ func TestTypedEquality(t *testing.T) {
 		"actions swapped": with(func(op *BatchOp) {
 			op.Rule.Actions[1], op.Rule.Actions[2] = op.Rule.Actions[2], op.Rule.Actions[1]
 		}),
-		"action dropped":  with(func(op *BatchOp) { op.Rule.Actions = op.Rule.Actions[:2] }),
-		"other tag":       with(func(op *BatchOp) { op.Rule.Actions[0].Tag = 2 }),
-		"other name":      with(func(op *BatchOp) { op.Rule.Name = "cls-8" }),
-		"other priority":  with(func(op *BatchOp) { op.Rule.Priority = 300 }),
-		"skip if present": with(func(op *BatchOp) { op.SkipIfPresent = true }),
-		"with removal":    with(func(op *BatchOp) { op.Remove = "cls-7" }),
-		"removal only":    {Remove: "cls-7"},
+		"action dropped": with(func(op *BatchOp) { op.Rule.Actions = op.Rule.Actions[:2] }),
+		"other tag":      with(func(op *BatchOp) { op.Rule.Actions[0].Tag = 2 }),
+		"other name":     with(func(op *BatchOp) { op.Rule.Name = "cls-8" }),
+		"other priority": with(func(op *BatchOp) { op.Rule.Priority = 300 }),
+		"with removal":   with(func(op *BatchOp) { op.Remove = "cls-7" }),
+		"removal only":   {Remove: "cls-7"},
 	}
 	for an, a := range ops {
 		for bn, b := range ops {

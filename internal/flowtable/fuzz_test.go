@@ -273,15 +273,6 @@ func (m *modelTable) remove(name string) int {
 	return removed
 }
 
-func (m *modelTable) has(name string) bool {
-	for _, r := range m.rules {
-		if r.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
 // applyBatch mirrors ApplyBatch's contract, including "operations before
 // a failing one stay applied".
 func (m *modelTable) applyBatch(ops []BatchOp) (installed int, err error) {
@@ -290,9 +281,6 @@ func (m *modelTable) applyBatch(ops []BatchOp) (installed int, err error) {
 			m.remove(op.Remove)
 		}
 		if len(op.Rule.Actions) == 0 && op.Rule.Name == "" {
-			continue
-		}
-		if op.SkipIfPresent && m.has(op.Rule.Name) {
 			continue
 		}
 		if err := m.install(op.Rule); err != nil {
@@ -416,7 +404,7 @@ func checkTableAgainstModel(t *testing.T, when string, tbl *Table, m *modelTable
 }
 
 // runTableOps decodes data into a mutation sequence — Install, Remove,
-// ApplyBatchUndo (removes, SkipIfPresent, a rule that fails validation
+// ApplyBatchUndo (removes, a rule that fails validation
 // mid-batch, installs beyond the TCAM capacity) and Revert of the newest
 // outstanding batch — runs it against a bounded table and the slice
 // model, and compares the two after every step. The model reverts by
@@ -440,9 +428,9 @@ func runTableOps(t *testing.T, data []byte) (st tableOpsStats) {
 		data = data[1:]
 		return b
 	}
-	// Names come from a small pool so that removes, skip-if-present and
-	// several rules under one name all happen; every rule still carries a
-	// unique forward port, so DeepEqual tells same-named rules apart.
+	// Names come from a small pool so that removes and several rules
+	// under one name both happen; every rule still carries a unique
+	// forward port, so DeepEqual tells same-named rules apart.
 	// One rule in four repeats the previous rule's match exactly, so
 	// several rules end up under one packed key. In the large variant
 	// three rules in four are of one shape, host tag and /24 source.
@@ -509,6 +497,10 @@ func runTableOps(t *testing.T, data []byte) (st tableOpsStats) {
 		case 2:
 			var ops []BatchOp
 			for n := 1 + int(next())%maxBatch; n > 0; n-- {
+				// Bit 0 adds a removal, bit 1 a rule, and bits 3–7 all
+				// set make that rule invalid. Bit 2 once asked for a
+				// skip-if-present install and is ignored, so the
+				// checked-in corpus still decodes to the same ops.
 				flags := next()
 				var bo BatchOp
 				if flags&1 != 0 {
@@ -516,7 +508,6 @@ func runTableOps(t *testing.T, data []byte) (st tableOpsStats) {
 				}
 				if flags&2 != 0 {
 					bo.Rule = rule()
-					bo.SkipIfPresent = flags&4 != 0
 					if flags&0xF8 == 0xF8 {
 						bo.Rule.Actions = nil // fails validation mid-batch
 					}

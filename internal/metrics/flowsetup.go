@@ -24,9 +24,11 @@ type FlowSetupCounters struct {
 	// BatchInstalls counts per-table critical sections: one ApplyBatch
 	// call covering every staged rule of a batch for that table.
 	BatchInstalls atomic.Int64
-	// InstalledRules and SkippedRules split staged rules into ones that
-	// were written to TCAM versus skip-if-present hits on shared rules
-	// (routing, host-match, pass-by) already installed.
+	// InstalledRules counts rules written to TCAM. SkippedRules counted
+	// the skip-if-present installs of shared rules a table found already
+	// present; the controller now decides which routes a class installs
+	// before it emits them, nothing skips, and it reads 0. It stays while
+	// cmd/applebench reports it (flowtable.skipped_share, ROADMAP item 7).
 	InstalledRules atomic.Int64
 	SkippedRules   atomic.Int64
 	// VerifyProbes counts enforcement probe packets forwarded by the
