@@ -246,7 +246,7 @@ func TestRemoveCompilesNothing(t *testing.T) {
 func retiresRoutes(c *Controller, a *Assignment) bool {
 	dst := a.Class.Path[len(a.Class.Path)-1]
 	for _, v := range a.Class.Path {
-		if c.assign.holders(v, dst) == 1 {
+		if c.assign.held[v][dst].n == 1 {
 			return true
 		}
 	}
@@ -270,7 +270,7 @@ func TestEmitOneBackingArrayPerTable(t *testing.T) {
 		a, _ := c.assign.get(cl.ID)
 		c.arena.reset()
 		c.assign.remove(cl.ID)
-		retired := c.retireRules(a, nil)
+		retired := c.retireRules(a, nil, c.assign.routeMoves(a, nil))
 		c.assign.put(cl.ID, a)
 		steering, seen := 0, make(map[tableKey]bool, len(retired))
 		for _, b := range retired {
@@ -332,7 +332,7 @@ func TestEmitOneBackingArrayPerTable(t *testing.T) {
 	jumbo := core.Class{ID: 0, Path: linePath(4), Chain: policy.Chain{policy.Firewall}, RateMbps: 2500}
 	jc, _, _, _ := setup(t, []core.Class{jumbo})
 	a, _ := jc.assign.get(jumbo.ID)
-	steer := jc.retireRules(a, nil)
+	steer := jc.retireRules(a, nil, nil)
 	if len(steer) != 1 || len(steer[0].ops) != a.NumSubclasses() || len(steer[0].ops) != cap(steer[0].ops) {
 		t.Fatalf("jumbo class of %d sub-classes: steering removals %+v", a.NumSubclasses(), steer)
 	}

@@ -92,6 +92,11 @@ type Assignment struct {
 	// rate-only refreshes and rollbacks draw a new one from the controller,
 	// while the Dynamic Handler's reshapes keep it.
 	gen uint32
+	// since is the generation the class's path was installed under: an
+	// install's own, kept by every later assignment on the same path, so
+	// the oldest class crossing a switch is the one with the least since
+	// (routeHold).
+	since uint32
 	// nBase counts the base sub-classes, the ones a rollback restores; at
 	// most globalTagBase of them are ever admitted.
 	nBase uint8

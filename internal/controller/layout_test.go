@@ -17,15 +17,16 @@ import (
 	"github.com/apple-nfv/apple/internal/topology"
 )
 
-// TestAssignmentLayout pins the per-class record. The generation number
-// and the base count pack beside Global in one word, so an Assignment is
-// its class, two slice headers and that word: 144 bytes, where the five
-// parallel arrays, the row-per-sub-class instance table and the stored
-// prefix it replaced made 232. A sub-class record is its hop vector, its
+// TestAssignmentLayout pins the per-class record. The two generation
+// numbers, gen and since, fill one word, and the base count and Global
+// pack in the next, so an Assignment is its class, two slice headers and
+// those two words: 152 bytes, where the five parallel arrays, the
+// row-per-sub-class instance table and the stored prefix it replaced made
+// 232. since, which routes follow (routeHold), took it from 144. A sub-class record is its hop vector, its
 // planned portion, its weight and its tag: 48 bytes.
 func TestAssignmentLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Assignment{}); got != 144 {
-		t.Errorf("Assignment is %d bytes; the layout is pinned at 144", got)
+	if got := unsafe.Sizeof(Assignment{}); got != 152 {
+		t.Errorf("Assignment is %d bytes; the layout is pinned at 152", got)
 	}
 	if got := unsafe.Sizeof(subRecord{}); got != 48 {
 		t.Errorf("subRecord is %d bytes; the layout is pinned at 48", got)
@@ -84,7 +85,7 @@ func loadFatTree(tb testing.TB, c *Controller, l *topology.FatTreeLayout, from, 
 }
 
 // TestControllerBytesPerClass caps the live heap one more installed class
-// costs on FatTree-16: its Assignment (144 B), its sub-class record (48
+// costs on FatTree-16: its Assignment (152 B), its sub-class record (48
 // B), its instance and hop arrays (16 and 8 B) and its share of the rules
 // — the classification and steering rules it owns and the flow tables'
 // trie nodes, names and match fields they need. Measured over 4096

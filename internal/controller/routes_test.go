@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/apple-nfv/apple/internal/core"
+	"github.com/apple-nfv/apple/internal/flowtable"
 	"github.com/apple-nfv/apple/internal/policy"
 	"github.com/apple-nfv/apple/internal/sim"
 	"github.com/apple-nfv/apple/internal/topology"
@@ -113,12 +114,12 @@ func TestCheckRoutesAllocatesNothing(t *testing.T) {
 	}
 }
 
-// ringController builds a controller over the 4-switch ring 0-1-2-3-0
-// with APPLE hosts at the given switches.
-func ringController(t *testing.T, hosts ...topology.NodeID) *Controller {
+// ringController builds a controller over the ring of n switches
+// 0-1-…-(n-1)-0 with APPLE hosts at the given switches.
+func ringController(t *testing.T, n int, hosts ...topology.NodeID) *Controller {
 	t.Helper()
-	g := lineTopo(t, 4)
-	if err := g.AddLink(3, 0, 10_000, 1); err != nil {
+	g := lineTopo(t, n)
+	if err := g.AddLink(topology.NodeID(n-1), 0, 10_000, 1); err != nil {
 		t.Fatal(err)
 	}
 	c, err := New(Config{Topology: g, Clock: sim.New(), Seed: 7, HostSwitches: hosts})
@@ -139,13 +140,11 @@ func ringController(t *testing.T, hosts ...topology.NodeID) *Controller {
 // that asks every route to follow every holder's next hop names the route.
 //
 // Removing class 0 leaves switch 1 with no class toward switch 2, so its
-// route retires, and switch 0's route, which forwarded into it, is
-// re-pointed to class 1's next hop: without that, class 1 would be
-// forwarded into a switch with no route and dropped. Class 1 is then
-// enforced. When item 28 lands this test fails: flip it into an assertion
+// route retires, and switch 0's route follows its oldest holder left,
+// class 1, to switch 3: class 1 is then enforced. When item 28 lands this test fails: flip it into an assertion
 // that the second class is refused, or routed on its own path.
 func TestKnownGapRouteIgnoresClassPath(t *testing.T) {
-	c := ringController(t, 1, 3)
+	c := ringController(t, 4, 1, 3)
 	prob := &core.Problem{Topo: c.g, Avail: c.Avail(), Classes: []core.Class{
 		{ID: 0, Path: []topology.NodeID{0, 1, 2}, Chain: policy.Chain{policy.Firewall}, RateMbps: 200},
 		{ID: 1, Path: []topology.NodeID{0, 3, 2}, Chain: policy.Chain{policy.IDS}, RateMbps: 200},
@@ -206,5 +205,146 @@ func TestRetireRepointsRoute(t *testing.T) {
 	}
 	if tr, err := fx.c.Forward(hdr, 0); err != nil || !tr.Delivered || !slices.Equal(tr.Switches, []topology.NodeID{0, 0, 3, 2}) {
 		t.Fatalf("class 1's walk: %+v (err %v), want switches [0 0 3 2]", tr, err)
+	}
+}
+
+// walkOf returns the switches class id's first packet crosses, each once
+// however often the walk re-enters it from a host.
+func walkOf(t *testing.T, c *Controller, id core.ClassID) []topology.NodeID {
+	t.Helper()
+	hdr, err := c.FlowHeader(id, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := c.assign.get(id)
+	tr, err := c.Forward(hdr, a.Class.Path[0])
+	if err != nil || !tr.Delivered {
+		t.Fatalf("class %d's walk: %+v (err %v), not delivered", id, tr, err)
+	}
+	return slices.Compact(slices.Clone(tr.Switches))
+}
+
+// TestRetireFollowsOldestHolder: a route follows its oldest holder, so a
+// removal re-points every route the leaving class led, not only those
+// next to a route it retires. On the ring 0-1-2-3-4-5-0 with a host at
+// switch 0, class 1 runs 1→0→5→4→3, and class 0, admitted after it,
+// 0→1→2→3: class 0 is the first to hold the route toward switch 3 only at
+// switch 2, so it walks 0→5→4→3 on class 1's routes. Removing class 1
+// retires the routes at switches 5 and 4 and re-points those at 1 and 0
+// to class 0's next hops, after which class 0 walks its own path.
+// Re-pointing switch 0's route alone would loop 0→1→0.
+func TestRetireFollowsOldestHolder(t *testing.T) {
+	c := ringController(t, 6, 0)
+	for _, cl := range []core.Class{
+		{ID: 1, Path: []topology.NodeID{1, 0, 5, 4, 3}, Chain: policy.Chain{policy.Firewall}, RateMbps: 100},
+		{ID: 0, Path: []topology.NodeID{0, 1, 2, 3}, Chain: policy.Chain{policy.IDS}, RateMbps: 100},
+	} {
+		if err := c.AddClass(cl); err != nil {
+			t.Fatalf("AddClass(%d): %v", cl.ID, err)
+		}
+	}
+	mustAudit(t, c, "installed")
+	if got := walkOf(t, c, 0); !slices.Equal(got, []topology.NodeID{0, 5, 4, 3}) {
+		t.Fatalf("class 0 walks %v before the removal, want class 1's routes [0 5 4 3]", got)
+	}
+	removeClass(t, c, 1)
+	wantRoutes(t, c, "class 1 removed", 3, 0, 1, 2, 3)
+	if err := auditRoutes(c, true); err != nil {
+		t.Fatalf("after class 1's removal: %v", err)
+	}
+	if got := walkOf(t, c, 0); !slices.Equal(got, []topology.NodeID{0, 1, 2, 3}) {
+		t.Fatalf("class 0 walks %v after the removal, want its path [0 1 2 3]", got)
+	}
+	if err := c.CheckEnforcement(); err != nil {
+		t.Fatalf("after class 1's removal: %v", err)
+	}
+}
+
+// TestRetireRepointsToOldestLeft: when a route's oldest holder leaves, the
+// route follows the oldest holder left, not any other. On the ring
+// 0-1-2-3-4-5-0 with a host at switch 0, classes 1 (1→0→5→4→3), 0
+// (0→1→2→3) and 2 (0→5→4→3) are admitted in that order, so switch 0's
+// route toward switch 3 forwards to 5, class 1's next hop. Removing class
+// 1 re-points it to 1, the next hop of class 0, older than class 2, whose
+// next hop is 5; the routes at switches 5 and 4 stay for class 2, which
+// walks class 0's path from switch 0 on (ROADMAP item 28).
+func TestRetireRepointsToOldestLeft(t *testing.T) {
+	c := ringController(t, 6, 0)
+	for _, cl := range []core.Class{
+		{ID: 1, Path: []topology.NodeID{1, 0, 5, 4, 3}, Chain: policy.Chain{policy.Firewall}, RateMbps: 100},
+		{ID: 0, Path: []topology.NodeID{0, 1, 2, 3}, Chain: policy.Chain{policy.IDS}, RateMbps: 100},
+		{ID: 2, Path: []topology.NodeID{0, 5, 4, 3}, Chain: policy.Chain{policy.Firewall}, RateMbps: 100},
+	} {
+		if err := c.AddClass(cl); err != nil {
+			t.Fatalf("AddClass(%d): %v", cl.ID, err)
+		}
+	}
+	removeClass(t, c, 1)
+	wantRoutes(t, c, "class 1 removed", 3, 0, 1, 2, 3, 4, 5)
+	for _, id := range []core.ClassID{0, 2} {
+		if got := walkOf(t, c, id); !slices.Equal(got, []topology.NodeID{0, 1, 2, 3}) {
+			t.Errorf("class %d walks %v after the removal, want class 0's path [0 1 2 3]", id, got)
+		}
+	}
+}
+
+// TestUpdateOnItsPathKeepsRoutes: an update that keeps a class's path
+// keeps its age, so the routes it leads stay on its next hops. On the ring
+// 0-1-2-3-4-5-0 with a host at switch 0, class 1 (1→0→5→4→3) leads the
+// routes toward switch 3 at switches 1 and 0, ahead of class 0 (0→1→2→3).
+// Updated at a new rate on the same path, class 1 still leads them: were
+// it as young as a new class, switch 1's route would follow class 0 to
+// switch 2, and class 1 would bypass its firewall at switch 0.
+func TestUpdateOnItsPathKeepsRoutes(t *testing.T) {
+	c := ringController(t, 6, 0)
+	cl1 := core.Class{ID: 1, Path: []topology.NodeID{1, 0, 5, 4, 3}, Chain: policy.Chain{policy.Firewall}, RateMbps: 100}
+	for _, cl := range []core.Class{
+		cl1,
+		{ID: 0, Path: []topology.NodeID{0, 1, 2, 3}, Chain: policy.Chain{policy.IDS}, RateMbps: 100},
+	} {
+		if err := c.AddClass(cl); err != nil {
+			t.Fatalf("AddClass(%d): %v", cl.ID, err)
+		}
+	}
+	d, err := NewDynamicHandler(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl1.RateMbps = 150
+	dist := zeroDist(len(cl1.Path), len(cl1.Chain))
+	dist[1][0] = 1
+	txn := c.Begin()
+	txn.StageUpdate(cl1, dist)
+	if err := txn.Commit(TxnOptions{Verify: true, Audit: auditWith(c, d)}); err != nil {
+		t.Fatalf("update class 1: %v", err)
+	}
+	for id, want := range map[core.ClassID][]topology.NodeID{1: {1, 0, 5, 4, 3}, 0: {0, 5, 4, 3}} {
+		if got := walkOf(t, c, id); !slices.Equal(got, want) {
+			t.Errorf("class %d walks %v after the update, want %v", id, got, want)
+		}
+	}
+}
+
+// TestRouteAuditNamesOldestHolder: on the known-gap ring, a route re-pointed
+// to a younger holder's next hop still delivers, but the audit names the
+// oldest holder it should follow.
+func TestRouteAuditNamesOldestHolder(t *testing.T) {
+	c := ringController(t, 4, 1, 3)
+	for _, cl := range []core.Class{
+		{ID: 0, Path: []topology.NodeID{0, 1, 2}, Chain: policy.Chain{policy.Firewall}, RateMbps: 200},
+		{ID: 1, Path: []topology.NodeID{0, 3, 2}, Chain: policy.Chain{policy.IDS}, RateMbps: 200},
+	} {
+		if err := c.AddClass(cl); err != nil {
+			t.Fatalf("AddClass(%d): %v", cl.ID, err)
+		}
+	}
+	mustAudit(t, c, "installed")
+	reinstall(t, routingTable(t, c, 0), "route-2", func(_ int, r *flowtable.Rule) bool {
+		r.Actions[0].Port = c.nbrPort[0][3]
+		return true
+	})
+	want := "switch 0: route-2 forwards to switch 3, but its oldest holder, class 0, crosses it toward switch 1"
+	if err := auditRoutes(c, false); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("audit = %v, want %q", err, want)
 	}
 }

@@ -132,6 +132,7 @@ func (c *Controller) buildAssignment(cl core.Class, subs []core.Subclass, txn *R
 		a.subs = append(a.subs, subRecord{hops: sub.Hops, portion: sub.Portion, weight: sub.Portion, tag: tag})
 	}
 	a.gen = c.nextGen()
+	a.since = a.gen
 	return a, nil
 }
 
@@ -174,7 +175,8 @@ func steeringKey(v topology.NodeID) tableKey {
 // routing table of each path switch i with fresh[i] set: the switches
 // where the class is the route's first holder (assignStore.unheld).
 // Classes to one destination share one route per switch, which forwards to
-// the next hop of the class that installed it.
+// the next hop of the oldest of them (routeHold): the class that installed
+// it, until a removal re-points it.
 func (c *Controller) emitRouting(g *ruleGroups, cl core.Class, fresh []bool) error {
 	dst := cl.Path[len(cl.Path)-1]
 	for i, f := range fresh {

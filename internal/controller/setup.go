@@ -35,6 +35,7 @@ import (
 	"cmp"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"sync"
 
@@ -49,8 +50,8 @@ import (
 // assignStore is the id→assignment map behind one lock: the single
 // control-plane writer mutates it while Forward and enforcement probes
 // read it from other goroutines. It also keeps the instance-portion
-// ledger and the route holder counts, which follow the class records: put
-// and remove are their only writers (but for forget, on the ledger), so
+// ledger and the route holds, which follow the class records: put and
+// remove are their only writers (but for forget, on the ledger), so
 // whatever puts an assignment back — a transaction unwind included — puts
 // its charges and holds back too.
 type assignStore struct {
@@ -61,20 +62,34 @@ type assignStore struct {
 	// entry stays, near zero, once nothing charges the instance, until
 	// the instance leaves the pools (forget). Guarded by mu.
 	portion map[vnf.ID]float64
-	// held[v][dst] counts the installed classes whose path crosses switch
-	// v toward destination dst: the classes route-<dst> at v stands for.
-	// One row per switch, indexed by destination and sized by the
-	// topology, so a put or remove allocates nothing for it. Guarded by
-	// mu.
-	held [][]int32
+	// held[v][dst] is the route toward dst at switch v as the records
+	// derive it (routeHold). One row per switch, indexed by destination
+	// and sized by the topology, so a put or remove allocates nothing for
+	// it. Guarded by mu.
+	held [][]routeHold
+}
+
+// routeHold is what the class records make of the route toward one
+// destination at one switch: it stands while some installed class
+// crosses the switch toward the destination, and forwards to the next
+// hop of the oldest of them, the one whose path was installed first
+// (Assignment.since). A new class is never older than a route's holders,
+// so an install never moves a route; only a removal of its oldest holder
+// does. Along any chain of routes the oldest holder only gets older, and
+// it crosses every switch its route leads to, so routes never form a
+// cycle and never lead into a switch with no route.
+type routeHold struct {
+	n    int32  // installed classes crossing the switch toward dst
+	lead uint32 // the since of the oldest of them
+	hop  int32  // its next hop; dst itself at dst
 }
 
 // newAssignStore makes an empty store for a topology of n switches.
 func newAssignStore(n int) *assignStore {
-	counts := make([]int32, n*n)
-	held := make([][]int32, n)
+	holds := make([]routeHold, n*n)
+	held := make([][]routeHold, n)
 	for v := range held {
-		held[v] = counts[v*n : (v+1)*n : (v+1)*n]
+		held[v] = holds[v*n : (v+1)*n : (v+1)*n]
 	}
 	return &assignStore{m: make(map[core.ClassID]*Assignment), portion: make(map[vnf.ID]float64), held: held}
 }
@@ -95,7 +110,8 @@ func (st *assignStore) has(id core.ClassID) bool {
 // base sub-classes are charged to the ledger and its path holds its
 // routes, then the replaced one's are taken back. An assignment with the
 // replaced one's base (sameBase) moves no charge, so a handler reshape and
-// its rollback leave the ledger bit-identical.
+// its rollback leave the ledger bit-identical; one on the replaced one's
+// path since the same install moves no hold.
 func (st *assignStore) put(id core.ClassID, a *Assignment) {
 	st.mu.Lock()
 	old := st.m[id]
@@ -104,8 +120,10 @@ func (st *assignStore) put(id core.ClassID, a *Assignment) {
 		a.charge(st.portion, 1)
 		old.charge(st.portion, -1)
 	}
-	a.hold(st.held, 1)
-	old.hold(st.held, -1)
+	if old == nil || old.since != a.since {
+		st.holdLocked(a)
+		st.releaseLocked(old)
+	}
 	st.mu.Unlock()
 }
 
@@ -113,17 +131,11 @@ func (st *assignStore) put(id core.ClassID, a *Assignment) {
 // holds.
 func (st *assignStore) remove(id core.ClassID) {
 	st.mu.Lock()
-	st.m[id].charge(st.portion, -1)
-	st.m[id].hold(st.held, -1)
+	a := st.m[id]
 	delete(st.m, id)
+	a.charge(st.portion, -1)
+	st.releaseLocked(a)
 	st.mu.Unlock()
-}
-
-// holders returns how many installed classes cross switch v toward dst.
-func (st *assignStore) holders(v, dst topology.NodeID) int32 {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.held[v][dst]
 }
 
 // unheld appends to fresh, for each switch of path in order, whether no
@@ -134,42 +146,81 @@ func (st *assignStore) unheld(path []topology.NodeID, fresh []bool) []bool {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	for _, v := range path {
-		fresh = append(fresh, st.held[v][dst] == 0)
+		fresh = append(fresh, st.held[v][dst].n == 0)
 	}
 	return fresh
 }
 
-// lowestHop returns the next hop at switch v of the lowest-numbered
-// installed class that crosses v toward dst; v must not be dst, and some
-// class must cross it. It scans the store: the retire step asks it only to
-// re-point a route its installer left (Controller.eachRouteRetired).
-func (st *assignStore) lowestHop(v, dst topology.NodeID) topology.NodeID {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	var hop topology.NodeID
-	var lowest core.ClassID
-	found := false
-	for id, a := range st.m {
-		path := a.Class.Path
-		if (found && id > lowest) || path[len(path)-1] != dst {
-			continue
-		}
-		if i := slices.Index(path, v); i >= 0 && i < len(path)-1 {
-			hop, lowest, found = path[i+1], id, true
-		}
-	}
-	return hop
+// routeMove is one route the retire step changes: the route toward the
+// retiring class's destination at switch at is removed, or re-pointed to
+// hop.
+type routeMove struct {
+	at, hop topology.NodeID
+	retire  bool
 }
 
-// hold adds sign to the holder count of every (switch, destination) pair
-// a's path crosses. A nil assignment holds nothing.
-func (a *Assignment) hold(held [][]int32, sign int32) {
+// routeMoves appends, for each switch of a's path in path order, what the
+// swap that took a out of the store asks of the route there toward a's
+// destination: its removal where no installed class crosses the switch
+// any more, and where a was the oldest holder, its re-pointing to the
+// next hop of the oldest one left, when that differs from a's.
+func (st *assignStore) routeMoves(a *Assignment, moves []routeMove) []routeMove {
+	path := a.Class.Path
+	dst := path[len(path)-1]
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	for i, v := range path {
+		r := st.held[v][dst]
+		switch {
+		case r.n == 0:
+			moves = append(moves, routeMove{at: v, retire: true})
+		case v != dst && a.since < r.lead && topology.NodeID(r.hop) != path[i+1]:
+			moves = append(moves, routeMove{at: v, hop: topology.NodeID(r.hop)})
+		}
+	}
+	return moves
+}
+
+// holdLocked adds a to the holds of every switch its path crosses,
+// leading each it is older than every holder of. A nil assignment holds
+// nothing.
+func (st *assignStore) holdLocked(a *Assignment) {
 	if a == nil {
 		return
 	}
-	dst := a.Class.Path[len(a.Class.Path)-1]
-	for _, v := range a.Class.Path {
-		held[v][dst] += sign
+	path := a.Class.Path
+	dst := path[len(path)-1]
+	for i, v := range path {
+		r := &st.held[v][dst]
+		if r.n == 0 || a.since < r.lead {
+			r.lead, r.hop = a.since, int32(path[min(i+1, len(path)-1)])
+		}
+		r.n++
+	}
+}
+
+// releaseLocked takes a, no longer in the store, out of the holds of
+// every switch its path crosses; where a led and holders remain, the
+// oldest of them leads, found by a scan of the store. A nil assignment
+// releases nothing.
+func (st *assignStore) releaseLocked(a *Assignment) {
+	if a == nil {
+		return
+	}
+	path := a.Class.Path
+	dst := path[len(path)-1]
+	for _, v := range path {
+		r := &st.held[v][dst]
+		if r.n--; r.n == 0 || r.lead != a.since {
+			continue
+		}
+		r.lead = math.MaxUint32
+		for _, b := range st.m {
+			p := b.Class.Path
+			if i := slices.Index(p, v); i >= 0 && p[len(p)-1] == dst && b.since < r.lead {
+				r.lead, r.hop = b.since, int32(p[min(i+1, len(p)-1)])
+			}
+		}
 	}
 }
 
@@ -636,7 +687,7 @@ apply:
 // are marked in t.fresh; the class after it in a run sees it hold them.
 // On failure nothing of the class remains — its provisioning is
 // cancelled, and nothing was charged to the portion ledger or the route
-// holder counts, which only the store's put moves — so an admission error
+// holds, which only the store's put moves — so an admission error
 // can drop one class from a batch without unwinding the classes before
 // it.
 func (t *RuleTxn) admit(op txnOp) (*Assignment, error) {

@@ -39,7 +39,8 @@ import (
 //     and matches N's prefix exactly when N's chain keeps headers intact;
 //     every host tag it writes is Fin or answered by a switch on N's path;
 //   - every routing table holds exactly the routes the class records
-//     derive (auditRoutes), and each leads on to a switch with a route.
+//     derive (auditRoutes), each forwarding to its oldest holder's next
+//     hop, and following them from any switch delivers at the destination.
 func auditTableIII(c *Controller) error {
 	tagOwner := make(map[uint16]topology.NodeID)
 	for _, v := range c.Switches() {
@@ -162,77 +163,102 @@ func auditTableIII(c *Controller) error {
 // class records derive: route-D at switch v while some installed class
 // crosses v toward D, and no other rule. Each matches D's destination
 // prefix and has one action: at D, delivery; elsewhere, forwarding to a
-// neighbour that carries route-D too, so no class's packets are forwarded
-// into a switch with no route toward its destination. With every set, it
-// must also forward to the next hop of every class crossing v toward D:
-// the destination-keyed table cannot do that for two classes whose paths
-// part at v (ROADMAP item 28), which the suites' random paths do, so only
-// the tests of that gap ask it.
+// neighbour. From every switch that carries route-D, following the routes
+// must deliver at D, meeting no switch twice and none without the route.
+// Each must forward to the next hop of the oldest class crossing v toward
+// D, the one with the least since, found here from the records, not from
+// the store's holds. With every set, each must also forward to the next
+// hop of every class crossing v toward D: the destination-keyed table
+// cannot do that for two classes whose paths part at v (ROADMAP item 28),
+// which the suites' random paths do, so only the tests of that gap ask it.
 func auditRoutes(c *Controller, every bool) error {
 	type route struct{ v, dst topology.NodeID }
 	type holder struct {
-		id   core.ClassID
-		next topology.NodeID
+		id    core.ClassID
+		since uint32
+		next  topology.NodeID
 	}
 	holders := make(map[route][]holder)
 	for _, id := range c.Classes() {
 		a, _ := c.assign.get(id)
 		p := a.Class.Path
 		for i, v := range p {
-			h := holder{id: id, next: v}
-			if i+1 < len(p) {
-				h.next = p[i+1]
-			}
-			holders[route{v, p[len(p)-1]}] = append(holders[route{v, p[len(p)-1]}], h)
+			k := route{v, p[len(p)-1]}
+			holders[k] = append(holders[k], holder{id: id, since: a.since, next: p[min(i+1, len(p)-1)]})
 		}
 	}
+	// to is where each installed route leads, in switch and table order.
+	var routes []route
+	to := make(map[route]topology.NodeID)
 	for _, v := range c.Switches() {
 		tbl, err := c.switches[v].Pipeline.Table(TableRouting)
 		if err != nil {
 			return err
 		}
-		seen := make(map[string]bool)
 		for _, r := range tbl.Rules() {
 			var d int
 			if k, _ := fmt.Sscanf(r.Name, "route-%d", &d); k != 1 || r.Name != fmt.Sprintf("route-%d", d) {
 				return fmt.Errorf("switch %d: rule %q has no place in the routing table", v, r.Name)
 			}
-			if seen[r.Name] {
+			k := route{v, topology.NodeID(d)}
+			if _, dup := to[k]; dup {
 				return fmt.Errorf("switch %d carries %q twice", v, r.Name)
 			}
-			seen[r.Name] = true
-			dst := topology.NodeID(d)
-			hs, ok := holders[route{v, dst}]
-			if !ok {
-				return fmt.Errorf("switch %d: stale %q: no installed class crosses it toward switch %d", v, r.Name, dst)
+			if _, ok := holders[k]; !ok {
+				return fmt.Errorf("switch %d: stale %q: no installed class crosses it toward switch %d", v, r.Name, d)
 			}
-			if !r.Match.Equal(flowtable.Match{}.WithDst(dstPrefix(dst))) || len(r.Actions) != 1 || r.Actions[0].Type != flowtable.ActForward {
-				return fmt.Errorf("switch %d: %s does not forward packets to switch %d's prefix", v, fmtRule(r), dst)
+			if !r.Match.Equal(flowtable.Match{}.WithDst(dstPrefix(k.dst))) || len(r.Actions) != 1 || r.Actions[0].Type != flowtable.ActForward {
+				return fmt.Errorf("switch %d: %s does not forward packets to switch %d's prefix", v, fmtRule(r), d)
 			}
 			port := r.Actions[0].Port
-			next := v
-			if v != dst {
-				next = -1
-				for w, p := range c.nbrPort[v] {
-					if p == port {
-						next = w
-					}
-				}
-				if _, routed := holders[route{next, dst}]; !routed {
-					return fmt.Errorf("switch %d: %q forwards to port %d, toward no switch with a route to switch %d", v, r.Name, port, dst)
-				}
-			} else if port != PortDeliver {
+			to[k] = -1
+			if v == k.dst && port == PortDeliver {
+				to[k] = v
+			} else if v == k.dst {
 				return fmt.Errorf("switch %d: %q forwards to port %d at its destination", v, r.Name, port)
 			}
-			for _, h := range hs {
-				if every && h.next != next {
-					return fmt.Errorf("switch %d: %q forwards to switch %d, but class %d crosses it toward switch %d", v, r.Name, next, h.id, h.next)
+			for w, p := range c.nbrPort[v] {
+				if p == port && v != k.dst {
+					to[k] = w
 				}
 			}
+			routes = append(routes, k)
 		}
 		for _, dst := range c.Switches() {
-			if hs, ok := holders[route{v, dst}]; ok && !seen[c.switches[dst].route] {
-				return fmt.Errorf("switch %d lacks %q, which class %d crosses it toward", v, c.switches[dst].route, hs[0].id)
+			k := route{v, dst}
+			if _, ok := to[k]; !ok && holders[k] != nil {
+				return fmt.Errorf("switch %d lacks %q, which class %d crosses it toward", v, c.switches[dst].route, holders[k][0].id)
+			}
+		}
+	}
+	for _, k := range routes {
+		walked := []topology.NodeID{k.v}
+		for w := k.v; w != k.dst; {
+			next, ok := to[route{w, k.dst}]
+			if !ok {
+				return fmt.Errorf("route-%d from switch %d walks %v into a switch with no route-%d", k.dst, k.v, walked, k.dst)
+			}
+			if slices.Contains(walked, next) {
+				return fmt.Errorf("route-%d from switch %d loops: %v then %d", k.dst, k.v, walked, next)
+			}
+			walked = append(walked, next)
+			w = next
+		}
+	}
+	for _, k := range routes {
+		hs := holders[k]
+		oldest := hs[0]
+		for _, h := range hs {
+			if h.since < oldest.since {
+				oldest = h
+			}
+		}
+		if to[k] != oldest.next {
+			return fmt.Errorf("switch %d: route-%d forwards to switch %d, but its oldest holder, class %d, crosses it toward switch %d", k.v, k.dst, to[k], oldest.id, oldest.next)
+		}
+		for _, h := range hs {
+			if every && h.next != to[k] {
+				return fmt.Errorf("switch %d: %q forwards to switch %d, but class %d crosses it toward switch %d", k.v, c.switches[k.dst].route, to[k], h.id, h.next)
 			}
 		}
 	}
@@ -559,7 +585,13 @@ func TestTableIIIAuditCatches(t *testing.T) {
 				r.Actions[0].Port = 99
 				return true
 			})
-		}, "toward no switch with a route"},
+		}, "walks [0 1 -1] into a switch with no route-3"},
+		{"routes that loop", func(t *testing.T, c *Controller) {
+			reinstall(t, routingTable(t, c, 2), "route-3", func(_ int, r *flowtable.Rule) bool {
+				r.Actions[0].Port = c.nbrPort[2][1]
+				return true
+			})
+		}, "route-3 from switch 0 loops: [0 1 2] then 1"},
 		{"route forwarding at its destination", func(t *testing.T, c *Controller) {
 			reinstall(t, routingTable(t, c, 3), "route-3", func(_ int, r *flowtable.Rule) bool {
 				r.Actions[0].Port = firstNeighborPort

@@ -34,9 +34,9 @@ package controller
 //	             re-registers replaced/removed ones, restores the pool
 //	             buckets it re-bucketed and cancels provisioned instances:
 //	             four kinds of state. The instance-portion ledger and the
-//	             route holder counts follow the class records
-//	             (assignStore.put and remove), so they come back with
-//	             them, each ledger entry to within rounding.
+//	             route holds follow the class records (assignStore.put
+//	             and remove), so they come back with them, each ledger
+//	             entry to within rounding.
 //	             Controller state is otherwise bit-identical to the
 //	             pre-transaction state.
 //
@@ -153,8 +153,10 @@ type txnScratch struct {
 	// fresh marks, switch by switch along the path of each class of the
 	// install run (or of the cutover's next), whether the class is the
 	// first holder of that switch's route (assignStore.unheld): the
-	// routes its make step installs.
+	// routes its make step installs. moves are the routes a cutover's
+	// retire step removes or re-points (assignStore.routeMoves).
 	fresh []bool
+	moves []routeMove
 }
 
 // scratchCap is the most entries a buffer of the spare set may hold, or
@@ -178,6 +180,7 @@ func (s *txnScratch) reset() {
 	s.runEmitted = reuse(s.runEmitted)
 	s.runPerDevice = reuseMap(s.runPerDevice)
 	s.fresh = reuse(s.fresh)
+	s.moves = reuse(s.moves)
 }
 
 // reuse empties s, zeroing what it held so a kept buffer pins nothing of
@@ -553,7 +556,7 @@ func (t *RuleTxn) commitCutover(op txnOp, opts TxnOptions) error {
 	if op.kind != txnUpdate {
 		return t.cutover(old, op.next)
 	}
-	next, err := t.buildUpdate(op)
+	next, err := t.buildUpdate(op, old)
 	if err != nil {
 		return err
 	}
@@ -578,12 +581,13 @@ func (t *RuleTxn) commitCutover(op txnOp, opts TxnOptions) error {
 }
 
 // buildUpdate builds an update's next assignment from the staged
-// distribution without registering it. The live assignment is still
+// distribution without registering it. The live assignment old is still
 // installed, so a header-rewriting class draws global tags that do not
 // conflict with its own, and next's instances are picked against a ledger
 // that still charges the live one's base: the cutover's swap charges next
-// before it takes the live base back (assignStore.put).
-func (t *RuleTxn) buildUpdate(op txnOp) (*Assignment, error) {
+// before it takes the live base back (assignStore.put). On old's path,
+// next is as old as old's install (Assignment.since).
+func (t *RuleTxn) buildUpdate(op txnOp, old *Assignment) (*Assignment, error) {
 	if err := t.fail("update:plan", op.id); err != nil {
 		return nil, err
 	}
@@ -594,7 +598,11 @@ func (t *RuleTxn) buildUpdate(op txnOp) (*Assignment, error) {
 	if err := t.fail("update:build", op.id); err != nil {
 		return nil, err
 	}
-	return t.c.buildAssignment(op.cl, subs, t)
+	next, err := t.c.buildAssignment(op.cl, subs, t)
+	if err == nil && slices.Equal(next.Class.Path, old.Class.Path) {
+		next.since = old.since
+	}
+	return next, err
 }
 
 // cutover moves a class from its live assignment old to next, or removes
@@ -612,12 +620,13 @@ func (t *RuleTxn) buildUpdate(op txnOp) (*Assignment, error) {
 //     sub-classes in one remove-then-install batch, or is removed. When
 //     next's classification compiles to the installed rules, they stand.
 //  3. swap (cutover:swap): the store holds next, or no longer the class,
-//     its portion ledger charges next's base in place of old's, and its
-//     route holder counts move from old's path to next's.
+//     its portion ledger charges next's base in place of old's, and on a
+//     new path the route holds move from old's path to next's.
 //  4. retire (cutover:retire): the steering of old's sub-classes that
 //     next does not keep is removed where step 1 did not replace it,
-//     old's classification if next enters elsewhere, and the route at
-//     each switch of old's path that the swap left no holder.
+//     old's classification if next enters elsewhere, and at each switch
+//     of old's path the route the swap left no holder, or re-pointed
+//     where old was its oldest holder (assignStore.routeMoves).
 //
 // Each flow table changes in single ApplyBatch critical sections, so a
 // packet meets a table's complete old or complete new rule set. A new
@@ -661,7 +670,8 @@ func (t *RuleTxn) cutover(old, next *Assignment) error {
 	if err := t.fail("cutover:retire", id); err != nil {
 		return err
 	}
-	return t.applyEach(c.retireRules(old, next))
+	t.moves = c.assign.routeMoves(old, t.moves[:0])
+	return t.applyEach(c.retireRules(old, next, t.moves))
 }
 
 // keepsSteering reports whether sub-class s of next stands as old's does:
@@ -810,19 +820,18 @@ func sameClassification(old, next *Assignment, blocks [][]headerspace.PrefixBloc
 // holds next: the removal of old's classification when next enters at
 // another switch, of the steering of every sub-class of old that next
 // does not keep, on each host it visits unless the make step replaced it
-// there, and of the route at each switch of old's path that no installed
-// class crosses any more, each behind the re-pointing of the routes that
-// forward into it (eachRouteRetired). One batch per table: hosts in the
-// order the sub-classes first reach them, then switches in path order.
-// Nothing to remove allocates nothing.
-func (c *Controller) retireRules(old, next *Assignment) []tableBatch {
+// there, and the route moves toward old's destination that the swap left
+// (assignStore.routeMoves). One batch per table: hosts in the order the
+// sub-classes first reach them, then switches in path order, so every
+// route a packet meets leads on to the destination between any two
+// batches. Nothing to remove allocates nothing.
+func (c *Controller) retireRules(old, next *Assignment, moves []routeMove) []tableBatch {
 	cl := old.Class
 	dst := cl.Path[len(cl.Path)-1]
 	moved := next != nil && next.Class.Path[0] != cl.Path[0]
-	steered, routed := 0, 0
+	steered := 0
 	eachRetired(old, next, func(int, topology.NodeID) { steered++ })
-	c.eachRouteRetired(old, func(topology.NodeID, int) { routed++ }, func(topology.NodeID) { routed++ })
-	tables := min(steered, len(cl.Path)) + routed
+	tables := min(steered, len(cl.Path)) + len(moves)
 	if moved {
 		tables++
 	}
@@ -831,9 +840,9 @@ func (c *Controller) retireRules(old, next *Assignment) []tableBatch {
 		g.reserve(appleKey(cl.Path[0]), 1)
 	}
 	eachRetired(old, next, func(_ int, v topology.NodeID) { g.reserve(steeringKey(v), 1) })
-	c.eachRouteRetired(old,
-		func(u topology.NodeID, _ int) { g.reserve(routingKey(u), 1) },
-		func(w topology.NodeID) { g.reserve(routingKey(w), 1) })
+	for _, m := range moves {
+		g.reserve(routingKey(m.at), 1)
+	}
 	if moved {
 		g.add(appleKey(cl.Path[0]), flowtable.BatchOp{Remove: fmt.Sprintf("cls-%d", cl.ID)})
 	}
@@ -845,45 +854,14 @@ func (c *Controller) retireRules(old, next *Assignment) []tableBatch {
 		g.add(steeringKey(v), retired)
 	})
 	route := c.switches[dst].route
-	c.eachRouteRetired(old,
-		func(u topology.NodeID, port int) {
-			g.add(routingKey(u), flowtable.BatchOp{Remove: route, Rule: c.routeRule(dst, port)})
-		},
-		func(w topology.NodeID) { g.add(routingKey(w), flowtable.BatchOp{Remove: route}) })
-	return g.tables
-}
-
-// eachRouteRetired calls retire with every switch w of a's path that no
-// installed class crosses toward a's destination any more, in path order,
-// and before it repoint with each neighbour u of w whose route toward that
-// destination forwards into w while some installed class still crosses u:
-// repoint gets the port toward the next hop at u of the lowest-numbered
-// such class. Such a route was installed by a class since gone, whose path
-// the classes holding it now leave (ROADMAP item 28); once w's route went
-// it would forward them into a switch with no route.
-func (c *Controller) eachRouteRetired(a *Assignment, repoint func(u topology.NodeID, port int), retire func(w topology.NodeID)) {
-	path := a.Class.Path
-	dst := path[len(path)-1]
-	probe := flowtable.Packet{Hdr: headerspace.Header{DstIP: dstPrefix(dst).Addr}}
-	for _, w := range path {
-		if c.assign.holders(w, dst) > 0 {
-			continue
+	for _, m := range moves {
+		op := flowtable.BatchOp{Remove: route}
+		if !m.retire {
+			op.Rule = c.routeRule(dst, c.nbrPort[m.at][m.hop])
 		}
-		for _, nb := range c.switches[w].nbrs {
-			u := nb.ID
-			if u == dst || c.assign.holders(u, dst) == 0 {
-				continue
-			}
-			routing, err := nb.Pipeline.Table(TableRouting)
-			if err != nil {
-				continue
-			}
-			if r, ok := routing.Lookup(probe); ok && r.Actions[0].Port == c.nbrPort[u][w] {
-				repoint(u, c.nbrPort[u][c.assign.lowestHop(u, dst)])
-			}
-		}
-		retire(w)
+		g.add(routingKey(m.at), op)
 	}
+	return g.tables
 }
 
 // eachRetired calls f with every sub-class s of old that next does not

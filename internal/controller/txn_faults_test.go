@@ -213,13 +213,14 @@ var faultRoutes = []struct {
 // runs 0→1→2 and class 1 0→3→2, both processed at switch 0, so class 1 is
 // enforced though switch 0's route-2 forwards it to switch 1, class 0's
 // next hop; class 3 runs 1→0. The transaction admits class 2 (3→0), then
-// removes class 0: no class then crosses switch 1 toward switch 2, so its
-// route retires, behind the re-pointing of switch 0's route to class 1's
-// next hop, switch 3. It removes class 3 last, retiring route-0 at switch
-// 1, so a fault at any of class 3's steps unwinds class 0's retire step.
+// removes class 0: switch 0's route-2 then follows class 1, its oldest
+// holder left, and is re-pointed to switch 3, and no class crosses switch
+// 1 toward switch 2, so its route retires. It removes class 3 last,
+// retiring route-0 at switch 1, so a fault at any of class 3's steps
+// unwinds class 0's retire step.
 func newRetireRoute(t *testing.T) *faultRoute {
 	t.Helper()
-	c := ringController(t, 0)
+	c := ringController(t, 4, 0)
 	for _, cl := range []core.Class{
 		{ID: 0, Path: []topology.NodeID{0, 1, 2}, Chain: policy.Chain{policy.Firewall}, RateMbps: 200},
 		{ID: 1, Path: []topology.NodeID{0, 3, 2}, Chain: policy.Chain{policy.IDS}, RateMbps: 200},
