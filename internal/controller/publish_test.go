@@ -6,8 +6,10 @@ package controller
 // unwind reverts; the tests below walk a class's probes there.
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -369,4 +371,102 @@ func TestPublishedHookAllocs(t *testing.T) {
 	if unhooked != hooked {
 		t.Errorf("a nil hook's cycle allocated %.0f objects, a no-op hook's %.0f", unhooked, hooked)
 	}
+}
+
+// publicationSum hashes every table publication of a call until the
+// returned stop is called: after each, the table's key and its rules in
+// match order, as fmtRule prints them. stop returns how many publications
+// there were and the hash.
+func publicationSum(t *testing.T, c *Controller) (stop func() (int, string)) {
+	t.Helper()
+	h, n := sha256.New(), 0
+	c.published = func(k tableKey) {
+		n++
+		tbl, err := c.deviceTable(k.dev, k.table)
+		if err != nil {
+			t.Fatalf("publication of %+v: %v", k, err)
+		}
+		fmt.Fprintf(h, "%+v\n", k)
+		for _, r := range tbl.Rules() {
+			fmt.Fprintln(h, fmtRule(r))
+		}
+	}
+	return func() (int, string) {
+		c.published = nil
+		return n, fmt.Sprintf("%x", h.Sum(nil))
+	}
+}
+
+// publicationLine formats one golden line: the route, the failpoint ("-"
+// for a clean run), the publication count and their hash.
+func publicationLine(route, pt string, n int, sum string) string {
+	return fmt.Sprintf("%s %s %d %s", route, pt, n, sum)
+}
+
+// TestPublicationOrderGolden pins what every rule-mutating entry point
+// publishes, table by table and in order: each route of faultRoutes and
+// of publicationRoutes, run clean and once more per failpoint it fires
+// with a fault injected there, unwind reverts included. Every line of
+// testdata/publications.txt holds a route, a failpoint, the number of
+// publications and the sha256 of the sequence of published tables, each
+// followed by its rules right after it was published. Any reordering of a
+// commit's batches, or of the operations within one, shows here.
+func TestPublicationOrderGolden(t *testing.T) {
+	raw, err := os.ReadFile("testdata/publications.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	var got []string
+	for _, route := range faultRoutes {
+		name := "fault/" + route.name
+		for _, pt := range append([]string{"-"}, probeFailpoints(t, route.new)...) {
+			fx := route.new(t)
+			if pt != "-" {
+				fx.c.failpoint = failAt(pt)
+			}
+			stop := publicationSum(t, fx.c)
+			err := fx.run()
+			n, sum := stop()
+			if (err != nil) != (pt != "-") {
+				t.Fatalf("%s at %s: run = %v", name, pt, err)
+			}
+			got = append(got, publicationLine(name, pt, n, sum))
+		}
+	}
+	for _, rt := range publicationRoutes {
+		name := "install/" + rt.name
+		c, _, run := rt.new(t)
+		points := []string{"-"}
+		c.failpoint = func(p string) error {
+			points = append(points, p)
+			return nil
+		}
+		stop := publicationSum(t, c)
+		if err := run(); err != nil {
+			t.Fatalf("%s: clean run: %v", name, err)
+		}
+		n, sum := stop()
+		got = append(got, publicationLine(name, "-", n, sum))
+		for _, pt := range points[1:] {
+			c, _, run := rt.new(t)
+			c.failpoint = failAt(pt)
+			stop := publicationSum(t, c)
+			if err := run(); err == nil {
+				t.Fatalf("%s: fault at %s: the call succeeded", name, pt)
+			}
+			n, sum := stop()
+			got = append(got, publicationLine(name, pt, n, sum))
+		}
+	}
+	if slices.Equal(got, want) {
+		return
+	}
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			t.Errorf("run %d:\n got %s\nwant %s", i, got[i], want[i])
+		}
+	}
+	t.Fatalf("%d runs, publications.txt has %d lines; this tree gives:\n%s",
+		len(got), len(want), strings.Join(got, "\n"))
 }
