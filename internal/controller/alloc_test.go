@@ -7,6 +7,7 @@ package controller
 // classes over GEANT, placed greedily.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -177,7 +178,7 @@ func TestObserveAllocsNoTransition(t *testing.T) {
 // names it removes from the assignment. It stages no rules
 // (FlowSetup.StagedRules stands still) and leaves none of the class's
 // rules behind. Its batches, undo list and ledger pre-images live in the
-// spare buffer set and the rule arena. Two kinds of removal of a class of
+// spare buffer set and the step buffers. Two kinds of removal of a class of
 // one sub-class are gated apart, eleven of each (the fixture has
 // fewer than 21 of one sub-class whose routes others hold):
 //   - one whose routes other classes still hold allocates 16 objects (19
@@ -188,7 +189,7 @@ func TestObserveAllocsNoTransition(t *testing.T) {
 //     transaction that allocated its own buffers made it 27, and
 //     compiling the class's rules first 91.
 //   - one that retires routes, as 16 of the fixture's first 20 do, edits
-//     a routing table for each and allocates 24 (30 under the race
+//     a routing table for each and allocates 25 (30 under the race
 //     detector), where the same removals took 15 (19) while routes stayed.
 //     The gate is 32, the race figure plus about 5 %.
 func TestRemoveCompilesNothing(t *testing.T) {
@@ -254,33 +255,46 @@ func retiresRoutes(c *Controller, a *Assignment) bool {
 }
 
 // TestEmitOneBackingArrayPerTable: a class install's make and flip steps
-// (makeRules and flipRules from nothing) each hand back exactly one batch
-// per table the step touches — the make step routing and steering tables
-// of its path's switches, the flip step the ingress APPLE table alone —
-// each filled to exactly the capacity it was given,
-// whether carved from the rule arena or allocated: no batch is regrown or
-// copied, and none can grow into another's memory. A removal's retire
-// batches (retireRules, run with the class out of the store, as after its
-// swap) are sized the same way: one removal per host each sub-class
-// visits, and one per switch whose route the class held alone.
+// (makeRules and flipRules from nothing), grouped as they are applied,
+// each come to exactly one batch per table the step touches — the make
+// step routing and steering tables of its path's switches, the flip step
+// the ingress APPLE table alone — at most 2·len(Path)+1 in all. Every
+// batch is a clipped view of the step's one array (ruleSteps.group), its
+// capacity its length, so none can grow into another's memory. A
+// removal's retire step (retireRules, run with the class out of the store,
+// as after its swap) groups the same way: one removal per host each
+// sub-class visits, and one per switch whose route the class held alone.
 func TestEmitOneBackingArrayPerTable(t *testing.T) {
 	c, prob, _ := hundredClassFixture(t)
+	// grouped groups one step and checks its layout.
+	grouped := func(what string, step []tableOp) []tableBatch {
+		t.Helper()
+		batches := c.steps.group(step)
+		seen, at := make(map[tableKey]bool, len(batches)), 0
+		for _, b := range batches {
+			if seen[b.key] {
+				t.Fatalf("%s: two batches for table %+v", what, b.key)
+			}
+			seen[b.key] = true
+			if len(b.ops) == 0 || len(b.ops) != cap(b.ops) || &b.ops[0] != &c.steps.ops[at] {
+				t.Fatalf("%s table %+v: %d operations in an array of %d, not at offset %d of the step's",
+					what, b.key, len(b.ops), cap(b.ops), at)
+			}
+			at += len(b.ops)
+		}
+		if at != len(step) {
+			t.Fatalf("%s: %d operations grouped of %d", what, at, len(step))
+		}
+		return batches
+	}
 	routes := 0
 	for _, cl := range prob.Classes {
 		a, _ := c.assign.get(cl.ID)
-		c.arena.reset()
 		c.assign.remove(cl.ID)
-		retired := c.retireRules(a, nil, c.assign.routeMoves(a, nil))
+		retired := c.retireRules(nil, a, nil, c.assign.routeMoves(a, nil))
 		c.assign.put(cl.ID, a)
-		steering, seen := 0, make(map[tableKey]bool, len(retired))
-		for _, b := range retired {
-			if seen[b.key] {
-				t.Fatalf("class %d: two retire batches for table %+v", cl.ID, b.key)
-			}
-			seen[b.key] = true
-			if len(b.ops) == 0 || len(b.ops) != cap(b.ops) {
-				t.Fatalf("class %d: removals for %+v: %d operations in an array of %d", cl.ID, b.key, len(b.ops), cap(b.ops))
-			}
+		steering := 0
+		for _, b := range grouped(fmt.Sprintf("class %d retire", cl.ID), retired) {
 			if b.key.dev.vswitch {
 				steering++
 			} else if b.key.table == TableRouting {
@@ -290,37 +304,26 @@ func TestEmitOneBackingArrayPerTable(t *testing.T) {
 		if steering == 0 {
 			t.Fatalf("class %d: no steering removals", cl.ID)
 		}
-		made, err := c.makeRules(nil, a, allFresh(cl.Path))
+		made, err := c.makeRules(nil, nil, a, allFresh(cl.Path))
 		if err != nil {
 			t.Fatal(err)
 		}
-		flip, err := c.flipRules(nil, a)
+		flip, err := c.flipRules(nil, nil, a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(flip) != 1 || flip[0].key != appleKey(cl.Path[0]) {
-			t.Fatalf("class %d: flip batches %+v, want the ingress APPLE table's alone", cl.ID, flip)
+		batches := len(grouped(fmt.Sprintf("class %d flip", cl.ID), flip))
+		if batches != 1 || flip[0].key != appleKey(cl.Path[0]) {
+			t.Fatalf("class %d: flip batches %+v, want the ingress APPLE table's alone", cl.ID, c.steps.batches)
 		}
-		for _, b := range made {
+		for _, b := range grouped(fmt.Sprintf("class %d make", cl.ID), made) {
 			if b.key.table == TableAPPLE && !b.key.dev.vswitch {
 				t.Fatalf("class %d: the make step emits into switch %d's APPLE table", cl.ID, b.key.dev.node)
 			}
+			batches++
 		}
-		for step, batches := range [][]tableBatch{made, flip} {
-			seen := make(map[tableKey]bool, len(batches))
-			for _, b := range batches {
-				if seen[b.key] {
-					t.Fatalf("class %d step %d: two batches for table %+v", cl.ID, step, b.key)
-				}
-				seen[b.key] = true
-				if len(b.ops) == 0 || len(b.ops) != cap(b.ops) {
-					t.Fatalf("class %d step %d table %+v: %d operations in an array of %d",
-						cl.ID, step, b.key, len(b.ops), cap(b.ops))
-				}
-			}
-		}
-		if n := len(made) + len(flip); n > 2*len(cl.Path)+1 {
-			t.Fatalf("class %d: %d batches for a %d-switch path", cl.ID, n, len(cl.Path))
+		if batches > 2*len(cl.Path)+1 {
+			t.Fatalf("class %d: %d batches for a %d-switch path", cl.ID, batches, len(cl.Path))
 		}
 	}
 	if routes == 0 {
@@ -332,7 +335,7 @@ func TestEmitOneBackingArrayPerTable(t *testing.T) {
 	jumbo := core.Class{ID: 0, Path: linePath(4), Chain: policy.Chain{policy.Firewall}, RateMbps: 2500}
 	jc, _, _, _ := setup(t, []core.Class{jumbo})
 	a, _ := jc.assign.get(jumbo.ID)
-	steer := jc.retireRules(a, nil, nil)
+	steer := jc.steps.group(jc.retireRules(nil, a, nil, nil))
 	if len(steer) != 1 || len(steer[0].ops) != a.NumSubclasses() || len(steer[0].ops) != cap(steer[0].ops) {
 		t.Fatalf("jumbo class of %d sub-classes: steering removals %+v", a.NumSubclasses(), steer)
 	}

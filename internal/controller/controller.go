@@ -203,10 +203,10 @@ type Controller struct {
 	// the single writer.
 	reopt reoptScratch
 	// spare is the transaction buffer set the next Begin takes (nil while
-	// a transaction holds it), and arena the rule groups' backing store.
-	// Confined to the single writer.
+	// a transaction holds it), and steps the store of the rule steps a
+	// transaction compiles and applies. Confined to the single writer.
 	spare *txnScratch
-	arena ruleArena
+	steps ruleSteps
 	// gen is the last assignment generation handed out (nextGen). Confined
 	// to the single writer; an unwind does not take numbers back.
 	gen uint32
@@ -300,6 +300,7 @@ func New(cfg Config) (*Controller, error) {
 		hosts:    make(map[topology.NodeID]*host.Host),
 		nbrPort:  make(map[topology.NodeID]map[topology.NodeID]int),
 		assign:   newAssignStore(cfg.Topology.NumNodes()),
+		steps:    newRuleSteps(cfg.Topology.NumNodes()),
 		instPool: make(map[topology.NodeID]map[policy.NF][]*vnf.Instance),
 		tracer:   cfg.Tracer,
 		actions:  make(actionMemo),
@@ -560,16 +561,15 @@ func (c *Controller) findInstance(id vnf.ID) (*vnf.Instance, error) {
 const globalTagBase = 32
 
 // subclassHosts returns the distinct hosting switches a sub-class with
-// the given hop vector visits: every class needs them to find its
-// steering rules, and a header-rewriting class's tag is unique on them.
+// the given hop vector visits, in hop order: every class needs them to
+// find its steering rules, and a header-rewriting class's tag is unique on
+// them. A hop vector never decreases and a path never revisits a switch,
+// so they are the hops that differ from the hop before.
 func subclassHosts(cl core.Class, hops []int) []topology.NodeID {
-	seen := make(map[topology.NodeID]bool, len(hops))
 	var out []topology.NodeID
-	for _, h := range hops {
-		v := cl.Path[h]
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
+	for j, h := range hops {
+		if j == 0 || h != hops[j-1] {
+			out = append(out, cl.Path[h])
 		}
 	}
 	return out

@@ -91,10 +91,11 @@ func loadFatTree(tb testing.TB, c *Controller, l *topology.FatTreeLayout, from, 
 // trie nodes, names and match fields they need. Measured over 4096
 // {Firewall} classes installed behind 512, so the first classes' routing,
 // host-match and pass-by rules and instances stay out of the figure:
-// 1 296 B a class. A fresh action list per rule and the 232-byte record
-// with its six side arrays made it 1 758 B, and 40-byte trie slots, which
-// kept a copy of their key, 1 469 B. The gate is 1 360 B, the measured
-// figure plus about 5 %.
+// 1 118 B a class (1 126 B under the race detector). A fresh action list
+// per rule and the 232-byte record with its six side arrays made it
+// 1 758 B, and 40-byte trie slots, which kept a copy of their key,
+// 1 469 B. The gate is 1 185 B, the race figure plus about 5 % (1 360 B
+// when the class measured 1 296 B).
 func TestControllerBytesPerClass(t *testing.T) {
 	const warm, n = 512, 4096
 	heap := func() uint64 {
@@ -110,8 +111,8 @@ func TestControllerBytesPerClass(t *testing.T) {
 	perClass := float64(heap()-before) / n
 	runtime.KeepAlive(c)
 	t.Logf("%.0f B of live heap per class; %d distinct action lists after %d classes", perClass, len(c.actions), warm+n)
-	if perClass > 1360 {
-		t.Fatalf("an installed class holds %.0f B, over 1360", perClass)
+	if perClass > 1185 {
+		t.Fatalf("an installed class holds %.0f B, over 1185", perClass)
 	}
 }
 
@@ -183,24 +184,32 @@ func packetMatching(m flowtable.Match) flowtable.Packet {
 	return p
 }
 
+// held is how many entries the step buffers hold.
+func (s *ruleSteps) held() int {
+	return len(s.makeOps) + len(s.flipOps) + len(s.batches) + len(s.ops) + len(s.need)
+}
+
 // TestRetainedScratchBounded caps what a controller keeps of its
 // transactions between them: the spare buffer set, whose buffers are
-// dropped once grown past scratchCap entries, and the rule arena, a
-// fixed-size part of the Controller that a transaction leaves empty. It is
-// measured after a 4 608-class AddClassBatch on FatTree-16, and after two
+// dropped once grown past scratchCap entries, and the step buffers, left
+// empty and dropped once grown past stepCap operations. It is measured
+// after a 4 608-class AddClassBatch on FatTree-16, and after two
 // re-optimizations over 100 GEANT classes that remove half of them and
 // install them again: the spare set then holds 240 B (its empty buffer
-// headers) and about 1.2 KB of live heap, and the arena is 2 960 B. With
-// no cap the same runs left 951 KB and 80 KB. The gate is 8 KB for the
-// spare set.
+// headers) and about 1.2 KB of live heap, and the step buffers hold
+// nothing after the bulk load, whose buffers outgrew stepCap, and 4 016 B
+// after the re-optimizations. With no cap the same runs left 951 KB and
+// 80 KB in the spare set. The gate is 8 KB for each. (The fixed rule
+// arena the step buffers replace was 2 448 B.)
 func TestRetainedScratchBounded(t *testing.T) {
+	const stepsGate = 8 << 10
 	check := func(what string, c *Controller) {
 		t.Helper()
 		if c.spare == nil {
 			t.Fatalf("%s: the controller kept no spare buffer set", what)
 		}
-		if n := c.arena.nTables + c.arena.nOps; n != 0 {
-			t.Errorf("%s: %d rule arena slots still carved", what, n)
+		if n := c.steps.held(); n != 0 {
+			t.Errorf("%s: the step buffers hold %d entries", what, n)
 		}
 		heap := func() int64 {
 			runtime.GC()
@@ -211,10 +220,16 @@ func TestRetainedScratchBounded(t *testing.T) {
 		with := heap()
 		c.spare = nil
 		spare := with - heap()
+		with = heap()
+		c.steps = ruleSteps{slot: c.steps.slot}
+		steps := with - heap()
 		runtime.KeepAlive(c)
-		t.Logf("%s: the spare buffer set holds %d B; the rule arena is %d B", what, spare, unsafe.Sizeof(c.arena))
+		t.Logf("%s: the spare buffer set holds %d B, the step buffers %d B", what, spare, steps)
 		if spare > 8<<10 {
 			t.Errorf("%s: the spare buffer set holds %d B, over %d", what, spare, 8<<10)
+		}
+		if steps > stepsGate {
+			t.Errorf("%s: the step buffers hold %d B, over %d", what, steps, stepsGate)
 		}
 	}
 

@@ -171,13 +171,13 @@ func steeringKey(v topology.NodeID) tableKey {
 	return tableKey{dev: device{vswitch: true, node: v}, table: host.TableSteering}
 }
 
-// emitRouting compiles the class's route toward its destination into the
+// emitRouting appends the class's route toward its destination in the
 // routing table of each path switch i with fresh[i] set: the switches
 // where the class is the route's first holder (assignStore.unheld).
 // Classes to one destination share one route per switch, which forwards to
 // the next hop of the oldest of them (routeHold): the class that installed
 // it, until a removal re-points it.
-func (c *Controller) emitRouting(g *ruleGroups, cl core.Class, fresh []bool) error {
+func (c *Controller) emitRouting(out []tableOp, cl core.Class, fresh []bool) ([]tableOp, error) {
 	dst := cl.Path[len(cl.Path)-1]
 	for i, f := range fresh {
 		if !f {
@@ -188,13 +188,13 @@ func (c *Controller) emitRouting(g *ruleGroups, cl core.Class, fresh []bool) err
 		if i < len(cl.Path)-1 {
 			p, ok := c.nbrPort[v][cl.Path[i+1]]
 			if !ok {
-				return fmt.Errorf("controller: class %d path hop %d-%d is not a link", cl.ID, v, cl.Path[i+1])
+				return out, fmt.Errorf("controller: class %d path hop %d-%d is not a link", cl.ID, v, cl.Path[i+1])
 			}
 			port = p
 		}
-		g.add(routingKey(v), flowtable.BatchOp{Rule: c.routeRule(dst, port)})
+		out = append(out, tableOp{routingKey(v), flowtable.BatchOp{Rule: c.routeRule(dst, port)}})
 	}
-	return nil
+	return out, nil
 }
 
 // routeRule is the route toward dst that forwards to port.
@@ -290,33 +290,23 @@ func (a *Assignment) classificationBlocks() ([][]headerspace.PrefixBlock, error)
 	return blocks, nil
 }
 
-// classificationSize is how many operations emitClassification adds for
-// the given split: the removal, then one rule per prefix block.
-func classificationSize(blocks [][]headerspace.PrefixBlock) int {
-	n := 1
-	for _, bs := range blocks {
-		n += len(bs)
-	}
-	return n
-}
-
-// emitClassification compiles the ingress classification stage into the
-// ingress APPLE table's batch: one removal of the class's existing rules,
-// then the fresh rule set from the current weights' split. A sub-class's
-// rules share one action list.
-func (c *Controller) emitClassification(g *ruleGroups, a *Assignment, blocks [][]headerspace.PrefixBlock) error {
+// emitClassification appends the ingress classification stage for the
+// ingress APPLE table: one removal of the class's existing rules, then the
+// fresh rule set from the current weights' split. A sub-class's rules
+// share one action list.
+func (c *Controller) emitClassification(out []tableOp, a *Assignment, blocks [][]headerspace.PrefixBlock) ([]tableOp, error) {
 	ingress := a.Class.Path[0]
 	key := appleKey(ingress)
 	name := fmt.Sprintf("cls-%d", a.Class.ID)
-	g.add(key, flowtable.BatchOp{Remove: name})
+	out = append(out, tableOp{key, flowtable.BatchOp{Remove: name}})
 	for s, bs := range blocks {
 		subTag, err := a.tagOf(s)
 		if err != nil {
-			return err
+			return out, err
 		}
 		prefixes, err := flowtable.SuffixRules(a.Prefix(), bs, splitBits)
 		if err != nil {
-			return fmt.Errorf("controller: class %d: %w", a.Class.ID, err)
+			return out, fmt.Errorf("controller: class %d: %w", a.Class.ID, err)
 		}
 		if len(prefixes) == 0 {
 			continue
@@ -331,15 +321,15 @@ func (c *Controller) emitClassification(g *ruleGroups, a *Assignment, blocks [][
 				flowtable.Action{Type: flowtable.ActGotoTable, Table: TableRouting})
 		}
 		for _, pfx := range prefixes {
-			g.add(key, flowtable.BatchOp{Rule: flowtable.Rule{
+			out = append(out, tableOp{key, flowtable.BatchOp{Rule: flowtable.Rule{
 				Name:     name,
 				Priority: prioClassify,
 				Match:    flowtable.Match{}.WithHostTag(flowtable.HostTagEmpty).WithSrc(pfx),
 				Actions:  actions,
-			}})
+			}}})
 		}
 	}
-	return nil
+	return out, nil
 }
 
 // tagOf returns the data-plane tag of sub-class s.
@@ -370,12 +360,14 @@ func chainRuns(hops []int) []chainRun {
 	return runs
 }
 
-// emitVSwitchRules compiles sub-class s's steering rules, run by run of
-// its hop vector, into the batches of the visited hosts' steering tables.
-func (c *Controller) emitVSwitchRules(g *ruleGroups, a *Assignment, s int, runs []chainRun) error {
+// emitVSwitchRules appends sub-class s of a's steering rules, run by run
+// of its hop vector, for the visited hosts' steering tables: at each, the
+// removal of old's sub-class s's rules where that visits the host too,
+// then the run's rules. A nil old visits nothing.
+func (c *Controller) emitVSwitchRules(out []tableOp, old, a *Assignment, s int, runs []chainRun) ([]tableOp, error) {
 	subTag, err := a.tagOf(s)
 	if err != nil {
-		return err
+		return out, err
 	}
 	name := fmt.Sprintf("vsw-%d-%d", a.Class.ID, s)
 	prefix, row := a.Prefix(), a.Instances(s)
@@ -383,9 +375,12 @@ func (c *Controller) emitVSwitchRules(g *ruleGroups, a *Assignment, s int, runs 
 		v := a.Class.Path[r.hop]
 		h, ok := c.hosts[v]
 		if !ok {
-			return fmt.Errorf("controller: class %d needs a host at switch %d", a.Class.ID, v)
+			return out, fmt.Errorf("controller: class %d needs a host at switch %d", a.Class.ID, v)
 		}
 		key := steeringKey(v)
+		if old.visits(s, v) {
+			out = append(out, tableOp{key, flowtable.BatchOp{Remove: name}})
+		}
 		match := func(inPort host.PortID) flowtable.Match {
 			m := flowtable.Match{}.WithInPort(int(inPort)).WithSubTag(subTag)
 			// Header-rewriting chains (§X): the NAT may already have
@@ -405,45 +400,45 @@ func (c *Controller) emitVSwitchRules(g *ruleGroups, a *Assignment, s int, runs 
 		// Entry from the uplink to the first instance of the run.
 		firstPort, err := portOf(r.start)
 		if err != nil {
-			return fmt.Errorf("controller: %w", err)
+			return out, fmt.Errorf("controller: %w", err)
 		}
-		g.add(key, flowtable.BatchOp{Rule: flowtable.Rule{
+		out = append(out, tableOp{key, flowtable.BatchOp{Rule: flowtable.Rule{
 			Name: name, Priority: 10, Match: match(host.UplinkPort),
 			Actions: forward(firstPort),
-		}})
+		}}})
 		// Chain hops within the host.
 		for j := r.start; j < r.end; j++ {
 			from, err := portOf(j)
 			if err != nil {
-				return fmt.Errorf("controller: %w", err)
+				return out, fmt.Errorf("controller: %w", err)
 			}
 			to, err := portOf(j + 1)
 			if err != nil {
-				return fmt.Errorf("controller: %w", err)
+				return out, fmt.Errorf("controller: %w", err)
 			}
-			g.add(key, flowtable.BatchOp{Rule: flowtable.Rule{
+			out = append(out, tableOp{key, flowtable.BatchOp{Rule: flowtable.Rule{
 				Name: name, Priority: 10, Match: match(from),
 				Actions: forward(to),
-			}})
+			}}})
 		}
 		// Exit: rewrite the host tag toward the next run (or Fin) and
 		// return to the physical network.
 		lastPort, err := portOf(r.end)
 		if err != nil {
-			return fmt.Errorf("controller: %w", err)
+			return out, fmt.Errorf("controller: %w", err)
 		}
 		nextTag := flowtable.HostTagFin
 		if ri+1 < len(runs) {
 			nextTag = c.switches[a.Class.Path[runs[ri+1].hop]].hostTag
 		}
-		g.add(key, flowtable.BatchOp{Rule: flowtable.Rule{
+		out = append(out, tableOp{key, flowtable.BatchOp{Rule: flowtable.Rule{
 			Name: name, Priority: 10, Match: match(lastPort),
 			Actions: c.actions.of(
 				flowtable.Action{Type: flowtable.ActSetHostTag, Tag: nextTag},
 				flowtable.Action{Type: flowtable.ActForward, Port: int(host.UplinkPort)}),
-		}})
+		}}})
 	}
-	return nil
+	return out, nil
 }
 
 // expandForCapacity implements §IV-B's load distribution across multiple

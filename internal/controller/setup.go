@@ -11,18 +11,18 @@ package controller
 //     first to hold, and registration in the assignment store. Everything
 //     whose outcome depends on who came first happens here.
 //  2. emit: each admitted class is compiled as a cutover from nothing, by
-//     the cutover's own compilers: its make step (makeRules(nil, a, ...):
-//     the routes admit found it first to hold, then steering) and its
-//     flip step (flipRules(nil, a): the ingress classification), each one
-//     right-sized batch per table, written once. The host tags and
+//     the cutover's own compilers, which append to the run's two steps:
+//     its make step (makeRules(out, nil, a, ...): the routes admit found
+//     it first to hold, then steering) to the run's make step, and its
+//     flip step (flipRules(out, nil, a): the ingress classification) to
+//     the run's flip step, each rule written once. The host tags and
 //     host-match rows the rules lead through are New's; nothing of the
 //     controller is written.
-//  3. apply (one batch per device table and step): every class's make
-//     batches, then every class's flip batches, so no classification is
-//     published before the steering it leads to. A run of one class
-//     applies its batches as compiled; a larger run first concatenates
-//     each step's batches per table, preserving both arrival order and
-//     each class's internal order. Each table is installed in one critical
+//  3. apply (one batch per device table and step): the make step, then
+//     the flip step, so no classification is published before the
+//     steering it leads to. Each step is grouped per table as it is
+//     applied (ruleSteps.group), which keeps both arrival order and each
+//     class's internal order. Each table is installed in one critical
 //     section via flowtable.ApplyBatchUndo — the batched-TCAM-update
 //     analogue of coalescing per-switch OpenFlow barriers.
 //  4. verify (optional): CheckClassEnforcement re-injects probe packets
@@ -364,141 +364,108 @@ type tableKey struct {
 }
 
 // tableBatch is the rule operations bound for one table, in the order they
-// must apply: what the emit stage produces and one ApplyBatch consumes.
+// must apply: what ruleSteps.group lays out and one ApplyBatch consumes.
 type tableBatch struct {
 	key tableKey
 	ops []flowtable.BatchOp
 }
 
-// batchIndex returns the position of table k's batch in batches, or -1.
-// A class touches a handful of tables, so they are found by scanning.
-func batchIndex(batches []tableBatch, k tableKey) int {
-	for i := range batches {
-		if batches[i].key == k {
-			return i
+// tableOp is one rule operation and the table it is bound for: what the
+// rule compilers append to a step, in emission order.
+type tableOp struct {
+	key tableKey
+	op  flowtable.BatchOp
+}
+
+// tableIndex is k's position in ruleSteps.slot: each switch has two
+// devices, its TCAM and its host's vSwitch, of two tables each.
+func tableIndex(k tableKey) int {
+	d := 2 * int(k.dev.node)
+	if k.dev.vswitch {
+		d++
+	}
+	return 2*d + k.table
+}
+
+// stepCap is the most operations a step buffer may have room for and
+// still be kept once a transaction ends: a bulk load or a large
+// re-optimization grows its buffers past it, and they are dropped rather
+// than held by the controller until the next one.
+const stepCap = 128
+
+// ruleSteps is the controller's store for the steps a transaction
+// compiles and applies. A step — a cutover's make, flip or retire, or an
+// install run's make or flip — is a flat list of table operations in
+// emission order, grouped one batch per table only when it is applied
+// (group). The buffers are emptied, keeping their capacity, at every
+// class boundary of a commit, and when the transaction ends, dropping
+// those grown past stepCap. Confined to the single writer.
+type ruleSteps struct {
+	// makeOps and flipOps are an install run's make and flip steps; a
+	// cutover compiles each of its steps into makeOps, behind the ones it
+	// applied before, so each holds all it was written until it is
+	// emptied.
+	makeOps, flipOps []tableOp
+	// batches is the step group last laid out, a clipped view of ops
+	// each; need counts each one's operations.
+	batches []tableBatch
+	ops     []flowtable.BatchOp
+	need    []int
+	// slot is sized by the topology: 1 + the batch of each table
+	// (tableIndex) while group runs, 0 otherwise.
+	slot []int32
+}
+
+// newRuleSteps makes the step store for a topology of n switches.
+func newRuleSteps(n int) ruleSteps {
+	return ruleSteps{slot: make([]int32, 4*n)}
+}
+
+// group lays a step's operations out one batch per table: tables in the
+// order the step first reaches them, each table's operations in emission
+// order, each batch a clipped view of one reused array. For an install
+// run, whose step is every class's in turn, that concatenates the
+// classes' batches per table, class-major. What it returns is valid until
+// the next group.
+func (s *ruleSteps) group(step []tableOp) []tableBatch {
+	// The last layout is dead once applied: its views and copies go, so
+	// that what is kept of them pins nothing once empty drops one.
+	clear(s.batches)
+	clear(s.ops)
+	s.batches, s.need = s.batches[:0], s.need[:0]
+	for _, o := range step {
+		i := &s.slot[tableIndex(o.key)]
+		if *i == 0 {
+			s.batches = append(s.batches, tableBatch{key: o.key})
+			s.need = append(s.need, 0)
+			*i = int32(len(s.batches))
 		}
+		s.need[*i-1]++
 	}
-	return -1
+	s.ops = slices.Grow(s.ops[:0], len(step))[:len(step)]
+	at := 0
+	for i, n := range s.need {
+		s.batches[i].ops = s.ops[at : at : at+n]
+		at += n
+	}
+	for _, o := range step {
+		b := &s.batches[s.slot[tableIndex(o.key)]-1]
+		b.ops = append(b.ops, o.op)
+	}
+	for _, b := range s.batches {
+		s.slot[tableIndex(b.key)] = 0
+	}
+	return s.batches
 }
 
-// ruleGroups builds one class's per-table batches so that every batch is
-// allocated once at its final size: reserve declares, in emission order,
-// how many operations each table will receive; add fills them, allocating
-// a table's batch on its first operation at what was reserved by then.
-// Both the table list and the batches come from the controller's rule
-// arena when it has room.
-type ruleGroups struct {
-	tables []tableBatch
-	need   []int // parallel to tables: operations reserved
-	arena  *ruleArena
-}
-
-// Sizes of the rule arena: room for one FatTree class's make and flip
-// steps (eight tables, ten operations) or the removal batches of a few
-// classes.
-const (
-	arenaTables = 16
-	arenaOps    = 16
-)
-
-// ruleArena is the controller's backing store for rule groups: fixed
-// arrays from which a group's table list and each of its batches are
-// carved, each with exactly the capacity asked for, so that no batch can
-// grow into another's memory. What it hands out is valid until the next
-// reset, which a transaction makes at every class boundary of a commit and
-// when it ends. A request it cannot fit is allocated as a fresh slice, so
-// a bulk install works as it would without the arena and what the arena
-// holds stays fixed. Confined to the single writer.
-type ruleArena struct {
-	tables        [arenaTables]tableBatch
-	need          [arenaTables]int
-	ops           [arenaOps]flowtable.BatchOp
-	nTables, nOps int // carved so far
-}
-
-// groups makes room for up to bound tables.
-func (a *ruleArena) groups(bound int) *ruleGroups {
-	if a.nTables+bound > arenaTables {
-		return &ruleGroups{tables: make([]tableBatch, 0, bound), need: make([]int, 0, bound), arena: a}
-	}
-	lo, hi := a.nTables, a.nTables+bound
-	a.nTables = hi
-	return &ruleGroups{tables: a.tables[lo:lo:hi], need: a.need[lo:lo:hi], arena: a}
-}
-
-// batch returns an empty batch with room for n operations.
-func (a *ruleArena) batch(n int) []flowtable.BatchOp {
-	if a.nOps+n > arenaOps {
-		return make([]flowtable.BatchOp, 0, n)
-	}
-	lo, hi := a.nOps, a.nOps+n
-	a.nOps = hi
-	return a.ops[lo:lo:hi]
-}
-
-// reset takes back everything carved, zeroing it so the arena pins
-// nothing of the batches it held.
-func (a *ruleArena) reset() {
-	clear(a.tables[:a.nTables])
-	clear(a.ops[:a.nOps])
-	a.nTables, a.nOps = 0, 0
-}
-
-// slot returns the index of table k's batch, opening it behind the
-// existing ones on first sight.
-func (g *ruleGroups) slot(k tableKey) int {
-	if i := batchIndex(g.tables, k); i >= 0 {
-		return i
-	}
-	g.tables = append(g.tables, tableBatch{key: k})
-	g.need = append(g.need, 0)
-	return len(g.tables) - 1
-}
-
-func (g *ruleGroups) reserve(k tableKey, n int) { g.need[g.slot(k)] += n }
-
-func (g *ruleGroups) add(k tableKey, op flowtable.BatchOp) {
-	i := g.slot(k)
-	b := &g.tables[i]
-	if b.ops == nil {
-		b.ops = g.arena.batch(g.need[i])
-	}
-	b.ops = append(b.ops, op)
-}
-
-// mergeBatches concatenates the per-class batches of one step of an
-// install run per table: tables in first-appearance order and, within a
-// table, class-major order, each merged batch allocated once. A run of one
-// class is applied as compiled.
-func mergeBatches(perClass [][]tableBatch) []tableBatch {
-	if len(perClass) == 1 {
-		return perClass[0]
-	}
-	index := make(map[tableKey]int)
-	var merged []tableBatch
-	var need []int
-	for _, batches := range perClass {
-		for _, b := range batches {
-			i, ok := index[b.key]
-			if !ok {
-				i = len(merged)
-				index[b.key] = i
-				merged = append(merged, tableBatch{key: b.key})
-				need = append(need, 0)
-			}
-			need[i] += len(b.ops)
-		}
-	}
-	for i := range merged {
-		merged[i].ops = make([]flowtable.BatchOp, 0, need[i])
-	}
-	for _, batches := range perClass {
-		for _, b := range batches {
-			i := index[b.key]
-			merged[i].ops = append(merged[i].ops, b.ops...)
-		}
-	}
-	return merged
+// empty empties every step buffer, zeroing what it holds so it pins no
+// rule, and drops those with room for more than bound entries.
+func (s *ruleSteps) empty(bound int) {
+	s.makeOps = reuseUpTo(s.makeOps, bound)
+	s.flipOps = reuseUpTo(s.flipOps, bound)
+	s.batches = reuseUpTo(s.batches, bound)
+	s.ops = reuseUpTo(s.ops, bound)
+	s.need = reuseUpTo(s.need, bound)
 }
 
 // deviceTable resolves a batch's target table.
@@ -588,31 +555,28 @@ func (t *RuleTxn) installNew(ops []txnOp, verify bool) (int, error) {
 	metrics.FlowSetup.Arrivals.Add(int64(len(admitted)))
 
 	// Stage 2 — emit: each class compiled as a cutover from nothing, its
-	// make step in compiled[i] and its flip in compiled[n+i].
+	// make step appended to the run's make step and its flip to the run's
+	// flip.
 	if err := t.failEach("add:emit", admitted); err != nil {
 		return 0, err
 	}
-	n := len(admitted)
-	compiled := emptyWithRoom(t.runEmitted, 2*n)[:2*n]
-	t.runEmitted = compiled
+	s, n := &c.steps, len(admitted)
+	s.makeOps, s.flipOps = s.makeOps[:0], s.flipOps[:0]
 	stagedRules := 0
 	fresh := t.fresh
 	for i, a := range admitted {
 		var err error
+		s.makeOps, s.flipOps = roomFor(s.makeOps, i, n), roomFor(s.flipOps, i, n)
+		before := len(s.makeOps) + len(s.flipOps)
 		hops := len(a.Class.Path)
-		if compiled[i], err = c.makeRules(nil, a, fresh[:hops]); err != nil {
+		if s.makeOps, err = c.makeRules(s.makeOps, nil, a, fresh[:hops]); err != nil {
 			return 0, err
 		}
 		fresh = fresh[hops:]
-		if compiled[n+i], err = c.flipRules(nil, a); err != nil {
+		if s.flipOps, err = c.flipRules(s.flipOps, nil, a); err != nil {
 			return 0, err
 		}
-		rules := 0
-		for _, step := range [2][]tableBatch{compiled[i], compiled[n+i]} {
-			for _, b := range step {
-				rules += len(b.ops)
-			}
-		}
+		rules := len(s.makeOps) + len(s.flipOps) - before
 		stagedRules += rules
 		if c.tracer.Enabled() {
 			c.tracer.Emit(trace.Ev(trace.KindFlowEmit).
@@ -628,37 +592,30 @@ func (t *RuleTxn) installNew(ops []txnOp, verify bool) (int, error) {
 	if err := t.failEach("add:apply", admitted); err != nil {
 		return 0, err
 	}
-	steps := [2][]tableBatch{mergeBatches(compiled[:n]), mergeBatches(compiled[n:])}
 	// Each device programs its own TCAM, so a run's simulated programming
 	// time is the makespan: the slowest device's installs (its tables
 	// program back to back) times the per-rule latency.
 	if t.runPerDevice == nil {
-		t.runPerDevice = make(map[device]int, len(steps[0]))
+		t.runPerDevice = make(map[device]int)
 	}
 	perDevice := t.runPerDevice
 	clear(perDevice)
 	slowest := 0
-	t.undo = slices.Grow(t.undo, len(steps[0])+len(steps[1]))
-	var applyErr error
-apply:
-	for _, batches := range steps {
-		for _, b := range batches {
-			var rules int
-			rules, applyErr = t.apply(b.key, b.ops)
-			perDevice[b.key.dev] += rules
-			slowest = max(slowest, perDevice[b.key.dev])
-			if applyErr != nil {
-				break apply
-			}
-			if c.tracer.Enabled() {
-				c.tracer.Emit(trace.Ev(trace.KindFlowApply).
-					WithNode(int64(b.key.dev.node)).WithVal(int64(rules)))
-			}
+	tally := func(k tableKey, rules int, err error) {
+		perDevice[k.dev] += rules
+		slowest = max(slowest, perDevice[k.dev])
+		if err == nil && c.tracer.Enabled() {
+			c.tracer.Emit(trace.Ev(trace.KindFlowApply).
+				WithNode(int64(k.dev.node)).WithVal(int64(rules)))
 		}
 	}
+	err := t.applyStep(s.makeOps, tally)
+	if err == nil {
+		err = t.applyStep(s.flipOps, tally)
+	}
 	metrics.FlowSetup.SimInstall.Add(int64(slowest) * int64(c.orch.Latencies().RuleInstall))
-	if applyErr != nil {
-		return 0, applyErr
+	if err != nil {
+		return 0, err
 	}
 
 	// Stage 4 — verify. Read-only against the data plane.
@@ -679,6 +636,18 @@ apply:
 		}
 	}
 	return len(admitted), admitErr
+}
+
+// roomFor returns step, into which the first i classes of an install run
+// of n have been compiled, with room for the rest of the run at the size
+// per class so far once it cannot hold one more such class: a bulk run's
+// step grows about twice, where append's growth by a quarter at a time
+// would allocate it about five times over.
+func roomFor(step []tableOp, i, n int) []tableOp {
+	if per := len(step) / max(i, 1); cap(step)-len(step) < per {
+		return slices.Grow(step, (n-i)*per)
+	}
+	return step
 }
 
 // admit runs the sequential stage for one new class. On success the

@@ -24,18 +24,30 @@ func namedOps(names ...string) []flowtable.BatchOp {
 	return out
 }
 
-// TestMergeBatchesOrder pins mergeBatches' layout: tables in the order the
-// run first reaches them, each table's ops class-major, every merged batch
-// allocated at exactly its length, and a one-class run returned as
-// emitted.
-func TestMergeBatchesOrder(t *testing.T) {
+// TestGroupOrder pins ruleSteps.group's layout on an install run of three
+// classes, each step the classes' operations in turn: tables in the order
+// the run first reaches them, each table's operations in emission order
+// (class-major), every batch a clipped view of one array. Grouping a
+// second step after it finds no table of the first still indexed and
+// leaves nothing of the first layout in its buffers' spare room.
+func TestGroupOrder(t *testing.T) {
 	sw1 := tableKey{dev: device{node: 1}, table: TableRouting}
 	vsw1 := tableKey{dev: device{vswitch: true, node: 1}, table: 0}
 	sw2 := tableKey{dev: device{node: 2}, table: TableAPPLE}
-	perClass := [][]tableBatch{
-		{{key: sw1, ops: namedOps("a0", "a1")}, {key: vsw1, ops: namedOps("b0")}},
-		{{key: sw2, ops: namedOps("c0")}, {key: sw1, ops: namedOps("a2")}},
-		{{key: vsw1, ops: namedOps("b1", "b2")}},
+	var step []tableOp
+	for _, class := range [][]struct {
+		key   tableKey
+		names []string
+	}{
+		{{sw1, []string{"a0", "a1"}}, {vsw1, []string{"b0"}}},
+		{{sw2, []string{"c0"}}, {sw1, []string{"a2"}}},
+		{{vsw1, []string{"b1", "b2"}}},
+	} {
+		for _, b := range class {
+			for _, op := range namedOps(b.names...) {
+				step = append(step, tableOp{b.key, op})
+			}
+		}
 	}
 	want := []struct {
 		key   tableKey
@@ -45,10 +57,12 @@ func TestMergeBatchesOrder(t *testing.T) {
 		{vsw1, []string{"b0", "b1", "b2"}},
 		{sw2, []string{"c0"}},
 	}
-	got := mergeBatches(perClass)
+	s := newRuleSteps(3)
+	got := s.group(step)
 	if len(got) != len(want) {
-		t.Fatalf("%d merged batches, want %d", len(got), len(want))
+		t.Fatalf("%d grouped batches, want %d", len(got), len(want))
 	}
+	at := 0
 	for i, w := range want {
 		b := got[i]
 		if b.key != w.key {
@@ -61,14 +75,29 @@ func TestMergeBatchesOrder(t *testing.T) {
 		if !slices.Equal(names, w.names) {
 			t.Errorf("batch %d ops %v, want %v", i, names, w.names)
 		}
-		if cap(b.ops) != len(b.ops) {
-			t.Errorf("batch %d allocated at %d for %d ops", i, cap(b.ops), len(b.ops))
+		if cap(b.ops) != len(b.ops) || &b.ops[0] != &s.ops[at] {
+			t.Errorf("batch %d: %d operations in an array of %d, not at offset %d of the step's", i, len(b.ops), cap(b.ops), at)
 		}
+		at += len(b.ops)
 	}
 
-	one := perClass[0]
-	if got := mergeBatches(perClass[:1]); len(got) != len(one) || &got[0] != &one[0] {
-		t.Error("a one-class run was copied instead of applied as emitted")
+	again := s.group(step[4:5])
+	if len(again) != 1 || again[0].key != sw1 || len(again[0].ops) != 1 || again[0].ops[0].Rule.Name != "a2" {
+		t.Errorf("a second step grouped to %+v, want table %+v's a2 alone", again, sw1)
+	}
+	// Nothing of the first layout is left past the second: a view kept
+	// in the batch list's spare room would pin the array it views after
+	// empty dropped it (a bulk run's grouped array, megabytes on a
+	// FatTree-16 load).
+	for i, b := range s.batches[len(again):cap(s.batches)] {
+		if b.ops != nil {
+			t.Errorf("batch slot %d past the second layout still views the first's array", len(again)+i)
+		}
+	}
+	for i, op := range s.ops[1:cap(s.ops)] {
+		if op.Rule.Name != "" || op.Remove != "" {
+			t.Errorf("operation slot %d past the second layout still holds %q", 1+i, op.Rule.Name)
+		}
 	}
 }
 

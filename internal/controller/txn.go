@@ -54,6 +54,7 @@ package controller
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 
 	"github.com/apple-nfv/apple/internal/core"
@@ -144,11 +145,9 @@ type txnScratch struct {
 	prevOrder  []core.ClassID
 	// Instances provisioned during the txn.
 	provisioned []vnf.ID
-	// One install-pipeline run's admitted assignments, their make batches
-	// then their flip batches, and the rules installed per device
-	// (installNew).
+	// One install-pipeline run's admitted assignments and the rules
+	// installed per device (installNew).
 	runAdmitted  []*Assignment
-	runEmitted   [][]tableBatch
 	runPerDevice map[device]int
 	// fresh marks, switch by switch along the path of each class of the
 	// install run (or of the cutover's next), whether the class is the
@@ -177,7 +176,6 @@ func (s *txnScratch) reset() {
 	s.prevOrder = reuse(s.prevOrder)
 	s.provisioned = reuse(s.provisioned)
 	s.runAdmitted = reuse(s.runAdmitted)
-	s.runEmitted = reuse(s.runEmitted)
 	s.runPerDevice = reuseMap(s.runPerDevice)
 	s.fresh = reuse(s.fresh)
 	s.moves = reuse(s.moves)
@@ -186,8 +184,12 @@ func (s *txnScratch) reset() {
 // reuse empties s, zeroing what it held so a kept buffer pins nothing of
 // the transaction, or drops it if it has room for more than scratchCap
 // entries.
-func reuse[S ~[]E, E any](s S) S {
-	if cap(s) > scratchCap {
+func reuse[S ~[]E, E any](s S) S { return reuseUpTo(s, scratchCap) }
+
+// reuseUpTo empties s, zeroing what it held, or drops it if it has room
+// for more than bound entries.
+func reuseUpTo[S ~[]E, E any](s S, bound int) S {
+	if cap(s) > bound {
 		return nil
 	}
 	clear(s)
@@ -299,10 +301,10 @@ func (t *RuleTxn) Commit(opts TxnOptions) (err error) {
 			t.finish()
 		}
 	}()
-	// audited completes one class delta: the rule groups it emitted are
-	// dead, and the audit runs once it stands.
+	// audited completes one class delta: the steps it compiled are dead,
+	// and the audit runs once it stands.
 	audited := func(err error) error {
-		t.c.arena.reset()
+		t.c.steps.empty(math.MaxInt)
 		if err == nil && opts.Audit != nil {
 			if err = opts.Audit(); err != nil {
 				return fmt.Errorf("controller: transaction audit after class delta: %w", err)
@@ -374,11 +376,12 @@ func (t *RuleTxn) finish() {
 	t.release()
 }
 
-// release ends the transaction's hold on its buffers: the rule arena is
-// reset, and the buffer set is cleared and becomes the controller's spare
-// set, unless another transaction's set got there first.
+// release ends the transaction's hold on its buffers: the step buffers
+// are emptied, and dropped past stepCap, and the buffer set is cleared and
+// becomes the controller's spare set, unless another transaction's set got
+// there first.
 func (t *RuleTxn) release() {
-	t.c.arena.reset()
+	t.c.steps.empty(stepCap)
 	t.txnScratch.reset()
 	if t.c.spare == nil {
 		t.c.spare = t.txnScratch
@@ -478,10 +481,19 @@ func (t *RuleTxn) reserveUndo() {
 	t.undo = slices.Grow(t.undo, n-len(t.undo))
 }
 
-// applyEach applies batches in order, one table at a time.
-func (t *RuleTxn) applyEach(batches []tableBatch) error {
+// applyStep applies one step one batch per table (ruleSteps.group), in
+// the order the step first reaches each table. applied, when non-nil, is
+// told of every batch applied, failed or not: its table, how many rules it
+// installed and its error.
+func (t *RuleTxn) applyStep(step []tableOp, applied func(k tableKey, rules int, err error)) error {
+	batches := t.c.steps.group(step)
+	t.undo = slices.Grow(t.undo, len(batches))
 	for _, b := range batches {
-		if _, err := t.apply(b.key, b.ops); err != nil {
+		rules, err := t.apply(b.key, b.ops)
+		if applied != nil {
+			applied(b.key, rules, err)
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -492,8 +504,7 @@ func (t *RuleTxn) applyEach(batches []tableBatch) error {
 // keeping its undo token and accounting installed and removed rules, and
 // returns how many rules it installed. The token is kept on error too: a
 // failed batch leaves its earlier operations applied, and the unwind needs
-// that token. The ordered make-before-break steps of a cutover, and the
-// install pipeline's apply stage, are sequences of these.
+// that token. Every step applyStep applies is a sequence of these.
 func (t *RuleTxn) apply(k tableKey, batch []flowtable.BatchOp) (int, error) {
 	tbl, err := t.c.deviceTable(k.dev, k.table)
 	if err != nil {
@@ -638,24 +649,27 @@ func (t *RuleTxn) cutover(old, next *Assignment) error {
 	if err := t.fail("cutover:steer", id); err != nil {
 		return err
 	}
+	// Each step is compiled behind the ones before it, into one buffer.
+	steps := &c.steps
+	steps.makeOps = steps.makeOps[:0]
+	var err error
 	if next != nil {
 		t.fresh = c.assign.unheld(next.Class.Path, t.fresh[:0])
-		made, err := c.makeRules(old, next, t.fresh)
-		if err != nil {
+		if steps.makeOps, err = c.makeRules(steps.makeOps, old, next, t.fresh); err != nil {
 			return err
 		}
-		if err := t.applyEach(made); err != nil {
+		if err := t.applyStep(steps.makeOps, nil); err != nil {
 			return err
 		}
 	}
 	if err := t.fail("cutover:cls", id); err != nil {
 		return err
 	}
-	flip, err := c.flipRules(old, next)
-	if err != nil {
+	made := len(steps.makeOps)
+	if steps.makeOps, err = c.flipRules(steps.makeOps, old, next); err != nil {
 		return err
 	}
-	if err := t.applyEach(flip); err != nil {
+	if err := t.applyStep(steps.makeOps[made:], nil); err != nil {
 		return err
 	}
 	if err := t.fail("cutover:swap", id); err != nil {
@@ -671,7 +685,9 @@ func (t *RuleTxn) cutover(old, next *Assignment) error {
 		return err
 	}
 	t.moves = c.assign.routeMoves(old, t.moves[:0])
-	return t.applyEach(c.retireRules(old, next, t.moves))
+	flipped := len(steps.makeOps)
+	steps.makeOps = c.retireRules(steps.makeOps, old, next, t.moves)
+	return t.applyStep(steps.makeOps[flipped:], nil)
 }
 
 // keepsSteering reports whether sub-class s of next stands as old's does:
@@ -701,97 +717,47 @@ func (a *Assignment) visits(s int, v topology.NodeID) bool {
 	return false
 }
 
-// makeRules compiles the cutover's make step into one batch per table, in
-// the order emission first reaches each: the route of each switch of
-// next's path that fresh marks — the switches whose route next is the
-// first to hold, decided by the caller before next is registered — then
-// per sub-class of next that old's steering does not serve, its steering
-// on each host it visits, behind the removal of old's same-index rules on
-// a host old's sub-class visits too. A nil old is a class install: no
-// sub-class is kept. The host-match rows the steering leads through are
-// New's.
-func (c *Controller) makeRules(old, next *Assignment, fresh []bool) ([]tableBatch, error) {
-	cl := next.Class
-	runs := make([][]chainRun, len(next.subs))
-	tables := 0
+// makeRules appends the cutover's make step to out: the route of each
+// switch of next's path that fresh marks — the switches whose route next
+// is the first to hold, decided by the caller before next is registered —
+// then per sub-class of next that old's steering does not serve, its
+// steering on each host it visits, behind the removal of old's same-index
+// rules on a host old's sub-class visits too. A nil old is a class
+// install: no sub-class is kept. The host-match rows the steering leads
+// through are New's.
+func (c *Controller) makeRules(out []tableOp, old, next *Assignment, fresh []bool) ([]tableOp, error) {
+	out, err := c.emitRouting(out, next.Class, fresh)
+	if err != nil {
+		return out, err
+	}
 	for s, r := range next.subs {
-		if !keepsSteering(old, next, s) {
-			runs[s] = chainRuns(r.hops)
-			tables += len(runs[s])
-		}
-	}
-	for _, f := range fresh {
-		if f {
-			tables++
-		}
-	}
-	// A class touches at most two tables per path switch: its routing and
-	// steering tables.
-	g := c.arena.groups(min(tables, 2*len(cl.Path)))
-	for i, f := range fresh {
-		if f {
-			g.reserve(routingKey(cl.Path[i]), 1)
-		}
-	}
-	for s := range next.subs {
-		for _, r := range runs[s] {
-			v := cl.Path[r.hop]
-			n := r.end - r.start + 2 // uplink entry, chain hops, exit
-			if old.visits(s, v) {
-				n++
-			}
-			g.reserve(steeringKey(v), n)
-		}
-	}
-	if err := c.emitRouting(g, cl, fresh); err != nil {
-		return nil, err
-	}
-	for s := range next.subs {
-		if runs[s] == nil {
+		if keepsSteering(old, next, s) {
 			continue
 		}
-		var replaced flowtable.BatchOp
-		for _, r := range runs[s] {
-			v := cl.Path[r.hop]
-			if old.visits(s, v) {
-				if replaced.Remove == "" {
-					replaced.Remove = fmt.Sprintf("vsw-%d-%d", cl.ID, s)
-				}
-				g.add(steeringKey(v), replaced)
-			}
-		}
-		if err := c.emitVSwitchRules(g, next, s, runs[s]); err != nil {
-			return nil, err
+		if out, err = c.emitVSwitchRules(out, old, next, s, chainRuns(r.hops)); err != nil {
+			return out, err
 		}
 	}
-	return g.tables, nil
+	return out, nil
 }
 
-// flipRules compiles the cutover's flip: next's classification at its
-// ingress behind the removal of the class's rules there, or that removal
-// alone at old's ingress when next is nil. It compiles nothing when
+// flipRules appends the cutover's flip to out: next's classification at
+// its ingress behind the removal of the class's rules there, or that
+// removal alone at old's ingress when next is nil. It appends nothing when
 // next's classification is the one installed (sameClassification); a nil
 // old, a class install, has none installed.
-func (c *Controller) flipRules(old, next *Assignment) ([]tableBatch, error) {
-	g := c.arena.groups(1)
+func (c *Controller) flipRules(out []tableOp, old, next *Assignment) ([]tableOp, error) {
 	if next == nil {
-		key := appleKey(old.Class.Path[0])
-		g.reserve(key, 1)
-		g.add(key, flowtable.BatchOp{Remove: fmt.Sprintf("cls-%d", old.Class.ID)})
-		return g.tables, nil
+		return append(out, tableOp{appleKey(old.Class.Path[0]), flowtable.BatchOp{Remove: fmt.Sprintf("cls-%d", old.Class.ID)}}), nil
 	}
 	blocks, err := next.classificationBlocks()
 	if err != nil {
-		return nil, err
+		return out, err
 	}
 	if old != nil && sameClassification(old, next, blocks) {
-		return nil, nil
+		return out, nil
 	}
-	g.reserve(appleKey(next.Class.Path[0]), classificationSize(blocks))
-	if err := c.emitClassification(g, next, blocks); err != nil {
-		return nil, err
-	}
-	return g.tables, nil
+	return c.emitClassification(out, next, blocks)
 }
 
 // sameClassification reports whether next's classification, split into
@@ -816,52 +782,37 @@ func sameClassification(old, next *Assignment, blocks [][]headerspace.PrefixBloc
 	return true
 }
 
-// retireRules compiles the cutover's retire step, run once the store
-// holds next: the removal of old's classification when next enters at
-// another switch, of the steering of every sub-class of old that next
+// retireRules appends the cutover's retire step to out, run once the
+// store holds next: the removal of old's classification when next enters
+// at another switch, of the steering of every sub-class of old that next
 // does not keep, on each host it visits unless the make step replaced it
 // there, and the route moves toward old's destination that the swap left
-// (assignStore.routeMoves). One batch per table: hosts in the order the
+// (assignStore.routeMoves). Grouped, that is hosts in the order the
 // sub-classes first reach them, then switches in path order, so every
 // route a packet meets leads on to the destination between any two
-// batches. Nothing to remove allocates nothing.
-func (c *Controller) retireRules(old, next *Assignment, moves []routeMove) []tableBatch {
+// batches.
+func (c *Controller) retireRules(out []tableOp, old, next *Assignment, moves []routeMove) []tableOp {
 	cl := old.Class
-	dst := cl.Path[len(cl.Path)-1]
-	moved := next != nil && next.Class.Path[0] != cl.Path[0]
-	steered := 0
-	eachRetired(old, next, func(int, topology.NodeID) { steered++ })
-	tables := min(steered, len(cl.Path)) + len(moves)
-	if moved {
-		tables++
-	}
-	g := c.arena.groups(tables)
-	if moved {
-		g.reserve(appleKey(cl.Path[0]), 1)
-	}
-	eachRetired(old, next, func(_ int, v topology.NodeID) { g.reserve(steeringKey(v), 1) })
-	for _, m := range moves {
-		g.reserve(routingKey(m.at), 1)
-	}
-	if moved {
-		g.add(appleKey(cl.Path[0]), flowtable.BatchOp{Remove: fmt.Sprintf("cls-%d", cl.ID)})
+	if next != nil && next.Class.Path[0] != cl.Path[0] {
+		out = append(out, tableOp{appleKey(cl.Path[0]), flowtable.BatchOp{Remove: fmt.Sprintf("cls-%d", cl.ID)}})
 	}
 	last, retired := -1, flowtable.BatchOp{}
 	eachRetired(old, next, func(s int, v topology.NodeID) {
 		if s != last {
 			last, retired.Remove = s, fmt.Sprintf("vsw-%d-%d", cl.ID, s)
 		}
-		g.add(steeringKey(v), retired)
+		out = append(out, tableOp{steeringKey(v), retired})
 	})
+	dst := cl.Path[len(cl.Path)-1]
 	route := c.switches[dst].route
 	for _, m := range moves {
 		op := flowtable.BatchOp{Remove: route}
 		if !m.retire {
 			op.Rule = c.routeRule(dst, c.nbrPort[m.at][m.hop])
 		}
-		g.add(routingKey(m.at), op)
+		out = append(out, tableOp{routingKey(m.at), op})
 	}
-	return g.tables
+	return out
 }
 
 // eachRetired calls f with every sub-class s of old that next does not

@@ -591,7 +591,7 @@ func TestTxnUnwindRestoresStateAtEveryFailpoint(t *testing.T) {
 }
 
 // TestTxnScratchIsolated: a transaction reuses the buffers of the one
-// before it (Controller.spare) and the controller's rule arena, and
+// before it (Controller.spare) and the controller's step buffers, and
 // neither carries anything from one transaction to the next.
 //
 // On one controller per entry point, every failpoint is injected twice in
@@ -700,17 +700,17 @@ func TestTxnScratchIsolated(t *testing.T) {
 		})
 	}
 
-	// The rule arena is empty at every class boundary of a commit: what a
-	// class delta emitted is dead once it stands.
-	t.Run("arena", func(t *testing.T) {
+	// The step buffers are empty at every class boundary of a commit:
+	// what a class delta compiled is dead once it stands.
+	t.Run("steps", func(t *testing.T) {
 		fx := newTxnFixture(t)
 		txn := fx.c.Begin()
 		fx.stage(txn)
 		boundaries := 0
 		audit := func() error {
 			boundaries++
-			if n := fx.c.arena.nTables + fx.c.arena.nOps; n != 0 {
-				return fmt.Errorf("class boundary %d: %d arena slots still carved", boundaries, n)
+			if n := fx.c.steps.held(); n != 0 {
+				return fmt.Errorf("class boundary %d: the step buffers hold %d entries", boundaries, n)
 			}
 			return fx.handler.CheckInvariants()
 		}
