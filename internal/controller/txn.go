@@ -649,7 +649,8 @@ func (t *RuleTxn) cutover(old, next *Assignment) error {
 	if err := t.fail("cutover:steer", id); err != nil {
 		return err
 	}
-	// Each step is compiled behind the ones before it, into one buffer.
+	// Each step is compiled behind the ones before it, into one buffer,
+	// so the class boundary zeroes all three.
 	steps := &c.steps
 	steps.makeOps = steps.makeOps[:0]
 	var err error
