@@ -138,29 +138,25 @@ func TestBeginAllocatesNothing(t *testing.T) {
 
 // TestObserveAllocsNoTransition: an Observe that handles no transition
 // allocates its one load view — a map sized for the instances; the base is
-// a map of that size, filled — plus five objects: the sorted view of the
-// store the map is filled over, the detector ID list and its sort (two),
-// and the class ID list of the rollback pass. Nothing per class, no map
-// copy of the store. Measured base + 5; the gate is base + 6. A map copy
-// of the store and an unsized load map made it base + 16.
+// a map of that size, filled, whose header stays on the stack, so the load
+// map is the base + 1 — plus three objects: the sorted view of the store
+// the map is filled over, the pooled-instance list the detectors are read
+// in, and the class ID list of the rollback pass. Nothing per class or per
+// instance, no map copy of the store. Measured base + 4; the gate is
+// base + 5. A detector map beside the pool, with its ID list sorted
+// through sort.Slice, made it base + 6; a map copy of the store and an
+// unsized load map base + 16.
 func TestObserveAllocsNoTransition(t *testing.T) {
 	c, _, _ := hundredClassFixture(t)
 	d, err := NewDynamicHandler(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The first Observe gives every pooled instance its detector.
-	if _, err := d.Observe(nil); err != nil {
-		t.Fatal(err)
-	}
-	insts := make([]vnf.ID, 0, len(d.detectors))
-	for id := range d.detectors {
-		insts = append(insts, id)
-	}
+	insts := c.pooledByID()
 	base := testing.AllocsPerRun(10, func() {
 		m := make(map[vnf.ID]float64, len(insts))
-		for _, id := range insts {
-			m[id] = 1
+		for _, inst := range insts {
+			m[inst.ID()] = 1
 		}
 	})
 	got := testing.AllocsPerRun(10, func() {
@@ -169,8 +165,8 @@ func TestObserveAllocsNoTransition(t *testing.T) {
 		}
 	})
 	t.Logf("Observe with no transition: %.0f allocations; a load map of %d instances is %.0f", got, len(insts), base)
-	if got > base+6 {
-		t.Errorf("Observe allocated %.0f, more than the load map's %.0f + 6", got, base)
+	if got > base+5 {
+		t.Errorf("Observe allocated %.0f, more than the load map's %.0f + 5", got, base)
 	}
 }
 

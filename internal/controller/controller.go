@@ -538,18 +538,34 @@ func (c *Controller) repoolInstance(v topology.NodeID, inst *vnf.Instance, txn *
 	c.poolAdd(v, inst.NF(), inst)
 }
 
-// findInstance locates a placed instance by ID.
-func (c *Controller) findInstance(id vnf.ID) (*vnf.Instance, error) {
+// pooledByID lists the pooled instances in ID order.
+func (c *Controller) pooledByID() []*vnf.Instance {
+	n := 0
 	for _, byNF := range c.instPool {
 		for _, insts := range byNF {
-			for _, inst := range insts {
-				if inst.ID() == id {
-					return inst, nil
-				}
+			n += len(insts)
+		}
+	}
+	out := make([]*vnf.Instance, 0, n)
+	for _, byNF := range c.instPool {
+		for _, insts := range byNF {
+			out = append(out, insts...)
+		}
+	}
+	slices.SortFunc(out, func(a, b *vnf.Instance) int { return cmp.Compare(a.ID(), b.ID()) })
+	return out
+}
+
+// pooledAt reports whether instance id is pooled at switch v.
+func (c *Controller) pooledAt(v topology.NodeID, id vnf.ID) bool {
+	for _, insts := range c.instPool[v] {
+		for _, inst := range insts {
+			if inst.ID() == id {
+				return true
 			}
 		}
 	}
-	return nil, fmt.Errorf("controller: unknown instance %s", id)
+	return false
 }
 
 // Tag space split (§X): classes whose chains keep headers intact multiplex

@@ -155,9 +155,12 @@ func (c *Controller) LossRate(rates map[core.ClassID]float64) (float64, error) {
 // a reshaped clone of the live assignment through one RuleTxn, so a
 // failure unwinds all of it, and CheckInvariants can be asserted between
 // any two events.
+//
+// The overload detectors live on the instances. The handler holds what it
+// alone knows: its failover ledger, the classes in failover and the spawn
+// slots in flight.
 type DynamicHandler struct {
-	c         *Controller
-	detectors map[vnf.ID]*vnf.Detector // confined to the simulation loop
+	c *Controller
 	// states holds the classes in failover, each with the instances
 	// launched for it, to cancel on rollback. Confined to the simulation
 	// loop.
@@ -179,26 +182,30 @@ type DynamicHandler struct {
 }
 
 // launch is the ledger record of one failover launch: the cores it holds,
-// and whether its Cancel RPC was lost — a zombie is out of service but
-// holds its cores until a retried cancel succeeds.
+// the switch it was launched at, whether its activation committed (pooling
+// it there), and whether its Cancel RPC was lost — a zombie is out of
+// service but holds its cores until a retried cancel succeeds.
 type launch struct {
-	cores  int
-	zombie bool
+	cores     int
+	sw        topology.NodeID
+	activated bool
+	zombie    bool
 }
 
-// NewDynamicHandler attaches a handler to the controller. Observe gives
-// every pooled instance a hysteresis detector (thresholds per §VII-B).
+// NewDynamicHandler attaches a handler to the controller. Observe runs the
+// hysteresis detector every pooled instance carries (thresholds per
+// §VII-B, vnf.DefaultDetector). A controller takes one handler: two would
+// share those detectors, each feeding them every snapshot.
 func NewDynamicHandler(c *Controller) (*DynamicHandler, error) {
 	if c == nil {
 		return nil, errors.New("controller: nil controller")
 	}
 	return &DynamicHandler{
-		c:         c,
-		detectors: make(map[vnf.ID]*vnf.Detector),
-		states:    make(map[core.ClassID][]vnf.ID),
-		pending:   make(map[spawnKey]vnf.ID),
-		launches:  make(map[vnf.ID]launch),
-		counters:  metrics.NewCounters(),
+		c:        c,
+		states:   make(map[core.ClassID][]vnf.ID),
+		pending:  make(map[spawnKey]vnf.ID),
+		launches: make(map[vnf.ID]launch),
+		counters: metrics.NewCounters(),
 	}, nil
 }
 
@@ -235,8 +242,9 @@ func (d *DynamicHandler) Zombies() int {
 func (d *DynamicHandler) Counters() *metrics.Counters { return d.counters }
 
 // Observe feeds one snapshot of per-class rates: loads are recomputed,
-// detectors run, and overload/recovery transitions trigger fast failover
-// and rollback. It returns the number of transitions handled.
+// every pooled instance's detector judges its load, in instance ID order,
+// and overload/recovery transitions trigger fast failover and rollback. It
+// returns the number of transitions handled.
 func (d *DynamicHandler) Observe(rates map[core.ClassID]float64) (int, error) {
 	d.reapZombies()
 	// A class removed while in failover takes its failover state with it:
@@ -246,29 +254,7 @@ func (d *DynamicHandler) Observe(rates map[core.ClassID]float64) (int, error) {
 			d.endFailover(classID)
 		}
 	}
-	// Pick up instances added since the handler was created (online
-	// classes, failover spawns from other handlers).
-	pooled := 0
-	for _, byNF := range d.c.instPool {
-		for _, insts := range byNF {
-			pooled += len(insts)
-			for _, inst := range insts {
-				if _, ok := d.detectors[inst.ID()]; ok {
-					continue
-				}
-				det, err := vnf.DefaultDetector(inst.Spec().CapacityMbps)
-				if err != nil {
-					return 0, fmt.Errorf("controller: %w", err)
-				}
-				d.detectors[inst.ID()] = det
-			}
-		}
-	}
-	// Every pooled instance now has a detector, so a surplus means some
-	// detectors outlived their instance.
-	if len(d.detectors) > pooled {
-		d.forgetUnpooled()
-	}
+	d.forgetUnpooled()
 	// The one load view of this call, recomputed in place whenever an
 	// overload or a rollback reshapes weights.
 	loads := d.c.Loads(rates)
@@ -276,23 +262,15 @@ func (d *DynamicHandler) Observe(rates map[core.ClassID]float64) (int, error) {
 		return 0, err
 	}
 	transitions := 0
-	// Deterministic order.
-	ids := make([]vnf.ID, 0, len(d.detectors))
-	for id := range d.detectors {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		det := d.detectors[id]
-		if det == nil {
-			continue // instance cancelled by an earlier rollback this round
-		}
+	for _, inst := range d.c.pooledByID() {
+		id := inst.ID()
+		det := inst.Detector()
 		was := det.Overloaded()
 		now := det.Observe(loads[id])
 		handled := false
 		switch {
 		case !was && now:
-			if err := d.overload(id, rates, loads); err != nil {
+			if err := d.overload(inst, rates, loads); err != nil {
 				return transitions, err
 			}
 			transitions++
@@ -302,9 +280,8 @@ func (d *DynamicHandler) Observe(rates map[core.ClassID]float64) (int, error) {
 			// always enough when the surge lasts (new spawns remain
 			// deduplicated per switch/NF, so this converges instead of
 			// stampeding).
-			inst, err := d.c.findInstance(id)
-			if err == nil && loads[id] > inst.Spec().CapacityMbps {
-				if err := d.overload(id, rates, loads); err != nil {
+			if loads[id] > inst.Spec().CapacityMbps {
+				if err := d.overload(inst, rates, loads); err != nil {
 					return transitions, err
 				}
 				transitions++
@@ -347,33 +324,24 @@ func (d *DynamicHandler) Observe(rates map[core.ClassID]float64) (int, error) {
 	return transitions, nil
 }
 
-// forgetUnpooled drops what the handler still holds for instances that
-// left the pool behind its back — reaped idle after a re-optimization, or
-// cancelled by a transaction unwind: their detectors, and for a failover
-// launch its ledger record (the instance is gone, so are its cores).
-// Zombies and in-flight spawns have no detector and are not touched.
+// forgetUnpooled drops the ledger record of every activated launch that
+// left the pool behind the handler's back — reaped idle after a
+// re-optimization, or cancelled by a transaction unwind: the instance is
+// gone, so are its cores. Zombies and in-flight spawns are not pooled and
+// are not touched.
 func (d *DynamicHandler) forgetUnpooled() {
-	pooled := make(map[vnf.ID]bool, len(d.detectors))
-	for _, byNF := range d.c.instPool {
-		for _, insts := range byNF {
-			for _, inst := range insts {
-				pooled[inst.ID()] = true
-			}
+	for id, l := range d.launches {
+		if l.activated && !l.zombie && !d.c.pooledAt(l.sw, id) {
+			delete(d.launches, id)
 		}
-	}
-	for id := range d.detectors {
-		if pooled[id] {
-			continue
-		}
-		delete(d.detectors, id)
-		delete(d.launches, id)
 	}
 }
 
 // baseWouldFit simulates restoring classID's base distribution on top of
 // everything else's current loads and reports whether every instance
-// stays below its overload threshold. loads is read for the class's own
-// instances only; the what-if lives in a map of just those.
+// stays below its overload threshold, that of the NF it serves. loads is
+// read for the class's own instances only; the what-if lives in a map of
+// just those.
 func (d *DynamicHandler) baseWouldFit(classID core.ClassID, rates map[core.ClassID]float64, loads map[vnf.ID]float64) bool {
 	a, _ := d.c.assign.get(classID)
 	rate := a.rateUnder(rates)
@@ -406,14 +374,15 @@ func (d *DynamicHandler) baseWouldFit(classID core.ClassID, rates map[core.Class
 			shift(inst, share)
 		}
 	}
-	for s := range base {
-		for _, inst := range a.Instances(s) {
-			det := d.detectors[inst]
-			if det == nil {
-				continue
-			}
-			high, _ := det.Thresholds()
-			if adj[inst] > high {
+	for j, nf := range a.Class.Chain {
+		spec, err := policy.SpecOf(nf)
+		if err != nil {
+			return false
+		}
+		det := vnf.DefaultDetector(spec.CapacityMbps)
+		high, _ := det.Thresholds()
+		for s := range base {
+			if adj[a.Instances(s)[j]] > high {
 				return false
 			}
 		}
@@ -421,13 +390,15 @@ func (d *DynamicHandler) baseWouldFit(classID core.ClassID, rates map[core.Class
 	return true
 }
 
-// overload applies the §VI re-balancing for one overloaded instance.
+// overload applies the §VI re-balancing for one overloaded instance, over,
+// whose capacity every sibling serving its chain position shares.
 // loads is Observe's current load view: headroom is read from it, and
 // what the siblings absorb is charged against it while weights move; the
 // caller recomputes it from the reshaped weights afterwards. The classes
 // routed through the instance are reshaped on clones that commit in one
 // transaction; spawns for the leftovers launch once it has.
-func (d *DynamicHandler) overload(instID vnf.ID, rates map[core.ClassID]float64, loads map[vnf.ID]float64) error {
+func (d *DynamicHandler) overload(over *vnf.Instance, rates map[core.ClassID]float64, loads map[vnf.ID]float64) error {
+	instID, capacity := over.ID(), over.Spec().CapacityMbps
 	var spawns []func()
 	var reshaped []core.ClassID // the transaction's buffers are gone once it commits
 	txn := d.c.Begin()
@@ -464,15 +435,7 @@ func (d *DynamicHandler) overload(instID vnf.ID, rates map[core.ClassID]float64,
 				if other == instID {
 					continue
 				}
-				inst, err := d.c.findInstance(other)
-				if err != nil {
-					// End the transaction: the reshapes staged so far
-					// are dropped.
-					txn.open()
-					txn.unwind(err)
-					return err
-				}
-				head := inst.Spec().CapacityMbps - loads[other]
+				head := capacity - loads[other]
 				if head > 0 {
 					cands = append(cands, cand{s: s2, headroom: head})
 				}
@@ -701,8 +664,9 @@ func (d *DynamicHandler) spawnSubclass(a *Assignment, src, j int, weight, rate f
 			d.dropSpawned(v, inst)
 			return
 		}
-		if det, derr := vnf.DefaultDetector(inst.Spec().CapacityMbps); derr == nil {
-			d.detectors[inst.ID()] = det
+		if l, ok := d.launches[inst.ID()]; ok {
+			l.activated = true
+			d.launches[inst.ID()] = l
 		}
 		d.counters.Inc(CtrActivations)
 		if d.c.tracer.Enabled() {
@@ -767,7 +731,7 @@ func (d *DynamicHandler) spawnSubclass(a *Assignment, src, j int, weight, rate f
 		// reclaimed) at rollback; a reconfigured VM simply returns to the
 		// idle pool.
 		d.states[a.Class.ID] = append(d.states[a.Class.ID], newID)
-		d.launches[newID] = launch{cores: spec.Cores}
+		d.launches[newID] = launch{cores: spec.Cores, sw: v}
 		d.peakExtra = max(d.peakExtra, d.ExtraCores())
 	}
 	return nil
@@ -836,7 +800,7 @@ func (d *DynamicHandler) endFailover(classID core.ClassID) {
 }
 
 // cancelSpawned tears down a failover launch: the instance leaves the
-// pool and detectors immediately; its ledger record stays until the
+// pool immediately; its ledger record stays until the
 // orchestrator confirms the cancel. An instance that is already gone
 // (cancelled earlier, boot failed, or lost in a host crash) just has its
 // record deleted; a lost cancel RPC turns it into a zombie retried on the
@@ -853,7 +817,6 @@ func (d *DynamicHandler) cancelSpawned(id vnf.ID) {
 		d.counters.Inc(CtrSpawnAdoptions)
 		return
 	}
-	delete(d.detectors, id)
 	d.c.dropFromPool(id, nil)
 	err := d.c.orch.Cancel(id)
 	switch {

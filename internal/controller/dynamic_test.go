@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"fmt"
 	"maps"
 	"math"
 	"slices"
@@ -11,6 +12,7 @@ import (
 	"github.com/apple-nfv/apple/internal/policy"
 	"github.com/apple-nfv/apple/internal/sim"
 	"github.com/apple-nfv/apple/internal/topology"
+	"github.com/apple-nfv/apple/internal/vnf"
 )
 
 // overloadedSetup builds one class at 450 Mbps through a firewall, with a
@@ -169,6 +171,16 @@ func TestRebalanceToSiblingWithoutSpawn(t *testing.T) {
 
 // cClock digs the simulation clock back out of the controller for tests.
 func cClock(c *Controller) simClock { return c.clock }
+
+// findInstance locates a pooled instance by ID.
+func (c *Controller) findInstance(id vnf.ID) (*vnf.Instance, error) {
+	for _, inst := range c.pooledByID() {
+		if inst.ID() == id {
+			return inst, nil
+		}
+	}
+	return nil, fmt.Errorf("controller: unknown instance %s", id)
+}
 
 type simClock = clockIface
 
@@ -347,6 +359,65 @@ func TestRemovedInFailoverForgetsState(t *testing.T) {
 	if n != 0 || d.Counters().Get(CtrRollbacks) != rollbacks {
 		t.Fatalf("re-added class at planned load: %d transitions, rollbacks %d -> %d; want none",
 			n, rollbacks, d.Counters().Get(CtrRollbacks))
+	}
+	assertInvariants(t, d)
+}
+
+// TestReapedLaunchLeavesTheLedger: a re-optimization that cuts a class in
+// failover over and reaps the launch it no longer references cancels that
+// launch behind the handler's back. A surge on an IDS class launches a
+// full VM beside the planned one at switch 0; ReOptimize{Reap} moves the
+// class to switch 2 and reaps both. The next Observe, still in the surge,
+// overloads the new IDS and launches again, and rolls nothing back: the
+// reaped launch's record must be gone, ExtraCores must count only the
+// cores of launches the orchestrator still runs, and the invariants hold.
+func TestReapedLaunchLeavesTheLedger(t *testing.T) {
+	classes := []core.Class{{ID: 0, Path: linePath(4), Chain: policy.Chain{policy.IDS}, RateMbps: 300}}
+	c, prob, _, clock := setup(t, classes)
+	d, err := NewDynamicHandler(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	surge := map[core.ClassID]float64{0: 1000}
+	if _, err := d.Observe(surge); err != nil {
+		t.Fatal(err)
+	}
+	clock.Run(6 * time.Second)
+	if d.Counters().Get(CtrActivations) != 1 || len(d.states[0]) != 1 {
+		t.Fatalf("surge did not activate one launch: %s, launches %v", d.Counters(), d.states[0])
+	}
+	reaped := d.states[0][0]
+	dist := zeroDist(len(classes[0].Path), 1)
+	dist[2][0] = 1
+	pl := &core.Placement{
+		Counts: map[topology.NodeID]map[policy.NF]int{2: {policy.IDS: 1}},
+		Dist:   map[core.ClassID][][]float64{0: dist},
+	}
+	rep, err := c.ReOptimize(prob, pl, ReoptOptions{Reap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Updated != 1 || rep.Reaped != 2 || c.orch.Known(reaped) {
+		t.Fatalf("ReOptimize updated %d classes and reaped %d instances, launch %s known %v; want the class cut over and both IDS reaped",
+			rep.Updated, rep.Reaped, reaped, c.orch.Known(reaped))
+	}
+	if _, err := d.Observe(surge); err != nil {
+		t.Fatal(err)
+	}
+	if d.Counters().Get(CtrRollbacks) != 0 {
+		t.Fatalf("the Observe rolled the class back: %s", d.Counters())
+	}
+	if _, ok := d.launches[reaped]; ok {
+		t.Errorf("reaped launch %s still has a ledger record", reaped)
+	}
+	live := 0
+	for id, l := range d.launches {
+		if c.orch.Known(id) {
+			live += l.cores
+		}
+	}
+	if d.ExtraCores() != live {
+		t.Errorf("ExtraCores = %d, but the launches the orchestrator runs hold %d cores", d.ExtraCores(), live)
 	}
 	assertInvariants(t, d)
 }

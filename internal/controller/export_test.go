@@ -9,20 +9,8 @@ import "github.com/apple-nfv/apple/internal/topology"
 // RaceDetector is raceDetector, for the external tests.
 const RaceDetector = raceDetector
 
-// DetectorCount reports how many instances the handler holds a detector
-// for.
-func (d *DynamicHandler) DetectorCount() int { return len(d.detectors) }
-
 // PooledInstances reports how many instances the controller's pools hold.
-func (c *Controller) PooledInstances() int {
-	n := 0
-	for _, byNF := range c.instPool {
-		for _, insts := range byNF {
-			n += len(insts)
-		}
-	}
-	return n
-}
+func (c *Controller) PooledInstances() int { return len(c.pooledByID()) }
 
 // GlobalTags returns, per hosting switch, the global sub-class tags the
 // installed header-rewriting sub-classes hold there, ascending.

@@ -146,12 +146,24 @@ var publicationRoutes = []publicationRoute{
 }
 
 // checkPublications fails the test for every probe walk that equals
-// neither its walk before the call nor its walk after a clean one.
-func checkPublications(t *testing.T, pubs []publication, before, after []probeWalk) {
+// neither its walk before the call nor its walk after a clean one. A probe
+// of a class the call removes (removed[p]; removed may be nil) walks as
+// before the call or through no instance at all: from its
+// classification's removal on, it is delivered or dropped as the routes
+// standing at that publication take it, but it never meets part of its
+// chain.
+func checkPublications(t *testing.T, pubs []publication, before, after []probeWalk, removed []bool) {
 	t.Helper()
 	for i, pub := range pubs {
 		for p, got := range pub.walks {
-			if got != before[p] && got != after[p] {
+			switch {
+			case got == before[p]:
+			case removed != nil && removed[p]:
+				if got.processed != 0 {
+					t.Errorf("publication %d (%+v), probe %d of a removed class walked part of its chain:\n  walked  %v\n  before  %v",
+						i+1, pub.table, p, got, before[p])
+				}
+			case got != after[p]:
 				t.Errorf("publication %d (%+v), probe %d:\n  walked  %v\n  before  %v\n  after   %v",
 					i+1, pub.table, p, got, before[p], after[p])
 			}
@@ -204,7 +216,7 @@ func TestInstallPublicationsConsistent(t *testing.T) {
 			if len(*pubs) == 0 {
 				t.Fatal("no publication walked")
 			}
-			checkPublications(t, *pubs, before, after)
+			checkPublications(t, *pubs, before, after, nil)
 
 			for _, pt := range points {
 				c, classes, run := rt.new(t)
@@ -222,24 +234,30 @@ func TestInstallPublicationsConsistent(t *testing.T) {
 				// AddClassBatch keeps the classes admitted before an
 				// admission failure, so what stands is checked as one more
 				// publication.
-				checkPublications(t, append(*pubs, publication{walks: probeWalks(t, c, classes)}), before, after)
+				checkPublications(t, append(*pubs, publication{walks: probeWalks(t, c, classes)}), before, after, nil)
 			}
 		})
 	}
 }
 
-// TestReshapePublicationsConsistent: per-packet consistency of the Dynamic
-// Handler's reshapes, walked at every publication. On the overload,
-// rollback, spawn-activation and NAT-overload routes of faultRoutes, each
-// probe of every installed class must walk, after every table publication
-// of the call, as it did before the call or as it does after a clean one.
-// Each route runs clean, then once more per cutover step it fires with a
-// fault injected there, walking the unwind's reverts and what the call
-// leaves: the state before the call, for every one of these routes.
+// TestReshapePublicationsConsistent: per-packet consistency of every
+// cutover, walked at every publication. On the faultRoutes that cut
+// installed classes over — the Dynamic Handler's overload, rollback,
+// spawn-activation and NAT-overload reshapes, and the commit, reshaped and
+// retire transactions, whose updates and removals are cutovers too — each
+// probe of every class installed before the call must walk, after every
+// table publication of the call, as it did before the call or as it does
+// after a clean one; a probe of a class the call removes, as before the
+// call or through no instance (checkPublications). Each route runs clean,
+// then once more per failpoint it fires with a fault injected there,
+// walking the unwind's reverts and what the call leaves: the state before
+// the call, for every one of these routes. Retiring steering before the
+// classification flip, or before the make step, fails the commit and
+// reshaped routes: an updated class's probes are dropped by a vSwitch.
 func TestReshapePublicationsConsistent(t *testing.T) {
 	for _, route := range faultRoutes {
-		if !slices.Contains([]string{"overload", "rollback", "activate", "overload-nat"}, route.name) {
-			continue
+		if route.name == "batch" || route.name == "placement" {
+			continue // install routes, walked by TestInstallPublicationsConsistent
 		}
 		t.Run(route.name, func(t *testing.T) {
 			fx := route.new(t)
@@ -251,9 +269,7 @@ func TestReshapePublicationsConsistent(t *testing.T) {
 			before := probeWalks(t, fx.c, classes)
 			var points []string
 			fx.c.failpoint = func(p string) error {
-				if strings.HasPrefix(p, "cutover:") {
-					points = append(points, p)
-				}
+				points = append(points, p)
 				return nil
 			}
 			pubs, stop := recordPublications(t, fx.c, classes)
@@ -263,12 +279,16 @@ func TestReshapePublicationsConsistent(t *testing.T) {
 			stop()
 			after := probeWalks(t, fx.c, classes)
 			if slices.Equal(after, before) {
-				t.Fatal("the reshape moved no probe")
+				t.Fatal("the call moved no probe")
 			}
 			if len(*pubs) == 0 {
 				t.Fatal("no publication walked")
 			}
-			checkPublications(t, *pubs, before, after)
+			removed := make([]bool, len(before))
+			for p := range removed {
+				removed[p] = !fx.c.assign.has(classes[p/8].ID)
+			}
+			checkPublications(t, *pubs, before, after, removed)
 
 			for _, pt := range points {
 				fx := route.new(t)
@@ -282,7 +302,7 @@ func TestReshapePublicationsConsistent(t *testing.T) {
 				if !slices.Equal(left, before) {
 					t.Errorf("fault at %s left the probes walking otherwise than before the call", pt)
 				}
-				checkPublications(t, *pubs, before, after)
+				checkPublications(t, *pubs, before, after, removed)
 			}
 		})
 	}

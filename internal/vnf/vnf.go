@@ -53,7 +53,8 @@ type Instance struct {
 	id      ID
 	spec    policy.Spec
 	state   State
-	offered float64 // offered load, Mbps
+	offered float64  // offered load, Mbps
+	det     Detector // DefaultDetector for spec's capacity
 }
 
 // New creates an instance of the given NF type in the Booting state.
@@ -65,7 +66,7 @@ func New(id ID, nf policy.NF) (*Instance, error) {
 	if err != nil {
 		return nil, fmt.Errorf("vnf: %w", err)
 	}
-	return &Instance{id: id, spec: spec, state: StateBooting}, nil
+	return &Instance{id: id, spec: spec, state: StateBooting, det: DefaultDetector(spec.CapacityMbps)}, nil
 }
 
 // ID returns the instance name.
@@ -97,7 +98,8 @@ func (i *Instance) SetState(s State) error {
 // Reconfigure repurposes a running or booting ClickOS instance into a
 // different ClickOS NF type — the cheap path the prototype uses to avoid
 // the multi-second orchestrated boot (§VIII-D). Full-VM NFs cannot be
-// reconfigured this way.
+// reconfigured this way. The instance's detector starts over with the new
+// NF's thresholds.
 func (i *Instance) Reconfigure(nf policy.NF) error {
 	if !i.spec.ClickOS {
 		return fmt.Errorf("vnf: %s is a full VM (%v); only ClickOS instances reconfigure", i.id, i.spec.NF)
@@ -110,6 +112,7 @@ func (i *Instance) Reconfigure(nf policy.NF) error {
 		return fmt.Errorf("vnf: cannot reconfigure ClickOS instance into full-VM NF %v", nf)
 	}
 	i.spec = spec
+	i.det = DefaultDetector(spec.CapacityMbps)
 	return nil
 }
 
@@ -124,6 +127,9 @@ func (i *Instance) SetOffered(mbps float64) error {
 
 // Offered returns the current offered load in Mbps.
 func (i *Instance) Offered() float64 { return i.offered }
+
+// Detector returns the instance's overload detector.
+func (i *Instance) Detector() *Detector { return &i.det }
 
 // LossRate returns the fraction of offered traffic dropped — the fluid
 // version of the Fig 6 curve: zero below the capacity knee, then rising as
@@ -159,14 +165,14 @@ func NewDetector(high, low float64) (*Detector, error) {
 	return &Detector{high: high, low: low}, nil
 }
 
-// DefaultDetector returns a detector whose overload threshold is the
-// instance's full capacity: in the fluid model packets are only dropped
-// beyond capacity, and the Optimization Engine legitimately packs planned
-// load right up to it (Eq. 5 is an equality at the optimum). The
-// prototype's measured thresholds sat below saturation only because its
-// capacity estimate was conservative (§VII-B).
-func DefaultDetector(capacityMbps float64) (*Detector, error) {
-	return NewDetector(capacityMbps, capacityMbps*0.5)
+// DefaultDetector returns the detector every instance carries: its
+// overload threshold is the instance's full capacity, because in the fluid
+// model packets are only dropped beyond capacity, and the Optimization
+// Engine legitimately packs planned load right up to it (Eq. 5 is an
+// equality at the optimum). The prototype's measured thresholds sat below
+// saturation only because its capacity estimate was conservative (§VII-B).
+func DefaultDetector(capacityMbps float64) Detector {
+	return Detector{high: capacityMbps, low: capacityMbps * 0.5}
 }
 
 // Observe feeds a rate sample and returns the (possibly new) overload

@@ -197,13 +197,66 @@ func TestDetectorValidation(t *testing.T) {
 }
 
 func TestDefaultDetector(t *testing.T) {
-	d, err := DefaultDetector(900)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := DefaultDetector(900)
 	high, low := d.Thresholds()
 	if high <= low || high > 900 {
 		t.Fatalf("default thresholds = %v/%v", high, low)
+	}
+}
+
+// TestInstanceDetector: every new instance carries a detector that is not
+// overloaded, with DefaultDetector's thresholds for its NF's capacity.
+func TestInstanceDetector(t *testing.T) {
+	for _, spec := range policy.Catalogue() {
+		i, err := New("x", spec.NF)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := DefaultDetector(spec.CapacityMbps)
+		det := i.Detector()
+		if det.Overloaded() {
+			t.Errorf("new %v instance starts overloaded", spec.NF)
+		}
+		high, low := det.Thresholds()
+		if wantHigh, wantLow := want.Thresholds(); high != wantHigh || low != wantLow {
+			t.Errorf("new %v instance: thresholds %v/%v, want %v/%v", spec.NF, high, low, wantHigh, wantLow)
+		}
+		if !det.Observe(spec.CapacityMbps+1) || !i.Detector().Overloaded() {
+			t.Errorf("%v: Detector does not return the instance's own detector", spec.NF)
+		}
+	}
+}
+
+// TestReconfigureResetsDetector: an overloaded ClickOS instance
+// reconfigured into another ClickOS NF starts over with that NF's
+// thresholds, not overloaded; a refused reconfiguration leaves the
+// detector as it was.
+func TestReconfigureResetsDetector(t *testing.T) {
+	fw := newRunning(t, policy.Firewall)
+	if !fw.Detector().Observe(fw.Spec().CapacityMbps + 1) {
+		t.Fatal("the firewall's detector did not trip above capacity")
+	}
+	if err := fw.Reconfigure(policy.IDS); err == nil {
+		t.Fatal("reconfiguring into a full-VM NF should fail")
+	}
+	if !fw.Detector().Overloaded() {
+		t.Fatal("a refused reconfiguration reset the detector")
+	}
+	if err := fw.Reconfigure(policy.NAT); err != nil {
+		t.Fatal(err)
+	}
+	nat, err := policy.SpecOf(policy.NAT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := DefaultDetector(nat.CapacityMbps)
+	det := fw.Detector()
+	if det.Overloaded() {
+		t.Error("the reconfigured instance is still overloaded")
+	}
+	high, low := det.Thresholds()
+	if wantHigh, wantLow := want.Thresholds(); high != wantHigh || low != wantLow {
+		t.Errorf("reconfigured into NAT: thresholds %v/%v, want %v/%v", high, low, wantHigh, wantLow)
 	}
 }
 
