@@ -77,9 +77,11 @@ type Switch struct {
 // its sub-classes — hop vector, planned portion, current weight and tag
 // each — and the concrete instance serving each (sub-class, chain
 // position). Its matching prefix is ClassPrefix(Class.ID), recomputed on
-// demand. An installed Assignment is never written in place: the Dynamic
-// Handler reshapes a clone, re-optimization builds a replacement, and the
-// store swaps the pointer.
+// demand. An installed Assignment is written in place in two words only,
+// Class.RateMbps and gen, by a rate-only refresh (RuleTxn.commitRefresh),
+// under the store's lock; only the single writer reads them. Everything
+// else stands: the Dynamic Handler reshapes a clone, an update builds a
+// replacement, and the store swaps the pointer.
 type Assignment struct {
 	Class core.Class
 	// subs are the sub-classes, the nBase the placement planned first and
@@ -202,6 +204,10 @@ type Controller struct {
 	// reopt is ReOptimize's scratch, reused from pass to pass. Confined to
 	// the single writer.
 	reopt reoptScratch
+	// byInst is the writer's one per-instance map, kept from call to call
+	// (instScratch): LossRate's loads and then losses, and reapIdle's set
+	// of referenced instances. Confined to the single writer.
+	byInst map[vnf.ID]float64
 	// spare is the transaction buffer set the next Begin takes (nil while
 	// a transaction holds it), and steps the store of the rule steps a
 	// transaction compiles and applies. Confined to the single writer.
@@ -642,6 +648,16 @@ func (c *Controller) allocSubTagFor(a *Assignment, hops []int, txn *RuleTxn) (ui
 		}
 	}
 	return 0, fmt.Errorf("controller: no conflict-free global tag for class %d (hosts too shared)", a.Class.ID)
+}
+
+// instScratch returns the controller's per-instance scratch map, made on
+// first use with room for an entry per instance the ledger charges. Its
+// user empties it first; no two of them run nested.
+func (c *Controller) instScratch() map[vnf.ID]float64 {
+	if c.byInst == nil {
+		c.byInst = make(map[vnf.ID]float64, c.assign.charged())
+	}
+	return c.byInst
 }
 
 // nextGen hands out a new assignment generation.

@@ -31,7 +31,9 @@ const (
 )
 
 // Loads computes the offered load every instance would see given
-// per-class traffic rates (Mbps), using the current sub-class weights.
+// per-class traffic rates (Mbps), using the current sub-class weights,
+// into a map of the caller's. Like LossRate it is the writer's: it walks
+// the store's class order.
 func (c *Controller) Loads(rates map[core.ClassID]float64) map[vnf.ID]float64 {
 	// The portion ledger has an entry per instance a base sub-class
 	// charges: about the size the result is about to have.
@@ -113,11 +115,15 @@ func (c *Controller) ApplyLoads(loads map[vnf.ID]float64) error {
 // for the given rates: each instance drops its overload excess, and a
 // sub-class's loss is the max over its chain (fluid approximation).
 func (c *Controller) LossRate(rates map[core.ClassID]float64) (float64, error) {
-	loads := c.Loads(rates)
+	loads := c.instScratch()
+	c.loadsInto(loads, rates)
 	if err := c.ApplyLoads(loads); err != nil {
 		return 0, err
 	}
-	lossByInst := make(map[vnf.ID]float64, len(loads))
+	// Applied, the loads are done with: the map takes each pooled
+	// instance's loss in their place.
+	lossByInst := loads
+	clear(lossByInst)
 	for _, byNF := range c.instPool {
 		for _, insts := range byNF {
 			for _, inst := range insts {
@@ -307,7 +313,8 @@ func (d *DynamicHandler) Observe(rates map[core.ClassID]float64) (int, error) {
 	// base distribution would fit under every instance's overload
 	// threshold (§VI: "the distribution will roll back to the normal
 	// state when the VNF instance is no longer overloaded").
-	for _, classID := range d.c.Classes() {
+	for _, a := range d.c.assign.sorted() {
+		classID := a.Class.ID
 		if _, ok := d.states[classID]; !ok {
 			continue
 		}
@@ -402,8 +409,8 @@ func (d *DynamicHandler) overload(over *vnf.Instance, rates map[core.ClassID]flo
 	var spawns []func()
 	var reshaped []core.ClassID // the transaction's buffers are gone once it commits
 	txn := d.c.Begin()
-	for _, classID := range d.c.Classes() {
-		live, _ := d.c.assign.get(classID)
+	for _, live := range d.c.assign.sorted() {
+		classID := live.Class.ID
 		carried := false
 		for s, r := range live.subs {
 			carried = carried || (r.weight > 0 && slices.Contains(live.Instances(s), instID))
@@ -605,7 +612,9 @@ func (d *DynamicHandler) spawnSubclass(a *Assignment, src, j int, weight, rate f
 	if _, busy := d.pending[key]; busy {
 		return errors.New("controller: a failover instance is already being provisioned here")
 	}
-	classID := a.Class.ID
+	// The generation is read now: a is the live assignment, which a
+	// refresh rewrites in place.
+	classID, gen := a.Class.ID, a.gen
 	launched := false
 	// activate commits the new sub-class, and pools its instance, as one
 	// reshape of the live assignment; a failed commit leaves the instance
@@ -615,7 +624,7 @@ func (d *DynamicHandler) spawnSubclass(a *Assignment, src, j int, weight, rate f
 			delete(d.pending, key)
 		}
 		cur, live := d.c.assign.get(classID)
-		if !live || !sameGeneration(cur, a) {
+		if !live || !sameGeneration(cur, gen) {
 			// The overload rolled back — or a re-optimization cut the
 			// class over to a new assignment, or refreshed its rate —
 			// while the instance was booting; the distribution this spawn
@@ -783,11 +792,15 @@ func (d *DynamicHandler) rollback(classID core.ClassID) error {
 	return nil
 }
 
-// sameGeneration reports whether cur is a, or descends from a through
-// overloads and activations only: their clones keep the generation
-// number, while installs, updates, refreshes and rollbacks draw a new one.
-func sameGeneration(cur, a *Assignment) bool {
-	return cur.gen == a.gen
+// sameGeneration reports whether cur is still generation gen, a number
+// read off an assignment when a spawn was computed against it: cur is
+// that assignment, or descends from it through overloads and activations
+// only, whose clones keep the generation number, while installs, updates,
+// refreshes and rollbacks draw a new one. The number is compared, not the
+// assignment it was read off: a refresh rewrites the live assignment's
+// generation in place, and the spawn's assignment may be that one.
+func sameGeneration(cur *Assignment, gen uint32) bool {
+	return cur.gen == gen
 }
 
 // endFailover cancels (or adopts) classID's failover launches and forgets

@@ -55,8 +55,8 @@ func (d *DynamicHandler) CheckInvariants() error {
 	}
 	globalOwner := make(map[hostTag]core.ClassID)
 	// Per-class structural and conservation checks.
-	for _, id := range c.Classes() {
-		a, _ := c.assign.get(id)
+	for _, a := range c.assign.sorted() {
+		id := a.Class.ID
 		n := len(a.subs)
 		if len(a.insts) != n*len(a.Class.Chain) {
 			return fmt.Errorf("invariant: class %d has %d sub-classes but %d instances for a %d-NF chain",

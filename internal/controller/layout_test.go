@@ -195,11 +195,13 @@ func (s *ruleSteps) held() int {
 // empty and dropped once grown past stepCap operations. It is measured
 // after a 4 608-class AddClassBatch on FatTree-16, and after two
 // re-optimizations over 100 GEANT classes that remove half of them and
-// install them again: the spare set then holds 240 B (its empty buffer
-// headers) and about 1.2 KB of live heap, and the step buffers hold
+// install them again: the spare set then holds 256 B (its empty buffer
+// headers) and about 1.6 KB of live heap, and the step buffers hold
 // nothing after the bulk load, whose buffers outgrew stepCap, and 4 016 B
 // after the re-optimizations. With no cap the same runs left 951 KB and
-// 80 KB in the spare set. The gate is 8 KB for each. (The fixed rule
+// 80 KB in the spare set. (240 B and 1.2 KB before each refresh carried
+// its own pre-image, 40 bytes where it was 24, and the set the count of
+// those committed.) The gate is 8 KB for each. (The fixed rule
 // arena the step buffers replace was 2 448 B.)
 func TestRetainedScratchBounded(t *testing.T) {
 	const stepsGate = 8 << 10

@@ -21,16 +21,33 @@ import (
 )
 
 // probeWalk is the outcome of one probe's walk: the switches and
-// instances it visited, as printed, how many instances that was, and
-// whether it was delivered or failed.
+// instances it visited, as printed, how many instances that was, whether
+// it was delivered or failed, and where a failed walk stopped: "switch v"
+// when switch v's pipeline dropped it, "host v" when the host at switch v
+// did not return it (its vSwitch dropped it).
 type probeWalk struct {
 	switches, instances string
 	processed           int
 	delivered, failed   bool
+	stop                string
 }
 
 func (w probeWalk) String() string {
-	return fmt.Sprintf("switches %s instances %s delivered %v failed %v", w.switches, w.instances, w.delivered, w.failed)
+	return fmt.Sprintf("switches %s instances %s delivered %v failed %v stop %q", w.switches, w.instances, w.delivered, w.failed, w.stop)
+}
+
+// stopOf names where a walk that ended in err stopped: "" for a walk that
+// did not fail, else its last switch, or the host there when the error
+// came from the host.
+func stopOf(tr Trace, err error) string {
+	if err == nil || len(tr.Switches) == 0 {
+		return ""
+	}
+	v := tr.Switches[len(tr.Switches)-1]
+	if strings.HasPrefix(err.Error(), "controller: host") {
+		return fmt.Sprintf("host %d", v)
+	}
+	return fmt.Sprintf("switch %d", v)
 }
 
 // probeWalks walks the probes of each class — one at the start of each
@@ -55,6 +72,7 @@ func probeWalks(t *testing.T, c *Controller, classes []core.Class) []probeWalk {
 			out = append(out, probeWalk{
 				switches: fmt.Sprint(tr.Switches), instances: fmt.Sprint(tr.Instances),
 				processed: len(tr.Instances), delivered: tr.Delivered, failed: err != nil,
+				stop: stopOf(tr, err),
 			})
 		}
 	}
@@ -147,21 +165,23 @@ var publicationRoutes = []publicationRoute{
 
 // checkPublications fails the test for every probe walk that equals
 // neither its walk before the call nor its walk after a clean one. A probe
-// of a class the call removes (removed[p]; removed may be nil) walks as
-// before the call or through no instance at all: from its
-// classification's removal on, it is delivered or dropped as the routes
-// standing at that publication take it, but it never meets part of its
-// chain.
-func checkPublications(t *testing.T, pubs []publication, before, after []probeWalk, removed []bool) {
+// of a class the call removes (removed[p] names its ingress switch, as
+// "switch v"; "" for a class the call keeps, and removed may be nil) walks
+// as before the call or through no instance at all, delivered or dropped
+// at its ingress: from its classification's removal on it is routed as an
+// unclassified packet, and its routes retire in path order, ingress first.
+// It never meets part of its chain, and no vSwitch drops it: its steering
+// goes only once its classification has.
+func checkPublications(t *testing.T, pubs []publication, before, after []probeWalk, removed []string) {
 	t.Helper()
 	for i, pub := range pubs {
 		for p, got := range pub.walks {
 			switch {
 			case got == before[p]:
-			case removed != nil && removed[p]:
-				if got.processed != 0 {
-					t.Errorf("publication %d (%+v), probe %d of a removed class walked part of its chain:\n  walked  %v\n  before  %v",
-						i+1, pub.table, p, got, before[p])
+			case removed != nil && removed[p] != "":
+				if got.processed != 0 || !got.delivered && got.stop != removed[p] {
+					t.Errorf("publication %d (%+v), probe %d of a removed class walked outside the removal window (delivered or dropped at %s, through no instance):\n  walked  %v\n  before  %v",
+						i+1, pub.table, p, removed[p], got, before[p])
 				}
 			case got != after[p]:
 				t.Errorf("publication %d (%+v), probe %d:\n  walked  %v\n  before  %v\n  after   %v",
@@ -284,9 +304,11 @@ func TestReshapePublicationsConsistent(t *testing.T) {
 			if len(*pubs) == 0 {
 				t.Fatal("no publication walked")
 			}
-			removed := make([]bool, len(before))
+			removed := make([]string, len(before))
 			for p := range removed {
-				removed[p] = !fx.c.assign.has(classes[p/8].ID)
+				if cl := classes[p/8]; !fx.c.assign.has(cl.ID) {
+					removed[p] = fmt.Sprintf("switch %d", cl.Path[0])
+				}
 			}
 			checkPublications(t, *pubs, before, after, removed)
 

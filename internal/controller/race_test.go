@@ -100,3 +100,52 @@ func TestForwardDuringBatchInstall(t *testing.T) {
 		t.Fatalf("post-batch shadow check: %v", err)
 	}
 }
+
+// TestForwardDuringRefresh: readers build flow headers for installed
+// classes and walk them through the data plane while the writer commits
+// rate-only ReOptimize passes, whose refreshes rewrite the installed
+// assignments' rate and generation in place. Run under -race it pins that
+// a refresh writes only words no reader on another goroutine reads:
+// FlowHeader and Forward read the class's path and prefix, and the walk
+// reads the tables, which a refresh does not touch. Every probe stays
+// enforced throughout.
+func TestForwardDuringRefresh(t *testing.T) {
+	c, prob, pl := hundredClassFixture(t)
+	probs := []*core.Problem{withRates(prob, 1.25), prob}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				cl := prob.Classes[i%len(prob.Classes)]
+				hdr, err := c.FlowHeader(cl.ID, uint32(i)<<4)
+				if err != nil {
+					t.Errorf("FlowHeader: %v", err)
+					return
+				}
+				tr, err := c.Forward(hdr, cl.Path[0])
+				if err != nil || !tr.Delivered || len(tr.Instances) != len(cl.Chain) {
+					t.Errorf("class %d walked %+v during a refresh, err %v", cl.ID, tr, err)
+					return
+				}
+			}
+		}(r)
+	}
+	for pass := 0; pass < 20; pass++ {
+		rep, err := c.ReOptimize(probs[pass%2], pl, ReoptOptions{})
+		if err != nil || rep.RateOnly != hundredClasses {
+			close(stop)
+			wg.Wait()
+			t.Fatalf("pass %d: report %+v, err %v; want %d rate-only classes", pass, rep, err, hundredClasses)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}

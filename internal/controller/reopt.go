@@ -106,9 +106,9 @@ func (c *Controller) ReOptimize(prob *core.Problem, pl *core.Placement, opts Reo
 	sc.kept = slices.Compact(sc.kept)
 	var removed []core.ClassID
 	if len(sc.kept) < c.assign.len() {
-		for _, id := range c.assign.ids() {
-			if _, keep := slices.BinarySearch(sc.kept, id); !keep {
-				removed = append(removed, id)
+		for _, a := range c.assign.sorted() {
+			if _, keep := slices.BinarySearch(sc.kept, a.Class.ID); !keep {
+				removed = append(removed, a.Class.ID)
 			}
 		}
 	}
@@ -116,8 +116,7 @@ func (c *Controller) ReOptimize(prob *core.Problem, pl *core.Placement, opts Reo
 
 	// Stage in class order: installs, updates and refreshes, then removals.
 	txn := c.Begin()
-	txn.grow(report.Added+report.Updated+report.Removed, report.RateOnly,
-		report.Updated+report.RateOnly+report.Removed)
+	txn.grow(report.Added+report.Updated+report.Removed, report.RateOnly, report.Updated+report.Removed)
 	for i, cl := range prob.Classes {
 		cl.Chain = pl.ChainFor(cl)
 		switch sc.verdicts[i] {
@@ -207,7 +206,8 @@ func (c *Controller) provisionTo(pl *core.Placement, txn *RuleTxn, strict bool) 
 // reapIdle cancels pooled instances no installed assignment references,
 // down to the placement's counts. Runs only after a successful commit.
 func (c *Controller) reapIdle(pl *core.Placement) int {
-	referenced := c.assign.referenced()
+	referenced := c.instScratch()
+	c.assign.referencedInto(referenced)
 	reaped := 0
 	for _, v := range sortedKeys(c.instPool) {
 		byNF := c.instPool[v]
@@ -217,7 +217,7 @@ func (c *Controller) reapIdle(pl *core.Placement) int {
 			var victims []vnf.ID
 			for i := len(insts) - 1; i >= 0 && over > len(victims); i-- {
 				id := insts[i].ID()
-				if referenced[id] {
+				if _, ok := referenced[id]; ok {
 					continue
 				}
 				victims = append(victims, id)

@@ -67,6 +67,13 @@ type assignStore struct {
 	// and sized by the topology, so a put or remove allocates nothing for
 	// it. Guarded by mu.
 	held [][]routeHold
+	// order is the installed assignments by ascending class ID while
+	// ordered is set (sorted). A put that replaces an assignment replaces
+	// its pointer here; a put of a new class or a remove clears ordered,
+	// and the next sorted walk rebuilds order in place. A store no one
+	// walks in class order never builds it. Guarded by mu.
+	order   []*Assignment
+	ordered bool
 }
 
 // routeHold is what the class records make of the route toward one
@@ -124,7 +131,31 @@ func (st *assignStore) put(id core.ClassID, a *Assignment) {
 		st.holdLocked(a)
 		st.releaseLocked(old)
 	}
+	switch {
+	case old == nil:
+		st.ordered = false
+	case st.ordered:
+		i, _ := slices.BinarySearchFunc(st.order, id, byClassID)
+		st.order[i] = a
+	}
 	st.mu.Unlock()
+}
+
+// refresh writes rate and generation gen into installed assignment a and
+// returns the rate and generation it held. The ledger moves as put moves
+// it for a replacement at the new rate: the new rate's charges first, then
+// the old rate's taken back, none if the rate stands. Both words are
+// written under the lock; no reader on another goroutine reads either.
+func (st *assignStore) refresh(a *Assignment, rate float64, gen uint32) (float64, uint32) {
+	st.mu.Lock()
+	oldRate, oldGen := a.Class.RateMbps, a.gen
+	if rate != oldRate {
+		a.chargeAt(st.portion, rate, 1)
+		a.chargeAt(st.portion, oldRate, -1)
+	}
+	a.Class.RateMbps, a.gen = rate, gen
+	st.mu.Unlock()
+	return oldRate, oldGen
 }
 
 // remove deletes a class's assignment and takes back its charges and
@@ -135,6 +166,7 @@ func (st *assignStore) remove(id core.ClassID) {
 	delete(st.m, id)
 	a.charge(st.portion, -1)
 	st.releaseLocked(a)
+	st.ordered = false
 	st.mu.Unlock()
 }
 
@@ -261,9 +293,14 @@ func (a *Assignment) charge(ledger map[vnf.ID]float64, sign float64) {
 	if a == nil {
 		return
 	}
+	a.chargeAt(ledger, a.Class.RateMbps, sign)
+}
+
+// chargeAt is charge at the given rate in place of a's own.
+func (a *Assignment) chargeAt(ledger map[vnf.ID]float64, rate, sign float64) {
 	for s, r := range a.subs[:a.nBase] {
 		for _, id := range a.Instances(s) {
-			ledger[id] += sign * a.Class.RateMbps * r.portion
+			ledger[id] += sign * rate * r.portion
 		}
 	}
 }
@@ -289,27 +326,58 @@ func (st *assignStore) len() int {
 	return len(st.m)
 }
 
-// ids returns every installed class ID, sorted.
+// ids returns every installed class ID, sorted, in a slice of the
+// caller's: copied off the class order while it stands, sorted afresh
+// otherwise, so that no caller builds the order for the writer.
 func (st *assignStore) ids() []core.ClassID {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	return sortedKeys(st.m)
+	if !st.ordered {
+		return sortedKeys(st.m)
+	}
+	out := make([]core.ClassID, len(st.order))
+	for i, a := range st.order {
+		out[i] = a.Class.ID
+	}
+	return out
 }
 
 // sorted returns the installed assignments in ascending class order: the
 // one walk order of everything that folds over the whole store, so float
-// sums come out the same on every run. The slice is the caller's; the
-// assignments are the store's own.
+// sums come out the same on every run. The slice is the store's own class
+// order, rebuilt in place only when a class came or went since the last
+// walk, and must not be written. It stays valid, and a walk over it may
+// run another ordered walk, until a class comes or goes: a walk must not
+// add or remove one. A put that replaces an assignment during a walk
+// shows in the entries the walk has yet to reach. Confined to the single
+// writer, like the puts that keep the order.
 func (st *assignStore) sorted() []*Assignment {
-	st.mu.RLock()
-	out := make([]*Assignment, 0, len(st.m))
-	for _, a := range st.m {
-		out = append(out, a)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if !st.ordered {
+		// Room for a quarter more classes, so a store that grows by a few
+		// classes a pass rebuilds in place; one that shrank to under half
+		// its order drops it.
+		order := st.order[:0]
+		if n := len(st.m); cap(order) < n || cap(order) > 2*n {
+			order = make([]*Assignment, 0, n+n/4)
+		} else {
+			clear(order[:cap(order)])
+		}
+		for _, a := range st.m {
+			order = append(order, a)
+		}
+		slices.SortFunc(order, compareClassID)
+		st.order, st.ordered = order, true
 	}
-	st.mu.RUnlock()
-	slices.SortFunc(out, func(a, b *Assignment) int { return cmp.Compare(a.Class.ID, b.Class.ID) })
-	return out
+	return st.order
 }
+
+// compareClassID orders assignments by class ID.
+func compareClassID(a, b *Assignment) int { return cmp.Compare(a.Class.ID, b.Class.ID) }
+
+// byClassID compares an assignment's class ID with id.
+func byClassID(a *Assignment, id core.ClassID) int { return cmp.Compare(a.Class.ID, id) }
 
 // references reports whether any installed assignment routes traffic
 // through the instance.
@@ -324,18 +392,17 @@ func (st *assignStore) references(id vnf.ID) bool {
 	return false
 }
 
-// referenced returns the set of instances the installed assignments route
-// traffic through.
-func (st *assignStore) referenced() map[vnf.ID]bool {
+// referencedInto empties set and keys it by the instances the installed
+// assignments route traffic through.
+func (st *assignStore) referencedInto(set map[vnf.ID]float64) {
+	clear(set)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	set := make(map[vnf.ID]bool, len(st.portion))
 	for _, a := range st.m {
 		for _, id := range a.insts {
-			set[id] = true
+			set[id] = 0
 		}
 	}
-	return set
 }
 
 // globalTags returns the tags the installed header-rewriting sub-classes

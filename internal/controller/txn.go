@@ -100,13 +100,20 @@ type TxnOptions struct {
 	Audit func() error
 }
 
-// rateDelta is a staged refresh: class id's assignment is replaced with
-// one at rate. It commits in the update phase before staged[at], the op
-// staged after it, so deltas commit in the order they were staged.
+// rateDelta is a staged refresh: class id's installed assignment is
+// rewritten to carry rate. It commits in the update phase before
+// staged[at], the op staged after it, so deltas commit in the order they
+// were staged. Its commit records the pre-image an unwind writes back —
+// the rate and generation the assignment held — and after, how many
+// pre-images of replaced classes (prevOrder) the transaction held then,
+// which places the refresh among them when they are put back.
 type rateDelta struct {
-	id   core.ClassID
-	rate float64
-	at   int
+	id       core.ClassID
+	rate     float64
+	prevRate float64
+	at       int32
+	after    int32
+	prevGen  uint32
 }
 
 // RuleTxn stages a class-set delta and commits it atomically against the
@@ -131,8 +138,11 @@ type RuleTxn struct {
 type txnScratch struct {
 	staged []txnOp
 	// refreshes are kept apart from staged: a day's rate-only refreshes
-	// are most of a re-optimization's deltas and need only these 24 bytes.
+	// are most of a re-optimization's deltas and need only these 40 bytes,
+	// their pre-images included. The first refreshed of them have
+	// committed.
 	refreshes []rateDelta
+	refreshed int
 	// Pre-transaction pool buckets of the switches repoolInstance wrote.
 	prevPools map[topology.NodeID]map[policy.NF][]*vnf.Instance
 	// undo holds the inverse of every table batch applied, in apply
@@ -168,7 +178,7 @@ const scratchCap = 16
 // grown past scratchCap.
 func (s *txnScratch) reset() {
 	s.staged = reuse(s.staged)
-	s.refreshes = reuse(s.refreshes)
+	s.refreshes, s.refreshed = reuse(s.refreshes), 0
 	s.prevPools = reuseMap(s.prevPools)
 	s.undo = reuse(s.undo)
 	s.admitted = reuse(s.admitted)
@@ -227,8 +237,9 @@ func (c *Controller) Begin() *RuleTxn {
 }
 
 // grow makes room for ops staged deltas, refreshes refreshes and replaced
-// pre-images of installed classes, for callers that know what they are
-// about to stage. It is called before anything is staged.
+// pre-images of installed classes cut over or removed, for callers that
+// know what they are about to stage. It is called before anything is
+// staged.
 func (t *RuleTxn) grow(ops, refreshes, replaced int) {
 	t.staged = emptyWithRoom(t.staged, ops)
 	t.refreshes = emptyWithRoom(t.refreshes, refreshes)
@@ -260,11 +271,12 @@ func (t *RuleTxn) StageUpdate(cl core.Class, dist [][]float64) {
 }
 
 // StageRefresh stages a bookkeeping-only rate change for installed class
-// id, whose rule set is unchanged: the assignment is replaced with one
-// carrying the new rate, which the store charges to the instance-portion
-// ledger in place of the old one, but no flow table is touched.
+// id, whose rule set is unchanged: the installed assignment is rewritten
+// in place to carry the new rate, which the store charges to the
+// instance-portion ledger in place of the old one, under a new
+// generation; no flow table is touched.
 func (t *RuleTxn) StageRefresh(id core.ClassID, rate float64) {
-	t.refreshes = append(t.refreshes, rateDelta{id: id, rate: rate, at: len(t.staged)})
+	t.refreshes = append(t.refreshes, rateDelta{id: id, rate: rate, at: int32(len(t.staged))})
 }
 
 // StageRemove stages a class teardown, a cutover to nothing:
@@ -325,8 +337,8 @@ func (t *RuleTxn) Commit(opts TxnOptions) (err error) {
 		// among them.
 		r := 0
 		for i := 0; i <= len(t.staged); i++ {
-			for ; ph.refreshes && r < len(t.refreshes) && t.refreshes[r].at == i; r++ {
-				if err = audited(t.commitRefresh(t.refreshes[r])); err != nil {
+			for ; ph.refreshes && r < len(t.refreshes) && int(t.refreshes[r].at) == i; r++ {
+				if err = audited(t.commitRefresh(r)); err != nil {
 					return err
 				}
 			}
@@ -391,7 +403,8 @@ func (t *RuleTxn) release() {
 
 // unwind restores the controller to its pre-transaction state: table
 // batches reverted newest first, admitted classes out of the store and
-// replaced/removed classes back in — their portion charges with them —
+// replaced/removed classes back in, and refreshed ones back at their old
+// rate and generation, newest first — their portion charges with them —
 // re-bucketed pools restored, and provisioned instances cancelled and
 // de-pooled.
 func (t *RuleTxn) unwind(cause error) {
@@ -411,9 +424,21 @@ func (t *RuleTxn) unwind(cause error) {
 	for i := len(t.admitted) - 1; i >= 0; i-- {
 		c.assign.remove(t.admitted[i])
 	}
-	for i := len(t.prevOrder) - 1; i >= 0; i-- {
-		id := t.prevOrder[i]
-		c.assign.put(id, t.prevAssign[id])
+	r := t.refreshed
+	for i := len(t.prevOrder) - 1; i >= -1; i-- {
+		// The refreshes committed after prevOrder[i] was recorded go back
+		// first; a class this transaction admitted is already gone, its
+		// charges at the refreshed rate with it.
+		for ; r > 0 && int(t.refreshes[r-1].after) > i; r-- {
+			u := t.refreshes[r-1]
+			if a, ok := c.assign.get(u.id); ok {
+				c.assign.refresh(a, u.prevRate, u.prevGen)
+			}
+		}
+		if i >= 0 {
+			id := t.prevOrder[i]
+			c.assign.put(id, t.prevAssign[id])
+		}
 	}
 	for v, pre := range t.prevPools {
 		c.instPool[v] = pre
@@ -835,27 +860,27 @@ func eachRetired(old, next *Assignment, f func(s int, v topology.NodeID)) {
 	}
 }
 
-// commitRefresh replaces an installed class's assignment with one
-// carrying a new rate but the same sub-class shape: no rules move, only
-// the store entry, and with it the instance-portion ledger's charges. The
-// replacement is the installed assignment at the new rate under a new
-// generation number (sameGeneration), so a failover spawn computed
-// against the old rate is dropped. It shares every array with the one it
-// replaces, the sub-class records included: their weights are only ever
-// written on an Assignment.clone. One allocation, the replacement itself.
-func (t *RuleTxn) commitRefresh(r rateDelta) error {
+// commitRefresh commits refresh k: the installed class keeps its
+// sub-class shape and rules, and its assignment is rewritten in place to
+// carry the new rate under a new generation number (sameGeneration), so a
+// failover spawn computed against the old rate is dropped. The store
+// moves the instance-portion ledger's charges with the rate. The two
+// words are written under the store's lock, and only the writer reads
+// them: Forward, FlowHeader and the enforcement probes read the class's
+// path, chain, sub-classes and instances, which stay. The pre-image goes
+// in the refresh itself, not in prevAssign. No allocation.
+func (t *RuleTxn) commitRefresh(k int) error {
 	c := t.c
-	old, ok := c.assign.get(r.id)
+	r := &t.refreshes[k]
+	a, ok := c.assign.get(r.id)
 	if !ok {
 		return fmt.Errorf("controller: class %d is not installed", r.id)
 	}
 	if err := t.fail("refresh:swap", r.id); err != nil {
 		return err
 	}
-	newA := *old
-	newA.Class.RateMbps = r.rate
-	newA.gen = c.nextGen()
-	t.trackPrevAssign(r.id, old)
-	c.assign.put(r.id, &newA)
+	r.prevRate, r.prevGen = c.assign.refresh(a, r.rate, c.nextGen())
+	r.after = int32(len(t.prevOrder))
+	t.refreshed = k + 1
 	return nil
 }

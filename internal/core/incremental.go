@@ -89,14 +89,20 @@ func (e *IncrementalEngine) Place(rates map[ClassID]float64) (pl *Placement, st 
 	// cap is still true; and relaxing it to +Inf would evict the variable
 	// from its resting bound and destroy the dual feasibility the warm
 	// start needs (the reason repair-heavy topologies used to fall back
-	// cold on every pass).
-	changes := make([]lp.BoundChange, 0, len(e.md.rVar)+len(e.md.qKeys))
-	for ci, c := range e.prob.Classes {
-		r := rates[c.ID]
-		if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
+	// cold on every pass). The rates are checked before any bound moves.
+	// Each bound is set as it is decided, with no list of the changes: a
+	// bound change touches only its own variable's resting state, so which
+	// caps rest is read the same before or after the pins.
+	for _, c := range e.prob.Classes {
+		if r := rates[c.ID]; r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
 			return nil, st, fmt.Errorf("core: class %d has invalid rate %v", c.ID, r)
 		}
-		changes = append(changes, lp.BoundChange{Var: e.md.rVar[ci], Lo: r, Hi: r})
+	}
+	for ci, c := range e.prob.Classes {
+		r := rates[c.ID]
+		if err := e.solver.SetBounds(e.md.rVar[ci], r, r); err != nil {
+			return nil, st, fmt.Errorf("core: %w", err)
+		}
 	}
 	kept := 0
 	for _, key := range e.md.qKeys {
@@ -105,10 +111,9 @@ func (e *IncrementalEngine) Place(rates map[ClassID]float64) (pl *Placement, st 
 			kept++
 			continue
 		}
-		changes = append(changes, lp.BoundChange{Var: qv, Lo: 0, Hi: math.Inf(1)})
-	}
-	if err := e.solver.ApplyBounds(changes); err != nil {
-		return nil, st, fmt.Errorf("core: %w", err)
+		if err := e.solver.SetBounds(qv, 0, math.Inf(1)); err != nil {
+			return nil, st, fmt.Errorf("core: %w", err)
+		}
 	}
 
 	st.Warm = e.solved && e.solver.HasBasis()
@@ -126,12 +131,10 @@ func (e *IncrementalEngine) Place(rates map[ClassID]float64) (pl *Placement, st 
 		// The carried caps over-constrain this snapshot (demand moved onto
 		// capped switches). Lift them all and solve cold — correctness
 		// first, the next pass warm-starts again.
-		lift := make([]lp.BoundChange, 0, len(e.md.qKeys))
 		for _, key := range e.md.qKeys {
-			lift = append(lift, lp.BoundChange{Var: e.md.qVar[key], Lo: 0, Hi: math.Inf(1)})
-		}
-		if aerr := e.solver.ApplyBounds(lift); aerr != nil {
-			return nil, st, fmt.Errorf("core: %w", aerr)
+			if aerr := e.solver.SetBounds(e.md.qVar[key], 0, math.Inf(1)); aerr != nil {
+				return nil, st, fmt.Errorf("core: %w", aerr)
+			}
 		}
 		st.Warm = false
 		st.WarmAccepted = false
