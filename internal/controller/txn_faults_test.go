@@ -917,3 +917,34 @@ func TestAddClassBatchLateRefusalMatchesLoop(t *testing.T) {
 		t.Fatalf("batch differs from the loop: %s", firstDiff(want, got))
 	}
 }
+
+// TestUnwindDropsAdmittedRefreshedClass: a transaction admits class 9,
+// refreshes its rate and fails at a later removal's retire step. The
+// unwind takes the admitted class out, its charges at the refreshed rate
+// with it, and writes nothing back for the refresh: class 9 is gone, and
+// the ledger and class 2 are as before the call.
+func TestUnwindDropsAdmittedRefreshedClass(t *testing.T) {
+	fx := newTxnFixture(t)
+	c := fx.c
+	ledger := c.assign.portions()
+	cl := core.Class{ID: 9, Path: linePath(4), Chain: policy.Chain{policy.Firewall}, RateMbps: 120}
+	c.failpoint = func(point string) error {
+		if point == "cutover:retire:2" {
+			return errInjected
+		}
+		return nil
+	}
+	txn := c.Begin()
+	txn.StageAdd(cl)
+	txn.StageRefresh(cl.ID, 300)
+	txn.StageRemove(2)
+	if err := txn.Commit(TxnOptions{}); !errors.Is(err, errInjected) {
+		t.Fatalf("commit: %v, want the injected fault", err)
+	}
+	if c.assign.has(cl.ID) || !c.assign.has(2) {
+		t.Fatalf("after the unwind class 9 installed %v, class 2 %v; want false, true", c.assign.has(cl.ID), c.assign.has(2))
+	}
+	if got := c.assign.portions(); !reflect.DeepEqual(got, ledger) {
+		t.Errorf("the unwind left the ledger at %v, want %v", got, ledger)
+	}
+}

@@ -31,6 +31,10 @@ type IncrementalEngine struct {
 	md     *model
 	solver *lp.Solver
 	solved bool
+	// bounds is Place's list of bound changes, sized for every r and q
+	// and kept from snapshot to snapshot: its retargeting, then its
+	// lifting of every cap.
+	bounds []lp.BoundChange
 }
 
 // IncrementalOptions tunes the incremental engine. It has no settable
@@ -69,7 +73,10 @@ func NewIncrementalEngine(prob *Problem, _ IncrementalOptions) (*IncrementalEngi
 	if err != nil {
 		return nil, err
 	}
-	return &IncrementalEngine{prob: prob, md: md, solver: lp.NewSolver(md.m)}, nil
+	return &IncrementalEngine{
+		prob: prob, md: md, solver: lp.NewSolver(md.m),
+		bounds: make([]lp.BoundChange, 0, len(md.rVar)+len(md.qKeys)),
+	}, nil
 }
 
 // Place solves the snapshot whose per-class rates are given and returns
@@ -89,20 +96,14 @@ func (e *IncrementalEngine) Place(rates map[ClassID]float64) (pl *Placement, st 
 	// cap is still true; and relaxing it to +Inf would evict the variable
 	// from its resting bound and destroy the dual feasibility the warm
 	// start needs (the reason repair-heavy topologies used to fall back
-	// cold on every pass). The rates are checked before any bound moves.
-	// Each bound is set as it is decided, with no list of the changes: a
-	// bound change touches only its own variable's resting state, so which
-	// caps rest is read the same before or after the pins.
-	for _, c := range e.prob.Classes {
-		if r := rates[c.ID]; r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
-			return nil, st, fmt.Errorf("core: class %d has invalid rate %v", c.ID, r)
-		}
-	}
+	// cold on every pass).
+	changes := e.bounds[:0]
 	for ci, c := range e.prob.Classes {
 		r := rates[c.ID]
-		if err := e.solver.SetBounds(e.md.rVar[ci], r, r); err != nil {
-			return nil, st, fmt.Errorf("core: %w", err)
+		if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
+			return nil, st, fmt.Errorf("core: class %d has invalid rate %v", c.ID, r)
 		}
+		changes = append(changes, lp.BoundChange{Var: e.md.rVar[ci], Lo: r, Hi: r})
 	}
 	kept := 0
 	for _, key := range e.md.qKeys {
@@ -111,9 +112,11 @@ func (e *IncrementalEngine) Place(rates map[ClassID]float64) (pl *Placement, st 
 			kept++
 			continue
 		}
-		if err := e.solver.SetBounds(qv, 0, math.Inf(1)); err != nil {
-			return nil, st, fmt.Errorf("core: %w", err)
-		}
+		changes = append(changes, lp.BoundChange{Var: qv, Lo: 0, Hi: math.Inf(1)})
+	}
+	e.bounds = changes
+	if err := e.solver.ApplyBounds(changes); err != nil {
+		return nil, st, fmt.Errorf("core: %w", err)
 	}
 
 	st.Warm = e.solved && e.solver.HasBasis()
@@ -131,10 +134,12 @@ func (e *IncrementalEngine) Place(rates map[ClassID]float64) (pl *Placement, st 
 		// The carried caps over-constrain this snapshot (demand moved onto
 		// capped switches). Lift them all and solve cold — correctness
 		// first, the next pass warm-starts again.
+		lift := e.bounds[:0]
 		for _, key := range e.md.qKeys {
-			if aerr := e.solver.SetBounds(e.md.qVar[key], 0, math.Inf(1)); aerr != nil {
-				return nil, st, fmt.Errorf("core: %w", aerr)
-			}
+			lift = append(lift, lp.BoundChange{Var: e.md.qVar[key], Lo: 0, Hi: math.Inf(1)})
+		}
+		if aerr := e.solver.ApplyBounds(lift); aerr != nil {
+			return nil, st, fmt.Errorf("core: %w", aerr)
 		}
 		st.Warm = false
 		st.WarmAccepted = false
