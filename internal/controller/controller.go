@@ -408,7 +408,12 @@ func (c *Controller) Avail() map[topology.NodeID]policy.Resources {
 // RuleUpdates returns the number of TCAM rule installations performed.
 func (c *Controller) RuleUpdates() int { return int(c.ruleUpdates.Load()) }
 
-// Assignment returns the data-plane assignment of a class.
+// Assignment returns the data-plane assignment of a class: the store's
+// live record, not a snapshot. Its Class.RateMbps belongs to the writer: a
+// rate-only refresh (ReOptimize) rewrites it in place, so a caller that
+// keeps the record across a pass reads the new rate, and a caller on
+// another goroutine must not read it, nor copy Class, while the writer
+// may refresh. Everything else on the record stands while it is installed.
 func (c *Controller) Assignment(id core.ClassID) (*Assignment, error) {
 	a, ok := c.assign.get(id)
 	if !ok {

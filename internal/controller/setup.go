@@ -326,20 +326,11 @@ func (st *assignStore) len() int {
 	return len(st.m)
 }
 
-// ids returns every installed class ID, sorted, in a slice of the
-// caller's: copied off the class order while it stands, sorted afresh
-// otherwise, so that no caller builds the order for the writer.
+// ids returns every installed class ID, sorted.
 func (st *assignStore) ids() []core.ClassID {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	if !st.ordered {
-		return sortedKeys(st.m)
-	}
-	out := make([]core.ClassID, len(st.order))
-	for i, a := range st.order {
-		out[i] = a.Class.ID
-	}
-	return out
+	return sortedKeys(st.m)
 }
 
 // sorted returns the installed assignments in ascending class order: the
