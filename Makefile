@@ -21,7 +21,7 @@ test:
 # tier1 runs every test once, verbosely, into tier1.log, prints the
 # `--- PASS` count and fails on any failing test or on fewer passes than
 # the standing floor ROADMAP.md sets.
-TIER1_FLOOR := 948
+TIER1_FLOOR := 959
 tier1:
 	@$(GO) test -v ./... > tier1.log 2>&1; status=$$?; \
 	passes=$$(grep -c -- '--- PASS' tier1.log); \

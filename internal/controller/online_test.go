@@ -153,8 +153,8 @@ func TestAdmitArrivalRecordsSideEffectsInTxn(t *testing.T) {
 	if len(txn.provisioned) == 0 {
 		t.Fatal("admit provisioned a firewall but recorded nothing in the transaction")
 	}
-	if len(txn.admitted) != 1 || txn.admitted[0] != cl.ID {
-		t.Fatalf("txn.admitted = %v, want [%d]", txn.admitted, cl.ID)
+	if len(txn.log) != 1 || txn.log[0] != (storeUndo{id: cl.ID}) {
+		t.Fatalf("txn.log = %v, want [{%d <nil>}]", txn.log, cl.ID)
 	}
 
 	// Simulate a later-stage failure: the unwind alone must erase every

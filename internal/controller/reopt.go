@@ -116,7 +116,7 @@ func (c *Controller) ReOptimize(prob *core.Problem, pl *core.Placement, opts Reo
 
 	// Stage in class order: installs, updates and refreshes, then removals.
 	txn := c.Begin()
-	txn.grow(report.Added+report.Updated+report.Removed, report.RateOnly, report.Updated+report.Removed)
+	txn.grow(report.Added+report.Updated+report.Removed, report.RateOnly)
 	for i, cl := range prob.Classes {
 		cl.Chain = pl.ChainFor(cl)
 		switch sc.verdicts[i] {

@@ -757,7 +757,7 @@ func (t *RuleTxn) admit(op txnOp) (*Assignment, error) {
 	c.assign.put(cl.ID, a)
 	c.journalAdmit(a)
 	t.provisioned = append(t.provisioned, provisioned...)
-	t.admitted = append(t.admitted, cl.ID)
+	t.log = append(t.log, storeUndo{id: cl.ID})
 	return a, nil
 }
 

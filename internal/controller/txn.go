@@ -30,8 +30,9 @@ package controller
 //	             intermediate states are violation-free.
 //	unwind     — on any error the transaction reverts every table batch
 //	             it applied (newest first, each from the undo token the
-//	             batch returned), deletes admitted assignments,
-//	             re-registers replaced/removed ones, restores the pool
+//	             batch returned), takes back every class-record write it
+//	             logged (newest first: an admitted class is removed, a
+//	             replaced or removed one put back), restores the pool
 //	             buckets it re-bucketed and cancels provisioned instances:
 //	             four kinds of state. The instance-portion ledger and the
 //	             route holds follow the class records (assignStore.put
@@ -41,8 +42,8 @@ package controller
 //	             pre-transaction state.
 //
 // Everything the transaction remembers for that is sized by its own
-// delta — the rules its batches added and removed, the classes and pools
-// it replaced — never by what is installed.
+// delta — the rules its batches added and removed, the class records it
+// wrote, the pools it replaced — never by what is installed.
 //
 // Process-global telemetry (metrics counters, the rule-update odometer,
 // the trace journal) is monotone and deliberately not rolled back: an
@@ -105,8 +106,8 @@ type TxnOptions struct {
 // staged[at], the op staged after it, so deltas commit in the order they
 // were staged. Its commit records the pre-image an unwind writes back —
 // the rate and generation the assignment held — and after, how many
-// pre-images of replaced classes (prevOrder) the transaction held then,
-// which places the refresh among them when they are put back.
+// class-record writes the store log held then, which places the refresh
+// among them when the unwind takes them back.
 type rateDelta struct {
 	id       core.ClassID
 	rate     float64
@@ -148,11 +149,8 @@ type txnScratch struct {
 	// undo holds the inverse of every table batch applied, in apply
 	// order.
 	undo []tableUndo
-	// Assignment-store deltas: classes put during the txn, and the
-	// pre-images of classes replaced or removed.
-	admitted   []core.ClassID
-	prevAssign map[core.ClassID]*Assignment
-	prevOrder  []core.ClassID
+	// log holds every class-record write, in write order.
+	log []storeUndo
 	// Instances provisioned during the txn.
 	provisioned []vnf.ID
 	// One install-pipeline run's admitted assignments and the rules
@@ -181,9 +179,7 @@ func (s *txnScratch) reset() {
 	s.refreshes, s.refreshed = reuse(s.refreshes), 0
 	s.prevPools = reuseMap(s.prevPools)
 	s.undo = reuse(s.undo)
-	s.admitted = reuse(s.admitted)
-	s.prevAssign = reuseMap(s.prevAssign)
-	s.prevOrder = reuse(s.prevOrder)
+	s.log = reuse(s.log)
 	s.provisioned = reuse(s.provisioned)
 	s.runAdmitted = reuse(s.runAdmitted)
 	s.runPerDevice = reuseMap(s.runPerDevice)
@@ -236,17 +232,12 @@ func (c *Controller) Begin() *RuleTxn {
 	return &RuleTxn{c: c, txnScratch: s}
 }
 
-// grow makes room for ops staged deltas, refreshes refreshes and replaced
-// pre-images of installed classes cut over or removed, for callers that
-// know what they are about to stage. It is called before anything is
-// staged.
-func (t *RuleTxn) grow(ops, refreshes, replaced int) {
+// grow makes room for ops staged deltas and refreshes refreshes, for
+// callers that know what they are about to stage. It is called before
+// anything is staged.
+func (t *RuleTxn) grow(ops, refreshes int) {
 	t.staged = emptyWithRoom(t.staged, ops)
 	t.refreshes = emptyWithRoom(t.refreshes, refreshes)
-	t.prevOrder = emptyWithRoom(t.prevOrder, replaced)
-	if t.prevAssign == nil || replaced > scratchCap {
-		t.prevAssign = make(map[core.ClassID]*Assignment, replaced)
-	}
 }
 
 // StageAdd stages an online arrival: greedy placement against live
@@ -364,12 +355,14 @@ func (t *RuleTxn) Commit(opts TxnOptions) (err error) {
 // tracked and must end in finish or unwind. Idempotent — Commit calls it,
 // and entry points that act before Commit (provisioning instances, running
 // the install pipeline directly) call it first, after staging, so the
-// journaled txn.begin carries the staged-delta count.
+// journaled txn.begin carries the staged-delta count. Each staged delta
+// writes one class record when it commits, so the store log is sized here.
 func (t *RuleTxn) open() {
 	if t.opened {
 		return
 	}
 	t.opened = true
+	t.log = emptyWithRoom(t.log, len(t.staged))
 	metrics.Txn.Begun.Add(1)
 	if t.c.tracer.Enabled() {
 		t.c.tracer.Emit(trace.Ev(trace.KindTxnBegin).WithVal(int64(len(t.staged) + len(t.refreshes))))
@@ -402,11 +395,12 @@ func (t *RuleTxn) release() {
 }
 
 // unwind restores the controller to its pre-transaction state: table
-// batches reverted newest first, admitted classes out of the store and
-// replaced/removed classes back in, and refreshed ones back at their old
-// rate and generation, newest first — their portion charges with them —
-// re-bucketed pools restored, and provisioned instances cancelled and
-// de-pooled.
+// batches reverted newest first, then every class-record write and
+// refresh taken back in the reverse of the order it was made — an
+// admitted class removed, a replaced or removed one put back, a refreshed
+// one back at its old rate and generation, their portion charges with
+// them — re-bucketed pools restored, and provisioned instances cancelled
+// and de-pooled.
 func (t *RuleTxn) unwind(cause error) {
 	t.finished = true
 	c := t.c
@@ -421,23 +415,22 @@ func (t *RuleTxn) unwind(cause error) {
 			}
 		}
 	}
-	for i := len(t.admitted) - 1; i >= 0; i-- {
-		c.assign.remove(t.admitted[i])
-	}
 	r := t.refreshed
-	for i := len(t.prevOrder) - 1; i >= -1; i-- {
-		// The refreshes committed after prevOrder[i] was recorded go back
-		// first; a class this transaction admitted is already gone, its
-		// charges at the refreshed rate with it.
+	for i := len(t.log) - 1; i >= -1; i-- {
+		// The refreshes committed after write i go back before it: the
+		// store then holds the record each rewrote.
 		for ; r > 0 && int(t.refreshes[r-1].after) > i; r-- {
 			u := t.refreshes[r-1]
-			if a, ok := c.assign.get(u.id); ok {
-				c.assign.refresh(a, u.prevRate, u.prevGen)
-			}
+			a, _ := c.assign.get(u.id)
+			c.assign.refresh(a, u.prevRate, u.prevGen)
 		}
-		if i >= 0 {
-			id := t.prevOrder[i]
-			c.assign.put(id, t.prevAssign[id])
+		if i < 0 {
+			break
+		}
+		if u := t.log[i]; u.prev == nil {
+			c.assign.remove(u.id)
+		} else {
+			c.assign.put(u.id, u.prev)
 		}
 	}
 	for v, pre := range t.prevPools {
@@ -565,17 +558,11 @@ func (t *RuleTxn) trackPool(v topology.NodeID) {
 	t.prevPools[v] = pre
 }
 
-// trackPrevAssign records the pre-image of a class the transaction is
-// about to replace or remove (first write wins).
-func (t *RuleTxn) trackPrevAssign(id core.ClassID, a *Assignment) {
-	if _, ok := t.prevAssign[id]; ok {
-		return
-	}
-	if t.prevAssign == nil {
-		t.prevAssign = make(map[core.ClassID]*Assignment)
-	}
-	t.prevAssign[id] = a
-	t.prevOrder = append(t.prevOrder, id)
+// storeUndo is one class-record write of the transaction: class id's
+// record before it, or nil where the write admitted the class.
+type storeUndo struct {
+	id   core.ClassID
+	prev *Assignment
 }
 
 // commitCutover commits a staged update, reshape or removal as one
@@ -701,7 +688,7 @@ func (t *RuleTxn) cutover(old, next *Assignment) error {
 	if err := t.fail("cutover:swap", id); err != nil {
 		return err
 	}
-	t.trackPrevAssign(id, old)
+	t.log = append(t.log, storeUndo{id, old})
 	if next != nil {
 		c.assign.put(id, next)
 	} else {
@@ -868,7 +855,7 @@ func eachRetired(old, next *Assignment, f func(s int, v topology.NodeID)) {
 // words are written under the store's lock, and only the writer reads
 // them: Forward, FlowHeader and the enforcement probes read the class's
 // path, chain, sub-classes and instances, which stay. The pre-image goes
-// in the refresh itself, not in prevAssign. No allocation.
+// in the refresh itself, not in the store log. No allocation.
 func (t *RuleTxn) commitRefresh(k int) error {
 	c := t.c
 	r := &t.refreshes[k]
@@ -880,7 +867,7 @@ func (t *RuleTxn) commitRefresh(k int) error {
 		return err
 	}
 	r.prevRate, r.prevGen = c.assign.refresh(a, r.rate, c.nextGen())
-	r.after = int32(len(t.prevOrder))
+	r.after = int32(len(t.log))
 	t.refreshed = k + 1
 	return nil
 }

@@ -919,32 +919,60 @@ func TestAddClassBatchLateRefusalMatchesLoop(t *testing.T) {
 }
 
 // TestUnwindDropsAdmittedRefreshedClass: a transaction admits class 9,
-// refreshes its rate and fails at a later removal's retire step. The
-// unwind takes the admitted class out, its charges at the refreshed rate
-// with it, and writes nothing back for the refresh: class 9 is gone, and
-// the ledger and class 2 are as before the call.
+// then refreshes its rate, cuts it over to another firewall or removes it,
+// and fails at a later removal's retire step. The unwind takes back every
+// class-record write newest first: class 2 is back, class 9 is put back as
+// admitted and then removed, so it is gone, its charges with it, and the
+// snapshot, the ledger and enforcement are as before the call.
 func TestUnwindDropsAdmittedRefreshedClass(t *testing.T) {
-	fx := newTxnFixture(t)
-	c := fx.c
-	ledger := c.assign.portions()
 	cl := core.Class{ID: 9, Path: linePath(4), Chain: policy.Chain{policy.Firewall}, RateMbps: 120}
-	c.failpoint = func(point string) error {
-		if point == "cutover:retire:2" {
-			return errInjected
-		}
-		return nil
-	}
-	txn := c.Begin()
-	txn.StageAdd(cl)
-	txn.StageRefresh(cl.ID, 300)
-	txn.StageRemove(2)
-	if err := txn.Commit(TxnOptions{}); !errors.Is(err, errInjected) {
-		t.Fatalf("commit: %v, want the injected fault", err)
-	}
-	if c.assign.has(cl.ID) || !c.assign.has(2) {
-		t.Fatalf("after the unwind class 9 installed %v, class 2 %v; want false, true", c.assign.has(cl.ID), c.assign.has(2))
-	}
-	if got := c.assign.portions(); !reflect.DeepEqual(got, ledger) {
-		t.Errorf("the unwind left the ledger at %v, want %v", got, ledger)
+	for _, tc := range []struct {
+		name  string
+		stage func(txn *RuleTxn, hop int)
+	}{
+		{"refresh", func(txn *RuleTxn, _ int) { txn.StageRefresh(cl.ID, 300) }},
+		{"update", func(txn *RuleTxn, hop int) {
+			dist := zeroDist(len(cl.Path), len(cl.Chain))
+			dist[hop][0] = 1
+			txn.StageUpdate(cl, dist)
+		}},
+		{"remove", func(txn *RuleTxn, _ int) { txn.StageRemove(cl.ID) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fx := newTxnFixture(t)
+			c := fx.c
+			// The update moves class 9 to the last switch of its path that
+			// pools a firewall.
+			hop := -1
+			for h, v := range cl.Path {
+				if len(c.instPool[v][policy.Firewall]) > 0 {
+					hop = h
+				}
+			}
+			if hop < 0 {
+				t.Fatal("no firewall on class 9's path")
+			}
+			before, ledger := c.Snapshot().String(), c.assign.portions()
+			c.failpoint = failAt("cutover:retire:2")
+			txn := c.Begin()
+			txn.StageAdd(cl)
+			tc.stage(txn, hop)
+			txn.StageRemove(2)
+			if err := txn.Commit(TxnOptions{}); !errors.Is(err, errInjected) {
+				t.Fatalf("commit: %v, want the injected fault", err)
+			}
+			if c.assign.has(cl.ID) || !c.assign.has(2) {
+				t.Errorf("after the unwind class 9 installed %v, class 2 %v; want false, true", c.assign.has(cl.ID), c.assign.has(2))
+			}
+			if after := c.Snapshot().String(); after != before {
+				t.Errorf("the unwind changed the state: %s", firstDiff(before, after))
+			}
+			if err := ledgerRestored(ledger, c.assign.portions()); err != nil {
+				t.Error(err)
+			}
+			if err := c.CheckEnforcement(); err != nil {
+				t.Errorf("after the unwind: %v", err)
+			}
+		})
 	}
 }
