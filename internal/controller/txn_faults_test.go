@@ -156,9 +156,10 @@ type faultRoute struct {
 	// the classes admitted before an admission failure; a failed spawn
 	// activation disposes of its instance.
 	expect func(t *testing.T, pt string) string
-	// reshapes marks the Dynamic Handler's transitions: they commit
-	// reshapes, which run no install pipeline.
-	reshapes bool
+	// cutoversOnly marks the calls that commit cutovers alone — the
+	// Dynamic Handler's reshapes, a transaction of removals — and so run
+	// no install pipeline.
+	cutoversOnly bool
 }
 
 // faultRoutes lists every entry point that mutates rules.
@@ -206,6 +207,7 @@ var faultRoutes = []struct {
 	{"activate", newActivateRoute},
 	{"overload-nat", newNATOverloadRoute},
 	{"retire", newRetireRoute},
+	{"ring-retire", newRingRetireRoute},
 }
 
 // newRetireRoute is a transaction whose removals retire routes and
@@ -240,6 +242,43 @@ func newRetireRoute(t *testing.T) *faultRoute {
 		txn.StageAdd(cl2)
 		txn.StageRemove(0)
 		txn.StageRemove(3)
+		return txn.Commit(TxnOptions{Verify: true, Audit: auditWith(c, handler)})
+	}}
+}
+
+// newRingRetireRoute walks a live class across a re-pointed route. On the
+// ring 0-1-2-3-0 with hosts at switches 0, 1 and 3, class 0 {Firewall}
+// runs 0→1→2 and class 1 {IDS} 0→3→2, class 1 processed at its ingress,
+// so it is enforced though switch 0's route-2 forwards it to switch 1,
+// class 0's next hop (ROADMAP item 28). The transaction removes class 0:
+// its retire step re-points switch 0's route-2 to switch 3, class 1's
+// next hop, and retires switch 1's, which no class crosses toward switch
+// 2 any more. Class 1's packets keep flowing only if switch 0 is
+// re-pointed before switch 1's route goes.
+func newRingRetireRoute(t *testing.T) *faultRoute {
+	t.Helper()
+	c := ringController(t, 4, 0, 1, 3)
+	for _, cl := range []core.Class{
+		{ID: 0, Path: []topology.NodeID{0, 1, 2}, Chain: policy.Chain{policy.Firewall}, RateMbps: 200},
+		{ID: 1, Path: []topology.NodeID{0, 3, 2}, Chain: policy.Chain{policy.IDS}, RateMbps: 200},
+	} {
+		if err := c.AddClass(cl); err != nil {
+			t.Fatalf("AddClass(%d): %v", cl.ID, err)
+		}
+	}
+	if a, _ := c.assign.get(1); a.Subclass(0).Hops[0] != 0 {
+		t.Fatalf("class 1 processed at hop %d, want its ingress", a.Subclass(0).Hops[0])
+	}
+	if err := c.CheckClassEnforcement(1); err != nil {
+		t.Fatalf("class 1 before the call: %v", err)
+	}
+	handler, err := NewDynamicHandler(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &faultRoute{c: c, handler: handler, cutoversOnly: true, run: func() error {
+		txn := c.Begin()
+		txn.StageRemove(0)
 		return txn.Commit(TxnOptions{Verify: true, Audit: auditWith(c, handler)})
 	}}
 }
@@ -366,7 +405,7 @@ func observeOnce(d *DynamicHandler, rates map[core.ClassID]float64) error {
 func newOverloadRoute(t *testing.T) *faultRoute {
 	t.Helper()
 	c, d := repinSetup(t)
-	return &faultRoute{c: c, handler: d, reshapes: true, run: func() error { return observeOnce(d, repinSurge) }}
+	return &faultRoute{c: c, handler: d, cutoversOnly: true, run: func() error { return observeOnce(d, repinSurge) }}
 }
 
 // newNATOverloadRoute is an overload of the firewall two NAT classes
@@ -375,7 +414,7 @@ func newOverloadRoute(t *testing.T) *faultRoute {
 func newNATOverloadRoute(t *testing.T) *faultRoute {
 	t.Helper()
 	c, d := natPairOnSharedFirewall(t)
-	return &faultRoute{c: c, handler: d, reshapes: true,
+	return &faultRoute{c: c, handler: d, cutoversOnly: true,
 		run: func() error { return observeOnce(d, map[core.ClassID]float64{0: 700, 1: 700}) }}
 }
 
@@ -387,7 +426,7 @@ func newRollbackRoute(t *testing.T) *faultRoute {
 	if err := observeOnce(d, repinSurge); err != nil {
 		t.Fatalf("overload: %v", err)
 	}
-	return &faultRoute{c: c, handler: d, reshapes: true, run: func() error { return observeOnce(d, repinCalm) }}
+	return &faultRoute{c: c, handler: d, cutoversOnly: true, run: func() error { return observeOnce(d, repinCalm) }}
 }
 
 // spawnInFlight surges the lone firewall of faultySetup under plan: the
@@ -438,7 +477,7 @@ func newActivateRoute(t *testing.T) *faultRoute {
 		}
 		return fired
 	}
-	return &faultRoute{c: c, handler: d, reshapes: true, run: run,
+	return &faultRoute{c: c, handler: d, cutoversOnly: true, run: run,
 		expect: func(t *testing.T, _ string) string {
 			ref, refD := spawnInFlight(t, orchestrator.FaultPlan{BootFailOn: []int{1}})
 			cClock(ref).Run(6 * time.Second)
@@ -777,7 +816,7 @@ func TestJournalShapeOnEveryEntryPoint(t *testing.T) {
 			if !reflect.DeepEqual(txn, want) {
 				t.Errorf("%s faulted=%v: transaction events %v, want %v", route.name, faulted, txn, want)
 			}
-			if !faulted && !fx.reshapes && applies == 0 {
+			if !faulted && !fx.cutoversOnly && applies == 0 {
 				t.Errorf("%s: committed run journaled no flow.apply", route.name)
 			}
 		}
