@@ -263,8 +263,9 @@ func TestInstallPublicationsConsistent(t *testing.T) {
 // TestReshapePublicationsConsistent: per-packet consistency of every
 // cutover, walked at every publication. On the faultRoutes that cut
 // installed classes over — the Dynamic Handler's overload, rollback,
-// spawn-activation and NAT-overload reshapes, and the commit, reshaped and
-// retire transactions, whose updates and removals are cutovers too — each
+// spawn-activation and NAT-overload reshapes, and the commit, reshaped,
+// retire and ring-retire transactions, whose updates and removals are
+// cutovers too — each
 // probe of every class installed before the call must walk, after every
 // table publication of the call, as it did before the call or as it does
 // after a clean one; a probe of a class the call removes, as before the
@@ -274,6 +275,9 @@ func TestInstallPublicationsConsistent(t *testing.T) {
 // the call, for every one of these routes. Retiring steering before the
 // classification flip, or before the make step, fails the commit and
 // reshaped routes: an updated class's probes are dropped by a vSwitch.
+// Applying a step's tables in reverse order fails the ring-retire route:
+// switch 1's route-2 retires before switch 0's is re-pointed, and the live
+// class 1's probes are dropped at switch 1.
 func TestReshapePublicationsConsistent(t *testing.T) {
 	for _, route := range faultRoutes {
 		if route.name == "batch" || route.name == "placement" {
